@@ -49,6 +49,8 @@ type Journal struct {
 	w   io.Writer
 	f   *os.File // when file-backed, for Sync
 	obs func(line []byte)
+	// scratch is the reused line-plus-newline buffer of AppendRaw.
+	scratch []byte
 }
 
 // NewJournal wraps a writer as an append log.
@@ -102,7 +104,10 @@ func (j *Journal) append(e *journalEntry) error {
 func (j *Journal) AppendRaw(line []byte) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if _, err := j.w.Write(append(append(make([]byte, 0, len(line)+1), line...), '\n')); err != nil {
+	// One Write per line keeps a torn append at most one line long; the
+	// line-plus-newline copy lives in a scratch buffer reused under j.mu.
+	j.scratch = append(append(j.scratch[:0], line...), '\n')
+	if _, err := j.w.Write(j.scratch); err != nil {
 		return err
 	}
 	if j.obs != nil {

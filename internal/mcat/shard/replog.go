@@ -12,10 +12,14 @@ const DefaultRepLogCap = 4096
 // feeds it, so the same append-only stream that makes the catalog
 // durable also replicates it.
 type RepLog struct {
-	mu      sync.Mutex
-	entries [][]byte
-	start   uint64 // sequence of entries[0]; 1 when nothing trimmed
-	max     int
+	mu sync.Mutex
+	// ring holds the retained lines oldest-first starting at ring[first].
+	// It grows by append (first stays 0) until it holds max lines; from
+	// then on each new line overwrites the oldest in place.
+	ring  [][]byte
+	first int
+	start uint64 // sequence of the oldest retained line; 1 when nothing trimmed
+	max   int
 }
 
 // NewRepLog returns a log retaining at most max lines.
@@ -36,7 +40,7 @@ func NewRepLog(max int) *RepLog {
 // state. Must be called before the first Append.
 func (l *RepLog) SetBase(base uint64) {
 	l.mu.Lock()
-	if len(l.entries) == 0 && base+1 > l.start {
+	if len(l.ring) == 0 && base+1 > l.start {
 		l.start = base + 1
 	}
 	l.mu.Unlock()
@@ -46,11 +50,12 @@ func (l *RepLog) SetBase(base uint64) {
 func (l *RepLog) Append(line []byte) {
 	cp := append([]byte(nil), line...)
 	l.mu.Lock()
-	l.entries = append(l.entries, cp)
-	if len(l.entries) > l.max {
-		drop := len(l.entries) - l.max
-		l.entries = append([][]byte(nil), l.entries[drop:]...)
-		l.start += uint64(drop)
+	if len(l.ring) < l.max {
+		l.ring = append(l.ring, cp)
+	} else {
+		l.ring[l.first] = cp
+		l.first = (l.first + 1) % l.max
+		l.start++
 	}
 	l.mu.Unlock()
 }
@@ -60,7 +65,7 @@ func (l *RepLog) Append(line []byte) {
 func (l *RepLog) Head() uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.start + uint64(len(l.entries)) - 1
+	return l.start + uint64(len(l.ring)) - 1
 }
 
 // Since returns the lines after sequence `after`, and whether the log
@@ -72,12 +77,13 @@ func (l *RepLog) Since(after uint64) ([][]byte, bool) {
 	if after+1 < l.start {
 		return nil, false
 	}
-	head := l.start + uint64(len(l.entries)) - 1
+	head := l.start + uint64(len(l.ring)) - 1
 	if after >= head {
 		return nil, true
 	}
-	from := int(after + 1 - l.start)
-	out := make([][]byte, head-after)
-	copy(out, l.entries[from:])
+	out := make([][]byte, 0, head-after)
+	for i := int(after + 1 - l.start); i < len(l.ring); i++ {
+		out = append(out, l.ring[(l.first+i)%len(l.ring)])
+	}
 	return out, true
 }

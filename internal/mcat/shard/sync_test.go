@@ -156,6 +156,38 @@ func TestRepLogTrimAndSince(t *testing.T) {
 	if !ok || len(got) != 0 {
 		t.Errorf("Since(6) = %q ok=%v", got, ok)
 	}
+	// The ring keeps overwriting in place: after several laps the window
+	// is still the newest four lines, in sequence order.
+	for i := 7; i <= 19; i++ {
+		rl.Append([]byte(fmt.Sprintf("e%d", i)))
+	}
+	got, ok = rl.Since(15)
+	if !ok || len(got) != 4 || string(got[0]) != "e16" || string(got[3]) != "e19" {
+		t.Errorf("Since(15) after laps = %q ok=%v", got, ok)
+	}
+	if _, ok := rl.Since(14); ok {
+		t.Error("Since(14) should demand a snapshot: e15 was overwritten")
+	}
+}
+
+// A log with a boot-unique base numbers its first line base+1 and keeps
+// the ring arithmetic independent of that offset.
+func TestRepLogBaseThenWrap(t *testing.T) {
+	rl := NewRepLog(3)
+	rl.SetBase(1000)
+	for i := 1; i <= 5; i++ {
+		rl.Append([]byte(fmt.Sprintf("e%d", i)))
+	}
+	if rl.Head() != 1005 {
+		t.Fatalf("Head = %d, want 1005", rl.Head())
+	}
+	got, ok := rl.Since(1002)
+	if !ok || len(got) != 3 || string(got[0]) != "e3" || string(got[2]) != "e5" {
+		t.Errorf("Since(1002) = %q ok=%v", got, ok)
+	}
+	if _, ok := rl.Since(1001); ok {
+		t.Error("Since(1001) should demand a snapshot")
+	}
 }
 
 // A promoted follower can serve pulls itself: its replayed journal fed
