@@ -10,11 +10,11 @@ GO ?= go
 VERSION ?= $(shell git describe --tags --always --dirty 2>/dev/null || echo dev)
 LDFLAGS := -ldflags "-X gosrb/internal/obs.Version=$(VERSION)"
 
-.PHONY: all check lint vet build test race test-faults test-repair test-wire test-phases test-mcat test-heat bench bench-obs bench-obs-gate bench-repair bench-grid bench-grid-gate bench-flight bench-flight-gate bench-wire bench-wire-gate bench-phases bench-phases-gate bench-mcat bench-mcat-gate bench-heat bench-heat-gate clean
+.PHONY: all check lint vet build test race test-faults test-repair test-wire test-phases test-mcat test-heat test-telemetry test-stream bench bench-e2e bench-obs bench-obs-gate bench-repair bench-grid bench-grid-gate bench-flight bench-flight-gate bench-wire bench-wire-gate bench-phases bench-phases-gate bench-mcat bench-mcat-gate bench-heat bench-heat-gate clean
 
 all: check
 
-check: lint build race test-faults test-repair test-wire test-phases test-mcat test-heat bench-obs-gate bench-grid-gate bench-flight-gate bench-wire-gate bench-phases-gate bench-mcat-gate bench-heat-gate
+check: lint build race test-faults test-repair test-wire test-phases test-mcat test-heat test-telemetry test-stream bench-obs-gate bench-grid-gate bench-flight-gate bench-wire-gate bench-phases-gate bench-mcat-gate bench-heat-gate
 
 # Static analysis: go vet always, then a pinned staticcheck. The pin
 # keeps every checkout on the same analyzer; when the binary is absent
@@ -99,6 +99,30 @@ test-mcat:
 test-heat:
 	$(GO) test -race -count=10 -run 'TestHeat|TestSLOReplag' ./internal/obs/
 	$(GO) test -race -count=10 -run 'TestReplagGauges|TestReplogFallback|TestAdvisor' ./internal/mcat/shard/
+
+# Read-your-own-telemetry fence: every server test that asks for a
+# request's telemetry right after its reply, 20 times over. dispatch
+# records a request before it writes the last frame of the reply; when it
+# recorded after (the seed), this failed most runs.
+test-telemetry:
+	$(GO) test -count=20 ./internal/server/
+
+# Streaming data path sweep: the chunk copy loop, the wire's data
+# frames, sinks and allocation fences, the replica fan-out, and the
+# end-to-end suite (fixed memory for 4 concurrent large transfers, broken
+# streams at client / member / driver / peer, pipelining beside a stream),
+# repeated under -race — hand-offs of a connection's read side between
+# the reader loop and a handler only misbehave across interleavings.
+test-stream:
+	$(GO) test -race -count=10 ./internal/chunk/ ./internal/wire/
+	$(GO) test -race -count=10 -run 'TestWriteFrom|TestFanout|TestReadHandle' ./internal/replica/
+	$(GO) test -race -count=10 -run 'TestParallelGetRetries' ./internal/client/
+	$(GO) test -race -count=10 -run 'TestStream|TestReadYourOwn|TestPipelined|TestRejected|TestPut|TestReput|TestGetDriver|TestProxiedGet|TestStalled|TestReadRange' ./internal/server/
+
+# The end-to-end benchmark BENCHMARK.json declares (bench/README.md): the
+# four workloads, one fresh process each, gated metrics by name.
+bench-e2e:
+	$(GO) run ./bench -all
 
 # Full benchmark sweep (experiments E1–E10 plus the wire and broker
 # concurrency benches).

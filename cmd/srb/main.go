@@ -653,11 +653,13 @@ func run(cl *client.Client, cmd string, args []string) error {
 				opts.DataType = args[i+1]
 			}
 		}
-		data, err := os.ReadFile(local)
+		// The file is streamed, never read whole: its size is no concern.
+		f, err := os.Open(local)
 		if err != nil {
 			return err
 		}
-		o, err := cl.Put(remote, data, opts)
+		defer f.Close()
+		o, err := cl.PutFrom(remote, f, opts)
 		if err != nil {
 			return err
 		}
@@ -665,15 +667,15 @@ func run(cl *client.Client, cmd string, args []string) error {
 		return nil
 
 	case "get":
-		data, err := cl.Get(need(args, 0, "path"))
-		if err != nil {
+		path := need(args, 0, "path")
+		if len(args) < 2 {
+			_, err := cl.GetTo(path, os.Stdout)
 			return err
 		}
-		if len(args) > 1 {
-			return os.WriteFile(args[1], data, 0o644)
-		}
-		os.Stdout.Write(data)
-		return nil
+		return writeLocal(args[1], func(f *os.File) error {
+			_, err := cl.GetTo(path, f)
+			return err
+		})
 
 	case "pget":
 		path, local := need(args, 0, "path"), need(args, 1, "local file")
@@ -681,11 +683,10 @@ func run(cl *client.Client, cmd string, args []string) error {
 		if len(args) > 2 {
 			streams, _ = strconv.Atoi(args[2])
 		}
-		data, err := cl.ParallelGet(path, streams)
-		if err != nil {
+		return writeLocal(local, func(f *os.File) error {
+			_, err := cl.ParallelGetTo(path, streams, f)
 			return err
-		}
-		return os.WriteFile(local, data, 0o644)
+		})
 
 	case "rm":
 		return cl.Delete(need(args, 0, "path"))
@@ -810,15 +811,16 @@ func run(cl *client.Client, cmd string, args []string) error {
 		return cl.Checkout(need(args, 0, "path"))
 
 	case "checkin":
-		data, err := os.ReadFile(need(args, 1, "local file"))
+		f, err := os.Open(need(args, 1, "local file"))
 		if err != nil {
 			return err
 		}
+		defer f.Close()
 		comment := ""
 		if len(args) > 2 {
 			comment = strings.Join(args[2:], " ")
 		}
-		return cl.Checkin(args[0], data, comment)
+		return cl.CheckinFrom(args[0], f, comment)
 
 	case "mkcontainer":
 		o, err := cl.MkContainer(need(args, 0, "path"), need(args, 1, "resource"))
@@ -1183,6 +1185,30 @@ func runBulkPut(cl *client.Client, args []string) error {
 		return fmt.Errorf("%d file(s) failed", failCount)
 	}
 	return nil
+}
+
+// writeLocal streams a download into the local file at path. The bytes
+// land in a temporary sibling that replaces path only once fill has
+// succeeded, so a failed transfer neither truncates an existing file nor
+// leaves a partial one.
+func writeLocal(path string, fill func(*os.File) error) error {
+	f, err := os.CreateTemp(filepath.Dir(path), ".srb-get-*")
+	if err != nil {
+		return err
+	}
+	err = fill(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		if err = os.Chmod(f.Name(), 0o644); err == nil {
+			err = os.Rename(f.Name(), path)
+		}
+	}
+	if err != nil {
+		os.Remove(f.Name())
+	}
+	return err
 }
 
 // need returns args[i] or exits with a usage message.

@@ -6,10 +6,12 @@
 package client
 
 import (
+	"encoding/json"
 	"fmt"
 	"sync"
 	"time"
 
+	"gosrb/internal/chunk"
 	"gosrb/internal/obs"
 	"gosrb/internal/types"
 	"gosrb/internal/wire"
@@ -30,19 +32,18 @@ func (cl *Client) BulkPut(items []BulkPut) ([]wire.BulkItemStatus, error) {
 		return nil, nil
 	}
 	args := wire.BulkPutArgs{Items: make([]wire.BulkPutItem, len(items))}
-	var payload []byte
+	// The items are framed one after another straight from the caller's
+	// slices; the batch is never concatenated.
+	payload := make(chunk.Slices, len(items))
 	for i, it := range items {
 		args.Items[i] = wire.BulkPutItem{
 			Path: it.Path, Resource: it.Opts.Resource, Container: it.Opts.Container,
 			DataType: it.Opts.DataType, Meta: it.Opts.Meta, Size: int64(len(it.Data)),
 		}
-		payload = append(payload, it.Data...)
-	}
-	if payload == nil {
-		payload = []byte{}
+		payload[i] = it.Data
 	}
 	var out wire.BulkPutReply
-	if _, err := cl.call(wire.OpBulkPut, args, payload, &out); err != nil {
+	if err := cl.do(wire.OpBulkPut, args, &xfer{send: &payload}, &out, ""); err != nil {
 		return nil, err
 	}
 	return out.Results, nil
@@ -63,11 +64,27 @@ func (cl *Client) MultiGet(paths []string) ([]MultiGetResult, error) {
 	if len(paths) == 0 {
 		return nil, nil
 	}
+	// The manifest arrives in the response body, ahead of the bytes: it
+	// is decoded once, as the stream is announced, and its sizes add up
+	// to the one buffer the whole batch is received into.
 	var out wire.MultiGetReply
-	data, err := cl.call(wire.OpMultiGet, wire.MultiGetArgs{Paths: paths}, nil, &out)
-	if err != nil {
+	x := &xfer{announced: func(body json.RawMessage) (int64, error) {
+		out = wire.MultiGetReply{}
+		if err := json.Unmarshal(body, &out); err != nil {
+			return 0, err
+		}
+		var total int64
+		for i := range out.Items {
+			if out.Items[i].OK {
+				total += out.Items[i].Size
+			}
+		}
+		return total, nil
+	}}
+	if err := cl.do(wire.OpMultiGet, wire.MultiGetArgs{Paths: paths}, x, nil, ""); err != nil {
 		return nil, err
 	}
+	data := x.bytes()
 	if len(out.Items) != len(paths) {
 		return nil, types.E("multiget", "", fmt.Errorf("server returned %d items for %d paths: %w", len(out.Items), len(paths), types.ErrInvalid))
 	}
@@ -95,7 +112,7 @@ func (cl *Client) BulkStat(paths []string) ([]wire.BulkStatItem, error) {
 		return nil, nil
 	}
 	var out wire.BulkStatReply
-	if _, err := cl.call(wire.OpBulkStat, wire.BulkStatArgs{Paths: paths}, nil, &out); err != nil {
+	if _, err := cl.call(wire.OpBulkStat, wire.BulkStatArgs{Paths: paths}, &out); err != nil {
 		return nil, err
 	}
 	return out.Items, nil

@@ -1,12 +1,16 @@
 package client
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
+	"net"
 	"os"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"gosrb/internal/faultnet"
 	"gosrb/internal/resilience"
 	"gosrb/internal/types"
 	"gosrb/internal/wire"
@@ -161,5 +165,65 @@ func TestClientTimeoutExpires(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > time.Second {
 		t.Errorf("call took %v, deadline did not bound it", elapsed)
+	}
+}
+
+// TestParallelGetRetriesMidRange: the link dies part-way through the
+// ranges of a ParallelGet. Each range is written at its own offset, a
+// place a retry can go back to, so the streams re-dial and the call
+// still returns the whole object — what a transfer into a plain writer
+// could not do once bytes had reached it.
+func TestParallelGetRetriesMidRange(t *testing.T) {
+	const size = 2 << 20
+	want := make([]byte, size)
+	for i := range want {
+		want[i] = byte(i * 7)
+	}
+	addr := startFake(t, func(c *wire.Conn, req *wire.Request) error {
+		if req.Op == wire.OpStat {
+			resp, _ := wire.OkResponse(types.Stat{Size: size}, false)
+			return c.WriteJSON(wire.MsgResponse, resp)
+		}
+		var a wire.RangeArgs
+		if err := json.Unmarshal(req.Args, &a); err != nil {
+			return err
+		}
+		resp, _ := wire.OkResponse(wire.SizeReply{Size: a.Length}, true)
+		if err := c.WriteJSON(wire.MsgResponse, resp); err != nil {
+			return err
+		}
+		return c.SendData(bytes.NewReader(want[a.Offset : a.Offset+a.Length]))
+	})
+	inj := faultnet.New(1)
+	faulty := inj.WrapDial("link", func(a string) (net.Conn, error) {
+		return net.DialTimeout("tcp", a, 5*time.Second)
+	})
+	var dials atomic.Int64
+	cl, err := DialWith(addr, "alice", "pw", func(a string) (net.Conn, error) {
+		if dials.Add(1) > 3 {
+			// A re-dial (the parent and the two streams account for three):
+			// the fault has done its work.
+			inj.Target("link").Clear()
+		}
+		return faulty(a)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	cl.SetRetryPolicy(fastPolicy())
+
+	// Handshakes and the stat are a few hundred bytes; the budget runs
+	// out well inside the ranges.
+	inj.Target("link").DropAfterBytes(size / 2)
+	got, err := cl.ParallelGet("/x", 2)
+	if err != nil {
+		t.Fatalf("ParallelGet across a mid-range drop = %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Error("ParallelGet across a mid-range drop returned the wrong bytes")
+	}
+	if dials.Load() <= 3 {
+		t.Errorf("%d dials: the drop never forced a stream to re-dial", dials.Load())
 	}
 }

@@ -89,10 +89,6 @@ type brokerOps struct {
 	delete_, list, query                            *obs.Op
 	mkContainer, syncContainer                      *obs.Op
 
-	// fanoutOK/fanoutFail mirror the replica.Manager counters for the
-	// ingest member loop, cached so the hot path skips the registry map.
-	fanoutOK, fanoutFail *obs.Counter
-
 	// heat is the hot-key table the dispatch path feeds (one record per
 	// operation, keyed by the depth-2 routing prefix).
 	heat *obs.HeatTable
@@ -100,8 +96,6 @@ type brokerOps struct {
 
 func newBrokerOps(r *obs.Registry) brokerOps {
 	return brokerOps{
-		fanoutOK:      r.Counter("replica.fanout.ok"),
-		fanoutFail:    r.Counter("replica.fanout.fail"),
 		heat:          r.HeatKeys(),
 		get:           r.Op("broker.get"),
 		ingest:        r.Op("broker.ingest"),

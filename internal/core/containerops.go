@@ -1,10 +1,13 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
+	"io"
 	"time"
 
 	"gosrb/internal/acl"
+	"gosrb/internal/chunk"
 	"gosrb/internal/container"
 	"gosrb/internal/replica"
 	"gosrb/internal/types"
@@ -80,6 +83,13 @@ func (b *Broker) createContainer(user, path, resource string) (types.DataObject,
 // online segment replica (offsets stay aligned because appends are
 // serialised per container) and registers the member object.
 func (b *Broker) ingestIntoContainer(user, path string, opts IngestOpts) (types.DataObject, error) {
+	if opts.Reader != nil {
+		data, err := readMember(opts.Reader)
+		if err != nil {
+			return types.DataObject{}, types.E("ingest", path, err)
+		}
+		opts.Data = data
+	}
 	contPath := types.CleanPath(opts.Container)
 	cont, err := b.Cat.GetObject(contPath)
 	if err != nil {
@@ -173,6 +183,16 @@ func (b *Broker) ingestIntoContainer(user, path string, opts IngestOpts) (types.
 	}
 	b.audit(user, "ingest", path, true, fmt.Sprintf("into container %s at %d", contPath, offset))
 	return b.Cat.GetObject(path)
+}
+
+// readMember buffers one container member. A segment record is written
+// length-first, so a member's bytes must be in hand before the append —
+// containers exist to aggregate small files, and this is the one place
+// an ingest is held whole.
+func readMember(r io.Reader) ([]byte, error) {
+	var m bytes.Buffer
+	_, err := chunk.Copy(&m, r)
+	return m.Bytes(), err
 }
 
 // readContainerMember extracts a member's bytes from any clean online

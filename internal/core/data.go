@@ -1,7 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
+	"io"
 	"strings"
 	"time"
 
@@ -88,7 +90,10 @@ func (b *Broker) RmColl(user, path string) error {
 type IngestOpts struct {
 	// Path is the logical destination.
 	Path string
-	// Data is the object contents.
+	// Reader streams the object contents; it is read once, to EOF. When
+	// nil the contents are Data.
+	Reader io.Reader
+	// Data is the object contents when Reader is nil.
 	Data []byte
 	// Resource names the target (physical or logical) resource. Ignored
 	// when Container is set: "a container specification on ingestion
@@ -112,7 +117,7 @@ func (b *Broker) Ingest(user string, opts IngestOpts) (types.DataObject, error) 
 	start := time.Now()
 	o, err := b.ingest(user, opts)
 	b.ops.ingest.Done(start, err)
-	b.ops.heat.Record(shard.KeyOf(opts.Path), int64(len(opts.Data)))
+	b.ops.heat.Record(shard.KeyOf(opts.Path), o.Size)
 	return o, err
 }
 
@@ -163,11 +168,14 @@ func (b *Broker) ingest(user string, opts IngestOpts) (types.DataObject, error) 
 	// RegisterObject resolves linked sub-collections, so the effective
 	// path may differ from the requested one.
 	path = obj.Path()
-	sum := replica.Checksum(opts.Data)
 	// Replication policy: the sync default lands the file on every
 	// member on the write path; an async:k policy stops the synchronous
-	// fan-out after k successful writes and defers the rest (plus any
-	// members that failed) to the repair queue as dirty placeholders.
+	// fan-out at k members and defers the rest (plus any members that
+	// failed) to the repair queue as dirty placeholders. The sync set is
+	// the first members that can be opened for writing; it is fixed before
+	// the first byte is read, because one pass over the stream feeds them
+	// all — a member that fails mid-stream is left dirty, it cannot be
+	// replaced by the next one.
 	syncTarget := len(members)
 	async := false
 	if res, rerr := b.Cat.GetResource(opts.Resource); rerr == nil {
@@ -175,43 +183,50 @@ func (b *Broker) ingest(user string, opts IngestOpts) (types.DataObject, error) 
 			syncTarget, async = k, true
 		}
 	}
-	writeStart := time.Now()
-	var reps []types.Replica
-	wrote := 0
+	fo := b.rm.NewFanout()
+	reps := make([]types.Replica, len(members))
+	dests := make([]*replica.Dest, len(members))
 	for i, m := range members {
-		rep := types.Replica{
+		reps[i] = types.Replica{
 			Number:       types.ReplicaNumber(i),
 			Resource:     m.Name,
 			PhysicalPath: replica.PhysPathFor(obj, types.ReplicaNumber(i)),
 			Status:       types.ReplicaDirty,
 			CreatedAt:    b.now(),
 		}
-		if wrote < syncTarget {
-			d, derr := b.Driver(m.Name)
-			if derr == nil && m.Online {
-				if werr := storage.WriteAll(d, rep.PhysicalPath, opts.Data); werr == nil {
-					rep.Status = types.ReplicaClean
-					rep.Size = int64(len(opts.Data))
-					rep.Checksum = sum
-					wrote++
-				}
-			}
-			if rep.Status == types.ReplicaClean {
-				b.ops.fanoutOK.Inc()
-			} else {
-				b.ops.fanoutFail.Inc()
-			}
+		if fo.Live() < syncTarget && m.Online {
+			dests[i], _ = fo.Add(m.Name, reps[i].PhysicalPath)
 		}
-		reps = append(reps, rep)
 	}
-	opts.Span.Phase(obs.PhaseStorageWrite, time.Since(writeStart))
+	src := opts.Reader
+	if src == nil {
+		src = bytes.NewReader(opts.Data)
+	}
+	err = fo.Copy(src) // reads nothing when no member could be opened
+	opts.Span.Phase(obs.PhaseStorageWrite, fo.Busy())
+	if err != nil {
+		// The stream broke (client gone): no row, no replica.
+		b.Cat.DeleteObject(path)
+		b.audit(user, "ingest", path, false, "stream: "+err.Error())
+		return types.DataObject{}, types.E("ingest", path, err)
+	}
+	size, sum := fo.Size(), fo.Checksum()
+	wrote := 0
+	for i, dst := range dests {
+		if dst != nil && dst.Err == nil {
+			reps[i].Status = types.ReplicaClean
+			reps[i].Size = size
+			reps[i].Checksum = sum
+			wrote++
+		}
+	}
 	if wrote == 0 {
 		b.Cat.DeleteObject(path)
 		b.audit(user, "ingest", path, false, "no online member of "+opts.Resource)
 		return types.DataObject{}, types.E("ingest", path, types.ErrOffline)
 	}
 	err = b.Cat.UpdateObject(path, func(o *types.DataObject) error {
-		o.Size = int64(len(opts.Data))
+		o.Size = size
 		o.Checksum = sum
 		o.Replicas = reps
 		return nil
@@ -244,7 +259,7 @@ func (b *Broker) ingest(user string, opts IngestOpts) (types.DataObject, error) 
 			return types.DataObject{}, err
 		}
 	}
-	b.audit(user, "ingest", path, true, fmt.Sprintf("%d bytes on %s (%d replicas)", len(opts.Data), opts.Resource, len(reps)))
+	b.audit(user, "ingest", path, true, fmt.Sprintf("%d bytes on %s (%d replicas)", size, opts.Resource, len(reps)))
 	return b.Cat.GetObject(path)
 }
 
@@ -252,13 +267,18 @@ func (b *Broker) ingest(user string, opts IngestOpts) (types.DataObject, error) 
 // ("a user can reingest a file, i.e. all metadata associated with the
 // file by the SRB are still linked to it").
 func (b *Broker) Reingest(user, path string, data []byte) error {
+	return b.ReingestFrom(user, path, bytes.NewReader(data))
+}
+
+// ReingestFrom is Reingest with the new contents streamed from r.
+func (b *Broker) ReingestFrom(user, path string, r io.Reader) error {
 	start := time.Now()
-	err := b.reingest(user, path, data)
+	err := b.reingest(user, path, r)
 	b.ops.reingest.Done(start, err)
 	return err
 }
 
-func (b *Broker) reingest(user, path string, data []byte) error {
+func (b *Broker) reingest(user, path string, r io.Reader) error {
 	o, err := b.checkWrite(user, path, "reingest")
 	if err != nil {
 		return err
@@ -267,12 +287,17 @@ func (b *Broker) reingest(user, path string, data []byte) error {
 	case o.Kind != types.KindFile:
 		return types.E("reingest", path, types.ErrUnsupported)
 	case o.Container != "":
+		data, err := readMember(r)
+		if err != nil {
+			return types.E("reingest", path, err)
+		}
 		return b.reingestContainerMember(user, path, data)
 	}
-	if err := b.rm.WriteAll(path, data); err != nil {
+	n, err := b.rm.WriteFrom(path, r)
+	if err != nil {
 		return err
 	}
-	b.audit(user, "reingest", path, true, fmt.Sprintf("%d bytes", len(data)))
+	b.audit(user, "reingest", path, true, fmt.Sprintf("%d bytes", n))
 	return nil
 }
 
@@ -289,85 +314,164 @@ func (b *Broker) Get(user, path string) ([]byte, error) {
 // GetTraced is Get under a trace span: replica failovers, breaker
 // decisions and cache/container hits along the read are annotated onto
 // sp, and the audit record carries the trace ID (nil sp = plain Get).
+// It is OpenGet plus one read into a buffer of the object's size.
 func (b *Broker) GetTraced(user, path string, sp *obs.Span) ([]byte, error) {
-	start := time.Now()
-	data, err := b.get(user, path, sp)
-	b.ops.get.Done(start, err)
-	b.ops.heat.Record(shard.KeyOf(path), int64(len(data)))
-	return data, err
-}
-
-func (b *Broker) get(user, path string, sp *obs.Span) ([]byte, error) {
-	lookup := time.Now()
-	o, err := b.checkRead(user, path, "get")
-	sp.Phase(obs.PhaseMCATLookup, time.Since(lookup))
+	f, size, err := b.OpenGet(user, path, sp)
 	if err != nil {
 		return nil, err
 	}
-	data, err := b.getObject(user, &o, sp)
-	b.auditTraced(sp, user, "get", path, err == nil, "")
-	return data, err
+	data, err := storage.ReadSized(f, size)
+	f.Close()
+	if err != nil {
+		return nil, types.E("read", path, err)
+	}
+	return data, nil
 }
 
+// OpenGet opens an object's contents for one whole-object read and
+// returns the reader with the size it will yield. File objects stream
+// from the replica the manager selected; the other kinds (container
+// members, SQL, URL, method, shadow listings) are produced in memory and
+// served from there. The get is accounted when the reader is closed —
+// broker.get latency, hot-key bytes — from the bytes actually read.
+func (b *Broker) OpenGet(user, path string, sp *obs.Span) (storage.ReadFile, int64, error) {
+	start := time.Now()
+	o, err := b.checkRead(user, path, "get")
+	sp.Phase(obs.PhaseMCATLookup, time.Since(start))
+	var f storage.ReadFile
+	var size int64
+	if err == nil {
+		f, size, err = b.openObject(user, &o, sp)
+		b.auditTraced(sp, user, "get", path, err == nil, "")
+	}
+	if err != nil {
+		b.ops.get.Done(start, err)
+		b.ops.heat.Record(shard.KeyOf(path), 0)
+		return nil, 0, err
+	}
+	return &getHandle{ReadFile: f, b: b, key: shard.KeyOf(path), start: start}, size, nil
+}
+
+// getHandle accounts one get when its reader is closed.
+type getHandle struct {
+	storage.ReadFile
+	b      *Broker
+	key    string
+	start  time.Time
+	n      int64
+	err    error
+	closed bool
+}
+
+func (h *getHandle) Read(p []byte) (int, error) {
+	n, err := h.ReadFile.Read(p)
+	h.n += int64(n)
+	if err != nil && err != io.EOF {
+		h.err = err
+	}
+	return n, err
+}
+
+func (h *getHandle) Close() error {
+	if !h.closed {
+		h.closed = true
+		h.b.ops.get.Done(h.start, h.err)
+		h.b.ops.heat.Record(h.key, h.n)
+	}
+	return h.ReadFile.Close()
+}
+
+// getObject reads o's contents whole, for the callers that parse them
+// (metadata files, templates): small objects by nature.
 func (b *Broker) getObject(user string, o *types.DataObject, sp *obs.Span) ([]byte, error) {
+	f, size, err := b.openObject(user, o, sp)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return storage.ReadSized(f, size)
+}
+
+// memFile serves bytes already in memory as a storage.ReadFile.
+type memFile struct{ *bytes.Reader }
+
+func (memFile) Close() error { return nil }
+
+func openBytes(data []byte, err error) (storage.ReadFile, int64, error) {
+	if err != nil {
+		return nil, 0, err
+	}
+	return memFile{bytes.NewReader(data)}, int64(len(data)), nil
+}
+
+// openObject opens o's contents by kind (see OpenGet).
+func (b *Broker) openObject(user string, o *types.DataObject, sp *obs.Span) (storage.ReadFile, int64, error) {
 	switch o.Kind {
 	case types.KindFile:
 		if o.Container != "" {
 			sp.Event(obs.EventContainerHit, o.Container)
-			return b.readContainerMember(o)
+			return openBytes(b.readContainerMember(o))
 		}
-		data, _, err := b.rm.ReadAllEv(o.Path(), "", sp)
-		return data, err
+		f, rep, err := b.rm.OpenReadEv(o.Path(), "", sp)
+		if err != nil {
+			return nil, 0, err
+		}
+		return f, rep.Size, nil
 	case types.KindRegisteredFile:
-		return b.readRegistered(o)
+		return b.openRegistered(o)
 	case types.KindURL:
 		data, err := b.fetcher.Fetch(o.URL)
 		if err != nil && len(o.Alternates) > 0 {
-			return b.readAlternates(o, err)
+			return openBytes(b.readAlternates(o, err))
 		}
-		return data, err
+		return openBytes(data, err)
 	case types.KindSQL:
-		return b.ExecuteSQLSpec(o, "")
+		return openBytes(b.ExecuteSQLSpec(o, ""))
 	case types.KindMethod:
-		return b.invokeMethod(o, nil)
+		return openBytes(b.invokeMethod(o, nil))
 	case types.KindLink:
 		target, err := b.Cat.GetObject(o.LinkTarget)
 		if err != nil {
-			return nil, types.E("get", o.LinkTarget, types.ErrNotFound)
+			return nil, 0, types.E("get", o.LinkTarget, types.ErrNotFound)
 		}
-		return b.getObject(user, &target, sp)
+		return b.openObject(user, &target, sp)
 	case types.KindShadowDir:
 		// Getting a shadow directory renders its cone listing.
 		infos, err := b.shadowList(o, ".")
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		var sb strings.Builder
 		for _, fi := range infos {
 			fmt.Fprintf(&sb, "%s\t%d\t%v\n", fi.Path, fi.Size, fi.IsDir)
 		}
-		return []byte(sb.String()), nil
+		return openBytes([]byte(sb.String()), nil)
 	default:
-		return nil, types.E("get", o.Path(), types.ErrUnsupported)
+		return nil, 0, types.E("get", o.Path(), types.ErrUnsupported)
 	}
 }
 
-// readRegistered reads a registered file's bytes in place, falling
-// back through registered replicates.
-func (b *Broker) readRegistered(o *types.DataObject) ([]byte, error) {
+// openRegistered opens a registered file's bytes in place, falling back
+// through registered replicates.
+func (b *Broker) openRegistered(o *types.DataObject) (storage.ReadFile, int64, error) {
 	rep, ok := o.CleanReplica("")
 	if !ok {
-		return nil, types.E("get", o.Path(), types.ErrOffline)
+		return nil, 0, types.E("get", o.Path(), types.ErrOffline)
 	}
 	d, err := b.Driver(rep.Resource)
 	if err == nil {
-		if data, rerr := storage.ReadAll(d, rep.PhysicalPath); rerr == nil {
-			return data, nil
-		} else {
-			err = rerr
+		var f storage.ReadFile
+		if f, err = d.Open(rep.PhysicalPath); err == nil {
+			// SRB does not control registered bytes: ask the file, not the
+			// catalog, how long it is.
+			var size int64
+			if size, err = storage.SizeOf(f); err == nil {
+				return f, size, nil
+			}
+			f.Close()
 		}
 	}
-	return b.readAlternates(o, err)
+	return openBytes(b.readAlternates(o, err))
 }
 
 // readAlternates tries the registered replicates in order.
@@ -397,63 +501,16 @@ func (b *Broker) readAlternates(o *types.DataObject, lastErr error) ([]byte, err
 	return nil, types.E("get", o.Path(), lastErr)
 }
 
-// OpenRead opens a streaming reader on a file object (the bulk path the
-// server uses). Container members stream their byte range.
+// OpenRead opens an object for positional and partial reads (the
+// parallel-transfer primitive). Unlike OpenGet it is audited as "open"
+// and not accounted as a get.
 func (b *Broker) OpenRead(user, path string) (storage.ReadFile, int64, error) {
 	o, err := b.checkRead(user, path, "open")
 	if err != nil {
 		return nil, 0, err
 	}
-	if o.Kind == types.KindLink {
-		o, err = b.Cat.GetObject(o.LinkTarget)
-		if err != nil {
-			return nil, 0, err
-		}
-		// All further access addresses the resolved target.
-		path = o.Path()
-	}
-	switch o.Kind {
-	case types.KindFile:
-		if o.Container != "" {
-			data, err := b.readContainerMember(&o)
-			if err != nil {
-				return nil, 0, err
-			}
-			return nopReadFile{strings.NewReader(string(data))}, int64(len(data)), nil
-		}
-		f, rep, err := b.rm.OpenRead(path, "")
-		if err != nil {
-			return nil, 0, err
-		}
-		return f, rep.Size, nil
-	case types.KindRegisteredFile:
-		rep, ok := o.CleanReplica("")
-		if !ok {
-			return nil, 0, types.E("open", path, types.ErrOffline)
-		}
-		d, err := b.Driver(rep.Resource)
-		if err != nil {
-			return nil, 0, err
-		}
-		f, err := d.Open(rep.PhysicalPath)
-		if err != nil {
-			return nil, 0, err
-		}
-		fi, _ := d.Stat(rep.PhysicalPath)
-		return f, fi.Size, nil
-	default:
-		data, err := b.getObject(user, &o, nil)
-		if err != nil {
-			return nil, 0, err
-		}
-		return nopReadFile{strings.NewReader(string(data))}, int64(len(data)), nil
-	}
+	return b.openObject(user, &o, nil)
 }
-
-// nopReadFile adapts a strings.Reader to storage.ReadFile.
-type nopReadFile struct{ *strings.Reader }
-
-func (nopReadFile) Close() error { return nil }
 
 // ---- replication, copy, move, link, delete ----
 
@@ -484,23 +541,24 @@ func (b *Broker) replicate(user, path, resource string) (types.Replica, error) {
 // but syntactically-different copies (tiff vs gif). SRB does not check
 // equality.
 func (b *Broker) IngestReplica(user, path, resource string, data []byte) (types.Replica, error) {
+	return b.IngestReplicaFrom(user, path, resource, bytes.NewReader(data))
+}
+
+// IngestReplicaFrom is IngestReplica with the bytes streamed from r.
+func (b *Broker) IngestReplicaFrom(user, path, resource string, r io.Reader) (types.Replica, error) {
 	start := time.Now()
-	rep, err := b.ingestReplica(user, path, resource, data)
+	rep, err := b.ingestReplica(user, path, resource, r)
 	b.ops.ingestReplica.Done(start, err)
 	return rep, err
 }
 
-func (b *Broker) ingestReplica(user, path, resource string, data []byte) (types.Replica, error) {
+func (b *Broker) ingestReplica(user, path, resource string, r io.Reader) (types.Replica, error) {
 	o, err := b.checkWrite(user, path, "ingestreplica")
 	if err != nil {
 		return types.Replica{}, err
 	}
 	if o.Container != "" {
 		return types.Replica{}, types.E("ingestreplica", path, types.ErrUnsupported)
-	}
-	d, err := b.Driver(resource)
-	if err != nil {
-		return types.Replica{}, err
 	}
 	next := types.ReplicaNumber(0)
 	for _, r := range o.Replicas {
@@ -509,13 +567,21 @@ func (b *Broker) ingestReplica(user, path, resource string, data []byte) (types.
 		}
 	}
 	physPath := replica.PhysPathFor(&o, next)
-	if err := storage.WriteAll(d, physPath, data); err != nil {
+	fo := b.rm.NewFanout()
+	dst, err := fo.Add(resource, physPath)
+	if err != nil {
 		return types.Replica{}, err
+	}
+	if err := fo.Copy(r); err != nil {
+		return types.Replica{}, types.E("ingestreplica", path, err)
+	}
+	if dst.Err != nil {
+		return types.Replica{}, dst.Err
 	}
 	rep := types.Replica{
 		Number: next, Resource: resource, PhysicalPath: physPath,
-		Status: types.ReplicaClean, Size: int64(len(data)),
-		Checksum: replica.Checksum(data), CreatedAt: b.now(),
+		Status: types.ReplicaClean, Size: fo.Size(),
+		Checksum: fo.Checksum(), CreatedAt: b.now(),
 	}
 	err = b.Cat.UpdateObject(path, func(o *types.DataObject) error {
 		o.Replicas = append(o.Replicas, rep)
@@ -545,10 +611,6 @@ func (b *Broker) Copy(user, src, dst, resource string) error {
 	case types.KindURL, types.KindSQL, types.KindMethod:
 		return types.E("copy", src, types.ErrUnsupported)
 	}
-	data, err := b.getObject(user, &o, nil)
-	if err != nil {
-		return err
-	}
 	if resource == "" {
 		if rep, ok := o.CleanReplica(""); ok {
 			resource = rep.Resource
@@ -557,7 +619,12 @@ func (b *Broker) Copy(user, src, dst, resource string) error {
 	if resource == "" {
 		return types.E("copy", src, types.ErrInvalid)
 	}
-	_, err = b.Ingest(user, IngestOpts{Path: dst, Data: data, Resource: resource, DataType: o.DataType})
+	f, _, err := b.openObject(user, &o, nil)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	_, err = b.Ingest(user, IngestOpts{Path: dst, Reader: f, Resource: resource, DataType: o.DataType})
 	b.audit(user, "copy", src, err == nil, "to "+dst)
 	return err
 }

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
+	"io"
 	"sort"
 	"time"
 
@@ -142,6 +144,11 @@ func (b *Broker) Checkout(user, path string) error {
 // numbered version ("the older version of the object is still
 // maintained as an earlier version with a distinct version number").
 func (b *Broker) Checkin(user, path string, data []byte, comment string) error {
+	return b.CheckinFrom(user, path, bytes.NewReader(data), comment)
+}
+
+// CheckinFrom is Checkin with the new contents streamed from r.
+func (b *Broker) CheckinFrom(user, path string, r io.Reader, comment string) error {
 	o, err := b.Cat.GetObject(path)
 	if err != nil {
 		return err
@@ -170,7 +177,7 @@ func (b *Broker) Checkin(user, path string, data []byte, comment string) error {
 		Number: verNo, Resource: rep.Resource, Path: verPath,
 		Size: rep.Size, Checksum: rep.Checksum, CreatedAt: b.now(), Comment: comment,
 	}
-	if err := b.rm.WriteAll(path, data); err != nil {
+	if _, err := b.rm.WriteFrom(path, r); err != nil {
 		return err
 	}
 	err = b.Cat.UpdateObject(path, func(o *types.DataObject) error {

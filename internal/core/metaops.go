@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"fmt"
 	"time"
 
@@ -173,11 +172,12 @@ func (b *Broker) ExtractMeta(user, path, method, fromPath string) (int, error) {
 			return 0, err
 		}
 	}
-	raw, err := b.getObject(user, &src, nil)
+	f, _, err := b.openObject(user, &src, nil)
 	if err != nil {
 		return 0, err
 	}
-	avus, err := b.extract.Extract(o.DataType, method, bytes.NewReader(raw))
+	defer f.Close()
+	avus, err := b.extract.Extract(o.DataType, method, f)
 	if err != nil {
 		return 0, err
 	}

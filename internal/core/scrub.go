@@ -8,7 +8,6 @@ import (
 	"gosrb/internal/obs"
 	"gosrb/internal/replica"
 	"gosrb/internal/resilience"
-	"gosrb/internal/storage"
 	"gosrb/internal/types"
 )
 
@@ -84,9 +83,9 @@ func (b *Broker) scrubObject(path string, sp *obs.Span, rpt *types.ScrubReport) 
 			rpt.Skipped++
 			continue
 		}
-		data, readErr := storage.ReadAll(d, r.PhysicalPath)
+		sum, readErr := replica.ChecksumOf(d, r.PhysicalPath)
 		rpt.Scanned++
-		if readErr == nil && replica.Checksum(data) == o.Checksum {
+		if readErr == nil && sum == o.Checksum {
 			continue
 		}
 		rpt.Corrupt++
@@ -266,13 +265,13 @@ func (b *Broker) VerifyChecksums(user, path string) (types.DataObject, []types.R
 				v.Detail = "no local driver"
 				break
 			}
-			data, readErr := storage.ReadAll(d, r.PhysicalPath)
+			sum, readErr := replica.ChecksumOf(d, r.PhysicalPath)
 			if readErr != nil {
 				v.Verdict = "unreadable"
 				v.Detail = readErr.Error()
 				break
 			}
-			if sum := replica.Checksum(data); sum != o.Checksum {
+			if sum != o.Checksum {
 				v.Verdict = "corrupt"
 				v.Detail = "stored " + sum[:12] + "… != catalog " + o.Checksum[:12] + "…"
 			} else {

@@ -63,7 +63,7 @@ func (in *Injector) Target(name string) *Target {
 	defer in.mu.Unlock()
 	t, ok := in.targets[name]
 	if !ok {
-		t = &Target{in: in, name: name, failOps: -1, writeBudget: -1, connBudget: -1}
+		t = &Target{in: in, name: name, failOps: -1, writeBudget: -1, readBudget: -1, connBudget: -1}
 		in.targets[name] = t
 	}
 	return t
@@ -98,6 +98,7 @@ type Target struct {
 	failOps     int64 // ops to allow before failErr; -1 = disabled
 	failErr     error
 	writeBudget int64 // driver bytes writable before partial-write error; -1 = disabled
+	readBudget  int64 // driver bytes readable before partial-read error; -1 = disabled
 	connBudget  int64 // conn bytes transferable before drop; -1 = disabled
 	spike       time.Duration
 	spikeProb   float64
@@ -141,6 +142,15 @@ func (t *Target) PartialWriteAfter(n int64) {
 	t.mu.Unlock()
 }
 
+// PartialReadAfter lets wrapped readers deliver n more bytes in total,
+// then truncates the crossing read and fails it (and every later one)
+// with ErrInjected — a driver dying at byte n of a streamed Get.
+func (t *Target) PartialReadAfter(n int64) {
+	t.mu.Lock()
+	t.readBudget = n
+	t.mu.Unlock()
+}
+
 // DropAfterBytes lets wrapped conns move n more bytes in total (both
 // directions), then closes them mid-frame with a transport error.
 func (t *Target) DropAfterBytes(n int64) {
@@ -163,6 +173,7 @@ func (t *Target) Clear() {
 	t.killed = false
 	t.failOps, t.failErr = -1, nil
 	t.writeBudget = -1
+	t.readBudget = -1
 	t.connBudget = -1
 	t.spike, t.spikeProb = 0, 0
 	t.mu.Unlock()
@@ -227,17 +238,26 @@ func (t *Target) ioGate(op, path string) error {
 // returns how many may actually be written, with ErrInjected once the
 // budget is crossed.
 func (t *Target) takeWrite(n int) (int, error) {
+	return t.take(&t.writeBudget, n, "write")
+}
+
+// takeRead is takeWrite for the partial-read budget.
+func (t *Target) takeRead(n int) (int, error) {
+	return t.take(&t.readBudget, n, "read")
+}
+
+func (t *Target) take(budget *int64, n int, what string) (int, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.writeBudget < 0 || int64(n) <= t.writeBudget {
-		if t.writeBudget >= 0 {
-			t.writeBudget -= int64(n)
+	if *budget < 0 || int64(n) <= *budget {
+		if *budget >= 0 {
+			*budget -= int64(n)
 		}
 		return n, nil
 	}
-	allowed := int(t.writeBudget)
-	t.writeBudget = 0
-	return allowed, fmt.Errorf("faultnet: %s partial write after %d bytes: %w", t.name, allowed, ErrInjected)
+	allowed := int(*budget)
+	*budget = 0
+	return allowed, fmt.Errorf("faultnet: %s partial %s after %d bytes: %w", t.name, what, allowed, ErrInjected)
 }
 
 // takeConn charges n bytes against the connection budget; a non-nil
@@ -416,6 +436,10 @@ func (w *faultWriter) Close() error {
 	return w.inner.Close()
 }
 
+// Abort passes through ungated: discarding a staged write needs nothing
+// from the (possibly dead) store.
+func (w *faultWriter) Abort() error { return storage.ForwardAbort(w.inner) }
+
 type faultReader struct {
 	inner storage.ReadFile
 	t     *Target
@@ -426,7 +450,13 @@ func (r *faultReader) Read(p []byte) (int, error) {
 	if err := r.t.ioGate("read", r.path); err != nil {
 		return 0, err
 	}
-	return r.inner.Read(p)
+	n, err := r.inner.Read(p)
+	if n > 0 {
+		if allowed, ferr := r.t.takeRead(n); ferr != nil {
+			return allowed, types.E("read", r.path, ferr)
+		}
+	}
+	return n, err
 }
 
 func (r *faultReader) ReadAt(p []byte, off int64) (int, error) {

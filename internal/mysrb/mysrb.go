@@ -17,16 +17,19 @@ import (
 	"net/http"
 	"os"
 	"sort"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
 
 	"gosrb/internal/acl"
 	"gosrb/internal/auth"
+	"gosrb/internal/chunk"
 	"gosrb/internal/core"
 	"gosrb/internal/mcat"
 	"gosrb/internal/metadata"
 	"gosrb/internal/obs"
+	"gosrb/internal/storage"
 	"gosrb/internal/types"
 	"gosrb/internal/wire"
 )
@@ -257,36 +260,60 @@ func (a *App) handleOpen(w http.ResponseWriter, r *http.Request, user string) {
 		pd.Versions = o.Versions
 		pd.Methods = a.broker.Extractors().MethodsFor(o.DataType)
 	}
-	data, err := a.broker.Get(user, path)
-	if err != nil {
+	if f, size, err := a.broker.OpenGet(user, path, nil); err != nil {
 		pd.Error = err.Error()
 	} else {
-		pd.Content, pd.IsHTML = renderContent(path, data)
+		pd.Content, pd.IsHTML, err = renderContent(f, size)
+		f.Close()
+		if err != nil {
+			pd.Error = err.Error()
+		}
 	}
 	render(w, "open", pd)
 }
 
-// renderContent decides how the bottom window shows the bytes.
-func renderContent(path string, data []byte) (string, bool) {
-	if strings.HasPrefix(strings.TrimSpace(string(data)), "<") {
+// previewBytes is how much of a non-HTML object the open page shows.
+const previewBytes int64 = 64 * 1024
+
+// renderContent decides how the bottom window shows the bytes. Only an
+// object that renders inline (it starts with markup) is read whole; of
+// anything else the page needs no more than the preview.
+func renderContent(f io.Reader, size int64) (string, bool, error) {
+	preview := size
+	if preview > previewBytes {
+		preview = previewBytes
+	}
+	head, err := storage.ReadSized(io.LimitReader(f, previewBytes), preview)
+	if err != nil {
+		return "", false, err
+	}
+	if strings.HasPrefix(strings.TrimSpace(string(head)), "<") {
 		// SQL templates and registered HTML render inline.
-		return string(data), true
+		rest, err := storage.ReadSized(f, size-preview)
+		return string(head) + string(rest), true, err
 	}
-	if len(data) > 64*1024 {
-		return fmt.Sprintf("[%d bytes; first 64 KiB shown]\n%s", len(data), data[:64*1024]), false
+	if size > previewBytes {
+		return fmt.Sprintf("[%d bytes; first 64 KiB shown]\n%s", size, head), false, nil
 	}
-	return string(data), false
+	return string(head), false, nil
 }
 
+// handleRaw is the download: the object streams from its replica to the
+// response through one pooled chunk, its length announced up front from
+// the catalog.
 func (a *App) handleRaw(w http.ResponseWriter, r *http.Request, user string) {
 	path := types.CleanPath(r.URL.Query().Get("path"))
-	data, err := a.broker.Get(user, path)
+	f, size, err := a.broker.OpenGet(user, path, nil)
 	if err != nil {
 		http.Error(w, err.Error(), statusOf(err))
 		return
 	}
+	defer f.Close()
 	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Write(data)
+	w.Header().Set("Content-Length", strconv.FormatInt(size, 10))
+	// Past the header an error can only cut the response short; the
+	// client sees fewer bytes than Content-Length promised.
+	chunk.Copy(w, io.LimitReader(f, size))
 }
 
 func (a *App) handleMkColl(w http.ResponseWriter, r *http.Request, user string) {
@@ -320,11 +347,6 @@ func (a *App) handleIngest(w http.ResponseWriter, r *http.Request, user string) 
 		return
 	}
 	defer file.Close()
-	data, err := io.ReadAll(file)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
 	name := r.FormValue("name")
 	if name == "" {
 		name = hdr.Filename
@@ -332,7 +354,7 @@ func (a *App) handleIngest(w http.ResponseWriter, r *http.Request, user string) 
 	meta := collectMeta(r)
 	_, err = a.broker.Ingest(user, core.IngestOpts{
 		Path:      types.Join(coll, name),
-		Data:      data,
+		Reader:    file, // the upload streams from the form part to the drivers
 		Resource:  r.FormValue("resource"),
 		Container: r.FormValue("container"),
 		DataType:  r.FormValue("datatype"),

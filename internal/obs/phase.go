@@ -38,6 +38,7 @@ const (
 	PhaseStorageWrite   = "dispatch/storage.write"   // storage driver write fan-out
 	PhaseReplicaAttempt = "dispatch/replica.attempt" // one replica candidate attempt (repeats on failover)
 	PhaseFederationHop  = "dispatch/federation.hop"  // proxied call to a federated peer, wire round trip inclusive
+	PhaseWireSend       = "dispatch/wire.send"       // time inside the data-frame writes of a streamed reply
 	PhaseShardFanout    = "dispatch/shard.fanout"    // scatter of a catalog query to every MCAT shard
 	PhaseShardMerge     = "dispatch/shard.merge"     // dedup + sort of per-shard query hits
 

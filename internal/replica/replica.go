@@ -7,6 +7,7 @@
 package replica
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -189,7 +190,22 @@ func (m *Manager) OpenRead(path, preferResource string) (storage.ReadFile, types
 // OpenReadEv is OpenRead with trace-span annotation: breaker trips,
 // fast-fails, half-open probes, failovers and cache hits along the
 // replica selection land as events on sp (nil sp = untraced).
+//
+// The returned handle accounts the read where the bytes move: closing it
+// records the storage.read phase (open plus time inside the driver's
+// Read calls), the transfer-observatory row and the hot-object hit, from
+// the bytes actually delivered.
 func (m *Manager) OpenReadEv(path, preferResource string, sp *obs.Span) (storage.ReadFile, types.Replica, error) {
+	start := time.Now()
+	f, r, err := m.openRead(path, preferResource, sp)
+	if err != nil {
+		sp.Phase(obs.PhaseStorageRead, time.Since(start))
+		return nil, r, err
+	}
+	return &readHandle{ReadFile: f, m: m, sp: sp, path: path, resource: r.Resource, busy: time.Since(start)}, r, nil
+}
+
+func (m *Manager) openRead(path, preferResource string, sp *obs.Span) (storage.ReadFile, types.Replica, error) {
 	o, err := m.cat.GetObject(path)
 	if err != nil {
 		return nil, types.Replica{}, err
@@ -251,45 +267,44 @@ func (m *Manager) ReadAll(path, preferResource string) ([]byte, types.Replica, e
 	return m.ReadAllEv(path, preferResource, nil)
 }
 
-// ReadAllEv is ReadAll with trace-span annotation (see OpenReadEv).
-// The observatory row charges the whole driver interaction — open plus
-// read — since that is the transfer cost a replica selector would pay.
+// ReadAllEv is ReadAll with trace-span annotation (see OpenReadEv): the
+// replica is opened and read into one buffer of its catalogued size.
 func (m *Manager) ReadAllEv(path, preferResource string, sp *obs.Span) ([]byte, types.Replica, error) {
-	start := time.Now()
 	f, r, err := m.OpenReadEv(path, preferResource, sp)
 	if err != nil {
-		sp.Phase(obs.PhaseStorageRead, time.Since(start))
 		return nil, r, err
 	}
-	defer f.Close()
-	data, err := io.ReadAll(f)
-	dur := time.Since(start)
-	sp.Phase(obs.PhaseStorageRead, dur)
-	m.peers.Record("", r.Resource, dur, int64(len(data)), err != nil)
-	m.heat.Record(path, int64(len(data)))
+	data, err := storage.ReadSized(f, r.Size)
+	f.Close()
 	if err != nil {
 		return nil, r, types.E("read", path, err)
 	}
 	return data, r, nil
 }
 
-// WriteAll overwrites the object's contents: the bytes land on every
-// clean online replica; replicas whose resource is unreachable are
-// marked dirty for later synchronisation.
+// WriteAll overwrites the object's contents with data (see WriteFrom).
 func (m *Manager) WriteAll(path string, data []byte) error {
+	_, err := m.WriteFrom(path, bytes.NewReader(data))
+	return err
+}
+
+// WriteFrom overwrites the object's contents with the stream src, read
+// once: the bytes land on every replica whose resource is reachable, in
+// one pass, and the catalog size and checksum come from the bytes that
+// went by. Replicas that could not take the write — unreachable, or
+// failed part-way — are marked dirty for later synchronisation. If src
+// itself breaks, nothing is stored: staged writes are discarded and the
+// old contents stay authoritative. It returns the bytes stored.
+func (m *Manager) WriteFrom(path string, src io.Reader) (int64, error) {
 	o, err := m.cat.GetObject(path)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	if o.Kind != types.KindFile {
-		return types.E("write", path, types.ErrUnsupported)
+		return 0, types.E("write", path, types.ErrUnsupported)
 	}
-	sum := Checksum(data)
-	written := make(map[types.ReplicaNumber]bool)
-	// torn marks replicas whose write was attempted and failed: the
-	// physical file may be truncated, so the replica row must not stay
-	// catalogued clean even when every sibling write fails too.
-	torn := make(map[types.ReplicaNumber]bool)
+	fo := m.NewFanout()
+	dests := make(map[types.ReplicaNumber]*Dest)
 	var failRes string
 	var failErr error
 	for _, r := range o.Replicas {
@@ -299,52 +314,57 @@ func (m *Manager) WriteAll(path string, data []byte) error {
 			failRes = r.Resource
 			continue
 		}
-		d, err := m.drivers.Driver(r.Resource)
+		dst, err := fo.Add(r.Resource, r.PhysicalPath)
 		if err != nil {
-			m.fanoutFail.Inc()
 			failRes, failErr = r.Resource, err
 			continue
 		}
-		if err := storage.WriteAll(d, r.PhysicalPath, data); err != nil {
-			m.fanoutFail.Inc()
-			m.breaker(r.Resource).Failure()
-			torn[r.Number] = true
-			failRes, failErr = r.Resource, err
-			continue
-		}
-		m.fanoutOK.Inc()
-		m.breaker(r.Resource).Success()
-		written[r.Number] = true
+		dests[r.Number] = dst
 	}
+	srcErr := fo.Copy(src)
+	written := 0
+	for _, dst := range dests {
+		if dst.Err == nil {
+			written++
+		} else if srcErr == nil {
+			failRes, failErr = dst.Resource, dst.Err
+		}
+	}
+	size, sum := fo.Size(), fo.Checksum()
 	uerr := m.cat.UpdateObject(path, func(o *types.DataObject) error {
-		if len(written) > 0 {
-			o.Size = int64(len(data))
+		if written > 0 {
+			o.Size = size
 			o.Checksum = sum
 		}
 		for i := range o.Replicas {
 			r := &o.Replicas[i]
+			dst := dests[r.Number]
 			switch {
-			case written[r.Number]:
+			case dst != nil && dst.Err == nil:
 				r.Status = types.ReplicaClean
-				r.Size = int64(len(data))
+				r.Size = size
 				r.Checksum = sum
-			case len(written) > 0 || torn[r.Number]:
-				// Stale relative to the new contents, or possibly a
-				// truncated file: either way not servable as clean.
+			case written > 0 || (dst != nil && dst.Torn):
+				// Stale relative to the new contents, or a file that no
+				// longer holds the old ones: either way not servable as
+				// clean.
 				r.Status = types.ReplicaDirty
 			}
-			// Otherwise the write never touched this replica and nothing
+			// Otherwise the write never changed this replica and nothing
 			// was stored anywhere: the old contents remain authoritative.
 		}
 		return nil
 	})
-	if len(written) == 0 {
+	if srcErr != nil {
+		return 0, types.E("write", path, srcErr)
+	}
+	if written == 0 {
 		if failErr == nil {
 			failErr = types.ErrOffline
 		}
-		return types.E("write", path, fmt.Errorf("resource %s: %w", failRes, failErr))
+		return 0, types.E("write", path, fmt.Errorf("resource %s: %w", failRes, failErr))
 	}
-	return uerr
+	return size, uerr
 }
 
 // Replicate creates a new replica of the object on resource. The new
@@ -379,35 +399,25 @@ func (m *Manager) Replicate(path, resource string) (types.Replica, error) {
 	defer src.Close()
 	next := nextNumber(&o)
 	physPath := PhysPathFor(&o, next)
-	dst, err := m.drivers.Driver(resource)
+	fo := m.NewFanout()
+	dst, err := fo.Add(resource, physPath)
 	if err != nil {
 		return types.Replica{}, err
 	}
-	w, err := dst.Create(physPath)
-	if err != nil {
-		return types.Replica{}, err
-	}
-	h := sha256.New()
-	size, err := io.Copy(w, io.TeeReader(src, h))
-	if err != nil {
-		w.Close()
-		dst.Remove(physPath) // no orphaned partial file
-		m.fanoutFail.Inc()
+	// A failed copy leaves no orphaned partial file: the fan-out aborts it.
+	if err := fo.Copy(src); err != nil {
 		return types.Replica{}, types.E("replicate", path, err)
 	}
-	if err := w.Close(); err != nil {
-		dst.Remove(physPath)
-		m.fanoutFail.Inc()
-		return types.Replica{}, types.E("replicate", path, err)
+	if dst.Err != nil {
+		return types.Replica{}, types.E("replicate", path, dst.Err)
 	}
-	m.fanoutOK.Inc()
 	newRep := types.Replica{
 		Number:       next,
 		Resource:     resource,
 		PhysicalPath: physPath,
 		Status:       types.ReplicaClean,
-		Size:         size,
-		Checksum:     hex.EncodeToString(h.Sum(nil)),
+		Size:         fo.Size(),
+		Checksum:     fo.Checksum(),
 	}
 	err = m.cat.UpdateObject(path, func(o *types.DataObject) error {
 		newRep.CreatedAt = o.ModifiedAt
@@ -446,45 +456,10 @@ func (m *Manager) SyncDirty(path string) (int, error) {
 	if len(dirty) == 0 {
 		return 0, nil
 	}
-	data, _, err := m.ReadAll(path, "")
-	if err != nil {
-		return 0, err
-	}
-	sum := Checksum(data)
-	fixed := make(map[types.ReplicaNumber]bool)
-	for _, r := range dirty {
-		res, err := m.cat.GetResource(r.Resource)
-		if err != nil || !res.Online {
-			m.fanoutFail.Inc()
-			continue
-		}
-		d, err := m.drivers.Driver(r.Resource)
-		if err != nil {
-			m.fanoutFail.Inc()
-			continue
-		}
-		if err := storage.WriteAll(d, r.PhysicalPath, data); err != nil {
-			m.fanoutFail.Inc()
-			continue
-		}
-		m.fanoutOK.Inc()
-		fixed[r.Number] = true
-	}
-	if len(fixed) == 0 {
-		return 0, nil
-	}
-	err = m.cat.UpdateObject(path, func(o *types.DataObject) error {
-		for i := range o.Replicas {
-			r := &o.Replicas[i]
-			if fixed[r.Number] {
-				r.Status = types.ReplicaClean
-				r.Size = int64(len(data))
-				r.Checksum = sum
-			}
-		}
-		return nil
-	})
-	return len(fixed), err
+	// A target that could not take the copy is not an error here: it
+	// stays dirty and the sweep moves on.
+	fixed, _, err := m.refresh(path, dirty)
+	return fixed, err
 }
 
 // SyncResource rewrites the non-clean replica(s) of path held on one
@@ -514,35 +489,72 @@ func (m *Manager) SyncResource(path, resource string) error {
 	if !res.Online {
 		return types.E("syncres", resource, types.ErrOffline)
 	}
-	d, err := m.drivers.Driver(resource)
+	if _, err := m.drivers.Driver(resource); err != nil {
+		return err
+	}
+	fixed, targetErr, err := m.refresh(path, targets)
 	if err != nil {
 		return err
 	}
-	data, _, err := m.ReadAll(path, "")
-	if err != nil {
-		return err
+	if fixed < len(targets) {
+		return types.E("syncres", path, targetErr)
 	}
-	sum := Checksum(data)
-	fixed := make(map[types.ReplicaNumber]bool)
+	return nil
+}
+
+// refresh streams a clean replica of path over the given stale replicas
+// in one pass and marks the ones that took it clean, returning how many
+// did. targetErr is the last failure of a target to take the copy; err
+// is reserved for what stops the whole pass — no clean source, the
+// source breaking mid-copy, the catalog update failing.
+func (m *Manager) refresh(path string, targets []types.Replica) (fixed int, targetErr, err error) {
+	src, _, err := m.OpenRead(path, "")
+	if err != nil {
+		return 0, nil, err
+	}
+	defer src.Close()
+	fo := m.NewFanout()
+	dests := make(map[types.ReplicaNumber]*Dest)
+	targetErr = types.ErrOffline
 	for _, r := range targets {
-		if err := storage.WriteAll(d, r.PhysicalPath, data); err != nil {
+		res, err := m.cat.GetResource(r.Resource)
+		if err != nil || !res.Online {
 			m.fanoutFail.Inc()
-			return types.E("syncres", path, err)
+			continue
 		}
-		m.fanoutOK.Inc()
-		fixed[r.Number] = true
+		dst, err := fo.Add(r.Resource, r.PhysicalPath)
+		if err != nil {
+			targetErr = err
+			continue
+		}
+		dests[r.Number] = dst
 	}
-	return m.cat.UpdateObject(path, func(o *types.DataObject) error {
+	if err := fo.Copy(src); err != nil {
+		return 0, nil, types.E("read", path, err)
+	}
+	for _, dst := range dests {
+		if dst.Err == nil {
+			fixed++
+		} else {
+			targetErr = dst.Err
+		}
+	}
+	if fixed == 0 {
+		return 0, targetErr, nil
+	}
+	size, sum := fo.Size(), fo.Checksum()
+	err = m.cat.UpdateObject(path, func(o *types.DataObject) error {
 		for i := range o.Replicas {
 			r := &o.Replicas[i]
-			if fixed[r.Number] {
+			if dst := dests[r.Number]; dst != nil && dst.Err == nil {
 				r.Status = types.ReplicaClean
-				r.Size = int64(len(data))
+				r.Size = size
 				r.Checksum = sum
 			}
 		}
 		return nil
 	})
+	return fixed, targetErr, err
 }
 
 // PhysicalMove relocates one replica to a new resource, preserving its

@@ -4,14 +4,15 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"strings"
+	"sync/atomic"
 	"time"
 
-	"gosrb/internal/audit"
-
-	"gosrb/internal/core"
-
 	"gosrb/internal/acl"
+	"gosrb/internal/audit"
+	"gosrb/internal/chunk"
+	"gosrb/internal/core"
 	"gosrb/internal/mcat/shard"
 	"gosrb/internal/obs"
 	"gosrb/internal/types"
@@ -24,16 +25,21 @@ import (
 // under the same ID on every federation hop. The outcome (handler error
 // via ss.fail, or transport error) is attributed to the per-op metrics,
 // the trace ring and the log.
+//
+// Read-your-own-telemetry: everything a request records — its op
+// histogram sample, its span in the trace ring, its usage row, its log
+// line — is recorded before the last frame of its reply is written. A
+// client that has its reply therefore already finds that request in
+// every telemetry surface of this server. For a plain reply the last
+// frame is the response; for a streamed one it is the closing DataEnd,
+// written under the same hold of the conn's write lock as the header
+// and data frames before it.
 func (s *Server) dispatch(ss *session, req *wire.Request) error {
 	if req.Trace == "" {
 		req.Trace = obs.NewTraceID()
 	}
-	ss.opErr = nil
-	ss.acctUser = ""
-	ss.bytesIn, ss.bytesOut = 0, 0
 	// The request's time budget starts counting here; federation hops
 	// forward only what remains of it.
-	ss.deadline = time.Time{}
 	if req.TimeoutMillis > 0 {
 		ss.deadline = time.Now().Add(time.Duration(req.TimeoutMillis) * time.Millisecond)
 	}
@@ -57,14 +63,58 @@ func (s *Server) dispatch(ss *session, req *wire.Request) error {
 		sp.Event(obs.EventRetry, fmt.Sprintf("client attempt %d", req.Attempt+1))
 	}
 	err := s.dispatchOp(ss, req)
+	ss.finishInbound()
+	if err != nil && !ss.streaming {
+		// The handler could not even stage a reply (its body would not
+		// marshal): say so rather than leave the client waiting.
+		ss.fail(err)
+		err = nil
+	}
 	opErr := ss.opErr
 	if opErr == nil {
 		opErr = err
 	}
+	s.record(ss, req, sp, queueWait, opErr)
+	// A streamed reply has held the conn's write lock since its header;
+	// a plain one takes it now, for its single frame.
+	if !ss.streaming {
+		ss.w.mu.Lock()
+	}
+	defer ss.w.mu.Unlock()
+	switch {
+	case ss.w.err != nil:
+		// The conn already failed, under this reply or a pipelined
+		// neighbour's: nothing more can be written.
+		return ss.w.err
+	case ss.aborted != nil:
+		// A stream whose source failed after the OK header cannot turn
+		// into an error response: drop the connection, visibly.
+		s.broker.Metrics().Counter("server.stream.aborted").Inc()
+		s.Logger.Errorf("op %s user=%s remote=%s trace=%s: stream aborted after %d bytes: %v",
+			req.Op, ss.user+ss.peer, ss.remote, req.Trace, ss.bytesOut, ss.aborted)
+		ss.w.drop(ss.aborted)
+		return nil
+	case ss.streaming:
+		return ss.w.write(func(c *wire.Conn) error { return c.WriteMsg(wire.MsgDataEnd, nil) })
+	case ss.redir != nil:
+		return ss.w.write(func(c *wire.Conn) error { return c.WriteJSON(wire.MsgRedirect, ss.redir) })
+	default:
+		ss.staged.ID = ss.reqID
+		return ss.w.write(func(c *wire.Conn) error { return c.WriteJSON(wire.MsgResponse, ss.staged) })
+	}
+}
+
+// record files one finished request in every telemetry surface: the op
+// histogram, the trace ring, the phase histograms, the usage table and
+// the log. dispatch calls it before the reply's last frame is written.
+func (s *Server) record(ss *session, req *wire.Request, sp *obs.Span, queueWait time.Duration, opErr error) {
 	reg := s.broker.Metrics()
 	if ss.expired() {
 		reg.Counter("server.deadline.exceeded").Inc()
 		sp.Event(obs.EventDeadline, "budget exhausted")
+	}
+	if ss.sendDur > 0 {
+		sp.Phase(obs.PhaseWireSend, ss.sendDur)
 	}
 	elapsed := sp.Elapsed()
 	sp.Phase(obs.PhaseDispatch, elapsed-queueWait)
@@ -93,12 +143,12 @@ func (s *Server) dispatch(ss *session, req *wire.Request) error {
 		s.Logger.Debugf("op %s user=%s remote=%s trace=%s ok",
 			req.Op, ss.user+ss.peer, ss.remote, req.Trace)
 	}
-	return err
 }
 
-// dispatchOp executes one request and writes exactly one response (or a
-// redirect). Handler errors are turned into error responses; only
-// transport failures propagate and drop the connection.
+// dispatchOp executes one request and produces exactly one reply through
+// the session: a staged response or redirect, or a begun stream.
+// Handler errors become error responses; only transport failures
+// propagate and drop the connection.
 func (s *Server) dispatchOp(ss *session, req *wire.Request) error {
 	user, err := ss.effectiveUser(req)
 	if err != nil {
@@ -108,12 +158,9 @@ func (s *Server) dispatchOp(ss *session, req *wire.Request) error {
 	// asserted end user on peer hops), keyed by the op's collection.
 	ss.acctUser = user
 	// A request whose budget already ran out (it sat queued behind a
-	// slow one, or a hop forwarded a sliver) fails before any work.
-	// Ops that stream inbound data are exempt here: their data frames
-	// were already drained to keep the protocol healthy, so their
-	// handlers run and the deadline is enforced on the federation hop
-	// instead.
-	if !wire.StreamsIn(req.Op) && ss.expired() {
+	// slow one, or a hop forwarded a sliver) fails before any work; an
+	// inbound stream it never read is drained by dispatch.
+	if ss.expired() {
 		return ss.fail(types.E(req.Op, "", types.ErrTimeout))
 	}
 	b := s.broker
@@ -176,22 +223,16 @@ func (s *Server) dispatchOp(ss *session, req *wire.Request) error {
 		if err != nil {
 			return ss.fail(err)
 		}
-		var buf bytes.Buffer
-		n, err := ss.recvData(&buf)
-		if err != nil {
-			return err // transport failure
-		}
-		ss.bytesIn += n
 		// A remote target resource federates by proxy: the owning
 		// server performs the ingest.
 		if owner := s.resourceOwner(a.Resource); owner != "" && !ss.isPeer {
-			body, err := s.proxyIngest(owner, user, req, buf.Bytes(), ss.deadline, ss.span)
+			body, err := s.proxyIngest(owner, user, req, ss.in, ss.deadline, ss.span)
 			if err != nil {
 				return ss.fail(err)
 			}
 			return ss.rawReply(body)
 		}
-		opts := toIngestOpts(a, buf.Bytes())
+		opts := toIngestOpts(a, ss.in)
 		opts.Span = ss.span
 		o, err := b.Ingest(user, opts)
 		if err != nil {
@@ -204,13 +245,7 @@ func (s *Server) dispatchOp(ss *session, req *wire.Request) error {
 		if err != nil {
 			return ss.fail(err)
 		}
-		var buf bytes.Buffer
-		n, err := ss.recvData(&buf)
-		if err != nil {
-			return err
-		}
-		ss.bytesIn += n
-		if err := b.Reingest(user, a.Path, buf.Bytes()); err != nil {
+		if err := b.ReingestFrom(user, a.Path, ss.in); err != nil {
 			return ss.fail(err)
 		}
 		return ss.reply(struct{}{})
@@ -234,11 +269,12 @@ func (s *Server) dispatchOp(ss *session, req *wire.Request) error {
 		if owner := s.localityOf(a.Path); owner != "" && !ss.isPeer {
 			return s.federate(ss, owner, user, req)
 		}
-		data, err := b.GetTraced(user, a.Path, ss.span)
+		f, size, err := b.OpenGet(user, a.Path, ss.span)
 		if err != nil {
 			return ss.fail(err)
 		}
-		return ss.replyData(data)
+		defer f.Close()
+		return ss.sendStream(wire.SizeReply{Size: size}, &sourceReader{r: f})
 
 	case wire.OpIssueTicket:
 		a, err := decode[wire.TicketArgs](req)
@@ -270,11 +306,7 @@ func (s *Server) dispatchOp(ss *session, req *wire.Request) error {
 		if owner := s.localityOf(a.Path); owner != "" && !ss.isPeer {
 			return s.federate(ss, owner, user, req)
 		}
-		data, err := s.readRange(user, a)
-		if err != nil {
-			return ss.fail(err)
-		}
-		return ss.replyData(data)
+		return s.readRange(ss, user, a)
 
 	case wire.OpReplicate:
 		a, err := decode[wire.ReplicateArgs](req)
@@ -292,13 +324,7 @@ func (s *Server) dispatchOp(ss *session, req *wire.Request) error {
 		if err != nil {
 			return ss.fail(err)
 		}
-		var buf bytes.Buffer
-		n, err := ss.recvData(&buf)
-		if err != nil {
-			return err
-		}
-		ss.bytesIn += n
-		rep, err := b.IngestReplica(user, a.Path, a.Resource, buf.Bytes())
+		rep, err := b.IngestReplicaFrom(user, a.Path, a.Resource, ss.in)
 		if err != nil {
 			return ss.fail(err)
 		}
@@ -493,13 +519,7 @@ func (s *Server) dispatchOp(ss *session, req *wire.Request) error {
 		if err != nil {
 			return ss.fail(err)
 		}
-		var buf bytes.Buffer
-		n, err := ss.recvData(&buf)
-		if err != nil {
-			return err
-		}
-		ss.bytesIn += n
-		if err := b.Checkin(user, a.Path, buf.Bytes(), a.Comment); err != nil {
+		if err := b.CheckinFrom(user, a.Path, ss.in, a.Comment); err != nil {
 			return ss.fail(err)
 		}
 		return ss.reply(struct{}{})
@@ -813,13 +833,7 @@ func (s *Server) dispatchOp(ss *session, req *wire.Request) error {
 		if err != nil {
 			return ss.fail(err)
 		}
-		var buf bytes.Buffer
-		n, err := ss.recvData(&buf)
-		if err != nil {
-			return err
-		}
-		ss.bytesIn += n
-		rep, err := s.handleBulkPut(user, ss, a, buf.Bytes(), req)
+		rep, err := s.handleBulkPut(user, ss, a, ss.in, req)
 		if err != nil {
 			return ss.fail(err)
 		}
@@ -830,8 +844,7 @@ func (s *Server) dispatchOp(ss *session, req *wire.Request) error {
 		if err != nil {
 			return ss.fail(err)
 		}
-		rep, data := s.handleMultiGet(user, ss, a, req)
-		return ss.replyDataBody(rep, data)
+		return s.handleMultiGet(user, ss, a, req)
 
 	case wire.OpBulkStat:
 		a, err := decode[wire.BulkStatArgs](req)
@@ -867,7 +880,13 @@ func (s *Server) observeBatch(n int) {
 // or fail independently — each ingest is atomic per item, so a failed
 // item writes no partial rows and cannot tear down its batch-mates.
 // Items whose target resource lives on a peer are proxied item by item.
-func (s *Server) handleBulkPut(user string, ss *session, a wire.BulkPutArgs, stream []byte, req *wire.Request) (wire.BulkPutReply, error) {
+//
+// The batch is held whole before any item is ingested, because a
+// manifest that disagrees with the stream must fail the batch with
+// nothing stored. The buffer grows with the bytes that arrive and stops
+// at the manifest's total: a client cannot make it larger by declaring
+// a size, nor by sending more than it declared.
+func (s *Server) handleBulkPut(user string, ss *session, a wire.BulkPutArgs, body io.Reader, req *wire.Request) (wire.BulkPutReply, error) {
 	rep := wire.BulkPutReply{Server: s.name}
 	var total int64
 	for _, it := range a.Items {
@@ -876,10 +895,20 @@ func (s *Server) handleBulkPut(user string, ss *session, a wire.BulkPutArgs, str
 		}
 		total += it.Size
 	}
-	if total != int64(len(stream)) {
-		return rep, types.E(wire.OpBulkPut, "",
-			fmt.Errorf("manifest declares %d bytes, stream carries %d: %w", total, len(stream), types.ErrInvalid))
+	var batch wire.Buffer
+	got, err := chunk.Copy(&batch, io.LimitReader(body, total+1))
+	if err != nil {
+		return rep, types.E(wire.OpBulkPut, "", err)
 	}
+	if got != total {
+		carried := fmt.Sprint(got)
+		if got > total {
+			carried = "more" // reading stopped one byte past the manifest
+		}
+		return rep, types.E(wire.OpBulkPut, "",
+			fmt.Errorf("manifest declares %d bytes, stream carries %s: %w", total, carried, types.ErrInvalid))
+	}
+	stream := batch.Bytes()
 	s.observeBatch(len(a.Items))
 	off := int64(0)
 	for _, it := range a.Items {
@@ -894,7 +923,7 @@ func (s *Server) handleBulkPut(user string, ss *session, a wire.BulkPutArgs, str
 				DataType: it.DataType, Meta: it.Meta,
 			})
 			if err == nil {
-				_, err = s.proxyIngest(owner, user, ireq, data, ss.deadline, ss.span)
+				_, err = s.proxyIngest(owner, user, ireq, bytes.NewReader(data), ss.deadline, ss.span)
 			}
 		} else {
 			_, err = s.broker.Ingest(user, core.IngestOpts{
@@ -911,14 +940,17 @@ func (s *Server) handleBulkPut(user string, ss *session, a wire.BulkPutArgs, str
 	return rep, nil
 }
 
-// handleMultiGet fetches a batch of objects, concatenating successful
-// items' bytes in request order (the reply manifest carries per-item
-// sizes so the client can slice the stream back apart). Items fail
-// independently; remote-owned items are proxied like a single get.
-func (s *Server) handleMultiGet(user string, ss *session, a wire.MultiGetArgs, req *wire.Request) (wire.MultiGetReply, []byte) {
+// handleMultiGet fetches a batch of objects and replies with a manifest
+// of per-item outcomes followed by the successful items' bytes in
+// request order (the manifest's sizes let the client slice the stream
+// back apart). Items fail independently; remote-owned items are proxied
+// like a single get. Each item is read into one buffer of its own size,
+// and the reply is framed from those buffers through a pooled chunk —
+// the batch is never concatenated.
+func (s *Server) handleMultiGet(user string, ss *session, a wire.MultiGetArgs, req *wire.Request) error {
 	rep := wire.MultiGetReply{Server: s.name}
 	s.observeBatch(len(a.Paths))
-	var out []byte
+	items := make(chunk.Slices, 0, len(a.Paths))
 	for _, p := range a.Paths {
 		item := wire.MultiGetItem{Path: p}
 		var data []byte
@@ -928,7 +960,7 @@ func (s *Server) handleMultiGet(user string, ss *session, a wire.MultiGetArgs, r
 			greq.Args, err = jsonMarshal(wire.PathArgs{Path: p})
 			if err == nil {
 				if addr, ok := s.PeerAddr(owner); ok {
-					data, err = s.proxyGet(owner, addr, user, greq, ss.deadline, ss.span)
+					data, err = s.proxyGetBytes(owner, addr, user, greq, ss.deadline, ss.span)
 				} else {
 					err = types.E(wire.OpGet, owner, types.ErrOffline)
 				}
@@ -940,45 +972,69 @@ func (s *Server) handleMultiGet(user string, ss *session, a wire.MultiGetArgs, r
 			item.ErrKind, item.ErrMsg = wire.KindOf(err), err.Error()
 		} else {
 			item.OK, item.Size = true, int64(len(data))
-			out = append(out, data...)
+			items = append(items, data)
 		}
 		rep.Items = append(rep.Items, item)
 	}
-	return rep, out
+	return ss.sendStream(rep, &items)
+}
+
+// proxyGetBytes is proxyGet into one buffer allocated at the size the
+// peer announces. Each attempt fills a buffer of its own, so a retry
+// simply starts over.
+func (s *Server) proxyGetBytes(peerName, addr, user string, req *wire.Request, deadline time.Time, sp *obs.Span) ([]byte, error) {
+	var sink sizedSink
+	if err := s.proxyGet(peerName, addr, user, req, deadline, sp, &sink, nil); err != nil {
+		return nil, err
+	}
+	return sink.buf.Bytes(), nil
+}
+
+// sizedSink collects a reply stream into a fresh buffer of the size its
+// wire.SizeReply header announces.
+type sizedSink struct{ buf *wire.Buffer }
+
+func (k *sizedSink) Begin(resp *wire.Response) (io.Writer, error) {
+	buf, err := wire.NewSizedBuffer(resp.Body)
+	if err != nil {
+		return nil, err
+	}
+	k.buf = buf
+	return buf, nil
 }
 
 // toIngestOpts converts wire args.
-func toIngestOpts(a wire.IngestArgs, data []byte) core.IngestOpts {
+func toIngestOpts(a wire.IngestArgs, body io.Reader) core.IngestOpts {
 	return core.IngestOpts{
-		Path: a.Path, Data: data, Resource: a.Resource,
+		Path: a.Path, Reader: body, Resource: a.Resource,
 		Container: a.Container, DataType: a.DataType, Meta: a.Meta,
 	}
 }
 
-// readRange serves the parallel-transfer primitive.
-func (s *Server) readRange(user string, a wire.RangeArgs) ([]byte, error) {
+// readRange serves the parallel-transfer primitive: length bytes of the
+// object from offset, streamed from the open replica.
+func (s *Server) readRange(ss *session, user string, a wire.RangeArgs) error {
+	if a.Offset < 0 {
+		return ss.fail(types.E(wire.OpReadRange, a.Path, types.ErrInvalid))
+	}
 	f, size, err := s.broker.OpenRead(user, a.Path)
 	if err != nil {
-		return nil, err
+		return ss.fail(err)
 	}
 	defer f.Close()
 	length := a.Length
 	if length < 0 || a.Offset+length > size {
 		length = size - a.Offset
 	}
-	if length <= 0 {
-		return nil, nil
+	if length < 0 {
+		length = 0 // offset at or past the end: an empty range
 	}
-	buf := make([]byte, length)
-	n, err := f.ReadAt(buf, a.Offset)
-	if err != nil && n == 0 {
-		return nil, types.E("readrange", a.Path, err)
-	}
-	return buf[:n], nil
+	return ss.sendStream(wire.SizeReply{Size: length},
+		&sourceReader{r: io.NewSectionReader(f, a.Offset, length)})
 }
 
 // handleReplicate performs a replication that may cross server
-// boundaries: source bytes are fetched from wherever a clean replica
+// boundaries: source bytes are streamed from wherever a clean replica
 // lives, and the owning server of the target resource stores the copy.
 func (s *Server) handleReplicate(user string, ss *session, a wire.ReplicateArgs) (types.Replica, error) {
 	targetOwner := s.resourceOwner(a.Resource)
@@ -991,12 +1047,15 @@ func (s *Server) handleReplicate(user string, ss *session, a wire.ReplicateArgs)
 		// Peers only delegate the final local step; refuse loops.
 		return types.Replica{}, types.E("replicate", a.Path, types.ErrInvalid)
 	}
-	// Obtain the source bytes: locally when possible, else via the
-	// holder.
-	var data []byte
-	var err error
+	// Open the source bytes: locally when possible, else via the holder.
+	var src io.Reader
 	if sourceOwner == "" {
-		data, err = s.broker.Get(user, a.Path)
+		f, _, err := s.broker.OpenGet(user, a.Path, ss.span)
+		if err != nil {
+			return types.Replica{}, err
+		}
+		defer f.Close()
+		src = f
 	} else {
 		req := &wire.Request{Op: wire.OpGet}
 		req.Args, _ = jsonMarshal(wire.PathArgs{Path: a.Path})
@@ -1004,14 +1063,25 @@ func (s *Server) handleReplicate(user string, ss *session, a wire.ReplicateArgs)
 		if !ok {
 			return types.Replica{}, types.E("replicate", sourceOwner, types.ErrOffline)
 		}
-		data, err = s.proxyGet(sourceOwner, addr, user, req, ss.deadline, ss.span)
-	}
-	if err != nil {
-		return types.Replica{}, err
+		// The holder pushes the stream at us while the store below pulls
+		// it: a pipe joins the two without buffering. Bytes handed to the
+		// pipe are gone, so only a failure before the first one retries.
+		pr, pw := io.Pipe()
+		tw := &touchWriter{w: pw}
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			pw.CloseWithError(s.proxyGet(sourceOwner, addr, user, req, ss.deadline, ss.span,
+				tw, func() bool { return !tw.touched.Load() }))
+		}()
+		// Closing the read end fails the fetch's next write, so it winds
+		// down even when the store gave up early; wait for it to.
+		defer func() { pr.Close(); <-done }()
+		src = pr
 	}
 	if targetOwner == "" {
 		// Target local: store directly.
-		return s.broker.IngestReplica(user, a.Path, a.Resource, data)
+		return s.broker.IngestReplicaFrom(user, a.Path, a.Resource, src)
 	}
 	// Target remote: the owning peer stores the replica.
 	req := &wire.Request{Op: wire.OpIngestReplica, OnBehalf: user}
@@ -1021,8 +1091,8 @@ func (s *Server) handleReplicate(user string, ss *session, a wire.ReplicateArgs)
 		return types.Replica{}, types.E("replicate", targetOwner, types.ErrOffline)
 	}
 	var body json.RawMessage
-	err = s.peerDo(targetOwner, addr, ss.deadline, req, ss.span, func(pc *peerConn) error {
-		b, err := pc.roundTripIngest(req, data)
+	err := s.peerDo(targetOwner, addr, ss.deadline, req, ss.span, true, func(pc *peerConn) error {
+		b, err := pc.roundTripIngest(req, src)
 		body = b
 		return err
 	})
@@ -1034,6 +1104,22 @@ func (s *Server) handleReplicate(user string, ss *session, a wire.ReplicateArgs)
 		return types.Replica{}, err
 	}
 	return rep, nil
+}
+
+// touchWriter remembers whether anything has been written through it;
+// as a wire.Sink it takes any reply stream. The mark is set before the
+// write and read across goroutines: a peer call that timed out may still
+// be inside its last Write (wire.Sink), and that counts.
+type touchWriter struct {
+	w       io.Writer
+	touched atomic.Bool
+}
+
+func (t *touchWriter) Begin(*wire.Response) (io.Writer, error) { return t, nil }
+
+func (t *touchWriter) Write(p []byte) (int, error) {
+	t.touched.Store(true)
+	return t.w.Write(p)
 }
 
 // sqlOwner names the peer owning the database resource behind a SQL
@@ -1048,7 +1134,7 @@ func (s *Server) sqlOwner(path string) string {
 
 // proxyIngest relays an ingest request (with its data) to the owning
 // peer. Ingest mutates, so there is exactly one attempt.
-func (s *Server) proxyIngest(peerName, user string, req *wire.Request, data []byte, deadline time.Time, sp *obs.Span) ([]byte, error) {
+func (s *Server) proxyIngest(peerName, user string, req *wire.Request, data io.Reader, deadline time.Time, sp *obs.Span) ([]byte, error) {
 	addr, ok := s.PeerAddr(peerName)
 	if !ok {
 		return nil, types.E(req.Op, peerName, types.ErrOffline)
@@ -1056,7 +1142,7 @@ func (s *Server) proxyIngest(peerName, user string, req *wire.Request, data []by
 	fwd := *req
 	fwd.OnBehalf = user
 	var body []byte
-	err := s.peerDo(peerName, addr, deadline, &fwd, sp, func(pc *peerConn) error {
+	err := s.peerDo(peerName, addr, deadline, &fwd, sp, true, func(pc *peerConn) error {
 		b, err := pc.roundTripIngest(&fwd, data)
 		body = b
 		return err

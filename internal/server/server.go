@@ -25,6 +25,7 @@ import (
 	"time"
 
 	"gosrb/internal/auth"
+	"gosrb/internal/chunk"
 	"gosrb/internal/core"
 	"gosrb/internal/mcat/shard"
 	"gosrb/internal/obs"
@@ -279,11 +280,12 @@ func (s *Server) acceptLoop() {
 	}
 }
 
-// connWriter serializes response-stream writes on one connection.
-// Pipelined handlers finish out of order; the mutex makes each
-// response (and its trailing data frames) one atomic unit on the wire.
-// A write error is latched and the conn closed, so the reader loop
-// unblocks and every later write fails fast.
+// connWriter serializes reply writes on one connection. Pipelined
+// handlers finish out of order; whoever holds mu owns the wire until its
+// reply — the response frame, or header, data frames and DataEnd — is
+// complete, so each reply is one atomic unit. A write error is latched
+// and the conn closed, so the reader loop unblocks and every later write
+// fails fast.
 type connWriter struct {
 	mu  sync.Mutex
 	c   *wire.Conn
@@ -291,40 +293,65 @@ type connWriter struct {
 	err error
 }
 
-// send runs one response write under the lock.
-func (w *connWriter) send(fn func(c *wire.Conn) error) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
+// write runs one frame write; the caller holds mu.
+func (w *connWriter) write(fn func(c *wire.Conn) error) error {
 	if w.err != nil {
 		return w.err
 	}
 	if err := fn(w.c); err != nil {
-		w.err = err
-		w.nc.Close()
+		w.drop(err)
 		return err
 	}
 	return nil
+}
+
+// drop latches err and closes the conn; the caller holds mu.
+func (w *connWriter) drop(err error) {
+	if w.err == nil {
+		w.err = err
+	}
+	w.nc.Close()
 }
 
 // session is the state of one request on an authenticated connection.
 // The identity fields (user/peer/remote/w) are shared by every request
 // on the conn; the rest is per-request, forked fresh so pipelined
 // handlers never share mutable state.
+//
+// A handler produces its reply through the session: reply, rawReply,
+// fail and redirect stage the single frame of a plain reply; beginStream
+// and Write (or sendStream, which is both) put a streamed reply's header
+// and data frames on the wire. Either way the last frame — the staged
+// response, or the stream's DataEnd — is written by dispatch, after it
+// has recorded the request.
 type session struct {
 	user   string // authenticated end user, or "" on peer connections
 	peer   string // authenticated peer server, or ""
 	isPeer bool
 	remote string // remote address, for log and trace context
-	// w is the conn's mutex-serialized response writer.
+	// w is the conn's mutex-serialized reply writer.
 	w *connWriter
 	// reqID is the request's correlation ID, echoed on every response
 	// (zero = serial protocol).
 	reqID uint64
-	// pre holds the request's inbound bulk-data stream, drained by the
-	// reader loop before dispatch (the stream belongs between the
-	// request and the next one; a pipelined handler reads it here).
-	pre    []byte
-	hasPre bool
+	// in is the request's inbound bulk-data stream (nil when the op
+	// carries none). The handler reads it straight off the connection
+	// while the conn's reader loop waits on inDone; dispatch drains what
+	// the handler left and releases the reader.
+	in     *wire.DataReader
+	inDone chan struct{}
+	// staged is the plain reply awaiting dispatch's record-then-write;
+	// redir, when set, replaces it with a federation redirect.
+	staged wire.Response
+	redir  *wire.Redirect
+	// streaming is set once a streamed reply's header is on the wire: the
+	// session then holds w.mu until dispatch closes the stream. aborted
+	// records why a begun stream cannot be completed (its source failed);
+	// dispatch drops the connection instead of ending the stream.
+	streaming bool
+	aborted   error
+	// sendDur accumulates time inside data-frame writes (wire.send phase).
+	sendDur time.Duration
 	// opErr records the handler error of the request being dispatched;
 	// the dispatch shim reads it to attribute errors to the op's
 	// metrics, span record and log line.
@@ -362,88 +389,127 @@ func (ss *session) expired() bool {
 	return !ss.deadline.IsZero() && !time.Now().Before(ss.deadline)
 }
 
-// recvData hands the handler its request's pre-read bulk data stream.
-func (ss *session) recvData(w io.Writer) (int64, error) {
-	if !ss.hasPre {
-		return 0, types.E("recvdata", "", types.ErrInvalid)
+// finishInbound discards whatever the handler left of the inbound
+// stream, so the connection is framed for the next request whether the
+// handler read all, some or none of it, and hands the read side back to
+// the conn's reader loop.
+func (ss *session) finishInbound() {
+	if ss.in == nil {
+		return
 	}
-	n, err := w.Write(ss.pre)
-	return int64(n), err
+	// A drain error is the transport's: the reader loop sees it next.
+	_ = ss.in.Drain()
+	ss.bytesIn += ss.in.N()
+	ss.in = nil
+	if ss.inDone != nil {
+		close(ss.inDone)
+	}
 }
 
-// reply sends a success response with body.
+// reply stages a success response with body.
 func (ss *session) reply(body any) error {
 	resp, err := wire.OkResponse(body, false)
 	if err != nil {
 		return err
 	}
-	resp.ID = ss.reqID
-	return ss.w.send(func(c *wire.Conn) error {
-		return c.WriteJSON(wire.MsgResponse, resp)
-	})
+	ss.staged = resp
+	return nil
 }
 
-// rawReply sends a success response with a pre-marshalled body (proxied
+// rawReply stages a success response with a pre-marshalled body (proxied
 // replies relay the owning server's bytes untouched).
 func (ss *session) rawReply(body json.RawMessage) error {
-	resp := wire.Response{ID: ss.reqID, OK: true, Body: body}
-	return ss.w.send(func(c *wire.Conn) error {
-		return c.WriteJSON(wire.MsgResponse, resp)
-	})
+	ss.staged = wire.Response{OK: true, Body: body}
+	return nil
 }
 
-// fail reports a handler failure to the client and records it for the
-// dispatch shim.
+// fail stages a failure response and records the error for the dispatch
+// shim. Once a streamed reply has begun there is no response left to
+// give: the stream is aborted and dispatch drops the connection.
 func (ss *session) fail(err error) error {
 	ss.opErr = err
-	resp := wire.ErrResponse(err)
-	resp.ID = ss.reqID
-	return ss.w.send(func(c *wire.Conn) error {
+	if ss.streaming {
+		ss.aborted = err
+		return nil
+	}
+	ss.staged = wire.ErrResponse(err)
+	return nil
+}
+
+// redirect stages a redirect handing the client the owning server's
+// address.
+func (ss *session) redirect(server, addr string) error {
+	ss.redir = &wire.Redirect{ID: ss.reqID, Server: server, Addr: addr}
+	return nil
+}
+
+// beginStream puts the header of a streamed reply on the wire: a success
+// response announcing that data follows. From here the session owns the
+// conn's write side; dispatch ends the stream and releases it. by, when
+// set, is the socket's write deadline from the header on; whoever sets
+// it lifts it again.
+func (ss *session) beginStream(body json.RawMessage, by time.Time) error {
+	resp := wire.Response{ID: ss.reqID, OK: true, Body: body, DataFollows: true}
+	ss.w.mu.Lock()
+	ss.streaming = true
+	if !by.IsZero() {
+		ss.w.nc.SetWriteDeadline(by)
+	}
+	return ss.w.write(func(c *wire.Conn) error {
 		return c.WriteJSON(wire.MsgResponse, resp)
 	})
 }
 
-// replyData sends a success response announcing size, then the data —
-// one atomic unit under the conn writer lock — and accounts the sent
-// bytes to the session's usage ledger.
+// Write sends p as data frames of the begun stream.
+func (ss *session) Write(p []byte) (int, error) {
+	start := time.Now()
+	var n int
+	err := ss.w.write(func(c *wire.Conn) (err error) {
+		n, err = c.DataWriter().Write(p)
+		return err
+	})
+	ss.sendDur += time.Since(start)
+	ss.bytesOut += int64(n)
+	return n, err
+}
+
+// sendStream replies with body and then the bytes of src, moved through
+// one pooled chunk. A src that can fail is passed as a *sourceReader, so
+// its error is told apart from the transport's: a source that fails
+// after the header cannot become an error response any more, and the
+// stream is aborted.
+func (ss *session) sendStream(body any, src io.Reader) error {
+	raw, err := json.Marshal(body)
+	if err != nil {
+		return err
+	}
+	if err := ss.beginStream(raw, time.Time{}); err != nil {
+		return err
+	}
+	_, err = chunk.Copy(ss, src)
+	if sr, ok := src.(*sourceReader); ok && sr.err != nil {
+		return ss.fail(sr.err)
+	}
+	return err
+}
+
+// replyData replies with data's size and then data, framed in place.
 func (ss *session) replyData(data []byte) error {
-	resp, err := wire.OkResponse(wire.SizeReply{Size: int64(len(data))}, true)
-	if err != nil {
-		return err
-	}
-	resp.ID = ss.reqID
-	ss.bytesOut += int64(len(data))
-	return ss.w.send(func(c *wire.Conn) error {
-		if err := c.WriteJSON(wire.MsgResponse, resp); err != nil {
-			return err
-		}
-		return c.SendData(bytes.NewReader(data))
-	})
+	return ss.sendStream(wire.SizeReply{Size: int64(len(data))}, bytes.NewReader(data))
 }
 
-// replyDataBody is replyData with a custom response body (batch ops
-// announce per-item manifests instead of one size).
-func (ss *session) replyDataBody(body any, data []byte) error {
-	resp, err := wire.OkResponse(body, true)
-	if err != nil {
-		return err
-	}
-	resp.ID = ss.reqID
-	ss.bytesOut += int64(len(data))
-	return ss.w.send(func(c *wire.Conn) error {
-		if err := c.WriteJSON(wire.MsgResponse, resp); err != nil {
-			return err
-		}
-		return c.SendData(bytes.NewReader(data))
-	})
+// sourceReader remembers a stream source's own read error.
+type sourceReader struct {
+	r   io.Reader
+	err error
 }
 
-// redirect hands the client the owning server's address.
-func (ss *session) redirect(server, addr string) error {
-	rd := wire.Redirect{ID: ss.reqID, Server: server, Addr: addr}
-	return ss.w.send(func(c *wire.Conn) error {
-		return c.WriteJSON(wire.MsgRedirect, rd)
-	})
+func (s *sourceReader) Read(p []byte) (int, error) {
+	n, err := s.r.Read(p)
+	if err != nil && err != io.EOF {
+		s.err = err
+	}
+	return n, err
 }
 
 // effectiveUser resolves the user an operation runs as.
@@ -484,15 +550,11 @@ func (s *Server) handleConn(nc net.Conn) error {
 		}
 		ss := base.fork(req.ID)
 		if wire.StreamsIn(req.Op) {
-			// The op's bulk data sits between this request and the next;
-			// drain it here so the reader can move on while a pipelined
-			// handler works. (This also keeps framing healthy when the
-			// handler rejects the op before touching the data.)
-			var buf bytes.Buffer
-			if _, err := c.RecvData(&buf); err != nil {
-				return err
-			}
-			ss.pre, ss.hasPre = buf.Bytes(), true
+			// The op's bulk data sits between this request and the next.
+			// The handler reads it straight off the conn; dispatch drains
+			// whatever it leaves (all of it, when the op is rejected
+			// unread), so the framing survives either way.
+			ss.in = c.OpenData()
 		}
 		if req.ID == 0 {
 			// Serial protocol: dispatch inline, strictly in order.
@@ -509,6 +571,11 @@ func (s *Server) handleConn(nc net.Conn) error {
 		pipeGauge.Add(1)
 		ss.enqueued = time.Now()
 		sem <- struct{}{}
+		var inDone chan struct{}
+		if ss.in != nil {
+			inDone = make(chan struct{})
+			ss.inDone = inDone
+		}
 		wg.Add(1)
 		go func(req wire.Request, ss *session) {
 			defer wg.Done()
@@ -519,6 +586,11 @@ func (s *Server) handleConn(nc net.Conn) error {
 				s.Logger.Errorf("conn %s: pipelined %s: %v", ss.remote, req.Op, err)
 			}
 		}(req, ss)
+		if inDone != nil {
+			// The handler owns the conn's read side until its inbound
+			// stream is drained; only then is the next frame a request.
+			<-inDone
+		}
 	}
 }
 
@@ -634,11 +706,81 @@ func (s *Server) federate(ss *session, peerName, user string, req *wire.Request)
 	// either the data only lives there, or the local replica's resource
 	// breaker routed around a failing driver.
 	ss.span.Event(obs.EventFailover, "read via peer "+peerName)
-	data, err := s.proxyGet(peerName, addr, user, req, ss.deadline, ss.span)
+	rl := &relay{ss: ss}
+	err := s.proxyGet(peerName, addr, user, req, ss.deadline, ss.span, rl, rl.untouched)
+	// A peer call that timed out may have left its last Write behind
+	// (wire.Sink); the session is ours again once that Write is out.
+	rl.mu.Lock()
+	defer rl.mu.Unlock()
 	if err != nil {
 		return ss.fail(err)
 	}
-	return ss.replyData(data)
+	err = rl.finish()
+	// The relay's bound on the client socket ends with the relay; the
+	// session still holds the socket's write side.
+	ss.w.nc.SetWriteDeadline(time.Time{})
+	return err
+}
+
+// relay streams a proxied reply from the owning peer's connection to
+// this request's client, chunk by chunk. The client's header is held
+// back until the first payload byte arrives, so a peer that drops
+// between its header and its data can still be retried; after that byte
+// the reply cannot be rewound, and a failure aborts the client stream.
+//
+// Its writes run on the peer connection's reader and go to a socket a
+// client may have stopped reading. Two things keep that from costing
+// anyone else: the peer call has its connection to itself (peerDo), and
+// the client socket's write deadline is the request's own for as long
+// as the relay lasts, so a Write still blocked when the peer call times
+// out fails at that same moment. mu lets the handler wait for it.
+type relay struct {
+	ss   *session
+	body json.RawMessage // the peer's response body, relayed untouched
+
+	mu    sync.Mutex
+	begun bool
+}
+
+// Begin keeps the peer's header for the client (wire.Sink).
+func (r *relay) Begin(resp *wire.Response) (io.Writer, error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.body = resp.Body
+	return r, nil
+}
+
+// untouched reports that no byte has reached the client yet.
+func (r *relay) untouched() bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return !r.begun
+}
+
+// begin puts the client's header on the wire; the caller holds mu.
+func (r *relay) begin() error {
+	r.begun = true
+	return r.ss.beginStream(r.body, r.ss.deadline)
+}
+
+func (r *relay) Write(p []byte) (int, error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if !r.begun {
+		if err := r.begin(); err != nil {
+			return 0, err
+		}
+	}
+	return r.ss.Write(p)
+}
+
+// finish completes a relay whose peer call succeeded; an empty stream
+// still owes the client its header. The caller holds mu.
+func (r *relay) finish() error {
+	if !r.begun {
+		return r.begin()
+	}
+	return nil
 }
 
 // peerBreaker returns the circuit breaker guarding one federated peer.
@@ -652,7 +794,13 @@ func (s *Server) peerBreaker(name string) *resilience.Breaker {
 // against the breaker — a peer answering with an application error is
 // alive. A transport failure also evicts the checked-out connection so
 // no later federation call inherits a broken conn.
-func (s *Server) peerDo(peerName, addr string, deadline time.Time, req *wire.Request, sp *obs.Span, fn func(*peerConn) error) error {
+//
+// stream says the call moves bulk data to or from a third party (this
+// request's client, a storage driver). Such a call holds its conn for
+// as long as the transfer lasts and stalls it when that party stalls,
+// so it gets a conn to itself; the calls that share conns are the ones
+// that cannot hold each other up.
+func (s *Server) peerDo(peerName, addr string, deadline time.Time, req *wire.Request, sp *obs.Span, stream bool, fn func(*peerConn) error) error {
 	br := s.peerBreaker(peerName)
 	switch br.State() {
 	case resilience.Open:
@@ -668,7 +816,11 @@ func (s *Server) peerDo(peerName, addr string, deadline time.Time, req *wire.Req
 	// The span the peer opens for this request becomes a child of ours,
 	// so the federated hop shows up as a subtree when reassembled.
 	req.Span = sp.SpanID()
-	m, err := s.peerPool.Get(addr)
+	checkOut := s.peerPool.Get
+	if stream {
+		checkOut = s.peerPool.GetExclusive
+	}
+	m, err := checkOut(addr)
 	if err != nil {
 		if br.Failure() {
 			sp.Event(obs.EventBreakerTrip, "peer."+peerName)
@@ -680,7 +832,11 @@ func (s *Server) peerDo(peerName, addr string, deadline time.Time, req *wire.Req
 	err = fn(pc)
 	hop := time.Since(start)
 	sp.Phase(obs.PhaseFederationHop, hop)
-	failed := err != nil && resilience.Transport(err)
+	// A reply that failed in our own sink — this request's client hung up
+	// or stopped reading, the local store gave out — says nothing about
+	// the peer, however much its error looks like a transport's.
+	var ours *wire.SinkError
+	failed := err != nil && resilience.Transport(err) && !errors.As(err, &ours)
 	// Feed the transfer observatory: every peer round trip contributes
 	// latency, moved bytes and transport-level outcome to the per-peer
 	// history (an application error proves the peer alive).
@@ -734,31 +890,28 @@ func shrinkBudget(req *wire.Request, deadline time.Time) error {
 	return nil
 }
 
-// proxyGet relays a data-returning request to a peer over a
-// peer-authenticated connection, retrying idempotent ops under the
-// server's backoff policy.
-func (s *Server) proxyGet(peerName, addr, user string, req *wire.Request, deadline time.Time, sp *obs.Span) ([]byte, error) {
-	var data []byte
+// proxyGet sends a data-returning request to a peer over a
+// peer-authenticated connection and directs the reply's data stream
+// into sink. Idempotent ops are retried under the server's backoff
+// policy, but only while retry (nil = always) still allows it: once
+// payload bytes have reached a sink that cannot be rewound, a second
+// attempt would duplicate them.
+func (s *Server) proxyGet(peerName, addr, user string, req *wire.Request, deadline time.Time, sp *obs.Span, sink wire.Sink, retry func() bool) error {
 	do := func() error {
 		fwd := *req
 		fwd.OnBehalf = user
-		return s.peerDo(peerName, addr, deadline, &fwd, sp, func(pc *peerConn) error {
-			d, err := pc.roundTripData(&fwd)
-			data = d
-			return err
+		return s.peerDo(peerName, addr, deadline, &fwd, sp, true, func(pc *peerConn) error {
+			return pc.roundTripData(&fwd, sink)
 		})
 	}
 	if !wire.Idempotent(req.Op) {
-		if err := do(); err != nil {
-			return nil, err
-		}
-		return data, nil
+		return do()
 	}
 	r := s.retrier(deadline, sp)
-	if err := r.Do(do); err != nil {
-		return nil, err
+	if retry != nil {
+		r.Retryable = func(err error) bool { return retry() && resilience.Retryable(err) }
 	}
-	return data, nil
+	return r.Do(do)
 }
 
 // proxyCall relays a non-data request to a peer.
@@ -771,7 +924,7 @@ func (s *Server) proxyCall(peerName, user string, req *wire.Request, deadline ti
 	do := func() error {
 		fwd := *req
 		fwd.OnBehalf = user
-		return s.peerDo(peerName, addr, deadline, &fwd, sp, func(pc *peerConn) error {
+		return s.peerDo(peerName, addr, deadline, &fwd, sp, false, func(pc *peerConn) error {
 			b, err := pc.roundTrip(&fwd)
 			body = b
 			return err
@@ -855,27 +1008,27 @@ func (p *peerConn) roundTrip(req *wire.Request) (json.RawMessage, error) {
 	return res.Resp.Body, nil
 }
 
-func (p *peerConn) roundTripData(req *wire.Request) ([]byte, error) {
-	res, err := p.m.Call(req, nil, p.deadline)
+func (p *peerConn) roundTripData(req *wire.Request, sink wire.Sink) error {
+	res, err := p.m.CallTo(req, nil, sink, p.deadline)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if res.Redirect != nil {
-		return nil, types.E(req.Op, "", types.ErrInvalid)
+		return types.E(req.Op, "", types.ErrInvalid)
 	}
 	if !res.Resp.OK {
-		return nil, res.Resp.Err()
+		return res.Resp.Err()
 	}
 	if !res.Resp.DataFollows {
-		return nil, types.E(req.Op, "", types.ErrInvalid)
+		return types.E(req.Op, "", types.ErrInvalid)
 	}
-	p.bytes += int64(len(res.Data))
-	return res.Data, nil
+	p.bytes += res.DataLen
+	return nil
 }
 
 // roundTripIngest relays an ingest (request, then data, then response).
-func (p *peerConn) roundTripIngest(req *wire.Request, data []byte) (json.RawMessage, error) {
-	res, err := p.m.Call(req, bytes.NewReader(data), p.deadline)
+func (p *peerConn) roundTripIngest(req *wire.Request, data io.Reader) (json.RawMessage, error) {
+	res, err := p.m.Call(req, data, p.deadline)
 	if err != nil {
 		return nil, err
 	}
@@ -885,7 +1038,7 @@ func (p *peerConn) roundTripIngest(req *wire.Request, data []byte) (json.RawMess
 	if !res.Resp.OK {
 		return nil, res.Resp.Err()
 	}
-	p.bytes += int64(len(data))
+	p.bytes += res.SentLen
 	return res.Resp.Body, nil
 }
 
@@ -1112,7 +1265,7 @@ func (s *Server) gridStatOnce(peerName, user string, req *wire.Request, deadline
 	var body json.RawMessage
 	fwd := *req
 	fwd.OnBehalf = user
-	err := s.peerDo(peerName, addr, deadline, &fwd, sp, func(pc *peerConn) error {
+	err := s.peerDo(peerName, addr, deadline, &fwd, sp, false, func(pc *peerConn) error {
 		b, err := pc.roundTrip(&fwd)
 		body = b
 		return err

@@ -132,6 +132,7 @@ func (w *wanWriter) Write(p []byte) (int, error) {
 }
 
 func (w *wanWriter) Close() error { return w.inner.Close() }
+func (w *wanWriter) Abort() error { return storage.ForwardAbort(w.inner) }
 
 type wanReader struct {
 	inner storage.ReadFile

@@ -151,6 +151,8 @@ func (w *stagedWriter) Close() error {
 	return nil
 }
 
+func (w *stagedWriter) Abort() error { return storage.ForwardAbort(w.inner) }
+
 // Open implements storage.Driver, paying the stage latency on cold hits.
 func (f *FS) Open(path string) (storage.ReadFile, error) {
 	r, err := f.tape.Open(path)

@@ -142,6 +142,13 @@ func (w *writer) Close() error {
 	return w.f.store(w.path, w.buf.String())
 }
 
+// Abort drops the accumulated bytes without storing them.
+func (w *writer) Abort() error {
+	w.closed = true
+	w.buf.Reset()
+	return nil
+}
+
 // Open implements storage.Driver.
 func (f *FS) Open(path string) (storage.ReadFile, error) {
 	p, err := clean(path)

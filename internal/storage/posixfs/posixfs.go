@@ -116,6 +116,16 @@ func (w *atomicWriter) Close() error {
 	return nil
 }
 
+// Abort discards the staged temp file; the destination is untouched.
+func (w *atomicWriter) Abort() error {
+	if w.done {
+		return nil
+	}
+	w.done = true
+	w.f.Close()
+	return mapErr("abort", w.path, os.Remove(w.f.Name()))
+}
+
 // OpenAppend implements storage.Driver.
 func (f *FS) OpenAppend(path string) (storage.WriteFile, error) {
 	host, err := f.resolve(path)

@@ -15,6 +15,7 @@ import (
 	"strings"
 	"time"
 
+	"gosrb/internal/chunk"
 	"gosrb/internal/types"
 )
 
@@ -33,6 +34,31 @@ type ReadFile interface {
 type WriteFile interface {
 	io.Writer
 	io.Closer
+}
+
+// Abort discards an open write. A WriteFile stages its contents until
+// Close, so a writer with an Abort method drops the staged bytes and
+// leaves whatever the path held before untouched; Abort then reports
+// true. For a writer without one the only way out is to publish and
+// delete: the path ends up empty, and Abort reports false so the caller
+// knows the previous contents are gone.
+func Abort(d Driver, path string, w WriteFile) (preserved bool) {
+	if a, ok := w.(interface{ Abort() error }); ok && a.Abort() == nil {
+		return true
+	}
+	w.Close()
+	d.Remove(path)
+	return false
+}
+
+// ForwardAbort is Abort for a WriteFile decorator: it aborts inner when
+// inner can, and otherwise reports types.ErrUnsupported so the caller's
+// Abort falls back to Close and Remove through the decorated driver.
+func ForwardAbort(inner WriteFile) error {
+	if a, ok := inner.(interface{ Abort() error }); ok {
+		return a.Abort()
+	}
+	return types.ErrUnsupported
 }
 
 // FileInfo describes one stored file or directory.
@@ -93,14 +119,59 @@ func WriteAll(d Driver, path string, contents []byte) error {
 	return w.Close()
 }
 
-// ReadAll retrieves the full contents of path.
+// ReadAll retrieves the full contents of path in one allocation of the
+// file's size.
 func ReadAll(d Driver, path string) ([]byte, error) {
 	r, err := d.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer r.Close()
-	return io.ReadAll(r)
+	size, err := SizeOf(r)
+	if err != nil {
+		return nil, err
+	}
+	return ReadSized(r, size)
+}
+
+// SizeOf reports the length of a freshly opened file, leaving it
+// positioned at the start.
+func SizeOf(r ReadFile) (int64, error) {
+	size, err := r.Seek(0, io.SeekEnd)
+	if err == nil {
+		_, err = r.Seek(0, io.SeekStart)
+	}
+	return size, err
+}
+
+// ReadSized reads r to EOF into a buffer allocated once at size, the
+// length the caller expects (a file's size, a catalog row's). A source
+// that ends early yields what it held; one that runs past size — a
+// replica that outgrew its catalog row — is still read whole, the
+// excess the slow way.
+func ReadSized(r io.Reader, size int64) ([]byte, error) {
+	buf := make([]byte, size)
+	n, err := io.ReadFull(r, buf)
+	if err == io.EOF || err == io.ErrUnexpectedEOF {
+		return buf[:n], nil
+	}
+	if err != nil {
+		return nil, err
+	}
+	var probe [1]byte
+	for {
+		m, err := r.Read(probe[:])
+		if m > 0 {
+			rest, rerr := io.ReadAll(r)
+			return append(append(buf, probe[0]), rest...), rerr
+		}
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
 }
 
 // ReadRange reads length bytes starting at offset from path. It is the
@@ -131,7 +202,7 @@ func Copy(dst Driver, dstPath string, src Driver, srcPath string) (int64, error)
 	if err != nil {
 		return 0, err
 	}
-	n, err := io.Copy(w, r)
+	n, err := chunk.Copy(w, r)
 	if err != nil {
 		w.Close()
 		return n, err

@@ -15,7 +15,6 @@
 package wire
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -29,22 +28,122 @@ import (
 	"gosrb/internal/types"
 )
 
-// CallResult is one matched answer: the response, any bulk data that
-// followed it, or a federation redirect.
+// CallResult is one matched answer: the response, or a federation
+// redirect. Data holds the reply's bulk data only for calls made without
+// a Sink.
 type CallResult struct {
 	Resp     Response
 	Data     []byte
 	Redirect *Redirect
+	// DataLen is the length of the reply's data stream, wherever it went;
+	// SentLen that of the stream sent after the request.
+	DataLen int64
+	SentLen int64
 }
+
+// Sink says where a reply's data stream goes. The demux goroutine calls
+// Begin once, with the response that announced the stream, before the
+// first data byte; the stream is then copied into the writer it returns
+// through a pooled chunk. Returning a *Buffer is the zero-copy case: the
+// demux goroutine fills it in place, so the Buffer must belong to this
+// call alone and may be read only after Call has returned without
+// error. A Sink or writer error fails the call but not the connection:
+// the rest of the stream is discarded to keep the framing.
+//
+// The sink runs on the goroutine every call on the connection depends
+// on, so a writer that can wait on a third party (a relay to another
+// socket) wants a connection of its own — Pool.GetExclusive — and a
+// bound of its own on how long one Write may take. A Call never waits
+// for the sink: when its deadline passes with a stream open into the
+// sink's writer, Call returns at once and closes the connection. If the
+// demux goroutine is inside Begin or Write at that moment, that one
+// sink call is left to finish by itself, and no other is made; whoever
+// must not overlap with it (state it shares with the sink) has to order
+// itself against that last call.
+type Sink interface {
+	Begin(resp *Response) (io.Writer, error)
+}
+
+// SinkError is a call failing on its caller's side of the connection:
+// the sink or its writer returned Err, or the deadline (Err) passed with
+// the demux goroutine inside them. The peer did nothing wrong, which is
+// what a breaker guarding the peer needs to know.
+type SinkError struct{ Err error }
+
+func (e *SinkError) Error() string { return "wire: reply sink: " + e.Err.Error() }
+func (e *SinkError) Unwrap() error { return e.Err }
 
 type muxOutcome struct {
 	res *CallResult
 	err error
 }
 
+// How far the demux goroutine is into a caller's sink.
+const (
+	sinkIdle   int32 = iota // no stream is going into it: the caller may leave freely
+	sinkOpen                // one is, into the writer Begin returned
+	sinkInside              // and Begin or Write is running right now
+	sinkFailed              // it returned an error: the stream drains past it
+	sinkGone                // the caller has left: the sink is not entered again
+)
+
+// muxPending is one call awaiting its answer.
 type muxPending struct {
-	ch chan muxOutcome
+	ch   chan muxOutcome
+	sink Sink
+
+	// state orders the demux goroutine's use of the caller's sink against
+	// the caller giving up. w and werr, the stream in progress, are the
+	// demux goroutine's alone.
+	state atomic.Int32
+	w     io.Writer
+	werr  error
 }
+
+// begin resolves where the announced stream goes: the caller's sink, an
+// internal Buffer when it named none, or nowhere once the caller is gone.
+func (p *muxPending) begin(res *CallResult) io.Writer {
+	if p.sink == nil {
+		return new(Buffer)
+	}
+	if !p.state.CompareAndSwap(sinkIdle, sinkInside) {
+		return io.Discard
+	}
+	w, err := p.sink.Begin(&res.Resp)
+	if err != nil {
+		p.werr = err
+		p.state.CompareAndSwap(sinkInside, sinkFailed)
+		return io.Discard
+	}
+	if b, ok := w.(*Buffer); ok {
+		// Filled in place: the sink itself is not entered again.
+		p.state.CompareAndSwap(sinkInside, sinkIdle)
+		return b
+	}
+	p.w = w
+	p.state.CompareAndSwap(sinkInside, sinkOpen)
+	return p
+}
+
+// Write feeds the caller's writer unless the caller has gone or the
+// writer has failed; either way the stream keeps draining.
+func (p *muxPending) Write(b []byte) (int, error) {
+	if p.state.CompareAndSwap(sinkOpen, sinkInside) {
+		next := sinkOpen
+		if _, p.werr = p.w.Write(b); p.werr != nil {
+			next = sinkFailed
+		}
+		p.state.CompareAndSwap(sinkInside, next)
+	}
+	return len(b), nil
+}
+
+// end marks the stream over: the sink is not entered again.
+func (p *muxPending) end() { p.state.CompareAndSwap(sinkOpen, sinkIdle) }
+
+// abandon makes the demux goroutine enter the caller's sink no more, and
+// reports how far into it it was.
+func (p *muxPending) abandon() int32 { return p.state.Swap(sinkGone) }
 
 // Mux multiplexes requests over one authenticated connection. Safe for
 // concurrent use; create with NewMux after the handshake.
@@ -124,15 +223,16 @@ func (m *Mux) fatal(err error) {
 		close(m.done)
 		m.nc.Close()
 	}
+	// Unclaimed, so the demux goroutine never reaches their sinks.
 	for _, p := range waiters {
 		p.ch <- muxOutcome{err: first}
 	}
 }
 
 // register allocates an ID and parks a waiter for it.
-func (m *Mux) register() (uint64, *muxPending, error) {
+func (m *Mux) register(sink Sink) (uint64, *muxPending, error) {
 	id := m.nextID.Add(1)
-	p := &muxPending{ch: make(chan muxOutcome, 1)}
+	p := &muxPending{ch: make(chan muxOutcome, 1), sink: sink}
 	m.mu.Lock()
 	if m.err != nil {
 		err := m.err
@@ -163,31 +263,30 @@ func (m *Mux) dropOrder(id uint64) {
 	}
 }
 
-// deliver hands a matched outcome to its waiter. id 0 means the server
-// spoke the serial protocol; the oldest pending call is the owner.
-func (m *Mux) deliver(id uint64, out muxOutcome) {
+// claim removes and returns the waiter a response belongs to, nil when
+// its caller has given up. id 0 means the server spoke the serial
+// protocol; the oldest pending call is the owner.
+func (m *Mux) claim(id uint64) *muxPending {
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	if id == 0 {
 		if len(m.order) == 0 {
-			m.mu.Unlock()
-			return // response with no caller: abandoned serial call
+			return nil // response with no caller: abandoned serial call
 		}
 		id = m.order[0]
 	}
 	p, ok := m.pending[id]
-	if ok {
-		delete(m.pending, id)
-		m.dropOrder(id)
+	if !ok {
+		return nil
 	}
-	m.mu.Unlock()
-	if ok {
-		p.ch <- out
-	}
+	delete(m.pending, id)
+	m.dropOrder(id)
+	return p
 }
 
 // readLoop is the demux goroutine: the sole reader of the connection.
-// Responses announcing DataFollows have their data stream drained here
-// so the next frame is again a response header.
+// A response announcing DataFollows has its data stream moved into its
+// caller's sink here, so the next frame is again a response header.
 func (m *Mux) readLoop() {
 	for {
 		t, payload, err := m.c.ReadMsg()
@@ -197,28 +296,52 @@ func (m *Mux) readLoop() {
 		}
 		switch t {
 		case MsgResponse:
-			var resp Response
-			if err := json.Unmarshal(payload, &resp); err != nil {
+			res := &CallResult{}
+			if err := json.Unmarshal(payload, &res.Resp); err != nil {
 				m.fatal(fmt.Errorf("wire: bad response frame: %w", types.ErrInvalid))
 				return
 			}
-			res := &CallResult{Resp: resp}
-			if resp.OK && resp.DataFollows {
-				var buf bytes.Buffer
-				if _, err := m.c.RecvData(&buf); err != nil {
+			p := m.claim(res.Resp.ID)
+			var sinkErr error
+			if res.Resp.OK && res.Resp.DataFollows {
+				var w io.Writer = io.Discard
+				if p != nil {
+					w = p.begin(res)
+				}
+				if res.DataLen, err = m.c.RecvData(w); err != nil {
+					// Dead first, then the news: a caller that sees the error
+					// must also see a dead mux, or it would pool the conn.
 					m.fatal(err)
+					if p != nil {
+						// Claimed, so fatal did not reach this caller.
+						p.ch <- muxOutcome{err: err}
+					}
 					return
 				}
-				res.Data = buf.Bytes()
+				if p != nil {
+					p.end()
+					if b, ok := w.(*Buffer); ok && p.sink == nil {
+						res.Data = b.Bytes()
+					}
+					sinkErr = p.werr
+				}
 			}
-			m.deliver(resp.ID, muxOutcome{res: res})
+			if p != nil {
+				if sinkErr != nil {
+					p.ch <- muxOutcome{err: &SinkError{sinkErr}}
+				} else {
+					p.ch <- muxOutcome{res: res}
+				}
+			}
 		case MsgRedirect:
 			var rd Redirect
 			if err := json.Unmarshal(payload, &rd); err != nil {
 				m.fatal(fmt.Errorf("wire: bad redirect frame: %w", types.ErrInvalid))
 				return
 			}
-			m.deliver(rd.ID, muxOutcome{res: &CallResult{Redirect: &rd}})
+			if p := m.claim(rd.ID); p != nil {
+				p.ch <- muxOutcome{res: &CallResult{Redirect: &rd}}
+			}
 		default:
 			m.fatal(fmt.Errorf("wire: unexpected frame %d awaiting response: %w", t, types.ErrInvalid))
 			return
@@ -232,6 +355,12 @@ func (m *Mux) readLoop() {
 // types.ErrTimeout and os.ErrDeadlineExceeded so existing
 // classification (resilience.Transport, errors.Is) keeps working.
 func (m *Mux) Call(req *Request, data io.Reader, deadline time.Time) (*CallResult, error) {
+	return m.CallTo(req, data, nil, deadline)
+}
+
+// CallTo is Call with the reply's data stream directed into sink (see
+// Sink) instead of collected into CallResult.Data.
+func (m *Mux) CallTo(req *Request, data io.Reader, sink Sink, deadline time.Time) (*CallResult, error) {
 	m.inflight.Add(1)
 	defer func() {
 		m.inflight.Add(-1)
@@ -242,15 +371,16 @@ func (m *Mux) Call(req *Request, data io.Reader, deadline time.Time) (*CallResul
 	// the order requests hit the wire — serial servers answer in wire
 	// order, and the ID-less fallback match depends on it.
 	m.wmu.Lock()
-	id, p, err := m.register()
+	id, p, err := m.register(sink)
 	if err != nil {
 		m.wmu.Unlock()
 		return nil, err
 	}
 	req.ID = id
+	var sent int64
 	err = m.c.WriteJSON(MsgRequest, req)
 	if err == nil && data != nil {
-		err = m.c.SendData(data)
+		sent, err = m.c.sendData(data)
 	}
 	m.wmu.Unlock()
 	if err != nil {
@@ -267,17 +397,31 @@ func (m *Mux) Call(req *Request, data io.Reader, deadline time.Time) (*CallResul
 	}
 	select {
 	case out := <-p.ch:
+		if out.res != nil {
+			out.res.SentLen = sent
+		}
 		return out.res, out.err
 	case <-timeout:
-		if m.strict {
+		err := timeoutError(id)
+		switch was := p.abandon(); {
+		case was != sinkIdle:
+			// The conn's only reader is feeding this caller's writer and
+			// may be stuck in it; even if not, what is left of the stream
+			// is wanted by nobody. Closing beats draining.
+			m.fatal(err)
+			if was != sinkOpen {
+				// Not waiting for the peer: in the writer, or past its error.
+				err = &SinkError{err}
+			}
+		case m.strict:
 			// Abandon the call; the late response is discarded by ID.
 			m.unregister(id)
-		} else {
+		default:
 			// A serial server's late response carries no ID and would be
 			// matched to the next caller — the conn is poisoned, kill it.
-			m.fatal(timeoutError(id))
+			m.fatal(err)
 		}
-		return nil, timeoutError(id)
+		return nil, err
 	}
 }
 

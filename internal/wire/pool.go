@@ -9,6 +9,12 @@
 // checks in reporting a transport error (the conn is evicted). Dead
 // connections are dropped on sight; idle ones are reaped once they
 // have sat unused past IdleAfter.
+//
+// Sharing suits calls whose frames are small and whose ends never wait
+// on anyone else. A bulk stream relayed to or from a third party is
+// neither: it occupies the conn for as long as it lasts, and stalls it
+// when that party stalls. GetExclusive leases such a call a conn no
+// other checkout sees until it is checked back in.
 package wire
 
 import (
@@ -57,6 +63,9 @@ type PoolConfig struct {
 type poolEntry struct {
 	m      *Mux
 	leases int
+	// exclusive hides the conn from every other checkout while its one
+	// lease lasts.
+	exclusive bool
 	// dying marks a conn evicted while shared: it is hidden from
 	// checkout at once but closed only when the last lease drains, so
 	// one caller's transport error does not yank the socket out from
@@ -169,12 +178,27 @@ func (p *Pool) sweepLocked(addr string) {
 // waits) is distinguishable from breaker rejection (fast errors) in
 // the same histogram; <prefix>.waiting gauges checkouts in progress.
 func (p *Pool) Get(addr string) (*Mux, error) {
+	return p.checkOut(addr, false)
+}
+
+// GetExclusive checks out a connection to addr that no other checkout
+// shares until it is checked back in: an idle pooled one when there is
+// one, else a freshly dialed one. MaxConns does not hold it back — the
+// bound exists to make calls share, which is what this call must not do
+// — so streams in flight add to the pool's connections; once checked in
+// each is an ordinary pooled connection, shared while busy and reaped
+// when idle. Pair with Put or Fail like Get.
+func (p *Pool) GetExclusive(addr string) (*Mux, error) {
+	return p.checkOut(addr, true)
+}
+
+func (p *Pool) checkOut(addr string, exclusive bool) (*Mux, error) {
 	start := time.Now()
 	p.mu.Lock()
 	waiting, checkout := p.gWaiting, p.checkout
 	p.mu.Unlock()
 	waiting.Add(1)
-	m, err := p.get(addr)
+	m, err := p.get(addr, exclusive)
 	waiting.Add(-1)
 	checkout.Observe(time.Since(start), err)
 	return m, err
@@ -204,7 +228,7 @@ func (p *Pool) SetMetrics(reg *obs.Registry) {
 	p.publishLocked()
 }
 
-func (p *Pool) get(addr string) (*Mux, error) {
+func (p *Pool) get(addr string, exclusive bool) (*Mux, error) {
 	if gate := p.gate(addr); gate != nil && !gate.Allow() {
 		return nil, types.E("dial", addr, fmt.Errorf("connection gate open (breaker): %w", types.ErrOffline))
 	}
@@ -218,16 +242,23 @@ func (p *Pool) get(addr string) (*Mux, error) {
 		var best *poolEntry
 		live := 0
 		for _, e := range p.conns[addr] {
-			if e.dying {
+			if e.dying || e.exclusive {
 				continue
 			}
 			live++
+			if exclusive && (e.leases > 0 || e.m.InFlight() > 0) {
+				continue
+			}
 			if best == nil || e.m.InFlight() < best.m.InFlight() {
 				best = e
 			}
 		}
 		total := live + p.dialing[addr]
-		canDial := total < p.cfg.MaxConns
+		canDial := exclusive || total < p.cfg.MaxConns
+		if exclusive && best != nil {
+			// An idle conn: it is this caller's alone until checked in.
+			best.exclusive = true
+		}
 		if best != nil && (!canDial || best.m.InFlight() < int64(p.cfg.MaxInflight)) {
 			best.leases++
 			p.publishLocked()
@@ -247,13 +278,19 @@ func (p *Pool) get(addr string) (*Mux, error) {
 			time.Sleep(time.Millisecond)
 			continue
 		}
-		p.dialing[addr]++
+		// A conn dialed for an exclusive lease is outside the shared
+		// capacity, so it does not hold back a shared dial either.
+		if !exclusive {
+			p.dialing[addr]++
+		}
 		p.mu.Unlock()
 
 		m, err := p.cfg.Dial(addr)
 
 		p.mu.Lock()
-		p.dialing[addr]--
+		if !exclusive {
+			p.dialing[addr]--
+		}
 		if err != nil {
 			p.mu.Unlock()
 			return nil, err
@@ -264,7 +301,7 @@ func (p *Pool) get(addr string) (*Mux, error) {
 			return nil, types.E("dial", addr, fmt.Errorf("pool closed: %w", types.ErrOffline))
 		}
 		p.dialed.Inc()
-		p.conns[addr] = append(p.conns[addr], &poolEntry{m: m, leases: 1})
+		p.conns[addr] = append(p.conns[addr], &poolEntry{m: m, leases: 1, exclusive: exclusive})
 		p.publishLocked()
 		p.mu.Unlock()
 		return m, nil
@@ -302,6 +339,7 @@ func (p *Pool) release(m *Mux, evict bool) {
 			if e.leases > 0 {
 				e.leases--
 			}
+			e.exclusive = false
 			if (evict || m.Dead()) && !e.dying {
 				e.dying = true
 				p.evicted.Inc()

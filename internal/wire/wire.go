@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"io"
 
+	"gosrb/internal/chunk"
 	"gosrb/internal/types"
 )
 
@@ -45,8 +46,9 @@ const (
 // cannot exhaust memory; bulk data is chunked beneath it.
 const MaxFrame = 16 << 20
 
-// DataChunk is the bulk transfer chunk size.
-const DataChunk = 256 * 1024
+// DataChunk is the bulk transfer chunk size: the payload of one Data
+// frame, and the size of the pooled buffer every hop copies through.
+const DataChunk = chunk.Size
 
 // Challenge is the server's opening message.
 type Challenge struct {
@@ -191,9 +193,15 @@ func ErrFromKind(kind, msg string) error {
 	return errors.New(msg)
 }
 
-// Conn frames messages over an io.ReadWriter.
+// Conn frames messages over an io.ReadWriter. At most one goroutine
+// may write and one may read at a time (frames from two writers would
+// interleave anyway); the header scratch arrays rely on it.
 type Conn struct {
-	rw io.ReadWriter
+	rw   io.ReadWriter
+	whdr [5]byte
+	rhdr [5]byte
+	// in is the inbound data stream currently being read (OpenData).
+	in DataReader
 }
 
 // NewConn wraps a transport.
@@ -204,10 +212,9 @@ func (c *Conn) WriteMsg(t MsgType, payload []byte) error {
 	if len(payload) > MaxFrame {
 		return types.E("write", "", fmt.Errorf("frame of %d bytes exceeds limit: %w", len(payload), types.ErrInvalid))
 	}
-	var hdr [5]byte
-	hdr[0] = byte(t)
-	binary.BigEndian.PutUint32(hdr[1:], uint32(len(payload)))
-	if _, err := c.rw.Write(hdr[:]); err != nil {
+	c.whdr[0] = byte(t)
+	binary.BigEndian.PutUint32(c.whdr[1:], uint32(len(payload)))
+	if _, err := c.rw.Write(c.whdr[:]); err != nil {
 		return err
 	}
 	if len(payload) > 0 {
@@ -218,21 +225,31 @@ func (c *Conn) WriteMsg(t MsgType, payload []byte) error {
 	return nil
 }
 
-// ReadMsg receives one frame.
-func (c *Conn) ReadMsg() (MsgType, []byte, error) {
-	var hdr [5]byte
-	if _, err := io.ReadFull(c.rw, hdr[:]); err != nil {
-		return 0, nil, err
+// readHeader receives one frame header: its type and payload length.
+func (c *Conn) readHeader() (MsgType, int, error) {
+	if _, err := io.ReadFull(c.rw, c.rhdr[:]); err != nil {
+		return 0, 0, err
 	}
-	n := binary.BigEndian.Uint32(hdr[1:])
+	n := binary.BigEndian.Uint32(c.rhdr[1:])
 	if n > MaxFrame {
-		return 0, nil, types.E("read", "", fmt.Errorf("frame of %d bytes exceeds limit: %w", n, types.ErrInvalid))
+		return 0, 0, types.E("read", "", fmt.Errorf("frame of %d bytes exceeds limit: %w", n, types.ErrInvalid))
 	}
-	payload, err := readPayload(c.rw, int(n))
+	return MsgType(c.rhdr[0]), int(n), nil
+}
+
+// ReadMsg receives one frame into a freshly allocated payload. Control
+// frames (JSON) come this way; bulk data is read through OpenData or
+// RecvData, which fill the caller's buffer instead.
+func (c *Conn) ReadMsg() (MsgType, []byte, error) {
+	t, n, err := c.readHeader()
 	if err != nil {
 		return 0, nil, err
 	}
-	return MsgType(hdr[0]), payload, nil
+	payload, err := readPayload(c.rw, n)
+	if err != nil {
+		return 0, nil, err
+	}
+	return t, payload, nil
 }
 
 // readAllocStep caps how much ReadMsg allocates ahead of bytes actually
@@ -295,49 +312,6 @@ func (c *Conn) ReadJSON(want MsgType, v any) error {
 		return fmt.Errorf("wire: expected message type %d, got %d: %w", want, t, types.ErrInvalid)
 	}
 	return json.Unmarshal(payload, v)
-}
-
-// SendData streams r as Data frames followed by DataEnd.
-func (c *Conn) SendData(r io.Reader) error {
-	buf := make([]byte, DataChunk)
-	for {
-		n, err := r.Read(buf)
-		if n > 0 {
-			if werr := c.WriteMsg(MsgData, buf[:n]); werr != nil {
-				return werr
-			}
-		}
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return c.WriteMsg(MsgDataEnd, nil)
-}
-
-// RecvData collects a Data stream into w and returns the byte count.
-func (c *Conn) RecvData(w io.Writer) (int64, error) {
-	var total int64
-	for {
-		t, payload, err := c.ReadMsg()
-		if err != nil {
-			return total, err
-		}
-		switch t {
-		case MsgData:
-			n, err := w.Write(payload)
-			total += int64(n)
-			if err != nil {
-				return total, err
-			}
-		case MsgDataEnd:
-			return total, nil
-		default:
-			return total, fmt.Errorf("wire: unexpected frame %d in data stream: %w", t, types.ErrInvalid)
-		}
-	}
 }
 
 // OkResponse marshals a success response with the given body.
