@@ -10,242 +10,86 @@
 package main
 
 import (
-	"encoding/json"
-	"errors"
 	"flag"
 	"log"
 	"net"
 	"net/http"
 	"os"
-	"path/filepath"
-	"strings"
 	"time"
 
-	"gosrb/internal/auth"
 	"gosrb/internal/core"
+	"gosrb/internal/daemon"
 	"gosrb/internal/mcat"
 	"gosrb/internal/mysrb"
 	"gosrb/internal/obs"
-	"gosrb/internal/repair"
+	"gosrb/internal/report"
 	"gosrb/internal/server"
-	"gosrb/internal/storage/archivefs"
-	"gosrb/internal/storage/dbfs"
 	"gosrb/internal/storage/memfs"
-	"gosrb/internal/storage/posixfs"
 	"gosrb/internal/types"
 )
 
-type repeated []string
+// options is everything mysrbd's flags set.
+type options struct {
+	*daemon.Config
+	addr, adminAddr, catalog string
+	slowOp                   time.Duration
+}
 
-func (r *repeated) String() string     { return strings.Join(*r, ",") }
-func (r *repeated) Set(v string) error { *r = append(*r, v); return nil }
+// defineFlags registers mysrbd's flags on fs.
+func defineFlags(fs *flag.FlagSet) *options {
+	o := &options{Config: daemon.Flags(fs)}
+	fs.StringVar(&o.addr, "addr", ":8080", "HTTP listen address")
+	fs.StringVar(&o.adminAddr, "admin-addr", "", "admin HTTP listen address for /metrics, /healthz, /grid and /debug/pprof (empty disables)")
+	fs.StringVar(&o.catalog, "catalog", "", "MCAT snapshot to load/save")
+	fs.DurationVar(&o.slowOp, "slow-op", 0, "log the full span tree of any web request slower than this (0 disables)")
+	fs.DurationVar(&o.RollupEvery, "rollup-interval", obs.DefaultRollupInterval, "telemetry rollup capture interval feeding /metrics?window=, /grid and the dashboard (0 disables windowed stats)")
+	fs.DurationVar(&o.HeatDecay, "heat-decay", time.Minute, "hot-key/hot-object score decay interval feeding the /heat page (0 disables decay)")
+	fs.Var(&o.Resources, "resource", "resource: name=driver:arg; repeatable")
+	return o
+}
 
 func main() {
-	var (
-		addr      = flag.String("addr", ":8080", "HTTP listen address")
-		adminAddr = flag.String("admin-addr", "", "admin HTTP listen address for /metrics, /healthz, /grid and /debug/pprof (empty disables)")
-		adminUser = flag.String("admin", "admin", "administrator user name")
-		adminPw   = flag.String("admin-pw", os.Getenv("SRB_ADMIN_PW"), "administrator password (or $SRB_ADMIN_PW)")
-		catalog   = flag.String("catalog", "", "MCAT snapshot to load/save")
-		slowOp    = flag.Duration("slow-op", 0, "log the full span tree of any web request slower than this (0 disables)")
-
-		repairWorkers = flag.Int("repair-workers", 2, "background repair worker goroutines draining the async-replication/scrub queue (0 leaves the queue undrained)")
-		scrubEvery    = flag.Duration("scrub-interval", 0, "anti-entropy scrub interval: re-hash every replica against the catalog checksum and repair divergence (0 disables)")
-
-		rollupEvery = flag.Duration("rollup-interval", obs.DefaultRollupInterval, "telemetry rollup capture interval feeding /metrics?window=, /grid and the dashboard (0 disables windowed stats)")
-	heatDecay   = flag.Duration("heat-decay", time.Minute, "hot-key/hot-object score decay interval feeding the /heat page (0 disables decay)")
-		sloRules    = flag.String("slo-rules", "", "SLO rules file, one rule per line (e.g. 'get p99 < 50ms over 5m'); empty disables SLO evaluation")
-		sloEvery    = flag.Duration("slo-interval", 30*time.Second, "how often declared SLO rules are evaluated against the rollup ring")
-
-		exemplarMin = flag.Duration("exemplar-threshold", obs.DefaultExemplarThreshold, "retain a tail exemplar (trace ID) on latency buckets at or above this duration; 0 keeps one per bucket regardless")
-
-		telemetryDir = flag.String("telemetry-dir", "", "flight recorder directory: durable telemetry journal plus incident bundles, restored at boot (empty disables)")
-		telemetryRet = flag.Duration("telemetry-retention", 24*time.Hour, "how much telemetry and incident history survives compaction (0 keeps whatever the rings retain)")
-	)
-	var resources, users repeated
-	flag.Var(&resources, "resource", "resource: name=driver:arg; repeatable")
-	flag.Var(&users, "user", "user account: name=password; repeatable")
+	o := defineFlags(flag.CommandLine)
 	flag.Parse()
 
 	logger := log.New(os.Stderr, "mysrbd: ", log.LstdFlags)
-	if *adminPw == "" {
-		*adminPw = "admin"
-		logger.Printf("warning: using default admin password; set -admin-pw")
-	}
+	o.Name, o.Logf = "mysrb", logger.Printf
 
-	cat := mcat.New(*adminUser, "local")
-	if *catalog != "" {
-		if err := cat.LoadFile(*catalog); err == nil {
-			logger.Printf("catalog loaded from %s", *catalog)
+	cat := mcat.New(o.Admin, "local")
+	if o.catalog != "" {
+		if err := cat.LoadFile(o.catalog); err == nil {
+			logger.Printf("catalog loaded from %s", o.catalog)
 		}
 	}
-	broker := core.New(cat, "mysrb")
-	broker.Metrics().SetExemplarThreshold(*exemplarMin)
-	// Durable telemetry mirrors srbd: restore windowed history before
-	// any job captures new rollups.
-	var telem *obs.TelemetryStore
-	var restoredAlerts []obs.Alert
-	if *telemetryDir != "" {
-		var err error
-		telem, err = obs.OpenTelemetryStore(*telemetryDir, "mysrb", *telemetryRet)
-		if err != nil {
-			logger.Fatalf("telemetry: %v", err)
-		}
-		snap, err := telem.Restore(broker.Metrics())
-		if err != nil {
-			logger.Fatalf("telemetry restore: %v", err)
-		}
-		restoredAlerts = snap.Alerts
-		if len(snap.Rollups)+len(snap.Alerts)+len(snap.Peers) > 0 {
-			logger.Printf("telemetry restored: %d rollups, %d alerts, %d peer rows",
-				len(snap.Rollups), len(snap.Alerts), len(snap.Peers))
-		}
+	broker := core.New(cat, o.Name)
+	// The runtime srbd runs too: telemetry restored from the previous
+	// run, accounts, -resource mounts, the repair engine with its scrub,
+	// rollup, heat.decay, slo and telemetry jobs, the SLO evaluator and
+	// the flight recorder — so the status pages are live here as well.
+	rt, err := daemon.New(broker, o.Config)
+	if err != nil {
+		logger.Fatal(err)
 	}
-	authn := auth.New()
-	authn.Register(*adminUser, *adminPw)
-	for _, u := range users {
-		parts := strings.SplitN(u, "=", 2)
-		if len(parts) != 2 {
-			logger.Fatalf("bad -user %q", u)
-		}
-		authn.Register(parts[0], parts[1])
-		if _, err := cat.GetUser(parts[0]); err != nil {
-			cat.AddUser(types.User{Name: parts[0], Domain: "local"})
-		}
-	}
-	for _, spec := range resources {
-		if err := mountResource(broker, *adminUser, spec); err != nil {
-			logger.Fatalf("-resource %q: %v", spec, err)
-		}
-	}
-	if len(resources) == 0 {
+	if len(o.Resources) == 0 {
 		// A usable default so the quickstart works out of the box.
-		if err := broker.AddPhysicalResource(*adminUser, "disk1", types.ClassCache, "memfs", memfs.New()); err != nil {
+		if err := broker.AddPhysicalResource(o.Admin, "disk1", types.ClassCache, "memfs", memfs.New()); err != nil {
 			logger.Fatal(err)
 		}
 		logger.Printf("no -resource given; using in-memory resource disk1")
 	}
+	rt.Start()
 
-	// Background maintenance mirrors srbd: the engine drains the async
-	// replication queue and (when enabled) runs the anti-entropy
-	// scrubber, so the /status page's repair section is live here too.
-	eng := repair.New(repair.Config{
-		Workers:  *repairWorkers,
-		Queue:    cat,
-		Exec:     broker.RunRepairTask,
-		Metrics:  broker.Metrics(),
-		Breakers: broker.Breakers(),
-		Server:   "mysrb",
-	})
-	if *scrubEvery > 0 {
-		eng.AddJob("scrub", *scrubEvery, 0.2, func(sp *obs.Span) error {
-			rpt := broker.ScrubSubtree("/", sp)
-			if rpt.Corrupt+rpt.Repaired+rpt.Replicated+rpt.Enqueued > 0 {
-				logger.Printf("scrub: %d corrupt, %d repaired, %d replicated, %d enqueued (%d objects)",
-					rpt.Corrupt, rpt.Repaired, rpt.Replicated, rpt.Enqueued, rpt.Objects)
-			}
-			return nil
-		})
-	}
-	// Windowed telemetry mirrors srbd: rollup captures and SLO
-	// evaluation ride the repair scheduler.
-	if *rollupEvery > 0 {
-		eng.AddJob("rollup", *rollupEvery, 0.1, func(sp *obs.Span) error {
-			broker.Metrics().CaptureRollup(time.Now())
-			return nil
-		})
-	}
-	if *heatDecay > 0 {
-		eng.AddJob("heat.decay", *heatDecay, 0.1, func(sp *obs.Span) error {
-			broker.Metrics().HeatKeys().Decay(0.5)
-			broker.Metrics().HeatObjects().Decay(0.5)
-			return nil
-		})
-	}
-	if *sloRules != "" {
-		src, err := os.ReadFile(*sloRules)
-		if err != nil {
-			logger.Fatalf("slo rules: %v", err)
-		}
-		rules, err := obs.ParseSLORules(string(src))
-		if err != nil {
-			logger.Fatalf("slo rules: %v", err)
-		}
-		ev := obs.NewSLOEvaluator(broker.Metrics(), rules)
-		for _, a := range restoredAlerts {
-			ev.AlertLog().Add(a)
-		}
-		broker.SetSLO(ev)
-		eng.AddJob("slo", *sloEvery, 0.1, func(sp *obs.Span) error {
-			ev.Evaluate(time.Now())
-			return nil
-		})
-		logger.Printf("%d SLO rule(s) from %s, evaluated every %s", len(rules), *sloRules, *sloEvery)
-	}
-	// The flight recorder mirrors srbd, minus the federated grid
-	// snapshot (mysrbd has no wire server to gather it).
-	if telem != nil {
-		rec, err := obs.NewIncidentRecorder(obs.IncidentConfig{
-			Dir:      filepath.Join(*telemetryDir, "incidents"),
-			Server:   "mysrb",
-			Registry: broker.Metrics(),
-			Extra: func() map[string][]byte {
-				files := make(map[string][]byte)
-				if b, err := json.Marshal(broker.Breakers().States()); err == nil {
-					files["breakers.json"] = b
-				}
-				if b, err := json.Marshal(eng.Status()); err == nil {
-					files["repair.json"] = b
-				}
-				return files
-			},
-		})
-		if err != nil {
-			logger.Fatalf("flight recorder: %v", err)
-		}
-		broker.SetIncidents(rec)
-		if ev := broker.SLO(); ev != nil {
-			ev.SetOnFire(func(now time.Time, rule obs.SLORule, alert obs.Alert) {
-				go func() {
-					meta, err := rec.Capture(now, rule.Name, "slo-fired", alert.Detail, rule.Window)
-					switch {
-					case err == nil:
-						logger.Printf("incident captured: %s", meta.ID)
-					case !errors.Is(err, obs.ErrRateLimited):
-						logger.Printf("incident capture: %v", err)
-					}
-				}()
-			})
-		}
-		eng.AddJob("telemetry", obs.DefaultTelemetryFlush, 0.1, func(sp *obs.Span) error {
-			var alog *obs.AlertLog
-			if ev := broker.SLO(); ev != nil {
-				alog = ev.AlertLog()
-			}
-			if err := telem.Flush(broker.Metrics(), alog, time.Now()); err != nil {
-				return err
-			}
-			if *telemetryRet > 0 {
-				rec.Prune(time.Now().Add(-*telemetryRet))
-			}
-			return nil
-		})
-		logger.Printf("flight recorder on %s (retention %s)", *telemetryDir, *telemetryRet)
-	}
-	broker.SetRepair(eng)
-	eng.Start()
-
-	app := mysrb.New(broker, authn)
-	app.SetSlowOpThreshold(*slowOp)
-	if *adminAddr != "" {
+	app := mysrb.New(broker, rt.Authn)
+	app.SetSlowOpThreshold(o.slowOp)
+	if o.adminAddr != "" {
 		// mysrbd has no wire server, so it mounts the same admin mux
-		// srbd serves, minus the federated /grid fan-out (local-only).
-		ln, err := net.Listen("tcp", *adminAddr)
+		// srbd serves over an env that reaches no zone and has no pool.
+		ln, err := net.Listen("tcp", o.adminAddr)
 		if err != nil {
 			logger.Fatalf("admin listen: %v", err)
 		}
 		admin := &http.Server{
-			Handler:           server.NewAdminHandler(server.AdminEnv{Name: broker.ServerName(), Broker: broker}),
+			Handler:           server.NewAdminHandler(report.Env{Name: broker.ServerName(), Broker: broker}),
 			ReadHeaderTimeout: 5 * time.Second,
 		}
 		go func() {
@@ -255,53 +99,15 @@ func main() {
 		}()
 		logger.Printf("admin endpoint on http://%s (/metrics /healthz /grid /debug/pprof)", ln.Addr())
 	}
-	logger.Printf("MySRB version %s at http://%s/mySRB.html", obs.Version, *addr)
-	if *catalog != "" {
+	logger.Printf("MySRB version %s at http://%s/mySRB.html", obs.Version, o.addr)
+	if o.catalog != "" {
 		go func() {
 			for range time.Tick(time.Minute) {
-				cat.SaveFile(*catalog)
+				cat.SaveFile(o.catalog)
 			}
 		}()
 	}
-	if err := http.ListenAndServe(*addr, app); err != nil {
+	if err := http.ListenAndServe(o.addr, app); err != nil {
 		logger.Fatal(err)
 	}
 }
-
-func mountResource(b *core.Broker, admin, spec string) error {
-	eq := strings.SplitN(spec, "=", 2)
-	if len(eq) != 2 {
-		return errBadSpec
-	}
-	da := strings.SplitN(eq[1], ":", 2)
-	arg := ""
-	if len(da) == 2 {
-		arg = da[1]
-	}
-	switch da[0] {
-	case "posixfs":
-		fs, err := posixfs.New(arg)
-		if err != nil {
-			return err
-		}
-		return b.AddPhysicalResource(admin, eq[0], types.ClassFileSystem, "posixfs", fs)
-	case "memfs":
-		return b.AddPhysicalResource(admin, eq[0], types.ClassCache, "memfs", memfs.New())
-	case "archivefs":
-		cfg := archivefs.Config{StageLatency: 100 * time.Millisecond}
-		if arg != "" {
-			lat, err := time.ParseDuration(arg)
-			if err != nil {
-				return err
-			}
-			cfg.StageLatency = lat
-		}
-		return b.AddPhysicalResource(admin, eq[0], types.ClassArchive, "archivefs", archivefs.New(cfg))
-	case "dbfs":
-		return b.AddPhysicalResource(admin, eq[0], types.ClassDatabase, "dbfs", dbfs.New())
-	default:
-		return errBadSpec
-	}
-}
-
-var errBadSpec = types.E("resource", "", types.ErrInvalid)

@@ -23,7 +23,7 @@ import (
 
 	"gosrb/internal/client"
 	"gosrb/internal/mcat"
-	"gosrb/internal/obs"
+	"gosrb/internal/report"
 	"gosrb/internal/types"
 	"gosrb/internal/wire"
 )
@@ -57,49 +57,18 @@ func fatal(err error) {
 }
 
 func usage() {
-	fmt.Fprint(os.Stderr, `usage: srb [flags] <command> [args]
+	fmt.Fprintf(os.Stderr, `usage: srb [flags] <command> [args]
 
 commands:
   ls <coll>                          list a collection
-  stat [-json] [path...]             describe paths; several paths go in
+  stat [path...]                     describe paths; several paths go in
                                      one batched round trip; without a
-                                     path, show server telemetry (op
-                                     counts, latency quantiles, byte
-                                     totals); -json emits the raw snapshot
-  opstats                            server telemetry (alias of bare stat)
-  top [-grid] [-window 5m] [-sort rate|p99|errors] [-phases] [-json]
-                                     windowed rates and p50/p95/p99 from
-                                     the rollup ring; -grid merges every
-                                     zone member (dead peers flagged
-                                     unreachable, not fatal); -sort
-                                     orders the op table (default: name);
-                                     -phases shows the per-phase latency
-                                     decomposition instead of per-op rows
-  alerts [-json]                     SLO rule standings and the bounded
-                                     fire/resolve alert log
-  incident list [-json]              flight recorder bundle index
-  incident get <id> [-json]          download one incident bundle into
+                                     path, the opstats report
+%s  incident get <id> [-json]          download one incident bundle into
                                      ./<id>/ (-json prints the meta)
   incident capture [reason...]       capture an on-demand bundle (blocks
                                      ~2s for the CPU profile)
-  peers [-json]                      peer transfer observatory: EWMA
-                                     latency/bandwidth and success rate
-                                     per federation peer and resource
-  trace <id>                         span tree of a recent operation,
-                                     gathered from every zone server
-  why <id>                           phase waterfall of a recent
-                                     operation: where each microsecond
-                                     went (queue wait, catalog lookup,
-                                     storage, federation hop...)
-  usage [-json] [user [collection]]  per-user/collection usage accounting
-  repair status [-json]              background repair engine: queue
-                                     backlog, worker health, job runs
-  shards [-json]                     catalog shards: role, replication
-                                     position, staleness, entry counts,
-                                     replication lag (entries/seconds)
-  heat [-json]                       heat observatory: hot-key/hot-object
-                                     top-K, per-shard replication lag and
-                                     the rebalance advisor plan
+  why <id>                           trace <id> -waterfall
   scrub <path>                       re-hash replicas against the catalog
                                      checksum and repair divergence
                                      (object: write perm; subtree: admin)
@@ -136,11 +105,90 @@ commands:
   invoke <path> [args...]            run a method object
   resources                          list storage resources
   audit [user]                       show the audit trail tail (admin)
-  stats                              server statistics
-`)
+`, reportUsage())
+}
+
+// reportUsage lists the status reports, one entry per report row: its
+// command line, then its help wrapped into the description column.
+func reportUsage() string {
+	var sb strings.Builder
+	for _, r := range report.All {
+		if r.Op == "" {
+			continue
+		}
+		line := "  " + r.Synopsis()
+		for _, word := range strings.Fields(r.Help) {
+			if len(line) > 36 && len(line)+1+len(word) > 76 {
+				sb.WriteString(line + "\n")
+				line = ""
+			}
+			line = fmt.Sprintf("%-36s %s", line, word)
+		}
+		sb.WriteString(line + "\n")
+	}
+	return sb.String()
+}
+
+// runReport is the one driver behind every status verb: parse the words
+// into the report's parameters, fetch the reply over the wire, print it
+// as indented JSON (-json, wherever it stands) or as the report's
+// rendering.
+func runReport(cl *client.Client, r *report.Report, words []string) error {
+	p, err := r.ParseWords(words)
+	if err != nil {
+		return err
+	}
+	rep, err := r.Fetch(cl.Call, p)
+	if err != nil {
+		return err
+	}
+	switch v := rep.(type) {
+	case wire.OpStatsReply:
+		// The reply carries the server's federation pool; the client-side
+		// wire pool only this process can see rides along, so one scrape
+		// covers both ends of the path.
+		pool := cl.PoolStats()
+		v.ClientPool = &pool
+		rep = v
+	case wire.GridStatReply:
+		if p.Get("phases") == "1" {
+			r, rep = report.Lookup("phases"), report.PhasesOf(v)
+		}
+	case wire.TraceReply:
+		if len(v.Spans) == 0 {
+			return fmt.Errorf("trace %s not found (rings may have wrapped)", p.Get("id"))
+		}
+	}
+	if p.Get("json") == "1" {
+		return printJSON(rep)
+	}
+	r.Render(rep, p).WriteText(os.Stdout)
+	return nil
+}
+
+// printStatLine prints one listing row of ls and multi-path stat.
+func printStatLine(st types.Stat) {
+	kind := st.Kind.String()
+	if st.IsCollect {
+		kind = "collection"
+	}
+	fmt.Printf("%-12s %10d  %-10s %s\n", kind, st.Size, st.Owner, st.Path)
+}
+
+func printJSON(v any) error {
+	enc := json.NewEncoder(os.Stdout)
+	enc.SetIndent("", "  ")
+	return enc.Encode(v)
 }
 
 func run(cl *client.Client, cmd string, args []string) error {
+	// A status report's verb is two words ("repair status") or one (the
+	// switch's default).
+	if len(args) > 0 {
+		if r := report.Lookup(cmd + " " + args[0]); r != nil {
+			return runReport(cl, r, args[1:])
+		}
+	}
 	switch cmd {
 	case "ls":
 		coll := "/"
@@ -152,36 +200,14 @@ func run(cl *client.Client, cmd string, args []string) error {
 			return err
 		}
 		for _, st := range stats {
-			kind := st.Kind.String()
-			if st.IsCollect {
-				kind = "collection"
-			}
-			fmt.Printf("%-12s %10d  %-10s %s\n", kind, st.Size, st.Owner, st.Path)
+			printStatLine(st)
 		}
 		return nil
 
 	case "stat":
-		// With a path: describe it. Without: the server's telemetry
-		// (-json dumps the snapshot for scripting).
-		if len(args) > 0 && args[0] == "-json" {
-			st, err := cl.OpStats()
-			if err != nil {
-				return err
-			}
-			// The reply carries the server's federation pool (PeerPool);
-			// the client-side wire pool only this process can see rides
-			// along so one scrape covers both ends of the path.
-			pool := cl.PoolStats()
-			out := struct {
-				wire.OpStatsReply
-				ClientPool wire.PoolStats
-			}{st, pool}
-			enc := json.NewEncoder(os.Stdout)
-			enc.SetIndent("", "  ")
-			return enc.Encode(out)
-		}
-		if len(args) == 0 {
-			return printOpStats(cl)
+		// With a path: describe it. Without: the server's telemetry.
+		if len(args) == 0 || args[0] == "-json" {
+			return runReport(cl, report.Lookup("opstats"), args)
 		}
 		if len(args) > 1 {
 			// Many paths: one batched round trip, per-path outcomes.
@@ -196,12 +222,7 @@ func run(cl *client.Client, cmd string, args []string) error {
 					fmt.Printf("%-12s %10s  %-10s %s  (%s)\n", "error", "-", "-", it.Path, it.ErrMsg)
 					continue
 				}
-				st := it.Stat
-				kind := st.Kind.String()
-				if st.IsCollect {
-					kind = "collection"
-				}
-				fmt.Printf("%-12s %10d  %-10s %s\n", kind, st.Size, st.Owner, st.Path)
+				printStatLine(it.Stat)
 			}
 			if bad > 0 {
 				return fmt.Errorf("%d path(s) failed", bad)
@@ -216,165 +237,13 @@ func run(cl *client.Client, cmd string, args []string) error {
 			st.Path, st.Kind, st.Size, st.Owner, st.Replicas, st.ModifiedAt.Format(time.RFC3339))
 		return nil
 
-	case "opstats":
-		return printOpStats(cl)
-
-	case "trace":
-		rep, err := cl.Trace(need(args, 0, "trace id"))
-		if err != nil {
-			return err
-		}
-		if len(rep.Spans) == 0 {
-			return fmt.Errorf("trace %s not found (rings may have wrapped)", args[0])
-		}
-		servers := map[string]bool{}
-		for _, r := range rep.Spans {
-			servers[r.Server] = true
-		}
-		fmt.Printf("trace %s: %d spans across %d server(s)\n", args[0], len(rep.Spans), len(servers))
-		obs.WriteTree(os.Stdout, obs.AssembleTree(rep.Spans))
-		return nil
-
 	case "why":
-		// Latency decomposition of one operation: the same spans `srb
-		// trace` shows, rendered as a phase waterfall — each phase's
-		// share of the span's wall time, sub-phases indented under their
-		// parent, and the unattributed remainder called out.
-		rep, err := cl.Trace(need(args, 0, "trace id"))
-		if err != nil {
-			return err
-		}
-		if len(rep.Spans) == 0 {
-			return fmt.Errorf("trace %s not found (rings may have wrapped)", args[0])
-		}
-		servers := map[string]bool{}
-		for _, r := range rep.Spans {
-			servers[r.Server] = true
-		}
-		fmt.Printf("trace %s: %d spans across %d server(s)\n", args[0], len(rep.Spans), len(servers))
-		obs.WriteWaterfall(os.Stdout, obs.AssembleTree(rep.Spans))
-		return nil
-
-	case "top":
-		window := 5 * time.Minute
-		grid, jsonOut, phases := false, false, false
-		sortKey := ""
-		for i := 0; i < len(args); i++ {
-			switch args[i] {
-			case "-grid":
-				grid = true
-			case "-json":
-				jsonOut = true
-			case "-phases":
-				phases = true
-			case "-window":
-				i++
-				if i >= len(args) {
-					return fmt.Errorf("-window needs a duration (like 5m)")
-				}
-				d, err := time.ParseDuration(args[i])
-				if err != nil || d <= 0 {
-					return fmt.Errorf("bad -window %q (want a duration like 5m)", args[i])
-				}
-				window = d
-			case "-sort":
-				i++
-				if i >= len(args) {
-					return fmt.Errorf("-sort needs a key (rate, p99 or errors)")
-				}
-				switch args[i] {
-				case "rate", "p99", "errors":
-					sortKey = args[i]
-				default:
-					return fmt.Errorf("bad -sort %q (want rate, p99 or errors)", args[i])
-				}
-			default:
-				return fmt.Errorf("unknown top flag %q (want -grid, -window, -sort, -phases, -json)", args[i])
-			}
-		}
-		rep, err := cl.GridStat(window, grid)
-		if err != nil {
-			return err
-		}
-		if phases {
-			rows := obs.PhaseRows(rep.Grid.Ops)
-			if jsonOut {
-				enc := json.NewEncoder(os.Stdout)
-				enc.SetIndent("", "  ")
-				return enc.Encode(rows)
-			}
-			return printPhases(rep, rows)
-		}
-		if jsonOut {
-			enc := json.NewEncoder(os.Stdout)
-			enc.SetIndent("", "  ")
-			return enc.Encode(rep)
-		}
-		return printGrid(rep, sortKey)
-
-	case "alerts":
-		jsonOut := len(args) > 0 && args[0] == "-json"
-		rep, err := cl.Alerts()
-		if err != nil {
-			return err
-		}
-		if jsonOut {
-			enc := json.NewEncoder(os.Stdout)
-			enc.SetIndent("", "  ")
-			return enc.Encode(rep)
-		}
-		fmt.Printf("server: %s\n", rep.Server)
-		if !rep.Enabled {
-			fmt.Println("slo: no rules declared (start the daemon with -slo-rules)")
-			return nil
-		}
-		for _, r := range rep.Rules {
-			state := "ok"
-			if r.Violating {
-				state = "VIOLATING"
-			}
-			fmt.Printf("rule %-24s %-10s burn=%3.0f%%  (%s)\n", r.Rule, state, r.BurnPct, r.Raw)
-		}
-		if len(rep.Alerts) == 0 {
-			fmt.Println("alert log: empty")
-			return nil
-		}
-		fmt.Printf("\nalert log (%d transition(s)):\n", len(rep.Alerts))
-		for _, a := range rep.Alerts {
-			kind := "RESOLVED"
-			if a.Firing {
-				kind = "FIRED"
-			}
-			fmt.Printf("  %s %-8s %-24s %s\n", a.At.Format("15:04:05"), kind, a.Rule, a.Detail)
-		}
-		return nil
+		// Latency decomposition of one operation: the spans `srb trace`
+		// shows, drawn as a phase waterfall.
+		return runReport(cl, report.Lookup("trace"), append(args, "-waterfall"))
 
 	case "incident":
 		switch sub := need(args, 0, "subcommand (list|get|capture)"); sub {
-		case "list":
-			rep, err := cl.Incidents()
-			if err != nil {
-				return err
-			}
-			if len(args) > 1 && args[1] == "-json" {
-				enc := json.NewEncoder(os.Stdout)
-				enc.SetIndent("", "  ")
-				return enc.Encode(rep)
-			}
-			fmt.Printf("server: %s\n", rep.Server)
-			if !rep.Enabled {
-				fmt.Println("flight recorder: disabled (start the daemon with -telemetry-dir)")
-				return nil
-			}
-			if len(rep.Incidents) == 0 {
-				fmt.Println("no incidents captured")
-				return nil
-			}
-			for _, m := range rep.Incidents {
-				fmt.Printf("%s  %-20s %-10s %d file(s)  %s\n",
-					m.At.Format(time.RFC3339), m.Rule, m.Reason, len(m.Files), m.ID)
-			}
-			return nil
 		case "get":
 			id := need(args, 1, "incident id")
 			rep, err := cl.IncidentGet(id)
@@ -384,9 +253,7 @@ func run(cl *client.Client, cmd string, args []string) error {
 			// Default: dump the bundle into a local directory named after
 			// the incident; -json prints the meta + file listing instead.
 			if len(args) > 2 && args[2] == "-json" {
-				enc := json.NewEncoder(os.Stdout)
-				enc.SetIndent("", "  ")
-				return enc.Encode(rep.Meta)
+				return printJSON(rep.Meta)
 			}
 			outDir := rep.Meta.ID
 			if err := os.MkdirAll(outDir, 0o755); err != nil {
@@ -417,186 +284,6 @@ func run(cl *client.Client, cmd string, args []string) error {
 		default:
 			return fmt.Errorf("unknown incident subcommand %q (want list, get or capture)", sub)
 		}
-
-	case "peers":
-		jsonOut := len(args) > 0 && args[0] == "-json"
-		rep, err := cl.Peers()
-		if err != nil {
-			return err
-		}
-		if jsonOut {
-			enc := json.NewEncoder(os.Stdout)
-			enc.SetIndent("", "  ")
-			return enc.Encode(rep)
-		}
-		fmt.Printf("server: %s\n", rep.Server)
-		if len(rep.Peers) == 0 {
-			fmt.Println("no transfer history recorded")
-			return nil
-		}
-		fmt.Printf("%-16s %-12s %8s %6s %12s %10s %12s %8s\n",
-			"PEER", "RESOURCE", "OPS", "ERRS", "BYTES", "EWMA_MS", "EWMA_MBPS", "SUCC%")
-		for _, p := range rep.Peers {
-			fmt.Printf("%-16s %-12s %8d %6d %12d %10.2f %12.2f %8.1f\n",
-				p.Peer, p.Resource, p.Ops, p.Errors, p.Bytes,
-				p.EWMALatMicros/1000, p.EWMABytesPerSec/1e6, p.SuccessPct)
-		}
-		return nil
-
-	case "usage":
-		jsonOut := false
-		if len(args) > 0 && args[0] == "-json" {
-			jsonOut = true
-			args = args[1:]
-		}
-		filterUser, filterColl := "", ""
-		if len(args) > 0 {
-			filterUser = args[0]
-		}
-		if len(args) > 1 {
-			filterColl = args[1]
-		}
-		rep, err := cl.Usage(filterUser, filterColl)
-		if err != nil {
-			return err
-		}
-		if jsonOut {
-			enc := json.NewEncoder(os.Stdout)
-			enc.SetIndent("", "  ")
-			return enc.Encode(rep)
-		}
-		fmt.Printf("server: %s\n", rep.Server)
-		fmt.Printf("%-12s %-24s %8s %6s %12s %12s %10s\n",
-			"USER", "COLLECTION", "OPS", "ERRS", "BYTES_IN", "BYTES_OUT", "AVG_MS")
-		for _, e := range rep.Entries {
-			avgMS := float64(0)
-			if e.Ops > 0 {
-				avgMS = float64(e.TotalMicros) / float64(e.Ops) / 1000
-			}
-			fmt.Printf("%-12s %-24s %8d %6d %12d %12d %10.2f\n",
-				e.User, e.Collection, e.Ops, e.Errors, e.BytesIn, e.BytesOut, avgMS)
-		}
-		return nil
-
-	case "repair":
-		if need(args, 0, "subcommand (status)") != "status" {
-			return fmt.Errorf("unknown repair subcommand %q (want: status)", args[0])
-		}
-		rep, err := cl.RepairStatus()
-		if err != nil {
-			return err
-		}
-		if len(args) > 1 && args[1] == "-json" {
-			enc := json.NewEncoder(os.Stdout)
-			enc.SetIndent("", "  ")
-			return enc.Encode(rep)
-		}
-		fmt.Printf("server: %s\n", rep.Server)
-		if !rep.Enabled {
-			fmt.Println("repair engine: not running")
-			return nil
-		}
-		st := rep.Status
-		state := "running"
-		switch {
-		case st.Wedged:
-			state = "WEDGED"
-		case st.Paused:
-			state = "paused"
-		}
-		fmt.Printf("state: %s (%d/%d workers alive)\n", state, st.WorkersAlive, st.Workers)
-		fmt.Printf("backlog: %d task(s), oldest %s\n", st.Backlog, st.OldestAge.Truncate(time.Second))
-		fmt.Printf("lifetime: %d done, %d failed, %d retries\n", st.Done, st.Failed, st.Retries)
-		for _, j := range st.Jobs {
-			line := fmt.Sprintf("job %-12s every %-8s runs=%d errors=%d", j.Name, j.Interval, j.Runs, j.Errors)
-			if !j.LastRun.IsZero() {
-				line += " last=" + j.LastRun.Format(time.RFC3339)
-			}
-			if j.LastErr != "" {
-				line += " lasterr=" + j.LastErr
-			}
-			fmt.Println(line)
-		}
-		return nil
-
-	case "shards":
-		rep, err := cl.Shards()
-		if err != nil {
-			return err
-		}
-		if len(args) > 0 && args[0] == "-json" {
-			enc := json.NewEncoder(os.Stdout)
-			enc.SetIndent("", "  ")
-			return enc.Encode(rep)
-		}
-		fmt.Printf("server: %s (%d shard(s))\n", rep.Server, len(rep.Shards))
-		for _, sh := range rep.Shards {
-			line := fmt.Sprintf("shard %-3d %-8s objects=%-6d colls=%-6d meta=%-6d applied=%d head=%d",
-				sh.Shard, sh.Role, sh.Objects, sh.Collections, sh.MetaEntries, sh.Applied, sh.Head)
-			if sh.Leader != "" {
-				line += " leader=" + sh.Leader
-			}
-			if sh.Stale {
-				line += " STALE"
-			}
-			if sh.PullFails > 0 {
-				line += fmt.Sprintf(" pullfails=%d", sh.PullFails)
-			}
-			if sh.ReplagEntries > 0 || sh.ReplagSeconds > 0 {
-				line += fmt.Sprintf(" replag=%d/%.0fs", sh.ReplagEntries, sh.ReplagSeconds)
-			}
-			fmt.Println(line)
-		}
-		return nil
-
-	case "heat":
-		rep, err := cl.Heat()
-		if err != nil {
-			return err
-		}
-		if len(args) > 0 && args[0] == "-json" {
-			enc := json.NewEncoder(os.Stdout)
-			enc.SetIndent("", "  ")
-			return enc.Encode(rep)
-		}
-		fmt.Printf("server: %s\n", rep.Server)
-		if len(rep.Keys) == 0 && len(rep.Objects) == 0 {
-			fmt.Println("no heat recorded yet")
-		}
-		if len(rep.Keys) > 0 {
-			fmt.Printf("hot catalog keys (top %d):\n", len(rep.Keys))
-			fmt.Printf("%-32s %10s %10s %12s\n", "KEY", "COUNT", "SCORE", "BYTES")
-			for _, k := range rep.Keys {
-				fmt.Printf("%-32s %10d %10.1f %12d\n", k.Key, k.Count, k.Score, k.Bytes)
-			}
-		}
-		if len(rep.Objects) > 0 {
-			fmt.Printf("\nhot objects (top %d):\n", len(rep.Objects))
-			fmt.Printf("%-48s %10s %10s %12s\n", "OBJECT", "COUNT", "SCORE", "BYTES")
-			for _, o := range rep.Objects {
-				fmt.Printf("%-48s %10d %10.1f %12d\n", o.Key, o.Count, o.Score, o.Bytes)
-			}
-		}
-		if len(rep.Shards) > 0 {
-			fmt.Printf("\nshards:\n")
-			fmt.Printf("%-5s %-8s %10s %10s %10s\n", "SHARD", "ROLE", "OBJECTS", "REPLAG_N", "REPLAG_S")
-			for _, st := range rep.Shards {
-				fmt.Printf("%-5d %-8s %10d %10d %10.0f\n",
-					st.Shard, st.Role, st.Objects, st.ReplagEntries, st.ReplagSeconds)
-			}
-		}
-		if rep.Plan != nil {
-			fmt.Printf("\nrebalance plan (imbalance %.2fx -> %.2fx):\n",
-				rep.Plan.Imbalance, rep.Plan.Projected)
-			if rep.Plan.Note != "" {
-				fmt.Println(rep.Plan.Note)
-			}
-			for _, m := range rep.Plan.Moves {
-				fmt.Printf("  move %-32s shard %d -> %d (score %.1f, ~%d keys, ~%d bytes)\n",
-					m.Key, m.From, m.To, m.Score, m.EstKeys, m.EstBytes)
-			}
-		}
-		return nil
 
 	case "scrub":
 		rep, err := cl.Scrub(need(args, 0, "path"))
@@ -888,210 +575,13 @@ func run(cl *client.Client, cmd string, args []string) error {
 		}
 		return nil
 
-	case "stats":
-		st, err := cl.ServerStats()
-		if err != nil {
-			return err
-		}
-		fmt.Printf("server: %s\nobjects: %d\ncollections: %d\nresources: %d\nusers: %d\n",
-			st.Server, st.Objects, st.Collections, st.Resources, st.Users)
-		return nil
-
 	default:
+		if r := report.Lookup(cmd); r != nil && r.Op != "" {
+			return runReport(cl, r, args)
+		}
 		usage()
 		return fmt.Errorf("unknown command %q", cmd)
 	}
-}
-
-// printOpStats renders the server's telemetry snapshot: the `srb stat`
-// view of what the admin /metrics endpoint serves.
-func printOpStats(cl *client.Client) error {
-	st, err := cl.OpStats()
-	if err != nil {
-		return err
-	}
-	s := st.Snapshot
-	if s.Version != "" {
-		fmt.Printf("server: %s  version: %s  uptime: %.0fs\n", st.Server, s.Version, s.UptimeSeconds)
-	} else {
-		fmt.Printf("server: %s  uptime: %.0fs\n", st.Server, s.UptimeSeconds)
-	}
-
-	var ops []string
-	for name, o := range s.Ops {
-		if o.Count > 0 {
-			ops = append(ops, name)
-		}
-	}
-	if len(ops) > 0 {
-		sort.Strings(ops)
-		fmt.Printf("\n%-26s %8s %7s %10s %10s %10s\n", "op", "count", "errors", "p50(us)", "p90(us)", "p99(us)")
-		for _, name := range ops {
-			o := s.Ops[name]
-			fmt.Printf("%-26s %8d %7d %10.1f %10.1f %10.1f\n",
-				name, o.Count, o.Errors, o.P50Micros, o.P90Micros, o.P99Micros)
-		}
-	}
-
-	var counters []string
-	for name, v := range s.Counters {
-		if v != 0 {
-			counters = append(counters, name)
-		}
-	}
-	if len(counters) > 0 {
-		sort.Strings(counters)
-		fmt.Printf("\ncounters:\n")
-		for _, name := range counters {
-			fmt.Printf("  %-36s %d\n", name, s.Counters[name])
-		}
-	}
-
-	var gauges []string
-	for name := range s.Gauges {
-		gauges = append(gauges, name)
-	}
-	if len(gauges) > 0 {
-		sort.Strings(gauges)
-		fmt.Printf("\ngauges:\n")
-		for _, name := range gauges {
-			fmt.Printf("  %-36s %d\n", name, s.Gauges[name])
-		}
-	}
-
-	if st.PeerPool != nil {
-		p := *st.PeerPool
-		fmt.Printf("\nfederation pool: %d conn(s), %d idle, dialed=%d evicted=%d reaped=%d\n",
-			p.Conns, p.Idle, p.Dialed, p.Evicted, p.Reaped)
-	}
-	cp := cl.PoolStats()
-	fmt.Printf("client pool: %d conn(s), %d idle, dialed=%d evicted=%d reaped=%d\n",
-		cp.Conns, cp.Idle, cp.Dialed, cp.Evicted, cp.Reaped)
-
-	if n := len(s.Traces); n > 0 {
-		fmt.Printf("\nrecent traces (%d):\n", n)
-		show := s.Traces
-		if len(show) > 10 {
-			show = show[len(show)-10:]
-		}
-		for _, t := range show {
-			line := fmt.Sprintf("  %s %-14s %6dus", t.Trace, t.Op, t.Micros)
-			if t.Err != "" {
-				line += "  err: " + t.Err
-			}
-			fmt.Println(line)
-		}
-	}
-	return nil
-}
-
-// printGrid renders a grid-stat reply: one status line per member,
-// then the merged aggregate's windowed rates and quantiles. sortKey
-// orders the op table: "" by name, "rate" by ops/sec, "p99" by p99
-// latency, "errors" by windowed error rate (all descending).
-func printGrid(rep wire.GridStatReply, sortKey string) error {
-	fmt.Printf("grid via %s  window: %.0fs  members: %d\n", rep.Server, rep.WindowSeconds, len(rep.Members))
-	for _, m := range rep.Members {
-		status := "ok"
-		switch {
-		case m.Unreachable:
-			status = "UNREACHABLE"
-		case m.Stale:
-			status = "stale"
-		}
-		line := fmt.Sprintf("  %-12s %-12s covered=%.0fs", m.Server, status, m.Window.CoveredSeconds)
-		if m.Err != "" {
-			line += "  " + m.Err
-		}
-		fmt.Println(line)
-	}
-
-	var ops []string
-	for name, o := range rep.Grid.Ops {
-		if o.Count > 0 {
-			ops = append(ops, name)
-		}
-	}
-	if len(ops) == 0 {
-		fmt.Println("\nno op activity in the window")
-		return nil
-	}
-	sort.Strings(ops)
-	switch sortKey {
-	case "rate":
-		sort.SliceStable(ops, func(i, j int) bool {
-			return rep.Grid.Ops[ops[i]].PerSec > rep.Grid.Ops[ops[j]].PerSec
-		})
-	case "p99":
-		sort.SliceStable(ops, func(i, j int) bool {
-			return rep.Grid.Ops[ops[i]].P99Micros > rep.Grid.Ops[ops[j]].P99Micros
-		})
-	case "errors":
-		sort.SliceStable(ops, func(i, j int) bool {
-			return rep.Grid.Ops[ops[i]].ErrorPct > rep.Grid.Ops[ops[j]].ErrorPct
-		})
-	}
-	fmt.Printf("\n%-26s %8s %9s %7s %10s %10s %10s\n",
-		"op", "count", "per_sec", "err%", "p50(us)", "p95(us)", "p99(us)")
-	for _, name := range ops {
-		o := rep.Grid.Ops[name]
-		fmt.Printf("%-26s %8d %9.2f %7.2f %10.1f %10.1f %10.1f\n",
-			name, o.Count, o.PerSec, o.ErrorPct, o.P50Micros, o.P95Micros, o.P99Micros)
-	}
-
-	var counters []string
-	for name := range rep.Grid.Counters {
-		counters = append(counters, name)
-	}
-	if len(counters) > 0 {
-		sort.Strings(counters)
-		fmt.Printf("\ncounters (delta / per_sec):\n")
-		for _, name := range counters {
-			c := rep.Grid.Counters[name]
-			fmt.Printf("  %-36s %10d %10.2f\n", name, c.Delta, c.PerSec)
-		}
-	}
-	return nil
-}
-
-// printPhases renders the latency decomposition of a grid-stat reply:
-// one row per (side, op, phase) histogram, share computed against the
-// op's summed phase time so the dominant phase stands out at a glance.
-func printPhases(rep wire.GridStatReply, rows []obs.PhaseRow) error {
-	fmt.Printf("phases via %s  window: %.0fs  members: %d\n", rep.Server, rep.WindowSeconds, len(rep.Members))
-	for _, m := range rep.Members {
-		status := "ok"
-		switch {
-		case m.Unreachable:
-			status = "UNREACHABLE"
-		case m.Stale:
-			status = "stale"
-		}
-		line := fmt.Sprintf("  %-12s %-12s covered=%.0fs", m.Server, status, m.Window.CoveredSeconds)
-		if m.Err != "" {
-			line += "  " + m.Err
-		}
-		fmt.Println(line)
-	}
-	if len(rows) == 0 {
-		fmt.Println("\nno phase activity in the window (phases ride the rollup ring; is -rollup-interval enabled?)")
-		return nil
-	}
-	totals := make(map[string]int64, len(rows))
-	for _, r := range rows {
-		totals[r.Family+"."+r.Op] += r.TotalMicros
-	}
-	fmt.Printf("\n%-7s %-10s %-26s %8s %12s %7s %10s %10s\n",
-		"side", "op", "phase", "count", "total(us)", "share", "p50(us)", "p99(us)")
-	for _, r := range rows {
-		share := 0.0
-		if t := totals[r.Family+"."+r.Op]; t > 0 {
-			share = 100 * float64(r.TotalMicros) / float64(t)
-		}
-		fmt.Printf("%-7s %-10s %-26s %8d %12d %6.1f%% %10.1f %10.1f\n",
-			r.Family, r.Op, r.Phase, r.Count, r.TotalMicros, share, r.P50Micros, r.P99Micros)
-	}
-	return nil
 }
 
 // runBulkPut ingests many local files under one destination collection

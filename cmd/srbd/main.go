@@ -15,88 +15,72 @@ package main
 
 import (
 	"encoding/json"
-	"errors"
 	"flag"
-	"fmt"
 	"log"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"strings"
 	"syscall"
 	"time"
 
-	"gosrb/internal/auth"
 	"gosrb/internal/client"
 	"gosrb/internal/core"
+	"gosrb/internal/daemon"
 	"gosrb/internal/mcat/shard"
 	"gosrb/internal/obs"
-	"gosrb/internal/repair"
 	"gosrb/internal/resilience"
 	"gosrb/internal/server"
-	"gosrb/internal/storage"
-	"gosrb/internal/storage/archivefs"
-	"gosrb/internal/storage/dbfs"
-	"gosrb/internal/storage/memfs"
-	"gosrb/internal/storage/posixfs"
-	"gosrb/internal/types"
 )
 
-// repeated collects repeatable string flags.
-type repeated []string
+// options is everything srbd's flags set.
+type options struct {
+	*daemon.Config
+	addr, adminAddr, catalog, journal, mode, mcatFollow  string
+	quiet                                                bool
+	mcatShards, brkTrip                                  int
+	mcatSyncEvery, saveEvery, syncEvery, dialTO, brkCool time.Duration
+	slowOp, adviseEvery                                  time.Duration
+	peers, logicals, asyncRepl                           daemon.Repeated
+}
 
-func (r *repeated) String() string     { return strings.Join(*r, ",") }
-func (r *repeated) Set(v string) error { *r = append(*r, v); return nil }
+// defineFlags registers srbd's flags on fs.
+func defineFlags(fs *flag.FlagSet) *options {
+	o := &options{Config: daemon.Flags(fs)}
+	fs.StringVar(&o.addr, "addr", ":5544", "listen address")
+	fs.StringVar(&o.adminAddr, "admin-addr", "", "admin HTTP listen address for /metrics, /healthz and /debug/pprof (empty disables)")
+	fs.BoolVar(&o.quiet, "quiet", false, "log only errors (default logs every failed operation with op/remote/trace context)")
+	fs.StringVar(&o.Name, "name", "srb1", "server name within the federation")
+	fs.StringVar(&o.catalog, "catalog", "", "MCAT snapshot file to load at start and save on exit")
+	fs.StringVar(&o.journal, "journal", "", "MCAT append log; replayed over the snapshot at start, rotated at each snapshot")
+
+	fs.IntVar(&o.mcatShards, "mcat-shards", 1, "MCAT partition count; 1 keeps the monolithic catalog and its on-disk layout, N shards the namespace across <catalog>.shard<i> files with scatter-gather queries")
+	fs.StringVar(&o.mcatFollow, "mcat-follow", "", "leader daemon address: this daemon's catalog becomes a read-only follower replicating every shard's journal stream from it (admin credentials must match)")
+	fs.DurationVar(&o.mcatSyncEvery, "mcat-sync-every", 2*time.Second, "follower replication pull interval (with -mcat-follow)")
+	fs.StringVar(&o.mode, "mode", "proxy", "federation mode: proxy or redirect")
+	fs.DurationVar(&o.saveEvery, "save-every", time.Minute, "catalog autosave interval (0 disables)")
+	fs.DurationVar(&o.syncEvery, "sync-every", time.Minute, "dirty-replica sweep interval (0 disables)")
+	fs.DurationVar(&o.dialTO, "dial-timeout", resilience.DialTimeout, "TCP dial timeout for federation peers")
+	fs.IntVar(&o.brkTrip, "breaker-threshold", resilience.DefaultBreakerConfig.Threshold, "consecutive failures before a peer/resource circuit breaker opens")
+	fs.DurationVar(&o.brkCool, "breaker-cooldown", resilience.DefaultBreakerConfig.Cooldown, "how long an open circuit breaker waits before a half-open probe")
+	fs.DurationVar(&o.slowOp, "slow-op", 0, "log the full span tree of any operation slower than this (0 disables)")
+
+	fs.DurationVar(&o.RollupEvery, "rollup-interval", obs.DefaultRollupInterval, "telemetry rollup capture interval feeding /metrics?window=, /grid and srb top (0 disables windowed stats)")
+	fs.DurationVar(&o.HeatDecay, "heat-decay", time.Minute, "hot-key/hot-object score decay interval: each tick halves the heat scores so the top-K tracks the current workload, not all-time totals (0 disables decay)")
+	fs.DurationVar(&o.adviseEvery, "advise-interval", time.Minute, "rebalance advisor interval: joins shard heat, key balance and ring ownership into a dry-run migration plan served by srb heat and /heat (0 disables)")
+
+	fs.Var(&o.Resources, "resource", "physical resource: name=driver:arg (driver: posixfs|memfs|archivefs|dbfs); repeatable")
+	fs.Var(&o.logicals, "logical", "logical resource: name=member1,member2; repeatable")
+	fs.Var(&o.asyncRepl, "async-repl", "async replication policy for a logical resource: name=k (k replicas written synchronously, the rest via the repair queue); repeatable")
+	fs.Var(&o.peers, "peer", "federation peer: name=addr=secret; repeatable")
+	return o
+}
 
 func main() {
-	var (
-		addr      = flag.String("addr", ":5544", "listen address")
-		adminAddr = flag.String("admin-addr", "", "admin HTTP listen address for /metrics, /healthz and /debug/pprof (empty disables)")
-		quiet     = flag.Bool("quiet", false, "log only errors (default logs every failed operation with op/remote/trace context)")
-		name      = flag.String("name", "srb1", "server name within the federation")
-		adminUser = flag.String("admin", "admin", "administrator user name")
-		adminPw   = flag.String("admin-pw", os.Getenv("SRB_ADMIN_PW"), "administrator password (or $SRB_ADMIN_PW)")
-		catalog   = flag.String("catalog", "", "MCAT snapshot file to load at start and save on exit")
-		journal   = flag.String("journal", "", "MCAT append log; replayed over the snapshot at start, rotated at each snapshot")
-
-		mcatShards    = flag.Int("mcat-shards", 1, "MCAT partition count; 1 keeps the monolithic catalog and its on-disk layout, N shards the namespace across <catalog>.shard<i> files with scatter-gather queries")
-		mcatFollow    = flag.String("mcat-follow", "", "leader daemon address: this daemon's catalog becomes a read-only follower replicating every shard's journal stream from it (admin credentials must match)")
-		mcatSyncEvery = flag.Duration("mcat-sync-every", 2*time.Second, "follower replication pull interval (with -mcat-follow)")
-		mode          = flag.String("mode", "proxy", "federation mode: proxy or redirect")
-		saveEvery     = flag.Duration("save-every", time.Minute, "catalog autosave interval (0 disables)")
-		syncEvery     = flag.Duration("sync-every", time.Minute, "dirty-replica sweep interval (0 disables)")
-		dialTO        = flag.Duration("dial-timeout", resilience.DialTimeout, "TCP dial timeout for federation peers")
-		brkTrip       = flag.Int("breaker-threshold", resilience.DefaultBreakerConfig.Threshold, "consecutive failures before a peer/resource circuit breaker opens")
-		brkCool       = flag.Duration("breaker-cooldown", resilience.DefaultBreakerConfig.Cooldown, "how long an open circuit breaker waits before a half-open probe")
-		slowOp        = flag.Duration("slow-op", 0, "log the full span tree of any operation slower than this (0 disables)")
-
-		repairWorkers = flag.Int("repair-workers", 2, "background repair worker goroutines draining the async-replication/scrub queue (0 leaves the queue undrained)")
-		scrubEvery    = flag.Duration("scrub-interval", 0, "anti-entropy scrub interval: re-hash every replica against the catalog checksum and repair divergence (0 disables)")
-
-		rollupEvery = flag.Duration("rollup-interval", obs.DefaultRollupInterval, "telemetry rollup capture interval feeding /metrics?window=, /grid and srb top (0 disables windowed stats)")
-	heatDecay   = flag.Duration("heat-decay", time.Minute, "hot-key/hot-object score decay interval: each tick halves the heat scores so the top-K tracks the current workload, not all-time totals (0 disables decay)")
-	adviseEvery = flag.Duration("advise-interval", time.Minute, "rebalance advisor interval: joins shard heat, key balance and ring ownership into a dry-run migration plan served by srb heat and /heat (0 disables)")
-		sloRules    = flag.String("slo-rules", "", "SLO rules file, one rule per line (e.g. 'get p99 < 50ms over 5m'); empty disables SLO evaluation")
-		sloEvery    = flag.Duration("slo-interval", 30*time.Second, "how often declared SLO rules are evaluated against the rollup ring")
-
-		exemplarMin = flag.Duration("exemplar-threshold", obs.DefaultExemplarThreshold, "retain a tail exemplar (trace ID) on latency buckets at or above this duration; 0 keeps one per bucket regardless")
-
-		telemetryDir = flag.String("telemetry-dir", "", "flight recorder directory: durable telemetry journal plus incident bundles, restored at boot (empty disables)")
-		telemetryRet = flag.Duration("telemetry-retention", 24*time.Hour, "how much telemetry and incident history survives compaction (0 keeps whatever the rings retain)")
-	)
-	var resources, users, peers, logicals, asyncRepl repeated
-	flag.Var(&resources, "resource", "physical resource: name=driver:arg (driver: posixfs|memfs|archivefs|dbfs); repeatable")
-	flag.Var(&logicals, "logical", "logical resource: name=member1,member2; repeatable")
-	flag.Var(&asyncRepl, "async-repl", "async replication policy for a logical resource: name=k (k replicas written synchronously, the rest via the repair queue); repeatable")
-	flag.Var(&users, "user", "user account: name=password; repeatable")
-	flag.Var(&peers, "peer", "federation peer: name=addr=secret; repeatable")
+	o := defineFlags(flag.CommandLine)
 	flag.Parse()
 
 	logger := log.New(os.Stderr, "srbd: ", log.LstdFlags)
-	if *adminPw == "" {
-		*adminPw = "admin"
-		logger.Printf("warning: using default admin password; set -admin-pw")
-	}
+	o.Logf = logger.Printf
 
 	// The catalog boots through the shard store. With -mcat-shards 1
 	// (the default) this is exactly the old monolithic sequence — same
@@ -104,10 +88,10 @@ func main() {
 	// loads the journaled shard map and the per-shard file layout,
 	// rebalancing first when the configured count changed.
 	store, err := shard.Open(shard.OpenOptions{
-		Shards:      *mcatShards,
-		CatalogPath: *catalog,
-		JournalPath: *journal,
-		Admin:       *adminUser,
+		Shards:      o.mcatShards,
+		CatalogPath: o.catalog,
+		JournalPath: o.journal,
+		Admin:       o.Admin,
 		Domain:      "local",
 		Logf:        logger.Printf,
 	})
@@ -124,101 +108,63 @@ func main() {
 			logger.Printf("snapshot: %v", err)
 		}
 	}
-	broker := core.New(cat, *name)
-	broker.Metrics().SetExemplarThreshold(*exemplarMin)
+	broker := core.New(cat, o.Name)
 	cat.SetMetrics(broker.Metrics())
 	// Corrupt or truncated journal lines skipped during boot replay are
 	// kept visible as a metric, not just a boot log line.
 	broker.Metrics().Counter("mcat.journal.replay.skipped").Add(int64(store.ReplaySkipped))
 
-	// Durable telemetry: restore the previous run's windowed history,
-	// usage and peer observatory before any job captures new rollups, so
-	// `srb top -window 1h` and SLO burn math answer across the restart.
-	var telem *obs.TelemetryStore
-	var restoredAlerts []obs.Alert
-	if *telemetryDir != "" {
-		var err error
-		telem, err = obs.OpenTelemetryStore(*telemetryDir, *name, *telemetryRet)
-		if err != nil {
-			logger.Fatalf("telemetry: %v", err)
-		}
-		snap, err := telem.Restore(broker.Metrics())
-		if err != nil {
-			logger.Fatalf("telemetry restore: %v", err)
-		}
-		restoredAlerts = snap.Alerts
-		if len(snap.Rollups)+len(snap.Alerts)+len(snap.Peers) > 0 {
-			logger.Printf("telemetry restored: %d rollups, %d alerts, %d peer rows",
-				len(snap.Rollups), len(snap.Alerts), len(snap.Peers))
+	// The shared runtime: telemetry restored from the previous run,
+	// accounts, -resource mounts, the repair engine with the scrub,
+	// rollup, heat.decay, slo and telemetry jobs, the SLO evaluator and
+	// the flight recorder, whose bundles here also carry the zone's grid
+	// snapshot.
+	var srv *server.Server
+	o.Extra = func(files map[string][]byte) {
+		if b, err := json.Marshal(srv.GridStat(5 * time.Minute)); err == nil {
+			files["grid.json"] = b
 		}
 	}
-
-	authn := auth.New()
-	authn.Register(*adminUser, *adminPw)
-	for _, u := range users {
-		parts := strings.SplitN(u, "=", 2)
-		if len(parts) != 2 {
-			logger.Fatalf("bad -user %q (want name=password)", u)
-		}
-		authn.Register(parts[0], parts[1])
-		if _, err := cat.GetUser(parts[0]); err != nil {
-			cat.AddUser(types.User{Name: parts[0], Domain: "local"})
-		}
+	rt, err := daemon.New(broker, o.Config)
+	if err != nil {
+		logger.Fatal(err)
 	}
-
-	for _, spec := range resources {
-		rname, d, class, driver, err := buildDriver(spec)
-		if err != nil {
-			logger.Fatalf("-resource %q: %v", spec, err)
-		}
-		if _, err := cat.GetResource(rname); err == nil {
-			logger.Printf("resource %s already in catalog; mounting driver", rname)
-			// Re-mount after a catalog reload: driver registration only.
-			if err := remount(broker, rname, d); err != nil {
-				logger.Fatalf("remount %s: %v", rname, err)
-			}
-			continue
-		}
-		if err := broker.AddPhysicalResource(*adminUser, rname, class, driver, d); err != nil {
-			logger.Fatalf("register %s: %v", rname, err)
-		}
-	}
-	for _, spec := range logicals {
-		parts := strings.SplitN(spec, "=", 2)
-		if len(parts) != 2 {
+	for _, spec := range o.logicals {
+		name, members, ok := strings.Cut(spec, "=")
+		if !ok {
 			logger.Fatalf("bad -logical %q (want name=m1,m2)", spec)
 		}
-		if _, err := cat.GetResource(parts[0]); err == nil {
+		if _, err := cat.GetResource(name); err == nil {
 			continue
 		}
-		if err := broker.AddLogicalResource(*adminUser, parts[0], strings.Split(parts[1], ",")); err != nil {
-			logger.Fatalf("logical %s: %v", parts[0], err)
+		if err := broker.AddLogicalResource(o.Admin, name, strings.Split(members, ",")); err != nil {
+			logger.Fatalf("logical %s: %v", name, err)
 		}
 	}
-	for _, spec := range asyncRepl {
-		parts := strings.SplitN(spec, "=", 2)
-		if len(parts) != 2 {
+	for _, spec := range o.asyncRepl {
+		name, k, ok := strings.Cut(spec, "=")
+		if !ok {
 			logger.Fatalf("bad -async-repl %q (want name=k)", spec)
 		}
-		if err := cat.SetResourcePolicy(parts[0], "async:"+parts[1]); err != nil {
-			logger.Fatalf("async-repl %s: %v", parts[0], err)
+		if err := cat.SetResourcePolicy(name, "async:"+k); err != nil {
+			logger.Fatalf("async-repl %s: %v", name, err)
 		}
-		logger.Printf("resource %s replication policy async:%s", parts[0], parts[1])
+		logger.Printf("resource %s replication policy async:%s", name, k)
 	}
 
 	fedMode := server.Proxy
-	if *mode == "redirect" {
+	if o.mode == "redirect" {
 		fedMode = server.Redirect
 	}
-	srv := server.New(broker, authn, fedMode)
-	srv.SetDialTimeout(*dialTO)
-	srv.SetSlowOpThreshold(*slowOp)
-	broker.Breakers().SetConfig(resilience.BreakerConfig{Threshold: *brkTrip, Cooldown: *brkCool})
-	srv.Logger = obs.NewLogger(os.Stderr, *name, obs.LevelInfo)
-	if *quiet {
+	srv = server.New(broker, rt.Authn, fedMode)
+	srv.SetDialTimeout(o.dialTO)
+	srv.SetSlowOpThreshold(o.slowOp)
+	broker.Breakers().SetConfig(resilience.BreakerConfig{Threshold: o.brkTrip, Cooldown: o.brkCool})
+	srv.Logger = obs.NewLogger(os.Stderr, o.Name, obs.LevelInfo)
+	if o.quiet {
 		srv.Logger.SetLevel(obs.LevelError)
 	}
-	for _, p := range peers {
+	for _, p := range o.peers {
 		parts := strings.SplitN(p, "=", 3)
 		if len(parts) != 3 {
 			logger.Fatalf("bad -peer %q (want name=addr=secret)", p)
@@ -226,48 +172,11 @@ func main() {
 		srv.AddPeer(parts[0], parts[1], parts[2])
 	}
 
-	// Background maintenance: the repair engine drains the journaled
-	// async-replication queue and, when enabled, runs the anti-entropy
-	// scrubber on a jittered schedule.
-	eng := repair.New(repair.Config{
-		Workers:  *repairWorkers,
-		Queue:    cat,
-		Exec:     broker.RunRepairTask,
-		Metrics:  broker.Metrics(),
-		Breakers: broker.Breakers(),
-		Server:   *name,
-	})
-	if *scrubEvery > 0 {
-		eng.AddJob("scrub", *scrubEvery, 0.2, func(sp *obs.Span) error {
-			rpt := broker.ScrubSubtree("/", sp)
-			if rpt.Corrupt+rpt.Repaired+rpt.Replicated+rpt.Enqueued > 0 {
-				logger.Printf("scrub: %d corrupt, %d repaired, %d replicated, %d enqueued (%d objects)",
-					rpt.Corrupt, rpt.Repaired, rpt.Replicated, rpt.Enqueued, rpt.Objects)
-			}
-			return nil
-		})
-	}
-	// Windowed telemetry rides the same scheduler: the rollup job
-	// snapshots the registry into the time-series ring, the SLO job
-	// evaluates declared objectives against it.
-	if *rollupEvery > 0 {
-		eng.AddJob("rollup", *rollupEvery, 0.1, func(sp *obs.Span) error {
-			broker.Metrics().CaptureRollup(time.Now())
-			return nil
-		})
-	}
-	// The heat observatory rides the scheduler too: the decay job keeps
-	// the top-K tracking the current workload, the advisor job refreshes
+	// srbd's own jobs ride the runtime's scheduler: the advisor refreshes
 	// replication-lag gauges and recomputes the dry-run rebalance plan.
-	if *heatDecay > 0 {
-		eng.AddJob("heat.decay", *heatDecay, 0.1, func(sp *obs.Span) error {
-			broker.Metrics().HeatKeys().Decay(0.5)
-			broker.Metrics().HeatObjects().Decay(0.5)
-			return nil
-		})
-	}
-	if *adviseEvery > 0 {
-		eng.AddJob("advisor", *adviseEvery, 0.1, func(sp *obs.Span) error {
+	eng := rt.Engine
+	if o.adviseEvery > 0 {
+		eng.AddJob("advisor", o.adviseEvery, 0.1, func(sp *obs.Span) error {
 			now := time.Now()
 			cat.RefreshReplag(now)
 			plan := cat.Advise(broker.Metrics().HeatKeys().Snapshot(), now)
@@ -278,99 +187,16 @@ func main() {
 			return nil
 		})
 	}
-	if *sloRules != "" {
-		src, err := os.ReadFile(*sloRules)
-		if err != nil {
-			logger.Fatalf("slo rules: %v", err)
-		}
-		rules, err := obs.ParseSLORules(string(src))
-		if err != nil {
-			logger.Fatalf("slo rules: %v", err)
-		}
-		ev := obs.NewSLOEvaluator(broker.Metrics(), rules)
-		// Restored alert history seeds the fresh log so `srb alerts` and
-		// the telemetry journal's sequence numbers continue seamlessly.
-		for _, a := range restoredAlerts {
-			ev.AlertLog().Add(a)
-		}
-		broker.SetSLO(ev)
-		eng.AddJob("slo", *sloEvery, 0.1, func(sp *obs.Span) error {
-			for _, st := range ev.Evaluate(time.Now()) {
-				if st.Violating {
-					sp.Event(obs.EventSLO, fmt.Sprintf("%s violating burn=%.0f%%", st.Rule, st.BurnPct))
-				}
-			}
-			return nil
-		})
-		logger.Printf("%d SLO rule(s) from %s, evaluated every %s", len(rules), *sloRules, *sloEvery)
-	}
-	// The flight recorder: incident bundles on SLO fire (or on demand via
-	// `srb incident capture`), and a journal flush job riding the repair
-	// scheduler that also prunes aged-out bundles.
-	if telem != nil {
-		rec, err := obs.NewIncidentRecorder(obs.IncidentConfig{
-			Dir:      filepath.Join(*telemetryDir, "incidents"),
-			Server:   *name,
-			Registry: broker.Metrics(),
-			Extra: func() map[string][]byte {
-				files := make(map[string][]byte)
-				if b, err := json.Marshal(srv.GridStat(5 * time.Minute)); err == nil {
-					files["grid.json"] = b
-				}
-				if b, err := json.Marshal(broker.Breakers().States()); err == nil {
-					files["breakers.json"] = b
-				}
-				if b, err := json.Marshal(eng.Status()); err == nil {
-					files["repair.json"] = b
-				}
-				return files
-			},
-		})
-		if err != nil {
-			logger.Fatalf("flight recorder: %v", err)
-		}
-		broker.SetIncidents(rec)
-		if ev := broker.SLO(); ev != nil {
-			ev.SetOnFire(func(now time.Time, rule obs.SLORule, alert obs.Alert) {
-				// Capture off the evaluation goroutine: the CPU profile
-				// sleeps ~2s and must not stall the SLO job.
-				go func() {
-					meta, err := rec.Capture(now, rule.Name, "slo-fired", alert.Detail, rule.Window)
-					switch {
-					case err == nil:
-						logger.Printf("incident captured: %s", meta.ID)
-					case !errors.Is(err, obs.ErrRateLimited):
-						logger.Printf("incident capture: %v", err)
-					}
-				}()
-			})
-		}
-		eng.AddJob("telemetry", obs.DefaultTelemetryFlush, 0.1, func(sp *obs.Span) error {
-			var alog *obs.AlertLog
-			if ev := broker.SLO(); ev != nil {
-				alog = ev.AlertLog()
-			}
-			if err := telem.Flush(broker.Metrics(), alog, time.Now()); err != nil {
-				return err
-			}
-			if *telemetryRet > 0 {
-				rec.Prune(time.Now().Add(-*telemetryRet))
-			}
-			return nil
-		})
-		logger.Printf("flight recorder on %s (retention %s)", *telemetryDir, *telemetryRet)
-	}
 	// Follower mode: every shard of this daemon's catalog replicates
 	// the same-numbered shard of the leader daemon, pulling journal
 	// entries (or a snapshot when too far behind) on a repair-engine
 	// job. Repeated pull failures promote the shards to leader.
-	if *mcatFollow != "" {
-		leader := *mcatFollow
+	if leader := o.mcatFollow; leader != "" {
 		for i := 0; i < cat.N(); i++ {
 			cat.SetFollower(i, leader)
 		}
 		cat.SetPuller(func(peer string, shardIdx int, after uint64) (shard.PullResult, error) {
-			cl, err := client.Dial(peer, *adminUser, *adminPw)
+			cl, err := client.Dial(peer, o.Admin, o.AdminPw)
 			if err != nil {
 				return shard.PullResult{}, err
 			}
@@ -381,26 +207,25 @@ func main() {
 			}
 			return shard.PullResult{Entries: rep.Entries, Snapshot: rep.Snapshot, Seq: rep.Seq}, nil
 		}, shard.DefaultPromoteAfter)
-		eng.AddJob("shard.sync", *mcatSyncEvery, 0.1, func(sp *obs.Span) error {
+		eng.AddJob("shard.sync", o.mcatSyncEvery, 0.1, func(sp *obs.Span) error {
 			err := cat.SyncOnce()
 			cat.RefreshReplag(time.Now())
 			return err
 		})
-		logger.Printf("mcat follower of %s (pull every %s)", leader, *mcatSyncEvery)
+		logger.Printf("mcat follower of %s (pull every %s)", leader, o.mcatSyncEvery)
 	}
-	broker.SetRepair(eng)
-	eng.Start()
+	rt.Start()
 	if n, _ := cat.RepairBacklog(); n > 0 {
 		logger.Printf("repair queue restored with %d pending task(s)", n)
 	}
 
-	bound, err := srv.Listen(*addr)
+	bound, err := srv.Listen(o.addr)
 	if err != nil {
 		logger.Fatalf("listen: %v", err)
 	}
-	logger.Printf("%s version %s listening on %s (%s federation)", *name, obs.Version, bound, *mode)
-	if *adminAddr != "" {
-		abound, err := srv.ServeAdmin(*adminAddr)
+	logger.Printf("%s version %s listening on %s (%s federation)", o.Name, obs.Version, bound, o.mode)
+	if o.adminAddr != "" {
+		abound, err := srv.ServeAdmin(o.adminAddr)
 		if err != nil {
 			logger.Fatalf("admin listen: %v", err)
 		}
@@ -409,17 +234,17 @@ func main() {
 
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
-	if *catalog != "" && *saveEvery > 0 {
+	if o.catalog != "" && o.saveEvery > 0 {
 		go func() {
-			for range time.Tick(*saveEvery) {
+			for range time.Tick(o.saveEvery) {
 				snapshot()
 			}
 		}()
 	}
-	if *syncEvery > 0 {
+	if o.syncEvery > 0 {
 		go func() {
-			for range time.Tick(*syncEvery) {
-				if n, err := broker.SyncAllDirty(*adminUser); err == nil && n > 0 {
+			for range time.Tick(o.syncEvery) {
+				if n, err := broker.SyncAllDirty(o.Admin); err == nil && n > 0 {
 					logger.Printf("replica sweep refreshed %d replicas", n)
 				}
 			}
@@ -428,7 +253,7 @@ func main() {
 	<-stop
 	logger.Printf("shutting down")
 	srv.Close()
-	eng.Stop()
+	rt.Stop()
 	if n, _ := cat.RepairBacklog(); n > 0 {
 		logger.Printf("repair queue holds %d task(s); journal preserves them for the next start", n)
 	}
@@ -442,65 +267,9 @@ func main() {
 	}
 	logger.Printf("final stats: uptime=%.0fs ops=%d errors=%d audit_dropped=%d",
 		snap.UptimeSeconds, totalOps, totalErrs, cat.AuditLog().Dropped())
-	if telem != nil {
-		var alog *obs.AlertLog
-		if ev := broker.SLO(); ev != nil {
-			alog = ev.AlertLog()
-		}
-		if err := telem.Close(broker.Metrics(), alog, time.Now()); err != nil {
-			logger.Printf("telemetry close: %v", err)
-		}
-	}
 	snapshot()
 	store.Close()
-	if *catalog != "" {
-		logger.Printf("catalog saved to %s", *catalog)
+	if o.catalog != "" {
+		logger.Printf("catalog saved to %s", o.catalog)
 	}
-}
-
-// buildDriver parses name=driver:arg and constructs the storage driver.
-func buildDriver(spec string) (name string, d storage.Driver, class types.ResourceClass, driver string, err error) {
-	eq := strings.SplitN(spec, "=", 2)
-	if len(eq) != 2 {
-		return "", nil, 0, "", fmt.Errorf("want name=driver:arg")
-	}
-	name = eq[0]
-	da := strings.SplitN(eq[1], ":", 2)
-	driver = da[0]
-	arg := ""
-	if len(da) == 2 {
-		arg = da[1]
-	}
-	switch driver {
-	case "posixfs":
-		if arg == "" {
-			return "", nil, 0, "", fmt.Errorf("posixfs needs a root directory")
-		}
-		fs, ferr := posixfs.New(arg)
-		return name, fs, types.ClassFileSystem, driver, ferr
-	case "memfs":
-		return name, memfs.New(), types.ClassCache, driver, nil
-	case "archivefs":
-		cfg := archivefs.Config{StageLatency: 100 * time.Millisecond}
-		if arg != "" {
-			lat, perr := time.ParseDuration(arg)
-			if perr != nil {
-				return "", nil, 0, "", fmt.Errorf("archivefs latency %q: %v", arg, perr)
-			}
-			cfg.StageLatency = lat
-		}
-		return name, archivefs.New(cfg), types.ClassArchive, driver, nil
-	case "dbfs":
-		return name, dbfs.New(), types.ClassDatabase, driver, nil
-	default:
-		return "", nil, 0, "", fmt.Errorf("unknown driver %q", driver)
-	}
-}
-
-// remount installs a driver for a resource already present in a loaded
-// catalog. It bypasses AddPhysicalResource's catalog insert.
-func remount(b *core.Broker, name string, d storage.Driver) error {
-	// The broker has no public remount; register under a throwaway
-	// catalog entry is wrong, so reach the maps through a tiny shim.
-	return b.Remount(name, d)
 }

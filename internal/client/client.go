@@ -293,6 +293,14 @@ func (cl *Client) call(op string, args any, out any) ([]byte, error) {
 	return x.bytes(), err
 }
 
+// Call performs one logical call of an op that moves no bulk data, for
+// callers that know the op by its table row rather than by a method
+// here: args is the op's argument struct, out receives the reply.
+func (cl *Client) Call(op string, args, out any) error {
+	_, err := cl.call(op, args, out)
+	return err
+}
+
 // do performs one logical call with its bulk-data half described by x.
 // Each logical call mints one trace ID, kept across redirect and retry
 // attempts, so the servers involved all record it under the same trace.
@@ -710,7 +718,7 @@ func (cl *Client) QueryPartial(q mcat.Query) ([]mcat.Hit, []string, error) {
 // leader row when the catalog is monolithic).
 func (cl *Client) Shards() (wire.ShardsReply, error) {
 	var out wire.ShardsReply
-	_, err := cl.call(wire.OpShards, wire.ShardsArgs{}, &out)
+	_, err := cl.call(wire.OpShards, struct{}{}, &out)
 	return out, err
 }
 
@@ -919,7 +927,7 @@ func (cl *Client) Usage(user, collection string) (wire.UsageReply, error) {
 // snapshot: queue backlog, worker health and per-job run counts.
 func (cl *Client) RepairStatus() (wire.RepairStatusReply, error) {
 	var out wire.RepairStatusReply
-	_, err := cl.call(wire.OpRepairStatus, wire.RepairStatusArgs{}, &out)
+	_, err := cl.call(wire.OpRepairStatus, struct{}{}, &out)
 	return out, err
 }
 
@@ -939,7 +947,7 @@ func (cl *Client) GridStat(window time.Duration, grid bool) (wire.GridStatReply,
 // bounded log of fire/resolve alert transitions.
 func (cl *Client) Alerts() (wire.AlertsReply, error) {
 	var out wire.AlertsReply
-	_, err := cl.call(wire.OpAlerts, wire.AlertsArgs{}, &out)
+	_, err := cl.call(wire.OpAlerts, struct{}{}, &out)
 	return out, err
 }
 
@@ -947,7 +955,7 @@ func (cl *Client) Alerts() (wire.AlertsReply, error) {
 // (flight recorder), newest first.
 func (cl *Client) Incidents() (wire.IncidentsReply, error) {
 	var out wire.IncidentsReply
-	_, err := cl.call(wire.OpIncidents, wire.IncidentsArgs{}, &out)
+	_, err := cl.call(wire.OpIncidents, struct{}{}, &out)
 	return out, err
 }
 
@@ -971,7 +979,7 @@ func (cl *Client) IncidentCapture(reason string) (wire.IncidentCaptureReply, err
 // and per-resource EWMA latency, bandwidth and success history.
 func (cl *Client) Peers() (wire.PeersReply, error) {
 	var out wire.PeersReply
-	_, err := cl.call(wire.OpPeers, wire.PeersArgs{}, &out)
+	_, err := cl.call(wire.OpPeers, struct{}{}, &out)
 	return out, err
 }
 
@@ -980,7 +988,7 @@ func (cl *Client) Peers() (wire.PeersReply, error) {
 // rebalance advisor plan.
 func (cl *Client) Heat() (wire.HeatReply, error) {
 	var out wire.HeatReply
-	_, err := cl.call(wire.OpHeat, wire.HeatArgs{}, &out)
+	_, err := cl.call(wire.OpHeat, struct{}{}, &out)
 	return out, err
 }
 

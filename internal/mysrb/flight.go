@@ -2,100 +2,23 @@ package mysrb
 
 import (
 	"fmt"
-	"html/template"
 	"net/http"
-	"time"
+
+	"gosrb/internal/report"
 )
-
-// handleIncidents renders the flight recorder's incident bundle index —
-// the browser view of `srb incident list` and the admin /incidents
-// endpoint. Bundle members link through to /incident?id=...&file=...
-// for direct download.
-func (a *App) handleIncidents(w http.ResponseWriter, r *http.Request, user string) {
-	w.Header().Set("Content-Type", "text/html; charset=utf-8")
-	fmt.Fprintf(w, `<html><head><title>mySRB incidents</title></head><body>
-<h2>Incident bundles — %s</h2>
-<p><a href="/status">server status</a> &middot; <a href="/peers">peer observatory</a> &middot; <a href="/browse">back to browsing</a></p>`,
-		template.HTMLEscapeString(a.broker.ServerName()))
-
-	rec := a.broker.Incidents()
-	if rec == nil {
-		fmt.Fprint(w, "<p>Flight recorder disabled: start the daemon with <code>-telemetry-dir</code>.</p></body></html>")
-		return
-	}
-	metas := rec.List()
-	if len(metas) == 0 {
-		fmt.Fprint(w, "<p>No incidents captured yet.</p></body></html>")
-		return
-	}
-	fmt.Fprint(w, `<table border="1" cellpadding="3">
-<tr><th>captured</th><th>rule</th><th>reason</th><th>detail</th><th>bundle</th></tr>`)
-	for _, m := range metas {
-		fmt.Fprintf(w, "<tr><td>%s</td><td>%s</td><td>%s</td><td>%s</td><td>",
-			m.At.Format(time.RFC3339), template.HTMLEscapeString(m.Rule),
-			template.HTMLEscapeString(m.Reason), template.HTMLEscapeString(m.Detail))
-		for i, f := range m.Files {
-			if i > 0 {
-				fmt.Fprint(w, " &middot; ")
-			}
-			fmt.Fprintf(w, `<a href="/incident?id=%s&amp;file=%s">%s</a>`,
-				template.URLQueryEscaper(m.ID), template.URLQueryEscaper(f),
-				template.HTMLEscapeString(f))
-		}
-		fmt.Fprint(w, "</td></tr>")
-	}
-	fmt.Fprint(w, "</table></body></html>")
-}
 
 // handleIncidentFile serves one member of an incident bundle as a raw
 // download; the recorder validates the id and file name against
 // traversal before touching disk.
 func (a *App) handleIncidentFile(w http.ResponseWriter, r *http.Request, user string) {
-	rec := a.broker.Incidents()
-	if rec == nil {
-		http.Error(w, "flight recorder disabled (no -telemetry-dir)", http.StatusNotFound)
-		return
-	}
-	id := r.URL.Query().Get("id")
-	meta, files, err := rec.Get(id)
-	if err != nil {
-		http.Error(w, "incident not found: "+id, http.StatusNotFound)
-		return
-	}
 	name := r.URL.Query().Get("file")
-	data, ok := files[name]
-	if !ok {
-		http.Error(w, "no such bundle file: "+name, http.StatusNotFound)
+	meta, data, err := report.Bundle(a.env, r.URL.Query().Get("id"), name)
+	if err != nil || name == "" {
+		http.Error(w, fmt.Sprintf("no such bundle file: %v", err), http.StatusNotFound)
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("Content-Disposition",
 		fmt.Sprintf("attachment; filename=%q", meta.ID+"-"+name))
 	w.Write(data)
-}
-
-// handlePeers renders the peer transfer observatory: per-peer and
-// per-resource EWMA latency, bandwidth and success rates accumulated by
-// the federation, replica and client byte counters — the browser view
-// of `srb peers`.
-func (a *App) handlePeers(w http.ResponseWriter, r *http.Request, user string) {
-	peers := a.broker.Metrics().Peers().Snapshot()
-
-	w.Header().Set("Content-Type", "text/html; charset=utf-8")
-	fmt.Fprintf(w, `<html><head><title>mySRB peer observatory</title></head><body>
-<h2>Peer transfer observatory — %s</h2>
-<p><a href="/status">server status</a> &middot; <a href="/incidents">incidents</a> &middot; <a href="/browse">back to browsing</a></p>`,
-		template.HTMLEscapeString(a.broker.ServerName()))
-	if len(peers) == 0 {
-		fmt.Fprint(w, "<p>No transfer history recorded yet.</p></body></html>")
-		return
-	}
-	fmt.Fprint(w, `<table border="1" cellpadding="3">
-<tr><th>peer</th><th>resource</th><th>ops</th><th>errors</th><th>bytes</th><th>EWMA ms</th><th>EWMA MB/s</th><th>success %</th></tr>`)
-	for _, p := range peers {
-		fmt.Fprintf(w, "<tr><td>%s</td><td>%s</td><td>%d</td><td>%d</td><td>%d</td><td>%.2f</td><td>%.2f</td><td>%.1f</td></tr>",
-			template.HTMLEscapeString(p.Peer), template.HTMLEscapeString(p.Resource),
-			p.Ops, p.Errors, p.Bytes, p.EWMALatMicros/1000, p.EWMABytesPerSec/1e6, p.SuccessPct)
-	}
-	fmt.Fprint(w, "</table></body></html>")
 }

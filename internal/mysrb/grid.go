@@ -3,234 +3,41 @@ package mysrb
 import (
 	"fmt"
 	"html/template"
-	"math/bits"
-	"net/http"
+	"io"
 	"sort"
-	"time"
 
-	"gosrb/internal/obs"
+	"gosrb/internal/report"
 	"gosrb/internal/wire"
 )
 
-// gridWindowDefault is the dashboard's trailing window when no ?window=
-// parameter is given.
-const gridWindowDefault = 5 * time.Minute
-
-// gridStaleFraction mirrors the wire server's staleness rule: a member
-// whose rollup coverage is below this fraction of the requested window
-// is flagged stale.
-const gridStaleFraction = 0.8
-
-// SetGridStat supplies a federated grid-snapshot source (a wire
-// server's zone gather). When unset the dashboard reports this process
-// only. Call before serving.
-func (a *App) SetGridStat(fn func(window time.Duration) wire.GridStatReply) { a.gridStat = fn }
-
-// gridReply builds the dashboard's data: the federated gather when one
-// is wired, otherwise a single-member snapshot of the local registry.
-func (a *App) gridReply(window time.Duration) wire.GridStatReply {
-	if a.gridStat != nil {
-		return a.gridStat(window)
+// drawActivity adds to the grid console what the grid reply does not
+// carry: the window picker, and this server's per-op request-rate
+// sparklines from its own rollup ring — one glyph per capture interval,
+// newest to the right (peers contribute bucket distributions, not
+// capture history).
+func (a *App) drawActivity(w io.Writer, reply any) {
+	if _, ok := reply.(wire.GridStatReply); !ok {
+		return
 	}
-	if window <= 0 {
-		window = gridWindowDefault
-	}
-	ws := a.broker.Metrics().Window(window)
-	m := wire.GridMember{Server: a.broker.ServerName(), Window: ws}
-	m.Stale = ws.CoveredSeconds < gridStaleFraction*ws.WindowSeconds
-	return wire.GridStatReply{
-		Server:        a.broker.ServerName(),
-		WindowSeconds: ws.WindowSeconds,
-		Members:       []wire.GridMember{m},
-		Grid:          obs.MergeWindows([]obs.WindowStats{ws}),
-	}
-}
-
-// sparkGlyphs are the eight block heights a sparkline is drawn with.
-var sparkGlyphs = []rune("▁▂▃▄▅▆▇█")
-
-// spark renders values as a unicode sparkline scaled to the series max.
-func spark(vals []int64) string {
-	var max int64
-	for _, v := range vals {
-		if v > max {
-			max = v
-		}
-	}
-	if max == 0 {
-		return ""
-	}
-	out := make([]rune, len(vals))
-	for i, v := range vals {
-		idx := int(v * int64(len(sparkGlyphs)-1) / max)
-		if v > 0 && idx == 0 {
-			idx = 1 // any activity shows above the baseline
-		}
-		out[i] = sparkGlyphs[idx]
-	}
-	return string(out)
-}
-
-// latencySpark draws an op's windowed latency distribution from its
-// pow-2 bucket deltas — available for every member, since the buckets
-// ride the wire for grid-quantile merging.
-func latencySpark(bs []obs.BucketCount) string {
-	if len(bs) == 0 {
-		return ""
-	}
-	lo, hi := -1, 0
-	dense := make(map[int]int64, len(bs))
-	for _, b := range bs {
-		k := bits.Len64(uint64(b.UpperMicros)) - 1
-		dense[k] = b.Count
-		if lo == -1 || k < lo {
-			lo = k
-		}
-		if k > hi {
-			hi = k
-		}
-	}
-	vals := make([]int64, hi-lo+1)
-	for k, v := range dense {
-		vals[k-lo] = v
-	}
-	return spark(vals)
-}
-
-// activitySparks derives per-op request-rate sparklines from the local
-// rollup ring: one glyph per capture interval, newest to the right.
-func (a *App) activitySparks(n int) map[string]string {
-	recent := a.broker.Metrics().Rollups().Recent(n + 1)
+	fmt.Fprint(w, `<p>windows: <a href="/grid?window=1m">1m</a> <a href="/grid?window=5m">5m</a> <a href="/grid?window=30m">30m</a> <a href="/grid?window=6h">6h</a></p>`)
+	recent := a.broker.Metrics().Rollups().Recent(33)
 	if len(recent) < 2 {
-		return nil
-	}
-	last := recent[len(recent)-1]
-	out := make(map[string]string, len(last.Ops))
-	for op := range last.Ops {
-		series := make([]int64, len(recent)-1)
-		for i := 1; i < len(recent); i++ {
-			d := recent[i].Ops[op].Count - recent[i-1].Ops[op].Count
-			if d < 0 {
-				d = 0
-			}
-			series[i-1] = d
-		}
-		if s := spark(series); s != "" {
-			out[op] = s
-		}
-	}
-	return out
-}
-
-// handleGrid renders the grid console: the merged cross-server window
-// first, then one sparkline table per zone member, with unreachable and
-// stale members visibly flagged rather than silently dropped.
-func (a *App) handleGrid(w http.ResponseWriter, r *http.Request, user string) {
-	window := gridWindowDefault
-	if ws := r.URL.Query().Get("window"); ws != "" {
-		d, err := time.ParseDuration(ws)
-		if err != nil || d <= 0 {
-			http.Error(w, "bad window duration: "+ws, http.StatusBadRequest)
-			return
-		}
-		window = d
-	}
-	rep := a.gridReply(window)
-	sparks := a.activitySparks(32)
-	local := a.broker.ServerName()
-
-	w.Header().Set("Content-Type", "text/html; charset=utf-8")
-	fmt.Fprintf(w, `<html><head><title>mySRB grid console</title></head><body>
-<h2>Grid console — via %s</h2>
-<p>window: %.0fs &middot; members: %d &middot; windows: <a href="/grid?window=1m">1m</a>
-<a href="/grid?window=5m">5m</a> <a href="/grid?window=30m">30m</a> <a href="/grid?window=6h">6h</a>
-&middot; <a href="/status">server status</a> &middot; <a href="/browse">back to browsing</a></p>`,
-		template.HTMLEscapeString(rep.Server), rep.WindowSeconds, len(rep.Members))
-
-	fmt.Fprint(w, "<h3>Grid aggregate</h3>")
-	writeGridOpsTable(w, rep.Grid, nil, false)
-
-	fmt.Fprint(w, "<h3>Latency decomposition</h3>")
-	writeGridPhaseTable(w, rep.Grid)
-
-	for _, m := range rep.Members {
-		status := ""
-		switch {
-		case m.Unreachable:
-			status = " — UNREACHABLE"
-		case m.Stale:
-			status = " — stale"
-		}
-		fmt.Fprintf(w, "<h3>%s%s</h3>", template.HTMLEscapeString(m.Server), status)
-		if m.Unreachable {
-			fmt.Fprintf(w, "<p>no data: %s</p>", template.HTMLEscapeString(m.Err))
-			continue
-		}
-		fmt.Fprintf(w, "<p>covered: %.0fs of %.0fs</p>", m.Window.CoveredSeconds, m.Window.WindowSeconds)
-		if m.Server == local {
-			writeGridOpsTable(w, m.Window, sparks, true)
-		} else {
-			writeGridOpsTable(w, m.Window, nil, false)
-		}
-	}
-	fmt.Fprint(w, "</body></html>")
-}
-
-// writeGridPhaseTable renders the merged window's per-phase latency
-// decomposition: one row per (family, op, phase) histogram, share-of-op
-// computed against the op's summed phase time so a single slow phase
-// stands out. Rows come from the phase.* ops RecordPhases folds in.
-func writeGridPhaseTable(w http.ResponseWriter, ws obs.WindowStats) {
-	rows := obs.PhaseRows(ws.Ops)
-	if len(rows) == 0 {
-		fmt.Fprint(w, "<p>no phase activity in the window.</p>")
 		return
 	}
-	// Sum per (family, op) for the share column.
-	totals := make(map[string]int64, len(rows))
-	for _, r := range rows {
-		totals[r.Family+"."+r.Op] += r.TotalMicros
-	}
-	fmt.Fprint(w, `<table border="1" cellpadding="3"><tr><th>side</th><th>op</th><th>phase</th><th>latency dist</th><th>count</th><th>total (&micro;s)</th><th>share</th><th>p50 (&micro;s)</th><th>p99 (&micro;s)</th></tr>`)
-	for _, r := range rows {
-		share := 0.0
-		if t := totals[r.Family+"."+r.Op]; t > 0 {
-			share = 100 * float64(r.TotalMicros) / float64(t)
-		}
-		fmt.Fprintf(w, "<tr><td>%s</td><td>%s</td><td>%s</td><td>%s</td><td>%d</td><td>%d</td><td>%.1f%%</td><td>%.1f</td><td>%.1f</td></tr>",
-			template.HTMLEscapeString(r.Family), template.HTMLEscapeString(r.Op),
-			template.HTMLEscapeString(r.Phase), latencySpark(r.Buckets),
-			r.Count, r.TotalMicros, share, r.P50Micros, r.P99Micros)
-	}
-	fmt.Fprint(w, "</table>")
-}
-
-// writeGridOpsTable renders one window's per-op rows; withActivity adds
-// the rollup-ring rate sparkline column (local member only — remote
-// members contribute bucket distributions, not capture history).
-func writeGridOpsTable(w http.ResponseWriter, ws obs.WindowStats, sparks map[string]string, withActivity bool) {
 	var ops []string
-	for name := range ws.Ops {
-		ops = append(ops, name)
-	}
-	if len(ops) == 0 {
-		fmt.Fprint(w, "<p>no op activity in the window.</p>")
-		return
+	for op := range recent[len(recent)-1].Ops {
+		ops = append(ops, op)
 	}
 	sort.Strings(ops)
-	fmt.Fprint(w, `<table border="1" cellpadding="3"><tr><th>op</th>`)
-	if withActivity {
-		fmt.Fprint(w, "<th>activity</th>")
-	}
-	fmt.Fprint(w, `<th>latency dist</th><th>count</th><th>per sec</th><th>err %</th><th>p50 (&micro;s)</th><th>p95 (&micro;s)</th><th>p99 (&micro;s)</th></tr>`)
-	for _, name := range ops {
-		o := ws.Ops[name]
-		fmt.Fprintf(w, "<tr><td>%s</td>", template.HTMLEscapeString(name))
-		if withActivity {
-			fmt.Fprintf(w, "<td>%s</td>", sparks[name])
+	fmt.Fprint(w, `<p>local activity:</p><table border="1" cellpadding="3"><tr><th>op</th><th>activity</th></tr>`)
+	for _, op := range ops {
+		series := make([]int64, len(recent)-1)
+		for i := 1; i < len(recent); i++ {
+			series[i-1] = max(0, recent[i].Ops[op].Count-recent[i-1].Ops[op].Count)
 		}
-		fmt.Fprintf(w, "<td>%s</td><td>%d</td><td>%.2f</td><td>%.2f</td><td>%.1f</td><td>%.1f</td><td>%.1f</td></tr>",
-			latencySpark(o.Buckets), o.Count, o.PerSec, o.ErrorPct, o.P50Micros, o.P95Micros, o.P99Micros)
+		if s := report.Spark(series); s != "" {
+			fmt.Fprintf(w, "<tr><td>%s</td><td>%s</td></tr>", template.HTMLEscapeString(op), s)
+		}
 	}
 	fmt.Fprint(w, "</table>")
 }

@@ -29,9 +29,9 @@ import (
 	"gosrb/internal/mcat"
 	"gosrb/internal/metadata"
 	"gosrb/internal/obs"
+	"gosrb/internal/report"
 	"gosrb/internal/storage"
 	"gosrb/internal/types"
-	"gosrb/internal/wire"
 )
 
 // SessionCookie names the in-memory session cookie.
@@ -46,9 +46,8 @@ type App struct {
 	// disabled): any session request at least this slow gets its span
 	// tree written to the log (mysrbd's -slow-op flag).
 	slowOp atomic.Int64
-	// gridStat, when set, sources the /grid dashboard from a federated
-	// zone gather instead of the local registry alone.
-	gridStat func(window time.Duration) wire.GridStatReply
+	// env is what the status pages report on: this process's broker.
+	env report.Env
 	// Logger receives slow-request span trees. Replaceable for tests.
 	Logger *obs.Logger
 }
@@ -58,6 +57,7 @@ func New(b *core.Broker, a *auth.Authenticator) *App {
 	app := &App{
 		broker: b,
 		authn:  a,
+		env:    report.Env{Name: b.ServerName(), Broker: b},
 		mux:    http.NewServeMux(),
 		Logger: obs.NewLogger(os.Stderr, b.ServerName(), obs.LevelInfo),
 	}
@@ -96,14 +96,14 @@ func (a *App) routes() {
 	a.mux.HandleFunc("/registerobj", a.withSession("registerobj", a.handleRegisterObj))
 	a.mux.HandleFunc("/register", a.withSession("register", a.handleRegister))
 	a.mux.HandleFunc("/help", a.withSession("help", a.handleHelp))
-	a.mux.HandleFunc("/status", a.withSession("status", a.handleStatus))
-	a.mux.HandleFunc("/usage", a.withSession("usage", a.handleUsage))
-	a.mux.HandleFunc("/shards", a.withSession("shards", a.handleShards))
-	a.mux.HandleFunc("/grid", a.withSession("grid", a.handleGrid))
-	a.mux.HandleFunc("/incidents", a.withSession("incidents", a.handleIncidents))
+	a.mux.HandleFunc("/status", a.withSession("status", a.statusPage("server status", nil, "opstats", "repair")))
+	a.mux.HandleFunc("/usage", a.withSession("usage", a.statusPage("usage accounting", nil, "usage")))
+	a.mux.HandleFunc("/shards", a.withSession("shards", a.statusPage("catalog shards", nil, "shards")))
+	a.mux.HandleFunc("/grid", a.withSession("grid", a.statusPage("grid console", a.drawActivity, "grid", "phases")))
+	a.mux.HandleFunc("/incidents", a.withSession("incidents", a.statusPage("incident bundles", drawBundleLinks, "incidents")))
 	a.mux.HandleFunc("/incident", a.withSession("incident", a.handleIncidentFile))
-	a.mux.HandleFunc("/peers", a.withSession("peers", a.handlePeers))
-	a.mux.HandleFunc("/heat", a.withSession("heat", a.handleHeat))
+	a.mux.HandleFunc("/peers", a.withSession("peers", a.statusPage("peer transfer observatory", nil, "peers")))
+	a.mux.HandleFunc("/heat", a.withSession("heat", a.statusPage("heat observatory", drawShardHeat, "heat")))
 }
 
 // withSession performs the paper's "security checks on the session keys

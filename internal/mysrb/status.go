@@ -3,269 +3,80 @@ package mysrb
 import (
 	"fmt"
 	"html/template"
+	"io"
 	"net/http"
-	"sort"
-	"time"
 
-	"gosrb/internal/mcat/shard"
-	"gosrb/internal/obs"
+	"gosrb/internal/report"
+	"gosrb/internal/wire"
 )
 
-// handleStatus renders the server status page from the same telemetry
-// snapshot the srbd admin endpoint and the OpStats wire op serve: per-op
-// counts and latency quantiles, per-driver byte totals, replica fan-out
-// counters, audit drops and the recent trace records.
-func (a *App) handleStatus(w http.ResponseWriter, r *http.Request, user string) {
-	reg := a.broker.Metrics()
-	reg.Gauge("audit.dropped").Set(a.broker.Cat.AuditLog().Dropped())
-	s := reg.Snapshot()
+// statusNav links the status pages to each other.
+const statusNav = `<p><a href="/status">server status</a> &middot; <a href="/usage">usage accounting</a> &middot; <a href="/shards">catalog shards</a> &middot; <a href="/heat">heat observatory</a> &middot; <a href="/grid">grid console</a> &middot; <a href="/peers">peer observatory</a> &middot; <a href="/incidents">incidents</a> &middot; <a href="/browse">back to browsing</a></p>`
 
-	w.Header().Set("Content-Type", "text/html; charset=utf-8")
-	fmt.Fprintf(w, `<html><head><title>mySRB server status</title></head><body>
-<h2>Server status — %s</h2>
-<p>uptime: %.0fs &middot; <a href="/usage">usage accounting</a> &middot; <a href="/shards">catalog shards</a> &middot; <a href="/heat">heat observatory</a> &middot; <a href="/browse">back to browsing</a></p>`,
-		template.HTMLEscapeString(a.broker.ServerName()), s.UptimeSeconds)
-
-	var ops []string
-	for name, o := range s.Ops {
-		if o.Count > 0 {
-			ops = append(ops, name)
+// statusPage builds the handler of a status page out of report rows —
+// the same feeds `srb` and the srbd admin endpoint serve: each named feed
+// is produced from the app's env (the request's query supplies its
+// parameters) and its rendering drawn as HTML tables. draw, when set,
+// adds what a table cannot: it runs on each reply before the tables.
+func (a *App) statusPage(title string, draw func(w io.Writer, reply any), feeds ...string) func(http.ResponseWriter, *http.Request, string) {
+	rows := make([]*report.Report, len(feeds))
+	for i, name := range feeds {
+		if rows[i] = report.Lookup(name); rows[i] == nil {
+			panic("mysrb: no report row named " + name)
 		}
 	}
-	if len(ops) > 0 {
-		sort.Strings(ops)
-		fmt.Fprint(w, `<h3>Operations</h3><table border="1" cellpadding="3">
-<tr><th>op</th><th>count</th><th>errors</th><th>p50 (&micro;s)</th><th>p90 (&micro;s)</th><th>p99 (&micro;s)</th></tr>`)
-		for _, name := range ops {
-			o := s.Ops[name]
-			fmt.Fprintf(w, "<tr><td>%s</td><td>%d</td><td>%d</td><td>%.1f</td><td>%.1f</td><td>%.1f</td></tr>",
-				template.HTMLEscapeString(name), o.Count, o.Errors, o.P50Micros, o.P90Micros, o.P99Micros)
-		}
-		fmt.Fprint(w, "</table>")
-	}
-
-	if eng := a.broker.Repair(); eng != nil {
-		st := eng.Status()
-		state := "running"
-		switch {
-		case st.Wedged:
-			state = "WEDGED"
-		case st.Paused:
-			state = "paused"
-		case !st.Running:
-			state = "stopped"
-		}
-		fmt.Fprintf(w, `<h3>Background repair</h3><p>state: %s &middot; workers alive: %d/%d &middot; backlog: %d`,
-			template.HTMLEscapeString(state), st.WorkersAlive, st.Workers, st.Backlog)
-		if st.Backlog > 0 {
-			fmt.Fprintf(w, " (oldest %s)", st.OldestAge.Truncate(time.Second))
-		}
-		fmt.Fprintf(w, " &middot; done: %d &middot; failed: %d &middot; retries: %d</p>", st.Done, st.Failed, st.Retries)
-		if len(st.Jobs) > 0 {
-			fmt.Fprint(w, `<table border="1" cellpadding="3"><tr><th>job</th><th>interval</th><th>runs</th><th>errors</th><th>last error</th></tr>`)
-			for _, j := range st.Jobs {
-				fmt.Fprintf(w, "<tr><td>%s</td><td>%s</td><td>%d</td><td>%d</td><td>%s</td></tr>",
-					template.HTMLEscapeString(j.Name), j.Interval, j.Runs, j.Errors,
-					template.HTMLEscapeString(j.LastErr))
+	return func(w http.ResponseWriter, r *http.Request, user string) {
+		w.Header().Set("Content-Type", "text/html; charset=utf-8")
+		fmt.Fprintf(w, "<html><head><title>mySRB %s</title></head><body>\n<h2>%s — %s</h2>\n%s",
+			title, title, template.HTMLEscapeString(a.env.Name), statusNav)
+		for _, rp := range rows {
+			rep, err := rp.Produce(a.env, r.URL.Query())
+			if err != nil {
+				fmt.Fprintf(w, "<p>%s</p>", template.HTMLEscapeString(err.Error()))
+				continue
 			}
-			fmt.Fprint(w, "</table>")
-		}
-	}
-
-	var counters []string
-	for name, v := range s.Counters {
-		if v != 0 {
-			counters = append(counters, name)
-		}
-	}
-	for name := range s.Gauges {
-		counters = append(counters, name)
-	}
-	if len(counters) > 0 {
-		sort.Strings(counters)
-		fmt.Fprint(w, `<h3>Counters</h3><table border="1" cellpadding="3"><tr><th>name</th><th>value</th></tr>`)
-		for _, name := range counters {
-			v, ok := s.Counters[name]
-			if !ok {
-				v = s.Gauges[name]
+			if draw != nil {
+				draw(w, rep)
 			}
-			fmt.Fprintf(w, "<tr><td>%s</td><td>%d</td></tr>", template.HTMLEscapeString(name), v)
+			rp.Render(rep, r.URL.Query()).WriteHTML(w)
 		}
-		fmt.Fprint(w, "</table>")
+		fmt.Fprint(w, "</body></html>")
 	}
-
-	if len(s.Traces) > 0 {
-		fmt.Fprint(w, `<h3>Recent traces</h3><table border="1" cellpadding="3">
-<tr><th>trace</th><th>op</th><th>server</th><th>&micro;s</th><th>error</th></tr>`)
-		show := s.Traces
-		if len(show) > 20 {
-			show = show[len(show)-20:]
-		}
-		for _, t := range show {
-			fmt.Fprintf(w, "<tr><td>%s</td><td>%s</td><td>%s</td><td>%d</td><td>%s</td></tr>",
-				template.HTMLEscapeString(t.Trace), template.HTMLEscapeString(t.Op),
-				template.HTMLEscapeString(t.Server), t.Micros, template.HTMLEscapeString(t.Err))
-		}
-		fmt.Fprint(w, "</table>")
-	}
-	fmt.Fprint(w, "</body></html>")
 }
 
-// handleShards renders the catalog shard table — the browser view of
-// what `srb shards` reports: per-shard role, replication position,
-// staleness and entry counts. A monolithic catalog shows its single
-// implicit leader shard.
-func (a *App) handleShards(w http.ResponseWriter, r *http.Request, user string) {
-	w.Header().Set("Content-Type", "text/html; charset=utf-8")
-	fmt.Fprintf(w, `<html><head><title>mySRB catalog shards</title></head><body>
-<h2>Catalog shards — %s</h2>
-<p><a href="/status">server status</a> &middot; <a href="/heat">heat observatory</a> &middot; <a href="/browse">back to browsing</a></p>`,
-		template.HTMLEscapeString(a.broker.ServerName()))
-
-	var rows []shard.Status
-	if rt, ok := a.broker.Cat.(interface{ Statuses() []shard.Status }); ok {
-		rows = rt.Statuses()
-	} else {
-		st := a.broker.Cat.Stats()
-		rows = []shard.Status{{Role: string(shard.Leader),
-			Objects: st.Objects, Collections: st.Collections, MetaEntries: st.MetaEntries}}
-	}
-	fmt.Fprint(w, `<table border="1" cellpadding="3">
-<tr><th>shard</th><th>role</th><th>leader</th><th>stale</th><th>applied</th><th>head</th><th>pull fails</th><th>replag entries</th><th>replag seconds</th><th>objects</th><th>collections</th><th>meta entries</th><th>last sync</th></tr>`)
-	for _, sh := range rows {
-		stale := ""
-		if sh.Stale {
-			stale = "STALE"
-		}
-		last := ""
-		if !sh.LastSync.IsZero() {
-			last = sh.LastSync.Format(time.RFC3339)
-		}
-		fmt.Fprintf(w, "<tr><td>%d</td><td>%s</td><td>%s</td><td>%s</td><td>%d</td><td>%d</td><td>%d</td><td>%d</td><td>%.0f</td><td>%d</td><td>%d</td><td>%d</td><td>%s</td></tr>",
-			sh.Shard, template.HTMLEscapeString(sh.Role), template.HTMLEscapeString(sh.Leader),
-			stale, sh.Applied, sh.Head, sh.PullFails, sh.ReplagEntries, sh.ReplagSeconds,
-			sh.Objects, sh.Collections, sh.MetaEntries,
-			template.HTMLEscapeString(last))
-	}
-	fmt.Fprint(w, "</table></body></html>")
-}
-
-// handleHeat renders the heat observatory — the browser view of what
-// `srb heat` and the admin /heat endpoint report: hot-key/hot-object
-// top-K tables, per-shard heat bars, replication lag, and the latest
-// rebalance advisor plan.
-func (a *App) handleHeat(w http.ResponseWriter, r *http.Request, user string) {
-	reg := a.broker.Metrics()
-	keys := reg.HeatKeys().Snapshot()
-	objects := reg.HeatObjects().Snapshot()
-
-	w.Header().Set("Content-Type", "text/html; charset=utf-8")
-	fmt.Fprintf(w, `<html><head><title>mySRB heat observatory</title></head><body>
-<h2>Heat observatory — %s</h2>
-<p><a href="/status">server status</a> &middot; <a href="/shards">catalog shards</a> &middot; <a href="/browse">back to browsing</a></p>`,
-		template.HTMLEscapeString(a.broker.ServerName()))
-
-	var plan *shard.Plan
-	if rt, ok := a.broker.Cat.(interface {
-		Advise(rows []obs.HeatStat, now time.Time) shard.Plan
-		LastPlan() *shard.Plan
-	}); ok {
-		if plan = rt.LastPlan(); plan == nil {
-			p := rt.Advise(keys, time.Now())
-			plan = &p
-		}
-	}
-
-	if plan != nil && len(plan.Shards) > 0 {
-		maxScore := float64(0)
-		for _, sh := range plan.Shards {
-			if sh.Score > maxScore {
-				maxScore = sh.Score
-			}
-		}
-		fmt.Fprint(w, `<h3>Shard heat</h3><table border="1" cellpadding="3">
-<tr><th>shard</th><th>heat</th><th>score</th><th>hot keys</th><th>objects</th></tr>`)
-		for _, sh := range plan.Shards {
-			pct := 0
-			if maxScore > 0 {
-				pct = int(sh.Score / maxScore * 100)
-			}
-			fmt.Fprintf(w, `<tr><td>%d</td><td><div style="width:200px;background:#eee"><div style="width:%d%%;background:#c33;color:#fff;white-space:nowrap">&nbsp;</div></div></td><td>%.1f</td><td>%d</td><td>%d</td></tr>`,
-				sh.Shard, pct, sh.Score, sh.HotKeys, sh.Objects)
-		}
-		fmt.Fprint(w, "</table>")
-	}
-
-	if len(keys) > 0 {
-		fmt.Fprint(w, `<h3>Hot catalog keys</h3><table border="1" cellpadding="3">
-<tr><th>key</th><th>count</th><th>score</th><th>bytes</th></tr>`)
-		for _, k := range keys {
-			fmt.Fprintf(w, "<tr><td>%s</td><td>%d</td><td>%.1f</td><td>%d</td></tr>",
-				template.HTMLEscapeString(k.Key), k.Count, k.Score, k.Bytes)
-		}
-		fmt.Fprint(w, "</table>")
-	}
-
-	if len(objects) > 0 {
-		fmt.Fprint(w, `<h3>Hot objects</h3><table border="1" cellpadding="3">
-<tr><th>object</th><th>count</th><th>score</th><th>bytes</th></tr>`)
-		for _, o := range objects {
-			fmt.Fprintf(w, "<tr><td>%s</td><td>%d</td><td>%.1f</td><td>%d</td></tr>",
-				template.HTMLEscapeString(o.Key), o.Count, o.Score, o.Bytes)
-		}
-		fmt.Fprint(w, "</table>")
-	}
-
-	if len(keys) == 0 && len(objects) == 0 {
-		fmt.Fprint(w, "<p>No heat recorded yet.</p>")
-	}
-
-	if plan != nil {
-		fmt.Fprintf(w, `<h3>Rebalance advisor</h3><p>imbalance %.2fx &rarr; %.2fx projected</p>`,
-			plan.Imbalance, plan.Projected)
-		if plan.Note != "" {
-			fmt.Fprintf(w, "<p>%s</p>", template.HTMLEscapeString(plan.Note))
-		}
-		if len(plan.Moves) > 0 {
-			fmt.Fprint(w, `<table border="1" cellpadding="3">
-<tr><th>key</th><th>from</th><th>to</th><th>score</th><th>est keys</th><th>est bytes</th></tr>`)
-			for _, m := range plan.Moves {
-				fmt.Fprintf(w, "<tr><td>%s</td><td>%d</td><td>%d</td><td>%.1f</td><td>%d</td><td>%d</td></tr>",
-					template.HTMLEscapeString(m.Key), m.From, m.To, m.Score, m.EstKeys, m.EstBytes)
-			}
-			fmt.Fprint(w, "</table>")
-		}
-	}
-	fmt.Fprint(w, "</body></html>")
-}
-
-// handleUsage renders the per-user/collection usage accounting table —
-// the browser view of what `srb usage` and the admin /usage endpoint
-// report: ops, errors, bytes moved and mean latency per (user,
-// collection) pair, with the last trace ID as a drill-down handle.
-func (a *App) handleUsage(w http.ResponseWriter, r *http.Request, user string) {
-	entries := a.broker.Metrics().Usage().Snapshot()
-
-	w.Header().Set("Content-Type", "text/html; charset=utf-8")
-	fmt.Fprintf(w, `<html><head><title>mySRB usage accounting</title></head><body>
-<h2>Usage accounting — %s</h2>
-<p><a href="/status">server status</a> &middot; <a href="/browse">back to browsing</a></p>`,
-		template.HTMLEscapeString(a.broker.ServerName()))
-	if len(entries) == 0 {
-		fmt.Fprint(w, "<p>No accounted operations yet.</p></body></html>")
+// drawShardHeat draws the advisor's per-shard heat join as bars above
+// the heat observatory's tables.
+func drawShardHeat(w io.Writer, reply any) {
+	plan := reply.(wire.HeatReply).Plan
+	if plan == nil || len(plan.Shards) == 0 {
 		return
 	}
-	fmt.Fprint(w, `<table border="1" cellpadding="3">
-<tr><th>user</th><th>collection</th><th>ops</th><th>errors</th><th>bytes in</th><th>bytes out</th><th>avg ms</th><th>last op</th><th>last trace</th></tr>`)
-	for _, e := range entries {
-		avgMS := float64(0)
-		if e.Ops > 0 {
-			avgMS = float64(e.TotalMicros) / float64(e.Ops) / 1000
-		}
-		fmt.Fprintf(w, "<tr><td>%s</td><td>%s</td><td>%d</td><td>%d</td><td>%d</td><td>%d</td><td>%.2f</td><td>%s</td><td>%s</td></tr>",
-			template.HTMLEscapeString(e.User), template.HTMLEscapeString(e.Collection),
-			e.Ops, e.Errors, e.BytesIn, e.BytesOut, avgMS,
-			template.HTMLEscapeString(e.LastOp), template.HTMLEscapeString(e.LastTrace))
+	maxScore := float64(0)
+	for _, sh := range plan.Shards {
+		maxScore = max(maxScore, sh.Score)
 	}
-	fmt.Fprint(w, "</table></body></html>")
+	fmt.Fprint(w, `<h3>Shard heat</h3><table border="1" cellpadding="3">
+<tr><th>shard</th><th>heat</th><th>score</th><th>hot keys</th><th>objects</th></tr>`)
+	for _, sh := range plan.Shards {
+		pct := 0
+		if maxScore > 0 {
+			pct = int(sh.Score / maxScore * 100)
+		}
+		fmt.Fprintf(w, `<tr><td>%d</td><td><div style="width:200px;background:#eee"><div style="width:%d%%;background:#c33;color:#fff;white-space:nowrap">&nbsp;</div></div></td><td>%.1f</td><td>%d</td><td>%d</td></tr>`,
+			sh.Shard, pct, sh.Score, sh.HotKeys, sh.Objects)
+	}
+	fmt.Fprintf(w, "</table><p>Rebalance advisor: imbalance %.2fx &rarr; %.2fx projected</p>", plan.Imbalance, plan.Projected)
+}
+
+// drawBundleLinks lists every incident bundle's members as download
+// links (/incident?id=...&file=...) above the bundle index.
+func drawBundleLinks(w io.Writer, reply any) {
+	for _, m := range reply.(wire.IncidentsReply).Incidents {
+		fmt.Fprintf(w, "<p>%s:", template.HTMLEscapeString(m.ID))
+		for _, f := range m.Files {
+			fmt.Fprintf(w, ` <a href="/incident?id=%s&amp;file=%s">%s</a>`,
+				template.URLQueryEscaper(m.ID), template.URLQueryEscaper(f), template.HTMLEscapeString(f))
+		}
+		fmt.Fprint(w, "</p>")
+	}
 }

@@ -15,6 +15,8 @@ import (
 	"gosrb/internal/core"
 	"gosrb/internal/mcat/shard"
 	"gosrb/internal/obs"
+	"gosrb/internal/report"
+	"gosrb/internal/storage"
 	"gosrb/internal/types"
 	"gosrb/internal/wire"
 )
@@ -146,9 +148,11 @@ func (s *Server) record(ss *session, req *wire.Request, sp *obs.Span, queueWait 
 }
 
 // dispatchOp executes one request and produces exactly one reply through
-// the session: a staged response or redirect, or a begun stream.
-// Handler errors become error responses; only transport failures
-// propagate and drop the connection.
+// the session: a staged response or redirect, or a begun stream. It
+// resolves the caller, looks the op up in the table, checks the row's
+// gate, and runs the row's handler, which decodes the arguments and does
+// the work. Handler errors become error responses; only transport
+// failures propagate and drop the connection.
 func (s *Server) dispatchOp(ss *session, req *wire.Request) error {
 	user, err := ss.effectiveUser(req)
 	if err != nil {
@@ -163,710 +167,370 @@ func (s *Server) dispatchOp(ss *session, req *wire.Request) error {
 	if ss.expired() {
 		return ss.fail(types.E(req.Op, "", types.ErrTimeout))
 	}
-	b := s.broker
-	switch req.Op {
-	case wire.OpMkdir:
-		a, err := decode[wire.PathArgs](req)
-		if err != nil {
-			return ss.fail(err)
-		}
-		if err := b.Mkdir(user, a.Path); err != nil {
-			return ss.fail(err)
-		}
-		return ss.reply(struct{}{})
-
-	case wire.OpRmColl:
-		a, err := decode[wire.PathArgs](req)
-		if err != nil {
-			return ss.fail(err)
-		}
-		if err := b.RmColl(user, a.Path); err != nil {
-			return ss.fail(err)
-		}
-		return ss.reply(struct{}{})
-
-	case wire.OpList:
-		a, err := decode[wire.PathArgs](req)
-		if err != nil {
-			return ss.fail(err)
-		}
-		stats, err := b.List(user, a.Path)
-		if err != nil {
-			return ss.fail(err)
-		}
-		return ss.reply(stats)
-
-	case wire.OpStat:
-		a, err := decode[wire.PathArgs](req)
-		if err != nil {
-			return ss.fail(err)
-		}
-		st, err := b.StatPath(user, a.Path)
-		if err != nil {
-			return ss.fail(err)
-		}
-		return ss.reply(st)
-
-	case wire.OpGetObject:
-		a, err := decode[wire.PathArgs](req)
-		if err != nil {
-			return ss.fail(err)
-		}
-		o, err := b.Cat.GetObject(a.Path)
-		if err != nil {
-			return ss.fail(err)
-		}
-		return ss.reply(o)
-
-	case wire.OpIngest:
-		a, err := decode[wire.IngestArgs](req)
-		if err != nil {
-			return ss.fail(err)
-		}
-		// A remote target resource federates by proxy: the owning
-		// server performs the ingest.
-		if owner := s.resourceOwner(a.Resource); owner != "" && !ss.isPeer {
-			body, err := s.proxyIngest(owner, user, req, ss.in, ss.deadline, ss.span)
-			if err != nil {
-				return ss.fail(err)
-			}
-			return ss.rawReply(body)
-		}
-		opts := toIngestOpts(a, ss.in)
-		opts.Span = ss.span
-		o, err := b.Ingest(user, opts)
-		if err != nil {
-			return ss.fail(err)
-		}
-		return ss.reply(o)
-
-	case wire.OpReingest:
-		a, err := decode[wire.PathArgs](req)
-		if err != nil {
-			return ss.fail(err)
-		}
-		if err := b.ReingestFrom(user, a.Path, ss.in); err != nil {
-			return ss.fail(err)
-		}
-		return ss.reply(struct{}{})
-
-	case wire.OpGet:
-		a, err := decode[wire.PathArgs](req)
-		if err != nil {
-			return ss.fail(err)
-		}
-		// A valid ticket lets the holder read with the issuer's
-		// authority — delegated access independent of ACL grants.
-		if req.Ticket != "" {
-			level, issuer, terr := s.tickets.Redeem(req.Ticket, a.Path)
-			if terr != nil {
-				return ss.fail(terr)
-			}
-			if l, lerr := acl.ParseLevel(level); lerr == nil && l >= acl.Read {
-				user = issuer
-			}
-		}
-		if owner := s.localityOf(a.Path); owner != "" && !ss.isPeer {
-			return s.federate(ss, owner, user, req)
-		}
-		f, size, err := b.OpenGet(user, a.Path, ss.span)
-		if err != nil {
-			return ss.fail(err)
-		}
-		defer f.Close()
-		return ss.sendStream(wire.SizeReply{Size: size}, &sourceReader{r: f})
-
-	case wire.OpIssueTicket:
-		a, err := decode[wire.TicketArgs](req)
-		if err != nil {
-			return ss.fail(err)
-		}
-		// Only a user holding Own may delegate access to a path.
-		if b.Cat.EffectiveLevel(a.Path, user) < acl.Own {
-			return ss.fail(types.E("issueticket", a.Path, types.ErrPermission))
-		}
-		if _, err := acl.ParseLevel(a.Level); err != nil {
-			return ss.fail(types.E("issueticket", a.Level, types.ErrInvalid))
-		}
-		ttl := time.Duration(a.TTLSeconds) * time.Second
-		if ttl <= 0 {
-			ttl = time.Hour
-		}
-		tk, err := s.tickets.Issue(user, a.Path, a.Level, a.Uses, time.Now().Add(ttl))
-		if err != nil {
-			return ss.fail(err)
-		}
-		return ss.reply(wire.TicketReply{ID: tk.ID})
-
-	case wire.OpReadRange:
-		a, err := decode[wire.RangeArgs](req)
-		if err != nil {
-			return ss.fail(err)
-		}
-		if owner := s.localityOf(a.Path); owner != "" && !ss.isPeer {
-			return s.federate(ss, owner, user, req)
-		}
-		return s.readRange(ss, user, a)
-
-	case wire.OpReplicate:
-		a, err := decode[wire.ReplicateArgs](req)
-		if err != nil {
-			return ss.fail(err)
-		}
-		rep, err := s.handleReplicate(user, ss, a)
-		if err != nil {
-			return ss.fail(err)
-		}
-		return ss.reply(rep)
-
-	case wire.OpIngestReplica:
-		a, err := decode[wire.ReplicateArgs](req)
-		if err != nil {
-			return ss.fail(err)
-		}
-		rep, err := b.IngestReplicaFrom(user, a.Path, a.Resource, ss.in)
-		if err != nil {
-			return ss.fail(err)
-		}
-		return ss.reply(rep)
-
-	case wire.OpDelete:
-		a, err := decode[wire.PathArgs](req)
-		if err != nil {
-			return ss.fail(err)
-		}
-		if err := b.Delete(user, a.Path); err != nil {
-			return ss.fail(err)
-		}
-		return ss.reply(struct{}{})
-
-	case wire.OpDeleteReplica:
-		a, err := decode[wire.ReplicaArgs](req)
-		if err != nil {
-			return ss.fail(err)
-		}
-		if err := b.DeleteReplica(user, a.Path, types.ReplicaNumber(a.Number)); err != nil {
-			return ss.fail(err)
-		}
-		return ss.reply(struct{}{})
-
-	case wire.OpMove:
-		a, err := decode[wire.MoveArgs](req)
-		if err != nil {
-			return ss.fail(err)
-		}
-		if err := b.Move(user, a.Src, a.Dst); err != nil {
-			return ss.fail(err)
-		}
-		return ss.reply(struct{}{})
-
-	case wire.OpCopy:
-		a, err := decode[wire.CopyArgs](req)
-		if err != nil {
-			return ss.fail(err)
-		}
-		if err := b.Copy(user, a.Src, a.Dst, a.Resource); err != nil {
-			return ss.fail(err)
-		}
-		return ss.reply(struct{}{})
-
-	case wire.OpLink:
-		a, err := decode[wire.LinkArgs](req)
-		if err != nil {
-			return ss.fail(err)
-		}
-		if err := b.Link(user, a.Target, a.LinkPath); err != nil {
-			return ss.fail(err)
-		}
-		return ss.reply(struct{}{})
-
-	case wire.OpAddMeta:
-		a, err := decode[wire.MetaArgs](req)
-		if err != nil {
-			return ss.fail(err)
-		}
-		if err := b.AddMeta(user, a.Path, types.MetaClass(a.Class), a.AVU); err != nil {
-			return ss.fail(err)
-		}
-		return ss.reply(struct{}{})
-
-	case wire.OpGetMeta:
-		a, err := decode[wire.GetMetaArgs](req)
-		if err != nil {
-			return ss.fail(err)
-		}
-		avus, err := b.GetMeta(user, a.Path, types.MetaClass(a.Class))
-		if err != nil {
-			return ss.fail(err)
-		}
-		return ss.reply(avus)
-
-	case wire.OpAnnotate:
-		a, err := decode[wire.AnnotateArgs](req)
-		if err != nil {
-			return ss.fail(err)
-		}
-		if err := b.Annotate(user, a.Path, a.Ann); err != nil {
-			return ss.fail(err)
-		}
-		return ss.reply(struct{}{})
-
-	case wire.OpAnnotations:
-		a, err := decode[wire.PathArgs](req)
-		if err != nil {
-			return ss.fail(err)
-		}
-		anns, err := b.Annotations(user, a.Path)
-		if err != nil {
-			return ss.fail(err)
-		}
-		return ss.reply(anns)
-
-	case wire.OpQuery:
-		a, err := decode[wire.QueryArgs](req)
-		if err != nil {
-			return ss.fail(err)
-		}
-		qstart := time.Now()
-		hits, partial, err := b.QueryPartial(user, a.Q)
-		if err != nil {
-			return ss.fail(err)
-		}
-		// On a sharded catalog the whole call is the scatter-gather
-		// fan-out; the router's own phase ops attribute the merge tail.
-		if sh, ok := b.Cat.(interface{ N() int }); ok && sh.N() > 1 {
-			ss.span.Phase(obs.PhaseShardFanout, time.Since(qstart))
-		}
-		return ss.reply(wire.QueryReply{Hits: hits, Partial: partial})
-
-	case wire.OpQueryAttrs:
-		a, err := decode[wire.PathArgs](req)
-		if err != nil {
-			return ss.fail(err)
-		}
-		return ss.reply(b.QueryAttrNames(user, a.Path))
-
-	case wire.OpChmod:
-		a, err := decode[wire.ChmodArgs](req)
-		if err != nil {
-			return ss.fail(err)
-		}
-		level, err := acl.ParseLevel(a.Level)
-		if err != nil {
-			return ss.fail(types.E("chmod", a.Level, types.ErrInvalid))
-		}
-		if err := b.Chmod(user, a.Path, a.Grantee, level); err != nil {
-			return ss.fail(err)
-		}
-		return ss.reply(struct{}{})
-
-	case wire.OpLock:
-		a, err := decode[wire.LockArgs](req)
-		if err != nil {
-			return ss.fail(err)
-		}
-		kind, err := parseLockKind(a.Kind)
-		if err != nil {
-			return ss.fail(err)
-		}
-		if err := b.Lock(user, a.Path, kind, time.Duration(a.TTLSeconds)*time.Second); err != nil {
-			return ss.fail(err)
-		}
-		return ss.reply(struct{}{})
-
-	case wire.OpUnlock:
-		a, err := decode[wire.PathArgs](req)
-		if err != nil {
-			return ss.fail(err)
-		}
-		if err := b.Unlock(user, a.Path); err != nil {
-			return ss.fail(err)
-		}
-		return ss.reply(struct{}{})
-
-	case wire.OpPin:
-		a, err := decode[wire.PinArgs](req)
-		if err != nil {
-			return ss.fail(err)
-		}
-		if err := b.Pin(user, a.Path, a.Resource, time.Duration(a.TTLSeconds)*time.Second); err != nil {
-			return ss.fail(err)
-		}
-		return ss.reply(struct{}{})
-
-	case wire.OpUnpin:
-		a, err := decode[wire.PinArgs](req)
-		if err != nil {
-			return ss.fail(err)
-		}
-		if err := b.Unpin(user, a.Path, a.Resource); err != nil {
-			return ss.fail(err)
-		}
-		return ss.reply(struct{}{})
-
-	case wire.OpCheckout:
-		a, err := decode[wire.PathArgs](req)
-		if err != nil {
-			return ss.fail(err)
-		}
-		if err := b.Checkout(user, a.Path); err != nil {
-			return ss.fail(err)
-		}
-		return ss.reply(struct{}{})
-
-	case wire.OpCheckin:
-		a, err := decode[wire.CheckinArgs](req)
-		if err != nil {
-			return ss.fail(err)
-		}
-		if err := b.CheckinFrom(user, a.Path, ss.in, a.Comment); err != nil {
-			return ss.fail(err)
-		}
-		return ss.reply(struct{}{})
-
-	case wire.OpRegisterURL:
-		a, err := decode[wire.RegisterURLArgs](req)
-		if err != nil {
-			return ss.fail(err)
-		}
-		o, err := b.RegisterURL(user, a.Path, a.URL)
-		if err != nil {
-			return ss.fail(err)
-		}
-		return ss.reply(o)
-
-	case wire.OpRegisterSQL:
-		a, err := decode[wire.RegisterSQLArgs](req)
-		if err != nil {
-			return ss.fail(err)
-		}
-		o, err := b.RegisterSQL(user, a.Path, a.Spec)
-		if err != nil {
-			return ss.fail(err)
-		}
-		return ss.reply(o)
-
-	case wire.OpExecSQL:
-		a, err := decode[wire.ExecSQLArgs](req)
-		if err != nil {
-			return ss.fail(err)
-		}
-		if owner := s.sqlOwner(a.Path); owner != "" && !ss.isPeer {
-			return s.federate(ss, owner, user, req)
-		}
-		data, err := b.ExecuteSQL(user, a.Path, a.Suffix)
-		if err != nil {
-			return ss.fail(err)
-		}
-		return ss.replyData(data)
-
-	case wire.OpInvoke:
-		a, err := decode[wire.InvokeArgs](req)
-		if err != nil {
-			return ss.fail(err)
-		}
-		data, err := b.InvokeMethod(user, a.Path, a.Args)
-		if err != nil {
-			return ss.fail(err)
-		}
-		return ss.replyData(data)
-
-	case wire.OpMkContainer:
-		a, err := decode[wire.ContainerArgs](req)
-		if err != nil {
-			return ss.fail(err)
-		}
-		o, err := b.CreateContainer(user, a.Path, a.Resource)
-		if err != nil {
-			return ss.fail(err)
-		}
-		return ss.reply(o)
-
-	case wire.OpSyncContainer:
-		a, err := decode[wire.PathArgs](req)
-		if err != nil {
-			return ss.fail(err)
-		}
-		n, err := b.SyncContainer(user, a.Path)
-		if err != nil {
-			return ss.fail(err)
-		}
-		return ss.reply(wire.CountReply{N: n})
-
-	case wire.OpExtract:
-		a, err := decode[wire.ExtractArgs](req)
-		if err != nil {
-			return ss.fail(err)
-		}
-		n, err := b.ExtractMeta(user, a.Path, a.Method, a.From)
-		if err != nil {
-			return ss.fail(err)
-		}
-		return ss.reply(wire.CountReply{N: n})
-
-	case wire.OpShadowList:
-		a, err := decode[wire.ShadowArgs](req)
-		if err != nil {
-			return ss.fail(err)
-		}
-		infos, err := b.ShadowList(user, a.Path, a.Rel)
-		if err != nil {
-			return ss.fail(err)
-		}
-		return ss.reply(infos)
-
-	case wire.OpShadowOpen:
-		a, err := decode[wire.ShadowArgs](req)
-		if err != nil {
-			return ss.fail(err)
-		}
-		data, err := b.ShadowOpen(user, a.Path, a.Rel)
-		if err != nil {
-			return ss.fail(err)
-		}
-		return ss.replyData(data)
-
-	case wire.OpAddUser:
-		a, err := decode[wire.AddUserArgs](req)
-		if err != nil {
-			return ss.fail(err)
-		}
-		if !b.Cat.IsAdmin(user) {
-			return ss.fail(types.E("adduser", a.Name, types.ErrPermission))
-		}
-		if a.Name == "" || a.Password == "" {
-			return ss.fail(types.E("adduser", a.Name, types.ErrInvalid))
-		}
-		domain := a.Domain
-		if domain == "" {
-			domain = "local"
-		}
-		if err := b.Cat.AddUser(types.User{Name: a.Name, Domain: domain, Admin: a.Admin}); err != nil {
-			return ss.fail(err)
-		}
-		s.authn.Register(a.Name, a.Password)
-		b.Cat.AuditLog().Op(user, "adduser", a.Name, true, domain)
-		return ss.reply(struct{}{})
-
-	case wire.OpAudit:
-		a, err := decode[wire.AuditArgs](req)
-		if err != nil {
-			return ss.fail(err)
-		}
-		if !b.Cat.IsAdmin(user) {
-			return ss.fail(types.E("audit", "", types.ErrPermission))
-		}
-		recs := b.Cat.AuditLog().Query(audit.Filter{User: a.User, Op: a.Op, Target: a.Target, Trace: a.Trace})
-		if a.Limit > 0 && len(recs) > a.Limit {
-			recs = recs[len(recs)-a.Limit:]
-		}
-		return ss.reply(recs)
-
-	case wire.OpTrace:
-		a, err := decode[wire.TraceArgs](req)
-		if err != nil {
-			return ss.fail(err)
-		}
-		if a.ID == "" {
-			return ss.fail(types.E("trace", "", types.ErrInvalid))
-		}
-		// Client-facing requests fan out to every peer so the reply
-		// covers all hops of a federated operation; peer-forwarded
-		// requests answer from the local ring only.
-		return ss.reply(s.gatherTrace(user, a.ID, !ss.isPeer))
-
-	case wire.OpUsage:
-		a, err := decode[wire.UsageArgs](req)
-		if err != nil {
-			return ss.fail(err)
-		}
-		entries := s.broker.Metrics().Usage().Snapshot()
-		if a.User != "" || a.Collection != "" {
-			kept := entries[:0]
-			for _, e := range entries {
-				if a.User != "" && e.User != a.User {
-					continue
-				}
-				if a.Collection != "" && e.Collection != a.Collection {
-					continue
-				}
-				kept = append(kept, e)
-			}
-			entries = kept
-		}
-		return ss.reply(wire.UsageReply{Server: s.name, Entries: entries})
-
-	case wire.OpResources:
-		return ss.reply(b.Cat.Resources())
-
-	case wire.OpServerStats:
-		return ss.reply(s.stats())
-
-	case wire.OpOpStats:
-		return ss.reply(s.Telemetry())
-
-	case wire.OpRepairStatus:
-		return ss.reply(s.repairStatus())
-
-	case wire.OpShards:
-		if _, err := decode[wire.ShardsArgs](req); err != nil {
-			return ss.fail(err)
-		}
-		if rt, ok := b.Cat.(interface{ Statuses() []shard.Status }); ok {
-			return ss.reply(wire.ShardsReply{Server: s.name, Shards: rt.Statuses()})
-		}
-		// Monolithic catalog: report the single implicit leader shard so
-		// `srb shards` works against any daemon.
-		st := b.Cat.Stats()
-		return ss.reply(wire.ShardsReply{Server: s.name, Shards: []shard.Status{{
-			Role: string(shard.Leader), Objects: st.Objects,
-			Collections: st.Collections, MetaEntries: st.MetaEntries,
-		}}})
-
-	case wire.OpShardPull:
-		a, err := decode[wire.ShardPullArgs](req)
-		if err != nil {
-			return ss.fail(err)
-		}
-		// The replication stream exposes the whole catalog, so only
-		// peer daemons and administrators may pull it.
-		if !ss.isPeer && !b.Cat.IsAdmin(user) {
-			return ss.fail(types.E("shardpull", "", types.ErrPermission))
-		}
-		rt, ok := b.Cat.(interface {
-			Pull(int, uint64) (shard.PullResult, error)
-		})
-		if !ok {
-			return ss.fail(types.E("shardpull", "", types.ErrUnsupported))
-		}
-		res, err := rt.Pull(a.Shard, a.After)
-		if err != nil {
-			return ss.fail(err)
-		}
-		return ss.reply(wire.ShardPullReply{
-			Server: s.name, Entries: res.Entries,
-			Snapshot: res.Snapshot, Seq: res.Seq,
-		})
-
-	case wire.OpGridStat:
-		a, err := decode[wire.GridStatArgs](req)
-		if err != nil {
-			return ss.fail(err)
-		}
-		window := time.Duration(a.WindowSeconds) * time.Second
-		// Client-facing requests fan out to every peer for the grid
-		// view; peer-forwarded (or explicitly local) requests answer
-		// from the local ring only, bounding the gather to one hop.
-		fanout := !ss.isPeer && !a.LocalOnly
-		return ss.reply(s.gatherGridStat(user, window, fanout, ss.deadline, ss.span))
-
-	case wire.OpAlerts:
-		if _, err := decode[wire.AlertsArgs](req); err != nil {
-			return ss.fail(err)
-		}
-		return ss.reply(s.alerts())
-
-	case wire.OpIncidents:
-		if _, err := decode[wire.IncidentsArgs](req); err != nil {
-			return ss.fail(err)
-		}
-		return ss.reply(s.incidents())
-
-	case wire.OpIncidentGet:
-		a, err := decode[wire.IncidentGetArgs](req)
-		if err != nil {
-			return ss.fail(err)
-		}
-		rep, err := s.incidentGet(a.ID)
-		if err != nil {
-			return ss.fail(err)
-		}
-		return ss.reply(rep)
-
-	case wire.OpIncidentCapture:
-		a, err := decode[wire.IncidentCaptureArgs](req)
-		if err != nil {
-			return ss.fail(err)
-		}
-		rep, err := s.incidentCapture(a.Reason)
-		if err != nil {
-			return ss.fail(err)
-		}
-		return ss.reply(rep)
-
-	case wire.OpPeers:
-		if _, err := decode[wire.PeersArgs](req); err != nil {
-			return ss.fail(err)
-		}
-		return ss.reply(s.peersReply())
-
-	case wire.OpHeat:
-		if _, err := decode[wire.HeatArgs](req); err != nil {
-			return ss.fail(err)
-		}
-		return ss.reply(s.heat())
-
-	case wire.OpScrub:
-		a, err := decode[wire.PathArgs](req)
-		if err != nil {
-			return ss.fail(err)
-		}
-		rpt, err := s.broker.Scrub(user, a.Path, ss.span)
-		if err != nil {
-			return ss.fail(err)
-		}
-		return ss.reply(wire.ScrubReply{Server: s.name, Report: rpt})
-
-	case wire.OpChecksum:
-		a, err := decode[wire.PathArgs](req)
-		if err != nil {
-			return ss.fail(err)
-		}
-		o, verdicts, err := s.broker.VerifyChecksums(user, a.Path)
-		if err != nil {
-			return ss.fail(err)
-		}
-		return ss.reply(wire.ChecksumReply{Path: o.Path(), Checksum: o.Checksum, Verdicts: verdicts})
-
-	case wire.OpBulkPut:
-		a, err := decode[wire.BulkPutArgs](req)
-		if err != nil {
-			return ss.fail(err)
-		}
-		rep, err := s.handleBulkPut(user, ss, a, ss.in, req)
-		if err != nil {
-			return ss.fail(err)
-		}
-		return ss.reply(rep)
-
-	case wire.OpMultiGet:
-		a, err := decode[wire.MultiGetArgs](req)
-		if err != nil {
-			return ss.fail(err)
-		}
-		return s.handleMultiGet(user, ss, a, req)
-
-	case wire.OpBulkStat:
-		a, err := decode[wire.BulkStatArgs](req)
-		if err != nil {
-			return ss.fail(err)
-		}
-		s.observeBatch(len(a.Paths))
-		rep := wire.BulkStatReply{Server: s.name}
-		for _, p := range a.Paths {
-			item := wire.BulkStatItem{Path: p}
-			if st, err := b.StatPath(user, p); err != nil {
-				item.ErrKind, item.ErrMsg = wire.KindOf(err), err.Error()
-			} else {
-				item.OK, item.Stat = true, st
-			}
-			rep.Items = append(rep.Items, item)
-		}
-		return ss.reply(rep)
-
-	default:
+	op := ops[req.Op]
+	if op == nil {
 		return ss.fail(types.E(req.Op, "", types.ErrUnsupported))
 	}
+	switch op.spec.Gate {
+	case wire.GateAdmin:
+		if !s.broker.Cat.IsAdmin(user) {
+			return ss.fail(types.E(req.Op, "", types.ErrPermission))
+		}
+	case wire.GatePeerOrAdmin:
+		if !ss.isPeer && !s.broker.Cat.IsAdmin(user) {
+			return ss.fail(types.E(req.Op, "", types.ErrPermission))
+		}
+	}
+	return op.run(call{s: s, ss: ss, b: s.broker, user: user, req: req})
+}
+
+// call is what a handler gets besides its decoded arguments. It is
+// passed by value, so serving a request allocates nothing for it.
+type call struct {
+	s    *Server
+	ss   *session
+	b    *core.Broker
+	user string // the effective user
+	req  *wire.Request
+}
+
+// handler serves one op: it decodes the request's arguments and replies
+// through the session.
+type handler func(c call) error
+
+// via builds the handler of an op that replies through the session
+// itself: a stream, a redirect, or a peer's reply relayed untouched. fn
+// stages its own failures (ss.fail); what it returns is a transport
+// error.
+func via[A any](fn func(c call, a A) error) handler {
+	return func(c call) error {
+		a, err := wire.DecodeArgs[A](c.req.Args)
+		if err != nil {
+			return c.ss.fail(err)
+		}
+		return fn(c, a)
+	}
+}
+
+// get builds the handler of an op that replies with a value: decode, one
+// call, reply.
+func get[A, R any](fn func(c call, a A) (R, error)) handler {
+	return via(func(c call, a A) error {
+		r, err := fn(c, a)
+		if err != nil {
+			return c.ss.fail(err)
+		}
+		return c.ss.reply(r)
+	})
+}
+
+// do builds the handler of an op that replies with nothing: decode, one
+// call, empty reply.
+func do[A any](fn func(c call, a A) error) handler {
+	return get(func(c call, a A) (struct{}, error) { return struct{}{}, fn(c, a) })
+}
+
+// feed builds the handler of a status feed's wire op from its report
+// row. A client-facing request reaches the zone (grid and trace cover
+// every peer); a peer-forwarded one answers for this server only, which
+// bounds a gather to one hop.
+func feed(r *report.Report) handler {
+	return func(c call) error {
+		env := c.s.env(nil)
+		if !c.ss.isPeer {
+			env.Zone = reach{s: c.s, user: c.user, deadline: c.ss.deadline, sp: c.ss.span}
+		}
+		rep, err := r.Serve(env, c.req.Args)
+		if err != nil {
+			return c.ss.fail(err)
+		}
+		return c.ss.reply(rep)
+	}
+}
+
+// op is one row of the server's table: the op's static spec and its
+// handler.
+type op struct {
+	spec *wire.OpSpec
+	run  handler
+}
+
+// ops is the server's op table: every row of wire's table joined to its
+// one handler — from the handlers below, or derived from the status
+// feed the op serves. A wire op with no handler or two, or a handler for
+// an op wire does not define, is a programming error caught at start-up.
+var ops = func() map[string]*op {
+	feeds := map[string]handler{}
+	for _, r := range report.All {
+		if r.Op != "" {
+			feeds[r.Op] = feed(r)
+		}
+	}
+	m := make(map[string]*op, len(wire.Specs()))
+	for i := range wire.Specs() {
+		spec := &wire.Specs()[i]
+		h, f := handlers[spec.Name], feeds[spec.Name]
+		if (h == nil) == (f == nil) {
+			panic("server: op " + spec.Name + " needs exactly one handler")
+		}
+		if h == nil {
+			h = f
+		}
+		m[spec.Name] = &op{spec: spec, run: h}
+	}
+	if len(m) != len(handlers)+len(feeds) {
+		panic("server: a handler is registered for an op wire does not define")
+	}
+	return m
+}()
+
+// handlers holds the handler of every op that is not a status feed. The
+// arms that are one broker call are one line; the rest name a function
+// below.
+var handlers = map[string]handler{
+	wire.OpMkdir:       do(func(c call, a wire.PathArgs) error { return c.b.Mkdir(c.user, a.Path) }),
+	wire.OpRmColl:      do(func(c call, a wire.PathArgs) error { return c.b.RmColl(c.user, a.Path) }),
+	wire.OpList:        get(func(c call, a wire.PathArgs) ([]types.Stat, error) { return c.b.List(c.user, a.Path) }),
+	wire.OpStat:        get(func(c call, a wire.PathArgs) (types.Stat, error) { return c.b.StatPath(c.user, a.Path) }),
+	wire.OpGetObject:   get(func(c call, a wire.PathArgs) (types.DataObject, error) { return c.b.Cat.GetObject(a.Path) }),
+	wire.OpIngest:      via(ingest),
+	wire.OpReingest:    do(func(c call, a wire.PathArgs) error { return c.b.ReingestFrom(c.user, a.Path, c.ss.in) }),
+	wire.OpGet:         via(getObject),
+	wire.OpIssueTicket: get(issueTicket),
+	wire.OpReadRange:   via(readRange),
+	wire.OpReplicate:   get(replicate),
+	wire.OpIngestReplica: get(func(c call, a wire.ReplicateArgs) (types.Replica, error) {
+		return c.b.IngestReplicaFrom(c.user, a.Path, a.Resource, c.ss.in)
+	}),
+	wire.OpDelete: do(func(c call, a wire.PathArgs) error { return c.b.Delete(c.user, a.Path) }),
+	wire.OpDeleteReplica: do(func(c call, a wire.ReplicaArgs) error {
+		return c.b.DeleteReplica(c.user, a.Path, types.ReplicaNumber(a.Number))
+	}),
+	wire.OpMove: do(func(c call, a wire.MoveArgs) error { return c.b.Move(c.user, a.Src, a.Dst) }),
+	wire.OpCopy: do(func(c call, a wire.CopyArgs) error { return c.b.Copy(c.user, a.Src, a.Dst, a.Resource) }),
+	wire.OpLink: do(func(c call, a wire.LinkArgs) error { return c.b.Link(c.user, a.Target, a.LinkPath) }),
+	wire.OpAddMeta: do(func(c call, a wire.MetaArgs) error {
+		return c.b.AddMeta(c.user, a.Path, types.MetaClass(a.Class), a.AVU)
+	}),
+	wire.OpGetMeta: get(func(c call, a wire.GetMetaArgs) ([]types.AVU, error) {
+		return c.b.GetMeta(c.user, a.Path, types.MetaClass(a.Class))
+	}),
+	wire.OpAnnotate:    do(func(c call, a wire.AnnotateArgs) error { return c.b.Annotate(c.user, a.Path, a.Ann) }),
+	wire.OpAnnotations: get(func(c call, a wire.PathArgs) ([]types.Annotation, error) { return c.b.Annotations(c.user, a.Path) }),
+	wire.OpQuery:       get(query),
+	wire.OpQueryAttrs:  get(func(c call, a wire.PathArgs) ([]string, error) { return c.b.QueryAttrNames(c.user, a.Path), nil }),
+	wire.OpChmod:       do(chmod),
+	wire.OpLock:        do(lock),
+	wire.OpUnlock:      do(func(c call, a wire.PathArgs) error { return c.b.Unlock(c.user, a.Path) }),
+	wire.OpPin: do(func(c call, a wire.PinArgs) error {
+		return c.b.Pin(c.user, a.Path, a.Resource, time.Duration(a.TTLSeconds)*time.Second)
+	}),
+	wire.OpUnpin:    do(func(c call, a wire.PinArgs) error { return c.b.Unpin(c.user, a.Path, a.Resource) }),
+	wire.OpCheckout: do(func(c call, a wire.PathArgs) error { return c.b.Checkout(c.user, a.Path) }),
+	wire.OpCheckin:  do(func(c call, a wire.CheckinArgs) error { return c.b.CheckinFrom(c.user, a.Path, c.ss.in, a.Comment) }),
+	wire.OpRegisterURL: get(func(c call, a wire.RegisterURLArgs) (types.DataObject, error) {
+		return c.b.RegisterURL(c.user, a.Path, a.URL)
+	}),
+	wire.OpRegisterSQL: get(func(c call, a wire.RegisterSQLArgs) (types.DataObject, error) {
+		return c.b.RegisterSQL(c.user, a.Path, a.Spec)
+	}),
+	wire.OpExecSQL: via(execSQL),
+	wire.OpInvoke:  via(func(c call, a wire.InvokeArgs) error { return c.replyData(c.b.InvokeMethod(c.user, a.Path, a.Args)) }),
+	wire.OpMkContainer: get(func(c call, a wire.ContainerArgs) (types.DataObject, error) {
+		return c.b.CreateContainer(c.user, a.Path, a.Resource)
+	}),
+	wire.OpSyncContainer: get(func(c call, a wire.PathArgs) (wire.CountReply, error) {
+		n, err := c.b.SyncContainer(c.user, a.Path)
+		return wire.CountReply{N: n}, err
+	}),
+	wire.OpExtract: get(func(c call, a wire.ExtractArgs) (wire.CountReply, error) {
+		n, err := c.b.ExtractMeta(c.user, a.Path, a.Method, a.From)
+		return wire.CountReply{N: n}, err
+	}),
+	wire.OpShadowList: get(func(c call, a wire.ShadowArgs) ([]storage.FileInfo, error) {
+		return c.b.ShadowList(c.user, a.Path, a.Rel)
+	}),
+	wire.OpShadowOpen:      via(func(c call, a wire.ShadowArgs) error { return c.replyData(c.b.ShadowOpen(c.user, a.Path, a.Rel)) }),
+	wire.OpAddUser:         do(addUser),
+	wire.OpAudit:           get(auditTail),
+	wire.OpResources:       get(func(c call, _ struct{}) ([]types.Resource, error) { return c.b.Cat.Resources(), nil }),
+	wire.OpShardPull:       get(shardPull),
+	wire.OpIncidentGet:     get(incidentGet),
+	wire.OpIncidentCapture: get(incidentCapture),
+	wire.OpScrub: get(func(c call, a wire.PathArgs) (wire.ScrubReply, error) {
+		rpt, err := c.b.Scrub(c.user, a.Path, c.ss.span)
+		return wire.ScrubReply{Server: c.s.name, Report: rpt}, err
+	}),
+	wire.OpChecksum: get(func(c call, a wire.PathArgs) (wire.ChecksumReply, error) {
+		o, verdicts, err := c.b.VerifyChecksums(c.user, a.Path)
+		return wire.ChecksumReply{Path: o.Path(), Checksum: o.Checksum, Verdicts: verdicts}, err
+	}),
+	wire.OpBulkPut:  get(bulkPut),
+	wire.OpMultiGet: via(multiGet),
+	wire.OpBulkStat: get(bulkStat),
+}
+
+// replyData streams data, or stages the error that came in its place.
+func (c call) replyData(data []byte, err error) error {
+	if err != nil {
+		return c.ss.fail(err)
+	}
+	return c.ss.replyData(data)
+}
+
+// ingest stores a new object from the request's inbound stream. A
+// remote target resource federates by proxy: the owning server performs
+// the ingest and its reply is relayed untouched.
+func ingest(c call, a wire.IngestArgs) error {
+	if owner := c.s.resourceOwner(a.Resource); owner != "" && !c.ss.isPeer {
+		body, err := c.s.proxyIngest(owner, c.user, c.req, c.ss.in, c.ss.deadline, c.ss.span)
+		if err != nil {
+			return c.ss.fail(err)
+		}
+		return c.ss.rawReply(body)
+	}
+	o, err := c.b.Ingest(c.user, core.IngestOpts{
+		Path: a.Path, Reader: c.ss.in, Resource: a.Resource,
+		Container: a.Container, DataType: a.DataType, Meta: a.Meta, Span: c.ss.span,
+	})
+	if err != nil {
+		return c.ss.fail(err)
+	}
+	return c.ss.reply(o)
+}
+
+// getObject streams an object from its open replica, or federates the
+// read to the peer that holds it.
+func getObject(c call, a wire.PathArgs) error {
+	user := c.user
+	// A valid ticket lets the holder read with the issuer's
+	// authority — delegated access independent of ACL grants.
+	if c.req.Ticket != "" {
+		level, issuer, terr := c.s.tickets.Redeem(c.req.Ticket, a.Path)
+		if terr != nil {
+			return c.ss.fail(terr)
+		}
+		if l, lerr := acl.ParseLevel(level); lerr == nil && l >= acl.Read {
+			user = issuer
+		}
+	}
+	if owner := c.s.localityOf(a.Path); owner != "" && !c.ss.isPeer {
+		return c.s.federate(c.ss, owner, user, c.req)
+	}
+	f, size, err := c.b.OpenGet(user, a.Path, c.ss.span)
+	if err != nil {
+		return c.ss.fail(err)
+	}
+	defer f.Close()
+	return c.ss.sendStream(wire.SizeReply{Size: size}, &sourceReader{r: f})
+}
+
+func issueTicket(c call, a wire.TicketArgs) (wire.TicketReply, error) {
+	// Only a user holding Own may delegate access to a path.
+	if c.b.Cat.EffectiveLevel(a.Path, c.user) < acl.Own {
+		return wire.TicketReply{}, types.E("issueticket", a.Path, types.ErrPermission)
+	}
+	if _, err := acl.ParseLevel(a.Level); err != nil {
+		return wire.TicketReply{}, types.E("issueticket", a.Level, types.ErrInvalid)
+	}
+	ttl := time.Duration(a.TTLSeconds) * time.Second
+	if ttl <= 0 {
+		ttl = time.Hour
+	}
+	tk, err := c.s.tickets.Issue(c.user, a.Path, a.Level, a.Uses, time.Now().Add(ttl))
+	if err != nil {
+		return wire.TicketReply{}, err
+	}
+	return wire.TicketReply{ID: tk.ID}, nil
+}
+
+func query(c call, a wire.QueryArgs) (wire.QueryReply, error) {
+	qstart := time.Now()
+	hits, partial, err := c.b.QueryPartial(c.user, a.Q)
+	// On a sharded catalog the whole call is the scatter-gather
+	// fan-out; the router's own phase ops attribute the merge tail.
+	if sh, ok := c.b.Cat.(interface{ N() int }); err == nil && ok && sh.N() > 1 {
+		c.ss.span.Phase(obs.PhaseShardFanout, time.Since(qstart))
+	}
+	return wire.QueryReply{Hits: hits, Partial: partial}, err
+}
+
+func chmod(c call, a wire.ChmodArgs) error {
+	level, err := acl.ParseLevel(a.Level)
+	if err != nil {
+		return types.E("chmod", a.Level, types.ErrInvalid)
+	}
+	return c.b.Chmod(c.user, a.Path, a.Grantee, level)
+}
+
+func lock(c call, a wire.LockArgs) error {
+	kind, err := parseLockKind(a.Kind)
+	if err != nil {
+		return err
+	}
+	return c.b.Lock(c.user, a.Path, kind, time.Duration(a.TTLSeconds)*time.Second)
+}
+
+func execSQL(c call, a wire.ExecSQLArgs) error {
+	if owner := c.s.sqlOwner(a.Path); owner != "" && !c.ss.isPeer {
+		return c.s.federate(c.ss, owner, c.user, c.req)
+	}
+	return c.replyData(c.b.ExecuteSQL(c.user, a.Path, a.Suffix))
+}
+
+// addUser registers an account; the row's gate has admitted an
+// administrator.
+func addUser(c call, a wire.AddUserArgs) error {
+	if a.Name == "" || a.Password == "" {
+		return types.E("adduser", a.Name, types.ErrInvalid)
+	}
+	domain := a.Domain
+	if domain == "" {
+		domain = "local"
+	}
+	if err := c.b.Cat.AddUser(types.User{Name: a.Name, Domain: domain, Admin: a.Admin}); err != nil {
+		return err
+	}
+	c.s.authn.Register(a.Name, a.Password)
+	c.b.Cat.AuditLog().Op(c.user, "adduser", a.Name, true, domain)
+	return nil
+}
+
+func auditTail(c call, a wire.AuditArgs) ([]types.AuditRecord, error) {
+	recs := c.b.Cat.AuditLog().Query(audit.Filter{User: a.User, Op: a.Op, Target: a.Target, Trace: a.Trace})
+	if a.Limit > 0 && len(recs) > a.Limit {
+		recs = recs[len(recs)-a.Limit:]
+	}
+	return recs, nil
+}
+
+// shardPull serves one shard's replication stream. It exposes the whole
+// catalog, which is why the row's gate admits only peer daemons and
+// administrators.
+func shardPull(c call, a wire.ShardPullArgs) (wire.ShardPullReply, error) {
+	rt, ok := c.b.Cat.(interface {
+		Pull(int, uint64) (shard.PullResult, error)
+	})
+	if !ok {
+		return wire.ShardPullReply{}, types.E("shardpull", "", types.ErrUnsupported)
+	}
+	res, err := rt.Pull(a.Shard, a.After)
+	return wire.ShardPullReply{Server: c.s.name, Entries: res.Entries, Snapshot: res.Snapshot, Seq: res.Seq}, err
+}
+
+func bulkStat(c call, a wire.BulkStatArgs) (wire.BulkStatReply, error) {
+	c.s.observeBatch(len(a.Paths))
+	rep := wire.BulkStatReply{Server: c.s.name}
+	for _, p := range a.Paths {
+		item := wire.BulkStatItem{Path: p}
+		if st, err := c.b.StatPath(c.user, p); err != nil {
+			item.ErrKind, item.ErrMsg = wire.KindOf(err), err.Error()
+		} else {
+			item.OK, item.Stat = true, st
+		}
+		rep.Items = append(rep.Items, item)
+	}
+	return rep, nil
 }
 
 // observeBatch records a batch op's item count in the batch-size
@@ -875,7 +539,7 @@ func (s *Server) observeBatch(n int) {
 	s.broker.Metrics().Op("server.batch.items").Observe(time.Duration(n)*time.Microsecond, nil)
 }
 
-// handleBulkPut ingests a batch in one round trip. The manifest must
+// bulkPut ingests a batch in one round trip. The manifest must
 // account for the whole data stream byte-for-byte; items then succeed
 // or fail independently — each ingest is atomic per item, so a failed
 // item writes no partial rows and cannot tear down its batch-mates.
@@ -886,7 +550,8 @@ func (s *Server) observeBatch(n int) {
 // nothing stored. The buffer grows with the bytes that arrive and stops
 // at the manifest's total: a client cannot make it larger by declaring
 // a size, nor by sending more than it declared.
-func (s *Server) handleBulkPut(user string, ss *session, a wire.BulkPutArgs, body io.Reader, req *wire.Request) (wire.BulkPutReply, error) {
+func bulkPut(c call, a wire.BulkPutArgs) (wire.BulkPutReply, error) {
+	s, ss, user := c.s, c.ss, c.user
 	rep := wire.BulkPutReply{Server: s.name}
 	var total int64
 	for _, it := range a.Items {
@@ -896,7 +561,7 @@ func (s *Server) handleBulkPut(user string, ss *session, a wire.BulkPutArgs, bod
 		total += it.Size
 	}
 	var batch wire.Buffer
-	got, err := chunk.Copy(&batch, io.LimitReader(body, total+1))
+	got, err := chunk.Copy(&batch, io.LimitReader(ss.in, total+1))
 	if err != nil {
 		return rep, types.E(wire.OpBulkPut, "", err)
 	}
@@ -917,8 +582,8 @@ func (s *Server) handleBulkPut(user string, ss *session, a wire.BulkPutArgs, bod
 		st := wire.BulkItemStatus{Path: it.Path, OK: true}
 		var err error
 		if owner := s.resourceOwner(it.Resource); owner != "" && !ss.isPeer {
-			ireq := &wire.Request{Op: wire.OpIngest, Trace: req.Trace}
-			ireq.Args, err = jsonMarshal(wire.IngestArgs{
+			ireq := &wire.Request{Op: wire.OpIngest, Trace: c.req.Trace}
+			ireq.Args, err = json.Marshal(wire.IngestArgs{
 				Path: it.Path, Resource: it.Resource, Container: it.Container,
 				DataType: it.DataType, Meta: it.Meta,
 			})
@@ -940,14 +605,15 @@ func (s *Server) handleBulkPut(user string, ss *session, a wire.BulkPutArgs, bod
 	return rep, nil
 }
 
-// handleMultiGet fetches a batch of objects and replies with a manifest
+// multiGet fetches a batch of objects and replies with a manifest
 // of per-item outcomes followed by the successful items' bytes in
 // request order (the manifest's sizes let the client slice the stream
 // back apart). Items fail independently; remote-owned items are proxied
 // like a single get. Each item is read into one buffer of its own size,
 // and the reply is framed from those buffers through a pooled chunk —
 // the batch is never concatenated.
-func (s *Server) handleMultiGet(user string, ss *session, a wire.MultiGetArgs, req *wire.Request) error {
+func multiGet(c call, a wire.MultiGetArgs) error {
+	s, ss, user := c.s, c.ss, c.user
 	rep := wire.MultiGetReply{Server: s.name}
 	s.observeBatch(len(a.Paths))
 	items := make(chunk.Slices, 0, len(a.Paths))
@@ -956,8 +622,8 @@ func (s *Server) handleMultiGet(user string, ss *session, a wire.MultiGetArgs, r
 		var data []byte
 		var err error
 		if owner := s.localityOf(p); owner != "" && !ss.isPeer {
-			greq := &wire.Request{Op: wire.OpGet, Trace: req.Trace}
-			greq.Args, err = jsonMarshal(wire.PathArgs{Path: p})
+			greq := &wire.Request{Op: wire.OpGet, Trace: c.req.Trace}
+			greq.Args, err = json.Marshal(wire.PathArgs{Path: p})
 			if err == nil {
 				if addr, ok := s.PeerAddr(owner); ok {
 					data, err = s.proxyGetBytes(owner, addr, user, greq, ss.deadline, ss.span)
@@ -1003,21 +669,18 @@ func (k *sizedSink) Begin(resp *wire.Response) (io.Writer, error) {
 	return buf, nil
 }
 
-// toIngestOpts converts wire args.
-func toIngestOpts(a wire.IngestArgs, body io.Reader) core.IngestOpts {
-	return core.IngestOpts{
-		Path: a.Path, Reader: body, Resource: a.Resource,
-		Container: a.Container, DataType: a.DataType, Meta: a.Meta,
-	}
-}
-
 // readRange serves the parallel-transfer primitive: length bytes of the
-// object from offset, streamed from the open replica.
-func (s *Server) readRange(ss *session, user string, a wire.RangeArgs) error {
+// object from offset, streamed from the open replica (or federated to
+// the peer that holds it).
+func readRange(c call, a wire.RangeArgs) error {
+	ss := c.ss
+	if owner := c.s.localityOf(a.Path); owner != "" && !ss.isPeer {
+		return c.s.federate(ss, owner, c.user, c.req)
+	}
 	if a.Offset < 0 {
 		return ss.fail(types.E(wire.OpReadRange, a.Path, types.ErrInvalid))
 	}
-	f, size, err := s.broker.OpenRead(user, a.Path)
+	f, size, err := c.b.OpenRead(c.user, a.Path)
 	if err != nil {
 		return ss.fail(err)
 	}
@@ -1033,10 +696,11 @@ func (s *Server) readRange(ss *session, user string, a wire.RangeArgs) error {
 		&sourceReader{r: io.NewSectionReader(f, a.Offset, length)})
 }
 
-// handleReplicate performs a replication that may cross server
+// replicate performs a replication that may cross server
 // boundaries: source bytes are streamed from wherever a clean replica
 // lives, and the owning server of the target resource stores the copy.
-func (s *Server) handleReplicate(user string, ss *session, a wire.ReplicateArgs) (types.Replica, error) {
+func replicate(c call, a wire.ReplicateArgs) (types.Replica, error) {
+	s, ss, user := c.s, c.ss, c.user
 	targetOwner := s.resourceOwner(a.Resource)
 	sourceOwner := s.localityOf(a.Path)
 	if targetOwner == "" && sourceOwner == "" {
@@ -1058,7 +722,7 @@ func (s *Server) handleReplicate(user string, ss *session, a wire.ReplicateArgs)
 		src = f
 	} else {
 		req := &wire.Request{Op: wire.OpGet}
-		req.Args, _ = jsonMarshal(wire.PathArgs{Path: a.Path})
+		req.Args, _ = json.Marshal(wire.PathArgs{Path: a.Path})
 		addr, ok := s.PeerAddr(sourceOwner)
 		if !ok {
 			return types.Replica{}, types.E("replicate", sourceOwner, types.ErrOffline)
@@ -1085,7 +749,7 @@ func (s *Server) handleReplicate(user string, ss *session, a wire.ReplicateArgs)
 	}
 	// Target remote: the owning peer stores the replica.
 	req := &wire.Request{Op: wire.OpIngestReplica, OnBehalf: user}
-	req.Args, _ = jsonMarshal(wire.ReplicateArgs{Path: a.Path, Resource: a.Resource})
+	req.Args, _ = json.Marshal(wire.ReplicateArgs{Path: a.Path, Resource: a.Resource})
 	addr, ok := s.PeerAddr(targetOwner)
 	if !ok {
 		return types.Replica{}, types.E("replicate", targetOwner, types.ErrOffline)
@@ -1100,7 +764,7 @@ func (s *Server) handleReplicate(user string, ss *session, a wire.ReplicateArgs)
 		return types.Replica{}, err
 	}
 	var rep types.Replica
-	if err := jsonUnmarshal(body, &rep); err != nil {
+	if err := json.Unmarshal(body, &rep); err != nil {
 		return types.Replica{}, err
 	}
 	return rep, nil
@@ -1170,7 +834,3 @@ func collectionOf(args json.RawMessage) string {
 	}
 	return types.Parent(p)
 }
-
-// jsonMarshal / jsonUnmarshal keep the handler bodies terse.
-func jsonMarshal(v any) ([]byte, error)   { return json.Marshal(v) }
-func jsonUnmarshal(b []byte, v any) error { return json.Unmarshal(b, v) }

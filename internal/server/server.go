@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"net/http"
 	"os"
 	"sort"
 	"strings"
@@ -27,8 +28,8 @@ import (
 	"gosrb/internal/auth"
 	"gosrb/internal/chunk"
 	"gosrb/internal/core"
-	"gosrb/internal/mcat/shard"
 	"gosrb/internal/obs"
+	"gosrb/internal/report"
 	"gosrb/internal/resilience"
 	"gosrb/internal/types"
 	"gosrb/internal/wire"
@@ -84,7 +85,7 @@ type Server struct {
 	conns     map[net.Conn]struct{}
 	closed    chan struct{}
 	closeOnce sync.Once
-	admin     *adminServer
+	admin     *http.Server
 	// Logger receives connection and operation errors with op,
 	// remote-addr and trace-ID context. Defaults to stderr at LevelError
 	// so failures are never silently swallowed; srbd raises it to
@@ -577,15 +578,17 @@ func (s *Server) handleConn(nc net.Conn) error {
 			ss.inDone = inDone
 		}
 		wg.Add(1)
-		go func(req wire.Request, ss *session) {
+		// req is this iteration's own variable, already on the heap for
+		// ReadJSON: the handler shares it rather than taking a copy.
+		go func(req *wire.Request, ss *session) {
 			defer wg.Done()
 			defer func() { <-sem; inflight.Add(-1); pipeGauge.Add(-1) }()
-			if err := s.dispatch(ss, &req); err != nil {
+			if err := s.dispatch(ss, req); err != nil {
 				// Transport failure writing the response: the writer
 				// latched it and closed the conn, unblocking the reader.
 				s.Logger.Errorf("conn %s: pipelined %s: %v", ss.remote, req.Op, err)
 			}
-		}(req, ss)
+		}(&req, ss)
 		if inDone != nil {
 			// The handler owns the conn's read side until its inbound
 			// stream is drained; only then is the next frame a request.
@@ -625,16 +628,6 @@ func (s *Server) handshake(c *wire.Conn) (*session, error) {
 	// Mux:true advertises that this server echoes correlation IDs, so
 	// clients may pipeline requests over this connection.
 	return ss, c.WriteJSON(wire.MsgAuthOK, wire.AuthOK{Server: s.name, Mux: true})
-}
-
-// decode unmarshals request args.
-func decode[T any](req *wire.Request) (T, error) {
-	var v T
-	if len(req.Args) == 0 {
-		return v, nil
-	}
-	err := json.Unmarshal(req.Args, &v)
-	return v, err
 }
 
 // localityOf classifies where a file object's clean replicas live:
@@ -914,8 +907,10 @@ func (s *Server) proxyGet(peerName, addr, user string, req *wire.Request, deadli
 	return r.Do(do)
 }
 
-// proxyCall relays a non-data request to a peer.
-func (s *Server) proxyCall(peerName, user string, req *wire.Request, deadline time.Time, sp *obs.Span) (json.RawMessage, error) {
+// proxyCall relays a non-data request to a peer. With retry, an
+// idempotent op runs under the server's backoff policy; without, the hop
+// gets a single attempt.
+func (s *Server) proxyCall(peerName, user string, req *wire.Request, deadline time.Time, sp *obs.Span, retry bool) (json.RawMessage, error) {
 	addr, ok := s.PeerAddr(peerName)
 	if !ok {
 		return nil, types.E(req.Op, peerName, types.ErrOffline)
@@ -930,17 +925,13 @@ func (s *Server) proxyCall(peerName, user string, req *wire.Request, deadline ti
 			return err
 		})
 	}
-	if !wire.Idempotent(req.Op) {
-		if err := do(); err != nil {
-			return nil, err
-		}
-		return body, nil
+	var err error
+	if retry && wire.Idempotent(req.Op) {
+		err = s.retrier(deadline, sp).Do(do)
+	} else {
+		err = do()
 	}
-	r := s.retrier(deadline, sp)
-	if err := r.Do(do); err != nil {
-		return nil, err
-	}
-	return body, nil
+	return body, err
 }
 
 // peerConn is one checked-out federation call slot: a pooled Mux plus
@@ -1054,66 +1045,91 @@ func parseLockKind(s string) (types.LockKind, error) {
 	}
 }
 
-// Stats builds the server stats reply.
-func (s *Server) stats() wire.StatsReply {
-	st := s.broker.Cat.Stats()
-	return wire.StatsReply{
-		Server: s.name, Objects: st.Objects, Collections: st.Collections,
-		Resources: st.Resources, Users: st.Users,
+// env is what this server's status feeds report on, as seen by a caller
+// who reaches the zone through z (nil: this server only).
+func (s *Server) env(z report.Zone) report.Env {
+	return report.Env{Name: s.name, Broker: s.broker, Zone: z, Pool: s.PeerPoolStats}
+}
+
+// reach is one caller's reach into the federation, for the status feeds
+// that span it. Peers are asked with LocalOnly semantics — a request
+// that arrives from a peer gets no zone — which bounds every gather to
+// one hop.
+type reach struct {
+	s    *Server
+	user string
+	// deadline is the asking request's own; a local surface, which has
+	// none, sets budget instead and each gather gets that long.
+	deadline time.Time
+	budget   time.Duration
+	sp       *obs.Span
+}
+
+// peerNames lists the zone's peers in a stable order.
+func (s *Server) peerNames() []string {
+	s.mu.RLock()
+	names := make([]string, 0, len(s.peers))
+	for n := range s.peers {
+		names = append(names, n)
 	}
+	s.mu.RUnlock()
+	sort.Strings(names)
+	return names
 }
 
-// Telemetry snapshots the broker registry for the OpStats wire op, the
-// admin /metrics endpoint and the MySRB status page. Audit-ring drops
-// are folded in as a gauge just before snapshotting so every exposure
-// path reports them.
-func (s *Server) Telemetry() wire.OpStatsReply {
-	reg := s.broker.Metrics()
-	reg.Gauge("audit.dropped").Set(s.broker.Cat.AuditLog().Dropped())
-	s.broker.Breakers().Publish()
-	pool := s.peerPool.Stats()
-	return wire.OpStatsReply{Server: s.name, Snapshot: reg.Snapshot(), PeerPool: &pool}
-}
-
-// gatherTrace collects every retained span of one trace: this server's
-// ring, and — when fanout is set — each zone peer's ring via OpTrace.
-// Peer queries are best-effort (an unreachable peer just contributes
-// nothing) and are sent without a trace ID of their own, so fetching a
-// trace never pollutes the trace being fetched. Requests arriving from
-// a peer answer locally only (fanout=false), which bounds the fan-out
-// to one hop.
-func (s *Server) gatherTrace(user, id string, fanout bool) wire.TraceReply {
-	spans := s.broker.Metrics().Traces().ForTrace(id)
-	if fanout {
-		s.mu.RLock()
-		names := make([]string, 0, len(s.peers))
-		for n := range s.peers {
-			names = append(names, n)
+// TraceSpans collects each peer's retained spans of one trace. Peer
+// queries are best-effort (an unreachable peer just contributes
+// nothing) and are sent without a trace ID, span or budget of their
+// own, so fetching a trace never pollutes the trace being fetched.
+func (z reach) TraceSpans(id string) []obs.SpanRecord {
+	var spans []obs.SpanRecord
+	args, _ := json.Marshal(wire.TraceArgs{ID: id})
+	for _, pn := range z.s.peerNames() {
+		body, err := z.s.proxyCall(pn, z.user, &wire.Request{Op: wire.OpTrace, Args: args}, time.Time{}, nil, true)
+		if err != nil {
+			continue
 		}
-		s.mu.RUnlock()
-		sort.Strings(names)
-		for _, pn := range names {
-			args, err := json.Marshal(wire.TraceArgs{ID: id})
-			if err != nil {
-				continue
-			}
-			req := &wire.Request{Op: wire.OpTrace, Args: args}
-			body, err := s.proxyCall(pn, user, req, time.Time{}, nil)
-			if err != nil {
-				continue
-			}
-			var rep wire.TraceReply
-			if json.Unmarshal(body, &rep) == nil {
-				spans = append(spans, rep.Spans...)
-			}
+		var rep wire.TraceReply
+		if json.Unmarshal(body, &rep) == nil {
+			spans = append(spans, rep.Spans...)
 		}
 	}
-	return wire.TraceReply{Server: s.name, Spans: spans}
+	return spans
 }
 
-// Readiness reports whether the server is fully serviceable and a set
-// of detail lines. Degrading conditions: any open circuit breaker (a
-// peer or storage resource being routed around), an offline local
+// GridMembers gathers each peer's windowed stats. Every hop gets a
+// single attempt — no retry loop: partial answers are the point of the
+// grid gather, so a dead peer must cost one failed dial inside the
+// caller's deadline (and a breaker fast-fail on later scrapes), not a
+// backoff cycle. It keeps its member slot with the error instead of
+// silently vanishing.
+func (z reach) GridMembers(window time.Duration) []wire.GridMember {
+	if z.budget > 0 {
+		z.deadline = time.Now().Add(z.budget)
+	}
+	var members []wire.GridMember
+	args, _ := json.Marshal(wire.GridStatArgs{WindowSeconds: int64(window / time.Second), LocalOnly: true})
+	for _, pn := range z.s.peerNames() {
+		m := wire.GridMember{Server: pn, Unreachable: true}
+		var rep wire.GridStatReply
+		body, err := z.s.proxyCall(pn, z.user, &wire.Request{Op: wire.OpGridStat, Args: args}, z.deadline, z.sp, false)
+		switch {
+		case err != nil:
+			m.Err = err.Error()
+		case json.Unmarshal(body, &rep) != nil || len(rep.Members) == 0:
+			m.Err = "malformed grid-stat reply"
+		default:
+			m = rep.Members[0]
+			m.Server = pn
+		}
+		members = append(members, m)
+	}
+	return members
+}
+
+// readiness reports whether the daemon over b is fully serviceable and
+// a set of detail lines. Degrading conditions: any open circuit breaker
+// (a peer or storage resource being routed around), an offline local
 // resource, or a wedged repair engine (tasks pending with no worker
 // alive to drain them). When a repair engine is attached, the detail
 // always carries one informational line with the queue backlog and the
@@ -1121,13 +1137,6 @@ func (s *Server) gatherTrace(user, id string, fanout bool) wire.TraceReply {
 // degradation; likewise a firing SLO rule adds a "warn:" line without
 // degrading (an objective miss is an alerting concern, not downtime).
 // The admin /healthz endpoint turns !ok into HTTP 503.
-func (s *Server) Readiness() (bool, []string) {
-	return readiness(s.broker, s.name)
-}
-
-// readiness is the broker-level readiness check behind Readiness,
-// shared with the standalone admin handler mysrbd mounts (which has no
-// Server).
 func readiness(b *core.Broker, name string) (bool, []string) {
 	var degraded []string
 	for key, st := range b.Breakers().States() {
@@ -1197,187 +1206,24 @@ func replagThreshold(ev *obs.SLOEvaluator) (float64, bool) {
 	return th, found
 }
 
-// repairStatus snapshots the repair engine for the repairstatus wire op
-// and the admin /repair endpoint.
-func (s *Server) repairStatus() wire.RepairStatusReply {
-	return repairStatusOf(s.broker, s.name)
-}
-
-func repairStatusOf(b *core.Broker, name string) wire.RepairStatusReply {
-	rep := wire.RepairStatusReply{Server: name}
-	eng := b.Repair()
-	if eng == nil {
-		return rep
-	}
-	st := eng.Status()
-	rep.Enabled = true
-	rep.Status = wire.RepairStatus{
-		Running:      st.Running,
-		Paused:       st.Paused,
-		Wedged:       st.Wedged,
-		Workers:      st.Workers,
-		WorkersAlive: st.WorkersAlive,
-		Backlog:      st.Backlog,
-		OldestAge:    st.OldestAge,
-		Done:         st.Done,
-		Failed:       st.Failed,
-		Retries:      st.Retries,
-	}
-	for _, j := range st.Jobs {
-		rep.Status.Jobs = append(rep.Status.Jobs, wire.RepairJobStatus{
-			Name:     j.Name,
-			Interval: j.Interval,
-			Runs:     j.Runs,
-			Errors:   j.Errors,
-			LastRun:  j.LastRun,
-			LastErr:  j.LastErr,
-		})
-	}
-	return rep
-}
-
-// staleFraction: a member's window is flagged stale when its retained
-// rollup history covers less than this fraction of the requested
-// window (a just-started server, or retention shorter than the ask).
-const staleFraction = 0.8
-
-// localGridMember builds this server's own contribution to a grid
-// snapshot: the windowed view of its registry, honestly flagged stale
-// when the ring doesn't span the window yet.
-func (s *Server) localGridMember(window time.Duration) wire.GridMember {
-	ws := s.broker.Metrics().Window(window)
-	m := wire.GridMember{Server: s.name, Window: ws}
-	if ws.CoveredSeconds < staleFraction*ws.WindowSeconds {
-		m.Stale = true
-	}
-	return m
-}
-
-// gridStatOnce sends one grid-stat hop with a single attempt — no
-// retry loop. Partial answers are the point of the grid gather: a dead
-// peer must cost one failed dial inside the caller's deadline (and a
-// breaker fast-fail on later scrapes), not a backoff cycle.
-func (s *Server) gridStatOnce(peerName, user string, req *wire.Request, deadline time.Time, sp *obs.Span) (json.RawMessage, error) {
-	addr, ok := s.PeerAddr(peerName)
-	if !ok {
-		return nil, types.E(req.Op, peerName, types.ErrOffline)
-	}
-	var body json.RawMessage
-	fwd := *req
-	fwd.OnBehalf = user
-	err := s.peerDo(peerName, addr, deadline, &fwd, sp, false, func(pc *peerConn) error {
-		b, err := pc.roundTrip(&fwd)
-		body = b
-		return err
-	})
-	return body, err
-}
-
-// gatherGridStat merges the zone's windowed stats: this server's view
-// plus — when fanout is set — every peer's, gathered best-effort with
-// LocalOnly set so the fan-out is bounded to one hop (the same shape
-// as gatherTrace). Unreachable peers keep their member slot with the
-// error instead of silently vanishing, so a partial aggregate is
-// visibly partial. The grid aggregate recomputes quantiles from the
-// merged bucket deltas of the reachable members.
-func (s *Server) gatherGridStat(user string, window time.Duration, fanout bool, deadline time.Time, sp *obs.Span) wire.GridStatReply {
-	if window <= 0 {
-		window = 5 * time.Minute
-	}
-	members := []wire.GridMember{s.localGridMember(window)}
-	if fanout {
-		s.mu.RLock()
-		names := make([]string, 0, len(s.peers))
-		for n := range s.peers {
-			names = append(names, n)
-		}
-		s.mu.RUnlock()
-		sort.Strings(names)
-		for _, pn := range names {
-			args, err := json.Marshal(wire.GridStatArgs{WindowSeconds: int64(window / time.Second), LocalOnly: true})
-			if err != nil {
-				continue
-			}
-			req := &wire.Request{Op: wire.OpGridStat, Args: args}
-			body, err := s.gridStatOnce(pn, user, req, deadline, sp)
-			if err != nil {
-				members = append(members, wire.GridMember{Server: pn, Unreachable: true, Err: err.Error()})
-				continue
-			}
-			var rep wire.GridStatReply
-			if err := json.Unmarshal(body, &rep); err != nil || len(rep.Members) == 0 {
-				members = append(members, wire.GridMember{Server: pn, Unreachable: true, Err: "malformed grid-stat reply"})
-				continue
-			}
-			m := rep.Members[0]
-			m.Server = pn
-			members = append(members, m)
-		}
-	}
-	wins := make([]obs.WindowStats, 0, len(members))
-	for _, m := range members {
-		if !m.Unreachable {
-			wins = append(wins, m.Window)
-		}
-	}
-	return wire.GridStatReply{
-		Server:        s.name,
-		WindowSeconds: window.Seconds(),
-		Members:       members,
-		Grid:          obs.MergeWindows(wins),
-	}
-}
-
-// alerts snapshots the SLO evaluator for the alerts wire op and the
-// admin /alerts endpoint.
-func (s *Server) alerts() wire.AlertsReply {
-	return alertsOf(s.broker, s.name)
-}
-
-func alertsOf(b *core.Broker, name string) wire.AlertsReply {
-	rep := wire.AlertsReply{Server: name}
-	ev := b.SLO()
-	if ev == nil {
-		return rep
-	}
-	rep.Enabled = true
-	rep.Rules = ev.Status()
-	rep.Alerts = ev.AlertLog().Recent(0)
-	return rep
-}
-
-func (s *Server) incidents() wire.IncidentsReply {
-	return incidentsOf(s.broker, s.name)
-}
-
-func incidentsOf(b *core.Broker, name string) wire.IncidentsReply {
-	rep := wire.IncidentsReply{Server: name}
-	ir := b.Incidents()
+func incidentGet(c call, a wire.IncidentGetArgs) (wire.IncidentGetReply, error) {
+	ir := c.b.Incidents()
 	if ir == nil {
-		return rep
+		return wire.IncidentGetReply{}, types.E(wire.OpIncidentGet, a.ID, fmt.Errorf("flight recorder disabled: %w", types.ErrUnsupported))
 	}
-	rep.Enabled = true
-	rep.Incidents = ir.List()
-	return rep
-}
-
-func (s *Server) incidentGet(id string) (wire.IncidentGetReply, error) {
-	ir := s.broker.Incidents()
-	if ir == nil {
-		return wire.IncidentGetReply{}, types.E(wire.OpIncidentGet, id, fmt.Errorf("flight recorder disabled: %w", types.ErrUnsupported))
-	}
-	meta, files, err := ir.Get(id)
+	meta, files, err := ir.Get(a.ID)
 	if err != nil {
-		return wire.IncidentGetReply{}, types.E(wire.OpIncidentGet, id, fmt.Errorf("%v: %w", err, types.ErrNotFound))
+		return wire.IncidentGetReply{}, types.E(wire.OpIncidentGet, a.ID, fmt.Errorf("%v: %w", err, types.ErrNotFound))
 	}
-	return wire.IncidentGetReply{Server: s.name, Meta: meta, Files: files}, nil
+	return wire.IncidentGetReply{Server: c.s.name, Meta: meta, Files: files}, nil
 }
 
-func (s *Server) incidentCapture(reason string) (wire.IncidentCaptureReply, error) {
-	ir := s.broker.Incidents()
+func incidentCapture(c call, a wire.IncidentCaptureArgs) (wire.IncidentCaptureReply, error) {
+	ir := c.b.Incidents()
 	if ir == nil {
 		return wire.IncidentCaptureReply{}, types.E(wire.OpIncidentCapture, "", fmt.Errorf("flight recorder disabled: %w", types.ErrUnsupported))
 	}
+	reason := a.Reason
 	if reason == "" {
 		reason = "manual"
 	}
@@ -1385,50 +1231,5 @@ func (s *Server) incidentCapture(reason string) (wire.IncidentCaptureReply, erro
 	if err != nil {
 		return wire.IncidentCaptureReply{}, types.E(wire.OpIncidentCapture, "", err)
 	}
-	return wire.IncidentCaptureReply{Server: s.name, Meta: meta}, nil
-}
-
-func (s *Server) peersReply() wire.PeersReply {
-	return peersOf(s.broker, s.name)
-}
-
-func peersOf(b *core.Broker, name string) wire.PeersReply {
-	return wire.PeersReply{Server: name, Peers: b.Metrics().Peers().Snapshot()}
-}
-
-// heatRouter is the slice of the shard Router the heat surfaces use.
-// Declared as an interface so the monolithic catalog degrades to a
-// keys/objects-only reply.
-type heatRouter interface {
-	Statuses() []shard.Status
-	Advise(rows []obs.HeatStat, now time.Time) shard.Plan
-	LastPlan() *shard.Plan
-}
-
-func (s *Server) heat() wire.HeatReply {
-	return heatOf(s.broker, s.name)
-}
-
-// heatOf builds the heat-observatory reply: top-K tables always; shard
-// statuses and the advisor plan only when the catalog is sharded. The
-// advisor job keeps a plan stored on the router; when none exists yet
-// (job not wired, or first run pending) a fresh one is computed so the
-// reply is never planless on a sharded catalog.
-func heatOf(b *core.Broker, name string) wire.HeatReply {
-	reg := b.Metrics()
-	rep := wire.HeatReply{
-		Server:  name,
-		Keys:    reg.HeatKeys().Snapshot(),
-		Objects: reg.HeatObjects().Snapshot(),
-	}
-	if rt, ok := b.Cat.(heatRouter); ok {
-		rep.Shards = rt.Statuses()
-		p := rt.LastPlan()
-		if p == nil {
-			fresh := rt.Advise(rep.Keys, time.Now())
-			p = &fresh
-		}
-		rep.Plan = p
-	}
-	return rep
+	return wire.IncidentCaptureReply{Server: c.s.name, Meta: meta}, nil
 }

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"encoding/json"
 	"errors"
 	"net"
 	"testing"
@@ -195,7 +196,7 @@ func TestTicketBelowReadGrantsNothing(t *testing.T) {
 
 func mustJSON(t *testing.T, v any) []byte {
 	t.Helper()
-	b, err := jsonMarshal(v)
+	b, err := json.Marshal(v)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,8 @@ import (
 	"gosrb/internal/types"
 )
 
-// Op names understood by the server. The client mirrors this table.
+// Op names understood by the server. Each has one row in ops.go (retry
+// safety, inbound stream, gate) and one handler in internal/server.
 const (
 	OpMkdir         = "mkdir"
 	OpRmColl        = "rmcoll"
@@ -125,18 +126,6 @@ const (
 	// dry-run migration plan (`srb heat`).
 	OpHeat = "heat"
 )
-
-// StreamsIn reports whether op is followed by an inbound bulk data
-// stream (Data frames ended by DataEnd). The pipelined server must
-// drain the stream before dispatching the next request, so this set
-// must name every op whose request precedes data.
-func StreamsIn(op string) bool {
-	switch op {
-	case OpIngest, OpReingest, OpIngestReplica, OpCheckin, OpBulkPut:
-		return true
-	}
-	return false
-}
 
 // PathArgs addresses one logical path.
 type PathArgs struct {
@@ -340,11 +329,14 @@ type StatsReply struct {
 }
 
 // OpStatsReply carries one server's telemetry snapshot, plus the
-// occupancy of its federation connection pool.
+// occupancy of its federation connection pool. ClientPool never crosses
+// the wire: srb adds its own side's pool after the fetch, so one scrape
+// covers both ends of the path.
 type OpStatsReply struct {
-	Server   string
-	Snapshot obs.Snapshot
-	PeerPool *PoolStats `json:",omitempty"`
+	Server     string
+	Snapshot   obs.Snapshot
+	PeerPool   *PoolStats `json:",omitempty"`
+	ClientPool *PoolStats `json:",omitempty"`
 }
 
 // TraceArgs asks for every retained span of one trace.
@@ -372,10 +364,6 @@ type UsageReply struct {
 	Server  string
 	Entries []obs.UsageStat
 }
-
-// RepairStatusArgs selects the repair engine to report on (local only
-// for now; the struct leaves room for zone-wide fan-out later).
-type RepairStatusArgs struct{}
 
 // RepairJobStatus is the wire shape of one periodic maintenance job —
 // a protocol-level mirror of the engine's job snapshot, so the wire
@@ -441,10 +429,6 @@ type GridStatReply struct {
 	Grid          obs.WindowStats
 }
 
-// AlertsArgs selects the alert view (local only; SLO rules are
-// per-daemon configuration).
-type AlertsArgs struct{}
-
 // AlertsReply carries the server's SLO standings and recent alert
 // transitions. Enabled is false when the daemon declared no rules.
 type AlertsReply struct {
@@ -453,10 +437,6 @@ type AlertsReply struct {
 	Rules   []obs.SLOStatus `json:",omitempty"`
 	Alerts  []obs.Alert     `json:",omitempty"`
 }
-
-// IncidentsArgs selects the incident index (local only; bundles live
-// on the capturing server's disk).
-type IncidentsArgs struct{}
 
 // IncidentsReply carries the bounded incident index, newest first.
 // Enabled is false when the daemon runs without a telemetry dir.
@@ -491,9 +471,6 @@ type IncidentCaptureReply struct {
 	Server string
 	Meta   obs.IncidentMeta
 }
-
-// PeersArgs selects the transfer observatory (local only).
-type PeersArgs struct{}
 
 // PeersReply carries the per-peer / per-resource transfer history.
 type PeersReply struct {
@@ -614,9 +591,6 @@ type BulkStatReply struct {
 	Items  []BulkStatItem
 }
 
-// ShardsArgs requests the sharded catalog's per-shard status.
-type ShardsArgs struct{}
-
 // ShardsReply reports per-shard role, replication position and entry
 // counts. A monolithic (unsharded) catalog replies with one leader row.
 type ShardsReply struct {
@@ -640,9 +614,6 @@ type ShardPullReply struct {
 	Snapshot []byte   `json:",omitempty"`
 	Seq      uint64
 }
-
-// HeatArgs requests the heat observatory view (local only).
-type HeatArgs struct{}
 
 // HeatReply carries one server's heat observatory: the hot-key and
 // hot-object top-K tables, the per-shard status rows (empty on a

@@ -150,28 +150,6 @@ var errKinds = []struct {
 	{"readonly", types.ErrReadOnly},
 }
 
-// Idempotent reports whether op is safe to retry: read-only operations
-// whose re-execution cannot change grid state. Mutating ops (ingest,
-// write, delete, move, locks, tickets, ...) must never be retried
-// blindly — a lost response does not prove the mutation was lost.
-// OpGet is listed even though ticket redemption decrements a use count;
-// a retry after a transport failure may burn an extra use, which is the
-// accepted cost of delegated reads staying available.
-func Idempotent(op string) bool {
-	switch op {
-	case OpList, OpStat, OpGet, OpGetObject, OpReadRange, OpGetMeta,
-		OpAnnotations, OpQuery, OpQueryAttrs, OpResources, OpServerStats,
-		OpOpStats, OpShadowList, OpShadowOpen, OpExecSQL, OpAudit,
-		OpTrace, OpUsage, OpRepairStatus, OpChecksum, OpScrub,
-		OpGridStat, OpAlerts, OpIncidents, OpIncidentGet, OpPeers,
-		OpMultiGet, OpBulkStat, OpHeat:
-		// OpScrub mutates replicas, but only toward the catalog
-		// checksum — re-running a scrub is always safe.
-		return true
-	}
-	return false
-}
-
 // KindOf names err's sentinel for the wire; "" if unclassified.
 func KindOf(err error) string {
 	for _, k := range errKinds {
