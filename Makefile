@@ -10,12 +10,13 @@ GO ?= go
 VERSION ?= $(shell git describe --tags --always --dirty 2>/dev/null || echo dev)
 LDFLAGS := -ldflags "-X gosrb/internal/obs.Version=$(VERSION)"
 
-.PHONY: all check lint vet build test race test-faults test-repair test-wire test-phases test-mcat test-heat test-telemetry test-stream bench bench-e2e bench-obs bench-obs-gate bench-repair bench-grid bench-grid-gate bench-flight bench-flight-gate bench-wire bench-wire-gate bench-phases bench-phases-gate bench-mcat bench-mcat-gate bench-heat bench-heat-gate clean
+.PHONY: all check lint vet build test race test-faults test-repair test-wire test-phases test-mcat test-heat test-telemetry test-stream bench bench-gate clean
 
 all: check
 
-# bench-phases-gate is left out: red most runs since PR 14, and ROADMAP item 1's gate-integrity work owns it.
-check: lint build race test-faults test-repair test-wire test-phases test-mcat test-heat test-telemetry test-stream bench-obs-gate bench-grid-gate bench-flight-gate bench-wire-gate bench-mcat-gate bench-heat-gate
+# No prerequisite of check measures wall time: the timing fences are
+# `make bench-gate`.
+check: lint build race test-faults test-repair test-wire test-phases test-mcat test-heat test-telemetry test-stream
 
 # Static analysis: go vet always, then a pinned staticcheck. The pin
 # keeps every checkout on the same analyzer; when the binary is absent
@@ -25,7 +26,12 @@ check: lint build race test-faults test-repair test-wire test-phases test-mcat t
 STATICCHECK_VERSION ?= 2024.1.1
 STATICCHECK := $(CURDIR)/bin/staticcheck
 
+# The doc fence keeps the docs from drifting back to retired evidence: no
+# BENCH_*.json ratio file, and no `make <target>` this Makefile lacks.
+DOCS := README.md DESIGN.md EXPERIMENTS.md .claude/skills/verify/SKILL.md
+
 lint: vet
+	@if grep -nE 'BENCH_[a-z]*\.json' $(DOCS); then echo "docs cite a retired BENCH_*.json ratio file"; exit 1; fi; for t in $$(grep -ohE '(`|^)make [a-z][a-z0-9-]*' $(DOCS) | cut -d' ' -f2 | sort -u); do grep -q "^$$t:" Makefile || { echo "docs mention undefined target: make $$t"; exit 1; }; done
 	@if [ ! -x "$(STATICCHECK)" ] && command -v staticcheck >/dev/null 2>&1; then \
 		cp "$$(command -v staticcheck)" "$(STATICCHECK)" 2>/dev/null || true; \
 	fi; \
@@ -121,107 +127,20 @@ test-stream:
 	$(GO) test -race -count=10 -run 'TestStream|TestReadYourOwn|TestPipelined|TestRejected|TestPut|TestReput|TestGetDriver|TestProxiedGet|TestStalled|TestReadRange' ./internal/server/
 
 # The end-to-end benchmark BENCHMARK.json declares (bench/README.md): the
-# four workloads, one fresh process each, gated metrics by name.
-bench-e2e:
+# four workloads, one fresh process each, gated metrics by name. The
+# paper-claim tables E1–E13 print with `go run ./cmd/srbbench`.
+bench:
 	$(GO) run ./bench -all
 
-# Full benchmark sweep (experiments E1–E10 plus the wire and broker
-# concurrency benches).
-bench:
-	$(GO) test -bench . -benchtime 200ms -run '^$$' .
-
-# Instrumentation-overhead report: measures broker Put/Get with
-# telemetry on vs SetMetrics(nil) and writes BENCH_obs.json so the
-# overhead is tracked from this PR onward.
-bench-obs:
-	BENCH_OBS=1 $(GO) test -run TestObsOverheadReport -v .
-
-# Regression fence on the committed baseline: fails when the measured
-# instrumentation overhead exceeds BENCH_obs.json's overhead_pct by
-# more than 5 percentage points.
-bench-obs-gate:
-	BENCH_OBS_GATE=1 $(GO) test -run TestObsOverheadGate -v .
-
-# Async-replication report: measures sync vs async:1 ingest onto a
-# 3-member logical resource and writes BENCH_repair.json (the async
-# write path must clear 1.5x over the synchronous fan-out).
-bench-repair:
-	BENCH_REPAIR=1 $(GO) test -run TestRepairBenchReport -v .
-
-# Grid-console report: measures broker Get latency under an aggressive
-# rollup-capture/window-query polling loop vs idle telemetry and writes
-# BENCH_grid.json — the cost ceiling of windowed stats on the hot path.
-bench-grid:
-	BENCH_GRID=1 $(GO) test -run TestGridBenchReport -v .
-
-# Regression fence on the committed baseline: fails when the measured
-# console-polling overhead exceeds BENCH_grid.json's overhead_pct by
-# more than 5 percentage points.
-bench-grid-gate:
-	BENCH_GRID_GATE=1 $(GO) test -run TestGridBenchGate -v .
-
-# Flight-recorder report: measures broker Get latency under a 2ms
-# rollup-capture/journal-flush loop vs idle telemetry and writes
-# BENCH_flight.json — the cost ceiling of durable telemetry on the hot
-# path.
-bench-flight:
-	BENCH_FLIGHT=1 $(GO) test -run TestFlightBenchReport -v .
-
-# Regression fence on the committed baseline: fails when the measured
-# journal-flush overhead exceeds BENCH_flight.json's overhead_pct by
-# more than 5 percentage points.
-bench-flight-gate:
-	BENCH_FLIGHT_GATE=1 $(GO) test -run TestFlightBenchGate -v .
-
-# Wire-throughput report: measures serial vs pipelined vs batched
-# small-op throughput over a 5ms-RTT simnet link and writes
-# BENCH_wire.json.
-bench-wire:
-	BENCH_WIRE=1 $(GO) test -run TestWireBenchReport -v .
-
-# Throughput floor: pipelined and batched small-op throughput must both
-# clear 3x serial at the 5ms RTT.
-bench-wire-gate:
-	BENCH_WIRE_GATE=1 $(GO) test -run TestWireBenchGate -v .
-
-# Phase-decomposition report: measures a traced, phase-folded broker
-# get against the plain instrumented get (both cells mint a span — that
-# cost pre-dates the decomposition) and writes BENCH_phases.json.
-bench-phases:
-	BENCH_PHASES=1 $(GO) test -run TestPhasesBenchReport -v .
-
-# Absolute instrumentation budget: the phase stamps plus the histogram
-# fold may cost at most 5% per request. Unlike the drift fences this
-# bound never ratchets — the decomposition is always on in production.
-bench-phases-gate:
-	BENCH_PHASES_GATE=1 $(GO) test -run TestPhasesBenchGate -v .
-
-# Sharded-catalog report: mixed register / deep-scoped query
-# throughput on a monolithic catalog vs the 4-shard router and writes
-# BENCH_mcat.json — the partitioning payoff is a 1/N candidate scan,
-# not parallelism, so it holds on one core.
-bench-mcat:
-	BENCH_MCAT=1 $(GO) test -run TestMcatBenchReport -v .
-
-# Partitioning floor: the 4-shard catalog must clear 2x monolithic
-# throughput on the mixed workload.
-bench-mcat-gate:
-	BENCH_MCAT_GATE=1 $(GO) test -run TestMcatBenchGate -v .
-
-# Heat-tracking report: measures a heat-tracked broker get against the
-# same instrumented get with the heat tables detached and writes
-# BENCH_heat.json.
-bench-heat:
-	BENCH_HEAT=1 $(GO) test -run TestHeatBenchReport -v .
-
-# Absolute instrumentation budget: the hot-key sketch update plus the
-# hot-object record may cost at most 5% per request. Like the phase
-# fence this bound never ratchets — heat tracking is always on in
-# production.
-bench-heat-gate:
-	BENCH_HEAT_GATE=1 $(GO) test -run TestHeatBenchGate -v .
+# The timing fences, kept out of `check`: bench/'s repeatability table
+# (alternating sets of 5 runs per workload against BENCHMARK.json's
+# bounds), then the wall-clock half of the telemetry-overhead budgets
+# (internal/core TestOverheadBudget; its alloc half runs in every
+# `go test`).
+bench-gate:
+	$(GO) run ./bench -all -repeat 5
+	$(GO) test -count=1 -run TestOverheadBudget -v ./internal/core -overhead-time
 
 clean:
-	rm -f BENCH_obs.json BENCH_repair.json BENCH_grid.json BENCH_flight.json BENCH_wire.json BENCH_phases.json BENCH_mcat.json BENCH_heat.json
 	rm -rf bin
 	$(GO) clean -testcache

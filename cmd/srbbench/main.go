@@ -1,6 +1,7 @@
 // Command srbbench regenerates the reproduction experiment tables
-// E1–E10 (see DESIGN.md §3 and EXPERIMENTS.md). Each table exercises
-// one measurable claim of the paper on a synthetic workload.
+// E1–E13 (see DESIGN.md §3 and EXPERIMENTS.md). Each table exercises
+// one measurable claim of the paper, or of the reproduction, on a
+// synthetic workload.
 //
 //	srbbench            # run everything at scale 1
 //	srbbench -e e2 -scale 10
@@ -10,13 +11,14 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"gosrb/internal/experiments"
 )
 
 func main() {
 	var (
-		exp   = flag.String("e", "", "run one experiment by id (e1..e10, e1a); default all")
+		exp   = flag.String("e", "", "run one experiment by id ("+strings.Join(experiments.IDs(), ", ")+"); default all")
 		scale = flag.Int("scale", 1, "workload scale factor")
 	)
 	flag.Parse()

@@ -12,6 +12,7 @@ import (
 	"gosrb/internal/mcat"
 	"gosrb/internal/replica"
 	"gosrb/internal/server"
+	"gosrb/internal/simnet"
 	"gosrb/internal/storage"
 	"gosrb/internal/storage/memfs"
 	"gosrb/internal/types"
@@ -334,6 +335,144 @@ func E6ParallelTransfer(scale int) Table {
 			fmt.Sprintf("%.1f", float64(size)/elapsed.Seconds()/(1<<20)),
 			ratio(base, elapsed),
 		})
+	}
+	return t
+}
+
+// wireRTT is the simulated round trip each request pays in E11.
+const wireRTT = 5 * time.Millisecond
+
+// newWireRig starts one server seeded with n small objects and returns
+// a client whose conns ride a simnet.Delay link that charges the full
+// RTT on each request's delivery.
+func newWireRig(n int) (cl *client.Client, paths []string, closeRig func()) {
+	cat := mcat.New("admin", "sdsc")
+	br := core.New(cat, "srb1")
+	if err := br.AddPhysicalResource("admin", "disk1", types.ClassFileSystem, "memfs", memfs.New()); err != nil {
+		panic(err)
+	}
+	cat.MkColl("/d", "admin")
+	payload := workload.NewGen(7).Bytes(256)
+	paths = make([]string, n)
+	for i := range paths {
+		paths[i] = fmt.Sprintf("/d/f%03d", i)
+		if _, err := br.Ingest("admin", core.IngestOpts{Path: paths[i], Data: payload, Resource: "disk1"}); err != nil {
+			panic(err)
+		}
+	}
+	authn := auth.New()
+	authn.Register("admin", "pw")
+	s := server.New(br, authn, server.Proxy)
+	addr, err := s.Listen("127.0.0.1:0")
+	if err != nil {
+		panic(err)
+	}
+	cl, err = client.DialWith(addr, "admin", "pw", func(addr string) (net.Conn, error) {
+		nc, err := net.DialTimeout("tcp", addr, 5*time.Second)
+		if err != nil {
+			return nil, err
+		}
+		return simnet.Delay(nc, wireRTT), nil
+	})
+	if err != nil {
+		panic(err)
+	}
+	return cl, paths, func() { cl.Close(); s.Close() }
+}
+
+// wireSerial stats every path one at a time — each op waits out its own
+// round trip, the pre-pipelining throughput model.
+func wireSerial(cl *client.Client, paths []string) time.Duration {
+	start := time.Now()
+	for _, p := range paths {
+		if _, err := cl.Stat(p); err != nil {
+			panic(err)
+		}
+	}
+	return time.Since(start)
+}
+
+// wirePipelined stats every path from 16 workers sharing the pooled,
+// multiplexed conns — in-flight requests overlap their link delays.
+func wirePipelined(cl *client.Client, paths []string) time.Duration {
+	start := time.Now()
+	var wg sync.WaitGroup
+	idx := make(chan string, len(paths))
+	for _, p := range paths {
+		idx <- p
+	}
+	close(idx)
+	for w := 0; w < 16; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for p := range idx {
+				if _, err := cl.Stat(p); err != nil {
+					panic(err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	return time.Since(start)
+}
+
+// wireBatched stats every path in one BulkStat round trip.
+func wireBatched(cl *client.Client, paths []string) time.Duration {
+	start := time.Now()
+	items, err := cl.BulkStat(paths)
+	if err != nil {
+		panic(err)
+	}
+	for _, it := range items {
+		if !it.OK {
+			panic(fmt.Sprintf("bulkstat %s: %s", it.Path, it.ErrMsg))
+		}
+	}
+	return time.Since(start)
+}
+
+// E11WirePipelining measures small-op throughput over a high-latency
+// link: a serial protocol pays the link once per op, pipelined requests
+// overlap their delays, and a batch pays it once for the whole set —
+// the throughput model the connection pool, request multiplexing and
+// the bulk ops exist to exploit.
+func E11WirePipelining(scale int) Table {
+	nOps := 32 * scale
+	t := Table{
+		ID:      "E11",
+		Title:   "small-op throughput at WAN latency: serial vs pipelined vs batched",
+		Claim:   "integrated bulk data access across the grid (§3.5): many small catalog ops must not each pay a WAN round trip",
+		Columns: []string{"mode", "ops", "elapsed_ms", "ops_per_s", "speedup_vs_serial"},
+		Notes:   fmt.Sprintf("%d stats per round over a %v-RTT simnet.Delay link; best of 3 rounds; wall clock", nOps, wireRTT),
+	}
+	cl, paths, closeRig := newWireRig(nOps)
+	defer closeRig()
+	modes := []struct {
+		name string
+		run  func(*client.Client, []string) time.Duration
+	}{
+		{"serial", wireSerial},
+		{"pipelined (16 workers)", wirePipelined},
+		{"batched (one bulkstat)", wireBatched},
+	}
+	// Warm-up: populate the pool and fault in every code path before the
+	// clock runs. Serial pays a full RTT per op, so two ops suffice.
+	wireSerial(cl, paths[:2])
+	wirePipelined(cl, paths)
+	wireBatched(cl, paths)
+	// Every round measures all three modes back to back so background
+	// load hits them equally; each mode keeps its best round.
+	best := make([]time.Duration, len(modes))
+	for round := 0; round < 3; round++ {
+		for i, m := range modes {
+			if d := m.run(cl, paths); round == 0 || d < best[i] {
+				best[i] = d
+			}
+		}
+	}
+	for i, m := range modes {
+		t.Rows = append(t.Rows, throughputRow(m.name, nOps, best[i], best[0]))
 	}
 	return t
 }

@@ -1,12 +1,14 @@
-// Package experiments implements the reproduction suite E1–E10 defined
+// Package experiments implements the reproduction suite E1–E13 defined
 // in DESIGN.md. The paper publishes no measurement tables (its two
 // figures are screenshots), so each experiment regenerates one of the
 // paper's measurable *claims* — container latency, catalog scaling,
 // failover, load balancing, federation transparency, parallel
 // transfer, synchronous replication, query operators, T-language
-// processing and archive staging — as a table of synthetic-workload
-// measurements. cmd/srbbench prints the tables; bench_test.go exposes
-// each as a Go benchmark.
+// processing and archive staging — or one ratio the reproduction itself
+// claims (E11 pipelining and batching, E12 catalog sharding, E13
+// asynchronous replication) as a table of synthetic-workload
+// measurements. cmd/srbbench prints the tables; the shape tests beside
+// them hold each table's floor on every `go test ./...`.
 package experiments
 
 import (
@@ -89,50 +91,73 @@ func ratio(a, b time.Duration) string {
 	return fmt.Sprintf("%.1fx", float64(a)/float64(b))
 }
 
+// throughputRow formats one row of a best-of-rounds throughput table:
+// nOps ops took d, against the baseline cell's base.
+func throughputRow(name string, nOps int, d, base time.Duration) []string {
+	return []string{
+		name, fmt.Sprintf("%d", nOps), ms(d),
+		fmt.Sprintf("%.0f", float64(nOps)/d.Seconds()),
+		ratio(base, d),
+	}
+}
+
+// list is the suite in print order: each experiment's lower-case id and
+// the function that regenerates its table at a given scale. All, ByID
+// and srbbench's -e help (IDs) derive from it, so an experiment is one
+// row here and cannot be listed but unreachable.
+var list = []struct {
+	ID  string
+	Run func(scale int) Table
+}{
+	{"e1", E1ContainerWAN},
+	{"e1a", E1aContainerMemberSize},
+	{"e2", E2CatalogScaling},
+	{"e3", E3Failover},
+	{"e4", E4LoadBalance},
+	{"e5", E5Federation},
+	{"e6", E6ParallelTransfer},
+	{"e7", E7SyncIngest},
+	{"e8", E8MetadataQuery},
+	{"e9", E9TLang},
+	{"e10", E10ArchiveCache},
+	{"e11", E11WirePipelining},
+	{"e12", E12ShardedCatalog},
+	{"e13", E13AsyncIngest},
+}
+
+// aliases name the ablations that print inside another experiment's
+// table.
+var aliases = map[string]string{"e4a": "e4", "e5a": "e5"}
+
 // All runs every experiment at the given scale (1 = test-friendly; the
 // srbbench CLI uses larger scales for paper-shaped sweeps).
 func All(scale int) []Table {
-	return []Table{
-		E1ContainerWAN(scale),
-		E1aContainerMemberSize(scale),
-		E2CatalogScaling(scale),
-		E3Failover(scale),
-		E4LoadBalance(scale),
-		E5Federation(scale),
-		E6ParallelTransfer(scale),
-		E7SyncIngest(scale),
-		E8MetadataQuery(scale),
-		E9TLang(scale),
-		E10ArchiveCache(scale),
+	out := make([]Table, len(list))
+	for i, e := range list {
+		out[i] = e.Run(scale)
 	}
+	return out
 }
 
 // ByID runs one experiment by its lower-case id ("e1", "e4a", ...).
 func ByID(id string, scale int) (Table, bool) {
-	switch strings.ToLower(id) {
-	case "e1":
-		return E1ContainerWAN(scale), true
-	case "e1a":
-		return E1aContainerMemberSize(scale), true
-	case "e2":
-		return E2CatalogScaling(scale), true
-	case "e3":
-		return E3Failover(scale), true
-	case "e4", "e4a":
-		return E4LoadBalance(scale), true
-	case "e5", "e5a":
-		return E5Federation(scale), true
-	case "e6":
-		return E6ParallelTransfer(scale), true
-	case "e7":
-		return E7SyncIngest(scale), true
-	case "e8":
-		return E8MetadataQuery(scale), true
-	case "e9":
-		return E9TLang(scale), true
-	case "e10":
-		return E10ArchiveCache(scale), true
-	default:
-		return Table{}, false
+	id = strings.ToLower(id)
+	if a, ok := aliases[id]; ok {
+		id = a
 	}
+	for _, e := range list {
+		if e.ID == id {
+			return e.Run(scale), true
+		}
+	}
+	return Table{}, false
+}
+
+// IDs returns the experiment ids in print order, for help text.
+func IDs() []string {
+	out := make([]string, len(list))
+	for i, e := range list {
+		out[i] = e.ID
+	}
+	return out
 }

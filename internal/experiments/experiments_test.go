@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -181,10 +182,69 @@ func TestE9AndE10Shapes(t *testing.T) {
 	}
 }
 
+// byID runs one wall-clock table through the id srbbench -e takes, so
+// its shape test is also its reachability check and TestAllAndByID need
+// not run it a second time.
+func byID(t *testing.T, id string) Table {
+	t.Helper()
+	tb, ok := ByID(id, 1)
+	if !ok || len(tb.Rows) == 0 || !strings.Contains(tb.Format(), tb.ID) {
+		t.Fatalf("ByID(%q): missing, empty or unformatted table", id)
+	}
+	return tb
+}
+
+// speedupFloor checks a wall-clock table's speedup column: every row
+// after the baseline must clear floor. The tables already keep each
+// cell's best of three paired rounds; the race detector's
+// instrumentation eats into CPU-bound ratios, so the floor halves there
+// (as E2's per-hit bound is relaxed).
+func speedupFloor(t *testing.T, tb Table, column string, floor float64) {
+	t.Helper()
+	if raceEnabled {
+		floor /= 2
+	}
+	si := col(t, tb, column)
+	if len(tb.Rows) < 2 {
+		t.Fatalf("%s: rows = %d", tb.ID, len(tb.Rows))
+	}
+	for _, row := range tb.Rows[1:] {
+		if got := parse(t, row[si]); got < floor {
+			t.Errorf("%s %s: speedup %.1fx is under the %.1fx floor\n%s", tb.ID, row[0], got, floor, tb.Format())
+		}
+	}
+}
+
+// Pipelined and batched small-op throughput both clear 3x serial at a
+// 5 ms RTT (EXPERIMENTS.md records 13.8x and 30x).
+func TestE11PipeliningAndBatchingBeatSerial(t *testing.T) {
+	speedupFloor(t, byID(t, "e11"), "speedup_vs_serial", 3)
+}
+
+// The 4-shard router clears 2x monolithic throughput on the 30%
+// register mix (EXPERIMENTS.md records 4.3x).
+func TestE12ShardingBeatsMonolithic(t *testing.T) {
+	speedupFloor(t, byID(t, "e12"), "speedup_vs_monolithic", 2)
+}
+
+// async:1 ingest clears 1.5x the synchronous 3-member fan-out
+// (EXPERIMENTS.md records 2.8x), and the deferred replicas do land.
+func TestE13AsyncIngestBeatsSyncFanout(t *testing.T) {
+	tb := byID(t, "e13")
+	speedupFloor(t, tb, "speedup_vs_sync", 1.5)
+	if drain := parse(t, tb.Rows[1][col(t, tb, "drain_ms")]); drain <= 0 {
+		t.Errorf("async:1 drained in %v ms: the repair engine had nothing to fan out", drain)
+	}
+}
+
 func TestAllAndByID(t *testing.T) {
 	// Light smoke: every experiment produces a non-empty formatted table
-	// and is reachable by id.
-	for _, id := range []string{"e1", "e1a", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10"} {
+	// and is reachable by id. E11-E13 are run by id in their shape tests.
+	ids := []string{"e1", "e1a", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10"}
+	if got, want := IDs(), append(ids[:len(ids):len(ids)], "e11", "e12", "e13"); !reflect.DeepEqual(got, want) {
+		t.Errorf("IDs() = %v, want %v", got, want)
+	}
+	for _, id := range ids {
 		tb, ok := ByID(id, 1)
 		if !ok {
 			t.Fatalf("ByID(%q) missing", id)

@@ -19,6 +19,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"gosrb/internal/acl"
@@ -73,6 +74,10 @@ type Catalog struct {
 	// journal, when attached, receives every mutation as an append-log
 	// entry (see journal.go).
 	journal *Journal
+	// journalErr latches the first journal append failure (see
+	// journalFailed); onJournalErr observes every one.
+	journalErr   atomic.Pointer[error]
+	onJournalErr func(error)
 
 	// repairs is the pending background-repair queue, keyed by
 	// RepairTask.Key. Enqueue/complete are journaled so the queue

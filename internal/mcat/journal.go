@@ -84,10 +84,14 @@ func OpenJournalFile(path string) (*Journal, error) {
 func (j *Journal) Close() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.f != nil {
-		return j.f.Close()
+	if j.f == nil {
+		return nil
 	}
-	return nil
+	err := j.f.Sync()
+	if cerr := j.f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 func (j *Journal) append(e *journalEntry) error {
@@ -138,10 +142,45 @@ func (c *Catalog) SetJournal(j *Journal) {
 // write lock, which also serialises entries in mutation order.
 func (c *Catalog) log(e journalEntry) {
 	if c.journal != nil {
-		// Journal I/O errors must not corrupt catalog state; they are
-		// surfaced through Sync at checkpoint time.
-		_ = c.journal.append(&e)
+		// The mutation is already applied in memory and stays applied: a
+		// journal I/O error must not corrupt catalog state. It is latched
+		// instead, so the router refuses every later mutation.
+		if err := c.journal.append(&e); err != nil {
+			c.journalFailed(err)
+		}
 	}
+}
+
+// journalFailed latches the first journal append error and reports
+// every one to the hook. From the first failure on, memory holds
+// mutations the journal does not — acknowledging more would only widen
+// what a restart (or a follower replicating this journal) loses.
+// Callers hold c.mu.
+func (c *Catalog) journalFailed(err error) {
+	c.journalErr.CompareAndSwap(nil, &err)
+	if c.onJournalErr != nil {
+		c.onJournalErr(err)
+	}
+}
+
+// JournalErr returns the first journal append error since the catalog
+// was created, or nil. The latch is sticky: the lost entries are not
+// recoverable by a later successful append. The read is one atomic
+// load, so the router checks it on every mutation.
+func (c *Catalog) JournalErr() error {
+	if p := c.journalErr.Load(); p != nil {
+		return *p
+	}
+	return nil
+}
+
+// OnJournalError installs a hook called, under the catalog's write
+// lock, for every failed journal append (the router counts them as
+// mcat.journal.append.errors).
+func (c *Catalog) OnJournalError(fn func(error)) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.onJournalErr = fn
 }
 
 // ReplayStats reports one replay pass: how many entries took effect
@@ -256,7 +295,11 @@ func (c *Catalog) ApplyEntry(line []byte) (bool, error) {
 	c.journal = saved
 	c.mu.Unlock()
 	if applied && saved != nil {
-		_ = saved.AppendRaw(line)
+		if err := saved.AppendRaw(line); err != nil {
+			c.mu.Lock()
+			c.journalFailed(err)
+			c.mu.Unlock()
+		}
 	}
 	return applied, nil
 }

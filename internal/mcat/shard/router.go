@@ -169,6 +169,10 @@ func (r *Router) SetMetrics(reg *obs.Registry) {
 	r.pullLines = reg.Counter("mcat.shard.pull.entries")
 	r.promotions = reg.Counter("mcat.shard.promote")
 	r.replogFallback = reg.Counter("mcat.shard.replog.fallback")
+	appendErrs := reg.Counter("mcat.journal.append.errors")
+	for _, st := range r.shards {
+		st.cat.OnJournalError(func(error) { appendErrs.Inc() })
+	}
 	r.replagEntries = make([]*obs.Gauge, r.n)
 	r.replagSeconds = make([]*obs.Gauge, r.n)
 	for i := 0; i < r.n; i++ {
@@ -201,6 +205,11 @@ func (r *Router) writable(i int, op, target string) error {
 	r.mu.RUnlock()
 	if role == Follower {
 		return types.E(op, target, fmt.Errorf("shard %d is a follower of %q: %w", i, leader, types.ErrReadOnly))
+	}
+	// A shard whose journal stopped taking appends holds mutations in
+	// memory that a restart would lose; it serves reads and nothing else.
+	if err := st.cat.JournalErr(); err != nil {
+		return types.E(op, target, fmt.Errorf("shard %d journal append failing (%v): %w", i, err, types.ErrReadOnly))
 	}
 	if r.mutations != nil {
 		r.mutations[i].Inc()
@@ -674,6 +683,17 @@ func (r *Router) PendingRepairs() []types.RepairTask { return r.shards[0].cat.Pe
 func (r *Router) RepairBacklog() (int, time.Time) { return r.shards[0].cat.RepairBacklog() }
 
 // ---- accounting ----
+
+// JournalErr returns the first journal append failure latched by any
+// shard (see mcat.Catalog.JournalErr), or nil.
+func (r *Router) JournalErr() error {
+	for _, st := range r.shards {
+		if err := st.cat.JournalErr(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
 
 func (r *Router) Stats() mcat.Stats {
 	if r.n == 1 {

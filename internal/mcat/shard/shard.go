@@ -126,6 +126,7 @@ type Catalog interface {
 	RepairBacklog() (int, time.Time)
 
 	// Accounting.
+	JournalErr() error
 	Stats() mcat.Stats
 	AuditLog() *audit.Log
 	SetClock(now func() time.Time)

@@ -192,6 +192,12 @@ func (r *Router) SyncOnce() error {
 // applyPull folds one replication fetch into follower shard i.
 func (r *Router) applyPull(i int, res PullResult) error {
 	st := r.shards[i]
+	// A follower whose own journal stopped taking appends stops here:
+	// applying more would widen what its restart replays short of. The
+	// refusal is not a pull failure, so it never leads to a promotion.
+	if err := st.cat.JournalErr(); err != nil {
+		return types.E("shardsync", fmt.Sprint(i), fmt.Errorf("journal append failing (%v): %w", err, types.ErrReadOnly))
+	}
 	if res.Snapshot != nil {
 		if err := st.cat.Load(bytes.NewReader(res.Snapshot)); err != nil {
 			return err

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"gosrb/internal/mcat"
+	"gosrb/internal/obs"
 	"gosrb/internal/types"
 )
 
@@ -129,6 +130,55 @@ func TestPromotionAfterRepeatedPullFailures(t *testing.T) {
 	}
 	if err := f.MkColl("/x", "admin"); err != nil {
 		t.Fatalf("promoted shard write: %v", err)
+	}
+}
+
+// brokenDisk is a journal writer that fails every write.
+type brokenDisk struct{}
+
+func (brokenDisk) Write([]byte) (int, error) { return 0, errors.New("input/output error") }
+
+// A follower whose own journal stops taking appends latches like a
+// leader does: the failed appends are counted, later pulls are not
+// applied (memory stops running ahead of its journal), and the refusal
+// does not count towards promotion.
+func TestFollowerJournalFailureStopsApplying(t *testing.T) {
+	leader := newTestRouter(t, 1)
+	seedGrid(t, leader)
+	f := NewRouter(1, "admin", "local")
+	reg := obs.NewRegistry()
+	f.SetMetrics(reg)
+	f.AttachJournal(0, mcat.NewJournal(brokenDisk{}))
+	f.SetFollower(0, "leader")
+	f.SetPuller(func(peer string, idx int, after uint64) (PullResult, error) {
+		return leader.Pull(idx, after)
+	}, 1)
+
+	// The batch in flight when the journal fails is applied whole.
+	if err := f.SyncOnce(); err != nil {
+		t.Fatalf("SyncOnce: %v", err)
+	}
+	if !f.CollExists("/projects/p1") {
+		t.Fatal("first batch did not apply")
+	}
+	if f.JournalErr() == nil || reg.Counter("mcat.journal.append.errors").Value() == 0 {
+		t.Fatalf("JournalErr = %v, append.errors = %d: follower-side append failures not latched",
+			f.JournalErr(), reg.Counter("mcat.journal.append.errors").Value())
+	}
+
+	if err := leader.MkColl("/projects/p1/later", "admin"); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if err := f.SyncOnce(); !errors.Is(err, types.ErrReadOnly) {
+			t.Fatalf("SyncOnce after the latch: err = %v, want ErrReadOnly", err)
+		}
+	}
+	if f.CollExists("/projects/p1/later") {
+		t.Error("follower applied a pulled entry after its journal latched")
+	}
+	if role, _ := f.Role(0); role != Follower {
+		t.Error("a latched journal promoted the follower")
 	}
 }
 

@@ -15,27 +15,57 @@ import (
 // seconds) with `_sum`/`_count`, so a stock Prometheus scraper can
 // consume the srbd admin endpoint directly. The original plain dump
 // stays available at /metrics?format=text.
-func WritePrometheus(w io.Writer, s Snapshot) error {
+func WritePrometheus(w io.Writer, s Snapshot) error { return writeExposition(w, s, false) }
+
+// WriteOpenMetrics dumps the registry in the OpenMetrics 1.0 text
+// exposition format. It differs from WritePrometheus in the ways the
+// stricter spec demands — TYPE precedes HELP, counter families are
+// declared under their base name with `_total`-suffixed samples,
+// histogram families carry a UNIT line, and the stream is terminated by
+// `# EOF` — and in one way the spec enables: histogram bucket samples
+// carry tail exemplars (`# {trace_id="…"} <seconds>`), so a scrape can
+// jump from a slow bucket straight to `srb trace <id>` / `srb why <id>`.
+// Served at /metrics?format=openmetrics.
+func WriteOpenMetrics(w io.Writer, s Snapshot) error { return writeExposition(w, s, true) }
+
+// writeExposition is the one walk over a Snapshot both dialects share;
+// om selects OpenMetrics where the two differ.
+func writeExposition(w io.Writer, s Snapshot, om bool) error {
 	var b strings.Builder
 
-	writeHeader := func(name, typ, help string) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
+	// header declares a family. A counter family is named with its
+	// _total suffix in Prometheus and without it in OpenMetrics; its
+	// sample carries the suffix in both.
+	header := func(family, typ, unit, help string) {
+		if !om {
+			if typ == "counter" {
+				family += "_total"
+			}
+			fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s %s\n", family, help, family, typ)
+			return
+		}
+		fmt.Fprintf(&b, "# TYPE %s %s\n", family, typ)
+		if unit != "" {
+			fmt.Fprintf(&b, "# UNIT %s %s\n", family, unit)
+		}
+		fmt.Fprintf(&b, "# HELP %s %s\n", family, help)
+	}
+	counter := func(family, help string, v int64) {
+		header(family, "counter", "", help)
+		fmt.Fprintf(&b, "%s_total %d\n", family, v)
 	}
 
-	writeHeader("srb_build_info", "gauge", "Build version, injected at link time; value is always 1.")
+	header("srb_build_info", "gauge", "", "Build version, injected at link time; value is always 1.")
 	fmt.Fprintf(&b, "srb_build_info{version=%q} 1\n", buildVersion(s))
-
-	writeHeader("srb_uptime_seconds", "gauge", "Seconds since the telemetry registry was created.")
+	header("srb_uptime_seconds", "gauge", "", "Seconds since the telemetry registry was created.")
 	fmt.Fprintf(&b, "srb_uptime_seconds %s\n", formatFloat(s.UptimeSeconds))
 
 	for _, k := range sortedKeys(s.Counters) {
-		name := promName(k) + "_total"
-		writeHeader(name, "counter", "Counter "+k+".")
-		fmt.Fprintf(&b, "%s %d\n", name, s.Counters[k])
+		counter(promName(k), "Counter "+k+".", s.Counters[k])
 	}
 	for _, k := range sortedKeys(s.Gauges) {
 		name := promName(k)
-		writeHeader(name, "gauge", "Gauge "+k+".")
+		header(name, "gauge", "", "Gauge "+k+".")
 		fmt.Fprintf(&b, "%s %d\n", name, s.Gauges[k])
 	}
 
@@ -47,29 +77,67 @@ func WritePrometheus(w io.Writer, s Snapshot) error {
 	for _, k := range opNames {
 		o := s.Ops[k]
 		base := promName(k)
-		writeHeader(base+"_ops_total", "counter", "Completed "+k+" operations.")
-		fmt.Fprintf(&b, "%s_ops_total %d\n", base, o.Count)
-		writeHeader(base+"_errors_total", "counter", "Failed "+k+" operations.")
-		fmt.Fprintf(&b, "%s_errors_total %d\n", base, o.Errors)
-		writeHeader(base+"_duration_seconds", "histogram", "Latency of "+k+" operations.")
+		counter(base+"_ops", "Completed "+k+" operations.", o.Count)
+		counter(base+"_errors", "Failed "+k+" operations.", o.Errors)
+
+		hist := base + "_duration_seconds"
+		header(hist, "histogram", "seconds", "Latency of "+k+" operations.")
+		// Exemplars are an OpenMetrics-only annotation: bucket upper
+		// bound -> retained tail exemplar, consumed as buckets print.
+		var ex map[int64]BucketExemplar
+		if om {
+			ex = make(map[int64]BucketExemplar, len(o.Exemplars))
+			for _, e := range o.Exemplars {
+				ex[e.UpperMicros] = e
+			}
+		}
 		var cum int64
 		for _, bk := range o.Buckets {
 			cum += bk.Count
-			// The last pow2 bucket is open-ended: its count belongs only
-			// to +Inf, not to a finite le bound it does not actually obey.
+			// The last pow2 bucket is open-ended: its count (and any
+			// exemplar) belongs only to +Inf, not to a finite le bound
+			// it does not actually obey.
 			if bk.UpperMicros >= BucketUpperMicros(histBuckets-1) {
 				continue
 			}
-			fmt.Fprintf(&b, "%s_duration_seconds_bucket{le=\"%s\"} %d\n",
-				base, formatFloat(float64(bk.UpperMicros)/1e6), cum)
+			fmt.Fprintf(&b, "%s_bucket{le=\"%s\"} %d%s\n",
+				hist, formatFloat(float64(bk.UpperMicros)/1e6), cum, exemplarSuffix(ex, bk.UpperMicros))
+			delete(ex, bk.UpperMicros)
 		}
-		fmt.Fprintf(&b, "%s_duration_seconds_bucket{le=\"+Inf\"} %d\n", base, cum)
-		fmt.Fprintf(&b, "%s_duration_seconds_sum %s\n", base, formatFloat(float64(o.TotalMicros)/1e6))
-		fmt.Fprintf(&b, "%s_duration_seconds_count %d\n", base, o.Count)
+		// Any exemplar left over (open-ended bucket, or a bucket whose
+		// counts live only in wider buckets) rides the +Inf sample; pick
+		// the slowest.
+		var tail *BucketExemplar
+		for upper := range ex {
+			e := ex[upper]
+			if tail == nil || e.Micros > tail.Micros {
+				tail = &e
+			}
+		}
+		inf := ""
+		if tail != nil {
+			inf = fmt.Sprintf(" # {trace_id=%q} %s", tail.TraceID, formatFloat(float64(tail.Micros)/1e6))
+		}
+		fmt.Fprintf(&b, "%s_bucket{le=\"+Inf\"} %d%s\n", hist, cum, inf)
+		fmt.Fprintf(&b, "%s_sum %s\n", hist, formatFloat(float64(o.TotalMicros)/1e6))
+		fmt.Fprintf(&b, "%s_count %d\n", hist, o.Count)
 	}
 
+	if om {
+		b.WriteString("# EOF\n")
+	}
 	_, err := io.WriteString(w, b.String())
 	return err
+}
+
+// exemplarSuffix renders the OpenMetrics exemplar annotation for the
+// bucket with the given upper bound, or "" when none is retained.
+func exemplarSuffix(ex map[int64]BucketExemplar, upperMicros int64) string {
+	e, ok := ex[upperMicros]
+	if !ok || e.TraceID == "" {
+		return ""
+	}
+	return fmt.Sprintf(" # {trace_id=%q} %s", e.TraceID, formatFloat(float64(e.Micros)/1e6))
 }
 
 // buildVersion prefers the snapshot's stamped version (set by the

@@ -1130,12 +1130,14 @@ func (z reach) GridMembers(window time.Duration) []wire.GridMember {
 // readiness reports whether the daemon over b is fully serviceable and
 // a set of detail lines. Degrading conditions: any open circuit breaker
 // (a peer or storage resource being routed around), an offline local
-// resource, or a wedged repair engine (tasks pending with no worker
-// alive to drain them). When a repair engine is attached, the detail
-// always carries one informational line with the queue backlog and the
-// oldest task's age — a backlog alone is normal operation, not a
-// degradation; likewise a firing SLO rule adds a "warn:" line without
-// degrading (an objective miss is an alerting concern, not downtime).
+// resource, a catalog journal that stopped taking appends (mutations
+// are refused until restart), or a wedged repair engine (tasks pending
+// with no worker alive to drain them). When a repair engine is
+// attached, the detail always carries one informational line with the
+// queue backlog and the oldest task's age — a backlog alone is normal
+// operation, not a degradation; likewise a firing SLO rule adds a
+// "warn:" line without degrading (an objective miss is an alerting
+// concern, not downtime).
 // The admin /healthz endpoint turns !ok into HTTP 503.
 func readiness(b *core.Broker, name string) (bool, []string) {
 	var degraded []string
@@ -1151,6 +1153,9 @@ func readiness(b *core.Broker, name string) (bool, []string) {
 		if r.Server == "" || r.Server == name {
 			degraded = append(degraded, "resource "+r.Name+" offline")
 		}
+	}
+	if err := b.Cat.JournalErr(); err != nil {
+		degraded = append(degraded, "journal append failing: "+err.Error())
 	}
 	eng := b.Repair()
 	if eng != nil && eng.Wedged() {
