@@ -93,9 +93,13 @@ test-phases:
 # reshard persistence, repeated under -race — the scatter fan-out, the
 # journal-observer replication feed, and the deadline-partial path are
 # all cross-goroutine. (The shard failover chaos e2e rides test-faults'
-# 10x TestChaos loop.)
+# 10x TestChaos loop.) Then the query evaluator: its differential test
+# against the reference evaluator and a 4-shard router, and 15 s of the
+# LIKE matcher fuzzed against the recursive matcher it replaced.
 test-mcat:
 	$(GO) test -race -count=10 ./internal/mcat/shard/
+	$(GO) test -race -count=10 -run 'Query|Like|Differential' ./internal/mcat/
+	$(GO) test -run '^$$' -fuzz=FuzzLikeMatch -fuzztime=15s ./internal/mcat/
 
 # Heat-observatory sweep: the top-K sketch (Zipf recall, decay,
 # concurrent writers, rollup fold, persistence) and the replication-lag

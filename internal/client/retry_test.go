@@ -179,6 +179,8 @@ func TestParallelGetRetriesMidRange(t *testing.T) {
 	for i := range want {
 		want[i] = byte(i * 7)
 	}
+	inj := faultnet.New(1)
+	var ranges atomic.Int64
 	addr := startFake(t, func(c *wire.Conn, req *wire.Request) error {
 		if req.Op == wire.OpStat {
 			resp, _ := wire.OkResponse(types.Stat{Size: size}, false)
@@ -188,13 +190,18 @@ func TestParallelGetRetriesMidRange(t *testing.T) {
 		if err := json.Unmarshal(req.Args, &a); err != nil {
 			return err
 		}
+		if ranges.Add(1) == 2 {
+			// Both streams have dialled and asked: only now can a drop be
+			// sure to land inside a range and not on a stream's first
+			// handshake, whichever stream the scheduler ran first.
+			inj.Target("link").DropAfterBytes(size / 4)
+		}
 		resp, _ := wire.OkResponse(wire.SizeReply{Size: a.Length}, true)
 		if err := c.WriteJSON(wire.MsgResponse, resp); err != nil {
 			return err
 		}
 		return c.SendData(bytes.NewReader(want[a.Offset : a.Offset+a.Length]))
 	})
-	inj := faultnet.New(1)
 	faulty := inj.WrapDial("link", func(a string) (net.Conn, error) {
 		return net.DialTimeout("tcp", a, 5*time.Second)
 	})
@@ -213,9 +220,6 @@ func TestParallelGetRetriesMidRange(t *testing.T) {
 	defer cl.Close()
 	cl.SetRetryPolicy(fastPolicy())
 
-	// Handshakes and the stat are a few hundred bytes; the budget runs
-	// out well inside the ranges.
-	inj.Target("link").DropAfterBytes(size / 2)
 	got, err := cl.ParallelGet("/x", 2)
 	if err != nil {
 		t.Fatalf("ParallelGet across a mid-range drop = %v", err)

@@ -271,11 +271,16 @@ func (c *Catalog) GroupsOf(user string) map[string]bool {
 	return c.groupsOfLocked(user)
 }
 
+// groupsOfLocked returns nil for a user in no group, the common case on
+// every access check.
 func (c *Catalog) groupsOfLocked(user string) map[string]bool {
-	out := make(map[string]bool)
+	var out map[string]bool
 	for name, g := range c.groups {
 		for _, m := range g.Members {
 			if m == user {
+				if out == nil {
+					out = make(map[string]bool)
+				}
 				out[name] = true
 				break
 			}

@@ -59,20 +59,26 @@ func (c *Catalog) effectiveLevelLocked(path, user string) acl.Level {
 	if col, ok := c.colls[path]; ok && col.Owner == user {
 		best = acl.Curate // collection owners curate their collections
 	}
-	consider := func(p string) {
+	// Walk path, then each ancestor up to the root, as prefixes of path.
+	for p := path; ; {
 		if l := c.acls[p].LevelFor(user, groups); l > best {
 			best = l
 		}
-	}
-	consider(path)
-	for _, a := range types.Ancestors(path) {
-		consider(a)
 		// Owning an ancestor collection grants curate over the subtree.
-		if col, ok := c.colls[a]; ok && col.Owner == user && acl.Curate > best {
-			best = acl.Curate
+		if p != path && acl.Curate > best {
+			if col, ok := c.colls[p]; ok && col.Owner == user {
+				best = acl.Curate
+			}
+		}
+		if p == "/" {
+			return best
+		}
+		if i := strings.LastIndexByte(p, '/'); i > 0 {
+			p = p[:i]
+		} else {
+			p = "/"
 		}
 	}
-	return best
 }
 
 // SetResourceACL controls who may store onto a resource.

@@ -151,22 +151,27 @@ func (c *Catalog) ListColl(path string) ([]types.Stat, error) {
 	if col.LinkTarget != "" {
 		path = col.LinkTarget
 	}
-	var out []types.Stat
+	n := len(c.childColls[path]) + len(c.childObjs[path])
+	if n == 0 {
+		return nil, nil
+	}
+	out := make([]types.Stat, 0, n)
 	for _, p := range sortedVals(c.childColls[path]) {
 		sub := c.colls[p]
 		st := types.Stat{Path: p, IsCollect: true, Owner: sub.Owner, ModifiedAt: sub.CreatedAt}
 		out = append(out, st)
 	}
 	for _, p := range sortedVals(c.childObjs[path]) {
-		o := c.objects[p]
-		out = append(out, statOf(o))
+		out = append(out, statOf(p, c.objects[p]))
 	}
 	return out, nil
 }
 
-func statOf(o *types.DataObject) types.Stat {
+// statOf describes the object stored under path p (its key in the
+// object and child indexes, so the path is not joined again).
+func statOf(p string, o *types.DataObject) types.Stat {
 	return types.Stat{
-		Path:       o.Path(),
+		Path:       p,
 		Kind:       o.Kind,
 		DataType:   o.DataType,
 		Owner:      o.Owner,

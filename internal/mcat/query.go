@@ -46,12 +46,6 @@ func (c *Catalog) QueryPartial(q Query) ([]Hit, []string, error) {
 	return hits, nil, err
 }
 
-// validOps is the operator set of the MySRB query builder.
-var validOps = map[string]bool{
-	"=": true, "<>": true, ">": true, ">=": true, "<": true, "<=": true,
-	"like": true, "not like": true,
-}
-
 // SysAttrs lists the queryable system-metadata pseudo-attributes.
 func SysAttrs() []string {
 	return []string{
@@ -87,103 +81,10 @@ func sysValues(o *types.DataObject, attr string) []string {
 	}
 }
 
-// compareVals orders two attribute values: numerically when both parse
-// as numbers, lexicographically otherwise.
-func compareVals(a, b string) int {
-	af, aerr := strconv.ParseFloat(strings.TrimSpace(a), 64)
-	bf, berr := strconv.ParseFloat(strings.TrimSpace(b), 64)
-	if aerr == nil && berr == nil {
-		switch {
-		case af < bf:
-			return -1
-		case af > bf:
-			return 1
-		default:
-			return 0
-		}
-	}
-	return strings.Compare(a, b)
-}
-
-// likeMatch is the catalog's LIKE: % any run, _ one char, case-folded.
-func likeMatch(s, pattern string) bool {
-	return likeRec(strings.ToLower(s), strings.ToLower(pattern))
-}
-
-func likeRec(s, p string) bool {
-	for len(p) > 0 {
-		switch p[0] {
-		case '%':
-			p = strings.TrimLeft(p, "%")
-			if p == "" {
-				return true
-			}
-			for i := 0; i <= len(s); i++ {
-				if likeRec(s[i:], p) {
-					return true
-				}
-			}
-			return false
-		case '_':
-			if s == "" {
-				return false
-			}
-			s, p = s[1:], p[1:]
-		default:
-			if s == "" || s[0] != p[0] {
-				return false
-			}
-			s, p = s[1:], p[1:]
-		}
-	}
-	return s == ""
-}
-
-// condSatisfied reports whether any of the values satisfies the
-// condition (attributes are multi-valued).
-func condSatisfied(values []string, op, want string) bool {
-	for _, v := range values {
-		switch op {
-		case "=":
-			if v == want {
-				return true
-			}
-		case "<>":
-			if v != want {
-				return true
-			}
-		case ">":
-			if compareVals(v, want) > 0 {
-				return true
-			}
-		case ">=":
-			if compareVals(v, want) >= 0 {
-				return true
-			}
-		case "<":
-			if compareVals(v, want) < 0 {
-				return true
-			}
-		case "<=":
-			if compareVals(v, want) <= 0 {
-				return true
-			}
-		case "like":
-			if likeMatch(v, want) {
-				return true
-			}
-		case "not like":
-			if !likeMatch(v, want) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// attrValues gathers an object's values for an attribute: system
-// pseudo-attributes, annotation text, or user/type metadata.
-// Callers hold at least the read lock.
+// attrValuesLocked gathers an object's values for an attribute: system
+// pseudo-attributes, annotation text, or user/type metadata. It builds
+// the Select columns of a hit; conditions are tested in place by
+// cond.matches and never come here. Callers hold at least the read lock.
 func (c *Catalog) attrValuesLocked(path string, o *types.DataObject, attr string) []string {
 	if strings.HasPrefix(attr, "sys:") {
 		return sysValues(o, attr)
@@ -204,30 +105,302 @@ func (c *Catalog) attrValuesLocked(path string, o *types.DataObject, attr string
 	return out
 }
 
+// op is a comparison operator of the MySRB query builder, decided once
+// per query.
+type op uint8
+
+const (
+	opEq op = iota
+	opNe
+	opGt
+	opGe
+	opLt
+	opLe
+	opLike
+	opNotLike
+)
+
+func parseOp(s string) (op, bool) {
+	switch strings.ToLower(s) {
+	case "=":
+		return opEq, true
+	case "<>":
+		return opNe, true
+	case ">":
+		return opGt, true
+	case ">=":
+		return opGe, true
+	case "<":
+		return opLt, true
+	case "<=":
+		return opLe, true
+	case "like":
+		return opLike, true
+	case "not like":
+		return opNotLike, true
+	}
+	return 0, false
+}
+
+// source says where a condition's attribute lives, decided once per
+// query: user/type metadata, annotation text, or one field of the
+// object. srcNone is a "sys:" name the catalog does not know; it has no
+// values, so no object satisfies a condition on it.
+type source uint8
+
+const (
+	srcMeta source = iota
+	srcAnnotation
+	srcName
+	srcCollection
+	srcOwner
+	srcSize
+	srcDataType
+	srcKind
+	srcContainer
+	srcReplicas
+	srcNone
+)
+
+func sourceOf(attr string) source {
+	switch attr {
+	case "sys:name":
+		return srcName
+	case "sys:collection":
+		return srcCollection
+	case "sys:owner":
+		return srcOwner
+	case "sys:size":
+		return srcSize
+	case "sys:datatype":
+		return srcDataType
+	case "sys:kind":
+		return srcKind
+	case "sys:container":
+		return srcContainer
+	case "sys:replicas":
+		return srcReplicas
+	}
+	switch {
+	case strings.HasPrefix(attr, "sys:"):
+		return srcNone
+	case lowerEq(attr, "annotation"):
+		return srcAnnotation
+	}
+	return srcMeta
+}
+
+// cond is a compiled Condition: everything that does not depend on the
+// candidate is worked out before the first one is looked at.
+type cond struct {
+	src  source
+	attr string // srcMeta: attribute name, matched case-insensitively
+	op   op
+	want string // the comparand; a LIKE pattern is lower-cased here, once
+	// Ordering operators compare numerically when both sides parse as
+	// numbers; the comparand is parsed here, once.
+	wantNum   float64
+	wantIsNum bool
+}
+
+func compile(cn Condition) (cond, bool) {
+	o, ok := parseOp(cn.Op)
+	if !ok {
+		return cond{}, false
+	}
+	cc := cond{src: sourceOf(cn.Attr), attr: cn.Attr, op: o, want: cn.Value}
+	switch o {
+	case opGt, opGe, opLt, opLe:
+		f, err := strconv.ParseFloat(strings.TrimSpace(cn.Value), 64)
+		cc.wantNum, cc.wantIsNum = f, err == nil
+	case opLike, opNotLike:
+		cc.want = strings.ToLower(cn.Value)
+	}
+	return cc, true
+}
+
+// compare orders a value against the comparand: numerically when both
+// parse as numbers, lexicographically otherwise.
+func (cc *cond) compare(v string) int {
+	if cc.wantIsNum {
+		if f, err := strconv.ParseFloat(strings.TrimSpace(v), 64); err == nil {
+			switch {
+			case f < cc.wantNum:
+				return -1
+			case f > cc.wantNum:
+				return 1
+			default:
+				return 0
+			}
+		}
+	}
+	return strings.Compare(v, cc.want)
+}
+
+// test reports whether one value satisfies the condition.
+func (cc *cond) test(v string) bool {
+	switch cc.op {
+	case opEq:
+		return v == cc.want
+	case opNe:
+		return v != cc.want
+	case opGt:
+		return cc.compare(v) > 0
+	case opGe:
+		return cc.compare(v) >= 0
+	case opLt:
+		return cc.compare(v) < 0
+	case opLe:
+		return cc.compare(v) <= 0
+	case opLike:
+		return likeFolded(v, cc.want)
+	default: // opNotLike
+		return !likeFolded(v, cc.want)
+	}
+}
+
+// matches reports whether any value the object has for the condition's
+// attribute satisfies it (attributes are multi-valued), reading the
+// values where they are stored. Callers hold at least the read lock.
+func (cc *cond) matches(c *Catalog, path string, o *types.DataObject) bool {
+	switch cc.src {
+	case srcMeta:
+		entries := c.meta[path]
+		for i := range entries {
+			e := &entries[i]
+			if queryableClass(e.Class) && lowerEq(e.AVU.Name, cc.attr) && cc.test(e.AVU.Value) {
+				return true
+			}
+		}
+		return false
+	case srcAnnotation:
+		notes := c.annots[path]
+		for i := range notes {
+			if cc.test(notes[i].Text) {
+				return true
+			}
+		}
+		return false
+	case srcName:
+		return cc.test(o.Name)
+	case srcCollection:
+		return cc.test(o.Collection)
+	case srcOwner:
+		return cc.test(o.Owner)
+	case srcSize:
+		return cc.testInt(o.Size)
+	case srcDataType:
+		return cc.test(o.DataType)
+	case srcKind:
+		return cc.test(o.Kind.String())
+	case srcContainer:
+		return o.Container != "" && cc.test(o.Container)
+	case srcReplicas:
+		return cc.testInt(int64(len(o.Replicas)))
+	default: // srcNone
+		return false
+	}
+}
+
+// testInt tests a numeric field through its decimal form, formatted
+// into a buffer that does not outlive the call.
+func (cc *cond) testInt(n int64) bool {
+	var buf [20]byte
+	return cc.test(string(strconv.AppendInt(buf[:0], n, 10)))
+}
+
+// likeFolded is the catalog's LIKE against a pattern that is already
+// lower-cased: % any run, _ one byte, case-folded.
+//
+// It is the iterative wildcard match: on a mismatch it returns to the
+// most recent % and lets it take one more byte, and a later % makes
+// every earlier one final, so the work is bounded by len(s)·len(p)
+// however many % the pattern has. (The recursive matcher it replaces
+// retried every earlier % as well — exponential in their number, under
+// the catalog's read lock.) It allocates nothing for an ASCII value.
+func likeFolded(s, p string) bool {
+	for i := 0; i < len(s); i++ {
+		if s[i] >= 0x80 {
+			// Case outside ASCII can change a value's length; fold the
+			// whole value the way the pattern was folded.
+			s = strings.ToLower(s)
+			break
+		}
+	}
+	si, pi := 0, 0
+	star, mark := -1, 0 // pattern index after the last %, and the value index it resumes from
+	for si < len(s) {
+		switch {
+		case pi < len(p) && p[pi] == '%':
+			pi++
+			star, mark = pi, si
+		case pi < len(p) && (p[pi] == '_' || p[pi] == lowerByte(s[si])):
+			si++
+			pi++
+		case star >= 0:
+			mark++
+			si, pi = mark, star
+		default:
+			return false
+		}
+	}
+	for pi < len(p) && p[pi] == '%' {
+		pi++
+	}
+	return pi == len(p)
+}
+
+func lowerByte(b byte) byte {
+	if 'A' <= b && b <= 'Z' {
+		return b + ('a' - 'A')
+	}
+	return b
+}
+
+// inScope reports whether path lies strictly inside the cleaned scope.
+func inScope(scope, path string) bool {
+	if scope == "/" {
+		return true
+	}
+	return len(path) > len(scope) && path[len(scope)] == '/' && path[:len(scope)] == scope
+}
+
 // RunQuery executes a conjunctive query and returns hits sorted by
 // path. Equality conditions on user/type attributes narrow through the
 // inverted index, keeping latency flat as the catalog grows (E2).
+//
+// The query is compiled once, the candidates (the smallest posting set
+// of the index, or every object) are walked where they are stored and
+// each condition is tested against the object's own records; only the
+// paths that match are collected, sorted and cut at Limit, and only
+// those get their Select values built. What a query allocates grows
+// with its hits, not with its candidates.
 func (c *Catalog) RunQuery(q Query) ([]Hit, error) {
 	scope := types.CleanPath(q.Scope)
-	for _, cond := range q.Conds {
-		if !validOps[strings.ToLower(cond.Op)] {
-			return nil, types.E("query", cond.Op, types.ErrInvalid)
+	var buf [4]cond
+	conds := buf[:0]
+	for _, cn := range q.Conds {
+		cc, ok := compile(cn)
+		if !ok {
+			return nil, types.E("query", cn.Op, types.ErrInvalid)
 		}
+		conds = append(conds, cc)
 	}
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 
-	// Choose the smallest equality-index candidate set, if any.
+	// Choose the smallest equality posting set, if any. A value or an
+	// attribute the index does not hold is held by no object.
 	var candidates map[string]bool
-	for _, cond := range q.Conds {
-		if cond.Op != "=" || strings.HasPrefix(cond.Attr, "sys:") || lowerEq(cond.Attr, "annotation") {
+	for i := range conds {
+		cc := &conds[i]
+		if cc.op != opEq || cc.src != srcMeta {
 			continue
 		}
-		vals := c.attrIndex[strings.ToLower(cond.Attr)]
-		if vals == nil {
-			return nil, nil // indexed attr absent entirely: no hits
+		set := c.attrIndex[strings.ToLower(cc.attr)][cc.want]
+		if len(set) == 0 {
+			return nil, nil
 		}
-		set := vals[cond.Value]
 		if candidates == nil || len(set) < len(candidates) {
 			candidates = set
 		}
@@ -236,48 +409,47 @@ func (c *Catalog) RunQuery(q Query) ([]Hit, error) {
 	var paths []string
 	if candidates != nil {
 		for p := range candidates {
-			paths = append(paths, p)
+			// A posting may be a collection's path: those are not hits.
+			if o, ok := c.objects[p]; ok && inScope(scope, p) && matchesAll(conds, c, p, o) {
+				paths = append(paths, p)
+			}
 		}
 	} else {
-		for p := range c.objects {
-			paths = append(paths, p)
+		for p, o := range c.objects {
+			if inScope(scope, p) && matchesAll(conds, c, p, o) {
+				paths = append(paths, p)
+			}
 		}
 	}
+	if len(paths) == 0 {
+		return nil, nil
+	}
 	sort.Strings(paths)
-
-	var hits []Hit
-	for _, p := range paths {
-		if scope != "/" && !types.Within(scope, p) {
-			continue
-		}
-		o, ok := c.objects[p]
-		if !ok {
-			continue // candidate may be a collection path
-		}
-		match := true
-		for _, cond := range q.Conds {
-			vals := c.attrValuesLocked(p, o, cond.Attr)
-			if !condSatisfied(vals, strings.ToLower(cond.Op), cond.Value) {
-				match = false
-				break
-			}
-		}
-		if !match {
-			continue
-		}
-		h := Hit{Path: p}
+	if q.Limit > 0 && len(paths) > q.Limit {
+		paths = paths[:q.Limit]
+	}
+	hits := make([]Hit, len(paths))
+	for i, p := range paths {
+		hits[i].Path = p
 		if len(q.Select) > 0 {
-			h.Values = make(map[string][]string, len(q.Select))
+			o := c.objects[p]
+			vals := make(map[string][]string, len(q.Select))
 			for _, a := range q.Select {
-				h.Values[a] = c.attrValuesLocked(p, o, a)
+				vals[a] = c.attrValuesLocked(p, o, a)
 			}
-		}
-		hits = append(hits, h)
-		if q.Limit > 0 && len(hits) >= q.Limit {
-			break
+			hits[i].Values = vals
 		}
 	}
 	return hits, nil
+}
+
+func matchesAll(conds []cond, c *Catalog, path string, o *types.DataObject) bool {
+	for i := range conds {
+		if !conds[i].matches(c, path, o) {
+			return false
+		}
+	}
+	return true
 }
 
 // QueryAttrNames returns the attribute names queryable within scope:

@@ -71,7 +71,8 @@ func (r *Router) QueryPartial(q mcat.Query) ([]mcat.Hit, []string, error) {
 		}(i, r.shards[i].cat)
 	}
 
-	answered := make(map[int][]mcat.Hit)
+	answers := make([][]mcat.Hit, r.n)
+	answered := make([]bool, r.n)
 	var firstErr error
 	deadline := time.NewTimer(r.qTimeout)
 	defer deadline.Stop()
@@ -87,7 +88,7 @@ collect:
 				}
 				continue
 			}
-			answered[res.idx] = res.hits
+			answers[res.idx], answered[res.idx] = res.hits, true
 		case <-deadline.C:
 			break collect
 		}
@@ -101,7 +102,7 @@ collect:
 
 	var partial []string
 	for i := range r.shards {
-		if _, ok := answered[i]; !ok || r.isStale(i) {
+		if !answered[i] || r.isStale(i) {
 			partial = append(partial, r.shardName(i))
 		}
 	}
@@ -110,30 +111,43 @@ collect:
 	}
 
 	mergeStart := time.Now()
-	seen := make(map[string]mcat.Hit)
-	for _, hits := range answered {
-		for _, h := range hits {
-			if _, ok := seen[h.Path]; !ok {
-				seen[h.Path] = h
-			}
-		}
-	}
-	paths := make([]string, 0, len(seen))
-	for p := range seen {
-		paths = append(paths, p)
-	}
-	sort.Strings(paths)
-	if q.Limit > 0 && len(paths) > q.Limit {
-		paths = paths[:q.Limit]
-	}
-	out := make([]mcat.Hit, 0, len(paths))
-	for _, p := range paths {
-		out = append(out, seen[p])
-	}
+	out := mergeHits(answers, q.Limit)
 	if r.mergeOp != nil {
 		r.mergeOp.Observe(time.Since(mergeStart), nil)
 	}
 	return out, partial, nil
+}
+
+// mergeHits merges the shards' answers, each already sorted by path,
+// into one sorted list of at most limit hits (0 = all). A path two
+// shards both report (an object mid-migration) is kept once, from the
+// lower-numbered shard. It consumes lists.
+func mergeHits(lists [][]mcat.Hit, limit int) []mcat.Hit {
+	total := 0
+	for _, l := range lists {
+		total += len(l)
+	}
+	if limit > 0 && total > limit {
+		total = limit
+	}
+	out := make([]mcat.Hit, 0, total)
+	for len(out) < total {
+		best := -1
+		for i, l := range lists {
+			if len(l) > 0 && (best < 0 || l[0].Path < lists[best][0].Path) {
+				best = i
+			}
+		}
+		if best < 0 {
+			break // duplicates made total an overestimate
+		}
+		h := lists[best][0]
+		lists[best] = lists[best][1:]
+		if len(out) == 0 || out[len(out)-1].Path != h.Path {
+			out = append(out, h)
+		}
+	}
+	return out
 }
 
 // QueryAttrNames unions the queryable attribute names across the

@@ -23,14 +23,16 @@ const DefaultVNodes = 64
 // one shard.
 func KeyOf(path string) string {
 	p := types.CleanPath(path)
-	if p == "/" {
-		return "/"
+	// The key ends at the third slash; it is a prefix of p, not a copy.
+	end := 0
+	for n := 0; n < 2; n++ {
+		i := strings.IndexByte(p[end+1:], '/')
+		if i < 0 {
+			return p
+		}
+		end += 1 + i
 	}
-	parts := strings.SplitN(strings.TrimPrefix(p, "/"), "/", 3)
-	if len(parts) <= 2 {
-		return p
-	}
-	return "/" + parts[0] + "/" + parts[1]
+	return p[:end]
 }
 
 // Spine reports whether path belongs to the broadcast tier: the root

@@ -62,13 +62,13 @@ func Ancestors(p string) []string {
 	if p == "/" {
 		return nil
 	}
-	var out []string
+	// One ancestor per slash, each a prefix of p: nothing is copied.
+	out := make([]string, 0, strings.Count(p, "/"))
 	out = append(out, "/")
-	parts := strings.Split(strings.TrimPrefix(p, "/"), "/")
-	cur := ""
-	for _, part := range parts[:len(parts)-1] {
-		cur = cur + "/" + part
-		out = append(out, cur)
+	for i := 1; i < len(p); i++ {
+		if p[i] == '/' {
+			out = append(out, p[:i])
+		}
 	}
 	return out
 }
