@@ -71,12 +71,12 @@ test-repair:
 	$(GO) test -race -count=1 ./internal/repair/ ./internal/mcat/
 	$(GO) test -race -count=1 -run 'TestRepairQueueRestartRecovery|TestHealthzWedgedRepair' ./cmd/srbd/
 
-# Wire-protocol sweep: the mux/pool race suite and the batch-semantics
-# tests, repeated under -race — the checkout/checkin and out-of-order
-# demux races only surface across many interleavings. (The pipelined
-# chaos e2e rides test-faults' 10x TestChaos loop.)
+# Wire-protocol sweep: the handshake, the mux/pool race suite and the
+# batch-semantics tests, repeated under -race — the checkout/checkin and
+# out-of-order demux races only surface across many interleavings. (The
+# pipelined chaos e2e rides test-faults' 10x TestChaos loop.)
 test-wire:
-	$(GO) test -race -count=10 -run 'TestMux|TestPool' ./internal/wire/
+	$(GO) test -race -count=10 -run 'TestHandshake|TestMux|TestPool' ./internal/wire/
 	$(GO) test -race -count=10 -run 'TestBatcher' ./internal/client/
 	$(GO) test -race -count=1 -run 'TestBulk|TestMultiGet' ./internal/server/
 
@@ -103,13 +103,13 @@ test-mcat:
 
 # Heat-observatory sweep: the top-K sketch (Zipf recall, decay,
 # concurrent writers, rollup fold, persistence) and the replication-lag
-# gauge/advisor suites, repeated under -race — the sketch is written
+# gauge and shard heat-join suites, repeated under -race — the sketch is written
 # from every request goroutine while snapshots, folds and decays run
 # concurrently, so tears only surface across many interleavings. (The
 # heat chaos e2e rides test-faults' 10x TestChaos loop.)
 test-heat:
 	$(GO) test -race -count=10 -run 'TestHeat|TestSLOReplag' ./internal/obs/
-	$(GO) test -race -count=10 -run 'TestReplagGauges|TestReplogFallback|TestAdvisor' ./internal/mcat/shard/
+	$(GO) test -race -count=10 -run 'TestReplagGauges|TestReplogFallback|TestHeatJoin' ./internal/mcat/shard/
 
 # Read-your-own-telemetry fence: every server test that asks for a
 # request's telemetry right after its reply, 20 times over. dispatch
@@ -128,7 +128,7 @@ test-stream:
 	$(GO) test -race -count=10 ./internal/chunk/ ./internal/wire/
 	$(GO) test -race -count=10 -run 'TestWriteFrom|TestFanout|TestReadHandle' ./internal/replica/
 	$(GO) test -race -count=10 -run 'TestParallelGetRetries' ./internal/client/
-	$(GO) test -race -count=10 -run 'TestStream|TestReadYourOwn|TestPipelined|TestRejected|TestPut|TestReput|TestGetDriver|TestProxiedGet|TestStalled|TestReadRange' ./internal/server/
+	$(GO) test -race -count=10 -run 'TestStream|TestReadYourOwn|TestPipelined|TestRejected|TestRequestWithoutID|TestPut|TestReput|TestGetDriver|TestProxiedGet|TestStalled|TestReadRange' ./internal/server/
 
 # The end-to-end benchmark BENCHMARK.json declares (bench/README.md): the
 # four workloads, one fresh process each, gated metrics by name. The

@@ -7,6 +7,7 @@ import (
 
 	"gosrb/internal/client"
 	"gosrb/internal/obs"
+	"gosrb/internal/wire"
 )
 
 // TestChaosFlightRecorder is the flight-recorder end-to-end: a seeded
@@ -91,7 +92,8 @@ func TestChaosFlightRecorder(t *testing.T) {
 
 	// The bundle is complete and served over the wire ops `srb incident
 	// list` / `srb incident get` read.
-	lrep, err := cl.Incidents()
+	var lrep wire.IncidentsReply
+	err = cl.Call(wire.OpIncidents, struct{}{}, &lrep)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +132,8 @@ func TestChaosFlightRecorder(t *testing.T) {
 
 	// The observatory saw the spiked disk reads (resource rows ride the
 	// replica read path) and answers over the wire.
-	prep, err := cl.Peers()
+	var prep wire.PeersReply
+	err = cl.Call(wire.OpPeers, struct{}{}, &prep)
 	if err != nil {
 		t.Fatal(err)
 	}

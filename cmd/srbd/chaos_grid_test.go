@@ -14,6 +14,7 @@ import (
 	"gosrb/internal/server"
 	"gosrb/internal/storage/memfs"
 	"gosrb/internal/types"
+	"gosrb/internal/wire"
 )
 
 // gridZone is a three-server zone with fault injection on every disk:
@@ -110,7 +111,8 @@ func TestChaosGridSnapshotWithDeadMember(t *testing.T) {
 	defer cl.Close()
 	cl.SetTimeout(5 * time.Second)
 	start := time.Now()
-	rep, err := cl.GridStat(5*time.Minute, true)
+	var rep wire.GridStatReply
+	err = cl.Call(wire.OpGridStat, wire.GridStatArgs{WindowSeconds: 300}, &rep)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +192,8 @@ func TestChaosLatencySpikeTripsSLO(t *testing.T) {
 	}
 
 	// The standing is visible over the wire, where `srb alerts` reads.
-	rep, err := cl.Alerts()
+	var rep wire.AlertsReply
+	err = cl.Call(wire.OpAlerts, struct{}{}, &rep)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,8 +30,8 @@ import (
 // top-K on every surface (the heat wire op, the admin /heat endpoint,
 // the MySRB heat page), the follower's lag gauge must trip a declared
 // replag_seconds SLO rule that FIREs and then RESOLVEs after a sync,
-// /healthz must warn about the lag without going 503, and the rebalance
-// advisor must propose moving the hot prefix off the overloaded shard.
+// /healthz must warn about the lag without going 503, and the per-shard
+// heat join must name the overloaded shard and show the imbalance.
 // All timing-sensitive state is driven by explicit RefreshReplag calls
 // with synthetic clocks so the schedule replays identically under -race.
 func TestChaosHeatObservatory(t *testing.T) {
@@ -112,8 +112,8 @@ func TestChaosHeatObservatory(t *testing.T) {
 
 	// Surface 1: the wire op. The hot prefix must lead the key top-K,
 	// the hot object must be tracked, and all four shards must report.
-	rep, err := cl1.Heat()
-	if err != nil {
+	var rep wire.HeatReply
+	if err := cl1.Call(wire.OpHeat, struct{}{}, &rep); err != nil {
 		t.Fatal(err)
 	}
 	if len(rep.Keys) == 0 || rep.Keys[0].Key != hot {
@@ -131,24 +131,30 @@ func TestChaosHeatObservatory(t *testing.T) {
 	if len(rep.Shards) != shards {
 		t.Fatalf("heat reply carries %d shards, want %d", len(rep.Shards), shards)
 	}
-	if rep.Plan == nil {
-		t.Fatal("heat reply carries no advisor plan")
-	}
 
-	// The advisor: the plan must move the hot prefix off its overloaded
-	// home shard to a cooler one.
-	plan := leadCat.Advise(b1.Metrics().HeatKeys().Snapshot(), time.Now())
-	if len(plan.Moves) == 0 {
-		t.Fatalf("advisor proposed no moves for a skewed workload: %+v", plan)
+	// The join: the shard homing the hot and the warm prefix carries the
+	// heat of both, far above the mean, and the gauge says the same.
+	checkJoin := func(surface string, rep wire.HeatReply) {
+		t.Helper()
+		if len(rep.ShardHeat) != shards {
+			t.Fatalf("%s: heat join has %d rows, want %d", surface, len(rep.ShardHeat), shards)
+		}
+		hottest := 0
+		for i, sh := range rep.ShardHeat {
+			if sh.Score > rep.ShardHeat[hottest].Score {
+				hottest = i
+			}
+		}
+		if hottest != home || rep.ShardHeat[home].HotKeys < 2 || rep.ShardHeat[home].Objects < 2 {
+			t.Fatalf("%s: hottest shard = %d, want %d with the hot and warm prefixes: %+v", surface, hottest, home, rep.ShardHeat)
+		}
+		if rep.Imbalance < 2 {
+			t.Fatalf("%s: imbalance %.2fx for a workload with 80 of 85 reads on one of %d shards", surface, rep.Imbalance, shards)
+		}
 	}
-	if plan.Moves[0].Key != hot || plan.Moves[0].From != home || plan.Moves[0].To == home {
-		t.Fatalf("move = %+v, want %q off shard %d", plan.Moves[0], hot, home)
-	}
-	if plan.Projected >= plan.Imbalance {
-		t.Fatalf("plan projects no improvement: %.2f -> %.2f", plan.Imbalance, plan.Projected)
-	}
-	if plan.Moves[0].EstKeys < 1 {
-		t.Fatalf("move estimates no keys: %+v", plan.Moves[0])
+	checkJoin("wire", rep)
+	if v := b1.Metrics().Gauge("mcat.shard.heat_imbalance_pct").Value(); v < 200 {
+		t.Fatalf("heat_imbalance_pct gauge = %d after a join at %.2fx", v, rep.Imbalance)
 	}
 
 	// Surface 2: the admin endpoint, JSON and text.
@@ -165,12 +171,10 @@ func TestChaosHeatObservatory(t *testing.T) {
 	if len(arep.Keys) == 0 || arep.Keys[0].Key != hot {
 		t.Fatalf("admin /heat top key = %+v, want %q", arep.Keys, hot)
 	}
-	if arep.Plan == nil || len(arep.Plan.Moves) == 0 || arep.Plan.Moves[0].Key != hot {
-		t.Fatalf("admin /heat plan = %+v, want the stored advisor plan", arep.Plan)
-	}
+	checkJoin("admin /heat", arep)
 	text := adminBody(t, admin1, "/heat")
-	if !strings.Contains(text, hot) || !strings.Contains(text, "rebalance plan") {
-		t.Fatalf("admin /heat text missing hot prefix or plan:\n%s", text)
+	if !strings.Contains(text, hot) || !strings.Contains(text, "shard heat (imbalance") {
+		t.Fatalf("admin /heat text missing hot prefix or heat join:\n%s", text)
 	}
 
 	// Surface 3: the MySRB heat page over the same broker.
@@ -182,8 +186,8 @@ func TestChaosHeatObservatory(t *testing.T) {
 		t.Fatal(err)
 	}
 	page := httpBody(t, wc, web.URL+"/heat")
-	if !strings.Contains(page, hot) || !strings.Contains(page, "Shard heat") || !strings.Contains(page, "Rebalance advisor") {
-		t.Fatalf("mysrb /heat page missing hot prefix, heat bars or plan:\n%s", page[:min(600, len(page))])
+	if !strings.Contains(page, hot) || !strings.Contains(page, "Shard heat") || !strings.Contains(page, "Imbalance (hottest shard over mean)") {
+		t.Fatalf("mysrb /heat page missing hot prefix, heat bars or imbalance:\n%s", page[:min(600, len(page))])
 	}
 
 	// The follower: four shards replicating over the real wire protocol.
@@ -283,8 +287,8 @@ func TestChaosHeatObservatory(t *testing.T) {
 
 	// `srb shards` on the leader now reports the follower's ack: the
 	// replag fields ride the status op.
-	srep, err := cl1.Shards()
-	if err != nil {
+	var srep wire.ShardsReply
+	if err := cl1.Call(wire.OpShards, struct{}{}, &srep); err != nil {
 		t.Fatal(err)
 	}
 	if len(srep.Shards) != shards {

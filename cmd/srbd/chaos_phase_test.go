@@ -17,6 +17,7 @@ import (
 	"gosrb/internal/server"
 	"gosrb/internal/storage/memfs"
 	"gosrb/internal/types"
+	"gosrb/internal/wire"
 )
 
 // TestChaosPhaseAttribution is the latency-decomposition end-to-end: a
@@ -99,7 +100,8 @@ func TestChaosPhaseAttribution(t *testing.T) {
 	}
 
 	// --- srb why: the span waterfall attributes the spike. ---
-	rep, err := cl.Trace(id)
+	var rep wire.TraceReply
+	err = cl.Call(wire.OpTrace, wire.TraceArgs{ID: id}, &rep)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +147,8 @@ func TestChaosPhaseAttribution(t *testing.T) {
 	}
 
 	// --- srb top -phases -grid: the windowed fan-out agrees. ---
-	grid, err := cl.GridStat(time.Minute, true)
+	var grid wire.GridStatReply
+	err = cl.Call(wire.OpGridStat, wire.GridStatArgs{WindowSeconds: 60}, &grid)
 	if err != nil {
 		t.Fatal(err)
 	}

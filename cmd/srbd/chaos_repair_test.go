@@ -20,6 +20,7 @@ import (
 	"gosrb/internal/storage"
 	"gosrb/internal/storage/memfs"
 	"gosrb/internal/types"
+	"gosrb/internal/wire"
 )
 
 // pollUntil spins on cond until it holds or the deadline passes —
@@ -274,7 +275,8 @@ func TestChaosAsyncReplRepairScrub(t *testing.T) {
 
 	// The wire-level status matches: engine enabled, queue drained,
 	// lifetime counters show both the failures and the completions.
-	srep, err := cl.RepairStatus()
+	var srep wire.RepairStatusReply
+	err = cl.Call(wire.OpRepairStatus, struct{}{}, &srep)
 	if err != nil {
 		t.Fatal(err)
 	}

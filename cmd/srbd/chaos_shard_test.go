@@ -13,6 +13,7 @@ import (
 	"gosrb/internal/server"
 	"gosrb/internal/storage/memfs"
 	"gosrb/internal/types"
+	"gosrb/internal/wire"
 )
 
 // TestChaosShardFailover is the sharded-catalog chaos end-to-end: two
@@ -176,7 +177,8 @@ func TestChaosShardFailover(t *testing.T) {
 	}
 
 	// The shard-status op reflects the takeover.
-	rep, err := cl2.Shards()
+	var rep wire.ShardsReply
+	err = cl2.Call(wire.OpShards, struct{}{}, &rep)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,6 +21,7 @@ import (
 	"gosrb/internal/server"
 	"gosrb/internal/storage/memfs"
 	"gosrb/internal/types"
+	"gosrb/internal/wire"
 )
 
 // chaosSeed fixes every random choice the injector makes, so each run
@@ -164,8 +165,8 @@ func TestChaosFederatedFailover(t *testing.T) {
 
 	// The open breaker is visible on the admin endpoint.
 	metrics := scrape(t, adminAddr)
-	if !strings.Contains(metrics, "breaker.peer.srb2.state 2") {
-		t.Errorf("/metrics missing open peer breaker:\n%s", grepLines(metrics, "breaker."))
+	if !strings.Contains(metrics, "\nsrb_breaker_peer_srb2_state 2\n") {
+		t.Errorf("/metrics missing open peer breaker:\n%s", grepLines(metrics, "srb_breaker_"))
 	}
 
 	// Phase 3 — heal the uplink. After the cooldown the breaker goes
@@ -181,10 +182,10 @@ func TestChaosFederatedFailover(t *testing.T) {
 	}
 }
 
-// scrape fetches the admin /metrics page (legacy dotted-name dump).
+// scrape fetches the admin /metrics page (Prometheus exposition).
 func scrape(t *testing.T, addr string) string {
 	t.Helper()
-	resp, err := http.Get("http://" + addr + "/metrics?format=text")
+	resp, err := http.Get("http://" + addr + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +282,8 @@ func TestChaosTraceSpanTree(t *testing.T) {
 	}
 
 	// The trace op fans out to srb2, so the reply holds both hops.
-	rep, err := cl.Trace(id)
+	var rep wire.TraceReply
+	err = cl.Call(wire.OpTrace, wire.TraceArgs{ID: id}, &rep)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,7 +329,8 @@ func TestChaosTraceSpanTree(t *testing.T) {
 
 	// Usage accounting: the put and the failed-over get are charged to
 	// alice under /home, with the payload counted both directions.
-	urep, err := cl.Usage("alice", "/home")
+	var urep wire.UsageReply
+	err = cl.Call(wire.OpUsage, wire.UsageArgs{User: "alice", Collection: "/home"}, &urep)
 	if err != nil {
 		t.Fatal(err)
 	}

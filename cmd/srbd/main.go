@@ -35,12 +35,11 @@ import (
 // options is everything srbd's flags set.
 type options struct {
 	*daemon.Config
-	addr, adminAddr, catalog, journal, mode, mcatFollow  string
-	quiet                                                bool
-	mcatShards, brkTrip                                  int
-	mcatSyncEvery, saveEvery, syncEvery, dialTO, brkCool time.Duration
-	slowOp, adviseEvery                                  time.Duration
-	peers, logicals, asyncRepl                           daemon.Repeated
+	addr, adminAddr, catalog, journal, mode, mcatFollow          string
+	quiet                                                        bool
+	mcatShards, brkTrip                                          int
+	mcatSyncEvery, saveEvery, syncEvery, dialTO, brkCool, slowOp time.Duration
+	peers, logicals, asyncRepl                                   daemon.Repeated
 }
 
 // defineFlags registers srbd's flags on fs.
@@ -66,7 +65,6 @@ func defineFlags(fs *flag.FlagSet) *options {
 
 	fs.DurationVar(&o.RollupEvery, "rollup-interval", obs.DefaultRollupInterval, "telemetry rollup capture interval feeding /metrics?window=, /grid and srb top (0 disables windowed stats)")
 	fs.DurationVar(&o.HeatDecay, "heat-decay", time.Minute, "hot-key/hot-object score decay interval: each tick halves the heat scores so the top-K tracks the current workload, not all-time totals (0 disables decay)")
-	fs.DurationVar(&o.adviseEvery, "advise-interval", time.Minute, "rebalance advisor interval: joins shard heat, key balance and ring ownership into a dry-run migration plan served by srb heat and /heat (0 disables)")
 
 	fs.Var(&o.Resources, "resource", "physical resource: name=driver:arg (driver: posixfs|memfs|archivefs|dbfs); repeatable")
 	fs.Var(&o.logicals, "logical", "logical resource: name=member1,member2; repeatable")
@@ -172,21 +170,15 @@ func main() {
 		srv.AddPeer(parts[0], parts[1], parts[2])
 	}
 
-	// srbd's own jobs ride the runtime's scheduler: the advisor refreshes
-	// replication-lag gauges and recomputes the dry-run rebalance plan.
+	// srbd's own jobs ride the runtime's scheduler: the shard gauges —
+	// replication lag, which must keep climbing while nothing pulls, and
+	// the heat imbalance — are recomputed once a minute.
 	eng := rt.Engine
-	if o.adviseEvery > 0 {
-		eng.AddJob("advisor", o.adviseEvery, 0.1, func(sp *obs.Span) error {
-			now := time.Now()
-			cat.RefreshReplag(now)
-			plan := cat.Advise(broker.Metrics().HeatKeys().Snapshot(), now)
-			if len(plan.Moves) > 0 {
-				logger.Printf("advisor: imbalance %.2fx, %d move(s) proposed (projected %.2fx); see srb heat",
-					plan.Imbalance, len(plan.Moves), plan.Projected)
-			}
-			return nil
-		})
-	}
+	eng.AddJob("shard.gauges", time.Minute, 0.1, func(sp *obs.Span) error {
+		cat.RefreshReplag(time.Now())
+		cat.HeatJoin(broker.Metrics().HeatKeys().Snapshot())
+		return nil
+	})
 	// Follower mode: every shard of this daemon's catalog replicates
 	// the same-numbered shard of the leader daemon, pulling journal
 	// entries (or a snapshot when too far behind) on a repair-engine

@@ -75,7 +75,7 @@ func TestRepairQueueRestartRecovery(t *testing.T) {
 	// Restart: replay the journal into a fresh catalog. The queue must
 	// come back exactly as it stood.
 	cat2 := mcat.New("admin", "sdsc")
-	if _, err := cat2.ReplayFile(jpath); err != nil {
+	if _, err := cat2.ReplayFileCounted(jpath); err != nil {
 		t.Fatal(err)
 	}
 	pending := cat2.PendingRepairs()

@@ -30,9 +30,9 @@ const DialTimeout = resilience.DialTimeout
 
 // Client is one authenticated identity against an SRB server, backed
 // by a bounded connection pool of multiplexed connections. Methods are
-// safe for concurrent use; against a mux-capable server concurrent
-// calls pipeline over shared connections instead of queueing, and
-// ParallelGet opens dedicated connections for concurrent bulk streams.
+// safe for concurrent use; concurrent calls pipeline over shared
+// connections instead of queueing, and ParallelGet opens dedicated
+// connections for concurrent bulk streams.
 type Client struct {
 	mu sync.Mutex
 	// pool owns the authenticated connections; checkout dials lazily
@@ -111,23 +111,7 @@ func (cl *Client) dialMux(addr string) (*wire.Mux, error) {
 	if err != nil {
 		return nil, types.E("dial", addr, err)
 	}
-	c := wire.NewConn(nc)
-	var ch wire.Challenge
-	if err := c.ReadJSON(wire.MsgChallenge, &ch); err != nil {
-		nc.Close()
-		return nil, types.E("handshake", addr, err)
-	}
-	resp := auth.Respond(auth.DeriveKey(cl.user, cl.password), ch.Nonce)
-	if err := c.WriteJSON(wire.MsgAuth, wire.Auth{User: cl.user, Response: resp}); err != nil {
-		nc.Close()
-		return nil, types.E("handshake", addr, err)
-	}
-	var ok wire.AuthOK
-	if err := c.ReadJSON(wire.MsgAuthOK, &ok); err != nil {
-		nc.Close()
-		return nil, types.E("login", cl.user, types.ErrAuth)
-	}
-	return wire.NewMux(nc, c, ok.Server, ok.Mux), nil
+	return wire.Handshake(nc, wire.Auth{User: cl.user}, auth.DeriveKey(cl.user, cl.password))
 }
 
 // PoolStats reports the connection pool's occupancy and lifetime dial,
@@ -383,19 +367,11 @@ func (cl *Client) callOnce(addr, op string, args any, x *xfer, out any, ticket, 
 		return nil, err
 	}
 	req := wire.Request{Op: op, Args: raw, Ticket: ticket, Trace: trace, Attempt: attempt}
-	if !deadline.IsZero() {
-		// The wire budget tells the server chain how long this call may
-		// take; the Mux enforces it locally so a stalled server cannot
-		// hang the client past it.
-		left := time.Until(deadline)
-		if left <= 0 {
-			return nil, types.E(op, "", types.ErrTimeout)
-		}
-		ms := left.Milliseconds()
-		if ms < 1 {
-			ms = 1
-		}
-		req.TimeoutMillis = ms
+	// The wire budget tells the server chain how long this call may take;
+	// the Mux enforces it locally so a stalled server cannot hang the
+	// client past it.
+	if err := req.SetBudget(deadline); err != nil {
+		return nil, err
 	}
 	coStart := time.Now()
 	m, err := cl.pool.Get(addr)
@@ -407,8 +383,8 @@ func (cl *Client) callOnce(addr, op string, args any, x *xfer, out any, ticket, 
 	res, err := m.CallTo(&req, x.send, x, deadline)
 	cl.phase(op, obs.PhaseMuxInflight, time.Since(callStart), trace)
 	if err != nil {
-		// Evict only broken conns; a strict-mux call timeout leaves the
-		// connection healthy (the late response is discarded by ID).
+		// Evict only broken conns; a call timeout leaves the connection
+		// healthy (the late response is discarded by ID).
 		if m.Dead() {
 			cl.pool.Fail(m)
 		} else {
@@ -424,12 +400,11 @@ func (cl *Client) callOnce(addr, op string, args any, x *xfer, out any, ticket, 
 		return res.Redirect, nil
 	}
 	x.moved += res.SentLen + res.DataLen
-	resp := res.Resp
-	if !resp.OK {
-		return nil, resp.Err()
+	if err := res.Check(op, false); err != nil {
+		return nil, err
 	}
-	if out != nil && len(resp.Body) > 0 {
-		if err := json.Unmarshal(resp.Body, out); err != nil {
+	if out != nil && len(res.Resp.Body) > 0 {
+		if err := json.Unmarshal(res.Resp.Body, out); err != nil {
 			return nil, err
 		}
 	}
@@ -714,14 +689,6 @@ func (cl *Client) QueryPartial(q mcat.Query) ([]mcat.Hit, []string, error) {
 	return out.Hits, out.Partial, err
 }
 
-// Shards reports the server's catalog shard statuses (one implicit
-// leader row when the catalog is monolithic).
-func (cl *Client) Shards() (wire.ShardsReply, error) {
-	var out wire.ShardsReply
-	_, err := cl.call(wire.OpShards, struct{}{}, &out)
-	return out, err
-}
-
 // ShardPull fetches shard shardIdx's replication entries after sequence
 // after from a leader daemon (peer/admin only): journal lines, or a
 // full snapshot when the follower is too far behind the retained log.
@@ -882,81 +849,12 @@ func (cl *Client) Resources() ([]types.Resource, error) {
 	return out, err
 }
 
-// ServerStats fetches catalog size counters.
-func (cl *Client) ServerStats() (wire.StatsReply, error) {
-	var out wire.StatsReply
-	_, err := cl.call(wire.OpServerStats, struct{}{}, &out)
-	return out, err
-}
-
-// OpStats fetches the connected server's telemetry snapshot: per-op
-// counts and latency quantiles, per-driver byte totals, replica fan-out
-// counters, audit drops and recent trace records.
-func (cl *Client) OpStats() (wire.OpStatsReply, error) {
-	var out wire.OpStatsReply
-	_, err := cl.call(wire.OpOpStats, struct{}{}, &out)
-	return out, err
-}
-
 // LastTrace returns the trace ID of the most recent logical call, the
-// handle to pass to Trace for its span tree.
+// handle the trace op (wire.OpTrace) takes for its span tree.
 func (cl *Client) LastTrace() string {
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
 	return cl.lastTrace
-}
-
-// Trace fetches every recorded span of a trace. The connected server
-// answers from its own ring and fans the query out to its zone peers,
-// so federated hops are included.
-func (cl *Client) Trace(id string) (wire.TraceReply, error) {
-	var out wire.TraceReply
-	_, err := cl.call(wire.OpTrace, wire.TraceArgs{ID: id}, &out)
-	return out, err
-}
-
-// Usage fetches the connected server's per-user/collection usage
-// accounting, optionally filtered by user and/or collection ("" = all).
-func (cl *Client) Usage(user, collection string) (wire.UsageReply, error) {
-	var out wire.UsageReply
-	_, err := cl.call(wire.OpUsage, wire.UsageArgs{User: user, Collection: collection}, &out)
-	return out, err
-}
-
-// RepairStatus fetches the connected server's background repair engine
-// snapshot: queue backlog, worker health and per-job run counts.
-func (cl *Client) RepairStatus() (wire.RepairStatusReply, error) {
-	var out wire.RepairStatusReply
-	_, err := cl.call(wire.OpRepairStatus, struct{}{}, &out)
-	return out, err
-}
-
-// GridStat fetches windowed rates and quantiles over the trailing
-// window. With grid set, the connected server fans out to its zone
-// peers and merges the answers (dead peers come back flagged
-// unreachable, not as an error); otherwise the reply covers the
-// connected server only.
-func (cl *Client) GridStat(window time.Duration, grid bool) (wire.GridStatReply, error) {
-	var out wire.GridStatReply
-	args := wire.GridStatArgs{WindowSeconds: int64(window / time.Second), LocalOnly: !grid}
-	_, err := cl.call(wire.OpGridStat, args, &out)
-	return out, err
-}
-
-// Alerts fetches the connected server's SLO rule standings and its
-// bounded log of fire/resolve alert transitions.
-func (cl *Client) Alerts() (wire.AlertsReply, error) {
-	var out wire.AlertsReply
-	_, err := cl.call(wire.OpAlerts, struct{}{}, &out)
-	return out, err
-}
-
-// Incidents fetches the connected server's incident bundle index
-// (flight recorder), newest first.
-func (cl *Client) Incidents() (wire.IncidentsReply, error) {
-	var out wire.IncidentsReply
-	_, err := cl.call(wire.OpIncidents, struct{}{}, &out)
-	return out, err
 }
 
 // IncidentGet fetches one full incident bundle by index ID: meta plus
@@ -972,23 +870,6 @@ func (cl *Client) IncidentGet(id string) (wire.IncidentGetReply, error) {
 func (cl *Client) IncidentCapture(reason string) (wire.IncidentCaptureReply, error) {
 	var out wire.IncidentCaptureReply
 	_, err := cl.call(wire.OpIncidentCapture, wire.IncidentCaptureArgs{Reason: reason}, &out)
-	return out, err
-}
-
-// Peers fetches the connected server's transfer observatory: per-peer
-// and per-resource EWMA latency, bandwidth and success history.
-func (cl *Client) Peers() (wire.PeersReply, error) {
-	var out wire.PeersReply
-	_, err := cl.call(wire.OpPeers, struct{}{}, &out)
-	return out, err
-}
-
-// Heat fetches the connected server's heat observatory: hot-key and
-// hot-object top-K tables, per-shard replication lag, and the latest
-// rebalance advisor plan.
-func (cl *Client) Heat() (wire.HeatReply, error) {
-	var out wire.HeatReply
-	_, err := cl.call(wire.OpHeat, struct{}{}, &out)
 	return out, err
 }
 

@@ -48,7 +48,7 @@ func (fs *fakeServer) serve() {
 				return
 			}
 			// Accept anyone.
-			c.WriteJSON(wire.MsgAuthOK, struct{ Server string }{"fake"})
+			c.WriteJSON(wire.MsgAuthOK, wire.AuthOK{Server: "fake"})
 			for {
 				var req wire.Request
 				if c.ReadJSON(wire.MsgRequest, &req) != nil {
@@ -62,11 +62,17 @@ func (fs *fakeServer) serve() {
 	}
 }
 
+// answer writes resp as the response to req, echoing its ID.
+func answer(c *wire.Conn, req *wire.Request, resp wire.Response) error {
+	resp.ID = req.ID
+	return c.WriteJSON(wire.MsgResponse, resp)
+}
+
 func TestRedirectLoopIsBounded(t *testing.T) {
 	// A server that always redirects to itself must not loop forever.
 	var addr string
 	addr = startFake(t, func(c *wire.Conn, req *wire.Request) error {
-		return c.WriteJSON(wire.MsgRedirect, wire.Redirect{Server: "fake", Addr: addr})
+		return c.WriteJSON(wire.MsgRedirect, wire.Redirect{ID: req.ID, Server: "fake", Addr: addr})
 	})
 	cl, err := Dial(addr, "u", "pw")
 	if err != nil {
@@ -95,7 +101,7 @@ func TestUnexpectedFrameIsAnError(t *testing.T) {
 
 func TestErrorBodiesDecode(t *testing.T) {
 	addr := startFake(t, func(c *wire.Conn, req *wire.Request) error {
-		return c.WriteJSON(wire.MsgResponse, wire.ErrResponse(types.E("op", "/x", types.ErrLocked)))
+		return answer(c, req, wire.ErrResponse(types.E("op", "/x", types.ErrLocked)))
 	})
 	cl, err := Dial(addr, "u", "pw")
 	if err != nil {
@@ -118,7 +124,7 @@ func TestRequestCarriesArgs(t *testing.T) {
 	addr := startFake(t, func(c *wire.Conn, req *wire.Request) error {
 		got <- *req
 		resp, _ := wire.OkResponse(struct{}{}, false)
-		return c.WriteJSON(wire.MsgResponse, resp)
+		return answer(c, req, resp)
 	})
 	cl, err := Dial(addr, "u", "pw")
 	if err != nil {
@@ -153,7 +159,7 @@ func TestAllMethodsAgainstFake(t *testing.T) {
 		switch req.Op {
 		case wire.OpGet, wire.OpReadRange, wire.OpExecSQL, wire.OpInvoke, wire.OpShadowOpen:
 			resp, _ := wire.OkResponse(wire.SizeReply{Size: 4}, true)
-			if err := c.WriteJSON(wire.MsgResponse, resp); err != nil {
+			if err := answer(c, req, resp); err != nil {
 				return err
 			}
 			if err := c.WriteMsg(wire.MsgData, []byte("data")); err != nil {
@@ -162,49 +168,49 @@ func TestAllMethodsAgainstFake(t *testing.T) {
 			return c.WriteMsg(wire.MsgDataEnd, nil)
 		case wire.OpList:
 			resp, _ := wire.OkResponse([]types.Stat{{Path: "/x"}}, false)
-			return c.WriteJSON(wire.MsgResponse, resp)
+			return answer(c, req, resp)
 		case wire.OpStat:
 			resp, _ := wire.OkResponse(types.Stat{Path: "/x", Size: 4}, false)
-			return c.WriteJSON(wire.MsgResponse, resp)
+			return answer(c, req, resp)
 		case wire.OpGetObject, wire.OpIngest, wire.OpRegisterURL, wire.OpRegisterSQL, wire.OpMkContainer:
 			resp, _ := wire.OkResponse(types.DataObject{Name: "x", Collection: "/"}, false)
-			return c.WriteJSON(wire.MsgResponse, resp)
+			return answer(c, req, resp)
 		case wire.OpReplicate:
 			resp, _ := wire.OkResponse(types.Replica{Number: 1, Resource: "r"}, false)
-			return c.WriteJSON(wire.MsgResponse, resp)
+			return answer(c, req, resp)
 		case wire.OpGetMeta:
 			resp, _ := wire.OkResponse([]types.AVU{{Name: "a", Value: "v"}}, false)
-			return c.WriteJSON(wire.MsgResponse, resp)
+			return answer(c, req, resp)
 		case wire.OpAnnotations:
 			resp, _ := wire.OkResponse([]types.Annotation{{Author: "u", Text: "t"}}, false)
-			return c.WriteJSON(wire.MsgResponse, resp)
+			return answer(c, req, resp)
 		case wire.OpQuery:
 			resp, _ := wire.OkResponse(wire.QueryReply{Hits: []mcat.Hit{{Path: "/x"}}}, false)
-			return c.WriteJSON(wire.MsgResponse, resp)
+			return answer(c, req, resp)
 		case wire.OpQueryAttrs:
 			resp, _ := wire.OkResponse([]string{"a"}, false)
-			return c.WriteJSON(wire.MsgResponse, resp)
+			return answer(c, req, resp)
 		case wire.OpSyncContainer, wire.OpExtract:
 			resp, _ := wire.OkResponse(wire.CountReply{N: 2}, false)
-			return c.WriteJSON(wire.MsgResponse, resp)
+			return answer(c, req, resp)
 		case wire.OpIssueTicket:
 			resp, _ := wire.OkResponse(wire.TicketReply{ID: "tk"}, false)
-			return c.WriteJSON(wire.MsgResponse, resp)
+			return answer(c, req, resp)
 		case wire.OpAudit:
 			resp, _ := wire.OkResponse([]types.AuditRecord{{Op: "get"}}, false)
-			return c.WriteJSON(wire.MsgResponse, resp)
+			return answer(c, req, resp)
 		case wire.OpResources:
 			resp, _ := wire.OkResponse([]types.Resource{{Name: "r"}}, false)
-			return c.WriteJSON(wire.MsgResponse, resp)
+			return answer(c, req, resp)
 		case wire.OpServerStats:
 			resp, _ := wire.OkResponse(wire.StatsReply{Server: "fake"}, false)
-			return c.WriteJSON(wire.MsgResponse, resp)
+			return answer(c, req, resp)
 		case wire.OpShadowList:
 			resp, _ := wire.OkResponse([]struct{ Path string }{{"/p"}}, false)
-			return c.WriteJSON(wire.MsgResponse, resp)
+			return answer(c, req, resp)
 		default:
 			resp, _ := wire.OkResponse(struct{}{}, false)
-			return c.WriteJSON(wire.MsgResponse, resp)
+			return answer(c, req, resp)
 		}
 	})
 	cl, err := Dial(addr, "u", "pw")
@@ -286,7 +292,7 @@ func TestAllMethodsAgainstFake(t *testing.T) {
 	check("Audit", err)
 	_, err = cl.Resources()
 	check("Resources", err)
-	_, err = cl.ServerStats()
+	err = cl.Call(wire.OpServerStats, struct{}{}, nil)
 	check("ServerStats", err)
 	_, err = cl.ShadowList("/s", ".")
 	check("ShadowList", err)

@@ -26,10 +26,10 @@ func TestClientRetriesIdempotentOnOffline(t *testing.T) {
 	var calls atomic.Int64
 	addr := startFake(t, func(c *wire.Conn, req *wire.Request) error {
 		if calls.Add(1) <= 2 {
-			return c.WriteJSON(wire.MsgResponse, wire.ErrResponse(types.E(req.Op, "/x", types.ErrOffline)))
+			return answer(c, req, wire.ErrResponse(types.E(req.Op, "/x", types.ErrOffline)))
 		}
 		resp, _ := wire.OkResponse(wire.SizeReply{Size: 2}, true)
-		if err := c.WriteJSON(wire.MsgResponse, resp); err != nil {
+		if err := answer(c, req, resp); err != nil {
 			return err
 		}
 		c.WriteMsg(wire.MsgData, []byte("ok"))
@@ -65,7 +65,7 @@ func TestClientNeverRetriesMutating(t *testing.T) {
 		if _, err := c.RecvData(discard{}); err != nil {
 			return err
 		}
-		return c.WriteJSON(wire.MsgResponse, wire.ErrResponse(types.E(req.Op, "/x", types.ErrOffline)))
+		return answer(c, req, wire.ErrResponse(types.E(req.Op, "/x", types.ErrOffline)))
 	})
 	cl, err := Dial(addr, "alice", "pw")
 	if err != nil {
@@ -95,7 +95,7 @@ func TestClientReconnectsAfterTransportError(t *testing.T) {
 			return errors.New("drop the connection mid-request")
 		}
 		resp, _ := wire.OkResponse(wire.SizeReply{Size: 2}, true)
-		if err := c.WriteJSON(wire.MsgResponse, resp); err != nil {
+		if err := answer(c, req, resp); err != nil {
 			return err
 		}
 		c.WriteMsg(wire.MsgData, []byte("ok"))
@@ -124,7 +124,7 @@ func TestClientTimeoutOnWire(t *testing.T) {
 	var sawBudget atomic.Int64
 	addr := startFake(t, func(c *wire.Conn, req *wire.Request) error {
 		sawBudget.Store(req.TimeoutMillis)
-		return c.WriteJSON(wire.MsgResponse, wire.Response{OK: true})
+		return answer(c, req, wire.Response{OK: true})
 	})
 	cl, err := Dial(addr, "alice", "pw")
 	if err != nil {
@@ -145,7 +145,7 @@ func TestClientTimeoutOnWire(t *testing.T) {
 func TestClientTimeoutExpires(t *testing.T) {
 	addr := startFake(t, func(c *wire.Conn, req *wire.Request) error {
 		time.Sleep(2 * time.Second) // stall well past the client budget
-		return c.WriteJSON(wire.MsgResponse, wire.Response{OK: true})
+		return answer(c, req, wire.Response{OK: true})
 	})
 	cl, err := Dial(addr, "alice", "pw")
 	if err != nil {
@@ -184,7 +184,7 @@ func TestParallelGetRetriesMidRange(t *testing.T) {
 	addr := startFake(t, func(c *wire.Conn, req *wire.Request) error {
 		if req.Op == wire.OpStat {
 			resp, _ := wire.OkResponse(types.Stat{Size: size}, false)
-			return c.WriteJSON(wire.MsgResponse, resp)
+			return answer(c, req, resp)
 		}
 		var a wire.RangeArgs
 		if err := json.Unmarshal(req.Args, &a); err != nil {
@@ -197,7 +197,7 @@ func TestParallelGetRetriesMidRange(t *testing.T) {
 			inj.Target("link").DropAfterBytes(size / 4)
 		}
 		resp, _ := wire.OkResponse(wire.SizeReply{Size: a.Length}, true)
-		if err := c.WriteJSON(wire.MsgResponse, resp); err != nil {
+		if err := answer(c, req, resp); err != nil {
 			return err
 		}
 		return c.SendData(bytes.NewReader(want[a.Offset : a.Offset+a.Length]))

@@ -303,7 +303,7 @@ func E6ParallelTransfer(scale int) Table {
 		Columns: []string{"streams", "elapsed_ms", "MB_per_s", "speedup"},
 	}
 	size := 4 << 20 * scale
-	perStreamBW := int64(64 << 20) // 64 MB/s per connection
+	perStreamBW := int64(16 << 20) // 16 MB/s per connection
 	t.Notes = fmt.Sprintf("%d MiB object; %d MB/s per stream", size>>20, perStreamBW>>20)
 
 	payload := workload.NewGen(19).Bytes(size)

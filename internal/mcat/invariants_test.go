@@ -277,7 +277,7 @@ func TestRandomOpsPreserveInvariants(t *testing.T) {
 
 			// The journal replays to an equivalent catalog.
 			c2 := New("admin", "sdsc")
-			if _, err := c2.Replay(bytes.NewReader(journal.Bytes())); err != nil {
+			if _, err := c2.ReplayCounted(bytes.NewReader(journal.Bytes())); err != nil {
 				t.Fatalf("replay: %v", err)
 			}
 			checkInvariants(t, c2)

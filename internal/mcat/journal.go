@@ -192,27 +192,14 @@ type ReplayStats struct {
 	Corrupt int
 }
 
-// Replay applies a journal stream to the catalog. It is used after
-// loading the most recent snapshot; entries that conflict with existing
-// state (e.g. replays of mutations already captured by the snapshot)
-// are skipped rather than fatal. A corrupt (unparseable) line aborts
-// the replay with an error; use ReplayCounted for the tolerant variant
-// that skips and counts corruption instead.
-func (c *Catalog) Replay(r io.Reader) (applied int, err error) {
-	st, err := c.replay(r, true)
-	return st.Applied, err
-}
-
-// ReplayCounted applies a journal stream, skipping corrupt or
-// truncated lines rather than aborting, and reports how many entries
-// applied and how many lines were skipped. Recovery and replication
-// paths use it so one torn tail write cannot strand the entries behind
-// it — but the skip count is surfaced (log + metric) by every caller.
-func (c *Catalog) ReplayCounted(r io.Reader) (ReplayStats, error) {
-	return c.replay(r, false)
-}
-
-func (c *Catalog) replay(r io.Reader, strict bool) (st ReplayStats, err error) {
+// ReplayCounted applies a journal stream to the catalog. It is used
+// after loading the most recent snapshot; entries that conflict with
+// existing state (e.g. replays of mutations already captured by the
+// snapshot) are skipped rather than fatal. Corrupt or truncated lines
+// are skipped too, so one torn tail write cannot strand the entries
+// behind it — but they are counted, and every caller surfaces the count
+// (log + metric).
+func (c *Catalog) ReplayCounted(r io.Reader) (st ReplayStats, err error) {
 	// Detach the journal while replaying: replayed mutations must not be
 	// re-logged.
 	c.mu.Lock()
@@ -233,9 +220,6 @@ func (c *Catalog) replay(r io.Reader, strict bool) (st ReplayStats, err error) {
 		}
 		var e journalEntry
 		if err := json.Unmarshal(line, &e); err != nil {
-			if strict {
-				return st, types.E("replay", "", err)
-			}
 			st.Corrupt++
 			continue
 		}
@@ -246,22 +230,8 @@ func (c *Catalog) replay(r io.Reader, strict bool) (st ReplayStats, err error) {
 	return st, sc.Err()
 }
 
-// ReplayFile replays a journal file strictly (corruption aborts); a
+// ReplayFileCounted replays a journal file (see ReplayCounted); a
 // missing file applies nothing.
-func (c *Catalog) ReplayFile(path string) (int, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return 0, nil
-		}
-		return 0, types.E("replay", path, err)
-	}
-	defer f.Close()
-	return c.Replay(f)
-}
-
-// ReplayFileCounted replays a journal file tolerantly (see
-// ReplayCounted); a missing file applies nothing.
 func (c *Catalog) ReplayFileCounted(path string) (ReplayStats, error) {
 	f, err := os.Open(path)
 	if err != nil {

@@ -19,7 +19,7 @@ func journalRoundTrip(t *testing.T, mutate func(c *Catalog)) (*Catalog, *Catalog
 	c1.SetJournal(NewJournal(&buf))
 	mutate(c1)
 	c2 := New("admin", "sdsc")
-	if _, err := c2.Replay(bytes.NewReader(buf.Bytes())); err != nil {
+	if _, err := c2.ReplayCounted(bytes.NewReader(buf.Bytes())); err != nil {
 		t.Fatalf("Replay: %v", err)
 	}
 	return c1, c2
@@ -142,9 +142,9 @@ func TestSnapshotPlusJournalTail(t *testing.T) {
 	if err := c2.Load(bytes.NewReader(snap.Bytes())); err != nil {
 		t.Fatal(err)
 	}
-	applied, err := c2.Replay(bytes.NewReader(tail.Bytes()))
-	if err != nil || applied != 2 {
-		t.Fatalf("Replay applied %d, %v", applied, err)
+	st, err := c2.ReplayCounted(bytes.NewReader(tail.Bytes()))
+	if err != nil || st != (ReplayStats{Applied: 2}) {
+		t.Fatalf("replay = %+v, %v", st, err)
 	}
 	for _, p := range []string{"/d/before", "/d/after"} {
 		if _, err := c2.GetObject(p); err != nil {
@@ -162,27 +162,30 @@ func TestReplayIsIdempotentOnDuplicates(t *testing.T) {
 
 	c2 := New("admin", "sdsc")
 	// Replay the same journal twice: duplicates are skipped, not fatal.
-	if _, err := c2.Replay(bytes.NewReader(buf.Bytes())); err != nil {
+	if _, err := c2.ReplayCounted(bytes.NewReader(buf.Bytes())); err != nil {
 		t.Fatal(err)
 	}
-	applied, err := c2.Replay(bytes.NewReader(buf.Bytes()))
-	if err != nil || applied != 0 {
-		t.Errorf("second replay applied %d, %v", applied, err)
+	st, err := c2.ReplayCounted(bytes.NewReader(buf.Bytes()))
+	if err != nil || st != (ReplayStats{}) {
+		t.Errorf("second replay = %+v, %v", st, err)
 	}
 	if len(c2.SubtreeObjects("/")) != 1 {
 		t.Error("duplicate replay must not duplicate objects")
 	}
 }
 
-func TestReplayRejectsGarbage(t *testing.T) {
+// TestReplayCountsGarbage: a line that is not an entry is skipped and
+// counted, never applied and never silently lost.
+func TestReplayCountsGarbage(t *testing.T) {
 	c := New("admin", "sdsc")
-	if _, err := c.Replay(strings.NewReader("not json\n")); err == nil {
-		t.Error("garbage journal should fail")
+	st, err := c.ReplayCounted(strings.NewReader("not json\n"))
+	if err != nil || st != (ReplayStats{Corrupt: 1}) {
+		t.Errorf("garbage line: %+v, %v, want Corrupt == 1", st, err)
 	}
-	// Unknown ops are skipped, not fatal.
-	applied, err := c.Replay(strings.NewReader(`{"Op":"future-op"}` + "\n"))
-	if err != nil || applied != 0 {
-		t.Errorf("unknown op: applied=%d err=%v", applied, err)
+	// Unknown ops are skipped, and are not corruption.
+	st, err = c.ReplayCounted(strings.NewReader(`{"Op":"future-op"}` + "\n"))
+	if err != nil || st != (ReplayStats{}) {
+		t.Errorf("unknown op: %+v, %v", st, err)
 	}
 }
 
@@ -204,16 +207,16 @@ func TestJournalFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	c2 := New("admin", "sdsc")
-	applied, err := c2.ReplayFile(jpath)
-	if err != nil || applied != 2 {
-		t.Fatalf("ReplayFile applied %d, %v", applied, err)
+	st, err := c2.ReplayFileCounted(jpath)
+	if err != nil || st != (ReplayStats{Applied: 2}) {
+		t.Fatalf("ReplayFileCounted = %+v, %v", st, err)
 	}
 	if _, err := c2.GetObject("/d/f"); err != nil {
 		t.Error("file journal replay lost the object")
 	}
 	// Missing journals apply nothing.
-	if n, err := c2.ReplayFile(filepath.Join(dir, "absent")); n != 0 || err != nil {
-		t.Errorf("missing journal: %d, %v", n, err)
+	if st, err := c2.ReplayFileCounted(filepath.Join(dir, "absent")); st != (ReplayStats{}) || err != nil {
+		t.Errorf("missing journal: %+v, %v", st, err)
 	}
 }
 
@@ -226,7 +229,7 @@ func TestReplayDoesNotRelog(t *testing.T) {
 	var dst bytes.Buffer
 	c2 := New("admin", "sdsc")
 	c2.SetJournal(NewJournal(&dst))
-	if _, err := c2.Replay(bytes.NewReader(src.Bytes())); err != nil {
+	if _, err := c2.ReplayCounted(bytes.NewReader(src.Bytes())); err != nil {
 		t.Fatal(err)
 	}
 	if dst.Len() != 0 {

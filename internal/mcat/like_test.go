@@ -4,10 +4,12 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"gosrb/internal/types"
 )
 
 // like is LIKE as a query sees it: the pattern folded once, then matched.
-func like(s, pattern string) bool { return likeFolded(s, strings.ToLower(pattern)) }
+func like(s, pattern string) bool { return types.LikeFolded(s, strings.ToLower(pattern)) }
 
 func TestLikeMatch(t *testing.T) {
 	cases := []struct {

@@ -192,7 +192,7 @@ func (c *Catalog) UpdateMeta(path string, class types.MetaClass, name, oldValue 
 	if !c.pathExistsLocked(path) {
 		return 0, types.E("updmeta", path, types.ErrNotFound)
 	}
-	n := 0
+	var old []types.AVU
 	for i := range c.meta[path] {
 		e := &c.meta[path][i]
 		if e.Class != class || !lowerEq(e.AVU.Name, name) {
@@ -201,14 +201,15 @@ func (c *Catalog) UpdateMeta(path string, class types.MetaClass, name, oldValue 
 		if oldValue != "" && e.AVU.Value != oldValue {
 			continue
 		}
-		if queryableClass(class) {
-			c.indexRemove(e.AVU.Name, e.AVU.Value, path)
-			c.indexAdd(newAVU.Name, newAVU.Value, path)
-		}
+		old = append(old, e.AVU)
 		e.AVU = newAVU
-		n++
 	}
+	n := len(old)
 	if n > 0 {
+		if queryableClass(class) {
+			c.indexAdd(newAVU.Name, newAVU.Value, path)
+			c.unindexGone(old, path)
+		}
 		c.log(journalEntry{Op: "updmeta", Path: path, Class: int(class),
 			AVU: &types.AVU{Name: name, Value: oldValue}, NewAVU: &newAVU})
 	}
@@ -225,13 +226,10 @@ func (c *Catalog) DeleteMeta(path string, class types.MetaClass, name, value str
 		return 0, types.E("delmeta", path, types.ErrNotFound)
 	}
 	kept := c.meta[path][:0:0]
-	n := 0
+	var gone []types.AVU
 	for _, e := range c.meta[path] {
 		if e.Class == class && lowerEq(e.AVU.Name, name) && (value == "" || e.AVU.Value == value) {
-			if queryableClass(class) {
-				c.indexRemove(e.AVU.Name, e.AVU.Value, path)
-			}
-			n++
+			gone = append(gone, e.AVU)
 			continue
 		}
 		kept = append(kept, e)
@@ -241,7 +239,11 @@ func (c *Catalog) DeleteMeta(path string, class types.MetaClass, name, value str
 	} else {
 		c.meta[path] = kept
 	}
+	n := len(gone)
 	if n > 0 {
+		if queryableClass(class) {
+			c.unindexGone(gone, path)
+		}
 		c.log(journalEntry{Op: "delmeta", Path: path, Class: int(class),
 			AVU: &types.AVU{Name: name, Value: value}})
 	}
@@ -492,6 +494,24 @@ func (c *Catalog) indexRemove(name, value, path string) {
 	}
 	if len(vals) == 0 {
 		delete(c.attrIndex, name)
+	}
+}
+
+// unindexGone un-indexes path for each (name, value) that entries just
+// taken off it carried — unless a queryable entry still on the path
+// carries the same pair (the other class, or a duplicate AddMeta), in
+// which case an equality query must go on finding the path. Callers have
+// already brought c.meta[path] to its new state.
+func (c *Catalog) unindexGone(gone []types.AVU, path string) {
+next:
+	for _, g := range gone {
+		key := strings.ToLower(g.Name) // as indexAdd keys it
+		for _, e := range c.meta[path] {
+			if queryableClass(e.Class) && e.AVU.Value == g.Value && strings.ToLower(e.AVU.Name) == key {
+				continue next
+			}
+		}
+		c.indexRemove(g.Name, g.Value, path)
 	}
 }
 

@@ -101,6 +101,53 @@ func TestDeleteMeta(t *testing.T) {
 	}
 }
 
+// TestMetaIndexKeepsPathThatStillCarriesValue: one path may hold the
+// same (name, value) more than once — in the user and the type class, or
+// by a repeated AddMeta. Taking one such entry away, by delete or by
+// update, must leave the path findable through the other.
+func TestMetaIndexKeepsPathThatStillCarriesValue(t *testing.T) {
+	red := Query{Scope: "/", Conds: []Condition{{Attr: "color", Op: "=", Value: "red"}}}
+	found := func(c *Catalog, when string) {
+		t.Helper()
+		if hits, _ := c.RunQuery(red); len(hits) != 1 || hits[0].Path != "/d/f" {
+			t.Errorf("%s: color = red finds %+v, want /d/f", when, hits)
+		}
+		checkInvariants(t, c)
+	}
+	for _, edit := range []struct {
+		name string
+		do   func(c *Catalog) (int, error)
+	}{
+		{"delete", func(c *Catalog) (int, error) { return c.DeleteMeta("/d/f", types.MetaUser, "color", "red") }},
+		{"update", func(c *Catalog) (int, error) {
+			return c.UpdateMeta("/d/f", types.MetaUser, "color", "red", types.AVU{Name: "color", Value: "green"})
+		}},
+	} {
+		// The pair in both classes: the user entry goes, the type entry stays.
+		c := setupMeta(t)
+		c.AddMeta("/d/f", types.MetaUser, types.AVU{Name: "color", Value: "red"})
+		c.AddMeta("/d/f", types.MetaType, types.AVU{Name: "Color", Value: "red"})
+		if n, err := edit.do(c); err != nil || n != 1 {
+			t.Fatalf("%s: %d, %v", edit.name, n, err)
+		}
+		found(c, edit.name+" of the user entry, type entry left")
+		// Once the type entry goes too, so does the posting.
+		c.DeleteMeta("/d/f", types.MetaType, "color", "")
+		if hits, _ := c.RunQuery(red); len(hits) != 0 {
+			t.Errorf("%s: index kept a pair no entry carries: %+v", edit.name, hits)
+		}
+		checkInvariants(t, c)
+	}
+	// The pair twice in one class: an update to itself changes nothing.
+	c := setupMeta(t)
+	c.AddMeta("/d/f", types.MetaUser, types.AVU{Name: "color", Value: "red"})
+	c.AddMeta("/d/f", types.MetaUser, types.AVU{Name: "color", Value: "red"})
+	if n, _ := c.UpdateMeta("/d/f", types.MetaUser, "color", "", types.AVU{Name: "color", Value: "red"}); n != 2 {
+		t.Fatalf("self-update = %d, want 2", n)
+	}
+	found(c, "update of both duplicates to the same value")
+}
+
 func TestCopyMeta(t *testing.T) {
 	c := setupMeta(t)
 	mustRegister(t, c, "/d", "g", "alice")

@@ -253,9 +253,9 @@ func (cc *cond) test(v string) bool {
 	case opLe:
 		return cc.compare(v) <= 0
 	case opLike:
-		return likeFolded(v, cc.want)
+		return types.LikeFolded(v, cc.want)
 	default: // opNotLike
-		return !likeFolded(v, cc.want)
+		return !types.LikeFolded(v, cc.want)
 	}
 }
 
@@ -307,54 +307,6 @@ func (cc *cond) matches(c *Catalog, path string, o *types.DataObject) bool {
 func (cc *cond) testInt(n int64) bool {
 	var buf [20]byte
 	return cc.test(string(strconv.AppendInt(buf[:0], n, 10)))
-}
-
-// likeFolded is the catalog's LIKE against a pattern that is already
-// lower-cased: % any run, _ one byte, case-folded.
-//
-// It is the iterative wildcard match: on a mismatch it returns to the
-// most recent % and lets it take one more byte, and a later % makes
-// every earlier one final, so the work is bounded by len(s)·len(p)
-// however many % the pattern has. (The recursive matcher it replaces
-// retried every earlier % as well — exponential in their number, under
-// the catalog's read lock.) It allocates nothing for an ASCII value.
-func likeFolded(s, p string) bool {
-	for i := 0; i < len(s); i++ {
-		if s[i] >= 0x80 {
-			// Case outside ASCII can change a value's length; fold the
-			// whole value the way the pattern was folded.
-			s = strings.ToLower(s)
-			break
-		}
-	}
-	si, pi := 0, 0
-	star, mark := -1, 0 // pattern index after the last %, and the value index it resumes from
-	for si < len(s) {
-		switch {
-		case pi < len(p) && p[pi] == '%':
-			pi++
-			star, mark = pi, si
-		case pi < len(p) && (p[pi] == '_' || p[pi] == lowerByte(s[si])):
-			si++
-			pi++
-		case star >= 0:
-			mark++
-			si, pi = mark, star
-		default:
-			return false
-		}
-	}
-	for pi < len(p) && p[pi] == '%' {
-		pi++
-	}
-	return pi == len(p)
-}
-
-func lowerByte(b byte) byte {
-	if 'A' <= b && b <= 'Z' {
-		return b + ('a' - 'A')
-	}
-	return b
 }
 
 // inScope reports whether path lies strictly inside the cleaned scope.

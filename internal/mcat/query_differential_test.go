@@ -68,8 +68,10 @@ func populate(t *testing.T, c shard.Catalog, seed int64) {
 		for n := rng.Intn(3); n > 0; n-- {
 			must(t, c.AddMeta(p, types.MetaUser, types.AVU{Name: "tag", Value: pick(rng, diffWords)}))
 		}
+		// The type class shares attribute names with the user class, so one
+		// path can carry the same (name, value) once in each.
 		if rng.Intn(2) == 0 {
-			must(t, c.AddMeta(p, types.MetaType, types.AVU{Name: "dc:title", Value: pick(rng, diffWords)}))
+			must(t, c.AddMeta(p, types.MetaType, types.AVU{Name: pick(rng, []string{"dc:title", "tag", "Tag"}), Value: pick(rng, diffWords)}))
 		}
 		if rng.Intn(5) == 0 { // file-based metadata is view-only: never queryable
 			must(t, c.AddMeta(p, types.MetaFile, types.AVU{Name: "filemeta", Value: "J"}))
@@ -87,9 +89,35 @@ func populate(t *testing.T, c shard.Catalog, seed int64) {
 		must(t, c.AddMeta(p, types.MetaUser, types.AVU{Name: "band", Value: pick(rng, diffBands)}))
 		must(t, c.AddMeta(p, types.MetaUser, types.AVU{Name: "onlycolls", Value: "1"}))
 	}
+	// Metadata is edited as well as added: an entry that goes must not
+	// take a (name, value) its path still carries off the index. Rare
+	// values make a lost posting visible — the evaluator answers nil for a
+	// value the index lacks where the reference scans.
+	for n, i := range rng.Perm(len(objs))[:60] {
+		rare := fmt.Sprintf("rare-%d", n%20)
+		must(t, c.AddMeta(objs[i], types.MetaUser, types.AVU{Name: "tag", Value: rare}))
+		must(t, c.AddMeta(objs[i], pick2(rng, types.MetaUser, types.MetaType), types.AVU{Name: "TAG", Value: rare}))
+		var err error
+		switch rng.Intn(3) {
+		case 0:
+			_, err = c.DeleteMeta(objs[i], types.MetaUser, "tag", rare)
+		case 1:
+			_, err = c.DeleteMeta(objs[i], types.MetaType, "tag", "")
+		case 2:
+			_, err = c.UpdateMeta(objs[i], types.MetaType, "tag", "", types.AVU{Name: "tag", Value: pick(rng, diffWords)})
+		}
+		must(t, err)
+	}
 	for _, i := range rng.Perm(len(objs))[:10] {
 		must(t, c.DeleteObject(objs[i]))
 	}
+}
+
+func pick2(rng *rand.Rand, a, b types.MetaClass) types.MetaClass {
+	if rng.Intn(2) == 0 {
+		return a
+	}
+	return b
 }
 
 func randomQuery(rng *rand.Rand) mcat.Query {
@@ -105,7 +133,7 @@ func randomQuery(rng *rand.Rand) mcat.Query {
 			cn.Value = pick(rng, append(diffLikes, diffWords...))
 		default:
 			cn.Attr = pick(rng, append(diffAttrs, "onlycolls"))
-			cn.Value = pick(rng, [][]string{diffBands, diffNums, diffWords, diffLikes, {"1", "nosuchvalue"}}[rng.Intn(5)])
+			cn.Value = pick(rng, [][]string{diffBands, diffNums, diffWords, diffLikes, {"1", "nosuchvalue", "rare-3", "rare-7", "rare-11"}}[rng.Intn(5)])
 		}
 		cn.Op = pick(rng, diffOps)
 		if rng.Intn(3) == 0 {

@@ -137,46 +137,49 @@ func TestReplogFallbackCounter(t *testing.T) {
 	}
 }
 
-// TestAdvisorBalancedAndSingleShard: the advisor refuses to churn when
-// there is nothing to fix.
-func TestAdvisorBalancedAndSingleShard(t *testing.T) {
+// TestHeatJoinDegenerate: nothing to join is imbalance 0, one shard is
+// always even, and rows that are not routing prefixes join no shard.
+func TestHeatJoinDegenerate(t *testing.T) {
 	one := newTestRouter(t, 1)
-	p := one.Advise([]obs.HeatStat{{Key: "/home/alice", Score: 100}}, time.Now())
-	if len(p.Moves) != 0 || p.Note == "" {
-		t.Fatalf("single-shard plan = %+v, want no moves with a note", p)
-	}
-	if one.LastPlan() == nil {
-		t.Fatal("Advise must store the plan")
+	shards, imb := one.HeatJoin([]obs.HeatStat{{Key: "/home/alice", Score: 100}})
+	if len(shards) != 1 || shards[0].HotKeys != 1 || imb != 1 {
+		t.Fatalf("single shard join = %+v imbalance %.2f, want one row, 1.00", shards, imb)
 	}
 
 	r := newTestRouter(t, 4)
 	seedGrid(t, r)
-	// Perfectly even heat across four prefixes that hash to four homes
-	// is (at worst) mildly imbalanced; equal scores keep max/mean low
-	// only if homes differ, so instead check the no-heat degenerate case
-	// and the within-threshold case explicitly.
-	p = r.Advise(nil, time.Now())
-	if p.Imbalance != 0 || len(p.Moves) != 0 {
-		t.Fatalf("no-heat plan = %+v, want imbalance 0, no moves", p)
+	shards, imb = r.HeatJoin(nil)
+	if imb != 0 || len(shards) != 4 {
+		t.Fatalf("no-heat join = %+v imbalance %.2f, want 4 rows, 0", shards, imb)
+	}
+	objects := 0
+	for _, sh := range shards {
+		objects += sh.Objects
+	}
+	if objects != 6 {
+		t.Errorf("join counts %d catalog objects over the shards, want the 6 seeded", objects)
 	}
 	// Spine rows and non-prefix rows (full object paths) never join.
-	p = r.Advise([]obs.HeatStat{
+	shards, imb = r.HeatJoin([]obs.HeatStat{
 		{Key: "/", Score: 500},
 		{Key: "/home", Score: 500},
 		{Key: "/home/alice/deep/f0.dat", Score: 500},
-	}, time.Now())
-	for _, sh := range p.Shards {
-		if sh.HotKeys != 0 {
-			t.Fatalf("unroutable rows joined the plan: %+v", p.Shards)
+	})
+	for _, sh := range shards {
+		if sh.HotKeys != 0 || imb != 0 {
+			t.Fatalf("unroutable rows joined: %+v imbalance %.2f", shards, imb)
 		}
 	}
 }
 
-// TestAdvisorProposesMoves: a skewed workload yields moves off the
-// hottest shard that project a better balance, without flipping the
-// hotspot onto the target.
-func TestAdvisorProposesMoves(t *testing.T) {
+// TestHeatJoinSkewed: two hot prefixes homed on one of four shards and a
+// little background heat elsewhere. The join puts the heat on the shard
+// that owns it, the imbalance is that shard's heat over the mean, and the
+// gauge carries it in percent.
+func TestHeatJoinSkewed(t *testing.T) {
 	r := newTestRouter(t, 4)
+	reg := obs.NewRegistry()
+	r.SetMetrics(reg)
 	seedGrid(t, r)
 
 	// Find two prefixes homed on the same shard to manufacture skew, and
@@ -189,43 +192,32 @@ func TestAdvisorProposesMoves(t *testing.T) {
 	same := []string{prefixes[0]}
 	var other string
 	for _, p := range prefixes[1:] {
-		if r.Map().Shard(p) == home && len(same) < 3 {
+		if r.Map().Shard(p) == home && len(same) < 2 {
 			same = append(same, p)
 		} else if r.Map().Shard(p) != home && other == "" {
 			other = p
 		}
 	}
 	if len(same) < 2 || other == "" {
-		t.Skip("hash layout gave no co-homed prefixes to skew")
+		t.Fatalf("ring layout gave no co-homed pair among %v", prefixes)
 	}
 
-	rows := []obs.HeatStat{
+	shards, imb := r.HeatJoin([]obs.HeatStat{
 		{Key: same[0], Score: 900, Bytes: 1 << 20},
 		{Key: same[1], Score: 300},
 		{Key: other, Score: 50},
+	})
+	if got := shards[home]; got.Shard != home || got.Score != 1200 || got.HotKeys != 2 {
+		t.Errorf("hot shard row = %+v, want shard %d with score 1200 from 2 keys", got, home)
 	}
-	p := r.Advise(rows, time.Now())
-	if p.Imbalance <= adviseImbalance {
-		t.Fatalf("manufactured skew not imbalanced: %+v", p)
+	if got := shards[r.Map().Shard(other)]; got.Score != 50 || got.HotKeys != 1 {
+		t.Errorf("background shard row = %+v, want score 50 from 1 key", got)
 	}
-	if len(p.Moves) == 0 {
-		t.Fatalf("skewed plan proposed no moves: %+v", p)
+	// 1200 on the hottest shard over a mean of 1250/4.
+	if want := 1200 / (1250.0 / 4); imb != want {
+		t.Errorf("imbalance = %.4f, want %.4f", imb, want)
 	}
-	m := p.Moves[0]
-	if m.From != home {
-		t.Fatalf("move %+v does not come off the hottest shard %d", m, home)
-	}
-	if m.To == home {
-		t.Fatalf("move %+v targets its own shard", m)
-	}
-	if p.Projected >= p.Imbalance {
-		t.Fatalf("plan projects no improvement: %.2f -> %.2f", p.Imbalance, p.Projected)
-	}
-	if len(p.Moves) > adviseMaxMoves {
-		t.Fatalf("plan proposes %d moves, cap is %d", len(p.Moves), adviseMaxMoves)
-	}
-	// The stored plan is what the serving paths reuse.
-	if lp := r.LastPlan(); lp == nil || lp.GeneratedAt != p.GeneratedAt {
-		t.Fatal("LastPlan does not return the newest plan")
+	if v := reg.Gauge("mcat.shard.heat_imbalance_pct").Value(); v != 384 {
+		t.Errorf("heat_imbalance_pct gauge = %d, want 384", v)
 	}
 }

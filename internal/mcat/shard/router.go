@@ -51,9 +51,7 @@ type Router struct {
 	replogFallback *obs.Counter
 	replagEntries  []*obs.Gauge
 	replagSeconds  []*obs.Gauge
-
-	planMu   sync.Mutex
-	lastPlan *Plan // newest advisor output (see advisor.go)
+	heatImbalance  *obs.Gauge
 }
 
 // state is one shard slot: its catalog, replication log and role.
@@ -179,6 +177,7 @@ func (r *Router) SetMetrics(reg *obs.Registry) {
 		r.replagEntries[i] = reg.Gauge(fmt.Sprintf("mcat.shard.%d.replag_entries", i))
 		r.replagSeconds[i] = reg.Gauge(fmt.Sprintf("mcat.shard.%d.replag_seconds", i))
 	}
+	r.heatImbalance = reg.Gauge("mcat.shard.heat_imbalance_pct")
 }
 
 // ---- routing primitives ----

@@ -44,20 +44,20 @@ func (a *App) statusPage(title string, draw func(w io.Writer, reply any), feeds 
 	}
 }
 
-// drawShardHeat draws the advisor's per-shard heat join as bars above
-// the heat observatory's tables.
+// drawShardHeat draws the per-shard heat join as bars above the heat
+// observatory's tables.
 func drawShardHeat(w io.Writer, reply any) {
-	plan := reply.(wire.HeatReply).Plan
-	if plan == nil || len(plan.Shards) == 0 {
+	rep := reply.(wire.HeatReply)
+	if len(rep.ShardHeat) == 0 {
 		return
 	}
 	maxScore := float64(0)
-	for _, sh := range plan.Shards {
+	for _, sh := range rep.ShardHeat {
 		maxScore = max(maxScore, sh.Score)
 	}
 	fmt.Fprint(w, `<h3>Shard heat</h3><table border="1" cellpadding="3">
 <tr><th>shard</th><th>heat</th><th>score</th><th>hot keys</th><th>objects</th></tr>`)
-	for _, sh := range plan.Shards {
+	for _, sh := range rep.ShardHeat {
 		pct := 0
 		if maxScore > 0 {
 			pct = int(sh.Score / maxScore * 100)
@@ -65,7 +65,7 @@ func drawShardHeat(w io.Writer, reply any) {
 		fmt.Fprintf(w, `<tr><td>%d</td><td><div style="width:200px;background:#eee"><div style="width:%d%%;background:#c33;color:#fff;white-space:nowrap">&nbsp;</div></div></td><td>%.1f</td><td>%d</td><td>%d</td></tr>`,
 			sh.Shard, pct, sh.Score, sh.HotKeys, sh.Objects)
 	}
-	fmt.Fprintf(w, "</table><p>Rebalance advisor: imbalance %.2fx &rarr; %.2fx projected</p>", plan.Imbalance, plan.Projected)
+	fmt.Fprintf(w, "</table><p>Imbalance (hottest shard over mean): %.2fx</p>", rep.Imbalance)
 }
 
 // drawBundleLinks lists every incident bundle's members as download

@@ -16,10 +16,7 @@
 package obs
 
 import (
-	"fmt"
-	"io"
 	"math/bits"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -483,38 +480,4 @@ func (r *Registry) Snapshot() Snapshot {
 	}
 	s.Traces = r.traces.Recent(64)
 	return s
-}
-
-// WriteText dumps the registry as sorted "name value" lines — the
-// plain-text format the srbd admin /metrics endpoint serves.
-func (r *Registry) WriteText(w io.Writer) error {
-	s := r.Snapshot()
-	lines := make([]string, 0, len(s.Counters)+len(s.Gauges)+6*len(s.Ops)+1)
-	lines = append(lines, fmt.Sprintf("uptime_seconds %.3f", s.UptimeSeconds))
-	for k, v := range s.Counters {
-		lines = append(lines, fmt.Sprintf("%s %d", k, v))
-	}
-	for k, v := range s.Gauges {
-		lines = append(lines, fmt.Sprintf("%s %d", k, v))
-	}
-	for k, o := range s.Ops {
-		lines = append(lines,
-			fmt.Sprintf("%s.count %d", k, o.Count),
-			fmt.Sprintf("%s.errors %d", k, o.Errors),
-			fmt.Sprintf("%s.total_us %d", k, o.TotalMicros),
-			fmt.Sprintf("%s.p50_us %.1f", k, o.P50Micros),
-			fmt.Sprintf("%s.p90_us %.1f", k, o.P90Micros),
-			fmt.Sprintf("%s.p99_us %.1f", k, o.P99Micros),
-		)
-		for _, b := range o.Buckets {
-			lines = append(lines, fmt.Sprintf("%s.bucket_le_%dus %d", k, b.UpperMicros, b.Count))
-		}
-	}
-	sort.Strings(lines)
-	for _, ln := range lines {
-		if _, err := fmt.Fprintln(w, ln); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -120,7 +120,7 @@ func TestOpRecordsErrors(t *testing.T) {
 	}
 }
 
-func TestRegistrySnapshotAndText(t *testing.T) {
+func TestRegistrySnapshot(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("storage.disk1.bytes_in").Add(1024)
 	r.Gauge("catalog.objects").Set(3)
@@ -139,21 +139,8 @@ func TestRegistrySnapshotAndText(t *testing.T) {
 	if op := s.Ops["broker.get"]; op.Count != 2 || op.Errors != 1 {
 		t.Errorf("snapshot op = %+v", op)
 	}
-	var buf bytes.Buffer
-	if err := r.WriteText(&buf); err != nil {
-		t.Fatal(err)
-	}
-	text := buf.String()
-	for _, want := range []string{
-		"storage.disk1.bytes_in 1024",
-		"catalog.objects 3",
-		"broker.get.count 2",
-		"broker.get.errors 1",
-		"uptime_seconds ",
-	} {
-		if !strings.Contains(text, want) {
-			t.Errorf("text dump missing %q:\n%s", want, text)
-		}
+	if s.UptimeSeconds < 0 {
+		t.Errorf("snapshot uptime = %v", s.UptimeSeconds)
 	}
 }
 

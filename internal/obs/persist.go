@@ -61,7 +61,7 @@ type TelemetrySnapshot struct {
 }
 
 // TelemetryStore owns the on-disk telemetry history of one daemon.
-// Safe for concurrent use; Flush/Compact/Close serialise on one lock.
+// Safe for concurrent use; Flush and Close serialise on one lock.
 type TelemetryStore struct {
 	dir       string
 	server    string
@@ -247,17 +247,8 @@ func (ts *TelemetryStore) Flush(reg *Registry, log *AlertLog, now time.Time) err
 	return nil
 }
 
-// Compact rewrites the snapshot from live state (pruned to retention)
-// and truncates the journal.
-func (ts *TelemetryStore) Compact(reg *Registry, log *AlertLog, now time.Time) error {
-	if ts == nil || reg == nil {
-		return nil
-	}
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	return ts.compact(reg, log, now)
-}
-
+// compact rewrites the snapshot from live state (pruned to retention)
+// and truncates the journal. The caller holds ts.mu.
 func (ts *TelemetryStore) compact(reg *Registry, log *AlertLog, now time.Time) error {
 	cutoff := time.Time{}
 	if ts.retention > 0 {

@@ -45,7 +45,7 @@ var All = []*Report{
 		Help: "catalog shards: role, replication position, staleness, entry counts, replication lag (entries/seconds)"},
 		nil, shards, shardsDoc),
 	define(Report{Name: "heat", Op: wire.OpHeat, Text: true,
-		Help: "heat observatory: hot-key/hot-object top-K, per-shard replication lag and the rebalance advisor plan"},
+		Help: "heat observatory: hot-key/hot-object top-K, per-shard replication lag, per-shard heat and its imbalance"},
 		nil, heat, heatDoc),
 	define(Report{Name: "stats", Op: wire.OpServerStats, Help: "server statistics"},
 		nil, serverStats, serverStatsDoc),
@@ -373,15 +373,12 @@ func shardsDoc(rep wire.ShardsReply, _ url.Values) (d Doc) {
 // monolithic catalog lacks it and reports keys and objects only.
 type heatRouter interface {
 	Statuses() []shard.Status
-	Advise(rows []obs.HeatStat, now time.Time) shard.Plan
-	LastPlan() *shard.Plan
+	HeatJoin(rows []obs.HeatStat) ([]shard.ShardHeat, float64)
 }
 
 // heat builds the heat observatory: the top-K tables always; shard
-// statuses and the advisor plan only when the catalog is sharded. The
-// advisor job keeps a plan stored on the router; when none exists yet
-// (job not wired, or first run pending) a fresh one is computed, so the
-// reply is never planless on a sharded catalog.
+// statuses and the join of key heat onto shard ownership, computed from
+// the tables as they stand, only when the catalog is sharded.
 func heat(env Env, _ struct{}) (wire.HeatReply, error) {
 	reg := env.Broker.Metrics()
 	rep := wire.HeatReply{
@@ -391,11 +388,7 @@ func heat(env Env, _ struct{}) (wire.HeatReply, error) {
 	}
 	if rt, ok := env.Broker.Cat.(heatRouter); ok {
 		rep.Shards = rt.Statuses()
-		rep.Plan = rt.LastPlan()
-		if rep.Plan == nil {
-			fresh := rt.Advise(rep.Keys, time.Now())
-			rep.Plan = &fresh
-		}
+		rep.ShardHeat, rep.Imbalance = rt.HeatJoin(rep.Keys)
 	}
 	return rep, nil
 }
@@ -426,18 +419,12 @@ func heatDoc(rep wire.HeatReply, _ url.Values) (d Doc) {
 		}
 		d = append(d, t)
 	}
-	if p := rep.Plan; p != nil {
-		d.line("rebalance plan (imbalance %.2fx -> %.2fx):", p.Imbalance, p.Projected)
-		if p.Note != "" {
-			d.line("%s", p.Note)
+	if len(rep.ShardHeat) > 0 {
+		t := table(fmt.Sprintf("shard heat (imbalance %.2fx):", rep.Imbalance), "SHARD", "SCORE", "HOT_KEYS", "OBJECTS")
+		for _, sh := range rep.ShardHeat {
+			t.row(sh.Shard, f1(sh.Score), sh.HotKeys, sh.Objects)
 		}
-		if len(p.Moves) > 0 {
-			t := table("", "MOVE", "FROM", "TO", "SCORE", "EST_KEYS", "EST_BYTES")
-			for _, m := range p.Moves {
-				t.row(m.Key, m.From, m.To, f1(m.Score), m.EstKeys, m.EstBytes)
-			}
-			d = append(d, t)
-		}
+		d = append(d, t)
 	}
 	return d
 }

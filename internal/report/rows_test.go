@@ -101,12 +101,12 @@ var fixedReplies = map[string]struct {
 		},
 	}},
 	"heat": {reply: wire.HeatReply{
-		Server:  "srb1",
-		Keys:    []obs.HeatStat{{Key: "/home/alice", Count: 40, Score: 12.5, Bytes: 4096}},
-		Objects: []obs.HeatStat{{Key: "/home/alice/f.dat", Count: 9, Score: 3, Bytes: 2048}},
-		Shards:  []shard.Status{{Shard: 0, Role: "leader", Objects: 5}},
-		Plan: &shard.Plan{Imbalance: 2.5, Projected: 1.2, Note: "dry run",
-			Moves: []shard.PlanMove{{Key: "/home/alice", From: 0, To: 1, Score: 12.5, EstKeys: 3, EstBytes: 4096}}},
+		Server:    "srb1",
+		Keys:      []obs.HeatStat{{Key: "/home/alice", Count: 40, Score: 12.5, Bytes: 4096}},
+		Objects:   []obs.HeatStat{{Key: "/home/alice/f.dat", Count: 9, Score: 3, Bytes: 2048}},
+		Shards:    []shard.Status{{Shard: 0, Role: "leader", Objects: 5}},
+		ShardHeat: []shard.ShardHeat{{Shard: 0, Score: 12.5, HotKeys: 1, Objects: 5}, {Shard: 1, Objects: 4}},
+		Imbalance: 2,
 	}},
 	"stats": {reply: wire.StatsReply{Server: "srb1", Objects: 5, Collections: 2, Resources: 1, Users: 3}},
 }

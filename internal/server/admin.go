@@ -29,7 +29,6 @@ import (
 // /heat and /trace/{id} default to text, the rest to JSON). Beside them:
 //
 //	/metrics       Prometheus text exposition format; append
-//	               ?format=text for the legacy "name value" dump,
 //	               ?format=openmetrics for OpenMetrics with trace-ID
 //	               tail exemplars on histogram buckets, or
 //	               ?window=5m for windowed rates/quantiles from the
@@ -61,15 +60,12 @@ func NewAdminHandler(env report.Env) http.Handler {
 			obs.WriteWindowText(w, reg.Window(window))
 			return
 		}
-		switch r.URL.Query().Get("format") {
-		case "text":
-			reg.WriteText(w)
-		case "openmetrics":
+		if r.URL.Query().Get("format") == "openmetrics" {
 			w.Header().Set("Content-Type", "application/openmetrics-text; version=1.0.0; charset=utf-8")
 			obs.WriteOpenMetrics(w, reg.Snapshot())
-		default:
-			obs.WritePrometheus(w, reg.Snapshot())
+			return
 		}
+		obs.WritePrometheus(w, reg.Snapshot())
 	})
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")

@@ -64,7 +64,7 @@ func TestBulkPutManifestMismatch(t *testing.T) {
 	args, _ := json.Marshal(wire.BulkPutArgs{Items: []wire.BulkPutItem{
 		{Path: "/home/short.txt", Resource: "disk1", Size: 10}, // stream carries 4
 	}})
-	if err := c.WriteJSON(wire.MsgRequest, wire.Request{Op: wire.OpBulkPut, Args: args}); err != nil {
+	if err := c.WriteJSON(wire.MsgRequest, wire.Request{ID: 1, Op: wire.OpBulkPut, Args: args}); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.SendData(bytes.NewReader([]byte("oops"))); err != nil {
@@ -96,7 +96,7 @@ func TestBulkPutNegativeSizeRejected(t *testing.T) {
 	args, _ := json.Marshal(wire.BulkPutArgs{Items: []wire.BulkPutItem{
 		{Path: "/home/neg.txt", Resource: "disk1", Size: -1},
 	}})
-	if err := c.WriteJSON(wire.MsgRequest, wire.Request{Op: wire.OpBulkPut, Args: args}); err != nil {
+	if err := c.WriteJSON(wire.MsgRequest, wire.Request{ID: 1, Op: wire.OpBulkPut, Args: args}); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.SendData(bytes.NewReader(nil)); err != nil {

@@ -50,16 +50,13 @@ func (s *Server) dispatch(ss *session, req *wire.Request) error {
 	// reassembles into one tree. A positive Attempt marks a client-side
 	// retry of the same logical call.
 	sp := obs.StartSpanFrom(req.Trace, req.Span, req.Op)
-	var queueWait time.Duration
-	if !ss.enqueued.IsZero() {
-		// Pipelined request: backdate the span to when the reader loop
-		// enqueued it, so queue.wait + dispatch partition the span's wall
-		// clock exactly and queue pressure shows up in the trace, not as
-		// mystery latency before it.
-		queueWait = time.Since(ss.enqueued)
-		sp.Start = ss.enqueued
-		sp.Phase(obs.PhaseQueueWait, queueWait)
-	}
+	// Backdate the span to when the reader loop enqueued the request, so
+	// queue.wait + dispatch partition the span's wall clock exactly and
+	// queue pressure shows up in the trace, not as mystery latency before
+	// it.
+	queueWait := time.Since(ss.enqueued)
+	sp.Start = ss.enqueued
+	sp.Phase(obs.PhaseQueueWait, queueWait)
 	ss.span = sp
 	if req.Attempt > 0 {
 		sp.Event(obs.EventRetry, fmt.Sprintf("client attempt %d", req.Attempt+1))
@@ -756,7 +753,7 @@ func replicate(c call, a wire.ReplicateArgs) (types.Replica, error) {
 	}
 	var body json.RawMessage
 	err := s.peerDo(targetOwner, addr, ss.deadline, req, ss.span, true, func(pc *peerConn) error {
-		b, err := pc.roundTripIngest(req, src)
+		b, err := pc.roundTrip(req, src, nil)
 		body = b
 		return err
 	})
@@ -807,7 +804,7 @@ func (s *Server) proxyIngest(peerName, user string, req *wire.Request, data io.R
 	fwd.OnBehalf = user
 	var body []byte
 	err := s.peerDo(peerName, addr, deadline, &fwd, sp, true, func(pc *peerConn) error {
-		b, err := pc.roundTripIngest(&fwd, data)
+		b, err := pc.roundTrip(&fwd, data, nil)
 		body = b
 		return err
 	})

@@ -44,7 +44,8 @@ func TestGridStatFanout(t *testing.T) {
 	z := newZone(t, Proxy)
 	gridActivity(t, z)
 	cl := z.client(z.addr1, "alice", "alicepw")
-	rep, err := cl.GridStat(5*time.Minute, true)
+	var rep wire.GridStatReply
+	err := cl.Call(wire.OpGridStat, wire.GridStatArgs{WindowSeconds: 300}, &rep)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +83,8 @@ func TestGridStatDeadPeerIsPartial(t *testing.T) {
 	gridActivity(t, z)
 	z.s2.Close()
 	cl := z.client(z.addr1, "alice", "alicepw")
-	rep, err := cl.GridStat(5*time.Minute, true)
+	var rep wire.GridStatReply
+	err := cl.Call(wire.OpGridStat, wire.GridStatArgs{WindowSeconds: 300}, &rep)
 	if err != nil {
 		t.Fatal(err) // a dead member must not fail the gather
 	}
@@ -113,7 +115,8 @@ func TestGridStatLocalOnly(t *testing.T) {
 	z := newZone(t, Proxy)
 	gridActivity(t, z)
 	cl := z.client(z.addr1, "alice", "alicepw")
-	rep, err := cl.GridStat(5*time.Minute, false)
+	var rep wire.GridStatReply
+	err := cl.Call(wire.OpGridStat, wire.GridStatArgs{WindowSeconds: 300, LocalOnly: true}, &rep)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +130,8 @@ func TestGridStatStaleFlag(t *testing.T) {
 	// No backdated rollups: retention covers seconds, not 6 hours, so
 	// every member must self-report stale.
 	cl := z.client(z.addr1, "alice", "alicepw")
-	rep, err := cl.GridStat(6*time.Hour, true)
+	var rep wire.GridStatReply
+	err := cl.Call(wire.OpGridStat, wire.GridStatArgs{WindowSeconds: 21600}, &rep)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +150,8 @@ func TestAlertsOp(t *testing.T) {
 	z := newZone(t, Proxy)
 	cl := z.client(z.addr1, "alice", "alicepw")
 	// No evaluator declared: the op reports disabled, not an error.
-	rep, err := cl.Alerts()
+	var rep wire.AlertsReply
+	err := cl.Call(wire.OpAlerts, struct{}{}, &rep)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +170,7 @@ func TestAlertsOp(t *testing.T) {
 	z.b1.Metrics().Op("server.get").Observe(time.Millisecond, errFake)
 	ev.Evaluate(now)
 
-	rep, err = cl.Alerts()
+	err = cl.Call(wire.OpAlerts, struct{}{}, &rep)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -139,23 +139,3 @@ func TestLocalityFailoverOnTrippedResource(t *testing.T) {
 		t.Errorf("srb2 server.get count = %d, want %d (read must federate)", got, before+1)
 	}
 }
-
-// TestShrinkBudget: the remaining time budget shrinks per federation
-// hop and an exhausted budget fails before touching the wire.
-func TestShrinkBudget(t *testing.T) {
-	req := &wire.Request{Op: wire.OpGet, TimeoutMillis: 9999}
-	if err := shrinkBudget(req, time.Time{}); err != nil || req.TimeoutMillis != 9999 {
-		t.Fatalf("no deadline: err=%v, budget=%d (must be untouched)", err, req.TimeoutMillis)
-	}
-
-	if err := shrinkBudget(req, time.Now().Add(2*time.Second)); err != nil {
-		t.Fatal(err)
-	}
-	if req.TimeoutMillis <= 0 || req.TimeoutMillis > 2000 {
-		t.Errorf("shrunk budget = %dms, want (0, 2000]", req.TimeoutMillis)
-	}
-
-	if err := shrinkBudget(req, time.Now().Add(-time.Second)); !errors.Is(err, types.ErrTimeout) {
-		t.Errorf("expired deadline: err = %v, want ErrTimeout", err)
-	}
-}

@@ -332,8 +332,7 @@ type session struct {
 	remote string // remote address, for log and trace context
 	// w is the conn's mutex-serialized reply writer.
 	w *connWriter
-	// reqID is the request's correlation ID, echoed on every response
-	// (zero = serial protocol).
+	// reqID is the request's correlation ID, echoed on every response.
 	reqID uint64
 	// in is the request's inbound bulk-data stream (nil when the op
 	// carries none). The handler reads it straight off the connection
@@ -371,9 +370,9 @@ type session struct {
 	// serving the current request, for the usage accounting ledger.
 	bytesIn  int64
 	bytesOut int64
-	// enqueued is when the reader loop finished reading a pipelined
-	// request (zero on the serial path). The dispatch shim backdates the
-	// request span to it and attributes the gap to the queue.wait phase.
+	// enqueued is when the reader loop finished reading the request. The
+	// dispatch shim backdates the request span to it and attributes the
+	// gap to the queue.wait phase.
 	enqueued time.Time
 }
 
@@ -558,15 +557,21 @@ func (s *Server) handleConn(nc net.Conn) error {
 			ss.in = c.OpenData()
 		}
 		if req.ID == 0 {
-			// Serial protocol: dispatch inline, strictly in order.
-			if err := s.dispatch(ss, &req); err != nil {
+			// Every request carries the ID its response is matched by; one
+			// without is malformed and is refused before any handler runs.
+			ss.finishInbound()
+			resp := wire.ErrResponse(types.E(req.Op, "", fmt.Errorf("request without an ID: %w", types.ErrInvalid)))
+			base.w.mu.Lock()
+			err := base.w.write(func(c *wire.Conn) error { return c.WriteJSON(wire.MsgResponse, resp) })
+			base.w.mu.Unlock()
+			if err != nil {
 				return err
 			}
 			continue
 		}
-		// Pipelined: dispatch concurrently, bounded by maxPipelined.
-		// The depth histogram records how deep the pipeline actually
-		// runs (depth encoded as microseconds in the pow-2 buckets).
+		// Dispatch concurrently, bounded by maxPipelined. The depth
+		// histogram records how deep the pipeline actually runs (depth
+		// encoded as microseconds in the pow-2 buckets).
 		depth := inflight.Add(1)
 		depthHist.Observe(time.Duration(depth)*time.Microsecond, nil)
 		pipeGauge.Add(1)
@@ -625,9 +630,7 @@ func (s *Server) handshake(c *wire.Conn) (*session, error) {
 		}
 		ss.user = a.User
 	}
-	// Mux:true advertises that this server echoes correlation IDs, so
-	// clients may pipeline requests over this connection.
-	return ss, c.WriteJSON(wire.MsgAuthOK, wire.AuthOK{Server: s.name, Mux: true})
+	return ss, c.WriteJSON(wire.MsgAuthOK, wire.AuthOK{Server: s.name})
 }
 
 // localityOf classifies where a file object's clean replicas live:
@@ -803,7 +806,7 @@ func (s *Server) peerDo(peerName, addr string, deadline time.Time, req *wire.Req
 	case resilience.HalfOpen:
 		sp.Event(obs.EventBreakerProbe, "peer."+peerName)
 	}
-	if err := shrinkBudget(req, deadline); err != nil {
+	if err := req.SetBudget(deadline); err != nil {
 		return err
 	}
 	// The span the peer opens for this request becomes a child of ours,
@@ -863,26 +866,6 @@ func (s *Server) retrier(deadline time.Time, sp *obs.Span) resilience.Retrier {
 	}
 }
 
-// shrinkBudget rewrites req's time budget to what remains before
-// deadline — the budget shrinks on every federation hop, so a slow
-// peer cannot stall the whole chain. An exhausted budget fails here,
-// before any bytes cross the wire.
-func shrinkBudget(req *wire.Request, deadline time.Time) error {
-	if deadline.IsZero() {
-		return nil
-	}
-	left := time.Until(deadline)
-	if left <= 0 {
-		return types.E(req.Op, "", types.ErrTimeout)
-	}
-	ms := left.Milliseconds()
-	if ms < 1 {
-		ms = 1
-	}
-	req.TimeoutMillis = ms
-	return nil
-}
-
 // proxyGet sends a data-returning request to a peer over a
 // peer-authenticated connection and directs the reply's data stream
 // into sink. Idempotent ops are retried under the server's backoff
@@ -894,7 +877,8 @@ func (s *Server) proxyGet(peerName, addr, user string, req *wire.Request, deadli
 		fwd := *req
 		fwd.OnBehalf = user
 		return s.peerDo(peerName, addr, deadline, &fwd, sp, true, func(pc *peerConn) error {
-			return pc.roundTripData(&fwd, sink)
+			_, err := pc.roundTrip(&fwd, nil, sink)
+			return err
 		})
 	}
 	if !wire.Idempotent(req.Op) {
@@ -920,7 +904,7 @@ func (s *Server) proxyCall(peerName, user string, req *wire.Request, deadline ti
 		fwd := *req
 		fwd.OnBehalf = user
 		return s.peerDo(peerName, addr, deadline, &fwd, sp, false, func(pc *peerConn) error {
-			b, err := pc.roundTrip(&fwd)
+			b, err := pc.roundTrip(&fwd, nil, nil)
 			body = b
 			return err
 		})
@@ -966,70 +950,21 @@ func (s *Server) dialPeerMux(addr string) (*wire.Mux, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := wire.NewConn(nc)
-	var ch wire.Challenge
-	if err := c.ReadJSON(wire.MsgChallenge, &ch); err != nil {
-		nc.Close()
-		return nil, err
-	}
-	resp := auth.Respond(auth.DeriveKey("peer:"+s.name, secret), ch.Nonce)
-	if err := c.WriteJSON(wire.MsgAuth, wire.Auth{Peer: s.name, Response: resp}); err != nil {
-		nc.Close()
-		return nil, err
-	}
-	var ok wire.AuthOK
-	if err := c.ReadJSON(wire.MsgAuthOK, &ok); err != nil {
-		nc.Close()
-		return nil, types.E("peerauth", addr, types.ErrAuth)
-	}
-	return wire.NewMux(nc, c, ok.Server, ok.Mux), nil
+	return wire.Handshake(nc, wire.Auth{Peer: s.name}, auth.DeriveKey("peer:"+s.name, secret))
 }
 
-func (p *peerConn) roundTrip(req *wire.Request) (json.RawMessage, error) {
-	res, err := p.m.Call(req, nil, p.deadline)
+// roundTrip is one call on the checked-out conn: req, then the stream
+// data when the op sends one (a relayed ingest), and a reply whose data
+// stream goes into sink when the op returns one.
+func (p *peerConn) roundTrip(req *wire.Request, data io.Reader, sink wire.Sink) (json.RawMessage, error) {
+	res, err := p.m.CallTo(req, data, sink, p.deadline)
 	if err != nil {
 		return nil, err
 	}
-	if res.Redirect != nil {
-		return nil, types.E(req.Op, "", types.ErrInvalid)
-	}
-	if !res.Resp.OK {
-		return nil, res.Resp.Err()
-	}
-	return res.Resp.Body, nil
-}
-
-func (p *peerConn) roundTripData(req *wire.Request, sink wire.Sink) error {
-	res, err := p.m.CallTo(req, nil, sink, p.deadline)
-	if err != nil {
-		return err
-	}
-	if res.Redirect != nil {
-		return types.E(req.Op, "", types.ErrInvalid)
-	}
-	if !res.Resp.OK {
-		return res.Resp.Err()
-	}
-	if !res.Resp.DataFollows {
-		return types.E(req.Op, "", types.ErrInvalid)
-	}
-	p.bytes += res.DataLen
-	return nil
-}
-
-// roundTripIngest relays an ingest (request, then data, then response).
-func (p *peerConn) roundTripIngest(req *wire.Request, data io.Reader) (json.RawMessage, error) {
-	res, err := p.m.Call(req, data, p.deadline)
-	if err != nil {
+	if err := res.Check(req.Op, sink != nil); err != nil {
 		return nil, err
 	}
-	if res.Redirect != nil {
-		return nil, types.E(req.Op, "", types.ErrInvalid)
-	}
-	if !res.Resp.OK {
-		return nil, res.Resp.Err()
-	}
-	p.bytes += res.SentLen
+	p.bytes += res.SentLen + res.DataLen
 	return res.Resp.Body, nil
 }
 
@@ -1179,8 +1114,8 @@ func readiness(b *core.Broker, name string) (bool, []string) {
 	// Shard replication lag mirrors the repair-backlog treatment: when a
 	// replag SLO rule is declared and a shard's exported lag gauge
 	// exceeds its threshold, warn without degrading — lag is an alerting
-	// concern, not downtime. The gauges (refreshed by the shard-sync and
-	// advisor jobs) are read as exported, so the probe agrees with what
+	// concern, not downtime. The gauges (refreshed by the shard.sync and
+	// shard.gauges jobs) are read as exported, so the probe agrees with what
 	// /metrics and the SLO evaluator saw.
 	if th, declared := replagThreshold(b.SLO()); declared {
 		gauges := b.Metrics().Snapshot().Gauges

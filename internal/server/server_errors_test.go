@@ -17,29 +17,16 @@ import (
 // malformed or privileged frames the client library never produces.
 func rawConn(t *testing.T, addr, user, password string) *wire.Conn {
 	t.Helper()
-	nc, err := net.DialTimeout("tcp", addr, 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { nc.Close() })
-	c := wire.NewConn(nc)
-	var ch wire.Challenge
-	if err := c.ReadJSON(wire.MsgChallenge, &ch); err != nil {
-		t.Fatal(err)
-	}
-	resp := auth.Respond(auth.DeriveKey(user, password), ch.Nonce)
-	if err := c.WriteJSON(wire.MsgAuth, wire.Auth{User: user, Response: resp}); err != nil {
-		t.Fatal(err)
-	}
-	var ok struct{ Server string }
-	if err := c.ReadJSON(wire.MsgAuthOK, &ok); err != nil {
-		t.Fatal(err)
-	}
-	return c
+	return rawAuth(t, addr, wire.Auth{User: user}, auth.DeriveKey(user, password))
 }
 
 // rawPeerConn authenticates as a zone peer.
 func rawPeerConn(t *testing.T, addr, peerName, secret string) *wire.Conn {
+	t.Helper()
+	return rawAuth(t, addr, wire.Auth{Peer: peerName}, auth.DeriveKey("peer:"+peerName, secret))
+}
+
+func rawAuth(t *testing.T, addr string, a wire.Auth, key []byte) *wire.Conn {
 	t.Helper()
 	nc, err := net.DialTimeout("tcp", addr, 5*time.Second)
 	if err != nil {
@@ -51,11 +38,11 @@ func rawPeerConn(t *testing.T, addr, peerName, secret string) *wire.Conn {
 	if err := c.ReadJSON(wire.MsgChallenge, &ch); err != nil {
 		t.Fatal(err)
 	}
-	resp := auth.Respond(auth.DeriveKey("peer:"+peerName, secret), ch.Nonce)
-	if err := c.WriteJSON(wire.MsgAuth, wire.Auth{Peer: peerName, Response: resp}); err != nil {
+	a.Response = auth.Respond(key, ch.Nonce)
+	if err := c.WriteJSON(wire.MsgAuth, a); err != nil {
 		t.Fatal(err)
 	}
-	var ok struct{ Server string }
+	var ok wire.AuthOK
 	if err := c.ReadJSON(wire.MsgAuthOK, &ok); err != nil {
 		t.Fatal(err)
 	}
@@ -64,6 +51,7 @@ func rawPeerConn(t *testing.T, addr, peerName, secret string) *wire.Conn {
 
 func roundTrip(t *testing.T, c *wire.Conn, req wire.Request) wire.Response {
 	t.Helper()
+	req.ID = 1 // one request at a time: any ID will do
 	if err := c.WriteJSON(wire.MsgRequest, req); err != nil {
 		t.Fatal(err)
 	}

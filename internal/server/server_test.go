@@ -16,6 +16,7 @@ import (
 	"gosrb/internal/storage/dbfs"
 	"gosrb/internal/storage/memfs"
 	"gosrb/internal/types"
+	"gosrb/internal/wire"
 )
 
 // zone is a two-server federation over one shared MCAT, as SRB 1.x
@@ -121,7 +122,8 @@ func TestLoginAndBasicOps(t *testing.T) {
 	if _, err := cl.Get("/home/missing"); !errors.Is(err, types.ErrNotFound) {
 		t.Errorf("missing get error = %v", err)
 	}
-	st, err := cl.ServerStats()
+	var st wire.StatsReply
+	err = cl.Call(wire.OpServerStats, struct{}{}, &st)
 	if err != nil || st.Server != "srb1" || st.Objects != 1 {
 		t.Errorf("stats = %+v, %v", st, err)
 	}
@@ -475,7 +477,8 @@ func TestConcurrentClientsStress(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st, err := admin.ServerStats()
+	var st wire.StatsReply
+	err := admin.Call(wire.OpServerStats, struct{}{}, &st)
 	if err != nil || st.Objects != workers*25 {
 		t.Errorf("stats after stress = %+v, %v", st, err)
 	}

@@ -400,68 +400,97 @@ func ingestReq(t *testing.T, id uint64, path, resource string) wire.Request {
 // same connection by pipelined Stats. The server's reader must hand the
 // stream to the Put's handler, wait for it to be consumed, and only then
 // treat the next frame as a request — no deadlock, no data frame
-// mistaken for a request — under the mux protocol (answers matched by
-// ID) and under the serial one (answers strictly in order).
+// mistaken for a request.
 func TestPipelinedStatsBehindStreamedPut(t *testing.T) {
 	_, _, addr := bootOne(t, map[string]stg.Driver{"disk1": memfs.New()}, nil, "")
 	body := bytes.Repeat([]byte{0xAB}, 3*wire.DataChunk+17)
-	for _, mode := range []struct {
-		name string
-		ids  [3]uint64
-	}{{"mux", [3]uint64{7, 8, 9}}, {"serial", [3]uint64{0, 0, 0}}} {
-		c := rawConn(t, addr, "alice", "alicepw")
-		path := "/home/pipe-" + mode.name
-		// Everything is written before anything is read, from a goroutine:
-		// the server must make progress on the stream without the client
-		// reading replies first.
-		werr := make(chan error, 1)
-		go func() {
-			err := c.WriteJSON(wire.MsgRequest, ingestReq(t, mode.ids[0], path, "disk1"))
-			if err == nil {
-				err = c.SendData(bytes.NewReader(body))
-			}
-			if err == nil {
-				err = c.WriteJSON(wire.MsgRequest, statReq(t, mode.ids[1], "/home"))
-			}
-			if err == nil {
-				err = c.WriteJSON(wire.MsgRequest, statReq(t, mode.ids[2], path))
-			}
-			werr <- err
-		}()
-		byID := map[uint64]wire.Response{}
-		var order []wire.Response
-		for i := 0; i < 3; i++ {
-			var resp wire.Response
-			if err := c.ReadJSON(wire.MsgResponse, &resp); err != nil {
-				t.Fatalf("%s: reply %d: %v", mode.name, i, err)
-			}
-			byID[resp.ID] = resp
-			order = append(order, resp)
+	c := rawConn(t, addr, "alice", "alicepw")
+	path := "/home/pipe"
+	// Everything is written before anything is read, from a goroutine:
+	// the server must make progress on the stream without the client
+	// reading replies first.
+	werr := make(chan error, 1)
+	go func() {
+		err := c.WriteJSON(wire.MsgRequest, ingestReq(t, 7, path, "disk1"))
+		if err == nil {
+			err = c.SendData(bytes.NewReader(body))
 		}
-		if err := <-werr; err != nil {
-			t.Fatalf("%s: write: %v", mode.name, err)
+		if err == nil {
+			err = c.WriteJSON(wire.MsgRequest, statReq(t, 8, "/home"))
 		}
-		var put, coll, obj wire.Response
-		if mode.name == "mux" {
-			put, coll, obj = byID[7], byID[8], byID[9]
-		} else {
-			put, coll, obj = order[0], order[1], order[2]
+		if err == nil {
+			err = c.WriteJSON(wire.MsgRequest, statReq(t, 9, path))
 		}
-		var o types.DataObject
-		if !put.OK || json.Unmarshal(put.Body, &o) != nil || o.Size != int64(len(body)) {
-			t.Errorf("%s: put reply = %+v (size %d), want ok with %d bytes", mode.name, put, o.Size, len(body))
+		werr <- err
+	}()
+	byID := map[uint64]wire.Response{}
+	for i := 0; i < 3; i++ {
+		var resp wire.Response
+		if err := c.ReadJSON(wire.MsgResponse, &resp); err != nil {
+			t.Fatalf("reply %d: %v", i, err)
 		}
-		var st types.Stat
-		if !coll.OK || json.Unmarshal(coll.Body, &st) != nil || !st.IsCollect {
-			t.Errorf("%s: stat /home reply = %+v", mode.name, coll)
+		byID[resp.ID] = resp
+	}
+	if err := <-werr; err != nil {
+		t.Fatalf("write: %v", err)
+	}
+	put, coll, obj := byID[7], byID[8], byID[9]
+	var o types.DataObject
+	if !put.OK || json.Unmarshal(put.Body, &o) != nil || o.Size != int64(len(body)) {
+		t.Errorf("put reply = %+v (size %d), want ok with %d bytes", put, o.Size, len(body))
+	}
+	var st types.Stat
+	if !coll.OK || json.Unmarshal(coll.Body, &st) != nil || !st.IsCollect {
+		t.Errorf("stat /home reply = %+v", coll)
+	}
+	// The second stat was sent after the put's stream, so the reader
+	// reached it only after the put's handler had consumed the stream;
+	// it may still race the put's catalog commit, so only its framing
+	// (a well-formed stat answer, found or not) is asserted.
+	if !obj.OK && obj.ErrKind != "notfound" {
+		t.Errorf("stat of the put path = %+v", obj)
+	}
+}
+
+// TestRequestWithoutIDIsRefused: an ID is mandatory. A request frame with
+// ID 0 — spelled out or left out, with or without a body stream behind it
+// — gets exactly one ErrInvalid response and reaches no handler; the
+// stream is drained, so the session goes on to serve the next request.
+func TestRequestWithoutIDIsRefused(t *testing.T) {
+	b, _, addr := bootOne(t, map[string]stg.Driver{"disk1": memfs.New()}, nil, "")
+	body := bytes.Repeat([]byte{0xEF}, wire.DataChunk+3)
+	c := rawConn(t, addr, "alice", "alicepw")
+	go func() {
+		c.WriteJSON(wire.MsgRequest, statReq(t, 0, "/home"))
+		c.WriteMsg(wire.MsgRequest, []byte(`{"ID":0,"Op":"stat","Args":{"Path":"/home"}}`))
+		if c.WriteJSON(wire.MsgRequest, ingestReq(t, 0, "/home/noid", "disk1")) == nil && c.SendData(bytes.NewReader(body)) == nil {
+			c.WriteJSON(wire.MsgRequest, statReq(t, 5, "/home/noid"))
 		}
-		// The second stat was sent after the put's stream, so the reader
-		// reached it only after the put's handler had consumed the stream;
-		// it may still race the put's catalog commit, so only its framing
-		// (a well-formed stat answer, found or not) is asserted.
-		if !obj.OK && obj.ErrKind != "notfound" {
-			t.Errorf("%s: stat of the put path = %+v", mode.name, obj)
+	}()
+	for i := 0; i < 3; i++ {
+		var resp wire.Response
+		if err := c.ReadJSON(wire.MsgResponse, &resp); err != nil {
+			t.Fatalf("reply %d: %v", i, err)
 		}
+		if resp.ID != 0 || resp.OK || !errors.Is(resp.Err(), types.ErrInvalid) {
+			t.Errorf("reply %d = %+v, want ErrInvalid with no ID", i, resp)
+		}
+	}
+	// The fourth reply answers the one well-formed request: had the
+	// ingest run, its object would be there.
+	var resp wire.Response
+	if err := c.ReadJSON(wire.MsgResponse, &resp); err != nil {
+		t.Fatal(err)
+	}
+	if resp.ID != 5 || !errors.Is(resp.Err(), types.ErrNotFound) {
+		t.Errorf("stat after the refused requests = %+v, want id 5 not found", resp)
+	}
+	ops := b.Metrics().Snapshot().Ops
+	if n := ops["server.stat"].Count; n != 1 {
+		t.Errorf("server.stat ran %d times, want 1 (the request with an ID)", n)
+	}
+	if n := ops["server.ingest"].Count; n != 0 {
+		t.Errorf("server.ingest ran %d times, want 0", n)
 	}
 }
 
@@ -473,32 +502,30 @@ func TestPipelinedStatsBehindStreamedPut(t *testing.T) {
 func TestRejectedStreamIsDrained(t *testing.T) {
 	_, _, addr := bootOne(t, map[string]stg.Driver{"disk1": memfs.New()}, nil, "")
 	body := bytes.Repeat([]byte{0xCD}, 2*wire.DataChunk+5)
-	for _, id := range []uint64{0, 41} {
-		c := rawConn(t, addr, "alice", "alicepw")
-		for i, req := range []wire.Request{
-			ingestReq(t, id, "/nowhere/x", "disk1"),
-			ingestReq(t, id, "/home/x", "nodisk"),
-		} {
-			go func() {
-				if c.WriteJSON(wire.MsgRequest, req) == nil && c.SendData(bytes.NewReader(body)) == nil {
-					c.WriteJSON(wire.MsgRequest, statReq(t, id, "/home"))
-				}
-			}()
-			var rejected, next wire.Response
-			if err := c.ReadJSON(wire.MsgResponse, &rejected); err != nil {
-				t.Fatalf("id %d case %d: %v", id, i, err)
+	c := rawConn(t, addr, "alice", "alicepw")
+	for i, req := range []wire.Request{
+		ingestReq(t, 41, "/nowhere/x", "disk1"),
+		ingestReq(t, 41, "/home/x", "nodisk"),
+	} {
+		go func() {
+			if c.WriteJSON(wire.MsgRequest, req) == nil && c.SendData(bytes.NewReader(body)) == nil {
+				c.WriteJSON(wire.MsgRequest, statReq(t, 41, "/home"))
 			}
-			if err := c.ReadJSON(wire.MsgResponse, &next); err != nil {
-				t.Fatalf("id %d case %d: reply after a rejected stream: %v", id, i, err)
-			}
-			// Pipelined answers may overtake each other; tell them apart by
-			// outcome.
-			if rejected.OK {
-				rejected, next = next, rejected
-			}
-			if rejected.OK || !next.OK {
-				t.Errorf("id %d case %d: replies = %+v then %+v, want one rejection and one stat", id, i, rejected, next)
-			}
+		}()
+		var rejected, next wire.Response
+		if err := c.ReadJSON(wire.MsgResponse, &rejected); err != nil {
+			t.Fatalf("case %d: %v", i, err)
+		}
+		if err := c.ReadJSON(wire.MsgResponse, &next); err != nil {
+			t.Fatalf("case %d: reply after a rejected stream: %v", i, err)
+		}
+		// Pipelined answers may overtake each other; tell them apart by
+		// outcome.
+		if rejected.OK {
+			rejected, next = next, rejected
+		}
+		if rejected.OK || !next.OK {
+			t.Errorf("case %d: replies = %+v then %+v, want one rejection and one stat", i, rejected, next)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 // seed builds the demo database used across tests: a digital-library
@@ -288,6 +289,24 @@ func TestLike(t *testing.T) {
 		if got := Like(c.s, c.p); got != c.want {
 			t.Errorf("Like(%q, %q) = %v, want %v", c.s, c.p, got, c.want)
 		}
+	}
+}
+
+// TestLikeManyWildcardsIsBounded: LIKE costs at most len(s)·len(p)
+// however many % the pattern has. A matcher that retries every earlier %
+// on a mismatch needs seconds at nine groups and does not finish this.
+func TestLikeManyWildcardsIsBounded(t *testing.T) {
+	pattern := strings.Repeat("%a", 12) + "%b"
+	value := strings.Repeat("a", 4096)
+	start := time.Now()
+	if Like(value, pattern) {
+		t.Fatal("matched a value with no b")
+	}
+	if !Like(value+"B", pattern) {
+		t.Fatal("did not match the value with a trailing b")
+	}
+	if d := time.Since(start); d > 50*time.Millisecond {
+		t.Fatalf("12 %%-groups against 4 KiB took %v, want < 50ms", d)
 	}
 }
 

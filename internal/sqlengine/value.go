@@ -13,6 +13,8 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+
+	"gosrb/internal/types"
 )
 
 // ValueKind discriminates the scalar types the engine stores.
@@ -166,37 +168,7 @@ func Equal(a, b Value) bool {
 // character. Matching is case-insensitive, following the loose behaviour
 // of the catalogs SRB targeted.
 func Like(s, pattern string) bool {
-	return likeMatch(strings.ToLower(s), strings.ToLower(pattern))
-}
-
-func likeMatch(s, p string) bool {
-	// Dynamic-programming walk over pattern and subject.
-	for len(p) > 0 {
-		switch p[0] {
-		case '%':
-			p = strings.TrimLeft(p, "%")
-			if p == "" {
-				return true
-			}
-			for i := 0; i <= len(s); i++ {
-				if likeMatch(s[i:], p) {
-					return true
-				}
-			}
-			return false
-		case '_':
-			if s == "" {
-				return false
-			}
-			s, p = s[1:], p[1:]
-		default:
-			if s == "" || s[0] != p[0] {
-				return false
-			}
-			s, p = s[1:], p[1:]
-		}
-	}
-	return s == ""
+	return types.LikeFolded(s, strings.ToLower(pattern))
 }
 
 // Row is one tuple.

@@ -122,8 +122,8 @@ const (
 	// snapshot when the follower is too far behind. Peer/admin only.
 	OpShardPull = "shardpull"
 	// OpHeat reports the heat observatory: top-K hot keys and objects,
-	// per-shard status with replication lag, and the rebalance advisor's
-	// dry-run migration plan (`srb heat`).
+	// per-shard status with replication lag, and the per-shard heat join
+	// with its imbalance (`srb heat`).
 	OpHeat = "heat"
 )
 
@@ -616,13 +616,14 @@ type ShardPullReply struct {
 }
 
 // HeatReply carries one server's heat observatory: the hot-key and
-// hot-object top-K tables, the per-shard status rows (empty on a
-// monolithic catalog) and the rebalance advisor's newest dry-run plan
-// (nil when the catalog is not sharded).
+// hot-object top-K tables and, on a sharded catalog, the per-shard status
+// rows and the join of key heat onto shard ownership with its imbalance
+// (hottest shard heat over the mean; 1.0 is even).
 type HeatReply struct {
-	Server  string
-	Keys    []obs.HeatStat `json:",omitempty"`
-	Objects []obs.HeatStat `json:",omitempty"`
-	Shards  []shard.Status `json:",omitempty"`
-	Plan    *shard.Plan    `json:",omitempty"`
+	Server    string
+	Keys      []obs.HeatStat    `json:",omitempty"`
+	Objects   []obs.HeatStat    `json:",omitempty"`
+	Shards    []shard.Status    `json:",omitempty"`
+	ShardHeat []shard.ShardHeat `json:",omitempty"`
+	Imbalance float64           `json:",omitempty"`
 }

@@ -56,6 +56,8 @@ func FuzzDecodeFrame(f *testing.F) {
 		return buf.Bytes()
 	}
 	f.Add(valid(MsgRequest, []byte(`{"Op":"stat"}`)))
+	// A request that spells out the ID no Mux assigns: servers refuse it.
+	f.Add(valid(MsgRequest, []byte(`{"ID":0,"Op":"stat"}`)))
 	f.Add(valid(MsgData, bytes.Repeat([]byte{1}, 70*1024)))
 	// Forged header: declares MaxFrame-1 bytes, delivers none (or one).
 	f.Add([]byte{byte(MsgResponse), 0x00, 0xff, 0xff, 0xff})

@@ -1,17 +1,11 @@
 // Request multiplexing: many in-flight requests sharing one
-// authenticated connection. The serial protocol pays a full round trip
-// per operation — fatal for the paper's headline workload of millions
-// of small files over high-latency links. A Mux assigns each request a
-// correlation ID, serializes frame writes under a mutex, and runs one
-// demux goroutine that matches responses (possibly out of order) back
-// to their callers, so concurrent operations overlap their round trips
-// instead of queueing behind each other.
-//
-// Servers advertise ID support in the AuthOK handshake frame (Mux
-// field). Against an older server the Mux falls back to serial
-// matching: responses carry no ID and are delivered to the oldest
-// pending call, which is correct because a serial server answers in
-// request order.
+// authenticated connection. One request per round trip is fatal for the
+// paper's headline workload of millions of small files over
+// high-latency links. A Mux assigns each request a correlation ID,
+// serializes frame writes under a mutex, and runs one demux goroutine
+// that matches responses (possibly out of order) back to their callers
+// by the ID the server echoes, so concurrent operations overlap their
+// round trips instead of queueing behind each other.
 package wire
 
 import (
@@ -25,6 +19,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"gosrb/internal/auth"
 	"gosrb/internal/types"
 )
 
@@ -39,6 +34,22 @@ type CallResult struct {
 	// SentLen that of the stream sent after the request.
 	DataLen int64
 	SentLen int64
+}
+
+// Check is the one test of an answer to op: a redirect where the caller
+// follows none (a client takes res.Redirect before it asks), a failure
+// response, or — when the op must stream — a success that announced no
+// data.
+func (res *CallResult) Check(op string, wantData bool) error {
+	switch {
+	case res.Redirect != nil:
+		return types.E(op, "", types.ErrInvalid)
+	case !res.Resp.OK:
+		return res.Resp.Err()
+	case wantData && !res.Resp.DataFollows:
+		return types.E(op, "", types.ErrInvalid)
+	}
+	return nil
 }
 
 // Sink says where a reply's data stream goes. The demux goroutine calls
@@ -151,14 +162,12 @@ type Mux struct {
 	nc     net.Conn
 	c      *Conn
 	server string
-	strict bool // server echoes correlation IDs
 
 	wmu sync.Mutex // serializes frame writes (request + its data stream)
 
 	mu      sync.Mutex
 	pending map[uint64]*muxPending
-	order   []uint64 // registration order, for serial (ID-less) servers
-	err     error    // first fatal error, set once
+	err     error // first fatal error, set once
 
 	nextID   atomic.Uint64
 	inflight atomic.Int64
@@ -169,23 +178,44 @@ type Mux struct {
 }
 
 // NewMux wraps an authenticated connection and starts the demux
-// goroutine. server is the peer's announced name; strict says the
-// server echoes correlation IDs (AuthOK.Mux) — when false the Mux uses
-// serial in-order matching and kills the connection on call timeout,
-// because an abandoned ID-less response could otherwise be matched to
-// the wrong caller.
-func NewMux(nc net.Conn, c *Conn, server string, strict bool) *Mux {
+// goroutine. server is the peer's announced name.
+func NewMux(nc net.Conn, c *Conn, server string) *Mux {
 	m := &Mux{
 		nc:      nc,
 		c:       c,
 		server:  server,
-		strict:  strict,
 		pending: make(map[uint64]*muxPending),
 		done:    make(chan struct{}),
 	}
 	m.lastUsed.Store(time.Now().UnixNano())
 	go m.readLoop()
 	return m
+}
+
+// Handshake is the dialling side of authentication, for users and zone
+// peers alike: it answers the server's challenge as a (Response is
+// filled in from key, the caller's derived secret) and wraps the
+// authenticated connection in a Mux. nc is closed on failure. Anything
+// but an AuthOK in reply — the server's refusal, or a connection it
+// dropped — is types.ErrAuth.
+func Handshake(nc net.Conn, a Auth, key []byte) (*Mux, error) {
+	c := NewConn(nc)
+	var ch Challenge
+	err := c.ReadJSON(MsgChallenge, &ch)
+	if err == nil {
+		a.Response = auth.Respond(key, ch.Nonce)
+		err = c.WriteJSON(MsgAuth, a)
+	}
+	if err != nil {
+		nc.Close()
+		return nil, types.E("handshake", nc.RemoteAddr().String(), err)
+	}
+	var ok AuthOK
+	if err := c.ReadJSON(MsgAuthOK, &ok); err != nil {
+		nc.Close()
+		return nil, types.E("login", a.User+a.Peer, types.ErrAuth)
+	}
+	return NewMux(nc, c, ok.Server), nil
 }
 
 // Server returns the name announced by the remote end's handshake.
@@ -216,7 +246,6 @@ func (m *Mux) fatal(err error) {
 	}
 	waiters := m.pending
 	m.pending = make(map[uint64]*muxPending)
-	m.order = nil
 	first := m.err
 	m.mu.Unlock()
 	if m.dead.CompareAndSwap(false, true) {
@@ -240,47 +269,18 @@ func (m *Mux) register(sink Sink) (uint64, *muxPending, error) {
 		return 0, nil, err
 	}
 	m.pending[id] = p
-	m.order = append(m.order, id)
 	m.mu.Unlock()
 	return id, p, nil
 }
 
-// unregister abandons a waiter (strict-mode timeout); a late response
-// with its ID is discarded by deliver.
-func (m *Mux) unregister(id uint64) {
-	m.mu.Lock()
-	delete(m.pending, id)
-	m.dropOrder(id)
-	m.mu.Unlock()
-}
-
-func (m *Mux) dropOrder(id uint64) {
-	for i, v := range m.order {
-		if v == id {
-			m.order = append(m.order[:i], m.order[i+1:]...)
-			return
-		}
-	}
-}
-
-// claim removes and returns the waiter a response belongs to, nil when
-// its caller has given up. id 0 means the server spoke the serial
-// protocol; the oldest pending call is the owner.
+// claim removes and returns the waiter a response belongs to; nil when
+// its caller has given up (a call that timed out claims itself), or
+// when no call ever had that ID.
 func (m *Mux) claim(id uint64) *muxPending {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if id == 0 {
-		if len(m.order) == 0 {
-			return nil // response with no caller: abandoned serial call
-		}
-		id = m.order[0]
-	}
-	p, ok := m.pending[id]
-	if !ok {
-		return nil
-	}
+	p := m.pending[id]
 	delete(m.pending, id)
-	m.dropOrder(id)
 	return p
 }
 
@@ -367,17 +367,13 @@ func (m *Mux) CallTo(req *Request, data io.Reader, sink Sink, deadline time.Time
 		m.lastUsed.Store(time.Now().UnixNano())
 	}()
 
-	// Register under the write lock so the pending FIFO order matches
-	// the order requests hit the wire — serial servers answer in wire
-	// order, and the ID-less fallback match depends on it.
-	m.wmu.Lock()
 	id, p, err := m.register(sink)
 	if err != nil {
-		m.wmu.Unlock()
 		return nil, err
 	}
 	req.ID = id
 	var sent int64
+	m.wmu.Lock()
 	err = m.c.WriteJSON(MsgRequest, req)
 	if err == nil && data != nil {
 		sent, err = m.c.sendData(data)
@@ -385,7 +381,6 @@ func (m *Mux) CallTo(req *Request, data io.Reader, sink Sink, deadline time.Time
 	m.wmu.Unlock()
 	if err != nil {
 		m.fatal(err)
-		m.unregister(id)
 		return nil, err
 	}
 
@@ -403,8 +398,7 @@ func (m *Mux) CallTo(req *Request, data io.Reader, sink Sink, deadline time.Time
 		return out.res, out.err
 	case <-timeout:
 		err := timeoutError(id)
-		switch was := p.abandon(); {
-		case was != sinkIdle:
+		if was := p.abandon(); was != sinkIdle {
 			// The conn's only reader is feeding this caller's writer and
 			// may be stuck in it; even if not, what is left of the stream
 			// is wanted by nobody. Closing beats draining.
@@ -413,13 +407,9 @@ func (m *Mux) CallTo(req *Request, data io.Reader, sink Sink, deadline time.Time
 				// Not waiting for the peer: in the writer, or past its error.
 				err = &SinkError{err}
 			}
-		case m.strict:
+		} else {
 			// Abandon the call; the late response is discarded by ID.
-			m.unregister(id)
-		default:
-			// A serial server's late response carries no ID and would be
-			// matched to the next caller — the conn is poisoned, kill it.
-			m.fatal(err)
+			m.claim(id)
 		}
 		return nil, err
 	}

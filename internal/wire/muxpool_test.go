@@ -1,8 +1,7 @@
 // Race suite for the Mux demultiplexer and the connection Pool: the
 // invariants that only show up under concurrency — out-of-order
-// response matching, serial-mode FIFO discipline, timeout abandonment,
-// checkout/checkin storms, and recovery when the transport is killed
-// mid-flight. Run under -race (make test-wire loops it 10x).
+// response matching, timeout abandonment, checkout/checkin storms, and
+// recovery when the transport is killed mid-flight. Run under -race (make test-wire loops it 10x).
 package wire
 
 import (
@@ -23,10 +22,10 @@ import (
 
 // muxPair builds a connected Mux (client side) and a raw server-side
 // Conn for the test to script responses on.
-func muxPair(t *testing.T, strict bool) (*Mux, *Conn, net.Conn) {
+func muxPair(t *testing.T) (*Mux, *Conn, net.Conn) {
 	t.Helper()
 	client, server := net.Pipe()
-	m := NewMux(client, NewConn(client), "testsrv", strict)
+	m := NewMux(client, NewConn(client), "testsrv")
 	t.Cleanup(func() {
 		m.Close()
 		server.Close()
@@ -42,7 +41,7 @@ func echoBody(op string) json.RawMessage {
 // TestMuxOutOfOrderDemux answers a burst of concurrent calls in reverse
 // arrival order; every caller must still get its own response.
 func TestMuxOutOfOrderDemux(t *testing.T) {
-	m, sc, _ := muxPair(t, true)
+	m, sc, _ := muxPair(t)
 	const n = 8
 	go func() {
 		reqs := make([]Request, 0, n)
@@ -83,54 +82,11 @@ func TestMuxOutOfOrderDemux(t *testing.T) {
 	}
 }
 
-// TestMuxSerialFIFO runs concurrent calls against an ID-less (serial
-// protocol) server. Correct matching depends on the pending FIFO order
-// equalling wire order, which Call guarantees by registering under the
-// write lock.
-func TestMuxSerialFIFO(t *testing.T) {
-	m, sc, _ := muxPair(t, false)
-	const n = 8
-	go func() {
-		for i := 0; i < n; i++ {
-			var req Request
-			if err := sc.ReadJSON(MsgRequest, &req); err != nil {
-				return
-			}
-			// Serial server: answers in request order, no ID echoed.
-			sc.WriteJSON(MsgResponse, Response{OK: true, Body: echoBody(req.Op)})
-		}
-	}()
-	var wg sync.WaitGroup
-	errs := make(chan error, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			op := fmt.Sprintf("op%d", i)
-			res, err := m.Call(&Request{Op: op}, nil, time.Now().Add(5*time.Second))
-			if err != nil {
-				errs <- fmt.Errorf("call %s: %w", op, err)
-				return
-			}
-			var got string
-			json.Unmarshal(res.Resp.Body, &got)
-			if got != op {
-				errs <- fmt.Errorf("call %s answered with %s", op, got)
-			}
-		}(i)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Error(err)
-	}
-}
-
-// TestMuxStrictTimeoutAbandons: a timed-out call on a strict (ID
-// echoing) connection abandons just that call — the conn survives, a
-// later call works, and the late response is discarded by ID.
-func TestMuxStrictTimeoutAbandons(t *testing.T) {
-	m, sc, _ := muxPair(t, true)
+// TestMuxTimeoutAbandons: a timed-out call abandons just that call — the
+// conn survives, a later call works, and the late response is discarded
+// by ID.
+func TestMuxTimeoutAbandons(t *testing.T) {
+	m, sc, _ := muxPair(t)
 	var stale Request
 	served := make(chan struct{})
 	go func() {
@@ -153,7 +109,7 @@ func TestMuxStrictTimeoutAbandons(t *testing.T) {
 		t.Fatalf("timeout error %v must match both types.ErrTimeout and os.ErrDeadlineExceeded", err)
 	}
 	if m.Dead() {
-		t.Fatal("strict-mode timeout killed the connection")
+		t.Fatal("a call timeout killed the connection")
 	}
 	res, err := m.Call(&Request{Op: "next"}, nil, time.Now().Add(5*time.Second))
 	if err != nil {
@@ -170,34 +126,10 @@ func TestMuxStrictTimeoutAbandons(t *testing.T) {
 	}
 }
 
-// TestMuxSerialTimeoutPoisons: on a serial (ID-less) connection a
-// timed-out call cannot be safely abandoned — its late response would
-// be matched to the next caller — so the Mux must kill the conn.
-func TestMuxSerialTimeoutPoisons(t *testing.T) {
-	m, sc, _ := muxPair(t, false)
-	go func() {
-		var req Request
-		sc.ReadJSON(MsgRequest, &req) // never answer
-	}()
-	_, err := m.Call(&Request{Op: "stuck"}, nil, time.Now().Add(30*time.Millisecond))
-	if err == nil {
-		t.Fatal("expected timeout")
-	}
-	if !errors.Is(err, types.ErrTimeout) {
-		t.Fatalf("timeout error %v must match types.ErrTimeout", err)
-	}
-	if !m.Dead() {
-		t.Fatal("serial-mode timeout must poison the connection")
-	}
-	if _, err := m.Call(&Request{Op: "after"}, nil, time.Time{}); err == nil {
-		t.Fatal("call on poisoned conn succeeded")
-	}
-}
-
 // TestMuxDataStreams interleaves two data-carrying responses out of
 // order; each caller must get its own bytes.
 func TestMuxDataStreams(t *testing.T) {
-	m, sc, _ := muxPair(t, true)
+	m, sc, _ := muxPair(t)
 	go func() {
 		var a, b Request
 		if err := sc.ReadJSON(MsgRequest, &a); err != nil {
@@ -249,7 +181,7 @@ func (r *onceReader) Read(p []byte) (int, error) {
 	return copy(p, r.s), nil
 }
 
-// startEchoServer serves the strict mux protocol on one net.Conn:
+// startEchoServer serves the mux protocol on one net.Conn:
 // every request gets a response echoing its op, IDs echoed.
 func startEchoServer(nc net.Conn) {
 	go func() {
@@ -281,7 +213,7 @@ func pipeDialer(wrap func(net.Conn) net.Conn) (func(string) (*Mux, error), *atom
 		if wrap != nil {
 			nc = wrap(nc)
 		}
-		return NewMux(nc, NewConn(nc), addr, true), nil
+		return NewMux(nc, NewConn(nc), addr), nil
 	}
 	return dial, &dials
 }
@@ -358,7 +290,7 @@ func TestPoolSharesThenDials(t *testing.T) {
 				}(req)
 			}
 		}()
-		return NewMux(client, NewConn(client), addr, true), nil
+		return NewMux(client, NewConn(client), addr), nil
 	}
 	p := NewPool(PoolConfig{Dial: dial, MaxConns: 2, MaxInflight: 1})
 	defer p.Close()

@@ -43,7 +43,7 @@ func (l *lockedBuf) Len() int {
 }
 
 func TestMuxSinkReceivesStream(t *testing.T) {
-	m, sc, _ := muxPair(t, true)
+	m, sc, _ := muxPair(t)
 	payload := pattern(DataChunk + 1234)
 	go func() {
 		var req Request
@@ -70,7 +70,7 @@ func TestMuxSinkReceivesStream(t *testing.T) {
 // fails that call with the writer's error; the stream is drained, so the
 // next call on the same connection is matched correctly.
 func TestMuxSinkErrorKeepsConn(t *testing.T) {
-	m, sc, _ := muxPair(t, true)
+	m, sc, _ := muxPair(t)
 	go func() {
 		for i := 0; i < 2; i++ {
 			var req Request
@@ -104,7 +104,7 @@ func TestMuxSinkErrorKeepsConn(t *testing.T) {
 // of the stream is wanted by nobody, so the connection is closed rather
 // than drained.
 func TestMuxTimeoutStopsSinkWrites(t *testing.T) {
-	m, sc, _ := muxPair(t, true)
+	m, sc, _ := muxPair(t)
 	rest := make(chan struct{})
 	srvDone := make(chan struct{})
 	go func() {
@@ -159,7 +159,7 @@ func (w *stuckWriter) Write(p []byte) (int, error) {
 // closes the connection (its only reader is stuck in that writer); the
 // Write in progress is the last the writer sees.
 func TestMuxBlockedSinkHonoursDeadline(t *testing.T) {
-	m, sc, _ := muxPair(t, true)
+	m, sc, _ := muxPair(t)
 	go func() {
 		var req Request
 		if err := sc.ReadJSON(MsgRequest, &req); err != nil {
@@ -255,7 +255,7 @@ func TestPoolExclusiveLease(t *testing.T) {
 
 // TestMuxCallReportsSentLen: the stream sent after a request is counted.
 func TestMuxCallReportsSentLen(t *testing.T) {
-	m, sc, _ := muxPair(t, true)
+	m, sc, _ := muxPair(t)
 	go func() {
 		var req Request
 		if err := sc.ReadJSON(MsgRequest, &req); err != nil {

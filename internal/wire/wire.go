@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"time"
 
 	"gosrb/internal/chunk"
 	"gosrb/internal/types"
@@ -68,11 +69,10 @@ type Auth struct {
 // connections — the federation's single sign-on: the owning server
 // trusts a zone peer's assertion of who the end user is.
 type Request struct {
-	// ID correlates this request with its response when requests are
-	// pipelined over a shared connection. Zero means the legacy serial
-	// protocol: one request, one response, in order. Non-zero IDs are
-	// assigned by the client-side Mux and echoed back by the server so
-	// a demultiplexer can match out-of-order responses to callers.
+	// ID correlates this request with its response: requests are
+	// pipelined over a shared connection and answered out of order. The
+	// client-side Mux assigns it, never zero, and the server echoes it;
+	// a server refuses a request without one.
 	ID       uint64 `json:",omitempty"`
 	Op       string
 	OnBehalf string
@@ -101,10 +101,30 @@ type Request struct {
 	Args          json.RawMessage
 }
 
+// SetBudget rewrites the request's time budget to what remains before
+// deadline (zero: leave it alone). Every sender does this just before
+// the request leaves, so the budget shrinks on each federation hop and a
+// slow peer cannot stall the whole chain. An exhausted budget fails
+// here, before any bytes cross the wire.
+func (r *Request) SetBudget(deadline time.Time) error {
+	if deadline.IsZero() {
+		return nil
+	}
+	left := time.Until(deadline)
+	if left <= 0 {
+		return types.E(r.Op, "", types.ErrTimeout)
+	}
+	r.TimeoutMillis = left.Milliseconds()
+	if r.TimeoutMillis < 1 {
+		r.TimeoutMillis = 1
+	}
+	return nil
+}
+
 // Response answers a Request. Body is op-specific JSON. ErrKind names a
 // types sentinel so clients can reconstruct errors.Is-compatible errors.
 type Response struct {
-	// ID echoes the request's correlation ID (zero on the serial path).
+	// ID echoes the request's correlation ID.
 	ID      uint64 `json:",omitempty"`
 	OK      bool
 	ErrKind string
@@ -116,19 +136,15 @@ type Response struct {
 
 // Redirect tells the client which server holds the data.
 type Redirect struct {
-	// ID echoes the request's correlation ID (zero on the serial path).
+	// ID echoes the request's correlation ID.
 	ID     uint64 `json:",omitempty"`
 	Server string
 	Addr   string
 }
 
-// AuthOK is the body of the MsgAuthOK frame. Mux advertises that the
-// server echoes correlation IDs, letting the client pipeline requests;
-// servers predating the field leave it false and get the serial
-// protocol.
+// AuthOK is the body of the MsgAuthOK frame.
 type AuthOK struct {
 	Server string
-	Mux    bool `json:",omitempty"`
 }
 
 // errKinds maps sentinel errors to wire names and back.

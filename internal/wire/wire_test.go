@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"net"
 	"testing"
 	"testing/quick"
+	"time"
 
+	"gosrb/internal/auth"
 	"gosrb/internal/types"
 )
 
@@ -163,5 +166,116 @@ func TestFrameProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestHandshake drives the dialling side of authentication against a
+// scripted server for both kinds of credential: the right key yields a
+// Mux naming the server; the wrong key (the server answers with its
+// refusal and hangs up) and an AuthOK cut off mid-frame are both
+// ErrAuth, and leave the connection closed.
+func TestHandshake(t *testing.T) {
+	authn := auth.New()
+	authn.Register("alice", "alicepw")
+	authn.RegisterPeer("srb2", "zonesecret")
+	user, peer := Auth{User: "alice"}, Auth{Peer: "srb2"}
+	cases := []struct {
+		name     string
+		a        Auth
+		key      []byte
+		truncate bool
+		ok       bool
+	}{
+		{"user", user, auth.DeriveKey("alice", "alicepw"), false, true},
+		{"user bad key", user, auth.DeriveKey("alice", "wrong"), false, false},
+		{"user truncated AuthOK", user, auth.DeriveKey("alice", "alicepw"), true, false},
+		{"peer", peer, auth.DeriveKey("peer:srb2", "zonesecret"), false, true},
+		{"peer bad key", peer, auth.DeriveKey("peer:srb2", "wrong"), false, false},
+		{"peer truncated AuthOK", peer, auth.DeriveKey("peer:srb2", "zonesecret"), true, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			client, server := net.Pipe()
+			defer server.Close()
+			go func() {
+				c := NewConn(server)
+				c.WriteJSON(MsgChallenge, Challenge{Server: "srb1", Nonce: "nonce"})
+				var a Auth
+				if c.ReadJSON(MsgAuth, &a) != nil {
+					return
+				}
+				verified := authn.VerifyUser(a.User, "nonce", a.Response)
+				if a.Peer != "" {
+					verified = authn.VerifyPeer(a.Peer, "nonce", a.Response)
+				}
+				switch {
+				case !verified:
+					c.WriteJSON(MsgResponse, ErrResponse(types.ErrAuth))
+					server.Close()
+				case tc.truncate:
+					// A header promising 64 bytes, then half of them.
+					server.Write(append([]byte{byte(MsgAuthOK), 0, 0, 0, 64}, make([]byte, 32)...))
+					server.Close()
+				default:
+					c.WriteJSON(MsgAuthOK, AuthOK{Server: "srb1"})
+				}
+			}()
+			m, err := Handshake(client, tc.a, tc.key)
+			if tc.ok {
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer m.Close()
+				if m.Server() != "srb1" {
+					t.Errorf("Server() = %q, want srb1", m.Server())
+				}
+				return
+			}
+			if !errors.Is(err, types.ErrAuth) {
+				t.Fatalf("err = %v, want ErrAuth", err)
+			}
+			if _, err := client.Write([]byte{0}); err == nil {
+				t.Error("failed handshake left the connection open")
+			}
+		})
+	}
+}
+
+// TestSetBudget: no deadline leaves the budget alone, a live one
+// rewrites it to what is left, a spent one fails before anything is sent.
+func TestSetBudget(t *testing.T) {
+	req := &Request{Op: OpGet, TimeoutMillis: 9999}
+	if err := req.SetBudget(time.Time{}); err != nil || req.TimeoutMillis != 9999 {
+		t.Fatalf("no deadline: err=%v, budget=%d (must be untouched)", err, req.TimeoutMillis)
+	}
+	if err := req.SetBudget(time.Now().Add(2 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if req.TimeoutMillis <= 0 || req.TimeoutMillis > 2000 {
+		t.Errorf("budget = %dms, want (0, 2000]", req.TimeoutMillis)
+	}
+	if err := req.SetBudget(time.Now().Add(-time.Second)); !errors.Is(err, types.ErrTimeout) {
+		t.Errorf("spent budget: err = %v, want ErrTimeout", err)
+	}
+}
+
+// TestCallResultCheck covers the one reply check every caller shares.
+func TestCallResultCheck(t *testing.T) {
+	cases := []struct {
+		name     string
+		res      CallResult
+		wantData bool
+		want     error
+	}{
+		{"ok", CallResult{Resp: Response{OK: true}}, false, nil},
+		{"ok with data", CallResult{Resp: Response{OK: true, DataFollows: true}}, true, nil},
+		{"redirect", CallResult{Redirect: &Redirect{Addr: "x"}}, false, types.ErrInvalid},
+		{"failure", CallResult{Resp: ErrResponse(types.ErrNotFound)}, true, types.ErrNotFound},
+		{"missing stream", CallResult{Resp: Response{OK: true}}, true, types.ErrInvalid},
+	}
+	for _, tc := range cases {
+		if err := tc.res.Check(OpGet, tc.wantData); !errors.Is(err, tc.want) || (tc.want == nil) != (err == nil) {
+			t.Errorf("%s: Check = %v, want %v", tc.name, err, tc.want)
+		}
 	}
 }
