@@ -30,7 +30,17 @@ STATICCHECK := $(CURDIR)/bin/staticcheck
 # BENCH_*.json ratio file, and no `make <target>` this Makefile lacks.
 DOCS := README.md DESIGN.md EXPERIMENTS.md .claude/skills/verify/SKILL.md
 
+# The lifecycle fence keeps periodic work on the one scheduler and
+# shutdown in the one place: no ticker outside internal/repair (register
+# a row of the job table instead), no signal handler outside
+# internal/daemon, and no doc citing a flag that became a constant.
+GONE_FLAGS := sync-every|heat-decay|exemplar-threshold|breaker-threshold|breaker-cooldown|dial-timeout|mcat-sync-every
+GO_SRC := --include=*.go --exclude=*_test.go cmd internal examples bench
+
 lint: vet
+	@if grep -rnE 'time\.(Tick|NewTicker)\(' --exclude-dir=repair $(GO_SRC); then echo "ticker outside internal/repair: make it a row of the job table (internal/daemon)"; exit 1; fi
+	@if grep -rnF 'signal.Notify(' --exclude-dir=daemon $(GO_SRC); then echo "signal handler outside internal/daemon: Runtime.Run owns shutdown"; exit 1; fi
+	@if grep -nE '`-($(GONE_FLAGS))\b' README.md DESIGN.md; then echo "docs cite a removed flag: state the constant"; exit 1; fi
 	@if grep -nE 'BENCH_[a-z]*\.json' $(DOCS); then echo "docs cite a retired BENCH_*.json ratio file"; exit 1; fi; for t in $$(grep -ohE '(`|^)make [a-z][a-z0-9-]*' $(DOCS) | cut -d' ' -f2 | sort -u); do grep -q "^$$t:" Makefile || { echo "docs mention undefined target: make $$t"; exit 1; }; done
 	@if [ ! -x "$(STATICCHECK)" ] && command -v staticcheck >/dev/null 2>&1; then \
 		cp "$$(command -v staticcheck)" "$(STATICCHECK)" 2>/dev/null || true; \

@@ -59,10 +59,7 @@ func TestChaosHeatObservatory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	admin1, err := s1.ServeAdmin("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
+	admin1 := serveAdmin(t, s1)
 
 	// Pick workload prefixes off the deterministic ring: a hot and a
 	// warm prefix co-homed on one shard (the overload target), plus a
@@ -216,10 +213,7 @@ func TestChaosHeatObservatory(t *testing.T) {
 	if _, err := s2.Listen("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
-	admin2, err := s2.ServeAdmin("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
+	admin2 := serveAdmin(t, s2)
 
 	// A lag SLO on the follower. Evaluation reads the replag gauges
 	// live, so the schedule below drives them with explicit clocks.

@@ -65,10 +65,7 @@ func TestChaosPhaseAttribution(t *testing.T) {
 	s1.AddPeer("srb2", addr2, "zone-secret")
 	s2.AddPeer("srb1", addr1, "zone-secret")
 
-	adminAddr, err := s1.ServeAdmin("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
+	adminAddr := serveAdmin(t, s1)
 
 	cl, err := client.Dial(addr1, "alice", "alicepw")
 	if err != nil {

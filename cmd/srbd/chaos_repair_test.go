@@ -94,10 +94,7 @@ func TestChaosAsyncReplRepairScrub(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	adminAddr, err := s1.ServeAdmin("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
+	adminAddr := serveAdmin(t, s1)
 
 	eng := repair.New(repair.Config{
 		Workers:  2,
@@ -302,10 +299,7 @@ func TestHealthzWedgedRepair(t *testing.T) {
 	if _, err := s.Listen("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
-	adminAddr, err := s.ServeAdmin("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
+	adminAddr := serveAdmin(t, s)
 
 	eng := repair.New(repair.Config{
 		Workers: 0, // nothing drains the queue

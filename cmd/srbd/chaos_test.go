@@ -5,6 +5,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -101,10 +102,7 @@ func TestChaosFederatedFailover(t *testing.T) {
 	b1.Breakers().SetConfig(resilience.BreakerConfig{Threshold: 2, Cooldown: time.Minute})
 	b1.Breakers().SetClock(clock.Now)
 
-	adminAddr, err := s1.ServeAdmin("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
+	adminAddr := serveAdmin(t, s1)
 
 	cl, err := client.Dial(addr1, "alice", "alicepw")
 	if err != nil {
@@ -182,6 +180,15 @@ func TestChaosFederatedFailover(t *testing.T) {
 	}
 }
 
+// serveAdmin serves s's admin endpoint for the length of the test, as
+// the daemon runtime serves it, and returns its address.
+func serveAdmin(t *testing.T, s *server.Server) string {
+	t.Helper()
+	web := httptest.NewServer(server.NewAdminHandler(s.AdminEnv("admin")))
+	t.Cleanup(web.Close)
+	return web.Listener.Addr().String()
+}
+
 // scrape fetches the admin /metrics page (Prometheus exposition).
 func scrape(t *testing.T, addr string) string {
 	t.Helper()
@@ -243,10 +250,7 @@ func TestChaosTraceSpanTree(t *testing.T) {
 	s2.AddPeer("srb1", addr1, "zone-secret")
 	b1.Breakers().SetConfig(resilience.BreakerConfig{Threshold: 2, Cooldown: time.Minute})
 
-	adminAddr, err := s1.ServeAdmin("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
+	adminAddr := serveAdmin(t, s1)
 
 	cl, err := client.Dial(addr1, "alice", "alicepw")
 	if err != nil {

@@ -2,6 +2,8 @@ package main
 
 import (
 	"bufio"
+	"encoding/json"
+	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -12,6 +14,7 @@ import (
 	"time"
 
 	"gosrb/internal/client"
+	"gosrb/internal/wire"
 )
 
 // buildSrbd compiles the daemon once per test run.
@@ -235,5 +238,88 @@ func TestDaemonJournalRecovery(t *testing.T) {
 	defer admin2.Close()
 	if _, err := admin2.Stat("/crash-survivor"); err != nil {
 		t.Errorf("journal recovery failed: %v", err)
+	}
+}
+
+// TestDaemonJobTableAndStopOrder reads the job table off the running
+// binary's /repair — every periodic activity is a row there, once — and
+// checks SIGTERM walks the stop sequence in its fixed order.
+func TestDaemonJobTableAndStopOrder(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns processes")
+	}
+	bin := buildSrbd(t)
+	for _, c := range []struct {
+		args []string
+		jobs string
+		stop []string
+	}{
+		{[]string{"-catalog", "mcat.json", "-telemetry-dir", "telem", "-mcat-follow", "127.0.0.1:1"},
+			"catalog.save replica.sweep rollup heat.decay telemetry shard.gauges shard.sync",
+			[]string{"shutting down", "repair engine stopped", "catalog saved to mcat.json", "telemetry closed", "final stats: uptime="}},
+		{[]string{"-catalog", "mcat.json", "-save-every", "0", "-rollup-interval", "0"},
+			"replica.sweep heat.decay shard.gauges",
+			[]string{"shutting down", "repair engine stopped", "catalog saved to mcat.json", "final stats: uptime="}},
+	} {
+		dir := t.TempDir()
+		logPath := filepath.Join(dir, "srbd.log")
+		logFile, err := os.Create(logPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cmd := exec.Command(bin, append([]string{"-addr", "127.0.0.1:0", "-admin-addr", "127.0.0.1:0",
+			"-admin-pw", "adminpw", "-resource", "disk1=memfs:"}, c.args...)...)
+		cmd.Dir, cmd.Stderr = dir, logFile
+		if err := cmd.Start(); err != nil {
+			t.Fatal(err)
+		}
+		logFile.Close()
+		t.Cleanup(func() { cmd.Process.Kill() })
+
+		adminRe := regexp.MustCompile(`admin endpoint on http://(\S+)`)
+		var admin string
+		for deadline := time.Now().Add(10 * time.Second); admin == ""; time.Sleep(10 * time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatal("srbd did not report its admin endpoint")
+			}
+			raw, _ := os.ReadFile(logPath)
+			if m := adminRe.FindSubmatch(raw); m != nil {
+				admin = string(m[1])
+			}
+		}
+		resp, err := http.Get("http://" + admin + "/repair")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rep wire.RepairStatusReply
+		err = json.NewDecoder(resp.Body).Decode(&rep)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		for _, j := range rep.Status.Jobs {
+			names = append(names, j.Name)
+		}
+		if got := strings.Join(names, " "); got != c.jobs {
+			t.Errorf("%v: /repair lists %q, want %q", c.args, got, c.jobs)
+		}
+
+		cmd.Process.Signal(syscall.SIGTERM)
+		if err := cmd.Wait(); err != nil {
+			t.Errorf("%v: srbd exit: %v", c.args, err)
+		}
+		raw, _ := os.ReadFile(logPath)
+		rest := string(raw)
+		for _, step := range c.stop {
+			i := strings.Index(rest, step)
+			if i < 0 {
+				t.Fatalf("%v: stop log lacks %q in order:\n%s", c.args, step, raw)
+			}
+			rest = rest[i+len(step):]
+		}
+		if _, err := os.Stat(filepath.Join(dir, "mcat.json")); err != nil {
+			t.Errorf("%v: no snapshot on SIGTERM: %v", c.args, err)
+		}
 	}
 }

@@ -1,24 +1,35 @@
-// Package daemon is the runtime srbd and mysrbd share: accounts and
-// storage resources from flag values, durable telemetry restored at
-// boot, the repair engine with its maintenance jobs (scrub, rollup,
-// heat.decay, slo, telemetry), the SLO evaluator and the flight
-// recorder. Each main parses its own flags and calls in with the values.
+// Package daemon is the process lifecycle srbd and mysrbd share: the
+// catalog booted through shard.Open, accounts and storage resources from
+// flag values, durable telemetry, the repair engine with the job table
+// every periodic activity is a row of, the SLO evaluator, the flight
+// recorder, the HTTP listeners and the stop sequence a signal runs. A
+// main parses its flags, calls New, adds what is its own and calls Run.
 package daemon
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
+	"io"
+	"net"
+	"net/http"
 	"os"
+	"os/signal"
 	"path/filepath"
 	"strings"
+	"sync"
+	"syscall"
 	"time"
 
 	"gosrb/internal/auth"
 	"gosrb/internal/core"
+	"gosrb/internal/mcat/shard"
 	"gosrb/internal/obs"
 	"gosrb/internal/repair"
+	"gosrb/internal/report"
+	"gosrb/internal/server"
 	"gosrb/internal/storage"
 	"gosrb/internal/storage/archivefs"
 	"gosrb/internal/storage/dbfs"
@@ -33,9 +44,8 @@ type Repeated []string
 func (r *Repeated) String() string     { return strings.Join(*r, ",") }
 func (r *Repeated) Set(v string) error { *r = append(*r, v); return nil }
 
-// Config holds the settings of the shared runtime. Flags registers the
-// ones both daemons spell identically; a main sets the rest from flags
-// whose help text is its own.
+// Config holds the settings of the shared runtime: what Flags and
+// CatalogFlags parse, plus the daemon's name and log sink.
 type Config struct {
 	// Name is the daemon's server name: the telemetry journal, incident
 	// bundles and repair spans carry it.
@@ -51,32 +61,42 @@ type Config struct {
 	RepairWorkers int
 	ScrubEvery    time.Duration
 	RollupEvery   time.Duration
-	HeatDecay     time.Duration
 	SLORules      string
 	SLOEvery      time.Duration
-	ExemplarMin   time.Duration
 	TelemetryDir  string
 	TelemetryRet  time.Duration
 
-	// Extra, when set, adds the daemon's own state files to an incident
-	// bundle, beside the breakers.json and repair.json every bundle gets.
-	Extra func(files map[string][]byte)
+	// Set by the flags of Flags and CatalogFlags only. Without the
+	// latter (mysrbd): one unjournaled shard, saved every minute.
+	catalog, journal, adminAddr string
+	shards                      int
+	saveEvery                   time.Duration
 }
 
-// Flags registers on fs the flags srbd and mysrbd share word for word.
+// Flags registers on fs the flags srbd and mysrbd share.
 func Flags(fs *flag.FlagSet) *Config {
-	c := new(Config)
+	c := &Config{shards: 1, saveEvery: time.Minute}
 	fs.StringVar(&c.Admin, "admin", "admin", "administrator user name")
+	fs.StringVar(&c.adminAddr, "admin-addr", "", "admin HTTP listen address for /metrics, /healthz, the status feeds and /debug/pprof (empty disables)")
+	fs.StringVar(&c.catalog, "catalog", "", "MCAT snapshot file: loaded at start, saved periodically and on exit (empty keeps the catalog in memory)")
 	fs.StringVar(&c.AdminPw, "admin-pw", os.Getenv("SRB_ADMIN_PW"), "administrator password (or $SRB_ADMIN_PW)")
 	fs.Var(&c.Users, "user", "user account: name=password; repeatable")
+	fs.Var(&c.Resources, "resource", "physical resource: name=driver:arg (driver: posixfs|memfs|archivefs|dbfs); repeatable")
 	fs.IntVar(&c.RepairWorkers, "repair-workers", 2, "background repair worker goroutines draining the async-replication/scrub queue (0 leaves the queue undrained)")
+	fs.DurationVar(&c.RollupEvery, "rollup-interval", obs.DefaultRollupInterval, "telemetry rollup capture interval feeding /metrics?window=, /grid, srb top and the MySRB dashboard (0 disables windowed stats)")
 	fs.DurationVar(&c.ScrubEvery, "scrub-interval", 0, "anti-entropy scrub interval: re-hash every replica against the catalog checksum and repair divergence (0 disables)")
 	fs.StringVar(&c.SLORules, "slo-rules", "", "SLO rules file, one rule per line (e.g. 'get p99 < 50ms over 5m'); empty disables SLO evaluation")
 	fs.DurationVar(&c.SLOEvery, "slo-interval", 30*time.Second, "how often declared SLO rules are evaluated against the rollup ring")
-	fs.DurationVar(&c.ExemplarMin, "exemplar-threshold", obs.DefaultExemplarThreshold, "retain a tail exemplar (trace ID) on latency buckets at or above this duration; 0 keeps one per bucket regardless")
 	fs.StringVar(&c.TelemetryDir, "telemetry-dir", "", "flight recorder directory: durable telemetry journal plus incident bundles, restored at boot (empty disables)")
 	fs.DurationVar(&c.TelemetryRet, "telemetry-retention", 24*time.Hour, "how much telemetry and incident history survives compaction (0 keeps whatever the rings retain)")
 	return c
+}
+
+// CatalogFlags registers the catalog-store flags only srbd exposes.
+func (c *Config) CatalogFlags(fs *flag.FlagSet) {
+	fs.StringVar(&c.journal, "journal", "", "MCAT append log; replayed over the snapshot at start, rotated at each snapshot")
+	fs.IntVar(&c.shards, "mcat-shards", 1, "MCAT partition count; 1 keeps the monolithic catalog and its on-disk layout, N shards the namespace across <catalog>.shard<i> files with scatter-gather queries")
+	fs.DurationVar(&c.saveEvery, "save-every", time.Minute, "catalog autosave interval (0 disables)")
 }
 
 // accounts builds the authenticator: the administrator plus every -user
@@ -147,30 +167,61 @@ func mountResource(b *core.Broker, admin, spec string) error {
 	return b.AddPhysicalResource(admin, name, class, driver, d)
 }
 
-// Runtime is what a daemon runs beside its listener. New assembles it,
-// the main adds any jobs of its own to Engine, Start runs it, Stop ends
-// it.
+// Runtime is one daemon process: New boots it, the main adds the jobs
+// and listeners that are its own, Start runs the engine, Run waits for
+// a signal and Stop ends everything in order.
 type Runtime struct {
+	// Broker serves every surface of the daemon; Cat is its catalog.
+	Broker *core.Broker
+	Cat    *shard.Router
 	// Authn knows the administrator and every -user account.
 	Authn *auth.Authenticator
-	// Engine drains the repair queue and schedules the maintenance jobs.
+	// Engine drains the repair queue and schedules the job table.
 	Engine *repair.Engine
+	// Env is what the local surfaces — the admin endpoint, the grid
+	// snapshot in an incident bundle — report on: this daemon alone,
+	// until srbd replaces it with an env that reaches its zone.
+	Env report.Env
 
-	cfg    *Config
-	broker *core.Broker
-	telem  *obs.TelemetryStore
+	cfg   *Config
+	store *shard.Store
+	telem *obs.TelemetryStore
+	// https are the listeners Serve opened; Stop waits on served for
+	// their goroutines.
+	https  []*http.Server
+	served sync.WaitGroup
 }
 
-// New restores durable telemetry into the broker's registry, enters
-// the accounts, mounts the -resource values, and assembles the repair
-// engine, its shared jobs, the SLO evaluator and the flight recorder.
-// Nothing runs until Start, so history is restored before any job
-// captures a new rollup.
-func New(b *core.Broker, cfg *Config) (*Runtime, error) {
-	rt := &Runtime{cfg: cfg, broker: b}
+// New boots the daemon: the catalog, the broker over it, durable
+// telemetry restored into its registry, the accounts, the -resource
+// mounts, the repair engine with the job table, the SLO evaluator and
+// the flight recorder. Nothing runs until Start, so history is restored
+// before any job captures a new rollup.
+func New(cfg *Config) (*Runtime, error) {
+	// One shard is the monolithic layout, the files mcat.Catalog itself
+	// reads and writes; N is the journaled shard map and per-shard files,
+	// rebalanced first when the count changed. An absent snapshot is a
+	// fresh start, an unreadable one an error.
+	store, err := shard.Open(shard.OpenOptions{
+		Shards:      cfg.shards,
+		CatalogPath: cfg.catalog,
+		JournalPath: cfg.journal,
+		Admin:       cfg.Admin,
+		Domain:      "local",
+		Logf:        cfg.Logf,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("mcat: %w", err)
+	}
+	cat := store.Router()
+	b := core.New(cat, cfg.Name)
 	reg := b.Metrics()
-	reg.SetExemplarThreshold(cfg.ExemplarMin)
-	var err error
+	cat.SetMetrics(reg)
+	// Journal lines skipped during boot replay stay visible as a metric,
+	// not just a boot log line.
+	reg.Counter("mcat.journal.replay.skipped").Add(int64(store.ReplaySkipped))
+
+	rt := &Runtime{Broker: b, Cat: cat, Env: report.Env{Name: cfg.Name, Broker: b}, cfg: cfg, store: store}
 	if rt.Authn, err = cfg.accounts(b); err != nil {
 		return nil, err
 	}
@@ -199,92 +250,135 @@ func New(b *core.Broker, cfg *Config) (*Runtime, error) {
 		}
 	}
 
-	// Background maintenance: the repair engine drains the journaled
-	// async-replication queue and runs every periodic job on a jittered
-	// schedule.
-	eng := repair.New(repair.Config{
+	// The repair engine drains the journaled async-replication queue and
+	// runs every periodic job on a jittered schedule.
+	rt.Engine = repair.New(repair.Config{
 		Workers:  cfg.RepairWorkers,
-		Queue:    b.Cat,
+		Queue:    cat,
 		Exec:     b.RunRepairTask,
 		Metrics:  reg,
 		Breakers: b.Breakers(),
 		Server:   cfg.Name,
 	})
-	rt.Engine = eng
-	if cfg.ScrubEvery > 0 {
-		eng.AddJob("scrub", cfg.ScrubEvery, 0.2, func(sp *obs.Span) error {
-			rpt := b.ScrubSubtree("/", sp)
-			if rpt.Corrupt+rpt.Repaired+rpt.Replicated+rpt.Enqueued > 0 {
-				cfg.Logf("scrub: %d corrupt, %d repaired, %d replicated, %d enqueued (%d objects)",
-					rpt.Corrupt, rpt.Repaired, rpt.Replicated, rpt.Enqueued, rpt.Objects)
-			}
-			return nil
-		})
+	ev, err := rt.sloEvaluator(restoredAlerts)
+	if err != nil {
+		return nil, fmt.Errorf("slo rules: %w", err)
 	}
-	// Windowed telemetry rides the same scheduler: the rollup job
-	// snapshots the registry into the time-series ring, the SLO job
-	// evaluates declared objectives against it, and the decay job keeps
-	// the heat top-K tracking the current workload.
-	if cfg.RollupEvery > 0 {
-		eng.AddJob("rollup", cfg.RollupEvery, 0.1, func(sp *obs.Span) error {
-			reg.CaptureRollup(time.Now())
-			return nil
-		})
-	}
-	if cfg.HeatDecay > 0 {
-		eng.AddJob("heat.decay", cfg.HeatDecay, 0.1, func(sp *obs.Span) error {
-			reg.HeatKeys().Decay(0.5)
-			reg.HeatObjects().Decay(0.5)
-			return nil
-		})
-	}
-	if cfg.SLORules != "" {
-		src, err := os.ReadFile(cfg.SLORules)
-		if err != nil {
-			return nil, fmt.Errorf("slo rules: %w", err)
-		}
-		rules, err := obs.ParseSLORules(string(src))
-		if err != nil {
-			return nil, fmt.Errorf("slo rules: %w", err)
-		}
-		ev := obs.NewSLOEvaluator(reg, rules)
-		// Restored alert history seeds the fresh log so `srb alerts` and
-		// the telemetry journal's sequence numbers continue seamlessly.
-		for _, a := range restoredAlerts {
-			ev.AlertLog().Add(a)
-		}
-		b.SetSLO(ev)
-		eng.AddJob("slo", cfg.SLOEvery, 0.1, func(sp *obs.Span) error {
-			for _, st := range ev.Evaluate(time.Now()) {
-				if st.Violating {
-					sp.Event(obs.EventSLO, fmt.Sprintf("%s violating burn=%.0f%%", st.Rule, st.BurnPct))
-				}
-			}
-			return nil
-		})
-		cfg.Logf("%d SLO rule(s) from %s, evaluated every %s", len(rules), cfg.SLORules, cfg.SLOEvery)
-	}
+	var rec *obs.IncidentRecorder
 	if rt.telem != nil {
-		if err := rt.flightRecorder(); err != nil {
+		if rec, err = rt.flightRecorder(ev); err != nil {
 			return nil, fmt.Errorf("flight recorder: %w", err)
 		}
 	}
+	rt.addJobs(ev, rec)
 	return rt, nil
 }
 
+// addJobs registers the job table both daemons share: every periodic
+// activity is one row — name, interval, jitter, run — on the repair
+// engine's scheduler, where it is jittered, spanned, timed as
+// repair.job.<name>, listed in /repair and deferred by a pause. A row
+// whose interval is not positive is off. A main adds its own rows with
+// Engine.AddJob. ev and rec are nil without -slo-rules and
+// -telemetry-dir.
+func (rt *Runtime) addJobs(ev *obs.SLOEvaluator, rec *obs.IncidentRecorder) {
+	cfg, b, reg := rt.cfg, rt.Broker, rt.Broker.Metrics()
+	row := func(name string, on bool, every time.Duration, jitter float64, run func(sp *obs.Span) error) {
+		if on && every > 0 {
+			rt.Engine.AddJob(name, every, jitter, run)
+		}
+	}
+	// Snapshot every shard and rotate its journal.
+	row("catalog.save", cfg.catalog != "", cfg.saveEvery, 0.1, func(*obs.Span) error { return rt.store.Snapshot() })
+	// Refresh every dirty replica the daemon can reach, so replica
+	// consistency costs the users nothing (paper §2).
+	row("replica.sweep", true, time.Minute, 0.1, func(*obs.Span) error {
+		n, err := b.SyncAllDirty(cfg.Admin)
+		if n > 0 {
+			cfg.Logf("replica sweep refreshed %d replicas", n)
+		}
+		return err
+	})
+	row("scrub", true, cfg.ScrubEvery, 0.2, func(sp *obs.Span) error {
+		rpt := b.ScrubSubtree("/", sp)
+		if rpt.Corrupt+rpt.Repaired+rpt.Replicated+rpt.Enqueued > 0 {
+			cfg.Logf("scrub: %d corrupt, %d repaired, %d replicated, %d enqueued (%d objects)",
+				rpt.Corrupt, rpt.Repaired, rpt.Replicated, rpt.Enqueued, rpt.Objects)
+		}
+		return nil
+	})
+	// Snapshot the registry into the time-series ring behind every
+	// windowed answer.
+	row("rollup", true, cfg.RollupEvery, 0.1, func(*obs.Span) error {
+		reg.CaptureRollup(time.Now())
+		return nil
+	})
+	// Halve the heat scores so the top-K tracks the current workload,
+	// not all-time totals.
+	row("heat.decay", true, time.Minute, 0.1, func(*obs.Span) error {
+		reg.HeatKeys().Decay(0.5)
+		reg.HeatObjects().Decay(0.5)
+		return nil
+	})
+	row("slo", ev != nil, cfg.SLOEvery, 0.1, func(sp *obs.Span) error {
+		for _, st := range ev.Evaluate(time.Now()) {
+			if st.Violating {
+				sp.Event(obs.EventSLO, fmt.Sprintf("%s violating burn=%.0f%%", st.Rule, st.BurnPct))
+			}
+		}
+		return nil
+	})
+	// Flush the telemetry journal and prune aged-out incident bundles.
+	row("telemetry", rec != nil, obs.DefaultTelemetryFlush, 0.1, func(*obs.Span) error {
+		if err := rt.telem.Flush(reg, ev.AlertLog(), time.Now()); err != nil {
+			return err
+		}
+		if cfg.TelemetryRet > 0 {
+			rec.Prune(time.Now().Add(-cfg.TelemetryRet))
+		}
+		return nil
+	})
+}
+
+// sloEvaluator parses -slo-rules and attaches the evaluator to the
+// broker; nil when no rules are declared.
+func (rt *Runtime) sloEvaluator(restored []obs.Alert) (*obs.SLOEvaluator, error) {
+	cfg := rt.cfg
+	if cfg.SLORules == "" {
+		return nil, nil
+	}
+	src, err := os.ReadFile(cfg.SLORules)
+	if err != nil {
+		return nil, err
+	}
+	rules, err := obs.ParseSLORules(string(src))
+	if err != nil {
+		return nil, err
+	}
+	ev := obs.NewSLOEvaluator(rt.Broker.Metrics(), rules)
+	// Restored alert history seeds the fresh log so `srb alerts` and
+	// the telemetry journal's sequence numbers continue seamlessly.
+	for _, a := range restored {
+		ev.AlertLog().Add(a)
+	}
+	rt.Broker.SetSLO(ev)
+	cfg.Logf("%d SLO rule(s) from %s, evaluated every %s", len(rules), cfg.SLORules, cfg.SLOEvery)
+	return ev, nil
+}
+
 // flightRecorder wires incident bundles on SLO fire (or on demand via
-// `srb incident capture`), and a journal flush job riding the repair
-// scheduler that also prunes aged-out bundles.
-func (rt *Runtime) flightRecorder() error {
-	cfg, b := rt.cfg, rt.broker
+// `srb incident capture`); the telemetry row of the job table flushes
+// the journal and prunes aged-out bundles.
+func (rt *Runtime) flightRecorder(ev *obs.SLOEvaluator) (*obs.IncidentRecorder, error) {
+	cfg, b := rt.cfg, rt.Broker
 	rec, err := obs.NewIncidentRecorder(obs.IncidentConfig{
 		Dir:      filepath.Join(cfg.TelemetryDir, "incidents"),
 		Server:   cfg.Name,
 		Registry: b.Metrics(),
 		Extra: func() map[string][]byte {
 			files := make(map[string][]byte)
-			if cfg.Extra != nil {
-				cfg.Extra(files)
+			if j, err := json.Marshal(report.Grid(rt.Env, 5*time.Minute)); err == nil {
+				files["grid.json"] = j
 			}
 			if j, err := json.Marshal(b.Breakers().States()); err == nil {
 				files["breakers.json"] = j
@@ -296,10 +390,10 @@ func (rt *Runtime) flightRecorder() error {
 		},
 	})
 	if err != nil {
-		return err
+		return nil, err
 	}
 	b.SetIncidents(rec)
-	if ev := b.SLO(); ev != nil {
+	if ev != nil {
 		ev.SetOnFire(func(now time.Time, rule obs.SLORule, alert obs.Alert) {
 			// Capture off the evaluation goroutine: the CPU profile
 			// sleeps ~2s and must not stall the SLO job.
@@ -314,40 +408,112 @@ func (rt *Runtime) flightRecorder() error {
 			}()
 		})
 	}
-	rt.Engine.AddJob("telemetry", obs.DefaultTelemetryFlush, 0.1, func(sp *obs.Span) error {
-		if err := rt.telem.Flush(b.Metrics(), rt.alertLog(), time.Now()); err != nil {
-			return err
-		}
-		if cfg.TelemetryRet > 0 {
-			rec.Prune(time.Now().Add(-cfg.TelemetryRet))
-		}
-		return nil
-	})
 	cfg.Logf("flight recorder on %s (retention %s)", cfg.TelemetryDir, cfg.TelemetryRet)
-	return nil
-}
-
-// alertLog is the SLO evaluator's log, nil when no rules are declared.
-func (rt *Runtime) alertLog() *obs.AlertLog {
-	if ev := rt.broker.SLO(); ev != nil {
-		return ev.AlertLog()
-	}
-	return nil
+	return rec, nil
 }
 
 // Start attaches the engine to the broker and runs it.
 func (rt *Runtime) Start() {
-	rt.broker.SetRepair(rt.Engine)
+	rt.Broker.SetRepair(rt.Engine)
 	rt.Engine.Start()
+	if n, _ := rt.Cat.RepairBacklog(); n > 0 {
+		rt.cfg.Logf("repair queue restored with %d pending task(s)", n)
+	}
 }
 
-// Stop ends the engine and compacts the telemetry journal one last
-// time, so the run's history survives into the next.
+// Serve listens on addr ("host:0" picks a port), serves h there until
+// Stop, and returns the bound address. It is the one place an
+// http.Server is built.
+func (rt *Runtime) Serve(addr string, h http.Handler) (string, error) {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return "", err
+	}
+	srv := &http.Server{Handler: h, ReadHeaderTimeout: 5 * time.Second}
+	rt.https = append(rt.https, srv)
+	rt.served.Add(1)
+	go func() {
+		defer rt.served.Done()
+		if err := srv.Serve(ln); err != http.ErrServerClosed {
+			rt.cfg.Logf("http %s: %v", ln.Addr(), err)
+		}
+	}()
+	return ln.Addr().String(), nil
+}
+
+// ServeAdmin serves the admin endpoint over Env on -admin-addr; without
+// the flag it does nothing.
+func (rt *Runtime) ServeAdmin() error {
+	if rt.cfg.adminAddr == "" {
+		return nil
+	}
+	bound, err := rt.Serve(rt.cfg.adminAddr, server.NewAdminHandler(rt.Env))
+	if err != nil {
+		return fmt.Errorf("admin listen: %w", err)
+	}
+	rt.cfg.Logf("admin endpoint on http://%s (/metrics /healthz /repair /grid /debug/pprof)", bound)
+	return nil
+}
+
+// Run blocks until SIGINT or SIGTERM, then closes the main's own
+// listeners and stops the runtime.
+func (rt *Runtime) Run(listeners ...io.Closer) {
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	<-sig
+	rt.cfg.Logf("shutting down")
+	for _, l := range listeners {
+		l.Close()
+	}
+	rt.Stop()
+}
+
+// shutdownGrace is how long Stop lets in-flight HTTP requests finish.
+const shutdownGrace = 5 * time.Second
+
+// Stop ends the daemon in a fixed order and logs each step: the HTTP
+// listeners, so nothing new arrives; the engine, which waits for a
+// catalog.save in flight (a pause defers rows, not this); the final
+// snapshot; the journals; the telemetry journal, compacted so the run's
+// history survives into the next; and one stats line, so the totals are
+// in the log even when no scraper ever hit the admin endpoint.
 func (rt *Runtime) Stop() {
-	rt.Engine.Stop()
-	if rt.telem != nil {
-		if err := rt.telem.Close(rt.broker.Metrics(), rt.alertLog(), time.Now()); err != nil {
-			rt.cfg.Logf("telemetry close: %v", err)
+	cfg, reg := rt.cfg, rt.Broker.Metrics()
+	ctx, cancel := context.WithTimeout(context.Background(), shutdownGrace)
+	for _, srv := range rt.https {
+		if srv.Shutdown(ctx) != nil {
+			srv.Close()
 		}
 	}
+	cancel()
+	rt.served.Wait()
+
+	rt.Engine.Stop()
+	n, _ := rt.Cat.RepairBacklog()
+	cfg.Logf("repair engine stopped; %d task(s) left queued for the next start", n)
+
+	if err := rt.store.Snapshot(); err != nil {
+		cfg.Logf("snapshot: %v", err)
+	} else if cfg.catalog != "" {
+		cfg.Logf("catalog saved to %s", cfg.catalog)
+	}
+	if err := rt.store.Close(); err != nil {
+		cfg.Logf("journal close: %v", err)
+	}
+	if rt.telem != nil {
+		if err := rt.telem.Close(reg, rt.Broker.SLO().AlertLog(), time.Now()); err != nil {
+			cfg.Logf("telemetry close: %v", err)
+		} else {
+			cfg.Logf("telemetry closed in %s", cfg.TelemetryDir)
+		}
+	}
+
+	snap := reg.Snapshot()
+	var ops, errs int64
+	for _, o := range snap.Ops {
+		ops += o.Count
+		errs += o.Errors
+	}
+	cfg.Logf("final stats: uptime=%.0fs ops=%d errors=%d audit_dropped=%d",
+		snap.UptimeSeconds, ops, errs, rt.Cat.AuditLog().Dropped())
 }

@@ -1,9 +1,12 @@
 package shard
 
 import (
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"sort"
+	"sync"
 	"time"
 
 	"gosrb/internal/mcat"
@@ -31,8 +34,11 @@ type OpenOptions struct {
 // Store is the persistence side of a sharded catalog: per-shard
 // snapshot + journal files plus the journaled shard map.
 type Store struct {
-	r        *Router
-	opt      OpenOptions
+	r   *Router
+	opt OpenOptions
+	// mu serialises Snapshot and Close: both swap or close the journals,
+	// and a periodic save must not interleave with the shutdown one.
+	mu       sync.Mutex
 	journals []*mcat.Journal
 	// ReplaySkipped counts corrupt or truncated journal lines skipped
 	// across all shards during boot replay (surfaced as a metric).
@@ -111,15 +117,7 @@ func Open(opt OpenOptions) (*Store, error) {
 			}
 			retire(opt, prev, opt.Shards)
 		}
-		if opt.JournalPath != "" {
-			if err := st.openJournals(); err != nil {
-				return nil, err
-			}
-		} else {
-			nw.EnableMemoryJournals()
-		}
-		st.setBootEpoch()
-		return st, nil
+		return st.attach()
 	}
 
 	st, err := load(opt, opt.Shards)
@@ -131,30 +129,31 @@ func Open(opt OpenOptions) (*Store, error) {
 			return nil, err
 		}
 	}
-	if opt.JournalPath != "" {
-		if err := st.openJournals(); err != nil {
-			return nil, err
-		}
-	} else {
+	return st.attach()
+}
+
+// attach ends every boot path: it opens the journals (in-memory ones
+// without a journal path) and bases every shard's replication log on a
+// boot-unique, strictly increasing sequence. The in-memory log cannot
+// serve history from before this boot (snapshotted state, or a previous
+// incarnation a follower's applied sequence still points into), so a
+// follower positioned at or below the base must take the snapshot path
+// rather than be told "caught up" with none of that state.
+func (st *Store) attach() (*Store, error) {
+	if st.opt.JournalPath == "" {
 		st.r.EnableMemoryJournals()
+	} else if err := st.openJournals(); err != nil {
+		return nil, err
 	}
-	st.setBootEpoch()
+	st.r.SetRepLogBase(uint64(time.Now().UnixNano()))
 	return st, nil
 }
 
-// setBootEpoch bases every shard's replication log on a boot-unique,
-// strictly increasing sequence. The in-memory log cannot serve history
-// from before this boot (snapshotted state, or a previous incarnation
-// a follower's applied sequence still points into), so a follower
-// positioned at or below the base must take the snapshot path rather
-// than be told "caught up" with none of that state.
-func (st *Store) setBootEpoch() {
-	st.r.SetRepLogBase(uint64(time.Now().UnixNano()))
-}
-
 // load boots an n-shard router from its files: snapshot, journal,
-// rotation tail. Corrupt journal lines are skipped and counted, not
-// silently dropped and not fatal.
+// rotation tail. A snapshot that is absent is a fresh start; one that
+// cannot be read is fatal — booting empty over it would let the next
+// Snapshot overwrite a damaged but recoverable file. Corrupt journal
+// lines are skipped and counted, not silently dropped and not fatal.
 func load(opt OpenOptions, n int) (*Store, error) {
 	r := NewRouter(n, opt.Admin, opt.Domain)
 	r.SetLogf(opt.Logf)
@@ -162,10 +161,11 @@ func load(opt OpenOptions, n int) (*Store, error) {
 	for i := 0; i < n; i++ {
 		c := r.shards[i].cat
 		if opt.CatalogPath != "" {
-			if err := c.LoadFile(opt.catPath(n, i)); err == nil {
+			switch err := c.LoadFile(opt.catPath(n, i)); {
+			case err == nil:
 				opt.Logf("catalog shard %d/%d loaded from %s", i, n, opt.catPath(n, i))
-			} else if !os.IsNotExist(underlying(err)) {
-				opt.Logf("catalog shard %d/%d: starting fresh (%v)", i, n, err)
+			case !errors.Is(err, fs.ErrNotExist):
+				return nil, fmt.Errorf("catalog shard %d/%d: %w", i, n, err)
 			}
 		}
 		if opt.JournalPath == "" {
@@ -197,16 +197,6 @@ func exists(path string) bool {
 	}
 	_, err := os.Stat(path)
 	return err == nil
-}
-
-func underlying(err error) error {
-	for {
-		u, ok := err.(interface{ Unwrap() error })
-		if !ok {
-			return err
-		}
-		err = u.Unwrap()
-	}
 }
 
 // openJournals attaches (creating or appending) each shard's journal.
@@ -255,6 +245,8 @@ func (st *Store) Snapshot() error {
 	if st.opt.CatalogPath == "" {
 		return nil
 	}
+	st.mu.Lock()
+	defer st.mu.Unlock()
 	n := st.r.n
 	var firstErr error
 	for i := 0; i < n; i++ {
@@ -290,6 +282,8 @@ func (st *Store) Snapshot() error {
 
 // Close syncs and closes the journals.
 func (st *Store) Close() error {
+	st.mu.Lock()
+	defer st.mu.Unlock()
 	var firstErr error
 	for _, j := range st.journals {
 		if j == nil {

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
@@ -190,6 +191,54 @@ func TestReshardRoundTrip(t *testing.T) {
 		if _, err := os.Stat(opt4.catPath(4, i)); !os.IsNotExist(err) {
 			t.Errorf("shard %d catalog not retired", i)
 		}
+	}
+}
+
+// A snapshot that exists but cannot be read stops the boot: starting
+// with an empty shard would let the next Snapshot overwrite a damaged
+// but recoverable file. An absent snapshot is still a fresh start.
+func TestUnreadableSnapshotIsFatal(t *testing.T) {
+	for _, n := range []int{1, 2} {
+		dir := t.TempDir()
+		opt := testOpts(dir, n)
+		st, err := Open(opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seedStore(t, st.Router())
+		if err := st.Snapshot(); err != nil {
+			t.Fatal(err)
+		}
+		st.Close()
+
+		file := opt.catPath(n, n-1)
+		damaged, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 16; i++ { // the opening brace and the version key
+			damaged[i] ^= 0xff
+		}
+		if err := os.WriteFile(file, damaged, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if st, err := Open(opt); err == nil {
+			st.Snapshot()
+			st.Close()
+			t.Errorf("%d shard(s): Open booted over an unreadable snapshot", n)
+		}
+		if got, _ := os.ReadFile(file); !bytes.Equal(got, damaged) {
+			t.Errorf("%d shard(s): the damaged snapshot was rewritten", n)
+		}
+
+		if err := os.Remove(file); err != nil {
+			t.Fatal(err)
+		}
+		st, err = Open(opt)
+		if err != nil {
+			t.Fatalf("%d shard(s): an absent snapshot must be a fresh start: %v", n, err)
+		}
+		st.Close()
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"io"
 	"math/bits"
 	"sort"
-	"sync"
 	"time"
 )
 
@@ -40,37 +39,18 @@ type Rollup struct {
 // RollupRing is a bounded ring of periodic rollups — the time-series
 // store behind windowed rates, `srb top` and the SLO evaluator. Safe
 // for concurrent use; capture and query both cost one short lock.
-type RollupRing struct {
-	mu    sync.Mutex
-	slots []Rollup
-	start int
-	count int
-}
+type RollupRing ring[Rollup]
+
+func (rr *RollupRing) r() *ring[Rollup] { return (*ring[Rollup])(rr) }
 
 // NewRollupRing returns a ring holding up to capacity rollups
 // (DefaultRollupSlots when capacity <= 0).
 func NewRollupRing(capacity int) *RollupRing {
-	if capacity <= 0 {
-		capacity = DefaultRollupSlots
-	}
-	return &RollupRing{slots: make([]Rollup, capacity)}
+	return (*RollupRing)(newRing[Rollup](capacity, DefaultRollupSlots))
 }
 
 // Add appends one rollup, displacing the oldest when full.
-func (rr *RollupRing) Add(r Rollup) {
-	if rr == nil {
-		return
-	}
-	rr.mu.Lock()
-	defer rr.mu.Unlock()
-	if rr.count < len(rr.slots) {
-		rr.slots[(rr.start+rr.count)%len(rr.slots)] = r
-		rr.count++
-		return
-	}
-	rr.slots[rr.start] = r
-	rr.start = (rr.start + 1) % len(rr.slots)
-}
+func (rr *RollupRing) Add(r Rollup) { rr.r().add(r) }
 
 // Len reports how many rollups are retained.
 func (rr *RollupRing) Len() int {
@@ -99,30 +79,15 @@ func (rr *RollupRing) Baseline(cutoff time.Time) (Rollup, bool) {
 	}
 	// Newest-first scan: the first slot at or before cutoff wins.
 	for i := rr.count - 1; i >= 0; i-- {
-		r := rr.slots[(rr.start+i)%len(rr.slots)]
-		if !r.At.After(cutoff) {
+		if r := rr.r().at(i); !r.At.After(cutoff) {
 			return r, true
 		}
 	}
-	return rr.slots[rr.start], true
+	return rr.r().at(0), true
 }
 
 // Recent returns up to n rollups, oldest first (n <= 0 returns all).
-func (rr *RollupRing) Recent(n int) []Rollup {
-	if rr == nil {
-		return nil
-	}
-	rr.mu.Lock()
-	defer rr.mu.Unlock()
-	if n <= 0 || n > rr.count {
-		n = rr.count
-	}
-	out := make([]Rollup, 0, n)
-	for i := rr.count - n; i < rr.count; i++ {
-		out = append(out, rr.slots[(rr.start+i)%len(rr.slots)])
-	}
-	return out
-}
+func (rr *RollupRing) Recent(n int) []Rollup { return rr.r().recent(n) }
 
 // raw exposes the histogram internals for rollup capture, bypassing
 // quantile interpolation (a window recomputes quantiles from bucket

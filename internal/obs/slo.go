@@ -167,42 +167,19 @@ type Alert struct {
 	Detail   string  `json:",omitempty"`
 }
 
-// AlertLog is a bounded ring of alert transitions. total counts every
-// Add ever made (including displaced entries) so the telemetry store
-// can flush incrementally by sequence number.
-type AlertLog struct {
-	mu    sync.Mutex
-	recs  []Alert
-	start int
-	count int
-	total int64
-}
+// AlertLog is a bounded ring of alert transitions. The ring's total
+// counts every Add ever made (including displaced entries) so the
+// telemetry store can flush incrementally by sequence number.
+type AlertLog ring[Alert]
+
+func (l *AlertLog) r() *ring[Alert] { return (*ring[Alert])(l) }
 
 // NewAlertLog returns a log holding up to capacity alerts (256 when
 // capacity <= 0).
-func NewAlertLog(capacity int) *AlertLog {
-	if capacity <= 0 {
-		capacity = 256
-	}
-	return &AlertLog{recs: make([]Alert, capacity)}
-}
+func NewAlertLog(capacity int) *AlertLog { return (*AlertLog)(newRing[Alert](capacity, 256)) }
 
 // Add appends one alert, displacing the oldest when full.
-func (l *AlertLog) Add(a Alert) {
-	if l == nil {
-		return
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.total++
-	if l.count < len(l.recs) {
-		l.recs[(l.start+l.count)%len(l.recs)] = a
-		l.count++
-		return
-	}
-	l.recs[l.start] = a
-	l.start = (l.start + 1) % len(l.recs)
-}
+func (l *AlertLog) Add(a Alert) { l.r().add(a) }
 
 // Total returns the lifetime number of alerts added (sequence
 // high-water mark, not the retained count).
@@ -233,29 +210,11 @@ func (l *AlertLog) TailAfter(seen int64) ([]Alert, int64) {
 	if fresh > int64(l.count) {
 		fresh = int64(l.count)
 	}
-	out := make([]Alert, 0, fresh)
-	for i := l.count - int(fresh); i < l.count; i++ {
-		out = append(out, l.recs[(l.start+i)%len(l.recs)])
-	}
-	return out, l.total
+	return l.r().tail(int(fresh)), l.total
 }
 
 // Recent returns up to n alerts, oldest first (n <= 0 returns all).
-func (l *AlertLog) Recent(n int) []Alert {
-	if l == nil {
-		return nil
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if n <= 0 || n > l.count {
-		n = l.count
-	}
-	out := make([]Alert, 0, n)
-	for i := l.count - n; i < l.count; i++ {
-		out = append(out, l.recs[(l.start+i)%len(l.recs)])
-	}
-	return out
-}
+func (l *AlertLog) Recent(n int) []Alert { return l.r().recent(n) }
 
 // SLOStatus is the current standing of one rule.
 type SLOStatus struct {

@@ -47,6 +47,22 @@ func TestTraceRingConcurrentWraparound(t *testing.T) {
 	}
 }
 
+// TestTraceRingAddAllocatesNothing fences the one ring body on the
+// request path: every span end lands in Add, before and after the ring
+// wraps, and it must copy into its preallocated slot.
+func TestTraceRingAddAllocatesNothing(t *testing.T) {
+	ring := NewTraceRing(8)
+	rec := SpanRecord{Trace: "t", Span: "s", Op: "get", Server: "srb1", Start: time.Now()}
+	if n := testing.AllocsPerRun(100, func() { ring.Add(rec) }); n != 0 {
+		t.Errorf("TraceRing.Add allocates %.1f objects per call, want 0", n)
+	}
+	var off *TraceRing
+	off.Add(rec)
+	if off.Recent(0) != nil || off.ForTrace("t") != nil {
+		t.Error("a nil ring retained a record")
+	}
+}
+
 // TestAssembleTreeLateChild covers federation reassembly order: the
 // child span (recorded on the remote peer) joins the set after its
 // parent closed, and a grandchild whose parent record never arrives

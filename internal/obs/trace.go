@@ -170,54 +170,21 @@ type SpanRecord struct {
 // TraceRing is a bounded ring of recently finished spans — enough to
 // follow one logical operation across federation hops without keeping
 // unbounded history. Safe for concurrent use.
-type TraceRing struct {
-	mu    sync.Mutex
-	recs  []SpanRecord
-	start int
-	count int
-}
+type TraceRing ring[SpanRecord]
+
+func (t *TraceRing) r() *ring[SpanRecord] { return (*ring[SpanRecord])(t) }
 
 // NewTraceRing returns a ring holding up to capacity records (64 when
 // capacity <= 0).
 func NewTraceRing(capacity int) *TraceRing {
-	if capacity <= 0 {
-		capacity = 64
-	}
-	return &TraceRing{recs: make([]SpanRecord, capacity)}
+	return (*TraceRing)(newRing[SpanRecord](capacity, 64))
 }
 
 // Add appends one finished span, displacing the oldest when full.
-func (t *TraceRing) Add(rec SpanRecord) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.count < len(t.recs) {
-		t.recs[(t.start+t.count)%len(t.recs)] = rec
-		t.count++
-		return
-	}
-	t.recs[t.start] = rec
-	t.start = (t.start + 1) % len(t.recs)
-}
+func (t *TraceRing) Add(rec SpanRecord) { t.r().add(rec) }
 
 // Recent returns up to n records, oldest first (n <= 0 returns all).
-func (t *TraceRing) Recent(n int) []SpanRecord {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if n <= 0 || n > t.count {
-		n = t.count
-	}
-	out := make([]SpanRecord, 0, n)
-	for i := t.count - n; i < t.count; i++ {
-		out = append(out, t.recs[(t.start+i)%len(t.recs)])
-	}
-	return out
-}
+func (t *TraceRing) Recent(n int) []SpanRecord { return t.r().recent(n) }
 
 // ForTrace returns every retained span of one trace, oldest first.
 func (t *TraceRing) ForTrace(id string) []SpanRecord {
@@ -228,8 +195,7 @@ func (t *TraceRing) ForTrace(id string) []SpanRecord {
 	defer t.mu.Unlock()
 	var out []SpanRecord
 	for i := 0; i < t.count; i++ {
-		rec := t.recs[(t.start+i)%len(t.recs)]
-		if rec.Trace == id {
+		if rec := t.r().at(i); rec.Trace == id {
 			out = append(out, rec)
 		}
 	}

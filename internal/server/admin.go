@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"net"
 	"net/http"
 	"net/http/pprof"
 	"net/url"
@@ -19,7 +18,10 @@ import (
 )
 
 // NewAdminHandler builds the admin mux over env: the operator-facing
-// HTTP endpoint riding alongside the wire listener. It is read-only
+// HTTP endpoint riding alongside the wire listener. This package only
+// builds the handler; daemon.Runtime.ServeAdmin listens, serves it on
+// -admin-addr and shuts it down, for srbd (env from Server.AdminEnv)
+// and mysrbd (an env with no zone) alike. It is read-only
 // (but for /repair's pause and resume) and unauthenticated, so bind it
 // to localhost in production. Every status feed in
 // report.All has a route, "/"+Name, derived from its row: the feed's
@@ -181,51 +183,10 @@ func repairActions(b *core.Broker, next http.HandlerFunc) http.HandlerFunc {
 // feeds; a dead peer costs one refused dial, well inside it.
 const adminGridDeadline = 5 * time.Second
 
-// adminEnv is the env of a local surface: it reaches the zone as the
-// administrator, each gather within adminGridDeadline.
-func (s *Server) adminEnv() report.Env {
-	return s.env(reach{s: s, user: "admin", budget: adminGridDeadline})
-}
-
-// GridStat answers a zone-wide windowed gather on behalf of a local
-// surface (the flight recorder's bundle snapshot uses it).
-func (s *Server) GridStat(window time.Duration) wire.GridStatReply {
-	return report.Grid(s.adminEnv(), window)
-}
-
-// ServeAdmin starts the admin endpoint on addr ("host:0" picks a port)
-// and returns the bound address. See NewAdminHandler for the routes.
-// The endpoint stops when the server closes.
-func (s *Server) ServeAdmin(addr string) (string, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", err
-	}
-	srv := &http.Server{Handler: NewAdminHandler(s.adminEnv()), ReadHeaderTimeout: 5 * time.Second}
-	s.mu.Lock()
-	s.admin = srv
-	s.mu.Unlock()
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		if err := srv.Serve(ln); err != nil && err != http.ErrServerClosed {
-			select {
-			case <-s.closed:
-			default:
-				s.Logger.Errorf("admin: %v", err)
-			}
-		}
-	}()
-	return ln.Addr().String(), nil
-}
-
-// closeAdmin stops the admin endpoint if one is serving.
-func (s *Server) closeAdmin() {
-	s.mu.Lock()
-	a := s.admin
-	s.admin = nil
-	s.mu.Unlock()
-	if a != nil {
-		a.Close()
-	}
+// AdminEnv is the env of a local surface — the admin endpoint, the
+// flight recorder's grid snapshot: it reaches the zone as admin, the
+// daemon's administrator, so peers forward and account the gather under
+// a user their catalog holds; each gather gets adminGridDeadline.
+func (s *Server) AdminEnv(admin string) report.Env {
+	return s.env(reach{s: s, user: admin, budget: adminGridDeadline})
 }

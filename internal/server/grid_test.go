@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -196,10 +197,11 @@ func TestAdminGridAndAlerts(t *testing.T) {
 	z.b1.SetSLO(ev)
 	ev.Evaluate(time.Now())
 
-	addr, err := z.s1.ServeAdmin("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The endpoint gathers as the daemon's administrator, here not the
+	// default name.
+	web := httptest.NewServer(NewAdminHandler(z.s1.AdminEnv("root")))
+	t.Cleanup(web.Close)
+	addr := web.Listener.Addr().String()
 	get := func(path string) string {
 		resp, err := http.Get("http://" + addr + path)
 		if err != nil {
@@ -219,6 +221,15 @@ func TestAdminGridAndAlerts(t *testing.T) {
 	}
 	if len(rep.Members) != 2 || rep.Grid.Ops["server.ingest"].Count != 2 {
 		t.Errorf("/grid = %+v, want both members merged", rep)
+	}
+	// The fan-out reached srb2 on behalf of that administrator, not of a
+	// hard-coded "admin" its usage table would file under a ghost name.
+	forwarded := map[string]bool{}
+	for _, u := range z.b2.Metrics().Usage().Snapshot() {
+		forwarded[u.User] = true
+	}
+	if !forwarded["root"] || forwarded["admin"] {
+		t.Errorf("srb2 accounted the gather to %v, want root and no admin", forwarded)
 	}
 
 	var alerts wire.AlertsReply

@@ -110,10 +110,7 @@ func TestJournalAppendFailureLatches(t *testing.T) {
 	// /healthz turns 503 and names the cause.
 	srv := New(b, auth.New(), Proxy)
 	t.Cleanup(func() { srv.Close() })
-	addr, err := srv.ServeAdmin("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
+	addr := serveAdmin(t, srv)
 	resp, err := http.Get("http://" + addr + "/healthz")
 	if err != nil {
 		t.Fatal(err)

@@ -8,6 +8,12 @@
 // As in SRB 1.x, a federation shares one MCAT: every server is built
 // over the same catalog, while each server mounts drivers only for the
 // resources it owns (types.Resource.Server names the owner).
+//
+// A Server owns its wire listener and nothing else of the process: the
+// catalog, the periodic jobs, the admin HTTP listener and the shutdown
+// order belong to internal/daemon, which closes the server first. The
+// peer dial timeout and the breaker settings are the constants of
+// internal/resilience.
 package server
 
 import (
@@ -17,7 +23,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"net/http"
 	"os"
 	"sort"
 	"strings"
@@ -57,9 +62,6 @@ type Server struct {
 
 	tickets *auth.TicketStore
 
-	// dialTimeout bounds peer connection establishment. It defaults to
-	// resilience.DialTimeout, the one tunable the client shares.
-	dialTimeout time.Duration
 	// peerDial, when set, replaces the TCP dialer for peer connections
 	// (fault injection wraps it to script peer crashes).
 	peerDial func(addr string) (net.Conn, error)
@@ -85,7 +87,6 @@ type Server struct {
 	conns     map[net.Conn]struct{}
 	closed    chan struct{}
 	closeOnce sync.Once
-	admin     *http.Server
 	// Logger receives connection and operation errors with op,
 	// remote-addr and trace-ID context. Defaults to stderr at LevelError
 	// so failures are never silently swallowed; srbd raises it to
@@ -102,18 +103,17 @@ type peer struct {
 // server name so resource ownership resolves consistently.
 func New(b *core.Broker, a *auth.Authenticator, mode FederationMode) *Server {
 	s := &Server{
-		broker:      b,
-		authn:       a,
-		name:        b.ServerName(),
-		mode:        mode,
-		peers:       make(map[string]peer),
-		conns:       make(map[net.Conn]struct{}),
-		tickets:     auth.NewTicketStore(),
-		closed:      make(chan struct{}),
-		dialTimeout: resilience.DialTimeout,
-		retry:       resilience.DefaultPolicy,
-		sleep:       time.Sleep,
-		Logger:      obs.NewLogger(os.Stderr, b.ServerName(), obs.LevelError),
+		broker:  b,
+		authn:   a,
+		name:    b.ServerName(),
+		mode:    mode,
+		peers:   make(map[string]peer),
+		conns:   make(map[net.Conn]struct{}),
+		tickets: auth.NewTicketStore(),
+		closed:  make(chan struct{}),
+		retry:   resilience.DefaultPolicy,
+		sleep:   time.Sleep,
+		Logger:  obs.NewLogger(os.Stderr, b.ServerName(), obs.LevelError),
 	}
 	s.peerPool = wire.NewPool(wire.PoolConfig{
 		Dial:    s.dialPeerMux,
@@ -149,14 +149,6 @@ func (s *Server) peerNameByAddr(addr string) string {
 // PeerPoolStats reports the federation connection pool's occupancy and
 // lifetime dial/eviction/reap counters (chaos tests and status pages).
 func (s *Server) PeerPoolStats() wire.PoolStats { return s.peerPool.Stats() }
-
-// SetDialTimeout tunes how long peer dials may take (srbd's
-// -dial-timeout flag).
-func (s *Server) SetDialTimeout(d time.Duration) {
-	if d > 0 {
-		s.dialTimeout = d
-	}
-}
 
 // SetPeerDialer replaces the transport used to reach peers (tests and
 // fault injection). nil restores plain TCP. Pooled connections dialed
@@ -224,9 +216,8 @@ func (s *Server) Listen(addr string) (string, error) {
 	return ln.Addr().String(), nil
 }
 
-// Close stops the listener (and the admin endpoint, when serving) and
-// waits for active connections to finish. It is safe to call more than
-// once.
+// Close stops the listener and waits for active connections to finish.
+// It is safe to call more than once.
 func (s *Server) Close() error {
 	var err error
 	s.closeOnce.Do(func() {
@@ -234,7 +225,6 @@ func (s *Server) Close() error {
 		if s.ln != nil {
 			err = s.ln.Close()
 		}
-		s.closeAdmin()
 		s.peerPool.Close()
 		s.connsMu.Lock()
 		for nc := range s.conns {
@@ -943,7 +933,7 @@ func (s *Server) dialPeerMux(addr string) (*wire.Mux, error) {
 	dial := s.peerDial
 	if dial == nil {
 		dial = func(a string) (net.Conn, error) {
-			return net.DialTimeout("tcp", a, s.dialTimeout)
+			return net.DialTimeout("tcp", a, resilience.DialTimeout)
 		}
 	}
 	nc, err := dial(addr)

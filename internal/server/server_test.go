@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"net/http/httptest"
 	"testing"
 	"time"
 
@@ -31,6 +32,15 @@ type zone struct {
 }
 
 const zoneSecret = "npaci-zone-secret"
+
+// serveAdmin serves s's admin endpoint for the length of the test, as
+// the daemon runtime serves it, and returns its address.
+func serveAdmin(t *testing.T, s *Server) string {
+	t.Helper()
+	web := httptest.NewServer(NewAdminHandler(s.AdminEnv("admin")))
+	t.Cleanup(web.Close)
+	return web.Listener.Addr().String()
+}
 
 func newZone(t *testing.T, mode FederationMode) *zone {
 	t.Helper()

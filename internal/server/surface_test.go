@@ -138,10 +138,7 @@ func TestReportSurfaces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	adminAddr, err := s.ServeAdmin("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
+	adminAddr := serveAdmin(t, s)
 	web := httptest.NewServer(mysrb.New(b, authn))
 	t.Cleanup(web.Close)
 	jar, _ := cookiejar.New(nil)
