@@ -41,7 +41,7 @@ type HeatStat struct {
 	Score float64 `json:"score"`
 	// ErrFloor is the space-saving overestimate bound: the evicted
 	// score this row inherited at insertion. True score >= Score-ErrFloor.
-	ErrFloor float64 `json:"errFloor,omitempty"`
+	ErrFloor float64   `json:"errFloor,omitempty"`
 	LastSeen time.Time `json:"lastSeen,omitempty"`
 }
 

@@ -158,7 +158,7 @@ func TestIncidentEvictAndPrune(t *testing.T) {
 		t.Fatalf("index holds %d, want MaxIndex=3", len(list))
 	}
 	// Newest first; the two oldest (0s, 1s) were evicted.
-	if !list[0].At.Equal(base.Add(4 * time.Second)) || !list[2].At.Equal(base.Add(2*time.Second)) {
+	if !list[0].At.Equal(base.Add(4*time.Second)) || !list[2].At.Equal(base.Add(2*time.Second)) {
 		t.Fatalf("surviving bundles %v, want 4s..2s", list)
 	}
 	ir.Prune(base.Add(3*time.Second + 500*time.Millisecond))

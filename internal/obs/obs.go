@@ -289,18 +289,18 @@ func (o *Op) Snapshot() OpSnapshot {
 // trace ring. Metric names are dotted paths ("storage.disk1.bytes_in",
 // "broker.get"). Get-or-create accessors make registration implicit.
 type Registry struct {
-	mu       sync.RWMutex
-	counters map[string]*Counter
-	gauges   map[string]*Gauge
-	ops      map[string]*Op
-	start    time.Time
-	traces   *TraceRing
-	usage    *UsageTable
-	rollups  *RollupRing
-	peers    *PeerHistory
-	heatKeys    *HeatTable // hot depth-2 routing prefixes (broker dispatch)
-	heatObjects *HeatTable // hot object paths (replica reads)
-	exMin    atomic.Int64 // exemplar threshold in microseconds
+	mu          sync.RWMutex
+	counters    map[string]*Counter
+	gauges      map[string]*Gauge
+	ops         map[string]*Op
+	start       time.Time
+	traces      *TraceRing
+	usage       *UsageTable
+	rollups     *RollupRing
+	peers       *PeerHistory
+	heatKeys    *HeatTable   // hot depth-2 routing prefixes (broker dispatch)
+	heatObjects *HeatTable   // hot object paths (replica reads)
+	exMin       atomic.Int64 // exemplar threshold in microseconds
 }
 
 // DefaultExemplarThreshold is the observation floor below which
@@ -311,14 +311,14 @@ const DefaultExemplarThreshold = time.Millisecond
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	r := &Registry{
-		counters: make(map[string]*Counter),
-		gauges:   make(map[string]*Gauge),
-		ops:      make(map[string]*Op),
-		start:    time.Now(),
-		traces:   NewTraceRing(256),
-		usage:    NewUsageTable(),
-		rollups:  NewRollupRing(DefaultRollupSlots),
-		peers:    NewPeerHistory(),
+		counters:    make(map[string]*Counter),
+		gauges:      make(map[string]*Gauge),
+		ops:         make(map[string]*Op),
+		start:       time.Now(),
+		traces:      NewTraceRing(256),
+		usage:       NewUsageTable(),
+		rollups:     NewRollupRing(DefaultRollupSlots),
+		peers:       NewPeerHistory(),
 		heatKeys:    NewHeatTable("heat.key.", DefaultHeatK),
 		heatObjects: NewHeatTable("heat.object.", DefaultHeatK),
 	}

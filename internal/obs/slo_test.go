@@ -39,12 +39,12 @@ get rate > 0.1 over 10m
 
 func TestParseSLORulesRejects(t *testing.T) {
 	for _, bad := range []string{
-		"get p42 < 50ms over 5m",         // unknown metric
-		"get p99 <= 50ms over 5m",        // bad comparator
-		"p99 < 50ms over 5m",             // quantile needs a target
-		"get p99 < fast over 5m",         // bad threshold
-		"get p99 < 50ms over soon",       // bad window
-		"get p99 < 50ms within 5m",       // missing "over"
+		"get p42 < 50ms over 5m",                         // unknown metric
+		"get p99 <= 50ms over 5m",                        // bad comparator
+		"p99 < 50ms over 5m",                             // quantile needs a target
+		"get p99 < fast over 5m",                         // bad threshold
+		"get p99 < 50ms over soon",                       // bad window
+		"get p99 < 50ms within 5m",                       // missing "over"
 		"get p99 < 50ms over 5m\nget p99 < 90ms over 5m", // duplicate name
 	} {
 		if _, err := ParseSLORules(bad); err == nil {
