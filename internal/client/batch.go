@@ -6,7 +6,6 @@
 package client
 
 import (
-	"encoding/json"
 	"fmt"
 	"sync"
 	"time"
@@ -68,9 +67,9 @@ func (cl *Client) MultiGet(paths []string) ([]MultiGetResult, error) {
 	// is decoded once, as the stream is announced, and its sizes add up
 	// to the one buffer the whole batch is received into.
 	var out wire.MultiGetReply
-	x := &xfer{announced: func(body json.RawMessage) (int64, error) {
+	x := &xfer{announced: func(body []byte) (int64, error) {
 		out = wire.MultiGetReply{}
-		if err := json.Unmarshal(body, &out); err != nil {
+		if err := wire.DecodeBody(body, &out); err != nil {
 			return 0, err
 		}
 		var total int64

@@ -7,7 +7,6 @@ package client
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net"
@@ -161,7 +160,7 @@ func (cl *Client) phase(op, name string, d time.Duration, trace string) {
 	if reg == nil {
 		return
 	}
-	reg.Op(obs.PhasePrefix+"client."+op+"."+name).ObserveTrace(d, nil, trace)
+	reg.OpAt(obs.PhasePrefix, "client.", op, ".", name).ObserveTrace(d, nil, trace)
 }
 
 // Retries reports how many retry attempts this client has performed.
@@ -206,7 +205,7 @@ type xfer struct {
 	rewound func() io.Writer
 	// announced extracts that length from the response body; nil reads a
 	// wire.SizeReply.
-	announced func(body json.RawMessage) (int64, error)
+	announced func(body []byte) (int64, error)
 
 	buf *wire.Buffer // the current attempt's in-memory result
 	// wrote counts the bytes handed to `to` (by the last attempt, when
@@ -361,7 +360,10 @@ func (cl *Client) callRedirect(op string, args any, x *xfer, out any, ticket, tr
 
 func (cl *Client) callOnce(addr, op string, args any, x *xfer, out any, ticket, trace string, attempt int, deadline time.Time) (*wire.Redirect, error) {
 	serStart := time.Now()
-	raw, err := json.Marshal(args)
+	// The arguments are copied into the request frame when it is written,
+	// before CallTo returns: a stack buffer holds them until then.
+	var scratch [512]byte
+	raw, err := wire.AppendBody(scratch[:0], args)
 	cl.phase(op, obs.PhaseSerialize, time.Since(serStart), trace)
 	if err != nil {
 		return nil, err
@@ -403,9 +405,9 @@ func (cl *Client) callOnce(addr, op string, args any, x *xfer, out any, ticket, 
 	if err := res.Check(op, false); err != nil {
 		return nil, err
 	}
-	if out != nil && len(res.Resp.Body) > 0 {
-		if err := json.Unmarshal(res.Resp.Body, out); err != nil {
-			return nil, err
+	if out != nil {
+		if err := wire.DecodeBody(res.Resp.Body, out); err != nil {
+			return nil, types.E(op, "", err)
 		}
 	}
 	return nil, nil

@@ -1,7 +1,6 @@
 package client
 
 import (
-	"encoding/json"
 	"errors"
 	"net"
 	"testing"
@@ -51,7 +50,7 @@ func (fs *fakeServer) serve() {
 			c.WriteJSON(wire.MsgAuthOK, wire.AuthOK{Server: "fake"})
 			for {
 				var req wire.Request
-				if c.ReadJSON(wire.MsgRequest, &req) != nil {
+				if c.ReadRequest(&req) != nil {
 					return
 				}
 				if fs.handle(c, &req) != nil {
@@ -65,14 +64,14 @@ func (fs *fakeServer) serve() {
 // answer writes resp as the response to req, echoing its ID.
 func answer(c *wire.Conn, req *wire.Request, resp wire.Response) error {
 	resp.ID = req.ID
-	return c.WriteJSON(wire.MsgResponse, resp)
+	return c.WriteResponse(&resp)
 }
 
 func TestRedirectLoopIsBounded(t *testing.T) {
 	// A server that always redirects to itself must not loop forever.
 	var addr string
 	addr = startFake(t, func(c *wire.Conn, req *wire.Request) error {
-		return c.WriteJSON(wire.MsgRedirect, wire.Redirect{ID: req.ID, Server: "fake", Addr: addr})
+		return c.WriteRedirect(&wire.Redirect{ID: req.ID, Server: "fake", Addr: addr})
 	})
 	cl, err := Dial(addr, "u", "pw")
 	if err != nil {
@@ -138,8 +137,8 @@ func TestRequestCarriesArgs(t *testing.T) {
 	if req.Op != wire.OpMkdir {
 		t.Errorf("op = %q", req.Op)
 	}
-	var a wire.PathArgs
-	if err := json.Unmarshal(req.Args, &a); err != nil || a.Path != "/made" {
+	a, err := wire.DecodeArgs[wire.PathArgs](req.Args)
+	if err != nil || a.Path != "/made" {
 		t.Errorf("args = %s, %v", req.Args, err)
 	}
 }

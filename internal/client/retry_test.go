@@ -2,7 +2,6 @@ package client
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"net"
 	"os"
@@ -186,8 +185,8 @@ func TestParallelGetRetriesMidRange(t *testing.T) {
 			resp, _ := wire.OkResponse(types.Stat{Size: size}, false)
 			return answer(c, req, resp)
 		}
-		var a wire.RangeArgs
-		if err := json.Unmarshal(req.Args, &a); err != nil {
+		a, err := wire.DecodeArgs[wire.RangeArgs](req.Args)
+		if err != nil {
 			return err
 		}
 		if ranges.Add(1) == 2 {

@@ -411,6 +411,27 @@ func (r *Registry) Op(name string) *Op {
 	return o
 }
 
+// OpAt is Op of the parts' concatenation, for the per-request lookups of
+// a per-op family: the name is built on the stack, and only an op's
+// first lookup allocates it.
+func (r *Registry) OpAt(parts ...string) *Op {
+	if r == nil {
+		return nil
+	}
+	var buf [96]byte
+	name := buf[:0]
+	for _, p := range parts {
+		name = append(name, p...)
+	}
+	r.mu.RLock()
+	o, ok := r.ops[string(name)]
+	r.mu.RUnlock()
+	if ok {
+		return o
+	}
+	return r.Op(string(name))
+}
+
 // Traces returns the registry's recent-span ring.
 func (r *Registry) Traces() *TraceRing {
 	if r == nil {

@@ -62,12 +62,11 @@ func (r *Registry) RecordPhases(family, op, trace string, events []SpanEvent) {
 	if r == nil {
 		return
 	}
-	prefix := PhasePrefix + family + "." + op + "."
 	for _, ev := range events {
 		if ev.Kind != EventPhase {
 			continue
 		}
-		r.Op(prefix+ev.Detail).ObserveTrace(time.Duration(ev.DurMicros)*time.Microsecond, nil, trace)
+		r.OpAt(PhasePrefix, family, ".", op, ".", ev.Detail).ObserveTrace(time.Duration(ev.DurMicros)*time.Microsecond, nil, trace)
 	}
 }
 

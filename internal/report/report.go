@@ -7,7 +7,6 @@
 package report
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/url"
 	"strings"
@@ -71,8 +70,9 @@ type Report struct {
 	// Produce answers from the daemon itself, with parameters as an admin
 	// route or a MySRB page receives them.
 	Produce func(Env, url.Values) (any, error)
-	// Serve answers the feed's wire op from the request's argument JSON.
-	Serve func(Env, json.RawMessage) (any, error)
+	// Serve answers the feed's wire op from the request's encoded
+	// arguments.
+	Serve func(Env, []byte) (any, error)
 	// Fetch asks a server for the feed over the wire.
 	Fetch func(Caller, url.Values) (any, error)
 	// Render draws a reply that Produce, Serve or Fetch returned; it may
@@ -97,7 +97,7 @@ func define[A, R any](r Report, args func(url.Values) (A, error), produce func(E
 		}
 		return produce(env, a)
 	}
-	r.Serve = func(env Env, raw json.RawMessage) (any, error) {
+	r.Serve = func(env Env, raw []byte) (any, error) {
 		a, err := wire.DecodeArgs[A](raw)
 		if err != nil {
 			return nil, err

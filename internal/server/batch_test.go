@@ -5,7 +5,6 @@ package server
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"testing"
 
@@ -61,17 +60,17 @@ func TestBulkPutManifestMismatch(t *testing.T) {
 	z := newZone(t, Proxy)
 	c := rawConn(t, z.addr1, "alice", "alicepw")
 
-	args, _ := json.Marshal(wire.BulkPutArgs{Items: []wire.BulkPutItem{
+	args := mustArgs(t, wire.BulkPutArgs{Items: []wire.BulkPutItem{
 		{Path: "/home/short.txt", Resource: "disk1", Size: 10}, // stream carries 4
 	}})
-	if err := c.WriteJSON(wire.MsgRequest, wire.Request{ID: 1, Op: wire.OpBulkPut, Args: args}); err != nil {
+	if err := c.WriteRequest(&wire.Request{ID: 1, Op: wire.OpBulkPut, Args: args}); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.SendData(bytes.NewReader([]byte("oops"))); err != nil {
 		t.Fatal(err)
 	}
 	var resp wire.Response
-	if err := c.ReadJSON(wire.MsgResponse, &resp); err != nil {
+	if err := readResp(c, &resp); err != nil {
 		t.Fatal(err)
 	}
 	if resp.OK {
@@ -93,17 +92,17 @@ func TestBulkPutNegativeSizeRejected(t *testing.T) {
 	z := newZone(t, Proxy)
 	c := rawConn(t, z.addr1, "alice", "alicepw")
 
-	args, _ := json.Marshal(wire.BulkPutArgs{Items: []wire.BulkPutItem{
+	args := mustArgs(t, wire.BulkPutArgs{Items: []wire.BulkPutItem{
 		{Path: "/home/neg.txt", Resource: "disk1", Size: -1},
 	}})
-	if err := c.WriteJSON(wire.MsgRequest, wire.Request{ID: 1, Op: wire.OpBulkPut, Args: args}); err != nil {
+	if err := c.WriteRequest(&wire.Request{ID: 1, Op: wire.OpBulkPut, Args: args}); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.SendData(bytes.NewReader(nil)); err != nil {
 		t.Fatal(err)
 	}
 	var resp wire.Response
-	if err := c.ReadJSON(wire.MsgResponse, &resp); err != nil {
+	if err := readResp(c, &resp); err != nil {
 		t.Fatal(err)
 	}
 	if resp.OK {

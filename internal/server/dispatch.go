@@ -2,9 +2,9 @@ package server
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -96,10 +96,10 @@ func (s *Server) dispatch(ss *session, req *wire.Request) error {
 	case ss.streaming:
 		return ss.w.write(func(c *wire.Conn) error { return c.WriteMsg(wire.MsgDataEnd, nil) })
 	case ss.redir != nil:
-		return ss.w.write(func(c *wire.Conn) error { return c.WriteJSON(wire.MsgRedirect, ss.redir) })
+		return ss.w.write(func(c *wire.Conn) error { return c.WriteRedirect(ss.redir) })
 	default:
 		ss.staged.ID = ss.reqID
-		return ss.w.write(func(c *wire.Conn) error { return c.WriteJSON(wire.MsgResponse, ss.staged) })
+		return ss.w.write(func(c *wire.Conn) error { return c.WriteResponse(&ss.staged) })
 	}
 }
 
@@ -117,12 +117,18 @@ func (s *Server) record(ss *session, req *wire.Request, sp *obs.Span, queueWait 
 	}
 	elapsed := sp.Elapsed()
 	sp.Phase(obs.PhaseDispatch, elapsed-queueWait)
-	reg.Op("server."+req.Op).Observe(elapsed, opErr)
+	reg.OpAt("server.", req.Op).Observe(elapsed, opErr)
 	sp.End(reg.Traces(), s.name, ss.remote, opErr)
 	reg.RecordPhases("server", req.Op, req.Trace, sp.Events())
 	ss.span = nil
 	if ss.acctUser != "" {
-		reg.Usage().Record(ss.acctUser, collectionOf(req.Args), req.Trace, req.Op,
+		// The usage key is the parent collection of the path the decoded
+		// arguments address; ops that address none account under "-".
+		coll := "-"
+		if strings.HasPrefix(ss.acctPath, "/") {
+			coll = types.Parent(ss.acctPath)
+		}
+		reg.Usage().Record(ss.acctUser, coll, req.Trace, req.Op,
 			opErr != nil, ss.bytesIn, ss.bytesOut, elapsed)
 	}
 	if thr := time.Duration(s.slowOp.Load()); thr > 0 && elapsed >= thr {
@@ -138,7 +144,9 @@ func (s *Server) record(ss *session, req *wire.Request, sp *obs.Span, queueWait 
 	if opErr != nil {
 		s.Logger.Infof("op %s user=%s remote=%s trace=%s: %v",
 			req.Op, ss.user+ss.peer, ss.remote, req.Trace, opErr)
-	} else {
+	} else if s.Logger.Enabled(obs.LevelDebug) {
+		// Guarded: boxing the arguments costs every request even when the
+		// line is not emitted.
 		s.Logger.Debugf("op %s user=%s remote=%s trace=%s ok",
 			req.Op, ss.user+ss.peer, ss.remote, req.Trace)
 	}
@@ -198,15 +206,50 @@ type handler func(c call) error
 // via builds the handler of an op that replies through the session
 // itself: a stream, a redirect, or a peer's reply relayed untouched. fn
 // stages its own failures (ss.fail); what it returns is a transport
-// error.
+// error. The arguments are decoded once, here, and also give the request
+// its usage key.
 func via[A any](fn func(c call, a A) error) handler {
 	return func(c call) error {
 		a, err := wire.DecodeArgs[A](c.req.Args)
 		if err != nil {
 			return c.ss.fail(err)
 		}
+		c.ss.acctPath = argsPath(&a)
 		return fn(c, a)
 	}
+}
+
+// argsPath is the grid path decoded arguments address: their Path field,
+// or Src for the two-path ops; "" when they carry neither. The hot
+// argument types are read directly, which keeps them on the stack; the
+// rest by reflection, on a copy.
+func argsPath[A any](a *A) string {
+	switch x := any(a).(type) {
+	case *wire.PathArgs:
+		return x.Path
+	case *wire.IngestArgs:
+		return x.Path
+	case *wire.RangeArgs:
+		return x.Path
+	case *wire.MetaArgs:
+		return x.Path
+	case *wire.GetMetaArgs:
+		return x.Path
+	case *wire.AnnotateArgs:
+		return x.Path
+	case *wire.QueryArgs, *wire.MultiGetArgs, *wire.BulkStatArgs, *struct{}:
+		return ""
+	}
+	v := reflect.ValueOf(*a)
+	if v.Kind() != reflect.Struct {
+		return ""
+	}
+	for _, name := range [...]string{"Path", "Src"} {
+		if f := v.FieldByName(name); f.Kind() == reflect.String && f.String() != "" {
+			return f.String()
+		}
+	}
+	return ""
 }
 
 // get builds the handler of an op that replies with a value: decode, one
@@ -580,7 +623,7 @@ func bulkPut(c call, a wire.BulkPutArgs) (wire.BulkPutReply, error) {
 		var err error
 		if owner := s.resourceOwner(it.Resource); owner != "" && !ss.isPeer {
 			ireq := &wire.Request{Op: wire.OpIngest, Trace: c.req.Trace}
-			ireq.Args, err = json.Marshal(wire.IngestArgs{
+			ireq.Args, err = wire.AppendBody(nil, wire.IngestArgs{
 				Path: it.Path, Resource: it.Resource, Container: it.Container,
 				DataType: it.DataType, Meta: it.Meta,
 			})
@@ -620,7 +663,7 @@ func multiGet(c call, a wire.MultiGetArgs) error {
 		var err error
 		if owner := s.localityOf(p); owner != "" && !ss.isPeer {
 			greq := &wire.Request{Op: wire.OpGet, Trace: c.req.Trace}
-			greq.Args, err = json.Marshal(wire.PathArgs{Path: p})
+			greq.Args, err = wire.AppendBody(nil, wire.PathArgs{Path: p})
 			if err == nil {
 				if addr, ok := s.PeerAddr(owner); ok {
 					data, err = s.proxyGetBytes(owner, addr, user, greq, ss.deadline, ss.span)
@@ -719,7 +762,7 @@ func replicate(c call, a wire.ReplicateArgs) (types.Replica, error) {
 		src = f
 	} else {
 		req := &wire.Request{Op: wire.OpGet}
-		req.Args, _ = json.Marshal(wire.PathArgs{Path: a.Path})
+		req.Args, _ = wire.AppendBody(nil, wire.PathArgs{Path: a.Path})
 		addr, ok := s.PeerAddr(sourceOwner)
 		if !ok {
 			return types.Replica{}, types.E("replicate", sourceOwner, types.ErrOffline)
@@ -746,12 +789,12 @@ func replicate(c call, a wire.ReplicateArgs) (types.Replica, error) {
 	}
 	// Target remote: the owning peer stores the replica.
 	req := &wire.Request{Op: wire.OpIngestReplica, OnBehalf: user}
-	req.Args, _ = json.Marshal(wire.ReplicateArgs{Path: a.Path, Resource: a.Resource})
+	req.Args, _ = wire.AppendBody(nil, wire.ReplicateArgs{Path: a.Path, Resource: a.Resource})
 	addr, ok := s.PeerAddr(targetOwner)
 	if !ok {
 		return types.Replica{}, types.E("replicate", targetOwner, types.ErrOffline)
 	}
-	var body json.RawMessage
+	var body []byte
 	err := s.peerDo(targetOwner, addr, ss.deadline, req, ss.span, true, func(pc *peerConn) error {
 		b, err := pc.roundTrip(req, src, nil)
 		body = b
@@ -761,7 +804,7 @@ func replicate(c call, a wire.ReplicateArgs) (types.Replica, error) {
 		return types.Replica{}, err
 	}
 	var rep types.Replica
-	if err := json.Unmarshal(body, &rep); err != nil {
+	if err := wire.DecodeBody(body, &rep); err != nil {
 		return types.Replica{}, err
 	}
 	return rep, nil
@@ -812,22 +855,4 @@ func (s *Server) proxyIngest(peerName, user string, req *wire.Request, data io.R
 		return nil, err
 	}
 	return body, nil
-}
-
-// collectionOf derives the usage-accounting key from a request's args:
-// the parent collection of the op's primary path (Src for two-path
-// ops). Ops that carry no grid path account under "-".
-func collectionOf(args json.RawMessage) string {
-	var a struct{ Path, Src string }
-	if len(args) > 0 {
-		_ = json.Unmarshal(args, &a)
-	}
-	p := a.Path
-	if p == "" {
-		p = a.Src
-	}
-	if p == "" || !strings.HasPrefix(p, "/") {
-		return "-"
-	}
-	return types.Parent(p)
 }

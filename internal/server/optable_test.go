@@ -1,14 +1,23 @@
 package server
 
 import (
+	"bytes"
+	"errors"
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"io"
+	"reflect"
 	"sort"
 	"strconv"
 	"strings"
 	"testing"
 
+	"gosrb/internal/client"
+	"gosrb/internal/mcat"
+	stg "gosrb/internal/storage"
+	"gosrb/internal/storage/memfs"
+	"gosrb/internal/types"
 	"gosrb/internal/wire"
 )
 
@@ -114,6 +123,88 @@ func TestOpTable(t *testing.T) {
 	for _, name := range consts {
 		if o := ops[name]; o != nil && o.spec.Gate != gates[name] {
 			t.Errorf("op %q gate = %v, want %v", name, o.spec.Gate, gates[name])
+		}
+	}
+
+	t.Run("hot ops", testHotOpCodecs)
+}
+
+// testHotOpCodecs: each hot op's args and reply types have binary
+// codecs, and the client, the server and this table use the same Go type
+// per op. A body decodes only into the type it was encoded from, so a
+// raw request built from the row's args type that the server answers,
+// with a reply that decodes into the row's reply type, pins the server's
+// types; the client method then succeeding pins the client's.
+func testHotOpCodecs(t *testing.T) {
+	_, _, addr := bootOne(t, map[string]stg.Driver{"disk1": memfs.New()}, nil, "")
+	cl := dialT(t, addr)
+	meta := []types.AVU{{Name: "k", Value: "v"}}
+	if _, err := cl.Put("/home/f", []byte("hot"), client.PutOpts{Resource: "disk1", Meta: meta}); err != nil {
+		t.Fatal(err)
+	}
+	q := mcat.Query{Scope: "/home", Conds: []mcat.Condition{{Attr: "k", Op: "=", Value: "v"}}}
+	user := types.AVU{Name: "k2", Value: "v2"}
+	ann := types.Annotation{Kind: "comment", Text: "t"}
+	ok := func(_ any, err error) error { return err }
+	rows := []struct {
+		op          string
+		args, reply any
+		data        []byte // the request's stream, for an op that sends one
+		call        func() error
+	}{
+		{wire.OpStat, wire.PathArgs{Path: "/home/f"}, types.Stat{}, nil, func() error { return ok(cl.Stat("/home/f")) }},
+		{wire.OpList, wire.PathArgs{Path: "/home"}, []types.Stat{}, nil, func() error { return ok(cl.List("/home")) }},
+		{wire.OpGetObject, wire.PathArgs{Path: "/home/f"}, types.DataObject{}, nil, func() error { return ok(cl.GetObject("/home/f")) }},
+		{wire.OpGet, wire.PathArgs{Path: "/home/f"}, wire.SizeReply{}, nil, func() error { return ok(cl.Get("/home/f")) }},
+		{wire.OpReadRange, wire.RangeArgs{Path: "/home/f", Length: 2}, wire.SizeReply{}, nil, func() error { return ok(cl.GetRange("/home/f", 0, 2)) }},
+		{wire.OpIngest, wire.IngestArgs{Path: "/home/raw", Resource: "disk1", Meta: meta}, types.DataObject{}, []byte("raw"),
+			func() error { return ok(cl.Put("/home/cl", []byte("cl"), client.PutOpts{Resource: "disk1"})) }},
+		{wire.OpAddMeta, wire.MetaArgs{Path: "/home/f", Class: int(types.MetaUser), AVU: user}, struct{}{}, nil,
+			func() error { return cl.AddMeta("/home/f", types.MetaUser, types.AVU{Name: "k3"}) }},
+		{wire.OpGetMeta, wire.GetMetaArgs{Path: "/home/f", Class: int(types.MetaUser)}, []types.AVU{}, nil,
+			func() error { return ok(cl.GetMeta("/home/f", types.MetaUser)) }},
+		{wire.OpAnnotate, wire.AnnotateArgs{Path: "/home/f", Ann: ann}, struct{}{}, nil, func() error { return cl.Annotate("/home/f", ann) }},
+		{wire.OpQuery, wire.QueryArgs{Q: q}, wire.QueryReply{}, nil, func() error { return ok(cl.Query(q)) }},
+		{wire.OpMultiGet, wire.MultiGetArgs{Paths: []string{"/home/f"}}, wire.MultiGetReply{}, nil, func() error { return ok(cl.MultiGet([]string{"/home/f"})) }},
+		{wire.OpBulkStat, wire.BulkStatArgs{Paths: []string{"/home/f"}}, wire.BulkStatReply{}, nil, func() error { return ok(cl.BulkStat([]string{"/home/f"})) }},
+		{wire.OpMkdir, wire.PathArgs{Path: "/home/d1"}, struct{}{}, nil, func() error { return cl.Mkdir("/home/d2") }},
+		{wire.OpDelete, wire.PathArgs{Path: "/home/raw"}, struct{}{}, nil, func() error { return cl.Delete("/home/cl") }},
+	}
+	c := rawConn(t, addr, "alice", "alicepw")
+	for i, row := range rows {
+		args := mustArgs(t, row.args)
+		if err := wire.DecodeBody(args, new(any)); !errors.Is(err, types.ErrInvalid) {
+			t.Errorf("%s: args %T have no binary codec", row.op, row.args)
+		}
+		if err := c.WriteRequest(&wire.Request{ID: uint64(i + 1), Op: row.op, Args: args}); err != nil {
+			t.Fatal(err)
+		}
+		if wire.StreamsIn(row.op) {
+			if err := c.SendData(bytes.NewReader(row.data)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var resp wire.Response
+		if err := readResp(c, &resp); err != nil {
+			t.Fatal(err)
+		}
+		if resp.DataFollows {
+			if _, err := c.RecvData(io.Discard); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !resp.OK {
+			t.Errorf("%s with %T args: %v", row.op, row.args, resp.Err())
+			continue
+		}
+		if err := wire.DecodeBody(resp.Body, reflect.New(reflect.TypeOf(row.reply)).Interface()); err != nil {
+			t.Errorf("%s: reply does not decode as %T: %v", row.op, row.reply, err)
+		}
+		if err := wire.DecodeBody(resp.Body, new(any)); !errors.Is(err, types.ErrInvalid) {
+			t.Errorf("%s: reply %T has no binary codec", row.op, row.reply)
+		}
+		if err := row.call(); err != nil {
+			t.Errorf("%s through the client: %v", row.op, err)
 		}
 	}
 }

@@ -18,7 +18,6 @@ package server
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -354,8 +353,11 @@ type session struct {
 	// beneath them annotate it with retry/breaker/failover events.
 	span *obs.Span
 	// acctUser is the resolved effective user of the current request,
-	// recorded by dispatchOp for usage accounting ("" = unresolved).
+	// recorded by dispatchOp for usage accounting ("" = unresolved);
+	// acctPath is the grid path its decoded arguments address ("" =
+	// none), the source of its usage key.
 	acctUser string
+	acctPath string
 	// bytesIn / bytesOut count bulk-data bytes received and sent while
 	// serving the current request, for the usage accounting ledger.
 	bytesIn  int64
@@ -406,9 +408,9 @@ func (ss *session) reply(body any) error {
 	return nil
 }
 
-// rawReply stages a success response with a pre-marshalled body (proxied
+// rawReply stages a success response with an encoded body (proxied
 // replies relay the owning server's bytes untouched).
-func (ss *session) rawReply(body json.RawMessage) error {
+func (ss *session) rawReply(body []byte) error {
 	ss.staged = wire.Response{OK: true, Body: body}
 	return nil
 }
@@ -438,16 +440,14 @@ func (ss *session) redirect(server, addr string) error {
 // conn's write side; dispatch ends the stream and releases it. by, when
 // set, is the socket's write deadline from the header on; whoever sets
 // it lifts it again.
-func (ss *session) beginStream(body json.RawMessage, by time.Time) error {
+func (ss *session) beginStream(body []byte, by time.Time) error {
 	resp := wire.Response{ID: ss.reqID, OK: true, Body: body, DataFollows: true}
 	ss.w.mu.Lock()
 	ss.streaming = true
 	if !by.IsZero() {
 		ss.w.nc.SetWriteDeadline(by)
 	}
-	return ss.w.write(func(c *wire.Conn) error {
-		return c.WriteJSON(wire.MsgResponse, resp)
-	})
+	return ss.w.write(func(c *wire.Conn) error { return c.WriteResponse(&resp) })
 }
 
 // Write sends p as data frames of the begun stream.
@@ -469,7 +469,9 @@ func (ss *session) Write(p []byte) (int, error) {
 // after the header cannot become an error response any more, and the
 // stream is aborted.
 func (ss *session) sendStream(body any, src io.Reader) error {
-	raw, err := json.Marshal(body)
+	// The header is copied into its frame before beginStream returns.
+	var scratch [256]byte
+	raw, err := wire.AppendBody(scratch[:0], body)
 	if err != nil {
 		return err
 	}
@@ -535,7 +537,7 @@ func (s *Server) handleConn(nc net.Conn) error {
 	var inflight atomic.Int64
 	for {
 		var req wire.Request
-		if err := c.ReadJSON(wire.MsgRequest, &req); err != nil {
+		if err := c.ReadRequest(&req); err != nil {
 			return err
 		}
 		ss := base.fork(req.ID)
@@ -552,7 +554,7 @@ func (s *Server) handleConn(nc net.Conn) error {
 			ss.finishInbound()
 			resp := wire.ErrResponse(types.E(req.Op, "", fmt.Errorf("request without an ID: %w", types.ErrInvalid)))
 			base.w.mu.Lock()
-			err := base.w.write(func(c *wire.Conn) error { return c.WriteJSON(wire.MsgResponse, resp) })
+			err := base.w.write(func(c *wire.Conn) error { return c.WriteResponse(&resp) })
 			base.w.mu.Unlock()
 			if err != nil {
 				return err
@@ -573,8 +575,8 @@ func (s *Server) handleConn(nc net.Conn) error {
 			ss.inDone = inDone
 		}
 		wg.Add(1)
-		// req is this iteration's own variable, already on the heap for
-		// ReadJSON: the handler shares it rather than taking a copy.
+		// req is this iteration's own variable: the handler shares it rather
+		// than taking a copy.
 		go func(req *wire.Request, ss *session) {
 			defer wg.Done()
 			defer func() { <-sem; inflight.Add(-1); pipeGauge.Add(-1) }()
@@ -722,7 +724,7 @@ func (s *Server) federate(ss *session, peerName, user string, req *wire.Request)
 // out fails at that same moment. mu lets the handler wait for it.
 type relay struct {
 	ss   *session
-	body json.RawMessage // the peer's response body, relayed untouched
+	body []byte // the peer's response body, relayed untouched
 
 	mu    sync.Mutex
 	begun bool
@@ -884,12 +886,12 @@ func (s *Server) proxyGet(peerName, addr, user string, req *wire.Request, deadli
 // proxyCall relays a non-data request to a peer. With retry, an
 // idempotent op runs under the server's backoff policy; without, the hop
 // gets a single attempt.
-func (s *Server) proxyCall(peerName, user string, req *wire.Request, deadline time.Time, sp *obs.Span, retry bool) (json.RawMessage, error) {
+func (s *Server) proxyCall(peerName, user string, req *wire.Request, deadline time.Time, sp *obs.Span, retry bool) ([]byte, error) {
 	addr, ok := s.PeerAddr(peerName)
 	if !ok {
 		return nil, types.E(req.Op, peerName, types.ErrOffline)
 	}
-	var body json.RawMessage
+	var body []byte
 	do := func() error {
 		fwd := *req
 		fwd.OnBehalf = user
@@ -946,7 +948,7 @@ func (s *Server) dialPeerMux(addr string) (*wire.Mux, error) {
 // roundTrip is one call on the checked-out conn: req, then the stream
 // data when the op sends one (a relayed ingest), and a reply whose data
 // stream goes into sink when the op returns one.
-func (p *peerConn) roundTrip(req *wire.Request, data io.Reader, sink wire.Sink) (json.RawMessage, error) {
+func (p *peerConn) roundTrip(req *wire.Request, data io.Reader, sink wire.Sink) ([]byte, error) {
 	res, err := p.m.CallTo(req, data, sink, p.deadline)
 	if err != nil {
 		return nil, err
@@ -1008,14 +1010,14 @@ func (s *Server) peerNames() []string {
 // own, so fetching a trace never pollutes the trace being fetched.
 func (z reach) TraceSpans(id string) []obs.SpanRecord {
 	var spans []obs.SpanRecord
-	args, _ := json.Marshal(wire.TraceArgs{ID: id})
+	args, _ := wire.AppendBody(nil, wire.TraceArgs{ID: id})
 	for _, pn := range z.s.peerNames() {
 		body, err := z.s.proxyCall(pn, z.user, &wire.Request{Op: wire.OpTrace, Args: args}, time.Time{}, nil, true)
 		if err != nil {
 			continue
 		}
 		var rep wire.TraceReply
-		if json.Unmarshal(body, &rep) == nil {
+		if wire.DecodeBody(body, &rep) == nil {
 			spans = append(spans, rep.Spans...)
 		}
 	}
@@ -1033,7 +1035,7 @@ func (z reach) GridMembers(window time.Duration) []wire.GridMember {
 		z.deadline = time.Now().Add(z.budget)
 	}
 	var members []wire.GridMember
-	args, _ := json.Marshal(wire.GridStatArgs{WindowSeconds: int64(window / time.Second), LocalOnly: true})
+	args, _ := wire.AppendBody(nil, wire.GridStatArgs{WindowSeconds: int64(window / time.Second), LocalOnly: true})
 	for _, pn := range z.s.peerNames() {
 		m := wire.GridMember{Server: pn, Unreachable: true}
 		var rep wire.GridStatReply
@@ -1041,7 +1043,7 @@ func (z reach) GridMembers(window time.Duration) []wire.GridMember {
 		switch {
 		case err != nil:
 			m.Err = err.Error()
-		case json.Unmarshal(body, &rep) != nil || len(rep.Members) == 0:
+		case wire.DecodeBody(body, &rep) != nil || len(rep.Members) == 0:
 			m.Err = "malformed grid-stat reply"
 		default:
 			m = rep.Members[0]

@@ -1,8 +1,8 @@
 package server
 
 import (
-	"encoding/json"
 	"errors"
+	"fmt"
 	"net"
 	"testing"
 	"time"
@@ -52,26 +52,38 @@ func rawAuth(t *testing.T, addr string, a wire.Auth, key []byte) *wire.Conn {
 func roundTrip(t *testing.T, c *wire.Conn, req wire.Request) wire.Response {
 	t.Helper()
 	req.ID = 1 // one request at a time: any ID will do
-	if err := c.WriteJSON(wire.MsgRequest, req); err != nil {
+	if err := c.WriteRequest(&req); err != nil {
 		t.Fatal(err)
 	}
 	var resp wire.Response
-	if err := c.ReadJSON(wire.MsgResponse, &resp); err != nil {
+	if err := readResp(c, &resp); err != nil {
 		t.Fatal(err)
 	}
 	return resp
+}
+
+// readResp receives the next frame, requiring a response.
+func readResp(c *wire.Conn, resp *wire.Response) error {
+	typ, payload, err := c.ReadMsg()
+	if err != nil {
+		return err
+	}
+	if typ != wire.MsgResponse {
+		return fmt.Errorf("frame type %d, want a response", typ)
+	}
+	return wire.DecodeResponse(payload, resp)
 }
 
 func TestPeerRequestNeedsOnBehalf(t *testing.T) {
 	z := newZone(t, Proxy)
 	c := rawPeerConn(t, z.addr1, "srb2", zoneSecret)
 	// A peer request without OnBehalf has no effective user: refused.
-	resp := roundTrip(t, c, wire.Request{Op: wire.OpList, Args: mustJSON(t, wire.PathArgs{Path: "/"})})
+	resp := roundTrip(t, c, wire.Request{Op: wire.OpList, Args: mustArgs(t, wire.PathArgs{Path: "/"})})
 	if resp.OK || !errors.Is(resp.Err(), types.ErrAuth) {
 		t.Errorf("peer without OnBehalf = %+v", resp)
 	}
 	// With OnBehalf the zone trust applies.
-	resp = roundTrip(t, c, wire.Request{Op: wire.OpList, OnBehalf: "admin", Args: mustJSON(t, wire.PathArgs{Path: "/"})})
+	resp = roundTrip(t, c, wire.Request{Op: wire.OpList, OnBehalf: "admin", Args: mustArgs(t, wire.PathArgs{Path: "/"})})
 	if !resp.OK {
 		t.Errorf("peer with OnBehalf = %+v", resp.Err())
 	}
@@ -82,7 +94,7 @@ func TestOnBehalfIgnoredForUsers(t *testing.T) {
 	c := rawConn(t, z.addr1, "alice", "alicepw")
 	// A normal user cannot escalate by claiming OnBehalf=admin: the
 	// op runs as alice, who may not audit.
-	resp := roundTrip(t, c, wire.Request{Op: wire.OpAudit, OnBehalf: "admin", Args: mustJSON(t, wire.AuditArgs{})})
+	resp := roundTrip(t, c, wire.Request{Op: wire.OpAudit, OnBehalf: "admin", Args: mustArgs(t, wire.AuditArgs{})})
 	if resp.OK || !errors.Is(resp.Err(), types.ErrPermission) {
 		t.Errorf("OnBehalf escalation = %+v", resp)
 	}
@@ -120,13 +132,14 @@ func TestUnknownOpAndBadArgs(t *testing.T) {
 	if resp.OK || !errors.Is(resp.Err(), types.ErrUnsupported) {
 		t.Errorf("unknown op = %+v", resp)
 	}
-	// Malformed args JSON yields an error response, not a dropped
-	// connection: the next request still works.
-	resp = roundTrip(t, c, wire.Request{Op: wire.OpList, Args: []byte(`{"Path": 42}`)})
+	// Malformed args (a path cut short) yield an error response, not a
+	// dropped connection: the next request still works.
+	args := mustArgs(t, wire.PathArgs{Path: "/home"})
+	resp = roundTrip(t, c, wire.Request{Op: wire.OpList, Args: args[:len(args)-1]})
 	if resp.OK {
 		t.Error("malformed args should fail")
 	}
-	resp = roundTrip(t, c, wire.Request{Op: wire.OpList, Args: mustJSON(t, wire.PathArgs{Path: "/home"})})
+	resp = roundTrip(t, c, wire.Request{Op: wire.OpList, Args: mustArgs(t, wire.PathArgs{Path: "/home"})})
 	if !resp.OK {
 		t.Errorf("connection should survive a bad request: %+v", resp.Err())
 	}
@@ -182,9 +195,9 @@ func TestTicketBelowReadGrantsNothing(t *testing.T) {
 	}
 }
 
-func mustJSON(t *testing.T, v any) []byte {
+func mustArgs(t *testing.T, v any) []byte {
 	t.Helper()
-	b, err := json.Marshal(v)
+	b, err := wire.AppendBody(nil, v)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -180,6 +180,66 @@ func TestFederationProxy(t *testing.T) {
 	}
 }
 
+// TestHandBuiltPeerRequests drives every request a server builds for a
+// peer itself, rather than relaying its client's, across a two-server
+// zone: a bulk put's remote item, a multi-get's remote item, a
+// replication from a remote source and one to a remote target, and the
+// trace and grid-stat fan-outs. Each one's arguments must reach srb2 in
+// the encoding srb2 decodes, and its reply come back the same way.
+func TestHandBuiltPeerRequests(t *testing.T) {
+	z := newZone(t, Proxy)
+	cl := z.client(z.addr1, "alice", "alicepw")
+	res, err := cl.BulkPut([]client.BulkPut{{Path: "/home/remote", Data: []byte("on srb2"), Opts: client.PutOpts{Resource: "disk2"}}})
+	if err != nil || len(res) != 1 || !res[0].OK {
+		t.Fatalf("bulkput to a remote resource = %+v, %v", res, err)
+	}
+	items, err := cl.MultiGet([]string{"/home/remote"})
+	if err != nil || len(items) != 1 || items[0].Err != nil || string(items[0].Data) != "on srb2" {
+		t.Fatalf("multiget of a remote item = %+v, %v", items, err)
+	}
+	multiGetTrace := cl.LastTrace()
+	if r, err := cl.Replicate("/home/remote", "disk1"); err != nil || r.Resource != "disk1" {
+		t.Fatalf("replicate from a remote source = %+v, %v", r, err)
+	}
+	if _, err := cl.Put("/home/local", []byte("on srb1"), client.PutOpts{Resource: "disk1"}); err != nil {
+		t.Fatal(err)
+	}
+	r, err := cl.Replicate("/home/local", "disk2")
+	if err != nil || r.Resource != "disk2" {
+		t.Fatalf("replicate to a remote target = %+v, %v", r, err)
+	}
+	d2, err := z.b2.Driver("disk2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if data, err := stg.ReadAll(d2, r.PhysicalPath); err != nil || string(data) != "on srb1" {
+		t.Fatalf("replica on disk2 = %q, %v", data, err)
+	}
+	var tr wire.TraceReply
+	if err := cl.Call(wire.OpTrace, wire.TraceArgs{ID: multiGetTrace}, &tr); err != nil {
+		t.Fatal(err)
+	}
+	servers := map[string]bool{}
+	for _, sp := range tr.Spans {
+		servers[sp.Server] = true
+	}
+	if !servers["srb1"] || !servers["srb2"] {
+		t.Errorf("trace of the remote multiget spans servers %v, want srb1 and srb2", servers)
+	}
+	var grid wire.GridStatReply
+	if err := cl.Call(wire.OpGridStat, wire.GridStatArgs{WindowSeconds: 60}, &grid); err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range grid.Members {
+		if m.Unreachable || m.Err != "" {
+			t.Errorf("grid member %s = unreachable %v, %q", m.Server, m.Unreachable, m.Err)
+		}
+	}
+	if len(grid.Members) != 2 {
+		t.Errorf("grid members = %d, want 2", len(grid.Members))
+	}
+}
+
 func TestFederationRedirect(t *testing.T) {
 	z := newZone(t, Redirect)
 	// Seed via a direct connection to srb2.

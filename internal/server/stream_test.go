@@ -9,7 +9,6 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash"
@@ -378,22 +377,14 @@ func TestReadYourOwnTelemetry(t *testing.T) {
 
 // ---- pipelining next to a stream ----
 
-func statReq(t *testing.T, id uint64, path string) wire.Request {
+func statReq(t *testing.T, id uint64, path string) *wire.Request {
 	t.Helper()
-	args, err := json.Marshal(wire.PathArgs{Path: path})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return wire.Request{ID: id, Op: wire.OpStat, Args: args}
+	return &wire.Request{ID: id, Op: wire.OpStat, Args: mustArgs(t, wire.PathArgs{Path: path})}
 }
 
-func ingestReq(t *testing.T, id uint64, path, resource string) wire.Request {
+func ingestReq(t *testing.T, id uint64, path, resource string) *wire.Request {
 	t.Helper()
-	args, err := json.Marshal(wire.IngestArgs{Path: path, Resource: resource})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return wire.Request{ID: id, Op: wire.OpIngest, Args: args}
+	return &wire.Request{ID: id, Op: wire.OpIngest, Args: mustArgs(t, wire.IngestArgs{Path: path, Resource: resource})}
 }
 
 // TestPipelinedStatsBehindStreamedPut: a streamed Put followed on the
@@ -411,22 +402,22 @@ func TestPipelinedStatsBehindStreamedPut(t *testing.T) {
 	// reading replies first.
 	werr := make(chan error, 1)
 	go func() {
-		err := c.WriteJSON(wire.MsgRequest, ingestReq(t, 7, path, "disk1"))
+		err := c.WriteRequest(ingestReq(t, 7, path, "disk1"))
 		if err == nil {
 			err = c.SendData(bytes.NewReader(body))
 		}
 		if err == nil {
-			err = c.WriteJSON(wire.MsgRequest, statReq(t, 8, "/home"))
+			err = c.WriteRequest(statReq(t, 8, "/home"))
 		}
 		if err == nil {
-			err = c.WriteJSON(wire.MsgRequest, statReq(t, 9, path))
+			err = c.WriteRequest(statReq(t, 9, path))
 		}
 		werr <- err
 	}()
 	byID := map[uint64]wire.Response{}
 	for i := 0; i < 3; i++ {
 		var resp wire.Response
-		if err := c.ReadJSON(wire.MsgResponse, &resp); err != nil {
+		if err := readResp(c, &resp); err != nil {
 			t.Fatalf("reply %d: %v", i, err)
 		}
 		byID[resp.ID] = resp
@@ -436,11 +427,11 @@ func TestPipelinedStatsBehindStreamedPut(t *testing.T) {
 	}
 	put, coll, obj := byID[7], byID[8], byID[9]
 	var o types.DataObject
-	if !put.OK || json.Unmarshal(put.Body, &o) != nil || o.Size != int64(len(body)) {
+	if !put.OK || wire.DecodeBody(put.Body, &o) != nil || o.Size != int64(len(body)) {
 		t.Errorf("put reply = %+v (size %d), want ok with %d bytes", put, o.Size, len(body))
 	}
 	var st types.Stat
-	if !coll.OK || json.Unmarshal(coll.Body, &st) != nil || !st.IsCollect {
+	if !coll.OK || wire.DecodeBody(coll.Body, &st) != nil || !st.IsCollect {
 		t.Errorf("stat /home reply = %+v", coll)
 	}
 	// The second stat was sent after the put's stream, so the reader
@@ -461,15 +452,17 @@ func TestRequestWithoutIDIsRefused(t *testing.T) {
 	body := bytes.Repeat([]byte{0xEF}, wire.DataChunk+3)
 	c := rawConn(t, addr, "alice", "alicepw")
 	go func() {
-		c.WriteJSON(wire.MsgRequest, statReq(t, 0, "/home"))
-		c.WriteMsg(wire.MsgRequest, []byte(`{"ID":0,"Op":"stat","Args":{"Path":"/home"}}`))
-		if c.WriteJSON(wire.MsgRequest, ingestReq(t, 0, "/home/noid", "disk1")) == nil && c.SendData(bytes.NewReader(body)) == nil {
-			c.WriteJSON(wire.MsgRequest, statReq(t, 5, "/home/noid"))
+		c.WriteRequest(statReq(t, 0, "/home"))
+		// ID 0 spelled out byte by byte: no encoder writes it.
+		c.WriteMsg(wire.MsgRequest, append([]byte{0, 4, 's', 't', 'a', 't', 0, 0, 0, 0, 0, 0},
+			mustArgs(t, wire.PathArgs{Path: "/home"})...))
+		if c.WriteRequest(ingestReq(t, 0, "/home/noid", "disk1")) == nil && c.SendData(bytes.NewReader(body)) == nil {
+			c.WriteRequest(statReq(t, 5, "/home/noid"))
 		}
 	}()
 	for i := 0; i < 3; i++ {
 		var resp wire.Response
-		if err := c.ReadJSON(wire.MsgResponse, &resp); err != nil {
+		if err := readResp(c, &resp); err != nil {
 			t.Fatalf("reply %d: %v", i, err)
 		}
 		if resp.ID != 0 || resp.OK || !errors.Is(resp.Err(), types.ErrInvalid) {
@@ -479,7 +472,7 @@ func TestRequestWithoutIDIsRefused(t *testing.T) {
 	// The fourth reply answers the one well-formed request: had the
 	// ingest run, its object would be there.
 	var resp wire.Response
-	if err := c.ReadJSON(wire.MsgResponse, &resp); err != nil {
+	if err := readResp(c, &resp); err != nil {
 		t.Fatal(err)
 	}
 	if resp.ID != 5 || !errors.Is(resp.Err(), types.ErrNotFound) {
@@ -503,20 +496,20 @@ func TestRejectedStreamIsDrained(t *testing.T) {
 	_, _, addr := bootOne(t, map[string]stg.Driver{"disk1": memfs.New()}, nil, "")
 	body := bytes.Repeat([]byte{0xCD}, 2*wire.DataChunk+5)
 	c := rawConn(t, addr, "alice", "alicepw")
-	for i, req := range []wire.Request{
+	for i, req := range []*wire.Request{
 		ingestReq(t, 41, "/nowhere/x", "disk1"),
 		ingestReq(t, 41, "/home/x", "nodisk"),
 	} {
 		go func() {
-			if c.WriteJSON(wire.MsgRequest, req) == nil && c.SendData(bytes.NewReader(body)) == nil {
-				c.WriteJSON(wire.MsgRequest, statReq(t, 41, "/home"))
+			if c.WriteRequest(req) == nil && c.SendData(bytes.NewReader(body)) == nil {
+				c.WriteRequest(statReq(t, 41, "/home"))
 			}
 		}()
 		var rejected, next wire.Response
-		if err := c.ReadJSON(wire.MsgResponse, &rejected); err != nil {
+		if err := readResp(c, &rejected); err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}
-		if err := c.ReadJSON(wire.MsgResponse, &next); err != nil {
+		if err := readResp(c, &next); err != nil {
 			t.Fatalf("case %d: reply after a rejected stream: %v", i, err)
 		}
 		// Pipelined answers may overtake each other; tell them apart by
@@ -871,12 +864,12 @@ func TestStalledProxiedClientsStallNobody(t *testing.T) {
 		t.Fatal(err)
 	}
 	const stalled, budget = 4, 1200 * time.Millisecond
-	args, _ := json.Marshal(wire.PathArgs{Path: "/home/big"})
+	args := mustArgs(t, wire.PathArgs{Path: "/home/big"})
 	var conns []*wire.Conn
 	for i := 0; i < stalled; i++ {
 		c := rawConn(t, z.addr1, "alice", "alicepw")
 		req := wire.Request{ID: 1, Op: wire.OpGet, Args: args, TimeoutMillis: budget.Milliseconds()}
-		if err := c.WriteJSON(wire.MsgRequest, req); err != nil {
+		if err := c.WriteRequest(&req); err != nil {
 			t.Fatal(err)
 		}
 		conns = append(conns, c)

@@ -1,0 +1,477 @@
+// The request path's encoding. Request, Response and Redirect frames are
+// built append-style in one pooled buffer — fixed field order, uvarint
+// lengths — and sent with one Write; they decode without reflection.
+// Bodies (a request's Args, a response's Body) open with a one-byte tag
+// naming their Go type: a hot type (see appendBinary) follows in its own
+// binary layout, any other type as JSON. Which encoding a value gets is
+// thus a property of its type, identical at both ends, and a body decoded
+// into a type other than the one it was encoded from fails instead of
+// decoding into garbage. The handshake frames stay JSON (WriteJSON,
+// ReadJSON): they cross once per connection.
+package wire
+
+import (
+	"encoding/binary"
+	"encoding/json"
+	"fmt"
+	"sync"
+	"time"
+
+	"gosrb/internal/types"
+)
+
+var (
+	// errMalformed reports a frame or body that does not parse: truncated,
+	// a length beyond the bytes left, a bad flag, or bytes left over.
+	errMalformed = fmt.Errorf("wire: malformed frame or body: %w", types.ErrInvalid)
+	// errTag reports a body decoded into another type than it was encoded
+	// from.
+	errTag = fmt.Errorf("wire: body encodes another type: %w", types.ErrInvalid)
+)
+
+// ---- pooled frame buffers ----
+
+// hdrLen is the frame header every pooled buffer reserves room for.
+const hdrLen = 5
+
+// maxPooled bounds the buffers returned to the pool, so one large frame (a
+// bulk manifest) does not stay pinned for the life of the process.
+const maxPooled = 64 << 10
+
+var framePool = sync.Pool{New: func() any { b := make([]byte, 0, 512); return &b }}
+
+func getFrame() *[]byte { return framePool.Get().(*[]byte) }
+
+func putFrame(bp *[]byte) {
+	if cap(*bp) <= maxPooled {
+		*bp = (*bp)[:0]
+		framePool.Put(bp)
+	}
+}
+
+// send writes a frame built in b, whose first hdrLen bytes are reserved
+// for the header, with one Write.
+func (c *Conn) send(t MsgType, b []byte) error {
+	n := len(b) - hdrLen
+	if n > MaxFrame {
+		return types.E("write", "", fmt.Errorf("frame of %d bytes exceeds limit: %w", n, types.ErrInvalid))
+	}
+	b[0] = byte(t)
+	binary.BigEndian.PutUint32(b[1:hdrLen], uint32(n))
+	_, err := c.rw.Write(b)
+	return err
+}
+
+// WriteRequest sends one request frame.
+func (c *Conn) WriteRequest(r *Request) error {
+	bp := getFrame()
+	defer putFrame(bp)
+	*bp = appendRequest(append(*bp, make([]byte, hdrLen)...), r)
+	return c.send(MsgRequest, *bp)
+}
+
+// WriteResponse sends one response frame.
+func (c *Conn) WriteResponse(r *Response) error {
+	bp := getFrame()
+	defer putFrame(bp)
+	*bp = appendResponse(append(*bp, make([]byte, hdrLen)...), r)
+	return c.send(MsgResponse, *bp)
+}
+
+// WriteRedirect sends one redirect frame.
+func (c *Conn) WriteRedirect(r *Redirect) error {
+	bp := getFrame()
+	defer putFrame(bp)
+	*bp = appendRedirect(append(*bp, make([]byte, hdrLen)...), r)
+	return c.send(MsgRedirect, *bp)
+}
+
+// ReadRequest receives a frame, requiring a request, and decodes it into
+// r.
+func (c *Conn) ReadRequest(r *Request) error {
+	t, payload, err := c.ReadMsg()
+	if err != nil {
+		return err
+	}
+	if t != MsgRequest {
+		return fmt.Errorf("wire: expected a request, got message type %d: %w", t, types.ErrInvalid)
+	}
+	return DecodeRequest(payload, r)
+}
+
+// ---- envelopes ----
+
+func appendRequest(b []byte, r *Request) []byte {
+	b = binary.AppendUvarint(b, r.ID)
+	b = appendString(b, r.Op)
+	b = appendString(b, r.OnBehalf)
+	b = appendString(b, r.Ticket)
+	b = appendString(b, r.Trace)
+	b = appendString(b, r.Span)
+	b = binary.AppendVarint(b, int64(r.Attempt))
+	b = binary.AppendVarint(b, r.TimeoutMillis)
+	return append(b, r.Args...) // the rest of the frame
+}
+
+// DecodeRequest decodes a request frame's payload into r. The op name is
+// resolved through the op table; Args is a slice of p.
+func DecodeRequest(p []byte, r *Request) error {
+	d := decoder{b: p}
+	r.ID = d.uvarint()
+	op := d.bytes()
+	if s := specByName[string(op)]; s != nil {
+		r.Op = s.Name
+	} else {
+		r.Op = string(op)
+	}
+	r.OnBehalf = d.string()
+	r.Ticket = d.string()
+	r.Trace = d.string()
+	r.Span = d.string()
+	r.Attempt = int(d.varint())
+	r.TimeoutMillis = d.varint()
+	r.Args = d.rest()
+	return d.err
+}
+
+const (
+	respOK          = 1 << iota // Response.OK
+	respDataFollows             // Response.DataFollows
+)
+
+func appendResponse(b []byte, r *Response) []byte {
+	b = binary.AppendUvarint(b, r.ID)
+	var flags byte
+	if r.OK {
+		flags |= respOK
+	}
+	if r.DataFollows {
+		flags |= respDataFollows
+	}
+	b = append(b, flags)
+	b = appendString(b, r.ErrKind)
+	b = appendString(b, r.ErrMsg)
+	return append(b, r.Body...) // the rest of the frame
+}
+
+// DecodeResponse decodes a response frame's payload into r. Body is a
+// slice of p.
+func DecodeResponse(p []byte, r *Response) error {
+	d := decoder{b: p}
+	r.ID = d.uvarint()
+	flags := d.byte()
+	if flags&^(respOK|respDataFollows) != 0 {
+		d.fail()
+	}
+	r.OK, r.DataFollows = flags&respOK != 0, flags&respDataFollows != 0
+	r.ErrKind = internKind(d.bytes())
+	r.ErrMsg = d.string()
+	r.Body = d.rest()
+	return d.err
+}
+
+// internKind returns the errKinds name spelled by b without allocating.
+func internKind(b []byte) string {
+	for _, k := range errKinds {
+		if k.name == string(b) {
+			return k.name
+		}
+	}
+	return string(b)
+}
+
+func appendRedirect(b []byte, r *Redirect) []byte {
+	b = binary.AppendUvarint(b, r.ID)
+	b = appendString(b, r.Server)
+	return appendString(b, r.Addr)
+}
+
+// DecodeRedirect decodes a redirect frame's payload into r.
+func DecodeRedirect(p []byte, r *Redirect) error {
+	d := decoder{b: p}
+	r.ID = d.uvarint()
+	r.Server = d.string()
+	r.Addr = d.string()
+	d.end()
+	return d.err
+}
+
+// ---- bodies ----
+
+// AppendBody appends v's body encoding to b: v's type tag, then v in its
+// binary layout, or as JSON when its type has none.
+func AppendBody(b []byte, v any) ([]byte, error) {
+	if out, ok := appendBinary(b, v); ok {
+		return out, nil
+	}
+	raw, err := json.Marshal(v)
+	if err != nil {
+		return b, err
+	}
+	return append(append(b, tagJSON), raw...), nil
+}
+
+// DecodeBody decodes a reply body into v, a pointer to the type the body
+// was encoded from. An empty body leaves v as it is. The strings of a
+// decoded reply list share one allocation.
+func DecodeBody(body []byte, v any) error {
+	if len(body) == 0 {
+		return nil
+	}
+	if ok, err := decodeBinary(body, v, true); ok {
+		return err
+	}
+	return decodeJSON(body, v)
+}
+
+// DecodeArgs decodes a request's arguments into the op's argument struct;
+// absent arguments are the zero struct. Every decoded string is an
+// allocation of its own, so one that outlives the request (a catalog
+// row, a usage key) pins nothing else of the frame.
+func DecodeArgs[A any](raw []byte) (a A, err error) {
+	if len(raw) == 0 {
+		return a, nil
+	}
+	// &a goes only where it does not escape: a binary-coded A stays on the
+	// stack, and only the JSON path pays for a heap copy.
+	if ok, err := decodeBinary(raw, &a, false); ok {
+		return a, err
+	}
+	p := new(A)
+	err = decodeJSON(raw, p)
+	return *p, err
+}
+
+func decodeJSON(body []byte, v any) error {
+	if body[0] != tagJSON {
+		return errTag
+	}
+	return json.Unmarshal(body[1:], v)
+}
+
+// ---- primitives ----
+
+func appendString(b []byte, s string) []byte {
+	b = binary.AppendUvarint(b, uint64(len(s)))
+	return append(b, s...)
+}
+
+func appendBool(b []byte, v bool) []byte {
+	if v {
+		return append(b, 1)
+	}
+	return append(b, 0)
+}
+
+func appendInt(b []byte, v int) []byte { return binary.AppendVarint(b, int64(v)) }
+
+func appendInt64(b []byte, v int64) []byte { return binary.AppendVarint(b, v) }
+
+// appendTime writes a zero time as one 0 byte (UnixNano is undefined for
+// it), any other as 1, Unix seconds and nanoseconds. The location is not
+// kept: the instant is.
+func appendTime(b []byte, t time.Time) []byte {
+	if t.IsZero() {
+		return append(b, 0)
+	}
+	b = append(b, 1)
+	b = binary.AppendVarint(b, t.Unix())
+	return binary.AppendUvarint(b, uint64(t.Nanosecond()))
+}
+
+// appendLen writes a slice or map length as n+1, keeping 0 for nil: the
+// distinction JSON keeps between null and [].
+func appendLen(b []byte, n int, isNil bool) []byte {
+	if isNil {
+		return append(b, 0)
+	}
+	return binary.AppendUvarint(b, uint64(n)+1)
+}
+
+func appendSlice[T any](b []byte, s []T, enc func([]byte, *T) []byte) []byte {
+	b = appendLen(b, len(s), s == nil)
+	for i := range s {
+		b = enc(b, &s[i])
+	}
+	return b
+}
+
+func appendStrings(b []byte, s []string) []byte {
+	b = appendLen(b, len(s), s == nil)
+	for _, v := range s {
+		b = appendString(b, v)
+	}
+	return b
+}
+
+// decoder reads one encoded value. The first malformed read latches err
+// and leaves nothing more to read, so decoders need not check after each
+// field. Every length is checked against the bytes left before anything is
+// allocated for it, which keeps the frame reader's guarantee — memory
+// tracks bytes actually received — through the body decoders.
+type decoder struct {
+	b   []byte
+	off int
+	err error
+	// str, once share has set it, is b as one string: a reply list's
+	// strings are cut from it instead of allocated one by one.
+	str   string
+	share bool
+}
+
+func (d *decoder) fail() {
+	if d.err == nil {
+		d.err = errMalformed
+	}
+	d.off = len(d.b)
+}
+
+func (d *decoder) left() int { return len(d.b) - d.off }
+
+func (d *decoder) uvarint() uint64 {
+	v, n := binary.Uvarint(d.b[d.off:])
+	if n <= 0 {
+		d.fail()
+		return 0
+	}
+	d.off += n
+	return v
+}
+
+func (d *decoder) varint() int64 {
+	v, n := binary.Varint(d.b[d.off:])
+	if n <= 0 {
+		d.fail()
+		return 0
+	}
+	d.off += n
+	return v
+}
+
+func (d *decoder) int() int { return int(d.varint()) }
+
+func (d *decoder) byte() byte {
+	if d.left() < 1 {
+		d.fail()
+		return 0
+	}
+	d.off++
+	return d.b[d.off-1]
+}
+
+func (d *decoder) bool() bool {
+	v := d.byte()
+	if v > 1 {
+		d.fail()
+	}
+	return v == 1
+}
+
+// span reads a length-prefixed run and returns its offsets in b.
+func (d *decoder) span() (int, int) {
+	n := d.uvarint()
+	if n > uint64(d.left()) {
+		d.fail()
+		return d.off, d.off
+	}
+	start := d.off
+	d.off += int(n)
+	return start, d.off
+}
+
+// bytes reads a length-prefixed run as a slice of b.
+func (d *decoder) bytes() []byte {
+	i, j := d.span()
+	return d.b[i:j]
+}
+
+func (d *decoder) string() string {
+	i, j := d.span()
+	switch {
+	case i == j:
+		return ""
+	case d.str != "":
+		return d.str[i:j]
+	}
+	return string(d.b[i:j])
+}
+
+// shareStrings makes the rest of a client-side reply list cut its strings
+// from one copy of the body.
+func (d *decoder) shareStrings() {
+	if d.share && d.str == "" {
+		d.str = string(d.b)
+	}
+}
+
+func (d *decoder) time() time.Time {
+	switch d.byte() {
+	case 0:
+		return time.Time{}
+	case 1:
+		sec := d.varint()
+		nsec := d.uvarint()
+		if nsec >= 1e9 {
+			d.fail()
+		}
+		if d.err != nil {
+			return time.Time{}
+		}
+		return time.Unix(sec, int64(nsec))
+	}
+	d.fail()
+	return time.Time{}
+}
+
+// length reads a slice or map length (nil reports a nil one). min is the
+// fewest bytes one element encodes to, so no length can claim more
+// elements than the bytes left could hold.
+func (d *decoder) length(min int) (n int, isNil bool) {
+	v := d.uvarint()
+	if v == 0 {
+		return 0, true
+	}
+	if v-1 > uint64(d.left()/min) {
+		d.fail()
+		return 0, true
+	}
+	return int(v - 1), false
+}
+
+// makeSlice reads a slice length and makes the slice for its elements.
+func makeSlice[T any](d *decoder, min int) []T {
+	n, isNil := d.length(min)
+	if isNil {
+		return nil
+	}
+	return make([]T, n)
+}
+
+func (d *decoder) strings() []string {
+	n, isNil := d.length(1)
+	if isNil {
+		return nil
+	}
+	s := make([]string, n)
+	for i := range s {
+		s[i] = d.string()
+	}
+	return s
+}
+
+// rest returns the unread bytes (nil when there are none).
+func (d *decoder) rest() []byte {
+	if d.err != nil || d.left() == 0 {
+		return nil
+	}
+	r := d.b[d.off:]
+	d.off = len(d.b)
+	return r
+}
+
+// end fails a decode that left bytes unread.
+func (d *decoder) end() {
+	if d.left() != 0 {
+		d.fail()
+	}
+}

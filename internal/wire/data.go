@@ -8,7 +8,6 @@
 package wire
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 
@@ -205,9 +204,9 @@ func (b *Buffer) Grow(n int64) {
 
 // NewSizedBuffer returns a Buffer presized from body, the wire.SizeReply
 // with which a reply announces its stream's length.
-func NewSizedBuffer(body json.RawMessage) (*Buffer, error) {
+func NewSizedBuffer(body []byte) (*Buffer, error) {
 	var sz SizeReply
-	if err := json.Unmarshal(body, &sz); err != nil {
+	if _, err := decodeBinary(body, &sz, false); err != nil {
 		return nil, err
 	}
 	b := new(Buffer)

@@ -166,7 +166,7 @@ func TestDataReaderFragmentedTransport(t *testing.T) {
 	if err := w.WriteMsg(MsgDataEnd, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.WriteJSON(MsgRequest, Request{Op: OpStat}); err != nil {
+	if err := w.WriteRequest(&Request{Op: OpStat}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -180,7 +180,7 @@ func TestDataReaderFragmentedTransport(t *testing.T) {
 		t.Fatalf("received %d bytes (want %d), equal=%v", n, len(want), bytes.Equal(got.Bytes(), want))
 	}
 	var req Request
-	if err := r.ReadJSON(MsgRequest, &req); err != nil || req.Op != OpStat {
+	if err := r.ReadRequest(&req); err != nil || req.Op != OpStat {
 		t.Fatalf("frame after the stream = %+v, %v", req, err)
 	}
 }
@@ -193,7 +193,7 @@ func TestDataReaderDrain(t *testing.T) {
 	if err := w.SendData(bytes.NewReader(pattern(2*DataChunk + 99))); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.WriteJSON(MsgRequest, Request{Op: OpStat}); err != nil {
+	if err := w.WriteRequest(&Request{Op: OpStat}); err != nil {
 		t.Fatal(err)
 	}
 	r := NewConn(&wire)
@@ -212,7 +212,7 @@ func TestDataReaderDrain(t *testing.T) {
 		t.Errorf("read after drain = %d, %v", n, err)
 	}
 	var req Request
-	if err := r.ReadJSON(MsgRequest, &req); err != nil || req.Op != OpStat {
+	if err := r.ReadRequest(&req); err != nil || req.Op != OpStat {
 		t.Fatalf("frame after the drained stream = %+v, %v", req, err)
 	}
 }

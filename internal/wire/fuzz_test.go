@@ -7,6 +7,8 @@ package wire
 
 import (
 	"bytes"
+	"math/rand"
+	"reflect"
 	"runtime"
 	"testing"
 )
@@ -14,7 +16,7 @@ import (
 // FuzzFrameRoundTrip checks WriteMsg/ReadMsg are inverses for any type
 // byte and payload that fit in a frame.
 func FuzzFrameRoundTrip(f *testing.F) {
-	f.Add(uint8(MsgRequest), []byte(`{"Op":"stat"}`))
+	f.Add(uint8(MsgRequest), appendRequest(nil, &Request{ID: 1, Op: OpStat}))
 	f.Add(uint8(MsgData), []byte{})
 	f.Add(uint8(MsgDataEnd), []byte("x"))
 	f.Add(uint8(0xff), bytes.Repeat([]byte{0xa5}, 3000))
@@ -55,9 +57,9 @@ func FuzzDecodeFrame(f *testing.F) {
 		}
 		return buf.Bytes()
 	}
-	f.Add(valid(MsgRequest, []byte(`{"Op":"stat"}`)))
-	// A request that spells out the ID no Mux assigns: servers refuse it.
-	f.Add(valid(MsgRequest, []byte(`{"ID":0,"Op":"stat"}`)))
+	f.Add(valid(MsgRequest, appendRequest(nil, &Request{ID: 1, Op: OpStat})))
+	// A request with the ID no Mux assigns: servers refuse it.
+	f.Add(valid(MsgRequest, appendRequest(nil, &Request{Op: OpStat})))
 	f.Add(valid(MsgData, bytes.Repeat([]byte{1}, 70*1024)))
 	// Forged header: declares MaxFrame-1 bytes, delivers none (or one).
 	f.Add([]byte{byte(MsgResponse), 0x00, 0xff, 0xff, 0xff})
@@ -84,6 +86,75 @@ func FuzzDecodeFrame(f *testing.F) {
 		limit := 4*uint64(len(raw)) + 8*readAllocStep
 		if grew > limit {
 			t.Fatalf("decoding %d input bytes allocated %d bytes (limit %d)", len(raw), grew, limit)
+		}
+	})
+}
+
+// allocBound is what decoding n input bytes may allocate: a small multiple
+// of n plus slack for the runtime. The multiple is set by the costliest
+// element per encoded byte: a reply hit's one-entry values map (four
+// bytes) allocates a table group of eight slots, ≈400 bytes; everything
+// else stays under 40 bytes per byte. A length believed ahead of the bytes
+// that back it costs far more than this from a few input bytes.
+func allocBound(n int) uint64 { return 128*uint64(n) + 16<<10 }
+
+// allocated runs fn and returns the bytes it allocated.
+func allocated(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// FuzzDecodeRequest feeds arbitrary payloads to the envelope decoders:
+// no panic, allocation bounded by the input, and a request that decodes
+// decodes to itself again once re-encoded.
+func FuzzDecodeRequest(f *testing.F) {
+	args, _ := AppendBody(nil, PathArgs{Path: "/home/a"})
+	f.Add(appendRequest(nil, &Request{ID: 1, Op: OpStat, Trace: "t", Args: args}))
+	f.Add(appendRequest(nil, &Request{ID: 2, Op: "frobnicate", OnBehalf: "alice", TimeoutMillis: 5}))
+	f.Add(appendResponse(nil, &Response{ID: 3, OK: true, DataFollows: true, Body: args}))
+	f.Add(appendResponse(nil, &Response{ID: 4, ErrKind: "notfound", ErrMsg: "gone"}))
+	f.Add(appendRedirect(nil, &Redirect{ID: 5, Server: "srb2", Addr: "h:1"}))
+	// A string length far past the bytes that follow.
+	f.Add([]byte{1, 0xff, 0xff, 0xff, 0x07, 's'})
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		var req Request
+		var err error
+		if grew := allocated(func() { err = DecodeRequest(raw, &req) }); grew > allocBound(len(raw)) {
+			t.Fatalf("decoding a %d-byte request allocated %d bytes", len(raw), grew)
+		}
+		if err == nil {
+			var again Request
+			if err := DecodeRequest(appendRequest(nil, &req), &again); err != nil || !reflect.DeepEqual(again, req) {
+				t.Fatalf("request %+v re-encoded decodes as %+v, %v", req, again, err)
+			}
+		}
+		if grew := allocated(func() {
+			DecodeResponse(raw, new(Response))
+			DecodeRedirect(raw, new(Redirect))
+		}); grew > 2*allocBound(len(raw)) {
+			t.Fatalf("decoding a %d-byte response and redirect allocated %d bytes", len(raw), grew)
+		}
+	})
+}
+
+// FuzzDecodeBody feeds arbitrary bodies to the decoder of every hot type,
+// as args and as a reply: no panic, and no decoder allocates beyond the
+// bytes it was given.
+func FuzzDecodeBody(f *testing.F) {
+	r := rand.New(rand.NewSource(1))
+	for _, h := range hotTypes {
+		f.Add(h.sample(r))
+	}
+	// A list length far past the bytes that follow.
+	f.Add([]byte{tagStats, 0xff, 0xff, 0xff, 0x7f, 0})
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		for _, h := range hotTypes {
+			if grew := allocated(func() { h.decode(raw) }); grew > allocBound(len(raw)) {
+				t.Fatalf("decoding the %d-byte body %x allocated %d bytes", len(raw), raw, grew)
+			}
 		}
 	})
 }

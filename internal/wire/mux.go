@@ -9,7 +9,6 @@
 package wire
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -297,7 +296,7 @@ func (m *Mux) readLoop() {
 		switch t {
 		case MsgResponse:
 			res := &CallResult{}
-			if err := json.Unmarshal(payload, &res.Resp); err != nil {
+			if err := DecodeResponse(payload, &res.Resp); err != nil {
 				m.fatal(fmt.Errorf("wire: bad response frame: %w", types.ErrInvalid))
 				return
 			}
@@ -335,7 +334,7 @@ func (m *Mux) readLoop() {
 			}
 		case MsgRedirect:
 			var rd Redirect
-			if err := json.Unmarshal(payload, &rd); err != nil {
+			if err := DecodeRedirect(payload, &rd); err != nil {
 				m.fatal(fmt.Errorf("wire: bad redirect frame: %w", types.ErrInvalid))
 				return
 			}
@@ -374,7 +373,7 @@ func (m *Mux) CallTo(req *Request, data io.Reader, sink Sink, deadline time.Time
 	req.ID = id
 	var sent int64
 	m.wmu.Lock()
-	err = m.c.WriteJSON(MsgRequest, req)
+	err = m.c.WriteRequest(req)
 	if err == nil && data != nil {
 		sent, err = m.c.sendData(data)
 	}

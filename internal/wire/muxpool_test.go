@@ -47,13 +47,13 @@ func TestMuxOutOfOrderDemux(t *testing.T) {
 		reqs := make([]Request, 0, n)
 		for i := 0; i < n; i++ {
 			var req Request
-			if err := sc.ReadJSON(MsgRequest, &req); err != nil {
+			if err := sc.ReadRequest(&req); err != nil {
 				return
 			}
 			reqs = append(reqs, req)
 		}
 		for i := len(reqs) - 1; i >= 0; i-- {
-			sc.WriteJSON(MsgResponse, Response{ID: reqs[i].ID, OK: true, Body: echoBody(reqs[i].Op)})
+			sc.WriteResponse(&Response{ID: reqs[i].ID, OK: true, Body: echoBody(reqs[i].Op)})
 		}
 	}()
 	var wg sync.WaitGroup
@@ -90,15 +90,15 @@ func TestMuxTimeoutAbandons(t *testing.T) {
 	var stale Request
 	served := make(chan struct{})
 	go func() {
-		sc.ReadJSON(MsgRequest, &stale) // swallow: let it time out
+		sc.ReadRequest(&stale) // swallow: let it time out
 		var req Request
-		if err := sc.ReadJSON(MsgRequest, &req); err != nil {
+		if err := sc.ReadRequest(&req); err != nil {
 			return
 		}
-		sc.WriteJSON(MsgResponse, Response{ID: req.ID, OK: true, Body: echoBody(req.Op)})
+		sc.WriteResponse(&Response{ID: req.ID, OK: true, Body: echoBody(req.Op)})
 		// The abandoned call's response arrives late; the demux loop
 		// must drop it silently.
-		sc.WriteJSON(MsgResponse, Response{ID: stale.ID, OK: true, Body: echoBody(stale.Op)})
+		sc.WriteResponse(&Response{ID: stale.ID, OK: true, Body: echoBody(stale.Op)})
 		close(served)
 	}()
 	_, err := m.Call(&Request{Op: "slow"}, nil, time.Now().Add(30*time.Millisecond))
@@ -132,14 +132,14 @@ func TestMuxDataStreams(t *testing.T) {
 	m, sc, _ := muxPair(t)
 	go func() {
 		var a, b Request
-		if err := sc.ReadJSON(MsgRequest, &a); err != nil {
+		if err := sc.ReadRequest(&a); err != nil {
 			return
 		}
-		if err := sc.ReadJSON(MsgRequest, &b); err != nil {
+		if err := sc.ReadRequest(&b); err != nil {
 			return
 		}
 		for _, req := range []Request{b, a} { // reversed
-			sc.WriteJSON(MsgResponse, Response{ID: req.ID, OK: true, DataFollows: true})
+			sc.WriteResponse(&Response{ID: req.ID, OK: true, DataFollows: true})
 			sc.SendData(bytes2reader("payload-" + req.Op))
 		}
 	}()
@@ -189,13 +189,13 @@ func startEchoServer(nc net.Conn) {
 		var wmu sync.Mutex
 		for {
 			var req Request
-			if err := c.ReadJSON(MsgRequest, &req); err != nil {
+			if err := c.ReadRequest(&req); err != nil {
 				return
 			}
 			go func(req Request) {
 				wmu.Lock()
 				defer wmu.Unlock()
-				c.WriteJSON(MsgResponse, Response{ID: req.ID, OK: true, Body: echoBody(req.Op)})
+				c.WriteResponse(&Response{ID: req.ID, OK: true, Body: echoBody(req.Op)})
 			}(req)
 		}
 	}()
@@ -281,12 +281,12 @@ func TestPoolSharesThenDials(t *testing.T) {
 			c := NewConn(server)
 			for {
 				var req Request
-				if err := c.ReadJSON(MsgRequest, &req); err != nil {
+				if err := c.ReadRequest(&req); err != nil {
 					return
 				}
 				go func(req Request) {
 					<-release // stall until the test releases
-					c.WriteJSON(MsgResponse, Response{ID: req.ID, OK: true, Body: echoBody(req.Op)})
+					c.WriteResponse(&Response{ID: req.ID, OK: true, Body: echoBody(req.Op)})
 				}(req)
 			}
 		}()

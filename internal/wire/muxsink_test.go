@@ -47,10 +47,10 @@ func TestMuxSinkReceivesStream(t *testing.T) {
 	payload := pattern(DataChunk + 1234)
 	go func() {
 		var req Request
-		if err := sc.ReadJSON(MsgRequest, &req); err != nil {
+		if err := sc.ReadRequest(&req); err != nil {
 			return
 		}
-		sc.WriteJSON(MsgResponse, Response{ID: req.ID, OK: true, DataFollows: true})
+		sc.WriteResponse(&Response{ID: req.ID, OK: true, DataFollows: true})
 		sc.SendData(bytes.NewReader(payload))
 	}()
 	var got lockedBuf
@@ -74,14 +74,14 @@ func TestMuxSinkErrorKeepsConn(t *testing.T) {
 	go func() {
 		for i := 0; i < 2; i++ {
 			var req Request
-			if err := sc.ReadJSON(MsgRequest, &req); err != nil {
+			if err := sc.ReadRequest(&req); err != nil {
 				return
 			}
 			if req.Op == "get" {
-				sc.WriteJSON(MsgResponse, Response{ID: req.ID, OK: true, DataFollows: true})
+				sc.WriteResponse(&Response{ID: req.ID, OK: true, DataFollows: true})
 				sc.SendData(bytes.NewReader(pattern(3 * DataChunk)))
 			} else {
-				sc.WriteJSON(MsgResponse, Response{ID: req.ID, OK: true, Body: echoBody(req.Op)})
+				sc.WriteResponse(&Response{ID: req.ID, OK: true, Body: echoBody(req.Op)})
 			}
 		}
 	}()
@@ -110,10 +110,10 @@ func TestMuxTimeoutStopsSinkWrites(t *testing.T) {
 	go func() {
 		defer close(srvDone)
 		var req Request
-		if err := sc.ReadJSON(MsgRequest, &req); err != nil {
+		if err := sc.ReadRequest(&req); err != nil {
 			return
 		}
-		sc.WriteJSON(MsgResponse, Response{ID: req.ID, OK: true, DataFollows: true})
+		sc.WriteResponse(&Response{ID: req.ID, OK: true, DataFollows: true})
 		sc.WriteMsg(MsgData, pattern(1000))
 		<-rest // stall mid-stream until the caller has timed out
 		sc.WriteMsg(MsgData, pattern(5000))
@@ -162,10 +162,10 @@ func TestMuxBlockedSinkHonoursDeadline(t *testing.T) {
 	m, sc, _ := muxPair(t)
 	go func() {
 		var req Request
-		if err := sc.ReadJSON(MsgRequest, &req); err != nil {
+		if err := sc.ReadRequest(&req); err != nil {
 			return
 		}
-		sc.WriteJSON(MsgResponse, Response{ID: req.ID, OK: true, DataFollows: true})
+		sc.WriteResponse(&Response{ID: req.ID, OK: true, DataFollows: true})
 		sc.SendData(bytes.NewReader(pattern(3 * DataChunk)))
 	}()
 	w := newStuckWriter()
@@ -258,11 +258,11 @@ func TestMuxCallReportsSentLen(t *testing.T) {
 	m, sc, _ := muxPair(t)
 	go func() {
 		var req Request
-		if err := sc.ReadJSON(MsgRequest, &req); err != nil {
+		if err := sc.ReadRequest(&req); err != nil {
 			return
 		}
 		sc.RecvData(io.Discard)
-		sc.WriteJSON(MsgResponse, Response{ID: req.ID, OK: true})
+		sc.WriteResponse(&Response{ID: req.ID, OK: true})
 	}()
 	res, err := m.Call(&Request{Op: "ingest"}, bytes.NewReader(pattern(70000)), time.Now().Add(5*time.Second))
 	if err != nil || res.SentLen != 70000 {

@@ -1,7 +1,5 @@
 package wire
 
-import "encoding/json"
-
 // OpGate says who may call an op. The server's dispatcher enforces it
 // before the op's arguments are decoded.
 type OpGate uint8
@@ -136,13 +134,4 @@ func Idempotent(op string) bool {
 func StreamsIn(op string) bool {
 	s := specByName[op]
 	return s != nil && s.StreamsIn
-}
-
-// DecodeArgs unmarshals a request's argument JSON into the op's
-// argument struct; absent arguments are the zero struct.
-func DecodeArgs[A any](raw json.RawMessage) (a A, err error) {
-	if len(raw) > 0 {
-		err = json.Unmarshal(raw, &a)
-	}
-	return a, err
 }

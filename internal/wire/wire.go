@@ -1,8 +1,9 @@
 // Package wire implements the SRB client/server protocol: a framed
 // message layer over TCP with a challenge–response authentication
-// handshake, JSON-encoded requests and responses, raw frames for bulk
-// data, and a redirect message for the federation ("users can connect
-// to any SRB server to access data from any other SRB server").
+// handshake (JSON), binary-encoded requests and responses (codec.go),
+// raw frames for bulk data, and a redirect message for the federation
+// ("users can connect to any SRB server to access data from any other
+// SRB server").
 //
 // Frame layout: 1-byte type, 4-byte big-endian payload length, payload.
 // Bulk data flows as a sequence of Data frames ended by a DataEnd frame
@@ -15,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"strings"
 	"time"
 
 	"gosrb/internal/chunk"
@@ -64,7 +66,8 @@ type Auth struct {
 	Response string // HMAC of the nonce under the derived key
 }
 
-// Request is one operation. Args is op-specific JSON. OnBehalf names
+// Request is one operation. Args is the op's argument struct, encoded
+// by AppendBody (DecodeArgs reads it back). OnBehalf names
 // the effective user and is honoured only on peer-authenticated
 // connections — the federation's single sign-on: the owning server
 // trusts a zone peer's assertion of who the end user is.
@@ -98,7 +101,7 @@ type Request struct {
 	// federation hop forwards only what is left, so the budget shrinks
 	// across the grid and a slow peer cannot stall the whole chain.
 	TimeoutMillis int64 `json:",omitempty"`
-	Args          json.RawMessage
+	Args          []byte
 }
 
 // SetBudget rewrites the request's time budget to what remains before
@@ -112,7 +115,9 @@ func (r *Request) SetBudget(deadline time.Time) error {
 	}
 	left := time.Until(deadline)
 	if left <= 0 {
-		return types.E(r.Op, "", types.ErrTimeout)
+		// The error keeps a copy of the op name, not the request's: a
+		// request whose Args sit in its caller's stack buffer stays there.
+		return types.E(strings.Clone(r.Op), "", types.ErrTimeout)
 	}
 	r.TimeoutMillis = left.Milliseconds()
 	if r.TimeoutMillis < 1 {
@@ -121,15 +126,16 @@ func (r *Request) SetBudget(deadline time.Time) error {
 	return nil
 }
 
-// Response answers a Request. Body is op-specific JSON. ErrKind names a
-// types sentinel so clients can reconstruct errors.Is-compatible errors.
+// Response answers a Request. Body is the op's reply, encoded by
+// AppendBody (DecodeBody reads it back). ErrKind names a types sentinel
+// so clients can reconstruct errors.Is-compatible errors.
 type Response struct {
 	// ID echoes the request's correlation ID.
 	ID      uint64 `json:",omitempty"`
 	OK      bool
 	ErrKind string
 	ErrMsg  string
-	Body    json.RawMessage
+	Body    []byte
 	// DataFollows indicates that Data frames follow this response.
 	DataFollows bool
 }
@@ -232,7 +238,7 @@ func (c *Conn) readHeader() (MsgType, int, error) {
 }
 
 // ReadMsg receives one frame into a freshly allocated payload. Control
-// frames (JSON) come this way; bulk data is read through OpenData or
+// frames come this way; bulk data is read through OpenData or
 // RecvData, which fill the caller's buffer instead.
 func (c *Conn) ReadMsg() (MsgType, []byte, error) {
 	t, n, err := c.readHeader()
@@ -287,7 +293,7 @@ func readPayload(r io.Reader, n int) ([]byte, error) {
 	return buf[:n], nil
 }
 
-// WriteJSON sends a JSON-encoded frame.
+// WriteJSON sends a JSON-encoded frame: the handshake's.
 func (c *Conn) WriteJSON(t MsgType, v any) error {
 	b, err := json.Marshal(v)
 	if err != nil {
@@ -308,13 +314,17 @@ func (c *Conn) ReadJSON(want MsgType, v any) error {
 	return json.Unmarshal(payload, v)
 }
 
-// OkResponse marshals a success response with the given body.
+// OkResponse builds a success response with the given body, encoded
+// into a slice of its own size.
 func OkResponse(body any, dataFollows bool) (Response, error) {
-	raw, err := json.Marshal(body)
+	bp := getFrame()
+	defer putFrame(bp)
+	raw, err := AppendBody(*bp, body)
 	if err != nil {
 		return Response{}, err
 	}
-	return Response{OK: true, Body: raw, DataFollows: dataFollows}, nil
+	*bp = raw
+	return Response{OK: true, Body: append([]byte(nil), raw...), DataFollows: dataFollows}, nil
 }
 
 // ErrResponse marshals a failure response carrying err.

@@ -241,6 +241,27 @@ func TestHandshake(t *testing.T) {
 	}
 }
 
+// TestHandshakeBytes pins the handshake frames, the one part of the
+// protocol that is JSON: byte for byte what they were before requests
+// and responses went binary (the refusal is a JSON Response).
+func TestHandshakeBytes(t *testing.T) {
+	var buf bytes.Buffer
+	c := NewConn(&buf)
+	c.WriteJSON(MsgChallenge, Challenge{Server: "srb1", Nonce: "0f1e"})
+	c.WriteJSON(MsgAuth, Auth{User: "alice", Response: "abcd"})
+	c.WriteJSON(MsgAuth, Auth{Peer: "srb2", Response: "abcd"})
+	c.WriteJSON(MsgAuthOK, AuthOK{Server: "srb1"})
+	c.WriteJSON(MsgResponse, ErrResponse(types.E("auth", "alice", types.ErrAuth)))
+	const want = "\x01\x00\x00\x00 {\"Server\":\"srb1\",\"Nonce\":\"0f1e\"}" +
+		"\x02\x00\x00\x00,{\"User\":\"alice\",\"Peer\":\"\",\"Response\":\"abcd\"}" +
+		"\x02\x00\x00\x00+{\"User\":\"\",\"Peer\":\"srb2\",\"Response\":\"abcd\"}" +
+		"\x03\x00\x00\x00\x11{\"Server\":\"srb1\"}" +
+		"\x05\x00\x00\x00o{\"OK\":false,\"ErrKind\":\"auth\",\"ErrMsg\":\"srb: auth alice: authentication failed\",\"Body\":null,\"DataFollows\":false}"
+	if got := buf.String(); got != want {
+		t.Errorf("handshake frames changed:\n got %q\nwant %q", got, want)
+	}
+}
+
 // TestSetBudget: no deadline leaves the budget alone, a live one
 // rewrites it to what is left, a spent one fails before anything is sent.
 func TestSetBudget(t *testing.T) {
