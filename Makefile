@@ -109,13 +109,18 @@ test-phases:
 # reshard persistence, repeated under -race — the scatter fan-out, the
 # journal-observer replication feed, and the deadline-partial path are
 # all cross-goroutine. (The shard failover chaos e2e rides test-faults'
-# 10x TestChaos loop.) Then the query evaluator: its differential test
-# against the reference evaluator and a 4-shard router, and 15 s of the
-# LIKE matcher fuzzed against the recursive matcher it replaced.
+# 10x TestChaos loop.) Then the catalog against itself: the query and
+# mutation differential tests (a monolith against a 4-shard router, the
+# router reopened at 3 and 1 shards), 15 s of the LIKE matcher fuzzed
+# against the recursive matcher it replaced, and 15 s of arbitrary
+# journal bytes through the one applier boot replay, replication and
+# migration share. (Minimizing an input as long as a journal would
+# otherwise take the whole 15 s.)
 test-mcat:
 	$(GO) test -race -count=10 ./internal/mcat/shard/
 	$(GO) test -race -count=10 -run 'Query|Like|Differential' ./internal/mcat/
 	$(GO) test -run '^$$' -fuzz=FuzzLikeMatch -fuzztime=15s ./internal/mcat/
+	$(GO) test -run '^$$' -fuzz=FuzzJournalReplay -fuzztime=15s -fuzzminimizetime=1s ./internal/mcat/
 
 # Heat-observatory sweep: the top-K sketch (Zipf recall, decay,
 # concurrent writers, rollup fold, persistence) and the replication-lag

@@ -221,10 +221,18 @@ func TestE11PipeliningAndBatchingBeatSerial(t *testing.T) {
 	speedupFloor(t, byID(t, "e11"), "speedup_vs_serial", 3)
 }
 
-// The 4-shard router clears 2x monolithic throughput on the 30%
-// register mix (EXPERIMENTS.md records 4.3x).
+// A deep-scoped query on the 4-shard router scans at least 2x fewer
+// candidates than on the monolith. The reduction is counted, not timed,
+// so load on the host cannot fail it; the table's wall-clock speedup
+// (EXPERIMENTS.md records 4.3x) is what the reduction buys.
 func TestE12ShardingBeatsMonolithic(t *testing.T) {
-	speedupFloor(t, byID(t, "e12"), "speedup_vs_monolithic", 2)
+	tb := byID(t, "e12")
+	ci := col(t, tb, "scan_reduction")
+	for _, row := range tb.Rows[1:] {
+		if got := parse(t, row[ci]); got < 2 {
+			t.Errorf("E12 %s: scan reduction %.2fx is under the 2.0x floor\n%s", row[0], got, tb.Format())
+		}
+	}
 }
 
 // async:1 ingest clears 1.5x the synchronous 3-member fan-out

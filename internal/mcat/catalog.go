@@ -173,7 +173,7 @@ func (c *Catalog) AddUser(u types.User) error {
 		u.CreatedAt = c.now()
 	}
 	c.users[u.Name] = &u
-	c.log(journalEntry{Op: "adduser", User: &u})
+	c.log(Entry{Op: "adduser", User: &u})
 	return nil
 }
 
@@ -211,7 +211,7 @@ func (c *Catalog) DeleteUser(name string) error {
 	for _, g := range c.groups {
 		g.Members = removeString(g.Members, name)
 	}
-	c.log(journalEntry{Op: "deluser", Name: name})
+	c.log(Entry{Op: "deluser", Name: name})
 	return nil
 }
 
@@ -226,7 +226,7 @@ func (c *Catalog) AddGroup(name string) error {
 		return types.E("addgroup", name, types.ErrExists)
 	}
 	c.groups[name] = &types.Group{Name: name}
-	c.log(journalEntry{Op: "addgroup", Group: name})
+	c.log(Entry{Op: "addgroup", Group: name})
 	return nil
 }
 
@@ -247,7 +247,7 @@ func (c *Catalog) AddToGroup(group, user string) error {
 		}
 	}
 	g.Members = append(g.Members, user)
-	c.log(journalEntry{Op: "addtogroup", Group: group, Member: user})
+	c.log(Entry{Op: "addtogroup", Group: group, Member: user})
 	return nil
 }
 
@@ -260,7 +260,7 @@ func (c *Catalog) RemoveFromGroup(group, user string) error {
 		return types.E("rmfromgroup", group, types.ErrNotFound)
 	}
 	g.Members = removeString(g.Members, user)
-	c.log(journalEntry{Op: "rmfromgroup", Group: group, Member: user})
+	c.log(Entry{Op: "rmfromgroup", Group: group, Member: user})
 	return nil
 }
 
@@ -349,7 +349,7 @@ func (c *Catalog) AddResource(r types.Resource) error {
 	}
 	r.Online = true
 	c.resources[r.Name] = &r
-	c.log(journalEntry{Op: "addresource", Resource: &r})
+	c.log(Entry{Op: "addresource", Resource: &r})
 	return nil
 }
 
@@ -390,7 +390,7 @@ func (c *Catalog) SetResourceOnline(name string, online bool) error {
 		return types.E("setonline", name, types.ErrNotFound)
 	}
 	r.Online = online
-	c.log(journalEntry{Op: "setonline", Name: name, Online: online})
+	c.log(Entry{Op: "setonline", Name: name, Online: online})
 	return nil
 }
 
@@ -414,7 +414,7 @@ func (c *Catalog) SetResourcePolicy(name, policy string) error {
 		return types.E("setpolicy", policy, types.ErrInvalid)
 	}
 	r.ReplPolicy = policy
-	c.log(journalEntry{Op: "replpolicy", Name: name, Value: policy})
+	c.log(Entry{Op: "replpolicy", Name: name, Value: policy})
 	return nil
 }
 
@@ -465,7 +465,7 @@ func (c *Catalog) DeleteResource(name string) error {
 		}
 	}
 	delete(c.resources, name)
-	c.log(journalEntry{Op: "delresource", Name: name})
+	c.log(Entry{Op: "delresource", Name: name})
 	return nil
 }
 

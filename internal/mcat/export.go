@@ -1,128 +1,149 @@
 package mcat
 
 import (
-	"gosrb/internal/acl"
+	"sort"
+
 	"gosrb/internal/types"
 )
 
-// Path-state export/import is the carrying half of cross-shard
-// migration: when an object or a collection subtree changes its home
-// partition, everything that rides on the path — permissions,
-// descriptive metadata, structural rules, annotations and file-based
-// metadata pointers — must travel with it. The importer reapplies the
-// state through the normal mutators so every piece is journaled and
-// replicates like any other write.
-
-// PathState bundles the satellite state of one logical path.
-type PathState struct {
-	ACL        acl.List
-	Meta       map[types.MetaClass][]types.AVU
-	Structural []types.StructuralAttr
-	Annots     []types.Annotation
-	FileMeta   []string
-}
-
-// Empty reports whether the state carries nothing worth importing.
-func (st PathState) Empty() bool {
-	return len(st.ACL) == 0 && len(st.Meta) == 0 && len(st.Structural) == 0 &&
-		len(st.Annots) == 0 && len(st.FileMeta) == 0
-}
-
-// ExportPathState captures the satellite state of path. Structural
-// attributes are the path's own definitions only (not the inherited
-// view), so importing onto the same relative position reproduces the
-// original inheritance.
-func (c *Catalog) ExportPathState(path string) PathState {
-	path = types.CleanPath(path)
+// Export returns the entries that recreate the state at and under root
+// with its identity (IDs, replicas, timestamps, link targets): root's
+// collections, shallow-first, then its objects, then each path's ACL,
+// metadata, structural attributes and annotations, then file-metadata
+// attachments, which name other objects. For "/" it is the whole
+// catalog in the order Apply needs: users, groups and their members,
+// and resources — physical before logical, with their online state and
+// ACLs — come first, and the repair queue last. Root itself is a
+// collection or an object; a path that is neither exports nothing.
+func (c *Catalog) Export(root string) []Entry {
+	root = types.CleanPath(root)
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	st := PathState{
-		ACL:        c.acls[path].Clone(),
-		Structural: append([]types.StructuralAttr(nil), c.structural[path]...),
-		Annots:     append([]types.Annotation(nil), c.annots[path]...),
-		FileMeta:   append([]string(nil), c.fileMeta[path]...),
-	}
-	if entries := c.meta[path]; len(entries) > 0 {
-		st.Meta = make(map[types.MetaClass][]types.AVU)
-		for _, e := range entries {
-			st.Meta[e.Class] = append(st.Meta[e.Class], e.AVU)
+	whole := root == "/"
+	var out []Entry
+	if whole {
+		for _, name := range sortedKeys(c.users) {
+			u := *c.users[name]
+			out = append(out, Entry{Op: "adduser", User: &u})
 		}
-	}
-	return st
-}
-
-// ImportPathState reapplies exported state to path, which must already
-// exist here. Each piece goes through the ordinary mutator so it is
-// journaled individually; a failure leaves the pieces applied so far in
-// place and reports the first error.
-func (c *Catalog) ImportPathState(path string, st PathState) error {
-	path = types.CleanPath(path)
-	for _, e := range st.ACL {
-		if err := c.SetACL(path, e.Grantee, e.Level); err != nil {
-			return err
+		for _, name := range sortedKeys(c.groups) {
+			out = append(out, Entry{Op: "addgroup", Group: name})
+			for _, m := range c.groups[name].Members {
+				out = append(out, Entry{Op: "addtogroup", Group: name, Member: m})
+			}
 		}
-	}
-	for class, avus := range st.Meta {
-		for _, avu := range avus {
-			if err := c.AddMeta(path, class, avu); err != nil {
-				return err
+		names := sortedKeys(c.resources)
+		sort.SliceStable(names, func(i, j int) bool { // physical (0) before logical
+			return c.resources[names[i]].Kind < c.resources[names[j]].Kind
+		})
+		for _, name := range names {
+			r := *c.resources[name]
+			r.Members = append([]string(nil), r.Members...)
+			out = append(out, Entry{Op: "addresource", Resource: &r})
+			if !r.Online { // AddResource registers a resource online
+				out = append(out, Entry{Op: "setonline", Name: name})
+			}
+			for _, g := range c.acls["resource:"+name] {
+				out = append(out, Entry{Op: "setresourceacl", Name: name, Grantee: g.Grantee, Level: int(g.Level)})
 			}
 		}
 	}
-	for _, a := range st.Structural {
-		if err := c.SetStructural(path, a); err != nil {
-			return err
+
+	// A parent sorts before its children, so sorted is shallow-first.
+	var colls, objs []string
+	for p := range c.colls {
+		if p != "/" && types.WithinOrEqual(root, p) {
+			colls = append(colls, p)
 		}
 	}
-	for _, an := range st.Annots {
-		if err := c.AddAnnotation(path, an); err != nil {
-			return err
+	for p := range c.objects {
+		if types.WithinOrEqual(root, p) {
+			objs = append(objs, p)
 		}
 	}
-	for _, f := range st.FileMeta {
-		if err := c.AttachFileMeta(path, f); err != nil {
-			return err
+	sort.Strings(colls)
+	sort.Strings(objs)
+	for _, p := range colls {
+		col := *c.colls[p]
+		out = append(out, Entry{Op: "mkcoll", Coll: &col})
+	}
+	for _, p := range objs {
+		out = append(out, Entry{Op: "register", Object: cloneObject(c.objects[p])})
+	}
+
+	paths := append(colls, objs...)
+	if whole {
+		paths = append([]string{"/"}, paths...)
+	}
+	for _, p := range paths {
+		for _, g := range c.acls[p] {
+			out = append(out, Entry{Op: "setacl", Path: p, Grantee: g.Grantee, Level: int(g.Level)})
+		}
+		for _, m := range c.meta[p] {
+			avu := m.AVU
+			out = append(out, Entry{Op: "addmeta", Path: p, Class: int(m.Class), AVU: &avu})
+		}
+		for _, a := range c.structural[p] {
+			attr := a
+			attr.Defaults = append([]string(nil), a.Defaults...)
+			out = append(out, Entry{Op: "structural", Path: p, Attr: &attr})
+		}
+		for _, a := range c.annots[p] {
+			ann := a
+			out = append(out, Entry{Op: "annotate", Path: p, Ann: &ann})
 		}
 	}
-	return nil
+	for _, p := range paths {
+		for _, f := range c.fileMeta[p] {
+			out = append(out, Entry{Op: "filemeta", Path: p, Path2: f})
+		}
+	}
+
+	if whole {
+		for _, key := range sortedKeys(c.repairs) {
+			t := *c.repairs[key]
+			out = append(out, Entry{Op: "repairenq", Repair: &t})
+		}
+	}
+	return out
 }
 
-// ResourceACLList returns the explicit ACL of a resource (nil when
-// none was granted) so migrations can carry resource permissions.
-func (c *Catalog) ResourceACLList(resource string) acl.List {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.acls["resource:"+resource].Clone()
+// Rebase returns the entry moved from one place in the namespace to
+// another: every path it names that lies at or under from — the path
+// it is about, a second path, a collection's path and link target, an
+// object's location, link target and container — lies at the same
+// place under to. Other paths are left as they are.
+func (e Entry) Rebase(from, to string) Entry {
+	e.Path, e.Path2 = rebaseIn(from, to, e.Path), rebaseIn(from, to, e.Path2)
+	if e.Coll != nil {
+		col := *e.Coll
+		col.Path, col.LinkTarget = rebaseIn(from, to, col.Path), rebaseIn(from, to, col.LinkTarget)
+		e.Coll = &col
+	}
+	if e.Object != nil {
+		o := cloneObject(e.Object)
+		p := rebaseIn(from, to, o.Path())
+		o.Collection, o.Name = types.Parent(p), types.Base(p)
+		o.LinkTarget, o.Container = rebaseIn(from, to, o.LinkTarget), rebaseIn(from, to, o.Container)
+		e.Object = o
+	}
+	return e
 }
 
-// AdoptColl inserts a fully-formed collection preserving its identity
-// (owner, creation time, link target) — the receiving side of a
-// subtree migration. The parent must already exist. The entry is
-// journaled as a "mkcoll" of the whole collection so replay restores
-// it exactly.
-func (c *Catalog) AdoptColl(col types.Collection) error {
-	col.Path = types.CleanPath(col.Path)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if col.Path == "/" {
-		return types.E("adoptcoll", col.Path, types.ErrExists)
+// rebaseIn moves p from under from to under to; a path elsewhere, or
+// none, is returned as it is.
+func rebaseIn(from, to, p string) string {
+	if p == "" || !types.WithinOrEqual(from, p) {
+		return p
 	}
-	if !types.ValidName(types.Base(col.Path)) {
-		return types.E("adoptcoll", col.Path, types.ErrInvalid)
+	return types.Rebase(from, to, p)
+}
+
+func sortedKeys[V any](m map[string]V) []string {
+	out := make([]string, 0, len(m))
+	for k := range m {
+		out = append(out, k)
 	}
-	if _, ok := c.colls[col.Path]; ok {
-		return types.E("adoptcoll", col.Path, types.ErrExists)
-	}
-	if _, ok := c.objects[col.Path]; ok {
-		return types.E("adoptcoll", col.Path, types.ErrExists)
-	}
-	parent := types.Parent(col.Path)
-	if _, ok := c.colls[parent]; !ok {
-		return types.E("adoptcoll", parent, types.ErrNotFound)
-	}
-	cp := col
-	c.colls[col.Path] = &cp
-	c.addChildColl(parent, col.Path)
-	c.log(journalEntry{Op: "mkcoll", Coll: &cp})
-	return nil
+	sort.Strings(out)
+	return out
 }

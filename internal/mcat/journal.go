@@ -13,13 +13,16 @@ import (
 
 // The journal is the catalog's append log: every mutation is recorded
 // as one JSON line, so a catalog can be rebuilt as snapshot + replayed
-// tail. srbd keeps a journal beside its periodic snapshots; a crash
-// loses at most the mutations after the last fsync of the journal
-// writer rather than everything since the last snapshot.
+// tail. srbd keeps a journal beside its periodic snapshots. Each line
+// is one Write to the file, issued before the mutation returns, so a
+// killed process loses nothing whose Write returned; nothing is fsynced
+// until Close, so what a power loss takes is unbounded.
 
-// journalEntry is one logged mutation. Exactly one payload field is set
-// per Op.
-type journalEntry struct {
+// Entry is one logged mutation, and the unit in which catalog state
+// moves between catalogs: boot replay, follower replication and
+// migration between shards (Export) all hand entries to Apply. The
+// payload fields an Op uses are set; the rest stay empty.
+type Entry struct {
 	Op string
 
 	User     *types.User           `json:",omitempty"`
@@ -94,7 +97,7 @@ func (j *Journal) Close() error {
 	return err
 }
 
-func (j *Journal) append(e *journalEntry) error {
+func (j *Journal) append(e *Entry) error {
 	line, err := json.Marshal(e)
 	if err != nil {
 		return err
@@ -130,17 +133,20 @@ func (j *Journal) Sync() error {
 	return nil
 }
 
-// SetJournal attaches (or with nil detaches) the catalog's append log.
-// Mutations made while attached are recorded; reads never are.
-func (c *Catalog) SetJournal(j *Journal) {
+// SetJournal attaches (or with nil detaches) the catalog's append log
+// and returns the one it replaces. Mutations made while attached are
+// recorded; reads never are.
+func (c *Catalog) SetJournal(j *Journal) *Journal {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	old := c.journal
 	c.journal = j
+	return old
 }
 
 // log records a mutation if a journal is attached. Callers hold the
 // write lock, which also serialises entries in mutation order.
-func (c *Catalog) log(e journalEntry) {
+func (c *Catalog) log(e Entry) {
 	if c.journal != nil {
 		// The mutation is already applied in memory and stays applied: a
 		// journal I/O error must not corrupt catalog state. It is latched
@@ -202,15 +208,8 @@ type ReplayStats struct {
 func (c *Catalog) ReplayCounted(r io.Reader) (st ReplayStats, err error) {
 	// Detach the journal while replaying: replayed mutations must not be
 	// re-logged.
-	c.mu.Lock()
-	saved := c.journal
-	c.journal = nil
-	c.mu.Unlock()
-	defer func() {
-		c.mu.Lock()
-		c.journal = saved
-		c.mu.Unlock()
-	}()
+	saved := c.SetJournal(nil)
+	defer c.SetJournal(saved)
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16<<20)
 	for sc.Scan() {
@@ -218,12 +217,12 @@ func (c *Catalog) ReplayCounted(r io.Reader) (st ReplayStats, err error) {
 		if len(line) == 0 {
 			continue
 		}
-		var e journalEntry
+		var e Entry
 		if err := json.Unmarshal(line, &e); err != nil {
 			st.Corrupt++
 			continue
 		}
-		if c.apply(&e) {
+		if c.Apply(e) == nil {
 			st.Applied++
 		}
 	}
@@ -252,18 +251,13 @@ func (c *Catalog) ReplayFileCounted(path string) (ReplayStats, error) {
 // The caller must be the shard's sole writer while replication is
 // active; the router's role guard enforces that for routed traffic.
 func (c *Catalog) ApplyEntry(line []byte) (bool, error) {
-	var e journalEntry
+	var e Entry
 	if err := json.Unmarshal(line, &e); err != nil {
 		return false, types.E("replicate", "", err)
 	}
-	c.mu.Lock()
-	saved := c.journal
-	c.journal = nil
-	c.mu.Unlock()
-	applied := c.apply(&e)
-	c.mu.Lock()
-	c.journal = saved
-	c.mu.Unlock()
+	saved := c.SetJournal(nil)
+	applied := c.Apply(e) == nil
+	c.SetJournal(saved)
 	if applied && saved != nil {
 		if err := saved.AppendRaw(line); err != nil {
 			c.mu.Lock()
@@ -274,136 +268,167 @@ func (c *Catalog) ApplyEntry(line []byte) (bool, error) {
 	return applied, nil
 }
 
-// apply executes one journal entry, reporting whether it took effect.
-func (c *Catalog) apply(e *journalEntry) bool {
+// Apply executes one entry: the single applier behind boot replay,
+// follower replication (ApplyEntry) and migration between catalogs
+// (Export). It goes through the catalog's own mutators, and its
+// identity-preserving inserts ("mkcoll", "register") are journaled like
+// them when a journal is attached. A nil error means the entry took
+// effect.
+func (c *Catalog) Apply(e Entry) error {
 	switch e.Op {
 	case "adduser":
-		return e.User != nil && c.AddUser(*e.User) == nil
+		if e.User != nil {
+			return c.AddUser(*e.User)
+		}
 	case "deluser":
-		return c.DeleteUser(e.Name) == nil
+		return c.DeleteUser(e.Name)
 	case "addgroup":
-		return c.AddGroup(e.Group) == nil
+		return c.AddGroup(e.Group)
 	case "addtogroup":
-		return c.AddToGroup(e.Group, e.Member) == nil
+		return c.AddToGroup(e.Group, e.Member)
 	case "rmfromgroup":
-		return c.RemoveFromGroup(e.Group, e.Member) == nil
+		return c.RemoveFromGroup(e.Group, e.Member)
 	case "addresource":
-		return e.Resource != nil && c.AddResource(*e.Resource) == nil
+		if e.Resource != nil {
+			return c.AddResource(*e.Resource)
+		}
 	case "delresource":
-		return c.DeleteResource(e.Name) == nil
+		return c.DeleteResource(e.Name)
 	case "setonline":
-		return c.SetResourceOnline(e.Name, e.Online) == nil
+		return c.SetResourceOnline(e.Name, e.Online)
 	case "replpolicy":
-		return c.SetResourcePolicy(e.Name, e.Value) == nil
+		return c.SetResourcePolicy(e.Name, e.Value)
 	case "repairenq":
-		return e.Repair != nil && c.restoreRepair(e.Repair)
+		if e.Repair != nil {
+			c.restoreRepair(*e.Repair)
+			return nil
+		}
 	case "repairdone":
 		c.CompleteRepair(e.Name)
-		return true
-	case "mkcoll":
-		return e.Coll != nil && c.restoreColl(e.Coll)
+		return nil
+	case "mkcoll", "linkcoll":
+		// A link is logged as the whole linked collection, so a dangling
+		// target is restored as it was.
+		if e.Coll != nil {
+			return c.insertColl(e.Op, *e.Coll)
+		}
 	case "rmcoll":
-		return c.DeleteColl(e.Path) == nil
+		return c.DeleteColl(e.Path)
 	case "movecoll":
-		return c.MoveColl(e.Path, e.Path2) == nil
+		return c.MoveColl(e.Path, e.Path2)
 	case "register":
-		return e.Object != nil && c.restoreObject(e.Object)
+		if e.Object != nil {
+			return c.insertObject(e.Object)
+		}
 	case "update":
-		return e.Object != nil && c.replaceObject(e.Object)
+		if e.Object != nil {
+			return c.replaceObject(e.Object)
+		}
 	case "delete":
-		return c.DeleteObject(e.Path) == nil
+		return c.DeleteObject(e.Path)
 	case "move":
-		return c.MoveObject(e.Path, e.Path2, e.Name) == nil
+		return c.MoveObject(e.Path, e.Path2, e.Name)
 	case "setacl":
-		lvl := acl.Level(e.Level)
-		return c.SetACL(e.Path, e.Grantee, lvl) == nil
+		return c.SetACL(e.Path, e.Grantee, acl.Level(e.Level))
 	case "setresourceacl":
-		return c.SetResourceACL(e.Name, e.Grantee, acl.Level(e.Level)) == nil
+		return c.SetResourceACL(e.Name, e.Grantee, acl.Level(e.Level))
 	case "addmeta":
-		return e.AVU != nil && c.AddMeta(e.Path, types.MetaClass(e.Class), *e.AVU) == nil
+		if e.AVU != nil {
+			return c.AddMeta(e.Path, types.MetaClass(e.Class), *e.AVU)
+		}
 	case "updmeta":
-		if e.AVU == nil || e.NewAVU == nil {
-			return false
+		if e.AVU != nil && e.NewAVU != nil {
+			return changed(c.UpdateMeta(e.Path, types.MetaClass(e.Class), e.AVU.Name, e.AVU.Value, *e.NewAVU))
 		}
-		n, err := c.UpdateMeta(e.Path, types.MetaClass(e.Class), e.AVU.Name, e.AVU.Value, *e.NewAVU)
-		return err == nil && n > 0
 	case "delmeta":
-		if e.AVU == nil {
-			return false
+		if e.AVU != nil {
+			return changed(c.DeleteMeta(e.Path, types.MetaClass(e.Class), e.AVU.Name, e.AVU.Value))
 		}
-		n, err := c.DeleteMeta(e.Path, types.MetaClass(e.Class), e.AVU.Name, e.AVU.Value)
-		return err == nil && n > 0
 	case "copymeta":
-		return c.CopyMeta(e.Path, e.Path2) == nil
+		return c.CopyMeta(e.Path, e.Path2)
 	case "filemeta":
-		return c.AttachFileMeta(e.Path, e.Path2) == nil
+		return c.AttachFileMeta(e.Path, e.Path2)
 	case "structural":
-		return e.Attr != nil && c.SetStructural(e.Path, *e.Attr) == nil
+		if e.Attr != nil {
+			return c.SetStructural(e.Path, *e.Attr)
+		}
 	case "delstructural":
-		return c.DeleteStructural(e.Path, e.Name) == nil
+		return c.DeleteStructural(e.Path, e.Name)
 	case "annotate":
-		return e.Ann != nil && c.AddAnnotation(e.Path, *e.Ann) == nil
+		if e.Ann != nil {
+			return c.AddAnnotation(e.Path, *e.Ann)
+		}
 	case "delannotations":
-		n, err := c.DeleteAnnotations(e.Path, e.Name)
-		return err == nil && n > 0
-	case "linkcoll":
-		// Logged as the full linked collection (LinkTarget included);
-		// restored structurally so a dangling target is preserved too.
-		return e.Coll != nil && c.restoreColl(e.Coll)
-	default:
-		return false
+		return changed(c.DeleteAnnotations(e.Path, e.Name))
 	}
+	return types.E("apply", e.Op, types.ErrInvalid)
 }
 
-// restoreColl re-creates a collection exactly (journal replay path).
-func (c *Catalog) restoreColl(col *types.Collection) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.colls[col.Path]; ok {
-		return false
+// changed turns a mutator's count of records changed into Apply's
+// contract: an entry that changed nothing did not take effect.
+func changed(n int, err error) error {
+	if err == nil && n == 0 {
+		return types.ErrNotFound
 	}
-	if _, ok := c.colls[types.Parent(col.Path)]; !ok {
-		return false
-	}
-	cp := *col
-	c.colls[col.Path] = &cp
-	c.addChildColl(types.Parent(col.Path), col.Path)
-	return true
+	return err
 }
 
-// restoreObject re-registers an object with its original identity.
-func (c *Catalog) restoreObject(o *types.DataObject) bool {
+// insertColl adds a collection exactly as given (see insertCollLocked).
+func (c *Catalog) insertColl(op string, col types.Collection) error {
+	col.Path = types.CleanPath(col.Path)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	path := o.Path()
-	if _, ok := c.objects[path]; ok {
-		return false
+	if err := c.insertCollLocked(op, col); err != nil {
+		return err
 	}
-	if _, ok := c.colls[o.Collection]; !ok {
-		return false
-	}
+	c.log(Entry{Op: op, Coll: c.colls[col.Path]})
+	return nil
+}
+
+// insertObject adds an object with its identity (ID, replicas,
+// timestamps) as given; unlike RegisterObject it allocates nothing. Its
+// collection must exist, and its path and its ID must be free.
+func (c *Catalog) insertObject(o *types.DataObject) error {
 	cp := cloneObject(o)
+	cp.Collection = types.CleanPath(cp.Collection)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	path := cp.Path()
+	if !types.ValidName(cp.Name) || cp.ID == 0 {
+		return types.E("register", path, types.ErrInvalid)
+	}
+	if _, ok := c.colls[cp.Collection]; !ok {
+		return types.E("register", cp.Collection, types.ErrNotFound)
+	}
+	if c.pathExistsLocked(path) {
+		return types.E("register", path, types.ErrExists)
+	}
+	if other, ok := c.byID[cp.ID]; ok {
+		return types.E("register", other, types.ErrExists)
+	}
 	c.objects[path] = cp
 	c.byID[cp.ID] = path
-	c.addChildObj(o.Collection, path)
+	c.addChildObj(cp.Collection, path)
 	if cp.ID >= c.nextID {
 		c.nextID = c.alignIDLocked(cp.ID + 1)
 	}
-	return true
+	c.log(Entry{Op: "register", Object: cp})
+	return nil
 }
 
-// replaceObject overwrites an object's mutable state (replay of
-// UpdateObject results, which are journaled as whole objects).
-func (c *Catalog) replaceObject(o *types.DataObject) bool {
+// replaceObject overwrites an object's mutable state (UpdateObject
+// results are journaled as whole objects).
+func (c *Catalog) replaceObject(o *types.DataObject) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	path := o.Path()
 	cur, ok := c.objects[path]
 	if !ok {
-		return false
+		return types.E("update", path, types.ErrNotFound)
 	}
 	cp := cloneObject(o)
 	cp.ID = cur.ID
 	c.objects[path] = cp
-	return true
+	c.log(Entry{Op: "update", Object: cp})
+	return nil
 }

@@ -1,0 +1,166 @@
+package mcat_test
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"os"
+	"testing"
+	"time"
+
+	"gosrb/internal/acl"
+	"gosrb/internal/mcat"
+	"gosrb/internal/types"
+)
+
+// The journal fixture pins the journal format. testdata/journal.v1 was
+// written by fixtureScript at the commit before the entry type was
+// exported, and testdata/journal.v1.dump is what replaying it answered
+// there. The format is unchanged while the same script still journals
+// the same bytes and the fixture still replays to the same dump.
+
+var fixtureEpoch = time.Date(2002, 7, 24, 9, 0, 0, 0, time.UTC)
+
+// fixtureKinds is every entry kind the fixture must hold.
+var fixtureKinds = []string{
+	"adduser", "deluser", "addgroup", "addtogroup", "rmfromgroup",
+	"addresource", "delresource", "setonline", "replpolicy", "setresourceacl",
+	"mkcoll", "rmcoll", "movecoll", "linkcoll",
+	"register", "update", "delete", "move",
+	"setacl", "addmeta", "updmeta", "delmeta", "copymeta", "filemeta",
+	"structural", "delstructural", "annotate", "delannotations",
+	"repairenq", "repairdone",
+}
+
+// fixtureScript makes at least one mutation of every entry kind.
+func fixtureScript(t *testing.T, c *mcat.Catalog) {
+	t.Helper()
+	m := func(err error) { t.Helper(); must(t, err) }
+	n := func(k int, err error) {
+		t.Helper()
+		if err != nil || k == 0 {
+			t.Fatalf("changed %d (%v)", k, err)
+		}
+	}
+	m(c.AddUser(types.User{Name: "alice", Domain: "sdsc"}))
+	m(c.AddUser(types.User{Name: "carol", Domain: "caltech"}))
+	m(c.AddGroup("curators"))
+	m(c.AddToGroup("curators", "alice"))
+	m(c.AddToGroup("curators", "carol"))
+	m(c.RemoveFromGroup("curators", "carol"))
+	m(c.DeleteUser("carol"))
+
+	for _, name := range []string{"disk1", "tape1", "scratch"} {
+		m(c.AddResource(types.Resource{Name: name, Kind: types.ResourcePhysical, Driver: "memfs", Server: "srb1"}))
+	}
+	m(c.AddResource(types.Resource{Name: "archive", Kind: types.ResourceLogical, Members: []string{"disk1", "tape1"}}))
+	m(c.SetResourcePolicy("archive", "async:1"))
+	m(c.SetResourceOnline("tape1", false))
+	m(c.SetResourceACL("disk1", "alice", acl.Read))
+	m(c.DeleteResource("scratch"))
+
+	m(c.MkColl("/home", "admin"))
+	m(c.MkCollAll("/home/alice/data", "alice"))
+	m(c.MkColl("/home/alice/tmp", "alice"))
+	m(c.DeleteColl("/home/alice/tmp"))
+	m(c.MkColl("/home/alice/old", "alice"))
+	m(c.MoveColl("/home/alice/old", "/home/alice/new"))
+	m(c.LinkColl("/home/alice/data", "/home/alice/shortcut", "alice"))
+
+	for _, name := range []string{"a.fits", "b.txt", "meta.xml", "gone.dat"} {
+		_, err := c.RegisterObject(&types.DataObject{
+			Collection: "/home/alice/data", Name: name, Owner: "alice", DataType: "generic",
+			Replicas: []types.Replica{{Number: 0, Resource: "disk1", PhysicalPath: "/vault/" + name}},
+		})
+		m(err)
+	}
+	m(c.UpdateObject("/home/alice/data/a.fits", func(o *types.DataObject) error {
+		o.Size = 2880
+		o.Checksum = "sha256:00"
+		o.Replicas = append(o.Replicas, types.Replica{Number: 1, Resource: "tape1", PhysicalPath: "/tape/a.fits"})
+		return nil
+	}))
+	m(c.DeleteObject("/home/alice/data/gone.dat"))
+	m(c.MoveObject("/home/alice/data/b.txt", "/home/alice/new", "c.txt"))
+
+	m(c.SetACL("/home/alice/data", "alice", acl.Own))
+	m(c.SetACL("/home", acl.GroupPrefix+"curators", acl.Read))
+	m(c.SetACL("/home/alice/data/a.fits", acl.Public, acl.Read))
+	a := "/home/alice/data/a.fits"
+	m(c.AddMeta(a, types.MetaUser, types.AVU{Name: "band", Value: "J"}))
+	m(c.AddMeta(a, types.MetaUser, types.AVU{Name: "band", Value: "H"}))
+	m(c.AddMeta(a, types.MetaType, types.AVU{Name: "dc:title", Value: "M31", Units: "text"}))
+	m(c.AddMeta("/home/alice", types.MetaUser, types.AVU{Name: "project", Value: "2mass"}))
+	n(c.UpdateMeta(a, types.MetaUser, "band", "J", types.AVU{Name: "band", Value: "K"}))
+	n(c.DeleteMeta(a, types.MetaUser, "band", "H"))
+	m(c.CopyMeta(a, "/home/alice/new/c.txt"))
+	m(c.AttachFileMeta(a, "/home/alice/data/meta.xml"))
+	m(c.SetStructural("/home/alice/data", types.StructuralAttr{Name: "origin", Mandatory: true, Defaults: []string{"2mass"}}))
+	m(c.SetStructural("/home/alice/data", types.StructuralAttr{Name: "draft", Comment: "removed below"}))
+	m(c.DeleteStructural("/home/alice/data", "draft"))
+	m(c.AddAnnotation(a, types.Annotation{Author: "alice", Text: "calibrated"}))
+	m(c.AddAnnotation(a, types.Annotation{Author: "bob", Kind: "errata", Text: "wrong band"}))
+	n(c.DeleteAnnotations(a, "bob"))
+
+	c.EnqueueRepair(types.RepairTask{Path: a, Resource: "tape1", Kind: "replicate", Reason: "async:1"})
+	c.EnqueueRepair(types.RepairTask{Path: "/home/alice/new/c.txt", Resource: "tape1", Kind: "replicate"})
+	c.NoteRepairAttempt(types.RepairKey(a, "tape1"))
+	c.CompleteRepair(types.RepairKey("/home/alice/new/c.txt", "tape1"))
+}
+
+func fixtureID(id types.ObjectID) string { return fmt.Sprint(id) }
+
+func TestJournalFixture(t *testing.T) {
+	fixture, err := os.ReadFile("testdata/journal.v1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantDump, err := os.ReadFile("testdata/journal.v1.dump")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var buf bytes.Buffer
+	live := mcat.New("admin", "sdsc")
+	live.SetClock(func() time.Time { return fixtureEpoch })
+	live.SetJournal(mcat.NewJournal(&buf))
+	fixtureScript(t, live)
+	if !bytes.Equal(buf.Bytes(), fixture) {
+		t.Errorf("the fixture script no longer journals the bytes of testdata/journal.v1:\n%s", buf.Bytes())
+	}
+	kinds := map[string]bool{}
+	for _, line := range bytes.Split(bytes.TrimSpace(fixture), []byte("\n")) {
+		var e struct{ Op string }
+		if err := json.Unmarshal(line, &e); err != nil {
+			t.Fatalf("fixture line %q: %v", line, err)
+		}
+		kinds[e.Op] = true
+	}
+	for _, k := range fixtureKinds {
+		if !kinds[k] {
+			t.Errorf("the fixture holds no %q entry", k)
+		}
+	}
+
+	replayed := mcat.New("admin", "sdsc")
+	st, err := replayed.ReplayCounted(bytes.NewReader(fixture))
+	if err != nil || st.Corrupt != 0 {
+		t.Fatalf("replay: %+v, %v", st, err)
+	}
+	got := dump(replayed, fixtureID)
+	if d := diffDump(got, splitDump(wantDump)); d != "" {
+		t.Errorf("the fixture replays to another dump than it did when written: %s", d)
+	}
+	if d := diffDump(dump(live, fixtureID), got); d != "" {
+		t.Errorf("replay differs from the catalog that wrote the journal: %s", d)
+	}
+}
+
+func splitDump(b []byte) []string {
+	lines := bytes.Split(bytes.TrimSuffix(b, []byte("\n")), []byte("\n"))
+	out := make([]string, len(lines))
+	for i, l := range lines {
+		out[i] = string(l)
+	}
+	return out
+}

@@ -20,7 +20,7 @@ func (c *Catalog) SetACL(path, grantee string, level acl.Level) error {
 		return types.E("setacl", path, types.ErrNotFound)
 	}
 	c.acls[path] = c.acls[path].Grant(grantee, level)
-	c.log(journalEntry{Op: "setacl", Path: path, Grantee: grantee, Level: int(level)})
+	c.log(Entry{Op: "setacl", Path: path, Grantee: grantee, Level: int(level)})
 	return nil
 }
 
@@ -90,7 +90,7 @@ func (c *Catalog) SetResourceACL(resource, grantee string, level acl.Level) erro
 	}
 	key := "resource:" + resource
 	c.acls[key] = c.acls[key].Grant(grantee, level)
-	c.log(journalEntry{Op: "setresourceacl", Name: resource, Grantee: grantee, Level: int(level)})
+	c.log(Entry{Op: "setresourceacl", Name: resource, Grantee: grantee, Level: int(level)})
 	return nil
 }
 
@@ -146,7 +146,7 @@ func (c *Catalog) AddMeta(path string, class types.MetaClass, avu types.AVU) err
 	if queryableClass(class) {
 		c.indexAdd(avu.Name, avu.Value, path)
 	}
-	c.log(journalEntry{Op: "addmeta", Path: path, Class: int(class), AVU: &avu})
+	c.log(Entry{Op: "addmeta", Path: path, Class: int(class), AVU: &avu})
 	return nil
 }
 
@@ -210,7 +210,7 @@ func (c *Catalog) UpdateMeta(path string, class types.MetaClass, name, oldValue 
 			c.indexAdd(newAVU.Name, newAVU.Value, path)
 			c.unindexGone(old, path)
 		}
-		c.log(journalEntry{Op: "updmeta", Path: path, Class: int(class),
+		c.log(Entry{Op: "updmeta", Path: path, Class: int(class),
 			AVU: &types.AVU{Name: name, Value: oldValue}, NewAVU: &newAVU})
 	}
 	return n, nil
@@ -244,7 +244,7 @@ func (c *Catalog) DeleteMeta(path string, class types.MetaClass, name, value str
 		if queryableClass(class) {
 			c.unindexGone(gone, path)
 		}
-		c.log(journalEntry{Op: "delmeta", Path: path, Class: int(class),
+		c.log(Entry{Op: "delmeta", Path: path, Class: int(class),
 			AVU: &types.AVU{Name: name, Value: value}})
 	}
 	return n, nil
@@ -270,7 +270,7 @@ func (c *Catalog) CopyMeta(from, to string) error {
 		c.meta[to] = append(c.meta[to], e)
 		c.indexAdd(e.AVU.Name, e.AVU.Value, to)
 	}
-	c.log(journalEntry{Op: "copymeta", Path: from, Path2: to})
+	c.log(Entry{Op: "copymeta", Path: from, Path2: to})
 	return nil
 }
 
@@ -292,7 +292,7 @@ func (c *Catalog) AttachFileMeta(path, metaFile string) error {
 		}
 	}
 	c.fileMeta[path] = append(c.fileMeta[path], metaFile)
-	c.log(journalEntry{Op: "filemeta", Path: path, Path2: metaFile})
+	c.log(Entry{Op: "filemeta", Path: path, Path2: metaFile})
 	return nil
 }
 
@@ -322,12 +322,12 @@ func (c *Catalog) SetStructural(coll string, attr types.StructuralAttr) error {
 	for i := range list {
 		if lowerEq(list[i].Name, attr.Name) {
 			list[i] = attr
-			c.log(journalEntry{Op: "structural", Path: coll, Attr: &attr})
+			c.log(Entry{Op: "structural", Path: coll, Attr: &attr})
 			return nil
 		}
 	}
 	c.structural[coll] = append(list, attr)
-	c.log(journalEntry{Op: "structural", Path: coll, Attr: &attr})
+	c.log(Entry{Op: "structural", Path: coll, Attr: &attr})
 	return nil
 }
 
@@ -340,7 +340,7 @@ func (c *Catalog) DeleteStructural(coll, name string) error {
 	for i := range list {
 		if lowerEq(list[i].Name, name) {
 			c.structural[coll] = append(list[:i], list[i+1:]...)
-			c.log(journalEntry{Op: "delstructural", Path: coll, Name: name})
+			c.log(Entry{Op: "delstructural", Path: coll, Name: name})
 			return nil
 		}
 	}
@@ -416,7 +416,7 @@ func (c *Catalog) AddAnnotation(path string, a types.Annotation) error {
 		a.Kind = "comment"
 	}
 	c.annots[path] = append(c.annots[path], a)
-	c.log(journalEntry{Op: "annotate", Path: path, Ann: &a})
+	c.log(Entry{Op: "annotate", Path: path, Ann: &a})
 	return nil
 }
 
@@ -454,7 +454,7 @@ func (c *Catalog) DeleteAnnotations(path, author string) (int, error) {
 		c.annots[path] = kept
 	}
 	if n > 0 {
-		c.log(journalEntry{Op: "delannotations", Path: path, Name: author})
+		c.log(Entry{Op: "delannotations", Path: path, Name: author})
 	}
 	return n, nil
 }

@@ -1,0 +1,259 @@
+package mcat_test
+
+import (
+	"errors"
+	"fmt"
+	"math/rand"
+	"path/filepath"
+	"strings"
+	"testing"
+	"time"
+
+	"gosrb/internal/acl"
+	"gosrb/internal/mcat"
+	"gosrb/internal/mcat/shard"
+	"gosrb/internal/types"
+)
+
+// The mutation half of the router-vs-monolith differential: one seeded
+// script of mutations — collections, objects, metadata, ACLs,
+// structural rules, annotations, file-metadata attachments, moves that
+// cross shards, deletes — runs against a monolithic Catalog and a
+// persistent 4-shard Router. After every step both must answer every
+// read method the same way (dump), and so must the router reopened at 3
+// and then 1 shards.
+
+// diffSide is one catalog under test, with the path each of its
+// objects was registered at: the router allocates IDs from another
+// sequence, so objects are compared by birth, which a move must keep.
+type diffSide struct {
+	c     shard.Catalog
+	birth map[types.ObjectID]string
+}
+
+func (s *diffSide) id(id types.ObjectID) string {
+	if b, ok := s.birth[id]; ok {
+		return b
+	}
+	return fmt.Sprintf("unknown ID %d", id)
+}
+
+// mutation is one step of a script. A move's desc is "move(coll) from to".
+type mutation struct {
+	desc string
+	do   func(s *diffSide) error
+}
+
+var (
+	mdUsers    = []string{"alice", "bob"}
+	mdGrantees = []string{"alice", "bob", acl.GroupPrefix + "staff", acl.Public}
+	mdAttrs    = []string{"band", "mag", "Tag"}
+	mdValues   = []string{"J", "H", "K", "1", "2"}
+	mdWords    = []string{"calibrated", "errata", "ok"}
+	mdStruct   = []string{"origin", "survey"}
+)
+
+// mdSetup gives both sides the accounts, a resource and a first layer
+// of collections, spine and deep.
+func mdSetup() []mutation {
+	m := []mutation{
+		{"users", func(s *diffSide) error {
+			return errors.Join(s.c.AddUser(types.User{Name: "alice", Domain: "sdsc"}), s.c.AddUser(types.User{Name: "bob", Domain: "caltech"}),
+				s.c.AddGroup("staff"), s.c.AddToGroup("staff", "alice"))
+		}},
+		{"resource", func(s *diffSide) error {
+			return s.c.AddResource(types.Resource{Name: "r1", Kind: types.ResourcePhysical, Driver: "memfs"})
+		}},
+	}
+	for _, p := range []string{"/z0", "/z1", "/z0/p0", "/z0/p1", "/z1/p0", "/z1/p2", "/z0/p0/d0"} {
+		m = append(m, mutation{"mkcoll " + p, func(s *diffSide) error { return s.c.MkColl(p, "admin") }})
+	}
+	return m
+}
+
+// nextMutation draws one step from the state the monolith holds.
+// Objects that take part in a file-metadata attachment are pinned: they
+// are neither moved nor deleted alone, which would leave a pointer to a
+// path that is gone, or on another shard, and that no layout can
+// reshard.
+func nextMutation(rng *rand.Rand, mono *diffSide, pinned map[string]bool, step int) mutation {
+	pick := func(from []string) string { return from[rng.Intn(len(from))] }
+	colls := append([]string{"/"}, mono.c.SubColls("/")...)
+	objs := mono.c.SubtreeObjects("/")
+	var free []string
+	for _, p := range objs {
+		if o, err := mono.c.GetObject(p); err == nil && !pinned[mono.id(o.ID)] {
+			free = append(free, p)
+		}
+	}
+	paths := append(append([]string{"/nowhere"}, colls...), objs...)
+	class := []types.MetaClass{types.MetaUser, types.MetaType}[rng.Intn(2)]
+	newName := pick([]string{"c0", "c1", fmt.Sprintf("n%d", step)})
+
+	switch k := rng.Intn(20); {
+	case k < 3:
+		p, owner := types.Join(pick(colls), newName), pick(mdUsers)
+		return mutation{"mkcoll " + p, func(s *diffSide) error { return s.c.MkColl(p, owner) }}
+	case k < 7:
+		coll, name, owner := pick(colls), pick([]string{"a.dat", "b.dat", fmt.Sprintf("o%d.dat", step)}), pick(mdUsers)
+		birth := fmt.Sprintf("#%d", step)
+		return mutation{"register " + types.Join(coll, name), func(s *diffSide) error {
+			o := &types.DataObject{Collection: coll, Name: name, Owner: owner, DataType: "generic", Size: int64(step),
+				Replicas: []types.Replica{{Number: 0, Resource: "r1", PhysicalPath: "/vault/" + birth}}}
+			id, err := s.c.RegisterObject(o)
+			if err == nil {
+				s.birth[id] = birth
+			}
+			return err
+		}}
+	case k < 9:
+		p, avu := pick(paths), types.AVU{Name: pick(mdAttrs), Value: pick(mdValues)}
+		return mutation{fmt.Sprintf("addmeta %s %v", p, avu), func(s *diffSide) error { return s.c.AddMeta(p, class, avu) }}
+	case k < 10:
+		p, name, old, avu := pick(paths), pick(mdAttrs), pick(append(mdValues, "")), types.AVU{Name: pick(mdAttrs), Value: pick(mdValues)}
+		return mutation{fmt.Sprintf("updmeta %s %s=%q -> %v", p, name, old, avu), func(s *diffSide) error {
+			_, err := s.c.UpdateMeta(p, class, name, old, avu)
+			return err
+		}}
+	case k < 11:
+		p, name, val := pick(paths), pick(mdAttrs), pick(append(mdValues, ""))
+		return mutation{fmt.Sprintf("delmeta %s %s=%q", p, name, val), func(s *diffSide) error {
+			_, err := s.c.DeleteMeta(p, class, name, val)
+			return err
+		}}
+	case k < 12:
+		p, who, lvl := pick(paths), pick(mdGrantees), acl.Level(rng.Intn(6))
+		return mutation{fmt.Sprintf("setacl %s %s %v", p, who, lvl), func(s *diffSide) error { return s.c.SetACL(p, who, lvl) }}
+	case k < 13:
+		p, name := pick(colls), pick(mdStruct)
+		if rng.Intn(3) == 0 {
+			return mutation{"delstructural " + p + " " + name, func(s *diffSide) error { return s.c.DeleteStructural(p, name) }}
+		}
+		attr := types.StructuralAttr{Name: name, Mandatory: rng.Intn(2) == 0, Defaults: []string{pick(mdValues)}}
+		return mutation{fmt.Sprintf("structural %s %+v", p, attr), func(s *diffSide) error { return s.c.SetStructural(p, attr) }}
+	case k < 14:
+		p, who := pick(paths), pick(mdUsers)
+		if rng.Intn(3) == 0 {
+			return mutation{"delannotations " + p + " " + who, func(s *diffSide) error {
+				_, err := s.c.DeleteAnnotations(p, who)
+				return err
+			}}
+		}
+		a := types.Annotation{Author: who, Text: pick(mdWords)}
+		return mutation{"annotate " + p, func(s *diffSide) error { return s.c.AddAnnotation(p, a) }}
+	case k < 15 && len(objs) > 0:
+		// Siblings only: an attachment and its file then share a routing
+		// key under every layout, and any collection move takes both.
+		p := pick(objs)
+		var sibs []string
+		for _, q := range objs {
+			if q != p && types.Parent(q) == types.Parent(p) {
+				sibs = append(sibs, q)
+			}
+		}
+		if len(sibs) == 0 {
+			break
+		}
+		f := pick(sibs)
+		for _, q := range []string{p, f} {
+			o, _ := mono.c.GetObject(q)
+			pinned[mono.id(o.ID)] = true
+		}
+		return mutation{"filemeta " + p + " " + f, func(s *diffSide) error { return s.c.AttachFileMeta(p, f) }}
+	case k < 17 && len(free) > 0:
+		p, coll, name := pick(free), pick(colls), pick([]string{"m.dat", fmt.Sprintf("m%d.dat", step)})
+		return mutation{"move " + p + " " + types.Join(coll, name), func(s *diffSide) error { return s.c.MoveObject(p, coll, name) }}
+	case k < 18:
+		p, to := pick(colls), types.Join(pick(colls), fmt.Sprintf("v%d", step))
+		return mutation{"movecoll " + p + " " + to, func(s *diffSide) error { return s.c.MoveColl(p, to) }}
+	case k < 19 && len(free) > 0:
+		p := pick(free)
+		return mutation{"delete " + p, func(s *diffSide) error { return s.c.DeleteObject(p) }}
+	case k < 20:
+		p := pick(colls)
+		return mutation{"rmcoll " + p, func(s *diffSide) error { return s.c.DeleteColl(p) }}
+	}
+	p := pick(paths)
+	return mutation{"annotate " + p, func(s *diffSide) error { return s.c.AddAnnotation(p, types.Annotation{Author: "alice", Text: "ok"}) }}
+}
+
+func TestMutationDifferential(t *testing.T) {
+	for _, seed := range []int64{1, 2, 3} {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) { mutationDifferential(t, seed, 300) })
+	}
+}
+
+func mutationDifferential(t *testing.T, seed int64, steps int) {
+	epoch := time.Date(2002, 7, 24, 9, 0, 0, 0, time.UTC)
+	clock := func() time.Time { return epoch }
+	dir := t.TempDir()
+	opt := shard.OpenOptions{
+		Shards:      4,
+		CatalogPath: filepath.Join(dir, "catalog.json"),
+		JournalPath: filepath.Join(dir, "journal.log"),
+		Admin:       "admin",
+		Domain:      "local",
+	}
+	st, err := shard.Open(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.Router().SetClock(clock)
+	monoCat := mcat.New("admin", "local")
+	monoCat.SetClock(clock)
+	mono := &diffSide{c: monoCat, birth: map[types.ObjectID]string{}}
+	router := &diffSide{c: st.Router(), birth: map[types.ObjectID]string{}}
+
+	ring := st.Router().Map()
+	rng := rand.New(rand.NewSource(seed))
+	pinned := map[string]bool{}
+	script := mdSetup()
+	var applied, refused, unsupported, crossMoves int
+	for step := 0; step < len(script)+steps; step++ {
+		var m mutation
+		if step < len(script) {
+			m = script[step]
+		} else {
+			m = nextMutation(rng, mono, pinned, step)
+		}
+		rerr := m.do(router)
+		if errors.Is(rerr, types.ErrUnsupported) {
+			unsupported++ // a sharding restriction: the monolith skips it too
+			continue
+		}
+		merr := m.do(mono)
+		if (rerr == nil) != (merr == nil) {
+			t.Fatalf("step %d, %s: router err %v, monolith err %v", step, m.desc, rerr, merr)
+		}
+		if merr == nil {
+			applied++
+			if f := strings.Fields(m.desc); strings.HasPrefix(f[0], "move") && ring.ShardOfPath(f[1]) != ring.ShardOfPath(f[2]) {
+				crossMoves++
+			}
+		} else {
+			refused++
+		}
+		if d := diffDump(dump(router.c, router.id), dump(mono.c, mono.id)); d != "" {
+			t.Fatalf("step %d, %s: router and monolith differ at %s", step, m.desc, d)
+		}
+	}
+	if applied < steps/2 || refused == 0 || unsupported == 0 || crossMoves < 10 {
+		t.Errorf("the generator has drifted: %d applied, %d refused, %d unsupported, %d cross-shard moves", applied, refused, unsupported, crossMoves)
+	}
+
+	want := dump(mono.c, mono.id)
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{3, 1} {
+		opt.Shards = n
+		st, err := shard.Open(opt)
+		if err != nil {
+			t.Fatalf("reopen at %d shards: %v", n, err)
+		}
+		if d := diffDump(dump(st.Router(), router.id), want); d != "" {
+			t.Errorf("reopened at %d shards, the router differs from the monolith at %s", n, d)
+		}
+		st.Close()
+	}
+}

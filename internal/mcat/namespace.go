@@ -16,29 +16,30 @@ func (c *Catalog) MkColl(path, owner string) error {
 	if err := c.mkCollLocked(path, owner); err != nil {
 		return err
 	}
-	c.log(journalEntry{Op: "mkcoll", Coll: c.colls[path]})
+	c.log(Entry{Op: "mkcoll", Coll: c.colls[path]})
 	return nil
 }
 
 func (c *Catalog) mkCollLocked(path, owner string) error {
-	if path == "/" {
-		return types.E("mkcoll", path, types.ErrExists)
+	return c.insertCollLocked("mkcoll", types.Collection{Path: path, Owner: owner, CreatedAt: c.now()})
+}
+
+// insertCollLocked adds col as given (owner, creation time, link
+// target). Its parent must exist and its path must be free. Callers
+// hold the write lock.
+func (c *Catalog) insertCollLocked(op string, col types.Collection) error {
+	switch {
+	case col.Path == "/" || c.pathExistsLocked(col.Path):
+		return types.E(op, col.Path, types.ErrExists)
+	case !types.ValidName(types.Base(col.Path)):
+		return types.E(op, col.Path, types.ErrInvalid)
 	}
-	if !types.ValidName(types.Base(path)) {
-		return types.E("mkcoll", path, types.ErrInvalid)
-	}
-	if _, ok := c.colls[path]; ok {
-		return types.E("mkcoll", path, types.ErrExists)
-	}
-	if _, ok := c.objects[path]; ok {
-		return types.E("mkcoll", path, types.ErrExists)
-	}
-	parent := types.Parent(path)
+	parent := types.Parent(col.Path)
 	if _, ok := c.colls[parent]; !ok {
-		return types.E("mkcoll", parent, types.ErrNotFound)
+		return types.E(op, parent, types.ErrNotFound)
 	}
-	c.colls[path] = &types.Collection{Path: path, Owner: owner, CreatedAt: c.now()}
-	c.addChildColl(parent, path)
+	c.colls[col.Path] = &col
+	c.addChildColl(parent, col.Path)
 	return nil
 }
 
@@ -57,7 +58,7 @@ func (c *Catalog) MkCollAll(path, owner string) error {
 		if err := c.mkCollLocked(a, owner); err != nil {
 			return err
 		}
-		c.log(journalEntry{Op: "mkcoll", Coll: c.colls[a]})
+		c.log(Entry{Op: "mkcoll", Coll: c.colls[a]})
 	}
 	return nil
 }
@@ -134,7 +135,7 @@ func (c *Catalog) LinkColl(target, linkPath, owner string) error {
 		return err
 	}
 	c.colls[linkPath].LinkTarget = target
-	c.log(journalEntry{Op: "linkcoll", Coll: c.colls[linkPath]})
+	c.log(Entry{Op: "linkcoll", Coll: c.colls[linkPath]})
 	return nil
 }
 
@@ -212,7 +213,7 @@ func (c *Catalog) DeleteColl(path string) error {
 	delete(c.colls, path)
 	c.removeChildColl(types.Parent(path), path)
 	c.dropPathState(path)
-	c.log(journalEntry{Op: "rmcoll", Path: path})
+	c.log(Entry{Op: "rmcoll", Path: path})
 	return nil
 }
 
@@ -288,44 +289,8 @@ func (c *Catalog) RegisterObject(o *types.DataObject) (types.ObjectID, error) {
 	c.objects[path] = cp
 	c.byID[cp.ID] = path
 	c.addChildObj(o.Collection, path)
-	c.log(journalEntry{Op: "register", Object: cp})
+	c.log(Entry{Op: "register", Object: cp})
 	return cp.ID, nil
-}
-
-// AdoptObject registers a fully-formed object preserving its identity
-// (ID, replicas, timestamps) — the receiving side of a cross-shard
-// migration. Unlike RegisterObject it allocates nothing; the entry is
-// journaled as a "register" of the whole object so replay restores it
-// exactly.
-func (c *Catalog) AdoptObject(o *types.DataObject) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	o.Collection = types.CleanPath(o.Collection)
-	if !types.ValidName(o.Name) || o.ID == 0 {
-		return types.E("adopt", o.Name, types.ErrInvalid)
-	}
-	if _, ok := c.colls[o.Collection]; !ok {
-		return types.E("adopt", o.Collection, types.ErrNotFound)
-	}
-	path := o.Path()
-	if _, ok := c.objects[path]; ok {
-		return types.E("adopt", path, types.ErrExists)
-	}
-	if _, ok := c.colls[path]; ok {
-		return types.E("adopt", path, types.ErrExists)
-	}
-	if other, ok := c.byID[o.ID]; ok {
-		return types.E("adopt", other, types.ErrExists)
-	}
-	cp := cloneObject(o)
-	c.objects[path] = cp
-	c.byID[cp.ID] = path
-	c.addChildObj(o.Collection, path)
-	if cp.ID >= c.nextID {
-		c.nextID = c.alignIDLocked(cp.ID + 1)
-	}
-	c.log(journalEntry{Op: "register", Object: cp})
-	return nil
 }
 
 // GetObject returns a copy of the object at path (links not followed).
@@ -385,7 +350,7 @@ func (c *Catalog) UpdateObject(path string, fn func(*types.DataObject) error) er
 	cp.ID, cp.Name, cp.Collection = o.ID, o.Name, o.Collection
 	cp.ModifiedAt = c.now()
 	c.objects[path] = cp
-	c.log(journalEntry{Op: "update", Object: cp})
+	c.log(Entry{Op: "update", Object: cp})
 	return nil
 }
 
@@ -402,7 +367,7 @@ func (c *Catalog) DeleteObject(path string) error {
 	delete(c.byID, o.ID)
 	c.removeChildObj(o.Collection, path)
 	c.dropPathState(path)
-	c.log(journalEntry{Op: "delete", Path: path})
+	c.log(Entry{Op: "delete", Path: path})
 	return nil
 }
 
@@ -448,15 +413,18 @@ func (c *Catalog) MoveObject(oldPath, newColl, newName string) error {
 	c.byID[o.ID] = newPath
 	c.addChildObj(newColl, newPath)
 	c.rekeyPathState(oldPath, newPath)
-	c.log(journalEntry{Op: "move", Path: oldPath, Path2: newColl, Name: newName})
+	c.log(Entry{Op: "move", Path: oldPath, Path2: newColl, Name: newName})
 	return nil
 }
 
 // MoveColl moves a whole sub-collection: every descendant collection
-// and object is rebased, preserving metadata and ACLs. This is the
-// primitive behind the paper's persistence claim: "data can be
-// replicated onto new storage systems by a recursive directory movement
-// command, without changing the name by which the data is discovered".
+// and object is rebased, preserving metadata and ACLs, and the paths
+// they name inside the subtree (link targets, containers, attached
+// metadata files) move with them, as Entry.Rebase moves them between
+// shards. This is the primitive behind the paper's persistence claim:
+// "data can be replicated onto new storage systems by a recursive
+// directory movement command, without changing the name by which the
+// data is discovered".
 func (c *Catalog) MoveColl(oldPath, newPath string) error {
 	oldPath, newPath = types.CleanPath(oldPath), types.CleanPath(newPath)
 	c.mu.Lock()
@@ -497,8 +465,12 @@ func (c *Catalog) MoveColl(oldPath, newPath string) error {
 		entry := c.colls[p]
 		delete(c.colls, p)
 		entry.Path = np
+		entry.LinkTarget = rebaseIn(oldPath, newPath, entry.LinkTarget)
 		c.colls[np] = entry
 		c.rekeyPathState(p, np)
+		for i, f := range c.fileMeta[np] {
+			c.fileMeta[np][i] = rebaseIn(oldPath, newPath, f)
+		}
 		// child index maps are rebuilt below
 		delete(c.childColls, p)
 		delete(c.childObjs, p)
@@ -509,9 +481,14 @@ func (c *Catalog) MoveColl(oldPath, newPath string) error {
 		o := c.objects[p]
 		delete(c.objects, p)
 		o.Collection = types.Parent(np)
+		o.LinkTarget = rebaseIn(oldPath, newPath, o.LinkTarget)
+		o.Container = rebaseIn(oldPath, newPath, o.Container)
 		c.objects[np] = o
 		c.byID[o.ID] = np
 		c.rekeyPathState(p, np)
+		for i, f := range c.fileMeta[np] {
+			c.fileMeta[np][i] = rebaseIn(oldPath, newPath, f)
+		}
 	}
 	for _, p := range subColls {
 		np := types.Rebase(oldPath, newPath, p)
@@ -525,7 +502,7 @@ func (c *Catalog) MoveColl(oldPath, newPath string) error {
 		c.addChildObj(types.Parent(np), np)
 	}
 	c.addChildColl(newParent, newPath)
-	c.log(journalEntry{Op: "movecoll", Path: oldPath, Path2: newPath})
+	c.log(Entry{Op: "movecoll", Path: oldPath, Path2: newPath})
 	return nil
 }
 

@@ -31,7 +31,7 @@ func (c *Catalog) EnqueueRepair(t types.RepairTask) bool {
 		t.Enqueued = c.now()
 	}
 	c.repairs[t.Key] = &t
-	c.log(journalEntry{Op: "repairenq", Repair: &t})
+	c.log(Entry{Op: "repairenq", Repair: &t})
 	return true
 }
 
@@ -44,7 +44,7 @@ func (c *Catalog) CompleteRepair(key string) bool {
 		return false
 	}
 	delete(c.repairs, key)
-	c.log(journalEntry{Op: "repairdone", Name: key})
+	c.log(Entry{Op: "repairdone", Name: key})
 	return true
 }
 
@@ -59,22 +59,22 @@ func (c *Catalog) NoteRepairAttempt(key string) int {
 		return 0
 	}
 	t.Attempts++
-	c.log(journalEntry{Op: "repairenq", Repair: t})
+	c.log(Entry{Op: "repairenq", Repair: t})
 	return t.Attempts
 }
 
-// restoreRepair upserts a journaled task during replay. An upsert
-// (not EnqueueRepair) because attempt-count re-logs must overwrite the
-// original entry instead of being dropped as duplicates.
-func (c *Catalog) restoreRepair(t *types.RepairTask) bool {
+// restoreRepair upserts a journaled task (the "repairenq" arm of
+// Apply). An upsert, not EnqueueRepair, because attempt-count re-logs
+// must overwrite the original entry instead of being dropped as
+// duplicates.
+func (c *Catalog) restoreRepair(t types.RepairTask) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	cp := *t
-	if cp.Key == "" {
-		cp.Key = types.RepairKey(cp.Path, cp.Resource)
+	if t.Key == "" {
+		t.Key = types.RepairKey(t.Path, t.Resource)
 	}
-	c.repairs[cp.Key] = &cp
-	return true
+	c.repairs[t.Key] = &t
+	c.log(Entry{Op: "repairenq", Repair: &t})
 }
 
 // PendingRepairs returns a copy of the queue, oldest first (ties broken

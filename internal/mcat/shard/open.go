@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io/fs"
 	"os"
-	"sort"
 	"sync"
 	"time"
 
@@ -219,12 +218,16 @@ func (st *Store) saveMap() error {
 }
 
 // retire removes files of the previous layout that the new one does
-// not reuse.
+// not reuse. Two sharded layouts share the names <path>.shard<i> below
+// the smaller count, and those now hold the new layout.
 func retire(opt OpenOptions, prev, cur int) {
 	if prev == cur {
 		return
 	}
 	for i := 0; i < prev; i++ {
+		if prev > 1 && cur > 1 && i < cur {
+			continue
+		}
 		os.Remove(opt.catPath(prev, i))
 		os.Remove(opt.jnlPath(prev, i))
 		os.Remove(opt.jnlPath(prev, i) + ".new")
@@ -296,139 +299,53 @@ func (st *Store) Close() error {
 	return firstErr
 }
 
-// reshard redistributes every catalog entry from the old router's
-// layout into the new one. Spine state broadcasts; everything else
-// follows the new map.
+// reshard rebuilds the old router's catalog in the new layout: every
+// old shard is exported and each entry applied on the shards route
+// names. Broadcast state is exported by every old shard, so a copy
+// that already exists is skipped; anything else that does not apply
+// stops the reshard.
 func reshard(old, nw *Router) error {
-	src0 := old.shards[0].cat
-
-	// Accounts, groups, resources: identical on every shard.
-	for _, u := range src0.Users() {
-		if err := nw.each(func(c *mcat.Catalog) error { return tolerateExists(c.AddUser(u)) }); err != nil {
-			return err
-		}
-	}
-	for _, g := range src0.Groups() {
-		if err := nw.each(func(c *mcat.Catalog) error { return tolerateExists(c.AddGroup(g.Name)) }); err != nil {
-			return err
-		}
-		for _, m := range g.Members {
-			mm := m
-			gg := g.Name
-			if err := nw.each(func(c *mcat.Catalog) error { return c.AddToGroup(gg, mm) }); err != nil {
+	for _, src := range old.shards {
+		for _, e := range src.cat.Export("/") {
+			i := nw.route(e)
+			if i != everyShard {
+				if err := nw.shards[i].cat.Apply(e); err != nil {
+					return err
+				}
+				continue
+			}
+			if err := nw.each(func(c *mcat.Catalog) error { return tolerateExists(c.Apply(e)) }); err != nil {
 				return err
 			}
 		}
-	}
-	for _, res := range src0.Resources() {
-		rr := res
-		if err := nw.each(func(c *mcat.Catalog) error { return tolerateExists(c.AddResource(rr)) }); err != nil {
-			return err
-		}
-		for _, e := range src0.ResourceACLList(res.Name) {
-			ee := e
-			name := res.Name
-			if err := nw.each(func(c *mcat.Catalog) error { return c.SetResourceACL(name, ee.Grantee, ee.Level) }); err != nil {
-				return err
-			}
-		}
-	}
-
-	// Collections, shallow-first; per-path state travels with each.
-	// File-metadata attachments wait until objects exist.
-	type pendingFM struct{ path, metaFile string }
-	var fms []pendingFM
-	colls := append([]string{"/"}, old.SubColls("/")...)
-	sort.Strings(colls)
-	for _, p := range colls {
-		if p == "/" {
-			stt := old.shards[old.homeIdx(p)].cat.ExportPathState(p)
-			aclPart := mcat.PathState{ACL: stt.ACL, Structural: stt.Structural}
-			if err := nw.each(func(c *mcat.Catalog) error { return c.ImportPathState("/", aclPart) }); err != nil {
-				return err
-			}
-			metaPart := mcat.PathState{Meta: stt.Meta, Annots: stt.Annots}
-			if err := nw.home(p).ImportPathState(p, metaPart); err != nil {
-				return err
-			}
-			for _, fm := range stt.FileMeta {
-				fms = append(fms, pendingFM{path: p, metaFile: fm})
-			}
-			continue
-		}
-		col, err := old.GetColl(p)
-		if err != nil {
-			return err
-		}
-		stt := old.shards[old.homeIdx(p)].cat.ExportPathState(p)
-		if nw.n > 1 && Spine(p) {
-			pp := p
-			cc := col
-			if err := nw.each(func(c *mcat.Catalog) error { return tolerateExists(c.AdoptColl(cc)) }); err != nil {
-				return err
-			}
-			// ACLs and structural rules broadcast; descriptive
-			// metadata and annotations live on the home shard.
-			aclPart := mcat.PathState{ACL: stt.ACL, Structural: stt.Structural}
-			if err := nw.each(func(c *mcat.Catalog) error { return c.ImportPathState(pp, aclPart) }); err != nil {
-				return err
-			}
-			metaPart := mcat.PathState{Meta: stt.Meta, Annots: stt.Annots}
-			if err := nw.home(p).ImportPathState(p, metaPart); err != nil {
-				return err
-			}
-		} else {
-			home := nw.shards[nw.homeIdx(p)].cat
-			if err := home.AdoptColl(col); err != nil {
-				return err
-			}
-			part := stt
-			part.FileMeta = nil
-			if err := home.ImportPathState(p, part); err != nil {
-				return err
-			}
-		}
-		for _, fm := range stt.FileMeta {
-			fms = append(fms, pendingFM{path: p, metaFile: fm})
-		}
-	}
-
-	// Objects, then their state, then deferred file-meta attachments.
-	objs := old.SubtreeObjects("/")
-	for _, p := range objs {
-		o, err := old.GetObject(p)
-		if err != nil {
-			return err
-		}
-		if err := nw.shards[nw.homeIdx(p)].cat.AdoptObject(&o); err != nil {
-			return err
-		}
-	}
-	for _, p := range objs {
-		stt := old.shards[old.homeIdx(p)].cat.ExportPathState(p)
-		for _, fm := range stt.FileMeta {
-			fms = append(fms, pendingFM{path: p, metaFile: fm})
-		}
-		stt.FileMeta = nil
-		stt.Structural = nil
-		if err := nw.shards[nw.homeIdx(p)].cat.ImportPathState(p, stt); err != nil {
-			return err
-		}
-	}
-	for _, fm := range fms {
-		if fm.path == "" {
-			continue
-		}
-		if err := nw.AttachFileMeta(fm.path, fm.metaFile); err != nil {
-			// An attachment that would cross shards cannot be
-			// represented; surface it rather than dropping silently.
-			return err
-		}
-	}
-
-	// The deferred-repair queue rides on shard 0.
-	for _, t := range src0.PendingRepairs() {
-		nw.shards[0].cat.EnqueueRepair(t)
 	}
 	return nil
+}
+
+// everyShard is route's answer for broadcast state.
+const everyShard = -1
+
+// route names the shard an exported entry belongs on, or everyShard:
+// accounts, resources, and spine collections with their ACLs and
+// structural rules are on every shard; the repair queue is on shard 0;
+// everything else is on its path's home shard.
+func (r *Router) route(e mcat.Entry) int {
+	switch e.Op {
+	case "adduser", "addgroup", "addtogroup", "addresource", "setonline", "setresourceacl":
+		return everyShard
+	case "repairenq":
+		return 0
+	case "mkcoll":
+		if Spine(e.Coll.Path) {
+			return everyShard
+		}
+		return r.homeIdx(e.Coll.Path)
+	case "setacl", "structural":
+		if r.spineColl(e.Path) {
+			return everyShard
+		}
+	case "register":
+		return r.homeIdx(e.Object.Path())
+	}
+	return r.homeIdx(e.Path)
 }

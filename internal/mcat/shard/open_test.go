@@ -3,6 +3,7 @@ package shard
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -192,6 +193,97 @@ func TestReshardRoundTrip(t *testing.T) {
 			t.Errorf("shard %d catalog not retired", i)
 		}
 	}
+}
+
+// Two sharded layouts name their files alike below the smaller count:
+// retiring the old layout must not delete what the new one just wrote,
+// or a restart before the next snapshot boots empty.
+func TestReshardBetweenShardedLayouts(t *testing.T) {
+	dir := t.TempDir()
+	st, err := Open(testOpts(dir, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	seedStore(t, st.Router())
+	st.Close()
+	for _, n := range []int{2, 2, 3} {
+		st, err := Open(testOpts(dir, n))
+		if err != nil {
+			t.Fatalf("reopen at %d shards: %v", n, err)
+		}
+		checkSeeded(t, st.Router())
+		st.Close()
+	}
+}
+
+// reshardResources registers resources through seed, reopens the store
+// at 1 -> 4 -> 1 shards, and requires every shard of every layout to
+// answer for each resource exactly as the original did: kind, members,
+// policy, online state and every user's level under its ACL.
+func reshardResources(t *testing.T, seed func(r *Router) error) {
+	t.Helper()
+	dir := t.TempDir()
+	st, err := Open(testOpts(dir, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := st.Router()
+	if err := r.AddUser(types.User{Name: "alice", Domain: "sdsc"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := seed(r); err != nil {
+		t.Fatal(err)
+	}
+	answer := func(c Catalog) []string {
+		var out []string
+		for _, res := range c.Resources() {
+			res.CreatedAt = res.CreatedAt.UTC() // as a journal line carries it
+			out = append(out, fmt.Sprintf("%+v alice=%v", res, c.ResourceLevel(res.Name, "alice")))
+		}
+		return out
+	}
+	want := answer(r)
+	st.Close()
+
+	for _, n := range []int{4, 1} {
+		st, err := Open(testOpts(dir, n))
+		if err != nil {
+			t.Fatalf("reopen at %d shards: %v", n, err)
+		}
+		for i := 0; i < n; i++ {
+			if got := answer(st.Router().Shard(i)); !reflect.DeepEqual(got, want) {
+				t.Errorf("%d shards, shard %d: resources\n%s\nwant\n%s", n, i, strings.Join(got, "\n"), strings.Join(want, "\n"))
+			}
+		}
+		st.Close()
+	}
+}
+
+// A logical resource can sort before the members it names; resharding
+// must register the members first.
+func TestReshardLogicalResourceBeforeMember(t *testing.T) {
+	reshardResources(t, func(r *Router) error {
+		return errors.Join(
+			r.AddResource(types.Resource{Name: "disk1", Kind: types.ResourcePhysical, Driver: "memfs"}),
+			r.AddResource(types.Resource{Name: "tape1", Kind: types.ResourcePhysical, Driver: "memfs"}),
+			r.AddResource(types.Resource{Name: "archive", Kind: types.ResourceLogical, Members: []string{"disk1", "tape1"}}),
+		)
+	})
+}
+
+// Resharding keeps what was set on a resource after it was registered:
+// an offline resource stays offline, a policy and an ACL stay.
+func TestReshardKeepsResourceState(t *testing.T) {
+	reshardResources(t, func(r *Router) error {
+		return errors.Join(
+			r.AddResource(types.Resource{Name: "r1", Kind: types.ResourcePhysical, Driver: "memfs"}),
+			r.AddResource(types.Resource{Name: "r2", Kind: types.ResourcePhysical, Driver: "memfs"}),
+			r.AddResource(types.Resource{Name: "repl", Kind: types.ResourceLogical, Members: []string{"r1", "r2"}}),
+			r.SetResourcePolicy("repl", "async:1"),
+			r.SetResourceOnline("r2", false),
+			r.SetResourceACL("r1", "alice", acl.Read),
+		)
+	})
 }
 
 // A snapshot that exists but cannot be read stops the boot: starting

@@ -540,14 +540,6 @@ func (r *Router) RegisterObject(o *types.DataObject) (types.ObjectID, error) {
 	return r.shards[i].cat.RegisterObject(o)
 }
 
-func (r *Router) AdoptObject(o *types.DataObject) error {
-	i := r.homeIdx(types.Join(o.Collection, o.Name))
-	if err := r.writable(i, "adopt", o.Name); err != nil {
-		return err
-	}
-	return r.shards[i].cat.AdoptObject(o)
-}
-
 func (r *Router) GetObject(path string) (types.DataObject, error) {
 	return r.home(path).GetObject(path)
 }

@@ -15,11 +15,19 @@ import (
 // evaluates permission and mandatory-metadata rules by walking a
 // path's ancestors locally.
 
+// spineColl reports whether path is a collection every shard mirrors —
+// the root or a depth-1 collection — so its ACL and structural rules
+// broadcast. An object directly under the root lives on its home shard
+// alone.
+func (r *Router) spineColl(path string) bool {
+	return r.n > 1 && Spine(path) && r.home(path).CollExists(path)
+}
+
 // ---- permissions ----
 
 func (r *Router) SetACL(path, grantee string, level acl.Level) error {
 	path = types.CleanPath(path)
-	if r.n > 1 && Spine(path) {
+	if r.spineColl(path) {
 		if err := r.writableAll("setacl", path); err != nil {
 			return err
 		}
@@ -142,7 +150,7 @@ func (r *Router) FileMeta(path string) []string { return r.home(path).FileMeta(p
 
 func (r *Router) SetStructural(coll string, attr types.StructuralAttr) error {
 	coll = types.CleanPath(coll)
-	if r.n > 1 && Spine(coll) {
+	if r.spineColl(coll) {
 		if err := r.writableAll("structural", coll); err != nil {
 			return err
 		}
@@ -157,7 +165,7 @@ func (r *Router) SetStructural(coll string, attr types.StructuralAttr) error {
 
 func (r *Router) DeleteStructural(coll, name string) error {
 	coll = types.CleanPath(coll)
-	if r.n > 1 && Spine(coll) {
+	if r.spineColl(coll) {
 		if err := r.writableAll("structural", coll); err != nil {
 			return err
 		}

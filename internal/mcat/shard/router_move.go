@@ -2,67 +2,47 @@ package shard
 
 import (
 	"fmt"
-	"sort"
 
+	"gosrb/internal/mcat"
 	"gosrb/internal/types"
 )
 
 // Renames that stay inside one routing key delegate to the home shard
-// unchanged. When a rename lands a path on a different shard, the
-// entry — and for collections the whole subtree — migrates: copy to
-// the destination shard preserving identity (IDs, replicas,
-// timestamps, per-path state), then delete from the source. Every step
-// flows through journaled mutators, so replication and crash replay
-// see an ordinary delete on one shard and an adoption on the other.
+// unchanged. A rename that lands a path on another shard moves the
+// entry — for a collection, the whole subtree — in four steps: export
+// it from the source shard, rebase the entries to the new path, apply
+// them on the destination, delete it from the source. Every step is
+// journaled, so replication and crash replay see deletes on one shard
+// and the entries that recreate the subtree, identity preserved, on the
+// other.
 
 func (r *Router) MoveObject(oldPath, newColl, newName string) error {
 	oldPath = types.CleanPath(oldPath)
 	newPath := types.Join(newColl, newName)
 	si, di := r.homeIdx(oldPath), r.homeIdx(newPath)
-	if si == di {
-		if err := r.writable(si, "move", oldPath); err != nil {
-			return err
-		}
-		return r.shards[si].cat.MoveObject(oldPath, newColl, newName)
-	}
 	if err := r.writable(si, "move", oldPath); err != nil {
 		return err
+	}
+	if si == di {
+		return r.shards[si].cat.MoveObject(oldPath, newColl, newName)
 	}
 	if err := r.writable(di, "move", newPath); err != nil {
 		return err
 	}
 	src, dst := r.shards[si].cat, r.shards[di].cat
-	o, err := src.GetObject(oldPath)
-	if err != nil {
+	if _, err := src.GetObject(oldPath); err != nil {
 		return err
 	}
-	st := src.ExportPathState(oldPath)
-	for _, fm := range st.FileMeta {
-		if r.homeIdx(fm) != di {
-			return types.E("move", oldPath, fmt.Errorf("attached metadata file %s cannot follow across shards: %w", fm, types.ErrUnsupported))
+	entries := src.Export(oldPath)
+	for _, e := range entries {
+		if e.Op == "filemeta" && r.homeIdx(e.Path2) != di {
+			return types.E("move", oldPath, fmt.Errorf("attached metadata file %s cannot follow across shards: %w", e.Path2, types.ErrUnsupported))
 		}
 	}
-	if !dst.CollExists(types.CleanPath(newColl)) {
+	if !dst.CollExists(newColl) {
 		return types.E("move", newColl, types.ErrNotFound)
 	}
-	if err := src.DeleteObject(oldPath); err != nil {
-		return err
-	}
-	orig := o
-	o.Collection, o.Name = types.CleanPath(newColl), newName
-	if err := dst.AdoptObject(&o); err != nil {
-		// Put the object back where it was; state is still keyed to
-		// oldPath only after reimport.
-		if rerr := src.AdoptObject(&orig); rerr == nil {
-			src.ImportPathState(oldPath, st)
-		}
-		return err
-	}
-	st.Structural = nil // objects carry no structural attributes
-	if err := dst.ImportPathState(o.Path(), st); err != nil {
-		return err
-	}
-	return nil
+	return moveAcross(src, dst, entries, oldPath, newPath)
 }
 
 func (r *Router) MoveColl(oldPath, newPath string) error {
@@ -83,13 +63,6 @@ func (r *Router) MoveColl(oldPath, newPath string) error {
 	if err := r.writable(di, "movecoll", newPath); err != nil {
 		return err
 	}
-	return r.migrateSubtree(si, di, oldPath, newPath)
-}
-
-// migrateSubtree moves the collection subtree rooted at oldPath on
-// shard si to newPath on shard di: copy collections shallow-first,
-// adopt objects with their state, then delete the source deepest-first.
-func (r *Router) migrateSubtree(si, di int, oldPath, newPath string) error {
 	src, dst := r.shards[si].cat, r.shards[di].cat
 	if _, err := src.GetColl(oldPath); err != nil {
 		return err
@@ -97,179 +70,49 @@ func (r *Router) migrateSubtree(si, di int, oldPath, newPath string) error {
 	if !dst.CollExists(types.Parent(newPath)) {
 		return types.E("movecoll", types.Parent(newPath), types.ErrNotFound)
 	}
-	if dst.CollExists(newPath) {
+	if _, err := dst.GetObject(newPath); err == nil || dst.CollExists(newPath) {
 		return types.E("movecoll", newPath, types.ErrExists)
 	}
-	if _, err := dst.GetObject(newPath); err == nil {
-		return types.E("movecoll", newPath, types.ErrExists)
-	}
-
-	colls := append([]string{oldPath}, src.SubColls(oldPath)...)
-	sort.Strings(colls) // a parent sorts before its children
-	objs := src.SubtreeObjects(oldPath)
-
-	// Pre-flight: nothing may already exist at a destination path, and
-	// file-metadata attachments must stay inside the moving subtree
-	// (otherwise they would point at objects on another shard).
-	for _, p := range append(append([]string(nil), colls...), objs...) {
-		np := types.Rebase(oldPath, newPath, p)
-		if dst.CollExists(np) {
-			return types.E("movecoll", np, types.ErrExists)
-		}
-		if _, err := dst.GetObject(np); err == nil {
-			return types.E("movecoll", np, types.ErrExists)
-		}
-		for _, fm := range src.FileMeta(p) {
-			if !types.WithinOrEqual(oldPath, fm) {
-				return types.E("movecoll", p, fmt.Errorf("attached metadata file %s is outside the moving subtree: %w", fm, types.ErrUnsupported))
-			}
+	// An attachment must stay inside the moving subtree, or it would
+	// point at an object on another shard.
+	entries := src.Export(oldPath)
+	for _, e := range entries {
+		if e.Op == "filemeta" && !types.WithinOrEqual(oldPath, e.Path2) {
+			return types.E("movecoll", e.Path, fmt.Errorf("attached metadata file %s is outside the moving subtree: %w", e.Path2, types.ErrUnsupported))
 		}
 	}
-
-	// Copy phase. Failures unwind the copies made so far.
-	var copiedColls, copiedObjs []string
-	undo := func() {
-		for i := len(copiedObjs) - 1; i >= 0; i-- {
-			dst.DeleteObject(copiedObjs[i])
-		}
-		for i := len(copiedColls) - 1; i >= 0; i-- {
-			dst.DeleteColl(copiedColls[i])
-		}
-	}
-	for _, p := range colls {
-		col, err := src.GetColl(p)
-		if err != nil {
-			undo()
-			return err
-		}
-		np := types.Rebase(oldPath, newPath, p)
-		col.Path = np
-		if col.LinkTarget != "" {
-			col.LinkTarget = types.Rebase(oldPath, newPath, col.LinkTarget)
-		}
-		if err := dst.AdoptColl(col); err != nil {
-			undo()
-			return err
-		}
-		copiedColls = append(copiedColls, np)
-		st := src.ExportPathState(p)
-		st.FileMeta = rebaseAll(oldPath, newPath, st.FileMeta)
-		if err := dst.ImportPathState(np, st); err != nil {
-			undo()
-			return err
-		}
-	}
-	// Objects: collections (including link targets) now all exist on
-	// the destination, so adoption order does not matter. File-meta
-	// attachments may point at objects later in the list, so import
-	// path state in a second pass.
-	for _, p := range objs {
-		o, err := src.GetObject(p)
-		if err != nil {
-			undo()
-			return err
-		}
-		np := types.Rebase(oldPath, newPath, p)
-		o.Collection, o.Name = types.Parent(np), types.Base(np)
-		if o.Container != "" && types.WithinOrEqual(oldPath, o.Container) {
-			o.Container = types.Rebase(oldPath, newPath, o.Container)
-		}
-		if o.Kind == types.KindLink && types.WithinOrEqual(oldPath, o.LinkTarget) {
-			o.LinkTarget = types.Rebase(oldPath, newPath, o.LinkTarget)
-		}
-		if err := dst.AdoptObject(&o); err != nil {
-			undo()
-			return err
-		}
-		copiedObjs = append(copiedObjs, np)
-	}
-	for _, p := range objs {
-		np := types.Rebase(oldPath, newPath, p)
-		st := src.ExportPathState(p)
-		st.Structural = nil
-		st.FileMeta = rebaseAll(oldPath, newPath, st.FileMeta)
-		if err := dst.ImportPathState(np, st); err != nil {
-			undo()
-			return err
-		}
-	}
-
-	// Delete phase: objects first, then collections deepest-first.
-	for _, p := range objs {
-		if err := src.DeleteObject(p); err != nil {
-			return err
-		}
-	}
-	sort.Sort(sort.Reverse(sort.StringSlice(colls)))
-	for _, p := range colls {
-		if err := src.DeleteColl(p); err != nil {
-			return err
-		}
-	}
-	return nil
+	return moveAcross(src, dst, entries, oldPath, newPath)
 }
 
-func rebaseAll(from, to string, paths []string) []string {
-	out := make([]string, len(paths))
-	for i, p := range paths {
-		out[i] = types.Rebase(from, to, p)
+// moveAcross applies entries, exported from src at oldPath, on dst at
+// newPath, then deletes them from src. An entry dst refuses unwinds
+// what was applied there and leaves src as it was.
+func moveAcross(src, dst *mcat.Catalog, entries []mcat.Entry, oldPath, newPath string) error {
+	moved := make([]mcat.Entry, 0, len(entries))
+	for _, e := range entries {
+		e = e.Rebase(oldPath, newPath)
+		if err := dst.Apply(e); err != nil {
+			remove(dst, moved)
+			return err
+		}
+		moved = append(moved, e)
 	}
-	return out
+	return remove(src, entries)
 }
 
-// migrateKey moves everything under one routing key from shard si to
-// shard di in place (same paths). The boot-time rebalance uses it when
-// the shard count changes.
-func (r *Router) migrateKey(si, di int, key string) error {
-	src, dst := r.shards[si].cat, r.shards[di].cat
-	var colls []string
-	if !Spine(key) && src.CollExists(key) {
-		colls = append(colls, key)
-	}
-	colls = append(colls, src.SubColls(key)...)
-	sort.Strings(colls)
-	objs := src.SubtreeObjects(key)
-	if !Spine(key) {
-		if _, err := src.GetObject(key); err == nil {
-			objs = append([]string{key}, objs...)
+// remove deletes the collections and objects that exported entries
+// create, last first — children before their parents — and with them
+// every per-path record.
+func remove(c *mcat.Catalog, entries []mcat.Entry) error {
+	for i := len(entries) - 1; i >= 0; i-- {
+		var err error
+		switch e := entries[i]; e.Op {
+		case "register":
+			err = c.DeleteObject(e.Object.Path())
+		case "mkcoll":
+			err = c.DeleteColl(e.Coll.Path)
 		}
-	}
-	for _, p := range colls {
-		col, err := src.GetColl(p)
 		if err != nil {
-			return err
-		}
-		if err := dst.AdoptColl(col); err != nil {
-			return err
-		}
-		if err := dst.ImportPathState(p, src.ExportPathState(p)); err != nil {
-			return err
-		}
-	}
-	for _, p := range objs {
-		o, err := src.GetObject(p)
-		if err != nil {
-			return err
-		}
-		if err := dst.AdoptObject(&o); err != nil {
-			return err
-		}
-	}
-	for _, p := range objs {
-		st := src.ExportPathState(p)
-		st.Structural = nil
-		if err := dst.ImportPathState(p, st); err != nil {
-			return err
-		}
-	}
-	for _, p := range objs {
-		if err := src.DeleteObject(p); err != nil {
-			return err
-		}
-	}
-	sort.Sort(sort.Reverse(sort.StringSlice(colls)))
-	for _, p := range colls {
-		if err := src.DeleteColl(p); err != nil {
 			return err
 		}
 	}

@@ -372,6 +372,23 @@ func TestSpineBroadcast(t *testing.T) {
 	}
 }
 
+// An object directly under the root is depth 1 like a spine collection,
+// but it lives on its home shard alone: its ACL goes there, not to
+// every shard.
+func TestACLOnObjectUnderRoot(t *testing.T) {
+	r := newTestRouter(t, 4)
+	seedGrid(t, r)
+	if _, err := r.RegisterObject(&types.DataObject{Collection: "/", Name: "top.dat", Owner: "alice"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.SetACL("/top.dat", "bob", acl.Read); err != nil {
+		t.Fatalf("SetACL: %v", err)
+	}
+	if lvl := r.EffectiveLevel("/top.dat", "bob"); lvl != acl.Read {
+		t.Errorf("EffectiveLevel(bob) = %v, want read", lvl)
+	}
+}
+
 // Structural attributes on a spine collection broadcast so mandatory
 // checks work wherever the object lands.
 func TestStructuralBroadcastOnSpine(t *testing.T) {

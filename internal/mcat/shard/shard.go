@@ -76,7 +76,6 @@ type Catalog interface {
 	CollExists(path string) bool
 	SubColls(root string) []string
 	RegisterObject(o *types.DataObject) (types.ObjectID, error)
-	AdoptObject(o *types.DataObject) error
 	GetObject(path string) (types.DataObject, error)
 	ResolveObject(path string) (types.DataObject, error)
 	GetObjectByID(id types.ObjectID) (types.DataObject, error)

@@ -1,11 +1,15 @@
 package shard
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
+	"time"
 
+	"gosrb/internal/acl"
 	"gosrb/internal/mcat"
 	"gosrb/internal/obs"
 	"gosrb/internal/types"
@@ -52,6 +56,71 @@ func TestReplicationConverges(t *testing.T) {
 	_, partial, err := f.QueryPartial(testQuery("e0"))
 	if err != nil || len(partial) != 0 {
 		t.Errorf("caught-up follower query: partial=%v err=%v", partial, err)
+	}
+}
+
+// journalForm is a shard's state as the journal lines that recreate
+// it. The admin account is made by New on each side, so its creation
+// time is left out.
+func journalForm(t *testing.T, c *mcat.Catalog) []string {
+	t.Helper()
+	var out []string
+	for _, e := range c.Export("/") {
+		if e.Op == "adduser" && e.User.Name == "admin" {
+			u := *e.User
+			u.CreatedAt = time.Time{}
+			e.User = &u
+		}
+		line, err := json.Marshal(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, string(line))
+	}
+	return out
+}
+
+// A cross-shard MoveColl is deletes on the source shard and the entries
+// that recreate the subtree on the destination; followers of both
+// shards replay them to the leader's state.
+func TestCrossShardMoveCollReplicates(t *testing.T) {
+	leader := newTestRouter(t, 4)
+	seedGrid(t, leader)
+	src := "/home/alice/deep"
+	for _, err := range []error{
+		leader.MkColl(src+"/sub", "alice"),
+		leader.SetACL(src, "bob", acl.Write),
+		leader.SetStructural(src, types.StructuralAttr{Name: "origin", Mandatory: true}),
+		leader.AddAnnotation(src+"/f0.dat", types.Annotation{Author: "bob", Text: "checked"}),
+		leader.AttachFileMeta(src+"/f0.dat", src+"/f2.dat"),
+	} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	f := followerOf(t, leader)
+	if err := f.SyncOnce(); err != nil {
+		t.Fatal(err)
+	}
+	var dst string
+	for i := 0; i < 50 && dst == ""; i++ {
+		if cand := fmt.Sprintf("/projects/sub%d", i); leader.homeIdx(cand) != leader.homeIdx(src) {
+			dst = cand
+		}
+	}
+	if err := leader.MoveColl(src, dst); err != nil {
+		t.Fatalf("MoveColl: %v", err)
+	}
+	if err := f.SyncOnce(); err != nil {
+		t.Fatal(err)
+	}
+	for _, i := range []int{leader.homeIdx(src), leader.homeIdx(dst)} {
+		if got, want := journalForm(t, f.Shard(i)), journalForm(t, leader.Shard(i)); !reflect.DeepEqual(got, want) {
+			t.Errorf("shard %d: follower\n%s\nleader\n%s", i, strings.Join(got, "\n"), strings.Join(want, "\n"))
+		}
+	}
+	if got := f.FileMeta(dst + "/f0.dat"); !reflect.DeepEqual(got, []string{dst + "/f2.dat"}) {
+		t.Errorf("follower's moved attachment = %v", got)
 	}
 }
 

@@ -92,14 +92,6 @@ func OpenTelemetryStore(dir, server string, retention time.Duration) (*Telemetry
 	}, nil
 }
 
-// Dir returns the store's directory.
-func (ts *TelemetryStore) Dir() string {
-	if ts == nil {
-		return ""
-	}
-	return ts.dir
-}
-
 // Restore loads the snapshot and replays the journal into reg: the
 // rollup ring is refilled, the live counters/gauges/ops are re-seeded
 // from the newest rollup (so windowed deltas stay continuous across

@@ -12,7 +12,6 @@ import (
 	"errors"
 	"io"
 	"sort"
-	"strings"
 	"time"
 
 	"gosrb/internal/chunk"
@@ -208,16 +207,6 @@ func Copy(dst Driver, dstPath string, src Driver, srcPath string) (int64, error)
 		return n, err
 	}
 	return n, w.Close()
-}
-
-// ValidPhysicalPath reports whether p is acceptable as a physical path:
-// cleaned, absolute, NUL-free and not escaping the root.
-func ValidPhysicalPath(p string) bool {
-	if p == "" || strings.Contains(p, "\x00") {
-		return false
-	}
-	c := types.CleanPath(p)
-	return c == p || c == strings.TrimSuffix(p, "/")
 }
 
 // SortInfos orders listing entries by path, the order List must return.

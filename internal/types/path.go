@@ -33,9 +33,6 @@ func Base(p string) string { return gopath.Base(CleanPath(p)) }
 // Parent returns the parent collection of p; the root is its own parent.
 func Parent(p string) string { return gopath.Dir(CleanPath(p)) }
 
-// IsRoot reports whether p is the root collection.
-func IsRoot(p string) bool { return CleanPath(p) == "/" }
-
 // Within reports whether path p lies strictly inside collection c
 // (p != c and p has c as an ancestor).
 func Within(c, p string) bool {
