@@ -42,7 +42,10 @@ GO_SRC := --include=*.go --exclude=*_test.go cmd internal examples bench
 # wire.AppendBody / wire.DecodeBody, never with encoding/json directly.
 WIRE_USERS := internal/client internal/server internal/report
 
+# The format fence: every Go file is as gofmt writes it, so formatting
+# never rides along with (or needs) a commit of its own.
 lint: vet
+	@if [ -n "$$(gofmt -l .)" ]; then gofmt -l .; echo "not gofmt-clean: run gofmt -w on the files above"; exit 1; fi
 	@if grep -rnE 'time\.(Tick|NewTicker)\(' --exclude-dir=repair $(GO_SRC); then echo "ticker outside internal/repair: make it a row of the job table (internal/daemon)"; exit 1; fi
 	@if grep -rnE 'json\.(Marshal|Unmarshal)\(' --include=*.go --exclude=*_test.go $(WIRE_USERS); then echo "JSON outside internal/wire: encode wire args and bodies with wire.AppendBody / wire.DecodeBody"; exit 1; fi
 	@if grep -rnF 'signal.Notify(' --exclude-dir=daemon $(GO_SRC); then echo "signal handler outside internal/daemon: Runtime.Run owns shutdown"; exit 1; fi

@@ -144,6 +144,25 @@ func (c *Catalog) SetIDAlloc(offset, stride int64) {
 	c.nextID = c.alignIDLocked(c.nextID)
 }
 
+// NextID returns the lowest ID the catalog may still hand out: every ID
+// it ever allocated, a deleted object's included, is below it.
+func (c *Catalog) NextID() types.ObjectID {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return c.nextID
+}
+
+// ReserveIDs makes every ID handed out from now on at least min, so a
+// catalog rebuilt from others' state never reissues an ID they handed
+// out.
+func (c *Catalog) ReserveIDs(min types.ObjectID) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if min > c.nextID {
+		c.nextID = c.alignIDLocked(min)
+	}
+}
+
 // alignIDLocked returns the smallest id >= min in this catalog's ID
 // class. With no stride configured it is the identity.
 func (c *Catalog) alignIDLocked(min types.ObjectID) types.ObjectID {

@@ -95,7 +95,11 @@ func (c *Catalog) Export(root string) []Entry {
 	}
 	for _, p := range paths {
 		for _, f := range c.fileMeta[p] {
-			out = append(out, Entry{Op: "filemeta", Path: p, Path2: f})
+			// A catalog written before DeleteObject dropped the attachments
+			// naming it can still hold one whose file is gone.
+			if _, ok := c.objects[f]; ok {
+				out = append(out, Entry{Op: "filemeta", Path: p, Path2: f})
+			}
 		}
 	}
 

@@ -10,6 +10,7 @@ import (
 
 	"gosrb/internal/acl"
 	"gosrb/internal/mcat"
+	"gosrb/internal/mcat/shard"
 	"gosrb/internal/types"
 )
 
@@ -33,7 +34,7 @@ var fixtureKinds = []string{
 }
 
 // fixtureScript makes at least one mutation of every entry kind.
-func fixtureScript(t *testing.T, c *mcat.Catalog) {
+func fixtureScript(t *testing.T, c shard.Catalog) {
 	t.Helper()
 	m := func(err error) { t.Helper(); must(t, err) }
 	n := func(k int, err error) {
@@ -127,6 +128,15 @@ func TestJournalFixture(t *testing.T) {
 	fixtureScript(t, live)
 	if !bytes.Equal(buf.Bytes(), fixture) {
 		t.Errorf("the fixture script no longer journals the bytes of testdata/journal.v1:\n%s", buf.Bytes())
+	}
+	// A one-shard router is a passthrough: it journals the same bytes.
+	var routed bytes.Buffer
+	r := shard.NewRouter(1, "admin", "sdsc")
+	r.SetClock(func() time.Time { return fixtureEpoch })
+	r.AttachJournal(0, mcat.NewJournal(&routed))
+	fixtureScript(t, r)
+	if !bytes.Equal(routed.Bytes(), fixture) {
+		t.Errorf("the fixture script through a one-shard router journals other bytes than testdata/journal.v1:\n%s", routed.Bytes())
 	}
 	kinds := map[string]bool{}
 	for _, line := range bytes.Split(bytes.TrimSpace(fixture), []byte("\n")) {

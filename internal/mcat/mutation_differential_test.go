@@ -1,6 +1,7 @@
 package mcat_test
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -18,10 +19,12 @@ import (
 // The mutation half of the router-vs-monolith differential: one seeded
 // script of mutations — collections, objects, metadata, ACLs,
 // structural rules, annotations, file-metadata attachments, moves that
-// cross shards, deletes — runs against a monolithic Catalog and a
-// persistent 4-shard Router. After every step both must answer every
-// read method the same way (dump), and so must the router reopened at 3
-// and then 1 shards.
+// cross shards, deletes, and the broadcast state: accounts, groups,
+// resources and the repair queue — runs against a monolithic Catalog
+// and a persistent 4-shard Router. After every step both must answer
+// every read method the same way (dump), every shard of the router must
+// hold the same broadcast state, and at the end so must the router
+// reopened at 3 and then 1 shards.
 
 // diffSide is one catalog under test, with the path each of its
 // objects was registered at: the router allocates IDs from another
@@ -51,10 +54,29 @@ var (
 	mdValues   = []string{"J", "H", "K", "1", "2"}
 	mdWords    = []string{"calibrated", "errata", "ok"}
 	mdStruct   = []string{"origin", "survey"}
+	// mdTop names what is made directly under the root, collections and
+	// objects alike, so the two collide over spine names.
+	mdTop       = []string{"z0", "top", "t1"}
+	mdAccounts  = []string{"alice", "bob", "carol"}
+	mdGroups    = []string{"staff", "ops"}
+	mdResources = []string{"r1", "r2", "arch"}
+	mdPolicies  = []string{"", "sync", "async:1", "async:3"}
 )
 
-// mdSetup gives both sides the accounts, a resource and a first layer
-// of collections, spine and deep.
+// errUnchanged stands for a bool-reporting mutator's false, so both
+// sides must agree on it as on an error.
+var errUnchanged = errors.New("unchanged")
+
+func changedIf(ok bool) error {
+	if !ok {
+		return errUnchanged
+	}
+	return nil
+}
+
+// mdSetup gives both sides the accounts, a resource, a first layer of
+// collections, spine and deep, and an object /top directly under the
+// root.
 func mdSetup() []mutation {
 	m := []mutation{
 		{"users", func(s *diffSide) error {
@@ -68,14 +90,20 @@ func mdSetup() []mutation {
 	for _, p := range []string{"/z0", "/z1", "/z0/p0", "/z0/p1", "/z1/p0", "/z1/p2", "/z0/p0/d0"} {
 		m = append(m, mutation{"mkcoll " + p, func(s *diffSide) error { return s.c.MkColl(p, "admin") }})
 	}
-	return m
+	return append(m, mutation{"register /top", func(s *diffSide) error {
+		id, err := s.c.RegisterObject(&types.DataObject{Collection: "/", Name: "top", Owner: "admin", DataType: "generic"})
+		if err == nil {
+			s.birth[id] = "#top"
+		}
+		return err
+	}})
 }
 
 // nextMutation draws one step from the state the monolith holds.
-// Objects that take part in a file-metadata attachment are pinned: they
-// are neither moved nor deleted alone, which would leave a pointer to a
-// path that is gone, or on another shard, and that no layout can
-// reshard.
+// Objects that take part in a file-metadata attachment are pinned
+// against moves, which would leave a pointer to a path that is gone, or
+// on another shard, and that no layout can reshard. Deleting one drops
+// the attachments that name it.
 func nextMutation(rng *rand.Rand, mono *diffSide, pinned map[string]bool, step int) mutation {
 	pick := func(from []string) string { return from[rng.Intn(len(from))] }
 	colls := append([]string{"/"}, mono.c.SubColls("/")...)
@@ -90,12 +118,22 @@ func nextMutation(rng *rand.Rand, mono *diffSide, pinned map[string]bool, step i
 	class := []types.MetaClass{types.MetaUser, types.MetaType}[rng.Intn(2)]
 	newName := pick([]string{"c0", "c1", fmt.Sprintf("n%d", step)})
 
-	switch k := rng.Intn(20); {
+	switch k := rng.Intn(27); {
 	case k < 3:
 		p, owner := types.Join(pick(colls), newName), pick(mdUsers)
+		if rng.Intn(3) == 0 {
+			p = "/" + pick(mdTop)
+		}
+		if rng.Intn(3) == 0 {
+			p = types.Join(p, "c0")
+			return mutation{"mkcollall " + p, func(s *diffSide) error { return s.c.MkCollAll(p, owner) }}
+		}
 		return mutation{"mkcoll " + p, func(s *diffSide) error { return s.c.MkColl(p, owner) }}
 	case k < 7:
 		coll, name, owner := pick(colls), pick([]string{"a.dat", "b.dat", fmt.Sprintf("o%d.dat", step)}), pick(mdUsers)
+		if rng.Intn(3) == 0 {
+			coll, name = "/", pick(mdTop)
+		}
 		birth := fmt.Sprintf("#%d", step)
 		return mutation{"register " + types.Join(coll, name), func(s *diffSide) error {
 			o := &types.DataObject{Collection: coll, Name: name, Owner: owner, DataType: "generic", Size: int64(step),
@@ -160,18 +198,61 @@ func nextMutation(rng *rand.Rand, mono *diffSide, pinned map[string]bool, step i
 			pinned[mono.id(o.ID)] = true
 		}
 		return mutation{"filemeta " + p + " " + f, func(s *diffSide) error { return s.c.AttachFileMeta(p, f) }}
-	case k < 17 && len(free) > 0:
+	case k < 18 && len(free) > 0:
 		p, coll, name := pick(free), pick(colls), pick([]string{"m.dat", fmt.Sprintf("m%d.dat", step)})
 		return mutation{"move " + p + " " + types.Join(coll, name), func(s *diffSide) error { return s.c.MoveObject(p, coll, name) }}
-	case k < 18:
+	case k < 19:
 		p, to := pick(colls), types.Join(pick(colls), fmt.Sprintf("v%d", step))
 		return mutation{"movecoll " + p + " " + to, func(s *diffSide) error { return s.c.MoveColl(p, to) }}
-	case k < 19 && len(free) > 0:
-		p := pick(free)
+	case k < 20 && len(objs) > 0:
+		p := pick(objs)
 		return mutation{"delete " + p, func(s *diffSide) error { return s.c.DeleteObject(p) }}
-	case k < 20:
+	case k < 21:
 		p := pick(colls)
 		return mutation{"rmcoll " + p, func(s *diffSide) error { return s.c.DeleteColl(p) }}
+	case k < 22:
+		name := pick(mdAccounts)
+		if rng.Intn(2) == 0 {
+			return mutation{"deluser " + name, func(s *diffSide) error { return s.c.DeleteUser(name) }}
+		}
+		return mutation{"adduser " + name, func(s *diffSide) error { return s.c.AddUser(types.User{Name: name, Domain: "sdsc"}) }}
+	case k < 23:
+		g, u := pick(mdGroups), pick(mdAccounts)
+		switch rng.Intn(3) {
+		case 0:
+			return mutation{"addgroup " + g, func(s *diffSide) error { return s.c.AddGroup(g) }}
+		case 1:
+			return mutation{"addtogroup " + g + " " + u, func(s *diffSide) error { return s.c.AddToGroup(g, u) }}
+		}
+		return mutation{"rmfromgroup " + g + " " + u, func(s *diffSide) error { return s.c.RemoveFromGroup(g, u) }}
+	case k < 24:
+		res := types.Resource{Name: pick(mdResources), Kind: types.ResourcePhysical, Driver: "memfs"}
+		if res.Name == "arch" {
+			res = types.Resource{Name: res.Name, Kind: types.ResourceLogical, Members: []string{"r1", "r2"}}
+		}
+		return mutation{"addresource " + res.Name, func(s *diffSide) error { return s.c.AddResource(res) }}
+	case k < 25:
+		name := pick(mdResources)
+		switch rng.Intn(3) {
+		case 0:
+			online := rng.Intn(2) == 0
+			return mutation{fmt.Sprintf("setonline %s %v", name, online), func(s *diffSide) error { return s.c.SetResourceOnline(name, online) }}
+		case 1:
+			policy := pick(mdPolicies)
+			return mutation{fmt.Sprintf("replpolicy %s %q", name, policy), func(s *diffSide) error { return s.c.SetResourcePolicy(name, policy) }}
+		}
+		who, lvl := pick(mdGrantees), acl.Level(rng.Intn(6))
+		return mutation{fmt.Sprintf("setresourceacl %s %s %v", name, who, lvl), func(s *diffSide) error { return s.c.SetResourceACL(name, who, lvl) }}
+	case k < 26:
+		task := types.RepairTask{Path: pick(paths), Resource: pick(mdResources), Kind: "replicate"}
+		return mutation{"repairenq " + task.Path + " " + task.Resource, func(s *diffSide) error { return changedIf(s.c.EnqueueRepair(task)) }}
+	case k < 27:
+		keys := []string{"nowhere"}
+		for _, t := range mono.c.PendingRepairs() {
+			keys = append(keys, t.Key)
+		}
+		key := pick(keys)
+		return mutation{"repairdone " + key, func(s *diffSide) error { return changedIf(s.c.CompleteRepair(key)) }}
 	}
 	p := pick(paths)
 	return mutation{"annotate " + p, func(s *diffSide) error { return s.c.AddAnnotation(p, types.Annotation{Author: "alice", Text: "ok"}) }}
@@ -206,9 +287,9 @@ func mutationDifferential(t *testing.T, seed int64, steps int) {
 
 	ring := st.Router().Map()
 	rng := rand.New(rand.NewSource(seed))
-	pinned := map[string]bool{}
+	pinned := map[string]bool{"#top": true} // stays put, so mkcoll /top keeps colliding with it
 	script := mdSetup()
-	var applied, refused, unsupported, crossMoves int
+	var applied, refused, unsupported, crossMoves, collisions int
 	for step := 0; step < len(script)+steps; step++ {
 		var m mutation
 		if step < len(script) {
@@ -216,7 +297,18 @@ func mutationDifferential(t *testing.T, seed int64, steps int) {
 		} else {
 			m = nextMutation(rng, mono, pinned, step)
 		}
+		if f := strings.Fields(m.desc); f[0] == "mkcollall" && types.Depth(f[1]) == 2 || f[0] == "mkcoll" && types.Depth(f[1]) == 1 {
+			if _, err := mono.c.GetObject("/" + strings.Split(f[1], "/")[1]); err == nil {
+				collisions++ // the spine collection's name is an object's
+			}
+		}
 		rerr := m.do(router)
+		shard0 := broadcastState(st.Router().Shard(0))
+		for i := 1; i < st.Router().N(); i++ {
+			if d := diffDump(broadcastState(st.Router().Shard(i)), shard0); d != "" {
+				t.Fatalf("step %d, %s: shard %d and shard 0 hold different broadcast state at %s", step, m.desc, i, d)
+			}
+		}
 		if errors.Is(rerr, types.ErrUnsupported) {
 			unsupported++ // a sharding restriction: the monolith skips it too
 			continue
@@ -237,8 +329,9 @@ func mutationDifferential(t *testing.T, seed int64, steps int) {
 			t.Fatalf("step %d, %s: router and monolith differ at %s", step, m.desc, d)
 		}
 	}
-	if applied < steps/2 || refused == 0 || unsupported == 0 || crossMoves < 10 {
-		t.Errorf("the generator has drifted: %d applied, %d refused, %d unsupported, %d cross-shard moves", applied, refused, unsupported, crossMoves)
+	if applied < steps/2 || refused == 0 || unsupported == 0 || crossMoves < 10 || collisions == 0 {
+		t.Errorf("the generator has drifted: %d applied, %d refused, %d unsupported, %d cross-shard moves, %d spine-name collisions",
+			applied, refused, unsupported, crossMoves, collisions)
 	}
 
 	want := dump(mono.c, mono.id)
@@ -256,4 +349,42 @@ func mutationDifferential(t *testing.T, seed int64, steps int) {
 		}
 		st.Close()
 	}
+}
+
+// broadcastState renders the entries of one shard's Export that every
+// shard must hold alike: accounts and groups, resources with their
+// state and ACLs, and spine collections with their ACLs and structural
+// rules. New stamps the admin account with the wall clock, so its
+// creation time is left out.
+func broadcastState(c *mcat.Catalog) []string {
+	spine := map[string]bool{"/": true}
+	var out []string
+	for _, e := range c.Export("/") {
+		switch e.Op {
+		case "adduser":
+			if e.User.Name == "admin" {
+				u := *e.User
+				u.CreatedAt = time.Time{}
+				e.User = &u
+			}
+		case "addgroup", "addtogroup", "addresource", "setonline", "setresourceacl":
+		case "mkcoll":
+			if types.Depth(e.Coll.Path) != 1 {
+				continue
+			}
+			spine[e.Coll.Path] = true
+		case "setacl", "structural":
+			if !spine[e.Path] {
+				continue
+			}
+		default:
+			continue
+		}
+		b, err := json.Marshal(e)
+		if err != nil {
+			panic(err)
+		}
+		out = append(out, string(b))
+	}
+	return out
 }

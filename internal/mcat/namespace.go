@@ -1,6 +1,7 @@
 package mcat
 
 import (
+	"slices"
 	"sort"
 
 	"gosrb/internal/types"
@@ -367,6 +368,15 @@ func (c *Catalog) DeleteObject(path string) error {
 	delete(c.byID, o.ID)
 	c.removeChildObj(o.Collection, path)
 	c.dropPathState(path)
+	// An attachment naming the object would point at nothing.
+	for p, files := range c.fileMeta {
+		if i := slices.Index(files, path); i >= 0 {
+			c.fileMeta[p] = slices.Delete(files, i, i+1)
+		}
+		if len(c.fileMeta[p]) == 0 {
+			delete(c.fileMeta, p)
+		}
+	}
 	c.log(Entry{Op: "delete", Path: path})
 	return nil
 }

@@ -1,6 +1,7 @@
 package mcat
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sync"
@@ -187,6 +188,46 @@ func TestDeleteObjectAndColl(t *testing.T) {
 	}
 	if err := c.DeleteColl("/"); !errors.Is(err, types.ErrInvalid) {
 		t.Errorf("root delete: %v", err)
+	}
+}
+
+// Deleting an object drops every attachment naming it as a metadata
+// file, live and in replay; Export leaves out one whose file is gone
+// all the same, as a catalog written before that could hold it.
+func TestDeleteObjectDropsAttachments(t *testing.T) {
+	c := newCat(t)
+	var buf bytes.Buffer
+	c.SetJournal(NewJournal(&buf))
+	mustMkColl(t, c, "/d", "admin")
+	for _, name := range []string{"x", "y", "meta", "other"} {
+		mustRegister(t, c, "/d", name, "u")
+	}
+	for _, a := range [][2]string{{"/d/x", "/d/meta"}, {"/d/x", "/d/other"}, {"/d/y", "/d/meta"}} {
+		if err := c.AttachFileMeta(a[0], a[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.DeleteObject("/d/meta"); err != nil {
+		t.Fatal(err)
+	}
+	replayed := newCat(t)
+	if _, err := replayed.ReplayCounted(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, cat := range []*Catalog{c, replayed} {
+		if got := cat.FileMeta("/d/x"); len(got) != 1 || got[0] != "/d/other" {
+			t.Errorf("FileMeta(/d/x) = %v, want [/d/other]", got)
+		}
+		if got := cat.FileMeta("/d/y"); len(got) != 0 {
+			t.Errorf("FileMeta(/d/y) = %v, want none", got)
+		}
+	}
+
+	c.fileMeta["/d/y"] = []string{"/d/gone"}
+	for _, e := range c.Export("/") {
+		if e.Op == "filemeta" && e.Path2 == "/d/gone" {
+			t.Errorf("Export holds an attachment to a file that is gone: %+v", e)
+		}
 	}
 }
 

@@ -300,21 +300,24 @@ func (st *Store) Close() error {
 }
 
 // reshard rebuilds the old router's catalog in the new layout: every
-// old shard is exported and each entry applied on the shards route
-// names. Broadcast state is exported by every old shard, so a copy
-// that already exists is skipped; anything else that does not apply
-// stops the reshard.
+// old shard is exported and each entry written where a live write of
+// it would land. Broadcast state is exported by every old shard, so a
+// copy that already exists is skipped; anything else that does not
+// apply stops the reshard. No new shard hands out an ID the old layout
+// ever handed out, a deleted object's included.
 func reshard(old, nw *Router) error {
+	var next types.ObjectID
+	for _, src := range old.shards {
+		next = max(next, src.cat.NextID())
+	}
+	for _, dst := range nw.shards {
+		dst.cat.ReserveIDs(next)
+	}
 	for _, src := range old.shards {
 		for _, e := range src.cat.Export("/") {
-			i := nw.route(e)
-			if i != everyShard {
-				if err := nw.shards[i].cat.Apply(e); err != nil {
-					return err
-				}
-				continue
-			}
-			if err := nw.each(func(c *mcat.Catalog) error { return tolerateExists(c.Apply(e)) }); err != nil {
+			op, path := e.Op, entryPath(e)
+			err := nw.write(op, path, func(c *mcat.Catalog) error { return c.Apply(e) })
+			if err != nil && (nw.route(op, path) != everyShard || !errors.Is(err, types.ErrExists)) {
 				return err
 			}
 		}
@@ -322,30 +325,22 @@ func reshard(old, nw *Router) error {
 	return nil
 }
 
-// everyShard is route's answer for broadcast state.
-const everyShard = -1
-
-// route names the shard an exported entry belongs on, or everyShard:
-// accounts, resources, and spine collections with their ACLs and
-// structural rules are on every shard; the repair queue is on shard 0;
-// everything else is on its path's home shard.
-func (r *Router) route(e mcat.Entry) int {
-	switch e.Op {
-	case "adduser", "addgroup", "addtogroup", "addresource", "setonline", "setresourceacl":
-		return everyShard
-	case "repairenq":
-		return 0
-	case "mkcoll":
-		if Spine(e.Coll.Path) {
-			return everyShard
-		}
-		return r.homeIdx(e.Coll.Path)
-	case "setacl", "structural":
-		if r.spineColl(e.Path) {
-			return everyShard
-		}
-	case "register":
-		return r.homeIdx(e.Object.Path())
+// entryPath is the path, or for accounts and resources the name, that
+// a live write of e names.
+func entryPath(e mcat.Entry) string {
+	switch {
+	case e.Coll != nil:
+		return e.Coll.Path
+	case e.Object != nil:
+		return e.Object.Path()
+	case e.Path != "":
+		return e.Path
+	case e.User != nil:
+		return e.User.Name
+	case e.Resource != nil:
+		return e.Resource.Name
+	case e.Group != "":
+		return e.Group
 	}
-	return r.homeIdx(e.Path)
+	return e.Name
 }

@@ -286,6 +286,83 @@ func TestReshardKeepsResourceState(t *testing.T) {
 	})
 }
 
+// reopenAt4 snapshots a one-shard store after seed and reopens it at
+// four shards.
+func reopenAt4(t *testing.T, seed func(r *Router)) *Store {
+	t.Helper()
+	dir := t.TempDir()
+	st, err := Open(testOpts(dir, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	seed(st.Router())
+	if err := st.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+	st4, err := Open(testOpts(dir, 4))
+	if err != nil {
+		t.Fatalf("reopen at 4 shards: %v", err)
+	}
+	t.Cleanup(func() { st4.Close() })
+	return st4
+}
+
+// An object ID handed out before a reshard is never handed out after
+// it, even when its object was deleted.
+func TestReshardNeverReissuesDeletedIDs(t *testing.T) {
+	var ids []types.ObjectID
+	st := reopenAt4(t, func(r *Router) {
+		if err := r.MkCollAll("/a/b", "admin"); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 12; i++ {
+			id, err := r.RegisterObject(&types.DataObject{Collection: "/a/b", Name: fmt.Sprintf("f%d", i), Owner: "admin"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids = append(ids, id)
+		}
+		for i := 8; i < 12; i++ {
+			if err := r.DeleteObject(fmt.Sprintf("/a/b/f%d", i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	id, err := st.Router().RegisterObject(&types.DataObject{Collection: "/a/b", Name: "new", Owner: "admin"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, old := range ids {
+		if id == old {
+			t.Errorf("the resharded catalog handed out ID %d again", id)
+		}
+	}
+}
+
+// A file-metadata attachment whose file was deleted does not stop a
+// reshard.
+func TestReshardAfterAttachedFileDeleted(t *testing.T) {
+	st := reopenAt4(t, func(r *Router) {
+		must := func(err error) {
+			t.Helper()
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		must(r.MkCollAll("/a/b", "admin"))
+		for _, name := range []string{"data", "meta"} {
+			_, err := r.RegisterObject(&types.DataObject{Collection: "/a/b", Name: name, Owner: "admin"})
+			must(err)
+		}
+		must(r.AttachFileMeta("/a/b/data", "/a/b/meta"))
+		must(r.DeleteObject("/a/b/meta"))
+	})
+	if got := st.Router().FileMeta("/a/b/data"); len(got) != 0 {
+		t.Errorf("FileMeta(/a/b/data) = %v, want none", got)
+	}
+}
+
 // A snapshot that exists but cannot be read stops the boot: starting
 // with an empty shard would let the next Snapshot overwrite a damaged
 // but recoverable file. An absent snapshot is still a fresh start.

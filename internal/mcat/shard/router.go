@@ -226,12 +226,68 @@ func (r *Router) writableAll(op, target string) error {
 	return nil
 }
 
-// each applies fn to every shard and returns the first error. Spine
-// state is identical everywhere so errors agree; applying to the rest
+// everyShard is route's answer for broadcast state.
+const everyShard = -1
+
+// route names the shard a write belongs on, or everyShard. It is the
+// one placement decision: live writes (write) and the boot-time
+// reshard both ask it. Accounts, resources, and spine collections with
+// their ACLs and structural rules are on every shard; the repair queue
+// is on shard 0; everything else is on its path's home shard.
+func (r *Router) route(op, path string) int {
+	switch op {
+	case "adduser", "deluser", "addgroup", "addtogroup", "rmfromgroup",
+		"addresource", "setonline", "replpolicy", "setresourceacl":
+		return everyShard
+	case "repairenq", "repairdone":
+		return 0
+	case "mkcoll", "rmcoll":
+		if Spine(path) {
+			return everyShard
+		}
+	case "setacl", "structural", "delstructural":
+		if r.spineColl(path) {
+			return everyShard
+		}
+	}
+	return r.homeIdx(path)
+}
+
+// spineColl reports whether path is a collection every shard mirrors —
+// the root or a depth-1 collection — so its ACL and structural rules
+// broadcast. An object directly under the root lives on its home shard
+// alone.
+func (r *Router) spineColl(path string) bool {
+	return r.n > 1 && Spine(path) && r.home(path).CollExists(path)
+}
+
+// write places one catalog write: fn runs on the shard route names,
+// once that shard accepts writes. Broadcast state needs every shard to
+// accept; fn runs on the path's home shard first and reaches the others
+// only if the home shard took it, so a refusal (an object there already
+// holds a spine name) leaves no trace anywhere. Past the home shard the
+// copies are identical, so their errors agree; applying to the rest
 // even after a failure keeps them agreeing when they do not.
-func (r *Router) each(fn func(c *mcat.Catalog) error) error {
+func (r *Router) write(op, path string, fn func(c *mcat.Catalog) error) error {
+	i := r.route(op, path)
+	if i != everyShard {
+		if err := r.writable(i, op, path); err != nil {
+			return err
+		}
+		return fn(r.shards[i].cat)
+	}
+	if err := r.writableAll(op, path); err != nil {
+		return err
+	}
+	h := r.homeIdx(path)
+	if err := fn(r.shards[h].cat); err != nil {
+		return err
+	}
 	var first error
-	for _, st := range r.shards {
+	for j, st := range r.shards {
+		if j == h {
+			continue
+		}
 		if err := fn(st.cat); err != nil && first == nil {
 			first = err
 		}
@@ -239,52 +295,29 @@ func (r *Router) each(fn func(c *mcat.Catalog) error) error {
 	return first
 }
 
-// tolerateExists maps ErrExists to success (idempotent broadcasts).
-func tolerateExists(err error) error {
-	if errors.Is(err, types.ErrExists) {
-		return nil
-	}
-	return err
-}
-
 // ---- users and groups (broadcast writes, shard-0 reads) ----
 
 func (r *Router) AddUser(u types.User) error {
-	if err := r.writableAll("adduser", u.Name); err != nil {
-		return err
-	}
-	return r.each(func(c *mcat.Catalog) error { return c.AddUser(u) })
+	return r.write("adduser", u.Name, func(c *mcat.Catalog) error { return c.AddUser(u) })
 }
 
 func (r *Router) GetUser(name string) (types.User, error) { return r.shards[0].cat.GetUser(name) }
 func (r *Router) Users() []types.User                     { return r.shards[0].cat.Users() }
 
 func (r *Router) DeleteUser(name string) error {
-	if err := r.writableAll("deluser", name); err != nil {
-		return err
-	}
-	return r.each(func(c *mcat.Catalog) error { return c.DeleteUser(name) })
+	return r.write("deluser", name, func(c *mcat.Catalog) error { return c.DeleteUser(name) })
 }
 
 func (r *Router) AddGroup(name string) error {
-	if err := r.writableAll("addgroup", name); err != nil {
-		return err
-	}
-	return r.each(func(c *mcat.Catalog) error { return c.AddGroup(name) })
+	return r.write("addgroup", name, func(c *mcat.Catalog) error { return c.AddGroup(name) })
 }
 
 func (r *Router) AddToGroup(group, user string) error {
-	if err := r.writableAll("addtogroup", group); err != nil {
-		return err
-	}
-	return r.each(func(c *mcat.Catalog) error { return c.AddToGroup(group, user) })
+	return r.write("addtogroup", group, func(c *mcat.Catalog) error { return c.AddToGroup(group, user) })
 }
 
 func (r *Router) RemoveFromGroup(group, user string) error {
-	if err := r.writableAll("rmfromgroup", group); err != nil {
-		return err
-	}
-	return r.each(func(c *mcat.Catalog) error { return c.RemoveFromGroup(group, user) })
+	return r.write("rmfromgroup", group, func(c *mcat.Catalog) error { return c.RemoveFromGroup(group, user) })
 }
 
 func (r *Router) GroupsOf(user string) map[string]bool { return r.shards[0].cat.GroupsOf(user) }
@@ -294,10 +327,7 @@ func (r *Router) IsAdmin(name string) bool             { return r.shards[0].cat.
 // ---- resources (broadcast writes, shard-0 reads) ----
 
 func (r *Router) AddResource(res types.Resource) error {
-	if err := r.writableAll("addresource", res.Name); err != nil {
-		return err
-	}
-	return r.each(func(c *mcat.Catalog) error { return c.AddResource(res) })
+	return r.write("addresource", res.Name, func(c *mcat.Catalog) error { return c.AddResource(res) })
 }
 
 func (r *Router) GetResource(name string) (types.Resource, error) {
@@ -307,17 +337,11 @@ func (r *Router) GetResource(name string) (types.Resource, error) {
 func (r *Router) Resources() []types.Resource { return r.shards[0].cat.Resources() }
 
 func (r *Router) SetResourceOnline(name string, online bool) error {
-	if err := r.writableAll("setonline", name); err != nil {
-		return err
-	}
-	return r.each(func(c *mcat.Catalog) error { return c.SetResourceOnline(name, online) })
+	return r.write("setonline", name, func(c *mcat.Catalog) error { return c.SetResourceOnline(name, online) })
 }
 
 func (r *Router) SetResourcePolicy(name, policy string) error {
-	if err := r.writableAll("replpolicy", name); err != nil {
-		return err
-	}
-	return r.each(func(c *mcat.Catalog) error { return c.SetResourcePolicy(name, policy) })
+	return r.write("replpolicy", name, func(c *mcat.Catalog) error { return c.SetResourcePolicy(name, policy) })
 }
 
 func (r *Router) ResolvePhysical(name string) ([]types.Resource, error) {
@@ -328,12 +352,6 @@ func (r *Router) ResolvePhysical(name string) ([]types.Resource, error) {
 // (e.g. a replica landed there between checks) the already-applied
 // shards get the resource re-added so spine state stays uniform.
 func (r *Router) DeleteResource(name string) error {
-	if r.n == 1 {
-		if err := r.writable(0, "delresource", name); err != nil {
-			return err
-		}
-		return r.shards[0].cat.DeleteResource(name)
-	}
 	if err := r.writableAll("delresource", name); err != nil {
 		return err
 	}
@@ -357,48 +375,30 @@ func (r *Router) DeleteResource(name string) error {
 
 func (r *Router) MkColl(path, owner string) error {
 	path = types.CleanPath(path)
-	if r.n > 1 && Spine(path) {
-		if err := r.writableAll("mkcoll", path); err != nil {
-			return err
-		}
-		return r.each(func(c *mcat.Catalog) error { return c.MkColl(path, owner) })
-	}
-	i := r.homeIdx(path)
-	if err := r.writable(i, "mkcoll", path); err != nil {
-		return err
-	}
-	return r.shards[i].cat.MkColl(path, owner)
+	return r.write("mkcoll", path, func(c *mcat.Catalog) error { return c.MkColl(path, owner) })
 }
 
 func (r *Router) MkCollAll(path, owner string) error {
 	path = types.CleanPath(path)
-	if r.n == 1 {
-		if err := r.writable(0, "mkcoll", path); err != nil {
-			return err
-		}
-		return r.shards[0].cat.MkCollAll(path, owner)
-	}
 	for _, p := range append(types.Ancestors(path), path) {
 		if p == "/" {
 			continue
 		}
-		if Spine(p) {
-			if err := r.writableAll("mkcoll", p); err != nil {
-				return err
-			}
-			pp := p
-			if err := r.each(func(c *mcat.Catalog) error { return tolerateExists(c.MkColl(pp, owner)) }); err != nil {
-				return err
-			}
-			continue
+		if !Spine(p) {
+			// First deep ancestor: everything from here down shares one
+			// home shard, which can create the rest in one call.
+			return r.write("mkcoll", path, func(c *mcat.Catalog) error { return c.MkCollAll(path, owner) })
 		}
-		// First deep ancestor: everything from here down shares one
-		// home shard, which can create the rest in one call.
-		i := r.homeIdx(p)
-		if err := r.writable(i, "mkcoll", path); err != nil {
+		// A spine collection that exists is skipped; anything else
+		// holding its name refuses the step.
+		if err := r.write("mkcoll", p, func(c *mcat.Catalog) error {
+			if c.CollExists(p) {
+				return nil
+			}
+			return c.MkColl(p, owner)
+		}); err != nil {
 			return err
 		}
-		return r.shards[i].cat.MkCollAll(path, owner)
 	}
 	return nil
 }
@@ -411,20 +411,10 @@ func (r *Router) ResolveColl(path string) (string, error)       { return r.home(
 // link must be deep paths sharing a home shard.
 func (r *Router) LinkColl(target, linkPath, owner string) error {
 	target, linkPath = types.CleanPath(target), types.CleanPath(linkPath)
-	if r.n == 1 {
-		if err := r.writable(0, "linkcoll", linkPath); err != nil {
-			return err
-		}
-		return r.shards[0].cat.LinkColl(target, linkPath, owner)
-	}
-	ti, li := r.homeIdx(target), r.homeIdx(linkPath)
-	if Spine(target) || Spine(linkPath) || ti != li {
+	if ti, li := r.homeIdx(target), r.homeIdx(linkPath); r.n > 1 && (Spine(target) || Spine(linkPath) || ti != li) {
 		return types.E("linkcoll", linkPath, fmt.Errorf("link would cross shards (target on shard %d, link on shard %d): %w", ti, li, types.ErrUnsupported))
 	}
-	if err := r.writable(li, "linkcoll", linkPath); err != nil {
-		return err
-	}
-	return r.shards[li].cat.LinkColl(target, linkPath, owner)
+	return r.write("linkcoll", linkPath, func(c *mcat.Catalog) error { return c.LinkColl(target, linkPath, owner) })
 }
 
 func (r *Router) ListColl(path string) ([]types.Stat, error) {
@@ -477,14 +467,7 @@ func (r *Router) ListColl(path string) ([]types.Stat, error) {
 func (r *Router) DeleteColl(path string) error {
 	path = types.CleanPath(path)
 	if r.n == 1 || !Spine(path) {
-		i := r.homeIdx(path)
-		if err := r.writable(i, "rmcoll", path); err != nil {
-			return err
-		}
-		return r.shards[i].cat.DeleteColl(path)
-	}
-	if err := r.writableAll("rmcoll", path); err != nil {
-		return err
+		return r.write("rmcoll", path, func(c *mcat.Catalog) error { return c.DeleteColl(path) })
 	}
 	// A spine collection is empty only if it is empty on every shard.
 	exists := false
@@ -500,12 +483,11 @@ func (r *Router) DeleteColl(path string) error {
 	if !exists {
 		return types.E("rmcoll", path, types.ErrNotFound)
 	}
-	return r.each(func(c *mcat.Catalog) error {
-		err := c.DeleteColl(path)
-		if errors.Is(err, types.ErrNotFound) {
-			return nil
+	return r.write("rmcoll", path, func(c *mcat.Catalog) error {
+		if err := c.DeleteColl(path); !errors.Is(err, types.ErrNotFound) {
+			return err
 		}
-		return err
+		return nil
 	})
 }
 
@@ -532,12 +514,12 @@ func (r *Router) SubColls(root string) []string {
 
 // ---- data objects ----
 
-func (r *Router) RegisterObject(o *types.DataObject) (types.ObjectID, error) {
-	i := r.homeIdx(types.Join(o.Collection, o.Name))
-	if err := r.writable(i, "register", o.Name); err != nil {
-		return 0, err
-	}
-	return r.shards[i].cat.RegisterObject(o)
+func (r *Router) RegisterObject(o *types.DataObject) (id types.ObjectID, err error) {
+	err = r.write("register", types.Join(o.Collection, o.Name), func(c *mcat.Catalog) (err error) {
+		id, err = c.RegisterObject(o)
+		return err
+	})
+	return id, err
 }
 
 func (r *Router) GetObject(path string) (types.DataObject, error) {
@@ -567,19 +549,11 @@ func (r *Router) GetObjectByID(id types.ObjectID) (types.DataObject, error) {
 }
 
 func (r *Router) UpdateObject(path string, fn func(*types.DataObject) error) error {
-	i := r.homeIdx(path)
-	if err := r.writable(i, "update", path); err != nil {
-		return err
-	}
-	return r.shards[i].cat.UpdateObject(path, fn)
+	return r.write("update", path, func(c *mcat.Catalog) error { return c.UpdateObject(path, fn) })
 }
 
 func (r *Router) DeleteObject(path string) error {
-	i := r.homeIdx(path)
-	if err := r.writable(i, "delete", path); err != nil {
-		return err
-	}
-	return r.shards[i].cat.DeleteObject(path)
+	return r.write("delete", path, func(c *mcat.Catalog) error { return c.DeleteObject(path) })
 }
 
 func (r *Router) ObjectsIn(coll string) []types.DataObject {
@@ -648,25 +622,19 @@ func (r *Router) gatherPaths(fn func(c *mcat.Catalog) []string) []string {
 
 // ---- repair queue (shard 0 is the queue's home) ----
 
-func (r *Router) EnqueueRepair(t types.RepairTask) bool {
-	if err := r.writable(0, "repairenq", t.Key); err != nil {
-		return false
-	}
-	return r.shards[0].cat.EnqueueRepair(t)
+func (r *Router) EnqueueRepair(t types.RepairTask) (added bool) {
+	r.write("repairenq", t.Key, func(c *mcat.Catalog) error { added = c.EnqueueRepair(t); return nil })
+	return added
 }
 
-func (r *Router) CompleteRepair(key string) bool {
-	if err := r.writable(0, "repairdone", key); err != nil {
-		return false
-	}
-	return r.shards[0].cat.CompleteRepair(key)
+func (r *Router) CompleteRepair(key string) (done bool) {
+	r.write("repairdone", key, func(c *mcat.Catalog) error { done = c.CompleteRepair(key); return nil })
+	return done
 }
 
-func (r *Router) NoteRepairAttempt(key string) int {
-	if err := r.writable(0, "repairenq", key); err != nil {
-		return 0
-	}
-	return r.shards[0].cat.NoteRepairAttempt(key)
+func (r *Router) NoteRepairAttempt(key string) (attempts int) {
+	r.write("repairenq", key, func(c *mcat.Catalog) error { attempts = c.NoteRepairAttempt(key); return nil })
+	return attempts
 }
 
 func (r *Router) PendingRepairs() []types.RepairTask { return r.shards[0].cat.PendingRepairs() }

@@ -11,33 +11,15 @@ import (
 // Per-path metadata (descriptive triplets, annotations, file-metadata
 // pointers) is single-homed on the path's shard — even for spine
 // paths, whose key hashes deterministically. ACLs and structural
-// attributes on spine paths are instead broadcast, because every shard
-// evaluates permission and mandatory-metadata rules by walking a
-// path's ancestors locally.
-
-// spineColl reports whether path is a collection every shard mirrors —
-// the root or a depth-1 collection — so its ACL and structural rules
-// broadcast. An object directly under the root lives on its home shard
-// alone.
-func (r *Router) spineColl(path string) bool {
-	return r.n > 1 && Spine(path) && r.home(path).CollExists(path)
-}
+// attributes on spine collections are instead broadcast (see route),
+// because every shard evaluates permission and mandatory-metadata rules
+// by walking a path's ancestors locally.
 
 // ---- permissions ----
 
 func (r *Router) SetACL(path, grantee string, level acl.Level) error {
 	path = types.CleanPath(path)
-	if r.spineColl(path) {
-		if err := r.writableAll("setacl", path); err != nil {
-			return err
-		}
-		return r.each(func(c *mcat.Catalog) error { return c.SetACL(path, grantee, level) })
-	}
-	i := r.homeIdx(path)
-	if err := r.writable(i, "setacl", path); err != nil {
-		return err
-	}
-	return r.shards[i].cat.SetACL(path, grantee, level)
+	return r.write("setacl", path, func(c *mcat.Catalog) error { return c.SetACL(path, grantee, level) })
 }
 
 func (r *Router) GetACL(path string) (acl.List, error) { return r.home(path).GetACL(path) }
@@ -47,10 +29,7 @@ func (r *Router) EffectiveLevel(path, user string) acl.Level {
 }
 
 func (r *Router) SetResourceACL(resource, grantee string, level acl.Level) error {
-	if err := r.writableAll("resourceacl", resource); err != nil {
-		return err
-	}
-	return r.each(func(c *mcat.Catalog) error { return c.SetResourceACL(resource, grantee, level) })
+	return r.write("setresourceacl", resource, func(c *mcat.Catalog) error { return c.SetResourceACL(resource, grantee, level) })
 }
 
 func (r *Router) ResourceLevel(resource, user string) acl.Level {
@@ -60,11 +39,7 @@ func (r *Router) ResourceLevel(resource, user string) acl.Level {
 // ---- descriptive metadata ----
 
 func (r *Router) AddMeta(path string, class types.MetaClass, avu types.AVU) error {
-	i := r.homeIdx(path)
-	if err := r.writable(i, "addmeta", path); err != nil {
-		return err
-	}
-	return r.shards[i].cat.AddMeta(path, class, avu)
+	return r.write("addmeta", path, func(c *mcat.Catalog) error { return c.AddMeta(path, class, avu) })
 }
 
 func (r *Router) GetMeta(path string, class types.MetaClass) ([]types.AVU, error) {
@@ -75,20 +50,20 @@ func (r *Router) AllMeta(path string) (map[types.MetaClass][]types.AVU, error) {
 	return r.home(path).AllMeta(path)
 }
 
-func (r *Router) UpdateMeta(path string, class types.MetaClass, name, oldValue string, newAVU types.AVU) (int, error) {
-	i := r.homeIdx(path)
-	if err := r.writable(i, "updmeta", path); err != nil {
-		return 0, err
-	}
-	return r.shards[i].cat.UpdateMeta(path, class, name, oldValue, newAVU)
+func (r *Router) UpdateMeta(path string, class types.MetaClass, name, oldValue string, newAVU types.AVU) (n int, err error) {
+	err = r.write("updmeta", path, func(c *mcat.Catalog) (err error) {
+		n, err = c.UpdateMeta(path, class, name, oldValue, newAVU)
+		return err
+	})
+	return n, err
 }
 
-func (r *Router) DeleteMeta(path string, class types.MetaClass, name, value string) (int, error) {
-	i := r.homeIdx(path)
-	if err := r.writable(i, "delmeta", path); err != nil {
-		return 0, err
-	}
-	return r.shards[i].cat.DeleteMeta(path, class, name, value)
+func (r *Router) DeleteMeta(path string, class types.MetaClass, name, value string) (n int, err error) {
+	err = r.write("delmeta", path, func(c *mcat.Catalog) (err error) {
+		n, err = c.DeleteMeta(path, class, name, value)
+		return err
+	})
+	return n, err
 }
 
 // CopyMeta copies queryable metadata between paths; across shards it
@@ -97,10 +72,7 @@ func (r *Router) CopyMeta(from, to string) error {
 	from, to = types.CleanPath(from), types.CleanPath(to)
 	fi, ti := r.homeIdx(from), r.homeIdx(to)
 	if fi == ti {
-		if err := r.writable(ti, "copymeta", to); err != nil {
-			return err
-		}
-		return r.shards[ti].cat.CopyMeta(from, to)
+		return r.write("copymeta", to, func(c *mcat.Catalog) error { return c.CopyMeta(from, to) })
 	}
 	if err := r.writable(fi, "copymeta", from); err != nil {
 		return err
@@ -134,14 +106,10 @@ func (r *Router) CopyMeta(from, to string) error {
 
 func (r *Router) AttachFileMeta(path, metaFile string) error {
 	path, metaFile = types.CleanPath(path), types.CleanPath(metaFile)
-	i := r.homeIdx(path)
-	if r.n > 1 && r.homeIdx(metaFile) != i {
+	if r.homeIdx(metaFile) != r.homeIdx(path) {
 		return types.E("filemeta", path, fmt.Errorf("metadata file %s lives on another shard: %w", metaFile, types.ErrUnsupported))
 	}
-	if err := r.writable(i, "filemeta", path); err != nil {
-		return err
-	}
-	return r.shards[i].cat.AttachFileMeta(path, metaFile)
+	return r.write("filemeta", path, func(c *mcat.Catalog) error { return c.AttachFileMeta(path, metaFile) })
 }
 
 func (r *Router) FileMeta(path string) []string { return r.home(path).FileMeta(path) }
@@ -150,32 +118,12 @@ func (r *Router) FileMeta(path string) []string { return r.home(path).FileMeta(p
 
 func (r *Router) SetStructural(coll string, attr types.StructuralAttr) error {
 	coll = types.CleanPath(coll)
-	if r.spineColl(coll) {
-		if err := r.writableAll("structural", coll); err != nil {
-			return err
-		}
-		return r.each(func(c *mcat.Catalog) error { return c.SetStructural(coll, attr) })
-	}
-	i := r.homeIdx(coll)
-	if err := r.writable(i, "structural", coll); err != nil {
-		return err
-	}
-	return r.shards[i].cat.SetStructural(coll, attr)
+	return r.write("structural", coll, func(c *mcat.Catalog) error { return c.SetStructural(coll, attr) })
 }
 
 func (r *Router) DeleteStructural(coll, name string) error {
 	coll = types.CleanPath(coll)
-	if r.spineColl(coll) {
-		if err := r.writableAll("structural", coll); err != nil {
-			return err
-		}
-		return r.each(func(c *mcat.Catalog) error { return c.DeleteStructural(coll, name) })
-	}
-	i := r.homeIdx(coll)
-	if err := r.writable(i, "structural", coll); err != nil {
-		return err
-	}
-	return r.shards[i].cat.DeleteStructural(coll, name)
+	return r.write("delstructural", coll, func(c *mcat.Catalog) error { return c.DeleteStructural(coll, name) })
 }
 
 func (r *Router) Structural(coll string) []types.StructuralAttr {
@@ -189,21 +137,17 @@ func (r *Router) CheckMandatory(coll string, provided []types.AVU) []string {
 // ---- annotations ----
 
 func (r *Router) AddAnnotation(path string, a types.Annotation) error {
-	i := r.homeIdx(path)
-	if err := r.writable(i, "annotate", path); err != nil {
-		return err
-	}
-	return r.shards[i].cat.AddAnnotation(path, a)
+	return r.write("annotate", path, func(c *mcat.Catalog) error { return c.AddAnnotation(path, a) })
 }
 
 func (r *Router) Annotations(path string) ([]types.Annotation, error) {
 	return r.home(path).Annotations(path)
 }
 
-func (r *Router) DeleteAnnotations(path, author string) (int, error) {
-	i := r.homeIdx(path)
-	if err := r.writable(i, "delannotations", path); err != nil {
-		return 0, err
-	}
-	return r.shards[i].cat.DeleteAnnotations(path, author)
+func (r *Router) DeleteAnnotations(path, author string) (n int, err error) {
+	err = r.write("delannotations", path, func(c *mcat.Catalog) (err error) {
+		n, err = c.DeleteAnnotations(path, author)
+		return err
+	})
+	return n, err
 }

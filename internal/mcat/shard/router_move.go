@@ -20,11 +20,11 @@ func (r *Router) MoveObject(oldPath, newColl, newName string) error {
 	oldPath = types.CleanPath(oldPath)
 	newPath := types.Join(newColl, newName)
 	si, di := r.homeIdx(oldPath), r.homeIdx(newPath)
+	if si == di {
+		return r.write("move", oldPath, func(c *mcat.Catalog) error { return c.MoveObject(oldPath, newColl, newName) })
+	}
 	if err := r.writable(si, "move", oldPath); err != nil {
 		return err
-	}
-	if si == di {
-		return r.shards[si].cat.MoveObject(oldPath, newColl, newName)
 	}
 	if err := r.writable(di, "move", newPath); err != nil {
 		return err
@@ -49,10 +49,7 @@ func (r *Router) MoveColl(oldPath, newPath string) error {
 	oldPath, newPath = types.CleanPath(oldPath), types.CleanPath(newPath)
 	si, di := r.homeIdx(oldPath), r.homeIdx(newPath)
 	if r.n == 1 || (si == di && !Spine(oldPath) && !Spine(newPath)) {
-		if err := r.writable(si, "movecoll", oldPath); err != nil {
-			return err
-		}
-		return r.shards[si].cat.MoveColl(oldPath, newPath)
+		return r.write("movecoll", oldPath, func(c *mcat.Catalog) error { return c.MoveColl(oldPath, newPath) })
 	}
 	if Spine(oldPath) || Spine(newPath) {
 		return types.E("movecoll", oldPath, fmt.Errorf("renaming a top-level collection would re-home every shard: %w", types.ErrUnsupported))

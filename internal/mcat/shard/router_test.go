@@ -372,6 +372,32 @@ func TestSpineBroadcast(t *testing.T) {
 	}
 }
 
+// A broadcast the home shard refuses reaches no other shard: an object
+// /foo under the root holds the name, so neither MkColl("/foo") nor
+// MkCollAll("/foo/bar") may leave a collection /foo on any shard, and
+// listing the root still shows the object.
+func TestRefusedBroadcastLeavesNoTrace(t *testing.T) {
+	r := newTestRouter(t, 4)
+	if _, err := r.RegisterObject(&types.DataObject{Collection: "/", Name: "foo", Owner: "admin"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.MkColl("/foo", "admin"); !errors.Is(err, types.ErrExists) {
+		t.Errorf("MkColl over an object: %v, want ErrExists", err)
+	}
+	if err := r.MkCollAll("/foo/bar", "admin"); !errors.Is(err, types.ErrExists) {
+		t.Errorf("MkCollAll under an object: %v, want ErrExists", err)
+	}
+	for i := 0; i < r.N(); i++ {
+		if r.Shard(i).CollExists("/foo") {
+			t.Errorf("shard %d holds a collection /foo", i)
+		}
+	}
+	ls, err := r.ListColl("/")
+	if err != nil || len(ls) != 1 || ls[0].Path != "/foo" || ls[0].IsCollect {
+		t.Errorf("ListColl(/) = %+v (%v), want the object /foo alone", ls, err)
+	}
+}
+
 // An object directly under the root is depth 1 like a spine collection,
 // but it lives on its home shard alone: its ACL goes there, not to
 // every shard.
