@@ -114,14 +114,17 @@ test-phases:
 # all cross-goroutine. (The shard failover chaos e2e rides test-faults'
 # 10x TestChaos loop.) Then the catalog against itself: the query and
 # mutation differential tests (a monolith against a 4-shard router, the
-# router reopened at 3 and 1 shards), 15 s of the LIKE matcher fuzzed
-# against the recursive matcher it replaced, and 15 s of arbitrary
-# journal bytes through the one applier boot replay, replication and
-# migration share. (Minimizing an input as long as a journal would
-# otherwise take the whole 15 s.)
+# router reopened at 3 and 1 shards), the put as one transaction (a
+# refused triplet, a failed journal append, a lost race for the path,
+# and the put's journal bytes cut at every offset on a 1- and a 4-shard
+# store), 15 s of the LIKE matcher fuzzed against the recursive matcher
+# it replaced, and 15 s of arbitrary journal bytes through the one
+# applier boot replay, replication and migration share. (Minimizing an
+# input as long as a journal would otherwise take the whole 15 s.)
 test-mcat:
 	$(GO) test -race -count=10 ./internal/mcat/shard/
 	$(GO) test -race -count=10 -run 'Query|Like|Differential' ./internal/mcat/
+	$(GO) test -race -count=1 -run 'TestRefusedMetadata|TestIngestJournalFailure|TestIngestLosingRace|TestPutCrashPoints' ./internal/core/
 	$(GO) test -run '^$$' -fuzz=FuzzLikeMatch -fuzztime=15s ./internal/mcat/
 	$(GO) test -run '^$$' -fuzz=FuzzJournalReplay -fuzztime=15s -fuzzminimizetime=1s ./internal/mcat/
 

@@ -121,6 +121,12 @@ func (b *Broker) Ingest(user string, opts IngestOpts) (types.DataObject, error) 
 	return o, err
 }
 
+// ingest stores the bytes first and then commits the put as one catalog
+// transaction (shard.Catalog.Ingest): the object, its replica rows and
+// its user metadata, in one journal entry appended before it is applied.
+// Everything the commit checks that can be checked earlier is, so a
+// refused put stores no byte; one refused at the commit (a concurrent
+// put won the path) removes the bytes it stored.
 func (b *Broker) ingest(user string, opts IngestOpts) (types.DataObject, error) {
 	lookup := time.Now()
 	path := types.CleanPath(opts.Path)
@@ -128,7 +134,9 @@ func (b *Broker) ingest(user string, opts IngestOpts) (types.DataObject, error) 
 	if !types.ValidName(name) {
 		return types.DataObject{}, types.E("ingest", path, types.ErrInvalid)
 	}
-	if !b.Cat.CollExists(coll) {
+	// The put lands in a linked collection's target.
+	target, err := b.Cat.ResolveColl(coll)
+	if err != nil {
 		return types.DataObject{}, types.E("ingest", coll, types.ErrNotFound)
 	}
 	if err := b.need(user, coll, acl.Write, "ingest"); err != nil {
@@ -152,6 +160,19 @@ func (b *Broker) ingest(user string, opts IngestOpts) (types.DataObject, error) 
 	if err != nil {
 		return types.DataObject{}, err
 	}
+	for _, avu := range opts.Meta {
+		if avu.Name == "" {
+			b.audit(user, "ingest", path, false, "metadata without a name")
+			return types.DataObject{}, types.E("ingest", path, types.ErrInvalid)
+		}
+	}
+	if target != coll {
+		path = types.Join(target, name)
+	}
+	id, err := b.Cat.NewObjectID(path)
+	if err != nil {
+		return types.DataObject{}, err
+	}
 	// Everything up to here resolved names, ACLs and resources against
 	// the catalog — attribute it to the mcat.lookup phase.
 	opts.Span.Phase(obs.PhaseMCATLookup, time.Since(lookup))
@@ -159,15 +180,7 @@ func (b *Broker) ingest(user string, opts IngestOpts) (types.DataObject, error) 
 	if dataType == "" {
 		dataType = "generic"
 	}
-	obj := &types.DataObject{Name: name, Collection: coll, Owner: user, Kind: types.KindFile, DataType: dataType}
-	id, err := b.Cat.RegisterObject(obj)
-	if err != nil {
-		return types.DataObject{}, err
-	}
-	obj.ID = id
-	// RegisterObject resolves linked sub-collections, so the effective
-	// path may differ from the requested one.
-	path = obj.Path()
+	obj := &types.DataObject{ID: id, Name: name, Collection: target, Owner: user, Kind: types.KindFile, DataType: dataType}
 	// Replication policy: the sync default lands the file on every
 	// member on the write path; an async:k policy stops the synchronous
 	// fan-out at k members and defers the rest (plus any members that
@@ -206,37 +219,39 @@ func (b *Broker) ingest(user string, opts IngestOpts) (types.DataObject, error) 
 	opts.Span.Phase(obs.PhaseStorageWrite, fo.Busy())
 	if err != nil {
 		// The stream broke (client gone): no row, no replica.
-		b.Cat.DeleteObject(path)
 		b.audit(user, "ingest", path, false, "stream: "+err.Error())
 		return types.DataObject{}, types.E("ingest", path, err)
 	}
-	size, sum := fo.Size(), fo.Checksum()
+	obj.Size, obj.Checksum = fo.Size(), fo.Checksum()
 	wrote := 0
 	for i, dst := range dests {
 		if dst != nil && dst.Err == nil {
 			reps[i].Status = types.ReplicaClean
-			reps[i].Size = size
-			reps[i].Checksum = sum
+			reps[i].Size = obj.Size
+			reps[i].Checksum = obj.Checksum
 			wrote++
 		}
 	}
 	if wrote == 0 {
-		b.Cat.DeleteObject(path)
 		b.audit(user, "ingest", path, false, "no online member of "+opts.Resource)
 		return types.DataObject{}, types.E("ingest", path, types.ErrOffline)
 	}
-	err = b.Cat.UpdateObject(path, func(o *types.DataObject) error {
-		o.Size = size
-		o.Checksum = sum
-		o.Replicas = reps
-		return nil
-	})
-	if err != nil {
+	obj.Replicas = reps
+	if err := b.Cat.Ingest(obj, opts.Meta); err != nil {
+		for _, rep := range reps {
+			if rep.Status != types.ReplicaClean {
+				continue
+			}
+			if d, derr := b.Driver(rep.Resource); derr == nil {
+				d.Remove(rep.PhysicalPath)
+			}
+		}
+		b.audit(user, "ingest", path, false, "commit: "+err.Error())
 		return types.DataObject{}, err
 	}
 	if async {
 		// Deferred fan-out: every replica the write path did not land
-		// becomes a journaled repair task; the dirty rows written above
+		// becomes a journaled repair task; the dirty rows committed above
 		// make the work visible to the scrubber even if the enqueue is
 		// lost.
 		queued := false
@@ -254,13 +269,8 @@ func (b *Broker) ingest(user string, opts IngestOpts) (types.DataObject, error) 
 			b.repairKick()
 		}
 	}
-	for _, avu := range opts.Meta {
-		if err := b.Cat.AddMeta(path, types.MetaUser, avu); err != nil {
-			return types.DataObject{}, err
-		}
-	}
-	b.audit(user, "ingest", path, true, fmt.Sprintf("%d bytes on %s (%d replicas)", size, opts.Resource, len(reps)))
-	return b.Cat.GetObject(path)
+	b.audit(user, "ingest", path, true, fmt.Sprintf("%d bytes on %s (%d replicas)", obj.Size, opts.Resource, len(reps)))
+	return *obj, nil
 }
 
 // Reingest replaces an object's contents, keeping all metadata linked

@@ -27,6 +27,10 @@ func FuzzJournalReplay(f *testing.F) {
 	c.AddMeta("/home/alice/f.txt", types.MetaUser, types.AVU{Name: "a", Value: "1"})
 	c.SetACL("/home/alice", "alice", acl.Own)
 	c.AddAnnotation("/home/alice/f.txt", types.Annotation{Author: "alice", Text: "note"})
+	id, _ := c.NewObjectID("/home/alice/p.dat")
+	c.Ingest(&types.DataObject{ID: id, Collection: "/home/alice", Name: "p.dat", Owner: "alice", Size: 1,
+		Replicas: []types.Replica{{Resource: "r1", PhysicalPath: "/vault/p", Status: types.ReplicaClean, Size: 1}}},
+		[]types.AVU{{Name: "a", Value: "2"}, {Name: "b", Value: "3"}})
 	c.MoveObject("/home/alice/f.txt", "/home/alice/deep", "g.txt")
 	c.DeleteObject("/home/alice/deep/g.txt")
 	full := buf.Bytes()

@@ -2,6 +2,7 @@ package mcat
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"io"
 	"os"
@@ -17,6 +18,17 @@ import (
 // is one Write to the file, issued before the mutation returns, so a
 // killed process loses nothing whose Write returned; nothing is fsynced
 // until Close, so what a power loss takes is unbounded.
+//
+// A put is one line, an "ingest" entry holding the object with its
+// replica rows and the user metadata it was put with, and it is
+// appended before it is applied: a put whose append fails is neither
+// applied nor acknowledged, and a put still in flight is invisible until
+// its line is written. The object's ID is handed out earlier
+// (NewObjectID), because it names the replica files; one handed out but
+// never committed may be handed out again after a crash, and every
+// driver's Create replaces the orphaned file. A "register" entry handed
+// to Apply commits the same way; other mutations are applied and then
+// logged, one line each.
 
 // Entry is one logged mutation, and the unit in which catalog state
 // moves between catalogs: boot replay, follower replication and
@@ -44,6 +56,8 @@ type Entry struct {
 	Online   bool                  `json:",omitempty"`
 	Value    string                `json:",omitempty"`
 	Repair   *types.RepairTask     `json:",omitempty"`
+	// Meta is the user metadata of an "ingest" entry's object.
+	Meta []types.AVU `json:",omitempty"`
 }
 
 // Journal receives catalog mutations. Safe for concurrent use.
@@ -68,6 +82,8 @@ func NewJournal(w io.Writer) *Journal {
 // SetObserver installs a hook that sees every appended entry as its
 // encoded JSON line (no trailing newline). The shard replication log
 // subscribes here, so the journal doubles as the replication stream.
+// The line's buffer is reused once the hook returns: a hook that keeps
+// the line copies it.
 func (j *Journal) SetObserver(fn func(line []byte)) {
 	j.mu.Lock()
 	j.obs = fn
@@ -97,12 +113,49 @@ func (j *Journal) Close() error {
 	return err
 }
 
+// lineBuf is a journal line being encoded: a buffer and the JSON encoder
+// that writes into it, pooled, so encoding a line allocates neither
+// (json.Marshal returns every line in a fresh copy).
+type lineBuf struct {
+	bytes.Buffer
+	enc *json.Encoder
+}
+
+var linePool = sync.Pool{New: func() any {
+	l := new(lineBuf)
+	l.enc = json.NewEncoder(&l.Buffer)
+	return l
+}}
+
+// maxPooledLine bounds the buffers kept for reuse, so one outsized entry
+// does not pin its buffer.
+const maxPooledLine = 64 << 10
+
+// encodeLine encodes e as one journal line: the bytes json.Marshal(e)
+// returns, then '\n'. The caller releases it with free.
+func encodeLine(e *Entry) (*lineBuf, error) {
+	l := linePool.Get().(*lineBuf)
+	l.Reset()
+	if err := l.enc.Encode(e); err != nil {
+		l.free()
+		return nil, err
+	}
+	return l, nil
+}
+
+func (l *lineBuf) free() {
+	if l.Cap() <= maxPooledLine {
+		linePool.Put(l)
+	}
+}
+
 func (j *Journal) append(e *Entry) error {
-	line, err := json.Marshal(e)
+	l, err := encodeLine(e)
 	if err != nil {
 		return err
 	}
-	return j.AppendRaw(line)
+	defer l.free()
+	return j.write(l.Bytes())
 }
 
 // AppendRaw appends one pre-encoded journal line verbatim. The shard
@@ -111,14 +164,27 @@ func (j *Journal) append(e *Entry) error {
 func (j *Journal) AppendRaw(line []byte) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	// One Write per line keeps a torn append at most one line long; the
-	// line-plus-newline copy lives in a scratch buffer reused under j.mu.
+	// The line-plus-newline copy lives in a scratch buffer reused under
+	// j.mu.
 	j.scratch = append(append(j.scratch[:0], line...), '\n')
-	if _, err := j.w.Write(j.scratch); err != nil {
+	return j.writeLocked(j.scratch)
+}
+
+// write appends one encoded line, its newline included.
+func (j *Journal) write(line []byte) error {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.writeLocked(line)
+}
+
+// writeLocked issues line as one Write, which keeps a torn append at
+// most one line long. Callers hold j.mu.
+func (j *Journal) writeLocked(line []byte) error {
+	if _, err := j.w.Write(line); err != nil {
 		return err
 	}
 	if j.obs != nil {
-		j.obs(line)
+		j.obs(line[:len(line)-1])
 	}
 	return nil
 }
@@ -271,9 +337,9 @@ func (c *Catalog) ApplyEntry(line []byte) (bool, error) {
 // Apply executes one entry: the single applier behind boot replay,
 // follower replication (ApplyEntry) and migration between catalogs
 // (Export). It goes through the catalog's own mutators, and its
-// identity-preserving inserts ("mkcoll", "register") are journaled like
-// them when a journal is attached. A nil error means the entry took
-// effect.
+// identity-preserving inserts ("mkcoll", "register", "ingest") are
+// journaled like them when a journal is attached; an "ingest" applies
+// whole or not at all. A nil error means the entry took effect.
 func (c *Catalog) Apply(e Entry) error {
 	switch e.Op {
 	case "adduser":
@@ -316,9 +382,9 @@ func (c *Catalog) Apply(e Entry) error {
 		return c.DeleteColl(e.Path)
 	case "movecoll":
 		return c.MoveColl(e.Path, e.Path2)
-	case "register":
+	case "register", "ingest":
 		if e.Object != nil {
-			return c.insertObject(e.Object)
+			return c.insertObject(&e, nil)
 		}
 	case "update":
 		if e.Object != nil {
@@ -385,26 +451,55 @@ func (c *Catalog) insertColl(op string, col types.Collection) error {
 	return nil
 }
 
-// insertObject adds an object with its identity (ID, replicas,
-// timestamps) as given; unlike RegisterObject it allocates nothing. Its
-// collection must exist, and its path and its ID must be free.
-func (c *Catalog) insertObject(o *types.DataObject) error {
-	cp := cloneObject(o)
+// insertObject commits a "register" or "ingest" entry: the object with
+// its identity (ID, replicas, timestamps) as given — unlike
+// RegisterObject it allocates nothing — and, for an ingest, the user
+// metadata it was put with. Under one write-lock hold the whole entry is
+// checked, appended to the journal as line (encoded here when nil and a
+// journal is attached), and only then applied, so an entry refused by a
+// check or by the journal changes nothing in memory. The collection must
+// exist and not be a link, the path and the ID must be free, and every
+// metadata name must be non-empty.
+func (c *Catalog) insertObject(e *Entry, line []byte) error {
+	cp := cloneObject(e.Object)
 	cp.Collection = types.CleanPath(cp.Collection)
+	path := cp.Path()
+	var meta []metaEntry
+	if len(e.Meta) > 0 {
+		meta = make([]metaEntry, len(e.Meta))
+		for i, avu := range e.Meta {
+			meta[i] = metaEntry{Class: types.MetaUser, AVU: avu}
+		}
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	path := cp.Path()
-	if !types.ValidName(cp.Name) || cp.ID == 0 {
-		return types.E("register", path, types.ErrInvalid)
+	if err := c.checkNewObjectLocked(e.Op, path, cp.Collection, cp.Name); err != nil {
+		return err
 	}
-	if _, ok := c.colls[cp.Collection]; !ok {
-		return types.E("register", cp.Collection, types.ErrNotFound)
-	}
-	if c.pathExistsLocked(path) {
-		return types.E("register", path, types.ErrExists)
+	if cp.ID == 0 {
+		return types.E(e.Op, path, types.ErrInvalid)
 	}
 	if other, ok := c.byID[cp.ID]; ok {
-		return types.E("register", other, types.ErrExists)
+		return types.E(e.Op, other, types.ErrExists)
+	}
+	for _, avu := range e.Meta {
+		if avu.Name == "" {
+			return types.E(e.Op, path, types.ErrInvalid)
+		}
+	}
+	if c.journal != nil {
+		if line == nil {
+			l, err := encodeLine(&Entry{Op: e.Op, Object: cp, Meta: e.Meta})
+			if err != nil {
+				return types.E(e.Op, path, err)
+			}
+			defer l.free()
+			line = l.Bytes()
+		}
+		if err := c.journal.write(line); err != nil {
+			c.journalFailed(err)
+			return types.E(e.Op, path, err)
+		}
 	}
 	c.objects[path] = cp
 	c.byID[cp.ID] = path
@@ -412,7 +507,12 @@ func (c *Catalog) insertObject(o *types.DataObject) error {
 	if cp.ID >= c.nextID {
 		c.nextID = c.alignIDLocked(cp.ID + 1)
 	}
-	c.log(Entry{Op: "register", Object: cp})
+	if meta != nil {
+		c.meta[path] = meta
+		for _, avu := range e.Meta {
+			c.indexAdd(avu.Name, avu.Value, path)
+		}
+	}
 	return nil
 }
 

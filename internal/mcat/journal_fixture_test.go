@@ -19,6 +19,8 @@ import (
 // exported, and testdata/journal.v1.dump is what replaying it answered
 // there. The format is unchanged while the same script still journals
 // the same bytes and the fixture still replays to the same dump.
+// testdata/journal.ingest and its dump pin the "ingest" entry, a put, the
+// same way from the commit that introduced it.
 
 var fixtureEpoch = time.Date(2002, 7, 24, 9, 0, 0, 0, time.UTC)
 
@@ -112,11 +114,51 @@ func fixtureScript(t *testing.T, c shard.Catalog) {
 func fixtureID(id types.ObjectID) string { return fmt.Sprint(id) }
 
 func TestJournalFixture(t *testing.T) {
-	fixture, err := os.ReadFile("testdata/journal.v1")
+	checkFixture(t, "testdata/journal.v1", fixtureScript, fixtureKinds)
+}
+
+// TestJournalFixtureIngest pins the "ingest" entry: one put — an object
+// with two replica rows and two metadata triplets — as the one line it
+// journals, through a monolith and a one-shard router alike.
+func TestJournalFixtureIngest(t *testing.T) {
+	checkFixture(t, "testdata/journal.ingest", ingestScript, []string{"ingest"})
+}
+
+// ingestScript makes the accounts, resources and collection a put needs,
+// then commits one put.
+func ingestScript(t *testing.T, c shard.Catalog) {
+	t.Helper()
+	m := func(err error) { t.Helper(); must(t, err) }
+	m(c.AddUser(types.User{Name: "alice", Domain: "sdsc"}))
+	for _, name := range []string{"disk1", "tape1"} {
+		m(c.AddResource(types.Resource{Name: name, Kind: types.ResourcePhysical, Driver: "memfs", Server: "srb1"}))
+	}
+	m(c.MkColl("/home", "admin"))
+	m(c.MkColl("/home/alice", "alice"))
+	const path = "/home/alice/m31.fits"
+	id, err := c.NewObjectID(path)
+	m(err)
+	replica := func(n types.ReplicaNumber, resource string) types.Replica {
+		return types.Replica{Number: n, Resource: resource, PhysicalPath: fmt.Sprintf("/vault/%03d/oid%d.r%d", id%512, id, n),
+			Status: types.ReplicaClean, Size: 2880, Checksum: "sha256:2880", CreatedAt: fixtureEpoch}
+	}
+	m(c.Ingest(&types.DataObject{
+		ID: id, Collection: "/home/alice", Name: "m31.fits", Owner: "alice", DataType: "fits image",
+		Size: 2880, Checksum: "sha256:2880", Replicas: []types.Replica{replica(0, "disk1"), replica(1, "tape1")},
+	}, []types.AVU{{Name: "band", Value: "J"}, {Name: "dc:title", Value: "M31", Units: "text"}}))
+}
+
+// checkFixture holds a journal fixture: script journals exactly its bytes
+// through a monolith and through a one-shard router, it holds a line of
+// every one of kinds, and it replays to the dump beside it — the answers
+// it gave when it was written — and to the catalog that wrote it.
+func checkFixture(t *testing.T, file string, script func(*testing.T, shard.Catalog), kinds []string) {
+	t.Helper()
+	fixture, err := os.ReadFile(file)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantDump, err := os.ReadFile("testdata/journal.v1.dump")
+	wantDump, err := os.ReadFile(file + ".dump")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,29 +167,29 @@ func TestJournalFixture(t *testing.T) {
 	live := mcat.New("admin", "sdsc")
 	live.SetClock(func() time.Time { return fixtureEpoch })
 	live.SetJournal(mcat.NewJournal(&buf))
-	fixtureScript(t, live)
+	script(t, live)
 	if !bytes.Equal(buf.Bytes(), fixture) {
-		t.Errorf("the fixture script no longer journals the bytes of testdata/journal.v1:\n%s", buf.Bytes())
+		t.Errorf("the fixture script no longer journals the bytes of %s:\n%s", file, buf.Bytes())
 	}
 	// A one-shard router is a passthrough: it journals the same bytes.
 	var routed bytes.Buffer
 	r := shard.NewRouter(1, "admin", "sdsc")
 	r.SetClock(func() time.Time { return fixtureEpoch })
 	r.AttachJournal(0, mcat.NewJournal(&routed))
-	fixtureScript(t, r)
+	script(t, r)
 	if !bytes.Equal(routed.Bytes(), fixture) {
-		t.Errorf("the fixture script through a one-shard router journals other bytes than testdata/journal.v1:\n%s", routed.Bytes())
+		t.Errorf("the fixture script through a one-shard router journals other bytes than %s:\n%s", file, routed.Bytes())
 	}
-	kinds := map[string]bool{}
+	seen := map[string]bool{}
 	for _, line := range bytes.Split(bytes.TrimSpace(fixture), []byte("\n")) {
 		var e struct{ Op string }
 		if err := json.Unmarshal(line, &e); err != nil {
 			t.Fatalf("fixture line %q: %v", line, err)
 		}
-		kinds[e.Op] = true
+		seen[e.Op] = true
 	}
-	for _, k := range fixtureKinds {
-		if !kinds[k] {
+	for _, k := range kinds {
+		if !seen[k] {
 			t.Errorf("the fixture holds no %q entry", k)
 		}
 	}

@@ -17,7 +17,7 @@ import (
 )
 
 // The mutation half of the router-vs-monolith differential: one seeded
-// script of mutations — collections, objects, metadata, ACLs,
+// script of mutations — collections, objects, puts, metadata, ACLs,
 // structural rules, annotations, file-metadata attachments, moves that
 // cross shards, deletes, and the broadcast state: accounts, groups,
 // resources and the repair queue — runs against a monolithic Catalog
@@ -118,7 +118,7 @@ func nextMutation(rng *rand.Rand, mono *diffSide, pinned map[string]bool, step i
 	class := []types.MetaClass{types.MetaUser, types.MetaType}[rng.Intn(2)]
 	newName := pick([]string{"c0", "c1", fmt.Sprintf("n%d", step)})
 
-	switch k := rng.Intn(27); {
+	switch k := rng.Intn(29); {
 	case k < 3:
 		p, owner := types.Join(pick(colls), newName), pick(mdUsers)
 		if rng.Intn(3) == 0 {
@@ -253,6 +253,34 @@ func nextMutation(rng *rand.Rand, mono *diffSide, pinned map[string]bool, step i
 		}
 		key := pick(keys)
 		return mutation{"repairdone " + key, func(s *diffSide) error { return changedIf(s.c.CompleteRepair(key)) }}
+	case k < 29:
+		// A put: new names, names under / that an object or a spine
+		// collection holds, a missing collection, an unnamed triplet.
+		coll, name, owner := pick(colls), pick([]string{"a.dat", "i.dat", fmt.Sprintf("i%d.dat", step)}), pick(mdUsers)
+		switch rng.Intn(4) {
+		case 0:
+			coll, name = "/", pick(mdTop)
+		case 1:
+			coll = "/nowhere"
+		}
+		meta := []types.AVU{{Name: pick(mdAttrs), Value: pick(mdValues)}, {Name: pick(mdAttrs), Value: pick(mdValues)}}
+		if rng.Intn(5) == 0 {
+			meta[1].Name = ""
+		}
+		p, birth := types.Join(coll, name), fmt.Sprintf("#%d", step)
+		return mutation{fmt.Sprintf("ingest %s %v", p, meta), func(s *diffSide) error {
+			id, err := s.c.NewObjectID(p)
+			if err != nil {
+				return err
+			}
+			o := &types.DataObject{ID: id, Collection: coll, Name: name, Owner: owner, DataType: "generic", Size: int64(step), Checksum: birth,
+				Replicas: []types.Replica{{Number: 0, Resource: "r1", PhysicalPath: "/vault/" + birth, Status: types.ReplicaClean, Size: int64(step), Checksum: birth}}}
+			if err := s.c.Ingest(o, meta); err != nil {
+				return err
+			}
+			s.birth[id] = birth
+			return nil
+		}}
 	}
 	p := pick(paths)
 	return mutation{"annotate " + p, func(s *diffSide) error { return s.c.AddAnnotation(p, types.Annotation{Author: "alice", Text: "ok"}) }}
@@ -289,7 +317,7 @@ func mutationDifferential(t *testing.T, seed int64, steps int) {
 	rng := rand.New(rand.NewSource(seed))
 	pinned := map[string]bool{"#top": true} // stays put, so mkcoll /top keeps colliding with it
 	script := mdSetup()
-	var applied, refused, unsupported, crossMoves, collisions int
+	var applied, refused, unsupported, crossMoves, collisions, puts, refusedPuts int
 	for step := 0; step < len(script)+steps; step++ {
 		var m mutation
 		if step < len(script) {
@@ -317,21 +345,28 @@ func mutationDifferential(t *testing.T, seed int64, steps int) {
 		if (rerr == nil) != (merr == nil) {
 			t.Fatalf("step %d, %s: router err %v, monolith err %v", step, m.desc, rerr, merr)
 		}
+		put := strings.HasPrefix(m.desc, "ingest ")
 		if merr == nil {
 			applied++
 			if f := strings.Fields(m.desc); strings.HasPrefix(f[0], "move") && ring.ShardOfPath(f[1]) != ring.ShardOfPath(f[2]) {
 				crossMoves++
 			}
+			if put {
+				puts++
+			}
 		} else {
 			refused++
+			if put {
+				refusedPuts++
+			}
 		}
 		if d := diffDump(dump(router.c, router.id), dump(mono.c, mono.id)); d != "" {
 			t.Fatalf("step %d, %s: router and monolith differ at %s", step, m.desc, d)
 		}
 	}
-	if applied < steps/2 || refused == 0 || unsupported == 0 || crossMoves < 10 || collisions == 0 {
-		t.Errorf("the generator has drifted: %d applied, %d refused, %d unsupported, %d cross-shard moves, %d spine-name collisions",
-			applied, refused, unsupported, crossMoves, collisions)
+	if applied < steps/2 || refused == 0 || unsupported == 0 || crossMoves < 10 || collisions == 0 || puts == 0 || refusedPuts == 0 {
+		t.Errorf("the generator has drifted: %d applied, %d refused, %d unsupported, %d cross-shard moves, %d spine-name collisions, %d puts committed and %d refused",
+			applied, refused, unsupported, crossMoves, collisions, puts, refusedPuts)
 	}
 
 	want := dump(mono.c, mono.id)

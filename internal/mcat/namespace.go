@@ -261,22 +261,12 @@ func (c *Catalog) RegisterObject(o *types.DataObject) (types.ObjectID, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	o.Collection = types.CleanPath(o.Collection)
-	if !types.ValidName(o.Name) {
-		return 0, types.E("register", o.Name, types.ErrInvalid)
-	}
-	col, ok := c.colls[o.Collection]
-	if !ok {
-		return 0, types.E("register", o.Collection, types.ErrNotFound)
-	}
-	if col.LinkTarget != "" {
+	if col, ok := c.colls[o.Collection]; ok && col.LinkTarget != "" {
 		o.Collection = col.LinkTarget
 	}
 	path := o.Path()
-	if _, ok := c.objects[path]; ok {
-		return 0, types.E("register", path, types.ErrExists)
-	}
-	if _, ok := c.colls[path]; ok {
-		return 0, types.E("register", path, types.ErrExists)
+	if err := c.checkNewObjectLocked("register", path, o.Collection, o.Name); err != nil {
+		return 0, err
 	}
 	o.ID = c.nextID
 	c.nextID = c.alignIDLocked(c.nextID + 1)
@@ -292,6 +282,69 @@ func (c *Catalog) RegisterObject(o *types.DataObject) (types.ObjectID, error) {
 	c.addChildObj(o.Collection, path)
 	c.log(Entry{Op: "register", Object: cp})
 	return cp.ID, nil
+}
+
+// NewObjectID hands out the ID a put of path commits under (Ingest): a
+// put needs it before its first byte is stored, because the ID names
+// the replica files. The path must be free and its collection must
+// exist and not be a link (the caller resolves links). Nothing is
+// journaled, so an ID that is never committed is a gap, and after a
+// restart it may be handed out again (see journal.go).
+func (c *Catalog) NewObjectID(path string) (types.ObjectID, error) {
+	path = types.CleanPath(path)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if err := c.checkNewObjectLocked("ingest", path, types.Parent(path), types.Base(path)); err != nil {
+		return 0, err
+	}
+	id := c.nextID
+	c.nextID = c.alignIDLocked(id + 1)
+	return id, nil
+}
+
+// Ingest commits one put as one journal entry, "ingest": o, holding the
+// ID NewObjectID handed out, its size, checksum and replica rows, and
+// the user metadata it was put with. Zero timestamps are stamped into o
+// from the catalog clock; o is then what the catalog stores. The entry
+// is encoded before the write lock is taken and appended before it is
+// applied: a put refused by a check or by the journal leaves nothing in
+// memory, and the journal's error is latched as for every mutation.
+func (c *Catalog) Ingest(o *types.DataObject, meta []types.AVU) error {
+	o.Collection = types.CleanPath(o.Collection)
+	if o.CreatedAt.IsZero() {
+		c.mu.RLock()
+		o.CreatedAt = c.now()
+		c.mu.RUnlock()
+	}
+	if o.ModifiedAt.IsZero() {
+		o.ModifiedAt = o.CreatedAt
+	}
+	e := &Entry{Op: "ingest", Object: o, Meta: meta}
+	l, err := encodeLine(e)
+	if err != nil {
+		return types.E("ingest", o.Path(), err)
+	}
+	defer l.free()
+	return c.insertObject(e, l.Bytes())
+}
+
+// checkNewObjectLocked reports why no object named name can be made in
+// coll, at path: an invalid name, a collection that is missing or a
+// link, or a path already taken. Callers hold the write lock.
+func (c *Catalog) checkNewObjectLocked(op, path, coll, name string) error {
+	if !types.ValidName(name) {
+		return types.E(op, path, types.ErrInvalid)
+	}
+	col, ok := c.colls[coll]
+	switch {
+	case !ok:
+		return types.E(op, coll, types.ErrNotFound)
+	case col.LinkTarget != "":
+		return types.E(op, coll, types.ErrInvalid)
+	case c.pathExistsLocked(path):
+		return types.E(op, path, types.ErrExists)
+	}
+	return nil
 }
 
 // GetObject returns a copy of the object at path (links not followed).

@@ -522,6 +522,21 @@ func (r *Router) RegisterObject(o *types.DataObject) (id types.ObjectID, err err
 	return id, err
 }
 
+// NewObjectID allocates on the shard the put will commit on, once it
+// accepts writes, so a put a follower or a latched shard would refuse is
+// refused before its bytes are stored.
+func (r *Router) NewObjectID(path string) (id types.ObjectID, err error) {
+	err = r.write("ingest", path, func(c *mcat.Catalog) (err error) {
+		id, err = c.NewObjectID(path)
+		return err
+	})
+	return id, err
+}
+
+func (r *Router) Ingest(o *types.DataObject, meta []types.AVU) error {
+	return r.write("ingest", o.Path(), func(c *mcat.Catalog) error { return c.Ingest(o, meta) })
+}
+
 func (r *Router) GetObject(path string) (types.DataObject, error) {
 	return r.home(path).GetObject(path)
 }

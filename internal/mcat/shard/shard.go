@@ -76,6 +76,8 @@ type Catalog interface {
 	CollExists(path string) bool
 	SubColls(root string) []string
 	RegisterObject(o *types.DataObject) (types.ObjectID, error)
+	NewObjectID(path string) (types.ObjectID, error)
+	Ingest(o *types.DataObject, meta []types.AVU) error
 	GetObject(path string) (types.DataObject, error)
 	ResolveObject(path string) (types.DataObject, error)
 	GetObjectByID(id types.ObjectID) (types.DataObject, error)

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -121,6 +122,62 @@ func TestCrossShardMoveCollReplicates(t *testing.T) {
 	}
 	if got := f.FileMeta(dst + "/f0.dat"); !reflect.DeepEqual(got, []string{dst + "/f2.dat"}) {
 		t.Errorf("follower's moved attachment = %v", got)
+	}
+}
+
+// A put is one replication entry on its home shard: the follower
+// applies the object, its replicas and its metadata together, and every
+// follower journal ends byte-identical to its leader's.
+func TestFollowerAppliesPutWhole(t *testing.T) {
+	leader, f := NewRouter(4, "admin", "local"), NewRouter(4, "admin", "local")
+	var lj, fj [4]bytes.Buffer
+	for i := 0; i < 4; i++ {
+		leader.AttachJournal(i, mcat.NewJournal(&lj[i]))
+		f.AttachJournal(i, mcat.NewJournal(&fj[i]))
+		f.SetFollower(i, "leader")
+	}
+	f.SetPuller(func(peer string, idx int, after uint64) (PullResult, error) {
+		return leader.Pull(idx, after)
+	}, DefaultPromoteAfter)
+	seedGrid(t, leader)
+
+	const coll, name = "/home/alice/deep", "put.dat"
+	path := coll + "/" + name
+	home := leader.shards[leader.homeIdx(path)]
+	head := home.rl.Head()
+	id, err := leader.NewObjectID(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := &types.DataObject{ID: id, Collection: coll, Name: name, Owner: "alice", Size: 3, Checksum: "abc", Replicas: []types.Replica{
+		{Number: 0, Resource: "r1", PhysicalPath: "/vault/a", Status: types.ReplicaClean, Size: 3, Checksum: "abc"},
+		{Number: 1, Resource: "r1", PhysicalPath: "/vault/b", Status: types.ReplicaClean, Size: 3, Checksum: "abc"},
+	}}
+	meta := []types.AVU{{Name: "band", Value: "J"}, {Name: "experiment", Value: "put"}}
+	if err := leader.Ingest(o, meta); err != nil {
+		t.Fatal(err)
+	}
+	if n := home.rl.Head() - head; n != 1 {
+		t.Fatalf("the put is %d replication entries, want 1", n)
+	}
+
+	if err := f.SyncOnce(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		if !bytes.Equal(fj[i].Bytes(), lj[i].Bytes()) {
+			t.Errorf("shard %d: the follower's journal is not the leader's:\n%s\nleader:\n%s", i, fj[i].Bytes(), lj[i].Bytes())
+		}
+	}
+	got, err := f.GetObject(path)
+	if err != nil || got.ID != id || len(got.Replicas) != 2 || got.Size != 3 {
+		t.Errorf("follower's object = %+v, %v", got, err)
+	}
+	if avus, err := f.GetMeta(path, types.MetaUser); err != nil || !reflect.DeepEqual(avus, meta) {
+		t.Errorf("follower's metadata = %v, %v", avus, err)
+	}
+	if hits, err := f.RunQuery(mcat.Query{Scope: coll, Conds: []mcat.Condition{{Attr: "experiment", Op: "=", Value: "put"}}}); err != nil || len(hits) != 1 {
+		t.Errorf("follower's indexed query = %v, %v", hits, err)
 	}
 }
 
