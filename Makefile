@@ -42,6 +42,12 @@ GO_SRC := --include=*.go --exclude=*_test.go cmd internal examples bench
 # wire.AppendBody / wire.DecodeBody, never with encoding/json directly.
 WIRE_USERS := internal/client internal/server internal/report
 
+# The create fence keeps one way for an object to enter the catalog: the
+# packages that serve requests create through the broker's newObject
+# (NewObjectID) and one Catalog.Ingest, never by Catalog.RegisterObject,
+# which takes no metadata and hands out the ID too late to name files.
+CREATE_USERS := internal/core internal/server internal/mysrb
+
 # The format fence: every Go file is as gofmt writes it, so formatting
 # never rides along with (or needs) a commit of its own.
 lint: vet
@@ -49,6 +55,7 @@ lint: vet
 	@if grep -rnE 'time\.(Tick|NewTicker)\(' --exclude-dir=repair $(GO_SRC); then echo "ticker outside internal/repair: make it a row of the job table (internal/daemon)"; exit 1; fi
 	@if grep -rnE 'json\.(Marshal|Unmarshal)\(' --include=*.go --exclude=*_test.go $(WIRE_USERS); then echo "JSON outside internal/wire: encode wire args and bodies with wire.AppendBody / wire.DecodeBody"; exit 1; fi
 	@if grep -rnF 'signal.Notify(' --exclude-dir=daemon $(GO_SRC); then echo "signal handler outside internal/daemon: Runtime.Run owns shutdown"; exit 1; fi
+	@if grep -rnF 'RegisterObject(' --include=*.go --exclude=*_test.go $(CREATE_USERS); then echo "RegisterObject in a request path: create through newObject + Catalog.Ingest (internal/core)"; exit 1; fi
 	@if grep -nE '`-($(GONE_FLAGS))\b' README.md DESIGN.md; then echo "docs cite a removed flag: state the constant"; exit 1; fi
 	@if grep -nE 'BENCH_[a-z]*\.json' $(DOCS); then echo "docs cite a retired BENCH_*.json ratio file"; exit 1; fi; for t in $$(grep -ohE '(`|^)make [a-z][a-z0-9-]*' $(DOCS) | cut -d' ' -f2 | sort -u); do grep -q "^$$t:" Makefile || { echo "docs mention undefined target: make $$t"; exit 1; }; done
 	@if [ ! -x "$(STATICCHECK)" ] && command -v staticcheck >/dev/null 2>&1; then \
@@ -117,14 +124,16 @@ test-phases:
 # router reopened at 3 and 1 shards), the put as one transaction (a
 # refused triplet, a failed journal append, a lost race for the path,
 # and the put's journal bytes cut at every offset on a 1- and a 4-shard
-# store), 15 s of the LIKE matcher fuzzed against the recursive matcher
+# store, a container member's too), every other create as the same one
+# entry (through a linked collection, a refused triplet, the entries each
+# create journals), 15 s of the LIKE matcher fuzzed against the recursive matcher
 # it replaced, and 15 s of arbitrary journal bytes through the one
 # applier boot replay, replication and migration share. (Minimizing an
 # input as long as a journal would otherwise take the whole 15 s.)
 test-mcat:
 	$(GO) test -race -count=10 ./internal/mcat/shard/
 	$(GO) test -race -count=10 -run 'Query|Like|Differential' ./internal/mcat/
-	$(GO) test -race -count=1 -run 'TestRefusedMetadata|TestIngestJournalFailure|TestIngestLosingRace|TestPutCrashPoints' ./internal/core/
+	$(GO) test -race -count=1 -run 'TestRefusedMetadata|TestIngestJournalFailure|TestIngestLosingRace|TestPutCrashPoints|TestCreateThroughLinkedCollection|TestRegisterFileRefusedTriplet|TestCreateJournalEntries' ./internal/core/
 	$(GO) test -run '^$$' -fuzz=FuzzLikeMatch -fuzztime=15s ./internal/mcat/
 	$(GO) test -run '^$$' -fuzz=FuzzJournalReplay -fuzztime=15s -fuzzminimizetime=1s ./internal/mcat/
 

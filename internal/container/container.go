@@ -42,24 +42,29 @@ type Writer struct {
 	off  int64 // current end of segment
 }
 
+// Create makes an empty segment at path on d, replacing any file there.
+func Create(d storage.Driver, path string) (*Writer, error) {
+	w, err := d.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := w.Write(fileMagic); err != nil {
+		w.Close()
+		return nil, err
+	}
+	if err := w.Close(); err != nil {
+		return nil, err
+	}
+	return &Writer{d: d, path: path, off: HeaderSize}, nil
+}
+
 // NewWriter opens (or creates) the segment at path on d and positions
 // at its end.
 func NewWriter(d storage.Driver, path string) (*Writer, error) {
 	fi, err := d.Stat(path)
 	switch {
 	case errors.Is(err, types.ErrNotFound):
-		w, err := d.Create(path)
-		if err != nil {
-			return nil, err
-		}
-		if _, err := w.Write(fileMagic); err != nil {
-			w.Close()
-			return nil, err
-		}
-		if err := w.Close(); err != nil {
-			return nil, err
-		}
-		return &Writer{d: d, path: path, off: HeaderSize}, nil
+		return Create(d, path)
 	case err != nil:
 		return nil, err
 	}

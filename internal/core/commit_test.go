@@ -195,16 +195,24 @@ func TestIngestLosingRaceRemovesItsBytes(t *testing.T) {
 // last put's journal bytes cut at every offset and the catalog booted
 // again. Every boot holds the last put whole — row, clean replicas,
 // checksum, every triplet, found by an indexed query — or not at all.
+// The member row does the same with puts into a container, whose last
+// two lines are the container's update and the member.
 func TestPutCrashPoints(t *testing.T) {
 	for _, n := range []int{1, 4} {
 		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
 			t.Parallel()
-			putCrashPoints(t, n)
+			putCrashPoints(t, n, "")
 		})
 	}
+	t.Run("member", func(t *testing.T) {
+		t.Parallel()
+		putCrashPoints(t, 1, "/home/alice/box")
+	})
 }
 
-func putCrashPoints(t *testing.T, shards int) {
+// putCrashPoints runs one row; a non-empty container puts the objects
+// into a container made there first.
+func putCrashPoints(t *testing.T, shards int, container string) {
 	dir := t.TempDir()
 	opt := shard.OpenOptions{
 		Shards:      shards,
@@ -220,6 +228,13 @@ func putCrashPoints(t *testing.T, shards int) {
 	b, disks := commitRig(t, st.Router())
 	if err := b.Mkdir("alice", "/home/alice"); err != nil {
 		t.Fatal(err)
+	}
+	wantLines := 1
+	if container != "" {
+		if _, err := b.CreateContainer("alice", container, "mirror"); err != nil {
+			t.Fatal(err)
+		}
+		wantLines = 2
 	}
 	journal := func(i int) string {
 		if shards == 1 {
@@ -250,12 +265,12 @@ func putCrashPoints(t *testing.T, shards int) {
 			t.Fatal(err)
 		}
 		all := journalBytes()
-		o, err := b.Ingest("alice", core.IngestOpts{Path: fmt.Sprintf("/home/alice/f%d", i), Data: data(i), Resource: "mirror", Meta: meta(i)})
+		o, err := b.Ingest("alice", core.IngestOpts{Path: fmt.Sprintf("/home/alice/f%d", i), Data: data(i), Resource: "mirror", Container: container, Meta: meta(i)})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if added := bytes.Count(journalBytes(), []byte("\n")) - bytes.Count(all, []byte("\n")); added != 1 {
-			t.Errorf("put %d journaled %d lines, want 1", i, added)
+		if added := bytes.Count(journalBytes(), []byte("\n")) - bytes.Count(all, []byte("\n")); added != wantLines {
+			t.Errorf("put %d journaled %d lines, want %d", i, added, wantLines)
 		}
 		start, lost = len(before), o.ID
 	}
@@ -302,11 +317,17 @@ func putCrashPoints(t *testing.T, shards int) {
 			t.Fatalf("cut at %d: %v", cut, err)
 		default:
 			whole++
-			clean := len(o.Replicas) == 2
-			for _, rep := range o.Replicas {
-				clean = clean && rep.Status == types.ReplicaClean && rep.Checksum == want && rep.Size == o.Size
+			stored := o.Container == container && o.ContainerSize == o.Size
+			if c, err := r.GetObject(container); container != "" && (err != nil || c.Size < o.ContainerOffset+o.ContainerSize) {
+				t.Errorf("cut at %d: the member lies past its container %+v (%v)", cut, c, err)
 			}
-			if o.Size != int64(len(data(2))) || o.Checksum != want || !clean {
+			if container == "" {
+				stored = len(o.Replicas) == 2
+				for _, rep := range o.Replicas {
+					stored = stored && rep.Status == types.ReplicaClean && rep.Checksum == want && rep.Size == o.Size
+				}
+			}
+			if o.Size != int64(len(data(2))) || o.Checksum != want || !stored {
 				t.Errorf("cut at %d: half a put: %+v", cut, o)
 			}
 			if len(avus) != 3 || len(hits) != 1 || hits[0].Path != last {
@@ -337,7 +358,7 @@ func putCrashPoints(t *testing.T, shards int) {
 			t.Fatal(err)
 		}
 	}
-	o, err := b.Ingest("alice", core.IngestOpts{Path: last, Data: []byte("second life"), Resource: "mirror"})
+	o, err := b.Ingest("alice", core.IngestOpts{Path: last, Data: []byte("second life"), Resource: "mirror", Container: container})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"io"
 	"time"
@@ -28,9 +29,12 @@ func (b *Broker) CreateContainer(user, path, resource string) (types.DataObject,
 	return o, err
 }
 
+// createContainer makes one empty segment per physical member and then
+// commits the container with its segment rows as one entry; a segment
+// that cannot be made removes the ones that were, and nothing is logged.
 func (b *Broker) createContainer(user, path, resource string) (types.DataObject, error) {
-	coll := types.Parent(path)
-	if err := b.need(user, coll, acl.Write, "mkcontainer"); err != nil {
+	obj, err := b.newObject("mkcontainer", user, path)
+	if err != nil {
 		return types.DataObject{}, err
 	}
 	if b.Cat.ResourceLevel(resource, user) < acl.Write {
@@ -40,49 +44,37 @@ func (b *Broker) createContainer(user, path, resource string) (types.DataObject,
 	if err != nil {
 		return types.DataObject{}, err
 	}
-	obj := &types.DataObject{
-		Name: types.Base(path), Collection: coll, Owner: user,
-		Kind: types.KindFile, DataType: ContainerDataType,
-	}
-	id, err := b.Cat.RegisterObject(obj)
-	if err != nil {
-		return types.DataObject{}, err
-	}
-	obj.ID = id
-	var reps []types.Replica
+	obj.Kind, obj.DataType, obj.Size = types.KindFile, ContainerDataType, container.HeaderSize
 	for i, m := range members {
-		physPath := replica.PhysPathFor(obj, types.ReplicaNumber(i))
-		d, derr := b.Driver(m.Name)
-		if derr != nil {
-			b.Cat.DeleteObject(path)
-			return types.DataObject{}, derr
+		rep := types.Replica{
+			Number: types.ReplicaNumber(i), Resource: m.Name,
+			PhysicalPath: replica.PhysPathFor(obj, types.ReplicaNumber(i)), Status: types.ReplicaClean,
+			Size: container.HeaderSize, CreatedAt: b.now(),
 		}
-		if _, err := container.NewWriter(d, physPath); err != nil {
-			b.Cat.DeleteObject(path)
+		d, err := b.Driver(m.Name)
+		if err == nil {
+			_, err = container.Create(d, rep.PhysicalPath)
+		}
+		if err != nil {
+			b.discard(obj.Replicas)
 			return types.DataObject{}, err
 		}
-		reps = append(reps, types.Replica{
-			Number: types.ReplicaNumber(i), Resource: m.Name,
-			PhysicalPath: physPath, Status: types.ReplicaClean,
-			Size: container.HeaderSize, CreatedAt: b.now(),
-		})
+		obj.Replicas = append(obj.Replicas, rep)
 	}
-	err = b.Cat.UpdateObject(path, func(o *types.DataObject) error {
-		o.Replicas = reps
-		o.Size = container.HeaderSize
-		return nil
-	})
+	o, err := b.commit("mkcontainer", user, obj, nil, resource)
 	if err != nil {
-		return types.DataObject{}, err
+		b.discard(obj.Replicas)
 	}
-	b.audit(user, "mkcontainer", path, true, resource)
-	return b.Cat.GetObject(path)
+	return o, err
 }
 
 // ingestIntoContainer appends the data as a record in every clean
-// online segment replica (offsets stay aligned because appends are
-// serialised per container) and registers the member object.
-func (b *Broker) ingestIntoContainer(user, path string, opts IngestOpts) (types.DataObject, error) {
+// online segment replica and commits obj, made by newObject, as the
+// member: its name and ID were taken before the append, so a refused
+// name writes no record, and the member and its metadata commit as one
+// entry after the container's update.
+func (b *Broker) ingestIntoContainer(user string, obj *types.DataObject, opts IngestOpts) (types.DataObject, error) {
+	path := obj.Path()
 	if opts.Reader != nil {
 		data, err := readMember(opts.Reader)
 		if err != nil {
@@ -101,88 +93,16 @@ func (b *Broker) ingestIntoContainer(user, path string, opts IngestOpts) (types.
 	if err := b.need(user, contPath, acl.Write, "ingest"); err != nil {
 		return types.DataObject{}, err
 	}
-
-	lock := b.contLock(contPath)
-	lock.Lock()
-	defer lock.Unlock()
-
-	// Re-read under the append lock for a current view.
-	cont, err = b.Cat.GetObject(contPath)
+	offset, err := b.ingestAppendOnly(contPath, opts.Data)
 	if err != nil {
+		b.audit(user, "ingest", path, false, "container append: "+err.Error())
 		return types.DataObject{}, err
 	}
-	var offset int64 = -1
-	appended := make(map[types.ReplicaNumber]bool)
-	for _, rep := range cont.Replicas {
-		if rep.Status != types.ReplicaClean {
-			continue
-		}
-		res, rerr := b.Cat.GetResource(rep.Resource)
-		if rerr != nil || !res.Online {
-			continue
-		}
-		d, derr := b.Driver(rep.Resource)
-		if derr != nil {
-			continue
-		}
-		w, werr := container.NewWriter(d, rep.PhysicalPath)
-		if werr != nil {
-			continue
-		}
-		off, aerr := w.Append(opts.Data)
-		if aerr != nil {
-			continue
-		}
-		if offset < 0 {
-			offset = off
-		} else if off != offset {
-			// Alignment broken (should not happen): mark dirty.
-			continue
-		}
-		appended[rep.Number] = true
-	}
-	if offset < 0 {
-		b.audit(user, "ingest", path, false, "container has no writable replica")
-		return types.DataObject{}, types.E("ingest", contPath, types.ErrOffline)
-	}
-	// Update container replica states and size.
-	if err := b.Cat.UpdateObject(contPath, func(o *types.DataObject) error {
-		newSize := offset + int64(len(opts.Data))
-		o.Size = newSize
-		for i := range o.Replicas {
-			r := &o.Replicas[i]
-			if appended[r.Number] {
-				r.Size = newSize
-			} else {
-				r.Status = types.ReplicaDirty
-			}
-		}
-		return nil
-	}); err != nil {
-		return types.DataObject{}, err
-	}
-
-	dataType := opts.DataType
-	if dataType == "" {
-		dataType = "generic"
-	}
-	obj := &types.DataObject{
-		Name: types.Base(path), Collection: types.Parent(path), Owner: user,
-		Kind: types.KindFile, DataType: dataType,
-		Container: contPath, ContainerOffset: offset, ContainerSize: int64(len(opts.Data)),
-		Size: int64(len(opts.Data)), Checksum: replica.Checksum(opts.Data),
-	}
-	if _, err := b.Cat.RegisterObject(obj); err != nil {
-		return types.DataObject{}, err
-	}
-	path = obj.Path() // linked sub-collections resolve at registration
-	for _, avu := range opts.Meta {
-		if err := b.Cat.AddMeta(path, types.MetaUser, avu); err != nil {
-			return types.DataObject{}, err
-		}
-	}
-	b.audit(user, "ingest", path, true, fmt.Sprintf("into container %s at %d", contPath, offset))
-	return b.Cat.GetObject(path)
+	size := int64(len(opts.Data))
+	obj.Kind, obj.DataType = types.KindFile, cmp.Or(opts.DataType, "generic")
+	obj.Container, obj.ContainerOffset, obj.ContainerSize = contPath, offset, size
+	obj.Size, obj.Checksum = size, replica.Checksum(opts.Data)
+	return b.commit("ingest", user, obj, opts.Meta, fmt.Sprintf("into container %s at %d", contPath, offset))
 }
 
 // readMember buffers one container member. A segment record is written
@@ -249,8 +169,10 @@ func (b *Broker) reingestContainerMember(user, path string, data []byte) error {
 	return err
 }
 
-// ingestAppendOnly appends raw bytes to a container's clean replicas
-// and returns the aligned payload offset.
+// ingestAppendOnly appends raw bytes to a container's clean online
+// replicas, records the container's new size, and returns the payload
+// offset. Offsets stay aligned because appends are serialised per
+// container; a replica whose offset differs anyway is marked dirty.
 func (b *Broker) ingestAppendOnly(contPath string, data []byte) (int64, error) {
 	lock := b.contLock(contPath)
 	lock.Lock()
@@ -283,6 +205,8 @@ func (b *Broker) ingestAppendOnly(contPath string, data []byte) (int64, error) {
 		}
 		if offset < 0 {
 			offset = off
+		} else if off != offset {
+			continue
 		}
 		appended[rep.Number] = true
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"io"
 	"strings"
@@ -121,6 +122,62 @@ func (b *Broker) Ingest(user string, opts IngestOpts) (types.DataObject, error) 
 	return o, err
 }
 
+// newObject is the first of the three steps every create takes — a put,
+// a container, a member, a link, a registered object: it checks the
+// name, resolves a linked collection, checks that user may write into
+// the collection as named, and takes the ID the object commits under on
+// the resolved path (NewObjectID), logging nothing. The caller makes its
+// own checks, stores the bytes if there are any, and commits the object
+// with its user metadata as one entry (Catalog.Ingest), so a refused
+// create leaves no row and no journal line. An ID taken by a create
+// refused later is a gap.
+func (b *Broker) newObject(op, user, path string) (*types.DataObject, error) {
+	path = types.CleanPath(path)
+	coll, name := types.Parent(path), types.Base(path)
+	if !types.ValidName(name) {
+		return nil, types.E(op, path, types.ErrInvalid)
+	}
+	target, err := b.Cat.ResolveColl(coll)
+	if err != nil {
+		return nil, types.E(op, coll, types.ErrNotFound)
+	}
+	if err := b.need(user, coll, acl.Write, op); err != nil {
+		return nil, err
+	}
+	if target != coll {
+		path = types.Join(target, name)
+	}
+	id, err := b.Cat.NewObjectID(path)
+	if err != nil {
+		return nil, err
+	}
+	return &types.DataObject{ID: id, Name: name, Collection: target, Owner: user}, nil
+}
+
+// commit is the last step of every create but the put, which audits a
+// refused commit with the replica files it removes: obj, made by
+// newObject, enters the catalog with meta as one ingest entry.
+func (b *Broker) commit(op, user string, obj *types.DataObject, meta []types.AVU, detail string) (types.DataObject, error) {
+	err := b.Cat.Ingest(obj, meta)
+	b.audit(user, op, obj.Path(), err == nil, detail)
+	if err != nil {
+		return types.DataObject{}, err
+	}
+	return *obj, nil
+}
+
+// discard removes the files a create stored and did not commit.
+func (b *Broker) discard(reps []types.Replica) {
+	for _, rep := range reps {
+		if rep.Status != types.ReplicaClean {
+			continue
+		}
+		if d, err := b.Driver(rep.Resource); err == nil {
+			d.Remove(rep.PhysicalPath)
+		}
+	}
+}
+
 // ingest stores the bytes first and then commits the put as one catalog
 // transaction (shard.Catalog.Ingest): the object, its replica rows and
 // its user metadata, in one journal entry appended before it is applied.
@@ -129,25 +186,27 @@ func (b *Broker) Ingest(user string, opts IngestOpts) (types.DataObject, error) 
 // put won the path) removes the bytes it stored.
 func (b *Broker) ingest(user string, opts IngestOpts) (types.DataObject, error) {
 	lookup := time.Now()
-	path := types.CleanPath(opts.Path)
-	coll, name := types.Parent(path), types.Base(path)
-	if !types.ValidName(name) {
-		return types.DataObject{}, types.E("ingest", path, types.ErrInvalid)
-	}
-	// The put lands in a linked collection's target.
-	target, err := b.Cat.ResolveColl(coll)
+	obj, err := b.newObject("ingest", user, opts.Path)
 	if err != nil {
-		return types.DataObject{}, types.E("ingest", coll, types.ErrNotFound)
-	}
-	if err := b.need(user, coll, acl.Write, "ingest"); err != nil {
 		return types.DataObject{}, err
+	}
+	path := types.CleanPath(opts.Path)
+	coll := types.Parent(path)
+	if obj.Collection != coll {
+		path = obj.Path() // the put lands in a linked collection's target
 	}
 	if missing := b.Cat.CheckMandatory(coll, opts.Meta); len(missing) > 0 {
 		b.audit(user, "ingest", path, false, "missing mandatory metadata: "+strings.Join(missing, ","))
 		return types.DataObject{}, types.E("ingest", path, types.ErrMandatoryMeta)
 	}
+	for _, avu := range opts.Meta {
+		if avu.Name == "" {
+			b.audit(user, "ingest", path, false, "metadata without a name")
+			return types.DataObject{}, types.E("ingest", path, types.ErrInvalid)
+		}
+	}
 	if opts.Container != "" {
-		return b.ingestIntoContainer(user, path, opts)
+		return b.ingestIntoContainer(user, obj, opts)
 	}
 	if opts.Resource == "" {
 		return types.DataObject{}, types.E("ingest", path, types.ErrInvalid)
@@ -160,27 +219,10 @@ func (b *Broker) ingest(user string, opts IngestOpts) (types.DataObject, error) 
 	if err != nil {
 		return types.DataObject{}, err
 	}
-	for _, avu := range opts.Meta {
-		if avu.Name == "" {
-			b.audit(user, "ingest", path, false, "metadata without a name")
-			return types.DataObject{}, types.E("ingest", path, types.ErrInvalid)
-		}
-	}
-	if target != coll {
-		path = types.Join(target, name)
-	}
-	id, err := b.Cat.NewObjectID(path)
-	if err != nil {
-		return types.DataObject{}, err
-	}
 	// Everything up to here resolved names, ACLs and resources against
 	// the catalog — attribute it to the mcat.lookup phase.
 	opts.Span.Phase(obs.PhaseMCATLookup, time.Since(lookup))
-	dataType := opts.DataType
-	if dataType == "" {
-		dataType = "generic"
-	}
-	obj := &types.DataObject{ID: id, Name: name, Collection: target, Owner: user, Kind: types.KindFile, DataType: dataType}
+	obj.Kind, obj.DataType = types.KindFile, cmp.Or(opts.DataType, "generic")
 	// Replication policy: the sync default lands the file on every
 	// member on the write path; an async:k policy stops the synchronous
 	// fan-out at k members and defers the rest (plus any members that
@@ -238,14 +280,7 @@ func (b *Broker) ingest(user string, opts IngestOpts) (types.DataObject, error) 
 	}
 	obj.Replicas = reps
 	if err := b.Cat.Ingest(obj, opts.Meta); err != nil {
-		for _, rep := range reps {
-			if rep.Status != types.ReplicaClean {
-				continue
-			}
-			if d, derr := b.Driver(rep.Resource); derr == nil {
-				d.Remove(rep.PhysicalPath)
-			}
-		}
+		b.discard(reps)
 		b.audit(user, "ingest", path, false, "commit: "+err.Error())
 		return types.DataObject{}, err
 	}
@@ -711,15 +746,12 @@ func (b *Broker) Link(user, target, linkPath string) error {
 	if o.Kind == types.KindLink {
 		target = o.LinkTarget
 	}
-	coll := types.Parent(linkPath)
-	if err := b.need(user, coll, acl.Write, "link"); err != nil {
+	obj, err := b.newObject("link", user, linkPath)
+	if err != nil {
 		return err
 	}
-	_, err = b.Cat.RegisterObject(&types.DataObject{
-		Name: types.Base(linkPath), Collection: coll, Owner: user,
-		Kind: types.KindLink, LinkTarget: types.CleanPath(target),
-	})
-	b.audit(user, "link", linkPath, err == nil, "-> "+target)
+	obj.Kind, obj.LinkTarget = types.KindLink, types.CleanPath(target)
+	_, err = b.commit("link", user, obj, nil, "-> "+target)
 	return err
 }
 

@@ -3,7 +3,6 @@ package core
 import (
 	"strings"
 
-	"gosrb/internal/acl"
 	"gosrb/internal/sqlengine"
 	"gosrb/internal/storage"
 	"gosrb/internal/tlang"
@@ -12,14 +11,15 @@ import (
 
 // This file implements the paper's five registered-object kinds (§5):
 // files, shadow directories, SQL queries, URLs and method objects —
-// pointers SRB maintains without controlling the bytes.
+// pointers SRB maintains without controlling the bytes. Each is checked,
+// then created like any object: newObject, then one commit.
 
 // RegisterFile registers an existing physical file. "Since the file is
 // not fully under SRB's control, the file size and other
 // characteristics might change without SRB being aware."
 func (b *Broker) RegisterFile(user, path, resource, physPath string, meta []types.AVU) (types.DataObject, error) {
-	coll := types.Parent(path)
-	if err := b.need(user, coll, acl.Write, "registerfile"); err != nil {
+	obj, err := b.newObject("registerfile", user, path)
+	if err != nil {
 		return types.DataObject{}, err
 	}
 	d, err := b.Driver(resource)
@@ -33,29 +33,19 @@ func (b *Broker) RegisterFile(user, path, resource, physPath string, meta []type
 	if fi.IsDir {
 		return types.DataObject{}, types.E("registerfile", physPath, types.ErrInvalid)
 	}
-	obj := &types.DataObject{
-		Name: types.Base(path), Collection: coll, Owner: user,
-		Kind: types.KindRegisteredFile, DataType: "generic", Size: fi.Size,
-		Replicas: []types.Replica{{
-			Number: 0, Resource: resource, PhysicalPath: types.CleanPath(physPath),
-			Status: types.ReplicaClean, Size: fi.Size, Registered: true,
-		}},
-	}
-	if _, err := b.Cat.RegisterObject(obj); err != nil {
-		return types.DataObject{}, err
-	}
-	for _, avu := range meta {
-		b.Cat.AddMeta(path, types.MetaUser, avu)
-	}
-	b.audit(user, "registerfile", path, true, resource+":"+physPath)
-	return b.Cat.GetObject(path)
+	obj.Kind, obj.DataType, obj.Size = types.KindRegisteredFile, "generic", fi.Size
+	obj.Replicas = []types.Replica{{
+		Number: 0, Resource: resource, PhysicalPath: types.CleanPath(physPath),
+		Status: types.ReplicaClean, Size: fi.Size, Registered: true,
+	}}
+	return b.commit("registerfile", user, obj, meta, resource+":"+physPath)
 }
 
 // RegisterDirectory registers a "shadow directory object": the cone of
 // files under the physical directory is visible through it, read-only.
 func (b *Broker) RegisterDirectory(user, path, resource, physDir string) (types.DataObject, error) {
-	coll := types.Parent(path)
-	if err := b.need(user, coll, acl.Write, "registerdir"); err != nil {
+	obj, err := b.newObject("registerdir", user, path)
+	if err != nil {
 		return types.DataObject{}, err
 	}
 	d, err := b.Driver(resource)
@@ -65,19 +55,12 @@ func (b *Broker) RegisterDirectory(user, path, resource, physDir string) (types.
 	if _, err := d.List(physDir); err != nil {
 		return types.DataObject{}, types.E("registerdir", physDir, types.ErrNotFound)
 	}
-	obj := &types.DataObject{
-		Name: types.Base(path), Collection: coll, Owner: user,
-		Kind: types.KindShadowDir, DataType: "directory",
-		Replicas: []types.Replica{{
-			Number: 0, Resource: resource, PhysicalPath: types.CleanPath(physDir),
-			Status: types.ReplicaClean, Registered: true,
-		}},
-	}
-	if _, err := b.Cat.RegisterObject(obj); err != nil {
-		return types.DataObject{}, err
-	}
-	b.audit(user, "registerdir", path, true, resource+":"+physDir)
-	return b.Cat.GetObject(path)
+	obj.Kind, obj.DataType = types.KindShadowDir, "directory"
+	obj.Replicas = []types.Replica{{
+		Number: 0, Resource: resource, PhysicalPath: types.CleanPath(physDir),
+		Status: types.ReplicaClean, Registered: true,
+	}}
+	return b.commit("registerdir", user, obj, nil, resource+":"+physDir)
 }
 
 // ShadowList lists entries under a shadow directory object; rel walks
@@ -149,8 +132,8 @@ func shadowJoin(root, rel string) (string, error) {
 // enforces it). The query executes at retrieval time, never at
 // registration, so "the answer to the query can vary with time".
 func (b *Broker) RegisterSQL(user, path string, spec types.SQLSpec) (types.DataObject, error) {
-	coll := types.Parent(path)
-	if err := b.need(user, coll, acl.Write, "registersql"); err != nil {
+	obj, err := b.newObject("registersql", user, path)
+	if err != nil {
 		return types.DataObject{}, err
 	}
 	// The database may be mounted locally or owned by a federated peer;
@@ -167,15 +150,8 @@ func (b *Broker) RegisterSQL(user, path string, spec types.SQLSpec) (types.DataO
 	if spec.Template == "" {
 		spec.Template = tlang.TemplateHTMLRel
 	}
-	obj := &types.DataObject{
-		Name: types.Base(path), Collection: coll, Owner: user,
-		Kind: types.KindSQL, DataType: "sql query", SQL: &spec,
-	}
-	if _, err := b.Cat.RegisterObject(obj); err != nil {
-		return types.DataObject{}, err
-	}
-	b.audit(user, "registersql", path, true, spec.Resource)
-	return b.Cat.GetObject(path)
+	obj.Kind, obj.DataType, obj.SQL = types.KindSQL, "sql query", &spec
+	return b.commit("registersql", user, obj, nil, spec.Resource)
 }
 
 // ExecuteSQL runs a registered SQL object, completing a partial query
@@ -258,29 +234,22 @@ func (b *Broker) renderResult(o *types.DataObject, res *sqlengine.Result) ([]byt
 // RegisterURL registers a URL object; the contents are fetched at
 // retrieval time and never stored.
 func (b *Broker) RegisterURL(user, path, rawURL string) (types.DataObject, error) {
-	coll := types.Parent(path)
-	if err := b.need(user, coll, acl.Write, "registerurl"); err != nil {
+	obj, err := b.newObject("registerurl", user, path)
+	if err != nil {
 		return types.DataObject{}, err
 	}
 	if rawURL == "" {
 		return types.DataObject{}, types.E("registerurl", path, types.ErrInvalid)
 	}
-	obj := &types.DataObject{
-		Name: types.Base(path), Collection: coll, Owner: user,
-		Kind: types.KindURL, DataType: "url", URL: rawURL,
-	}
-	if _, err := b.Cat.RegisterObject(obj); err != nil {
-		return types.DataObject{}, err
-	}
-	b.audit(user, "registerurl", path, true, rawURL)
-	return b.Cat.GetObject(path)
+	obj.Kind, obj.DataType, obj.URL = types.KindURL, "url", rawURL
+	return b.commit("registerurl", user, obj, nil, rawURL)
 }
 
 // RegisterMethod registers a method object: a proxy command or proxy
 // function executed at access time on an SRB server.
 func (b *Broker) RegisterMethod(user, path string, spec types.MethodSpec) (types.DataObject, error) {
-	coll := types.Parent(path)
-	if err := b.need(user, coll, acl.Write, "registermethod"); err != nil {
+	obj, err := b.newObject("registermethod", user, path)
+	if err != nil {
 		return types.DataObject{}, err
 	}
 	if _, ok := b.command(spec.Name); !ok {
@@ -290,15 +259,8 @@ func (b *Broker) RegisterMethod(user, path string, spec types.MethodSpec) (types
 	if spec.Server == "" {
 		spec.Server = b.serverName
 	}
-	obj := &types.DataObject{
-		Name: types.Base(path), Collection: coll, Owner: user,
-		Kind: types.KindMethod, DataType: "method", Method: &spec,
-	}
-	if _, err := b.Cat.RegisterObject(obj); err != nil {
-		return types.DataObject{}, err
-	}
-	b.audit(user, "registermethod", path, true, spec.Name)
-	return b.Cat.GetObject(path)
+	obj.Kind, obj.DataType, obj.Method = types.KindMethod, "method", &spec
+	return b.commit("registermethod", user, obj, nil, spec.Name)
 }
 
 // InvokeMethod runs a method object with extra command-line parameters

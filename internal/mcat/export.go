@@ -8,8 +8,9 @@ import (
 
 // Export returns the entries that recreate the state at and under root
 // with its identity (IDs, replicas, timestamps, link targets): root's
-// collections, shallow-first, then its objects, then each path's ACL,
-// metadata, structural attributes and annotations, then file-metadata
+// collections, shallow-first, then its objects, each one "ingest" entry
+// carrying its user metadata, then each path's ACL, other metadata,
+// structural attributes and annotations, then file-metadata
 // attachments, which name other objects. For "/" it is the whole
 // catalog in the order Apply needs: users, groups and their members,
 // and resources — physical before logical, with their online state and
@@ -68,7 +69,11 @@ func (c *Catalog) Export(root string) []Entry {
 		out = append(out, Entry{Op: "mkcoll", Coll: &col})
 	}
 	for _, p := range objs {
-		out = append(out, Entry{Op: "register", Object: cloneObject(c.objects[p])})
+		var meta []types.AVU
+		for _, m := range c.meta[p][:userLead(c.meta[p])] {
+			meta = append(meta, m.AVU)
+		}
+		out = append(out, Entry{Op: "ingest", Object: cloneObject(c.objects[p]), Meta: meta})
 	}
 
 	paths := append(colls, objs...)
@@ -79,7 +84,11 @@ func (c *Catalog) Export(root string) []Entry {
 		for _, g := range c.acls[p] {
 			out = append(out, Entry{Op: "setacl", Path: p, Grantee: g.Grantee, Level: int(g.Level)})
 		}
-		for _, m := range c.meta[p] {
+		meta := c.meta[p]
+		if _, ok := c.objects[p]; ok {
+			meta = meta[userLead(meta):]
+		}
+		for _, m := range meta {
 			avu := m.AVU
 			out = append(out, Entry{Op: "addmeta", Path: p, Class: int(m.Class), AVU: &avu})
 		}
@@ -110,6 +119,18 @@ func (c *Catalog) Export(root string) []Entry {
 		}
 	}
 	return out
+}
+
+// userLead is how many of an object's triplets, from the first, are user
+// metadata: the ones its "ingest" entry carries. The rest stay "addmeta"
+// entries, so the applied order across classes, which is the order a
+// query selects values in, is the stored one.
+func userLead(meta []metaEntry) int {
+	n := 0
+	for n < len(meta) && meta[n].Class == types.MetaUser {
+		n++
+	}
+	return n
 }
 
 // Rebase returns the entry moved from one place in the namespace to

@@ -26,9 +26,14 @@ import (
 // its line is written. The object's ID is handed out earlier
 // (NewObjectID), because it names the replica files; one handed out but
 // never committed may be handed out again after a crash, and every
-// driver's Create replaces the orphaned file. A "register" entry handed
-// to Apply commits the same way; other mutations are applied and then
-// logged, one line each.
+// driver's Create replaces the orphaned file. Every other object enters
+// the same way: a container, a container member, a link and the five
+// registered kinds are "ingest" entries too, Export writes each object
+// as one with its user metadata, and a "register" entry, from
+// RegisterObject or handed to Apply, commits like one. The other
+// mutations are applied and then logged, one line each: an object's
+// update (a replica added, a container's append), move and delete,
+// collections, metadata, ACLs, accounts, resources and the repair queue.
 
 // Entry is one logged mutation, and the unit in which catalog state
 // moves between catalogs: boot replay, follower replication and

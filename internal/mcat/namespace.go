@@ -256,32 +256,34 @@ func (c *Catalog) SubColls(root string) []string {
 // ---- objects ----
 
 // RegisterObject enters a new data object into the catalog, assigning
-// its ID. The parent collection must exist and the name must be free.
+// its ID, as one "register" entry committed like an ingest (insertObject).
+// The parent collection must exist and the name must be free; a linked
+// collection resolves to its target.
 func (c *Catalog) RegisterObject(o *types.DataObject) (types.ObjectID, error) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	o.Collection = types.CleanPath(o.Collection)
 	if col, ok := c.colls[o.Collection]; ok && col.LinkTarget != "" {
 		o.Collection = col.LinkTarget
 	}
-	path := o.Path()
-	if err := c.checkNewObjectLocked("register", path, o.Collection, o.Name); err != nil {
-		return 0, err
+	err := c.checkNewObjectLocked("register", o.Path(), o.Collection, o.Name)
+	if err == nil {
+		o.ID = c.nextID
+		c.nextID = c.alignIDLocked(o.ID + 1)
+		if o.CreatedAt.IsZero() {
+			o.CreatedAt = c.now()
+		}
 	}
-	o.ID = c.nextID
-	c.nextID = c.alignIDLocked(c.nextID + 1)
-	if o.CreatedAt.IsZero() {
-		o.CreatedAt = c.now()
+	c.mu.Unlock()
+	if err != nil {
+		return 0, err
 	}
 	if o.ModifiedAt.IsZero() {
 		o.ModifiedAt = o.CreatedAt
 	}
-	cp := cloneObject(o)
-	c.objects[path] = cp
-	c.byID[cp.ID] = path
-	c.addChildObj(o.Collection, path)
-	c.log(Entry{Op: "register", Object: cp})
-	return cp.ID, nil
+	if err := c.insertObject(&Entry{Op: "register", Object: o}, nil); err != nil {
+		return 0, err
+	}
+	return o.ID, nil
 }
 
 // NewObjectID hands out the ID a put of path commits under (Ingest): a

@@ -14,7 +14,7 @@ import (
 // them on the destination, delete it from the source. Every step is
 // journaled, so replication and crash replay see deletes on one shard
 // and the entries that recreate the subtree, identity preserved, on the
-// other.
+// other: each object one "ingest" entry with its user metadata.
 
 func (r *Router) MoveObject(oldPath, newColl, newName string) error {
 	oldPath = types.CleanPath(oldPath)
@@ -104,7 +104,7 @@ func remove(c *mcat.Catalog, entries []mcat.Entry) error {
 	for i := len(entries) - 1; i >= 0; i-- {
 		var err error
 		switch e := entries[i]; e.Op {
-		case "register":
+		case "ingest":
 			err = c.DeleteObject(e.Object.Path())
 		case "mkcoll":
 			err = c.DeleteColl(e.Coll.Path)

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"reflect"
@@ -196,12 +197,23 @@ func TestCrossShardMoveObject(t *testing.T) {
 	if err := r.MkCollAll(dstColl, "admin"); err != nil {
 		t.Fatal(err)
 	}
+	for _, v := range []string{"J", "H"} {
+		if err := r.AddMeta(src, types.MetaUser, types.AVU{Name: "band", Value: v}); err != nil {
+			t.Fatal(err)
+		}
+	}
 	before, err := r.GetObject(src)
 	if err != nil {
 		t.Fatal(err)
 	}
+	var dst bytes.Buffer
+	r.AttachJournal(r.homeIdx(dstColl), mcat.NewJournal(&dst))
 	if err := r.MoveObject(src, dstColl, "moved.dat"); err != nil {
 		t.Fatalf("MoveObject: %v", err)
+	}
+	// The object and its three triplets arrive as one entry.
+	if lines := bytes.Split(bytes.TrimSpace(dst.Bytes()), []byte("\n")); len(lines) != 1 || !bytes.HasPrefix(lines[0], []byte(`{"Op":"ingest"`)) {
+		t.Errorf("the destination shard journaled %d lines, want one ingest entry:\n%s", len(lines), dst.Bytes())
 	}
 	if _, err := r.GetObject(src); err == nil {
 		t.Error("source path still resolves after cross-shard move")
@@ -214,7 +226,7 @@ func TestCrossShardMoveObject(t *testing.T) {
 		t.Errorf("move changed ID: %d -> %d", before.ID, after.ID)
 	}
 	meta, err := r.GetMeta(dstColl+"/moved.dat", types.MetaUser)
-	if err != nil || len(meta) != 1 || meta[0].Name != "experiment" {
+	if err != nil || len(meta) != 3 || meta[0].Name != "experiment" {
 		t.Errorf("metadata did not follow the move: %v (%v)", meta, err)
 	}
 	if byID, err := r.GetObjectByID(before.ID); err != nil || byID.Path() != dstColl+"/moved.dat" {

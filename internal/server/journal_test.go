@@ -56,11 +56,20 @@ func TestJournalAppendFailureLatches(t *testing.T) {
 	}
 	appendErrs := b.Metrics().Counter("mcat.journal.append.errors")
 	acked := 0
-	for ; appendErrs.Value() == 0; acked++ {
+	for ; ; acked++ {
 		if acked == 1000 {
 			t.Fatal("2000 bytes of journal room never ran out")
 		}
-		if err := register(acked); err != nil {
+		err := register(acked)
+		if appendErrs.Value() > 0 {
+			// A register is logged before it is applied: the one whose
+			// append failed is refused with the append's error.
+			if err == nil || !strings.Contains(err.Error(), "no space left") {
+				t.Fatalf("register %d whose append failed: err = %v, want the append's error", acked, err)
+			}
+			break
+		}
+		if err != nil {
 			t.Fatalf("register %d before the journal filled: %v", acked, err)
 		}
 	}
@@ -68,8 +77,7 @@ func TestJournalAppendFailureLatches(t *testing.T) {
 		t.Fatalf("journal filled after %d registers; the prefix check needs a few", acked)
 	}
 
-	// The append that failed was acknowledged (it is applied in memory);
-	// nothing after it is.
+	// Nothing after the failed append is acknowledged.
 	err := register(acked)
 	if !errors.Is(err, types.ErrReadOnly) || !strings.Contains(err.Error(), "no space left") {
 		t.Errorf("mutation after the failed append: err = %v, want ErrReadOnly wrapping the cause", err)
@@ -87,8 +95,8 @@ func TestJournalAppendFailureLatches(t *testing.T) {
 		t.Errorf("read after the latch: %v", err)
 	}
 
-	// The truncated journal replays to a prefix: every register but the
-	// one whose append failed, in order, the torn tail skipped.
+	// The truncated journal replays to exactly what was acknowledged, in
+	// order, the torn tail skipped.
 	replayed := mcat.New("admin", "local")
 	st, err := replayed.ReplayCounted(bytes.NewReader(disk.buf.Bytes()))
 	if err != nil {
@@ -98,8 +106,8 @@ func TestJournalAppendFailureLatches(t *testing.T) {
 		t.Errorf("replay skipped %d lines, want at most the one torn tail", st.Corrupt)
 	}
 	got := replayed.ObjectsIn("/d")
-	if len(got) != acked-1 {
-		t.Errorf("replay restored %d objects, want %d (all acknowledged but the failed append)", len(got), acked-1)
+	if len(got) != acked {
+		t.Errorf("replay restored %d objects, want the %d acknowledged", len(got), acked)
 	}
 	for i, o := range got {
 		if want := fmt.Sprintf("f%03d", i); o.Name != want {
