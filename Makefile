@@ -48,6 +48,9 @@ WIRE_USERS := internal/client internal/server internal/report
 # which takes no metadata and hands out the ID too late to name files.
 CREATE_USERS := internal/core internal/server internal/mysrb
 
+# The read fence: internal/server streams an object from Broker.OpenGet, never reads it whole.
+WHOLE_READS := GetTraced\(|broker\.Get\(|storage\.ReadSized\(
+
 # The format fence: every Go file is as gofmt writes it, so formatting
 # never rides along with (or needs) a commit of its own.
 lint: vet
@@ -56,6 +59,7 @@ lint: vet
 	@if grep -rnE 'json\.(Marshal|Unmarshal)\(' --include=*.go --exclude=*_test.go $(WIRE_USERS); then echo "JSON outside internal/wire: encode wire args and bodies with wire.AppendBody / wire.DecodeBody"; exit 1; fi
 	@if grep -rnF 'signal.Notify(' --exclude-dir=daemon $(GO_SRC); then echo "signal handler outside internal/daemon: Runtime.Run owns shutdown"; exit 1; fi
 	@if grep -rnF 'RegisterObject(' --include=*.go --exclude=*_test.go $(CREATE_USERS); then echo "RegisterObject in a request path: create through newObject + Catalog.Ingest (internal/core)"; exit 1; fi
+	@if grep -rnE '$(WHOLE_READS)' --include=*.go --exclude=*_test.go internal/server; then echo "whole-object read in internal/server: open with Broker.OpenGet and stream"; exit 1; fi
 	@if grep -nE '`-($(GONE_FLAGS))\b' README.md DESIGN.md; then echo "docs cite a removed flag: state the constant"; exit 1; fi
 	@if grep -nE 'BENCH_[a-z]*\.json' $(DOCS); then echo "docs cite a retired BENCH_*.json ratio file"; exit 1; fi; for t in $$(grep -ohE '(`|^)make [a-z][a-z0-9-]*' $(DOCS) | cut -d' ' -f2 | sort -u); do grep -q "^$$t:" Makefile || { echo "docs mention undefined target: make $$t"; exit 1; }; done
 	@if [ ! -x "$(STATICCHECK)" ] && command -v staticcheck >/dev/null 2>&1; then \

@@ -72,13 +72,7 @@ func (cl *Client) MultiGet(paths []string) ([]MultiGetResult, error) {
 		if err := wire.DecodeBody(body, &out); err != nil {
 			return 0, err
 		}
-		var total int64
-		for i := range out.Items {
-			if out.Items[i].OK {
-				total += out.Items[i].Size
-			}
-		}
-		return total, nil
+		return out.DataLen(), nil
 	}}
 	if err := cl.do(wire.OpMultiGet, wire.MultiGetArgs{Paths: paths}, x, nil, ""); err != nil {
 		return nil, err

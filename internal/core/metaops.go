@@ -256,18 +256,31 @@ func (b *Broker) Query(user string, q mcat.Query) ([]mcat.Hit, error) {
 }
 
 func (b *Broker) query(user string, q mcat.Query) ([]mcat.Hit, error) {
+	limit := q.Limit
+	q.Limit = 0
 	hits, err := b.Cat.RunQuery(q)
 	if err != nil {
 		return nil, err
 	}
+	out := b.readable(user, hits, limit)
+	b.audit(user, "query", q.Scope, true, fmt.Sprintf("%d conds, %d hits", len(q.Conds), len(out)))
+	return out, nil
+}
+
+// readable keeps the hits user may read, in order, cut at limit (0 =
+// all). The query that found them ran without the limit: cutting before
+// this filter would count hits the user cannot see.
+func (b *Broker) readable(user string, hits []mcat.Hit, limit int) []mcat.Hit {
 	out := hits[:0:0]
 	for _, h := range hits {
+		if limit > 0 && len(out) == limit {
+			break
+		}
 		if b.Cat.EffectiveLevel(h.Path, user) >= acl.Read {
 			out = append(out, h)
 		}
 	}
-	b.audit(user, "query", q.Scope, true, fmt.Sprintf("%d conds, %d hits", len(q.Conds), len(out)))
-	return out, nil
+	return out
 }
 
 // QueryPartial is Query with partial-result reporting: when the
@@ -277,17 +290,14 @@ func (b *Broker) query(user string, q mcat.Query) ([]mcat.Hit, error) {
 // reports partial shards.
 func (b *Broker) QueryPartial(user string, q mcat.Query) ([]mcat.Hit, []string, error) {
 	start := time.Now()
+	limit := q.Limit
+	q.Limit = 0
 	hits, partial, err := b.Cat.QueryPartial(q)
 	if err != nil {
 		b.ops.query.Done(start, err)
 		return nil, partial, err
 	}
-	out := hits[:0:0]
-	for _, h := range hits {
-		if b.Cat.EffectiveLevel(h.Path, user) >= acl.Read {
-			out = append(out, h)
-		}
-	}
+	out := b.readable(user, hits, limit)
 	b.audit(user, "query", q.Scope, true, fmt.Sprintf("%d conds, %d hits, %d partial shards", len(q.Conds), len(out), len(partial)))
 	b.ops.query.Done(start, nil)
 	b.ops.heat.Record(shard.KeyOf(q.Scope), 0)

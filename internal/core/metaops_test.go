@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"gosrb/internal/acl"
@@ -154,6 +155,42 @@ func TestQueryFiltersByPermission(t *testing.T) {
 	hits, _ = b.Query("admin", mcat.Query{Scope: "/", Conds: []mcat.Condition{{Attr: "tag", Op: "=", Value: "x"}}})
 	if len(hits) != 2 {
 		t.Errorf("admin hits = %+v", hits)
+	}
+}
+
+// TestQueryLimitCountsReadableHits: a limit counts the hits the caller
+// may read. bob may read only the last two of four matches, so Limit 2
+// must give him those two, not the first two cut and then filtered away.
+func TestQueryLimitCountsReadableHits(t *testing.T) {
+	b := newBroker(t)
+	for _, p := range []string{"/home/a", "/home/b", "/home/c", "/home/d"} {
+		if _, err := b.Ingest("alice", IngestOpts{Path: p, Resource: "disk1",
+			Meta: []types.AVU{{Name: "tag", Value: "x"}}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, p := range []string{"/home/c", "/home/d"} {
+		if err := b.Chmod("alice", p, "bob", acl.Read); err != nil {
+			t.Fatal(err)
+		}
+	}
+	q := mcat.Query{Scope: "/home", Conds: []mcat.Condition{{Attr: "tag", Op: "=", Value: "x"}}, Limit: 2}
+	paths := func(hits []mcat.Hit) []string {
+		var out []string
+		for _, h := range hits {
+			out = append(out, h.Path)
+		}
+		return out
+	}
+	for user, want := range map[string]string{"bob": "[/home/c /home/d]", "alice": "[/home/a /home/b]"} {
+		hits, err := b.Query(user, q)
+		if err != nil || fmt.Sprint(paths(hits)) != want {
+			t.Errorf("Query as %s, Limit 2 = %v, %v; want %s", user, paths(hits), err, want)
+		}
+		hits, _, err = b.QueryPartial(user, q)
+		if err != nil || fmt.Sprint(paths(hits)) != want {
+			t.Errorf("QueryPartial as %s, Limit 2 = %v, %v; want %s", user, paths(hits), err, want)
+		}
 	}
 }
 

@@ -6,9 +6,22 @@ package server
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"io"
+	"net"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"gosrb/internal/acl"
+	"gosrb/internal/auth"
 	"gosrb/internal/client"
+	"gosrb/internal/core"
+	"gosrb/internal/faultnet"
+	"gosrb/internal/mcat"
+	"gosrb/internal/resilience"
+	stg "gosrb/internal/storage"
+	"gosrb/internal/storage/memfs"
 	"gosrb/internal/types"
 	"gosrb/internal/wire"
 )
@@ -157,6 +170,273 @@ func TestMultiGetOrderAndPartial(t *testing.T) {
 	}
 	if got := string(res[3].Data); got != "yankee" || res[3].Err != nil {
 		t.Fatalf("res[3] = %q, %v", got, res[3].Err)
+	}
+}
+
+// peerCalls is how many calls srb1 has made to srb2.
+func peerCalls(z *zone) int64 {
+	for _, st := range z.b1.Metrics().Peers().Snapshot() {
+		if st.Peer == "srb2" {
+			return st.Ops
+		}
+	}
+	return 0
+}
+
+// body is item i's distinct contents; the lengths differ, so an item
+// framed at a neighbour's offset cannot pass for itself.
+func body(i int) []byte {
+	return bytes.Repeat([]byte{byte('a' + i)}, 100+37*i)
+}
+
+// TestMultiGetFederated: a batch that alternates local items (srb1's
+// disk1) with remote ones (srb2's disk2) comes back in request order,
+// byte for byte, with each failure named per item — and its remote items
+// cost srb1 exactly one call to srb2, however many there are.
+func TestMultiGetFederated(t *testing.T) {
+	z := newZone(t, Proxy)
+	const missingLocal, missingRemote, unreadable = 14, 13, 15
+	z.cat.MkColl("/priv", "admin")
+	paths := make([]string, 16)
+	for i := range paths {
+		b, res, user := z.b1, "disk1", "alice"
+		if i%2 == 1 {
+			b, res = z.b2, "disk2"
+		}
+		paths[i] = fmt.Sprintf("/home/item%02d", i)
+		switch i {
+		case missingLocal:
+			continue
+		case unreadable:
+			paths[i], user = "/priv/secret", "admin"
+		}
+		o, err := b.Ingest(user, core.IngestOpts{Path: paths[i], Data: body(i), Resource: res})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == missingRemote {
+			// The catalog says srb2 holds it; srb2's vault has lost it.
+			d2, _ := z.b2.Driver("disk2")
+			if err := d2.Remove(o.Replicas[0].PhysicalPath); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	cl := z.client(z.addr1, "alice", "alicepw")
+	before := peerCalls(z)
+	res, err := cl.MultiGet(paths)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := peerCalls(z) - before; n != 1 {
+		t.Errorf("srb1 called srb2 %d times for one batch, want 1", n)
+	}
+	if len(res) != len(paths) {
+		t.Fatalf("got %d results for %d paths", len(res), len(paths))
+	}
+	for i, r := range res {
+		var want error
+		switch i {
+		case missingLocal, missingRemote:
+			want = types.ErrNotFound
+		case unreadable:
+			want = types.ErrPermission
+		}
+		switch {
+		case r.Path != paths[i]:
+			t.Errorf("result %d is %s, want %s", i, r.Path, paths[i])
+		case want != nil && !errors.Is(r.Err, want):
+			t.Errorf("%s: err = %v, want %v", r.Path, r.Err, want)
+		case want == nil && (r.Err != nil || !bytes.Equal(r.Data, body(i))):
+			t.Errorf("%s: %d bytes, %v; want its %d bytes", r.Path, len(r.Data), r.Err, len(body(i)))
+		}
+	}
+}
+
+// openBarrier holds every driver Open until want of them have begun, or
+// fails them when that takes longer than any healthy run needs.
+type openBarrier struct {
+	n    atomic.Int32
+	want int32
+	all  chan struct{}
+}
+
+func (b *openBarrier) wait() error {
+	if b.n.Add(1) == b.want {
+		close(b.all)
+	}
+	select {
+	case <-b.all:
+		return nil
+	case <-time.After(10 * time.Second):
+		return errors.New("barrier: the other owner was never asked")
+	}
+}
+
+// barrierDriver is a driver whose Open waits at a barrier.
+type barrierDriver struct {
+	stg.Driver
+	b *openBarrier
+}
+
+func (d barrierDriver) Open(path string) (stg.ReadFile, error) {
+	if err := d.b.wait(); err != nil {
+		return nil, err
+	}
+	return d.Driver.Open(path)
+}
+
+// TestMultiGetOwnersConcurrent: a batch naming items on two peers asks
+// both at once. Each peer's driver holds its Open until the other's has
+// begun too, so the batch completes only if neither owner waits for the
+// other.
+func TestMultiGetOwnersConcurrent(t *testing.T) {
+	cat := mcat.New("admin", "sdsc")
+	cat.AddUser(types.User{Name: "alice", Domain: "sdsc"})
+	cat.MkColl("/home", "admin")
+	cat.SetACL("/home", "alice", acl.Write)
+	authn := auth.New()
+	authn.Register("alice", "alicepw")
+	gate := &openBarrier{want: 2, all: make(chan struct{})}
+	names := []string{"srb1", "srb2", "srb3"}
+	servers := make([]*Server, len(names))
+	addrs := make([]string, len(names))
+	for i, name := range names {
+		b := core.New(cat, name)
+		var d stg.Driver = memfs.New()
+		if i > 0 {
+			d = barrierDriver{Driver: d, b: gate}
+		}
+		if err := b.AddPhysicalResource("admin", "disk"+name[3:], types.ClassFileSystem, "memfs", d); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := b.Ingest("alice", core.IngestOpts{Path: "/home/on" + name, Data: body(i), Resource: "disk" + name[3:]}); err != nil {
+			t.Fatal(err)
+		}
+		servers[i] = New(b, authn, Proxy)
+		addr, err := servers[i].Listen("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		addrs[i] = addr
+		t.Cleanup(func() { servers[i].Close() })
+	}
+	for i, s := range servers {
+		for j, name := range names {
+			if i != j {
+				s.AddPeer(name, addrs[j], zoneSecret)
+			}
+		}
+	}
+	cl, err := client.Dial(addrs[0], "alice", "alicepw")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	res, err := cl.MultiGet([]string{"/home/onsrb2", "/home/onsrb1", "/home/onsrb3"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, i := range []int{1, 0, 2} {
+		if r := res[k]; r.Err != nil || !bytes.Equal(r.Data, body(i)) {
+			t.Errorf("%s: %d bytes, %v; want its %d bytes", r.Path, len(r.Data), r.Err, len(body(i)))
+		}
+	}
+}
+
+// shortDriver is a driver whose files read back 3 bytes shorter than
+// they were written.
+type shortDriver struct{ stg.Driver }
+
+type shortFile struct {
+	stg.ReadFile
+	left int64
+}
+
+func (d shortDriver) Open(path string) (stg.ReadFile, error) {
+	f, err := d.Driver.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	size, err := stg.SizeOf(f)
+	if err != nil {
+		f.Close()
+		return nil, err
+	}
+	return &shortFile{ReadFile: f, left: size - 3}, nil
+}
+
+func (f *shortFile) Read(p []byte) (int, error) {
+	if f.left <= 0 {
+		return 0, io.EOF
+	}
+	if int64(len(p)) > f.left {
+		p = p[:f.left]
+	}
+	n, err := f.ReadFile.Read(p)
+	f.left -= int64(n)
+	return n, err
+}
+
+// TestMultiGetShortItemAborts: the stream of a batch is framed by sizes
+// announced before its bytes are read. A local item whose driver yields
+// less than its catalog size fails the batch outright, rather than let
+// the items after it slide into its place. A peer that dies mid-batch
+// fails its own items and no others.
+func TestMultiGetShortItemAborts(t *testing.T) {
+	b, _, addr := bootOne(t, map[string]stg.Driver{"disk1": memfs.New(), "short": shortDriver{memfs.New()}}, nil, "")
+	for i, res := range []string{"disk1", "short", "disk1"} {
+		if _, err := b.Ingest("alice", core.IngestOpts{Path: fmt.Sprintf("/home/s%d", i), Data: body(i), Resource: res}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cl := dialT(t, addr)
+	cl.SetRetryPolicy(resilience.Policy{MaxAttempts: 1})
+	if res, err := cl.MultiGet([]string{"/home/s0", "/home/s1", "/home/s2"}); err == nil {
+		t.Errorf("multiget over a short item = %d results, no error; want the batch to fail", len(res))
+	}
+	if n := b.Metrics().Counter("server.stream.aborted").Value(); n != 1 {
+		t.Errorf("server.stream.aborted = %d, want 1", n)
+	}
+
+	z := newZone(t, Proxy)
+	inj := faultnet.New(1)
+	z.s1.SetPeerDialer(inj.WrapDial("peer", func(a string) (net.Conn, error) {
+		return net.DialTimeout("tcp", a, 5*time.Second)
+	}))
+	z.s1.sleep = func(time.Duration) {}
+	var paths []string
+	for i := 0; i < 6; i++ {
+		b, res, data := z.b1, "disk1", body(i)
+		if i%2 == 1 {
+			// Remote items span several data frames, so the peer dies
+			// inside the stream.
+			b, res, data = z.b2, "disk2", bytes.Repeat(data, wire.DataChunk/len(data)+1)
+		}
+		paths = append(paths, fmt.Sprintf("/home/k%d", i))
+		if _, err := b.Ingest("alice", core.IngestOpts{Path: paths[i], Data: data, Resource: res}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cl = z.client(z.addr1, "alice", "alicepw")
+	if _, err := cl.MultiGet(paths); err != nil { // warms the peer pool
+		t.Fatal(err)
+	}
+	// The link dies a chunk into srb2's reply, and every reconnect dies
+	// at its first byte.
+	inj.Target("peer").DropAfterBytes(wire.DataChunk)
+	res, err := cl.MultiGet(paths)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range res {
+		if i%2 == 1 {
+			if r.Err == nil {
+				t.Errorf("%s: remote item through a dead peer returned %d bytes and no error", r.Path, len(r.Data))
+			}
+		} else if r.Err != nil || !bytes.Equal(r.Data, body(i)) {
+			t.Errorf("%s: local item beside a dead peer = %d bytes, %v; want its %d bytes", r.Path, len(r.Data), r.Err, len(body(i)))
+		}
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"io"
 	"reflect"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -648,65 +649,207 @@ func bulkPut(c call, a wire.BulkPutArgs) (wire.BulkPutReply, error) {
 // multiGet fetches a batch of objects and replies with a manifest
 // of per-item outcomes followed by the successful items' bytes in
 // request order (the manifest's sizes let the client slice the stream
-// back apart). Items fail independently; remote-owned items are proxied
-// like a single get. Each item is read into one buffer of its own size,
-// and the reply is framed from those buffers through a pooled chunk —
-// the batch is never concatenated.
+// back apart). Items fail independently.
+//
+// Remote items cross the WAN once per owner, not once per item: each
+// owning peer is sent one multiget of its paths, the owners run
+// concurrently, and each owner's reply is received into one buffer.
+// Local items are opened, not read: their bytes stream from the
+// replicas into the reply through the pooled chunk, so no local item is
+// held whole.
 func multiGet(c call, a wire.MultiGetArgs) error {
-	s, ss, user := c.s, c.ss, c.user
-	rep := wire.MultiGetReply{Server: s.name}
+	s, ss := c.s, c.ss
 	s.observeBatch(len(a.Paths))
-	items := make(chunk.Slices, 0, len(a.Paths))
-	for _, p := range a.Paths {
-		item := wire.MultiGetItem{Path: p}
-		var data []byte
-		var err error
-		if owner := s.localityOf(p); owner != "" && !ss.isPeer {
-			greq := &wire.Request{Op: wire.OpGet, Trace: c.req.Trace}
-			greq.Args, err = wire.AppendBody(nil, wire.PathArgs{Path: p})
-			if err == nil {
-				if addr, ok := s.PeerAddr(owner); ok {
-					data, err = s.proxyGetBytes(owner, addr, user, greq, ss.deadline, ss.span)
-				} else {
-					err = types.E(wire.OpGet, owner, types.ErrOffline)
-				}
+	rep := wire.MultiGetReply{Server: s.name, Items: make([]wire.MultiGetItem, len(a.Paths))}
+	parts := make([]batchPart, len(a.Paths))
+	var owners []*ownerBatch
+	for i, p := range a.Paths {
+		rep.Items[i].Path = p
+		parts[i].path = p
+		owner := ""
+		if !ss.isPeer {
+			owner = s.localityOf(p)
+		}
+		if owner == "" {
+			continue
+		}
+		parts[i].remote = true
+		ob := ownerOf(&owners, owner)
+		ob.idx = append(ob.idx, i)
+		ob.paths = append(ob.paths, p)
+	}
+	if len(owners) > 0 {
+		// The first owner runs inline: a one-owner batch spawns nothing.
+		var wg sync.WaitGroup
+		for _, ob := range owners[1:] {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				ob.fetch(c)
+			}()
+		}
+		owners[0].fetch(c)
+		wg.Wait()
+	}
+	for _, ob := range owners {
+		ob.fill(rep.Items, parts)
+	}
+	defer func() {
+		for i := range parts {
+			if parts[i].f != nil {
+				parts[i].f.Close()
 			}
-		} else {
-			data, err = s.broker.GetTraced(user, p, ss.span)
 		}
+	}()
+	for i := range parts {
+		if parts[i].remote {
+			continue
+		}
+		f, size, err := c.b.OpenGet(c.user, parts[i].path, ss.span)
 		if err != nil {
-			item.ErrKind, item.ErrMsg = wire.KindOf(err), err.Error()
-		} else {
-			item.OK, item.Size = true, int64(len(data))
-			items = append(items, data)
+			rep.Items[i].ErrKind, rep.Items[i].ErrMsg = wire.KindOf(err), err.Error()
+			continue
 		}
-		rep.Items = append(rep.Items, item)
+		rep.Items[i].OK, rep.Items[i].Size = true, size
+		parts[i].f, parts[i].left = f, size
 	}
-	return ss.sendStream(rep, &items)
+	return ss.sendStream(rep, &sourceReader{r: &batchReader{parts: parts}})
 }
 
-// proxyGetBytes is proxyGet into one buffer allocated at the size the
-// peer announces. Each attempt fills a buffer of its own, so a retry
-// simply starts over.
-func (s *Server) proxyGetBytes(peerName, addr, user string, req *wire.Request, deadline time.Time, sp *obs.Span) ([]byte, error) {
-	var sink sizedSink
-	if err := s.proxyGet(peerName, addr, user, req, deadline, sp, &sink, nil); err != nil {
-		return nil, err
-	}
-	return sink.buf.Bytes(), nil
+// ownerBatch is the share of a multiget one peer holds: its paths, their
+// places in the request, and its answer.
+type ownerBatch struct {
+	peer  string
+	idx   []int
+	paths []string
+	rep   wire.MultiGetReply
+	buf   *wire.Buffer
+	err   error
 }
 
-// sizedSink collects a reply stream into a fresh buffer of the size its
-// wire.SizeReply header announces.
-type sizedSink struct{ buf *wire.Buffer }
+// ownerOf finds peer's batch among *owners, adding it when new.
+func ownerOf(owners *[]*ownerBatch, peer string) *ownerBatch {
+	for _, ob := range *owners {
+		if ob.peer == peer {
+			return ob
+		}
+	}
+	ob := &ownerBatch{peer: peer}
+	*owners = append(*owners, ob)
+	return ob
+}
 
-func (k *sizedSink) Begin(resp *wire.Response) (io.Writer, error) {
-	buf, err := wire.NewSizedBuffer(resp.Body)
-	if err != nil {
+// fetch sends the owner its paths as one multiget, under the idempotent
+// retry, and holds the manifest it answers with to the request.
+func (ob *ownerBatch) fetch(c call) {
+	addr, ok := c.s.PeerAddr(ob.peer)
+	if !ok {
+		ob.err = types.E(wire.OpMultiGet, ob.peer, types.ErrOffline)
+		return
+	}
+	req := &wire.Request{Op: wire.OpMultiGet, Trace: c.req.Trace}
+	if req.Args, ob.err = wire.AppendBody(nil, wire.MultiGetArgs{Paths: ob.paths}); ob.err != nil {
+		return
+	}
+	if ob.err = c.s.proxyGet(ob.peer, addr, c.user, req, c.ss.deadline, c.ss.span, ob, nil); ob.err != nil {
+		return
+	}
+	ob.err = ob.check()
+}
+
+// Begin decodes the owner's manifest and receives the stream behind it
+// into one buffer presized to the manifest's sizes (wire.Sink). Each
+// attempt starts from a fresh buffer, so a retry never sees a torn one.
+func (ob *ownerBatch) Begin(resp *wire.Response) (io.Writer, error) {
+	ob.rep = wire.MultiGetReply{}
+	if err := wire.DecodeBody(resp.Body, &ob.rep); err != nil {
 		return nil, err
 	}
-	k.buf = buf
-	return buf, nil
+	ob.buf = new(wire.Buffer)
+	ob.buf.Grow(ob.rep.DataLen())
+	return ob.buf, nil
+}
+
+// check accepts a manifest that names exactly the requested paths, in
+// the requested order, with sizes that account for the stream received.
+func (ob *ownerBatch) check() error {
+	left := int64(len(ob.buf.Bytes()))
+	ok := len(ob.rep.Items) == len(ob.paths)
+	for j := 0; ok && j < len(ob.paths); j++ {
+		it := &ob.rep.Items[j]
+		ok = it.Path == ob.paths[j] && (!it.OK || 0 <= it.Size && it.Size <= left)
+		if ok && it.OK {
+			left -= it.Size
+		}
+	}
+	if !ok || left != 0 {
+		return types.E(wire.OpMultiGet, ob.peer, fmt.Errorf("manifest does not answer the request: %w", types.ErrInvalid))
+	}
+	return nil
+}
+
+// fill puts the owner's answer in the request's places: each item as the
+// peer reported it, its bytes sliced from the owner's buffer; or, when
+// the call failed as a whole, its error on every one of them.
+func (ob *ownerBatch) fill(items []wire.MultiGetItem, parts []batchPart) {
+	if ob.err != nil {
+		kind, msg := wire.KindOf(ob.err), ob.err.Error()
+		for _, i := range ob.idx {
+			items[i].ErrKind, items[i].ErrMsg = kind, msg
+		}
+		return
+	}
+	data := ob.buf.Bytes()
+	for j, i := range ob.idx {
+		items[i] = ob.rep.Items[j]
+		if items[i].OK {
+			size := items[i].Size
+			parts[i].data, parts[i].left = data[:size:size], size
+			data = data[size:]
+		}
+	}
+}
+
+// batchPart is one item of a multiget's stream: a local item's open
+// replica, or a remote item's bytes, and how many of them are still owed.
+type batchPart struct {
+	path   string
+	remote bool
+	f      storage.ReadFile
+	data   []byte
+	left   int64
+}
+
+// batchReader reads a multiget's items end to end, each exactly as long
+// as its manifest entry: a source that ends short fails the read, so the
+// bytes of the items after it can never slide into its place.
+type batchReader struct{ parts []batchPart }
+
+func (b *batchReader) Read(p []byte) (int, error) {
+	for len(b.parts) > 0 && b.parts[0].left == 0 {
+		b.parts = b.parts[1:]
+	}
+	if len(b.parts) == 0 {
+		return 0, io.EOF
+	}
+	pt := &b.parts[0]
+	if int64(len(p)) > pt.left {
+		p = p[:pt.left]
+	}
+	if pt.f == nil {
+		n := copy(p, pt.data)
+		pt.data, pt.left = pt.data[n:], pt.left-int64(n)
+		return n, nil
+	}
+	n, err := pt.f.Read(p)
+	pt.left -= int64(n)
+	if err == io.EOF {
+		err = nil
+		if pt.left > 0 {
+			err = types.E(wire.OpMultiGet, pt.path, fmt.Errorf("source ended %d bytes short: %w", pt.left, io.ErrUnexpectedEOF))
+		}
+	}
+	return n, err
 }
 
 // readRange serves the parallel-transfer primitive: length bytes of the

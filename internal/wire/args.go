@@ -563,6 +563,18 @@ type MultiGetReply struct {
 	Items  []MultiGetItem
 }
 
+// DataLen is the length of the data stream the reply announces: the sum
+// of its successful items' sizes.
+func (r *MultiGetReply) DataLen() int64 {
+	var total int64
+	for i := range r.Items {
+		if r.Items[i].OK {
+			total += r.Items[i].Size
+		}
+	}
+	return total
+}
+
 // BulkStatArgs stats many paths in one round trip.
 type BulkStatArgs struct {
 	Paths []string
