@@ -51,6 +51,9 @@ CREATE_USERS := internal/core internal/server internal/mysrb
 # The read fence: internal/server streams an object from Broker.OpenGet, never reads it whole.
 WHOLE_READS := GetTraced\(|broker\.Get\(|storage\.ReadSized\(
 
+# The append fence: a catalog mutation reaches its journal only through commitLocked's append (journal.go), never a log( helper.
+JOURNAL_WRITES := \blog\(|appendLine\(|\.w\.Write\(
+
 # The format fence: every Go file is as gofmt writes it, so formatting
 # never rides along with (or needs) a commit of its own.
 lint: vet
@@ -59,6 +62,7 @@ lint: vet
 	@if grep -rnE 'json\.(Marshal|Unmarshal)\(' --include=*.go --exclude=*_test.go $(WIRE_USERS); then echo "JSON outside internal/wire: encode wire args and bodies with wire.AppendBody / wire.DecodeBody"; exit 1; fi
 	@if grep -rnF 'signal.Notify(' --exclude-dir=daemon $(GO_SRC); then echo "signal handler outside internal/daemon: Runtime.Run owns shutdown"; exit 1; fi
 	@if grep -rnF 'RegisterObject(' --include=*.go --exclude=*_test.go $(CREATE_USERS); then echo "RegisterObject in a request path: create through newObject + Catalog.Ingest (internal/core)"; exit 1; fi
+	@if grep -rnE '$(JOURNAL_WRITES)' --include=*.go --exclude=*_test.go --exclude=journal.go internal/mcat; then echo "journal write outside journal.go: commit the entry through commitLocked, which appends it before it is applied"; exit 1; fi
 	@if grep -rnE '$(WHOLE_READS)' --include=*.go --exclude=*_test.go internal/server; then echo "whole-object read in internal/server: open with Broker.OpenGet and stream"; exit 1; fi
 	@if grep -nE '`-($(GONE_FLAGS))\b' README.md DESIGN.md; then echo "docs cite a removed flag: state the constant"; exit 1; fi
 	@if grep -nE 'BENCH_[a-z]*\.json' $(DOCS); then echo "docs cite a retired BENCH_*.json ratio file"; exit 1; fi; for t in $$(grep -ohE '(`|^)make [a-z][a-z0-9-]*' $(DOCS) | cut -d' ' -f2 | sort -u); do grep -q "^$$t:" Makefile || { echo "docs mention undefined target: make $$t"; exit 1; }; done
@@ -130,14 +134,17 @@ test-phases:
 # and the put's journal bytes cut at every offset on a 1- and a 4-shard
 # store, a container member's too), every other create as the same one
 # entry (through a linked collection, a refused triplet, the entries each
-# create journals), 15 s of the LIKE matcher fuzzed against the recursive matcher
-# it replaced, and 15 s of arbitrary journal bytes through the one
-# applier boot replay, replication and migration share. (Minimizing an
-# input as long as a journal would otherwise take the whole 15 s.)
+# create journals), every entry kind refused whole when its append fails,
+# a refused delete keeping its bytes, 15 s of the LIKE matcher fuzzed
+# against the recursive matcher it replaced, and 15 s of arbitrary
+# journal bytes through the one seam boot replay, replication and
+# migration share. (Minimizing an input as long as a journal would
+# otherwise take the whole 15 s.)
 test-mcat:
 	$(GO) test -race -count=10 ./internal/mcat/shard/
 	$(GO) test -race -count=10 -run 'Query|Like|Differential' ./internal/mcat/
-	$(GO) test -race -count=1 -run 'TestRefusedMetadata|TestIngestJournalFailure|TestIngestLosingRace|TestPutCrashPoints|TestCreateThroughLinkedCollection|TestRegisterFileRefusedTriplet|TestCreateJournalEntries' ./internal/core/
+	$(GO) test -race -count=1 -run 'TestJournalFixture|TestEveryKindRefusedWhenAppendFails' ./internal/mcat/
+	$(GO) test -race -count=1 -run 'TestRefusedMetadata|TestIngestJournalFailure|TestIngestLosingRace|TestPutCrashPoints|TestCreateThroughLinkedCollection|TestRegisterFileRefusedTriplet|TestCreateJournalEntries|TestRefusedDeleteKeepsBytes' ./internal/core/
 	$(GO) test -run '^$$' -fuzz=FuzzLikeMatch -fuzztime=15s ./internal/mcat/
 	$(GO) test -run '^$$' -fuzz=FuzzJournalReplay -fuzztime=15s -fuzzminimizetime=1s ./internal/mcat/
 

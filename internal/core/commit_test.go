@@ -146,6 +146,45 @@ func TestIngestJournalFailureNotAcknowledged(t *testing.T) {
 	}
 }
 
+// Bytes are removed only once the catalog no longer names them: a delete,
+// a replica removal or a container removal whose journal append fails, or
+// that a latched shard refuses, leaves every replica file where it was.
+func TestRefusedDeleteKeepsBytes(t *testing.T) {
+	cat := shard.NewRouter(1, "admin", "sdsc")
+	b, disks := commitRig(t, cat)
+	for _, name := range []string{"f", "g"} {
+		if _, err := b.Ingest("alice", core.IngestOpts{Path: "/home/" + name, Data: []byte("bytes of " + name), Resource: "mirror"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := b.CreateContainer("alice", "/home/box", "mirror"); err != nil {
+		t.Fatal(err)
+	}
+	files := filesOn(disks)
+	cat.AttachJournal(0, mcat.NewJournal(&failingDisk{n: 1}))
+
+	if err := b.Delete("alice", "/home/f"); !errors.Is(err, errIO) {
+		t.Errorf("delete whose append fails: err = %v, want the append's error", err)
+	}
+	if err := b.DeleteReplica("alice", "/home/g", 1); !errors.Is(err, types.ErrReadOnly) {
+		t.Errorf("replica removal on the latched shard: err = %v, want ErrReadOnly", err)
+	}
+	if err := b.DeleteContainer("alice", "/home/box"); !errors.Is(err, types.ErrReadOnly) {
+		t.Errorf("container removal on the latched shard: err = %v, want ErrReadOnly", err)
+	}
+	for _, name := range []string{"f", "g"} {
+		if got, err := b.Get("alice", "/home/"+name); err != nil || string(got) != "bytes of "+name {
+			t.Errorf("Get %s after the refused removal = %q, %v", name, got, err)
+		}
+	}
+	if o, err := cat.GetObject("/home/g"); err != nil || len(o.Replicas) != 2 {
+		t.Errorf("/home/g after the refused replica removal: %+v, %v", o, err)
+	}
+	if n := filesOn(disks); n != files {
+		t.Errorf("the refused removals took %d replica files", files-n)
+	}
+}
+
 // racingDisk runs race once, inside the first Create it serves: a put
 // that lands while another put of the same path is storing its bytes.
 type racingDisk struct {
@@ -414,5 +453,55 @@ func TestIngestAllocations(t *testing.T) {
 	if allocs > ingestAllocsMeasured+ingestAllocsSlack {
 		t.Errorf("Ingest allocates %.1f times per put, budget %d (measured %d + slack %d)",
 			allocs, ingestAllocsMeasured+ingestAllocsSlack, ingestAllocsMeasured, ingestAllocsSlack)
+	}
+}
+
+// TestMutationAllocations fences the single-line mutations bench/ drives
+// besides a put, each on a journaled 1- and 4-shard router with its path
+// made by fmt.Sprintf per call. The budgets are what each cost, go1.24
+// linux/amd64, when every mutation but a create was applied before it
+// was logged; logging first must not cost more.
+func TestMutationAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	const runs = 200
+	budgets := []struct {
+		op     string
+		budget float64
+		do     func(r *shard.Router, path string) error
+	}{
+		{"addmeta", 5, func(r *shard.Router, path string) error {
+			return r.AddMeta(path, types.MetaUser, types.AVU{Name: "band", Value: "J"})
+		}},
+		{"annotate", 6, func(r *shard.Router, path string) error {
+			return r.AddAnnotation(path, types.Annotation{Author: "alice", Text: "calibrated"})
+		}},
+		{"delete", 3, func(r *shard.Router, path string) error { return r.DeleteObject(path) }},
+	}
+	for _, n := range []int{1, 4} {
+		r := shard.NewRouter(n, "admin", "sdsc")
+		r.EnableMemoryJournals()
+		if err := r.MkCollAll("/zone/proj", "admin"); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i <= runs; i++ {
+			if _, err := r.RegisterObject(&types.DataObject{Collection: "/zone/proj", Name: fmt.Sprintf("o%03d", i), Owner: "admin"}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, b := range budgets {
+			i := 0
+			allocs := testing.AllocsPerRun(runs, func() {
+				if err := b.do(r, fmt.Sprintf("/zone/proj/o%03d", i)); err != nil {
+					t.Fatal(err)
+				}
+				i++
+			})
+			t.Logf("%d shards, %s: %.1f allocs/op (budget %.0f)", n, b.op, allocs, b.budget)
+			if allocs > b.budget {
+				t.Errorf("%d shards: %s allocates %.1f times per call, budget %.0f", n, b.op, allocs, b.budget)
+			}
+		}
 	}
 }

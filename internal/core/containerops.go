@@ -320,12 +320,17 @@ func (b *Broker) DeleteContainer(user, contPath string) error {
 	if members := b.Cat.ObjectsInContainer(contPath); len(members) > 0 {
 		return types.E("rmcontainer", contPath, types.ErrNotEmpty)
 	}
+	err = b.Cat.DeleteObject(contPath)
+	b.audit(user, "rmcontainer", contPath, err == nil, "")
+	if err != nil {
+		return err
+	}
+	// The segments go once the catalog no longer names them, as a
+	// deleted object's files do.
 	for _, rep := range cont.Replicas {
 		if d, err := b.Driver(rep.Resource); err == nil {
 			d.Remove(rep.PhysicalPath)
 		}
 	}
-	err = b.Cat.DeleteObject(contPath)
-	b.audit(user, "rmcontainer", contPath, err == nil, "")
-	return err
+	return nil
 }

@@ -790,9 +790,16 @@ func (b *Broker) deleteObj(user, path string) error {
 	if writeBlocked(&o, user, b.now()) {
 		return types.E("delete", path, types.ErrLocked)
 	}
+	err = b.Cat.DeleteObject(path)
+	b.audit(user, "delete", path, err == nil, o.Kind.String())
+	if err != nil {
+		return err
+	}
 	switch o.Kind {
 	case types.KindFile, types.KindRegisteredFile:
-		// Physical bytes go with the object. Registered files are also
+		// Physical bytes go with the object, best-effort once the catalog
+		// no longer names them, so a crash in between leaves an orphaned
+		// file, never a row without bytes. Registered files are also
 		// deleted physically (paper §5, kind 1: "including deletion on
 		// registered files"); container members leave their bytes
 		// orphaned in the segment until the container is removed.
@@ -804,9 +811,7 @@ func (b *Broker) deleteObj(user, path string) error {
 			}
 		}
 	}
-	err = b.Cat.DeleteObject(path)
-	b.audit(user, "delete", path, err == nil, o.Kind.String())
-	return err
+	return nil
 }
 
 // DeleteReplica removes one replica; deleting the last replica deletes

@@ -179,22 +179,7 @@ func (c *Catalog) alignIDLocked(min types.ObjectID) types.ObjectID {
 // ---- users and groups ----
 
 // AddUser registers a user.
-func (c *Catalog) AddUser(u types.User) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if !types.ValidName(u.Name) {
-		return types.E("adduser", u.Name, types.ErrInvalid)
-	}
-	if _, ok := c.users[u.Name]; ok {
-		return types.E("adduser", u.Name, types.ErrExists)
-	}
-	if u.CreatedAt.IsZero() {
-		u.CreatedAt = c.now()
-	}
-	c.users[u.Name] = &u
-	c.log(Entry{Op: "adduser", User: &u})
-	return nil
-}
+func (c *Catalog) AddUser(u types.User) error { return c.commit(&Entry{Op: "adduser", User: &u}) }
 
 // GetUser returns a user by name.
 func (c *Catalog) GetUser(name string) (types.User, error) {
@@ -220,67 +205,19 @@ func (c *Catalog) Users() []types.User {
 }
 
 // DeleteUser removes a user account.
-func (c *Catalog) DeleteUser(name string) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.users[name]; !ok {
-		return types.E("deluser", name, types.ErrNotFound)
-	}
-	delete(c.users, name)
-	for _, g := range c.groups {
-		g.Members = removeString(g.Members, name)
-	}
-	c.log(Entry{Op: "deluser", Name: name})
-	return nil
-}
+func (c *Catalog) DeleteUser(name string) error { return c.commit(&Entry{Op: "deluser", Name: name}) }
 
 // AddGroup creates an empty group.
-func (c *Catalog) AddGroup(name string) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if !types.ValidName(name) {
-		return types.E("addgroup", name, types.ErrInvalid)
-	}
-	if _, ok := c.groups[name]; ok {
-		return types.E("addgroup", name, types.ErrExists)
-	}
-	c.groups[name] = &types.Group{Name: name}
-	c.log(Entry{Op: "addgroup", Group: name})
-	return nil
-}
+func (c *Catalog) AddGroup(name string) error { return c.commit(&Entry{Op: "addgroup", Group: name}) }
 
 // AddToGroup adds a registered user to a group.
 func (c *Catalog) AddToGroup(group, user string) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	g, ok := c.groups[group]
-	if !ok {
-		return types.E("addtogroup", group, types.ErrNotFound)
-	}
-	if _, ok := c.users[user]; !ok {
-		return types.E("addtogroup", user, types.ErrNotFound)
-	}
-	for _, m := range g.Members {
-		if m == user {
-			return nil
-		}
-	}
-	g.Members = append(g.Members, user)
-	c.log(Entry{Op: "addtogroup", Group: group, Member: user})
-	return nil
+	return c.commit(&Entry{Op: "addtogroup", Group: group, Member: user})
 }
 
 // RemoveFromGroup drops a user from a group.
 func (c *Catalog) RemoveFromGroup(group, user string) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	g, ok := c.groups[group]
-	if !ok {
-		return types.E("rmfromgroup", group, types.ErrNotFound)
-	}
-	g.Members = removeString(g.Members, user)
-	c.log(Entry{Op: "rmfromgroup", Group: group, Member: user})
-	return nil
+	return c.commit(&Entry{Op: "rmfromgroup", Group: group, Member: user})
 }
 
 // GroupsOf returns the set of groups user belongs to.
@@ -336,40 +273,7 @@ func removeString(s []string, v string) []string {
 // at least two existing physical members (paper §5: "a logical resource
 // that ties together two or more physical resources").
 func (c *Catalog) AddResource(r types.Resource) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if !types.ValidName(r.Name) {
-		return types.E("addresource", r.Name, types.ErrInvalid)
-	}
-	if _, ok := c.resources[r.Name]; ok {
-		return types.E("addresource", r.Name, types.ErrExists)
-	}
-	if r.Kind == types.ResourceLogical {
-		if len(r.Members) < 2 {
-			return types.E("addresource", r.Name, types.ErrInvalid)
-		}
-		if k, _, err := types.ParseReplPolicy(r.ReplPolicy); err != nil {
-			return err
-		} else if k > len(r.Members) {
-			return types.E("addresource", r.ReplPolicy, types.ErrInvalid)
-		}
-		for _, m := range r.Members {
-			mr, ok := c.resources[m]
-			if !ok {
-				return types.E("addresource", m, types.ErrNotFound)
-			}
-			if mr.Kind != types.ResourcePhysical {
-				return types.E("addresource", m, types.ErrInvalid)
-			}
-		}
-	}
-	if r.CreatedAt.IsZero() {
-		r.CreatedAt = c.now()
-	}
-	r.Online = true
-	c.resources[r.Name] = &r
-	c.log(Entry{Op: "addresource", Resource: &r})
-	return nil
+	return c.commit(&Entry{Op: "addresource", Resource: &r})
 }
 
 // GetResource returns a resource by name.
@@ -402,39 +306,13 @@ func (c *Catalog) Resources() []types.Resource {
 // SetResourceOnline flips a resource's availability; reads against an
 // offline resource fail over to replicas elsewhere (paper §3.4).
 func (c *Catalog) SetResourceOnline(name string, online bool) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	r, ok := c.resources[name]
-	if !ok {
-		return types.E("setonline", name, types.ErrNotFound)
-	}
-	r.Online = online
-	c.log(Entry{Op: "setonline", Name: name, Online: online})
-	return nil
+	return c.commit(&Entry{Op: "setonline", Name: name, Online: online})
 }
 
 // SetResourcePolicy changes the replication policy of a logical
 // resource ("sync", "" or "async:k" with k <= len(members)).
 func (c *Catalog) SetResourcePolicy(name, policy string) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	r, ok := c.resources[name]
-	if !ok {
-		return types.E("setpolicy", name, types.ErrNotFound)
-	}
-	if r.Kind != types.ResourceLogical {
-		return types.E("setpolicy", name, types.ErrInvalid)
-	}
-	k, _, err := types.ParseReplPolicy(policy)
-	if err != nil {
-		return err
-	}
-	if k > len(r.Members) {
-		return types.E("setpolicy", policy, types.ErrInvalid)
-	}
-	r.ReplPolicy = policy
-	c.log(Entry{Op: "replpolicy", Name: name, Value: policy})
-	return nil
+	return c.commit(&Entry{Op: "replpolicy", Name: name, Value: policy})
 }
 
 // ResolvePhysical expands a resource name to the ordered list of
@@ -464,28 +342,7 @@ func (c *Catalog) ResolvePhysical(name string) ([]types.Resource, error) {
 // DeleteResource removes an unused resource: no replica may reference
 // it and no logical resource may list it as a member.
 func (c *Catalog) DeleteResource(name string) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.resources[name]; !ok {
-		return types.E("delresource", name, types.ErrNotFound)
-	}
-	for _, r := range c.resources {
-		for _, m := range r.Members {
-			if m == name {
-				return types.E("delresource", name, types.ErrInvalid)
-			}
-		}
-	}
-	for _, o := range c.objects {
-		for _, rep := range o.Replicas {
-			if rep.Resource == name {
-				return types.E("delresource", name, types.ErrInvalid)
-			}
-		}
-	}
-	delete(c.resources, name)
-	c.log(Entry{Op: "delresource", Name: name})
-	return nil
+	return c.commit(&Entry{Op: "delresource", Name: name})
 }
 
 // Stats summarises catalog size.

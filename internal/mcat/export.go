@@ -155,6 +155,26 @@ func (e Entry) Rebase(from, to string) Entry {
 	return e
 }
 
+// Target is the path, or for accounts and resources the name, that a
+// live write of the entry names.
+func (e Entry) Target() string {
+	switch {
+	case e.Coll != nil:
+		return e.Coll.Path
+	case e.Object != nil:
+		return e.Object.Path()
+	case e.Path != "":
+		return e.Path
+	case e.User != nil:
+		return e.User.Name
+	case e.Resource != nil:
+		return e.Resource.Name
+	case e.Group != "":
+		return e.Group
+	}
+	return e.Name
+}
+
 // rebaseIn moves p from under from to under to; a path elsewhere, or
 // none, is returned as it is.
 func rebaseIn(from, to, p string) string {

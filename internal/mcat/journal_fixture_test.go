@@ -3,6 +3,7 @@ package mcat_test
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"testing"
@@ -205,6 +206,42 @@ func checkFixture(t *testing.T, file string, script func(*testing.T, shard.Catal
 	}
 	if d := diffDump(dump(live, fixtureID), got); d != "" {
 		t.Errorf("replay differs from the catalog that wrote the journal: %s", d)
+	}
+}
+
+// refusingDisk is a journal writer that refuses every Write.
+type refusingDisk struct{}
+
+func (refusingDisk) Write([]byte) (int, error) { return 0, errors.New("input/output error") }
+
+// TestEveryKindRefusedWhenAppendFails holds that every kind is logged
+// before it is applied: each line of testdata/journal.v1, applied to the
+// state the lines before it make through a journal that refuses the
+// Write, is refused, latches the journal and leaves every read answering
+// as before.
+func TestEveryKindRefusedWhenAppendFails(t *testing.T) {
+	fixture, err := os.ReadFile("testdata/journal.v1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.Split(bytes.TrimSpace(fixture), []byte("\n"))
+	for k, line := range lines {
+		var e mcat.Entry
+		if err := json.Unmarshal(line, &e); err != nil {
+			t.Fatal(err)
+		}
+		c := mcat.New("admin", "sdsc")
+		if st, err := c.ReplayCounted(bytes.NewReader(bytes.Join(lines[:k], []byte("\n")))); err != nil || st.Applied != k {
+			t.Fatalf("line %d: replaying the lines before it: %+v, %v", k+1, st, err)
+		}
+		before := dump(c, fixtureID)
+		c.SetJournal(mcat.NewJournal(refusingDisk{}))
+		if err := c.Apply(e); err == nil || c.JournalErr() == nil {
+			t.Errorf("line %d, %s: Apply = %v, JournalErr = %v; want the append's error latched", k+1, e.Op, err, c.JournalErr())
+		}
+		if d := diffDump(dump(c, fixtureID), before); d != "" {
+			t.Errorf("line %d, %s: a refused append changed the catalog: %s", k+1, e.Op, d)
+		}
 	}
 }
 

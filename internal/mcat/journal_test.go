@@ -235,9 +235,9 @@ func TestReplayDoesNotRelog(t *testing.T) {
 	if dst.Len() != 0 {
 		t.Errorf("replay re-logged %d bytes", dst.Len())
 	}
-	// After replay the journal is reattached: new mutations log again.
+	// The journal stays attached: new mutations log again.
 	c2.MkColl("/e", "admin")
 	if dst.Len() == 0 {
-		t.Error("journal should be reattached after replay")
+		t.Error("journal should stay attached through replay")
 	}
 }

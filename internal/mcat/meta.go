@@ -13,15 +13,7 @@ import (
 // SetACL grants (or with acl.None revokes) a level on the target path
 // for a grantee (user, "g:"+group, or acl.Public).
 func (c *Catalog) SetACL(path, grantee string, level acl.Level) error {
-	path = types.CleanPath(path)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if !c.pathExistsLocked(path) {
-		return types.E("setacl", path, types.ErrNotFound)
-	}
-	c.acls[path] = c.acls[path].Grant(grantee, level)
-	c.log(Entry{Op: "setacl", Path: path, Grantee: grantee, Level: int(level)})
-	return nil
+	return c.commit(&Entry{Op: "setacl", Path: types.CleanPath(path), Grantee: grantee, Level: int(level)})
 }
 
 // GetACL returns the explicit ACL stored on path (no inheritance).
@@ -83,15 +75,7 @@ func (c *Catalog) effectiveLevelLocked(path, user string) acl.Level {
 
 // SetResourceACL controls who may store onto a resource.
 func (c *Catalog) SetResourceACL(resource, grantee string, level acl.Level) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.resources[resource]; !ok {
-		return types.E("setacl", resource, types.ErrNotFound)
-	}
-	key := "resource:" + resource
-	c.acls[key] = c.acls[key].Grant(grantee, level)
-	c.log(Entry{Op: "setresourceacl", Name: resource, Grantee: grantee, Level: int(level)})
-	return nil
+	return c.commit(&Entry{Op: "setresourceacl", Name: resource, Grantee: grantee, Level: int(level)})
 }
 
 // ResourceLevel returns the user's level on a resource. Resources with
@@ -130,24 +114,7 @@ func queryableClass(cl types.MetaClass) bool {
 // Multiple values for one attribute are allowed ("there is no limit for
 // the number of metadata associated with a SRB object").
 func (c *Catalog) AddMeta(path string, class types.MetaClass, avu types.AVU) error {
-	path = types.CleanPath(path)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if !c.pathExistsLocked(path) {
-		return types.E("addmeta", path, types.ErrNotFound)
-	}
-	if avu.Name == "" {
-		return types.E("addmeta", path, types.ErrInvalid)
-	}
-	if class == types.MetaSystem {
-		return types.E("addmeta", path, types.ErrUnsupported)
-	}
-	c.meta[path] = append(c.meta[path], metaEntry{Class: class, AVU: avu})
-	if queryableClass(class) {
-		c.indexAdd(avu.Name, avu.Value, path)
-	}
-	c.log(Entry{Op: "addmeta", Path: path, Class: int(class), AVU: &avu})
-	return nil
+	return c.commit(&Entry{Op: "addmeta", Path: types.CleanPath(path), Class: int(class), AVU: &avu})
 }
 
 // GetMeta returns the triplets of one class on path, in insert order.
@@ -186,114 +153,61 @@ func (c *Catalog) AllMeta(path string) (map[types.MetaClass][]types.AVU, error) 
 // name, oldValue); oldValue "" matches every value of the attribute.
 // It returns how many triplets changed.
 func (c *Catalog) UpdateMeta(path string, class types.MetaClass, name, oldValue string, newAVU types.AVU) (int, error) {
-	path = types.CleanPath(path)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if !c.pathExistsLocked(path) {
-		return 0, types.E("updmeta", path, types.ErrNotFound)
-	}
-	var old []types.AVU
-	for i := range c.meta[path] {
-		e := &c.meta[path][i]
-		if e.Class != class || !lowerEq(e.AVU.Name, name) {
-			continue
-		}
-		if oldValue != "" && e.AVU.Value != oldValue {
-			continue
-		}
-		old = append(old, e.AVU)
-		e.AVU = newAVU
-	}
-	n := len(old)
-	if n > 0 {
-		if queryableClass(class) {
-			c.indexAdd(newAVU.Name, newAVU.Value, path)
-			c.unindexGone(old, path)
-		}
-		c.log(Entry{Op: "updmeta", Path: path, Class: int(class),
-			AVU: &types.AVU{Name: name, Value: oldValue}, NewAVU: &newAVU})
-	}
-	return n, nil
+	return c.changeMeta(&Entry{Op: "updmeta", Path: types.CleanPath(path), Class: int(class),
+		AVU: &types.AVU{Name: name, Value: oldValue}, NewAVU: &newAVU})
 }
 
 // DeleteMeta removes triplets matching (class, name, value); value ""
 // removes every value of the attribute. Returns how many were removed.
 func (c *Catalog) DeleteMeta(path string, class types.MetaClass, name, value string) (int, error) {
-	path = types.CleanPath(path)
+	return c.changeMeta(&Entry{Op: "delmeta", Path: types.CleanPath(path), Class: int(class),
+		AVU: &types.AVU{Name: name, Value: value}})
+}
+
+// changeMeta commits an "updmeta" or "delmeta" entry and returns how
+// many triplets it changed. When none matches it commits nothing.
+func (c *Catalog) changeMeta(e *Entry) (int, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if !c.pathExistsLocked(path) {
-		return 0, types.E("delmeta", path, types.ErrNotFound)
+	n := c.metaMatchesLocked(e)
+	if n == 0 && c.pathExistsLocked(e.Path) {
+		return 0, nil
 	}
-	kept := c.meta[path][:0:0]
-	var gone []types.AVU
-	for _, e := range c.meta[path] {
-		if e.Class == class && lowerEq(e.AVU.Name, name) && (value == "" || e.AVU.Value == value) {
-			gone = append(gone, e.AVU)
-			continue
-		}
-		kept = append(kept, e)
-	}
-	if len(kept) == 0 {
-		delete(c.meta, path)
-	} else {
-		c.meta[path] = kept
-	}
-	n := len(gone)
-	if n > 0 {
-		if queryableClass(class) {
-			c.unindexGone(gone, path)
-		}
-		c.log(Entry{Op: "delmeta", Path: path, Class: int(class),
-			AVU: &types.AVU{Name: name, Value: value}})
+	if err := c.commitLocked(c.journal, e, nil); err != nil {
+		return 0, err
 	}
 	return n, nil
+}
+
+// metaMatchesLocked counts the triplets on e.Path that an "updmeta" or
+// "delmeta" entry names (matchesMeta).
+func (c *Catalog) metaMatchesLocked(e *Entry) int {
+	n := 0
+	for _, m := range c.meta[e.Path] {
+		if matchesMeta(m, e) {
+			n++
+		}
+	}
+	return n
+}
+
+// matchesMeta reports whether m is of e's class and attribute, and of
+// its value unless that is "".
+func matchesMeta(m metaEntry, e *Entry) bool {
+	return m.Class == types.MetaClass(e.Class) && lowerEq(m.AVU.Name, e.AVU.Name) && (e.AVU.Value == "" || m.AVU.Value == e.AVU.Value)
 }
 
 // CopyMeta copies the user and type metadata from one path to another
 // (the paper's third association method: "copy metadata from other SRB
 // objects or collections").
 func (c *Catalog) CopyMeta(from, to string) error {
-	from, to = types.CleanPath(from), types.CleanPath(to)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if !c.pathExistsLocked(from) {
-		return types.E("copymeta", from, types.ErrNotFound)
-	}
-	if !c.pathExistsLocked(to) {
-		return types.E("copymeta", to, types.ErrNotFound)
-	}
-	for _, e := range c.meta[from] {
-		if !queryableClass(e.Class) {
-			continue
-		}
-		c.meta[to] = append(c.meta[to], e)
-		c.indexAdd(e.AVU.Name, e.AVU.Value, to)
-	}
-	c.log(Entry{Op: "copymeta", Path: from, Path2: to})
-	return nil
+	return c.commit(&Entry{Op: "copymeta", Path: types.CleanPath(from), Path2: types.CleanPath(to)})
 }
 
 // AttachFileMeta associates metaFile (an SRB object holding triplets)
 // as file-based metadata for path. One file may serve many objects.
 func (c *Catalog) AttachFileMeta(path, metaFile string) error {
-	path, metaFile = types.CleanPath(path), types.CleanPath(metaFile)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if !c.pathExistsLocked(path) {
-		return types.E("filemeta", path, types.ErrNotFound)
-	}
-	if _, ok := c.objects[metaFile]; !ok {
-		return types.E("filemeta", metaFile, types.ErrNotFound)
-	}
-	for _, f := range c.fileMeta[path] {
-		if f == metaFile {
-			return nil
-		}
-	}
-	c.fileMeta[path] = append(c.fileMeta[path], metaFile)
-	c.log(Entry{Op: "filemeta", Path: path, Path2: metaFile})
-	return nil
+	return c.commit(&Entry{Op: "filemeta", Path: types.CleanPath(path), Path2: types.CleanPath(metaFile)})
 }
 
 // FileMeta returns the metadata-file paths attached to path.
@@ -309,42 +223,12 @@ func (c *Catalog) FileMeta(path string) []string {
 // SetStructural adds or replaces a structural attribute requirement on
 // a collection.
 func (c *Catalog) SetStructural(coll string, attr types.StructuralAttr) error {
-	coll = types.CleanPath(coll)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.colls[coll]; !ok {
-		return types.E("structural", coll, types.ErrNotFound)
-	}
-	if attr.Name == "" {
-		return types.E("structural", coll, types.ErrInvalid)
-	}
-	list := c.structural[coll]
-	for i := range list {
-		if lowerEq(list[i].Name, attr.Name) {
-			list[i] = attr
-			c.log(Entry{Op: "structural", Path: coll, Attr: &attr})
-			return nil
-		}
-	}
-	c.structural[coll] = append(list, attr)
-	c.log(Entry{Op: "structural", Path: coll, Attr: &attr})
-	return nil
+	return c.commit(&Entry{Op: "structural", Path: types.CleanPath(coll), Attr: &attr})
 }
 
 // DeleteStructural removes a structural attribute from a collection.
 func (c *Catalog) DeleteStructural(coll, name string) error {
-	coll = types.CleanPath(coll)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	list := c.structural[coll]
-	for i := range list {
-		if lowerEq(list[i].Name, name) {
-			c.structural[coll] = append(list[:i], list[i+1:]...)
-			c.log(Entry{Op: "delstructural", Path: coll, Name: name})
-			return nil
-		}
-	}
-	return types.E("structural", coll+"#"+name, types.ErrNotFound)
+	return c.commit(&Entry{Op: "delstructural", Path: types.CleanPath(coll), Name: name})
 }
 
 // Structural returns the structural attributes a new member of coll
@@ -403,21 +287,7 @@ func (c *Catalog) CheckMandatory(coll string, provided []types.AVU) []string {
 // AddAnnotation appends commentary to a path. Timestamp is stamped when
 // zero.
 func (c *Catalog) AddAnnotation(path string, a types.Annotation) error {
-	path = types.CleanPath(path)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if !c.pathExistsLocked(path) {
-		return types.E("annotate", path, types.ErrNotFound)
-	}
-	if a.CreatedAt.IsZero() {
-		a.CreatedAt = c.now()
-	}
-	if a.Kind == "" {
-		a.Kind = "comment"
-	}
-	c.annots[path] = append(c.annots[path], a)
-	c.log(Entry{Op: "annotate", Path: path, Ann: &a})
-	return nil
+	return c.commit(&Entry{Op: "annotate", Path: types.CleanPath(path), Ann: &a})
 }
 
 // Annotations returns the commentary on path in insert order.
@@ -436,25 +306,17 @@ func (c *Catalog) DeleteAnnotations(path, author string) (int, error) {
 	path = types.CleanPath(path)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if !c.pathExistsLocked(path) {
-		return 0, types.E("annotations", path, types.ErrNotFound)
-	}
-	kept := c.annots[path][:0:0]
 	n := 0
 	for _, a := range c.annots[path] {
 		if author == "" || a.Author == author {
 			n++
-			continue
 		}
-		kept = append(kept, a)
 	}
-	if len(kept) == 0 {
-		delete(c.annots, path)
-	} else {
-		c.annots[path] = kept
+	if n == 0 && c.pathExistsLocked(path) {
+		return 0, nil
 	}
-	if n > 0 {
-		c.log(Entry{Op: "delannotations", Path: path, Name: author})
+	if err := c.commitLocked(c.journal, &Entry{Op: "delannotations", Path: path, Name: author}, nil); err != nil {
+		return 0, err
 	}
 	return n, nil
 }

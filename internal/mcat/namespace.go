@@ -1,7 +1,6 @@
 package mcat
 
 import (
-	"slices"
 	"sort"
 
 	"gosrb/internal/types"
@@ -11,40 +10,11 @@ import (
 
 // MkColl creates a collection whose parent must already exist.
 func (c *Catalog) MkColl(path, owner string) error {
-	path = types.CleanPath(path)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err := c.mkCollLocked(path, owner); err != nil {
-		return err
-	}
-	c.log(Entry{Op: "mkcoll", Coll: c.colls[path]})
-	return nil
+	return c.commit(&Entry{Op: "mkcoll", Coll: &types.Collection{Path: path, Owner: owner}})
 }
 
-func (c *Catalog) mkCollLocked(path, owner string) error {
-	return c.insertCollLocked("mkcoll", types.Collection{Path: path, Owner: owner, CreatedAt: c.now()})
-}
-
-// insertCollLocked adds col as given (owner, creation time, link
-// target). Its parent must exist and its path must be free. Callers
-// hold the write lock.
-func (c *Catalog) insertCollLocked(op string, col types.Collection) error {
-	switch {
-	case col.Path == "/" || c.pathExistsLocked(col.Path):
-		return types.E(op, col.Path, types.ErrExists)
-	case !types.ValidName(types.Base(col.Path)):
-		return types.E(op, col.Path, types.ErrInvalid)
-	}
-	parent := types.Parent(col.Path)
-	if _, ok := c.colls[parent]; !ok {
-		return types.E(op, parent, types.ErrNotFound)
-	}
-	c.colls[col.Path] = &col
-	c.addChildColl(parent, col.Path)
-	return nil
-}
-
-// MkCollAll creates a collection and any missing ancestors.
+// MkCollAll creates a collection and any missing ancestors, one
+// "mkcoll" entry each.
 func (c *Catalog) MkCollAll(path, owner string) error {
 	path = types.CleanPath(path)
 	c.mu.Lock()
@@ -56,10 +26,9 @@ func (c *Catalog) MkCollAll(path, owner string) error {
 		if _, ok := c.colls[a]; ok {
 			continue
 		}
-		if err := c.mkCollLocked(a, owner); err != nil {
+		if err := c.commitLocked(c.journal, &Entry{Op: "mkcoll", Coll: &types.Collection{Path: a, Owner: owner}}, nil); err != nil {
 			return err
 		}
-		c.log(Entry{Op: "mkcoll", Coll: c.colls[a]})
 	}
 	return nil
 }
@@ -132,12 +101,7 @@ func (c *Catalog) LinkColl(target, linkPath, owner string) error {
 	if types.WithinOrEqual(target, linkPath) {
 		return types.E("linkcoll", linkPath, types.ErrInvalid)
 	}
-	if err := c.mkCollLocked(linkPath, owner); err != nil {
-		return err
-	}
-	c.colls[linkPath].LinkTarget = target
-	c.log(Entry{Op: "linkcoll", Coll: c.colls[linkPath]})
-	return nil
+	return c.commitLocked(c.journal, &Entry{Op: "linkcoll", Coll: &types.Collection{Path: linkPath, Owner: owner, LinkTarget: target}}, nil)
 }
 
 // ListColl lists the direct members of a collection: sub-collections
@@ -196,26 +160,7 @@ func sortedVals(m map[string]string) []string {
 // DeleteColl removes an empty collection (or a linked sub-collection,
 // which never "contains" anything of its own).
 func (c *Catalog) DeleteColl(path string) error {
-	path = types.CleanPath(path)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	col, ok := c.colls[path]
-	if !ok {
-		return types.E("rmcoll", path, types.ErrNotFound)
-	}
-	if path == "/" {
-		return types.E("rmcoll", path, types.ErrInvalid)
-	}
-	if col.LinkTarget == "" {
-		if len(c.childColls[path]) > 0 || len(c.childObjs[path]) > 0 {
-			return types.E("rmcoll", path, types.ErrNotEmpty)
-		}
-	}
-	delete(c.colls, path)
-	c.removeChildColl(types.Parent(path), path)
-	c.dropPathState(path)
-	c.log(Entry{Op: "rmcoll", Path: path})
-	return nil
+	return c.commit(&Entry{Op: "rmcoll", Path: types.CleanPath(path)})
 }
 
 func (c *Catalog) removeChildColl(parent, child string) {
@@ -256,31 +201,24 @@ func (c *Catalog) SubColls(root string) []string {
 // ---- objects ----
 
 // RegisterObject enters a new data object into the catalog, assigning
-// its ID, as one "register" entry committed like an ingest (insertObject).
-// The parent collection must exist and the name must be free; a linked
-// collection resolves to its target.
+// its ID, as one "register" entry committed like an ingest. The parent
+// collection must exist and the name must be free; a linked collection
+// resolves to its target.
 func (c *Catalog) RegisterObject(o *types.DataObject) (types.ObjectID, error) {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	o.Collection = types.CleanPath(o.Collection)
 	if col, ok := c.colls[o.Collection]; ok && col.LinkTarget != "" {
 		o.Collection = col.LinkTarget
 	}
-	err := c.checkNewObjectLocked("register", o.Path(), o.Collection, o.Name)
-	if err == nil {
-		o.ID = c.nextID
-		c.nextID = c.alignIDLocked(o.ID + 1)
-		if o.CreatedAt.IsZero() {
-			o.CreatedAt = c.now()
-		}
-	}
-	c.mu.Unlock()
-	if err != nil {
-		return 0, err
+	o.ID = c.nextID
+	if o.CreatedAt.IsZero() {
+		o.CreatedAt = c.now()
 	}
 	if o.ModifiedAt.IsZero() {
 		o.ModifiedAt = o.CreatedAt
 	}
-	if err := c.insertObject(&Entry{Op: "register", Object: o}, nil); err != nil {
+	if err := c.commitLocked(c.journal, &Entry{Op: "register", Object: o}, nil); err != nil {
 		return 0, err
 	}
 	return o.ID, nil
@@ -327,7 +265,9 @@ func (c *Catalog) Ingest(o *types.DataObject, meta []types.AVU) error {
 		return types.E("ingest", o.Path(), err)
 	}
 	defer l.free()
-	return c.insertObject(e, l.Bytes())
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.commitLocked(c.journal, e, l.Bytes())
 }
 
 // checkNewObjectLocked reports why no object named name can be made in
@@ -405,81 +345,19 @@ func (c *Catalog) UpdateObject(path string, fn func(*types.DataObject) error) er
 	// Identity fields may not change through UpdateObject.
 	cp.ID, cp.Name, cp.Collection = o.ID, o.Name, o.Collection
 	cp.ModifiedAt = c.now()
-	c.objects[path] = cp
-	c.log(Entry{Op: "update", Object: cp})
-	return nil
+	return c.commitLocked(c.journal, &Entry{Op: "update", Object: cp}, nil)
 }
 
 // DeleteObject removes the object and all its per-path state.
 func (c *Catalog) DeleteObject(path string) error {
-	path = types.CleanPath(path)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	o, ok := c.objects[path]
-	if !ok {
-		return types.E("delete", path, types.ErrNotFound)
-	}
-	delete(c.objects, path)
-	delete(c.byID, o.ID)
-	c.removeChildObj(o.Collection, path)
-	c.dropPathState(path)
-	// An attachment naming the object would point at nothing.
-	for p, files := range c.fileMeta {
-		if i := slices.Index(files, path); i >= 0 {
-			c.fileMeta[p] = slices.Delete(files, i, i+1)
-		}
-		if len(c.fileMeta[p]) == 0 {
-			delete(c.fileMeta, p)
-		}
-	}
-	c.log(Entry{Op: "delete", Path: path})
-	return nil
+	return c.commit(&Entry{Op: "delete", Path: types.CleanPath(path)})
 }
 
 // MoveObject renames an object to a new collection and/or base name.
 // Per the paper this is the logical move: metadata, ACLs and
 // annotations follow the object unchanged.
 func (c *Catalog) MoveObject(oldPath, newColl, newName string) error {
-	oldPath = types.CleanPath(oldPath)
-	newColl = types.CleanPath(newColl)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	o, ok := c.objects[oldPath]
-	if !ok {
-		return types.E("move", oldPath, types.ErrNotFound)
-	}
-	if newName == "" {
-		newName = o.Name
-	}
-	if !types.ValidName(newName) {
-		return types.E("move", newName, types.ErrInvalid)
-	}
-	col, ok := c.colls[newColl]
-	if !ok {
-		return types.E("move", newColl, types.ErrNotFound)
-	}
-	if col.LinkTarget != "" {
-		newColl = col.LinkTarget
-	}
-	newPath := types.Join(newColl, newName)
-	if newPath == oldPath {
-		return nil
-	}
-	if _, ok := c.objects[newPath]; ok {
-		return types.E("move", newPath, types.ErrExists)
-	}
-	if _, ok := c.colls[newPath]; ok {
-		return types.E("move", newPath, types.ErrExists)
-	}
-	c.removeChildObj(o.Collection, oldPath)
-	delete(c.objects, oldPath)
-	o.Collection, o.Name = newColl, newName
-	c.objects[newPath] = o
-	c.byID[o.ID] = newPath
-	c.addChildObj(newColl, newPath)
-	c.rekeyPathState(oldPath, newPath)
-	c.log(Entry{Op: "move", Path: oldPath, Path2: newColl, Name: newName})
-	return nil
+	return c.commit(&Entry{Op: "move", Path: types.CleanPath(oldPath), Path2: types.CleanPath(newColl), Name: newName})
 }
 
 // MoveColl moves a whole sub-collection: every descendant collection
@@ -491,25 +369,12 @@ func (c *Catalog) MoveObject(oldPath, newColl, newName string) error {
 // directory movement command, without changing the name by which the
 // data is discovered".
 func (c *Catalog) MoveColl(oldPath, newPath string) error {
-	oldPath, newPath = types.CleanPath(oldPath), types.CleanPath(newPath)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.colls[oldPath]; !ok {
-		return types.E("movecoll", oldPath, types.ErrNotFound)
-	}
-	if oldPath == "/" || types.WithinOrEqual(oldPath, newPath) {
-		return types.E("movecoll", newPath, types.ErrInvalid)
-	}
-	if _, ok := c.colls[newPath]; ok {
-		return types.E("movecoll", newPath, types.ErrExists)
-	}
-	if _, ok := c.objects[newPath]; ok {
-		return types.E("movecoll", newPath, types.ErrExists)
-	}
-	newParent := types.Parent(newPath)
-	if _, ok := c.colls[newParent]; !ok {
-		return types.E("movecoll", newParent, types.ErrNotFound)
-	}
+	return c.commit(&Entry{Op: "movecoll", Path: oldPath, Path2: newPath})
+}
+
+// moveSubtreeLocked applies a "movecoll" entry its commitLocked arm has
+// checked. Callers hold the write lock.
+func (c *Catalog) moveSubtreeLocked(oldPath, newPath string) {
 	// Collect the subtree up front; mutating while ranging is unsafe.
 	var subColls, subObjs []string
 	for p := range c.colls {
@@ -566,9 +431,7 @@ func (c *Catalog) MoveColl(oldPath, newPath string) error {
 		np := types.Rebase(oldPath, newPath, p)
 		c.addChildObj(types.Parent(np), np)
 	}
-	c.addChildColl(newParent, newPath)
-	c.log(Entry{Op: "movecoll", Path: oldPath, Path2: newPath})
-	return nil
+	c.addChildColl(types.Parent(newPath), newPath)
 }
 
 // ObjectsIn returns copies of the objects directly inside collection.

@@ -27,25 +27,13 @@ func (c *Catalog) EnqueueRepair(t types.RepairTask) bool {
 	if _, ok := c.repairs[t.Key]; ok {
 		return false
 	}
-	if t.Enqueued.IsZero() {
-		t.Enqueued = c.now()
-	}
-	c.repairs[t.Key] = &t
-	c.log(Entry{Op: "repairenq", Repair: &t})
-	return true
+	return c.commitLocked(c.journal, &Entry{Op: "repairenq", Repair: &t}, nil) == nil
 }
 
 // CompleteRepair removes a finished (or obsolete) task from the queue.
 // Returns false when the key was not pending.
 func (c *Catalog) CompleteRepair(key string) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.repairs[key]; !ok {
-		return false
-	}
-	delete(c.repairs, key)
-	c.log(Entry{Op: "repairdone", Name: key})
-	return true
+	return c.commit(&Entry{Op: "repairdone", Name: key}) == nil
 }
 
 // NoteRepairAttempt records one failed execution of a pending task so
@@ -58,23 +46,12 @@ func (c *Catalog) NoteRepairAttempt(key string) int {
 	if !ok {
 		return 0
 	}
-	t.Attempts++
-	c.log(Entry{Op: "repairenq", Repair: t})
-	return t.Attempts
-}
-
-// restoreRepair upserts a journaled task (the "repairenq" arm of
-// Apply). An upsert, not EnqueueRepair, because attempt-count re-logs
-// must overwrite the original entry instead of being dropped as
-// duplicates.
-func (c *Catalog) restoreRepair(t types.RepairTask) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if t.Key == "" {
-		t.Key = types.RepairKey(t.Path, t.Resource)
+	next := *t
+	next.Attempts++
+	if c.commitLocked(c.journal, &Entry{Op: "repairenq", Repair: &next}, nil) != nil {
+		return t.Attempts
 	}
-	c.repairs[t.Key] = &t
-	c.log(Entry{Op: "repairenq", Repair: &t})
+	return next.Attempts
 }
 
 // PendingRepairs returns a copy of the queue, oldest first (ties broken

@@ -315,7 +315,7 @@ func reshard(old, nw *Router) error {
 	}
 	for _, src := range old.shards {
 		for _, e := range src.cat.Export("/") {
-			op, path := e.Op, entryPath(e)
+			op, path := e.Op, e.Target()
 			err := nw.write(op, path, func(c *mcat.Catalog) error { return c.Apply(e) })
 			if err != nil && (nw.route(op, path) != everyShard || !errors.Is(err, types.ErrExists)) {
 				return err
@@ -323,24 +323,4 @@ func reshard(old, nw *Router) error {
 		}
 	}
 	return nil
-}
-
-// entryPath is the path, or for accounts and resources the name, that
-// a live write of e names.
-func entryPath(e mcat.Entry) string {
-	switch {
-	case e.Coll != nil:
-		return e.Coll.Path
-	case e.Object != nil:
-		return e.Object.Path()
-	case e.Path != "":
-		return e.Path
-	case e.User != nil:
-		return e.User.Name
-	case e.Resource != nil:
-		return e.Resource.Name
-	case e.Group != "":
-		return e.Group
-	}
-	return e.Name
 }

@@ -203,8 +203,10 @@ func (r *Router) applyPull(i int, res PullResult) error {
 			return err
 		}
 	} else {
+		// An entry whose append fails is not applied, and nothing after
+		// it is.
 		for _, line := range res.Entries {
-			if _, err := st.cat.ApplyEntry(line); err != nil {
+			if err := st.cat.ApplyEntry(line); err != nil {
 				return err
 			}
 		}

@@ -259,49 +259,57 @@ func TestPromotionAfterRepeatedPullFailures(t *testing.T) {
 	}
 }
 
-// brokenDisk is a journal writer that fails every write.
-type brokenDisk struct{}
+// failingDisk is a journal writer that fails every write once broken.
+type failingDisk struct{ broken bool }
 
-func (brokenDisk) Write([]byte) (int, error) { return 0, errors.New("input/output error") }
+func (d *failingDisk) Write(p []byte) (int, error) {
+	if d.broken {
+		return 0, errors.New("input/output error")
+	}
+	return len(p), nil
+}
 
 // A follower whose own journal stops taking appends latches like a
-// leader does: the failed appends are counted, later pulls are not
-// applied (memory stops running ahead of its journal), and the refusal
-// does not count towards promotion.
+// leader does: the pulled entry whose append fails is not applied, nor
+// is anything pulled after it (memory never runs ahead of its journal),
+// the failure is counted, and neither it nor the refusals after it count
+// towards promotion.
 func TestFollowerJournalFailureStopsApplying(t *testing.T) {
 	leader := newTestRouter(t, 1)
 	seedGrid(t, leader)
 	f := NewRouter(1, "admin", "local")
 	reg := obs.NewRegistry()
 	f.SetMetrics(reg)
-	f.AttachJournal(0, mcat.NewJournal(brokenDisk{}))
+	disk := &failingDisk{}
+	f.AttachJournal(0, mcat.NewJournal(disk))
 	f.SetFollower(0, "leader")
 	f.SetPuller(func(peer string, idx int, after uint64) (PullResult, error) {
 		return leader.Pull(idx, after)
 	}, 1)
-
-	// The batch in flight when the journal fails is applied whole.
 	if err := f.SyncOnce(); err != nil {
 		t.Fatalf("SyncOnce: %v", err)
 	}
-	if !f.CollExists("/projects/p1") {
-		t.Fatal("first batch did not apply")
-	}
-	if f.JournalErr() == nil || reg.Counter("mcat.journal.append.errors").Value() == 0 {
-		t.Fatalf("JournalErr = %v, append.errors = %d: follower-side append failures not latched",
-			f.JournalErr(), reg.Counter("mcat.journal.append.errors").Value())
-	}
 
-	if err := leader.MkColl("/projects/p1/later", "admin"); err != nil {
-		t.Fatal(err)
+	disk.broken = true
+	for _, p := range []string{"/projects/p1/later", "/projects/p1/later2"} {
+		if err := leader.MkColl(p, "admin"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := f.SyncOnce(); err == nil || !strings.Contains(err.Error(), "input/output error") {
+		t.Fatalf("SyncOnce whose first append fails: err = %v, want the append's error", err)
+	}
+	if f.JournalErr() == nil || reg.Counter("mcat.journal.append.errors").Value() != 1 {
+		t.Fatalf("JournalErr = %v, append.errors = %d: follower-side append failure not latched",
+			f.JournalErr(), reg.Counter("mcat.journal.append.errors").Value())
 	}
 	for i := 0; i < 2; i++ {
 		if err := f.SyncOnce(); !errors.Is(err, types.ErrReadOnly) {
 			t.Fatalf("SyncOnce after the latch: err = %v, want ErrReadOnly", err)
 		}
 	}
-	if f.CollExists("/projects/p1/later") {
-		t.Error("follower applied a pulled entry after its journal latched")
+	if f.CollExists("/projects/p1/later") || f.CollExists("/projects/p1/later2") {
+		t.Error("follower applied a pulled entry its journal did not take")
 	}
 	if role, _ := f.Role(0); role != Follower {
 		t.Error("a latched journal promoted the follower")

@@ -623,12 +623,7 @@ func (m *Manager) DeleteReplica(path string, number types.ReplicaNumber) error {
 	if len(o.Replicas) <= 1 {
 		return types.E("rmreplica", path, types.ErrInvalid)
 	}
-	if !rep.Registered {
-		if d, err := m.drivers.Driver(rep.Resource); err == nil {
-			d.Remove(rep.PhysicalPath)
-		}
-	}
-	return m.cat.UpdateObject(path, func(o *types.DataObject) error {
+	if err := m.cat.UpdateObject(path, func(o *types.DataObject) error {
 		kept := o.Replicas[:0:0]
 		for _, r := range o.Replicas {
 			if r.Number != number {
@@ -637,5 +632,15 @@ func (m *Manager) DeleteReplica(path string, number types.ReplicaNumber) error {
 		}
 		o.Replicas = kept
 		return nil
-	})
+	}); err != nil {
+		return err
+	}
+	// The bytes are removed best-effort once the catalog no longer names
+	// them, as PhysicalMove removes the old copy.
+	if !rep.Registered {
+		if d, err := m.drivers.Driver(rep.Resource); err == nil {
+			d.Remove(rep.PhysicalPath)
+		}
+	}
+	return nil
 }
