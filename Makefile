@@ -54,6 +54,9 @@ WHOLE_READS := GetTraced\(|broker\.Get\(|storage\.ReadSized\(
 # The append fence: a catalog mutation reaches its journal only through commitLocked's append (journal.go), never a log( helper.
 JOURNAL_WRITES := \blog\(|appendLine\(|\.w\.Write\(
 
+# The audit fence: the trail is the broker's (core.Broker.Audit), so the catalog never imports internal/audit.
+AUDIT_IMPORT := "gosrb/internal/audit"
+
 # The format fence: every Go file is as gofmt writes it, so formatting
 # never rides along with (or needs) a commit of its own.
 lint: vet
@@ -63,6 +66,7 @@ lint: vet
 	@if grep -rnF 'signal.Notify(' --exclude-dir=daemon $(GO_SRC); then echo "signal handler outside internal/daemon: Runtime.Run owns shutdown"; exit 1; fi
 	@if grep -rnF 'RegisterObject(' --include=*.go --exclude=*_test.go $(CREATE_USERS); then echo "RegisterObject in a request path: create through newObject + Catalog.Ingest (internal/core)"; exit 1; fi
 	@if grep -rnE '$(JOURNAL_WRITES)' --include=*.go --exclude=*_test.go --exclude=journal.go internal/mcat; then echo "journal write outside journal.go: commit the entry through commitLocked, which appends it before it is applied"; exit 1; fi
+	@if grep -rnF '$(AUDIT_IMPORT)' --include=*.go --exclude=*_test.go internal/mcat; then echo "audit import in internal/mcat: the audit trail belongs to the broker (core.Broker.Audit)"; exit 1; fi
 	@if grep -rnE '$(WHOLE_READS)' --include=*.go --exclude=*_test.go internal/server; then echo "whole-object read in internal/server: open with Broker.OpenGet and stream"; exit 1; fi
 	@if grep -nE '`-($(GONE_FLAGS))\b' README.md DESIGN.md; then echo "docs cite a removed flag: state the constant"; exit 1; fi
 	@if grep -nE 'BENCH_[a-z]*\.json' $(DOCS); then echo "docs cite a retired BENCH_*.json ratio file"; exit 1; fi; for t in $$(grep -ohE '(`|^)make [a-z][a-z0-9-]*' $(DOCS) | cut -d' ' -f2 | sort -u); do grep -q "^$$t:" Makefile || { echo "docs mention undefined target: make $$t"; exit 1; }; done

@@ -99,10 +99,10 @@ func main() {
 	fmt.Println("collection reorganised; objects, metadata and versions followed")
 
 	// The audit trail recorded the whole preservation history.
-	recs := cat.Audit.Query(audit.Filter{Op: "physmove"})
+	recs := broker.Audit.Query(audit.Filter{Op: "physmove"})
 	fmt.Printf("audit: %d physical moves recorded\n", len(recs))
 	if _, err := broker.Get("intruder", "/archive/accessions/1999/record00"); errors.Is(err, types.ErrPermission) {
-		denied := cat.Audit.Query(audit.Filter{User: "intruder"})
+		denied := broker.Audit.Query(audit.Filter{User: "intruder"})
 		fmt.Printf("audit: %d denied access attempt(s) by 'intruder'\n", len(denied))
 	}
 }

@@ -78,7 +78,7 @@ func main() {
 	}
 
 	// Everything was audited.
-	fmt.Printf("audit records so far: %d\n", cat.Audit.Len())
+	fmt.Printf("audit records so far: %d\n", broker.Audit.Len())
 }
 
 func check(err error) {

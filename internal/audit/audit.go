@@ -15,28 +15,41 @@ import (
 // DefaultCapacity bounds the in-memory log when no capacity is given.
 const DefaultCapacity = 100_000
 
+// blockSize is how many records the log allocates at a time. Storage
+// grows block by block as records arrive, so a log nobody writes costs
+// nothing and a full one never re-copies what it holds.
+const blockSize = 1024
+
 // Log is a bounded, append-only audit trail. Safe for concurrent use.
 // When the capacity is exceeded the oldest records are dropped.
 type Log struct {
-	mu      sync.Mutex
-	records []types.AuditRecord
-	start   int // ring start
-	count   int
-	dropped int64
-	now     func() time.Time
+	mu sync.Mutex
+	// blocks hold slots 0..capacity-1, slot i at
+	// blocks[i/blockSize][i%blockSize]. The log fills in slot order
+	// (start stays 0 until it is full), allocating each block as its
+	// first slot is written, so every slot below count exists.
+	blocks   [][]types.AuditRecord
+	capacity int
+	start    int // ring start
+	count    int
+	dropped  int64
+	now      func() time.Time
 }
 
 // New returns a log holding up to capacity records (DefaultCapacity if
-// capacity <= 0).
+// capacity <= 0). It allocates no record storage until records arrive.
 func New(capacity int) *Log {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	return &Log{records: make([]types.AuditRecord, capacity), now: time.Now}
+	return &Log{capacity: capacity, now: time.Now}
 }
 
 // SetClock overrides the time source (tests).
 func (l *Log) SetClock(now func() time.Time) { l.now = now }
+
+// slot returns ring slot i.
+func (l *Log) slot(i int) *types.AuditRecord { return &l.blocks[i/blockSize][i%blockSize] }
 
 // Record appends an entry, stamping the time if unset.
 func (l *Log) Record(rec types.AuditRecord) {
@@ -45,13 +58,16 @@ func (l *Log) Record(rec types.AuditRecord) {
 	if rec.Time.IsZero() {
 		rec.Time = l.now()
 	}
-	if l.count < len(l.records) {
-		l.records[(l.start+l.count)%len(l.records)] = rec
+	if l.count < l.capacity {
+		if l.count%blockSize == 0 {
+			l.blocks = append(l.blocks, make([]types.AuditRecord, min(blockSize, l.capacity-l.count)))
+		}
+		*l.slot(l.count) = rec
 		l.count++
 		return
 	}
-	l.records[l.start] = rec
-	l.start = (l.start + 1) % len(l.records)
+	*l.slot(l.start) = rec
+	l.start = (l.start + 1) % l.capacity
 	l.dropped++
 }
 
@@ -122,7 +138,7 @@ func (l *Log) Query(f Filter) []types.AuditRecord {
 	defer l.mu.Unlock()
 	var out []types.AuditRecord
 	for i := 0; i < l.count; i++ {
-		r := l.records[(l.start+i)%len(l.records)]
+		r := *l.slot((l.start + i) % l.capacity)
 		if f.matches(r) {
 			out = append(out, r)
 		}

@@ -135,3 +135,55 @@ func TestWraparoundAccounting(t *testing.T) {
 		t.Errorf("dropped %d + len %d != total %d", l.Dropped(), l.Len(), total)
 	}
 }
+
+var sink *Log
+
+// TestNewAllocatesNoRecords: a log costs its header until records
+// arrive, then one block at a time — never the whole capacity up front.
+func TestNewAllocatesNoRecords(t *testing.T) {
+	if n := testing.AllocsPerRun(10, func() { sink = New(0) }); n != 1 {
+		t.Errorf("New(0) made %v allocations, want 1 (the Log itself)", n)
+	}
+	l := New(0)
+	if len(l.blocks) != 0 {
+		t.Fatalf("New(0) holds %d record blocks, want 0", len(l.blocks))
+	}
+	l.Op("u", "op", "/t", true, "")
+	if len(l.blocks) != 1 || len(l.blocks[0]) != blockSize {
+		t.Fatalf("after one record: %d blocks (first %d records), want 1 of %d", len(l.blocks), len(l.blocks[0]), blockSize)
+	}
+	for i := 1; i <= blockSize; i++ {
+		l.Op("u", "op", "/t", true, "")
+	}
+	if len(l.blocks) != 2 {
+		t.Errorf("after %d records: %d blocks, want 2", blockSize+1, len(l.blocks))
+	}
+}
+
+// TestWrapAcrossPartialBlock walks a ring whose capacity is not a
+// multiple of the block size (so its last block is short) through two
+// wraps: the survivors are the newest capacity records in append order
+// and every displaced one is counted.
+func TestWrapAcrossPartialBlock(t *testing.T) {
+	const capacity = 2*blockSize + 3
+	l := New(capacity)
+	const total = 2*capacity + 5
+	for i := 0; i < total; i++ {
+		l.Op("u", "op", fmt.Sprintf("/f%d", i), true, "")
+	}
+	if l.Len() != capacity || l.Dropped() != total-capacity {
+		t.Fatalf("Len = %d, Dropped = %d; want %d, %d", l.Len(), l.Dropped(), capacity, total-capacity)
+	}
+	if len(l.blocks) != 3 || len(l.blocks[2]) != 3 {
+		t.Errorf("blocks = %d (last holds %d), want 3 with the last holding 3", len(l.blocks), len(l.blocks[len(l.blocks)-1]))
+	}
+	recs := l.Query(Filter{})
+	if len(recs) != capacity {
+		t.Fatalf("Query returned %d records, want %d", len(recs), capacity)
+	}
+	for i, r := range recs {
+		if want := fmt.Sprintf("/f%d", total-capacity+i); r.Target != want {
+			t.Fatalf("recs[%d] = %s, want %s", i, r.Target, want)
+		}
+	}
+}

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"gosrb/internal/acl"
+	"gosrb/internal/audit"
 	"gosrb/internal/mcat/shard"
 	"gosrb/internal/metadata"
 	"gosrb/internal/obs"
@@ -38,6 +39,11 @@ type Broker struct {
 	// (MySRB renders listings straight from it). It is the abstract
 	// catalog contract: a monolithic *mcat.Catalog or the shard router.
 	Cat shard.Catalog
+
+	// Audit is this broker's audit trail (paper §2): every brokered
+	// operation appends to it, and the server's audit op, MySRB and the
+	// admin gauge read it. Two brokers on one catalog keep two trails.
+	Audit *audit.Log
 
 	rm      *replica.Manager
 	extract *metadata.Registry
@@ -117,6 +123,7 @@ func newBrokerOps(r *obs.Registry) brokerOps {
 func New(cat shard.Catalog, serverName string) *Broker {
 	b := &Broker{
 		Cat:        cat,
+		Audit:      audit.New(0),
 		extract:    metadata.NewRegistry(),
 		fetcher:    urlfs.NewFetcher(),
 		drivers:    make(map[string]storage.Driver),
@@ -378,14 +385,14 @@ func (b *Broker) contLock(path string) *sync.Mutex {
 
 // audit records one operation outcome.
 func (b *Broker) audit(user, op, target string, ok bool, detail string) {
-	b.Cat.AuditLog().Op(user, op, target, ok, detail)
+	b.Audit.Op(user, op, target, ok, detail)
 }
 
 // auditTraced records one operation outcome stamped with the trace ID
 // of the span the operation ran under (nil span = plain record), so
 // the audit trail joins to the span-tree and usage-accounting streams.
 func (b *Broker) auditTraced(sp *obs.Span, user, op, target string, ok bool, detail string) {
-	b.Cat.AuditLog().OpTraced(sp.TraceID(), user, op, target, ok, detail)
+	b.Audit.OpTraced(sp.TraceID(), user, op, target, ok, detail)
 }
 
 // ---- permission and lock helpers ----

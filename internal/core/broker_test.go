@@ -327,11 +327,11 @@ func TestAuditTrail(t *testing.T) {
 	b.Ingest("alice", IngestOpts{Path: "/home/f", Data: []byte("x"), Resource: "disk1"})
 	b.Get("alice", "/home/f")
 	b.Get("bob", "/home/f") // denied
-	all := b.Cat.AuditLog().Query(audit.Filter{})
+	all := b.Audit.Query(audit.Filter{})
 	if len(all) < 3 {
 		t.Errorf("audit records = %d", len(all))
 	}
-	gets := b.Cat.AuditLog().Query(audit.Filter{Op: "get", User: "alice"})
+	gets := b.Audit.Query(audit.Filter{Op: "get", User: "alice"})
 	if len(gets) != 1 || !gets[0].OK {
 		t.Errorf("alice get audit = %+v", gets)
 	}

@@ -515,5 +515,5 @@ func (rt *Runtime) Stop() {
 		errs += o.Errors
 	}
 	cfg.Logf("final stats: uptime=%.0fs ops=%d errors=%d audit_dropped=%d",
-		snap.UptimeSeconds, ops, errs, rt.Cat.AuditLog().Dropped())
+		snap.UptimeSeconds, ops, errs, rt.Broker.Audit.Dropped())
 }

@@ -2,13 +2,13 @@
 // SRB data grid: the logical name space of collections and data
 // objects, the registry of users, groups and storage resources, access
 // control lists, the five classes of metadata with a conjunctive query
-// engine, annotations, and the audit trail.
+// engine, and annotations.
 //
 // The catalog is the single source of truth ("The SRB, in conjunction
 // with the Metadata Catalog, supports location transparency by
 // accessing data sets and resources based on their attributes rather
-// than their names or physical locations"). Brokers hold no state of
-// their own.
+// than their names or physical locations"). Brokers hold no catalog
+// state of their own; the audit trail is the broker's (core.Broker.Audit).
 //
 // All state lives behind one RWMutex with secondary indexes (by path,
 // by collection, by metadata attribute) so that equality queries stay
@@ -23,7 +23,6 @@ import (
 	"time"
 
 	"gosrb/internal/acl"
-	"gosrb/internal/audit"
 	"gosrb/internal/types"
 )
 
@@ -68,9 +67,6 @@ type Catalog struct {
 	// type) are indexed.
 	attrIndex map[string]map[string]map[string]bool
 
-	// Audit is the catalog's audit trail.
-	Audit *audit.Log
-
 	// journal, when attached, receives every mutation as an append-log
 	// entry (see journal.go).
 	journal *Journal
@@ -107,7 +103,6 @@ func New(adminUser, adminDomain string) *Catalog {
 		fileMeta:   make(map[string][]string),
 		attrIndex:  make(map[string]map[string]map[string]bool),
 		repairs:    make(map[string]*types.RepairTask),
-		Audit:      audit.New(0),
 		now:        time.Now,
 	}
 	c.colls["/"] = &types.Collection{Path: "/", Owner: adminUser, CreatedAt: c.now()}
@@ -121,12 +116,6 @@ func (c *Catalog) SetClock(now func() time.Time) {
 	defer c.mu.Unlock()
 	c.now = now
 }
-
-// AuditLog returns the catalog's audit trail. Callers that hold a
-// Catalog interface value (the shard router satisfies the same
-// contract) reach the trail through this accessor rather than the
-// concrete Audit field.
-func (c *Catalog) AuditLog() *audit.Log { return c.Audit }
 
 // SetIDAlloc partitions object-ID allocation: every ID handed out from
 // now on satisfies id ≡ offset (mod stride). Shard i of an N-shard

@@ -115,6 +115,10 @@ func TestReplogFallbackCounter(t *testing.T) {
 	reg := obs.NewRegistry()
 	leader.SetMetrics(reg)
 	leader.SetRepLogBase(100) // sequences 1..100 predate the retained log
+	// A follower at the base pulls: the log retains from here on.
+	if _, err := leader.Pull(0, 100); err != nil {
+		t.Fatal(err)
+	}
 	seedGrid(t, leader)
 
 	res, err := leader.Pull(0, 0)

@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"gosrb/internal/audit"
 	"gosrb/internal/mcat"
 	"gosrb/internal/obs"
 	"gosrb/internal/types"
@@ -687,8 +686,6 @@ func (r *Router) Stats() mcat.Stats {
 	out.Collections = len(collSet) + 1 // spine and deep colls, plus the root
 	return out
 }
-
-func (r *Router) AuditLog() *audit.Log { return r.shards[0].cat.AuditLog() }
 
 func (r *Router) SetClock(now func() time.Time) {
 	for _, st := range r.shards {

@@ -33,7 +33,6 @@ import (
 	"time"
 
 	"gosrb/internal/acl"
-	"gosrb/internal/audit"
 	"gosrb/internal/mcat"
 	"gosrb/internal/types"
 )
@@ -129,7 +128,6 @@ type Catalog interface {
 	// Accounting.
 	JournalErr() error
 	Stats() mcat.Stats
-	AuditLog() *audit.Log
 	SetClock(now func() time.Time)
 }
 

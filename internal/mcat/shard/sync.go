@@ -102,20 +102,25 @@ func (r *Router) Pull(i int, afterSeq uint64) (PullResult, error) {
 	st.lastPull = time.Now()
 	r.mu.Unlock()
 	r.refreshReplag(i, time.Now())
-	if lines, ok := st.rl.Since(afterSeq); ok {
+	lines, ok, fellBehind := st.rl.Since(afterSeq)
+	if ok {
 		if r.pullLines != nil {
 			r.pullLines.Add(int64(len(lines)))
 		}
 		return PullResult{Entries: lines, Seq: afterSeq + uint64(len(lines))}, nil
 	}
-	// The follower fell off the bounded log tail: it catches up from a
-	// snapshot instead. Count and warn — repeated fallbacks mean the log
-	// window is too small for the sync cadence (tail pressure).
-	if r.replogFallback != nil {
-		r.replogFallback.Inc()
+	// The follower catches up from a snapshot instead. The shard's first
+	// pull always does (the log retains nothing until then); one that fell
+	// off the bounded log tail is counted and warned about — repeated
+	// fallbacks mean the log window is too small for the sync cadence
+	// (tail pressure).
+	if fellBehind {
+		if r.replogFallback != nil {
+			r.replogFallback.Inc()
+		}
+		r.logf("mcat shard %d: follower at seq %d fell off the replication log tail (head %d); serving full snapshot",
+			i, afterSeq, st.rl.Head())
 	}
-	r.logf("mcat shard %d: follower at seq %d fell off the replication log tail (head %d); serving full snapshot",
-		i, afterSeq, st.rl.Head())
 	// Snapshot path. The journal appends under the catalog's write
 	// lock and Save holds the read lock, so retry until no line lands
 	// between the sequence reads — then the snapshot is exactly seq.
@@ -202,6 +207,9 @@ func (r *Router) applyPull(i int, res PullResult) error {
 		if err := st.cat.Load(bytes.NewReader(res.Snapshot)); err != nil {
 			return err
 		}
+		// The loaded state is in no line of this shard's log: once
+		// promoted, it must serve its own followers a snapshot too.
+		st.rl.Rebase()
 	} else {
 		// An entry whose append fails is not applied, and nothing after
 		// it is.

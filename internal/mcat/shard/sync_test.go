@@ -139,6 +139,11 @@ func TestFollowerAppliesPutWhole(t *testing.T) {
 	f.SetPuller(func(peer string, idx int, after uint64) (PullResult, error) {
 		return leader.Pull(idx, after)
 	}, DefaultPromoteAfter)
+	// The follower pulls before the leader writes, so the leader retains
+	// every line from here on and the follower receives each as an entry.
+	if err := f.SyncOnce(); err != nil {
+		t.Fatal(err)
+	}
 	seedGrid(t, leader)
 
 	const coll, name = "/home/alice/deep", "put.dat"
@@ -191,6 +196,9 @@ func testQuery(val string) mcat.Query {
 func TestSnapshotCatchUpWhenLogTrimmed(t *testing.T) {
 	leader := newTestRouter(t, 1)
 	seedGrid(t, leader)
+	if _, err := leader.Pull(0, 0); err != nil { // a follower pulls: retention starts
+		t.Fatal(err)
+	}
 	// Blow past the replication log's retention so a fresh follower
 	// cannot be served entries from seq 0.
 	for i := 0; i < DefaultRepLogCap+50; i++ {
@@ -318,6 +326,7 @@ func TestFollowerJournalFailureStopsApplying(t *testing.T) {
 
 func TestRepLogTrimAndSince(t *testing.T) {
 	rl := NewRepLog(4)
+	rl.Since(0) // a follower pulls: retention starts
 	for i := 1; i <= 6; i++ {
 		rl.Append([]byte(fmt.Sprintf("e%d", i)))
 	}
@@ -325,18 +334,18 @@ func TestRepLogTrimAndSince(t *testing.T) {
 		t.Fatalf("Head = %d, want 6", rl.Head())
 	}
 	// Entries 1-2 trimmed: a reader at 0 or 1 needs a snapshot.
-	if _, ok := rl.Since(0); ok {
-		t.Error("Since(0) should demand a snapshot after trim")
+	if _, ok, behind := rl.Since(0); ok || !behind {
+		t.Errorf("Since(0) ok=%v fellBehind=%v: should demand a snapshot after trim", ok, behind)
 	}
-	if _, ok := rl.Since(1); ok {
+	if _, ok, _ := rl.Since(1); ok {
 		t.Error("Since(1) should demand a snapshot after trim")
 	}
-	got, ok := rl.Since(3)
+	got, ok, _ := rl.Since(3)
 	if !ok || len(got) != 3 || string(got[0]) != "e4" {
 		t.Errorf("Since(3) = %q ok=%v", got, ok)
 	}
 	// Fully caught up.
-	got, ok = rl.Since(6)
+	got, ok, _ = rl.Since(6)
 	if !ok || len(got) != 0 {
 		t.Errorf("Since(6) = %q ok=%v", got, ok)
 	}
@@ -345,11 +354,11 @@ func TestRepLogTrimAndSince(t *testing.T) {
 	for i := 7; i <= 19; i++ {
 		rl.Append([]byte(fmt.Sprintf("e%d", i)))
 	}
-	got, ok = rl.Since(15)
+	got, ok, _ = rl.Since(15)
 	if !ok || len(got) != 4 || string(got[0]) != "e16" || string(got[3]) != "e19" {
 		t.Errorf("Since(15) after laps = %q ok=%v", got, ok)
 	}
-	if _, ok := rl.Since(14); ok {
+	if _, ok, _ := rl.Since(14); ok {
 		t.Error("Since(14) should demand a snapshot: e15 was overwritten")
 	}
 }
@@ -359,27 +368,99 @@ func TestRepLogTrimAndSince(t *testing.T) {
 func TestRepLogBaseThenWrap(t *testing.T) {
 	rl := NewRepLog(3)
 	rl.SetBase(1000)
+	rl.Since(1000) // a follower pulls: retention starts
 	for i := 1; i <= 5; i++ {
 		rl.Append([]byte(fmt.Sprintf("e%d", i)))
 	}
 	if rl.Head() != 1005 {
 		t.Fatalf("Head = %d, want 1005", rl.Head())
 	}
-	got, ok := rl.Since(1002)
+	got, ok, _ := rl.Since(1002)
 	if !ok || len(got) != 3 || string(got[0]) != "e3" || string(got[2]) != "e5" {
 		t.Errorf("Since(1002) = %q ok=%v", got, ok)
 	}
-	if _, ok := rl.Since(1001); ok {
+	if _, ok, _ := rl.Since(1001); ok {
 		t.Error("Since(1001) should demand a snapshot")
 	}
 }
 
-// A promoted follower can serve pulls itself: its replayed journal fed
-// its own replication log.
+// Appends racing the pull that starts retention: from the snapshot the
+// reader is sent, the lines it pulls continue the sequence with no gap.
+func TestRepLogArmRacesAppend(t *testing.T) {
+	rl := NewRepLog(64)
+	const total = 5000
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 1; i <= total; i++ {
+			rl.Append([]byte(fmt.Sprint(i)))
+		}
+	}()
+	var pos uint64
+	for pos < total {
+		lines, ok, _ := rl.Since(pos)
+		if !ok {
+			pos = rl.Head() // a snapshot holds everything up to the head
+			continue
+		}
+		for _, l := range lines {
+			pos++
+			if string(l) != fmt.Sprint(pos) {
+				t.Fatalf("line %q at sequence %d", l, pos)
+			}
+		}
+	}
+	<-done
+}
+
+// Until a shard's first pull its log copies no line, only counts them;
+// that pull is sent a snapshot without counting as a fallback, and the
+// next is incremental entries.
+func TestRepLogRetainsFromFirstPull(t *testing.T) {
+	leader := newTestRouter(t, 1)
+	reg := obs.NewRegistry()
+	leader.SetMetrics(reg)
+	seedGrid(t, leader)
+	rl := leader.shards[0].rl
+	if rl.Head() == 0 || len(rl.ring) != 0 {
+		t.Fatalf("before any pull: head %d, %d lines retained; want a head and no lines", rl.Head(), len(rl.ring))
+	}
+	res, err := leader.Pull(0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Snapshot == nil || res.Seq != rl.Head() {
+		t.Fatalf("first pull of a written shard: snapshot %v at seq %d, want a snapshot at head %d", res.Snapshot != nil, res.Seq, rl.Head())
+	}
+	if v := reg.Counter("mcat.shard.replog.fallback").Value(); v != 0 {
+		t.Errorf("fallback counter after the first pull = %d, want 0", v)
+	}
+	if err := leader.MkColl("/home/after", "admin"); err != nil {
+		t.Fatal(err)
+	}
+	next, err := leader.Pull(0, res.Seq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if next.Snapshot != nil || len(next.Entries) != 1 || next.Seq != res.Seq+1 {
+		t.Errorf("second pull = %d entries (snapshot %v) to seq %d, want 1 entry to %d", len(next.Entries), next.Snapshot != nil, next.Seq, res.Seq+1)
+	}
+	if v := reg.Counter("mcat.shard.replog.fallback").Value(); v != 0 {
+		t.Errorf("fallback counter after the second pull = %d, want 0", v)
+	}
+}
+
+// A promoted follower can serve pulls itself: a new follower of it
+// starts from a snapshot (its log retained nothing before that first
+// pull), then rides its entry stream.
 func TestPromotedFollowerServesPulls(t *testing.T) {
 	leader := newTestRouter(t, 1)
-	seedGrid(t, leader)
 	f := followerOf(t, leader)
+	// f pulls before the leader writes, so it replays the leader's lines.
+	if err := f.SyncOnce(); err != nil {
+		t.Fatal(err)
+	}
+	seedGrid(t, leader)
 	if err := f.SyncOnce(); err != nil {
 		t.Fatal(err)
 	}
@@ -398,5 +479,35 @@ func TestPromotedFollowerServesPulls(t *testing.T) {
 	}
 	if got, want := g.SubtreeObjects("/"), leader.SubtreeObjects("/"); !reflect.DeepEqual(got, want) {
 		t.Errorf("second-generation follower diverged: %v != %v", got, want)
+	}
+	if err := f.MkColl("/projects/p1/promoted", "admin"); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.SyncOnce(); err != nil {
+		t.Fatal(err)
+	}
+	if !g.CollExists("/projects/p1/promoted") {
+		t.Error("the promoted leader's entry did not replicate")
+	}
+}
+
+// A follower that caught up from a snapshot holds state no line of its
+// own log carries. Promoted, it must serve a new follower that snapshot
+// rather than an empty stream, or the new follower ends up empty.
+func TestPromotedSnapshotFollowerServesPulls(t *testing.T) {
+	leader := newTestRouter(t, 1)
+	leader.shards[0].rl = NewRepLog(2)
+	seedGrid(t, leader)
+	f := followerOf(t, leader)
+	if err := f.SyncOnce(); err != nil {
+		t.Fatal(err)
+	}
+	f.Promote(0)
+	g := followerOf(t, f)
+	if err := g.SyncOnce(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := g.SubtreeObjects("/"), leader.SubtreeObjects("/"); !reflect.DeepEqual(got, want) {
+		t.Errorf("second-generation follower of a snapshot-fed leader: %v != %v", got, want)
 	}
 }

@@ -680,7 +680,7 @@ func (a *App) handleRegister(w http.ResponseWriter, r *http.Request, user string
 		return
 	}
 	a.authn.Register(name, password)
-	a.broker.Cat.AuditLog().Op(user, "register-user", name, true, domain)
+	a.broker.Audit.Op(user, "register-user", name, true, domain)
 	redirectOutcome(w, r, "/register", nil, "user "+name+" registered")
 }
 

@@ -72,7 +72,7 @@ func sortedKeys[V any](m map[string]V, keep func(V) bool) []string {
 // them.
 func opStats(env Env, _ struct{}) (wire.OpStatsReply, error) {
 	reg := env.Broker.Metrics()
-	reg.Gauge("audit.dropped").Set(env.Broker.Cat.AuditLog().Dropped())
+	reg.Gauge("audit.dropped").Set(env.Broker.Audit.Dropped())
 	env.Broker.Breakers().Publish()
 	rep := wire.OpStatsReply{Server: env.Name, Snapshot: reg.Snapshot()}
 	if env.Pool != nil {

@@ -50,7 +50,7 @@ func NewAdminHandler(env report.Env) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		reg := b.Metrics()
-		reg.Gauge("audit.dropped").Set(b.Cat.AuditLog().Dropped())
+		reg.Gauge("audit.dropped").Set(b.Audit.Dropped())
 		b.Breakers().Publish()
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		if r.URL.Query().Has("window") {

@@ -533,12 +533,12 @@ func addUser(c call, a wire.AddUserArgs) error {
 		return err
 	}
 	c.s.authn.Register(a.Name, a.Password)
-	c.b.Cat.AuditLog().Op(c.user, "adduser", a.Name, true, domain)
+	c.b.Audit.Op(c.user, "adduser", a.Name, true, domain)
 	return nil
 }
 
 func auditTail(c call, a wire.AuditArgs) ([]types.AuditRecord, error) {
-	recs := c.b.Cat.AuditLog().Query(audit.Filter{User: a.User, Op: a.Op, Target: a.Target, Trace: a.Trace})
+	recs := c.b.Audit.Query(audit.Filter{User: a.User, Op: a.Op, Target: a.Target, Trace: a.Trace})
 	if a.Limit > 0 && len(recs) > a.Limit {
 		recs = recs[len(recs)-a.Limit:]
 	}

@@ -85,7 +85,7 @@ func TestTraceSpansRedirect(t *testing.T) {
 func TestOpStatsOverWire(t *testing.T) {
 	z := newZone(t, Proxy)
 	// A tiny audit ring forces wraparound so drops show up in the gauge.
-	z.cat.Audit = audit.New(4)
+	z.b1.Audit = audit.New(4)
 	cl := z.client(z.addr1, "alice", "alicepw")
 	payload := []byte("telemetry payload")
 	for i := 0; i < 5; i++ {
@@ -126,8 +126,8 @@ func TestOpStatsOverWire(t *testing.T) {
 	if !ok {
 		t.Fatal("audit.dropped gauge missing from snapshot")
 	}
-	if drops != z.cat.Audit.Dropped() || drops <= 0 {
-		t.Errorf("audit.dropped = %d (log says %d)", drops, z.cat.Audit.Dropped())
+	if drops != z.b1.Audit.Dropped() || drops <= 0 {
+		t.Errorf("audit.dropped = %d (log says %d)", drops, z.b1.Audit.Dropped())
 	}
 }
 
