@@ -153,13 +153,16 @@ test-mcat:
 	$(GO) test -run '^$$' -fuzz=FuzzJournalReplay -fuzztime=15s -fuzzminimizetime=1s ./internal/mcat/
 
 # Heat-observatory sweep: the top-K sketch (Zipf recall, decay,
-# concurrent writers, rollup fold, persistence) and the replication-lag
-# gauge and shard heat-join suites, repeated under -race — the sketch is written
-# from every request goroutine while snapshots, folds and decays run
+# concurrent writers, rollup fold, persistence), the keyed table the
+# sketch shares with the usage and peer tables (Record's allocations,
+# the peer observatory's rules, Snapshot → Restore → Snapshot), the
+# telemetry file fixture, and the replication-lag gauge and shard
+# heat-join suites, repeated under -race — the tables are written from
+# every request goroutine while snapshots, folds and decays run
 # concurrently, so tears only surface across many interleavings. (The
 # heat chaos e2e rides test-faults' 10x TestChaos loop.)
 test-heat:
-	$(GO) test -race -count=10 -run 'TestHeat|TestSLOReplag' ./internal/obs/
+	$(GO) test -race -count=10 -run 'TestHeat|TestSLOReplag|TestTable|TestPeerObservatory|TestTelemetryFixture' ./internal/obs/
 	$(GO) test -race -count=10 -run 'TestReplagGauges|TestReplogFallback|TestHeatJoin' ./internal/mcat/shard/
 
 # Read-your-own-telemetry fence: every server test that asks for a

@@ -83,7 +83,7 @@ func Flags(fs *flag.FlagSet) *Config {
 	fs.Var(&c.Users, "user", "user account: name=password; repeatable")
 	fs.Var(&c.Resources, "resource", "physical resource: name=driver:arg (driver: posixfs|memfs|archivefs|dbfs); repeatable")
 	fs.IntVar(&c.RepairWorkers, "repair-workers", 2, "background repair worker goroutines draining the async-replication/scrub queue (0 leaves the queue undrained)")
-	fs.DurationVar(&c.RollupEvery, "rollup-interval", obs.DefaultRollupInterval, "telemetry rollup capture interval feeding /metrics?window=, /grid, srb top and the MySRB dashboard (0 disables windowed stats)")
+	fs.DurationVar(&c.RollupEvery, "rollup-interval", obs.DefaultRollupInterval, "telemetry rollup capture interval feeding /grid, srb top, SLO rules and the MySRB dashboard (0 disables windowed stats)")
 	fs.DurationVar(&c.ScrubEvery, "scrub-interval", 0, "anti-entropy scrub interval: re-hash every replica against the catalog checksum and repair divergence (0 disables)")
 	fs.StringVar(&c.SLORules, "slo-rules", "", "SLO rules file, one rule per line (e.g. 'get p99 < 50ms over 5m'); empty disables SLO evaluation")
 	fs.DurationVar(&c.SLOEvery, "slo-interval", 30*time.Second, "how often declared SLO rules are evaluated against the rollup ring")

@@ -108,7 +108,7 @@ func (a *App) routes() {
 
 // withSession performs the paper's "security checks on the session keys
 // when validating a user request", and times the request as a web.<name>
-// op so the dashboard, /metrics?window= and SLO rules see web traffic
+// op so the dashboard, the grid feed and SLO rules see web traffic
 // alongside wire ops.
 func (a *App) withSession(name string, h func(http.ResponseWriter, *http.Request, string)) http.HandlerFunc {
 	op := "web." + name

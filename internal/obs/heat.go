@@ -9,11 +9,7 @@
 // through the telemetry journal like the peer observatory.
 package obs
 
-import (
-	"sort"
-	"sync"
-	"time"
-)
+import "time"
 
 // DefaultHeatK is how many entries each heat table tracks. Space-saving
 // guarantees any key whose true frequency exceeds 1/K of the stream is
@@ -48,23 +44,17 @@ type HeatStat struct {
 // HeatTable is a concurrent space-saving sketch over one key space.
 // Safe for concurrent use; all methods tolerate a nil receiver
 // (instrumentation off).
-type HeatTable struct {
-	prefix string // counter-name prefix for the rollup fold
-	k      int
+type HeatTable table[string, HeatStat]
 
-	mu        sync.Mutex
-	m         map[string]*HeatStat
-	evictions int64
-}
+func (t *HeatTable) t() *table[string, HeatStat] { return (*table[string, HeatStat])(t) }
 
 // NewHeatTable returns a table tracking at most k keys (k <= 0 selects
-// DefaultHeatK). prefix namespaces the folded rollup counters
-// ("heat.key.", "heat.object.").
-func NewHeatTable(prefix string, k int) *HeatTable {
+// DefaultHeatK).
+func NewHeatTable(k int) *HeatTable {
 	if k <= 0 {
 		k = DefaultHeatK
 	}
-	return &HeatTable{prefix: prefix, k: k, m: make(map[string]*HeatStat, k)}
+	return &HeatTable{m: make(map[string]*HeatStat, k), max: k}
 }
 
 // Record accounts one observation of key moving bytes. When the table
@@ -84,7 +74,7 @@ func (t *HeatTable) Record(key string, bytes int64) {
 		row.LastSeen = time.Now()
 		return
 	}
-	if len(t.m) < t.k {
+	if len(t.m) < t.max {
 		t.m[key] = &HeatStat{Key: key, Count: 1, Bytes: bytes, Score: 1, LastSeen: time.Now()}
 		return
 	}
@@ -96,7 +86,6 @@ func (t *HeatTable) Record(key string, bytes int64) {
 		}
 	}
 	delete(t.m, victim.Key)
-	t.evictions++
 	t.m[key] = &HeatStat{
 		Key: key, Count: 1, Bytes: bytes,
 		Score: victim.Score + 1, ErrFloor: victim.Score,
@@ -131,67 +120,32 @@ func (t *HeatTable) Decay(factor float64) {
 // Snapshot returns every row, hottest first (score descending, ties by
 // key for deterministic output).
 func (t *HeatTable) Snapshot() []HeatStat {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	out := make([]HeatStat, 0, len(t.m))
-	for _, row := range t.m {
-		out = append(out, *row)
-	}
-	t.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
+	return t.t().snapshot(func(a, b *HeatStat) bool {
+		if a.Score != b.Score {
+			return a.Score > b.Score
 		}
-		return out[i].Key < out[j].Key
+		return a.Key < b.Key
 	})
-	return out
-}
-
-// Evictions reports how many rows space-saving displaced (lifetime).
-func (t *HeatTable) Evictions() int64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.evictions
 }
 
 // Restore refills the table from persisted rows (telemetry boot
-// replay). Existing rows with the same key are replaced; rows beyond
-// capacity are dropped (Snapshot order is hottest-first, so callers
-// restoring a snapshot keep the hottest).
+// replay). Snapshot order is hottest-first, so restoring a snapshot
+// into a smaller table keeps the hottest rows.
 func (t *HeatTable) Restore(rows []HeatStat) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for _, st := range rows {
-		if st.Key == "" {
-			continue
-		}
-		if len(t.m) >= t.k {
-			return
-		}
-		s := st
-		t.m[st.Key] = &s
-	}
+	t.t().restore(rows, func(st *HeatStat) (string, bool) { return st.Key, st.Key != "" })
 }
 
-// foldCounters merges each row's monotonic count into dst under the
-// table's counter prefix — the hook Snapshot/CaptureRollup/WindowAt use
-// to make heat ride the existing rollup ring.
-func (t *HeatTable) foldCounters(dst map[string]int64) {
+// foldCounters merges each row's monotonic count into dst under prefix
+// — the hook Snapshot/CaptureRollup/WindowAt use to make heat ride the
+// existing rollup ring.
+func (t *HeatTable) foldCounters(dst map[string]int64, prefix string) {
 	if t == nil {
 		return
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	for key, row := range t.m {
-		dst[t.prefix+key] = row.Count
+		dst[prefix+key] = row.Count
 	}
 }
 
@@ -218,6 +172,6 @@ func (r *Registry) foldHeat(dst map[string]int64) {
 	if r == nil {
 		return
 	}
-	r.heatKeys.foldCounters(dst)
-	r.heatObjects.foldCounters(dst)
+	r.heatKeys.foldCounters(dst, "heat.key.")
+	r.heatObjects.foldCounters(dst, "heat.object.")
 }

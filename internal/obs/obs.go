@@ -175,15 +175,34 @@ func (h *Histogram) Snapshot() HistSnapshot {
 	s.P50Micros = quantile(counts[:], total, 0.50)
 	s.P90Micros = quantile(counts[:], total, 0.90)
 	s.P99Micros = quantile(counts[:], total, 0.99)
-	for k, n := range counts {
-		if n > 0 {
-			s.Buckets = append(s.Buckets, BucketCount{UpperMicros: BucketUpperMicros(k), Count: n})
-		}
+	s.Buckets = foldBuckets(&counts)
+	for k := range counts {
 		if e := h.ex[k].Load(); e != nil {
 			s.Exemplars = append(s.Exemplars, BucketExemplar{UpperMicros: BucketUpperMicros(k), TraceID: e.TraceID, Micros: e.Micros})
 		}
 	}
 	return s
+}
+
+// foldBuckets lists the non-empty buckets of counts: the shape a
+// histogram takes in every snapshot, window and wire reply.
+func foldBuckets(counts *[histBuckets]int64) []BucketCount {
+	var out []BucketCount
+	for k, n := range counts {
+		if n > 0 {
+			out = append(out, BucketCount{UpperMicros: BucketUpperMicros(k), Count: n})
+		}
+	}
+	return out
+}
+
+// addBuckets is foldBuckets' inverse: each bucket's count is added to
+// the slot its bound names, clamped into range, since a peer's buckets
+// arrive off the wire.
+func addBuckets(counts *[histBuckets]int64, buckets []BucketCount) {
+	for _, b := range buckets {
+		counts[min(max(bits.Len64(uint64(b.UpperMicros))-1, 0), histBuckets-1)] += b.Count
+	}
 }
 
 // quantile interpolates the q-quantile (0..1) from bucket counts.
@@ -319,8 +338,8 @@ func NewRegistry() *Registry {
 		usage:       NewUsageTable(),
 		rollups:     NewRollupRing(DefaultRollupSlots),
 		peers:       NewPeerHistory(),
-		heatKeys:    NewHeatTable("heat.key.", DefaultHeatK),
-		heatObjects: NewHeatTable("heat.object.", DefaultHeatK),
+		heatKeys:    NewHeatTable(DefaultHeatK),
+		heatObjects: NewHeatTable(DefaultHeatK),
 	}
 	r.exMin.Store(DefaultExemplarThreshold.Microseconds())
 	return r
@@ -353,20 +372,7 @@ func (r *Registry) Counter(name string) *Counter {
 	if r == nil {
 		return nil
 	}
-	r.mu.RLock()
-	c, ok := r.counters[name]
-	r.mu.RUnlock()
-	if ok {
-		return c
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if c, ok = r.counters[name]; ok {
-		return c
-	}
-	c = &Counter{}
-	r.counters[name] = c
-	return c
+	return handle(r, r.counters, name, func() *Counter { return &Counter{} })
 }
 
 // Gauge returns (creating if absent) the named gauge.
@@ -374,20 +380,7 @@ func (r *Registry) Gauge(name string) *Gauge {
 	if r == nil {
 		return nil
 	}
-	r.mu.RLock()
-	g, ok := r.gauges[name]
-	r.mu.RUnlock()
-	if ok {
-		return g
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if g, ok = r.gauges[name]; ok {
-		return g
-	}
-	g = &Gauge{}
-	r.gauges[name] = g
-	return g
+	return handle(r, r.gauges, name, func() *Gauge { return &Gauge{} })
 }
 
 // Op returns (creating if absent) the named operation family.
@@ -395,20 +388,36 @@ func (r *Registry) Op(name string) *Op {
 	if r == nil {
 		return nil
 	}
+	return handle(r, r.ops, name, func() *Op { return &Op{exMin: &r.exMin} })
+}
+
+// handle is the get-or-create under Counter, Gauge and Op: the named
+// handle of m, one of r's handle maps, made by mk on its first lookup.
+func handle[T any](r *Registry, m map[string]*T, name string, mk func() *T) *T {
 	r.mu.RLock()
-	o, ok := r.ops[name]
+	h, ok := m[name]
 	r.mu.RUnlock()
 	if ok {
-		return o
+		return h
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if o, ok = r.ops[name]; ok {
-		return o
+	if h, ok = m[name]; !ok {
+		h = mk()
+		m[name] = h
 	}
-	o = &Op{exMin: &r.exMin}
-	r.ops[name] = o
-	return o
+	return h
+}
+
+// handles copies m, one of r's handle maps, for a caller holding the
+// read lock, so the handles' values are read after it is released. It
+// is small enough to inline, which keeps the copy off the heap.
+func handles[T any](m map[string]*T) map[string]*T {
+	c := make(map[string]*T, len(m))
+	for k, v := range m {
+		c[k] = v
+	}
+	return c
 }
 
 // OpAt is Op of the parts' concatenation, for the per-request lookups of
@@ -465,26 +474,15 @@ func (r *Registry) Snapshot() Snapshot {
 		return Snapshot{}
 	}
 	r.mu.RLock()
+	counters, gauges, ops := handles(r.counters), handles(r.gauges), handles(r.ops)
+	r.mu.RUnlock()
 	s := Snapshot{
 		Version:       Version,
 		UptimeSeconds: time.Since(r.start).Seconds(),
-		Counters:      make(map[string]int64, len(r.counters)),
-		Gauges:        make(map[string]int64, len(r.gauges)),
-		Ops:           make(map[string]OpSnapshot, len(r.ops)),
+		Counters:      make(map[string]int64, len(counters)),
+		Gauges:        make(map[string]int64, len(gauges)),
+		Ops:           make(map[string]OpSnapshot, len(ops)),
 	}
-	counters := make(map[string]*Counter, len(r.counters))
-	gauges := make(map[string]*Gauge, len(r.gauges))
-	ops := make(map[string]*Op, len(r.ops))
-	for k, v := range r.counters {
-		counters[k] = v
-	}
-	for k, v := range r.gauges {
-		gauges[k] = v
-	}
-	for k, v := range r.ops {
-		ops[k] = v
-	}
-	r.mu.RUnlock()
 	for k, v := range counters {
 		s.Counters[k] = v.Value()
 	}

@@ -9,11 +9,7 @@
 // observed history). Persisted through the telemetry journal.
 package obs
 
-import (
-	"sort"
-	"sync"
-	"time"
-)
+import "time"
 
 // ewmaAlpha weights the newest observation in the moving averages: high
 // enough to follow a regime change within a handful of transfers, low
@@ -45,6 +41,9 @@ type PeerStat struct {
 	SuccessPct float64
 	LastSeen   time.Time
 	Buckets    []BucketCount `json:",omitempty"`
+	// counts is the latency histogram of a row in the table: Record
+	// fills it, Snapshot folds it into Buckets, Restore unfolds them.
+	counts [histBuckets]int64
 }
 
 // peerKey identifies one observatory row.
@@ -53,22 +52,15 @@ type peerKey struct {
 	resource string
 }
 
-// peerRow is the mutable state behind one PeerStat.
-type peerRow struct {
-	stat    PeerStat
-	buckets [histBuckets]int64
-}
-
 // PeerHistory is the observatory table. Safe for concurrent use; all
 // methods tolerate a nil receiver (instrumentation off).
-type PeerHistory struct {
-	mu sync.Mutex
-	m  map[peerKey]*peerRow
-}
+type PeerHistory table[peerKey, PeerStat]
+
+func (p *PeerHistory) t() *table[peerKey, PeerStat] { return (*table[peerKey, PeerStat])(p) }
 
 // NewPeerHistory returns an empty table.
 func NewPeerHistory() *PeerHistory {
-	return &PeerHistory{m: make(map[peerKey]*peerRow)}
+	return &PeerHistory{m: make(map[peerKey]*PeerStat), max: maxPeerRows}
 }
 
 // Record accounts one transfer against (peer, resource): latency d,
@@ -81,15 +73,14 @@ func (p *PeerHistory) Record(peer, resource string, d time.Duration, bytes int64
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	key := peerKey{peer: peer, resource: resource}
-	row, ok := p.m[key]
+	st, ok := p.m[key]
 	if !ok {
-		if len(p.m) >= maxPeerRows {
+		if len(p.m) >= p.max {
 			return
 		}
-		row = &peerRow{stat: PeerStat{Peer: peer, Resource: resource}}
-		p.m[key] = row
+		st = &PeerStat{Peer: peer, Resource: resource}
+		p.m[key] = st
 	}
-	st := &row.stat
 	st.Ops++
 	if failed {
 		st.Errors++
@@ -110,79 +101,39 @@ func (p *PeerHistory) Record(peer, resource string, d time.Duration, bytes int64
 			st.EWMABytesPerSec += ewmaAlpha * (bps - st.EWMABytesPerSec)
 		}
 	}
-	row.buckets[bucketOf(d)]++
+	st.counts[bucketOf(d)]++
 }
 
 // Snapshot returns every row, success rate computed and histogram
 // folded to non-empty buckets, sorted peers first then resources.
 func (p *PeerHistory) Snapshot() []PeerStat {
-	if p == nil {
-		return nil
-	}
-	p.mu.Lock()
-	out := make([]PeerStat, 0, len(p.m))
-	for _, row := range p.m {
-		st := row.stat
-		st.Buckets = nil
+	out := p.t().snapshot(func(a, b *PeerStat) bool {
+		if (a.Peer == "") != (b.Peer == "") {
+			return a.Peer != ""
+		}
+		if a.Peer != b.Peer {
+			return a.Peer < b.Peer
+		}
+		return a.Resource < b.Resource
+	})
+	for i := range out {
+		st := &out[i]
 		if st.Ops > 0 {
 			st.SuccessPct = 100 * float64(st.Ops-st.Errors) / float64(st.Ops)
 		}
-		for k, n := range row.buckets {
-			if n > 0 {
-				st.Buckets = append(st.Buckets, BucketCount{UpperMicros: BucketUpperMicros(k), Count: n})
-			}
-		}
-		out = append(out, st)
+		st.Buckets, st.counts = foldBuckets(&st.counts), [histBuckets]int64{}
 	}
-	p.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool {
-		if (out[i].Peer == "") != (out[j].Peer == "") {
-			return out[i].Peer != ""
-		}
-		if out[i].Peer != out[j].Peer {
-			return out[i].Peer < out[j].Peer
-		}
-		return out[i].Resource < out[j].Resource
-	})
 	return out
 }
 
 // Restore refills the table from persisted rows (telemetry boot
-// replay), re-expanding the folded histograms. Existing rows with the
-// same key are replaced.
+// replay), re-expanding the folded histograms.
 func (p *PeerHistory) Restore(rows []PeerStat) {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for _, st := range rows {
-		if st.Peer == "" && st.Resource == "" {
-			continue
-		}
-		if len(p.m) >= maxPeerRows {
-			return
-		}
-		row := &peerRow{stat: st}
-		for _, b := range st.Buckets {
-			if k := bucketIndexOf(b.UpperMicros); k >= 0 {
-				row.buckets[k] = b.Count
-			}
-		}
-		row.stat.Buckets = nil
-		p.m[peerKey{peer: st.Peer, resource: st.Resource}] = row
-	}
-}
-
-// bucketIndexOf maps a snapshot bucket bound back to its index
-// (-1 for a bound no pow2 bucket produces).
-func bucketIndexOf(upperMicros int64) int {
-	for k := 0; k < histBuckets; k++ {
-		if BucketUpperMicros(k) == upperMicros {
-			return k
-		}
-	}
-	return -1
+	p.t().restore(rows, func(st *PeerStat) (peerKey, bool) {
+		addBuckets(&st.counts, st.Buckets)
+		st.Buckets = nil
+		return peerKey{peer: st.Peer, resource: st.Resource}, st.Peer != "" || st.Resource != ""
+	})
 }
 
 // Peers returns the registry's transfer observatory table.

@@ -361,23 +361,3 @@ func (rr *RollupRing) Restore(rus []Rollup) {
 		rr.Add(ru)
 	}
 }
-
-// Restore refills the table from persisted rows (telemetry boot
-// replay). Existing rows with the same key are replaced.
-func (u *UsageTable) Restore(rows []UsageStat) {
-	if u == nil {
-		return
-	}
-	u.mu.Lock()
-	defer u.mu.Unlock()
-	for _, st := range rows {
-		if st.User == "" {
-			continue
-		}
-		if len(u.m) >= maxUsageKeys+64 {
-			return
-		}
-		s := st
-		u.m[usageKey{user: st.User, coll: st.Collection}] = &s
-	}
-}

@@ -151,9 +151,14 @@ func buildVersion(s Snapshot) string {
 
 // promName maps a dotted registry name to a legal Prometheus metric
 // name: srb_ prefix, every non-[a-zA-Z0-9_] rune replaced with '_'.
-func promName(name string) string {
+func promName(name string) string { return legalName("srb_", name) }
+
+// legalName is prefix followed by name with every rune outside
+// [a-zA-Z0-9_] replaced with '_' — the one filter under metric names and
+// SLO rule names.
+func legalName(prefix, name string) string {
 	var sb strings.Builder
-	sb.WriteString("srb_")
+	sb.WriteString(prefix)
 	for _, r := range name {
 		switch {
 		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '_':

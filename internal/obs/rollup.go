@@ -1,12 +1,6 @@
 package obs
 
-import (
-	"fmt"
-	"io"
-	"math/bits"
-	"sort"
-	"time"
-)
+import "time"
 
 // Rollup retention defaults: one capture every 10s, 2160 slots ≈ 6h of
 // history. Both are daemon-tunable (srbd -rollup-interval).
@@ -92,16 +86,14 @@ func (rr *RollupRing) Recent(n int) []Rollup { return rr.r().recent(n) }
 // raw exposes the histogram internals for rollup capture, bypassing
 // quantile interpolation (a window recomputes quantiles from bucket
 // deltas).
-func (h *Histogram) raw() (count, totalMicros int64, buckets [histBuckets]int64) {
+func (h *Histogram) raw() (totalMicros int64, buckets [histBuckets]int64) {
 	if h == nil {
-		return 0, 0, buckets
+		return 0, buckets
 	}
-	count = h.count.Load()
-	totalMicros = h.sumNano.Load() / 1000
 	for i := range buckets {
 		buckets[i] = h.buckets[i].Load()
 	}
-	return count, totalMicros, buckets
+	return h.sumNano.Load() / 1000, buckets
 }
 
 // Rollups returns the registry's time-series ring.
@@ -120,18 +112,7 @@ func (r *Registry) CaptureRollup(now time.Time) {
 		return
 	}
 	r.mu.RLock()
-	counters := make(map[string]*Counter, len(r.counters))
-	gauges := make(map[string]*Gauge, len(r.gauges))
-	ops := make(map[string]*Op, len(r.ops))
-	for k, v := range r.counters {
-		counters[k] = v
-	}
-	for k, v := range r.gauges {
-		gauges[k] = v
-	}
-	for k, v := range r.ops {
-		ops[k] = v
-	}
+	counters, gauges, ops := handles(r.counters), handles(r.gauges), handles(r.ops)
 	r.mu.RUnlock()
 	ru := Rollup{
 		At:       now,
@@ -149,7 +130,7 @@ func (r *Registry) CaptureRollup(now time.Time) {
 		ru.Gauges[k] = v.Value()
 	}
 	for k, v := range ops {
-		_, total, buckets := v.lat.raw()
+		total, buckets := v.lat.raw()
 		ru.Ops[k] = OpRollup{
 			Count:       v.count.Value(),
 			Errors:      v.errs.Value(),
@@ -229,18 +210,7 @@ func (r *Registry) WindowAt(now time.Time, window time.Duration) WindowStats {
 		Ops:            make(map[string]WindowOp),
 	}
 	r.mu.RLock()
-	counters := make(map[string]*Counter, len(r.counters))
-	gauges := make(map[string]*Gauge, len(r.gauges))
-	ops := make(map[string]*Op, len(r.ops))
-	for k, v := range r.counters {
-		counters[k] = v
-	}
-	for k, v := range r.gauges {
-		gauges[k] = v
-	}
-	for k, v := range r.ops {
-		ops[k] = v
-	}
+	counters, gauges, ops := handles(r.counters), handles(r.gauges), handles(r.ops)
 	r.mu.RUnlock()
 	live := make(map[string]int64, len(counters))
 	for k, v := range counters {
@@ -264,7 +234,7 @@ func (r *Registry) WindowAt(now time.Time, window time.Duration) WindowStats {
 		ws.Gauges[k] = v.Value()
 	}
 	for k, v := range ops {
-		_, total, buckets := v.lat.raw()
+		total, buckets := v.lat.raw()
 		b := base.Ops[k]
 		wo := WindowOp{
 			Count:       clamp0(v.count.Value() - b.Count),
@@ -276,25 +246,28 @@ func (r *Registry) WindowAt(now time.Time, window time.Duration) WindowStats {
 		}
 		wo.PerSec = perSec(wo.Count, covered)
 		wo.ErrorPct = 100 * float64(wo.Errors) / float64(wo.Count)
-		var deltas [histBuckets]int64
-		var dtotal int64
-		for i := range deltas {
-			deltas[i] = clamp0(buckets[i] - b.Buckets[i])
-			dtotal += deltas[i]
+		for i := range buckets {
+			buckets[i] = clamp0(buckets[i] - b.Buckets[i])
 		}
-		if dtotal > 0 {
-			wo.P50Micros = quantile(deltas[:], dtotal, 0.50)
-			wo.P95Micros = quantile(deltas[:], dtotal, 0.95)
-			wo.P99Micros = quantile(deltas[:], dtotal, 0.99)
-			for i, n := range deltas {
-				if n > 0 {
-					wo.Buckets = append(wo.Buckets, BucketCount{UpperMicros: BucketUpperMicros(i), Count: n})
-				}
-			}
-		}
+		wo.setBuckets(&buckets)
 		ws.Ops[k] = wo
 	}
 	return ws
+}
+
+// setBuckets sets the window's quantiles and Buckets from its bucket
+// counts.
+func (o *WindowOp) setBuckets(counts *[histBuckets]int64) {
+	var total int64
+	for _, n := range counts {
+		total += n
+	}
+	if total > 0 {
+		o.P50Micros = quantile(counts[:], total, 0.50)
+		o.P95Micros = quantile(counts[:], total, 0.95)
+		o.P99Micros = quantile(counts[:], total, 0.99)
+		o.Buckets = foldBuckets(counts)
+	}
 }
 
 func perSec(delta int64, covered float64) float64 {
@@ -348,16 +321,7 @@ func MergeWindows(wins []WindowStats) WindowStats {
 			o.TotalMicros += v.TotalMicros
 			out.Ops[k] = o
 			m := merged[k]
-			for _, b := range v.Buckets {
-				i := bits.Len64(uint64(b.UpperMicros)) - 1
-				if i < 0 {
-					i = 0
-				}
-				if i >= histBuckets {
-					i = histBuckets - 1
-				}
-				m[i] += b.Count
-			}
+			addBuckets(&m, v.Buckets)
 			merged[k] = m
 		}
 	}
@@ -366,55 +330,8 @@ func MergeWindows(wins []WindowStats) WindowStats {
 			o.ErrorPct = 100 * float64(o.Errors) / float64(o.Count)
 		}
 		m := merged[k]
-		var total int64
-		for _, n := range m {
-			total += n
-		}
-		if total > 0 {
-			o.P50Micros = quantile(m[:], total, 0.50)
-			o.P95Micros = quantile(m[:], total, 0.95)
-			o.P99Micros = quantile(m[:], total, 0.99)
-			for i, n := range m {
-				if n > 0 {
-					o.Buckets = append(o.Buckets, BucketCount{UpperMicros: BucketUpperMicros(i), Count: n})
-				}
-			}
-		}
+		o.setBuckets(&m)
 		out.Ops[k] = o
 	}
 	return out
-}
-
-// WriteWindowText dumps window stats as sorted "name value" lines —
-// the format /metrics?window= serves alongside the lifetime dump.
-func WriteWindowText(w io.Writer, ws WindowStats) error {
-	lines := make([]string, 0, len(ws.Counters)+len(ws.Gauges)+7*len(ws.Ops)+2)
-	lines = append(lines,
-		fmt.Sprintf("window_seconds %.0f", ws.WindowSeconds),
-		fmt.Sprintf("window_covered_seconds %.1f", ws.CoveredSeconds),
-	)
-	for k, v := range ws.Counters {
-		lines = append(lines, fmt.Sprintf("%s.delta %d", k, v.Delta), fmt.Sprintf("%s.per_sec %.2f", k, v.PerSec))
-	}
-	for k, v := range ws.Gauges {
-		lines = append(lines, fmt.Sprintf("%s %d", k, v))
-	}
-	for k, o := range ws.Ops {
-		lines = append(lines,
-			fmt.Sprintf("%s.count %d", k, o.Count),
-			fmt.Sprintf("%s.errors %d", k, o.Errors),
-			fmt.Sprintf("%s.per_sec %.2f", k, o.PerSec),
-			fmt.Sprintf("%s.error_pct %.2f", k, o.ErrorPct),
-			fmt.Sprintf("%s.p50_us %.1f", k, o.P50Micros),
-			fmt.Sprintf("%s.p95_us %.1f", k, o.P95Micros),
-			fmt.Sprintf("%s.p99_us %.1f", k, o.P99Micros),
-		)
-	}
-	sort.Strings(lines)
-	for _, ln := range lines {
-		if _, err := fmt.Fprintln(w, ln); err != nil {
-			return err
-		}
-	}
-	return nil
 }

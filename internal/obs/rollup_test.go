@@ -1,9 +1,7 @@
 package obs
 
 import (
-	"bytes"
 	"errors"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -201,29 +199,5 @@ func TestMergeWindows(t *testing.T) {
 	}
 	if o.P99Micros < float64(1<<19) {
 		t.Errorf("grid p99 = %v, want in the slow tail (>= %d)", o.P99Micros, 1<<19)
-	}
-}
-
-func TestWriteWindowText(t *testing.T) {
-	reg := NewRegistry()
-	now := time.Now()
-	reg.CaptureRollup(now.Add(-time.Minute))
-	reg.Counter("bytes").Add(60)
-	reg.Op("server.get").Observe(time.Millisecond, nil)
-	var buf bytes.Buffer
-	if err := WriteWindowText(&buf, reg.WindowAt(now, time.Minute)); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{
-		"window_seconds 60",
-		"bytes.delta 60",
-		"bytes.per_sec 1.00",
-		"server.get.count 1",
-		"server.get.p99_us",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("window text missing %q:\n%s", want, out)
-		}
 	}
 }

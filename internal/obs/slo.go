@@ -140,20 +140,10 @@ func parseSLORule(line string) (SLORule, error) {
 	return r, nil
 }
 
+// sloSlug joins a rule's parts into its name: "*" reads "all", and
+// legalName filters the rest.
 func sloSlug(parts ...string) string {
-	s := strings.Join(parts, "_")
-	var b strings.Builder
-	for _, c := range s {
-		switch {
-		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9', c == '_':
-			b.WriteRune(c)
-		case c == '*':
-			b.WriteString("all")
-		default:
-			b.WriteByte('_')
-		}
-	}
-	return b.String()
+	return legalName("", strings.ReplaceAll(strings.Join(parts, "_"), "*", "all"))
 }
 
 // Alert is one fire/resolve transition in the alert log.
@@ -333,7 +323,7 @@ func (e *SLOEvaluator) Evaluate(now time.Time) []SLOStatus {
 	hook := e.onFire
 	e.mu.Unlock()
 	// Fire hooks outside the lock: a hook that re-enters the evaluator
-	// (Status, Firing) or captures an incident must not deadlock it.
+	// (Status) or captures an incident must not deadlock it.
 	for _, ev := range fired {
 		hook(now, ev.rule, ev.alert)
 	}
@@ -359,22 +349,6 @@ func (e *SLOEvaluator) Status() []SLOStatus {
 		})
 	}
 	return statuses
-}
-
-// Firing reports how many rules are currently in violation.
-func (e *SLOEvaluator) Firing() int {
-	if e == nil {
-		return 0
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	n := 0
-	for _, f := range e.firing {
-		if f {
-			n++
-		}
-	}
-	return n
 }
 
 // observe extracts the rule's measurable from the window. ok is false

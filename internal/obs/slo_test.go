@@ -106,8 +106,8 @@ func TestSLOEvaluateFireAndResolve(t *testing.T) {
 	if reg.Gauge("slo.get_p99_5m.violating").Value() != 1 || reg.Gauge("slo.violating").Value() != 1 {
 		t.Error("violation gauges not set")
 	}
-	if ev.Firing() != 1 {
-		t.Errorf("Firing = %d, want 1", ev.Firing())
+	if s := ev.Status(); !s[0].Violating {
+		t.Errorf("Status = %+v, want the rule violating", s)
 	}
 
 	// Recovery: rebaseline past the spike, fast traffic only.

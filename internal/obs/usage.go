@@ -1,10 +1,6 @@
 package obs
 
-import (
-	"sort"
-	"sync"
-	"time"
-)
+import "time"
 
 // UsageStat is the accumulated account for one (user, collection)
 // pair: how many operations that principal ran against that part of
@@ -38,14 +34,14 @@ const maxUsageKeys = 1024
 
 // UsageTable accumulates per-user, per-collection usage. Safe for
 // concurrent use; all methods tolerate a nil receiver.
-type UsageTable struct {
-	mu sync.Mutex
-	m  map[usageKey]*UsageStat
-}
+type UsageTable table[usageKey, UsageStat]
 
-// NewUsageTable returns an empty table.
+func (u *UsageTable) t() *table[usageKey, UsageStat] { return (*table[usageKey, UsageStat])(u) }
+
+// NewUsageTable returns an empty table: maxUsageKeys rows, plus 64 for
+// the "(other)" rows of the users who overflow it.
 func NewUsageTable() *UsageTable {
-	return &UsageTable{m: make(map[usageKey]*UsageStat)}
+	return &UsageTable{m: make(map[usageKey]*UsageStat), max: maxUsageKeys + 64}
 }
 
 // Record accounts one completed operation to (user, collection).
@@ -63,7 +59,7 @@ func (u *UsageTable) Record(user, coll, trace, op string, failed bool, bytesIn, 
 	if !ok {
 		if len(u.m) >= maxUsageKeys {
 			key = usageKey{user: user, coll: "(other)"}
-			if st, ok = u.m[key]; !ok && len(u.m) >= maxUsageKeys+64 {
+			if st, ok = u.m[key]; !ok && len(u.m) >= u.max {
 				return // even the overflow rows are full; drop
 			}
 		}
@@ -90,20 +86,17 @@ func (u *UsageTable) Record(user, coll, trace, op string, failed bool, bytesIn, 
 // Snapshot returns every accounting row, sorted by user then
 // collection for stable output.
 func (u *UsageTable) Snapshot() []UsageStat {
-	if u == nil {
-		return nil
-	}
-	u.mu.Lock()
-	out := make([]UsageStat, 0, len(u.m))
-	for _, st := range u.m {
-		out = append(out, *st)
-	}
-	u.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].User != out[j].User {
-			return out[i].User < out[j].User
+	return u.t().snapshot(func(a, b *UsageStat) bool {
+		if a.User != b.User {
+			return a.User < b.User
 		}
-		return out[i].Collection < out[j].Collection
+		return a.Collection < b.Collection
 	})
-	return out
+}
+
+// Restore refills the table from persisted rows (telemetry boot replay).
+func (u *UsageTable) Restore(rows []UsageStat) {
+	u.t().restore(rows, func(st *UsageStat) (usageKey, bool) {
+		return usageKey{user: st.User, coll: st.Collection}, st.User != ""
+	})
 }

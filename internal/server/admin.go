@@ -32,9 +32,10 @@ import (
 //
 //	/metrics       Prometheus text exposition format; append
 //	               ?format=openmetrics for OpenMetrics with trace-ID
-//	               tail exemplars on histogram buckets, or
-//	               ?window=5m for windowed rates/quantiles from the
-//	               rollup ring (audit drops refreshed per scrape)
+//	               tail exemplars on histogram buckets (audit drops
+//	               refreshed per scrape). Windowed rates and quantiles
+//	               from the rollup ring are the grid feed's:
+//	               /grid?grid=0&window=5m&format=text
 //	/healthz       readiness probe: 200 when healthy, 503 with one
 //	               detail line per open breaker / offline resource /
 //	               wedged repair engine; the repair backlog line and
@@ -53,15 +54,6 @@ func NewAdminHandler(env report.Env) http.Handler {
 		reg.Gauge("audit.dropped").Set(b.Audit.Dropped())
 		b.Breakers().Publish()
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		if r.URL.Query().Has("window") {
-			window, err := report.Window(r.URL.Query())
-			if err != nil {
-				http.Error(w, err.Error(), http.StatusBadRequest)
-				return
-			}
-			obs.WriteWindowText(w, reg.Window(window))
-			return
-		}
 		if r.URL.Query().Get("format") == "openmetrics" {
 			w.Header().Set("Content-Type", "application/openmetrics-text; version=1.0.0; charset=utf-8")
 			obs.WriteOpenMetrics(w, reg.Snapshot())

@@ -184,8 +184,8 @@ func TestAlertsOp(t *testing.T) {
 }
 
 // TestAdminGridAndAlerts exercises the HTTP faces of the grid console:
-// /grid (federated JSON snapshot), /alerts, /metrics?window= and the
-// SLO warn lines on /healthz.
+// /grid (federated JSON snapshot, and this daemon's window as text),
+// /alerts and the SLO warn lines on /healthz.
 func TestAdminGridAndAlerts(t *testing.T) {
 	z := newZone(t, Proxy)
 	gridActivity(t, z)
@@ -240,13 +240,13 @@ func TestAdminGridAndAlerts(t *testing.T) {
 		t.Errorf("/alerts = %+v, want the firing transition", alerts)
 	}
 
-	win := get("/metrics?window=5m")
-	for _, want := range []string{"window_seconds 300", "server.ingest.p99_us"} {
+	win := get("/grid?grid=0&window=5m&format=text")
+	for _, want := range []string{"window: 300s", "p99(us)", "server.ingest"} {
 		if !strings.Contains(win, want) {
-			t.Errorf("/metrics?window=5m missing %q:\n%s", want, win)
+			t.Errorf("/grid?grid=0&window=5m&format=text missing %q:\n%s", want, win)
 		}
 	}
-	if resp, err := http.Get("http://" + addr + "/metrics?window=bogus"); err == nil {
+	if resp, err := http.Get("http://" + addr + "/grid?window=bogus"); err == nil {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("bad window status = %d, want 400", resp.StatusCode)
 		}
