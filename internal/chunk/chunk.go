@@ -6,6 +6,7 @@ package chunk
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"sync"
 )
@@ -88,4 +89,62 @@ func (r *Slices) Read(p []byte) (int, error) {
 	n := copy(p, (*r)[0])
 	(*r)[0] = (*r)[0][n:]
 	return n, nil
+}
+
+// Spool holds a stream in chunks borrowed from the pool: Write appends,
+// taking a new chunk only when the last one is full, so its memory
+// follows the bytes that arrive and no announced length sizes it. The
+// zero value is empty and ready to use.
+//
+// Only the code that took a spool may Release it, and only once nothing
+// can still write into it: a chunk put back under a running Write would
+// land in another borrower's hands. A spool nobody can vouch for is
+// dropped to the GC instead.
+type Spool struct {
+	bufs []*[]byte
+	n    int64
+}
+
+// Write appends p.
+func (s *Spool) Write(p []byte) (int, error) {
+	w := len(p)
+	for len(p) > 0 {
+		if s.n == int64(len(s.bufs))*Size {
+			s.bufs = append(s.bufs, Get())
+		}
+		c := copy((*s.bufs[len(s.bufs)-1])[s.n%Size:], p)
+		p = p[c:]
+		s.n += int64(c)
+	}
+	return w, nil
+}
+
+// ReadAt reads len(p) bytes from off, or what there is before Len with
+// io.EOF.
+func (s *Spool) ReadAt(p []byte, off int64) (int, error) {
+	if off < 0 {
+		return 0, errors.New("chunk: negative spool offset")
+	}
+	n := 0
+	for n < len(p) && off < s.n {
+		end := min(Size, s.n-off/Size*Size)
+		c := copy(p[n:], (*s.bufs[off/Size])[off%Size:end])
+		n += c
+		off += int64(c)
+	}
+	if n < len(p) {
+		return n, io.EOF
+	}
+	return n, nil
+}
+
+// Len returns the bytes written.
+func (s *Spool) Len() int64 { return s.n }
+
+// Release returns the chunks to the pool and empties the spool.
+func (s *Spool) Release() {
+	for _, b := range s.bufs {
+		Put(b)
+	}
+	s.bufs, s.n = s.bufs[:0], 0
 }

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -437,6 +438,144 @@ func TestMultiGetShortItemAborts(t *testing.T) {
 		} else if r.Err != nil || !bytes.Equal(r.Data, body(i)) {
 			t.Errorf("%s: local item beside a dead peer = %d bytes, %v; want its %d bytes", r.Path, len(r.Data), r.Err, len(body(i)))
 		}
+	}
+}
+
+// fakeOwner plays the server side of a peer connection by hand, as
+// rawAuth plays the client side: it challenges, accepts any answer,
+// then hands each request it reads to answer until the conn closes.
+func fakeOwner(nc net.Conn, answer func(c *wire.Conn, req *wire.Request) error) {
+	defer nc.Close()
+	c := wire.NewConn(nc)
+	var a wire.Auth
+	if c.WriteJSON(wire.MsgChallenge, wire.Challenge{Server: "srb2", Nonce: "nonce"}) != nil ||
+		c.ReadJSON(wire.MsgAuth, &a) != nil ||
+		c.WriteJSON(wire.MsgAuthOK, wire.AuthOK{Server: "srb2"}) != nil {
+		return
+	}
+	for {
+		var req wire.Request
+		if c.ReadRequest(&req) != nil || answer(c, &req) != nil {
+			return
+		}
+	}
+}
+
+// TestMultiGetOwnerManifestCannotPresize: an owner that announces 1 GiB
+// and sends 16 bytes fails its own items as invalid and buys nothing
+// with the announcement: the local items beside it come back whole, and
+// srb1 allocates nowhere near the announced size.
+func TestMultiGetOwnerManifestCannotPresize(t *testing.T) {
+	z := newZone(t, Proxy)
+	var paths []string
+	for i := 0; i < 4; i++ {
+		b, res := z.b1, "disk1"
+		if i%2 == 1 {
+			b, res = z.b2, "disk2"
+		}
+		paths = append(paths, fmt.Sprintf("/home/p%d", i))
+		if _, err := b.Ingest("alice", core.IngestOpts{Path: paths[i], Data: body(i), Resource: res}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	z.s1.SetPeerDialer(func(string) (net.Conn, error) {
+		srv, cli := net.Pipe()
+		t.Cleanup(func() { srv.Close() })
+		go fakeOwner(srv, func(c *wire.Conn, req *wire.Request) error {
+			var a wire.MultiGetArgs
+			if err := wire.DecodeBody(req.Args, &a); err != nil {
+				return err
+			}
+			rep := wire.MultiGetReply{Server: "srb2"}
+			for _, p := range a.Paths {
+				rep.Items = append(rep.Items, wire.MultiGetItem{Path: p, OK: true, Size: (1 << 30) / int64(len(a.Paths))})
+			}
+			manifest, err := wire.AppendBody(nil, rep)
+			if err == nil {
+				err = c.WriteResponse(&wire.Response{ID: req.ID, OK: true, Body: manifest, DataFollows: true})
+			}
+			if err == nil {
+				err = c.WriteMsg(wire.MsgData, make([]byte, 16))
+			}
+			if err == nil {
+				err = c.WriteMsg(wire.MsgDataEnd, nil)
+			}
+			return err
+		})
+		return cli, nil
+	})
+	cl := z.client(z.addr1, "alice", "alicepw")
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, err := cl.MultiGet(paths)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range res {
+		if i%2 == 1 {
+			if !errors.Is(r.Err, types.ErrInvalid) {
+				t.Errorf("%s: item of a lying owner = %d bytes, %v; want invalid", r.Path, len(r.Data), r.Err)
+			}
+		} else if r.Err != nil || !bytes.Equal(r.Data, body(i)) {
+			t.Errorf("%s: local item beside a lying owner = %d bytes, %v; want its %d bytes", r.Path, len(r.Data), r.Err, len(body(i)))
+		}
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 16<<20 {
+		t.Errorf("a 1 GiB manifest over 16 bytes cost %d bytes of allocation, want < 16 MiB", grew)
+	}
+}
+
+// TestMultiGetRetryAfterMidStreamDrop: the first connection to the owner
+// drops a chunk into its reply and the retry on a fresh one succeeds.
+// Every item comes back byte-exact, so the abandoned attempt's spool
+// neither leaked into the reply nor was handed back to the pool for
+// another request to overwrite (run it under -race).
+func TestMultiGetRetryAfterMidStreamDrop(t *testing.T) {
+	z := newZone(t, Proxy)
+	inj := faultnet.New(1)
+	inj.Target("peer").DropAfterBytes(wire.DataChunk)
+	dial := func(a string) (net.Conn, error) { return net.DialTimeout("tcp", a, 5*time.Second) }
+	flaky := inj.WrapDial("peer", dial)
+	var dials atomic.Int64
+	z.s1.SetPeerDialer(func(a string) (net.Conn, error) {
+		if dials.Add(1) == 1 {
+			return flaky(a)
+		}
+		return dial(a)
+	})
+	z.s1.SetRetryPolicy(resilience.Policy{MaxAttempts: 3, BaseDelay: time.Millisecond, MaxDelay: time.Millisecond})
+	z.s1.sleep = func(time.Duration) {}
+	var paths []string
+	want := map[string][]byte{}
+	for i := 0; i < 6; i++ {
+		b, res, data := z.b1, "disk1", body(i)
+		if i%2 == 1 {
+			// Remote items span several data frames, so the link drops
+			// inside the owner's stream.
+			b, res, data = z.b2, "disk2", bytes.Repeat(data, wire.DataChunk/len(data)+1)
+		}
+		paths = append(paths, fmt.Sprintf("/home/r%d", i))
+		want[paths[i]] = data
+		if _, err := b.Ingest("alice", core.IngestOpts{Path: paths[i], Data: data, Resource: res}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cl := z.client(z.addr1, "alice", "alicepw")
+	res, err := cl.MultiGet(paths)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range res {
+		if r.Err != nil || !bytes.Equal(r.Data, want[r.Path]) {
+			t.Errorf("%s: %d bytes, %v; want its %d bytes", r.Path, len(r.Data), r.Err, len(want[r.Path]))
+		}
+	}
+	if n := dials.Load(); n != 2 {
+		t.Errorf("srb1 dialed srb2 %d times, want 2 (the dropped link and its replacement)", n)
+	}
+	if got := z.b1.Metrics().Counter("federation.retries").Value(); got != 1 {
+		t.Errorf("federation.retries = %d, want 1", got)
 	}
 }
 

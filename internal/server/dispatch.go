@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"reflect"
@@ -588,9 +587,11 @@ func (s *Server) observeBatch(n int) {
 //
 // The batch is held whole before any item is ingested, because a
 // manifest that disagrees with the stream must fail the batch with
-// nothing stored. The buffer grows with the bytes that arrive and stops
-// at the manifest's total: a client cannot make it larger by declaring
-// a size, nor by sending more than it declared.
+// nothing stored. It is held in a chunk.Spool, which grows with the
+// bytes that arrive and stops at the manifest's total: a client cannot
+// make it larger by declaring a size, nor by sending more than it
+// declared. Each item reads its own section of the spool, so an item
+// refused before it reads its bytes cannot shift its neighbours'.
 func bulkPut(c call, a wire.BulkPutArgs) (wire.BulkPutReply, error) {
 	s, ss, user := c.s, c.ss, c.user
 	rep := wire.BulkPutReply{Server: s.name}
@@ -601,7 +602,8 @@ func bulkPut(c call, a wire.BulkPutArgs) (wire.BulkPutReply, error) {
 		}
 		total += it.Size
 	}
-	var batch wire.Buffer
+	var batch chunk.Spool
+	defer batch.Release()
 	got, err := chunk.Copy(&batch, io.LimitReader(ss.in, total+1))
 	if err != nil {
 		return rep, types.E(wire.OpBulkPut, "", err)
@@ -614,11 +616,10 @@ func bulkPut(c call, a wire.BulkPutArgs) (wire.BulkPutReply, error) {
 		return rep, types.E(wire.OpBulkPut, "",
 			fmt.Errorf("manifest declares %d bytes, stream carries %s: %w", total, carried, types.ErrInvalid))
 	}
-	stream := batch.Bytes()
 	s.observeBatch(len(a.Items))
 	off := int64(0)
 	for _, it := range a.Items {
-		data := stream[off : off+it.Size : off+it.Size]
+		data := io.NewSectionReader(&batch, off, it.Size)
 		off += it.Size
 		st := wire.BulkItemStatus{Path: it.Path, OK: true}
 		var err error
@@ -629,11 +630,11 @@ func bulkPut(c call, a wire.BulkPutArgs) (wire.BulkPutReply, error) {
 				DataType: it.DataType, Meta: it.Meta,
 			})
 			if err == nil {
-				_, err = s.proxyIngest(owner, user, ireq, bytes.NewReader(data), ss.deadline, ss.span)
+				_, err = s.proxyIngest(owner, user, ireq, data, ss.deadline, ss.span)
 			}
 		} else {
 			_, err = s.broker.Ingest(user, core.IngestOpts{
-				Path: it.Path, Data: data, Resource: it.Resource,
+				Path: it.Path, Reader: data, Resource: it.Resource,
 				Container: it.Container, DataType: it.DataType, Meta: it.Meta,
 			})
 		}
@@ -653,10 +654,18 @@ func bulkPut(c call, a wire.BulkPutArgs) (wire.BulkPutReply, error) {
 //
 // Remote items cross the WAN once per owner, not once per item: each
 // owning peer is sent one multiget of its paths, the owners run
-// concurrently, and each owner's reply is received into one buffer.
-// Local items are opened, not read: their bytes stream from the
-// replicas into the reply through the pooled chunk, so no local item is
-// held whole.
+// concurrently, and each owner's reply is received into a chunk.Spool.
+// That reply is held, not relayed, because an owner that dies mid-stream
+// must fail its own items and no others, and the client's manifest
+// cannot go out before every owner's stream is complete. Local items
+// are opened, not read: their bytes stream from the replicas into the
+// reply through the pooled chunk, so no local item is held whole.
+//
+// Once the reply is sent, the spool of every owner whose call succeeded
+// goes back to the pool. A failed attempt's spool is dropped to the GC
+// instead: a call that timed out may leave its last Write running
+// (wire.Sink), and a chunk put back under it would corrupt another
+// request.
 func multiGet(c call, a wire.MultiGetArgs) error {
 	s, ss := c.s, c.ss
 	s.observeBatch(len(a.Paths))
@@ -695,6 +704,11 @@ func multiGet(c call, a wire.MultiGetArgs) error {
 		ob.fill(rep.Items, parts)
 	}
 	defer func() {
+		for _, ob := range owners {
+			if ob.err == nil {
+				ob.spool.Release()
+			}
+		}
 		for i := range parts {
 			if parts[i].f != nil {
 				parts[i].f.Close()
@@ -723,7 +737,7 @@ type ownerBatch struct {
 	idx   []int
 	paths []string
 	rep   wire.MultiGetReply
-	buf   *wire.Buffer
+	spool *chunk.Spool
 	err   error
 }
 
@@ -758,22 +772,23 @@ func (ob *ownerBatch) fetch(c call) {
 }
 
 // Begin decodes the owner's manifest and receives the stream behind it
-// into one buffer presized to the manifest's sizes (wire.Sink). Each
-// attempt starts from a fresh buffer, so a retry never sees a torn one.
+// into a spool (wire.Sink). Nothing is presized from the manifest's
+// sizes: a peer's announced length buys it no memory, only the bytes it
+// sends do. Each attempt starts from a fresh spool, so a retry never
+// sees a torn one, nor a chunk an abandoned attempt may still write to.
 func (ob *ownerBatch) Begin(resp *wire.Response) (io.Writer, error) {
 	ob.rep = wire.MultiGetReply{}
 	if err := wire.DecodeBody(resp.Body, &ob.rep); err != nil {
 		return nil, err
 	}
-	ob.buf = new(wire.Buffer)
-	ob.buf.Grow(ob.rep.DataLen())
-	return ob.buf, nil
+	ob.spool = new(chunk.Spool)
+	return ob.spool, nil
 }
 
 // check accepts a manifest that names exactly the requested paths, in
 // the requested order, with sizes that account for the stream received.
 func (ob *ownerBatch) check() error {
-	left := int64(len(ob.buf.Bytes()))
+	left := ob.spool.Len()
 	ok := len(ob.rep.Items) == len(ob.paths)
 	for j := 0; ok && j < len(ob.paths); j++ {
 		it := &ob.rep.Items[j]
@@ -789,7 +804,7 @@ func (ob *ownerBatch) check() error {
 }
 
 // fill puts the owner's answer in the request's places: each item as the
-// peer reported it, its bytes sliced from the owner's buffer; or, when
+// peer reported it, its bytes a section of the owner's spool; or, when
 // the call failed as a whole, its error on every one of them.
 func (ob *ownerBatch) fill(items []wire.MultiGetItem, parts []batchPart) {
 	if ob.err != nil {
@@ -799,24 +814,25 @@ func (ob *ownerBatch) fill(items []wire.MultiGetItem, parts []batchPart) {
 		}
 		return
 	}
-	data := ob.buf.Bytes()
+	off := int64(0)
 	for j, i := range ob.idx {
 		items[i] = ob.rep.Items[j]
 		if items[i].OK {
-			size := items[i].Size
-			parts[i].data, parts[i].left = data[:size:size], size
-			data = data[size:]
+			parts[i].spool, parts[i].off, parts[i].left = ob.spool, off, items[i].Size
+			off += items[i].Size
 		}
 	}
 }
 
 // batchPart is one item of a multiget's stream: a local item's open
-// replica, or a remote item's bytes, and how many of them are still owed.
+// replica, or a remote item's place in its owner's spool, and how many
+// of its bytes are still owed.
 type batchPart struct {
 	path   string
 	remote bool
 	f      storage.ReadFile
-	data   []byte
+	spool  *chunk.Spool
+	off    int64
 	left   int64
 }
 
@@ -837,9 +853,10 @@ func (b *batchReader) Read(p []byte) (int, error) {
 		p = p[:pt.left]
 	}
 	if pt.f == nil {
-		n := copy(p, pt.data)
-		pt.data, pt.left = pt.data[n:], pt.left-int64(n)
-		return n, nil
+		// check vouched that the spool holds every byte the part owes.
+		n, err := pt.spool.ReadAt(p, pt.off)
+		pt.off, pt.left = pt.off+int64(n), pt.left-int64(n)
+		return n, err
 	}
 	n, err := pt.f.Read(p)
 	pt.left -= int64(n)

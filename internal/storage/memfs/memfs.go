@@ -90,13 +90,19 @@ func (w *writer) Write(p []byte) (int, error) {
 	return w.buf.Write(p)
 }
 
-// Close publishes the accumulated bytes atomically.
+// Close publishes the accumulated bytes atomically. The buffer's own
+// array is kept when at most an eighth of it is spare, so a stored file
+// costs no copy and stays within 1/8 of its length; a looser one is
+// copied tight. A closed writer never touches the array again.
 func (w *writer) Close() error {
 	if w.closed {
 		return nil
 	}
 	w.closed = true
-	data := append([]byte(nil), w.buf.Bytes()...)
+	data := w.buf.Bytes()
+	if cap(data)-len(data) > len(data)/8 {
+		data = append([]byte(nil), data...)
+	}
 	w.fs.mu.Lock()
 	w.fs.files[w.path] = &entry{data: data, modTime: w.fs.now()}
 	w.fs.markDirs(w.path)

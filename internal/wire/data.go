@@ -189,7 +189,8 @@ type Buffer struct {
 const maxPresize = 1 << 30
 
 // Grow makes room for n more bytes. Only a client presizes, from the
-// length its server announced; a server never does from a client's.
+// length its server announced; a server never does, from a client's
+// length or a peer's: it holds forwarded bytes in a chunk.Spool.
 func (b *Buffer) Grow(n int64) {
 	if n > maxPresize {
 		n = maxPresize
