@@ -113,14 +113,18 @@ test-repair:
 	$(GO) test -race -count=1 ./internal/repair/ ./internal/mcat/
 	$(GO) test -race -count=1 -run 'TestRepairQueueRestartRecovery|TestHealthzWedgedRepair' ./cmd/srbd/
 
-# Wire-protocol sweep: the handshake, the mux/pool race suite and the
-# batch-semantics tests, repeated under -race — the checkout/checkin and
-# out-of-order demux races only surface across many interleavings. (The
-# pipelined chaos e2e rides test-faults' 10x TestChaos loop.)
+# Wire-protocol sweep: the handshake, the mux/pool race suite (waiter
+# reuse among it) and the batch-semantics tests, repeated under -race —
+# the checkout/checkin, out-of-order demux and recycled-waiter races only
+# surface across many interleavings. (The pipelined chaos e2e rides
+# test-faults' 10x TestChaos loop.) Then the round trip's allocation
+# budget, which the race detector's own allocations would swamp, without
+# -race.
 test-wire:
 	$(GO) test -race -count=10 -run 'TestHandshake|TestMux|TestPool' ./internal/wire/
 	$(GO) test -race -count=10 -run 'TestBatcher' ./internal/client/
 	$(GO) test -race -count=1 -run 'TestBulk|TestMultiGet' ./internal/server/
+	$(GO) test -count=3 -run 'TestRoundTripAllocBudget' ./internal/server/
 
 # Exemplar-integrity sweep: the bucket→trace-ID retention race only
 # surfaces across many interleavings; 10x under -race proves tail

@@ -73,7 +73,7 @@ func (b *Broker) scrubObject(path string, sp *obs.Span, rpt *types.ScrubReport) 
 			rpt.Skipped++
 			continue
 		}
-		if b.breakers.For("resource."+r.Resource).State() == resilience.Open {
+		if b.breakers.For("resource", r.Resource).State() == resilience.Open {
 			sp.Event(obs.EventBreakerFast, "resource."+r.Resource)
 			rpt.Skipped++
 			continue
@@ -166,7 +166,7 @@ func (b *Broker) scrubReplication(path string, o *types.DataObject, sp *obs.Span
 			have[m] = true // one attempt per member even across logical resources
 			mres, err := b.Cat.GetResource(m)
 			ok := err == nil && mres.Online &&
-				b.breakers.For("resource."+m).State() != resilience.Open
+				b.breakers.For("resource", m).State() != resilience.Open
 			if ok {
 				if _, err := b.rm.Replicate(path, m); err == nil {
 					rpt.Replicated++

@@ -1,6 +1,9 @@
 package obs
 
 import (
+	"fmt"
+	"math"
+	"math/rand/v2"
 	"strings"
 	"sync"
 	"testing"
@@ -132,6 +135,65 @@ func TestSpanEvents(t *testing.T) {
 	got := ring.ForTrace(sp.Trace)
 	if len(got) != 1 || len(got[0].Events) != 2 || got[0].Parent != "parent-id" {
 		t.Fatalf("ended record = %+v", got)
+	}
+}
+
+// TestIDFormat holds the trace- and span-ID format: 16 lower-case hex
+// digits, exactly what fmt's %016x writes.
+func TestIDFormat(t *testing.T) {
+	vals := []uint64{0, 1, 1 << 63, math.MaxUint64}
+	for i := 0; i < 1000; i++ {
+		vals = append(vals, rand.Uint64())
+	}
+	for _, v := range vals {
+		if got, want := hexID(v), fmt.Sprintf("%016x", v); got != want {
+			t.Fatalf("hexID(%d) = %q, want %q", v, got, want)
+		}
+	}
+	for _, id := range []string{NewTraceID(), NewSpanID()} {
+		if len(id) != 16 || strings.Trim(id, "0123456789abcdef") != "" {
+			t.Errorf("ID %q is not 16 lower-case hex digits", id)
+		}
+	}
+}
+
+// TestSpanOpenInPlace covers a span held by value: opened in place, it
+// records past its inline events in order, End hands back the one copy
+// the ring record holds, and opening it costs only its ID.
+func TestSpanOpenInPlace(t *testing.T) {
+	var sp Span
+	sp.Open("trace-1", "parent-1", "get")
+	if sp.Trace != "trace-1" || sp.Parent != "parent-1" || sp.Op != "get" || len(sp.ID) != 16 {
+		t.Fatalf("opened span = %+v", &sp)
+	}
+	for i := 0; i < 12; i++ {
+		sp.Phase(fmt.Sprintf("p%d", i), time.Duration(i)*time.Microsecond)
+	}
+	ring := NewTraceRing(4)
+	evs := sp.End(ring, "srb1", "", nil)
+	if len(evs) != 12 {
+		t.Fatalf("End returned %d events, want 12", len(evs))
+	}
+	for i, ev := range evs {
+		if ev.Kind != EventPhase || ev.Detail != fmt.Sprintf("p%d", i) || ev.DurMicros != int64(i) {
+			t.Fatalf("event %d = %+v", i, ev)
+		}
+	}
+	rec := ring.ForTrace("trace-1")
+	if len(rec) != 1 || &rec[0].Events[0] != &evs[0] {
+		t.Fatal("End's events are not the ring record's")
+	}
+	sp.Phase("late", time.Microsecond)
+	if len(evs) != 12 || evs[11].Detail != "p11" || len(ring.ForTrace("trace-1")[0].Events) != 12 {
+		t.Error("a phase after End changed the ended record")
+	}
+
+	if n := testing.AllocsPerRun(100, func() { _ = NewTraceID() }); n != 1 {
+		t.Errorf("NewTraceID allocates %.1f objects, want 1", n)
+	}
+	var held Span
+	if n := testing.AllocsPerRun(100, func() { held.Open("trace-1", "", "get") }); n != 1 {
+		t.Errorf("Open on a held span allocates %.1f objects, want 1 (its ID)", n)
 	}
 }
 

@@ -11,14 +11,21 @@ import (
 
 // NewTraceID returns a fresh 16-hex-digit request trace ID. IDs only
 // need to be unique among recent requests, so a fast PRNG suffices.
-func NewTraceID() string {
-	return fmt.Sprintf("%016x", rand.Uint64())
-}
+func NewTraceID() string { return hexID(rand.Uint64()) }
 
 // NewSpanID returns a fresh 16-hex-digit span ID, unique within a
 // trace with overwhelming probability.
-func NewSpanID() string {
-	return fmt.Sprintf("%016x", rand.Uint64())
+func NewSpanID() string { return hexID(rand.Uint64()) }
+
+// hexID formats v as fmt's %016x does, in one allocation (the string).
+func hexID(v uint64) string {
+	const digits = "0123456789abcdef"
+	var b [16]byte
+	for i := len(b) - 1; i >= 0; i-- {
+		b[i] = digits[v&0xf]
+		v >>= 4
+	}
+	return string(b[:])
 }
 
 // SpanEvent is one structured annotation inside a span: a retry, a
@@ -54,7 +61,10 @@ const (
 // trace ID and the parent span ID travel in the wire Request envelope,
 // so the span a federated peer opens for a proxied call becomes a
 // child of the caller's span. Obtain spans with StartSpan /
-// StartSpanFrom; all methods tolerate a nil receiver.
+// StartSpanFrom, or Open one held in a larger value (a server's
+// per-request session); all methods tolerate a nil receiver. Its events
+// are held inline until there are more than fit, and copied once, by
+// End, into the ring record. A Span is not copied once opened.
 type Span struct {
 	Trace  string
 	ID     string
@@ -64,6 +74,9 @@ type Span struct {
 
 	mu     sync.Mutex
 	events []SpanEvent
+	// buf backs events: a dispatched request records ~5 phase stamps
+	// plus the odd annotation, so the hot path never grows the slice.
+	buf [8]SpanEvent
 }
 
 // StartSpan opens a root span under trace, minting a fresh trace ID
@@ -74,15 +87,19 @@ func StartSpan(trace, op string) *Span { return StartSpanFrom(trace, "", op) }
 // span ID (empty parent = root). A fresh trace ID is minted when trace
 // is empty.
 func StartSpanFrom(trace, parent, op string) *Span {
+	s := new(Span)
+	s.Open(trace, parent, op)
+	return s
+}
+
+// Open starts s in place as StartSpanFrom starts a new span. s must not
+// be in use: Open is for a span held by value, opened once.
+func (s *Span) Open(trace, parent, op string) {
 	if trace == "" {
 		trace = NewTraceID()
 	}
-	return &Span{
-		Trace: trace, ID: NewSpanID(), Parent: parent, Op: op, Start: time.Now(),
-		// A dispatched request records ~5 phase stamps plus the odd
-		// annotation; pre-sizing keeps the hot path realloc-free.
-		events: make([]SpanEvent, 0, 8),
-	}
+	s.Trace, s.ID, s.Parent, s.Op, s.Start = trace, NewSpanID(), parent, op, time.Now()
+	s.events = s.buf[:0]
 }
 
 // TraceID returns the span's trace ID ("" for a nil span).
@@ -202,10 +219,17 @@ func (t *TraceRing) ForTrace(id string) []SpanRecord {
 	return out
 }
 
-// End finishes the span into ring, stamping server/remote context.
-func (s *Span) End(ring *TraceRing, server, remote string, err error) {
-	if s == nil || ring == nil {
-		return
+// End finishes the span into ring, stamping server/remote context, and
+// returns the copy of its events the record holds. Callers may read that
+// slice (RecordPhases folds it) but not change it; events recorded after
+// End do not reach it.
+func (s *Span) End(ring *TraceRing, server, remote string, err error) []SpanEvent {
+	if s == nil {
+		return nil
+	}
+	events := s.Events()
+	if ring == nil {
+		return events
 	}
 	rec := SpanRecord{
 		Trace:  s.Trace,
@@ -216,12 +240,13 @@ func (s *Span) End(ring *TraceRing, server, remote string, err error) {
 		Remote: remote,
 		Start:  s.Start,
 		Micros: time.Since(s.Start).Microseconds(),
-		Events: s.Events(),
+		Events: events,
 	}
 	if err != nil {
 		rec.Err = err.Error()
 	}
 	ring.Add(rec)
+	return events
 }
 
 // SpanNode is one span with its resolved children — the unit of an

@@ -255,7 +255,7 @@ func (e *Engine) dispatch(workCh chan types.RepairTask) {
 				if busy || now.Before(notBefore) {
 					continue
 				}
-				if e.cfg.Breakers != nil && !e.cfg.Breakers.For("resource."+t.Resource).Allow() {
+				if e.cfg.Breakers != nil && !e.cfg.Breakers.For("resource", t.Resource).Allow() {
 					continue
 				}
 				e.mu.Lock()
@@ -317,7 +317,7 @@ func (e *Engine) runTask(t types.RepairTask) {
 	sp := obs.StartSpan("", "repair.task")
 	var br *resilience.Breaker
 	if e.cfg.Breakers != nil {
-		br = e.cfg.Breakers.For("resource." + t.Resource)
+		br = e.cfg.Breakers.For("resource", t.Resource)
 	}
 	err := e.cfg.Exec(t, sp)
 	if err == nil {

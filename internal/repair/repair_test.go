@@ -255,7 +255,7 @@ func TestEngineWedged(t *testing.T) {
 func TestEngineSkipsOpenBreaker(t *testing.T) {
 	reg := obs.NewRegistry()
 	set := resilience.NewSet(resilience.BreakerConfig{Threshold: 1, Cooldown: time.Hour}, reg)
-	set.For("resource.down").Failure() // trip it open
+	set.For("resource", "down").Failure() // trip it open
 
 	q := newFakeQueue()
 	q.add("/zone/blocked", "down")

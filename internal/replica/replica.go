@@ -110,7 +110,7 @@ func (m *Manager) SetBreakers(s *resilience.Set) { m.breakers = s }
 
 // breaker returns the breaker guarding a resource (nil when disabled).
 func (m *Manager) breaker(resource string) *resilience.Breaker {
-	return m.breakers.For("resource." + resource)
+	return m.breakers.For("resource", resource)
 }
 
 // NewManager returns a Manager with the FirstAlive policy.

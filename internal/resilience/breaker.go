@@ -117,16 +117,21 @@ func (s *Set) config() (BreakerConfig, func() time.Time) {
 	return s.cfg, s.now
 }
 
-// For returns (creating if absent) the breaker guarding key. Keys are
-// namespaced like metric names: "peer.srb2", "resource.disk1".
-func (s *Set) For(key string) *Breaker {
+// For returns (creating if absent) the breaker guarding name of kind.
+// Its key is namespaced like a metric name, kind + "." + name:
+// "peer.srb2", "resource.disk1". The key is built on the stack, so a
+// lookup allocates nothing; only a new breaker's key is allocated.
+func (s *Set) For(kind, name string) *Breaker {
 	if s == nil {
 		return nil
 	}
+	var buf [64]byte
+	k := append(append(append(buf[:0], kind...), '.'), name...)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	b, ok := s.m[key]
+	b, ok := s.m[string(k)]
 	if !ok {
+		key := string(k)
 		b = &Breaker{
 			set:   s,
 			key:   key,
@@ -145,15 +150,20 @@ func (s *Set) Publish() {
 	if s == nil {
 		return
 	}
+	for _, b := range s.all() {
+		b.state.Set(int64(b.State()))
+	}
+}
+
+// all snapshots the set's breakers under the set lock.
+func (s *Set) all() []*Breaker {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	breakers := make([]*Breaker, 0, len(s.m))
 	for _, b := range s.m {
 		breakers = append(breakers, b)
 	}
-	s.mu.Unlock()
-	for _, b := range breakers {
-		b.state.Set(int64(b.State()))
-	}
+	return breakers
 }
 
 // States snapshots every breaker's current state (tests, status pages).
@@ -161,15 +171,10 @@ func (s *Set) States() map[string]State {
 	if s == nil {
 		return nil
 	}
-	s.mu.Lock()
-	keys := make([]string, 0, len(s.m))
-	for k := range s.m {
-		keys = append(keys, k)
-	}
-	s.mu.Unlock()
-	out := make(map[string]State, len(keys))
-	for _, k := range keys {
-		out[k] = s.For(k).State()
+	breakers := s.all()
+	out := make(map[string]State, len(breakers))
+	for _, b := range breakers {
+		out[b.key] = b.State()
 	}
 	return out
 }

@@ -22,7 +22,7 @@ func TestBreakerConcurrentTripsAndProbes(t *testing.T) {
 	base := time.Unix(2000, 0)
 	s.SetClock(func() time.Time { return base.Add(time.Duration(clock.Load())) })
 
-	keys := []string{"peer.srb1", "peer.srb2", "resource.disk1", "resource.disk2"}
+	keys := [][2]string{{"peer", "srb1"}, {"peer", "srb2"}, {"resource", "disk1"}, {"resource", "disk2"}}
 	const workers = 16
 	const iters = 400
 	var wg sync.WaitGroup
@@ -31,7 +31,8 @@ func TestBreakerConcurrentTripsAndProbes(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
-				b := s.For(keys[(w+i)%len(keys)])
+				k := keys[(w+i)%len(keys)]
+				b := s.For(k[0], k[1])
 				switch i % 7 {
 				case 0, 1, 2:
 					b.Failure() // trip pressure

@@ -172,7 +172,7 @@ func newTestSet(threshold int, cooldown time.Duration) (*Set, *fakeClock) {
 // cycle, covering both probe outcomes.
 func TestBreakerStateMachine(t *testing.T) {
 	s, clk := newTestSet(3, time.Second)
-	b := s.For("peer.srb2")
+	b := s.For("peer", "srb2")
 
 	if st := b.State(); st != Closed {
 		t.Fatalf("initial state = %v", st)
@@ -229,9 +229,12 @@ func TestBreakerStateMachine(t *testing.T) {
 
 func TestBreakerSetSharedConfigAndStates(t *testing.T) {
 	s, clk := newTestSet(2, time.Minute)
-	a, b := s.For("resource.r1"), s.For("resource.r2")
-	if a != s.For("resource.r1") {
+	a, b := s.For("resource", "r1"), s.For("resource", "r2")
+	if a != s.For("resource", "r1") {
 		t.Fatal("For must return the same breaker per key")
+	}
+	if n := testing.AllocsPerRun(100, func() { s.For("resource", "r1") }); n != 0 {
+		t.Errorf("looking up an existing breaker allocates %.1f objects, want 0", n)
 	}
 	a.Failure()
 	a.Failure()
@@ -255,7 +258,7 @@ func TestBreakerSetSharedConfigAndStates(t *testing.T) {
 func TestBreakerMetricsExport(t *testing.T) {
 	reg := obs.NewRegistry()
 	s := NewSet(BreakerConfig{Threshold: 2, Cooldown: time.Minute}, reg)
-	b := s.For("peer.srb2")
+	b := s.For("peer", "srb2")
 	b.Failure()
 	b.Failure()
 	s.Publish()
@@ -273,7 +276,7 @@ func TestBreakerMetricsExport(t *testing.T) {
 
 func TestNilBreakerAndSetAreInert(t *testing.T) {
 	var s *Set
-	b := s.For("anything")
+	b := s.For("peer", "anything")
 	if b != nil {
 		t.Fatal("nil set must yield nil breaker")
 	}

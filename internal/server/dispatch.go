@@ -36,7 +36,8 @@ import (
 // frame is the response; for a streamed one it is the closing DataEnd,
 // written under the same hold of the conn's write lock as the header
 // and data frames before it.
-func (s *Server) dispatch(ss *session, req *wire.Request) error {
+func (s *Server) dispatch(ss *session) error {
+	req := &ss.req
 	if req.Trace == "" {
 		req.Trace = obs.NewTraceID()
 	}
@@ -49,7 +50,8 @@ func (s *Server) dispatch(ss *session, req *wire.Request) error {
 	// client) becomes this span's parent, so every hop's record
 	// reassembles into one tree. A positive Attempt marks a client-side
 	// retry of the same logical call.
-	sp := obs.StartSpanFrom(req.Trace, req.Span, req.Op)
+	sp := &ss.spanBuf
+	sp.Open(req.Trace, req.Span, req.Op)
 	// Backdate the span to when the reader loop enqueued the request, so
 	// queue.wait + dispatch partition the span's wall clock exactly and
 	// queue pressure shows up in the trace, not as mystery latency before
@@ -118,8 +120,8 @@ func (s *Server) record(ss *session, req *wire.Request, sp *obs.Span, queueWait 
 	elapsed := sp.Elapsed()
 	sp.Phase(obs.PhaseDispatch, elapsed-queueWait)
 	reg.OpAt("server.", req.Op).Observe(elapsed, opErr)
-	sp.End(reg.Traces(), s.name, ss.remote, opErr)
-	reg.RecordPhases("server", req.Op, req.Trace, sp.Events())
+	events := sp.End(reg.Traces(), s.name, ss.remote, opErr)
+	reg.RecordPhases("server", req.Op, req.Trace, events)
 	ss.span = nil
 	if ss.acctUser != "" {
 		// The usage key is the parent collection of the path the decoded

@@ -130,7 +130,7 @@ func TestLocalityFailoverOnTrippedResource(t *testing.T) {
 
 	// Trip disk1's breaker: same read now federates to srb2.
 	z.b1.Breakers().SetConfig(resilience.BreakerConfig{Threshold: 1, Cooldown: time.Hour})
-	z.b1.Breakers().For("resource.disk1").Failure()
+	z.b1.Breakers().For("resource", "disk1").Failure()
 	before = srb2Gets()
 	if data, err := cl.Get("/home/both.txt"); err != nil || string(data) != "replicated" {
 		t.Fatalf("failover get = %q, %v", data, err)

@@ -306,7 +306,10 @@ func (w *connWriter) drop(err error) {
 // session is the state of one request on an authenticated connection.
 // The identity fields (user/peer/remote/w) are shared by every request
 // on the conn; the rest is per-request, forked fresh so pipelined
-// handlers never share mutable state.
+// handlers never share mutable state. The request itself and its span
+// live in the session, so the three are one allocation. Sessions are
+// not pooled: the span is handed to core, replica and peer calls that
+// may hold it past the reply.
 //
 // A handler produces its reply through the session: reply, rawReply,
 // fail and redirect stage the single frame of a plain reply; beginStream
@@ -321,7 +324,9 @@ type session struct {
 	remote string // remote address, for log and trace context
 	// w is the conn's mutex-serialized reply writer.
 	w *connWriter
-	// reqID is the request's correlation ID, echoed on every response.
+	// req is the request, decoded into the session by the reader loop;
+	// reqID is its correlation ID, echoed on every response.
+	req   wire.Request
 	reqID uint64
 	// in is the request's inbound bulk-data stream (nil when the op
 	// carries none). The handler reads it straight off the connection
@@ -349,9 +354,11 @@ type session struct {
 	// started at dispatch from wire.Request.TimeoutMillis; federation
 	// hops forward only what remains of it.
 	deadline time.Time
-	// span is the current request's trace span; handlers and the layers
-	// beneath them annotate it with retry/breaker/failover events.
-	span *obs.Span
+	// span is the current request's trace span, spanBuf opened in place
+	// while the request is dispatched; handlers and the layers beneath
+	// them annotate it with retry/breaker/failover events.
+	span    *obs.Span
+	spanBuf obs.Span
 	// acctUser is the resolved effective user of the current request,
 	// recorded by dispatchOp for usage accounting ("" = unresolved);
 	// acctPath is the grid path its decoded arguments address ("" =
@@ -368,11 +375,11 @@ type session struct {
 	enqueued time.Time
 }
 
-// fork builds the per-request session for one dispatched request.
-func (ss *session) fork(reqID uint64) *session {
+// fork builds the per-request session for the conn's next request.
+func (ss *session) fork() *session {
 	return &session{
 		user: ss.user, peer: ss.peer, isPeer: ss.isPeer,
-		remote: ss.remote, w: ss.w, reqID: reqID,
+		remote: ss.remote, w: ss.w,
 	}
 }
 
@@ -536,11 +543,12 @@ func (s *Server) handleConn(nc net.Conn) error {
 	sem := make(chan struct{}, maxPipelined)
 	var inflight atomic.Int64
 	for {
-		var req wire.Request
-		if err := c.ReadRequest(&req); err != nil {
+		ss := base.fork()
+		req := &ss.req
+		if err := c.ReadRequest(req); err != nil {
 			return err
 		}
-		ss := base.fork(req.ID)
+		ss.reqID = req.ID
 		if wire.StreamsIn(req.Op) {
 			// The op's bulk data sits between this request and the next.
 			// The handler reads it straight off the conn; dispatch drains
@@ -575,17 +583,15 @@ func (s *Server) handleConn(nc net.Conn) error {
 			ss.inDone = inDone
 		}
 		wg.Add(1)
-		// req is this iteration's own variable: the handler shares it rather
-		// than taking a copy.
-		go func(req *wire.Request, ss *session) {
+		go func() {
 			defer wg.Done()
 			defer func() { <-sem; inflight.Add(-1); pipeGauge.Add(-1) }()
-			if err := s.dispatch(ss, req); err != nil {
+			if err := s.dispatch(ss); err != nil {
 				// Transport failure writing the response: the writer
 				// latched it and closed the conn, unblocking the reader.
-				s.Logger.Errorf("conn %s: pipelined %s: %v", ss.remote, req.Op, err)
+				s.Logger.Errorf("conn %s: pipelined %s: %v", ss.remote, ss.req.Op, err)
 			}
-		}(&req, ss)
+		}()
 		if inDone != nil {
 			// The handler owns the conn's read side until its inbound
 			// stream is drained; only then is the next frame a request.
@@ -653,7 +659,7 @@ func (s *Server) localityOf(path string) string {
 			// A local clean replica counts only while its resource
 			// breaker passes traffic; a tripped local resource sends
 			// the read to a surviving remote replica instead.
-			if s.broker.Breakers().For("resource." + r.Resource).Allow() {
+			if s.broker.Breakers().For("resource", r.Resource).Allow() {
 				return ""
 			}
 			continue
@@ -773,7 +779,7 @@ func (r *relay) finish() error {
 
 // peerBreaker returns the circuit breaker guarding one federated peer.
 func (s *Server) peerBreaker(name string) *resilience.Breaker {
-	return s.broker.Breakers().For("peer." + name)
+	return s.broker.Breakers().For("peer", name)
 }
 
 // peerDo runs one attempt against a peer: breaker gate, remaining-

@@ -768,7 +768,7 @@ func TestGetDriverReadErrorAbortsStream(t *testing.T) {
 	// GetTo into a plain writer cannot be rewound: with bytes already
 	// written, the same failure is final.
 	b.Breakers().SetConfig(resilience.BreakerConfig{Threshold: 100, Cooldown: time.Hour})
-	b.Breakers().For("resource.d1").Success()
+	b.Breakers().For("resource", "d1").Success()
 	inj.Target("d1").PartialReadAfter(2*wire.DataChunk + 10)
 	var sink bytes.Buffer
 	before := cl.Retries()

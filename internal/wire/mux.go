@@ -97,7 +97,14 @@ const (
 	sinkGone                // the caller has left: the sink is not entered again
 )
 
-// muxPending is one call awaiting its answer.
+// muxPending is one call awaiting its answer. Waiters are pooled: a
+// call that received its outcome on ch puts its waiter back, because
+// claim and fatal each remove a waiter from pending under mu before they
+// send, so it gets exactly one send, and once the caller has received
+// that nobody else holds it. A call that leaves any other way — its
+// deadline, a failed write, a register error — drops its waiter to the
+// GC: the demux goroutine or fatal may still send on ch, or be inside
+// Write.
 type muxPending struct {
 	ch   chan muxOutcome
 	sink Sink
@@ -257,10 +264,24 @@ func (m *Mux) fatal(err error) {
 	}
 }
 
+// pendingPool holds answered waiters, each with its channel (see
+// muxPending).
+var pendingPool = sync.Pool{New: func() any {
+	return &muxPending{ch: make(chan muxOutcome, 1)}
+}}
+
+// release returns an answered waiter to the pool, reset to idle.
+func (p *muxPending) release() {
+	p.sink, p.w, p.werr = nil, nil, nil
+	p.state.Store(sinkIdle)
+	pendingPool.Put(p)
+}
+
 // register allocates an ID and parks a waiter for it.
 func (m *Mux) register(sink Sink) (uint64, *muxPending, error) {
 	id := m.nextID.Add(1)
-	p := &muxPending{ch: make(chan muxOutcome, 1), sink: sink}
+	p := pendingPool.Get().(*muxPending)
+	p.sink = sink
 	m.mu.Lock()
 	if m.err != nil {
 		err := m.err
@@ -391,6 +412,8 @@ func (m *Mux) CallTo(req *Request, data io.Reader, sink Sink, deadline time.Time
 	}
 	select {
 	case out := <-p.ch:
+		// The one send is received: nobody else holds p.
+		p.release()
 		if out.res != nil {
 			out.res.SentLen = sent
 		}

@@ -430,3 +430,78 @@ func TestPoolRecoversFromKilledTransport(t *testing.T) {
 		t.Fatalf("outage evicted nothing: %+v", st)
 	}
 }
+
+// TestMuxWaiterReuse drives 8 goroutines × 500 calls through one Mux
+// against a server that echoes each request's Args as its response
+// body, and holds every 7th reply until that call's deadline has passed.
+// The late replies land while their callers are timing out and while
+// answered waiters are being recycled into new calls: a waiter recycled
+// on any path but a received answer would hand a later call someone
+// else's bytes. Every call that succeeds must get its own.
+func TestMuxWaiterReuse(t *testing.T) {
+	m, sc, _ := muxPair(t)
+	const (
+		workers = 8
+		calls   = 500
+		short   = 5 * time.Millisecond
+	)
+	var held sync.WaitGroup
+	defer held.Wait()
+	go func() {
+		var wmu sync.Mutex
+		reply := func(req Request) {
+			wmu.Lock()
+			defer wmu.Unlock()
+			sc.WriteResponse(&Response{ID: req.ID, OK: true, Body: req.Args})
+		}
+		for {
+			var req Request
+			if err := sc.ReadRequest(&req); err != nil {
+				return
+			}
+			if req.Op == "held" {
+				held.Add(1)
+				time.AfterFunc(short, func() { defer held.Done(); reply(req) })
+				continue
+			}
+			reply(req)
+		}
+	}()
+
+	var wg sync.WaitGroup
+	errs := make(chan error, workers)
+	var late atomic.Int64
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < calls; i++ {
+				op, wait := "echo", 5*time.Second
+				if i%7 == 6 {
+					op, wait = "held", short
+				}
+				args := []byte(fmt.Sprintf("%q", fmt.Sprintf("w%d-c%d", w, i)))
+				res, err := m.Call(&Request{Op: op, Args: args}, nil, time.Now().Add(wait))
+				switch {
+				case err != nil && op == "held" && errors.Is(err, types.ErrTimeout):
+					late.Add(1)
+				case err != nil:
+					errs <- fmt.Errorf("%s call w%d-c%d: %w", op, w, i, err)
+					return
+				case string(res.Resp.Body) != string(args):
+					errs <- fmt.Errorf("call w%d-c%d answered with %s", w, i, res.Resp.Body)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if m.Dead() {
+		t.Fatal("late replies killed the mux")
+	}
+	t.Logf("%d held calls timed out; their replies were discarded by ID", late.Load())
+}
