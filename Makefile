@@ -54,6 +54,10 @@ WHOLE_READS := GetTraced\(|broker\.Get\(|storage\.ReadSized\(
 # The presize fence: internal/server holds forwarded bytes (a peer's multiget reply, a bulkput batch) in a chunk.Spool, never in a buffer sized from a length a remote party announced.
 PRESIZED := wire\.Buffer|Grow\(
 
+# The lookup fence: a read resolves its path once (core.Broker.Lookup) and hands the row down, so the server decides locality with ownerOf(row) and the broker opens the row with rm.OpenInto, never by path again.
+LOOKUP_AGAIN_SERVER := localityOf\(
+LOOKUP_AGAIN_CORE := OpenReadEv\(
+
 # The append fence: a catalog mutation reaches its journal only through commitLocked's append (journal.go), never a log( helper.
 JOURNAL_WRITES := \blog\(|appendLine\(|\.w\.Write\(
 
@@ -71,6 +75,7 @@ lint: vet
 	@if grep -rnE '$(JOURNAL_WRITES)' --include=*.go --exclude=*_test.go --exclude=journal.go internal/mcat; then echo "journal write outside journal.go: commit the entry through commitLocked, which appends it before it is applied"; exit 1; fi
 	@if grep -rnF '$(AUDIT_IMPORT)' --include=*.go --exclude=*_test.go internal/mcat; then echo "audit import in internal/mcat: the audit trail belongs to the broker (core.Broker.Audit)"; exit 1; fi
 	@if grep -rnE '$(WHOLE_READS)' --include=*.go --exclude=*_test.go internal/server; then echo "whole-object read in internal/server: open with Broker.OpenGet and stream"; exit 1; fi
+	@if grep -rnE '$(LOOKUP_AGAIN_SERVER)' --include=*.go --exclude=*_test.go internal/server || grep -rnE '$(LOOKUP_AGAIN_CORE)' --include=*.go --exclude=*_test.go internal/core; then echo "resolve a path once (Broker.Lookup) and pass the row down"; exit 1; fi
 	@if grep -rnE '$(PRESIZED)' --include=*.go --exclude=*_test.go internal/server; then echo "a server holds forwarded bytes in a chunk.Spool, never presized from a remote length"; exit 1; fi
 	@if grep -nE '`-($(GONE_FLAGS))\b' README.md DESIGN.md; then echo "docs cite a removed flag: state the constant"; exit 1; fi
 	@if grep -nE 'BENCH_[a-z]*\.json' $(DOCS); then echo "docs cite a retired BENCH_*.json ratio file"; exit 1; fi; for t in $$(grep -ohE '(`|^)make [a-z][a-z0-9-]*' $(DOCS) | cut -d' ' -f2 | sort -u); do grep -q "^$$t:" Makefile || { echo "docs mention undefined target: make $$t"; exit 1; }; done
@@ -184,12 +189,14 @@ test-telemetry:
 # frames, sinks and allocation fences, the replica fan-out, and the
 # end-to-end suite (fixed memory for 4 concurrent large transfers, broken
 # streams at client / member / driver / peer, pipelining beside a stream),
-# repeated under -race — hand-offs of a connection's read side between
-# the reader loop and a handler only misbehave across interleavings.
+# and a read's one lookup per server and one account per layer, repeated
+# under -race — hand-offs of a connection's read side between the reader
+# loop and a handler only misbehave across interleavings.
 test-stream:
 	$(GO) test -race -count=10 ./internal/chunk/ ./internal/wire/
 	$(GO) test -race -count=10 -run 'TestWriteFrom|TestFanout|TestReadHandle' ./internal/replica/
 	$(GO) test -race -count=10 -run 'TestParallelGetRetries' ./internal/client/
+	$(GO) test -race -count=10 -run 'TestReadResolvesOnce|TestGetHandleAccountsOnce' ./internal/server/ ./internal/core/
 	$(GO) test -race -count=10 -run 'TestStream|TestReadYourOwn|TestPipelined|TestRejected|TestRequestWithoutID|TestPut|TestReput|TestGetDriver|TestProxiedGet|TestStalled|TestReadRange|TestMultiGetRetryAfterMidStreamDrop|TestMultiGetOwnerManifestCannotPresize' ./internal/server/
 
 # The end-to-end benchmark BENCHMARK.json declares (bench/README.md): the

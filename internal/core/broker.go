@@ -438,33 +438,61 @@ func (b *Broker) checkWrite(user, path, op string) (types.DataObject, error) {
 	return o, nil
 }
 
+// Row is one catalog lookup of a path, made once per request and handed
+// to every layer that needs the object: the server decides locality from
+// it, and OpenGet and OpenRead check and open it without reading the
+// catalog again.
+type Row struct {
+	// Path is the cleaned logical path.
+	Path string
+	// Obj is the object's row; zero when Err is set.
+	Obj types.DataObject
+	// Err is the lookup's error.
+	Err error
+	// start is when the lookup began: the mcat.lookup phase and the get's
+	// latency run from here.
+	start time.Time
+}
+
+// Lookup reads the object row at path once.
+func (b *Broker) Lookup(path string) Row {
+	r := Row{Path: types.CleanPath(path), start: time.Now()}
+	r.Obj, r.Err = b.Cat.GetObject(r.Path)
+	return r
+}
+
 // checkRead combines the ACL and lock checks for reading an object.
-// Links check against the resolved target per the paper ("The access
-// control of the original object is inherited by the linked object").
 func (b *Broker) checkRead(user, path, op string) (types.DataObject, error) {
-	o, err := b.Cat.GetObject(path)
-	if err != nil {
-		return o, types.E(op, path, types.ErrNotFound)
+	r := b.Lookup(path)
+	return r.Obj, b.checkReadRow(user, op, &r)
+}
+
+// checkReadRow is checkRead on a row already looked up. Links check
+// against the resolved target per the paper ("The access control of the
+// original object is inherited by the linked object").
+func (b *Broker) checkReadRow(user, op string, r *Row) error {
+	if r.Err != nil {
+		return types.E(op, r.Path, types.ErrNotFound)
 	}
-	if o.Kind == types.KindLink {
-		target, err := b.Cat.GetObject(o.LinkTarget)
+	if r.Obj.Kind == types.KindLink {
+		target, err := b.Cat.GetObject(r.Obj.LinkTarget)
 		if err != nil {
-			return o, types.E(op, o.LinkTarget, types.ErrNotFound)
+			return types.E(op, r.Obj.LinkTarget, types.ErrNotFound)
 		}
 		if err := b.need(user, target.Path(), acl.Read, op); err != nil {
-			return o, err
+			return err
 		}
 		if readBlocked(&target, user, b.now()) {
-			return o, types.E(op, path, types.ErrLocked)
+			return types.E(op, r.Path, types.ErrLocked)
 		}
-		return o, nil
+		return nil
 	}
-	if err := b.need(user, path, acl.Read, op); err != nil {
-		return o, err
+	if err := b.need(user, r.Path, acl.Read, op); err != nil {
+		return err
 	}
-	if readBlocked(&o, user, b.now()) {
-		b.audit(user, op, path, false, "locked")
-		return o, types.E(op, path, types.ErrLocked)
+	if readBlocked(&r.Obj, user, b.now()) {
+		b.audit(user, op, r.Path, false, "locked")
+		return types.E(op, r.Path, types.ErrLocked)
 	}
-	return o, nil
+	return nil
 }

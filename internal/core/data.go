@@ -60,15 +60,19 @@ func (b *Broker) StatPath(user, path string) (types.Stat, error) {
 	if err := b.need(user, path, acl.Read, "stat"); err != nil {
 		return types.Stat{}, err
 	}
-	if col, err := b.Cat.GetColl(path); err == nil {
-		return types.Stat{Path: col.Path, IsCollect: true, Owner: col.Owner, ModifiedAt: col.CreatedAt}, nil
-	}
+	// Objects and collections share one namespace, so the order of the
+	// two lookups cannot change the answer; a stat is usually of an
+	// object, so its lookup comes first.
 	o, err := b.Cat.GetObject(path)
 	if err != nil {
-		return types.Stat{}, err
+		col, cerr := b.Cat.GetColl(path)
+		if cerr != nil {
+			return types.Stat{}, err
+		}
+		return types.Stat{Path: col.Path, IsCollect: true, Owner: col.Owner, ModifiedAt: col.CreatedAt}, nil
 	}
 	return types.Stat{
-		Path: o.Path(), Kind: o.Kind, DataType: o.DataType, Owner: o.Owner,
+		Path: types.CleanPath(path), Kind: o.Kind, DataType: o.DataType, Owner: o.Owner,
 		Size: o.Size, ModifiedAt: o.ModifiedAt, Replicas: len(o.Replicas), Container: o.Container,
 	}, nil
 }
@@ -359,77 +363,68 @@ func (b *Broker) Get(user, path string) ([]byte, error) {
 // GetTraced is Get under a trace span: replica failovers, breaker
 // decisions and cache/container hits along the read are annotated onto
 // sp, and the audit record carries the trace ID (nil sp = plain Get).
-// It is OpenGet plus one read into a buffer of the object's size.
+// It is Lookup, OpenGet and one read into a buffer of the object's size.
 func (b *Broker) GetTraced(user, path string, sp *obs.Span) ([]byte, error) {
-	f, size, err := b.OpenGet(user, path, sp)
+	row := b.Lookup(path)
+	f, size, err := b.OpenGet(user, &row, sp)
 	if err != nil {
 		return nil, err
 	}
 	data, err := storage.ReadSized(f, size)
 	f.Close()
 	if err != nil {
-		return nil, types.E("read", path, err)
+		return nil, types.E("read", row.Path, err)
 	}
 	return data, nil
 }
 
-// OpenGet opens an object's contents for one whole-object read and
-// returns the reader with the size it will yield. File objects stream
-// from the replica the manager selected; the other kinds (container
-// members, SQL, URL, method, shadow listings) are produced in memory and
-// served from there. The get is accounted when the reader is closed —
-// broker.get latency, hot-key bytes — from the bytes actually read.
-func (b *Broker) OpenGet(user, path string, sp *obs.Span) (storage.ReadFile, int64, error) {
-	start := time.Now()
-	o, err := b.checkRead(user, path, "get")
-	sp.Phase(obs.PhaseMCATLookup, time.Since(start))
-	var f storage.ReadFile
-	var size int64
+// OpenGet opens the object of a looked-up row for one whole-object read
+// and returns the reader with the size it will yield. File objects
+// stream from the replica the manager selected; the other kinds
+// (container members, SQL, URL, method, shadow listings) are produced in
+// memory and served from there. The get is accounted when the reader is
+// closed — broker.get latency, hot-key bytes — from the bytes actually
+// read.
+func (b *Broker) OpenGet(user string, row *Row, sp *obs.Span) (storage.ReadFile, int64, error) {
+	err := b.checkReadRow(user, "get", row)
+	sp.Phase(obs.PhaseMCATLookup, time.Since(row.start))
 	if err == nil {
-		f, size, err = b.openObject(user, &o, sp)
-		b.auditTraced(sp, user, "get", path, err == nil, "")
+		h := &getHandle{b: b, key: shard.KeyOf(row.Path), start: row.start}
+		var size int64
+		size, err = b.openInto(&h.Handle, user, &row.Obj, row.Path, sp)
+		b.auditTraced(sp, user, "get", row.Path, err == nil, "")
+		if err == nil {
+			return h, size, nil
+		}
 	}
-	if err != nil {
-		b.ops.get.Done(start, err)
-		b.ops.heat.Record(shard.KeyOf(path), 0)
-		return nil, 0, err
-	}
-	return &getHandle{ReadFile: f, b: b, key: shard.KeyOf(path), start: start}, size, nil
+	b.ops.get.Done(row.start, err)
+	b.ops.heat.Record(shard.KeyOf(row.Path), 0)
+	return nil, 0, err
 }
 
-// getHandle accounts one get when its reader is closed.
+// getHandle is one get's reader: the replica.Handle that counts its
+// bytes, and the get's own accounting, filed when it is closed.
 type getHandle struct {
-	storage.ReadFile
+	replica.Handle
 	b      *Broker
 	key    string
 	start  time.Time
-	n      int64
-	err    error
 	closed bool
-}
-
-func (h *getHandle) Read(p []byte) (int, error) {
-	n, err := h.ReadFile.Read(p)
-	h.n += int64(n)
-	if err != nil && err != io.EOF {
-		h.err = err
-	}
-	return n, err
 }
 
 func (h *getHandle) Close() error {
 	if !h.closed {
 		h.closed = true
-		h.b.ops.get.Done(h.start, h.err)
-		h.b.ops.heat.Record(h.key, h.n)
+		h.b.ops.get.Done(h.start, h.Err())
+		h.b.ops.heat.Record(h.key, h.N())
 	}
-	return h.ReadFile.Close()
+	return h.Handle.Close()
 }
 
 // getObject reads o's contents whole, for the callers that parse them
 // (metadata files, templates): small objects by nature.
 func (b *Broker) getObject(user string, o *types.DataObject, sp *obs.Span) ([]byte, error) {
-	f, size, err := b.openObject(user, o, sp)
+	f, size, err := b.openObject(user, o, o.Path(), sp)
 	if err != nil {
 		return nil, err
 	}
@@ -449,19 +444,39 @@ func openBytes(data []byte, err error) (storage.ReadFile, int64, error) {
 	return memFile{bytes.NewReader(data)}, int64(len(data)), nil
 }
 
-// openObject opens o's contents by kind (see OpenGet).
-func (b *Broker) openObject(user string, o *types.DataObject, sp *obs.Span) (storage.ReadFile, int64, error) {
+// openObject opens o, the row at path, into a handle of its own (see
+// openInto).
+func (b *Broker) openObject(user string, o *types.DataObject, path string, sp *obs.Span) (storage.ReadFile, int64, error) {
+	h := new(replica.Handle)
+	size, err := b.openInto(h, user, o, path, sp)
+	if err != nil {
+		return nil, 0, err
+	}
+	return h, size, nil
+}
+
+// openInto opens o's contents, the row at path, into h and returns their
+// size (see OpenGet): a file's replica opens straight into h, and h
+// holds the reader of every other kind.
+func (b *Broker) openInto(h *replica.Handle, user string, o *types.DataObject, path string, sp *obs.Span) (int64, error) {
+	f, size, err := b.openKind(h, user, o, path, sp)
+	if err == nil && f != nil {
+		h.Hold(f)
+	}
+	return size, err
+}
+
+// openKind opens o's contents by kind. A replica opens into h and no
+// reader is returned; the other kinds return theirs.
+func (b *Broker) openKind(h *replica.Handle, user string, o *types.DataObject, path string, sp *obs.Span) (storage.ReadFile, int64, error) {
 	switch o.Kind {
 	case types.KindFile:
 		if o.Container != "" {
 			sp.Event(obs.EventContainerHit, o.Container)
 			return openBytes(b.readContainerMember(o))
 		}
-		f, rep, err := b.rm.OpenReadEv(o.Path(), "", sp)
-		if err != nil {
-			return nil, 0, err
-		}
-		return f, rep.Size, nil
+		rep, err := b.rm.OpenInto(h, o, path, "", sp)
+		return nil, rep.Size, err
 	case types.KindRegisteredFile:
 		return b.openRegistered(o)
 	case types.KindURL:
@@ -479,7 +494,7 @@ func (b *Broker) openObject(user string, o *types.DataObject, sp *obs.Span) (sto
 		if err != nil {
 			return nil, 0, types.E("get", o.LinkTarget, types.ErrNotFound)
 		}
-		return b.openObject(user, &target, sp)
+		return b.openKind(h, user, &target, types.CleanPath(o.LinkTarget), sp)
 	case types.KindShadowDir:
 		// Getting a shadow directory renders its cone listing.
 		infos, err := b.shadowList(o, ".")
@@ -492,7 +507,7 @@ func (b *Broker) openObject(user string, o *types.DataObject, sp *obs.Span) (sto
 		}
 		return openBytes([]byte(sb.String()), nil)
 	default:
-		return nil, 0, types.E("get", o.Path(), types.ErrUnsupported)
+		return nil, 0, types.E("get", path, types.ErrUnsupported)
 	}
 }
 
@@ -546,15 +561,14 @@ func (b *Broker) readAlternates(o *types.DataObject, lastErr error) ([]byte, err
 	return nil, types.E("get", o.Path(), lastErr)
 }
 
-// OpenRead opens an object for positional and partial reads (the
-// parallel-transfer primitive). Unlike OpenGet it is audited as "open"
-// and not accounted as a get.
-func (b *Broker) OpenRead(user, path string) (storage.ReadFile, int64, error) {
-	o, err := b.checkRead(user, path, "open")
-	if err != nil {
+// OpenRead opens the object of a looked-up row for positional and
+// partial reads (the parallel-transfer primitive). Unlike OpenGet it is
+// audited as "open" and not accounted as a get.
+func (b *Broker) OpenRead(user string, row *Row) (storage.ReadFile, int64, error) {
+	if err := b.checkReadRow(user, "open", row); err != nil {
 		return nil, 0, err
 	}
-	return b.openObject(user, &o, nil)
+	return b.openObject(user, &row.Obj, row.Path, nil)
 }
 
 // ---- replication, copy, move, link, delete ----
@@ -664,7 +678,7 @@ func (b *Broker) Copy(user, src, dst, resource string) error {
 	if resource == "" {
 		return types.E("copy", src, types.ErrInvalid)
 	}
-	f, _, err := b.openObject(user, &o, nil)
+	f, _, err := b.openObject(user, &o, types.CleanPath(src), nil)
 	if err != nil {
 		return err
 	}

@@ -14,9 +14,13 @@ import (
 
 func TestOpenReadKinds(t *testing.T) {
 	b := newBroker(t)
+	openRead := func(path string) (storage.ReadFile, int64, error) {
+		row := b.Lookup(path)
+		return b.OpenRead("alice", &row)
+	}
 	// Plain file: streaming handle with the right size.
 	b.Ingest("alice", IngestOpts{Path: "/home/f", Data: []byte("streamable"), Resource: "disk1"})
-	r, size, err := b.OpenRead("alice", "/home/f")
+	r, size, err := openRead("/home/f")
 	if err != nil || size != 10 {
 		t.Fatalf("OpenRead file = %d, %v", size, err)
 	}
@@ -28,7 +32,7 @@ func TestOpenReadKinds(t *testing.T) {
 	// Container member: byte range through the reader.
 	b.CreateContainer("alice", "/home/cc", "disk1")
 	b.Ingest("alice", IngestOpts{Path: "/home/member", Data: []byte("in container"), Container: "/home/cc"})
-	r, size, err = b.OpenRead("alice", "/home/member")
+	r, size, err = openRead("/home/member")
 	if err != nil || size != 12 {
 		t.Fatalf("OpenRead member = %d, %v", size, err)
 	}
@@ -40,14 +44,14 @@ func TestOpenReadKinds(t *testing.T) {
 	// URL object: materialised through the fetcher.
 	b.Fetcher().RegisterMemBytes("mem://u", []byte("url!"))
 	b.RegisterURL("alice", "/home/u", "mem://u")
-	r, size, err = b.OpenRead("alice", "/home/u")
+	r, size, err = openRead("/home/u")
 	if err != nil || size != 4 {
 		t.Fatalf("OpenRead url = %d, %v", size, err)
 	}
 	r.Close()
 	// Link: follows to the target.
 	b.Link("alice", "/home/f", "/home/lnk")
-	r, size, err = b.OpenRead("alice", "/home/lnk")
+	r, size, err = openRead("/home/lnk")
 	if err != nil || size != 10 {
 		t.Fatalf("OpenRead link = %d, %v", size, err)
 	}
@@ -56,13 +60,13 @@ func TestOpenReadKinds(t *testing.T) {
 	d, _ := b.Driver("disk1")
 	storage.WriteAll(d, "/phys/reg", []byte("registered"))
 	b.RegisterFile("alice", "/home/reg", "disk1", "/phys/reg", nil)
-	r, size, err = b.OpenRead("alice", "/home/reg")
+	r, size, err = openRead("/home/reg")
 	if err != nil || size != 10 {
 		t.Fatalf("OpenRead registered = %d, %v", size, err)
 	}
 	r.Close()
 	// Missing object.
-	if _, _, err := b.OpenRead("alice", "/home/ghost"); !errors.Is(err, types.ErrNotFound) {
+	if _, _, err := openRead("/home/ghost"); !errors.Is(err, types.ErrNotFound) {
 		t.Errorf("OpenRead missing = %v", err)
 	}
 }

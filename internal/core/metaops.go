@@ -159,7 +159,7 @@ func (b *Broker) ExtractMeta(user, path, method, fromPath string) (int, error) {
 	if !ok {
 		return 0, types.E("extract", o.DataType+"/"+method, types.ErrNotFound)
 	}
-	src := o
+	src, srcPath := o, path
 	if m.SecondObject {
 		if fromPath == "" {
 			return 0, types.E("extract", path, types.ErrInvalid)
@@ -168,11 +168,12 @@ func (b *Broker) ExtractMeta(user, path, method, fromPath string) (int, error) {
 		if err != nil {
 			return 0, err
 		}
+		srcPath = fromPath
 		if err := b.need(user, fromPath, acl.Read, "extract"); err != nil {
 			return 0, err
 		}
 	}
-	f, _, err := b.openObject(user, &src, nil)
+	f, _, err := b.openObject(user, &src, types.CleanPath(srcPath), nil)
 	if err != nil {
 		return 0, err
 	}

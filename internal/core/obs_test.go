@@ -1,10 +1,16 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
+	"gosrb/internal/faultnet"
+	"gosrb/internal/mcat/shard"
+	"gosrb/internal/obs"
+	"gosrb/internal/resilience"
 	"gosrb/internal/storage/memfs"
 )
 
@@ -131,5 +137,122 @@ func TestMetricsConcurrentBrokerOps(t *testing.T) {
 	}
 	if got := s.Ops["broker.ingest"].Count; got != workers {
 		t.Errorf("broker.ingest count = %d, want %d", got, workers)
+	}
+}
+
+// TestGetHandleAccountsOnce: a get is counted once per layer however many
+// layers its reader passes through — the get's own row (broker.get and
+// the shard-key heat) from the broker, and the replica's (storage.read,
+// the transfer row, the object heat) from the replica handle inside it.
+// A read that fails is one get error and one failure on the resource's
+// breaker. A container member is not a replica read: its get files the
+// broker's rows only.
+func TestGetHandleAccountsOnce(t *testing.T) {
+	b := newBroker(t)
+	reg := b.Metrics()
+	const path = "/home/acct/f"
+	payload := []byte("accounted once")
+	if err := b.Mkdir("alice", "/home/acct"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.Ingest("alice", IngestOpts{Path: path, Data: payload, Resource: "disk1"}); err != nil {
+		t.Fatal(err)
+	}
+	heat := func(h *obs.HeatTable, key string) obs.HeatStat {
+		for _, row := range h.Snapshot() {
+			if row.Key == key {
+				return row
+			}
+		}
+		return obs.HeatStat{}
+	}
+	phases := func(sp *obs.Span, name string) int {
+		n := 0
+		for _, ev := range sp.Events() {
+			if ev.Kind == obs.EventPhase && ev.Detail == name {
+				n++
+			}
+		}
+		return n
+	}
+	key := shard.KeyOf(path)
+	keyBefore, objBefore := heat(reg.HeatKeys(), key), heat(reg.HeatObjects(), path)
+	sp := obs.StartSpan("", "get")
+	if data, err := b.GetTraced("alice", path, sp); err != nil || !bytes.Equal(data, payload) {
+		t.Fatalf("get = %q, %v", data, err)
+	}
+	if get := reg.Snapshot().Ops["broker.get"]; get.Count != 1 || get.Errors != 0 {
+		t.Errorf("broker.get = %d (%d errors), want 1 (0)", get.Count, get.Errors)
+	}
+	n := int64(len(payload))
+	if k := heat(reg.HeatKeys(), key); k.Count-keyBefore.Count != 1 || k.Bytes-keyBefore.Bytes != n {
+		t.Errorf("shard-key heat moved by %d hits, %d bytes; want 1, %d", k.Count-keyBefore.Count, k.Bytes-keyBefore.Bytes, n)
+	}
+	if o := heat(reg.HeatObjects(), path); o.Count-objBefore.Count != 1 || o.Bytes-objBefore.Bytes != n {
+		t.Errorf("object heat moved by %d hits, %d bytes; want 1, %d", o.Count-objBefore.Count, o.Bytes-objBefore.Bytes, n)
+	}
+	if got := phases(sp, obs.PhaseStorageRead); got != 1 {
+		t.Errorf("%d storage.read phases, want 1", got)
+	}
+	peers := reg.Peers().Snapshot()
+	if len(peers) != 1 || peers[0].Resource != "disk1" || peers[0].Ops != 1 || peers[0].Bytes != n {
+		t.Errorf("transfer rows = %+v, want one disk1 row of one %d-byte read", peers, n)
+	}
+
+	// A driver that dies mid-read: one get error, one breaker failure. At
+	// a threshold of two, one failure leaves the breaker closed and one
+	// more trips it.
+	b.Breakers().SetConfig(resilience.BreakerConfig{Threshold: 2, Cooldown: time.Hour})
+	in := faultnet.New(1)
+	if err := b.Remount("disk2", in.WrapDriver("disk2", memfs.New())); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.Ingest("alice", IngestOpts{Path: "/home/acct/torn", Data: payload, Resource: "disk2"}); err != nil {
+		t.Fatal(err)
+	}
+	in.Target("disk2").PartialReadAfter(3)
+	if _, err := b.Get("alice", "/home/acct/torn"); err == nil {
+		t.Fatal("get through a driver that dies mid-read succeeded")
+	}
+	if get := reg.Snapshot().Ops["broker.get"]; get.Count != 2 || get.Errors != 1 {
+		t.Errorf("broker.get after a torn read = %d (%d errors), want 2 (1)", get.Count, get.Errors)
+	}
+	br := b.Breakers().For("resource", "disk2")
+	if st := br.State(); st != resilience.Closed {
+		t.Errorf("disk2 breaker %v after one torn read; more than one failure was filed", st)
+	}
+	if br.Failure(); br.State() != resilience.Open {
+		t.Errorf("disk2 breaker %v after one more failure; the torn read filed none", br.State())
+	}
+
+	// A container member: the get's own rows, nothing of a replica read.
+	if _, err := b.CreateContainer("alice", "/home/acct/cc", "disk1"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.Ingest("alice", IngestOpts{Path: "/home/acct/member", Data: payload, Container: "/home/acct/cc"}); err != nil {
+		t.Fatal(err)
+	}
+	peerOps := func() (n int64) {
+		for _, row := range reg.Peers().Snapshot() {
+			n += row.Ops
+		}
+		return n
+	}
+	opsBefore := peerOps()
+	sp = obs.StartSpan("", "get")
+	if data, err := b.GetTraced("alice", "/home/acct/member", sp); err != nil || !bytes.Equal(data, payload) {
+		t.Fatalf("member get = %q, %v", data, err)
+	}
+	if get := reg.Snapshot().Ops["broker.get"]; get.Count != 3 || get.Errors != 1 {
+		t.Errorf("broker.get after a member get = %d (%d errors), want 3 (1)", get.Count, get.Errors)
+	}
+	if got := phases(sp, obs.PhaseStorageRead); got != 0 {
+		t.Errorf("member get filed %d storage.read phases, want 0", got)
+	}
+	if got := peerOps() - opsBefore; got != 0 {
+		t.Errorf("member get filed %d transfer observations, want 0", got)
+	}
+	if o := heat(reg.HeatObjects(), "/home/acct/member"); o.Count != 0 {
+		t.Errorf("member get filed %d object-heat hits, want 0", o.Count)
 	}
 }

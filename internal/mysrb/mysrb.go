@@ -256,11 +256,12 @@ func (a *App) handleOpen(w http.ResponseWriter, r *http.Request, user string) {
 	if anns, err := a.broker.Annotations(user, path); err == nil {
 		pd.Annots = anns
 	}
-	if o, err := a.broker.Cat.GetObject(path); err == nil {
-		pd.Versions = o.Versions
-		pd.Methods = a.broker.Extractors().MethodsFor(o.DataType)
+	row := a.broker.Lookup(path)
+	if row.Err == nil {
+		pd.Versions = row.Obj.Versions
+		pd.Methods = a.broker.Extractors().MethodsFor(row.Obj.DataType)
 	}
-	if f, size, err := a.broker.OpenGet(user, path, nil); err != nil {
+	if f, size, err := a.broker.OpenGet(user, &row, nil); err != nil {
 		pd.Error = err.Error()
 	} else {
 		pd.Content, pd.IsHTML, err = renderContent(f, size)
@@ -302,8 +303,8 @@ func renderContent(f io.Reader, size int64) (string, bool, error) {
 // response through one pooled chunk, its length announced up front from
 // the catalog.
 func (a *App) handleRaw(w http.ResponseWriter, r *http.Request, user string) {
-	path := types.CleanPath(r.URL.Query().Get("path"))
-	f, size, err := a.broker.OpenGet(user, path, nil)
+	row := a.broker.Lookup(r.URL.Query().Get("path"))
+	f, size, err := a.broker.OpenGet(user, &row, nil)
 	if err != nil {
 		http.Error(w, err.Error(), statusOf(err))
 		return

@@ -85,12 +85,15 @@ func (t *HeatTable) Record(key string, bytes int64) {
 			victim = row
 		}
 	}
+	// The newcomer takes over the victim's row: rows are only touched
+	// under t.mu, and snapshot copies them out.
 	delete(t.m, victim.Key)
-	t.m[key] = &HeatStat{
+	*victim = HeatStat{
 		Key: key, Count: 1, Bytes: bytes,
 		Score: victim.Score + 1, ErrFloor: victim.Score,
 		LastSeen: time.Now(),
 	}
+	t.m[key] = victim
 }
 
 // Decay multiplies every score by factor (clamped to [0,1)), dropping

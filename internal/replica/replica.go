@@ -12,6 +12,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"io"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -134,11 +135,12 @@ func Checksum(data []byte) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// candidates returns the clean replicas on online resources in replica
-// order, rotated when the policy is RoundRobin. Breaker decisions are
-// annotated onto sp when the read is traced.
-func (m *Manager) candidates(o *types.DataObject, prefer string, sp *obs.Span) []types.Replica {
-	var clean []types.Replica
+// candidates appends to buf the clean replicas of o on online
+// resources, in replica order, rotated in place when the policy is
+// RoundRobin. Breaker decisions are annotated onto sp when the read is
+// traced.
+func (m *Manager) candidates(buf []types.Replica, o *types.DataObject, prefer string, sp *obs.Span) []types.Replica {
+	clean := buf[:0]
 	for _, r := range o.Replicas {
 		if r.Status != types.ReplicaClean {
 			continue
@@ -158,9 +160,6 @@ func (m *Manager) candidates(o *types.DataObject, prefer string, sp *obs.Span) [
 		}
 		clean = append(clean, r)
 	}
-	if len(clean) == 0 {
-		return nil
-	}
 	if prefer != "" {
 		for i, r := range clean {
 			if r.Resource == prefer {
@@ -171,11 +170,11 @@ func (m *Manager) candidates(o *types.DataObject, prefer string, sp *obs.Span) [
 		return clean
 	}
 	if m.policy == RoundRobin && len(clean) > 1 {
+		// Rotate left by k: reverse both halves, then the whole.
 		k := int(m.rr.Add(1)) % len(clean)
-		rotated := make([]types.Replica, 0, len(clean))
-		rotated = append(rotated, clean[k:]...)
-		rotated = append(rotated, clean[:k]...)
-		return rotated
+		slices.Reverse(clean[:k])
+		slices.Reverse(clean[k:])
+		slices.Reverse(clean)
 	}
 	return clean
 }
@@ -187,30 +186,46 @@ func (m *Manager) OpenRead(path, preferResource string) (storage.ReadFile, types
 	return m.OpenReadEv(path, preferResource, nil)
 }
 
-// OpenReadEv is OpenRead with trace-span annotation: breaker trips,
-// fast-fails, half-open probes, failovers and cache hits along the
-// replica selection land as events on sp (nil sp = untraced).
-//
-// The returned handle accounts the read where the bytes move: closing it
-// records the storage.read phase (open plus time inside the driver's
-// Read calls), the transfer-observatory row and the hot-object hit, from
-// the bytes actually delivered.
+// OpenReadEv is OpenRead with trace-span annotation (see OpenInto), for
+// the callers that hold a path and not the object's row.
 func (m *Manager) OpenReadEv(path, preferResource string, sp *obs.Span) (storage.ReadFile, types.Replica, error) {
-	start := time.Now()
-	f, r, err := m.openRead(path, preferResource, sp)
-	if err != nil {
-		sp.Phase(obs.PhaseStorageRead, time.Since(start))
-		return nil, r, err
-	}
-	return &readHandle{ReadFile: f, m: m, sp: sp, path: path, resource: r.Resource, busy: time.Since(start)}, r, nil
-}
-
-func (m *Manager) openRead(path, preferResource string, sp *obs.Span) (storage.ReadFile, types.Replica, error) {
 	o, err := m.cat.GetObject(path)
 	if err != nil {
 		return nil, types.Replica{}, err
 	}
-	cands := m.candidates(&o, preferResource, sp)
+	h := new(Handle)
+	r, err := m.OpenInto(h, &o, path, preferResource, sp)
+	if err != nil {
+		return nil, r, err
+	}
+	return h, r, nil
+}
+
+// OpenInto opens a replica of o, the catalog row the caller already
+// read for path, into h: clean replicas are tried per the policy, failing
+// over past unavailable resources. Breaker trips, fast-fails, half-open
+// probes, failovers and cache hits along the selection land as events on
+// sp (nil sp = untraced). It returns the replica served.
+//
+// h accounts the read where the bytes move: closing it records the
+// storage.read phase (open plus time inside the driver's Read calls),
+// the transfer-observatory row and the hot-object hit, from the bytes
+// actually delivered. A failed open records the phase at once and leaves
+// h as it was.
+func (m *Manager) OpenInto(h *Handle, o *types.DataObject, path, preferResource string, sp *obs.Span) (types.Replica, error) {
+	start := time.Now()
+	f, r, err := m.openRead(o, path, preferResource, sp)
+	if err != nil {
+		sp.Phase(obs.PhaseStorageRead, time.Since(start))
+		return r, err
+	}
+	*h = Handle{f: f, m: m, sp: sp, path: path, resource: r.Resource, busy: time.Since(start)}
+	return r, nil
+}
+
+func (m *Manager) openRead(o *types.DataObject, path, preferResource string, sp *obs.Span) (storage.ReadFile, types.Replica, error) {
+	var buf [4]types.Replica
+	cands := m.candidates(buf[:0], o, preferResource, sp)
 	if len(cands) == 0 {
 		return nil, types.Replica{}, types.E("open", path, types.ErrOffline)
 	}
@@ -262,15 +277,10 @@ func (m *Manager) openRead(path, preferResource string, sp *obs.Span) (storage.R
 	return nil, types.Replica{}, types.E("open", path, lastErr)
 }
 
-// ReadAll retrieves the full contents via OpenRead.
+// ReadAll retrieves the full contents via OpenRead, into one buffer of
+// the replica's catalogued size.
 func (m *Manager) ReadAll(path, preferResource string) ([]byte, types.Replica, error) {
-	return m.ReadAllEv(path, preferResource, nil)
-}
-
-// ReadAllEv is ReadAll with trace-span annotation (see OpenReadEv): the
-// replica is opened and read into one buffer of its catalogued size.
-func (m *Manager) ReadAllEv(path, preferResource string, sp *obs.Span) ([]byte, types.Replica, error) {
-	f, r, err := m.OpenReadEv(path, preferResource, sp)
+	f, r, err := m.OpenRead(path, preferResource)
 	if err != nil {
 		return nil, r, err
 	}
@@ -392,8 +402,8 @@ func (m *Manager) Replicate(path, resource string) (types.Replica, error) {
 	if !res.Online {
 		return types.Replica{}, types.E("replicate", resource, types.ErrOffline)
 	}
-	src, _, err := m.OpenRead(path, "")
-	if err != nil {
+	src := new(Handle)
+	if _, err := m.OpenInto(src, &o, path, "", nil); err != nil {
 		return types.Replica{}, err
 	}
 	defer src.Close()

@@ -13,56 +13,71 @@ import (
 	"gosrb/internal/storage"
 )
 
-// readHandle is the replica a read is being served from. The bytes move
-// wherever the caller copies them — a socket, another driver, one
-// exact-size buffer — so the handle is where they are counted: it adds
-// up the bytes delivered and the time spent inside the driver, and files
-// both when it is closed (storage.read phase, transfer-observatory row,
-// hot-object record). A read error counts against the resource's
-// breaker, so a retried read fails over to a sibling replica.
-type readHandle struct {
-	storage.ReadFile
-	m        *Manager
+// Handle is one opened object's reader, and where its bytes are counted:
+// they move wherever the caller copies them — a socket, another driver,
+// one exact-size buffer — so the handle adds up the bytes delivered, the
+// first read error and, for a replica, the time spent inside the driver.
+// Closing a replica's handle files the storage.read phase, the
+// transfer-observatory row and the hot-object record; a read error also
+// counts against the resource's breaker, so a retried read fails over to
+// a sibling replica. A handle that holds a reader produced in memory
+// (Hold) counts the bytes and the error and files nothing.
+type Handle struct {
+	f        storage.ReadFile
+	m        *Manager // nil when the handle holds an in-memory reader
 	sp       *obs.Span
 	path     string
 	resource string
 	busy     time.Duration // open plus time inside Read/ReadAt
 	n        int64
-	failed   bool
+	err      error
 	closed   bool
 }
 
-func (h *readHandle) account(start time.Time, n int, err error) {
+// Hold makes h serve f, with no replica accounting.
+func (h *Handle) Hold(f storage.ReadFile) { *h = Handle{f: f} }
+
+// N returns the bytes read through h so far.
+func (h *Handle) N() int64 { return h.n }
+
+// Err returns the first read error h saw (io.EOF is not one).
+func (h *Handle) Err() error { return h.err }
+
+func (h *Handle) account(start time.Time, n int, err error) {
 	h.busy += time.Since(start)
 	h.n += int64(n)
-	if err != nil && err != io.EOF && !h.failed {
-		h.failed = true
-		h.m.breaker(h.resource).Failure()
+	if err != nil && err != io.EOF && h.err == nil {
+		h.err = err
+		if h.m != nil {
+			h.m.breaker(h.resource).Failure()
+		}
 	}
 }
 
-func (h *readHandle) Read(p []byte) (int, error) {
+func (h *Handle) Read(p []byte) (int, error) {
 	start := time.Now()
-	n, err := h.ReadFile.Read(p)
+	n, err := h.f.Read(p)
 	h.account(start, n, err)
 	return n, err
 }
 
-func (h *readHandle) ReadAt(p []byte, off int64) (int, error) {
+func (h *Handle) ReadAt(p []byte, off int64) (int, error) {
 	start := time.Now()
-	n, err := h.ReadFile.ReadAt(p, off)
+	n, err := h.f.ReadAt(p, off)
 	h.account(start, n, err)
 	return n, err
 }
 
-func (h *readHandle) Close() error {
-	if !h.closed {
-		h.closed = true
+func (h *Handle) Seek(off int64, whence int) (int64, error) { return h.f.Seek(off, whence) }
+
+func (h *Handle) Close() error {
+	if !h.closed && h.m != nil {
 		h.sp.Phase(obs.PhaseStorageRead, h.busy)
-		h.m.peers.Record("", h.resource, h.busy, h.n, h.failed)
+		h.m.peers.Record("", h.resource, h.busy, h.n, h.err != nil)
 		h.m.heat.Record(h.path, h.n)
 	}
-	return h.ReadFile.Close()
+	h.closed = true
+	return h.f.Close()
 }
 
 // Dest is one replica file a Fanout writes.

@@ -11,10 +11,11 @@ import (
 // TestRoundTripAllocBudget holds what one small request costs in heap
 // objects, client and server together, over loopback: a Stat and a
 // 5-byte Get. The budgets are absolute and measured — what this test
-// read when the per-RPC envelope (the mux waiter, the session with its
-// request and span, the trace and span IDs) came to one allocation per
-// request; before that it read 32 and 38. One more object per request
-// on the path every RPC takes fails here by name.
+// read once a Get looked its object up once and opened it through one
+// handle, and a Stat looked up the object before the collection; before
+// that it read 22 and 25 (and 32 and 38 before the per-RPC envelope
+// came to one allocation per request). One more object per request on
+// the path every RPC takes fails here by name.
 func TestRoundTripAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own account")
@@ -44,8 +45,8 @@ func TestRoundTripAllocBudget(t *testing.T) {
 		op     func()
 		budget float64
 	}{
-		{"stat", stat, 22},
-		{"get", get, 25},
+		{"stat", stat, 19},
+		{"get", get, 19},
 	} {
 		if got := testing.AllocsPerRun(2000, c.op); got > c.budget {
 			t.Errorf("%s round trip: %.0f heap objects, budget %.0f", c.name, got, c.budget)

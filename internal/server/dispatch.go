@@ -456,10 +456,13 @@ func getObject(c call, a wire.PathArgs) error {
 			user = issuer
 		}
 	}
-	if owner := c.s.localityOf(a.Path); owner != "" && !c.ss.isPeer {
-		return c.s.federate(c.ss, owner, user, c.req)
+	row := c.b.Lookup(a.Path)
+	if !c.ss.isPeer {
+		if owner := c.s.ownerOf(&row.Obj); owner != "" {
+			return c.s.federate(c.ss, owner, user, c.req)
+		}
 	}
-	f, size, err := c.b.OpenGet(user, a.Path, c.ss.span)
+	f, size, err := c.b.OpenGet(user, &row, c.ss.span)
 	if err != nil {
 		return c.ss.fail(err)
 	}
@@ -659,9 +662,12 @@ func bulkPut(c call, a wire.BulkPutArgs) (wire.BulkPutReply, error) {
 // concurrently, and each owner's reply is received into a chunk.Spool.
 // That reply is held, not relayed, because an owner that dies mid-stream
 // must fail its own items and no others, and the client's manifest
-// cannot go out before every owner's stream is complete. Local items
-// are opened, not read: their bytes stream from the replicas into the
-// reply through the pooled chunk, so no local item is held whole.
+// cannot go out before every owner's stream is complete. Each path is
+// looked up once: the row decides its owner, and a local item is opened
+// from it there and then, before the owners are asked. Local items are
+// opened, not read: their bytes stream from the replicas into the reply
+// through the pooled chunk, so no local item is held whole. A local open
+// that fails fails its own item.
 //
 // Once the reply is sent, the spool of every owner whose call succeeded
 // goes back to the pool. A failed attempt's spool is dropped to the GC
@@ -674,20 +680,37 @@ func multiGet(c call, a wire.MultiGetArgs) error {
 	rep := wire.MultiGetReply{Server: s.name, Items: make([]wire.MultiGetItem, len(a.Paths))}
 	parts := make([]batchPart, len(a.Paths))
 	var owners []*ownerBatch
+	defer func() {
+		for _, ob := range owners {
+			if ob.err == nil {
+				ob.spool.Release()
+			}
+		}
+		for i := range parts {
+			if parts[i].f != nil {
+				parts[i].f.Close()
+			}
+		}
+	}()
 	for i, p := range a.Paths {
 		rep.Items[i].Path = p
 		parts[i].path = p
-		owner := ""
+		row := c.b.Lookup(p)
 		if !ss.isPeer {
-			owner = s.localityOf(p)
+			if owner := s.ownerOf(&row.Obj); owner != "" {
+				ob := batchFor(&owners, owner)
+				ob.idx = append(ob.idx, i)
+				ob.paths = append(ob.paths, p)
+				continue
+			}
 		}
-		if owner == "" {
+		f, size, err := c.b.OpenGet(c.user, &row, ss.span)
+		if err != nil {
+			rep.Items[i].ErrKind, rep.Items[i].ErrMsg = wire.KindOf(err), err.Error()
 			continue
 		}
-		parts[i].remote = true
-		ob := ownerOf(&owners, owner)
-		ob.idx = append(ob.idx, i)
-		ob.paths = append(ob.paths, p)
+		rep.Items[i].OK, rep.Items[i].Size = true, size
+		parts[i].f, parts[i].left = f, size
 	}
 	if len(owners) > 0 {
 		// The first owner runs inline: a one-owner batch spawns nothing.
@@ -705,30 +728,6 @@ func multiGet(c call, a wire.MultiGetArgs) error {
 	for _, ob := range owners {
 		ob.fill(rep.Items, parts)
 	}
-	defer func() {
-		for _, ob := range owners {
-			if ob.err == nil {
-				ob.spool.Release()
-			}
-		}
-		for i := range parts {
-			if parts[i].f != nil {
-				parts[i].f.Close()
-			}
-		}
-	}()
-	for i := range parts {
-		if parts[i].remote {
-			continue
-		}
-		f, size, err := c.b.OpenGet(c.user, parts[i].path, ss.span)
-		if err != nil {
-			rep.Items[i].ErrKind, rep.Items[i].ErrMsg = wire.KindOf(err), err.Error()
-			continue
-		}
-		rep.Items[i].OK, rep.Items[i].Size = true, size
-		parts[i].f, parts[i].left = f, size
-	}
 	return ss.sendStream(rep, &sourceReader{r: &batchReader{parts: parts}})
 }
 
@@ -743,8 +742,8 @@ type ownerBatch struct {
 	err   error
 }
 
-// ownerOf finds peer's batch among *owners, adding it when new.
-func ownerOf(owners *[]*ownerBatch, peer string) *ownerBatch {
+// batchFor finds peer's batch among *owners, adding it when new.
+func batchFor(owners *[]*ownerBatch, peer string) *ownerBatch {
 	for _, ob := range *owners {
 		if ob.peer == peer {
 			return ob
@@ -830,12 +829,11 @@ func (ob *ownerBatch) fill(items []wire.MultiGetItem, parts []batchPart) {
 // replica, or a remote item's place in its owner's spool, and how many
 // of its bytes are still owed.
 type batchPart struct {
-	path   string
-	remote bool
-	f      storage.ReadFile
-	spool  *chunk.Spool
-	off    int64
-	left   int64
+	path  string
+	f     storage.ReadFile
+	spool *chunk.Spool
+	off   int64
+	left  int64
 }
 
 // batchReader reads a multiget's items end to end, each exactly as long
@@ -876,13 +874,16 @@ func (b *batchReader) Read(p []byte) (int, error) {
 // the peer that holds it).
 func readRange(c call, a wire.RangeArgs) error {
 	ss := c.ss
-	if owner := c.s.localityOf(a.Path); owner != "" && !ss.isPeer {
-		return c.s.federate(ss, owner, c.user, c.req)
+	row := c.b.Lookup(a.Path)
+	if !ss.isPeer {
+		if owner := c.s.ownerOf(&row.Obj); owner != "" {
+			return c.s.federate(ss, owner, c.user, c.req)
+		}
 	}
 	if a.Offset < 0 {
 		return ss.fail(types.E(wire.OpReadRange, a.Path, types.ErrInvalid))
 	}
-	f, size, err := c.b.OpenRead(c.user, a.Path)
+	f, size, err := c.b.OpenRead(c.user, &row)
 	if err != nil {
 		return ss.fail(err)
 	}
@@ -904,7 +905,8 @@ func readRange(c call, a wire.RangeArgs) error {
 func replicate(c call, a wire.ReplicateArgs) (types.Replica, error) {
 	s, ss, user := c.s, c.ss, c.user
 	targetOwner := s.resourceOwner(a.Resource)
-	sourceOwner := s.localityOf(a.Path)
+	row := c.b.Lookup(a.Path)
+	sourceOwner := s.ownerOf(&row.Obj)
 	if targetOwner == "" && sourceOwner == "" {
 		// Fully local.
 		return s.broker.Replicate(user, a.Path, a.Resource)
@@ -916,7 +918,7 @@ func replicate(c call, a wire.ReplicateArgs) (types.Replica, error) {
 	// Open the source bytes: locally when possible, else via the holder.
 	var src io.Reader
 	if sourceOwner == "" {
-		f, _, err := s.broker.OpenGet(user, a.Path, ss.span)
+		f, _, err := s.broker.OpenGet(user, &row, ss.span)
 		if err != nil {
 			return types.Replica{}, err
 		}

@@ -631,23 +631,23 @@ func (s *Server) handshake(c *wire.Conn) (*session, error) {
 	return ss, c.WriteJSON(wire.MsgAuthOK, wire.AuthOK{Server: s.name})
 }
 
-// localityOf classifies where a file object's clean replicas live:
-// "" means local (or not a plain file), otherwise the owning peer name.
-func (s *Server) localityOf(path string) string {
-	o, err := s.broker.Cat.GetObject(path)
-	if err != nil || o.Kind != types.KindFile {
+// ownerOf names the peer that serves the file row o: "" when this
+// server does (or o is not a plain file, or the lookup found nothing),
+// otherwise a peer holding a clean replica on an online resource. A
+// container member follows its container's row.
+func (s *Server) ownerOf(o *types.DataObject) string {
+	if o.Kind != types.KindFile {
 		return ""
 	}
-	check := o
 	if o.Container != "" {
 		cont, err := s.broker.Cat.GetObject(o.Container)
 		if err != nil {
 			return ""
 		}
-		check = cont
+		o = &cont
 	}
 	remote := ""
-	for _, r := range check.Replicas {
+	for _, r := range o.Replicas {
 		if r.Status != types.ReplicaClean {
 			continue
 		}

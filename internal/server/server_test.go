@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -13,6 +14,7 @@ import (
 	"gosrb/internal/client"
 	"gosrb/internal/core"
 	"gosrb/internal/mcat"
+	"gosrb/internal/mcat/shard"
 	stg "gosrb/internal/storage"
 	"gosrb/internal/storage/dbfs"
 	"gosrb/internal/storage/memfs"
@@ -44,13 +46,20 @@ func serveAdmin(t *testing.T, s *Server) string {
 
 func newZone(t *testing.T, mode FederationMode) *zone {
 	t.Helper()
+	return newZoneOver(t, mode, func(c shard.Catalog) shard.Catalog { return c })
+}
+
+// newZoneOver is newZone with each server's broker over view(cat), its
+// own view of the one shared catalog.
+func newZoneOver(t *testing.T, mode FederationMode, view func(shard.Catalog) shard.Catalog) *zone {
+	t.Helper()
 	cat := mcat.New("admin", "sdsc")
 	cat.AddUser(types.User{Name: "alice", Domain: "sdsc"})
 	cat.MkColl("/home", "admin")
 	cat.SetACL("/home", "alice", acl.Write)
 
-	b1 := core.New(cat, "srb1")
-	b2 := core.New(cat, "srb2")
+	b1 := core.New(view(cat), "srb1")
+	b2 := core.New(view(cat), "srb2")
 	if err := b1.AddPhysicalResource("admin", "disk1", types.ClassFileSystem, "memfs", memfs.New()); err != nil {
 		t.Fatal(err)
 	}
@@ -624,5 +633,69 @@ func TestResourcesOverWire(t *testing.T) {
 	}
 	if names["disk1"] != "srb1" || names["disk2"] != "srb2" {
 		t.Errorf("resource ownership = %v", names)
+	}
+}
+
+// lookupCounter is a server's view of the zone's catalog that counts the
+// object rows it reads.
+type lookupCounter struct {
+	shard.Catalog
+	n atomic.Int64
+}
+
+func (c *lookupCounter) GetObject(path string) (types.DataObject, error) {
+	c.n.Add(1)
+	return c.Catalog.GetObject(path)
+}
+
+// TestReadResolvesOnce: a read reads its object's row once on each server
+// it touches. The row decides where the object is served and is then
+// checked and opened as it is, so no layer below the server — the
+// broker's checks, the replica selection — reads it again.
+func TestReadResolvesOnce(t *testing.T) {
+	var views []*lookupCounter
+	z := newZoneOver(t, Proxy, func(c shard.Catalog) shard.Catalog {
+		v := &lookupCounter{Catalog: c}
+		views = append(views, v)
+		return v
+	})
+	srb1, srb2 := views[0], views[1]
+	paths := make([]string, 16)
+	for i := range paths {
+		b, res := z.b1, "disk1"
+		if i%2 == 1 {
+			b, res = z.b2, "disk2"
+		}
+		paths[i] = fmt.Sprintf("/home/once%02d", i)
+		if _, err := b.Ingest("alice", core.IngestOpts{Path: paths[i], Data: body(i), Resource: res}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cl := z.client(z.addr1, "alice", "alicepw")
+	for _, c := range []struct {
+		name         string
+		read         func() error
+		want1, want2 int64
+	}{
+		{"local get", func() error { _, err := cl.Get(paths[0]); return err }, 1, 0},
+		{"proxied get", func() error { _, err := cl.Get(paths[1]); return err }, 1, 1},
+		{"multiget of 8 local, 8 remote", func() error {
+			res, err := cl.MultiGet(paths)
+			for _, r := range res {
+				if err == nil {
+					err = r.Err
+				}
+			}
+			return err
+		}, 16, 8},
+		{"readrange", func() error { _, err := cl.GetRange(paths[2], 3, 10); return err }, 1, 0},
+	} {
+		n1, n2 := srb1.n.Load(), srb2.n.Load()
+		if err := c.read(); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if got1, got2 := srb1.n.Load()-n1, srb2.n.Load()-n2; got1 != c.want1 || got2 != c.want2 {
+			t.Errorf("%s: %d lookups on srb1, %d on srb2; want %d and %d", c.name, got1, got2, c.want1, c.want2)
+		}
 	}
 }
