@@ -143,8 +143,12 @@ test-phases:
 # Sharded-catalog sweep: ring routing, scatter-gather, replication and
 # reshard persistence, repeated under -race — the scatter fan-out, the
 # journal-observer replication feed, and the deadline-partial path are
-# all cross-goroutine. (The shard failover chaos e2e rides test-faults'
-# 10x TestChaos loop.) Then the catalog against itself: the query and
+# all cross-goroutine; a scatter timed out on a held shard must not be
+# recycled under a later query (TestScatterReuseAfterDeadline). (The shard
+# failover chaos e2e rides test-faults' 10x TestChaos loop.) Then a
+# query's allocation fences without -race, whose own allocations would
+# swamp them: Select values cost per answer, not per hit, in the catalog
+# and on a loopback round trip. Then the catalog against itself: the query and
 # mutation differential tests (a monolith against a 4-shard router, the
 # router reopened at 3 and 1 shards), the put as one transaction (a
 # refused triplet, a failed journal append, a lost race for the path,
@@ -159,6 +163,7 @@ test-phases:
 # otherwise take the whole 15 s.)
 test-mcat:
 	$(GO) test -race -count=10 ./internal/mcat/shard/
+	$(GO) test -count=3 -run 'TestQueryAllocates|TestRoundTripAllocBudget' ./internal/mcat/ ./internal/server/
 	$(GO) test -race -count=10 -run 'Query|Like|Differential' ./internal/mcat/
 	$(GO) test -race -count=1 -run 'TestJournalFixture|TestEveryKindRefusedWhenAppendFails' ./internal/mcat/
 	$(GO) test -race -count=1 -run 'TestRefusedMetadata|TestIngestJournalFailure|TestIngestLosingRace|TestPutCrashPoints|TestCreateThroughLinkedCollection|TestRegisterFileRefusedTriplet|TestCreateJournalEntries|TestRefusedDeleteKeepsBytes' ./internal/core/

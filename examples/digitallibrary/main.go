@@ -95,7 +95,7 @@ func main() {
 			fmt.Println("  ...")
 			break
 		}
-		fmt.Printf("  %s mag=%v\n", h.Path, h.Values["mag"])
+		fmt.Printf("  %s mag=%v\n", h.Path, h.Values[0]) // column 0: Select[0], "mag"
 	}
 
 	// A registered SQL object over the survey database: executed at

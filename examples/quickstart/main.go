@@ -65,8 +65,9 @@ func main() {
 		Select: []string{"sys:size", "topic"},
 	})
 	check(err)
+	// A hit carries one column of values per Select attribute, in order.
 	for _, h := range hits {
-		fmt.Printf("query hit: %s  size=%v topic=%v\n", h.Path, h.Values["sys:size"], h.Values["topic"])
+		fmt.Printf("query hit: %s  size=%v topic=%v\n", h.Path, h.Values[0], h.Values[1])
 	}
 
 	// System metadata view.

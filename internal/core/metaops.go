@@ -247,41 +247,15 @@ func (b *Broker) Structural(user, coll string) ([]types.StructuralAttr, error) {
 // ---- query ----
 
 // Query executes a conjunctive metadata query; hits are filtered to
-// objects the user may read.
+// objects the user may read. It is QueryPartial held to the strict
+// contract: an answer some catalog shard is missing from is refused with
+// the ErrTimeout that names those shards.
 func (b *Broker) Query(user string, q mcat.Query) ([]mcat.Hit, error) {
-	start := time.Now()
-	hits, err := b.query(user, q)
-	b.ops.query.Done(start, err)
-	b.ops.heat.Record(shard.KeyOf(q.Scope), 0)
+	hits, partial, err := b.QueryPartial(user, q)
+	if err == nil && len(partial) > 0 {
+		return nil, shard.PartialError(partial)
+	}
 	return hits, err
-}
-
-func (b *Broker) query(user string, q mcat.Query) ([]mcat.Hit, error) {
-	limit := q.Limit
-	q.Limit = 0
-	hits, err := b.Cat.RunQuery(q)
-	if err != nil {
-		return nil, err
-	}
-	out := b.readable(user, hits, limit)
-	b.audit(user, "query", q.Scope, true, fmt.Sprintf("%d conds, %d hits", len(q.Conds), len(out)))
-	return out, nil
-}
-
-// readable keeps the hits user may read, in order, cut at limit (0 =
-// all). The query that found them ran without the limit: cutting before
-// this filter would count hits the user cannot see.
-func (b *Broker) readable(user string, hits []mcat.Hit, limit int) []mcat.Hit {
-	out := hits[:0:0]
-	for _, h := range hits {
-		if limit > 0 && len(out) == limit {
-			break
-		}
-		if b.Cat.EffectiveLevel(h.Path, user) >= acl.Read {
-			out = append(out, h)
-		}
-	}
-	return out
 }
 
 // QueryPartial is Query with partial-result reporting: when the
@@ -298,11 +272,28 @@ func (b *Broker) QueryPartial(user string, q mcat.Query) ([]mcat.Hit, []string, 
 		b.ops.query.Done(start, err)
 		return nil, partial, err
 	}
-	out := b.readable(user, hits, limit)
-	b.audit(user, "query", q.Scope, true, fmt.Sprintf("%d conds, %d hits, %d partial shards", len(q.Conds), len(out), len(partial)))
+	hits = b.readable(user, hits, limit)
+	b.audit(user, "query", q.Scope, true, fmt.Sprintf("%d conds, %d hits, %d partial shards", len(q.Conds), len(hits), len(partial)))
 	b.ops.query.Done(start, nil)
 	b.ops.heat.Record(shard.KeyOf(q.Scope), 0)
-	return out, partial, nil
+	return hits, partial, nil
+}
+
+// readable keeps the hits user may read, in order, cut at limit (0 =
+// all), filtering hits in place: the catalog's answer is the caller's
+// own. The query that found them ran without the limit: cutting before
+// this filter would count hits the user cannot see.
+func (b *Broker) readable(user string, hits []mcat.Hit, limit int) []mcat.Hit {
+	out := hits[:0]
+	for _, h := range hits {
+		if limit > 0 && len(out) == limit {
+			break
+		}
+		if b.Cat.EffectiveLevel(h.Path, user) >= acl.Read {
+			out = append(out, h)
+		}
+	}
+	return out
 }
 
 // QueryAttrNames feeds the query builder's attribute drop-down.

@@ -70,6 +70,34 @@ func TestQueryAllocatesPerHitNotPerCandidate(t *testing.T) {
 	}
 }
 
+// TestQueryAllocatesPerAnswerNotPerHit holds a query's Select values to
+// a fixed number of slabs per answer: with two columns, a 100-hit answer
+// allocates what a 10-hit one does.
+func TestQueryAllocatesPerAnswerNotPerHit(t *testing.T) {
+	skipUnderRace(t)
+	c := queryCatalog(t, 200)
+	allocs := func(minMag string, want int) float64 {
+		q := mcat.Query{
+			Scope:  "/",
+			Conds:  []mcat.Condition{{Attr: "band", Op: "=", Value: "J"}, {Attr: "mag", Op: ">=", Value: minMag}},
+			Select: []string{"mag", "band"},
+		}
+		return testing.AllocsPerRun(20, func() {
+			hits, err := c.RunQuery(q)
+			if err != nil || len(hits) != want {
+				t.Fatalf("mag >= %s: %d hits, err %v; want %d", minMag, len(hits), err, want)
+			}
+			if h := hits[len(hits)-1]; len(h.Values) != 2 || len(h.Values[0]) != 1 || h.Values[1][0] != "J" {
+				t.Fatalf("mag >= %s: last hit %+v, want one value in each of two columns", minMag, h)
+			}
+		})
+	}
+	small, large := allocs("990", 10), allocs("110", 100)
+	if small != large {
+		t.Errorf("a 2-column query allocates %v times for 10 hits and %v for 100; it must not depend on the hits", small, large)
+	}
+}
+
 func TestKeyOfCleanPathDoesNotAllocate(t *testing.T) {
 	skipUnderRace(t)
 	for _, p := range []string{"/", "/zone", "/zone/proj", "/zone/proj/run7/frame-000123.fits"} {

@@ -82,17 +82,44 @@ func dump(c shard.Catalog, id func(types.ObjectID) string) []string {
 	attrs := c.QueryAttrNames("/")
 	add("attrs %v", attrs)
 	for _, a := range attrs {
-		hits, err := c.RunQuery(mcat.Query{Scope: "/", Conds: []mcat.Condition{{Attr: a, Op: "like", Value: "%"}}, Select: []string{a}})
-		add("query %s like %%: %v %v", a, hits, err)
+		q := mcat.Query{Scope: "/", Conds: []mcat.Condition{{Attr: a, Op: "like", Value: "%"}}, Select: []string{a}}
+		hits, err := c.RunQuery(q)
+		add("query %s like %%: %v %v", a, byName(q, hits), err)
 		seen := map[string]bool{}
 		for _, h := range hits {
-			for _, v := range h.Values[a] {
+			for _, v := range h.Values[0] {
 				if seen[v] {
 					continue
 				}
 				seen[v] = true
-				eq, err := c.RunQuery(mcat.Query{Scope: "/", Conds: []mcat.Condition{{Attr: a, Op: "=", Value: v}}})
-				add("query %s = %q: %v %v", a, v, eq, err)
+				q := mcat.Query{Scope: "/", Conds: []mcat.Condition{{Attr: a, Op: "=", Value: v}}}
+				eq, err := c.RunQuery(q)
+				add("query %s = %q: %v %v", a, v, byName(q, eq), err)
+			}
+		}
+	}
+	return out
+}
+
+// namedHit is a hit as dumps print it: its values keyed by the
+// attribute selected, the form the golden dumps were written in.
+type namedHit struct {
+	Path   string
+	Values map[string][]string
+}
+
+// byName keys each hit's columns by the attribute q selected for them.
+func byName(q mcat.Query, hits []mcat.Hit) []namedHit {
+	if hits == nil {
+		return nil
+	}
+	out := make([]namedHit, len(hits))
+	for i, h := range hits {
+		out[i].Path = h.Path
+		if h.Values != nil {
+			out[i].Values = make(map[string][]string, len(q.Select))
+			for k, a := range q.Select {
+				out[i].Values[a] = h.Values[k]
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package mcat
 
 import (
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -30,10 +31,14 @@ type Query struct {
 	Limit  int // 0 = unlimited
 }
 
-// Hit is one query result: the object's path plus requested values.
+// Hit is one query result: the object's path and, column by column,
+// the values of the attributes the query selected. Values[i] holds the
+// values of Query.Select[i], nil when the object has none; an attribute
+// selected twice gets two columns. Values is nil when nothing was
+// selected.
 type Hit struct {
 	Path   string
-	Values map[string][]string
+	Values [][]string
 }
 
 // QueryPartial runs a query and reports which partitions, if any,
@@ -54,55 +59,44 @@ func SysAttrs() []string {
 	}
 }
 
-// sysValues returns the values of a system attribute for an object.
-func sysValues(o *types.DataObject, attr string) []string {
-	switch attr {
-	case "sys:name":
-		return []string{o.Name}
-	case "sys:collection":
-		return []string{o.Collection}
-	case "sys:owner":
-		return []string{o.Owner}
-	case "sys:size":
-		return []string{strconv.FormatInt(o.Size, 10)}
-	case "sys:datatype":
-		return []string{o.DataType}
-	case "sys:kind":
-		return []string{o.Kind.String()}
-	case "sys:container":
-		if o.Container == "" {
-			return nil
-		}
-		return []string{o.Container}
-	case "sys:replicas":
-		return []string{strconv.Itoa(len(o.Replicas))}
-	default:
-		return nil
-	}
-}
-
-// attrValuesLocked gathers an object's values for an attribute: system
-// pseudo-attributes, annotation text, or user/type metadata. It builds
-// the Select columns of a hit; conditions are tested in place by
+// appendAttrValues appends an object's values for an attribute to dst:
+// system pseudo-attributes, annotation text, or user/type metadata. It
+// fills the Select columns of a hit; conditions are tested in place by
 // cond.matches and never come here. Callers hold at least the read lock.
-func (c *Catalog) attrValuesLocked(path string, o *types.DataObject, attr string) []string {
-	if strings.HasPrefix(attr, "sys:") {
-		return sysValues(o, attr)
-	}
-	if lowerEq(attr, "annotation") {
-		var out []string
-		for _, a := range c.annots[path] {
-			out = append(out, a.Text)
+func (c *Catalog) appendAttrValues(dst []string, path string, o *types.DataObject, attr string) []string {
+	switch sourceOf(attr) {
+	case srcMeta:
+		entries := c.meta[path]
+		for i := range entries {
+			if e := &entries[i]; queryableClass(e.Class) && lowerEq(e.AVU.Name, attr) {
+				dst = append(dst, e.AVU.Value)
+			}
 		}
-		return out
-	}
-	var out []string
-	for _, e := range c.meta[path] {
-		if queryableClass(e.Class) && lowerEq(e.AVU.Name, attr) {
-			out = append(out, e.AVU.Value)
+	case srcAnnotation:
+		notes := c.annots[path]
+		for i := range notes {
+			dst = append(dst, notes[i].Text)
 		}
+	case srcName:
+		dst = append(dst, o.Name)
+	case srcCollection:
+		dst = append(dst, o.Collection)
+	case srcOwner:
+		dst = append(dst, o.Owner)
+	case srcSize:
+		dst = append(dst, strconv.FormatInt(o.Size, 10))
+	case srcDataType:
+		dst = append(dst, o.DataType)
+	case srcKind:
+		dst = append(dst, o.Kind.String())
+	case srcContainer:
+		if o.Container != "" {
+			dst = append(dst, o.Container)
+		}
+	case srcReplicas:
+		dst = append(dst, strconv.Itoa(len(o.Replicas)))
 	}
-	return out
+	return dst
 }
 
 // op is a comparison operator of the MySRB query builder, decided once
@@ -324,9 +318,13 @@ func inScope(scope, path string) bool {
 // The query is compiled once, the candidates (the smallest posting set
 // of the index, or every object) are walked where they are stored and
 // each condition is tested against the object's own records; only the
-// paths that match are collected, sorted and cut at Limit, and only
-// those get their Select values built. What a query allocates grows
-// with its hits, not with its candidates.
+// paths that match are collected (on the stack, up to maxStackHits),
+// sorted and cut at Limit, and only those get their Select values. An
+// answer is three allocations whatever its size: the hits, one slab of
+// columns (hit i's are cols[i*len(Select):]) and one slab of the values
+// the columns are cut from, which grows only when a hit holds more than
+// one value per column. Only a numeric system attribute (sys:size,
+// sys:replicas) formats a string per hit.
 func (c *Catalog) RunQuery(q Query) ([]Hit, error) {
 	scope := types.CleanPath(q.Scope)
 	var buf [4]cond
@@ -358,7 +356,8 @@ func (c *Catalog) RunQuery(q Query) ([]Hit, error) {
 		}
 	}
 
-	var paths []string
+	var pathBuf [maxStackHits]string
+	paths := pathBuf[:0]
 	if candidates != nil {
 		for p := range candidates {
 			// A posting may be a collection's path: those are not hits.
@@ -376,24 +375,37 @@ func (c *Catalog) RunQuery(q Query) ([]Hit, error) {
 	if len(paths) == 0 {
 		return nil, nil
 	}
-	sort.Strings(paths)
+	slices.Sort(paths)
 	if q.Limit > 0 && len(paths) > q.Limit {
 		paths = paths[:q.Limit]
 	}
 	hits := make([]Hit, len(paths))
 	for i, p := range paths {
 		hits[i].Path = p
-		if len(q.Select) > 0 {
-			o := c.objects[p]
-			vals := make(map[string][]string, len(q.Select))
-			for _, a := range q.Select {
-				vals[a] = c.attrValuesLocked(p, o, a)
+	}
+	if w := len(q.Select); w > 0 {
+		cols := make([][]string, len(hits)*w)
+		vals := make([]string, 0, len(cols))
+		for i := range hits {
+			h := &hits[i]
+			o := c.objects[h.Path]
+			h.Values = cols[i*w : (i+1)*w : (i+1)*w]
+			for k, a := range q.Select {
+				start := len(vals)
+				// A column keeps the array it was cut from when a later
+				// append moves vals.
+				if vals = c.appendAttrValues(vals, h.Path, o, a); len(vals) > start {
+					h.Values[k] = vals[start:len(vals):len(vals)]
+				}
 			}
-			hits[i].Values = vals
 		}
 	}
 	return hits, nil
 }
+
+// maxStackHits is how many matching paths RunQuery collects without a
+// heap allocation.
+const maxStackHits = 128
 
 func matchesAll(conds []cond, c *Catalog, path string, o *types.DataObject) bool {
 	for i := range conds {

@@ -171,9 +171,9 @@ func (c *Catalog) OracleRunQuery(q Query) ([]Hit, error) {
 		}
 		h := Hit{Path: p}
 		if len(q.Select) > 0 {
-			h.Values = make(map[string][]string, len(q.Select))
-			for _, a := range q.Select {
-				h.Values[a] = c.attrValuesLocked(p, o, a)
+			h.Values = make([][]string, len(q.Select))
+			for i, a := range q.Select {
+				h.Values[i] = c.attrValuesLocked(p, o, a)
 			}
 		}
 		hits = append(hits, h)
@@ -182,4 +182,10 @@ func (c *Catalog) OracleRunQuery(q Query) ([]Hit, error) {
 		}
 	}
 	return hits, nil
+}
+
+// attrValuesLocked is an object's values for an attribute, nil when it
+// has none. Callers hold at least the read lock.
+func (c *Catalog) attrValuesLocked(path string, o *types.DataObject, attr string) []string {
+	return c.appendAttrValues(nil, path, o, attr)
 }

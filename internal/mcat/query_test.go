@@ -135,14 +135,14 @@ func TestQuerySelectValues(t *testing.T) {
 		t.Fatalf("hits = %v", paths(hits))
 	}
 	v := hits[0].Values
-	if len(v["mag"]) != 1 || v["mag"][0] != "8.4" {
-		t.Errorf("mag = %v", v["mag"])
+	if len(v[0]) != 1 || v[0][0] != "8.4" {
+		t.Errorf("mag = %v", v[0])
 	}
-	if len(v["sys:name"]) != 1 || v["sys:name"][0] != "m51.fits" {
-		t.Errorf("sys:name = %v", v["sys:name"])
+	if len(v[1]) != 1 || v[1][0] != "m51.fits" {
+		t.Errorf("sys:name = %v", v[1])
 	}
-	if len(v["missing"]) != 0 {
-		t.Errorf("missing attr = %v", v["missing"])
+	if len(v[2]) != 0 {
+		t.Errorf("missing attr = %v", v[2])
 	}
 }
 

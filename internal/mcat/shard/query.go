@@ -25,9 +25,15 @@ func (r *Router) RunQuery(q mcat.Query) ([]mcat.Hit, error) {
 		return nil, err
 	}
 	if len(partial) > 0 {
-		return nil, types.E("query", fmt.Sprintf("shards %v", partial), types.ErrTimeout)
+		return nil, PartialError(partial)
 	}
 	return hits, nil
+}
+
+// PartialError is the strict query contract's refusal of an answer the
+// partial shards are missing from: an ErrTimeout naming them.
+func PartialError(partial []string) error {
+	return types.E("query", fmt.Sprintf("shards %v", partial), types.ErrTimeout)
 }
 
 // QueryPartial runs the query and reports the shards, if any, whose
@@ -57,41 +63,33 @@ func (r *Router) QueryPartial(q mcat.Query) ([]mcat.Hit, []string, error) {
 	if r.scatterQ != nil {
 		r.scatterQ.Inc()
 	}
-	type result struct {
-		idx  int
-		hits []mcat.Hit
-		err  error
-	}
 	fanStart := time.Now()
-	ch := make(chan result, r.n)
+	s := r.getScatter(q)
 	for i := range r.shards {
-		go func(i int, c *mcat.Catalog) {
-			hits, err := c.RunQuery(q)
-			ch <- result{idx: i, hits: hits, err: err}
-		}(i, r.shards[i].cat)
+		go s.ask(i, r.shards[i].cat)
 	}
-
-	answers := make([][]mcat.Hit, r.n)
-	answered := make([]bool, r.n)
 	var firstErr error
-	deadline := time.NewTimer(r.qTimeout)
-	defer deadline.Stop()
 	pending := r.n
 collect:
 	for pending > 0 {
 		select {
-		case res := <-ch:
+		case a := <-s.ch:
 			pending--
-			if res.err != nil {
+			if a.err != nil {
 				if firstErr == nil {
-					firstErr = res.err
+					firstErr = a.err
 				}
 				continue
 			}
-			answers[res.idx], answered[res.idx] = res.hits, true
-		case <-deadline.C:
+			s.answers[a.idx], s.answered[a.idx] = a.hits, true
+		case <-s.deadline.C:
 			break collect
 		}
+	}
+	// A timer that fired as the last answer came in counts as a deadline:
+	// its tick may still be on its way.
+	if pending == 0 && s.deadline.Stop() {
+		defer r.putScatter(s)
 	}
 	if r.fanoutOp != nil {
 		r.fanoutOp.Observe(time.Since(fanStart), nil)
@@ -102,7 +100,7 @@ collect:
 
 	var partial []string
 	for i := range r.shards {
-		if !answered[i] || r.isStale(i) {
+		if !s.answered[i] || r.isStale(i) {
 			partial = append(partial, r.shardName(i))
 		}
 	}
@@ -111,11 +109,65 @@ collect:
 	}
 
 	mergeStart := time.Now()
-	out := mergeHits(answers, q.Limit)
+	out := mergeHits(s.answers, q.Limit)
 	if r.mergeOp != nil {
 		r.mergeOp.Observe(time.Since(mergeStart), nil)
 	}
 	return out, partial, nil
+}
+
+// scatter is the rendezvous of one scatter-gather query: the query, the
+// channel the shards answer on, their answers and the deadline. The
+// router recycles it only when every shard has answered, for then
+// nothing else holds it. After a deadline a shard still running may yet
+// send on its channel, so the query drops it to the GC instead, as the
+// wire mux does with a waiter whose call timed out.
+type scatter struct {
+	q        mcat.Query
+	ch       chan answer
+	answers  [][]mcat.Hit
+	answered []bool
+	deadline *time.Timer
+}
+
+// answer is one shard's reply to a scattered query.
+type answer struct {
+	idx  int
+	hits []mcat.Hit
+	err  error
+}
+
+// getScatter takes a recycled scatter, or makes one, for q and starts
+// its deadline.
+func (r *Router) getScatter(q mcat.Query) *scatter {
+	s, _ := r.scatters.Get().(*scatter)
+	if s == nil {
+		s = &scatter{
+			ch:       make(chan answer, r.n),
+			answers:  make([][]mcat.Hit, r.n),
+			answered: make([]bool, r.n),
+			deadline: time.NewTimer(r.qTimeout),
+		}
+	} else {
+		s.deadline.Reset(r.qTimeout)
+	}
+	s.q = q
+	return s
+}
+
+// ask runs the query on shard i and sends the shard's answer.
+func (s *scatter) ask(i int, c *mcat.Catalog) {
+	hits, err := c.RunQuery(s.q)
+	s.ch <- answer{idx: i, hits: hits, err: err}
+}
+
+// putScatter recycles s, which every shard has answered and whose
+// deadline is stopped.
+func (r *Router) putScatter(s *scatter) {
+	s.q = mcat.Query{}
+	clear(s.answers)
+	clear(s.answered)
+	r.scatters.Put(s)
 }
 
 // mergeHits merges the shards' answers, each already sorted by path,

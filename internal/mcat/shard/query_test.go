@@ -16,7 +16,7 @@ func TestMergeHits(t *testing.T) {
 		return out
 	}
 	fromShard := func(i int, p string) mcat.Hit {
-		return mcat.Hit{Path: p, Values: map[string][]string{"shard": {string(rune('0' + i))}}}
+		return mcat.Hit{Path: p, Values: [][]string{{string(rune('0' + i))}}}
 	}
 	cases := []struct {
 		name  string

@@ -32,6 +32,7 @@ type Router struct {
 	shards []*state
 
 	qTimeout     time.Duration
+	scatters     sync.Pool // of *scatter, sized for n shards (query.go)
 	puller       PullFunc
 	promoteAfter int
 	logf         func(format string, args ...any)

@@ -442,3 +442,78 @@ func TestStructuralBroadcastOnSpine(t *testing.T) {
 		}
 	}
 }
+
+// TestScatterReuseAfterDeadline: a scatter is recycled only when every
+// shard has answered it. One that timed out is left to the GC, for its
+// held shard still sends on its channel once released; recycled, it
+// would hand that late answer to a later query. Queries that time out on
+// a held shard, then 1 000 more as the shard lets go, must each return
+// what a monolithic catalog does.
+func TestScatterReuseAfterDeadline(t *testing.T) {
+	mono := mcat.New("admin", "local")
+	r := newTestRouter(t, 4)
+	for _, c := range []Catalog{mono, r} {
+		for top := 0; top < 8; top++ {
+			coll := fmt.Sprintf("/c%d", top)
+			if err := c.MkColl(coll, "admin"); err != nil {
+				t.Fatal(err)
+			}
+			for j := 0; j < 6; j++ {
+				o := &types.DataObject{Collection: coll, Name: fmt.Sprintf("o%d", j), Owner: "alice"}
+				if _, err := c.RegisterObject(o); err != nil {
+					t.Fatal(err)
+				}
+				for _, avu := range []types.AVU{{Name: "k", Value: fmt.Sprintf("v%d", (top+j)%3)}, {Name: "n", Value: fmt.Sprint(top*6 + j)}} {
+					if err := c.AddMeta(o.Path(), types.MetaUser, avu); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		}
+	}
+	queries := []mcat.Query{
+		{Scope: "/", Conds: []mcat.Condition{{Attr: "k", Op: "=", Value: "v0"}}, Select: []string{"n"}},
+		{Scope: "/", Conds: []mcat.Condition{{Attr: "k", Op: "=", Value: "v1"}}, Select: []string{"n", "k"}},
+		{Scope: "/", Conds: []mcat.Condition{{Attr: "n", Op: ">=", Value: "30"}}, Select: []string{"k"}, Limit: 7},
+		{Scope: "/", Conds: []mcat.Condition{{Attr: "sys:name", Op: "like", Value: "o1%"}}, Select: []string{"sys:collection"}},
+		{Scope: "/", Conds: []mcat.Condition{{Attr: "k", Op: "=", Value: "v2"}, {Attr: "n", Op: "<", Value: "20"}}},
+	}
+
+	victim := r.homeIdx("/c0/held")
+	w := &gateWriter{started: make(chan struct{}), gate: make(chan struct{})}
+	r.AttachJournal(victim, mcat.NewJournal(w))
+	done := make(chan error, 1)
+	go func() { done <- r.MkColl("/c0/held", "admin") }()
+	<-w.started // the victim shard's write lock is held from here
+	if err := mono.MkColl("/c0/held", "admin"); err != nil {
+		t.Fatal(err)
+	}
+
+	r.SetQueryTimeout(20 * time.Millisecond)
+	held := fmt.Sprintf("shard-%d", victim)
+	for i := 0; i < 8; i++ {
+		_, partial, err := r.QueryPartial(queries[i%len(queries)])
+		if err != nil || !reflect.DeepEqual(partial, []string{held}) {
+			t.Fatalf("query %d on a held shard: partial %v, err %v; want [%s]", i, partial, err, held)
+		}
+	}
+	r.SetQueryTimeout(DefaultQueryTimeout)
+	close(w.gate)
+	for i := 0; i < 1000; i++ {
+		q := queries[i%len(queries)]
+		want, err := mono.RunQuery(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := r.RunQuery(q)
+		if err != nil {
+			t.Fatalf("query %d: %v", i, err)
+		}
+		if len(got)+len(want) > 0 && !reflect.DeepEqual(got, want) {
+			t.Fatalf("query %d %+v:\n router: %v\n   mono: %v", i, q, got, want)
+		}
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("held mutation: %v", err)
+	}
+}

@@ -484,8 +484,8 @@ func (a *App) handleQuery(w http.ResponseWriter, r *http.Request, user string) {
 	pd.Selected = selected
 	for _, h := range hits {
 		qh := queryHit{Path: h.Path}
-		for _, attr := range selected {
-			qh.Values = append(qh.Values, strings.Join(h.Values[attr], "; "))
+		for _, col := range h.Values {
+			qh.Values = append(qh.Values, strings.Join(col, "; "))
 		}
 		pd.Hits = append(pd.Hits, qh)
 	}

@@ -1,16 +1,20 @@
 package server
 
 import (
+	"fmt"
+	"strconv"
 	"testing"
 
 	"gosrb/internal/client"
+	"gosrb/internal/mcat"
 	stg "gosrb/internal/storage"
 	"gosrb/internal/storage/memfs"
+	"gosrb/internal/types"
 )
 
 // TestRoundTripAllocBudget holds what one small request costs in heap
-// objects, client and server together, over loopback: a Stat and a
-// 5-byte Get. The budgets are absolute and measured — what this test
+// objects, client and server together, over loopback: a Stat, a 5-byte
+// Get, and what a query's cost may grow by with its hits. The budgets are absolute and measured — what this test
 // read once a Get looked its object up once and opened it through one
 // handle, and a Stat looked up the object before the collection; before
 // that it read 22 and 25 (and 32 and 38 before the per-RPC envelope
@@ -35,10 +39,34 @@ func TestRoundTripAllocBudget(t *testing.T) {
 			t.Fatalf("get = %q, %v", data, err)
 		}
 	}
+	// A query pays per answer, not per hit: its hits' two Select columns
+	// come in slabs, so 64 hits cost at most perAnswer objects more than
+	// 4 (a map per hit on both sides cost about 8 per hit).
+	const perAnswer = 2
+	for i := 0; i < 64; i++ {
+		meta := []types.AVU{{Name: "grp", Value: "g"}, {Name: "n", Value: strconv.Itoa(i)}}
+		if _, err := cl.Put(fmt.Sprintf("/home/q%02d", i), []byte("q"), client.PutOpts{Resource: "d1", Meta: meta}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	query := func(hits int) func() {
+		q := mcat.Query{
+			Scope:  "/home",
+			Conds:  []mcat.Condition{{Attr: "grp", Op: "=", Value: "g"}, {Attr: "n", Op: "<", Value: strconv.Itoa(hits)}},
+			Select: []string{"n", "grp"},
+		}
+		return func() {
+			got, err := cl.Query(q)
+			if err != nil || len(got) != hits || len(got[0].Values) != 2 || got[0].Values[1][0] != "g" {
+				t.Fatalf("query for %d hits = %d hits, %v", hits, len(got), err)
+			}
+		}
+	}
 	// Warm-up: the pools, the registry's op and phase rows, the usage row.
 	for i := 0; i < 200; i++ {
 		stat()
 		get()
+		query(64)()
 	}
 	for _, c := range []struct {
 		name   string
@@ -53,5 +81,11 @@ func TestRoundTripAllocBudget(t *testing.T) {
 		} else {
 			t.Logf("%s round trip: %.0f heap objects (budget %.0f)", c.name, got, c.budget)
 		}
+	}
+	few, many := testing.AllocsPerRun(500, query(4)), testing.AllocsPerRun(500, query(64))
+	if many > few+perAnswer {
+		t.Errorf("query round trip: %.0f heap objects for 4 hits, %.0f for 64; at most %d more", few, many, perAnswer)
+	} else {
+		t.Logf("query round trip: %.0f heap objects for 4 hits, %.0f for 64 (at most %d more)", few, many, perAnswer)
 	}
 }

@@ -186,10 +186,7 @@ func decodeBinary(body []byte, v any, share bool) (ok bool, err error) {
 	case *QueryReply:
 		d.tag(tag, tagQueryReply)
 		d.shareStrings()
-		x.Hits = makeSlice[mcat.Hit](&d, 2)
-		for i := range x.Hits {
-			d.hit(&x.Hits[i])
-		}
+		x.Hits = d.hits()
 		x.Partial = d.strings()
 	case *MultiGetReply:
 		d.tag(tag, tagMultiGetReply)
@@ -275,26 +272,64 @@ func (d *decoder) stat(s *types.Stat) {
 	s.Container = d.string()
 }
 
+// appendHit writes a hit as its path and its columns in Select order,
+// each a string list; the attribute names are the query's, not the
+// reply's.
 func appendHit(b []byte, h *mcat.Hit) []byte {
-	b = appendString(b, h.Path)
-	b = appendLen(b, len(h.Values), h.Values == nil)
-	for k, v := range h.Values {
-		b = appendStrings(appendString(b, k), v)
-	}
-	return b
+	return appendSlice(appendString(b, h.Path), h.Values, appendColumn)
 }
 
-func (d *decoder) hit(h *mcat.Hit) {
-	h.Path = d.string()
-	n, isNil := d.length(2)
-	if isNil {
-		return
+func appendColumn(b []byte, col *[]string) []byte { return appendStrings(b, *col) }
+
+// hits decodes a reply's hits. Their columns and the columns' values are
+// cut from two slabs, one of each per reply, sized by a first pass that
+// counts them in the bytes: every column and every value counted was
+// read, at a byte or more apiece, before anything is allocated for it. A
+// malformed body fails in that pass and allocates only the hits.
+func (d *decoder) hits() []mcat.Hit {
+	hits := makeSlice[mcat.Hit](d, 2)
+	scan := *d
+	ncols, nvals := 0, 0
+	for range hits {
+		scan.span()
+		n, _ := scan.length(1)
+		ncols += n
+		for ; n > 0; n-- {
+			m, _ := scan.length(1)
+			nvals += m
+			for ; m > 0; m-- {
+				scan.span()
+			}
+		}
 	}
-	h.Values = make(map[string][]string, n)
-	for i := 0; i < n; i++ {
-		k := d.string()
-		h.Values[k] = d.strings()
+	if scan.err != nil {
+		d.err, d.off = scan.err, len(d.b)
+		return hits
 	}
+	// Made even when empty: a slab's zero-length cut must be an empty
+	// list, not a nil one.
+	cols, vals := make([][]string, ncols), make([]string, nvals)
+	for i := range hits {
+		h := &hits[i]
+		h.Path = d.string()
+		n, isNil := d.length(1)
+		if isNil {
+			continue
+		}
+		h.Values, cols = cols[:n:n], cols[n:]
+		for k := range h.Values {
+			m, isNil := d.length(1)
+			if isNil {
+				continue
+			}
+			col := vals[:m:m]
+			for j := range col {
+				col[j] = d.string()
+			}
+			h.Values[k], vals = col, vals[m:]
+		}
+	}
+	return hits
 }
 
 func appendMultiGetItem(b []byte, it *MultiGetItem) []byte {

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"gosrb/internal/mcat"
 	"gosrb/internal/types"
 )
 
@@ -226,6 +227,54 @@ func TestCodecEdges(t *testing.T) {
 	}
 	if a, err := DecodeArgs[PathArgs](nil); err != nil || a != (PathArgs{}) {
 		t.Errorf("absent args = %+v, %v; want the zero struct", a, err)
+	}
+}
+
+// TestQueryReplyEncodesDeterministically: a hit's values travel as
+// columns in Select order, so one reply encodes to the same bytes every
+// time, and they decode into the same columns, a nil one still nil and
+// an empty one still empty.
+func TestQueryReplyEncodesDeterministically(t *testing.T) {
+	sel := []string{"mag", "band", "dc:title", "sys:size"}
+	column := func(i, k int) []string {
+		switch {
+		case i == 0 && k == 1:
+			return nil
+		case i == 0 && k == 2:
+			return []string{}
+		}
+		return []string{fmt.Sprintf("%s-%d", sel[k], i), "second"}[:1+i%2]
+	}
+	var reply QueryReply
+	for i := 0; i < 8; i++ {
+		h := mcat.Hit{Path: fmt.Sprintf("/z/p/o%d", i)}
+		for k := range sel {
+			h.Values = append(h.Values, column(i, k))
+		}
+		reply.Hits = append(reply.Hits, h)
+	}
+	first, err := AppendBody(nil, reply)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for n := 1; n < 100; n++ {
+		if b, _ := AppendBody(nil, reply); !bytes.Equal(b, first) {
+			t.Fatalf("encoding %d of one reply differs from the first:\n%x\n%x", n, b, first)
+		}
+	}
+	var back QueryReply
+	if err := DecodeBody(first, &back); err != nil {
+		t.Fatal(err)
+	}
+	for i, h := range back.Hits {
+		if len(h.Values) != len(sel) {
+			t.Fatalf("hit %d has %d columns, want %d", i, len(h.Values), len(sel))
+		}
+		for k := range sel {
+			if got, want := h.Values[k], column(i, k); !reflect.DeepEqual(got, want) {
+				t.Errorf("hit %d column %d (Select %q) = %#v, want %#v", i, k, sel[k], got, want)
+			}
+		}
 	}
 }
 

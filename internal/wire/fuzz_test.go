@@ -91,11 +91,11 @@ func FuzzDecodeFrame(f *testing.F) {
 }
 
 // allocBound is what decoding n input bytes may allocate: a small multiple
-// of n plus slack for the runtime. The multiple is set by the costliest
-// element per encoded byte: a reply hit's one-entry values map (four
-// bytes) allocates a table group of eight slots, ≈400 bytes; everything
-// else stays under 40 bytes per byte. A length believed ahead of the bytes
-// that back it costs far more than this from a few input bytes.
+// of n plus slack for the runtime. The multiple leaves room over the
+// costliest element per encoded byte, a reply hit's column: one byte for a
+// 24-byte slot in its reply's slab; every element stays under 40 bytes per
+// byte. A length believed ahead of the bytes that back it costs far more
+// than this from a few input bytes.
 func allocBound(n int) uint64 { return 128*uint64(n) + 16<<10 }
 
 // allocated runs fn and returns the bytes it allocated.
