@@ -194,14 +194,18 @@ test-telemetry:
 # frames, sinks and allocation fences, the replica fan-out, and the
 # end-to-end suite (fixed memory for 4 concurrent large transfers, broken
 # streams at client / member / driver / peer, pipelining beside a stream),
-# and a read's one lookup per server and one account per layer, repeated
-# under -race — hand-offs of a connection's read side between the reader
-# loop and a handler only misbehave across interleavings.
+# a read's one lookup per server and one account per layer, a container
+# member read as a replica of its segment (failover, breakers), and a
+# replicate that overlaps a write, repeated under -race — hand-offs of a
+# connection's read side between the reader loop and a handler only
+# misbehave across interleavings. The member-get allocation fence runs
+# without -race, whose own allocations would swamp it.
 test-stream:
 	$(GO) test -race -count=10 ./internal/chunk/ ./internal/wire/
 	$(GO) test -race -count=10 -run 'TestWriteFrom|TestFanout|TestReadHandle' ./internal/replica/
 	$(GO) test -race -count=10 -run 'TestParallelGetRetries' ./internal/client/
-	$(GO) test -race -count=10 -run 'TestReadResolvesOnce|TestGetHandleAccountsOnce' ./internal/server/ ./internal/core/
+	$(GO) test -race -count=10 -run 'TestReadResolvesOnce|TestGetHandleAccountsOnce|TestContainerOnLogicalResource|TestReplicateOverlapping' ./internal/server/ ./internal/core/
+	$(GO) test -count=3 -run 'TestMemberGetStreams' ./internal/core/
 	$(GO) test -race -count=10 -run 'TestStream|TestReadYourOwn|TestPipelined|TestRejected|TestRequestWithoutID|TestPut|TestReput|TestGetDriver|TestProxiedGet|TestStalled|TestReadRange|TestMultiGetRetryAfterMidStreamDrop|TestMultiGetOwnerManifestCannotPresize' ./internal/server/
 
 # The end-to-end benchmark BENCHMARK.json declares (bench/README.md): the

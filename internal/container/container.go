@@ -7,8 +7,12 @@
 // A segment begins with a file header and holds a sequence of records,
 // each framed with a marker and length so segments are self-describing:
 // Scan recovers the member table from the bytes alone, while in normal
-// operation MCAT tracks each member's (offset, size) and members are
-// read directly by range without touching the rest of the segment.
+// operation MCAT tracks each member's (offset, size). A member is read
+// as a replica is: the replica manager selects one of the container's
+// segment replicas, with its breakers and failover, and Member narrows
+// the open segment to the member's record, so the member streams
+// without touching the rest of the segment. Segments are replicated and
+// synchronised as whole files, like any other object's replicas.
 package container
 
 import (
@@ -106,21 +110,35 @@ func (w *Writer) Append(data []byte) (offset int64, err error) {
 	return offset, nil
 }
 
-// Read extracts one member's bytes given the payload offset and size
-// recorded in the catalog, without reading the rest of the segment.
-func Read(d storage.Driver, path string, offset, size int64) ([]byte, error) {
+// Member narrows f, an open segment, to the member recorded in the
+// catalog at payload offset and size: reads stream the member's bytes
+// and nothing else of the segment. An offset inside the segment's
+// framing, or a segment too short to hold the member (a replica that
+// missed an append), is refused and f is closed, so a caller choosing
+// among segment replicas moves on to the next.
+func Member(f storage.ReadFile, offset, size int64) (storage.ReadFile, error) {
+	var err error
 	if offset < HeaderSize+recHeaderSize || size < 0 {
-		return nil, types.E("container-read", path, types.ErrInvalid)
+		err = types.ErrInvalid
+	} else if n, serr := storage.SizeOf(f); serr != nil {
+		err = serr
+	} else if n < offset+size {
+		err = fmt.Errorf("segment of %d bytes ends before the member's end at %d: %w", n, offset+size, types.ErrInvalid)
 	}
-	buf, err := storage.ReadRange(d, path, offset, size)
 	if err != nil {
-		return nil, err
+		f.Close()
+		return nil, types.E("container-read", "", err)
 	}
-	if int64(len(buf)) != size {
-		return nil, types.E("container-read", path, io.ErrUnexpectedEOF)
-	}
-	return buf, nil
+	return member{io.NewSectionReader(f, offset, size), f}, nil
 }
+
+// member is one record's window onto its open segment.
+type member struct {
+	*io.SectionReader
+	seg storage.ReadFile
+}
+
+func (m member) Close() error { return m.seg.Close() }
 
 // Record locates one member found by Scan.
 type Record struct {
@@ -175,10 +193,4 @@ func Scan(d storage.Driver, path string) ([]Record, error) {
 		out = append(out, Record{Offset: payload, Size: size})
 		off = payload + size
 	}
-}
-
-// Copy duplicates a whole segment between drivers (container
-// replication and cache-to-archive sync use this).
-func Copy(dst storage.Driver, dstPath string, src storage.Driver, srcPath string) (int64, error) {
-	return storage.Copy(dst, dstPath, src, srcPath)
 }

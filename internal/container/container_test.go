@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"testing"
 	"testing/quick"
 
@@ -11,6 +12,21 @@ import (
 	"gosrb/internal/storage/memfs"
 	"gosrb/internal/types"
 )
+
+// readMember reads one member's bytes through Member, on an open of
+// the segment of its own.
+func readMember(d storage.Driver, path string, offset, size int64) ([]byte, error) {
+	f, err := d.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	m, err := Member(f, offset, size)
+	if err != nil {
+		return nil, err
+	}
+	defer m.Close()
+	return io.ReadAll(m)
+}
 
 func TestAppendAndRead(t *testing.T) {
 	d := memfs.New()
@@ -32,7 +48,7 @@ func TestAppendAndRead(t *testing.T) {
 		members = append(members, member{data, off})
 	}
 	for i, m := range members {
-		got, err := Read(d, "/cont/seg1", m.off, int64(len(m.data)))
+		got, err := readMember(d, "/cont/seg1", m.off, int64(len(m.data)))
 		if err != nil {
 			t.Fatalf("member %d: %v", i, err)
 		}
@@ -61,11 +77,11 @@ func TestWriterResume(t *testing.T) {
 	if off2 <= off1 {
 		t.Errorf("offsets must grow: %d then %d", off1, off2)
 	}
-	got, err := Read(d, "/seg", off1, 5)
+	got, err := readMember(d, "/seg", off1, 5)
 	if err != nil || string(got) != "first" {
 		t.Errorf("first member after resume: %q, %v", got, err)
 	}
-	got, _ = Read(d, "/seg", off2, 6)
+	got, _ = readMember(d, "/seg", off2, 6)
 	if string(got) != "second" {
 		t.Errorf("second member: %q", got)
 	}
@@ -96,7 +112,7 @@ func TestScanRecoversMembers(t *testing.T) {
 		if r.Offset != wantOffs[i] || r.Size != int64(len(wantData[i])) {
 			t.Errorf("record %d = %+v, want off %d size %d", i, r, wantOffs[i], len(wantData[i]))
 		}
-		got, _ := Read(d, "/seg", r.Offset, r.Size)
+		got, _ := readMember(d, "/seg", r.Offset, r.Size)
 		if !bytes.Equal(got, wantData[i]) {
 			t.Errorf("record %d payload mismatch", i)
 		}
@@ -144,13 +160,13 @@ func TestReadGuards(t *testing.T) {
 	d := memfs.New()
 	w, _ := NewWriter(d, "/seg")
 	off, _ := w.Append([]byte("data"))
-	if _, err := Read(d, "/seg", 0, 4); !errors.Is(err, types.ErrInvalid) {
+	if _, err := readMember(d, "/seg", 0, 4); !errors.Is(err, types.ErrInvalid) {
 		t.Errorf("offset inside header: %v", err)
 	}
-	if _, err := Read(d, "/seg", off, 9999); err == nil {
+	if _, err := readMember(d, "/seg", off, 9999); err == nil {
 		t.Error("read past end should fail")
 	}
-	if _, err := Read(d, "/missing", off, 4); !errors.Is(err, types.ErrNotFound) {
+	if _, err := readMember(d, "/missing", off, 4); !errors.Is(err, types.ErrNotFound) {
 		t.Errorf("missing segment: %v", err)
 	}
 }
@@ -159,11 +175,11 @@ func TestCopySegment(t *testing.T) {
 	src, dst := memfs.New(), memfs.New()
 	w, _ := NewWriter(src, "/seg")
 	off, _ := w.Append([]byte("hello"))
-	n, err := Copy(dst, "/archived", src, "/seg")
+	n, err := storage.Copy(dst, "/archived", src, "/seg")
 	if err != nil || n != w.Size() {
 		t.Fatalf("Copy = %d, %v (want %d)", n, err, w.Size())
 	}
-	got, err := Read(dst, "/archived", off, 5)
+	got, err := readMember(dst, "/archived", off, 5)
 	if err != nil || string(got) != "hello" {
 		t.Errorf("copied member = %q, %v", got, err)
 	}
@@ -180,7 +196,7 @@ func TestEmptyPayload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Read(d, "/seg", off, 0)
+	got, err := readMember(d, "/seg", off, 0)
 	if err != nil || len(got) != 0 {
 		t.Errorf("empty member = %v, %v", got, err)
 	}
@@ -224,7 +240,7 @@ func TestAppendScanProperty(t *testing.T) {
 			recs = append(recs, rec{off, data})
 		}
 		for _, r := range recs {
-			got, err := Read(d, "/seg", r.off, int64(len(r.data)))
+			got, err := readMember(d, "/seg", r.off, int64(len(r.data)))
 			if err != nil || !bytes.Equal(got, r.data) {
 				return false
 			}

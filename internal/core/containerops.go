@@ -115,37 +115,6 @@ func readMember(r io.Reader) ([]byte, error) {
 	return m.Bytes(), err
 }
 
-// readContainerMember extracts a member's bytes from any clean online
-// segment replica.
-func (b *Broker) readContainerMember(o *types.DataObject) ([]byte, error) {
-	cont, err := b.Cat.GetObject(o.Container)
-	if err != nil {
-		return nil, types.E("get", o.Container, types.ErrNotFound)
-	}
-	var lastErr error = types.ErrOffline
-	for _, rep := range cont.Replicas {
-		if rep.Status != types.ReplicaClean {
-			continue
-		}
-		res, rerr := b.Cat.GetResource(rep.Resource)
-		if rerr != nil || !res.Online {
-			continue
-		}
-		d, derr := b.Driver(rep.Resource)
-		if derr != nil {
-			lastErr = derr
-			continue
-		}
-		data, err := container.Read(d, rep.PhysicalPath, o.ContainerOffset, o.ContainerSize)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		return data, nil
-	}
-	return nil, types.E("get", o.Path(), lastErr)
-}
-
 // reingestContainerMember appends the new contents as a fresh record
 // and repoints the member; the old bytes remain in the segment until
 // the container is compacted or removed.
@@ -230,7 +199,9 @@ func (b *Broker) ingestAppendOnly(contPath string, data []byte) (int64, error) {
 }
 
 // SyncContainer refreshes dirty segment replicas from a clean one and
-// returns how many were repaired.
+// returns how many were repaired. The segments are copied as any
+// object's replicas are (replica.Manager.SyncDirty), under the
+// container's append lock so no record lands mid-copy.
 func (b *Broker) SyncContainer(user, contPath string) (int, error) {
 	start := time.Now()
 	n, err := b.syncContainer(user, contPath)
@@ -252,57 +223,9 @@ func (b *Broker) syncContainer(user, contPath string) (int, error) {
 	lock := b.contLock(contPath)
 	lock.Lock()
 	defer lock.Unlock()
-	cont, err = b.Cat.GetObject(contPath)
-	if err != nil {
-		return 0, err
-	}
-	var srcRep *types.Replica
-	for i := range cont.Replicas {
-		if cont.Replicas[i].Status == types.ReplicaClean {
-			if res, err := b.Cat.GetResource(cont.Replicas[i].Resource); err == nil && res.Online {
-				srcRep = &cont.Replicas[i]
-				break
-			}
-		}
-	}
-	if srcRep == nil {
-		return 0, types.E("synccontainer", contPath, types.ErrOffline)
-	}
-	srcD, err := b.Driver(srcRep.Resource)
-	if err != nil {
-		return 0, err
-	}
-	fixed := make(map[types.ReplicaNumber]bool)
-	for _, rep := range cont.Replicas {
-		if rep.Status != types.ReplicaDirty {
-			continue
-		}
-		res, rerr := b.Cat.GetResource(rep.Resource)
-		if rerr != nil || !res.Online {
-			continue
-		}
-		d, derr := b.Driver(rep.Resource)
-		if derr != nil {
-			continue
-		}
-		if _, err := container.Copy(d, rep.PhysicalPath, srcD, srcRep.PhysicalPath); err != nil {
-			continue
-		}
-		fixed[rep.Number] = true
-	}
-	if len(fixed) > 0 {
-		err = b.Cat.UpdateObject(contPath, func(o *types.DataObject) error {
-			for i := range o.Replicas {
-				if fixed[o.Replicas[i].Number] {
-					o.Replicas[i].Status = types.ReplicaClean
-					o.Replicas[i].Size = o.Size
-				}
-			}
-			return nil
-		})
-	}
-	b.audit(user, "synccontainer", contPath, err == nil, fmt.Sprintf("%d replicas", len(fixed)))
-	return len(fixed), err
+	n, err := b.rm.SyncDirty(contPath)
+	b.audit(user, "synccontainer", contPath, err == nil, fmt.Sprintf("%d replicas", n))
+	return n, err
 }
 
 // DeleteContainer removes an empty container and its segments.

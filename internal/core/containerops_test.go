@@ -1,10 +1,18 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"io"
+	"runtime"
+	"strings"
 	"testing"
+	"time"
 
+	"gosrb/internal/obs"
+	"gosrb/internal/resilience"
+	"gosrb/internal/storage"
 	"gosrb/internal/types"
 )
 
@@ -86,6 +94,78 @@ func TestContainerOnLogicalResource(t *testing.T) {
 	data, err = b.Get("alice", "/home/m1")
 	if err != nil || string(data) != "aligned" {
 		t.Errorf("read via disk1 segment = %q, %v", data, err)
+	}
+	b.Cat.SetResourceOnline("disk2", true)
+
+	// getVia reads the member under a trace and wants it served past
+	// disk1 with an event of the given kind naming why.
+	getVia := func(name, kind, detail string) {
+		t.Helper()
+		sp := obs.StartSpan("", "get")
+		data, err := b.GetTraced("alice", "/home/m1", sp)
+		if err != nil || string(data) != "aligned" {
+			t.Fatalf("%s: get = %q, %v", name, data, err)
+		}
+		for _, ev := range sp.Events() {
+			if ev.Kind == kind && strings.Contains(ev.Detail, detail) {
+				return
+			}
+		}
+		t.Errorf("%s: no %s event naming %s in %+v", name, kind, detail, sp.Events())
+	}
+	// A segment that missed the member's append is too short to hold
+	// it: the read fails over to disk2's.
+	d1, _ := b.Driver("disk1")
+	seg := cont.Replicas[0].PhysicalPath
+	full, err := storage.ReadAll(d1, seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := storage.WriteAll(d1, seg, full[:len(full)-3]); err != nil {
+		t.Fatal(err)
+	}
+	getVia("disk1 segment truncated", obs.EventFailover, "disk2")
+	if err := storage.WriteAll(d1, seg, full); err != nil {
+		t.Fatal(err)
+	}
+	// An open breaker routes the read around disk1 before it is tried.
+	b.Breakers().SetConfig(resilience.BreakerConfig{Threshold: 1, Cooldown: time.Hour})
+	b.Breakers().For("resource", "disk1").Failure()
+	getVia("disk1 breaker open", obs.EventBreakerFast, "resource.disk1")
+}
+
+// TestMemberGetStreams: a member get streams from its segment, so
+// reading a 1 MiB member allocates a small fraction of its size. Run it
+// without -race: the race detector's own allocations would swamp it.
+func TestMemberGetStreams(t *testing.T) {
+	b := newBroker(t)
+	if _, err := b.CreateContainer("alice", "/home/cc", "disk1"); err != nil {
+		t.Fatal(err)
+	}
+	const size = 1 << 20
+	if _, err := b.Ingest("alice", IngestOpts{Path: "/home/big", Data: bytes.Repeat([]byte("m"), size), Container: "/home/cc"}); err != nil {
+		t.Fatal(err)
+	}
+	get := func() {
+		row := b.Lookup("/home/big")
+		f, n, err := b.OpenGet("alice", &row, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		if got, err := io.Copy(io.Discard, f); err != nil || got != size || n != size {
+			t.Fatalf("member get = %d of %d bytes, %v; want %d", got, n, err, size)
+		}
+	}
+	get() // warm the pools a get draws on
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	get()
+	runtime.ReadMemStats(&after)
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("a 1 MiB member get allocated %d bytes", got)
+	if got >= 64<<10 {
+		t.Errorf("a 1 MiB member get allocated %d bytes, want under %d", got, 64<<10)
 	}
 }
 

@@ -379,12 +379,12 @@ func (b *Broker) GetTraced(user, path string, sp *obs.Span) ([]byte, error) {
 }
 
 // OpenGet opens the object of a looked-up row for one whole-object read
-// and returns the reader with the size it will yield. File objects
-// stream from the replica the manager selected; the other kinds
-// (container members, SQL, URL, method, shadow listings) are produced in
-// memory and served from there. The get is accounted when the reader is
-// closed — broker.get latency, hot-key bytes — from the bytes actually
-// read.
+// and returns the reader with the size it will yield. File objects,
+// container members among them, stream from the replica the manager
+// selected; the other kinds (SQL, URL, method, shadow listings) are
+// produced in memory and served from there. The get is accounted when
+// the reader is closed — broker.get latency, hot-key bytes — from the
+// bytes actually read.
 func (b *Broker) OpenGet(user string, row *Row, sp *obs.Span) (storage.ReadFile, int64, error) {
 	err := b.checkReadRow(user, "get", row)
 	sp.Phase(obs.PhaseMCATLookup, time.Since(row.start))
@@ -473,7 +473,6 @@ func (b *Broker) openKind(h *replica.Handle, user string, o *types.DataObject, p
 	case types.KindFile:
 		if o.Container != "" {
 			sp.Event(obs.EventContainerHit, o.Container)
-			return openBytes(b.readContainerMember(o))
 		}
 		rep, err := b.rm.OpenInto(h, o, path, "", sp)
 		return nil, rep.Size, err

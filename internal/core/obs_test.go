@@ -145,8 +145,8 @@ func TestMetricsConcurrentBrokerOps(t *testing.T) {
 // the shard-key heat) from the broker, and the replica's (storage.read,
 // the transfer row, the object heat) from the replica handle inside it.
 // A read that fails is one get error and one failure on the resource's
-// breaker. A container member is not a replica read: its get files the
-// broker's rows only.
+// breaker. A container member is read as a replica of its container's
+// segment: its get files the same rows as a file's.
 func TestGetHandleAccountsOnce(t *testing.T) {
 	b := newBroker(t)
 	reg := b.Metrics()
@@ -225,7 +225,8 @@ func TestGetHandleAccountsOnce(t *testing.T) {
 		t.Errorf("disk2 breaker %v after one more failure; the torn read filed none", br.State())
 	}
 
-	// A container member: the get's own rows, nothing of a replica read.
+	// A container member: the get's own rows and one replica read of its
+	// segment on disk1.
 	if _, err := b.CreateContainer("alice", "/home/acct/cc", "disk1"); err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +235,9 @@ func TestGetHandleAccountsOnce(t *testing.T) {
 	}
 	peerOps := func() (n int64) {
 		for _, row := range reg.Peers().Snapshot() {
-			n += row.Ops
+			if row.Resource == "disk1" {
+				n += row.Ops
+			}
 		}
 		return n
 	}
@@ -246,13 +249,13 @@ func TestGetHandleAccountsOnce(t *testing.T) {
 	if get := reg.Snapshot().Ops["broker.get"]; get.Count != 3 || get.Errors != 1 {
 		t.Errorf("broker.get after a member get = %d (%d errors), want 3 (1)", get.Count, get.Errors)
 	}
-	if got := phases(sp, obs.PhaseStorageRead); got != 0 {
-		t.Errorf("member get filed %d storage.read phases, want 0", got)
+	if got := phases(sp, obs.PhaseStorageRead); got != 1 {
+		t.Errorf("member get filed %d storage.read phases, want 1", got)
 	}
-	if got := peerOps() - opsBefore; got != 0 {
-		t.Errorf("member get filed %d transfer observations, want 0", got)
+	if got := peerOps() - opsBefore; got != 1 {
+		t.Errorf("member get filed %d transfer observations on disk1, want 1", got)
 	}
-	if o := heat(reg.HeatObjects(), "/home/acct/member"); o.Count != 0 {
-		t.Errorf("member get filed %d object-heat hits, want 0", o.Count)
+	if o := heat(reg.HeatObjects(), "/home/acct/member"); o.Count != 1 || o.Bytes != n {
+		t.Errorf("member get filed %d object-heat hits of %d bytes, want 1 of %d", o.Count, o.Bytes, n)
 	}
 }

@@ -2,8 +2,9 @@
 // replication into logical resources, replica selection with automatic
 // failover ("the system automatically redirecting access to a replica
 // on a separate storage system when the first storage system is
-// unavailable", paper §3.4), dirty-replica synchronisation, and the
-// physical move of a replica between resources.
+// unavailable", paper §3.4) for objects and container members alike,
+// dirty-replica synchronisation, and the physical move of a replica
+// between resources.
 package replica
 
 import (
@@ -16,6 +17,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"gosrb/internal/container"
 	"gosrb/internal/obs"
 	"gosrb/internal/resilience"
 	"gosrb/internal/storage"
@@ -205,7 +207,9 @@ func (m *Manager) OpenReadEv(path, preferResource string, sp *obs.Span) (storage
 // read for path, into h: clean replicas are tried per the policy, failing
 // over past unavailable resources. Breaker trips, fast-fails, half-open
 // probes, failovers and cache hits along the selection land as events on
-// sp (nil sp = untraced). It returns the replica served.
+// sp (nil sp = untraced). It returns the replica served. A container
+// member is selected among its container's segment replicas, and the
+// replica returned is the segment's, sized to the member.
 //
 // h accounts the read where the bytes move: closing it records the
 // storage.read phase (open plus time inside the driver's Read calls),
@@ -224,8 +228,18 @@ func (m *Manager) OpenInto(h *Handle, o *types.DataObject, path, preferResource 
 }
 
 func (m *Manager) openRead(o *types.DataObject, path, preferResource string, sp *obs.Span) (storage.ReadFile, types.Replica, error) {
+	// A container member has no replicas of its own: it is served from
+	// one of its container's segments, narrowed to its record.
+	holder := o
+	if o.Container != "" {
+		cont, err := m.cat.GetObject(o.Container)
+		if err != nil {
+			return nil, types.Replica{}, types.E("open", o.Container, types.ErrNotFound)
+		}
+		holder = &cont
+	}
 	var buf [4]types.Replica
-	cands := m.candidates(buf[:0], o, preferResource, sp)
+	cands := m.candidates(buf[:0], holder, preferResource, sp)
 	if len(cands) == 0 {
 		return nil, types.Replica{}, types.E("open", path, types.ErrOffline)
 	}
@@ -246,6 +260,10 @@ func (m *Manager) openRead(o *types.DataObject, path, preferResource string, sp 
 		}
 		openStart := time.Now()
 		f, err := d.Open(r.PhysicalPath)
+		if err == nil && o.Container != "" {
+			f, err = container.Member(f, o.ContainerOffset, o.ContainerSize)
+			r.Size = o.ContainerSize
+		}
 		openDur := time.Since(openStart)
 		if err != nil {
 			sp.Phase(obs.PhaseReplicaAttempt, time.Since(attempt))
@@ -403,7 +421,8 @@ func (m *Manager) Replicate(path, resource string) (types.Replica, error) {
 		return types.Replica{}, types.E("replicate", resource, types.ErrOffline)
 	}
 	src := new(Handle)
-	if _, err := m.OpenInto(src, &o, path, "", nil); err != nil {
+	from, err := m.OpenInto(src, &o, path, "", nil)
+	if err != nil {
 		return types.Replica{}, err
 	}
 	defer src.Close()
@@ -425,12 +444,19 @@ func (m *Manager) Replicate(path, resource string) (types.Replica, error) {
 		Number:       next,
 		Resource:     resource,
 		PhysicalPath: physPath,
-		Status:       types.ReplicaClean,
 		Size:         fo.Size(),
 		Checksum:     fo.Checksum(),
 	}
 	err = m.cat.UpdateObject(path, func(o *types.DataObject) error {
 		newRep.CreatedAt = o.ModifiedAt
+		// The copy is current only if its source did not change while it
+		// ran; after an append or a rewrite it is stale, and SyncDirty
+		// refreshes it.
+		newRep.Status = types.ReplicaDirty
+		if now, ok := o.ReplicaByNumber(from.Number); ok && now.Status == types.ReplicaClean &&
+			now.Size == from.Size && now.Checksum == from.Checksum {
+			newRep.Status = types.ReplicaClean
+		}
 		o.Replicas = append(o.Replicas, newRep)
 		return nil
 	})

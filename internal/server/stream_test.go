@@ -942,4 +942,20 @@ func TestReadRangeRejectsNegativeOffset(t *testing.T) {
 	if got, err := cl.GetRange("/home/r", 8, 4); err != nil || string(got) != "89" {
 		t.Errorf("GetRange across the end = %q, %v; want \"89\"", got, err)
 	}
+	// A container member's range ends at its record, not at the next
+	// member's bytes in the segment.
+	if _, err := cl.MkContainer("/home/cc", "disk1"); err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range [][2]string{{"/home/cc-m", "abcdefghij"}, {"/home/cc-n", "KLMNOP"}} {
+		if _, err := cl.Put(m[0], []byte(m[1]), client.PutOpts{Container: "/home/cc"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, err := cl.GetRange("/home/cc-m", 2, 4); err != nil || string(got) != "cdef" {
+		t.Errorf("GetRange inside a member = %q, %v; want \"cdef\"", got, err)
+	}
+	if got, err := cl.GetRange("/home/cc-m", 8, 4); err != nil || string(got) != "ij" {
+		t.Errorf("GetRange across a member's end = %q, %v; want \"ij\"", got, err)
+	}
 }

@@ -117,28 +117,6 @@ func TestRoundTripProperty(t *testing.T) {
 	}
 }
 
-func TestReadRangeHelper(t *testing.T) {
-	f := New()
-	if err := storage.WriteAll(f, "/r", []byte("0123456789")); err != nil {
-		t.Fatal(err)
-	}
-	got, err := storage.ReadRange(f, "/r", 2, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != "234" {
-		t.Errorf("ReadRange = %q", got)
-	}
-	// Range running past EOF returns the available prefix.
-	got, err = storage.ReadRange(f, "/r", 8, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != "89" {
-		t.Errorf("ReadRange past EOF = %q", got)
-	}
-}
-
 func TestCopyHelper(t *testing.T) {
 	a, b := New(), New()
 	if err := storage.WriteAll(a, "/src", []byte("payload")); err != nil {

@@ -9,7 +9,6 @@
 package storage
 
 import (
-	"errors"
 	"io"
 	"sort"
 	"time"
@@ -171,22 +170,6 @@ func ReadSized(r io.Reader, size int64) ([]byte, error) {
 			return nil, err
 		}
 	}
-}
-
-// ReadRange reads length bytes starting at offset from path. It is the
-// primitive container member extraction uses.
-func ReadRange(d Driver, path string, offset, length int64) ([]byte, error) {
-	r, err := d.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer r.Close()
-	buf := make([]byte, length)
-	n, err := r.ReadAt(buf, offset)
-	if err != nil && !errors.Is(err, io.EOF) {
-		return nil, err
-	}
-	return buf[:n], nil
 }
 
 // Copy streams the file at srcPath on src to dstPath on dst and returns
