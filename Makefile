@@ -64,6 +64,15 @@ JOURNAL_WRITES := \blog\(|appendLine\(|\.w\.Write\(
 # The audit fence: the trail is the broker's (core.Broker.Audit), so the catalog never imports internal/audit.
 AUDIT_IMPORT := "gosrb/internal/audit"
 
+# The file fence keeps one way to put a file on disk: a snapshot, shard
+# map, telemetry file, incident file, replica file or download is
+# published by internal/durable (Create, Replace), and a journal is a
+# durable.Log, never a rename, temp file or WriteFile of its own. The one
+# rename outside it is posixfs's driver Rename op, which moves an object
+# and publishes nothing.
+FILE_WRITES := os\.(Rename|CreateTemp|WriteFile)\(
+DRIVER_RENAME := ^internal/storage/posixfs/posixfs\.go:[0-9]+:\s*return mapErr\("rename", oldPath, os\.Rename\(oh, nh\)\)$$
+
 # The format fence: every Go file is as gofmt writes it, so formatting
 # never rides along with (or needs) a commit of its own.
 lint: vet
@@ -77,6 +86,7 @@ lint: vet
 	@if grep -rnE '$(WHOLE_READS)' --include=*.go --exclude=*_test.go internal/server; then echo "whole-object read in internal/server: open with Broker.OpenGet and stream"; exit 1; fi
 	@if grep -rnE '$(LOOKUP_AGAIN_SERVER)' --include=*.go --exclude=*_test.go internal/server || grep -rnE '$(LOOKUP_AGAIN_CORE)' --include=*.go --exclude=*_test.go internal/core; then echo "resolve a path once (Broker.Lookup) and pass the row down"; exit 1; fi
 	@if grep -rnE '$(PRESIZED)' --include=*.go --exclude=*_test.go internal/server; then echo "a server holds forwarded bytes in a chunk.Spool, never presized from a remote length"; exit 1; fi
+	@if grep -rnE '$(FILE_WRITES)' --include=*.go --exclude=*_test.go --exclude-dir=durable cmd internal examples | grep -vE '$(DRIVER_RENAME)'; then echo "file written outside internal/durable: publish it with durable.Replace or durable.Create, append with durable.Log"; exit 1; fi
 	@if grep -nE '`-($(GONE_FLAGS))\b' README.md DESIGN.md; then echo "docs cite a removed flag: state the constant"; exit 1; fi
 	@if grep -nE 'BENCH_[a-z]*\.json' $(DOCS); then echo "docs cite a retired BENCH_*.json ratio file"; exit 1; fi; for t in $$(grep -ohE '(`|^)make [a-z][a-z0-9-]*' $(DOCS) | cut -d' ' -f2 | sort -u); do grep -q "^$$t:" Makefile || { echo "docs mention undefined target: make $$t"; exit 1; }; done
 	@if [ ! -x "$(STATICCHECK)" ] && command -v staticcheck >/dev/null 2>&1; then \
@@ -160,8 +170,11 @@ test-phases:
 # against the recursive matcher it replaced, and 15 s of arbitrary
 # journal bytes through the one seam boot replay, replication and
 # migration share. (Minimizing an input as long as a journal would
-# otherwise take the whole 15 s.)
+# otherwise take the whole 15 s.) First, the durable-file layer every
+# snapshot and journal sits on: publish and abort, the line log's
+# concurrent appends, replay's line limits.
 test-mcat:
+	$(GO) test -race -count=10 ./internal/durable/
 	$(GO) test -race -count=10 ./internal/mcat/shard/
 	$(GO) test -count=3 -run 'TestQueryAllocates|TestRoundTripAllocBudget' ./internal/mcat/ ./internal/server/
 	$(GO) test -race -count=10 -run 'Query|Like|Differential' ./internal/mcat/

@@ -13,6 +13,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -22,6 +23,7 @@ import (
 	"time"
 
 	"gosrb/internal/client"
+	"gosrb/internal/durable"
 	"gosrb/internal/mcat"
 	"gosrb/internal/report"
 	"gosrb/internal/types"
@@ -265,7 +267,12 @@ func run(cl *client.Client, cmd string, args []string) error {
 			}
 			sort.Strings(names)
 			for _, name := range names {
-				if err := os.WriteFile(outDir+"/"+name, rep.Files[name], 0o644); err != nil {
+				b := rep.Files[name]
+				err := durable.Replace(outDir+"/"+name, func(w io.Writer) error {
+					_, err := w.Write(b)
+					return err
+				})
+				if err != nil {
 					return err
 				}
 				fmt.Printf("wrote %s/%s (%d bytes)\n", outDir, name, len(rep.Files[name]))
@@ -359,7 +366,7 @@ func run(cl *client.Client, cmd string, args []string) error {
 			_, err := cl.GetTo(path, os.Stdout)
 			return err
 		}
-		return writeLocal(args[1], func(f *os.File) error {
+		return writeLocal(args[1], func(f *durable.File) error {
 			_, err := cl.GetTo(path, f)
 			return err
 		})
@@ -370,7 +377,7 @@ func run(cl *client.Client, cmd string, args []string) error {
 		if len(args) > 2 {
 			streams, _ = strconv.Atoi(args[2])
 		}
-		return writeLocal(local, func(f *os.File) error {
+		return writeLocal(local, func(f *durable.File) error {
 			_, err := cl.ParallelGetTo(path, streams, f)
 			return err
 		})
@@ -678,27 +685,19 @@ func runBulkPut(cl *client.Client, args []string) error {
 }
 
 // writeLocal streams a download into the local file at path. The bytes
-// land in a temporary sibling that replaces path only once fill has
+// land in a durable.File that replaces path only once fill has
 // succeeded, so a failed transfer neither truncates an existing file nor
 // leaves a partial one.
-func writeLocal(path string, fill func(*os.File) error) error {
-	f, err := os.CreateTemp(filepath.Dir(path), ".srb-get-*")
+func writeLocal(path string, fill func(*durable.File) error) error {
+	f, err := durable.Create(path)
 	if err != nil {
 		return err
 	}
-	err = fill(f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
+	if err := fill(f); err != nil {
+		f.Abort()
+		return err
 	}
-	if err == nil {
-		if err = os.Chmod(f.Name(), 0o644); err == nil {
-			err = os.Rename(f.Name(), path)
-		}
-	}
-	if err != nil {
-		os.Remove(f.Name())
-	}
-	return err
+	return f.Commit()
 }
 
 // need returns args[i] or exits with a usage message.

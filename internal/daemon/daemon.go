@@ -244,6 +244,9 @@ func New(cfg *Config) (*Runtime, error) {
 			return nil, fmt.Errorf("telemetry restore: %w", err)
 		}
 		restoredAlerts = snap.Alerts
+		if n := rt.telem.ReplaySkipped; n > 0 {
+			cfg.Logf("telemetry replay: skipped %d corrupt journal lines", n)
+		}
 		if len(snap.Rollups)+len(snap.Alerts)+len(snap.Peers) > 0 {
 			cfg.Logf("telemetry restored: %d rollups, %d alerts, %d peer rows",
 				len(snap.Rollups), len(snap.Alerts), len(snap.Peers))

@@ -1,13 +1,13 @@
 package mcat
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"io"
 	"os"
 	"sync"
 
+	"gosrb/internal/durable"
 	"gosrb/internal/types"
 )
 
@@ -69,24 +69,16 @@ type Entry struct {
 	Meta []types.AVU `json:",omitempty"`
 }
 
-// Journal receives catalog mutations. Safe for concurrent use.
+// Journal receives catalog mutations: a durable.Log that also shows
+// each appended line to an observer. Safe for concurrent use.
 type Journal struct {
 	mu  sync.Mutex
-	w   io.Writer
-	f   *os.File // when file-backed, for Sync
+	log *durable.Log
 	obs func(line []byte)
-	// scratch completes a line handed over without its newline.
-	scratch []byte
 }
 
 // NewJournal wraps a writer as an append log.
-func NewJournal(w io.Writer) *Journal {
-	j := &Journal{w: w}
-	if f, ok := w.(*os.File); ok {
-		j.f = f
-	}
-	return j
-}
+func NewJournal(w io.Writer) *Journal { return &Journal{log: durable.NewLog(w)} }
 
 // SetObserver installs a hook that sees every appended entry as its
 // encoded JSON line (no trailing newline). The shard replication log
@@ -101,26 +93,22 @@ func (j *Journal) SetObserver(fn func(line []byte)) {
 
 // OpenJournalFile opens (creating or appending) a file-backed journal.
 func OpenJournalFile(path string) (*Journal, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	l, err := durable.OpenLog(path)
 	if err != nil {
 		return nil, types.E("journal", path, err)
 	}
-	return NewJournal(f), nil
+	return &Journal{log: l}, nil
 }
 
-// Close syncs and closes a file-backed journal.
-func (j *Journal) Close() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.f == nil {
-		return nil
-	}
-	err := j.f.Sync()
-	if cerr := j.f.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
+// Close syncs and closes a file-backed journal; later appends fail.
+func (j *Journal) Close() error { return j.log.Close() }
+
+// Sync flushes a file-backed journal to stable storage.
+func (j *Journal) Sync() error { return j.log.Sync() }
+
+// Rename moves a file-backed journal's file to path; appends go on into
+// it (the shard store's rotation).
+func (j *Journal) Rename(path string) error { return j.log.Rename(path) }
 
 // lineBuf is a journal line being encoded: a buffer and the JSON encoder
 // that writes into it, pooled, so encoding a line allocates neither
@@ -160,29 +148,18 @@ func (l *lineBuf) free() {
 
 // appendLine issues one line as one Write, which keeps a torn append at
 // most one line long. A line handed over without its newline, as
-// replication carries a leader's lines, gets one in a scratch copy.
+// replication carries a leader's lines, gets one.
 func (j *Journal) appendLine(line []byte) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if n := len(line); n == 0 || line[n-1] != '\n' {
-		j.scratch = append(append(j.scratch[:0], line...), '\n')
-		line = j.scratch
-	}
-	if _, err := j.w.Write(line); err != nil {
+	if err := j.log.Append(line); err != nil {
 		return err
 	}
 	if j.obs != nil {
-		j.obs(line[:len(line)-1])
-	}
-	return nil
-}
-
-// Sync flushes a file-backed journal to stable storage.
-func (j *Journal) Sync() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.f != nil {
-		return j.f.Sync()
+		if n := len(line); n > 0 && line[n-1] == '\n' {
+			line = line[:n-1]
+		}
+		j.obs(line)
 	}
 	return nil
 }
@@ -263,26 +240,19 @@ type ReplayStats struct {
 // the entries behind it — but they are counted, and every caller
 // surfaces the count (log + metric).
 func (c *Catalog) ReplayCounted(r io.Reader) (st ReplayStats, err error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16<<20)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
+	st.Corrupt, err = durable.Replay(r, func(line []byte) bool {
 		var e Entry
-		if err := json.Unmarshal(line, &e); err != nil {
-			st.Corrupt++
-			continue
+		if json.Unmarshal(line, &e) != nil {
+			return false
 		}
 		c.mu.Lock()
-		err := c.commitLocked(nil, &e, nil)
-		c.mu.Unlock()
-		if err == nil {
+		if c.commitLocked(nil, &e, nil) == nil {
 			st.Applied++
 		}
-	}
-	return st, sc.Err()
+		c.mu.Unlock()
+		return true
+	})
+	return st, err
 }
 
 // ReplayFileCounted replays a journal file (see ReplayCounted); a

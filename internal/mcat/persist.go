@@ -6,6 +6,7 @@ import (
 	"os"
 
 	"gosrb/internal/acl"
+	"gosrb/internal/durable"
 	"gosrb/internal/types"
 )
 
@@ -166,23 +167,9 @@ func (c *Catalog) rebuildIndexesLocked() {
 	}
 }
 
-// SaveFile snapshots the catalog to path atomically.
+// SaveFile snapshots the catalog to path atomically (durable.Replace).
 func (c *Catalog) SaveFile(path string) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return types.E("save", path, err)
-	}
-	if err := c.Save(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return types.E("save", path, err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return types.E("save", path, err)
-	}
-	return types.E("save", path, os.Rename(tmp, path))
+	return types.E("save", path, durable.Replace(path, c.Save))
 }
 
 // LoadFile loads a snapshot from path.

@@ -267,17 +267,17 @@ func (st *Store) Snapshot() error {
 			st.journals[i] = fresh
 			st.r.AttachJournal(i, fresh)
 		}
-		if err := st.r.shards[i].cat.SaveFile(cp); err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
+		err := st.r.shards[i].cat.SaveFile(cp)
 		if old != nil {
+			// Closed whether or not the save held: a failed save leaves
+			// its lines on disk beside the .new tail, and boot replays both.
 			old.Close()
-			if err := os.Rename(jp+".new", jp); err != nil && firstErr == nil {
-				firstErr = err
+			if err == nil {
+				err = st.journals[i].Rename(jp)
 			}
+		}
+		if err != nil && firstErr == nil {
+			firstErr = err
 		}
 	}
 	return firstErr

@@ -480,6 +480,81 @@ func TestSnapshotRotation(t *testing.T) {
 	}
 }
 
+// A snapshot whose save fails still closes the journal it swapped out
+// and leaves no temp file, and the next good one loses no mutation.
+func TestFailedSnapshotClosesJournal(t *testing.T) {
+	fds := func() int {
+		ents, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Skip("no /proc/self/fd")
+		}
+		return len(ents)
+	}
+	dir := t.TempDir()
+	opt := testOpts(dir, 1)
+	base := fds()
+	st, err := Open(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seedStore(t, st.Router())
+	// A non-empty directory where the snapshot goes fails every save.
+	if err := os.MkdirAll(filepath.Join(opt.CatalogPath, "child"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if err := st.Snapshot(); err == nil {
+			t.Fatal("snapshot onto a directory succeeded")
+		}
+		if err := st.Router().MkColl(fmt.Sprintf("/projects/failed%d", i), "admin"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	files := func(want ...string) {
+		t.Helper()
+		ents, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		for _, e := range ents {
+			names = append(names, e.Name())
+		}
+		if !reflect.DeepEqual(names, want) {
+			t.Errorf("files = %q, want %q", names, want)
+		}
+	}
+	files("catalog.json", "journal.log", "journal.log.new")
+	if err := os.RemoveAll(opt.CatalogPath); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Router().MkColl("/projects/after", "admin"); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n := fds(); n != base {
+		t.Errorf("%d fds open after Close, %d before Open", n, base)
+	}
+	files("catalog.json", "journal.log")
+
+	st2, err := Open(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+	checkSeeded(t, st2.Router())
+	for _, p := range []string{"/projects/failed0", "/projects/failed1", "/projects/failed2", "/projects/after"} {
+		if !st2.Router().CollExists(p) {
+			t.Errorf("%s lost across the failed snapshots", p)
+		}
+	}
+}
+
 // A crash between journal rotation and rename leaves a .new tail that
 // the next boot must replay and absorb.
 func TestCrashTailReplay(t *testing.T) {

@@ -4,10 +4,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"os"
 	"sort"
 	"strings"
 
+	"gosrb/internal/durable"
 	"gosrb/internal/types"
 )
 
@@ -128,15 +130,9 @@ const mapVersion = 1
 // SaveFile journals the shard map so a restart reproduces the exact
 // key assignment.
 func (m *Map) SaveFile(path string) error {
-	b, err := json.Marshal(mapFile{Version: mapVersion, Shards: m.Shards, VNodes: m.VNodes})
-	if err != nil {
-		return types.E("shardmap", path, err)
-	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, append(b, '\n'), 0o644); err != nil {
-		return types.E("shardmap", path, err)
-	}
-	return types.E("shardmap", path, os.Rename(tmp, path))
+	return types.E("shardmap", path, durable.Replace(path, func(w io.Writer) error {
+		return json.NewEncoder(w).Encode(mapFile{Version: mapVersion, Shards: m.Shards, VNodes: m.VNodes})
+	}))
 }
 
 // LoadMapFile restores a journaled shard map. A missing file returns

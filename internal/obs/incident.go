@@ -135,7 +135,7 @@ func (ir *IncidentRecorder) Capture(now time.Time, rule, reason, detail string, 
 		if len(b) == 0 {
 			return
 		}
-		if os.WriteFile(filepath.Join(dir, name), b, 0o644) == nil {
+		if replaceFile(filepath.Join(dir, name), b) == nil {
 			meta.Files = append(meta.Files, name)
 		}
 	}
@@ -189,9 +189,11 @@ func (ir *IncidentRecorder) Capture(now time.Time, rule, reason, detail string, 
 		}
 	}
 
+	// meta.json goes last: it is the bundle's commit point, since List
+	// and Get skip a bundle whose meta.json does not read.
 	sort.Strings(meta.Files)
 	if b, err := json.MarshalIndent(&meta, "", "  "); err == nil {
-		if os.WriteFile(filepath.Join(dir, "meta.json"), b, 0o644) != nil {
+		if replaceFile(filepath.Join(dir, "meta.json"), b) != nil {
 			return meta, fmt.Errorf("incident %s: writing meta.json failed", id)
 		}
 	}

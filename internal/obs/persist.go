@@ -20,14 +20,17 @@
 package obs
 
 import (
-	"bufio"
+	"bytes"
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
 	"time"
+
+	"gosrb/internal/durable"
 )
 
 // DefaultTelemetryFlush is the default cadence of the telemetry flush
@@ -67,8 +70,15 @@ type TelemetryStore struct {
 	server    string
 	retention time.Duration
 
-	mu         sync.Mutex
-	f          *os.File
+	// ReplaySkipped counts the corrupt or truncated journal lines Restore
+	// skipped (boot logs it).
+	ReplaySkipped int
+
+	mu  sync.Mutex
+	log *durable.Log
+	// line holds the entry being appended, encoded by enc, so a flush
+	// allocates no line of its own.
+	line       bytes.Buffer
 	enc        *json.Encoder
 	lastRollup time.Time
 	alertsSeen int64
@@ -82,14 +92,13 @@ func OpenTelemetryStore(dir, server string, retention time.Duration) (*Telemetry
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	f, err := os.OpenFile(filepath.Join(dir, "telemetry.journal"), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	log, err := durable.OpenLog(filepath.Join(dir, "telemetry.journal"))
 	if err != nil {
 		return nil, err
 	}
-	return &TelemetryStore{
-		dir: dir, server: server, retention: retention,
-		f: f, enc: json.NewEncoder(f),
-	}, nil
+	ts := &TelemetryStore{dir: dir, server: server, retention: retention, log: log}
+	ts.enc = json.NewEncoder(&ts.line)
+	return ts, nil
 }
 
 // Restore loads the snapshot and replays the journal into reg: the
@@ -133,16 +142,10 @@ func (ts *TelemetryStore) load() *TelemetrySnapshot {
 		}
 	}
 	if f, err := os.Open(filepath.Join(ts.dir, "telemetry.journal")); err == nil {
-		sc := bufio.NewScanner(f)
-		sc.Buffer(make([]byte, 0, 64*1024), 16<<20)
-		for sc.Scan() {
-			line := sc.Bytes()
-			if len(line) == 0 {
-				continue
-			}
+		ts.ReplaySkipped, _ = durable.Replay(f, func(line []byte) bool {
 			var e telemetryEntry
 			if json.Unmarshal(line, &e) != nil {
-				continue // truncated or corrupt tail: skip, keep going
+				return false // truncated or corrupt tail: skip, keep going
 			}
 			switch {
 			case e.Rollup != nil:
@@ -158,7 +161,8 @@ func (ts *TelemetryStore) load() *TelemetrySnapshot {
 			case e.HeatObjects != nil:
 				snap.HeatObjects = e.HeatObjects
 			}
-		}
+			return true
+		})
 		f.Close()
 	}
 	snap.Rollups = dedupRollups(snap.Rollups)
@@ -201,7 +205,7 @@ func (ts *TelemetryStore) Flush(reg *Registry, log *AlertLog, now time.Time) err
 			continue
 		}
 		r := ru
-		if err := ts.enc.Encode(telemetryEntry{Rollup: &r}); err != nil {
+		if err := ts.append(telemetryEntry{Rollup: &r}); err != nil {
 			return err
 		}
 		ts.lastRollup = ru.At
@@ -210,29 +214,20 @@ func (ts *TelemetryStore) Flush(reg *Registry, log *AlertLog, now time.Time) err
 		fresh, total := log.TailAfter(ts.alertsSeen)
 		for _, a := range fresh {
 			al := a
-			if err := ts.enc.Encode(telemetryEntry{Alert: &al}); err != nil {
+			if err := ts.append(telemetryEntry{Alert: &al}); err != nil {
 				return err
 			}
 		}
 		ts.alertsSeen = total
 	}
-	if rows := reg.Usage().Snapshot(); len(rows) > 0 {
-		if err := ts.enc.Encode(telemetryEntry{Usage: rows}); err != nil {
-			return err
+	for _, e := range []telemetryEntry{
+		{Usage: reg.Usage().Snapshot()}, {Peers: reg.Peers().Snapshot()},
+		{HeatKeys: reg.HeatKeys().Snapshot()}, {HeatObjects: reg.HeatObjects().Snapshot()},
+	} {
+		if len(e.Usage)+len(e.Peers)+len(e.HeatKeys)+len(e.HeatObjects) == 0 {
+			continue
 		}
-	}
-	if rows := reg.Peers().Snapshot(); len(rows) > 0 {
-		if err := ts.enc.Encode(telemetryEntry{Peers: rows}); err != nil {
-			return err
-		}
-	}
-	if rows := reg.HeatKeys().Snapshot(); len(rows) > 0 {
-		if err := ts.enc.Encode(telemetryEntry{HeatKeys: rows}); err != nil {
-			return err
-		}
-	}
-	if rows := reg.HeatObjects().Snapshot(); len(rows) > 0 {
-		if err := ts.enc.Encode(telemetryEntry{HeatObjects: rows}); err != nil {
+		if err := ts.append(e); err != nil {
 			return err
 		}
 	}
@@ -276,25 +271,30 @@ func (ts *TelemetryStore) compact(reg *Registry, log *AlertLog, now time.Time) e
 	if err != nil {
 		return err
 	}
-	tmp := filepath.Join(ts.dir, "telemetry.json.tmp")
-	if err := os.WriteFile(tmp, b, 0o644); err != nil {
+	if err := replaceFile(filepath.Join(ts.dir, "telemetry.json"), b); err != nil {
 		return err
 	}
-	if err := os.Rename(tmp, filepath.Join(ts.dir, "telemetry.json")); err != nil {
+	// Snapshot published: start a fresh journal. A crash before this
+	// point leaves the old journal whole — replay dedups the overlap. A
+	// journal that cannot be reopened fails every later flush.
+	return ts.log.Truncate()
+}
+
+// replaceFile publishes b as the contents of path (durable.Replace).
+func replaceFile(path string, b []byte) error {
+	return durable.Replace(path, func(w io.Writer) error {
+		_, err := w.Write(b)
+		return err
+	})
+}
+
+// append writes e as one journal line. The caller holds ts.mu.
+func (ts *TelemetryStore) append(e telemetryEntry) error {
+	ts.line.Reset()
+	if err := ts.enc.Encode(e); err != nil {
 		return err
 	}
-	// Snapshot durable: start a fresh journal. A crash before this point
-	// leaves the old journal whole — replay dedups the overlap.
-	if ts.f != nil {
-		ts.f.Close()
-	}
-	f, err := os.OpenFile(filepath.Join(ts.dir, "telemetry.journal"), os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		ts.f, ts.enc = nil, nil
-		return err
-	}
-	ts.f, ts.enc = f, json.NewEncoder(f)
-	return nil
+	return ts.log.Append(ts.line.Bytes())
 }
 
 // Close compacts one final time (so a clean shutdown persists right up
@@ -309,11 +309,8 @@ func (ts *TelemetryStore) Close(reg *Registry, log *AlertLog, now time.Time) err
 	if reg != nil {
 		err = ts.compact(reg, log, now)
 	}
-	if ts.f != nil {
-		if cerr := ts.f.Close(); err == nil {
-			err = cerr
-		}
-		ts.f, ts.enc = nil, nil
+	if cerr := ts.log.Close(); err == nil {
+		err = cerr
 	}
 	return err
 }

@@ -172,11 +172,48 @@ func TestTelemetryCorruptJournalRecovery(t *testing.T) {
 	if len(snap.Rollups) != 2 {
 		t.Fatalf("recovered %d rollups, want 2 (corrupt tail must not eat good lines)", len(snap.Rollups))
 	}
+	// The torn prefix and the garbage end one line; the text is another.
+	if ts2.ReplaySkipped != 2 {
+		t.Errorf("ReplaySkipped = %d, want 2", ts2.ReplaySkipped)
+	}
 	// The store must stay writable after recovery.
 	reg2.CaptureRollup(now)
 	if err := ts2.Flush(reg2, nil, now.Add(time.Second)); err != nil {
 		t.Fatalf("flush after corrupt recovery: %v", err)
 	}
+}
+
+// TestTelemetryFlushAfterFailedCompaction: a compaction that cannot
+// reopen the journal fails, and so does every later flush, without a
+// panic.
+func TestTelemetryFlushAfterFailedCompaction(t *testing.T) {
+	dir := t.TempDir()
+	now := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
+	ts, err := OpenTelemetryStore(dir, "srb1", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := NewRegistry()
+	for i := 1; i < telemetryCompactEvery; i++ {
+		if err := ts.Flush(reg, nil, now); err != nil {
+			t.Fatal(err)
+		}
+	}
+	j := filepath.Join(dir, "telemetry.journal")
+	if err := os.Remove(j); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(filepath.Join(j, "child"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := ts.Flush(reg, nil, now); err == nil {
+		t.Fatal("compaction over a directory succeeded")
+	}
+	reg.CaptureRollup(now)
+	if err := ts.Flush(reg, nil, now.Add(time.Second)); err == nil {
+		t.Error("flush after a failed compaction succeeded")
+	}
+	ts.Close(nil, nil, now)
 }
 
 // TestTelemetryCompactionDedup drives enough flushes to cross the

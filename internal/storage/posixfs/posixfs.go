@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"strings"
 
+	"gosrb/internal/durable"
 	"gosrb/internal/storage"
 	"gosrb/internal/types"
 )
@@ -84,47 +85,24 @@ func (f *FS) Create(path string) (storage.WriteFile, error) {
 	if err := os.MkdirAll(filepath.Dir(host), 0o755); err != nil {
 		return nil, mapErr("create", path, err)
 	}
-	tmp, err := os.CreateTemp(filepath.Dir(host), ".srbtmp-*")
-	if err != nil {
+	w := &atomicWriter{path: path}
+	if err := w.Open(host); err != nil {
 		return nil, mapErr("create", path, err)
 	}
-	return &atomicWriter{f: tmp, dst: host, path: path}, nil
+	return w, nil
 }
 
+// atomicWriter is a replica file staged by durable: Close publishes it,
+// Abort drops it.
 type atomicWriter struct {
-	f    *os.File
-	dst  string
+	durable.File
 	path string
-	done bool
 }
 
-func (w *atomicWriter) Write(p []byte) (int, error) { return w.f.Write(p) }
-
-func (w *atomicWriter) Close() error {
-	if w.done {
-		return nil
-	}
-	w.done = true
-	if err := w.f.Close(); err != nil {
-		os.Remove(w.f.Name())
-		return mapErr("close", w.path, err)
-	}
-	if err := os.Rename(w.f.Name(), w.dst); err != nil {
-		os.Remove(w.f.Name())
-		return mapErr("close", w.path, err)
-	}
-	return nil
-}
+func (w *atomicWriter) Close() error { return mapErr("close", w.path, w.Commit()) }
 
 // Abort discards the staged temp file; the destination is untouched.
-func (w *atomicWriter) Abort() error {
-	if w.done {
-		return nil
-	}
-	w.done = true
-	w.f.Close()
-	return mapErr("abort", w.path, os.Remove(w.f.Name()))
-}
+func (w *atomicWriter) Abort() error { return mapErr("abort", w.path, w.File.Abort()) }
 
 // OpenAppend implements storage.Driver.
 func (f *FS) OpenAppend(path string) (storage.WriteFile, error) {
@@ -225,7 +203,7 @@ func (f *FS) List(dir string) ([]storage.FileInfo, error) {
 	}
 	out := make([]storage.FileInfo, 0, len(ents))
 	for _, e := range ents {
-		if strings.HasPrefix(e.Name(), ".srbtmp-") {
+		if strings.HasPrefix(e.Name(), durable.TempPrefix) {
 			continue
 		}
 		info, err := e.Info()
