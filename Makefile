@@ -111,8 +111,11 @@ build:
 test:
 	$(GO) test ./...
 
+# The suite under the race detector runs with the row canary on: a
+# write into a catalog row a reader was handed panics with its path
+# (internal/mcat/canary.go).
 race:
-	$(GO) test -race ./...
+	$(GO) test -race -tags rowcanary ./...
 
 # Fault-injection sweep: the resilience and faultnet suites plus the
 # chaos end-to-end, repeated under -race to prove the fixed-seed fault
@@ -155,10 +158,11 @@ test-phases:
 # journal-observer replication feed, and the deadline-partial path are
 # all cross-goroutine; a scatter timed out on a held shard must not be
 # recycled under a later query (TestScatterReuseAfterDeadline). (The shard
-# failover chaos e2e rides test-faults' 10x TestChaos loop.) Then a
-# query's allocation fences without -race, whose own allocations would
-# swamp them: Select values cost per answer, not per hit, in the catalog
-# and on a loopback round trip. Then the catalog against itself: the query and
+# failover chaos e2e rides test-faults' 10x TestChaos loop.) Then the
+# read path's allocation fences without -race, whose own allocations
+# would swamp them: Select values cost per answer, not per hit, in the
+# catalog and on a loopback round trip; a row lookup copies nothing; a
+# decoded header's or args' strings come from one copy. Then the catalog against itself: the query and
 # mutation differential tests (a monolith against a 4-shard router, the
 # router reopened at 3 and 1 shards), the put as one transaction (a
 # refused triplet, a failed journal append, a lost race for the path,
@@ -176,7 +180,7 @@ test-phases:
 test-mcat:
 	$(GO) test -race -count=10 ./internal/durable/
 	$(GO) test -race -count=10 ./internal/mcat/shard/
-	$(GO) test -count=3 -run 'TestQueryAllocates|TestRoundTripAllocBudget' ./internal/mcat/ ./internal/server/
+	$(GO) test -count=3 -run 'TestQueryAllocates|TestGetObjectAllocatesNothing|TestDecodeStringAllocs|TestRoundTripAllocBudget' ./internal/mcat/ ./internal/wire/ ./internal/server/
 	$(GO) test -race -count=10 -run 'Query|Like|Differential' ./internal/mcat/
 	$(GO) test -race -count=1 -run 'TestJournalFixture|TestEveryKindRefusedWhenAppendFails' ./internal/mcat/
 	$(GO) test -race -count=1 -run 'TestRefusedMetadata|TestIngestJournalFailure|TestIngestLosingRace|TestPutCrashPoints|TestCreateThroughLinkedCollection|TestRegisterFileRefusedTriplet|TestCreateJournalEntries|TestRefusedDeleteKeepsBytes' ./internal/core/

@@ -149,3 +149,35 @@ func TestListCollAllocationsDoNotGrowWithEntries(t *testing.T) {
 		t.Errorf("ListColl of 200 entries allocates %v times, want <= 8 in total", n)
 	}
 }
+
+// TestGetObjectAllocatesNothing: a lookup hands out the stored row,
+// whose slices the reader shares, so it copies nothing onto the heap
+// however many replicas, pins and versions the row holds.
+func TestGetObjectAllocatesNothing(t *testing.T) {
+	skipUnderRace(t)
+	c := mcat.New("admin", "local")
+	must(t, c.MkCollAll("/zone/proj", "admin"))
+	o := &types.DataObject{
+		Collection: "/zone/proj", Name: "frame.fits", Owner: "bob",
+		Replicas: []types.Replica{{Number: 0, Resource: "r1"}, {Number: 1, Resource: "r2"}},
+		Pins:     []types.Pin{{Resource: "r1", Holder: "bob"}},
+		Versions: []types.Version{{Number: 1, Resource: "r1"}},
+		Method:   &types.MethodSpec{Name: "m", Args: []string{"-v"}},
+	}
+	id, err := c.RegisterObject(o)
+	must(t, err)
+	path := o.Path()
+	for name, get := range map[string]func() (types.DataObject, error){
+		"GetObject":     func() (types.DataObject, error) { return c.GetObject(path) },
+		"GetObjectByID": func() (types.DataObject, error) { return c.GetObjectByID(id) },
+	} {
+		n := testing.AllocsPerRun(100, func() {
+			if got, err := get(); err != nil || len(got.Replicas) != 2 {
+				t.Fatalf("%s = %+v, %v", name, got, err)
+			}
+		})
+		if n != 0 {
+			t.Errorf("%s allocates %v times, want 0", name, n)
+		}
+	}
+}

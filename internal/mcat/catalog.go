@@ -80,6 +80,10 @@ type Catalog struct {
 	// survives a daemon restart (see repair.go).
 	repairs map[string]*types.RepairTask
 
+	// canary fingerprints the stored object rows in a rowcanary build
+	// (canary.go) and is empty otherwise.
+	canary rowCanary
+
 	now func() time.Time
 }
 

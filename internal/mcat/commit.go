@@ -28,6 +28,9 @@ func (c *Catalog) commit(e *Entry) error {
 // The catalog keeps what e points to, except what it copies: an account,
 // a resource or a collection, which a reshard applies to every shard
 // from one entry, and a created object, which its put goes on using.
+// A stored object row never changes: an update, a rename or a move
+// stores a new row in its place, so a row handed to a reader stays as
+// it was read (the rowcanary build checks this; see canary.go).
 func (c *Catalog) commitLocked(j *Journal, e *Entry, line []byte) error {
 	switch op := e.Op; {
 	case op == "adduser" && e.User != nil:
@@ -285,7 +288,7 @@ func (c *Catalog) commitLocked(j *Journal, e *Entry, line []byte) error {
 	case (op == "register" || op == "ingest") && e.Object != nil:
 		// The object with its identity (ID, replicas, timestamps) as given,
 		// and for an ingest the user metadata it was put with.
-		cp := cloneObject(e.Object)
+		cp := e.Object.Clone()
 		cp.Collection = types.CleanPath(cp.Collection)
 		path := cp.Path()
 		if err := c.checkNewObjectLocked(op, path, cp.Collection, cp.Name); err != nil {
@@ -312,6 +315,7 @@ func (c *Catalog) commitLocked(j *Journal, e *Entry, line []byte) error {
 			return err
 		}
 		c.objects[path] = cp
+		c.canary.store(cp)
 		c.byID[cp.ID] = path
 		c.addChildObj(cp.Collection, path)
 		if cp.ID >= c.nextID {
@@ -335,7 +339,10 @@ func (c *Catalog) commitLocked(j *Journal, e *Entry, line []byte) error {
 		if err := c.appendLocked(j, e, line); err != nil {
 			return err
 		}
+		clipRow(e.Object)
+		c.canary.retire(path, cur)
 		c.objects[path] = e.Object
+		c.canary.store(e.Object)
 
 	case op == "delete":
 		o, ok := c.objects[e.Path]
@@ -345,6 +352,7 @@ func (c *Catalog) commitLocked(j *Journal, e *Entry, line []byte) error {
 		if err := c.appendLocked(j, e, line); err != nil {
 			return err
 		}
+		c.canary.retire(e.Path, o)
 		delete(c.objects, e.Path)
 		delete(c.byID, o.ID)
 		c.removeChildObj(o.Collection, e.Path)
@@ -388,11 +396,15 @@ func (c *Catalog) commitLocked(j *Journal, e *Entry, line []byte) error {
 		if err := c.appendLocked(j, e, line); err != nil {
 			return err
 		}
+		// The renamed row is a new one: a stored row never changes.
+		c.canary.retire(e.Path, o)
 		c.removeChildObj(o.Collection, e.Path)
 		delete(c.objects, e.Path)
-		o.Collection, o.Name = e.Path2, e.Name
-		c.objects[newPath] = o
-		c.byID[o.ID] = newPath
+		cp := *o
+		cp.Collection, cp.Name = e.Path2, e.Name
+		c.objects[newPath] = &cp
+		c.canary.store(&cp)
+		c.byID[cp.ID] = newPath
 		c.addChildObj(e.Path2, newPath)
 		c.rekeyPathState(e.Path, newPath)
 

@@ -15,7 +15,9 @@ import (
 // catalog in the order Apply needs: users, groups and their members,
 // and resources — physical before logical, with their online state and
 // ACLs — come first, and the repair queue last. Root itself is a
-// collection or an object; a path that is neither exports nothing.
+// collection or an object; a path that is neither exports nothing. An
+// ingest entry's object shares its row's slices, read-only, as
+// GetObject does.
 func (c *Catalog) Export(root string) []Entry {
 	root = types.CleanPath(root)
 	c.mu.RLock()
@@ -73,7 +75,10 @@ func (c *Catalog) Export(root string) []Entry {
 		for _, m := range c.meta[p][:userLead(c.meta[p])] {
 			meta = append(meta, m.AVU)
 		}
-		out = append(out, Entry{Op: "ingest", Object: cloneObject(c.objects[p]), Meta: meta})
+		row := c.objects[p]
+		c.canary.check(p, row)
+		o := *row // its slices shared, read-only
+		out = append(out, Entry{Op: "ingest", Object: &o, Meta: meta})
 	}
 
 	paths := append(colls, objs...)
@@ -146,11 +151,11 @@ func (e Entry) Rebase(from, to string) Entry {
 		e.Coll = &col
 	}
 	if e.Object != nil {
-		o := cloneObject(e.Object)
+		o := *e.Object // only paths change; the slices stay shared
 		p := rebaseIn(from, to, o.Path())
 		o.Collection, o.Name = types.Parent(p), types.Base(p)
 		o.LinkTarget, o.Container = rebaseIn(from, to, o.LinkTarget), rebaseIn(from, to, o.Container)
-		e.Object = o
+		e.Object = &o
 	}
 	return e
 }

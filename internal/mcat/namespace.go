@@ -1,6 +1,7 @@
 package mcat
 
 import (
+	"slices"
 	"sort"
 
 	"gosrb/internal/types"
@@ -289,7 +290,9 @@ func (c *Catalog) checkNewObjectLocked(op, path, coll, name string) error {
 	return nil
 }
 
-// GetObject returns a copy of the object at path (links not followed).
+// GetObject returns the object at path (links not followed). The row
+// is the stored one: its slices and payloads are shared and read-only
+// (a caller that must change them changes a types.DataObject.Clone).
 func (c *Catalog) GetObject(path string) (types.DataObject, error) {
 	path = types.CleanPath(path)
 	c.mu.RLock()
@@ -298,10 +301,12 @@ func (c *Catalog) GetObject(path string) (types.DataObject, error) {
 	if !ok {
 		return types.DataObject{}, types.E("getobj", path, types.ErrNotFound)
 	}
-	return *cloneObject(o), nil
+	c.canary.check(path, o)
+	return *o, nil
 }
 
-// ResolveObject returns the object at path, following one link hop.
+// ResolveObject returns the object at path, following one link hop,
+// shared as GetObject shares it.
 func (c *Catalog) ResolveObject(path string) (types.DataObject, error) {
 	o, err := c.GetObject(path)
 	if err != nil {
@@ -317,7 +322,8 @@ func (c *Catalog) ResolveObject(path string) (types.DataObject, error) {
 	return o, nil
 }
 
-// GetObjectByID returns a copy of the object with the given ID.
+// GetObjectByID returns the object with the given ID, shared as
+// GetObject shares it.
 func (c *Catalog) GetObjectByID(id types.ObjectID) (types.DataObject, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
@@ -325,11 +331,14 @@ func (c *Catalog) GetObjectByID(id types.ObjectID) (types.DataObject, error) {
 	if !ok {
 		return types.DataObject{}, types.E("getobj", "", types.ErrNotFound)
 	}
-	return *cloneObject(c.objects[path]), nil
+	o := c.objects[path]
+	c.canary.check(path, o)
+	return *o, nil
 }
 
-// UpdateObject applies fn to the object at path under the write lock.
-// If fn returns an error the object is left unchanged.
+// UpdateObject applies fn to a clone of the object at path under the
+// write lock, and the clone replaces the row. If fn returns an error the
+// object is left unchanged.
 func (c *Catalog) UpdateObject(path string, fn func(*types.DataObject) error) error {
 	path = types.CleanPath(path)
 	c.mu.Lock()
@@ -338,7 +347,7 @@ func (c *Catalog) UpdateObject(path string, fn func(*types.DataObject) error) er
 	if !ok {
 		return types.E("update", path, types.ErrNotFound)
 	}
-	cp := cloneObject(o)
+	cp := o.Clone()
 	if err := fn(cp); err != nil {
 		return err
 	}
@@ -405,15 +414,18 @@ func (c *Catalog) moveSubtreeLocked(oldPath, newPath string) {
 		delete(c.childColls, p)
 		delete(c.childObjs, p)
 	}
-	// Rebase objects and rebuild child indexes.
+	// Rebase objects, each a new row (a stored one never changes), and
+	// rebuild child indexes.
 	for _, p := range subObjs {
 		np := types.Rebase(oldPath, newPath, p)
-		o := c.objects[p]
+		c.canary.retire(p, c.objects[p])
+		o := *c.objects[p]
 		delete(c.objects, p)
 		o.Collection = types.Parent(np)
 		o.LinkTarget = rebaseIn(oldPath, newPath, o.LinkTarget)
 		o.Container = rebaseIn(oldPath, newPath, o.Container)
-		c.objects[np] = o
+		c.objects[np] = &o
+		c.canary.store(&o)
 		c.byID[o.ID] = np
 		c.rekeyPathState(p, np)
 		for i, f := range c.fileMeta[np] {
@@ -434,14 +446,17 @@ func (c *Catalog) moveSubtreeLocked(oldPath, newPath string) {
 	c.addChildColl(types.Parent(newPath), newPath)
 }
 
-// ObjectsIn returns copies of the objects directly inside collection.
+// ObjectsIn returns the objects directly inside collection, shared as
+// GetObject shares them.
 func (c *Catalog) ObjectsIn(coll string) []types.DataObject {
 	coll = types.CleanPath(coll)
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	var out []types.DataObject
 	for _, p := range sortedVals(c.childObjs[coll]) {
-		out = append(out, *cloneObject(c.objects[p]))
+		o := c.objects[p]
+		c.canary.check(p, o)
+		out = append(out, *o)
 	}
 	return out
 }
@@ -493,21 +508,12 @@ func (c *Catalog) ObjectsInContainer(containerPath string) []string {
 	return out
 }
 
-// cloneObject deep-copies the mutable slices of an object.
-func cloneObject(o *types.DataObject) *types.DataObject {
-	cp := *o
-	cp.Replicas = append([]types.Replica(nil), o.Replicas...)
-	cp.Pins = append([]types.Pin(nil), o.Pins...)
-	cp.Versions = append([]types.Version(nil), o.Versions...)
-	cp.Alternates = append([]types.AltSpec(nil), o.Alternates...)
-	if o.SQL != nil {
-		s := *o.SQL
-		cp.SQL = &s
-	}
+// clipRow clips the slices of a row about to be stored, so a reader
+// that appends to one gets an array of its own, never the row's.
+func clipRow(o *types.DataObject) {
+	o.Replicas, o.Pins = slices.Clip(o.Replicas), slices.Clip(o.Pins)
+	o.Versions, o.Alternates = slices.Clip(o.Versions), slices.Clip(o.Alternates)
 	if o.Method != nil {
-		m := *o.Method
-		m.Args = append([]string(nil), o.Method.Args...)
-		cp.Method = &m
+		o.Method.Args = slices.Clip(o.Method.Args)
 	}
-	return &cp
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -90,16 +91,66 @@ func TestRegisterAndGetObject(t *testing.T) {
 	}
 }
 
-func TestGetObjectReturnsCopy(t *testing.T) {
+// TestReturnedRowOutlivesWrites pins the shared-row contract: a row
+// GetObject returned reads exactly as it did after the catalog updates
+// it, renames it, moves its collection or adds a replica to it, and
+// appending to its slices never writes into the catalog's row.
+func TestReturnedRowOutlivesWrites(t *testing.T) {
 	c := newCat(t)
 	mustMkColl(t, c, "/d", "admin")
+	mustMkColl(t, c, "/d/sub", "admin")
 	mustRegister(t, c, "/d", "f", "u")
-	o1, _ := c.GetObject("/d/f")
-	o1.Replicas[0].Resource = "tampered"
-	o1.Size = 999
-	o2, _ := c.GetObject("/d/f")
-	if o2.Replicas[0].Resource == "tampered" || o2.Size == 999 {
-		t.Error("GetObject must return an independent copy")
+	mustRegister(t, c, "/d/sub", "g", "u")
+	addReplica := func(path string, n types.ReplicaNumber) {
+		t.Helper()
+		if err := c.UpdateObject(path, func(o *types.DataObject) error {
+			o.Replicas = append(o.Replicas, types.Replica{Number: n, Resource: "r2"})
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Three replicas: an unclipped row would have room for a fourth.
+	addReplica("/d/f", 1)
+	addReplica("/d/f", 2)
+	f, _ := c.GetObject("/d/f")
+	g, _ := c.GetObject("/d/sub/g")
+	wantF, wantG := f.Clone(), g.Clone()
+
+	if err := c.UpdateObject("/d/f", func(o *types.DataObject) error {
+		o.Replicas[0].Status = types.ReplicaDirty
+		o.Size = 999
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	addReplica("/d/f", 3)
+	if err := c.MoveObject("/d/f", "/d", "f2"); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.MoveColl("/d/sub", "/d/sub2"); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(f, *wantF) || !reflect.DeepEqual(g, *wantG) {
+		t.Fatalf("a returned row changed under writes:\n%+v\n%+v", f, g)
+	}
+
+	// Two readers append to one returned row's replicas at once: each
+	// gets an array of its own (-race reports a shared one).
+	row, _ := c.GetObject("/d/f2")
+	want := row.Clone()
+	var wg sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			reps := append(row.Replicas, types.Replica{Number: 9})
+			reps[0].Resource = "tampered"
+		}()
+	}
+	wg.Wait()
+	if got, _ := c.GetObject("/d/f2"); !reflect.DeepEqual(got, *want) {
+		t.Errorf("appending to a returned row changed the catalog's row: %+v", got.Replicas)
 	}
 }
 

@@ -139,7 +139,8 @@ func orEmptyGroups(m map[string]*types.Group) map[string]*types.Group {
 }
 
 // rebuildIndexesLocked reconstructs byID, the child indexes and the
-// attribute index from primary state. Callers hold the write lock.
+// attribute index from primary state, whose object rows it clips as
+// commitLocked clips a row it stores. Callers hold the write lock.
 func (c *Catalog) rebuildIndexesLocked() {
 	c.byID = make(map[types.ObjectID]string, len(c.objects))
 	c.childColls = make(map[string]map[string]string)
@@ -151,7 +152,10 @@ func (c *Catalog) rebuildIndexesLocked() {
 		}
 		c.addChildColl(types.Parent(p), p)
 	}
+	c.canary.reset()
 	for p, o := range c.objects {
+		clipRow(o)
+		c.canary.store(o)
 		c.byID[o.ID] = p
 		c.addChildObj(o.Collection, p)
 		if o.ID >= c.nextID {

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -8,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"gosrb/internal/durable"
 	"gosrb/internal/mcat"
 	"gosrb/internal/types"
 )
@@ -180,7 +182,9 @@ func load(opt OpenOptions, n int) (*Store, error) {
 		if err != nil {
 			return nil, err
 		}
-		os.Remove(jp + ".new")
+		if err := absorbTail(jp, jp+".new"); err != nil {
+			return nil, fmt.Errorf("catalog shard %d/%d: %w", i, n, err)
+		}
 		applied, skipped := rs.Applied+rs2.Applied, rs.Corrupt+rs2.Corrupt
 		st.ReplaySkipped += skipped
 		if applied > 0 || skipped > 0 {
@@ -188,6 +192,39 @@ func load(opt OpenOptions, n int) (*Store, error) {
 		}
 	}
 	return st, nil
+}
+
+// absorbTail appends the lines of a rotation tail to the journal, then
+// removes the tail. Its entries are in no snapshot, so until the next
+// one they must be in the journal, or a second crash would lose them. A
+// line that is not JSON (a torn last write) is left behind.
+func absorbTail(journal, tail string) error {
+	f, err := os.Open(tail)
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil
+	}
+	if err != nil {
+		return types.E("replay", tail, err)
+	}
+	defer f.Close()
+	l, err := durable.OpenLog(journal)
+	if err != nil {
+		return types.E("journal", journal, err)
+	}
+	var werr error
+	_, rerr := durable.Replay(f, func(line []byte) bool {
+		if werr == nil && json.Valid(line) {
+			werr = l.Append(line)
+		}
+		return true
+	})
+	if err := l.Close(); werr == nil {
+		werr = err
+	}
+	if err := errors.Join(rerr, werr); err != nil {
+		return types.E("journal", journal, err)
+	}
+	return os.Remove(tail)
 }
 
 func exists(path string) bool {

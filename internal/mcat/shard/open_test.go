@@ -556,12 +556,19 @@ func TestFailedSnapshotClosesJournal(t *testing.T) {
 }
 
 // A crash between journal rotation and rename leaves a .new tail that
-// the next boot must replay and absorb.
+// the next boot must replay and absorb: its entries are in no snapshot,
+// so they must still be there after a second boot that took none.
 func TestCrashTailReplay(t *testing.T) {
 	dir := t.TempDir()
 	opt := testOpts(dir, 1)
 	st, err := Open(opt)
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Router().AddUser(types.User{Name: "carol", Domain: "sdsc"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Snapshot(); err != nil {
 		t.Fatal(err)
 	}
 	seedStore(t, st.Router())
@@ -592,10 +599,25 @@ func TestCrashTailReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer st2.Close()
 	checkSeeded(t, st2.Router())
 	if _, err := os.Stat(opt.JournalPath + ".new"); !os.IsNotExist(err) {
 		t.Error(".new tail not absorbed after replay")
+	}
+	// A second kill, before any snapshot.
+	if err := st2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st3, err := Open(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st3.Close()
+	checkSeeded(t, st3.Router())
+	if _, err := st3.Router().GetUser("carol"); err != nil {
+		t.Errorf("the snapshot's user is gone: %v", err)
+	}
+	if st3.ReplaySkipped != 0 {
+		t.Errorf("%d journal lines skipped on the second boot", st3.ReplaySkipped)
 	}
 }
 

@@ -11,6 +11,7 @@ package types
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -293,6 +294,35 @@ func (o *DataObject) ReplicaByNumber(n ReplicaNumber) (Replica, bool) {
 		}
 	}
 	return Replica{}, false
+}
+
+// Clone returns a copy of o with replicas, pins, versions, alternates
+// and SQL and method payloads of its own, each copied slice clipped so
+// that appending to it never writes into an array another row holds. A
+// committed catalog row is shared and read-only; a caller that must
+// change one changes a Clone.
+func (o *DataObject) Clone() *DataObject {
+	cp := *o
+	cp.Replicas = cloneSlice(o.Replicas)
+	cp.Pins = cloneSlice(o.Pins)
+	cp.Versions = cloneSlice(o.Versions)
+	cp.Alternates = cloneSlice(o.Alternates)
+	if o.SQL != nil {
+		s := *o.SQL
+		cp.SQL = &s
+	}
+	if o.Method != nil {
+		m := *o.Method
+		m.Args = cloneSlice(o.Method.Args)
+		cp.Method = &m
+	}
+	return &cp
+}
+
+// cloneSlice copies s into an array of its own, clipped to its length;
+// an empty s comes back nil.
+func cloneSlice[T any](s []T) []T {
+	return slices.Clip(append([]T(nil), s...))
 }
 
 // Collection is a node in the logical hierarchy. Collections carry

@@ -102,10 +102,11 @@ func appendBinary(b []byte, v any) ([]byte, bool) {
 }
 
 // decodeBinary decodes body into v when v points to a hot type; ok is
-// false (v untouched) when it does not. v does not escape. share lets a
-// reply list cut its strings from one copy of the body.
-func decodeBinary(body []byte, v any, share bool) (ok bool, err error) {
-	d := decoder{b: body, share: share}
+// false (v untouched) when it does not. v does not escape. own gives
+// each decoded string an allocation of its own; otherwise they share one
+// (see decoder.string).
+func decodeBinary(body []byte, v any, own bool) (ok bool, err error) {
+	d := decoder{b: body, own: own}
 	tag := d.byte()
 	switch x := v.(type) {
 	case *struct{}:
@@ -168,7 +169,6 @@ func decodeBinary(body []byte, v any, share bool) (ok bool, err error) {
 		d.stat(x)
 	case *[]types.Stat:
 		d.tag(tag, tagStats)
-		d.shareStrings()
 		*x = makeSlice[types.Stat](&d, minStat)
 		for i := range *x {
 			d.stat(&(*x)[i])
@@ -178,19 +178,16 @@ func decodeBinary(body []byte, v any, share bool) (ok bool, err error) {
 		d.object(x)
 	case *[]types.AVU:
 		d.tag(tag, tagAVUs)
-		d.shareStrings()
 		*x = makeSlice[types.AVU](&d, 3)
 		for i := range *x {
 			d.avu(&(*x)[i])
 		}
 	case *QueryReply:
 		d.tag(tag, tagQueryReply)
-		d.shareStrings()
 		x.Hits = d.hits()
 		x.Partial = d.strings()
 	case *MultiGetReply:
 		d.tag(tag, tagMultiGetReply)
-		d.shareStrings()
 		x.Server = d.string()
 		x.Items = makeSlice[MultiGetItem](&d, 5)
 		for i := range x.Items {
@@ -198,7 +195,6 @@ func decodeBinary(body []byte, v any, share bool) (ok bool, err error) {
 		}
 	case *BulkStatReply:
 		d.tag(tag, tagBulkStatReply)
-		d.shareStrings()
 		x.Server = d.string()
 		x.Items = makeSlice[BulkStatItem](&d, 4+minStat)
 		for i := range x.Items {

@@ -114,7 +114,9 @@ func appendRequest(b []byte, r *Request) []byte {
 }
 
 // DecodeRequest decodes a request frame's payload into r. The op name is
-// resolved through the op table; Args is a slice of p.
+// resolved through the op table; Args is a slice of p. The header's
+// strings (OnBehalf, Ticket, Trace, Span) share one copy of the header
+// bytes alone, so a trace ID the trace ring keeps pins none of the args.
 func DecodeRequest(p []byte, r *Request) error {
 	d := decoder{b: p}
 	r.ID = d.uvarint()
@@ -124,10 +126,15 @@ func DecodeRequest(p []byte, r *Request) error {
 	} else {
 		r.Op = string(op)
 	}
-	r.OnBehalf = d.string()
-	r.Ticket = d.string()
-	r.Trace = d.string()
-	r.Span = d.string()
+	h := d
+	for range 4 {
+		d.span()
+	}
+	h.b = p[:d.off]
+	r.OnBehalf = h.string()
+	r.Ticket = h.string()
+	r.Trace = h.string()
+	r.Span = h.string()
 	r.Attempt = int(d.varint())
 	r.TimeoutMillis = d.varint()
 	r.Args = d.rest()
@@ -155,7 +162,7 @@ func appendResponse(b []byte, r *Response) []byte {
 }
 
 // DecodeResponse decodes a response frame's payload into r. Body is a
-// slice of p.
+// slice of p; ErrMsg is a copy of its own, which pins no body.
 func DecodeResponse(p []byte, r *Response) error {
 	d := decoder{b: p}
 	r.ID = d.uvarint()
@@ -165,7 +172,7 @@ func DecodeResponse(p []byte, r *Response) error {
 	}
 	r.OK, r.DataFollows = flags&respOK != 0, flags&respDataFollows != 0
 	r.ErrKind = internKind(d.bytes())
-	r.ErrMsg = d.string()
+	r.ErrMsg = string(d.bytes())
 	r.Body = d.rest()
 	return d.err
 }
@@ -212,29 +219,33 @@ func AppendBody(b []byte, v any) ([]byte, error) {
 }
 
 // DecodeBody decodes a reply body into v, a pointer to the type the body
-// was encoded from. An empty body leaves v as it is. The strings of a
-// decoded reply list share one allocation.
+// was encoded from. An empty body leaves v as it is. The decoded strings
+// share one allocation, a copy of the body from the first of them on,
+// whatever the body's size: a reply is the client's to keep whole.
 func DecodeBody(body []byte, v any) error {
 	if len(body) == 0 {
 		return nil
 	}
-	if ok, err := decodeBinary(body, v, true); ok {
+	if ok, err := decodeBinary(body, v, false); ok {
 		return err
 	}
 	return decodeJSON(body, v)
 }
 
 // DecodeArgs decodes a request's arguments into the op's argument struct;
-// absent arguments are the zero struct. Every decoded string is an
-// allocation of its own, so one that outlives the request (a catalog
-// row, a usage key) pins nothing else of the frame.
+// absent arguments are the zero struct. The decoded strings share one
+// allocation, a copy of the args from the first of them on, and never
+// the frame: a string that outlives the request (a catalog row, a heat
+// key) pins at most its own args. Args over readAllocStep (64 KiB) give
+// each string an allocation of its own instead, so no kept string pins
+// more than that.
 func DecodeArgs[A any](raw []byte) (a A, err error) {
 	if len(raw) == 0 {
 		return a, nil
 	}
 	// &a goes only where it does not escape: a binary-coded A stays on the
 	// stack, and only the JSON path pays for a heap copy.
-	if ok, err := decodeBinary(raw, &a, false); ok {
+	if ok, err := decodeBinary(raw, &a, len(raw) > readAllocStep); ok {
 		return a, err
 	}
 	p := new(A)
@@ -313,10 +324,12 @@ type decoder struct {
 	b   []byte
 	off int
 	err error
-	// str, once share has set it, is b as one string: a reply list's
-	// strings are cut from it instead of allocated one by one.
-	str   string
-	share bool
+	// str is b from base on as one string, copied when the first
+	// non-empty string is read; every later string is cut from it. With
+	// own set, each string is an allocation of its own instead.
+	str  string
+	base int
+	own  bool
 }
 
 func (d *decoder) fail() {
@@ -390,18 +403,12 @@ func (d *decoder) string() string {
 	switch {
 	case i == j:
 		return ""
-	case d.str != "":
-		return d.str[i:j]
+	case d.own:
+		return string(d.b[i:j])
+	case d.str == "":
+		d.str, d.base = string(d.b[i:]), i
 	}
-	return string(d.b[i:j])
-}
-
-// shareStrings makes the rest of a client-side reply list cut its strings
-// from one copy of the body.
-func (d *decoder) shareStrings() {
-	if d.share && d.str == "" {
-		d.str = string(d.b)
-	}
+	return d.str[i-d.base : j-d.base]
 }
 
 func (d *decoder) time() time.Time {

@@ -8,6 +8,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -380,6 +381,46 @@ func TestCodecAllocs(t *testing.T) {
 	})
 	if client > 3 {
 		t.Errorf("client 100-entry list decode: %.1f objects, want ≤ 3", client)
+	}
+}
+
+// TestDecodeStringAllocs fences how decoded strings are allocated. A
+// request header's strings share one copy of the header; args under
+// readAllocStep share one copy of the args from their first string on;
+// args over it give each string its own allocation, so no kept string
+// pins more than 64 KiB.
+func TestDecodeStringAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	// No one-byte strings: Go converts those without allocating.
+	meta := []types.AVU{{Name: "band", Value: "JH", Units: "nm"}, {Name: "mag", Value: "12.5", Units: "dex"}, {Name: "run", Value: "r7", Units: "id"}}
+	small, _ := AppendBody(nil, IngestArgs{Path: "/home/x", Resource: "d1", DataType: "generic", Meta: meta})
+	large, _ := AppendBody(nil, IngestArgs{Path: "/home/x", Resource: "d1", DataType: strings.Repeat("t", readAllocStep), Meta: meta})
+	header := appendRequest(nil, &Request{ID: 7, Op: OpStat, OnBehalf: "alice", Trace: "0123456789abcdef", Span: "01234567", Args: small})
+	for _, c := range []struct {
+		name string
+		want float64
+		run  func() error
+	}{
+		// The Meta slice, and one string the 12 strings share.
+		{"ingest args, 3 AVUs", 2, func() error { _, err := DecodeArgs[IngestArgs](small); return err }},
+		// The Meta slice, and each of the 12 strings.
+		{"ingest args over 64 KiB", 13, func() error { _, err := DecodeArgs[IngestArgs](large); return err }},
+		{"request header", 1, func() error { var r Request; return DecodeRequest(header, &r) }},
+	} {
+		got := testing.AllocsPerRun(100, func() {
+			if err := c.run(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got != c.want {
+			t.Errorf("%s: %v allocations, want %v", c.name, got, c.want)
+		}
+	}
+	var r Request
+	if err := DecodeRequest(header, &r); err != nil || r.OnBehalf != "alice" || r.Ticket != "" || r.Trace != "0123456789abcdef" || r.Span != "01234567" || !bytes.Equal(r.Args, small) {
+		t.Errorf("header decoded as %+v, %v", r, err)
 	}
 }
 
