@@ -164,28 +164,33 @@ test-phases:
 # catalog and on a loopback round trip; a row lookup copies nothing; a
 # decoded header's or args' strings come from one copy. Then the catalog against itself: the query and
 # mutation differential tests (a monolith against a 4-shard router, the
-# router reopened at 3 and 1 shards), the put as one transaction (a
+# router reopened at 3 and 1 shards), the journal and snapshot fixtures
+# (the legacy JSON snapshot among them), the put as one transaction (a
 # refused triplet, a failed journal append, a lost race for the path,
 # and the put's journal bytes cut at every offset on a 1- and a 4-shard
-# store, a container member's too), every other create as the same one
+# store, a container member's too, each cut booted, written to and
+# booted again), every other create as the same one
 # entry (through a linked collection, a refused triplet, the entries each
 # create journals), every entry kind refused whole when its append fails,
 # a refused delete keeping its bytes, 15 s of the LIKE matcher fuzzed
-# against the recursive matcher it replaced, and 15 s of arbitrary
+# against the recursive matcher it replaced, 15 s of arbitrary
 # journal bytes through the one seam boot replay, replication and
-# migration share. (Minimizing an input as long as a journal would
-# otherwise take the whole 15 s.) First, the durable-file layer every
-# snapshot and journal sits on: publish and abort, the line log's
-# concurrent appends, replay's line limits.
+# migration share, and 15 s of arbitrary bytes through the snapshot
+# loader a follower's catch-up takes off the wire. (Minimizing an input
+# as long as a journal would otherwise take the whole 15 s.) First, the
+# durable-file layer every snapshot and journal sits on: publish and
+# abort, the line log's concurrent appends and torn tail, replay's line
+# limits.
 test-mcat:
 	$(GO) test -race -count=10 ./internal/durable/
 	$(GO) test -race -count=10 ./internal/mcat/shard/
 	$(GO) test -count=3 -run 'TestQueryAllocates|TestGetObjectAllocatesNothing|TestDecodeStringAllocs|TestRoundTripAllocBudget' ./internal/mcat/ ./internal/wire/ ./internal/server/
 	$(GO) test -race -count=10 -run 'Query|Like|Differential' ./internal/mcat/
-	$(GO) test -race -count=1 -run 'TestJournalFixture|TestEveryKindRefusedWhenAppendFails' ./internal/mcat/
+	$(GO) test -race -count=1 -run 'TestJournalFixture|TestSnapshotFixture|TestEveryKindRefusedWhenAppendFails' ./internal/mcat/
 	$(GO) test -race -count=1 -run 'TestRefusedMetadata|TestIngestJournalFailure|TestIngestLosingRace|TestPutCrashPoints|TestCreateThroughLinkedCollection|TestRegisterFileRefusedTriplet|TestCreateJournalEntries|TestRefusedDeleteKeepsBytes' ./internal/core/
 	$(GO) test -run '^$$' -fuzz=FuzzLikeMatch -fuzztime=15s ./internal/mcat/
 	$(GO) test -run '^$$' -fuzz=FuzzJournalReplay -fuzztime=15s -fuzzminimizetime=1s ./internal/mcat/
+	$(GO) test -run '^$$' -fuzz=FuzzSnapshotLoad -fuzztime=15s -fuzzminimizetime=1s ./internal/mcat/
 
 # Heat-observatory sweep: the top-K sketch (Zipf recall, decay,
 # concurrent writers, rollup fold, persistence), the keyed table the

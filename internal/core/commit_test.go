@@ -233,7 +233,8 @@ func TestIngestLosingRaceRemovesItsBytes(t *testing.T) {
 // puts journaled through Broker.Ingest on a persistent catalog, then the
 // last put's journal bytes cut at every offset and the catalog booted
 // again. Every boot holds the last put whole — row, clean replicas,
-// checksum, every triplet, found by an indexed query — or not at all.
+// checksum, every triplet, found by an indexed query — or not at all,
+// and a Mkdir made after it is still there at the boot after that.
 // The member row does the same with puts into a container, whose last
 // two lines are the container's update and the member.
 func TestPutCrashPoints(t *testing.T) {
@@ -372,6 +373,24 @@ func putCrashPoints(t *testing.T, shards int, container string) {
 			if len(avus) != 3 || len(hits) != 1 || hits[0].Path != last {
 				t.Errorf("cut at %d: the put's triplets %v, query hits %v", cut, avus, hits)
 			}
+		}
+		// A write acknowledged after booting over the cut survives the
+		// next boot: it is not glued onto a torn last line.
+		const after = "/home/alice/after"
+		if err := core.New(r, "srb1").Mkdir("alice", after); err != nil {
+			t.Fatalf("cut at %d: Mkdir: %v", cut, err)
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if st, err = shard.Open(opt); err != nil {
+			t.Fatalf("cut at %d: second reopen: %v", cut, err)
+		}
+		if !st.Router().CollExists(after) {
+			t.Errorf("cut at %d: the Mkdir acknowledged after booting over the cut is gone", cut)
+		}
+		if st.ReplaySkipped > 1 {
+			t.Errorf("cut at %d: second boot: %d corrupt lines, want at most the torn one", cut, st.ReplaySkipped)
 		}
 		if err := st.Close(); err != nil {
 			t.Fatal(err)

@@ -291,7 +291,7 @@ func (rt *Runtime) addJobs(ev *obs.SLOEvaluator, rec *obs.IncidentRecorder) {
 			rt.Engine.AddJob(name, every, jitter, run)
 		}
 	}
-	// Snapshot every shard and rotate its journal.
+	// Snapshot every shard and empty its journal.
 	row("catalog.save", cfg.catalog != "", cfg.saveEvery, 0.1, func(*obs.Span) error { return rt.store.Snapshot() })
 	// Refresh every dirty replica the daemon can reach, so replica
 	// consistency costs the users nothing (paper §2).

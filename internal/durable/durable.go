@@ -102,10 +102,9 @@ func Replace(path string, write func(io.Writer) error) error {
 	return f.Commit()
 }
 
-// Log is an append-only line log over a writer. Sync, Close, Truncate
-// and Rename act on a file-backed log; Close ends any log, and after it
-// (or a failed Truncate) every Append returns an error. Safe for
-// concurrent use.
+// Log is an append-only line log over a writer. Sync and Truncate act
+// on a file-backed log; Close ends any log, and after it (or a failed
+// Truncate) every Append returns an error. Safe for concurrent use.
 type Log struct {
 	mu      sync.Mutex
 	w       io.Writer
@@ -127,9 +126,23 @@ func NewLog(w io.Writer) *Log {
 }
 
 // OpenLog opens path for appending, creating it (mode 0644) if absent.
+// A file a kill cut mid-line keeps the fragment, which replay skips, and
+// gets the newline it lacks, so the next line appended is not glued onto
+// the fragment and skipped with it.
 func OpenLog(path string) (*Log, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
+		return nil, err
+	}
+	fi, err := f.Stat()
+	if err == nil && fi.Size() > 0 {
+		var last [1]byte
+		if _, err = f.ReadAt(last[:], fi.Size()-1); err == nil && last[0] != '\n' {
+			_, err = f.Write([]byte{'\n'})
+		}
+	}
+	if err != nil {
+		f.Close()
 		return nil, err
 	}
 	return NewLog(f), nil
@@ -179,12 +192,13 @@ func (l *Log) Close() error {
 	return err
 }
 
-// Truncate closes the log's file and reopens it empty. If the reopen
-// fails the log stays closed, and Append returns the reopen's error.
+// Truncate closes the log's file and reopens it empty; a log over any
+// other writer is left as it is. If the reopen fails the log stays
+// closed, and Append returns the reopen's error.
 func (l *Log) Truncate() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.err != nil {
+	if l.err != nil || l.f == nil {
 		return l.err
 	}
 	l.f.Close()
@@ -195,20 +209,6 @@ func (l *Log) Truncate() error {
 	}
 	l.f, l.w = f, f
 	return nil
-}
-
-// Rename moves the log's file to path; appends go on into it.
-func (l *Log) Rename(path string) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.err != nil {
-		return l.err
-	}
-	err := os.Rename(l.path, path)
-	if err == nil {
-		l.path = path
-	}
-	return err
 }
 
 // Replay hands apply every non-blank line of r, without its newline,

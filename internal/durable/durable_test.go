@@ -8,6 +8,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -159,18 +160,19 @@ func TestLogAppend(t *testing.T) {
 	}
 }
 
-// TestLogFile drives a file-backed log through Rename, Truncate and a
+// TestLogFile drives a file-backed log through a reopen, Truncate and a
 // reopen that fails.
 func TestLogFile(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "log.new")
-	l, err := OpenLog(path)
+	final := filepath.Join(t.TempDir(), "log")
+	l, err := OpenLog(final)
 	if err != nil {
 		t.Fatal(err)
 	}
 	l.Append([]byte("a"))
-	final := filepath.Join(dir, "log")
-	if err := l.Rename(final); err != nil {
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if l, err = OpenLog(final); err != nil {
 		t.Fatal(err)
 	}
 	l.Append([]byte("b"))
@@ -178,7 +180,7 @@ func TestLogFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	if b, _ := os.ReadFile(final); string(b) != "a\nb\n" {
-		t.Fatalf("renamed log = %q", b)
+		t.Fatalf("reopened log = %q", b)
 	}
 	if err := l.Truncate(); err != nil {
 		t.Fatal(err)
@@ -202,6 +204,57 @@ func TestLogFile(t *testing.T) {
 	}
 	if err := l.Close(); err != nil {
 		t.Errorf("Close after a failed reopen = %v", err)
+	}
+}
+
+// TestLogTornTail: a log reopened over a file a kill cut mid-line keeps
+// the fragment, and the next line starts a line of its own, so replay
+// skips the fragment alone and keeps the line.
+func TestLogTornTail(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "log")
+	if err := os.WriteFile(path, []byte("one\ntw"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	l, err := OpenLog(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range []string{"three", "four"} {
+		if err := l.Append([]byte(line)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if b, _ := os.ReadFile(path); string(b) != "one\ntw\nthree\nfour\n" {
+		t.Errorf("log = %q, want the fragment kept and every appended line whole", b)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	var kept []string
+	skipped, err := Replay(f, func(line []byte) bool {
+		if string(line) == "tw" {
+			return false
+		}
+		kept = append(kept, string(line))
+		return true
+	})
+	if err != nil || skipped != 1 || !slices.Equal(kept, []string{"one", "three", "four"}) {
+		t.Errorf("replay kept %q, skipped %d, err %v", kept, skipped, err)
+	}
+
+	// A log that ends with its newline gains no blank line.
+	if l, err = OpenLog(path); err != nil {
+		t.Fatal(err)
+	}
+	l.Append([]byte("five"))
+	l.Close()
+	if b, _ := os.ReadFile(path); string(b) != "one\ntw\nthree\nfour\nfive\n" {
+		t.Errorf("log = %q after a clean reopen", b)
 	}
 }
 

@@ -8,7 +8,6 @@ import "gosrb/internal/types"
 // checking build.
 type rowCanary struct{}
 
-func (rowCanary) store(*types.DataObject)          {}
-func (rowCanary) check(string, *types.DataObject)  {}
-func (rowCanary) retire(string, *types.DataObject) {}
-func (rowCanary) reset()                           {}
+func (*rowCanary) store(*types.DataObject)          {}
+func (*rowCanary) check(string, *types.DataObject)  {}
+func (*rowCanary) retire(string, *types.DataObject) {}

@@ -36,15 +36,33 @@ type metaEntry struct {
 type Catalog struct {
 	mu sync.RWMutex
 
-	nextID types.ObjectID
+	// tables is the catalog's state, which a snapshot load replaces
+	// whole (see Load).
+	tables
+
 	// idOffset/idStride partition the object-ID space when several
 	// catalogs share one namespace (shard i of N allocates IDs ≡ i+1
 	// mod N). Zero stride means the default single-catalog allocation.
 	idOffset types.ObjectID
 	idStride types.ObjectID
-	objects  map[string]*types.DataObject // logical path -> object
-	byID     map[types.ObjectID]string    // id -> logical path
-	colls    map[string]*types.Collection // logical path -> collection
+
+	// journal, when attached, receives every mutation as an append-log
+	// entry (see journal.go).
+	journal *Journal
+	// journalErr latches the first journal append failure (see
+	// journalFailed); onJournalErr observes every one.
+	journalErr   atomic.Pointer[error]
+	onJournalErr func(error)
+
+	now func() time.Time
+}
+
+// tables holds every row of a catalog with the indexes over them.
+type tables struct {
+	nextID  types.ObjectID
+	objects map[string]*types.DataObject // logical path -> object
+	byID    map[types.ObjectID]string    // id -> logical path
+	colls   map[string]*types.Collection // logical path -> collection
 
 	// children indexes the direct members of each collection:
 	// childColls[parent] and childObjs[parent] map base name -> path.
@@ -67,14 +85,6 @@ type Catalog struct {
 	// type) are indexed.
 	attrIndex map[string]map[string]map[string]bool
 
-	// journal, when attached, receives every mutation as an append-log
-	// entry (see journal.go).
-	journal *Journal
-	// journalErr latches the first journal append failure (see
-	// journalFailed); onJournalErr observes every one.
-	journalErr   atomic.Pointer[error]
-	onJournalErr func(error)
-
 	// repairs is the pending background-repair queue, keyed by
 	// RepairTask.Key. Enqueue/complete are journaled so the queue
 	// survives a daemon restart (see repair.go).
@@ -82,19 +92,16 @@ type Catalog struct {
 
 	// canary fingerprints the stored object rows in a rowcanary build
 	// (canary.go) and is empty otherwise.
-	canary rowCanary
-
-	now func() time.Time
+	canary *rowCanary
 }
 
-// New returns a catalog containing only the root collection, owned by
-// the given administrator, and the administrator account itself.
-func New(adminUser, adminDomain string) *Catalog {
-	c := &Catalog{
+// newTables returns tables holding only the root collection, root.
+func newTables(root *types.Collection) tables {
+	return tables{
 		nextID:     1,
 		objects:    make(map[string]*types.DataObject),
 		byID:       make(map[types.ObjectID]string),
-		colls:      make(map[string]*types.Collection),
+		colls:      map[string]*types.Collection{"/": root},
 		childColls: make(map[string]map[string]string),
 		childObjs:  make(map[string]map[string]string),
 		resources:  make(map[string]*types.Resource),
@@ -107,10 +114,19 @@ func New(adminUser, adminDomain string) *Catalog {
 		fileMeta:   make(map[string][]string),
 		attrIndex:  make(map[string]map[string]map[string]bool),
 		repairs:    make(map[string]*types.RepairTask),
-		now:        time.Now,
+		canary:     new(rowCanary),
 	}
-	c.colls["/"] = &types.Collection{Path: "/", Owner: adminUser, CreatedAt: c.now()}
-	c.users[adminUser] = &types.User{Name: adminUser, Domain: adminDomain, Admin: true, CreatedAt: c.now()}
+}
+
+// New returns a catalog containing only the root collection, owned by
+// the given administrator, and the administrator account itself.
+func New(adminUser, adminDomain string) *Catalog {
+	now := time.Now()
+	c := &Catalog{
+		tables: newTables(&types.Collection{Path: "/", Owner: adminUser, CreatedAt: now}),
+		now:    time.Now,
+	}
+	c.users[adminUser] = &types.User{Name: adminUser, Domain: adminDomain, Admin: true, CreatedAt: now}
 	return c
 }
 

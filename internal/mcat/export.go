@@ -19,9 +19,13 @@ import (
 // ingest entry's object shares its row's slices, read-only, as
 // GetObject does.
 func (c *Catalog) Export(root string) []Entry {
-	root = types.CleanPath(root)
 	c.mu.RLock()
 	defer c.mu.RUnlock()
+	return c.exportLocked(types.CleanPath(root))
+}
+
+// exportLocked is Export of a cleaned root; callers hold the lock.
+func (c *Catalog) exportLocked(root string) []Entry {
 	whole := root == "/"
 	var out []Entry
 	if whole {

@@ -2,6 +2,7 @@ package mcat
 
 import (
 	"bytes"
+	"os"
 	"testing"
 
 	"gosrb/internal/acl"
@@ -19,20 +20,7 @@ func FuzzJournalReplay(f *testing.F) {
 	var buf bytes.Buffer
 	c := New("admin", "local")
 	c.SetJournal(NewJournal(&buf))
-	c.AddUser(types.User{Name: "alice", Domain: "sdsc"})
-	c.AddResource(types.Resource{Name: "r1", Kind: types.ResourcePhysical, Driver: "memfs"})
-	c.MkColl("/home", "admin")
-	c.MkCollAll("/home/alice/deep", "alice")
-	c.RegisterObject(&types.DataObject{Collection: "/home/alice", Name: "f.txt", Owner: "alice", DataType: "generic"})
-	c.AddMeta("/home/alice/f.txt", types.MetaUser, types.AVU{Name: "a", Value: "1"})
-	c.SetACL("/home/alice", "alice", acl.Own)
-	c.AddAnnotation("/home/alice/f.txt", types.Annotation{Author: "alice", Text: "note"})
-	id, _ := c.NewObjectID("/home/alice/p.dat")
-	c.Ingest(&types.DataObject{ID: id, Collection: "/home/alice", Name: "p.dat", Owner: "alice", Size: 1,
-		Replicas: []types.Replica{{Resource: "r1", PhysicalPath: "/vault/p", Status: types.ReplicaClean, Size: 1}}},
-		[]types.AVU{{Name: "a", Value: "2"}, {Name: "b", Value: "3"}})
-	c.MoveObject("/home/alice/f.txt", "/home/alice/deep", "g.txt")
-	c.DeleteObject("/home/alice/deep/g.txt")
+	fuzzSeed(c)
 	full := buf.Bytes()
 	f.Add(full)
 
@@ -53,4 +41,63 @@ func FuzzJournalReplay(f *testing.F) {
 		}
 		checkInvariants(t, c)
 	})
+}
+
+// FuzzSnapshotLoad feeds arbitrary bytes to Load, which takes a
+// follower's catch-up off the wire (ShardPullReply.Snapshot) — seeded
+// with a snapshot, the legacy fixture, a cut copy of each and junk. Load
+// never panics; one that fails leaves every table as it was, and one
+// that succeeds leaves the catalog consistent.
+func FuzzSnapshotLoad(f *testing.F) {
+	c := New("admin", "local")
+	fuzzSeed(c)
+	var snap bytes.Buffer
+	if err := c.Save(&snap); err != nil {
+		f.Fatal(err)
+	}
+	legacy, err := os.ReadFile("testdata/snapshot.v1")
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, b := range [][]byte{snap.Bytes(), legacy} {
+		f.Add(b)
+		f.Add(b[:len(b)/2])
+		f.Add(b[:bytes.LastIndexByte(b[:len(b)-1], '\n')+1]) // one line short
+	}
+	f.Add([]byte("{\"Version\":2,\"NextID\":0,\"Entries\":1}\n{\"Op\":\"mkcoll\"}\n"))
+	f.Add([]byte("{\"Version\":1,\"Objects\":{\"/x\":null}}\n"))
+	f.Add([]byte("not json at all\n\x00\xff{\n"))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		c := New("admin", "local")
+		if err := c.MkColl("/kept", "admin"); err != nil {
+			t.Fatal(err)
+		}
+		before := image(t, c)
+		if err := c.Load(bytes.NewReader(data)); err != nil {
+			if d := sameImage(image(t, c), before); d != "" {
+				t.Fatalf("a failed load (%v) changed the catalog: %s", err, d)
+			}
+			return
+		}
+		checkInvariants(t, c)
+	})
+}
+
+// fuzzSeed makes a representative mutation sequence.
+func fuzzSeed(c *Catalog) {
+	c.AddUser(types.User{Name: "alice", Domain: "sdsc"})
+	c.AddResource(types.Resource{Name: "r1", Kind: types.ResourcePhysical, Driver: "memfs"})
+	c.MkColl("/home", "admin")
+	c.MkCollAll("/home/alice/deep", "alice")
+	c.RegisterObject(&types.DataObject{Collection: "/home/alice", Name: "f.txt", Owner: "alice", DataType: "generic"})
+	c.AddMeta("/home/alice/f.txt", types.MetaUser, types.AVU{Name: "a", Value: "1"})
+	c.SetACL("/home/alice", "alice", acl.Own)
+	c.AddAnnotation("/home/alice/f.txt", types.Annotation{Author: "alice", Text: "note"})
+	id, _ := c.NewObjectID("/home/alice/p.dat")
+	c.Ingest(&types.DataObject{ID: id, Collection: "/home/alice", Name: "p.dat", Owner: "alice", Size: 1,
+		Replicas: []types.Replica{{Resource: "r1", PhysicalPath: "/vault/p", Status: types.ReplicaClean, Size: 1}}},
+		[]types.AVU{{Name: "a", Value: "2"}, {Name: "b", Value: "3"}})
+	c.MoveObject("/home/alice/f.txt", "/home/alice/deep", "g.txt")
+	c.DeleteObject("/home/alice/deep/g.txt")
 }

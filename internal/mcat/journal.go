@@ -106,9 +106,9 @@ func (j *Journal) Close() error { return j.log.Close() }
 // Sync flushes a file-backed journal to stable storage.
 func (j *Journal) Sync() error { return j.log.Sync() }
 
-// Rename moves a file-backed journal's file to path; appends go on into
-// it (the shard store's rotation).
-func (j *Journal) Rename(path string) error { return j.log.Rename(path) }
+// Truncate empties a file-backed journal, which appends go on into; a
+// journal on any other writer is left as it is (see Catalog.Compact).
+func (j *Journal) Truncate() error { return j.log.Truncate() }
 
 // lineBuf is a journal line being encoded: a buffer and the JSON encoder
 // that writes into it, pooled, so encoding a line allocates neither
@@ -223,12 +223,14 @@ func (c *Catalog) OnJournalError(fn func(error)) {
 	c.onJournalErr = fn
 }
 
-// ReplayStats reports one replay pass: how many entries took effect
-// and how many lines were corrupt (unparseable or truncated) and had
-// to be skipped. A non-zero Corrupt count must be surfaced — a journal
-// that silently loses lines cannot be trusted as a replication log.
+// ReplayStats reports one replay pass: how many entries took effect,
+// how many the catalog refused, and how many lines were corrupt
+// (unparseable or truncated) and had to be skipped. A non-zero Corrupt
+// count must be surfaced — a journal that silently loses lines cannot
+// be trusted as a replication log.
 type ReplayStats struct {
 	Applied int
+	Refused int
 	Corrupt int
 }
 
@@ -248,6 +250,8 @@ func (c *Catalog) ReplayCounted(r io.Reader) (st ReplayStats, err error) {
 		c.mu.Lock()
 		if c.commitLocked(nil, &e, nil) == nil {
 			st.Applied++
+		} else {
+			st.Refused++
 		}
 		c.mu.Unlock()
 		return true

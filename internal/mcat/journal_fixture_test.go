@@ -136,6 +136,14 @@ func ingestScript(t *testing.T, c shard.Catalog) {
 	}
 	m(c.MkColl("/home", "admin"))
 	m(c.MkColl("/home/alice", "alice"))
+	putM31(t, c)
+}
+
+// putM31 commits one put — an object with two replica rows and two
+// metadata triplets — into /home/alice, on disk1 and tape1.
+func putM31(t *testing.T, c shard.Catalog) {
+	t.Helper()
+	m := func(err error) { t.Helper(); must(t, err) }
 	const path = "/home/alice/m31.fits"
 	id, err := c.NewObjectID(path)
 	m(err)

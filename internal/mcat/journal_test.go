@@ -166,7 +166,7 @@ func TestReplayIsIdempotentOnDuplicates(t *testing.T) {
 		t.Fatal(err)
 	}
 	st, err := c2.ReplayCounted(bytes.NewReader(buf.Bytes()))
-	if err != nil || st != (ReplayStats{}) {
+	if err != nil || st != (ReplayStats{Refused: 2}) {
 		t.Errorf("second replay = %+v, %v", st, err)
 	}
 	if len(c2.SubtreeObjects("/")) != 1 {
@@ -182,9 +182,9 @@ func TestReplayCountsGarbage(t *testing.T) {
 	if err != nil || st != (ReplayStats{Corrupt: 1}) {
 		t.Errorf("garbage line: %+v, %v, want Corrupt == 1", st, err)
 	}
-	// Unknown ops are skipped, and are not corruption.
+	// Unknown ops are refused, and are not corruption.
 	st, err = c.ReplayCounted(strings.NewReader(`{"Op":"future-op"}` + "\n"))
-	if err != nil || st != (ReplayStats{}) {
+	if err != nil || st != (ReplayStats{Refused: 1}) {
 		t.Errorf("unknown op: %+v, %v", st, err)
 	}
 }

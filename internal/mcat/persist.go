@@ -1,7 +1,10 @@
 package mcat
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"os"
 
@@ -10,165 +13,135 @@ import (
 	"gosrb/internal/types"
 )
 
-// snapshot is the JSON-serialisable image of the catalog. Secondary
-// indexes (children, byID, attribute index) are rebuilt at load.
-type snapshot struct {
-	Version    int
-	NextID     types.ObjectID
-	Objects    map[string]*types.DataObject
-	Colls      map[string]*types.Collection
-	Resources  map[string]*types.Resource
-	Users      map[string]*types.User
-	Groups     map[string]*types.Group
+// A snapshot is the catalog's journal, compacted: this head line, then
+// the entries Export("/") returns as journal lines. The head carries
+// what no entry can: the root collection's row, and the next object ID,
+// which a deleted object can leave above every live one. It counts the
+// entries, so a snapshot cut at a line boundary does not load.
+type snapshotHead struct {
+	Version int
+	NextID  types.ObjectID
+	Entries int               `json:",omitempty"`
+	Root    *types.Collection `json:",omitempty"`
+}
+
+// snapshotVersion is the head's Version. Version 1 was the whole catalog
+// as one JSON document (legacySnapshot), which Load still reads.
+const snapshotVersion = 2
+
+// legacySnapshot is a version-1 snapshot: the head's first two fields
+// and every primary map, on one line. It is read, never written.
+type legacySnapshot struct {
+	snapshotHead
+	Objects    map[string]types.DataObject
+	Colls      map[string]types.Collection
+	Resources  map[string]types.Resource
+	Users      map[string]types.User
+	Groups     map[string]types.Group
 	ACLs       map[string]acl.List
 	Meta       map[string][]metaEntry
 	Structural map[string][]types.StructuralAttr
 	Annots     map[string][]types.Annotation
 	FileMeta   map[string][]string
-	Repairs    map[string]*types.RepairTask `json:",omitempty"`
+	Repairs    map[string]types.RepairTask
 }
 
-// snapshotVersion guards format evolution.
-const snapshotVersion = 1
-
-// Save writes a consistent snapshot of the catalog as JSON.
+// Save writes a consistent snapshot of the catalog.
 func (c *Catalog) Save(w io.Writer) error {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	s := snapshot{
-		Version:    snapshotVersion,
-		NextID:     c.nextID,
-		Objects:    c.objects,
-		Colls:      c.colls,
-		Resources:  c.resources,
-		Users:      c.users,
-		Groups:     c.groups,
-		ACLs:       c.acls,
-		Meta:       c.meta,
-		Structural: c.structural,
-		Annots:     c.annots,
-		FileMeta:   c.fileMeta,
-		Repairs:    c.repairs,
-	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(&s)
+	return c.saveLocked(w)
 }
 
-// Load replaces the catalog contents with a snapshot previously written
-// by Save, rebuilding every secondary index.
-func (c *Catalog) Load(r io.Reader) error {
-	var s snapshot
-	if err := json.NewDecoder(r).Decode(&s); err != nil {
-		return types.E("load", "", err)
+func (c *Catalog) saveLocked(w io.Writer) error {
+	entries := c.exportLocked("/")
+	bw := bufio.NewWriterSize(w, 64<<10)
+	enc := json.NewEncoder(bw)
+	err := enc.Encode(snapshotHead{Version: snapshotVersion, NextID: c.nextID, Entries: len(entries), Root: c.colls["/"]})
+	for i := 0; i < len(entries) && err == nil; i++ {
+		err = enc.Encode(&entries[i])
 	}
-	if s.Version != snapshotVersion {
+	if err != nil {
+		return err
+	}
+	return bw.Flush()
+}
+
+// Load replaces the catalog's contents with a snapshot. It commits the
+// snapshot's entries into an empty catalog through commitLocked, the
+// path journal replay takes, and swaps the result in whole: a line that
+// does not parse, an entry refused or a count short of the head's fails
+// the load and leaves the catalog as it was. A legacy snapshot's maps,
+// wrapped in a scratch catalog, are saved as a snapshot and loaded.
+func (c *Catalog) Load(r io.Reader) error {
+	br := bufio.NewReaderSize(r, 64<<10)
+	first, err := br.ReadBytes('\n')
+	var s legacySnapshot
+	if err == nil || err == io.EOF {
+		err = json.Unmarshal(first, &s)
+	}
+	switch {
+	case err != nil:
+		return types.E("load", "", err)
+	case s.Version == 1:
+		old := &Catalog{tables: tables{nextID: s.NextID, objects: rows(s.Objects), colls: rows(s.Colls),
+			resources: rows(s.Resources), users: rows(s.Users), groups: rows(s.Groups), acls: s.ACLs, meta: s.Meta,
+			structural: s.Structural, annots: s.Annots, fileMeta: s.FileMeta, repairs: rows(s.Repairs),
+		}}
+		var buf bytes.Buffer
+		if err := old.saveLocked(&buf); err != nil {
+			return types.E("load", "", err)
+		}
+		return c.Load(&buf)
+	case s.Version != snapshotVersion:
 		return types.E("load", "", types.ErrInvalid)
+	}
+	root := types.Collection{}
+	if s.Root != nil {
+		root = *s.Root
+	}
+	root.Path = "/"
+	c.mu.RLock()
+	fresh := &Catalog{tables: newTables(&root), idOffset: c.idOffset, idStride: c.idStride, now: c.now}
+	c.mu.RUnlock()
+	fresh.nextID = fresh.alignIDLocked(max(s.NextID, 1))
+	st, err := fresh.ReplayCounted(br)
+	if err == nil && (st.Applied != s.Entries || st.Refused+st.Corrupt > 0) {
+		err = fmt.Errorf("%d of %d entries applied (%d refused, %d corrupt): %w", st.Applied, s.Entries, st.Refused, st.Corrupt, types.ErrInvalid)
+	}
+	if err != nil {
+		return types.E("load", "", err)
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.nextID = c.alignIDLocked(s.NextID)
-	c.objects = orEmptyObjects(s.Objects)
-	c.colls = orEmptyColls(s.Colls)
-	c.resources = orEmptyResources(s.Resources)
-	c.users = orEmptyUsers(s.Users)
-	c.groups = orEmptyGroups(s.Groups)
-	c.acls = s.ACLs
-	if c.acls == nil {
-		c.acls = make(map[string]acl.List)
-	}
-	c.meta = s.Meta
-	if c.meta == nil {
-		c.meta = make(map[string][]metaEntry)
-	}
-	c.structural = s.Structural
-	if c.structural == nil {
-		c.structural = make(map[string][]types.StructuralAttr)
-	}
-	c.annots = s.Annots
-	if c.annots == nil {
-		c.annots = make(map[string][]types.Annotation)
-	}
-	c.fileMeta = s.FileMeta
-	if c.fileMeta == nil {
-		c.fileMeta = make(map[string][]string)
-	}
-	c.repairs = s.Repairs
-	if c.repairs == nil {
-		c.repairs = make(map[string]*types.RepairTask)
-	}
-	if _, ok := c.colls["/"]; !ok {
-		c.colls["/"] = &types.Collection{Path: "/"}
-	}
-	c.rebuildIndexesLocked()
+	c.tables = fresh.tables
 	return nil
 }
 
-func orEmptyObjects(m map[string]*types.DataObject) map[string]*types.DataObject {
-	if m == nil {
-		return make(map[string]*types.DataObject)
+// rows keys a pointer to each of m's rows. A null row decodes as a zero
+// one, which the load refuses where the row needs a name or an ID.
+func rows[V any](m map[string]V) map[string]*V {
+	out := make(map[string]*V, len(m))
+	for k, v := range m {
+		out[k] = &v
 	}
-	return m
+	return out
 }
 
-func orEmptyColls(m map[string]*types.Collection) map[string]*types.Collection {
-	if m == nil {
-		return make(map[string]*types.Collection)
+// Compact publishes the catalog's snapshot at path, then empties the
+// attached journal if it is a file, under one hold of the read lock:
+// every line the journal held is in the snapshot, and every later one
+// lands in the emptied journal.
+func (c *Catalog) Compact(path string) error {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	if err := durable.Replace(path, c.saveLocked); err != nil {
+		return types.E("save", path, err)
 	}
-	return m
-}
-
-func orEmptyResources(m map[string]*types.Resource) map[string]*types.Resource {
-	if m == nil {
-		return make(map[string]*types.Resource)
+	if c.journal == nil {
+		return nil
 	}
-	return m
-}
-
-func orEmptyUsers(m map[string]*types.User) map[string]*types.User {
-	if m == nil {
-		return make(map[string]*types.User)
-	}
-	return m
-}
-
-func orEmptyGroups(m map[string]*types.Group) map[string]*types.Group {
-	if m == nil {
-		return make(map[string]*types.Group)
-	}
-	return m
-}
-
-// rebuildIndexesLocked reconstructs byID, the child indexes and the
-// attribute index from primary state, whose object rows it clips as
-// commitLocked clips a row it stores. Callers hold the write lock.
-func (c *Catalog) rebuildIndexesLocked() {
-	c.byID = make(map[types.ObjectID]string, len(c.objects))
-	c.childColls = make(map[string]map[string]string)
-	c.childObjs = make(map[string]map[string]string)
-	c.attrIndex = make(map[string]map[string]map[string]bool)
-	for p := range c.colls {
-		if p == "/" {
-			continue
-		}
-		c.addChildColl(types.Parent(p), p)
-	}
-	c.canary.reset()
-	for p, o := range c.objects {
-		clipRow(o)
-		c.canary.store(o)
-		c.byID[o.ID] = p
-		c.addChildObj(o.Collection, p)
-		if o.ID >= c.nextID {
-			c.nextID = o.ID + 1
-		}
-	}
-	for p, entries := range c.meta {
-		for _, e := range entries {
-			if queryableClass(e.Class) {
-				c.indexAdd(e.AVU.Name, e.AVU.Value, p)
-			}
-		}
-	}
+	return c.journal.Truncate()
 }
 
 // SaveFile snapshots the catalog to path atomically (durable.Replace).

@@ -13,7 +13,7 @@ import (
 // recorded next to the object rows. Enqueue and completion are
 // journaled ("repairenq"/"repairdone"), so a daemon restart replays the
 // queue back exactly as it stood; the snapshot carries it across
-// journal rotation.
+// compaction.
 
 // EnqueueRepair adds a task to the pending queue. Tasks deduplicate on
 // Key (Path + "|" + Resource): re-enqueueing an already-pending key is

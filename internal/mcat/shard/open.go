@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io/fs"
 	"os"
-	"sync"
 	"time"
 
 	"gosrb/internal/durable"
@@ -35,11 +34,8 @@ type OpenOptions struct {
 // Store is the persistence side of a sharded catalog: per-shard
 // snapshot + journal files plus the journaled shard map.
 type Store struct {
-	r   *Router
-	opt OpenOptions
-	// mu serialises Snapshot and Close: both swap or close the journals,
-	// and a periodic save must not interleave with the shutdown one.
-	mu       sync.Mutex
+	r        *Router
+	opt      OpenOptions
 	journals []*mcat.Journal
 	// ReplaySkipped counts corrupt or truncated journal lines skipped
 	// across all shards during boot replay (surfaced as a metric).
@@ -64,11 +60,11 @@ func (o OpenOptions) mapPath() string { return o.CatalogPath + ".shardmap" }
 
 // Open loads (or creates) a sharded catalog store. With Shards == 1
 // and no prior shard map this is exactly the monolithic boot sequence:
-// load the snapshot, replay the journal and its rotation tail, append
-// to the same journal file. When the configured shard count differs
-// from the journaled map, the store rebalances: it loads the old
-// layout, redistributes every entry by the new map, snapshots the new
-// layout and retires the old files.
+// load the snapshot, replay the journal (and a rotation tail an older
+// binary left), append to the same journal file. When the configured
+// shard count differs from the journaled map, the store rebalances: it
+// loads the old layout, redistributes every entry by the new map,
+// snapshots the new layout and retires the old files.
 func Open(opt OpenOptions) (*Store, error) {
 	if opt.Shards < 1 {
 		opt.Shards = 1
@@ -111,7 +107,6 @@ func Open(opt OpenOptions) (*Store, error) {
 					return nil, err
 				}
 				os.Remove(opt.jnlPath(opt.Shards, i))
-				os.Remove(opt.jnlPath(opt.Shards, i) + ".new")
 			}
 			if err := st.saveMap(); err != nil {
 				return nil, err
@@ -147,14 +142,18 @@ func (st *Store) attach() (*Store, error) {
 		return nil, err
 	}
 	st.r.SetRepLogBase(uint64(time.Now().UnixNano()))
+	if st.opt.CatalogPath != "" {
+		st.r.compact = st.compact
+	}
 	return st, nil
 }
 
-// load boots an n-shard router from its files: snapshot, journal,
-// rotation tail. A snapshot that is absent is a fresh start; one that
-// cannot be read is fatal — booting empty over it would let the next
-// Snapshot overwrite a damaged but recoverable file. Corrupt journal
-// lines are skipped and counted, not silently dropped and not fatal.
+// load boots an n-shard router from its files: snapshot, journal, and a
+// rotation tail an older binary left. A snapshot that is absent is a
+// fresh start; one that cannot be read is fatal — booting empty over it
+// would let the next Snapshot overwrite a damaged but recoverable file.
+// Corrupt journal lines are skipped and counted, not silently dropped
+// and not fatal.
 func load(opt OpenOptions, n int) (*Store, error) {
 	r := NewRouter(n, opt.Admin, opt.Domain)
 	r.SetLogf(opt.Logf)
@@ -177,7 +176,8 @@ func load(opt OpenOptions, n int) (*Store, error) {
 		if err != nil {
 			return nil, err
 		}
-		// A crash between journal swap and rename leaves a .new tail.
+		// An older binary, killed between its journal swap and rename,
+		// left a .new tail; nothing writes one any more.
 		rs2, err := c.ReplayFileCounted(jp + ".new")
 		if err != nil {
 			return nil, err
@@ -194,10 +194,11 @@ func load(opt OpenOptions, n int) (*Store, error) {
 	return st, nil
 }
 
-// absorbTail appends the lines of a rotation tail to the journal, then
-// removes the tail. Its entries are in no snapshot, so until the next
-// one they must be in the journal, or a second crash would lose them. A
-// line that is not JSON (a torn last write) is left behind.
+// absorbTail appends the lines of an older binary's rotation tail to
+// the journal, then removes the tail. Its entries are in no snapshot,
+// so until the next one they must be in the journal, or a second crash
+// would lose them. A line that is not JSON (a torn last write) is left
+// behind.
 func absorbTail(journal, tail string) error {
 	f, err := os.Open(tail)
 	if errors.Is(err, fs.ErrNotExist) {
@@ -267,7 +268,6 @@ func retire(opt OpenOptions, prev, cur int) {
 		}
 		os.Remove(opt.catPath(prev, i))
 		os.Remove(opt.jnlPath(prev, i))
-		os.Remove(opt.jnlPath(prev, i) + ".new")
 	}
 	if cur == 1 {
 		os.Remove(opt.mapPath())
@@ -277,53 +277,30 @@ func retire(opt OpenOptions, prev, cur int) {
 // Router returns the catalog router behind the store.
 func (st *Store) Router() *Router { return st.r }
 
-// Snapshot saves every shard and rotates its journal: the fresh
-// journal swaps in before the save so concurrent mutations land in the
-// new file; replaying an entry captured by both is harmless, exactly
-// as in the monolithic snapshot path.
+// Snapshot compacts every shard: its snapshot is published, then its
+// journal emptied, under one hold of the shard catalog's lock
+// (mcat.Catalog.Compact). Journals in memory are not emptied.
 func (st *Store) Snapshot() error {
 	if st.opt.CatalogPath == "" {
 		return nil
 	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	n := st.r.n
 	var firstErr error
-	for i := 0; i < n; i++ {
-		cp, jp := st.opt.catPath(n, i), st.opt.jnlPath(n, i)
-		var old *mcat.Journal
-		if st.journals != nil {
-			fresh, err := mcat.OpenJournalFile(jp + ".new")
-			if err != nil {
-				if firstErr == nil {
-					firstErr = err
-				}
-				continue
-			}
-			old = st.journals[i]
-			st.journals[i] = fresh
-			st.r.AttachJournal(i, fresh)
-		}
-		err := st.r.shards[i].cat.SaveFile(cp)
-		if old != nil {
-			// Closed whether or not the save held: a failed save leaves
-			// its lines on disk beside the .new tail, and boot replays both.
-			old.Close()
-			if err == nil {
-				err = st.journals[i].Rename(jp)
-			}
-		}
-		if err != nil && firstErr == nil {
+	for i := 0; i < st.r.n; i++ {
+		if err := st.compact(i); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
 	return firstErr
 }
 
+// compact compacts shard i alone: the router calls it when a catch-up
+// has loaded state that is in no line of the shard's journal.
+func (st *Store) compact(i int) error {
+	return st.r.shards[i].cat.Compact(st.opt.catPath(st.r.n, i))
+}
+
 // Close syncs and closes the journals.
 func (st *Store) Close() error {
-	st.mu.Lock()
-	defer st.mu.Unlock()
 	var firstErr error
 	for _, j := range st.journals {
 		if j == nil {

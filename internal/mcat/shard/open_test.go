@@ -441,9 +441,9 @@ func TestReplaySkippedCounted(t *testing.T) {
 	checkSeeded(t, st2.Router())
 }
 
-// Snapshot rotates each journal under live traffic: pre-snapshot
-// history moves into the snapshot file, later mutations into the fresh
-// journal, and a reopen sees both.
+// Snapshot compacts each journal under live traffic: pre-snapshot
+// history moves into the snapshot file, later mutations into the
+// emptied journal, and a reopen sees both.
 func TestSnapshotRotation(t *testing.T) {
 	dir := t.TempDir()
 	opt := testOpts(dir, 2)
@@ -458,10 +458,10 @@ func TestSnapshotRotation(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		fi, err := os.Stat(opt.jnlPath(2, i))
 		if err != nil {
-			t.Fatalf("rotated journal %d: %v", i, err)
+			t.Fatalf("compacted journal %d: %v", i, err)
 		}
 		if fi.Size() != 0 {
-			t.Errorf("journal %d not reset by rotation: %d bytes", i, fi.Size())
+			t.Errorf("journal %d not emptied by the snapshot: %d bytes", i, fi.Size())
 		}
 	}
 	if err := st.Router().MkColl("/projects/p1/deep/after", "admin"); err != nil {
@@ -480,8 +480,9 @@ func TestSnapshotRotation(t *testing.T) {
 	}
 }
 
-// A snapshot whose save fails still closes the journal it swapped out
-// and leaves no temp file, and the next good one loses no mutation.
+// A snapshot whose publish fails leaves the journal whole and taking
+// appends, no temp file and no extra fd, and the next good one loses no
+// mutation. (The name is from when a snapshot swapped journals.)
 func TestFailedSnapshotClosesJournal(t *testing.T) {
 	fds := func() int {
 		ents, err := os.ReadDir("/proc/self/fd")
@@ -498,6 +499,10 @@ func TestFailedSnapshotClosesJournal(t *testing.T) {
 		t.Fatal(err)
 	}
 	seedStore(t, st.Router())
+	seeded, err := os.ReadFile(opt.JournalPath)
+	if err != nil {
+		t.Fatal(err)
+	}
 	// A non-empty directory where the snapshot goes fails every save.
 	if err := os.MkdirAll(filepath.Join(opt.CatalogPath, "child"), 0o755); err != nil {
 		t.Fatal(err)
@@ -524,7 +529,14 @@ func TestFailedSnapshotClosesJournal(t *testing.T) {
 			t.Errorf("files = %q, want %q", names, want)
 		}
 	}
-	files("catalog.json", "journal.log", "journal.log.new")
+	files("catalog.json", "journal.log")
+	after, err := os.ReadFile(opt.JournalPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(after, seeded) || bytes.Count(after[len(seeded):], []byte("\n")) != 3 {
+		t.Errorf("after the failed snapshots the journal is %q, want the seeded lines and three more", after)
+	}
 	if err := os.RemoveAll(opt.CatalogPath); err != nil {
 		t.Fatal(err)
 	}
@@ -541,6 +553,9 @@ func TestFailedSnapshotClosesJournal(t *testing.T) {
 		t.Errorf("%d fds open after Close, %d before Open", n, base)
 	}
 	files("catalog.json", "journal.log")
+	if b, _ := os.ReadFile(opt.JournalPath); bytes.Count(b, []byte("\n")) != 1 {
+		t.Errorf("the journal after the good snapshot is %q, want its one later line", b)
+	}
 
 	st2, err := Open(opt)
 	if err != nil {
@@ -555,9 +570,10 @@ func TestFailedSnapshotClosesJournal(t *testing.T) {
 	}
 }
 
-// A crash between journal rotation and rename leaves a .new tail that
-// the next boot must replay and absorb: its entries are in no snapshot,
-// so they must still be there after a second boot that took none.
+// An older binary killed between its journal rotation and rename left a
+// .new tail that the next boot must replay and absorb: its entries are
+// in no snapshot, so they must still be there after a second boot that
+// took none.
 func TestCrashTailReplay(t *testing.T) {
 	dir := t.TempDir()
 	opt := testOpts(dir, 1)
@@ -689,5 +705,134 @@ func TestLoadMapFileMissingAndInvalid(t *testing.T) {
 	os.WriteFile(bad, []byte(`{"Version":99,"Shards":2}`), 0o644)
 	if _, err := LoadMapFile(bad); !errors.Is(err, types.ErrInvalid) {
 		t.Errorf("bad version err = %v", err)
+	}
+}
+
+// A persistent follower's catch-up is durable: the loaded state is the
+// shard's snapshot before the follower's position moves past it, so a
+// line applied after it replays at the next boot onto that state,
+// although the follower closed without a Snapshot of its own.
+func TestFollowerCatchUpSurvivesRestart(t *testing.T) {
+	leader := newTestRouter(t, 2)
+	for _, err := range []error{leader.MkColl("/home", "admin"), leader.MkColl("/home/a", "admin")} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	opt := testOpts(t.TempDir(), 2)
+	follow := func() *Store {
+		t.Helper()
+		st, err := Open(opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 2; i++ {
+			st.Router().SetFollower(i, "leader")
+		}
+		st.Router().SetPuller(func(peer string, idx int, after uint64) (PullResult, error) {
+			return leader.Pull(idx, after)
+		}, DefaultPromoteAfter)
+		return st
+	}
+	st := follow()
+	if err := st.Router().SyncOnce(); err != nil { // the catch-up
+		t.Fatal(err)
+	}
+	if err := leader.MkColl("/home/a/b", "admin"); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Router().SyncOnce(); err != nil { // one incremental line
+		t.Fatal(err)
+	}
+	if !st.Router().CollExists("/home/a/b") {
+		t.Fatal("the incremental line did not apply")
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	st = follow()
+	defer st.Close()
+	for _, p := range []string{"/home", "/home/a", "/home/a/b"} {
+		if !st.Router().CollExists(p) {
+			t.Errorf("%s is gone after the follower's restart", p)
+		}
+	}
+	if st.ReplaySkipped != 0 {
+		t.Errorf("%d journal lines skipped at the restart", st.ReplaySkipped)
+	}
+}
+
+// Snapshots taken while writers add metadata put every acknowledged
+// triplet in the snapshot or in the emptied journal, never in both: a
+// reopen holds each exactly once (an "addmeta" applied twice would show
+// as a second copy).
+func TestSnapshotUnderWritesIsExact(t *testing.T) {
+	opt := testOpts(t.TempDir(), 2)
+	st, err := Open(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seedStore(t, st.Router())
+	const writers, each = 4, 50
+	done := make(chan struct{})
+	snaps := make(chan error, 1)
+	go func() {
+		var err error
+		for err == nil {
+			select {
+			case <-done:
+				snaps <- nil
+				return
+			default:
+				err = st.Snapshot()
+			}
+		}
+		snaps <- err
+	}()
+	errs := make(chan error, writers)
+	for w := 0; w < writers; w++ {
+		go func(w int) {
+			var err error
+			for i := 0; i < each && err == nil; i++ {
+				err = st.Router().AddMeta("/projects/p1/deep/f.dat", types.MetaUser, types.AVU{Name: "w", Value: fmt.Sprintf("%d-%d", w, i)})
+			}
+			errs <- err
+		}(w)
+	}
+	for w := 0; w < writers; w++ {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
+	}
+	close(done)
+	if err := <-snaps; err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	st, err = Open(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	avus, err := st.Router().GetMeta("/projects/p1/deep/f.dat", types.MetaUser)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]int{}
+	for _, avu := range avus {
+		if avu.Name == "w" {
+			seen[avu.Value]++
+		}
+	}
+	for w := 0; w < writers; w++ {
+		for i := 0; i < each; i++ {
+			if v := fmt.Sprintf("%d-%d", w, i); seen[v] != 1 {
+				t.Errorf("triplet %s is there %d times after the reopen, want once", v, seen[v])
+			}
+		}
 	}
 }

@@ -35,7 +35,10 @@ type Router struct {
 	scatters     sync.Pool // of *scatter, sized for n shards (query.go)
 	puller       PullFunc
 	promoteAfter int
-	logf         func(format string, args ...any)
+	// compact, installed by a Store with a snapshot path, compacts shard
+	// i's files after a catch-up loads it (applyPull).
+	compact func(i int) error
+	logf    func(format string, args ...any)
 
 	// Metrics are optional; counters stay nil until SetMetrics.
 	mutations      []*obs.Counter

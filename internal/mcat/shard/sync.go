@@ -210,6 +210,13 @@ func (r *Router) applyPull(i int, res PullResult) error {
 		// The loaded state is in no line of this shard's log: once
 		// promoted, it must serve its own followers a snapshot too.
 		st.rl.Rebase()
+		// Nor in its journal: a store compacts the shard before the
+		// position advances, so a restart replays later lines onto it.
+		if r.compact != nil {
+			if err := r.compact(i); err != nil {
+				return err
+			}
+		}
 	} else {
 		// An entry whose append fails is not applied, and nothing after
 		// it is.
