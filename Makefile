@@ -154,9 +154,10 @@ test-phases:
 	$(GO) test -race -count=10 -run 'TestExemplar' ./internal/obs/
 
 # Sharded-catalog sweep: ring routing, scatter-gather, replication and
-# reshard persistence, repeated under -race — the scatter fan-out, the
-# journal-observer replication feed, and the deadline-partial path are
-# all cross-goroutine; a scatter timed out on a held shard must not be
+# reshard persistence, repeated under -race — the scatter fan-out, pulls
+# reading the journal by position while appends and compactions land
+# (TestPullRacesAppend), and the deadline-partial path are all
+# cross-goroutine; a scatter timed out on a held shard must not be
 # recycled under a later query (TestScatterReuseAfterDeadline). (The shard
 # failover chaos e2e rides test-faults' 10x TestChaos loop.) Then the
 # read path's allocation fences without -race, whose own allocations
@@ -203,7 +204,7 @@ test-mcat:
 # heat chaos e2e rides test-faults' 10x TestChaos loop.)
 test-heat:
 	$(GO) test -race -count=10 -run 'TestHeat|TestSLOReplag|TestTable|TestPeerObservatory|TestTelemetryFixture' ./internal/obs/
-	$(GO) test -race -count=10 -run 'TestReplagGauges|TestReplogFallback|TestHeatJoin' ./internal/mcat/shard/
+	$(GO) test -race -count=10 -run 'TestReplagGauges|TestPullSnapshotsCounter|TestHeatJoin' ./internal/mcat/shard/
 
 # Read-your-own-telemetry fence: every server test that asks for a
 # request's telemetry right after its reply, 20 times over. dispatch

@@ -195,18 +195,7 @@ func TestChaosHeatObservatory(t *testing.T) {
 	for i := 0; i < shards; i++ {
 		folCat.SetFollower(i, addr1)
 	}
-	folCat.SetPuller(func(peer string, idx int, after uint64) (shard.PullResult, error) {
-		pc, err := client.Dial(peer, "admin", "adminpw")
-		if err != nil {
-			return shard.PullResult{}, err
-		}
-		defer pc.Close()
-		r, err := pc.ShardPull(idx, after)
-		if err != nil {
-			return shard.PullResult{}, err
-		}
-		return shard.PullResult{Entries: r.Entries, Snapshot: r.Snapshot, Seq: r.Seq}, nil
-	}, 1000)
+	folCat.SetPuller(client.ShardPuller("admin", "adminpw"), 1000)
 
 	s2 := server.New(b2, authn, server.Proxy)
 	t.Cleanup(func() { s2.Close() })

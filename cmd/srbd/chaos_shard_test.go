@@ -58,18 +58,7 @@ func TestChaosShardFailover(t *testing.T) {
 	for i := 0; i < shards; i++ {
 		folCat.SetFollower(i, addr1)
 	}
-	folCat.SetPuller(func(peer string, idx int, after uint64) (shard.PullResult, error) {
-		pc, err := client.Dial(peer, "admin", "adminpw")
-		if err != nil {
-			return shard.PullResult{}, err
-		}
-		defer pc.Close()
-		rep, err := pc.ShardPull(idx, after)
-		if err != nil {
-			return shard.PullResult{}, err
-		}
-		return shard.PullResult{Entries: rep.Entries, Snapshot: rep.Snapshot, Seq: rep.Seq}, nil
-	}, 3)
+	folCat.SetPuller(client.ShardPuller("admin", "adminpw"), 3)
 
 	b2 := core.New(folCat, "srb2")
 	s2 := server.New(b2, authn, server.Proxy)

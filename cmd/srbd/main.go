@@ -124,25 +124,15 @@ func main() {
 		return nil
 	})
 	// Follower mode: every shard of this daemon's catalog replicates
-	// the same-numbered shard of the leader daemon, pulling journal
-	// entries (or a snapshot when too far behind) every syncEvery.
+	// the same-numbered shard of the leader daemon, pulling the lines of
+	// its journal from its position (or a snapshot when that position
+	// is not in the journal) every syncEvery.
 	// Repeated pull failures promote the shards to leader.
 	if leader := o.mcatFollow; leader != "" {
 		for i := 0; i < cat.N(); i++ {
 			cat.SetFollower(i, leader)
 		}
-		cat.SetPuller(func(peer string, shardIdx int, after uint64) (shard.PullResult, error) {
-			cl, err := client.Dial(peer, o.Admin, o.AdminPw)
-			if err != nil {
-				return shard.PullResult{}, err
-			}
-			defer cl.Close()
-			rep, err := cl.ShardPull(shardIdx, after)
-			if err != nil {
-				return shard.PullResult{}, err
-			}
-			return shard.PullResult{Entries: rep.Entries, Snapshot: rep.Snapshot, Seq: rep.Seq}, nil
-		}, shard.DefaultPromoteAfter)
+		cat.SetPuller(client.ShardPuller(o.Admin, o.AdminPw), shard.DefaultPromoteAfter)
 		rt.Engine.AddJob("shard.sync", syncEvery, 0.1, func(sp *obs.Span) error {
 			err := cat.SyncOnce()
 			cat.RefreshReplag(time.Now())

@@ -75,7 +75,12 @@ func TestRepairQueueRestartRecovery(t *testing.T) {
 	// Restart: replay the journal into a fresh catalog. The queue must
 	// come back exactly as it stood.
 	cat2 := mcat.New("admin", "sdsc")
-	if _, err := cat2.ReplayFileCounted(jpath); err != nil {
+	j2, err := mcat.OpenJournalFile(jpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j2.Close()
+	if _, err := cat2.Resume(j2); err != nil {
 		t.Fatal(err)
 	}
 	pending := cat2.PendingRepairs()

@@ -16,6 +16,7 @@ import (
 
 	"gosrb/internal/auth"
 	"gosrb/internal/mcat"
+	"gosrb/internal/mcat/shard"
 	"gosrb/internal/obs"
 	"gosrb/internal/resilience"
 	"gosrb/internal/storage"
@@ -691,13 +692,20 @@ func (cl *Client) QueryPartial(q mcat.Query) ([]mcat.Hit, []string, error) {
 	return out.Hits, out.Partial, err
 }
 
-// ShardPull fetches shard shardIdx's replication entries after sequence
-// after from a leader daemon (peer/admin only): journal lines, or a
-// full snapshot when the follower is too far behind the retained log.
-func (cl *Client) ShardPull(shardIdx int, after uint64) (wire.ShardPullReply, error) {
-	var out wire.ShardPullReply
-	_, err := cl.call(wire.OpShardPull, wire.ShardPullArgs{Shard: shardIdx, After: after}, &out)
-	return out, err
+// ShardPuller is the transport a follower pulls its leader's journal
+// over (peer/admin only): each pull dials the leader as user afresh, so
+// a dead leader fails the pull the way a dead peer would.
+func ShardPuller(user, password string) shard.PullFunc {
+	return func(peer string, shardIdx int, from shard.Position) (shard.PullResult, error) {
+		cl, err := Dial(peer, user, password)
+		if err != nil {
+			return shard.PullResult{}, err
+		}
+		defer cl.Close()
+		var out wire.ShardPullReply
+		_, err = cl.call(wire.OpShardPull, wire.ShardPullArgs{Shard: shardIdx, From: from}, &out)
+		return out.PullResult, err
+	}
 }
 
 // QueryAttrNames fetches the queryable attribute names under scope.

@@ -94,7 +94,7 @@ func Flags(fs *flag.FlagSet) *Config {
 
 // CatalogFlags registers the catalog-store flags only srbd exposes.
 func (c *Config) CatalogFlags(fs *flag.FlagSet) {
-	fs.StringVar(&c.journal, "journal", "", "MCAT append log; replayed over the snapshot at start, rotated at each snapshot")
+	fs.StringVar(&c.journal, "journal", "", "MCAT append log; replayed over the snapshot at start, emptied in place at each snapshot")
 	fs.IntVar(&c.shards, "mcat-shards", 1, "MCAT partition count; 1 keeps the monolithic catalog and its on-disk layout, N shards the namespace across <catalog>.shard<i> files with scatter-gather queries")
 	fs.DurationVar(&c.saveEvery, "save-every", time.Minute, "catalog autosave interval (0 disables)")
 }

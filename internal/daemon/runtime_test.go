@@ -188,7 +188,7 @@ func TestCatalogFileCompatibility(t *testing.T) {
 	if err := old.AddMeta("/legacy", types.MetaUser, types.AVU{Name: "era", Value: "pre-router"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := old.SaveFile(file); err != nil {
+	if err := old.Compact(file); err != nil {
 		t.Fatal(err)
 	}
 

@@ -9,6 +9,7 @@ package durable
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"io"
 	"math/rand/v2"
@@ -102,16 +103,30 @@ func Replace(path string, write func(io.Writer) error) error {
 	return f.Commit()
 }
 
-// Log is an append-only line log over a writer. Sync and Truncate act
-// on a file-backed log; Close ends any log, and after it (or a failed
-// Truncate) every Append returns an error. Safe for concurrent use.
+// Log is an append-only line log over a file, memory (NewMemLog) or any
+// other writer. Sync acts on a file, ReadAt and Truncate on a file or
+// memory; Close ends any log, and after it (or a failed Truncate) every
+// Append returns an error. Safe for concurrent use.
 type Log struct {
 	mu      sync.Mutex
 	w       io.Writer
 	f       *os.File // w, when it is a file
 	path    string   // where f is on disk
+	size    int64    // what OpenLog found in the file, plus what Append wrote
 	err     error    // returned by Append once the log is closed
 	scratch []byte   // completes a line handed over without its newline
+}
+
+// memFile is the bytes of a log kept in memory.
+type memFile struct{ b []byte }
+
+func (m *memFile) Write(p []byte) (int, error) {
+	m.b = append(m.b, p...)
+	return len(p), nil
+}
+
+func (m *memFile) ReadAt(p []byte, off int64) (int, error) {
+	return bytes.NewReader(m.b).ReadAt(p, off)
 }
 
 var errClosed = errors.New("durable: log is closed")
@@ -125,6 +140,9 @@ func NewLog(w io.Writer) *Log {
 	return l
 }
 
+// NewMemLog returns an empty log kept in memory.
+func NewMemLog() *Log { return &Log{w: new(memFile)} }
+
 // OpenLog opens path for appending, creating it (mode 0644) if absent.
 // A file a kill cut mid-line keeps the fragment, which replay skips, and
 // gets the newline it lacks, so the next line appended is not glued onto
@@ -134,18 +152,19 @@ func OpenLog(path string) (*Log, error) {
 	if err != nil {
 		return nil, err
 	}
-	fi, err := f.Stat()
-	if err == nil && fi.Size() > 0 {
+	size, err := f.Seek(0, io.SeekEnd)
+	if err == nil && size > 0 {
 		var last [1]byte
-		if _, err = f.ReadAt(last[:], fi.Size()-1); err == nil && last[0] != '\n' {
+		if _, err = f.ReadAt(last[:], size-1); err == nil && last[0] != '\n' {
 			_, err = f.Write([]byte{'\n'})
+			size++
 		}
 	}
 	if err != nil {
 		f.Close()
 		return nil, err
 	}
-	return NewLog(f), nil
+	return &Log{w: f, f: f, path: path, size: size}, nil
 }
 
 // Append issues line as one Write, adding a missing newline in a
@@ -160,8 +179,31 @@ func (l *Log) Append(line []byte) error {
 		l.scratch = append(append(l.scratch[:0], line...), '\n')
 		line = l.scratch
 	}
-	_, err := l.w.Write(line)
+	n, err := l.w.Write(line)
+	l.size += int64(n)
 	return err
+}
+
+// Size returns the log's size: what OpenLog found in its file, plus
+// what Append wrote since.
+func (l *Log) Size() int64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.size
+}
+
+// ReadAt reads a file or memory log's bytes at off, as io.ReaderAt does.
+func (l *Log) ReadAt(p []byte, off int64) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	r, ok := l.w.(io.ReaderAt)
+	switch {
+	case l.err != nil:
+		return 0, l.err
+	case !ok:
+		return 0, errors.ErrUnsupported
+	}
+	return r.ReadAt(p, off)
 }
 
 // Sync flushes a file-backed log to stable storage.
@@ -192,22 +234,28 @@ func (l *Log) Close() error {
 	return err
 }
 
-// Truncate closes the log's file and reopens it empty; a log over any
-// other writer is left as it is. If the reopen fails the log stays
-// closed, and Append returns the reopen's error.
+// Truncate empties a file log (closed and reopened empty) or a memory
+// log. If the reopen fails the log stays closed, and Append returns the
+// reopen's error.
 func (l *Log) Truncate() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.err != nil || l.f == nil {
+	if l.err != nil {
 		return l.err
 	}
+	if m, ok := l.w.(*memFile); ok {
+		m.b, l.size = m.b[:0], 0
+	}
+	if l.f == nil {
+		return nil
+	}
 	l.f.Close()
-	f, err := os.OpenFile(l.path, os.O_CREATE|os.O_WRONLY|os.O_APPEND|os.O_TRUNC, 0o644)
+	f, err := os.OpenFile(l.path, os.O_CREATE|os.O_RDWR|os.O_APPEND|os.O_TRUNC, 0o644)
 	if err != nil {
 		l.err = err
 		return err
 	}
-	l.f, l.w = f, f
+	l.f, l.w, l.size = f, f, 0
 	return nil
 }
 

@@ -49,6 +49,9 @@ type Catalog struct {
 	// journal, when attached, receives every mutation as an append-log
 	// entry (see journal.go).
 	journal *Journal
+	// snapGen is the generation the snapshot Load last read names
+	// (Resume).
+	snapGen uint64
 	// journalErr latches the first journal append failure (see
 	// journalFailed); onJournalErr observes every one.
 	journalErr   atomic.Pointer[error]

@@ -3,8 +3,10 @@ package mcat
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
-	"os"
+	"math"
+	"math/rand/v2"
 	"sync"
 
 	"gosrb/internal/durable"
@@ -69,36 +71,68 @@ type Entry struct {
 	Meta []types.AVU `json:",omitempty"`
 }
 
-// Journal receives catalog mutations: a durable.Log that also shows
-// each appended line to an observer. Safe for concurrent use.
+// Journal receives catalog mutations: a durable.Log that replicas read
+// by position (JournalPos). Safe for concurrent use. A file or memory
+// journal starts with a head line naming its generation, a random
+// nonzero ID it takes each time it is emptied: at creation and at every
+// Catalog.Compact. The head is not an entry; replay and ReadJournal
+// pass over it. Any other journal, or a file an older binary wrote, has
+// no head: generation 0, which names no journal.
 type Journal struct {
-	mu  sync.Mutex
-	log *durable.Log
-	obs func(line []byte)
+	mu       sync.Mutex
+	log      *durable.Log
+	gen      uint64
+	head     int64 // the head line's length: where entries start
+	readable bool  // a file or memory journal: it takes a head and is read by position
+	max      int64 // a memory journal's bound: an append past it empties the journal first
 }
 
-// NewJournal wraps a writer as an append log.
+// memJournalMax bounds a memory journal: about 4 096 typical lines.
+const memJournalMax = 4 << 20
+
+// JournalPos is a replica's position in a journal: its generation and
+// the offset of the next line the replica needs. It outlives a restart
+// of the writer, and comes off the wire as outside input.
+type JournalPos struct {
+	Gen uint64
+	Off int64
+}
+
+// headPrefix starts a journal's head line, {"Gen":<generation>}. No
+// entry starts with it: Op is an entry's first field.
+var headPrefix = []byte(`{"Gen":`)
+
+// NewJournal wraps a writer as an append log, with no head.
 func NewJournal(w io.Writer) *Journal { return &Journal{log: durable.NewLog(w)} }
 
-// SetObserver installs a hook that sees every appended entry as its
-// encoded JSON line (no trailing newline). The shard replication log
-// subscribes here, so the journal doubles as the replication stream.
-// The line's buffer is reused once the hook returns: a hook that keeps
-// the line copies it.
-func (j *Journal) SetObserver(fn func(line []byte)) {
-	j.mu.Lock()
-	j.obs = fn
-	j.mu.Unlock()
+// NewMemJournal returns a journal kept in memory, read as a file
+// journal is, that empties itself past memJournalMax bytes.
+func NewMemJournal() *Journal {
+	j := &Journal{log: durable.NewMemLog(), readable: true, max: memJournalMax}
+	j.empty(newGen()) // memory takes every write
+	return j
 }
 
-// OpenJournalFile opens (creating or appending) a file-backed journal.
+// OpenJournalFile opens (creating or appending) a file-backed journal
+// and reads its generation from its head; a file too short for one has
+// none.
 func OpenJournalFile(path string) (*Journal, error) {
 	l, err := durable.OpenLog(path)
 	if err != nil {
 		return nil, types.E("journal", path, err)
 	}
-	return &Journal{log: l}, nil
+	j := &Journal{log: l, readable: true}
+	var buf [64]byte
+	n, _ := l.ReadAt(buf[:], 0)
+	var h struct{ Gen uint64 }
+	if line, _, ok := bytes.Cut(buf[:n], []byte{'\n'}); ok && bytes.HasPrefix(line, headPrefix) && json.Unmarshal(line, &h) == nil {
+		j.gen, j.head = h.Gen, int64(len(line)+1)
+	}
+	return j, nil
 }
+
+// newGen returns a random nonzero generation.
+func newGen() uint64 { return rand.Uint64N(math.MaxUint64) + 1 }
 
 // Close syncs and closes a file-backed journal; later appends fail.
 func (j *Journal) Close() error { return j.log.Close() }
@@ -106,9 +140,81 @@ func (j *Journal) Close() error { return j.log.Close() }
 // Sync flushes a file-backed journal to stable storage.
 func (j *Journal) Sync() error { return j.log.Sync() }
 
-// Truncate empties a file-backed journal, which appends go on into; a
-// journal on any other writer is left as it is (see Catalog.Compact).
-func (j *Journal) Truncate() error { return j.log.Truncate() }
+// Pos returns the position past the journal's last byte (zero for nil).
+func (j *Journal) Pos() JournalPos {
+	if j == nil {
+		return JournalPos{}
+	}
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return JournalPos{j.gen, j.log.Size()}
+}
+
+// empty empties the journal and, if it is readable and gen is not 0,
+// starts it with gen's head.
+func (j *Journal) empty(gen uint64) error {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.emptyLocked(gen)
+}
+
+func (j *Journal) emptyLocked(gen uint64) error {
+	j.gen, j.head = 0, 0
+	if err := j.log.Truncate(); err != nil || !j.readable || gen == 0 {
+		return err
+	}
+	head := fmt.Appendf(nil, "%s%d}\n", headPrefix, gen)
+	if err := j.log.Append(head); err != nil {
+		return err
+	}
+	j.gen, j.head = gen, int64(len(head))
+	return nil
+}
+
+// read returns the whole lines from pos, passing over and counting the
+// ones that do not parse (a torn write's fragment). ok is false when pos
+// is not the start of a line of this journal: another generation or 0,
+// an offset before the first entry, past the end or inside a line.
+func (j *Journal) read(pos JournalPos, max int64) (res JournalRead, ok bool) {
+	if j == nil {
+		return res, false
+	}
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	size := j.log.Size()
+	if !j.readable || pos.Gen == 0 || pos.Gen != j.gen || pos.Off < j.head || pos.Off > size {
+		return res, false
+	}
+	if pos.Off > j.head {
+		var prev [1]byte
+		if _, err := j.log.ReadAt(prev[:], pos.Off-1); err != nil || prev[0] != '\n' {
+			return res, false
+		}
+	}
+	buf := make([]byte, min(size-pos.Off, max))
+	for {
+		if _, err := j.log.ReadAt(buf, pos.Off); err != nil {
+			return res, false
+		}
+		if bytes.IndexByte(buf, '\n') >= 0 || pos.Off+int64(len(buf)) == size {
+			break
+		}
+		buf = make([]byte, min(size-pos.Off, 2*int64(len(buf))))
+	}
+	end := bytes.LastIndexByte(buf, '\n') + 1
+	for _, line := range bytes.Split(buf[:end], []byte{'\n'}) {
+		switch {
+		case len(line) == 0:
+		case json.Valid(line):
+			res.Entries = append(res.Entries, line)
+		default:
+			res.Skipped++
+		}
+	}
+	res.Pos = JournalPos{pos.Gen, pos.Off + int64(end)}
+	res.Full = end > 0 && res.Pos.Off < size
+	return res, true
+}
 
 // lineBuf is a journal line being encoded: a buffer and the JSON encoder
 // that writes into it, pooled, so encoding a line allocates neither
@@ -148,20 +254,17 @@ func (l *lineBuf) free() {
 
 // appendLine issues one line as one Write, which keeps a torn append at
 // most one line long. A line handed over without its newline, as
-// replication carries a leader's lines, gets one.
+// replication carries a leader's lines, gets one. A memory journal the
+// line would take past its bound is emptied first.
 func (j *Journal) appendLine(line []byte) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if err := j.log.Append(line); err != nil {
-		return err
-	}
-	if j.obs != nil {
-		if n := len(line); n > 0 && line[n-1] == '\n' {
-			line = line[:n-1]
+	if j.max > 0 && j.log.Size()+int64(len(line)) >= j.max {
+		if err := j.emptyLocked(newGen()); err != nil {
+			return err
 		}
-		j.obs(line)
 	}
-	return nil
+	return j.log.Append(line)
 }
 
 // SetJournal attaches (or with nil detaches) the catalog's append log.
@@ -243,6 +346,9 @@ type ReplayStats struct {
 // surfaces the count (log + metric).
 func (c *Catalog) ReplayCounted(r io.Reader) (st ReplayStats, err error) {
 	st.Corrupt, err = durable.Replay(r, func(line []byte) bool {
+		if bytes.HasPrefix(line, headPrefix) {
+			return true
+		}
 		var e Entry
 		if json.Unmarshal(line, &e) != nil {
 			return false
@@ -259,18 +365,65 @@ func (c *Catalog) ReplayCounted(r io.Reader) (st ReplayStats, err error) {
 	return st, err
 }
 
-// ReplayFileCounted replays a journal file (see ReplayCounted); a
-// missing file applies nothing.
-func (c *Catalog) ReplayFileCounted(path string) (ReplayStats, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return ReplayStats{}, nil
-		}
-		return ReplayStats{}, types.E("replay", path, err)
+// Resume brings the catalog, just loaded, up to its journal file j and
+// attaches j. A snapshot Compact published names the generation it
+// emptied j under; if j is in another, the compaction was cut before
+// that, the snapshot holds all of j, and j is emptied under the
+// snapshot's generation rather than replayed twice. Otherwise j is
+// replayed, and an empty j with no head takes a new generation.
+func (c *Catalog) Resume(j *Journal) (ReplayStats, error) {
+	c.mu.RLock()
+	snap := c.snapGen
+	c.mu.RUnlock()
+	var st ReplayStats
+	var err error
+	switch pos := j.Pos(); {
+	case snap != 0 && pos.Gen != snap:
+		err = j.empty(snap)
+	case pos.Gen == 0 && pos.Off == 0:
+		err = j.empty(newGen())
+	default:
+		st, err = c.ReplayCounted(io.NewSectionReader(j.log, 0, pos.Off))
 	}
-	defer f.Close()
-	return c.ReplayCounted(f)
+	if err != nil {
+		return st, types.E("journal", "", err)
+	}
+	c.SetJournal(j)
+	return st, nil
+}
+
+// JournalRead is one ReadJournal: lines, or a snapshot; Pos is where the
+// reader is once it applied them, and Full says more lines follow.
+type JournalRead struct {
+	Entries  [][]byte `json:",omitempty"`
+	Snapshot []byte   `json:",omitempty"`
+	Pos      JournalPos
+	Full     bool `json:",omitempty"`
+	Skipped  int  `json:"-"` // lines passed over because they do not parse
+}
+
+// ReadJournal reads the attached journal from pos under one hold of the
+// read lock, so no append lands meanwhile: the whole lines from pos, at
+// most max bytes unless the first alone is longer, or, when pos is not
+// a line start of it, a snapshot and the exact position it is at.
+func (c *Catalog) ReadJournal(pos JournalPos, max int64) (JournalRead, error) {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	if res, ok := c.journal.read(pos, max); ok {
+		return res, nil
+	}
+	var buf bytes.Buffer
+	if err := c.saveLocked(&buf, 0); err != nil {
+		return JournalRead{}, err
+	}
+	return JournalRead{Snapshot: buf.Bytes(), Pos: c.journal.Pos()}, nil
+}
+
+// JournalPos returns the position past the attached journal's end.
+func (c *Catalog) JournalPos() JournalPos {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return c.journal.Pos()
 }
 
 // ApplyEntry commits one encoded journal line — the follower side of

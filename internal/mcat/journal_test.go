@@ -2,6 +2,7 @@ package mcat
 
 import (
 	"bytes"
+	"fmt"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -206,17 +207,29 @@ func TestJournalFile(t *testing.T) {
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
+	resume := func(c *Catalog, path string) ReplayStats {
+		t.Helper()
+		j, err := OpenJournalFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { j.Close() })
+		st, err := c.Resume(j)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
 	c2 := New("admin", "sdsc")
-	st, err := c2.ReplayFileCounted(jpath)
-	if err != nil || st != (ReplayStats{Applied: 2}) {
-		t.Fatalf("ReplayFileCounted = %+v, %v", st, err)
+	if st := resume(c2, jpath); st != (ReplayStats{Applied: 2}) {
+		t.Fatalf("Resume = %+v", st)
 	}
 	if _, err := c2.GetObject("/d/f"); err != nil {
 		t.Error("file journal replay lost the object")
 	}
 	// Missing journals apply nothing.
-	if st, err := c2.ReplayFileCounted(filepath.Join(dir, "absent")); st != (ReplayStats{}) || err != nil {
-		t.Errorf("missing journal: %+v, %v", st, err)
+	if st := resume(New("admin", "sdsc"), filepath.Join(dir, "absent")); st != (ReplayStats{}) {
+		t.Errorf("missing journal: %+v", st)
 	}
 }
 
@@ -239,5 +252,35 @@ func TestReplayDoesNotRelog(t *testing.T) {
 	c2.MkColl("/e", "admin")
 	if dst.Len() == 0 {
 		t.Error("journal should stay attached through replay")
+	}
+}
+
+// A memory journal past its bound empties itself under a new
+// generation: a position in the old one reads nothing and is sent a
+// snapshot, and the new generation reads the line that overflowed it.
+func TestMemJournalEmptiesPastBound(t *testing.T) {
+	j := NewMemJournal()
+	j.max = 512
+	c := New("admin", "sdsc")
+	c.SetJournal(j)
+	start := j.Pos()
+	if start.Gen == 0 || start.Off == 0 {
+		t.Fatalf("a new memory journal is at %+v, want a generation and its head", start)
+	}
+	for i := 0; j.Pos().Gen == start.Gen; i++ {
+		if err := c.MkColl(fmt.Sprintf("/c%d", i), "admin"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if size := j.Pos().Off; size >= j.max {
+		t.Errorf("the emptied journal is %d bytes, past its bound %d", size, j.max)
+	}
+	old, err := c.ReadJournal(start, 1<<20)
+	if err != nil || old.Snapshot == nil || old.Pos != j.Pos() {
+		t.Fatalf("read from the old generation: snapshot %v at %+v, %v; want a catch-up at %+v", old.Snapshot != nil, old.Pos, err, j.Pos())
+	}
+	fresh, err := c.ReadJournal(JournalPos{Gen: j.Pos().Gen, Off: j.head}, 1<<20)
+	if err != nil || len(fresh.Entries) != 1 || fresh.Pos != j.Pos() {
+		t.Errorf("read from the new generation: %d entries to %+v, %v; want the line that overflowed it", len(fresh.Entries), fresh.Pos, err)
 	}
 }

@@ -17,12 +17,14 @@ import (
 // the entries Export("/") returns as journal lines. The head carries
 // what no entry can: the root collection's row, and the next object ID,
 // which a deleted object can leave above every live one. It counts the
-// entries, so a snapshot cut at a line boundary does not load.
+// entries, so a snapshot cut at a line boundary does not load. Gen is
+// the generation Compact emptied the journal under (Resume).
 type snapshotHead struct {
 	Version int
 	NextID  types.ObjectID
 	Entries int               `json:",omitempty"`
 	Root    *types.Collection `json:",omitempty"`
+	Gen     uint64            `json:",omitempty"`
 }
 
 // snapshotVersion is the head's Version. Version 1 was the whole catalog
@@ -50,14 +52,14 @@ type legacySnapshot struct {
 func (c *Catalog) Save(w io.Writer) error {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return c.saveLocked(w)
+	return c.saveLocked(w, 0)
 }
 
-func (c *Catalog) saveLocked(w io.Writer) error {
+func (c *Catalog) saveLocked(w io.Writer, gen uint64) error {
 	entries := c.exportLocked("/")
 	bw := bufio.NewWriterSize(w, 64<<10)
 	enc := json.NewEncoder(bw)
-	err := enc.Encode(snapshotHead{Version: snapshotVersion, NextID: c.nextID, Entries: len(entries), Root: c.colls["/"]})
+	err := enc.Encode(snapshotHead{Version: snapshotVersion, NextID: c.nextID, Entries: len(entries), Root: c.colls["/"], Gen: gen})
 	for i := 0; i < len(entries) && err == nil; i++ {
 		err = enc.Encode(&entries[i])
 	}
@@ -89,7 +91,7 @@ func (c *Catalog) Load(r io.Reader) error {
 			structural: s.Structural, annots: s.Annots, fileMeta: s.FileMeta, repairs: rows(s.Repairs),
 		}}
 		var buf bytes.Buffer
-		if err := old.saveLocked(&buf); err != nil {
+		if err := old.saveLocked(&buf, 0); err != nil {
 			return types.E("load", "", err)
 		}
 		return c.Load(&buf)
@@ -114,7 +116,7 @@ func (c *Catalog) Load(r io.Reader) error {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.tables = fresh.tables
+	c.tables, c.snapGen = fresh.tables, s.Gen
 	return nil
 }
 
@@ -128,25 +130,28 @@ func rows[V any](m map[string]V) map[string]*V {
 	return out
 }
 
-// Compact publishes the catalog's snapshot at path, then empties the
-// attached journal if it is a file, under one hold of the read lock:
-// every line the journal held is in the snapshot, and every later one
-// lands in the emptied journal.
+// Compact publishes the catalog's snapshot at path (none if path is
+// empty), then empties the attached journal under a new generation the
+// snapshot names, under one hold of the read lock: every line the
+// journal held is in the snapshot, and every later one lands in the
+// emptied journal, where no old position reads.
 func (c *Catalog) Compact(path string) error {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	if err := durable.Replace(path, c.saveLocked); err != nil {
-		return types.E("save", path, err)
+	j := c.journal
+	var gen uint64
+	if j != nil && j.readable {
+		gen = newGen()
 	}
-	if c.journal == nil {
+	if path != "" {
+		if err := durable.Replace(path, func(w io.Writer) error { return c.saveLocked(w, gen) }); err != nil {
+			return types.E("save", path, err)
+		}
+	}
+	if j == nil {
 		return nil
 	}
-	return c.journal.Truncate()
-}
-
-// SaveFile snapshots the catalog to path atomically (durable.Replace).
-func (c *Catalog) SaveFile(path string) error {
-	return types.E("save", path, durable.Replace(path, c.Save))
+	return j.empty(gen)
 }
 
 // LoadFile loads a snapshot from path.

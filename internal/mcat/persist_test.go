@@ -160,7 +160,7 @@ func TestSaveLoadFile(t *testing.T) {
 	c := newCat(t)
 	mustMkColl(t, c, "/x", "admin")
 	p := filepath.Join(t.TempDir(), "mcat.json")
-	if err := c.SaveFile(p); err != nil {
+	if err := c.Compact(p); err != nil {
 		t.Fatal(err)
 	}
 	c2 := New("admin", "sdsc")

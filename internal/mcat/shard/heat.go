@@ -45,8 +45,6 @@ func (r *Router) HeatJoin(rows []obs.HeatStat) ([]ShardHeat, float64) {
 	if sum > 0 {
 		imbalance = hottest / (sum / float64(r.n))
 	}
-	if r.heatImbalance != nil {
-		r.heatImbalance.Set(int64(imbalance * 100))
-	}
+	r.heatImbalance.Set(int64(imbalance * 100))
 	return shards, imbalance
 }

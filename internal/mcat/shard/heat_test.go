@@ -20,7 +20,7 @@ func TestReplagGauges(t *testing.T) {
 	// A leader no follower ever pulled stays quiet: single-server
 	// deployments must not report phantom lag.
 	leader.RefreshReplag(time.Now())
-	if v := lreg.Gauge("mcat.shard.0.replag_entries").Value(); v != 0 {
+	if v := lreg.Gauge("mcat.shard.0.replag_bytes").Value(); v != 0 {
 		t.Fatalf("never-pulled leader lag = %d, want 0", v)
 	}
 
@@ -33,26 +33,27 @@ func TestReplagGauges(t *testing.T) {
 	// Caught up: the follower reads zero immediately; the leader learns
 	// the ack from the follower's next pull (the ack rides the pull
 	// request), so a second no-op sync clears the leader side too.
-	if v := freg.Gauge("mcat.shard.0.replag_entries").Value(); v != 0 {
-		t.Fatalf("caught-up follower entries lag = %d, want 0", v)
+	if v := freg.Gauge("mcat.shard.0.replag_bytes").Value(); v != 0 {
+		t.Fatalf("caught-up follower bytes lag = %d, want 0", v)
 	}
 	if err := f.SyncOnce(); err != nil {
 		t.Fatal(err)
 	}
 	leader.RefreshReplag(time.Now())
-	if v := lreg.Gauge("mcat.shard.0.replag_entries").Value(); v != 0 {
-		t.Fatalf("acked leader entries lag = %d, want 0", v)
+	if v := lreg.Gauge("mcat.shard.0.replag_bytes").Value(); v != 0 {
+		t.Fatalf("acked leader bytes lag = %d, want 0", v)
 	}
 
-	// The leader runs ahead: its gauge counts unacked journal entries.
+	// The leader runs ahead: its gauge counts the unacked journal bytes.
+	before := leader.Shard(0).JournalPos()
 	for _, coll := range []string{"/home/l1", "/home/l2", "/home/l3"} {
 		if err := leader.MkColl(coll, "admin"); err != nil {
 			t.Fatal(err)
 		}
 	}
 	leader.RefreshReplag(time.Now())
-	if v := lreg.Gauge("mcat.shard.0.replag_entries").Value(); v != 3 {
-		t.Fatalf("leader entries lag = %d, want 3", v)
+	if v, want := lreg.Gauge("mcat.shard.0.replag_bytes").Value(), leader.Shard(0).JournalPos().Off-before.Off; v != want || v == 0 {
+		t.Fatalf("leader bytes lag = %d, want the three lines' %d", v, want)
 	}
 	// The follower has not pulled since, so its seconds gauge climbs
 	// with the clock even though no pull is happening.
@@ -69,20 +70,20 @@ func TestReplagGauges(t *testing.T) {
 	if err := f.SyncOnce(); err != nil {
 		t.Fatal(err)
 	}
-	if v := freg.Gauge("mcat.shard.0.replag_entries").Value(); v != 0 {
-		t.Fatalf("post-sync follower entries lag = %d, want 0", v)
+	if v := freg.Gauge("mcat.shard.0.replag_bytes").Value(); v != 0 {
+		t.Fatalf("post-sync follower bytes lag = %d, want 0", v)
 	}
 	if v := freg.Gauge("mcat.shard.0.replag_seconds").Value(); v != 0 {
 		t.Fatalf("post-sync follower seconds lag = %d, want 0", v)
 	}
 	leader.RefreshReplag(time.Now())
-	if v := lreg.Gauge("mcat.shard.0.replag_entries").Value(); v != 0 {
-		t.Fatalf("post-sync leader entries lag = %d, want 0", v)
+	if v := lreg.Gauge("mcat.shard.0.replag_bytes").Value(); v != 0 {
+		t.Fatalf("post-sync leader bytes lag = %d, want 0", v)
 	}
 
 	// The statuses surface carries the same numbers.
 	sts := leader.Statuses()
-	if sts[0].ReplagEntries != 0 {
+	if sts[0].ReplagBytes != 0 {
 		t.Fatalf("status replag = %+v, want 0", sts[0])
 	}
 
@@ -100,44 +101,49 @@ func TestReplagGauges(t *testing.T) {
 	if err := f.SyncOnce(); err != nil {
 		t.Fatal(err)
 	}
-	if v := freg.Gauge("mcat.shard.0.replag_entries").Value(); v != 0 {
-		t.Fatalf("resynced follower entries lag = %d, want 0", v)
+	if v := freg.Gauge("mcat.shard.0.replag_bytes").Value(); v != 0 {
+		t.Fatalf("resynced follower bytes lag = %d, want 0", v)
 	}
 	if !f.CollExists("/home/after-restart") {
 		t.Fatal("restarted follower did not converge")
 	}
 }
 
-// TestReplogFallbackCounter: a pull from below the replication log's
-// retained tail serves a snapshot and counts the fallback.
-func TestReplogFallbackCounter(t *testing.T) {
+// TestPullSnapshotsCounter: every catch-up a leader serves counts as
+// mcat.shard.pull.snapshots, a first pull's and one after a compaction
+// alike; a pull served lines does not.
+func TestPullSnapshotsCounter(t *testing.T) {
 	leader := newTestRouter(t, 1)
 	reg := obs.NewRegistry()
 	leader.SetMetrics(reg)
-	leader.SetRepLogBase(100) // sequences 1..100 predate the retained log
-	// A follower at the base pulls: the log retains from here on.
-	if _, err := leader.Pull(0, 100); err != nil {
-		t.Fatal(err)
-	}
 	seedGrid(t, leader)
+	snaps := reg.Counter("mcat.shard.pull.snapshots")
 
-	res, err := leader.Pull(0, 0)
+	res, err := leader.Pull(0, Position{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Snapshot == nil {
-		t.Fatal("pull below the log tail should serve a snapshot")
+	if res.Snapshot == nil || snaps.Value() != 1 {
+		t.Fatalf("first pull: snapshot %v, counter %d; want a catch-up counted", res.Snapshot != nil, snaps.Value())
 	}
-	if v := reg.Counter("mcat.shard.replog.fallback").Value(); v != 1 {
-		t.Fatalf("fallback counter = %d, want 1", v)
-	}
-	// From the snapshot's sequence the entry stream works again and the
-	// counter stays put.
-	if _, err := leader.Pull(0, res.Seq); err != nil {
+	if err := leader.MkColl("/home/after", "admin"); err != nil {
 		t.Fatal(err)
 	}
-	if v := reg.Counter("mcat.shard.replog.fallback").Value(); v != 1 {
-		t.Fatalf("fallback counter after caught-up pull = %d, want still 1", v)
+	next, err := leader.Pull(0, res.Pos)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if next.Snapshot != nil || len(next.Entries) != 1 || snaps.Value() != 1 {
+		t.Fatalf("caught-up pull: snapshot %v, %d entries, counter %d; want 1 line, counter still 1", next.Snapshot != nil, len(next.Entries), snaps.Value())
+	}
+	if err := leader.Shard(0).Compact(""); err != nil {
+		t.Fatal(err)
+	}
+	if res, err = leader.Pull(0, next.Pos); err != nil {
+		t.Fatal(err)
+	}
+	if res.Snapshot == nil || snaps.Value() != 2 {
+		t.Fatalf("pull from the old generation: snapshot %v, counter %d; want a catch-up counted", res.Snapshot != nil, snaps.Value())
 	}
 }
 

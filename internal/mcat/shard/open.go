@@ -1,12 +1,10 @@
 package shard
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io/fs"
 	"os"
-	"time"
 
 	"gosrb/internal/durable"
 	"gosrb/internal/mcat"
@@ -60,11 +58,11 @@ func (o OpenOptions) mapPath() string { return o.CatalogPath + ".shardmap" }
 
 // Open loads (or creates) a sharded catalog store. With Shards == 1
 // and no prior shard map this is exactly the monolithic boot sequence:
-// load the snapshot, replay the journal (and a rotation tail an older
-// binary left), append to the same journal file. When the configured
-// shard count differs from the journaled map, the store rebalances: it
-// loads the old layout, redistributes every entry by the new map,
-// snapshots the new layout and retires the old files.
+// load the snapshot, bring the catalog up to the journal (Resume) and a
+// rotation tail an older binary left, append to the same journal file.
+// When the configured shard count differs from the journaled map, the
+// store first rebalances on disk, then boots the new layout the same
+// way.
 func Open(opt OpenOptions) (*Store, error) {
 	if opt.Shards < 1 {
 		opt.Shards = 1
@@ -87,145 +85,147 @@ func Open(opt OpenOptions) (*Store, error) {
 			prev = 1
 		}
 	}
-
+	skipped := 0
 	if prev != opt.Shards {
-		opt.Logf("mcat shard count changed %d -> %d; rebalancing", prev, opt.Shards)
-		old, err := load(opt, prev)
-		if err != nil {
+		var err error
+		if skipped, err = rebalance(opt, prev); err != nil {
 			return nil, err
 		}
-		nw := NewRouter(opt.Shards, opt.Admin, opt.Domain)
-		nw.SetLogf(opt.Logf)
-		if err := reshard(old.r, nw); err != nil {
-			return nil, types.E("reshard", opt.CatalogPath, err)
-		}
-		st := &Store{r: nw, opt: opt, ReplaySkipped: old.ReplaySkipped}
-		if opt.CatalogPath != "" {
-			// Persist the new layout before retiring the old one.
-			for i := 0; i < nw.n; i++ {
-				if err := nw.shards[i].cat.SaveFile(opt.catPath(opt.Shards, i)); err != nil {
-					return nil, err
-				}
-				os.Remove(opt.jnlPath(opt.Shards, i))
-			}
-			if err := st.saveMap(); err != nil {
-				return nil, err
-			}
-			retire(opt, prev, opt.Shards)
-		}
-		return st.attach()
 	}
-
 	st, err := load(opt, opt.Shards)
 	if err != nil {
 		return nil, err
 	}
+	st.ReplaySkipped += skipped
 	if opt.CatalogPath != "" && opt.Shards > 1 {
-		if err := st.saveMap(); err != nil {
+		if err := st.r.m.SaveFile(opt.mapPath()); err != nil {
+			st.Close()
 			return nil, err
 		}
 	}
-	return st.attach()
+	return st.attach(), nil
 }
 
-// attach ends every boot path: it opens the journals (in-memory ones
-// without a journal path) and bases every shard's replication log on a
-// boot-unique, strictly increasing sequence. The in-memory log cannot
-// serve history from before this boot (snapshotted state, or a previous
-// incarnation a follower's applied sequence still points into), so a
-// follower positioned at or below the base must take the snapshot path
-// rather than be told "caught up" with none of that state.
-func (st *Store) attach() (*Store, error) {
+// rebalance rewrites the prev-shard layout on disk as opt.Shards shards
+// (reshard), then retires the old files. It returns the journal lines
+// the old layout's boot skipped.
+func rebalance(opt OpenOptions, prev int) (int, error) {
+	opt.Logf("mcat shard count changed %d -> %d; rebalancing", prev, opt.Shards)
+	old, err := load(opt, prev)
+	if err != nil {
+		return 0, err
+	}
+	nw := NewRouter(opt.Shards, opt.Admin, opt.Domain)
+	err = reshard(old.r, nw)
+	if cerr := old.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return 0, types.E("reshard", opt.CatalogPath, err)
+	}
+	// Persist the new layout before retiring the old one.
+	for i := 0; i < nw.n; i++ {
+		if err := nw.shards[i].cat.Compact(opt.catPath(opt.Shards, i)); err != nil {
+			return 0, err
+		}
+		os.Remove(opt.jnlPath(opt.Shards, i))
+	}
+	if opt.Shards > 1 {
+		if err := nw.m.SaveFile(opt.mapPath()); err != nil {
+			return 0, err
+		}
+	}
+	retire(opt, prev, opt.Shards)
+	return old.ReplaySkipped, nil
+}
+
+// attach ends the boot: a store with no journal path gets memory
+// journals, and one with a snapshot path compacts through it. Boot
+// compacts no journal; one an older binary wrote keeps generation 0 (a
+// catch-up for every pull) until the first Snapshot.
+func (st *Store) attach() *Store {
 	if st.opt.JournalPath == "" {
 		st.r.EnableMemoryJournals()
-	} else if err := st.openJournals(); err != nil {
-		return nil, err
 	}
-	st.r.SetRepLogBase(uint64(time.Now().UnixNano()))
 	if st.opt.CatalogPath != "" {
 		st.r.compact = st.compact
 	}
-	return st, nil
+	return st
 }
 
-// load boots an n-shard router from its files: snapshot, journal, and a
-// rotation tail an older binary left. A snapshot that is absent is a
-// fresh start; one that cannot be read is fatal — booting empty over it
-// would let the next Snapshot overwrite a damaged but recoverable file.
-// Corrupt journal lines are skipped and counted, not silently dropped
-// and not fatal.
+// load boots an n-shard router from its files: snapshot, journal
+// (mcat.Catalog.Resume), and a rotation tail an older binary left. A snapshot that is absent is a fresh start; one that
+// cannot be read is fatal — booting empty over it would let the next
+// Snapshot overwrite a damaged but recoverable file. Corrupt journal
+// lines are skipped and counted, not silently dropped and not fatal.
 func load(opt OpenOptions, n int) (*Store, error) {
 	r := NewRouter(n, opt.Admin, opt.Domain)
 	r.SetLogf(opt.Logf)
 	st := &Store{r: r, opt: opt}
 	for i := 0; i < n; i++ {
-		c := r.shards[i].cat
-		if opt.CatalogPath != "" {
-			switch err := c.LoadFile(opt.catPath(n, i)); {
-			case err == nil:
-				opt.Logf("catalog shard %d/%d loaded from %s", i, n, opt.catPath(n, i))
-			case !errors.Is(err, fs.ErrNotExist):
-				return nil, fmt.Errorf("catalog shard %d/%d: %w", i, n, err)
-			}
-		}
-		if opt.JournalPath == "" {
-			continue
-		}
-		jp := opt.jnlPath(n, i)
-		rs, err := c.ReplayFileCounted(jp)
-		if err != nil {
-			return nil, err
-		}
-		// An older binary, killed between its journal swap and rename,
-		// left a .new tail; nothing writes one any more.
-		rs2, err := c.ReplayFileCounted(jp + ".new")
-		if err != nil {
-			return nil, err
-		}
-		if err := absorbTail(jp, jp+".new"); err != nil {
+		if err := st.loadShard(i); err != nil {
+			st.Close()
 			return nil, fmt.Errorf("catalog shard %d/%d: %w", i, n, err)
-		}
-		applied, skipped := rs.Applied+rs2.Applied, rs.Corrupt+rs2.Corrupt
-		st.ReplaySkipped += skipped
-		if applied > 0 || skipped > 0 {
-			opt.Logf("shard %d/%d: replayed %d journal entries, skipped %d corrupt lines", i, n, applied, skipped)
 		}
 	}
 	return st, nil
 }
 
-// absorbTail appends the lines of an older binary's rotation tail to
-// the journal, then removes the tail. Its entries are in no snapshot,
-// so until the next one they must be in the journal, or a second crash
-// would lose them. A line that is not JSON (a torn last write) is left
-// behind.
-func absorbTail(journal, tail string) error {
-	f, err := os.Open(tail)
-	if errors.Is(err, fs.ErrNotExist) {
+func (st *Store) loadShard(i int) error {
+	opt, n, c := st.opt, st.r.n, st.r.shards[i].cat
+	if opt.CatalogPath != "" {
+		switch err := c.LoadFile(opt.catPath(n, i)); {
+		case err == nil:
+			opt.Logf("catalog shard %d/%d loaded from %s", i, n, opt.catPath(n, i))
+		case !errors.Is(err, fs.ErrNotExist):
+			return err
+		}
+	}
+	if opt.JournalPath == "" {
 		return nil
 	}
+	jp := opt.jnlPath(n, i)
+	j, err := mcat.OpenJournalFile(jp)
 	if err != nil {
-		return types.E("replay", tail, err)
+		return err
+	}
+	st.journals = append(st.journals, j)
+	rs, err := c.Resume(j)
+	if err != nil {
+		return err
+	}
+	tailSkipped, err := absorbTail(c, jp+".new")
+	if err != nil {
+		return err
+	}
+	st.ReplaySkipped += rs.Corrupt + tailSkipped
+	if rs.Applied > 0 || rs.Corrupt > 0 {
+		opt.Logf("shard %d/%d: replayed %d journal entries, skipped %d corrupt lines", i, n, rs.Applied, rs.Corrupt)
+	}
+	return nil
+}
+
+// absorbTail commits the rotation tail an older binary, killed between
+// its journal swap and rename, left beside the journal, then removes it.
+// ApplyEntry appends each line to c's journal before applying it, so a
+// second crash loses none; a line that does not parse is counted.
+func absorbTail(c *mcat.Catalog, tail string) (int, error) {
+	f, err := os.Open(tail)
+	if errors.Is(err, fs.ErrNotExist) {
+		return 0, nil
+	}
+	if err != nil {
+		return 0, types.E("replay", tail, err)
 	}
 	defer f.Close()
-	l, err := durable.OpenLog(journal)
+	skipped, err := durable.Replay(f, func(line []byte) bool { return c.ApplyEntry(line) == nil })
+	if err == nil {
+		err = c.JournalErr()
+	}
 	if err != nil {
-		return types.E("journal", journal, err)
+		return skipped, types.E("replay", tail, err)
 	}
-	var werr error
-	_, rerr := durable.Replay(f, func(line []byte) bool {
-		if werr == nil && json.Valid(line) {
-			werr = l.Append(line)
-		}
-		return true
-	})
-	if err := l.Close(); werr == nil {
-		werr = err
-	}
-	if err := errors.Join(rerr, werr); err != nil {
-		return types.E("journal", journal, err)
-	}
-	return os.Remove(tail)
+	return skipped, os.Remove(tail)
 }
 
 func exists(path string) bool {
@@ -234,25 +234,6 @@ func exists(path string) bool {
 	}
 	_, err := os.Stat(path)
 	return err == nil
-}
-
-// openJournals attaches (creating or appending) each shard's journal.
-func (st *Store) openJournals() error {
-	n := st.r.n
-	st.journals = make([]*mcat.Journal, n)
-	for i := 0; i < n; i++ {
-		j, err := mcat.OpenJournalFile(st.opt.jnlPath(n, i))
-		if err != nil {
-			return err
-		}
-		st.journals[i] = j
-		st.r.AttachJournal(i, j)
-	}
-	return nil
-}
-
-func (st *Store) saveMap() error {
-	return st.r.m.SaveFile(st.opt.mapPath())
 }
 
 // retire removes files of the previous layout that the new one does
@@ -278,8 +259,8 @@ func retire(opt OpenOptions, prev, cur int) {
 func (st *Store) Router() *Router { return st.r }
 
 // Snapshot compacts every shard: its snapshot is published, then its
-// journal emptied, under one hold of the shard catalog's lock
-// (mcat.Catalog.Compact). Journals in memory are not emptied.
+// journal emptied under a new generation, under one hold of the shard
+// catalog's lock (mcat.Catalog.Compact).
 func (st *Store) Snapshot() error {
 	if st.opt.CatalogPath == "" {
 		return nil

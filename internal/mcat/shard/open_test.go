@@ -456,12 +456,12 @@ func TestSnapshotRotation(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
-		fi, err := os.Stat(opt.jnlPath(2, i))
+		b, err := os.ReadFile(opt.jnlPath(2, i))
 		if err != nil {
 			t.Fatalf("compacted journal %d: %v", i, err)
 		}
-		if fi.Size() != 0 {
-			t.Errorf("journal %d not emptied by the snapshot: %d bytes", i, fi.Size())
+		if !bytes.HasPrefix(b, []byte(`{"Gen":`)) || bytes.Count(b, []byte("\n")) != 1 {
+			t.Errorf("journal %d not emptied by the snapshot: %q, want its head alone", i, b)
 		}
 	}
 	if err := st.Router().MkColl("/projects/p1/deep/after", "admin"); err != nil {
@@ -553,8 +553,8 @@ func TestFailedSnapshotClosesJournal(t *testing.T) {
 		t.Errorf("%d fds open after Close, %d before Open", n, base)
 	}
 	files("catalog.json", "journal.log")
-	if b, _ := os.ReadFile(opt.JournalPath); bytes.Count(b, []byte("\n")) != 1 {
-		t.Errorf("the journal after the good snapshot is %q, want its one later line", b)
+	if b, _ := os.ReadFile(opt.JournalPath); bytes.Count(b, []byte("\n")) != 2 {
+		t.Errorf("the journal after the good snapshot is %q, want its head and its one later line", b)
 	}
 
 	st2, err := Open(opt)
@@ -729,9 +729,7 @@ func TestFollowerCatchUpSurvivesRestart(t *testing.T) {
 		for i := 0; i < 2; i++ {
 			st.Router().SetFollower(i, "leader")
 		}
-		st.Router().SetPuller(func(peer string, idx int, after uint64) (PullResult, error) {
-			return leader.Pull(idx, after)
-		}, DefaultPromoteAfter)
+		st.Router().SetPuller(pullFrom(leader), DefaultPromoteAfter)
 		return st
 	}
 	st := follow()
@@ -834,5 +832,131 @@ func TestSnapshotUnderWritesIsExact(t *testing.T) {
 				t.Errorf("triplet %s is there %d times after the reopen, want once", v, seen[v])
 			}
 		}
+	}
+}
+
+// A compaction cut between its two steps: the snapshot is published,
+// the journal is not emptied (simulated by putting back a copy taken
+// before the compaction). The snapshot names a generation the journal
+// is not in, so the reopen skips the journal, and every triplet and
+// annotation is there exactly once.
+func TestCompactionCutBeforeEmptyAppliesOnce(t *testing.T) {
+	opt := testOpts(t.TempDir(), 1)
+	st, err := Open(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seedStore(t, st.Router())
+	const path = "/home/alice/f.dat"
+	for i := 0; i < 3; i++ {
+		if err := st.Router().AddMeta(path, types.MetaUser, types.AVU{Name: "n", Value: fmt.Sprint(i)}); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Router().AddAnnotation(path, types.Annotation{Author: "alice", Text: fmt.Sprint("note ", i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	uncut, err := os.ReadFile(opt.JournalPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(opt.JournalPath, uncut, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	for boot := 0; boot < 2; boot++ {
+		st, err := Open(opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkSeeded(t, st.Router())
+		avus, err := st.Router().GetMeta(path, types.MetaUser)
+		if err != nil {
+			t.Fatal(err)
+		}
+		anns, err := st.Router().Annotations(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen := map[string]int{}
+		for _, a := range avus {
+			seen[a.Name+"="+a.Value]++
+		}
+		for _, a := range anns {
+			seen[a.Text]++
+		}
+		for i := 0; i < 3; i++ {
+			for _, k := range []string{fmt.Sprint("n=", i), fmt.Sprint("note ", i)} {
+				if seen[k] != 1 {
+					t.Errorf("boot %d: %q is there %d times, want once", boot, k, seen[k])
+				}
+			}
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// A journal an older binary wrote has no head. Boot replays it and
+// leaves it as it is, so every pull from it is a catch-up; the first
+// Snapshot gives it a generation, and followers read lines from then on.
+func TestJournalWithoutHead(t *testing.T) {
+	opt := testOpts(t.TempDir(), 1)
+	st, err := Open(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seedStore(t, st.Router())
+	st.Close()
+	b, err := os.ReadFile(opt.JournalPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	head, body, _ := bytes.Cut(b, []byte("\n"))
+	if !bytes.HasPrefix(head, []byte(`{"Gen":`)) {
+		t.Fatalf("journal head = %q", head)
+	}
+	if err := os.WriteFile(opt.JournalPath, body, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	if st, err = Open(opt); err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	checkSeeded(t, st.Router())
+	leader := st.Router()
+	if pos := leader.Shard(0).JournalPos(); pos.Gen != 0 || pos.Off != int64(len(body)) {
+		t.Fatalf("boot touched the headless journal: at %+v, want generation 0 at %d", pos, len(body))
+	}
+	f := followerOf(t, leader)
+	for i := 0; i < 2; i++ {
+		res, err := leader.Pull(0, f.shards[0].applied)
+		if err != nil || res.Snapshot == nil {
+			t.Fatalf("pull %d from a headless journal: snapshot %v, %v; want a catch-up", i, res.Snapshot != nil, err)
+		}
+		if err := f.applyPull(0, res); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.SyncOnce(); err != nil { // the catch-up into the new generation
+		t.Fatal(err)
+	}
+	if err := leader.MkColl("/home/after", "admin"); err != nil {
+		t.Fatal(err)
+	}
+	res, err := leader.Pull(0, f.shards[0].applied)
+	if err != nil || res.Snapshot != nil || len(res.Entries) != 1 {
+		t.Fatalf("pull after the first Snapshot: snapshot %v, %d entries, %v; want the one line", res.Snapshot != nil, len(res.Entries), err)
 	}
 }

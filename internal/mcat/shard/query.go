@@ -44,9 +44,7 @@ func (r *Router) QueryPartial(q mcat.Query) ([]mcat.Hit, []string, error) {
 	}
 	scope := types.CleanPath(q.Scope)
 	if types.Depth(scope) >= 2 {
-		if r.singleQ != nil {
-			r.singleQ.Inc()
-		}
+		r.singleQ.Inc()
 		i := r.homeIdx(scope)
 		hits, err := r.shards[i].cat.RunQuery(q)
 		if err != nil {
@@ -60,9 +58,7 @@ func (r *Router) QueryPartial(q mcat.Query) ([]mcat.Hit, []string, error) {
 		return hits, partial, nil
 	}
 
-	if r.scatterQ != nil {
-		r.scatterQ.Inc()
-	}
+	r.scatterQ.Inc()
 	fanStart := time.Now()
 	s := r.getScatter(q)
 	for i := range r.shards {
@@ -91,9 +87,7 @@ collect:
 	if pending == 0 && s.deadline.Stop() {
 		defer r.putScatter(s)
 	}
-	if r.fanoutOp != nil {
-		r.fanoutOp.Observe(time.Since(fanStart), nil)
-	}
+	r.fanoutOp.Observe(time.Since(fanStart), nil)
 	if firstErr != nil {
 		return nil, nil, firstErr
 	}
@@ -110,9 +104,7 @@ collect:
 
 	mergeStart := time.Now()
 	out := mergeHits(s.answers, q.Limit)
-	if r.mergeOp != nil {
-		r.mergeOp.Observe(time.Since(mergeStart), nil)
-	}
+	r.mergeOp.Observe(time.Since(mergeStart), nil)
 	return out, partial, nil
 }
 
@@ -232,7 +224,5 @@ func (r *Router) isStale(i int) bool {
 func (r *Router) shardName(i int) string { return fmt.Sprintf("shard-%d", i) }
 
 func (r *Router) notePartial() {
-	if r.partialQ != nil {
-		r.partialQ.Inc()
-	}
+	r.partialQ.Inc()
 }

@@ -3,7 +3,6 @@ package shard
 import (
 	"errors"
 	"fmt"
-	"io"
 	"sort"
 	"sync"
 	"time"
@@ -35,42 +34,41 @@ type Router struct {
 	scatters     sync.Pool // of *scatter, sized for n shards (query.go)
 	puller       PullFunc
 	promoteAfter int
-	// compact, installed by a Store with a snapshot path, compacts shard
-	// i's files after a catch-up loads it (applyPull).
+	// compact compacts shard i after a catch-up loads it (applyPull); a
+	// Store with a snapshot path publishes the snapshot too.
 	compact func(i int) error
 	logf    func(format string, args ...any)
 
 	// Metrics are optional; counters stay nil until SetMetrics.
-	mutations      []*obs.Counter
-	singleQ        *obs.Counter
-	scatterQ       *obs.Counter
-	partialQ       *obs.Counter
-	fanoutOp       *obs.Op
-	mergeOp        *obs.Op
-	pullOK         *obs.Counter
-	pullFailed     *obs.Counter
-	pullLines      *obs.Counter
-	promotions     *obs.Counter
-	replogFallback *obs.Counter
-	replagEntries  []*obs.Gauge
-	replagSeconds  []*obs.Gauge
-	heatImbalance  *obs.Gauge
+	mutations     []*obs.Counter
+	singleQ       *obs.Counter
+	scatterQ      *obs.Counter
+	partialQ      *obs.Counter
+	fanoutOp      *obs.Op
+	mergeOp       *obs.Op
+	pullOK        *obs.Counter
+	pullFailed    *obs.Counter
+	pullLines     *obs.Counter
+	pullSkipped   *obs.Counter
+	pullSnapshots *obs.Counter
+	promotions    *obs.Counter
+	replagBytes   []*obs.Gauge
+	replagSeconds []*obs.Gauge
+	heatImbalance *obs.Gauge
 }
 
-// state is one shard slot: its catalog, replication log and role.
+// state is one shard slot: its catalog and replication role.
 type state struct {
 	cat       *mcat.Catalog
-	rl        *RepLog
 	role      Role
-	leader    string // peer name when role == Follower
-	stale     bool   // behind its leader; queries report it as partial
-	applied   uint64 // leader journal sequence applied so far
-	pullFails int    // consecutive failed pulls (promotion trigger)
+	leader    string   // peer name when role == Follower
+	stale     bool     // behind its leader; queries report it as partial
+	applied   Position // follower: where in the leader's journal it is
+	pullFails int      // consecutive failed pulls (promotion trigger)
 	lastSync  time.Time
 
-	// Replication-lag bookkeeping (see replag in sync.go).
-	seenHead uint64    // follower: newest leader sequence a pull reported
-	ackSeq   uint64    // leader: newest sequence a follower acked by pulling past it
+	// Replication-lag bookkeeping (see replagOf in sync.go).
+	acked    Position  // leader: the position the last pull came from
 	lastPull time.Time // leader: when a follower last pulled this shard
 }
 
@@ -95,8 +93,9 @@ func NewRouter(n int, admin, domain string) *Router {
 		if n > 1 {
 			c.SetIDAlloc(int64(i+1), int64(n))
 		}
-		r.shards = append(r.shards, &state{cat: c, rl: NewRepLog(DefaultRepLogCap), role: Leader})
+		r.shards = append(r.shards, &state{cat: c, role: Leader})
 	}
+	r.compact = func(i int) error { return r.shards[i].cat.Compact("") }
 	return r
 }
 
@@ -123,30 +122,14 @@ func (r *Router) SetQueryTimeout(d time.Duration) {
 	}
 }
 
-// AttachJournal wires a journal into shard i: catalog mutations append
-// to it and every appended line feeds the shard's replication log.
-func (r *Router) AttachJournal(i int, j *mcat.Journal) {
-	st := r.shards[i]
-	j.SetObserver(func(line []byte) { st.rl.Append(line) })
-	st.cat.SetJournal(j)
-}
+// AttachJournal attaches shard i's journal, which its followers read.
+func (r *Router) AttachJournal(i int, j *mcat.Journal) { r.shards[i].cat.SetJournal(j) }
 
-// EnableMemoryJournals attaches discard journals to every shard so the
-// replication stream works without on-disk files (tests, benchmarks,
-// in-process chaos rigs).
+// EnableMemoryJournals attaches a memory journal to every shard (tests,
+// in-process rigs, a daemon with no -journal).
 func (r *Router) EnableMemoryJournals() {
 	for i := range r.shards {
-		r.AttachJournal(i, mcat.NewJournal(io.Discard))
-	}
-}
-
-// SetRepLogBase marks sequences 1..base as preceding every shard's
-// replication log (see RepLog.SetBase). A persistent store calls this
-// at every open with a boot-unique base so followers positioned in an
-// earlier incarnation's window take the snapshot path.
-func (r *Router) SetRepLogBase(base uint64) {
-	for _, st := range r.shards {
-		st.rl.SetBase(base)
+		r.AttachJournal(i, mcat.NewMemJournal())
 	}
 }
 
@@ -168,16 +151,17 @@ func (r *Router) SetMetrics(reg *obs.Registry) {
 	r.pullOK = reg.Counter("mcat.shard.pull.ok")
 	r.pullFailed = reg.Counter("mcat.shard.pull.fail")
 	r.pullLines = reg.Counter("mcat.shard.pull.entries")
+	r.pullSkipped = reg.Counter("mcat.shard.pull.skipped")
+	r.pullSnapshots = reg.Counter("mcat.shard.pull.snapshots")
 	r.promotions = reg.Counter("mcat.shard.promote")
-	r.replogFallback = reg.Counter("mcat.shard.replog.fallback")
 	appendErrs := reg.Counter("mcat.journal.append.errors")
 	for _, st := range r.shards {
 		st.cat.OnJournalError(func(error) { appendErrs.Inc() })
 	}
-	r.replagEntries = make([]*obs.Gauge, r.n)
+	r.replagBytes = make([]*obs.Gauge, r.n)
 	r.replagSeconds = make([]*obs.Gauge, r.n)
 	for i := 0; i < r.n; i++ {
-		r.replagEntries[i] = reg.Gauge(fmt.Sprintf("mcat.shard.%d.replag_entries", i))
+		r.replagBytes[i] = reg.Gauge(fmt.Sprintf("mcat.shard.%d.replag_bytes", i))
 		r.replagSeconds[i] = reg.Gauge(fmt.Sprintf("mcat.shard.%d.replag_seconds", i))
 	}
 	r.heatImbalance = reg.Gauge("mcat.shard.heat_imbalance_pct")

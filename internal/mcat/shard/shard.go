@@ -1,5 +1,5 @@
 // Package shard partitions the MCAT across N catalog shards and
-// replicates each shard from its leader's journal stream.
+// replicates each shard from its leader's journal.
 //
 // The paper's MCAT is one logical catalog; at scale it becomes the
 // bottleneck ("the MCAT server may become a chokepoint"). This package
@@ -19,10 +19,12 @@
 //   - Queries scoped at depth >= 2 route to the single home shard;
 //     wider queries scatter-gather with a per-shard deadline and report
 //     which shards, if any, could not answer (partial results).
-//   - Each shard replicates leader -> follower by shipping the
-//     append-only journal stream (RepLog); a follower too far behind
-//     catches up from a full snapshot. Followers reject mutations,
-//     naming their leader.
+//   - Each shard replicates leader -> follower: a follower's position
+//     is a generation and a byte offset in its leader's journal, and a
+//     pull reads the lines from there. A follower whose position is not
+//     in the journal (its first pull, or one from before a compaction
+//     emptied the journal under a new generation) catches up from a
+//     snapshot. Followers reject mutations, naming their leader.
 //
 // With one shard (the default) every Router method is a direct
 // passthrough to the single catalog: behavior, journal bytes and

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"time"
 
+	"gosrb/internal/mcat"
 	"gosrb/internal/types"
 )
 
@@ -13,11 +14,11 @@ import (
 type Role string
 
 const (
-	// Leader owns the shard: mutations apply here and feed the
-	// replication log.
+	// Leader owns the shard: mutations apply here and append to the
+	// journal its followers read.
 	Leader Role = "leader"
-	// Follower mirrors a leader on another server by replaying its
-	// journal stream; local mutations are rejected.
+	// Follower mirrors a leader on another server by applying the
+	// lines of its journal; local mutations are rejected.
 	Follower Role = "follower"
 )
 
@@ -25,28 +26,28 @@ const (
 // which a follower promotes itself to leader (failover).
 const DefaultPromoteAfter = 3
 
-// PullResult is one replication fetch: either the journal lines after
-// the follower's applied sequence, or — when the leader's log no
-// longer covers that point — a full snapshot. Seq is the leader
-// sequence the follower has seen once the result is applied.
-type PullResult struct {
-	Entries  [][]byte
-	Snapshot []byte
-	Seq      uint64
-}
+// Position is a follower's position in its leader's journal.
+type Position = mcat.JournalPos
 
-// PullFunc fetches the replication stream of one shard from a peer.
-type PullFunc func(peer string, shardIdx int, afterSeq uint64) (PullResult, error)
+// PullResult is one replication fetch: the leader's journal lines from
+// the follower's position, or a snapshot when that position is not in
+// the journal (a catch-up).
+type PullResult = mcat.JournalRead
+
+// PullFunc fetches one shard's journal from a peer, from a position.
+type PullFunc func(peer string, shardIdx int, from Position) (PullResult, error)
+
+// maxPullBytes bounds one pull's lines; SyncOnce pulls on while Full.
+const maxPullBytes = 256 << 10
 
 // SetFollower demotes shard i to follow leaderPeer. Reads keep
 // serving local (possibly stale) data; mutations are rejected naming
-// the leader; SyncOnce keeps the shard converging.
+// the leader; SyncOnce keeps the shard converging, from a catch-up.
 func (r *Router) SetFollower(i int, leaderPeer string) {
 	r.mu.Lock()
 	st := r.shards[i]
 	st.role, st.leader, st.stale = Follower, leaderPeer, true
-	st.applied, st.pullFails = 0, 0
-	st.seenHead, st.lastSync = 0, time.Time{}
+	st.applied, st.pullFails, st.lastSync = Position{}, 0, time.Time{}
 	r.mu.Unlock()
 	r.refreshReplag(i, time.Now())
 }
@@ -60,9 +61,7 @@ func (r *Router) Promote(i int) {
 	r.mu.Unlock()
 	r.refreshReplag(i, time.Now())
 	if was == Follower {
-		if r.promotions != nil {
-			r.promotions.Inc()
-		}
+		r.promotions.Inc()
 		r.logf("mcat shard %d promoted to leader", i)
 	}
 }
@@ -86,55 +85,32 @@ func (r *Router) SetPuller(pull PullFunc, promoteAfter int) {
 	r.mu.Unlock()
 }
 
-// Pull serves the leader side of replication: the journal lines after
-// afterSeq, or a consistent snapshot when the log window has moved on.
+// Pull serves the leader side of replication (mcat.Catalog.ReadJournal).
 // Each pull also acks the follower's position, which feeds the leader's
 // replication-lag gauges.
-func (r *Router) Pull(i int, afterSeq uint64) (PullResult, error) {
+func (r *Router) Pull(i int, from Position) (PullResult, error) {
 	if i < 0 || i >= r.n {
 		return PullResult{}, types.E("shardpull", fmt.Sprint(i), types.ErrInvalid)
 	}
 	st := r.shards[i]
 	r.mu.Lock()
-	if afterSeq > st.ackSeq {
-		st.ackSeq = afterSeq
-	}
-	st.lastPull = time.Now()
+	st.acked, st.lastPull = from, time.Now()
 	r.mu.Unlock()
 	r.refreshReplag(i, time.Now())
-	lines, ok, fellBehind := st.rl.Since(afterSeq)
-	if ok {
-		if r.pullLines != nil {
-			r.pullLines.Add(int64(len(lines)))
-		}
-		return PullResult{Entries: lines, Seq: afterSeq + uint64(len(lines))}, nil
+	res, err := st.cat.ReadJournal(from, maxPullBytes)
+	if err != nil {
+		return PullResult{}, types.E("shardpull", fmt.Sprint(i), err)
 	}
-	// The follower catches up from a snapshot instead. The shard's first
-	// pull always does (the log retains nothing until then); one that fell
-	// off the bounded log tail is counted and warned about — repeated
-	// fallbacks mean the log window is too small for the sync cadence
-	// (tail pressure).
-	if fellBehind {
-		if r.replogFallback != nil {
-			r.replogFallback.Inc()
-		}
-		r.logf("mcat shard %d: follower at seq %d fell off the replication log tail (head %d); serving full snapshot",
-			i, afterSeq, st.rl.Head())
+	if res.Skipped > 0 {
+		r.pullSkipped.Add(int64(res.Skipped))
+		r.logf("mcat shard %d: passed over %d journal lines that do not parse", i, res.Skipped)
 	}
-	// Snapshot path. The journal appends under the catalog's write
-	// lock and Save holds the read lock, so retry until no line lands
-	// between the sequence reads — then the snapshot is exactly seq.
-	for attempt := 0; attempt < 5; attempt++ {
-		seq := st.rl.Head()
-		var buf bytes.Buffer
-		if err := st.cat.Save(&buf); err != nil {
-			return PullResult{}, err
-		}
-		if st.rl.Head() == seq {
-			return PullResult{Snapshot: buf.Bytes(), Seq: seq}, nil
-		}
+	r.pullLines.Add(int64(len(res.Entries)))
+	if res.Snapshot != nil {
+		r.pullSnapshots.Inc()
+		r.logf("mcat shard %d: follower at %+v is not in the journal (at %+v); serving a catch-up", i, from, res.Pos)
 	}
-	return PullResult{}, types.E("shardpull", fmt.Sprint(i), fmt.Errorf("snapshot kept racing the journal: %w", types.ErrTimeout))
+	return res, nil
 }
 
 // SyncOnce pulls every follower shard up to date. It is explicit — the
@@ -146,26 +122,31 @@ func (r *Router) SyncOnce() error {
 	pull := r.puller
 	promoteAfter := r.promoteAfter
 	r.mu.RUnlock()
-	if promoteAfter <= 0 {
-		promoteAfter = DefaultPromoteAfter
-	}
 	var firstErr error
 	for i := range r.shards {
+		if err := r.syncShard(i, pull, promoteAfter); err != nil && firstErr == nil {
+			firstErr = err
+		}
+	}
+	return firstErr
+}
+
+// syncShard pulls follower shard i until a reply is not full.
+func (r *Router) syncShard(i int, pull PullFunc, promoteAfter int) error {
+	for {
 		r.mu.RLock()
 		st := r.shards[i]
-		role, leader, applied := st.role, st.leader, st.applied
+		role, leader, from := st.role, st.leader, st.applied
 		r.mu.RUnlock()
 		if role != Follower {
-			continue
+			return nil
 		}
 		if pull == nil {
 			return types.E("shardsync", fmt.Sprint(i), errors.New("no replication transport installed"))
 		}
-		res, err := pull(leader, i, applied)
+		res, err := pull(leader, i, from)
 		if err != nil {
-			if r.pullFailed != nil {
-				r.pullFailed.Inc()
-			}
+			r.pullFailed.Inc()
 			r.mu.Lock()
 			st.pullFails++
 			st.stale = true
@@ -176,22 +157,16 @@ func (r *Router) SyncOnce() error {
 			if fails >= promoteAfter {
 				r.Promote(i)
 			}
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
+			return err
 		}
 		if err := r.applyPull(i, res); err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
+			return err
 		}
-		if r.pullOK != nil {
-			r.pullOK.Inc()
+		r.pullOK.Inc()
+		if !res.Full {
+			return nil
 		}
 	}
-	return firstErr
 }
 
 // applyPull folds one replication fetch into follower shard i.
@@ -207,15 +182,12 @@ func (r *Router) applyPull(i int, res PullResult) error {
 		if err := st.cat.Load(bytes.NewReader(res.Snapshot)); err != nil {
 			return err
 		}
-		// The loaded state is in no line of this shard's log: once
-		// promoted, it must serve its own followers a snapshot too.
-		st.rl.Rebase()
-		// Nor in its journal: a store compacts the shard before the
-		// position advances, so a restart replays later lines onto it.
-		if r.compact != nil {
-			if err := r.compact(i); err != nil {
-				return err
-			}
+		// No line of the shard's journal holds the loaded state: the
+		// compaction gives the journal a new generation, so the shard,
+		// once promoted, sends its followers a catch-up too, and a store
+		// publishes the state before the position advances past it.
+		if err := r.compact(i); err != nil {
+			return err
 		}
 	} else {
 		// An entry whose append fails is not applied, and nothing after
@@ -227,8 +199,7 @@ func (r *Router) applyPull(i int, res PullResult) error {
 		}
 	}
 	r.mu.Lock()
-	st.applied = res.Seq
-	st.seenHead = res.Seq
+	st.applied = res.Pos
 	st.stale = false
 	st.pullFails = 0
 	st.lastSync = time.Now()
@@ -237,44 +208,29 @@ func (r *Router) applyPull(i int, res PullResult) error {
 	return nil
 }
 
-// replagOf computes shard i's replication lag at time now. Callers must
-// hold r.mu (read or write). A follower reports entries it knows it has
-// not applied and the seconds since its last successful sync; a leader
-// reports how far the last puller's ack trails its journal head. Slots
-// that never replicated (no sync, no puller) report zero so a
-// single-server deployment stays quiet.
-func (r *Router) replagOf(st *state, now time.Time) (entries uint64, seconds float64) {
-	switch st.role {
-	case Follower:
-		if st.seenHead > st.applied {
-			entries = st.seenHead - st.applied
-		}
-		if !st.lastSync.IsZero() {
-			if d := now.Sub(st.lastSync); d > 0 {
-				seconds = d.Seconds()
-			}
-		}
-	default:
-		if st.lastPull.IsZero() {
-			return 0, 0
-		}
-		if head := st.rl.Head(); head > st.ackSeq {
-			entries = head - st.ackSeq
-		}
-	}
-	return entries, seconds
-}
-
-// refreshReplag recomputes shard i's replication-lag gauges.
-func (r *Router) refreshReplag(i int, now time.Time) {
-	if r.replagEntries == nil {
-		return
-	}
+// refreshReplag computes shard i's replication lag at time now, sets
+// its gauges and returns it: a follower's seconds since its last sync,
+// a leader's journal bytes past the last pull's position (all of them
+// for a position in another generation). A slot that never replicated
+// reports zero, so a single-server deployment stays quiet.
+func (r *Router) refreshReplag(i int, now time.Time) (lagBytes int64, seconds float64) {
+	head := r.shards[i].cat.JournalPos()
 	r.mu.RLock()
-	entries, seconds := r.replagOf(r.shards[i], now)
+	switch st := r.shards[i]; {
+	case st.role == Follower && !st.lastSync.IsZero():
+		seconds = max(now.Sub(st.lastSync).Seconds(), 0)
+	case st.role == Leader && !st.lastPull.IsZero():
+		lagBytes = head.Off
+		if st.acked.Gen == head.Gen {
+			lagBytes = max(head.Off-st.acked.Off, 0)
+		}
+	}
 	r.mu.RUnlock()
-	r.replagEntries[i].Set(int64(entries))
-	r.replagSeconds[i].Set(int64(seconds))
+	if r.replagBytes != nil {
+		r.replagBytes[i].Set(lagBytes)
+		r.replagSeconds[i].Set(int64(seconds))
+	}
+	return lagBytes, seconds
 }
 
 // RefreshReplag recomputes every shard's replication-lag gauges at time
@@ -290,20 +246,22 @@ func (r *Router) RefreshReplag(now time.Time) {
 // Status is one shard's replication and size snapshot (the shard-status
 // wire op and the /shards page render it).
 type Status struct {
-	Shard       int       `json:"shard"`
-	Role        string    `json:"role"`
-	Leader      string    `json:"leader,omitempty"`
-	Stale       bool      `json:"stale,omitempty"`
-	Applied     uint64    `json:"applied"`
-	Head        uint64    `json:"head"`
+	Shard  int    `json:"shard"`
+	Role   string `json:"role"`
+	Leader string `json:"leader,omitempty"`
+	Stale  bool   `json:"stale,omitempty"`
+	// Applied is a follower's offset in its leader's journal; Head is
+	// the size of the shard's own journal.
+	Applied     int64     `json:"applied"`
+	Head        int64     `json:"head"`
 	PullFails   int       `json:"pullFails,omitempty"`
 	Objects     int       `json:"objects"`
 	Collections int       `json:"collections"`
 	MetaEntries int       `json:"metaEntries"`
 	LastSync    time.Time `json:"lastSync,omitempty"`
-	// Replication lag at status time: journal entries the replica side
-	// has not acked, and seconds since the follower last synced.
-	ReplagEntries uint64  `json:"replagEntries,omitempty"`
+	// Replication lag at status time: journal bytes the last puller has
+	// not acked, and seconds since the follower last synced.
+	ReplagBytes   int64   `json:"replagBytes,omitempty"`
 	ReplagSeconds float64 `json:"replagSeconds,omitempty"`
 }
 
@@ -312,29 +270,25 @@ func (r *Router) Statuses() []Status {
 	now := time.Now()
 	out := make([]Status, r.n)
 	for i, st := range r.shards {
-		cs := st.cat.Stats()
+		cs, head := st.cat.Stats(), st.cat.JournalPos()
+		lagBytes, seconds := r.refreshReplag(i, now)
 		r.mu.RLock()
-		entries, seconds := r.replagOf(st, now)
 		out[i] = Status{
 			Shard:         i,
 			Role:          string(st.role),
 			Leader:        st.leader,
 			Stale:         st.stale,
-			Applied:       st.applied,
-			Head:          st.rl.Head(),
+			Applied:       st.applied.Off,
+			Head:          head.Off,
 			PullFails:     st.pullFails,
 			Objects:       cs.Objects,
 			Collections:   cs.Collections,
 			MetaEntries:   cs.MetaEntries,
 			LastSync:      st.lastSync,
-			ReplagEntries: entries,
+			ReplagBytes:   lagBytes,
 			ReplagSeconds: seconds,
 		}
 		r.mu.RUnlock()
-		if r.replagEntries != nil {
-			r.replagEntries[i].Set(int64(entries))
-			r.replagSeconds[i].Set(int64(seconds))
-		}
 	}
 	return out
 }

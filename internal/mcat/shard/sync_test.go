@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -26,10 +28,15 @@ func followerOf(t *testing.T, leader *Router) *Router {
 	for i := 0; i < f.N(); i++ {
 		f.SetFollower(i, "leader")
 	}
-	f.SetPuller(func(peer string, idx int, after uint64) (PullResult, error) {
-		return leader.Pull(idx, after)
-	}, DefaultPromoteAfter)
+	f.SetPuller(pullFrom(leader), DefaultPromoteAfter)
 	return f
+}
+
+// pullFrom is a puller that pulls from leader in process.
+func pullFrom(leader *Router) PullFunc {
+	return func(peer string, idx int, from Position) (PullResult, error) {
+		return leader.Pull(idx, from)
+	}
 }
 
 func TestReplicationConverges(t *testing.T) {
@@ -125,22 +132,50 @@ func TestCrossShardMoveCollReplicates(t *testing.T) {
 	}
 }
 
+// attachJournalFiles gives every shard of r a journal file in dir,
+// named prefix<i>, and returns the paths.
+func attachJournalFiles(t *testing.T, r *Router, dir, prefix string) []string {
+	t.Helper()
+	var paths []string
+	for i := 0; i < r.N(); i++ {
+		path := filepath.Join(dir, fmt.Sprint(prefix, i))
+		j, err := mcat.OpenJournalFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { j.Close() })
+		if _, err := r.Shard(i).Resume(j); err != nil {
+			t.Fatal(err)
+		}
+		paths = append(paths, path)
+	}
+	return paths
+}
+
+// journalBody returns a journal file's lines after its head.
+func journalBody(t *testing.T, path string) []byte {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, body, _ := bytes.Cut(b, []byte("\n"))
+	return body
+}
+
 // A put is one replication entry on its home shard: the follower
 // applies the object, its replicas and its metadata together, and every
-// follower journal ends byte-identical to its leader's.
+// follower journal ends with the same lines as its leader's.
 func TestFollowerAppliesPutWhole(t *testing.T) {
 	leader, f := NewRouter(4, "admin", "local"), NewRouter(4, "admin", "local")
-	var lj, fj [4]bytes.Buffer
+	dir := t.TempDir()
+	lj, fj := attachJournalFiles(t, leader, dir, "leader"), attachJournalFiles(t, f, dir, "follower")
 	for i := 0; i < 4; i++ {
-		leader.AttachJournal(i, mcat.NewJournal(&lj[i]))
-		f.AttachJournal(i, mcat.NewJournal(&fj[i]))
 		f.SetFollower(i, "leader")
 	}
-	f.SetPuller(func(peer string, idx int, after uint64) (PullResult, error) {
-		return leader.Pull(idx, after)
-	}, DefaultPromoteAfter)
-	// The follower pulls before the leader writes, so the leader retains
-	// every line from here on and the follower receives each as an entry.
+	f.SetPuller(pullFrom(leader), DefaultPromoteAfter)
+	// The follower catches up before the leader writes, so it receives
+	// every later line as an entry.
 	if err := f.SyncOnce(); err != nil {
 		t.Fatal(err)
 	}
@@ -148,8 +183,8 @@ func TestFollowerAppliesPutWhole(t *testing.T) {
 
 	const coll, name = "/home/alice/deep", "put.dat"
 	path := coll + "/" + name
-	home := leader.shards[leader.homeIdx(path)]
-	head := home.rl.Head()
+	home := leader.homeIdx(path)
+	before := leader.Shard(home).JournalPos()
 	id, err := leader.NewObjectID(path)
 	if err != nil {
 		t.Fatal(err)
@@ -162,16 +197,16 @@ func TestFollowerAppliesPutWhole(t *testing.T) {
 	if err := leader.Ingest(o, meta); err != nil {
 		t.Fatal(err)
 	}
-	if n := home.rl.Head() - head; n != 1 {
-		t.Fatalf("the put is %d replication entries, want 1", n)
+	if res, err := leader.Pull(home, before); err != nil || res.Snapshot != nil || len(res.Entries) != 1 {
+		t.Fatalf("the put is %d replication entries (snapshot %v, %v), want 1", len(res.Entries), res.Snapshot != nil, err)
 	}
 
 	if err := f.SyncOnce(); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4; i++ {
-		if !bytes.Equal(fj[i].Bytes(), lj[i].Bytes()) {
-			t.Errorf("shard %d: the follower's journal is not the leader's:\n%s\nleader:\n%s", i, fj[i].Bytes(), lj[i].Bytes())
+		if got, want := journalBody(t, fj[i]), journalBody(t, lj[i]); !bytes.Equal(got, want) {
+			t.Errorf("shard %d: the follower's journal lines are not the leader's:\n%s\nleader:\n%s", i, got, want)
 		}
 	}
 	got, err := f.GetObject(path)
@@ -193,44 +228,49 @@ func testQuery(val string) mcat.Query {
 	}
 }
 
+// A compaction empties the leader's journal under a new generation: a
+// follower positioned in the old one gets exactly one catch-up, then
+// lines again.
 func TestSnapshotCatchUpWhenLogTrimmed(t *testing.T) {
 	leader := newTestRouter(t, 1)
+	reg := obs.NewRegistry()
+	leader.SetMetrics(reg)
 	seedGrid(t, leader)
-	if _, err := leader.Pull(0, 0); err != nil { // a follower pulls: retention starts
-		t.Fatal(err)
-	}
-	// Blow past the replication log's retention so a fresh follower
-	// cannot be served entries from seq 0.
-	for i := 0; i < DefaultRepLogCap+50; i++ {
-		if err := leader.AddMeta("/home/alice/deep/f0.dat", types.MetaUser,
-			types.AVU{Name: fmt.Sprintf("churn%d", i), Value: "x"}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	res, err := leader.Pull(0, 0)
-	if err != nil {
-		t.Fatalf("Pull: %v", err)
-	}
-	if res.Snapshot == nil {
-		t.Fatal("expected a snapshot when the log no longer covers seq 0")
-	}
-
 	f := followerOf(t, leader)
 	if err := f.SyncOnce(); err != nil {
-		t.Fatalf("SyncOnce via snapshot: %v", err)
+		t.Fatal(err)
 	}
-	if got, want := f.SubtreeObjects("/"), leader.SubtreeObjects("/"); !reflect.DeepEqual(got, want) {
-		t.Fatalf("snapshot catch-up diverged: %v != %v", got, want)
+	snaps := reg.Counter("mcat.shard.pull.snapshots")
+	if v := snaps.Value(); v != 1 {
+		t.Fatalf("the first pull: %d catch-ups, want 1", v)
 	}
-	// After the snapshot the follower rides the entry stream again.
+	if err := leader.AddMeta("/home/alice/deep/f0.dat", types.MetaUser, types.AVU{Name: "before", Value: "x"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := leader.Shard(0).Compact(""); err != nil {
+		t.Fatal(err)
+	}
+	if err := leader.AddMeta("/home/alice/deep/f0.dat", types.MetaUser, types.AVU{Name: "after", Value: "x"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.SyncOnce(); err != nil {
+		t.Fatalf("SyncOnce across the compaction: %v", err)
+	}
+	if v := snaps.Value(); v != 2 {
+		t.Fatalf("a follower in the old generation: %d catch-ups in all, want 2", v)
+	}
+	if got, want := journalForm(t, f.Shard(0)), journalForm(t, leader.Shard(0)); !reflect.DeepEqual(got, want) {
+		t.Fatalf("catch-up diverged:\n%s\nleader:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+	// After the catch-up the follower reads lines again.
 	if err := leader.MkColl("/home/after", "admin"); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.SyncOnce(); err != nil {
 		t.Fatal(err)
 	}
-	if !f.CollExists("/home/after") {
-		t.Error("post-snapshot entry did not replicate")
+	if !f.CollExists("/home/after") || snaps.Value() != 2 {
+		t.Errorf("post-catch-up line: replicated %v, %d catch-ups (want 2)", f.CollExists("/home/after"), snaps.Value())
 	}
 }
 
@@ -240,7 +280,7 @@ func TestPromotionAfterRepeatedPullFailures(t *testing.T) {
 	f := NewRouter(1, "admin", "local")
 	f.EnableMemoryJournals()
 	f.SetFollower(0, "dead-leader")
-	f.SetPuller(func(peer string, idx int, after uint64) (PullResult, error) {
+	f.SetPuller(func(peer string, idx int, from Position) (PullResult, error) {
 		return PullResult{}, errors.New("connection refused")
 	}, 3)
 
@@ -291,9 +331,7 @@ func TestFollowerJournalFailureStopsApplying(t *testing.T) {
 	disk := &failingDisk{}
 	f.AttachJournal(0, mcat.NewJournal(disk))
 	f.SetFollower(0, "leader")
-	f.SetPuller(func(peer string, idx int, after uint64) (PullResult, error) {
-		return leader.Pull(idx, after)
-	}, 1)
+	f.SetPuller(pullFrom(leader), 1)
 	if err := f.SyncOnce(); err != nil {
 		t.Fatalf("SyncOnce: %v", err)
 	}
@@ -324,139 +362,237 @@ func TestFollowerJournalFailureStopsApplying(t *testing.T) {
 	}
 }
 
-func TestRepLogTrimAndSince(t *testing.T) {
-	rl := NewRepLog(4)
-	rl.Since(0) // a follower pulls: retention starts
-	for i := 1; i <= 6; i++ {
-		rl.Append([]byte(fmt.Sprintf("e%d", i)))
+// A pull position comes off the wire. Every one that is not the start
+// of a line of the leader's journal gets a catch-up, never a partial
+// line; a torn fragment in the journal is passed over, counted, and
+// stalls no follower.
+func TestPullPositionFromTheWire(t *testing.T) {
+	opt := testOpts(t.TempDir(), 1)
+	st, err := Open(opt)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if rl.Head() != 6 {
-		t.Fatalf("Head = %d, want 6", rl.Head())
+	seedGrid(t, st.Router())
+	head := st.Router().Shard(0).JournalPos()
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
 	}
-	// Entries 1-2 trimmed: a reader at 0 or 1 needs a snapshot.
-	if _, ok, behind := rl.Since(0); ok || !behind {
-		t.Errorf("Since(0) ok=%v fellBehind=%v: should demand a snapshot after trim", ok, behind)
+	// A kill tore the last append: half a line, no newline.
+	jf, err := os.OpenFile(opt.JournalPath, os.O_APPEND|os.O_WRONLY, 0o644)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, ok, _ := rl.Since(1); ok {
-		t.Error("Since(1) should demand a snapshot after trim")
+	jf.WriteString(`{"Op":"mkcoll","Coll":{"Path":"/torn`)
+	jf.Close()
+	if st, err = Open(opt); err != nil {
+		t.Fatal(err)
 	}
-	got, ok, _ := rl.Since(3)
-	if !ok || len(got) != 3 || string(got[0]) != "e4" {
-		t.Errorf("Since(3) = %q ok=%v", got, ok)
+	defer st.Close()
+	leader := st.Router()
+	reg := obs.NewRegistry()
+	leader.SetMetrics(reg)
+	if err := leader.MkColl("/home/later", "admin"); err != nil {
+		t.Fatal(err)
 	}
-	// Fully caught up.
-	got, ok, _ = rl.Since(6)
-	if !ok || len(got) != 0 {
-		t.Errorf("Since(6) = %q ok=%v", got, ok)
+	first, err := leader.Pull(0, Position{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	// The ring keeps overwriting in place: after several laps the window
-	// is still the newest four lines, in sequence order.
-	for i := 7; i <= 19; i++ {
-		rl.Append([]byte(fmt.Sprintf("e%d", i)))
+	gen, end := first.Pos.Gen, first.Pos.Off
+	if gen != head.Gen || end <= head.Off {
+		t.Fatalf("catch-up at %+v, want generation %d past offset %d", first.Pos, head.Gen, head.Off)
 	}
-	got, ok, _ = rl.Since(15)
-	if !ok || len(got) != 4 || string(got[0]) != "e16" || string(got[3]) != "e19" {
-		t.Errorf("Since(15) after laps = %q ok=%v", got, ok)
+
+	snaps, skipped := reg.Counter("mcat.shard.pull.snapshots"), reg.Counter("mcat.shard.pull.skipped")
+	for _, tc := range []struct {
+		name string
+		from Position
+	}{
+		{"generation 0", Position{Gen: 0, Off: head.Off}},
+		{"another generation", Position{Gen: gen + 1, Off: head.Off}},
+		{"offset past the end", Position{Gen: gen, Off: end + 1}},
+		{"offset inside a line", Position{Gen: gen, Off: head.Off - 1}},
+		{"offset inside the head", Position{Gen: gen, Off: 1}},
+		{"negative offset", Position{Gen: gen, Off: -1}},
+	} {
+		was := snaps.Value()
+		res, err := leader.Pull(0, tc.from)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if res.Snapshot == nil || res.Entries != nil || res.Pos != first.Pos || snaps.Value() != was+1 {
+			t.Errorf("%s: snapshot %v, %d entries, at %+v (want a catch-up at %+v)", tc.name, res.Snapshot != nil, len(res.Entries), res.Pos, first.Pos)
+		}
 	}
-	if _, ok, _ := rl.Since(14); ok {
-		t.Error("Since(14) should demand a snapshot: e15 was overwritten")
+
+	// A follower positioned before the kill reads on past the fragment.
+	res, err := leader.Pull(0, head)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Snapshot != nil || len(res.Entries) != 1 || res.Pos != first.Pos || skipped.Value() != 1 {
+		t.Fatalf("pull across the torn line: snapshot %v, entries %q, at %+v, %d skipped; want the one later line to %+v, 1 skipped",
+			res.Snapshot != nil, res.Entries, res.Pos, skipped.Value(), first.Pos)
+	}
+	f := followerOf(t, leader)
+	if err := f.SyncOnce(); err != nil {
+		t.Fatal(err)
+	}
+	f.SetPuller(func(peer string, idx int, from Position) (PullResult, error) {
+		return leader.Pull(idx, head)
+	}, DefaultPromoteAfter)
+	if err := f.SyncOnce(); err != nil || !f.CollExists("/home/later") || f.CollExists("/torn") {
+		t.Errorf("follower across the torn line: %v; /home/later %v, /torn %v", err, f.CollExists("/home/later"), f.CollExists("/torn"))
 	}
 }
 
-// A log with a boot-unique base numbers its first line base+1 and keeps
-// the ring arithmetic independent of that offset.
-func TestRepLogBaseThenWrap(t *testing.T) {
-	rl := NewRepLog(3)
-	rl.SetBase(1000)
-	rl.Since(1000) // a follower pulls: retention starts
-	for i := 1; i <= 5; i++ {
-		rl.Append([]byte(fmt.Sprintf("e%d", i)))
-	}
-	if rl.Head() != 1005 {
-		t.Fatalf("Head = %d, want 1005", rl.Head())
-	}
-	got, ok, _ := rl.Since(1002)
-	if !ok || len(got) != 3 || string(got[0]) != "e3" || string(got[2]) != "e5" {
-		t.Errorf("Since(1002) = %q ok=%v", got, ok)
-	}
-	if _, ok, _ := rl.Since(1001); ok {
-		t.Error("Since(1001) should demand a snapshot")
-	}
-}
-
-// Appends racing the pull that starts retention: from the snapshot the
-// reader is sent, the lines it pulls continue the sequence with no gap.
-func TestRepLogArmRacesAppend(t *testing.T) {
-	rl := NewRepLog(64)
-	const total = 5000
-	done := make(chan struct{})
+// Pulls racing appends and compactions: every catch-up is exact at the
+// position it is sent with, and the lines pulled from there continue it
+// with no gap, so the follower ends holding each triplet once.
+func TestPullRacesAppend(t *testing.T) {
+	leader := newTestRouter(t, 1)
+	seedGrid(t, leader)
+	f := followerOf(t, leader)
+	const total = 400
+	const path = "/home/alice/deep/f0.dat"
+	done := make(chan error)
 	go func() {
-		defer close(done)
-		for i := 1; i <= total; i++ {
-			rl.Append([]byte(fmt.Sprint(i)))
-		}
-	}()
-	var pos uint64
-	for pos < total {
-		lines, ok, _ := rl.Since(pos)
-		if !ok {
-			pos = rl.Head() // a snapshot holds everything up to the head
-			continue
-		}
-		for _, l := range lines {
-			pos++
-			if string(l) != fmt.Sprint(pos) {
-				t.Fatalf("line %q at sequence %d", l, pos)
+		var err error
+		for i := 0; i < total && err == nil; i++ {
+			err = leader.AddMeta(path, types.MetaUser, types.AVU{Name: "n", Value: fmt.Sprint(i)})
+			if i%97 == 0 && err == nil {
+				err = leader.Shard(0).Compact("")
 			}
 		}
+		done <- err
+	}()
+	for running := true; running; {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			running = false
+		default:
+		}
+		if err := f.SyncOnce(); err != nil {
+			t.Fatal(err)
+		}
 	}
-	<-done
+	if err := f.SyncOnce(); err != nil {
+		t.Fatal(err)
+	}
+	avus, err := f.GetMeta(path, types.MetaUser)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]int{}
+	for _, a := range avus {
+		seen[a.Value]++
+	}
+	for i := 0; i < total; i++ {
+		if n := seen[fmt.Sprint(i)]; n != 1 {
+			t.Errorf("triplet %d is on the follower %d times, want once", i, n)
+		}
+	}
 }
 
-// Until a shard's first pull its log copies no line, only counts them;
-// that pull is sent a snapshot without counting as a fallback, and the
-// next is incremental entries.
-func TestRepLogRetainsFromFirstPull(t *testing.T) {
-	leader := newTestRouter(t, 1)
+// A follower 10 000 lines behind a file-backed leader catches up from
+// the journal, a bounded reply at a time, with no catch-up.
+func TestFollowerCatchesUpFromJournal(t *testing.T) {
+	st, err := Open(testOpts(t.TempDir(), 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	leader := st.Router()
 	reg := obs.NewRegistry()
 	leader.SetMetrics(reg)
 	seedGrid(t, leader)
-	rl := leader.shards[0].rl
-	if rl.Head() == 0 || len(rl.ring) != 0 {
-		t.Fatalf("before any pull: head %d, %d lines retained; want a head and no lines", rl.Head(), len(rl.ring))
-	}
-	res, err := leader.Pull(0, 0)
-	if err != nil {
+	f := followerOf(t, leader)
+	if err := f.SyncOnce(); err != nil {
 		t.Fatal(err)
 	}
-	if res.Snapshot == nil || res.Seq != rl.Head() {
-		t.Fatalf("first pull of a written shard: snapshot %v at seq %d, want a snapshot at head %d", res.Snapshot != nil, res.Seq, rl.Head())
+	const behind = 10000
+	for i := 0; i < behind; i++ {
+		if err := leader.AddMeta("/projects/p1/f1.dat", types.MetaUser, types.AVU{Name: "n", Value: fmt.Sprint(i)}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if v := reg.Counter("mcat.shard.replog.fallback").Value(); v != 0 {
-		t.Errorf("fallback counter after the first pull = %d, want 0", v)
+	if size := leader.Shard(0).JournalPos().Off; size <= maxPullBytes {
+		t.Fatalf("%d lines are %d bytes, not past one reply's bound", behind, size)
 	}
-	if err := leader.MkColl("/home/after", "admin"); err != nil {
+	if err := f.SyncOnce(); err != nil {
 		t.Fatal(err)
 	}
-	next, err := leader.Pull(0, res.Seq)
-	if err != nil {
-		t.Fatal(err)
+	if v := reg.Counter("mcat.shard.pull.snapshots").Value(); v != 1 {
+		t.Errorf("%d catch-ups served, want only the first pull's", v)
 	}
-	if next.Snapshot != nil || len(next.Entries) != 1 || next.Seq != res.Seq+1 {
-		t.Errorf("second pull = %d entries (snapshot %v) to seq %d, want 1 entry to %d", len(next.Entries), next.Snapshot != nil, next.Seq, res.Seq+1)
+	if got, want := reg.Counter("mcat.shard.pull.entries").Value(), int64(behind); got != want {
+		t.Errorf("%d entries pulled, want %d", got, want)
 	}
-	if v := reg.Counter("mcat.shard.replog.fallback").Value(); v != 0 {
-		t.Errorf("fallback counter after the second pull = %d, want 0", v)
+	if got, want := journalForm(t, f.Shard(0)), journalForm(t, leader.Shard(0)); !reflect.DeepEqual(got, want) {
+		t.Error("the follower is not the leader after catching up from the journal")
 	}
 }
 
-// A promoted follower can serve pulls itself: a new follower of it
-// starts from a snapshot (its log retained nothing before that first
-// pull), then rides its entry stream.
+// A caught-up follower resumes where it was after its leader's store
+// closes and reopens: the journal's generation and offsets outlive the
+// process, so the leader serves it lines and no catch-up.
+func TestFollowerResumesAcrossLeaderRestart(t *testing.T) {
+	opt := testOpts(t.TempDir(), 2)
+	st, err := Open(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seedGrid(t, st.Router())
+	if err := st.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Router().MkColl("/home/before", "admin"); err != nil {
+		t.Fatal(err)
+	}
+	f := followerOf(t, st.Router())
+	if err := f.SyncOnce(); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	if st, err = Open(opt); err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	reg := obs.NewRegistry()
+	st.Router().SetMetrics(reg)
+	received := 0
+	f.SetPuller(func(peer string, idx int, from Position) (PullResult, error) {
+		res, err := st.Router().Pull(idx, from)
+		if res.Snapshot != nil {
+			received++
+		}
+		return res, err
+	}, DefaultPromoteAfter)
+	if err := st.Router().MkColl("/home/after", "admin"); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.SyncOnce(); err != nil {
+		t.Fatal(err)
+	}
+	if v := reg.Counter("mcat.shard.pull.snapshots").Value(); v != 0 || received != 0 {
+		t.Errorf("the restarted leader served %d catch-ups (the follower received %d), want 0", v, received)
+	}
+	if !f.CollExists("/home/before") || !f.CollExists("/home/after") {
+		t.Errorf("follower after the leader's restart: /home/before %v, /home/after %v", f.CollExists("/home/before"), f.CollExists("/home/after"))
+	}
+}
+
+// A promoted follower serves pulls from its own journal: a new
+// follower of it catches up once, then reads the promoted shard's lines.
 func TestPromotedFollowerServesPulls(t *testing.T) {
 	leader := newTestRouter(t, 1)
 	f := followerOf(t, leader)
-	// f pulls before the leader writes, so it replays the leader's lines.
 	if err := f.SyncOnce(); err != nil {
 		t.Fatal(err)
 	}
@@ -465,14 +601,8 @@ func TestPromotedFollowerServesPulls(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.Promote(0)
-	res, err := f.Pull(0, 0)
-	if err != nil {
-		t.Fatalf("promoted Pull: %v", err)
-	}
-	if len(res.Entries) == 0 && res.Snapshot == nil {
-		t.Error("promoted follower served an empty stream")
-	}
-	// A second-generation follower converges off the promoted one.
+	reg := obs.NewRegistry()
+	f.SetMetrics(reg)
 	g := followerOf(t, f)
 	if err := g.SyncOnce(); err != nil {
 		t.Fatal(err)
@@ -489,14 +619,17 @@ func TestPromotedFollowerServesPulls(t *testing.T) {
 	if !g.CollExists("/projects/p1/promoted") {
 		t.Error("the promoted leader's entry did not replicate")
 	}
+	if snaps, lines := reg.Counter("mcat.shard.pull.snapshots").Value(), reg.Counter("mcat.shard.pull.entries").Value(); snaps != 1 || lines != 1 {
+		t.Errorf("the promoted shard served %d catch-ups and %d lines, want 1 and 1", snaps, lines)
+	}
 }
 
 // A follower that caught up from a snapshot holds state no line of its
-// own log carries. Promoted, it must serve a new follower that snapshot
-// rather than an empty stream, or the new follower ends up empty.
+// own journal carries. Promoted, it must serve a new follower that
+// snapshot rather than an empty stream, or the new follower ends up
+// empty.
 func TestPromotedSnapshotFollowerServesPulls(t *testing.T) {
 	leader := newTestRouter(t, 1)
-	leader.shards[0].rl = NewRepLog(2)
 	seedGrid(t, leader)
 	f := followerOf(t, leader)
 	if err := f.SyncOnce(); err != nil {

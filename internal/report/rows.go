@@ -42,7 +42,7 @@ var All = []*Report{
 		Help: "background repair engine: queue backlog, worker health, job runs"},
 		nil, repairStatus, repairDoc),
 	define(Report{Name: "shards", Op: wire.OpShards,
-		Help: "catalog shards: role, replication position, staleness, entry counts, replication lag (entries/seconds)"},
+		Help: "catalog shards: role, replication position, staleness, entry counts, replication lag (bytes/seconds)"},
 		nil, shards, shardsDoc),
 	define(Report{Name: "heat", Op: wire.OpHeat, Text: true,
 		Help: "heat observatory: hot-key/hot-object top-K, per-shard replication lag, per-shard heat and its imbalance"},
@@ -352,7 +352,7 @@ func shards(env Env, _ struct{}) (wire.ShardsReply, error) {
 
 func shardsDoc(rep wire.ShardsReply, _ url.Values) (d Doc) {
 	t := table(fmt.Sprintf("server: %s (%d shard(s))", rep.Server, len(rep.Shards)),
-		"SHARD", "ROLE", "LEADER", "STALE", "APPLIED", "HEAD", "PULLFAILS", "REPLAG_N", "REPLAG_S",
+		"SHARD", "ROLE", "LEADER", "STALE", "APPLIED", "HEAD", "PULLFAILS", "REPLAG_B", "REPLAG_S",
 		"OBJECTS", "COLLS", "META", "LAST_SYNC")
 	for _, sh := range rep.Shards {
 		stale, last := "", ""
@@ -363,7 +363,7 @@ func shardsDoc(rep wire.ShardsReply, _ url.Values) (d Doc) {
 			last = sh.LastSync.Format(time.RFC3339)
 		}
 		t.row(sh.Shard, sh.Role, sh.Leader, stale, sh.Applied, sh.Head, sh.PullFails,
-			sh.ReplagEntries, fmt.Sprintf("%.0f", sh.ReplagSeconds),
+			sh.ReplagBytes, fmt.Sprintf("%.0f", sh.ReplagSeconds),
 			sh.Objects, sh.Collections, sh.MetaEntries, last)
 	}
 	return append(d, t)
@@ -413,9 +413,9 @@ func heatDoc(rep wire.HeatReply, _ url.Values) (d Doc) {
 		d = append(d, heatTable("hot objects", "OBJECT", rep.Objects))
 	}
 	if len(rep.Shards) > 0 {
-		t := table("shards:", "SHARD", "ROLE", "OBJECTS", "REPLAG_N", "REPLAG_S")
+		t := table("shards:", "SHARD", "ROLE", "OBJECTS", "REPLAG_B", "REPLAG_S")
 		for _, st := range rep.Shards {
-			t.row(st.Shard, st.Role, st.Objects, st.ReplagEntries, fmt.Sprintf("%.0f", st.ReplagSeconds))
+			t.row(st.Shard, st.Role, st.Objects, st.ReplagBytes, fmt.Sprintf("%.0f", st.ReplagSeconds))
 		}
 		d = append(d, t)
 	}

@@ -97,7 +97,7 @@ var fixedReplies = map[string]struct {
 		Server: "srb1",
 		Shards: []shard.Status{
 			{Shard: 0, Role: "leader", Applied: 10, Head: 10, Objects: 5, Collections: 2, MetaEntries: 7},
-			{Shard: 1, Role: "follower", Leader: "host:5544", Stale: true, Applied: 4, Head: 9, PullFails: 2, ReplagEntries: 5, ReplagSeconds: 12, LastSync: at},
+			{Shard: 1, Role: "follower", Leader: "host:5544", Stale: true, Applied: 4, Head: 9, PullFails: 2, ReplagBytes: 5, ReplagSeconds: 12, LastSync: at},
 		},
 	}},
 	"heat": {reply: wire.HeatReply{

@@ -554,13 +554,13 @@ func auditTail(c call, a wire.AuditArgs) ([]types.AuditRecord, error) {
 // administrators.
 func shardPull(c call, a wire.ShardPullArgs) (wire.ShardPullReply, error) {
 	rt, ok := c.b.Cat.(interface {
-		Pull(int, uint64) (shard.PullResult, error)
+		Pull(int, shard.Position) (shard.PullResult, error)
 	})
 	if !ok {
 		return wire.ShardPullReply{}, types.E("shardpull", "", types.ErrUnsupported)
 	}
-	res, err := rt.Pull(a.Shard, a.After)
-	return wire.ShardPullReply{Server: c.s.name, Entries: res.Entries, Snapshot: res.Snapshot, Seq: res.Seq}, err
+	res, err := rt.Pull(a.Shard, a.From)
+	return wire.ShardPullReply{Server: c.s.name, PullResult: res}, err
 }
 
 func bulkStat(c call, a wire.BulkStatArgs) (wire.BulkStatReply, error) {

@@ -117,9 +117,9 @@ const (
 	// OpShards reports the sharded catalog's per-shard status: role,
 	// replication lag, staleness and entry counts (`srb shards`).
 	OpShards = "shards"
-	// OpShardPull serves one shard's replication stream to a follower
-	// daemon: journal entries after a sequence number, or a full
-	// snapshot when the follower is too far behind. Peer/admin only.
+	// OpShardPull serves one shard's journal to a follower daemon from
+	// its position, or a snapshot when that position is not in the
+	// journal. Peer/admin only.
 	OpShardPull = "shardpull"
 	// OpHeat reports the heat observatory: top-K hot keys and objects,
 	// per-shard status with replication lag, and the per-shard heat join
@@ -610,21 +610,16 @@ type ShardsReply struct {
 	Shards []shard.Status
 }
 
-// ShardPullArgs asks the leader daemon for shard Shard's replication
-// entries after sequence After (0 = from the beginning).
+// ShardPullArgs asks the leader daemon for shard Shard's journal from From.
 type ShardPullArgs struct {
 	Shard int
-	After uint64
+	From  shard.Position
 }
 
-// ShardPullReply carries either the journal entries (After+1..Seq) or,
-// when the follower is behind the leader's retained log, a full
-// catalog snapshot positioned at Seq.
+// ShardPullReply carries one pull's journal lines or snapshot.
 type ShardPullReply struct {
-	Server   string
-	Entries  [][]byte `json:",omitempty"`
-	Snapshot []byte   `json:",omitempty"`
-	Seq      uint64
+	Server string
+	shard.PullResult
 }
 
 // HeatReply carries one server's heat observatory: the hot-key and
