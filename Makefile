@@ -111,11 +111,12 @@ build:
 test:
 	$(GO) test ./...
 
-# The suite under the race detector runs with the row canary on: a
+# The suite under the race detector runs with both canaries on: a
 # write into a catalog row a reader was handed panics with its path
-# (internal/mcat/canary.go).
+# (internal/mcat/canary.go), and a frame handed back to the pool is
+# poisoned, so a slice kept past it reads garbage (internal/wire/canary.go).
 race:
-	$(GO) test -race -tags rowcanary ./...
+	$(GO) test -race -tags rowcanary,framecanary ./...
 
 # Fault-injection sweep: the resilience and faultnet suites plus the
 # chaos end-to-end, repeated under -race to prove the fixed-seed fault

@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"io"
 	"os"
 	"strings"
@@ -129,15 +130,18 @@ func TestReportVerbs(t *testing.T) {
 	if _, err := alice.Stat("/home/a.txt"); err != nil {
 		t.Fatal(err)
 	}
-	id := alice.LastTrace()
+	id := alice.LastTrace().String()
 	if out := capture(t, alice, "trace", id); !strings.Contains(out, "trace "+id+": 1 spans") || !strings.Contains(out, "stat") {
 		t.Errorf("trace =\n%s", out)
 	}
 	if out := capture(t, alice, "why", id); !strings.Contains(out, "dispatch") {
 		t.Errorf("why =\n%s", out)
 	}
-	if err := run(alice, "trace", []string{"no-such-trace"}); err == nil || !strings.Contains(err.Error(), "not found") {
+	if err := run(alice, "trace", []string{"00000000000000ff"}); err == nil || !strings.Contains(err.Error(), "not found") {
 		t.Errorf("trace of an unknown id = %v, want not found", err)
+	}
+	if err := run(alice, "trace", []string{"no-such-trace"}); !errors.Is(err, types.ErrInvalid) {
+		t.Errorf("trace of a malformed id = %v, want invalid", err)
 	}
 	if err := run(alice, "top", []string{"-bogus"}); err == nil {
 		t.Error("top -bogus should fail")

@@ -92,7 +92,7 @@ func TestChaosPhaseAttribution(t *testing.T) {
 		}
 	}
 	id := cl.LastTrace()
-	if id == "" {
+	if id == 0 {
 		t.Fatal("client recorded no trace ID")
 	}
 

@@ -281,7 +281,7 @@ func TestChaosTraceSpanTree(t *testing.T) {
 		t.Fatal("get succeeded without retrying — outage not exercised")
 	}
 	id := cl.LastTrace()
-	if id == "" {
+	if id == 0 {
 		t.Fatal("client recorded no trace ID")
 	}
 
@@ -351,7 +351,7 @@ func TestChaosTraceSpanTree(t *testing.T) {
 	if u.BytesIn < int64(len(payload)) || u.BytesOut < int64(len(payload)) {
 		t.Errorf("usage bytes in/out = %d/%d, want >= %d each", u.BytesIn, u.BytesOut, len(payload))
 	}
-	if u.LastTrace == "" {
+	if u.LastTrace == 0 {
 		t.Error("usage entry carries no trace join key")
 	}
 

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"gosrb/internal/traceid"
 	"gosrb/internal/types"
 )
 
@@ -78,7 +79,7 @@ func (l *Log) Op(user, op, target string, ok bool, detail string) {
 
 // OpTraced records one operation outcome stamped with the request
 // trace ID, joining the audit trail to the trace stream.
-func (l *Log) OpTraced(trace, user, op, target string, ok bool, detail string) {
+func (l *Log) OpTraced(trace traceid.ID, user, op, target string, ok bool, detail string) {
 	l.Record(types.AuditRecord{User: user, Op: op, Target: target, OK: ok, Detail: detail, Trace: trace})
 }
 
@@ -103,7 +104,7 @@ type Filter struct {
 	User   string
 	Op     string
 	Target string
-	Trace  string
+	Trace  traceid.ID
 	Since  time.Time
 	Until  time.Time
 }
@@ -112,7 +113,7 @@ func (f Filter) matches(r types.AuditRecord) bool {
 	if f.User != "" && r.User != f.User {
 		return false
 	}
-	if f.Trace != "" && r.Trace != f.Trace {
+	if f.Trace != 0 && r.Trace != f.Trace {
 		return false
 	}
 	if f.Op != "" && r.Op != f.Op {

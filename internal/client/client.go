@@ -20,6 +20,7 @@ import (
 	"gosrb/internal/obs"
 	"gosrb/internal/resilience"
 	"gosrb/internal/storage"
+	"gosrb/internal/traceid"
 	"gosrb/internal/types"
 	"gosrb/internal/wire"
 )
@@ -63,7 +64,7 @@ type Client struct {
 	retries atomic.Int64
 	// lastTrace remembers the trace ID minted for the most recent
 	// logical call, so callers can fetch its span tree afterwards.
-	lastTrace string
+	lastTrace traceid.ID
 	// history, when set, receives one per-server transfer observation
 	// per logical call — the client-side feed of the peer observatory.
 	history *obs.PeerHistory
@@ -106,7 +107,7 @@ func DialWith(addr, user, password string, dialer func(addr string) (net.Conn, e
 // dialMux establishes and authenticates one pooled connection.
 func (cl *Client) dialMux(addr string) (*wire.Mux, error) {
 	start := time.Now()
-	defer func() { cl.phase("conn", obs.PhaseDial, time.Since(start), "") }()
+	defer func() { cl.phase("conn", obs.PhaseDial, time.Since(start), 0) }()
 	nc, err := cl.dial(addr)
 	if err != nil {
 		return nil, types.E("dial", addr, err)
@@ -156,7 +157,7 @@ func (cl *Client) SetMetrics(reg *obs.Registry) {
 
 // phase records one client-side latency phase (no-op without an
 // attached registry).
-func (cl *Client) phase(op, name string, d time.Duration, trace string) {
+func (cl *Client) phase(op, name string, d time.Duration, trace traceid.ID) {
 	reg := cl.metrics.Load()
 	if reg == nil {
 		return
@@ -296,7 +297,7 @@ func (cl *Client) Call(op string, args, out any) error {
 // response does not prove the mutation was lost — and a reply stream
 // that has reached the caller's writer ends the retries too.
 func (cl *Client) do(op string, args any, x *xfer, out any, ticket string) error {
-	trace := obs.NewTraceID()
+	trace := traceid.New()
 	cl.mu.Lock()
 	cl.lastTrace = trace
 	timeout, policy := cl.timeout, cl.retry
@@ -334,7 +335,7 @@ func (cl *Client) do(op string, args any, x *xfer, out any, ticket string) error
 }
 
 // callRedirect performs one attempt, following federation redirects.
-func (cl *Client) callRedirect(op string, args any, x *xfer, out any, ticket, trace string, attempt int, deadline time.Time) error {
+func (cl *Client) callRedirect(op string, args any, x *xfer, out any, ticket string, trace traceid.ID, attempt int, deadline time.Time) error {
 	addr := cl.Addr()
 	for redirects := 0; ; redirects++ {
 		redirect, err := cl.callOnce(addr, op, args, x, out, ticket, trace, attempt, deadline)
@@ -359,7 +360,7 @@ func (cl *Client) callRedirect(op string, args any, x *xfer, out any, ticket, tr
 	}
 }
 
-func (cl *Client) callOnce(addr, op string, args any, x *xfer, out any, ticket, trace string, attempt int, deadline time.Time) (*wire.Redirect, error) {
+func (cl *Client) callOnce(addr, op string, args any, x *xfer, out any, ticket string, trace traceid.ID, attempt int, deadline time.Time) (*wire.Redirect, error) {
 	serStart := time.Now()
 	// The arguments are copied into the request frame when it is written,
 	// before CallTo returns: a stack buffer holds them until then.
@@ -403,6 +404,9 @@ func (cl *Client) callOnce(addr, op string, args any, x *xfer, out any, ticket, 
 		return res.Redirect, nil
 	}
 	x.moved += res.SentLen + res.DataLen
+	// The body is decoded into out, which copies what it keeps; then the
+	// response's frame goes back to the pool.
+	defer res.Release()
 	if err := res.Check(op, false); err != nil {
 		return nil, err
 	}
@@ -861,7 +865,7 @@ func (cl *Client) Resources() ([]types.Resource, error) {
 
 // LastTrace returns the trace ID of the most recent logical call, the
 // handle the trace op (wire.OpTrace) takes for its span tree.
-func (cl *Client) LastTrace() string {
+func (cl *Client) LastTrace() traceid.ID {
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
 	return cl.lastTrace

@@ -50,7 +50,7 @@ func (fs *fakeServer) serve() {
 			c.WriteJSON(wire.MsgAuthOK, wire.AuthOK{Server: "fake"})
 			for {
 				var req wire.Request
-				if c.ReadRequest(&req) != nil {
+				if _, err := c.ReadRequest(&req); err != nil {
 					return
 				}
 				if fs.handle(c, &req) != nil {

@@ -101,7 +101,7 @@ func TestContainerOnLogicalResource(t *testing.T) {
 	// disk1 with an event of the given kind naming why.
 	getVia := func(name, kind, detail string) {
 		t.Helper()
-		sp := obs.StartSpan("", "get")
+		sp := obs.StartSpan(0, "get")
 		data, err := b.GetTraced("alice", "/home/m1", sp)
 		if err != nil || string(data) != "aligned" {
 			t.Fatalf("%s: get = %q, %v", name, data, err)

@@ -177,7 +177,7 @@ func TestGetHandleAccountsOnce(t *testing.T) {
 	}
 	key := shard.KeyOf(path)
 	keyBefore, objBefore := heat(reg.HeatKeys(), key), heat(reg.HeatObjects(), path)
-	sp := obs.StartSpan("", "get")
+	sp := obs.StartSpan(0, "get")
 	if data, err := b.GetTraced("alice", path, sp); err != nil || !bytes.Equal(data, payload) {
 		t.Fatalf("get = %q, %v", data, err)
 	}
@@ -242,7 +242,7 @@ func TestGetHandleAccountsOnce(t *testing.T) {
 		return n
 	}
 	opsBefore := peerOps()
-	sp = obs.StartSpan("", "get")
+	sp = obs.StartSpan(0, "get")
 	if data, err := b.GetTraced("alice", "/home/acct/member", sp); err != nil || !bytes.Equal(data, payload) {
 		t.Fatalf("member get = %q, %v", data, err)
 	}

@@ -82,7 +82,7 @@ var benchSpanSink *obs.Span
 // recorder cost) but GetTraced sees nil, so stamps and fold are off.
 func phaseBenchOp(br *core.Broker, i int, phased bool) error {
 	path := fmt.Sprintf("/d/f%03d", i%benchObjects)
-	sp := obs.StartSpan("", "get")
+	sp := obs.StartSpan(0, "get")
 	if !phased {
 		benchSpanSink = sp
 		_, err := br.GetTraced("admin", path, nil)

@@ -114,7 +114,7 @@ func (a *App) withSession(name string, h func(http.ResponseWriter, *http.Request
 	op := "web." + name
 	return func(w http.ResponseWriter, r *http.Request) {
 		reg := a.broker.Metrics()
-		sp := obs.StartSpan(obs.NewTraceID(), op)
+		sp := obs.StartSpan(0, op)
 		defer func() {
 			elapsed := sp.Elapsed()
 			reg.Op(op).Observe(elapsed, nil)

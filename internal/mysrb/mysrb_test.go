@@ -603,7 +603,7 @@ func TestGridPhaseTable(t *testing.T) {
 	// empty baseline first.
 	reg := r.broker.Metrics()
 	reg.CaptureRollup(time.Now().Add(-time.Second))
-	sp := obs.StartSpan("", "get")
+	sp := obs.StartSpan(0, "get")
 	sp.Phase(obs.PhaseQueueWait, 2*time.Millisecond)
 	sp.Phase(obs.PhaseStorageRead, 5*time.Millisecond)
 	sp.Phase(obs.PhaseDispatch, 6*time.Millisecond)

@@ -34,7 +34,7 @@ func testRecorder(t *testing.T, cfg IncidentConfig) *IncidentRecorder {
 // listable, retrievable bundle with the expected members.
 func TestIncidentCaptureBundle(t *testing.T) {
 	reg := NewRegistry()
-	sp := StartSpan("trace1", "server.get")
+	sp := StartSpan(1, "server.get")
 	sp.End(reg.Traces(), "srb-test", "", nil)
 	ir := testRecorder(t, IncidentConfig{
 		Registry: reg,

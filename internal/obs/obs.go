@@ -20,6 +20,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"gosrb/internal/traceid"
 )
 
 // Counter is a monotonically increasing atomic counter.
@@ -88,7 +90,7 @@ const histBuckets = 28
 // reader can never see a trace ID paired with another observation's
 // duration.
 type Exemplar struct {
-	TraceID string
+	TraceID traceid.ID
 	Micros  int64
 }
 
@@ -139,7 +141,7 @@ type BucketCount struct {
 // BucketExemplar is one bucket's retained tail exemplar in a snapshot.
 type BucketExemplar struct {
 	UpperMicros int64
-	TraceID     string
+	TraceID     traceid.ID
 	Micros      int64
 }
 
@@ -262,15 +264,15 @@ func (o *Op) Observe(d time.Duration, err error) {
 // ObserveTrace records one completed operation of duration d and, when
 // the duration clears the registry's exemplar threshold, retains trace
 // as the bucket's tail exemplar. An observation below the threshold (or
-// with an empty trace) never displaces a retained exemplar, so every
+// with no trace) never displaces a retained exemplar, so every
 // exemplar served on /metrics is guaranteed to be a genuine tail
 // sample.
-func (o *Op) ObserveTrace(d time.Duration, err error, trace string) {
+func (o *Op) ObserveTrace(d time.Duration, err error, trace traceid.ID) {
 	if o == nil {
 		return
 	}
 	o.Observe(d, err)
-	if trace == "" || o.exMin == nil {
+	if trace == 0 || o.exMin == nil {
 		return
 	}
 	us := d.Microseconds()

@@ -8,6 +8,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"gosrb/internal/traceid"
 )
 
 func TestCounterAndGauge(t *testing.T) {
@@ -147,27 +149,27 @@ func TestRegistrySnapshot(t *testing.T) {
 func TestTraceRingWraparound(t *testing.T) {
 	ring := NewTraceRing(4)
 	for i := 0; i < 10; i++ {
-		ring.Add(SpanRecord{Trace: fmt.Sprintf("t%d", i)})
+		ring.Add(SpanRecord{Trace: traceid.ID(i + 1)})
 	}
 	recs := ring.Recent(0)
 	if len(recs) != 4 {
 		t.Fatalf("len = %d", len(recs))
 	}
 	for i, r := range recs {
-		if want := fmt.Sprintf("t%d", 6+i); r.Trace != want {
-			t.Errorf("recs[%d] = %q, want %q", i, r.Trace, want)
+		if want := traceid.ID(7 + i); r.Trace != want {
+			t.Errorf("recs[%d] = %s, want %s", i, r.Trace, want)
 		}
 	}
-	if got := ring.Recent(2); len(got) != 2 || got[1].Trace != "t9" {
+	if got := ring.Recent(2); len(got) != 2 || got[1].Trace != 10 {
 		t.Errorf("Recent(2) = %v", got)
 	}
 }
 
 func TestSpanEndRecords(t *testing.T) {
 	ring := NewTraceRing(8)
-	sp := StartSpan("", "get")
-	if sp.Trace == "" || len(sp.Trace) != 16 {
-		t.Fatalf("trace id = %q", sp.Trace)
+	sp := StartSpan(0, "get")
+	if sp.Trace == 0 {
+		t.Fatal("no trace ID minted")
 	}
 	sp.End(ring, "srb1", "1.2.3.4:5", errors.New("denied"))
 	// A propagated span keeps the incoming ID.
@@ -192,11 +194,11 @@ func TestSpanEndRecords(t *testing.T) {
 }
 
 func TestTraceIDsUnique(t *testing.T) {
-	seen := make(map[string]bool)
+	seen := make(map[traceid.ID]bool)
 	for i := 0; i < 1000; i++ {
-		id := NewTraceID()
-		if seen[id] {
-			t.Fatalf("duplicate trace id %q", id)
+		id := StartSpan(0, "get").Trace
+		if id == 0 || seen[id] {
+			t.Fatalf("duplicate or zero trace id %s", id)
 		}
 		seen[id] = true
 	}
@@ -240,7 +242,7 @@ func TestRegistryConcurrency(t *testing.T) {
 				r.Counter("c").Inc()
 				r.Op(fmt.Sprintf("op%d", i%4)).Observe(time.Duration(i)*time.Microsecond, nil)
 				r.Gauge("g").Set(int64(i))
-				r.Traces().Add(SpanRecord{Trace: NewTraceID()})
+				r.Traces().Add(SpanRecord{Trace: traceid.New()})
 				if i%100 == 0 {
 					r.Snapshot()
 				}

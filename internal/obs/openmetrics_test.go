@@ -28,11 +28,12 @@ func TestOpenMetricsScrape(t *testing.T) {
 	reg.Counter("wire.pool.dialed").Add(3)
 	reg.Gauge("server.pipeline.inflight").Set(2)
 	op := reg.Op("phase.server.get.dispatch")
-	op.ObserveTrace(200*time.Microsecond, nil, "fast-no-exemplar")
-	op.ObserveTrace(1500*time.Microsecond, nil, "tail-a")
-	op.ObserveTrace(9*time.Millisecond, nil, "tail-b")
+	const fast, tailA, tailB, tailInf = 0xf, 0xa, 0xb, 0x1f
+	op.ObserveTrace(200*time.Microsecond, nil, fast)
+	op.ObserveTrace(1500*time.Microsecond, nil, tailA)
+	op.ObserveTrace(9*time.Millisecond, nil, tailB)
 	// Beyond the last finite bucket: this exemplar must ride +Inf.
-	op.ObserveTrace(200*time.Second, nil, "tail-inf")
+	op.ObserveTrace(200*time.Second, nil, tailInf)
 	reg.Op("server.get").Observe(2*time.Millisecond, nil)
 
 	var b strings.Builder
@@ -164,14 +165,14 @@ func TestOpenMetricsScrape(t *testing.T) {
 	// histogram, the over-range trace on +Inf, and no exemplar for the
 	// below-threshold observation.
 	for _, want := range []string{
-		`trace_id="tail-a"`, `trace_id="tail-b"`,
-		`srb_phase_server_get_dispatch_duration_seconds_bucket{le="+Inf"} 4 # {trace_id="tail-inf"}`,
+		`trace_id="000000000000000a"`, `trace_id="000000000000000b"`,
+		`srb_phase_server_get_dispatch_duration_seconds_bucket{le="+Inf"} 4 # {trace_id="000000000000001f"}`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("stream missing %q:\n%s", want, out)
 		}
 	}
-	if strings.Contains(out, "fast-no-exemplar") {
+	if strings.Contains(out, `trace_id="000000000000000f"`) {
 		t.Error("below-threshold observation leaked an exemplar")
 	}
 }

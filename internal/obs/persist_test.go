@@ -1,11 +1,14 @@
 package obs
 
 import (
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
 	"testing"
 	"time"
+
+	"gosrb/internal/traceid"
 )
 
 // TestTelemetryRestoreWindowAt proves the tentpole property: after a
@@ -35,7 +38,7 @@ func TestTelemetryRestoreWindowAt(t *testing.T) {
 	}
 	reg.Op("server.get").Observe(16*time.Millisecond, errors.New("boom"))
 	reg.CaptureRollup(now.Add(-1 * time.Minute))
-	reg.Usage().Record("curator", "/home/curator", "t1", "get", false, 0, 4096, time.Millisecond)
+	reg.Usage().Record("curator", "/home/curator", 1, "get", false, 0, 4096, time.Millisecond)
 	reg.Peers().Record("srb2", "", 3*time.Millisecond, 1<<20, false)
 	if err := ts.Flush(reg, nil, now); err != nil {
 		t.Fatal(err)
@@ -288,5 +291,66 @@ func TestTelemetryCompactionDedup(t *testing.T) {
 	}
 	if len(snap4.Rollups) == 0 || len(snap4.Rollups) >= n {
 		t.Fatalf("retention compaction kept %d of %d rollups, want a proper subset", len(snap4.Rollups), n)
+	}
+}
+
+// TestParentFormatTraceIDs reads trace IDs as every flight-recorder file
+// and JSON surface has always written them — 16 hex digits in a string —
+// into the integer IDs, and writes them back byte for byte: a journal's
+// usage line, a span record (the trace ring in an incident bundle, the
+// trace feed) and a histogram exemplar.
+func TestParentFormatTraceIDs(t *testing.T) {
+	const id = traceid.ID(0x89de7592be0f3b8c)
+	dir := t.TempDir()
+	usage := `{"Usage":[{"User":"alice","Collection":"/home","Ops":1,"Errors":0,"BytesIn":0,"BytesOut":5,"TotalMicros":90,"LastTrace":"89de7592be0f3b8c","LastOp":"get"}]}` + "\n"
+	if err := os.WriteFile(filepath.Join(dir, "telemetry.journal"), []byte(usage), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ts, err := OpenTelemetryStore(dir, "srb1", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := NewRegistry()
+	if _, err := ts.Restore(reg); err != nil {
+		t.Fatal(err)
+	}
+	ts.Close(nil, nil, time.Now())
+	if u := reg.Usage().Snapshot(); len(u) != 1 || u[0].LastTrace != id {
+		t.Fatalf("restored usage = %+v, want LastTrace %s", u, id)
+	}
+
+	for _, c := range []struct {
+		line string
+		v    any
+	}{
+		{`{"User":"alice","Collection":"/home","Ops":1,"Errors":0,"BytesIn":0,"BytesOut":5,"TotalMicros":90,"LastTrace":"89de7592be0f3b8c","LastOp":"get"}`,
+			new(UsageStat)},
+		{`{"Trace":"89de7592be0f3b8c","Span":"3f7b193ba7bfca65","Op":"get","Server":"srb1","Start":"2002-07-24T09:00:00Z","Micros":250}`,
+			new(SpanRecord)},
+		{`{"Trace":"89de7592be0f3b8c","Span":"0000000000000002","Parent":"3f7b193ba7bfca65","Op":"get","Start":"2002-07-24T09:00:00Z","Micros":250,"Err":"offline"}`,
+			new(SpanRecord)},
+		{`{"UpperMicros":2048,"TraceID":"89de7592be0f3b8c","Micros":1500}`, new(BucketExemplar)},
+	} {
+		if err := json.Unmarshal([]byte(c.line), c.v); err != nil {
+			t.Fatalf("%s: %v", c.line, err)
+		}
+		var trace traceid.ID
+		switch v := c.v.(type) {
+		case *UsageStat:
+			trace = v.LastTrace
+		case *SpanRecord:
+			trace = v.Trace
+			if v.Span == 0 {
+				t.Errorf("%s: span ID lost", c.line)
+			}
+		case *BucketExemplar:
+			trace = v.TraceID
+		}
+		if trace != id {
+			t.Errorf("%s: trace read as %s", c.line, trace)
+		}
+		if back, err := json.Marshal(c.v); err != nil || string(back) != c.line {
+			t.Errorf("%s written back as %s, %v", c.line, back, err)
+		}
 	}
 }

@@ -6,6 +6,8 @@ import (
 	"sort"
 	"strings"
 	"time"
+
+	"gosrb/internal/traceid"
 )
 
 // Latency decomposition: every request's wall time is partitioned into
@@ -58,7 +60,7 @@ const PhasePrefix = "phase."
 // per-op×per-phase histogram ops, tagging each observation with the
 // trace ID so tail buckets retain joinable exemplars. Call once per
 // request, after the handler has recorded its phases.
-func (r *Registry) RecordPhases(family, op, trace string, events []SpanEvent) {
+func (r *Registry) RecordPhases(family, op string, trace traceid.ID, events []SpanEvent) {
 	if r == nil {
 		return
 	}

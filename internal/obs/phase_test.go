@@ -1,17 +1,18 @@
 package obs
 
 import (
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"gosrb/internal/traceid"
 )
 
 // TestExemplarConcurrency is the tear-detector: many writers hammer one
 // op with traced observations whose trace ID encodes the observed
-// duration ("t-<us>"), while readers snapshot continuously. If a bucket
+// duration in microseconds, while readers snapshot continuously. If a bucket
 // could ever pair one observation's trace ID with another's duration,
 // the encoding check fails. Run under -race with -count (make
 // test-phases runs it 10x).
@@ -28,9 +29,9 @@ func TestExemplarConcurrency(t *testing.T) {
 
 	checkSnapshot := func(s HistSnapshot) {
 		for _, ex := range s.Exemplars {
-			want := "t-" + strconv.FormatInt(ex.Micros, 10)
-			if ex.TraceID != want {
-				t.Errorf("torn exemplar: trace %q paired with %dus (want %s)", ex.TraceID, ex.Micros, want)
+			// Each observation's trace ID is its duration in microseconds.
+			if want := traceid.ID(ex.Micros); ex.TraceID != want {
+				t.Errorf("torn exemplar: trace %s paired with %dus (want %s)", ex.TraceID, ex.Micros, want)
 			}
 			if ex.Micros < threshold.Microseconds() {
 				t.Errorf("exemplar below threshold: %dus < %dus", ex.Micros, threshold.Microseconds())
@@ -64,7 +65,7 @@ func TestExemplarConcurrency(t *testing.T) {
 				// 100us threshold so the filter path races too.
 				us := int64(50 + (seed*perWriter+i)%770)
 				d := time.Duration(us) * time.Microsecond
-				op.ObserveTrace(d, nil, "t-"+strconv.FormatInt(us, 10))
+				op.ObserveTrace(d, nil, traceid.ID(us))
 			}
 		}(w)
 	}
@@ -93,32 +94,33 @@ func TestExemplarThreshold(t *testing.T) {
 	}
 
 	op := reg.Op("phase.server.get.dispatch")
-	op.ObserveTrace(999*time.Microsecond, nil, "below")
+	const below, at, tiny, orphan = 0xb, 0xa, 0x7, 0x0f
+	op.ObserveTrace(999*time.Microsecond, nil, below)
 	if n := len(op.Snapshot().Exemplars); n != 0 {
 		t.Fatalf("below-threshold observation retained %d exemplar(s)", n)
 	}
-	op.ObserveTrace(1000*time.Microsecond, nil, "at")
+	op.ObserveTrace(1000*time.Microsecond, nil, at)
 	exs := op.Snapshot().Exemplars
-	if len(exs) != 1 || exs[0].TraceID != "at" || exs[0].Micros != 1000 {
+	if len(exs) != 1 || exs[0].TraceID != at || exs[0].Micros != 1000 {
 		t.Fatalf("at-threshold exemplar = %+v, want [at 1000us]", exs)
 	}
 	// An untraced slow observation must not displace the retained one.
-	op.ObserveTrace(1100*time.Microsecond, nil, "")
-	if exs := op.Snapshot().Exemplars; len(exs) != 1 || exs[0].TraceID != "at" {
+	op.ObserveTrace(1100*time.Microsecond, nil, 0)
+	if exs := op.Snapshot().Exemplars; len(exs) != 1 || exs[0].TraceID != at {
 		t.Fatalf("untraced observation displaced exemplar: %+v", exs)
 	}
 
 	zero := NewRegistry()
 	zero.SetExemplarThreshold(0)
 	fast := zero.Op("phase.client.get.serialize")
-	fast.ObserveTrace(3*time.Microsecond, nil, "tiny")
-	if exs := fast.Snapshot().Exemplars; len(exs) != 1 || exs[0].TraceID != "tiny" {
+	fast.ObserveTrace(3*time.Microsecond, nil, tiny)
+	if exs := fast.Snapshot().Exemplars; len(exs) != 1 || exs[0].TraceID != tiny {
 		t.Fatalf("zero threshold did not retain: %+v", exs)
 	}
 
 	// Ops outside a registry (zero value) must never retain.
 	var bare Op
-	bare.ObserveTrace(time.Second, nil, "orphan")
+	bare.ObserveTrace(time.Second, nil, orphan)
 	if exs := bare.Snapshot().Exemplars; len(exs) != 0 {
 		t.Fatalf("registry-less op retained exemplars: %+v", exs)
 	}
@@ -131,7 +133,7 @@ func TestRecordPhases(t *testing.T) {
 	reg := NewRegistry()
 	reg.SetExemplarThreshold(0)
 
-	sp := StartSpan("", "get")
+	sp := StartSpan(0, "get")
 	sp.Phase(PhaseQueueWait, 2*time.Millisecond)
 	sp.Phase(PhaseMCATLookup, 300*time.Microsecond)
 	sp.Phase(PhaseStorageRead, 5*time.Millisecond)
@@ -206,7 +208,7 @@ func TestPhaseRows(t *testing.T) {
 // instrumentation gap shows the unattributed remainder.
 func TestWaterfall(t *testing.T) {
 	full := SpanRecord{
-		Trace: "abc", Span: "s1", Op: "get", Server: "srb1", Micros: 1000,
+		Trace: 0xabc, Span: 1, Op: "get", Server: "srb1", Micros: 1000,
 		Events: []SpanEvent{
 			{Kind: EventPhase, Detail: PhaseQueueWait, DurMicros: 200},
 			{Kind: EventPhase, Detail: PhaseDispatch, DurMicros: 800},
@@ -236,7 +238,7 @@ func TestWaterfall(t *testing.T) {
 	}
 
 	gappy := SpanRecord{
-		Trace: "abc", Span: "s2", Op: "put", Server: "srb1", Micros: 1000,
+		Trace: 0xabc, Span: 2, Op: "put", Server: "srb1", Micros: 1000,
 		Events: []SpanEvent{{Kind: EventPhase, Detail: PhaseDispatch, DurMicros: 600}},
 	}
 	b.Reset()
@@ -255,7 +257,7 @@ func TestPhasesRideWindows(t *testing.T) {
 	reg := NewRegistry()
 	base := time.Now()
 	reg.CaptureRollup(base) // empty baseline: the window diffs against it
-	sp := StartSpan("", "get")
+	sp := StartSpan(0, "get")
 	sp.Phase(PhaseQueueWait, time.Millisecond)
 	sp.Phase(PhaseDispatch, 4*time.Millisecond)
 	reg.RecordPhases("server", "get", sp.Trace, sp.Events())

@@ -133,7 +133,7 @@ func writeExposition(w io.Writer, s Snapshot, om bool) error {
 // bucket with the given upper bound, or "" when none is retained.
 func exemplarSuffix(ex map[int64]BucketExemplar, upperMicros int64) string {
 	e, ok := ex[upperMicros]
-	if !ok || e.TraceID == "" {
+	if !ok || e.TraceID == 0 {
 		return ""
 	}
 	return fmt.Sprintf(" # {trace_id=%q} %s", e.TraceID, formatFloat(float64(e.Micros)/1e6))

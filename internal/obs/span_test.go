@@ -8,6 +8,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"gosrb/internal/traceid"
 )
 
 // TestTraceRingConcurrentWraparound hammers one small ring from many
@@ -23,7 +25,7 @@ func TestTraceRingConcurrentWraparound(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			trace := NewTraceID()
+			trace := traceid.New()
 			for i := 0; i < perWriter; i++ {
 				sp := StartSpan(trace, "op")
 				sp.Event(EventRetry, "contended")
@@ -45,7 +47,7 @@ func TestTraceRingConcurrentWraparound(t *testing.T) {
 			t.Errorf("record events = %+v, want one retry", rec.Events)
 		}
 	}
-	if got := ring.ForTrace("no-such-trace"); got != nil {
+	if got := ring.ForTrace(1); got != nil {
 		t.Errorf("ForTrace(miss) = %v, want nil", got)
 	}
 }
@@ -55,13 +57,13 @@ func TestTraceRingConcurrentWraparound(t *testing.T) {
 // wraps, and it must copy into its preallocated slot.
 func TestTraceRingAddAllocatesNothing(t *testing.T) {
 	ring := NewTraceRing(8)
-	rec := SpanRecord{Trace: "t", Span: "s", Op: "get", Server: "srb1", Start: time.Now()}
+	rec := SpanRecord{Trace: 1, Span: 2, Op: "get", Server: "srb1", Start: time.Now()}
 	if n := testing.AllocsPerRun(100, func() { ring.Add(rec) }); n != 0 {
 		t.Errorf("TraceRing.Add allocates %.1f objects per call, want 0", n)
 	}
 	var off *TraceRing
 	off.Add(rec)
-	if off.Recent(0) != nil || off.ForTrace("t") != nil {
+	if off.Recent(0) != nil || off.ForTrace(1) != nil {
 		t.Error("a nil ring retained a record")
 	}
 }
@@ -73,21 +75,22 @@ func TestTraceRingAddAllocatesNothing(t *testing.T) {
 // vanishing.
 func TestAssembleTreeLateChild(t *testing.T) {
 	base := time.Now()
+	const a, b, c, zz = 0xa, 0xb, 0xc, 0xff
 	recs := []SpanRecord{
-		{Trace: "t1", Span: "a", Op: "get", Server: "srb1", Start: base},
+		{Trace: 1, Span: a, Op: "get", Server: "srb1", Start: base},
 		// Child arrives after the parent was already in the set.
-		{Trace: "t1", Span: "b", Parent: "a", Op: "get", Server: "srb2", Start: base.Add(time.Millisecond)},
-		// Orphan: parent "zz" is in no ring we fetched.
-		{Trace: "t1", Span: "c", Parent: "zz", Op: "readrange", Server: "srb3", Start: base.Add(2 * time.Millisecond)},
+		{Trace: 1, Span: b, Parent: a, Op: "get", Server: "srb2", Start: base.Add(time.Millisecond)},
+		// Orphan: parent zz is in no ring we fetched.
+		{Trace: 1, Span: c, Parent: zz, Op: "readrange", Server: "srb3", Start: base.Add(2 * time.Millisecond)},
 	}
 	roots := AssembleTree(recs)
 	if len(roots) != 2 {
 		t.Fatalf("got %d roots, want 2 (tree root + orphan)", len(roots))
 	}
-	if roots[0].Span != "a" || len(roots[0].Children) != 1 || roots[0].Children[0].Span != "b" {
+	if roots[0].Span != a || len(roots[0].Children) != 1 || roots[0].Children[0].Span != b {
 		t.Fatalf("first root = %s with %d children, want a->[b]", roots[0].Span, len(roots[0].Children))
 	}
-	if roots[1].Span != "c" {
+	if roots[1].Span != c {
 		t.Fatalf("orphan root = %s, want c", roots[1].Span)
 	}
 
@@ -96,12 +99,13 @@ func TestAssembleTreeLateChild(t *testing.T) {
 		t.Fatal(err)
 	}
 	text := out.String()
-	if !strings.Contains(text, "get [srb1]") || !strings.Contains(text, "  get [srb2]") {
+	if !strings.Contains(text, "get [srb1]") || !strings.Contains(text, "  get [srb2]") ||
+		!strings.Contains(text, "span=000000000000000b") {
 		t.Errorf("rendered tree misses parent/indented child:\n%s", text)
 	}
 
 	// Pre-span-tree records (no span ID) render as standalone roots.
-	anon := AssembleTree([]SpanRecord{{Trace: "t2", Op: "stat", Start: base}})
+	anon := AssembleTree([]SpanRecord{{Trace: 2, Op: "stat", Start: base}})
 	if len(anon) != 1 || anon[0].Op != "stat" {
 		t.Fatalf("anonymous record should be its own root, got %+v", anon)
 	}
@@ -112,16 +116,17 @@ func TestAssembleTreeLateChild(t *testing.T) {
 func TestSpanEvents(t *testing.T) {
 	var nilSpan *Span
 	nilSpan.Event(EventFailover, "ignored") // must not panic
-	if nilSpan.TraceID() != "" || nilSpan.SpanID() != "" || nilSpan.Events() != nil {
+	if nilSpan.TraceID() != 0 || nilSpan.SpanID() != 0 || nilSpan.Events() != nil {
 		t.Error("nil span accessors should be zero-valued")
 	}
 
-	sp := StartSpanFrom("", "parent-id", "get")
-	if sp.Trace == "" {
+	const parent = 0x9a
+	sp := StartSpanFrom(0, parent, "get")
+	if sp.Trace == 0 {
 		t.Error("StartSpanFrom must mint a trace ID when given none")
 	}
-	if sp.Parent != "parent-id" {
-		t.Errorf("parent = %q", sp.Parent)
+	if sp.Parent != parent {
+		t.Errorf("parent = %s", sp.Parent)
 	}
 	sp.Event(EventBreakerTrip, "resource.disk1")
 	sp.Event(EventFailover, "replica 1 on disk2")
@@ -133,26 +138,39 @@ func TestSpanEvents(t *testing.T) {
 	ring := NewTraceRing(4)
 	sp.End(ring, "srb1", "1.2.3.4", nil)
 	got := ring.ForTrace(sp.Trace)
-	if len(got) != 1 || len(got[0].Events) != 2 || got[0].Parent != "parent-id" {
+	if len(got) != 1 || len(got[0].Events) != 2 || got[0].Parent != parent {
 		t.Fatalf("ended record = %+v", got)
 	}
 }
 
-// TestIDFormat holds the trace- and span-ID format: 16 lower-case hex
-// digits, exactly what fmt's %016x writes.
+// TestIDFormat holds the trace- and span-ID format every surface prints:
+// 16 lower-case hex digits, exactly what fmt's %016x writes, and nothing
+// for the zero ID (no trace), as an absent ID always printed.
 func TestIDFormat(t *testing.T) {
-	vals := []uint64{0, 1, 1 << 63, math.MaxUint64}
+	vals := []uint64{1, 1 << 63, math.MaxUint64}
 	for i := 0; i < 1000; i++ {
-		vals = append(vals, rand.Uint64())
+		vals = append(vals, rand.Uint64()|1)
 	}
 	for _, v := range vals {
-		if got, want := hexID(v), fmt.Sprintf("%016x", v); got != want {
-			t.Fatalf("hexID(%d) = %q, want %q", v, got, want)
+		id := traceid.ID(v)
+		want := fmt.Sprintf("%016x", v)
+		if got := id.String(); got != want {
+			t.Fatalf("ID(%d).String() = %q, want %q", v, got, want)
+		}
+		if got, _ := id.MarshalText(); string(got) != want {
+			t.Fatalf("ID(%d).MarshalText() = %q, want %q", v, got, want)
+		}
+		if back, err := traceid.Parse(want); err != nil || back != id {
+			t.Fatalf("Parse(%q) = %d, %v; want %d", want, back, err, v)
 		}
 	}
-	for _, id := range []string{NewTraceID(), NewSpanID()} {
-		if len(id) != 16 || strings.Trim(id, "0123456789abcdef") != "" {
-			t.Errorf("ID %q is not 16 lower-case hex digits", id)
+	if s := traceid.ID(0).String(); s != "" {
+		t.Errorf("the zero ID prints %q, want nothing", s)
+	}
+	sp := StartSpan(0, "get")
+	for _, id := range []traceid.ID{sp.Trace, sp.ID} {
+		if s := id.String(); len(s) != 16 || strings.Trim(s, "0123456789abcdef") != "" {
+			t.Errorf("ID %q is not 16 lower-case hex digits", s)
 		}
 	}
 }
@@ -161,9 +179,10 @@ func TestIDFormat(t *testing.T) {
 // records past its inline events in order, End hands back the one copy
 // the ring record holds, and opening it costs only its ID.
 func TestSpanOpenInPlace(t *testing.T) {
+	const trace, parent = 0x71, 0x9a
 	var sp Span
-	sp.Open("trace-1", "parent-1", "get")
-	if sp.Trace != "trace-1" || sp.Parent != "parent-1" || sp.Op != "get" || len(sp.ID) != 16 {
+	sp.Open(trace, parent, "get")
+	if sp.Trace != trace || sp.Parent != parent || sp.Op != "get" || sp.ID == 0 {
 		t.Fatalf("opened span = %+v", &sp)
 	}
 	for i := 0; i < 12; i++ {
@@ -179,21 +198,21 @@ func TestSpanOpenInPlace(t *testing.T) {
 			t.Fatalf("event %d = %+v", i, ev)
 		}
 	}
-	rec := ring.ForTrace("trace-1")
+	rec := ring.ForTrace(trace)
 	if len(rec) != 1 || &rec[0].Events[0] != &evs[0] {
 		t.Fatal("End's events are not the ring record's")
 	}
 	sp.Phase("late", time.Microsecond)
-	if len(evs) != 12 || evs[11].Detail != "p11" || len(ring.ForTrace("trace-1")[0].Events) != 12 {
+	if len(evs) != 12 || evs[11].Detail != "p11" || len(ring.ForTrace(trace)[0].Events) != 12 {
 		t.Error("a phase after End changed the ended record")
 	}
 
-	if n := testing.AllocsPerRun(100, func() { _ = NewTraceID() }); n != 1 {
-		t.Errorf("NewTraceID allocates %.1f objects, want 1", n)
-	}
 	var held Span
-	if n := testing.AllocsPerRun(100, func() { held.Open("trace-1", "", "get") }); n != 1 {
-		t.Errorf("Open on a held span allocates %.1f objects, want 1 (its ID)", n)
+	if n := testing.AllocsPerRun(100, func() { held.Open(trace, 0, "get") }); n != 0 {
+		t.Errorf("Open on a held span allocates %.1f objects, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { held.Open(0, 0, "get") }); n != 0 {
+		t.Errorf("Open minting a trace allocates %.1f objects, want 0", n)
 	}
 }
 
@@ -201,11 +220,12 @@ func TestSpanOpenInPlace(t *testing.T) {
 // no-op, and the bounded-cardinality fold to "(other)".
 func TestUsageTable(t *testing.T) {
 	u := NewUsageTable()
-	u.Record("", "/home", "t0", "get", false, 0, 10, time.Millisecond) // anonymous: dropped
-	u.Record("alice", "/home", "t1", "get", false, 0, 100, time.Millisecond)
-	u.Record("alice", "/home", "t2", "get", true, 0, 0, time.Millisecond)
-	u.Record("alice", "", "t3", "opstats", false, 0, 0, time.Millisecond)
-	u.Record("bob", "/data", "t4", "ingest", false, 500, 0, 2*time.Millisecond)
+	u.Record("", "/home", 10, "get", false, 0, 10, time.Millisecond) // anonymous: dropped
+	u.Record("alice", "/home", 1, "get", false, 0, 100, time.Millisecond)
+	u.Record("alice", "/home", 2, "get", true, 0, 0, time.Millisecond)
+	u.Record("alice", "", 3, "opstats", false, 0, 0, time.Millisecond)
+	u.Record("alice", "/home", 0, "get", false, 0, 0, time.Millisecond) // no trace: keeps the last
+	u.Record("bob", "/data", 4, "ingest", false, 500, 0, 2*time.Millisecond)
 
 	snap := u.Snapshot()
 	if len(snap) != 3 {
@@ -216,11 +236,11 @@ func TestUsageTable(t *testing.T) {
 		t.Errorf("entry 0 = %+v", snap[0])
 	}
 	home := snap[1]
-	if home.Collection != "/home" || home.Ops != 2 || home.Errors != 1 || home.BytesOut != 100 {
+	if home.Collection != "/home" || home.Ops != 3 || home.Errors != 1 || home.BytesOut != 100 {
 		t.Errorf("alice /home = %+v", home)
 	}
-	if home.LastTrace != "t2" || home.LastOp != "get" {
-		t.Errorf("last trace/op = %s/%s, want t2/get", home.LastTrace, home.LastOp)
+	if home.LastTrace != 2 || home.LastOp != "get" {
+		t.Errorf("last trace/op = %s/%s, want 0000000000000002/get", home.LastTrace, home.LastOp)
 	}
 	if snap[2].User != "bob" || snap[2].BytesIn != 500 {
 		t.Errorf("bob = %+v", snap[2])
@@ -228,7 +248,7 @@ func TestUsageTable(t *testing.T) {
 
 	// Blow past the cardinality bound: overflow folds per-user.
 	for i := 0; i < maxUsageKeys+10; i++ {
-		u.Record("carol", "/c/"+NewSpanID(), "t", "get", false, 0, 1, time.Microsecond)
+		u.Record("carol", "/c/"+traceid.New().String(), 5, "get", false, 0, 1, time.Microsecond)
 	}
 	var folded *UsageStat
 	for _, e := range u.Snapshot() {

@@ -33,14 +33,14 @@ func TestTableRecordAllocs(t *testing.T) {
 	reg := NewRegistry()
 
 	u := reg.Usage()
-	u.Record("alice", "/home", "t", "get", false, 1, 1, d)
-	check("usage, held key", 0, func() { u.Record("alice", "/home", "t", "get", false, 1, 1, d) })
-	check("usage, new key", 1, func() { u.Record("alice", key(), "t", "get", false, 1, 1, d) })
+	u.Record("alice", "/home", 1, "get", false, 1, 1, d)
+	check("usage, held key", 0, func() { u.Record("alice", "/home", 1, "get", false, 1, 1, d) })
+	check("usage, new key", 1, func() { u.Record("alice", key(), 1, "get", false, 1, 1, d) })
 	for n := len(u.Snapshot()); n < maxUsageKeys; n++ {
-		u.Record("bob", key(), "t", "get", false, 1, 1, d)
+		u.Record("bob", key(), 1, "get", false, 1, 1, d)
 	}
-	u.Record("alice", key(), "t", "get", false, 1, 1, d) // makes alice's (other) row
-	check("usage, full table", 0, func() { u.Record("alice", key(), "t", "get", false, 1, 1, d) })
+	u.Record("alice", key(), 1, "get", false, 1, 1, d) // makes alice's (other) row
+	check("usage, full table", 0, func() { u.Record("alice", key(), 1, "get", false, 1, 1, d) })
 
 	p := reg.Peers()
 	p.Record("srb2", "", d, 1, false)
@@ -125,9 +125,9 @@ func TestPeerObservatory(t *testing.T) {
 // its own Snapshot, snapshots the same rows.
 func TestTableSnapshotRestore(t *testing.T) {
 	reg := NewRegistry()
-	reg.Usage().Record("alice", "/home/alice", "t1", "get", false, 0, 4096, time.Millisecond)
-	reg.Usage().Record("alice", "", "t2", "stat", true, 0, 0, time.Microsecond)
-	reg.Usage().Record("bob", "/data", "t3", "ingest", false, 1<<20, 0, 3*time.Millisecond)
+	reg.Usage().Record("alice", "/home/alice", 1, "get", false, 0, 4096, time.Millisecond)
+	reg.Usage().Record("alice", "", 2, "stat", true, 0, 0, time.Microsecond)
+	reg.Usage().Record("bob", "/data", 3, "ingest", false, 1<<20, 0, 3*time.Millisecond)
 	reg.Peers().Record("srb2", "", 3*time.Millisecond, 1<<20, false)
 	reg.Peers().Record("srb2", "", 40*time.Millisecond, 0, true)
 	reg.Peers().Record("", "disk1", 200*time.Microsecond, 4096, false)

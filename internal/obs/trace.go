@@ -3,30 +3,12 @@ package obs
 import (
 	"fmt"
 	"io"
-	"math/rand/v2"
 	"sort"
 	"sync"
 	"time"
+
+	"gosrb/internal/traceid"
 )
-
-// NewTraceID returns a fresh 16-hex-digit request trace ID. IDs only
-// need to be unique among recent requests, so a fast PRNG suffices.
-func NewTraceID() string { return hexID(rand.Uint64()) }
-
-// NewSpanID returns a fresh 16-hex-digit span ID, unique within a
-// trace with overwhelming probability.
-func NewSpanID() string { return hexID(rand.Uint64()) }
-
-// hexID formats v as fmt's %016x does, in one allocation (the string).
-func hexID(v uint64) string {
-	const digits = "0123456789abcdef"
-	var b [16]byte
-	for i := len(b) - 1; i >= 0; i-- {
-		b[i] = digits[v&0xf]
-		v >>= 4
-	}
-	return string(b[:])
-}
 
 // SpanEvent is one structured annotation inside a span: a retry, a
 // breaker trip or fast-fail, a replica failover, a cache hit, a
@@ -66,9 +48,9 @@ const (
 // are held inline until there are more than fit, and copied once, by
 // End, into the ring record. A Span is not copied once opened.
 type Span struct {
-	Trace  string
-	ID     string
-	Parent string
+	Trace  traceid.ID
+	ID     traceid.ID
+	Parent traceid.ID
 	Op     string
 	Start  time.Time
 
@@ -80,13 +62,13 @@ type Span struct {
 }
 
 // StartSpan opens a root span under trace, minting a fresh trace ID
-// when trace is empty (i.e. this server originates the request).
-func StartSpan(trace, op string) *Span { return StartSpanFrom(trace, "", op) }
+// when trace is zero (i.e. this server originates the request).
+func StartSpan(trace traceid.ID, op string) *Span { return StartSpanFrom(trace, 0, op) }
 
 // StartSpanFrom opens a span under trace whose parent is the given
-// span ID (empty parent = root). A fresh trace ID is minted when trace
-// is empty.
-func StartSpanFrom(trace, parent, op string) *Span {
+// span ID (zero parent = root). A fresh trace ID is minted when trace
+// is zero.
+func StartSpanFrom(trace, parent traceid.ID, op string) *Span {
 	s := new(Span)
 	s.Open(trace, parent, op)
 	return s
@@ -94,26 +76,26 @@ func StartSpanFrom(trace, parent, op string) *Span {
 
 // Open starts s in place as StartSpanFrom starts a new span. s must not
 // be in use: Open is for a span held by value, opened once.
-func (s *Span) Open(trace, parent, op string) {
-	if trace == "" {
-		trace = NewTraceID()
+func (s *Span) Open(trace, parent traceid.ID, op string) {
+	if trace == 0 {
+		trace = traceid.New()
 	}
-	s.Trace, s.ID, s.Parent, s.Op, s.Start = trace, NewSpanID(), parent, op, time.Now()
+	s.Trace, s.ID, s.Parent, s.Op, s.Start = trace, traceid.New(), parent, op, time.Now()
 	s.events = s.buf[:0]
 }
 
-// TraceID returns the span's trace ID ("" for a nil span).
-func (s *Span) TraceID() string {
+// TraceID returns the span's trace ID (zero for a nil span).
+func (s *Span) TraceID() traceid.ID {
 	if s == nil {
-		return ""
+		return 0
 	}
 	return s.Trace
 }
 
-// SpanID returns the span's own ID ("" for a nil span).
-func (s *Span) SpanID() string {
+// SpanID returns the span's own ID (zero for a nil span).
+func (s *Span) SpanID() traceid.ID {
 	if s == nil {
-		return ""
+		return 0
 	}
 	return s.ID
 }
@@ -172,9 +154,9 @@ func (s *Span) Elapsed() time.Duration {
 
 // SpanRecord is one finished span as held by a TraceRing.
 type SpanRecord struct {
-	Trace  string
-	Span   string `json:",omitempty"`
-	Parent string `json:",omitempty"`
+	Trace  traceid.ID
+	Span   traceid.ID `json:",omitempty"`
+	Parent traceid.ID `json:",omitempty"`
 	Op     string
 	Server string `json:",omitempty"`
 	Remote string `json:",omitempty"`
@@ -204,8 +186,8 @@ func (t *TraceRing) Add(rec SpanRecord) { t.r().add(rec) }
 func (t *TraceRing) Recent(n int) []SpanRecord { return t.r().recent(n) }
 
 // ForTrace returns every retained span of one trace, oldest first.
-func (t *TraceRing) ForTrace(id string) []SpanRecord {
-	if t == nil || id == "" {
+func (t *TraceRing) ForTrace(id traceid.ID) []SpanRecord {
+	if t == nil || id == 0 {
 		return nil
 	}
 	t.mu.Lock()
@@ -264,11 +246,11 @@ type SpanNode struct {
 // children from federation peers never vanish. Roots and children are
 // ordered by start time.
 func AssembleTree(recs []SpanRecord) []*SpanNode {
-	nodes := make(map[string]*SpanNode, len(recs))
+	nodes := make(map[traceid.ID]*SpanNode, len(recs))
 	var anon []*SpanNode // spans without IDs (pre-span-tree records)
 	for i := range recs {
 		n := &SpanNode{SpanRecord: recs[i]}
-		if n.Span == "" {
+		if n.Span == 0 {
 			anon = append(anon, n)
 			continue
 		}
@@ -276,7 +258,7 @@ func AssembleTree(recs []SpanRecord) []*SpanNode {
 	}
 	var roots []*SpanNode
 	for _, n := range nodes {
-		if n.Parent != "" {
+		if n.Parent != 0 {
 			if p, ok := nodes[n.Parent]; ok && p != n {
 				p.Children = append(p.Children, n)
 				continue

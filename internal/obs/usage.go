@@ -1,6 +1,11 @@
 package obs
 
-import "time"
+import (
+	"encoding/json"
+	"time"
+
+	"gosrb/internal/traceid"
+)
 
 // UsageStat is the accumulated account for one (user, collection)
 // pair: how many operations that principal ran against that part of
@@ -17,8 +22,26 @@ type UsageStat struct {
 	BytesIn     int64
 	BytesOut    int64
 	TotalMicros int64
-	LastTrace   string `json:",omitempty"`
-	LastOp      string `json:",omitempty"`
+	LastTrace   traceid.ID `json:",omitempty"`
+	LastOp      string     `json:",omitempty"`
+}
+
+// UnmarshalJSON reads a row back from a flight-recorder file or a usage
+// reply. A LastTrace that is not an ID — a file written when a trace ID
+// was whatever string the client sent — reads as no trace: the row keeps
+// the rest, where a strict decode would cost the whole file.
+func (u *UsageStat) UnmarshalJSON(b []byte) error {
+	type plain UsageStat
+	var row struct {
+		plain
+		LastTrace string
+	}
+	if err := json.Unmarshal(b, &row); err != nil {
+		return err
+	}
+	*u = UsageStat(row.plain)
+	u.LastTrace, _ = traceid.Parse(row.LastTrace)
+	return nil
 }
 
 // usageKey identifies one accounting bucket.
@@ -45,7 +68,7 @@ func NewUsageTable() *UsageTable {
 }
 
 // Record accounts one completed operation to (user, collection).
-func (u *UsageTable) Record(user, coll, trace, op string, failed bool, bytesIn, bytesOut int64, d time.Duration) {
+func (u *UsageTable) Record(user, coll string, trace traceid.ID, op string, failed bool, bytesIn, bytesOut int64, d time.Duration) {
 	if u == nil || user == "" {
 		return
 	}
@@ -75,7 +98,7 @@ func (u *UsageTable) Record(user, coll, trace, op string, failed bool, bytesIn, 
 	st.BytesIn += bytesIn
 	st.BytesOut += bytesOut
 	st.TotalMicros += d.Microseconds()
-	if trace != "" {
+	if trace != 0 {
 		st.LastTrace = trace
 	}
 	if op != "" {

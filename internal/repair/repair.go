@@ -314,7 +314,7 @@ func (e *Engine) rateWait() {
 // target resource's breaker.
 func (e *Engine) runTask(t types.RepairTask) {
 	start := time.Now()
-	sp := obs.StartSpan("", "repair.task")
+	sp := obs.StartSpan(0, "repair.task")
 	var br *resilience.Breaker
 	if e.cfg.Breakers != nil {
 		br = e.cfg.Breakers.For("resource", t.Resource)
@@ -380,7 +380,7 @@ func (e *Engine) schedule(j *job) {
 // runJob executes one job iteration under a span and its obs op.
 func (e *Engine) runJob(j *job) error {
 	start := time.Now()
-	sp := obs.StartSpan("", "repair.job."+j.name)
+	sp := obs.StartSpan(0, "repair.job."+j.name)
 	err := j.fn(sp)
 	j.op.Done(start, err)
 	sp.End(e.cfg.Metrics.Traces(), e.cfg.Server, "", err)

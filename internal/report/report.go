@@ -14,6 +14,7 @@ import (
 
 	"gosrb/internal/core"
 	"gosrb/internal/obs"
+	"gosrb/internal/traceid"
 	"gosrb/internal/types"
 	"gosrb/internal/wire"
 )
@@ -40,7 +41,7 @@ type Env struct {
 // flagged unreachable, and simply contributes no spans.
 type Zone interface {
 	GridMembers(window time.Duration) []wire.GridMember
-	TraceSpans(id string) []obs.SpanRecord
+	TraceSpans(id traceid.ID) []obs.SpanRecord
 }
 
 // Caller performs one wire call (client.Client.Call).

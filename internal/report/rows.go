@@ -9,6 +9,7 @@ import (
 
 	"gosrb/internal/mcat/shard"
 	"gosrb/internal/obs"
+	"gosrb/internal/traceid"
 	"gosrb/internal/types"
 	"gosrb/internal/wire"
 )
@@ -176,12 +177,22 @@ func usageDoc(rep wire.UsageReply, _ url.Values) (d Doc) {
 	return append(d, t)
 }
 
-func traceArgs(p url.Values) (wire.TraceArgs, error) { return wire.TraceArgs{ID: p.Get("id")}, nil }
+// traceArgs reads the trace ID a person gave — `srb trace`, `srb why`,
+// the admin /trace/{id} route — through traceid.Parse, refusing a
+// malformed one as invalid. The empty string is no ID, which trace
+// refuses.
+func traceArgs(p url.Values) (wire.TraceArgs, error) {
+	id, err := traceid.Parse(p.Get("id"))
+	if err != nil {
+		return wire.TraceArgs{}, types.E("trace", "", fmt.Errorf("%w: %w", err, types.ErrInvalid))
+	}
+	return wire.TraceArgs{ID: id}, nil
+}
 
 // trace collects every retained span of one trace: this daemon's ring
 // and, through the zone, each peer's.
 func trace(env Env, a wire.TraceArgs) (wire.TraceReply, error) {
-	if a.ID == "" {
+	if a.ID == 0 {
 		return wire.TraceReply{}, types.E("trace", "", types.ErrInvalid)
 	}
 	spans := env.Broker.Metrics().Traces().ForTrace(a.ID)

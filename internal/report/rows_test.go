@@ -34,7 +34,7 @@ var fixedReplies = map[string]struct {
 				"server.get": {Count: 3, Errors: 1, HistSnapshot: obs.HistSnapshot{P50Micros: 120.5, P90Micros: 400, P99Micros: 900.25}},
 				"idle":       {},
 			},
-			Traces: []obs.SpanRecord{{Trace: "t1", Op: "get", Server: "srb1", Micros: 250, Err: "offline"}},
+			Traces: []obs.SpanRecord{{Trace: 0xc0ffee, Op: "get", Server: "srb1", Micros: 250, Err: "offline"}},
 		},
 		PeerPool:   &wire.PoolStats{Conns: 2, Idle: 1, Dialed: 3},
 		ClientPool: &wire.PoolStats{Conns: 1, Idle: 1, Dialed: 1},
@@ -78,13 +78,13 @@ var fixedReplies = map[string]struct {
 		Peers:  []obs.PeerStat{{Peer: "srb2", Ops: 12, Errors: 1, Bytes: 1 << 20, EWMALatMicros: 10500, EWMABytesPerSec: 2.5e6, SuccessPct: 91.7}},
 	}},
 	"pool": {reply: PoolReply{Server: "srb1", PeerPool: wire.PoolStats{Conns: 2, Idle: 1, Dialed: 3, Evicted: 1}}},
-	"trace": {params: url.Values{"id": {"t1"}}, reply: wire.TraceReply{
+	"trace": {params: url.Values{"id": {"0000000000c0ffee"}}, reply: wire.TraceReply{
 		Server: "srb1",
-		Spans:  []obs.SpanRecord{{Trace: "t1", Span: "a", Op: "get", Server: "srb1", Start: at, Micros: 250}},
+		Spans:  []obs.SpanRecord{{Trace: 0xc0ffee, Span: 0xa, Op: "get", Server: "srb1", Start: at, Micros: 250}},
 	}},
 	"usage": {reply: wire.UsageReply{
 		Server:  "srb1",
-		Entries: []obs.UsageStat{{User: "alice", Collection: "/home", Ops: 4, Errors: 1, BytesIn: 10, BytesOut: 2048, TotalMicros: 6000, LastOp: "get", LastTrace: "t1"}},
+		Entries: []obs.UsageStat{{User: "alice", Collection: "/home", Ops: 4, Errors: 1, BytesIn: 10, BytesOut: 2048, TotalMicros: 6000, LastOp: "get", LastTrace: 0xc0ffee}},
 	}},
 	"repair": {reply: wire.RepairStatusReply{
 		Server: "srb1", Enabled: true,

@@ -90,7 +90,7 @@ func NewAdminHandler(env report.Env) http.Handler {
 		rp, q := report.Lookup("trace"), r.URL.Query()
 		q.Set("id", strings.TrimPrefix(r.URL.Path, "/trace/"))
 		rep, err := rp.Produce(env, q)
-		if tr, ok := rep.(wire.TraceReply); ok && len(tr.Spans) == 0 {
+		if tr, ok := rep.(wire.TraceReply); ok && err == nil && len(tr.Spans) == 0 {
 			err = types.E("trace", q.Get("id"), fmt.Errorf("ring may have wrapped: %w", types.ErrNotFound))
 		}
 		writeReport(w, rp, q, rep, err)

@@ -14,13 +14,15 @@ import (
 
 // TestRoundTripAllocBudget holds what one small request costs in heap
 // objects, client and server together, over loopback: a Stat, a 5-byte
-// Get, and what a query's cost may grow by with its hits. The budgets are
-// absolute and measured — what this test read once the catalog handed
-// out its stored rows uncopied and a request's header and args strings
-// each came from one copy; before that it read 19 and 19 (22 and 25
-// before a Get looked its object up once, and 32 and 38 before the
-// per-RPC envelope came to one allocation per request). One more object
-// per request on the path every RPC takes fails here by name.
+// Get, a 5-byte Put of a new object, and what a query's cost may grow by
+// with its hits. The budgets are absolute and measured — what this test
+// read once trace and span IDs were integers until printed and a frame
+// read into a pooled buffer; before that it read 16, 18 and 52 (19 and 19
+// before the catalog handed out its stored rows uncopied and a request's
+// header and args strings each came from one copy, 22 and 25 before a Get
+// looked its object up once, and 32 and 38 before the per-RPC envelope
+// came to one allocation per request). One more object per request on
+// the path every RPC takes fails here by name.
 func TestRoundTripAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own account")
@@ -39,6 +41,20 @@ func TestRoundTripAllocBudget(t *testing.T) {
 		if data, err := cl.Get("/home/x"); err != nil || string(data) != "hello" {
 			t.Fatalf("get = %q, %v", data, err)
 		}
+	}
+	// A put ingests a new object each time; the paths are made up front,
+	// so the test's own formatting is not counted.
+	const puts = 2000 + 200 + 1
+	paths := make([]string, puts)
+	for i := range paths {
+		paths[i] = fmt.Sprintf("/home/p%04d", i)
+	}
+	next := 0
+	put := func() {
+		if _, err := cl.Put(paths[next], []byte("hello"), client.PutOpts{Resource: "d1"}); err != nil {
+			t.Fatal(err)
+		}
+		next++
 	}
 	// A query pays per answer, not per hit: its hits' two Select columns
 	// come in slabs, so 64 hits cost at most perAnswer objects more than
@@ -67,6 +83,7 @@ func TestRoundTripAllocBudget(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		stat()
 		get()
+		put()
 		query(64)()
 	}
 	for _, c := range []struct {
@@ -74,8 +91,9 @@ func TestRoundTripAllocBudget(t *testing.T) {
 		op     func()
 		budget float64
 	}{
-		{"stat", stat, 16},
-		{"get", get, 18},
+		{"stat", stat, 11},
+		{"get", get, 13},
+		{"put", put, 47},
 	} {
 		if got := testing.AllocsPerRun(2000, c.op); got > c.budget {
 			t.Errorf("%s round trip: %.0f heap objects, budget %.0f", c.name, got, c.budget)

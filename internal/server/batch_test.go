@@ -455,7 +455,7 @@ func fakeOwner(nc net.Conn, answer func(c *wire.Conn, req *wire.Request) error) 
 	}
 	for {
 		var req wire.Request
-		if c.ReadRequest(&req) != nil || answer(c, &req) != nil {
+		if _, err := c.ReadRequest(&req); err != nil || answer(c, &req) != nil {
 			return
 		}
 	}

@@ -17,6 +17,7 @@ import (
 	"gosrb/internal/obs"
 	"gosrb/internal/report"
 	"gosrb/internal/storage"
+	"gosrb/internal/traceid"
 	"gosrb/internal/types"
 	"gosrb/internal/wire"
 )
@@ -38,8 +39,11 @@ import (
 // and data frames before it.
 func (s *Server) dispatch(ss *session) error {
 	req := &ss.req
-	if req.Trace == "" {
-		req.Trace = obs.NewTraceID()
+	// The request's frame goes back to the pool when dispatch ends: the
+	// handler decoded req.Args, copying what it keeps, long before.
+	defer ss.releaseFrame()
+	if req.Trace == 0 {
+		req.Trace = traceid.New()
 	}
 	// The request's time budget starts counting here; federation hops
 	// forward only what remains of it.

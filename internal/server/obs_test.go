@@ -10,12 +10,13 @@ import (
 	"gosrb/internal/audit"
 	"gosrb/internal/client"
 	"gosrb/internal/obs"
+	"gosrb/internal/traceid"
 	"gosrb/internal/wire"
 )
 
 // traceIDs collects the trace IDs recorded for op on one server.
-func traceIDs(s *Server, op string) map[string]bool {
-	out := make(map[string]bool)
+func traceIDs(s *Server, op string) map[traceid.ID]bool {
+	out := make(map[traceid.ID]bool)
 	for _, rec := range s.broker.Metrics().Traces().Recent(0) {
 		if rec.Op == op {
 			out[rec.Trace] = true

@@ -35,6 +35,7 @@ import (
 	"gosrb/internal/obs"
 	"gosrb/internal/report"
 	"gosrb/internal/resilience"
+	"gosrb/internal/traceid"
 	"gosrb/internal/types"
 	"gosrb/internal/wire"
 )
@@ -325,9 +326,12 @@ type session struct {
 	// w is the conn's mutex-serialized reply writer.
 	w *connWriter
 	// req is the request, decoded into the session by the reader loop;
-	// reqID is its correlation ID, echoed on every response.
+	// reqID is its correlation ID, echoed on every response. frame is the
+	// request's frame, which req.Args is a slice of, lent by the pool
+	// until dispatch ends (releaseFrame).
 	req   wire.Request
 	reqID uint64
+	frame *[]byte
 	// in is the request's inbound bulk-data stream (nil when the op
 	// carries none). The handler reads it straight off the connection
 	// while the conn's reader loop waits on inDone; dispatch drains what
@@ -381,6 +385,13 @@ func (ss *session) fork() *session {
 		user: ss.user, peer: ss.peer, isPeer: ss.isPeer,
 		remote: ss.remote, w: ss.w,
 	}
+}
+
+// releaseFrame hands the request's frame back to the pool; req.Args
+// goes with it.
+func (ss *session) releaseFrame() {
+	wire.PutFrame(ss.frame)
+	ss.frame, ss.req.Args = nil, nil
 }
 
 // expired reports whether the request's budget has run out.
@@ -545,9 +556,11 @@ func (s *Server) handleConn(nc net.Conn) error {
 	for {
 		ss := base.fork()
 		req := &ss.req
-		if err := c.ReadRequest(req); err != nil {
+		frame, err := c.ReadRequest(req)
+		if err != nil {
 			return err
 		}
+		ss.frame = frame
 		ss.reqID = req.ID
 		if wire.StreamsIn(req.Op) {
 			// The op's bulk data sits between this request and the next.
@@ -560,6 +573,7 @@ func (s *Server) handleConn(nc net.Conn) error {
 			// Every request carries the ID its response is matched by; one
 			// without is malformed and is refused before any handler runs.
 			ss.finishInbound()
+			ss.releaseFrame()
 			resp := wire.ErrResponse(types.E(req.Op, "", fmt.Errorf("request without an ID: %w", types.ErrInvalid)))
 			base.w.mu.Lock()
 			err := base.w.write(func(c *wire.Conn) error { return c.WriteResponse(&resp) })
@@ -736,11 +750,13 @@ type relay struct {
 	begun bool
 }
 
-// Begin keeps the peer's header for the client (wire.Sink).
+// Begin keeps the peer's header for the client (wire.Sink). The body is
+// copied: an empty stream writes the client's header only after the peer
+// call has returned and released the frame resp.Body is a slice of.
 func (r *relay) Begin(resp *wire.Response) (io.Writer, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.body = resp.Body
+	r.body = bytes.Clone(resp.Body)
 	return r, nil
 }
 
@@ -953,17 +969,25 @@ func (s *Server) dialPeerMux(addr string) (*wire.Mux, error) {
 
 // roundTrip is one call on the checked-out conn: req, then the stream
 // data when the op sends one (a relayed ingest), and a reply whose data
-// stream goes into sink when the op returns one.
+// stream goes into sink when the op returns one. It returns the reply's
+// body, except to a sink, whose Begin has had it.
 func (p *peerConn) roundTrip(req *wire.Request, data io.Reader, sink wire.Sink) ([]byte, error) {
 	res, err := p.m.CallTo(req, data, sink, p.deadline)
 	if err != nil {
 		return nil, err
 	}
+	defer res.Release()
 	if err := res.Check(req.Op, sink != nil); err != nil {
 		return nil, err
 	}
 	p.bytes += res.SentLen + res.DataLen
-	return res.Resp.Body, nil
+	if sink != nil {
+		return nil, nil
+	}
+	// The body outlives the reply's frame (a proxied reply is relayed
+	// with rawReply after the call returns), so it is copied before the
+	// frame goes back.
+	return bytes.Clone(res.Resp.Body), nil
 }
 
 // parseLockKind maps wire lock names.
@@ -1014,7 +1038,7 @@ func (s *Server) peerNames() []string {
 // queries are best-effort (an unreachable peer just contributes
 // nothing) and are sent without a trace ID, span or budget of their
 // own, so fetching a trace never pollutes the trace being fetched.
-func (z reach) TraceSpans(id string) []obs.SpanRecord {
+func (z reach) TraceSpans(id traceid.ID) []obs.SpanRecord {
 	var spans []obs.SpanRecord
 	args, _ := wire.AppendBody(nil, wire.TraceArgs{ID: id})
 	for _, pn := range z.s.peerNames() {

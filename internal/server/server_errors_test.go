@@ -71,7 +71,7 @@ func readResp(c *wire.Conn, resp *wire.Response) error {
 	if typ != wire.MsgResponse {
 		return fmt.Errorf("frame type %d, want a response", typ)
 	}
-	return wire.DecodeResponse(payload, resp)
+	return wire.DecodeResponse(*payload, resp)
 }
 
 func TestPeerRequestNeedsOnBehalf(t *testing.T) {

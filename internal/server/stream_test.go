@@ -453,9 +453,11 @@ func TestRequestWithoutIDIsRefused(t *testing.T) {
 	c := rawConn(t, addr, "alice", "alicepw")
 	go func() {
 		c.WriteRequest(statReq(t, 0, "/home"))
-		// ID 0 spelled out byte by byte: no encoder writes it.
-		c.WriteMsg(wire.MsgRequest, append([]byte{0, 4, 's', 't', 'a', 't', 0, 0, 0, 0, 0, 0},
-			mustArgs(t, wire.PathArgs{Path: "/home"})...))
+		// ID 0 spelled out byte by byte: no encoder writes it. Then the op,
+		// empty OnBehalf and Ticket, 8-byte zero Trace and Span, and zero
+		// Attempt and TimeoutMillis.
+		hdr := append([]byte{0, 4, 's', 't', 'a', 't', 0, 0}, make([]byte, 16)...)
+		c.WriteMsg(wire.MsgRequest, append(append(hdr, 0, 0), mustArgs(t, wire.PathArgs{Path: "/home"})...))
 		if c.WriteRequest(ingestReq(t, 0, "/home/noid", "disk1")) == nil && c.SendData(bytes.NewReader(body)) == nil {
 			c.WriteRequest(statReq(t, 5, "/home/noid"))
 		}
@@ -841,6 +843,28 @@ func TestProxiedGetPeerDrop(t *testing.T) {
 	inj.Target("peer").Clear()
 	if sum, err := get(); err != nil || sum != want {
 		t.Fatalf("client's own retry after the aborted stream: %v", err)
+	}
+}
+
+// TestProxiedGetEmptyObject: a proxied get of a 0-byte object relays no
+// data chunk, so srb1 writes the client's header only after the peer
+// call has returned and handed its reply frame back to the pool. The
+// header must still carry the peer's reply intact (under -tags
+// framecanary a released frame reads as poison), on every repeat and
+// whether the client reads into memory or into a writer.
+func TestProxiedGetEmptyObject(t *testing.T) {
+	z := newZone(t, Proxy)
+	seedRemote(z, "/home/empty", nil)
+	cl := z.client(z.addr1, "alice", "alicepw")
+	oneShot(cl)
+	for i := 0; i < 5; i++ {
+		if data, err := cl.Get("/home/empty"); err != nil || len(data) != 0 {
+			t.Fatalf("proxied get %d of an empty object = %q, %v", i, data, err)
+		}
+		var buf bytes.Buffer
+		if n, err := cl.GetTo("/home/empty", &buf); err != nil || n != 0 || buf.Len() != 0 {
+			t.Fatalf("proxied GetTo %d of an empty object = %d (%d bytes), %v", i, n, buf.Len(), err)
+		}
 	}
 }
 

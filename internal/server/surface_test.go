@@ -162,7 +162,7 @@ func TestReportSurfaces(t *testing.T) {
 	if _, err := cl.Get("/home/a.txt"); err != nil {
 		t.Fatal(err)
 	}
-	traceID := cl.LastTrace()
+	traceID := cl.LastTrace().String()
 	if _, err := cl.Stat("/home/nope"); err == nil {
 		t.Fatal("stat of a missing path succeeded")
 	}

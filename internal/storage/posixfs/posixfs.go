@@ -18,6 +18,9 @@ import (
 // FS is a storage.Driver rooted at a host directory.
 type FS struct {
 	root string
+	// prefix is root ending in one separator: every host path resolve
+	// returns is prefix and then a relative path.
+	prefix string
 }
 
 // New returns a driver rooted at dir, creating it if needed.
@@ -29,14 +32,19 @@ func New(dir string) (*FS, error) {
 	if err != nil {
 		return nil, types.E("posixfs", dir, err)
 	}
-	return &FS{root: abs}, nil
+	return &FS{root: abs, prefix: strings.TrimSuffix(abs, string(os.PathSeparator)) + string(os.PathSeparator)}, nil
 }
 
 // Root returns the host directory backing the store.
 func (f *FS) Root() string { return f.root }
 
 // resolve maps a logical physical-path to a host path under root,
-// refusing escapes.
+// refusing a NUL, the root itself and any escape from it. CleanPath
+// leaves an absolute path with no "." or ".." element and no doubled
+// slash, so the host path is prefix and the cleaned path after its
+// leading slash, built in one allocation. Where the separator is not
+// '/', a name holding one would make new elements, ".." among them: the
+// host path would then not be clean, and is refused.
 func (f *FS) resolve(p string) (string, error) {
 	if strings.Contains(p, "\x00") {
 		return "", types.E("path", p, types.ErrInvalid)
@@ -45,8 +53,8 @@ func (f *FS) resolve(p string) (string, error) {
 	if c == "/" {
 		return "", types.E("path", p, types.ErrInvalid)
 	}
-	host := filepath.Join(f.root, filepath.FromSlash(strings.TrimPrefix(c, "/")))
-	if !strings.HasPrefix(host, f.root+string(os.PathSeparator)) {
+	host := f.prefix + filepath.FromSlash(c[1:])
+	if filepath.Clean(host) != host {
 		return "", types.E("path", p, types.ErrInvalid)
 	}
 	return host, nil

@@ -149,3 +149,46 @@ func TestRootAccessor(t *testing.T) {
 		t.Error("write under a file should fail")
 	}
 }
+
+// TestResolve holds the host path every logical path maps to: a NUL, the
+// root itself and every spelling of it are refused as invalid; traversal
+// is cleaned back inside the root; anything else lands under the root.
+// It costs one allocation, the host path.
+func TestResolve(t *testing.T) {
+	d, err := New(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	root := d.Root()
+	for _, c := range []struct {
+		path string
+		want string // "" = refused as invalid
+	}{
+		{"", ""},
+		{"/", ""},
+		{"//", ""},
+		{"/.", ""},
+		{"/..", ""},
+		{"/a/..", ""},
+		{"/../..", ""},
+		{"/a\x00b", ""},
+		{"\x00", ""},
+		{"/a/b", filepath.Join(root, "a", "b")},
+		{"a/b", filepath.Join(root, "a", "b")},
+		{"/a//b/", filepath.Join(root, "a", "b")},
+		{"/a/./b/../c", filepath.Join(root, "a", "c")},
+		{"/../../etc/passwd", filepath.Join(root, "etc", "passwd")},
+		{"/..x/y..", filepath.Join(root, "..x", "y..")},
+	} {
+		got, err := d.resolve(c.path)
+		switch {
+		case c.want == "" && !errors.Is(err, types.ErrInvalid):
+			t.Errorf("resolve(%q) = %q, %v; want invalid", c.path, got, err)
+		case c.want != "" && (err != nil || got != c.want):
+			t.Errorf("resolve(%q) = %q, %v; want %q", c.path, got, err, c.want)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { d.resolve("/c000/o00000.dat") }); n != 1 {
+		t.Errorf("resolve allocates %.1f objects, want 1 (the host path)", n)
+	}
+}

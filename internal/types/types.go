@@ -15,6 +15,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"gosrb/internal/traceid"
 )
 
 // ObjectID identifies a data object uniquely within one MCAT.
@@ -609,7 +611,7 @@ type AuditRecord struct {
 	// Trace is the request trace ID that caused this record, when the
 	// operation ran under one — the join key between the audit trail
 	// and the span-tree trace/usage accounting streams.
-	Trace string `json:",omitempty"`
+	Trace traceid.ID `json:",omitempty"`
 }
 
 // Session is an authenticated session key with a bounded lifetime.

@@ -1,9 +1,12 @@
 package types
 
 import (
+	"encoding/json"
 	"errors"
 	"testing"
 	"time"
+
+	"gosrb/internal/traceid"
 )
 
 func TestOpError(t *testing.T) {
@@ -108,5 +111,30 @@ func TestStringers(t *testing.T) {
 	}
 	if MetaAnnotation.String() != "annotation" || MetaClass(9).String() == "" {
 		t.Error("meta class names")
+	}
+}
+
+// TestAuditRecordTraceFormat: an audit record as it has always been
+// written — its trace ID as 16 hex digits, or none — reads into the
+// integer ID and writes back byte for byte.
+func TestAuditRecordTraceFormat(t *testing.T) {
+	for _, c := range []struct {
+		line  string
+		trace traceid.ID
+	}{
+		{`{"Time":"2002-07-24T09:00:00Z","User":"alice","Op":"get","Target":"/home/x","Detail":"","OK":true,"Trace":"89de7592be0f3b8c"}`, 0x89de7592be0f3b8c},
+		{`{"Time":"2002-07-24T09:00:00Z","User":"admin","Op":"adduser","Target":"bob","Detail":"sdsc","OK":true}`, 0},
+	} {
+		var r AuditRecord
+		if err := json.Unmarshal([]byte(c.line), &r); err != nil || r.Trace != c.trace {
+			t.Fatalf("%s read as trace %s, %v", c.line, r.Trace, err)
+		}
+		if back, err := json.Marshal(r); err != nil || string(back) != c.line {
+			t.Errorf("%s written back as %s, %v", c.line, back, err)
+		}
+	}
+	var r AuditRecord
+	if err := json.Unmarshal([]byte(`{"Trace":"t1"}`), &r); err == nil {
+		t.Errorf("a malformed trace ID read as %s", r.Trace)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"gosrb/internal/mcat"
 	"gosrb/internal/mcat/shard"
 	"gosrb/internal/obs"
+	"gosrb/internal/traceid"
 	"gosrb/internal/types"
 )
 
@@ -315,7 +316,7 @@ type AuditArgs struct {
 	User   string
 	Op     string
 	Target string
-	Trace  string
+	Trace  traceid.ID
 	Limit  int
 }
 
@@ -341,7 +342,7 @@ type OpStatsReply struct {
 
 // TraceArgs asks for every retained span of one trace.
 type TraceArgs struct {
-	ID string
+	ID traceid.ID
 }
 
 // TraceReply carries the collected spans. Server names the responder;

@@ -17,6 +17,7 @@ import (
 	"sync"
 	"time"
 
+	"gosrb/internal/traceid"
 	"gosrb/internal/types"
 )
 
@@ -38,15 +39,24 @@ const hdrLen = 5
 // bulk manifest) does not stay pinned for the life of the process.
 const maxPooled = 64 << 10
 
+// framePool holds the buffers frames are built in and read into: a
+// writer borrows one for the frame it sends, ReadMsg one for the frame it
+// receives (see readPayload).
 var framePool = sync.Pool{New: func() any { b := make([]byte, 0, 512); return &b }}
 
 func getFrame() *[]byte { return framePool.Get().(*[]byte) }
 
-func putFrame(bp *[]byte) {
-	if cap(*bp) <= maxPooled {
-		*bp = (*bp)[:0]
-		framePool.Put(bp)
+// PutFrame hands back a frame ReadMsg or ReadRequest lent. Nothing may
+// read the frame, or a slice of it, afterwards: the next frame either
+// end sends or receives is built in it. A frame larger than maxPooled is
+// left to the GC. A nil frame is ignored.
+func PutFrame(bp *[]byte) {
+	if bp == nil || cap(*bp) > maxPooled {
+		return
 	}
+	poison(*bp)
+	*bp = (*bp)[:0]
+	framePool.Put(bp)
 }
 
 // send writes a frame built in b, whose first hdrLen bytes are reserved
@@ -65,7 +75,7 @@ func (c *Conn) send(t MsgType, b []byte) error {
 // WriteRequest sends one request frame.
 func (c *Conn) WriteRequest(r *Request) error {
 	bp := getFrame()
-	defer putFrame(bp)
+	defer PutFrame(bp)
 	*bp = appendRequest(append(*bp, make([]byte, hdrLen)...), r)
 	return c.send(MsgRequest, *bp)
 }
@@ -73,7 +83,7 @@ func (c *Conn) WriteRequest(r *Request) error {
 // WriteResponse sends one response frame.
 func (c *Conn) WriteResponse(r *Response) error {
 	bp := getFrame()
-	defer putFrame(bp)
+	defer PutFrame(bp)
 	*bp = appendResponse(append(*bp, make([]byte, hdrLen)...), r)
 	return c.send(MsgResponse, *bp)
 }
@@ -81,42 +91,55 @@ func (c *Conn) WriteResponse(r *Response) error {
 // WriteRedirect sends one redirect frame.
 func (c *Conn) WriteRedirect(r *Redirect) error {
 	bp := getFrame()
-	defer putFrame(bp)
+	defer PutFrame(bp)
 	*bp = appendRedirect(append(*bp, make([]byte, hdrLen)...), r)
 	return c.send(MsgRedirect, *bp)
 }
 
 // ReadRequest receives a frame, requiring a request, and decodes it into
-// r.
-func (c *Conn) ReadRequest(r *Request) error {
-	t, payload, err := c.ReadMsg()
+// r. It returns the frame, which r.Args is a slice of: the caller hands
+// it back with PutFrame once r.Args is decoded (DecodeArgs copies what it
+// keeps). On error the frame is already back.
+func (c *Conn) ReadRequest(r *Request) (*[]byte, error) {
+	t, frame, err := c.ReadMsg()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if t != MsgRequest {
-		return fmt.Errorf("wire: expected a request, got message type %d: %w", t, types.ErrInvalid)
+		PutFrame(frame)
+		return nil, fmt.Errorf("wire: expected a request, got message type %d: %w", t, types.ErrInvalid)
 	}
-	return DecodeRequest(payload, r)
+	if err := DecodeRequest(*frame, r); err != nil {
+		PutFrame(frame)
+		r.Args = nil
+		return nil, err
+	}
+	return frame, nil
 }
 
 // ---- envelopes ----
 
+// A request frame's header, in order: ID (uvarint), Op, OnBehalf and
+// Ticket (each a uvarint length and its bytes), Trace and Span (each 8
+// big-endian bytes, zero for none), Attempt and TimeoutMillis (varints).
+// Args is the rest of the frame.
 func appendRequest(b []byte, r *Request) []byte {
 	b = binary.AppendUvarint(b, r.ID)
 	b = appendString(b, r.Op)
 	b = appendString(b, r.OnBehalf)
 	b = appendString(b, r.Ticket)
-	b = appendString(b, r.Trace)
-	b = appendString(b, r.Span)
+	b = binary.BigEndian.AppendUint64(b, uint64(r.Trace))
+	b = binary.BigEndian.AppendUint64(b, uint64(r.Span))
 	b = binary.AppendVarint(b, int64(r.Attempt))
 	b = binary.AppendVarint(b, r.TimeoutMillis)
 	return append(b, r.Args...) // the rest of the frame
 }
 
 // DecodeRequest decodes a request frame's payload into r. The op name is
-// resolved through the op table; Args is a slice of p. The header's
-// strings (OnBehalf, Ticket, Trace, Span) share one copy of the header
-// bytes alone, so a trace ID the trace ring keeps pins none of the args.
+// resolved through the op table; Args is a slice of p. OnBehalf and
+// Ticket share one copy of their own bytes, made only when either is
+// set, so a string a request's span or log line keeps pins none of the
+// args; a plain client call sets neither and costs nothing here.
 func DecodeRequest(p []byte, r *Request) error {
 	d := decoder{b: p}
 	r.ID = d.uvarint()
@@ -127,14 +150,13 @@ func DecodeRequest(p []byte, r *Request) error {
 		r.Op = string(op)
 	}
 	h := d
-	for range 4 {
-		d.span()
-	}
+	d.span()
+	d.span()
 	h.b = p[:d.off]
 	r.OnBehalf = h.string()
 	r.Ticket = h.string()
-	r.Trace = h.string()
-	r.Span = h.string()
+	r.Trace = traceid.ID(d.uint64())
+	r.Span = traceid.ID(d.uint64())
 	r.Attempt = int(d.varint())
 	r.TimeoutMillis = d.varint()
 	r.Args = d.rest()
@@ -236,7 +258,7 @@ func DecodeBody(body []byte, v any) error {
 // absent arguments are the zero struct. The decoded strings share one
 // allocation, a copy of the args from the first of them on, and never
 // the frame: a string that outlives the request (a catalog row, a heat
-// key) pins at most its own args. Args over readAllocStep (64 KiB) give
+// key) pins at most its own args. Args over maxPooled (64 KiB) give
 // each string an allocation of its own instead, so no kept string pins
 // more than that.
 func DecodeArgs[A any](raw []byte) (a A, err error) {
@@ -245,7 +267,7 @@ func DecodeArgs[A any](raw []byte) (a A, err error) {
 	}
 	// &a goes only where it does not escape: a binary-coded A stays on the
 	// stack, and only the JSON path pays for a heap copy.
-	if ok, err := decodeBinary(raw, &a, len(raw) > readAllocStep); ok {
+	if ok, err := decodeBinary(raw, &a, len(raw) > maxPooled); ok {
 		return a, err
 	}
 	p := new(A)
@@ -253,11 +275,16 @@ func DecodeArgs[A any](raw []byte) (a A, err error) {
 	return *p, err
 }
 
+// decodeJSON decodes a JSON-coded body. A body that does not decode is
+// malformed input, as a binary one is: the error wraps types.ErrInvalid.
 func decodeJSON(body []byte, v any) error {
 	if body[0] != tagJSON {
 		return errTag
 	}
-	return json.Unmarshal(body[1:], v)
+	if err := json.Unmarshal(body[1:], v); err != nil {
+		return fmt.Errorf("wire: %w: %w", err, types.ErrInvalid)
+	}
+	return nil
 }
 
 // ---- primitives ----
@@ -362,6 +389,16 @@ func (d *decoder) varint() int64 {
 }
 
 func (d *decoder) int() int { return int(d.varint()) }
+
+// uint64 reads 8 big-endian bytes.
+func (d *decoder) uint64() uint64 {
+	if d.left() < 8 {
+		d.fail()
+		return 0
+	}
+	d.off += 8
+	return binary.BigEndian.Uint64(d.b[d.off-8:])
+}
 
 func (d *decoder) byte() byte {
 	if d.left() < 1 {

@@ -282,7 +282,7 @@ func TestQueryReplyEncodesDeterministically(t *testing.T) {
 // TestEnvelopeRoundTrip: every envelope field survives the frame codec,
 // and a frame cut short anywhere fails rather than decoding.
 func TestEnvelopeRoundTrip(t *testing.T) {
-	req := Request{ID: 1 << 40, Op: OpStat, OnBehalf: "alice", Ticket: "tk", Trace: "t1", Span: "s1",
+	req := Request{ID: 1 << 40, Op: OpStat, OnBehalf: "alice", Ticket: "tk", Trace: 0x7b, Span: 1 << 63,
 		Attempt: 2, TimeoutMillis: -1, Args: []byte{tagPathArgs, 1, 'x'}}
 	resp := Response{ID: 9, OK: false, ErrKind: "notfound", ErrMsg: "no /x", Body: []byte{1, 2, 3}, DataFollows: true}
 	rd := Redirect{ID: 3, Server: "srb2", Addr: "127.0.0.1:5545"}
@@ -292,7 +292,7 @@ func TestEnvelopeRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var gotReq Request
-	if err := c.ReadRequest(&gotReq); err != nil || !reflect.DeepEqual(gotReq, req) {
+	if _, err := c.ReadRequest(&gotReq); err != nil || !reflect.DeepEqual(gotReq, req) {
 		t.Errorf("request %+v came back as %+v, %v", req, gotReq, err)
 	}
 	if err := c.WriteResponse(&resp); err != nil {
@@ -303,17 +303,17 @@ func TestEnvelopeRoundTrip(t *testing.T) {
 	}
 	_, p, _ := c.ReadMsg()
 	var gotResp Response
-	if err := DecodeResponse(p, &gotResp); err != nil || !reflect.DeepEqual(gotResp, resp) {
+	if err := DecodeResponse(*p, &gotResp); err != nil || !reflect.DeepEqual(gotResp, resp) {
 		t.Errorf("response %+v came back as %+v, %v", resp, gotResp, err)
 	}
 	_, p, _ = c.ReadMsg()
 	var gotRd Redirect
-	if err := DecodeRedirect(p, &gotRd); err != nil || gotRd != rd {
+	if err := DecodeRedirect(*p, &gotRd); err != nil || gotRd != rd {
 		t.Errorf("redirect %+v came back as %+v, %v", rd, gotRd, err)
 	}
 	// Cut before the args, the request is short of a field; the redirect,
 	// which has no open tail, is short wherever it is cut.
-	full := appendRequest(nil, &Request{ID: 1, Op: OpStat, Trace: "t1"})
+	full := appendRequest(nil, &Request{ID: 1, Op: OpStat, Trace: 1})
 	for n := 0; n < len(full); n++ {
 		if err := DecodeRequest(full[:n], new(Request)); !errors.Is(err, types.ErrInvalid) {
 			t.Errorf("request cut to %d of %d bytes decoded: %v", n, len(full), err)
@@ -329,16 +329,16 @@ func TestEnvelopeRoundTrip(t *testing.T) {
 
 // TestCodecAllocs fences the per-request cost of the codec. A server
 // decodes a stat request and its args and encodes the reply frame in
-// four objects: the trace ID and the path (strings that outlive the
-// frame), the boxed reply and its encoded body. A client decodes a
-// 100-entry listing in three: the slice, its header and one string the
-// entries' strings share.
+// three objects: the path (a string that outlives the frame), the boxed
+// reply and its encoded body; the trace ID is an integer. A client
+// decodes a 100-entry listing in three: the slice, its header and one
+// string the entries' strings share.
 func TestCodecAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own account")
 	}
 	args, _ := AppendBody(nil, PathArgs{Path: "/small/c000/o00000"})
-	payload := appendRequest(nil, &Request{ID: 7, Op: OpStat, Trace: "0123456789abcdef", Args: args})
+	payload := appendRequest(nil, &Request{ID: 7, Op: OpStat, Trace: 0x0123456789abcdef, Args: args})
 	st := types.Stat{Path: "/small/c000/o00000", Owner: "bench", Size: 4096, Replicas: 1, DataType: "generic", ModifiedAt: time.Now()}
 	c := NewConn(&discardRW{})
 	server := testing.AllocsPerRun(200, func() {
@@ -358,8 +358,8 @@ func TestCodecAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if server > 4 {
-		t.Errorf("server stat decode + reply encode: %.1f objects, want ≤ 4", server)
+	if server > 3 {
+		t.Errorf("server stat decode + reply encode: %.1f objects, want ≤ 3", server)
 	}
 
 	list := make([]types.Stat, 100)
@@ -385,8 +385,10 @@ func TestCodecAllocs(t *testing.T) {
 }
 
 // TestDecodeStringAllocs fences how decoded strings are allocated. A
-// request header's strings share one copy of the header; args under
-// readAllocStep share one copy of the args from their first string on;
+// request header's strings (OnBehalf, Ticket) share one copy of the
+// header, and a header with neither — a client's call, whose trace and
+// span IDs are integers — allocates nothing; args under
+// maxPooled share one copy of the args from their first string on;
 // args over it give each string its own allocation, so no kept string
 // pins more than 64 KiB.
 func TestDecodeStringAllocs(t *testing.T) {
@@ -396,8 +398,9 @@ func TestDecodeStringAllocs(t *testing.T) {
 	// No one-byte strings: Go converts those without allocating.
 	meta := []types.AVU{{Name: "band", Value: "JH", Units: "nm"}, {Name: "mag", Value: "12.5", Units: "dex"}, {Name: "run", Value: "r7", Units: "id"}}
 	small, _ := AppendBody(nil, IngestArgs{Path: "/home/x", Resource: "d1", DataType: "generic", Meta: meta})
-	large, _ := AppendBody(nil, IngestArgs{Path: "/home/x", Resource: "d1", DataType: strings.Repeat("t", readAllocStep), Meta: meta})
-	header := appendRequest(nil, &Request{ID: 7, Op: OpStat, OnBehalf: "alice", Trace: "0123456789abcdef", Span: "01234567", Args: small})
+	large, _ := AppendBody(nil, IngestArgs{Path: "/home/x", Resource: "d1", DataType: strings.Repeat("t", maxPooled), Meta: meta})
+	header := appendRequest(nil, &Request{ID: 7, Op: OpStat, OnBehalf: "alice", Trace: 0x0123456789abcdef, Span: 0x01234567, Args: small})
+	plain := appendRequest(nil, &Request{ID: 7, Op: OpStat, Trace: 0x0123456789abcdef, Args: small})
 	for _, c := range []struct {
 		name string
 		want float64
@@ -408,6 +411,7 @@ func TestDecodeStringAllocs(t *testing.T) {
 		// The Meta slice, and each of the 12 strings.
 		{"ingest args over 64 KiB", 13, func() error { _, err := DecodeArgs[IngestArgs](large); return err }},
 		{"request header", 1, func() error { var r Request; return DecodeRequest(header, &r) }},
+		{"client request header", 0, func() error { var r Request; return DecodeRequest(plain, &r) }},
 	} {
 		got := testing.AllocsPerRun(100, func() {
 			if err := c.run(); err != nil {
@@ -419,7 +423,7 @@ func TestDecodeStringAllocs(t *testing.T) {
 		}
 	}
 	var r Request
-	if err := DecodeRequest(header, &r); err != nil || r.OnBehalf != "alice" || r.Ticket != "" || r.Trace != "0123456789abcdef" || r.Span != "01234567" || !bytes.Equal(r.Args, small) {
+	if err := DecodeRequest(header, &r); err != nil || r.OnBehalf != "alice" || r.Ticket != "" || r.Trace != 0x0123456789abcdef || r.Span != 0x01234567 || !bytes.Equal(r.Args, small) {
 		t.Errorf("header decoded as %+v, %v", r, err)
 	}
 }

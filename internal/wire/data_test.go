@@ -180,7 +180,7 @@ func TestDataReaderFragmentedTransport(t *testing.T) {
 		t.Fatalf("received %d bytes (want %d), equal=%v", n, len(want), bytes.Equal(got.Bytes(), want))
 	}
 	var req Request
-	if err := r.ReadRequest(&req); err != nil || req.Op != OpStat {
+	if _, err := r.ReadRequest(&req); err != nil || req.Op != OpStat {
 		t.Fatalf("frame after the stream = %+v, %v", req, err)
 	}
 }
@@ -212,7 +212,7 @@ func TestDataReaderDrain(t *testing.T) {
 		t.Errorf("read after drain = %d, %v", n, err)
 	}
 	var req Request
-	if err := r.ReadRequest(&req); err != nil || req.Op != OpStat {
+	if _, err := r.ReadRequest(&req); err != nil || req.Op != OpStat {
 		t.Fatalf("frame after the drained stream = %+v, %v", req, err)
 	}
 }
@@ -277,7 +277,7 @@ func TestSendDataFrameSizes(t *testing.T) {
 			if ty == MsgDataEnd {
 				return sizes
 			}
-			sizes = append(sizes, len(p))
+			sizes = append(sizes, len(*p))
 		}
 	}
 	want := []int{DataChunk, DataChunk, 4321}

@@ -40,8 +40,8 @@ func FuzzFrameRoundTrip(f *testing.F) {
 		if rt != MsgType(ty) {
 			t.Fatalf("type %d round-tripped as %d", ty, rt)
 		}
-		if !bytes.Equal(got, payload) {
-			t.Fatalf("payload %d bytes round-tripped as %d bytes", len(payload), len(got))
+		if !bytes.Equal(*got, payload) {
+			t.Fatalf("payload %d bytes round-tripped as %d bytes", len(payload), len(*got))
 		}
 	})
 }
@@ -83,7 +83,7 @@ func FuzzDecodeFrame(f *testing.F) {
 		// slack for runtime noise) — a declared-length allocation of MiB
 		// from a few header bytes blows straight through it.
 		grew := after.TotalAlloc - before.TotalAlloc
-		limit := 4*uint64(len(raw)) + 8*readAllocStep
+		limit := 4*uint64(len(raw)) + 8*maxPooled
 		if grew > limit {
 			t.Fatalf("decoding %d input bytes allocated %d bytes (limit %d)", len(raw), grew, limit)
 		}
@@ -112,7 +112,7 @@ func allocated(fn func()) uint64 {
 // decodes to itself again once re-encoded.
 func FuzzDecodeRequest(f *testing.F) {
 	args, _ := AppendBody(nil, PathArgs{Path: "/home/a"})
-	f.Add(appendRequest(nil, &Request{ID: 1, Op: OpStat, Trace: "t", Args: args}))
+	f.Add(appendRequest(nil, &Request{ID: 1, Op: OpStat, Trace: 0x0123456789abcdef, Span: 1, Args: args}))
 	f.Add(appendRequest(nil, &Request{ID: 2, Op: "frobnicate", OnBehalf: "alice", TimeoutMillis: 5}))
 	f.Add(appendResponse(nil, &Response{ID: 3, OK: true, DataFollows: true, Body: args}))
 	f.Add(appendResponse(nil, &Response{ID: 4, ErrKind: "notfound", ErrMsg: "gone"}))
@@ -172,7 +172,7 @@ func TestReadMsgForgedLength(t *testing.T) {
 	if err == nil {
 		t.Fatal("truncated frame read succeeded")
 	}
-	if grew := after.TotalAlloc - before.TotalAlloc; grew > 4*readAllocStep {
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 4*maxPooled {
 		t.Fatalf("5 forged header bytes allocated %d bytes", grew)
 	}
 }
@@ -181,8 +181,8 @@ func TestReadMsgForgedLength(t *testing.T) {
 // hands back big legitimate frames byte-for-byte (the doubling loop's
 // boundary arithmetic is exactly the kind of code that truncates).
 func TestReadMsgLargeFrameIntact(t *testing.T) {
-	for _, n := range []int{0, 1, readAllocStep - 1, readAllocStep, readAllocStep + 1,
-		3 * readAllocStep, 2*readAllocStep + 37, DataChunk, DataChunk + 1} {
+	for _, n := range []int{0, 1, maxPooled - 1, maxPooled, maxPooled + 1,
+		3 * maxPooled, 2*maxPooled + 37, DataChunk, DataChunk + 1} {
 		payload := make([]byte, n)
 		for i := range payload {
 			payload[i] = byte(i * 31)
@@ -195,8 +195,8 @@ func TestReadMsgLargeFrameIntact(t *testing.T) {
 		if err != nil {
 			t.Fatalf("n=%d read: %v", n, err)
 		}
-		if ty != MsgData || !bytes.Equal(got, payload) {
-			t.Fatalf("n=%d round trip corrupted (got %d bytes)", n, len(got))
+		if ty != MsgData || !bytes.Equal(*got, payload) {
+			t.Fatalf("n=%d round trip corrupted (got %d bytes)", n, len(*got))
 		}
 	}
 }

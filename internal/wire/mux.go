@@ -24,7 +24,9 @@ import (
 
 // CallResult is one matched answer: the response, or a federation
 // redirect. Data holds the reply's bulk data only for calls made without
-// a Sink.
+// a Sink. Resp.Body is a slice of the response's frame, which the caller
+// hands back with Release once the body is decoded; a body kept longer
+// is copied first.
 type CallResult struct {
 	Resp     Response
 	Data     []byte
@@ -33,6 +35,16 @@ type CallResult struct {
 	// SentLen that of the stream sent after the request.
 	DataLen int64
 	SentLen int64
+
+	frame *[]byte
+}
+
+// Release hands the response's frame back to the pool; Resp.Body may not
+// be read afterwards. A result that is never released leaves its frame
+// to the GC.
+func (res *CallResult) Release() {
+	PutFrame(res.frame)
+	res.frame, res.Resp.Body = nil, nil
 }
 
 // Check is the one test of an answer to op: a redirect where the caller
@@ -309,15 +321,16 @@ func (m *Mux) claim(id uint64) *muxPending {
 // caller's sink here, so the next frame is again a response header.
 func (m *Mux) readLoop() {
 	for {
-		t, payload, err := m.c.ReadMsg()
+		t, frame, err := m.c.ReadMsg()
 		if err != nil {
 			m.fatal(err)
 			return
 		}
 		switch t {
 		case MsgResponse:
-			res := &CallResult{}
-			if err := DecodeResponse(payload, &res.Resp); err != nil {
+			res := &CallResult{frame: frame}
+			if err := DecodeResponse(*frame, &res.Resp); err != nil {
+				PutFrame(frame)
 				m.fatal(fmt.Errorf("wire: bad response frame: %w", types.ErrInvalid))
 				return
 			}
@@ -329,6 +342,7 @@ func (m *Mux) readLoop() {
 					w = p.begin(res)
 				}
 				if res.DataLen, err = m.c.RecvData(w); err != nil {
+					res.Release()
 					// Dead first, then the news: a caller that sees the error
 					// must also see a dead mux, or it would pool the conn.
 					m.fatal(err)
@@ -346,16 +360,22 @@ func (m *Mux) readLoop() {
 					sinkErr = p.werr
 				}
 			}
-			if p != nil {
-				if sinkErr != nil {
-					p.ch <- muxOutcome{err: &SinkError{sinkErr}}
-				} else {
-					p.ch <- muxOutcome{res: res}
-				}
+			switch {
+			case p == nil:
+				res.Release()
+			case sinkErr != nil:
+				res.Release()
+				p.ch <- muxOutcome{err: &SinkError{sinkErr}}
+			default:
+				// The frame goes with the result: its caller releases it.
+				p.ch <- muxOutcome{res: res}
 			}
 		case MsgRedirect:
+			// The redirect's strings are copies: the frame goes back now.
 			var rd Redirect
-			if err := DecodeRedirect(payload, &rd); err != nil {
+			err := DecodeRedirect(*frame, &rd)
+			PutFrame(frame)
+			if err != nil {
 				m.fatal(fmt.Errorf("wire: bad redirect frame: %w", types.ErrInvalid))
 				return
 			}
@@ -363,6 +383,7 @@ func (m *Mux) readLoop() {
 				p.ch <- muxOutcome{res: &CallResult{Redirect: &rd}}
 			}
 		default:
+			PutFrame(frame)
 			m.fatal(fmt.Errorf("wire: unexpected frame %d awaiting response: %w", t, types.ErrInvalid))
 			return
 		}

@@ -47,7 +47,7 @@ func TestMuxOutOfOrderDemux(t *testing.T) {
 		reqs := make([]Request, 0, n)
 		for i := 0; i < n; i++ {
 			var req Request
-			if err := sc.ReadRequest(&req); err != nil {
+			if _, err := sc.ReadRequest(&req); err != nil {
 				return
 			}
 			reqs = append(reqs, req)
@@ -92,7 +92,7 @@ func TestMuxTimeoutAbandons(t *testing.T) {
 	go func() {
 		sc.ReadRequest(&stale) // swallow: let it time out
 		var req Request
-		if err := sc.ReadRequest(&req); err != nil {
+		if _, err := sc.ReadRequest(&req); err != nil {
 			return
 		}
 		sc.WriteResponse(&Response{ID: req.ID, OK: true, Body: echoBody(req.Op)})
@@ -132,10 +132,10 @@ func TestMuxDataStreams(t *testing.T) {
 	m, sc, _ := muxPair(t)
 	go func() {
 		var a, b Request
-		if err := sc.ReadRequest(&a); err != nil {
+		if _, err := sc.ReadRequest(&a); err != nil {
 			return
 		}
-		if err := sc.ReadRequest(&b); err != nil {
+		if _, err := sc.ReadRequest(&b); err != nil {
 			return
 		}
 		for _, req := range []Request{b, a} { // reversed
@@ -189,7 +189,7 @@ func startEchoServer(nc net.Conn) {
 		var wmu sync.Mutex
 		for {
 			var req Request
-			if err := c.ReadRequest(&req); err != nil {
+			if _, err := c.ReadRequest(&req); err != nil {
 				return
 			}
 			go func(req Request) {
@@ -281,7 +281,7 @@ func TestPoolSharesThenDials(t *testing.T) {
 			c := NewConn(server)
 			for {
 				var req Request
-				if err := c.ReadRequest(&req); err != nil {
+				if _, err := c.ReadRequest(&req); err != nil {
 					return
 				}
 				go func(req Request) {
@@ -456,7 +456,7 @@ func TestMuxWaiterReuse(t *testing.T) {
 		}
 		for {
 			var req Request
-			if err := sc.ReadRequest(&req); err != nil {
+			if _, err := sc.ReadRequest(&req); err != nil {
 				return
 			}
 			if req.Op == "held" {

@@ -47,7 +47,7 @@ func TestMuxSinkReceivesStream(t *testing.T) {
 	payload := pattern(DataChunk + 1234)
 	go func() {
 		var req Request
-		if err := sc.ReadRequest(&req); err != nil {
+		if _, err := sc.ReadRequest(&req); err != nil {
 			return
 		}
 		sc.WriteResponse(&Response{ID: req.ID, OK: true, DataFollows: true})
@@ -74,7 +74,7 @@ func TestMuxSinkErrorKeepsConn(t *testing.T) {
 	go func() {
 		for i := 0; i < 2; i++ {
 			var req Request
-			if err := sc.ReadRequest(&req); err != nil {
+			if _, err := sc.ReadRequest(&req); err != nil {
 				return
 			}
 			if req.Op == "get" {
@@ -110,7 +110,7 @@ func TestMuxTimeoutStopsSinkWrites(t *testing.T) {
 	go func() {
 		defer close(srvDone)
 		var req Request
-		if err := sc.ReadRequest(&req); err != nil {
+		if _, err := sc.ReadRequest(&req); err != nil {
 			return
 		}
 		sc.WriteResponse(&Response{ID: req.ID, OK: true, DataFollows: true})
@@ -162,7 +162,7 @@ func TestMuxBlockedSinkHonoursDeadline(t *testing.T) {
 	m, sc, _ := muxPair(t)
 	go func() {
 		var req Request
-		if err := sc.ReadRequest(&req); err != nil {
+		if _, err := sc.ReadRequest(&req); err != nil {
 			return
 		}
 		sc.WriteResponse(&Response{ID: req.ID, OK: true, DataFollows: true})
@@ -258,7 +258,7 @@ func TestMuxCallReportsSentLen(t *testing.T) {
 	m, sc, _ := muxPair(t)
 	go func() {
 		var req Request
-		if err := sc.ReadRequest(&req); err != nil {
+		if _, err := sc.ReadRequest(&req); err != nil {
 			return
 		}
 		sc.RecvData(io.Discard)

@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"gosrb/internal/chunk"
+	"gosrb/internal/traceid"
 	"gosrb/internal/types"
 )
 
@@ -84,14 +85,14 @@ type Request struct {
 	Ticket string
 	// Trace carries the request-scoped trace ID. The client mints one
 	// per logical call (kept across redirects); the server mints one when
-	// absent and copies it onto every proxied request, so one user action
-	// carries the same ID on every federation hop it touches.
-	Trace string `json:",omitempty"`
+	// absent (zero) and copies it onto every proxied request, so one user
+	// action carries the same ID on every federation hop it touches.
+	Trace traceid.ID `json:",omitempty"`
 	// Span is the caller's span ID. The span the receiving server opens
 	// for this request becomes its child, so the per-hop records
-	// reassemble into one tree instead of a flat list. Empty on
+	// reassemble into one tree instead of a flat list. Zero on
 	// client-originated requests (the server opens a root span).
-	Span string `json:",omitempty"`
+	Span traceid.ID `json:",omitempty"`
 	// Attempt is the caller's 0-based retry attempt for this logical
 	// call. When positive, the receiving server annotates its span with
 	// a retry event, making client-side retries visible in the trace.
@@ -237,40 +238,49 @@ func (c *Conn) readHeader() (MsgType, int, error) {
 	return MsgType(c.rhdr[0]), int(n), nil
 }
 
-// ReadMsg receives one frame into a freshly allocated payload. Control
-// frames come this way; bulk data is read through OpenData or
-// RecvData, which fill the caller's buffer instead.
-func (c *Conn) ReadMsg() (MsgType, []byte, error) {
+// ReadMsg receives one frame; *frame is its payload. Control frames come
+// this way; bulk data is read through OpenData or RecvData, which fill
+// the caller's buffer instead. The frame is lent (see readPayload): the
+// caller hands it back with PutFrame once it has decoded the payload, or
+// leaves it to the GC.
+func (c *Conn) ReadMsg() (MsgType, *[]byte, error) {
 	t, n, err := c.readHeader()
 	if err != nil {
 		return 0, nil, err
 	}
-	payload, err := readPayload(c.rw, n)
+	frame, err := readPayload(c.rw, n)
 	if err != nil {
 		return 0, nil, err
 	}
-	return t, payload, nil
+	return t, frame, nil
 }
 
-// readAllocStep caps how much ReadMsg allocates ahead of bytes actually
-// received. A forged header can declare any length up to MaxFrame; if
-// we allocated the declared size up front, 5 attacker bytes would pin
-// 16 MiB per connection. Instead the buffer grows stepwise as payload
-// bytes arrive, so memory tracks what the peer really sent.
-const readAllocStep = 64 * 1024
-
-// readPayload reads exactly n payload bytes, growing the buffer in
-// readAllocStep increments so a truncated or malicious frame never
-// costs more than one step beyond the bytes received.
-func readPayload(r io.Reader, n int) ([]byte, error) {
-	if n <= readAllocStep {
-		payload := make([]byte, n)
-		if _, err := io.ReadFull(r, payload); err != nil {
+// readPayload reads exactly n payload bytes into a frame. Who owns it:
+// a payload of up to maxPooled bytes is read into a buffer borrowed from
+// framePool, the pool frames are written from, and the reader of the
+// frame owns it until it hands it back with PutFrame; a string or slice
+// that must outlive that is copied out first (DecodeArgs, DecodeBody and
+// DecodeResponse's ErrMsg copy theirs; Args and Body alias the frame).
+// A larger payload is read into a buffer that starts at maxPooled and
+// doubles as bytes arrive, so a truncated or malicious frame never costs
+// more than one step beyond the bytes received: a forged header can
+// declare any length up to MaxFrame, and allocating that up front would
+// let 5 attacker bytes pin 16 MiB per connection. PutFrame leaves such a
+// frame to the GC.
+func readPayload(r io.Reader, n int) (*[]byte, error) {
+	if n <= maxPooled {
+		bp := getFrame()
+		if cap(*bp) < n {
+			*bp = make([]byte, n)
+		}
+		*bp = (*bp)[:n]
+		if _, err := io.ReadFull(r, *bp); err != nil {
+			PutFrame(bp)
 			return nil, err
 		}
-		return payload, nil
+		return bp, nil
 	}
-	buf := make([]byte, readAllocStep)
+	buf := make([]byte, maxPooled)
 	got := 0
 	for got < n {
 		if got == len(buf) {
@@ -290,7 +300,8 @@ func readPayload(r io.Reader, n int) ([]byte, error) {
 		}
 		got = len(buf)
 	}
-	return buf[:n], nil
+	buf = buf[:n]
+	return &buf, nil
 }
 
 // WriteJSON sends a JSON-encoded frame: the handshake's.
@@ -304,21 +315,22 @@ func (c *Conn) WriteJSON(t MsgType, v any) error {
 
 // ReadJSON receives a frame, requiring the given type, and decodes it.
 func (c *Conn) ReadJSON(want MsgType, v any) error {
-	t, payload, err := c.ReadMsg()
+	t, frame, err := c.ReadMsg()
 	if err != nil {
 		return err
 	}
+	defer PutFrame(frame)
 	if t != want {
 		return fmt.Errorf("wire: expected message type %d, got %d: %w", want, t, types.ErrInvalid)
 	}
-	return json.Unmarshal(payload, v)
+	return json.Unmarshal(*frame, v)
 }
 
 // OkResponse builds a success response with the given body, encoded
 // into a slice of its own size.
 func OkResponse(body any, dataFollows bool) (Response, error) {
 	bp := getFrame()
-	defer putFrame(bp)
+	defer PutFrame(bp)
 	raw, err := AppendBody(*bp, body)
 	if err != nil {
 		return Response{}, err

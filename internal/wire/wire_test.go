@@ -60,9 +60,9 @@ func TestFrameRoundTrip(t *testing.T) {
 	go func() {
 		a.WriteMsg(MsgRequest, []byte("payload"))
 	}()
-	typ, payload, err := b.ReadMsg()
-	if err != nil || typ != MsgRequest || string(payload) != "payload" {
-		t.Errorf("frame = %d %q %v", typ, payload, err)
+	typ, frame, err := b.ReadMsg()
+	if err != nil || typ != MsgRequest || string(*frame) != "payload" {
+		t.Errorf("frame = %d %v", typ, err)
 	}
 }
 
@@ -162,7 +162,7 @@ func TestFrameProperty(t *testing.T) {
 		if err != nil || gt != typ {
 			return false
 		}
-		return bytes.Equal(gp, payload)
+		return bytes.Equal(*gp, payload)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
