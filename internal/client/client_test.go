@@ -118,11 +118,20 @@ func TestDialFailure(t *testing.T) {
 	}
 }
 
+// okResp builds a success response carrying v, as a server encodes one.
+func okResp(v any, dataFollows bool) wire.Response {
+	body, err := wire.AppendBody(nil, v)
+	if err != nil {
+		panic(err)
+	}
+	return wire.Response{OK: true, Body: body, DataFollows: dataFollows}
+}
+
 func TestRequestCarriesArgs(t *testing.T) {
 	got := make(chan wire.Request, 1)
 	addr := startFake(t, func(c *wire.Conn, req *wire.Request) error {
 		got <- *req
-		resp, _ := wire.OkResponse(struct{}{}, false)
+		resp := okResp(struct{}{}, false)
 		return answer(c, req, resp)
 	})
 	cl, err := Dial(addr, "u", "pw")
@@ -157,7 +166,7 @@ func TestAllMethodsAgainstFake(t *testing.T) {
 		}
 		switch req.Op {
 		case wire.OpGet, wire.OpReadRange, wire.OpExecSQL, wire.OpInvoke, wire.OpShadowOpen:
-			resp, _ := wire.OkResponse(wire.SizeReply{Size: 4}, true)
+			resp := okResp(wire.SizeReply{Size: 4}, true)
 			if err := answer(c, req, resp); err != nil {
 				return err
 			}
@@ -166,49 +175,49 @@ func TestAllMethodsAgainstFake(t *testing.T) {
 			}
 			return c.WriteMsg(wire.MsgDataEnd, nil)
 		case wire.OpList:
-			resp, _ := wire.OkResponse([]types.Stat{{Path: "/x"}}, false)
+			resp := okResp([]types.Stat{{Path: "/x"}}, false)
 			return answer(c, req, resp)
 		case wire.OpStat:
-			resp, _ := wire.OkResponse(types.Stat{Path: "/x", Size: 4}, false)
+			resp := okResp(types.Stat{Path: "/x", Size: 4}, false)
 			return answer(c, req, resp)
 		case wire.OpGetObject, wire.OpIngest, wire.OpRegisterURL, wire.OpRegisterSQL, wire.OpMkContainer:
-			resp, _ := wire.OkResponse(types.DataObject{Name: "x", Collection: "/"}, false)
+			resp := okResp(types.DataObject{Name: "x", Collection: "/"}, false)
 			return answer(c, req, resp)
 		case wire.OpReplicate:
-			resp, _ := wire.OkResponse(types.Replica{Number: 1, Resource: "r"}, false)
+			resp := okResp(types.Replica{Number: 1, Resource: "r"}, false)
 			return answer(c, req, resp)
 		case wire.OpGetMeta:
-			resp, _ := wire.OkResponse([]types.AVU{{Name: "a", Value: "v"}}, false)
+			resp := okResp([]types.AVU{{Name: "a", Value: "v"}}, false)
 			return answer(c, req, resp)
 		case wire.OpAnnotations:
-			resp, _ := wire.OkResponse([]types.Annotation{{Author: "u", Text: "t"}}, false)
+			resp := okResp([]types.Annotation{{Author: "u", Text: "t"}}, false)
 			return answer(c, req, resp)
 		case wire.OpQuery:
-			resp, _ := wire.OkResponse(wire.QueryReply{Hits: []mcat.Hit{{Path: "/x"}}}, false)
+			resp := okResp(wire.QueryReply{Hits: []mcat.Hit{{Path: "/x"}}}, false)
 			return answer(c, req, resp)
 		case wire.OpQueryAttrs:
-			resp, _ := wire.OkResponse([]string{"a"}, false)
+			resp := okResp([]string{"a"}, false)
 			return answer(c, req, resp)
 		case wire.OpSyncContainer, wire.OpExtract:
-			resp, _ := wire.OkResponse(wire.CountReply{N: 2}, false)
+			resp := okResp(wire.CountReply{N: 2}, false)
 			return answer(c, req, resp)
 		case wire.OpIssueTicket:
-			resp, _ := wire.OkResponse(wire.TicketReply{ID: "tk"}, false)
+			resp := okResp(wire.TicketReply{ID: "tk"}, false)
 			return answer(c, req, resp)
 		case wire.OpAudit:
-			resp, _ := wire.OkResponse([]types.AuditRecord{{Op: "get"}}, false)
+			resp := okResp([]types.AuditRecord{{Op: "get"}}, false)
 			return answer(c, req, resp)
 		case wire.OpResources:
-			resp, _ := wire.OkResponse([]types.Resource{{Name: "r"}}, false)
+			resp := okResp([]types.Resource{{Name: "r"}}, false)
 			return answer(c, req, resp)
 		case wire.OpServerStats:
-			resp, _ := wire.OkResponse(wire.StatsReply{Server: "fake"}, false)
+			resp := okResp(wire.StatsReply{Server: "fake"}, false)
 			return answer(c, req, resp)
 		case wire.OpShadowList:
-			resp, _ := wire.OkResponse([]struct{ Path string }{{"/p"}}, false)
+			resp := okResp([]struct{ Path string }{{"/p"}}, false)
 			return answer(c, req, resp)
 		default:
-			resp, _ := wire.OkResponse(struct{}{}, false)
+			resp := okResp(struct{}{}, false)
 			return answer(c, req, resp)
 		}
 	})

@@ -27,7 +27,7 @@ func TestClientRetriesIdempotentOnOffline(t *testing.T) {
 		if calls.Add(1) <= 2 {
 			return answer(c, req, wire.ErrResponse(types.E(req.Op, "/x", types.ErrOffline)))
 		}
-		resp, _ := wire.OkResponse(wire.SizeReply{Size: 2}, true)
+		resp := okResp(wire.SizeReply{Size: 2}, true)
 		if err := answer(c, req, resp); err != nil {
 			return err
 		}
@@ -93,7 +93,7 @@ func TestClientReconnectsAfterTransportError(t *testing.T) {
 		if calls.Add(1) == 1 {
 			return errors.New("drop the connection mid-request")
 		}
-		resp, _ := wire.OkResponse(wire.SizeReply{Size: 2}, true)
+		resp := okResp(wire.SizeReply{Size: 2}, true)
 		if err := answer(c, req, resp); err != nil {
 			return err
 		}
@@ -182,7 +182,7 @@ func TestParallelGetRetriesMidRange(t *testing.T) {
 	var ranges atomic.Int64
 	addr := startFake(t, func(c *wire.Conn, req *wire.Request) error {
 		if req.Op == wire.OpStat {
-			resp, _ := wire.OkResponse(types.Stat{Size: size}, false)
+			resp := okResp(types.Stat{Size: size}, false)
 			return answer(c, req, resp)
 		}
 		a, err := wire.DecodeArgs[wire.RangeArgs](req.Args)
@@ -195,7 +195,7 @@ func TestParallelGetRetriesMidRange(t *testing.T) {
 			// handshake, whichever stream the scheduler ran first.
 			inj.Target("link").DropAfterBytes(size / 4)
 		}
-		resp, _ := wire.OkResponse(wire.SizeReply{Size: a.Length}, true)
+		resp := okResp(wire.SizeReply{Size: a.Length}, true)
 		if err := answer(c, req, resp); err != nil {
 			return err
 		}

@@ -6,7 +6,8 @@ import "sync"
 // a fixed slice that overwrites its oldest entry once full. Every method
 // is safe on a nil ring (adds are dropped, reads are empty) and for
 // concurrent use. add copies its argument into a preallocated slot and
-// allocates nothing — TraceRing.Add runs on every request.
+// allocates nothing; TraceRing.Add, which runs on every request, also
+// copies a record's events into the array its slot already holds.
 type ring[T any] struct {
 	mu    sync.Mutex
 	slots []T
@@ -32,14 +33,21 @@ func (r *ring[T]) add(v T) {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	*r.next() = v
+}
+
+// next claims the slot the next entry goes in, displacing the oldest
+// entry when full; the caller holds mu and fills the slot.
+func (r *ring[T]) next() *T {
 	r.total++
+	i := r.start
 	if r.count < len(r.slots) {
-		r.slots[(r.start+r.count)%len(r.slots)] = v
+		i = (r.start + r.count) % len(r.slots)
 		r.count++
-		return
+	} else {
+		r.start = (r.start + 1) % len(r.slots)
 	}
-	r.slots[r.start] = v
-	r.start = (r.start + 1) % len(r.slots)
+	return &r.slots[i]
 }
 
 // recent returns up to n entries, oldest first (n <= 0 returns all).

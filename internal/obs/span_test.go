@@ -54,12 +54,27 @@ func TestTraceRingConcurrentWraparound(t *testing.T) {
 
 // TestTraceRingAddAllocatesNothing fences the one ring body on the
 // request path: every span end lands in Add, before and after the ring
-// wraps, and it must copy into its preallocated slot.
+// wraps, and it must copy into its preallocated slot. A record's events
+// are copied into the array its slot already holds, so once the ring has
+// gone round an add with events allocates nothing either.
 func TestTraceRingAddAllocatesNothing(t *testing.T) {
 	ring := NewTraceRing(8)
 	rec := SpanRecord{Trace: 1, Span: 2, Op: "get", Server: "srb1", Start: time.Now()}
 	if n := testing.AllocsPerRun(100, func() { ring.Add(rec) }); n != 0 {
 		t.Errorf("TraceRing.Add allocates %.1f objects per call, want 0", n)
+	}
+	rec.Events = make([]SpanEvent, 6)
+	for i := range rec.Events {
+		rec.Events[i] = SpanEvent{Kind: EventPhase, Detail: "p", DurMicros: int64(i)}
+	}
+	for i := 0; i < 8; i++ {
+		ring.Add(rec)
+	}
+	if n := testing.AllocsPerRun(100, func() { ring.Add(rec) }); n != 0 {
+		t.Errorf("TraceRing.Add with events, gone round once, allocates %.1f objects per call, want 0", n)
+	}
+	if got := ring.Recent(1); len(got) != 1 || len(got[0].Events) != 6 || got[0].Events[5].DurMicros != 5 {
+		t.Errorf("newest record = %+v", got)
 	}
 	var off *TraceRing
 	off.Add(rec)
@@ -176,8 +191,9 @@ func TestIDFormat(t *testing.T) {
 }
 
 // TestSpanOpenInPlace covers a span held by value: opened in place, it
-// records past its inline events in order, End hands back the one copy
-// the ring record holds, and opening it costs only its ID.
+// records past its inline events in order, End hands back the span's own
+// events while the ring record holds a copy, a phase recorded after End
+// changes neither, and opening it again costs only its ID.
 func TestSpanOpenInPlace(t *testing.T) {
 	const trace, parent = 0x71, 0x9a
 	var sp Span
@@ -198,13 +214,22 @@ func TestSpanOpenInPlace(t *testing.T) {
 			t.Fatalf("event %d = %+v", i, ev)
 		}
 	}
+	sp.mu.Lock()
+	own := &sp.events[0] == &evs[0]
+	sp.mu.Unlock()
+	if !own {
+		t.Fatal("End's events are not the span's own")
+	}
 	rec := ring.ForTrace(trace)
-	if len(rec) != 1 || &rec[0].Events[0] != &evs[0] {
-		t.Fatal("End's events are not the ring record's")
+	if len(rec) != 1 || len(rec[0].Events) != 12 || &rec[0].Events[0] == &evs[0] {
+		t.Fatalf("ring record = %+v: want its own copy of the 12 events", rec)
 	}
 	sp.Phase("late", time.Microsecond)
-	if len(evs) != 12 || evs[11].Detail != "p11" || len(ring.ForTrace(trace)[0].Events) != 12 {
-		t.Error("a phase after End changed the ended record")
+	if len(evs) != 12 || evs[11].Detail != "p11" {
+		t.Errorf("a phase after End changed the events End returned: %+v", evs)
+	}
+	if got := ring.ForTrace(trace)[0].Events; len(got) != 12 || got[11].Detail != "p11" {
+		t.Errorf("a phase after End changed the ended record: %+v", got)
 	}
 
 	var held Span
@@ -328,4 +353,40 @@ func fmtSscanCount(line string, n *int64) (int, error) {
 	}
 	*n = v
 	return 1, nil
+}
+
+// TestTraceRingReadersOwnTheirCopies: a ForTrace and a Recent result
+// are the reader's own. Lapping the ring over their slots, whose event
+// arrays the new records are copied into, leaves both unchanged.
+func TestTraceRingReadersOwnTheirCopies(t *testing.T) {
+	const size = 4
+	ring := NewTraceRing(size)
+	add := func(trace traceid.ID, detail string) {
+		sp := StartSpan(trace, "get")
+		sp.Phase(detail, time.Microsecond)
+		sp.Event(EventFailover, detail)
+		sp.End(ring, "srb1", "", nil)
+	}
+	for i := 1; i <= size; i++ {
+		add(traceid.ID(i), fmt.Sprintf("first%d", i))
+	}
+	byTrace := ring.ForTrace(2)
+	recent := ring.Recent(0)
+	for i := 0; i < 3*size; i++ {
+		add(traceid.ID(100+i), fmt.Sprintf("lap%d", i))
+	}
+	if len(byTrace) != 1 || len(byTrace[0].Events) != 2 ||
+		byTrace[0].Events[0].Detail != "first2" || byTrace[0].Events[1].Detail != "first2" {
+		t.Errorf("ForTrace result changed under a lapping ring: %+v", byTrace)
+	}
+	if len(recent) != size {
+		t.Fatalf("Recent returned %d records, want %d", len(recent), size)
+	}
+	for i, rec := range recent {
+		want := fmt.Sprintf("first%d", i+1)
+		if rec.Trace != traceid.ID(i+1) || len(rec.Events) != 2 ||
+			rec.Events[0].Detail != want || rec.Events[1].Detail != want {
+			t.Errorf("Recent record %d changed under a lapping ring: %+v", i, rec)
+		}
+	}
 }

@@ -3,6 +3,7 @@ package obs
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -44,9 +45,10 @@ const (
 // so the span a federated peer opens for a proxied call becomes a
 // child of the caller's span. Obtain spans with StartSpan /
 // StartSpanFrom, or Open one held in a larger value (a server's
-// per-request session); all methods tolerate a nil receiver. Its events
-// are held inline until there are more than fit, and copied once, by
-// End, into the ring record. A Span is not copied once opened.
+// connection slot, opened again for each request); all methods tolerate
+// a nil receiver. Its events are held inline until there are more than
+// fit, and copied by the ring into the array of the record's slot. A
+// Span is not copied once opened.
 type Span struct {
 	Trace  traceid.ID
 	ID     traceid.ID
@@ -74,14 +76,18 @@ func StartSpanFrom(trace, parent traceid.ID, op string) *Span {
 	return s
 }
 
-// Open starts s in place as StartSpanFrom starts a new span. s must not
-// be in use: Open is for a span held by value, opened once.
+// Open starts s in place as StartSpanFrom starts a new span, keeping the
+// array its events grew into. s must not be in use: nothing may hold it,
+// or the events End returned, from its last End on.
 func (s *Span) Open(trace, parent traceid.ID, op string) {
 	if trace == 0 {
 		trace = traceid.New()
 	}
 	s.Trace, s.ID, s.Parent, s.Op, s.Start = trace, traceid.New(), parent, op, time.Now()
-	s.events = s.buf[:0]
+	if s.events == nil {
+		s.events = s.buf[:0]
+	}
+	s.events = s.events[:0]
 }
 
 // TraceID returns the span's trace ID (zero for a nil span).
@@ -179,13 +185,39 @@ func NewTraceRing(capacity int) *TraceRing {
 	return (*TraceRing)(newRing[SpanRecord](capacity, 64))
 }
 
-// Add appends one finished span, displacing the oldest when full.
-func (t *TraceRing) Add(rec SpanRecord) { t.r().add(rec) }
+// Add appends one finished span, displacing the oldest when full. The
+// record's events are copied into the array its slot already holds, so
+// once the ring has gone round an add allocates nothing, and the caller
+// may reuse rec.Events as soon as Add returns.
+func (t *TraceRing) Add(rec SpanRecord) {
+	if t == nil {
+		return
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	slot := t.r().next()
+	events := append(slot.Events[:0], rec.Events...)
+	*slot = rec
+	slot.Events = events
+}
 
 // Recent returns up to n records, oldest first (n <= 0 returns all).
-func (t *TraceRing) Recent(n int) []SpanRecord { return t.r().recent(n) }
+// Each carries its own copy of its events.
+func (t *TraceRing) Recent(n int) []SpanRecord {
+	if t == nil {
+		return nil
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	out := t.r().tail(n)
+	for i := range out {
+		out[i].Events = slices.Clone(out[i].Events)
+	}
+	return out
+}
 
-// ForTrace returns every retained span of one trace, oldest first.
+// ForTrace returns every retained span of one trace, oldest first, each
+// with its own copy of its events.
 func (t *TraceRing) ForTrace(id traceid.ID) []SpanRecord {
 	if t == nil || id == 0 {
 		return nil
@@ -195,6 +227,7 @@ func (t *TraceRing) ForTrace(id traceid.ID) []SpanRecord {
 	var out []SpanRecord
 	for i := 0; i < t.count; i++ {
 		if rec := t.r().at(i); rec.Trace == id {
+			rec.Events = slices.Clone(rec.Events)
 			out = append(out, rec)
 		}
 	}
@@ -202,14 +235,17 @@ func (t *TraceRing) ForTrace(id traceid.ID) []SpanRecord {
 }
 
 // End finishes the span into ring, stamping server/remote context, and
-// returns the copy of its events the record holds. Callers may read that
-// slice (RecordPhases folds it) but not change it; events recorded after
-// End do not reach it.
+// returns the span's own events; the ring record holds a copy. Callers
+// may read the slice (RecordPhases folds it) but not change it. It stays
+// valid until the span is opened again, and events recorded after End
+// reach neither it nor the record.
 func (s *Span) End(ring *TraceRing, server, remote string, err error) []SpanEvent {
 	if s == nil {
 		return nil
 	}
-	events := s.Events()
+	s.mu.Lock()
+	events := s.events[:len(s.events):len(s.events)]
+	s.mu.Unlock()
 	if ring == nil {
 		return events
 	}

@@ -16,13 +16,16 @@ import (
 // objects, client and server together, over loopback: a Stat, a 5-byte
 // Get, a 5-byte Put of a new object, and what a query's cost may grow by
 // with its hits. The budgets are absolute and measured — what this test
-// read once trace and span IDs were integers until printed and a frame
-// read into a pooled buffer; before that it read 16, 18 and 52 (19 and 19
-// before the catalog handed out its stored rows uncopied and a request's
-// header and args strings each came from one copy, 22 and 25 before a Get
-// looked its object up once, and 32 and 38 before the per-RPC envelope
-// came to one allocation per request). One more object per request on
-// the path every RPC takes fails here by name.
+// read once a request's session, dispatch goroutine and trace-ring
+// record were its connection slot's, reused, and a client call's result
+// lived in its pooled waiter; before that it read 11, 13 and 47 (16, 18
+// and 52 before trace and span IDs were integers until printed and a
+// frame was read into a pooled buffer, 19 and 19 before the catalog
+// handed out its stored rows uncopied and a request's header and args
+// strings each came from one copy, 22 and 25 before a Get looked its
+// object up once, and 32 and 38 before the per-RPC envelope came to one
+// allocation per request). One more object per request on the path every
+// RPC takes fails here by name.
 func TestRoundTripAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own account")
@@ -91,9 +94,9 @@ func TestRoundTripAllocBudget(t *testing.T) {
 		op     func()
 		budget float64
 	}{
-		{"stat", stat, 11},
-		{"get", get, 13},
-		{"put", put, 47},
+		{"stat", stat, 6},
+		{"get", get, 8},
+		{"put", put, 41},
 	} {
 		if got := testing.AllocsPerRun(2000, c.op); got > c.budget {
 			t.Errorf("%s round trip: %.0f heap objects, budget %.0f", c.name, got, c.budget)

@@ -86,6 +86,8 @@ func (s *Server) dispatch(ss *session) error {
 		ss.w.mu.Lock()
 	}
 	defer ss.w.mu.Unlock()
+	// Answered: this slot comes free as soon as the last frame is out.
+	ss.w.unanswered.Add(-1)
 	switch {
 	case ss.w.err != nil:
 		// The conn already failed, under this reply or a pipelined
@@ -471,7 +473,7 @@ func getObject(c call, a wire.PathArgs) error {
 		return c.ss.fail(err)
 	}
 	defer f.Close()
-	return c.ss.sendStream(wire.SizeReply{Size: size}, &sourceReader{r: f})
+	return c.ss.sendStream(wire.SizeReply{Size: size}, c.ss.source(f))
 }
 
 func issueTicket(c call, a wire.TicketArgs) (wire.TicketReply, error) {
@@ -732,7 +734,7 @@ func multiGet(c call, a wire.MultiGetArgs) error {
 	for _, ob := range owners {
 		ob.fill(rep.Items, parts)
 	}
-	return ss.sendStream(rep, &sourceReader{r: &batchReader{parts: parts}})
+	return ss.sendStream(rep, ss.source(&batchReader{parts: parts}))
 }
 
 // ownerBatch is the share of a multiget one peer holds: its paths, their
@@ -900,7 +902,7 @@ func readRange(c call, a wire.RangeArgs) error {
 		length = 0 // offset at or past the end: an empty range
 	}
 	return ss.sendStream(wire.SizeReply{Size: length},
-		&sourceReader{r: io.NewSectionReader(f, a.Offset, length)})
+		ss.source(io.NewSectionReader(f, a.Offset, length)))
 }
 
 // replicate performs a replication that may cross server

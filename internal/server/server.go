@@ -77,6 +77,9 @@ type Server struct {
 	// disabled). Requests whose dispatch span exceeds it get their full
 	// local span tree written to the log (srbd's -slow-op flag).
 	slowOp atomic.Int64
+	// slotsMade counts the connection slots made (handleConn), over
+	// every connection this server has served.
+	slotsMade atomic.Int64
 
 	ln net.Listener
 	wg sync.WaitGroup
@@ -282,6 +285,10 @@ type connWriter struct {
 	c   *wire.Conn
 	nc  net.Conn
 	err error
+	// unanswered counts the requests handed to the conn's slots that
+	// have not yet taken mu to write their last frame (dispatch). While
+	// it is below the number of slots, a slot is about to come free.
+	unanswered atomic.Int64
 }
 
 // write runs one frame write; the caller holds mu.
@@ -305,12 +312,16 @@ func (w *connWriter) drop(err error) {
 }
 
 // session is the state of one request on an authenticated connection.
-// The identity fields (user/peer/remote/w) are shared by every request
-// on the conn; the rest is per-request, forked fresh so pipelined
-// handlers never share mutable state. The request itself and its span
-// live in the session, so the three are one allocation. Sessions are
-// not pooled: the span is handed to core, replica and peer calls that
-// may hold it past the reply.
+// A connection keeps up to maxPipelined of them, each in a slot with the
+// goroutine that dispatches it (handleConn). The identity fields
+// (user/peer/remote/w) are the connection's and outlive every request;
+// the request state (reqState) is zeroed when the request ends (reset),
+// so pipelined handlers never share mutable state. The span and the
+// stream source are held by value and kept across requests, so serving a
+// request allocates neither. Nothing holds a session, or its span, once
+// dispatch has returned: every goroutine, peer call and replica handle a
+// handler starts is waited for or closed first, and a relay is sealed
+// (DESIGN.md, "The request lives in a connection slot").
 //
 // A handler produces its reply through the session: reply, rawReply,
 // fail and redirect stage the single frame of a plain reply; beginStream
@@ -325,6 +336,15 @@ type session struct {
 	remote string // remote address, for log and trace context
 	// w is the conn's mutex-serialized reply writer.
 	w *connWriter
+	// spanBuf is the request's trace span, opened in place by dispatch;
+	// it keeps the array its events grew into from one request to the
+	// next.
+	spanBuf obs.Span
+	reqState
+}
+
+// reqState is one request's part of a session, zeroed by reset.
+type reqState struct {
 	// req is the request, decoded into the session by the reader loop;
 	// reqID is its correlation ID, echoed on every response. frame is the
 	// request's frame, which req.Args is a slice of, lent by the pool
@@ -334,14 +354,21 @@ type session struct {
 	frame *[]byte
 	// in is the request's inbound bulk-data stream (nil when the op
 	// carries none). The handler reads it straight off the connection
-	// while the conn's reader loop waits on inDone; dispatch drains what
-	// the handler left and releases the reader.
+	// while the conn's reader loop waits on inDone, the connection's one
+	// hand-off channel; dispatch drains what the handler left, releases
+	// the reader and signals inDone.
 	in     *wire.DataReader
 	inDone chan struct{}
 	// staged is the plain reply awaiting dispatch's record-then-write;
-	// redir, when set, replaces it with a federation redirect.
+	// redir, when set, replaces it with a federation redirect. body is
+	// the pooled frame a reply's body is encoded in, handed back once
+	// the response carrying it is written.
 	staged wire.Response
+	body   *[]byte
 	redir  *wire.Redirect
+	// src is the source of a streamed reply (sendStream), remembering
+	// its own read error.
+	src sourceReader
 	// streaming is set once a streamed reply's header is on the wire: the
 	// session then holds w.mu until dispatch closes the stream. aborted
 	// records why a begun stream cannot be completed (its source failed);
@@ -358,11 +385,10 @@ type session struct {
 	// started at dispatch from wire.Request.TimeoutMillis; federation
 	// hops forward only what remains of it.
 	deadline time.Time
-	// span is the current request's trace span, spanBuf opened in place
-	// while the request is dispatched; handlers and the layers beneath
-	// them annotate it with retry/breaker/failover events.
-	span    *obs.Span
-	spanBuf obs.Span
+	// span is spanBuf while the request is dispatched, nil otherwise;
+	// handlers and the layers beneath them annotate it with
+	// retry/breaker/failover events.
+	span *obs.Span
 	// acctUser is the resolved effective user of the current request,
 	// recorded by dispatchOp for usage accounting ("" = unresolved);
 	// acctPath is the grid path its decoded arguments address ("" =
@@ -379,19 +405,22 @@ type session struct {
 	enqueued time.Time
 }
 
-// fork builds the per-request session for the conn's next request.
-func (ss *session) fork() *session {
-	return &session{
-		user: ss.user, peer: ss.peer, isPeer: ss.isPeer,
-		remote: ss.remote, w: ss.w,
-	}
+// reset readies the session for the connection's next request: the
+// request state goes, the connection's identity and the held span stay.
+// Under the framecanary build tag the session is then poisoned, so a use
+// before the next request is handed to it fails (canary.go).
+func (ss *session) reset() {
+	ss.reqState = reqState{}
+	poisonSession(ss)
 }
 
-// releaseFrame hands the request's frame back to the pool; req.Args
-// goes with it.
+// releaseFrame hands the request's frame back to the pool, req.Args
+// with it, and the reply body's frame once its response is written.
 func (ss *session) releaseFrame() {
 	wire.PutFrame(ss.frame)
+	wire.PutFrame(ss.body)
 	ss.frame, ss.req.Args = nil, nil
+	ss.body, ss.staged.Body = nil, nil
 }
 
 // expired reports whether the request's budget has run out.
@@ -412,23 +441,30 @@ func (ss *session) finishInbound() {
 	ss.bytesIn += ss.in.N()
 	ss.in = nil
 	if ss.inDone != nil {
-		close(ss.inDone)
+		ss.inDone <- struct{}{}
 	}
 }
 
-// reply stages a success response with body.
+// reply stages a success response with body, encoded into a frame from
+// the pool that dispatch hands back once the response is written.
 func (ss *session) reply(body any) error {
-	resp, err := wire.OkResponse(body, false)
+	checkLive(ss)
+	bp := wire.GetFrame()
+	raw, err := wire.AppendBody(*bp, body)
 	if err != nil {
+		wire.PutFrame(bp)
 		return err
 	}
-	ss.staged = resp
+	*bp = raw
+	ss.body = bp
+	ss.staged = wire.Response{OK: true, Body: raw}
 	return nil
 }
 
 // rawReply stages a success response with an encoded body (proxied
 // replies relay the owning server's bytes untouched).
 func (ss *session) rawReply(body []byte) error {
+	checkLive(ss)
 	ss.staged = wire.Response{OK: true, Body: body}
 	return nil
 }
@@ -437,6 +473,7 @@ func (ss *session) rawReply(body []byte) error {
 // shim. Once a streamed reply has begun there is no response left to
 // give: the stream is aborted and dispatch drops the connection.
 func (ss *session) fail(err error) error {
+	checkLive(ss)
 	ss.opErr = err
 	if ss.streaming {
 		ss.aborted = err
@@ -449,6 +486,7 @@ func (ss *session) fail(err error) error {
 // redirect stages a redirect handing the client the owning server's
 // address.
 func (ss *session) redirect(server, addr string) error {
+	checkLive(ss)
 	ss.redir = &wire.Redirect{ID: ss.reqID, Server: server, Addr: addr}
 	return nil
 }
@@ -459,6 +497,7 @@ func (ss *session) redirect(server, addr string) error {
 // set, is the socket's write deadline from the header on; whoever sets
 // it lifts it again.
 func (ss *session) beginStream(body []byte, by time.Time) error {
+	checkLive(ss)
 	resp := wire.Response{ID: ss.reqID, OK: true, Body: body, DataFollows: true}
 	ss.w.mu.Lock()
 	ss.streaming = true
@@ -470,6 +509,7 @@ func (ss *session) beginStream(body []byte, by time.Time) error {
 
 // Write sends p as data frames of the begun stream.
 func (ss *session) Write(p []byte) (int, error) {
+	checkLive(ss)
 	start := time.Now()
 	var n int
 	err := ss.w.write(func(c *wire.Conn) (err error) {
@@ -482,10 +522,10 @@ func (ss *session) Write(p []byte) (int, error) {
 }
 
 // sendStream replies with body and then the bytes of src, moved through
-// one pooled chunk. A src that can fail is passed as a *sourceReader, so
-// its error is told apart from the transport's: a source that fails
-// after the header cannot become an error response any more, and the
-// stream is aborted.
+// one pooled chunk. A src that can fail is passed as the session's own
+// sourceReader (ss.source), so its error is told apart from the
+// transport's: a source that fails after the header cannot become an
+// error response any more, and the stream is aborted.
 func (ss *session) sendStream(body any, src io.Reader) error {
 	// The header is copied into its frame before beginStream returns.
 	var scratch [256]byte
@@ -506,6 +546,12 @@ func (ss *session) sendStream(body any, src io.Reader) error {
 // replyData replies with data's size and then data, framed in place.
 func (ss *session) replyData(data []byte) error {
 	return ss.sendStream(wire.SizeReply{Size: int64(len(data))}, bytes.NewReader(data))
+}
+
+// source wraps r in the session's sourceReader for sendStream.
+func (ss *session) source(r io.Reader) *sourceReader {
+	ss.src = sourceReader{r: r}
+	return &ss.src
 }
 
 // sourceReader remembers a stream source's own read error.
@@ -533,35 +579,65 @@ func (ss *session) effectiveUser(req *wire.Request) (string, error) {
 	return ss.user, nil
 }
 
-// maxPipelined bounds concurrently dispatched requests per connection;
-// beyond it the reader loop applies backpressure by not reading the
-// next request until a handler slot frees.
+// maxPipelined bounds concurrently dispatched requests per connection:
+// a connection has at most this many slots, and beyond it the reader
+// loop applies backpressure by holding the request that found every
+// slot busy, reading no further, until a slot frees.
 const maxPipelined = 64
 
+// handleConn serves one connection: it authenticates it, then reads its
+// requests in order and hands each to a slot. A slot is a session plus
+// the goroutine that dispatches it; it is made the first time the
+// pipeline gets that deep, and reused after that. free holds the
+// sessions of the idle slots, so it is the pipeline bound; work hands a
+// read request to whichever slot goroutine is idle. A new slot is made
+// only while every slot holds a request not yet answered, so a
+// connection whose requests never overlap keeps one. When the
+// connection ends, the slot goroutines exit, and handleConn waits for
+// them.
 func (s *Server) handleConn(nc net.Conn) error {
 	c := wire.NewConn(nc)
-	base, err := s.handshake(c)
+	user, peer, err := s.handshake(c)
 	if err != nil {
 		return err
 	}
-	base.remote = nc.RemoteAddr().String()
-	base.w = &connWriter{c: c, nc: nc}
+	remote := nc.RemoteAddr().String()
+	w := &connWriter{c: c, nc: nc}
 	reg := s.broker.Metrics()
 	depthHist := reg.Op("server.pipeline.depth")
 	pipeGauge := reg.Gauge("server.pipeline.inflight")
+	free := make(chan *session, maxPipelined)
+	work := make(chan *session)
+	// Only one inbound stream can be open at a time, so one channel
+	// hands the conn's read side back for all of them.
+	inDone := make(chan struct{}, 1)
 	var wg sync.WaitGroup
-	defer wg.Wait()
-	sem := make(chan struct{}, maxPipelined)
-	var inflight atomic.Int64
+	defer func() {
+		close(work)
+		wg.Wait()
+	}()
+	slots := 0
+	var req wire.Request
 	for {
-		ss := base.fork()
-		req := &ss.req
-		frame, err := c.ReadRequest(req)
+		frame, err := c.ReadRequest(&req)
 		if err != nil {
 			return err
 		}
-		ss.frame = frame
-		ss.reqID = req.ID
+		var ss *session
+		select {
+		case ss = <-free:
+		default:
+			if slots < maxPipelined && w.unanswered.Load() == int64(slots) {
+				slots++
+				s.slotsMade.Add(1)
+				ss = &session{user: user, peer: peer, isPeer: peer != "", remote: remote, w: w}
+				wg.Add(1)
+				go s.runSlot(&wg, work, free, pipeGauge)
+			} else {
+				ss = <-free
+			}
+		}
+		ss.req, ss.frame, ss.reqID = req, frame, req.ID
 		if wire.StreamsIn(req.Op) {
 			// The op's bulk data sits between this request and the next.
 			// The handler reads it straight off the conn; dispatch drains
@@ -574,39 +650,29 @@ func (s *Server) handleConn(nc net.Conn) error {
 			// without is malformed and is refused before any handler runs.
 			ss.finishInbound()
 			ss.releaseFrame()
+			ss.reset()
+			free <- ss
 			resp := wire.ErrResponse(types.E(req.Op, "", fmt.Errorf("request without an ID: %w", types.ErrInvalid)))
-			base.w.mu.Lock()
-			err := base.w.write(func(c *wire.Conn) error { return c.WriteResponse(&resp) })
-			base.w.mu.Unlock()
+			w.mu.Lock()
+			err := w.write(func(c *wire.Conn) error { return c.WriteResponse(&resp) })
+			w.mu.Unlock()
 			if err != nil {
 				return err
 			}
 			continue
 		}
-		// Dispatch concurrently, bounded by maxPipelined. The depth
-		// histogram records how deep the pipeline actually runs (depth
-		// encoded as microseconds in the pow-2 buckets).
-		depth := inflight.Add(1)
+		// The depth histogram records how deep the pipeline actually runs
+		// (depth encoded as microseconds in the pow-2 buckets).
+		depth := w.unanswered.Add(1)
 		depthHist.Observe(time.Duration(depth)*time.Microsecond, nil)
 		pipeGauge.Add(1)
 		ss.enqueued = time.Now()
-		sem <- struct{}{}
-		var inDone chan struct{}
-		if ss.in != nil {
-			inDone = make(chan struct{})
+		streamsIn := ss.in != nil
+		if streamsIn {
 			ss.inDone = inDone
 		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer func() { <-sem; inflight.Add(-1); pipeGauge.Add(-1) }()
-			if err := s.dispatch(ss); err != nil {
-				// Transport failure writing the response: the writer
-				// latched it and closed the conn, unblocking the reader.
-				s.Logger.Errorf("conn %s: pipelined %s: %v", ss.remote, ss.req.Op, err)
-			}
-		}()
-		if inDone != nil {
+		work <- ss
+		if streamsIn {
 			// The handler owns the conn's read side until its inbound
 			// stream is drained; only then is the next frame a request.
 			<-inDone
@@ -614,35 +680,51 @@ func (s *Server) handleConn(nc net.Conn) error {
 	}
 }
 
-// handshake runs challenge–response authentication.
-func (s *Server) handshake(c *wire.Conn) (*session, error) {
+// runSlot is a slot's goroutine: it dispatches each session work hands
+// it, resets the session and frees the slot, until work is closed.
+func (s *Server) runSlot(wg *sync.WaitGroup, work <-chan *session, free chan<- *session, inflight *obs.Gauge) {
+	defer wg.Done()
+	for ss := range work {
+		if err := s.dispatch(ss); err != nil {
+			// Transport failure writing the response: the writer latched
+			// it and closed the conn, unblocking the reader.
+			s.Logger.Errorf("conn %s: pipelined %s: %v", ss.remote, ss.req.Op, err)
+		}
+		inflight.Add(-1)
+		ss.reset()
+		free <- ss
+	}
+}
+
+// handshake runs challenge–response authentication. It returns the
+// authenticated end user, or on a peer connection the peer server.
+func (s *Server) handshake(c *wire.Conn) (user, peer string, err error) {
 	nonce, err := auth.NewChallenge()
 	if err != nil {
-		return nil, err
+		return "", "", err
 	}
 	if err := c.WriteJSON(wire.MsgChallenge, wire.Challenge{Server: s.name, Nonce: nonce}); err != nil {
-		return nil, err
+		return "", "", err
 	}
 	var a wire.Auth
 	if err := c.ReadJSON(wire.MsgAuth, &a); err != nil {
-		return nil, err
+		return "", "", err
 	}
-	ss := &session{}
 	switch {
 	case a.Peer != "":
 		if !s.authn.VerifyPeer(a.Peer, nonce, a.Response) {
 			c.WriteJSON(wire.MsgResponse, wire.ErrResponse(types.E("auth", a.Peer, types.ErrAuth)))
-			return nil, types.E("auth", a.Peer, types.ErrAuth)
+			return "", "", types.E("auth", a.Peer, types.ErrAuth)
 		}
-		ss.peer, ss.isPeer = a.Peer, true
+		peer = a.Peer
 	default:
 		if !s.authn.VerifyUser(a.User, nonce, a.Response) {
 			c.WriteJSON(wire.MsgResponse, wire.ErrResponse(types.E("auth", a.User, types.ErrAuth)))
-			return nil, types.E("auth", a.User, types.ErrAuth)
+			return "", "", types.E("auth", a.User, types.ErrAuth)
 		}
-		ss.user = a.User
+		user = a.User
 	}
-	return ss, c.WriteJSON(wire.MsgAuthOK, wire.AuthOK{Server: s.name})
+	return user, peer, c.WriteJSON(wire.MsgAuthOK, wire.AuthOK{Server: s.name})
 }
 
 // ownerOf names the peer that serves the file row o: "" when this
@@ -717,8 +799,9 @@ func (s *Server) federate(ss *session, peerName, user string, req *wire.Request)
 	rl := &relay{ss: ss}
 	err := s.proxyGet(peerName, addr, user, req, ss.deadline, ss.span, rl, rl.untouched)
 	// A peer call that timed out may have left its last Write behind
-	// (wire.Sink); the session is ours again once that Write is out.
-	rl.mu.Lock()
+	// (wire.Sink); the session is ours again once that Write is out, and
+	// a Write that comes later finds the relay sealed.
+	rl.seal()
 	defer rl.mu.Unlock()
 	if err != nil {
 		return ss.fail(err)
@@ -742,12 +825,31 @@ func (s *Server) federate(ss *session, peerName, user string, req *wire.Request)
 // the client socket's write deadline is the request's own for as long
 // as the relay lasts, so a Write still blocked when the peer call times
 // out fails at that same moment. mu lets the handler wait for it.
+//
+// That last Write can also come after the handler has taken mu and
+// returned: wire.Sink lets the peer connection's reader enter the sink
+// once more after the call has given up, and it may reach Write only
+// once federate has replied. By then the session belongs to the
+// connection's next request. So federate seals the relay under mu, and
+// a sealed relay's Begin and Write fail without touching the session.
 type relay struct {
 	ss   *session
 	body []byte // the peer's response body, relayed untouched
 
-	mu    sync.Mutex
-	begun bool
+	mu     sync.Mutex
+	begun  bool
+	sealed bool
+}
+
+// errRelaySealed fails a relay's sink call that comes after its request
+// was answered.
+var errRelaySealed = errors.New("server: relay write after its request was answered")
+
+// seal takes mu, waiting out a sink call in progress, and closes the
+// relay to later ones. The caller unlocks mu.
+func (r *relay) seal() {
+	r.mu.Lock()
+	r.sealed = true
 }
 
 // Begin keeps the peer's header for the client (wire.Sink). The body is
@@ -756,6 +858,9 @@ type relay struct {
 func (r *relay) Begin(resp *wire.Response) (io.Writer, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	if r.sealed {
+		return nil, errRelaySealed
+	}
 	r.body = bytes.Clone(resp.Body)
 	return r, nil
 }
@@ -776,6 +881,9 @@ func (r *relay) begin() error {
 func (r *relay) Write(p []byte) (int, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	if r.sealed {
+		return 0, errRelaySealed
+	}
 	if !r.begun {
 		if err := r.begin(); err != nil {
 			return 0, err

@@ -44,7 +44,10 @@ const maxPooled = 64 << 10
 // receives (see readPayload).
 var framePool = sync.Pool{New: func() any { b := make([]byte, 0, 512); return &b }}
 
-func getFrame() *[]byte { return framePool.Get().(*[]byte) }
+// GetFrame lends an empty buffer from framePool: what ReadMsg reads a
+// frame into, and what a server builds a reply body in (AppendBody)
+// until the frame that carries it is written. Hand it back with PutFrame.
+func GetFrame() *[]byte { return framePool.Get().(*[]byte) }
 
 // PutFrame hands back a frame ReadMsg or ReadRequest lent. Nothing may
 // read the frame, or a slice of it, afterwards: the next frame either
@@ -74,7 +77,7 @@ func (c *Conn) send(t MsgType, b []byte) error {
 
 // WriteRequest sends one request frame.
 func (c *Conn) WriteRequest(r *Request) error {
-	bp := getFrame()
+	bp := GetFrame()
 	defer PutFrame(bp)
 	*bp = appendRequest(append(*bp, make([]byte, hdrLen)...), r)
 	return c.send(MsgRequest, *bp)
@@ -82,7 +85,7 @@ func (c *Conn) WriteRequest(r *Request) error {
 
 // WriteResponse sends one response frame.
 func (c *Conn) WriteResponse(r *Response) error {
-	bp := getFrame()
+	bp := GetFrame()
 	defer PutFrame(bp)
 	*bp = appendResponse(append(*bp, make([]byte, hdrLen)...), r)
 	return c.send(MsgResponse, *bp)
@@ -90,7 +93,7 @@ func (c *Conn) WriteResponse(r *Response) error {
 
 // WriteRedirect sends one redirect frame.
 func (c *Conn) WriteRedirect(r *Redirect) error {
-	bp := getFrame()
+	bp := GetFrame()
 	defer PutFrame(bp)
 	*bp = appendRedirect(append(*bp, make([]byte, hdrLen)...), r)
 	return c.send(MsgRedirect, *bp)

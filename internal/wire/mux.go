@@ -24,9 +24,10 @@ import (
 
 // CallResult is one matched answer: the response, or a federation
 // redirect. Data holds the reply's bulk data only for calls made without
-// a Sink. Resp.Body is a slice of the response's frame, which the caller
-// hands back with Release once the body is decoded; a body kept longer
-// is copied first.
+// a Sink. Resp.Body is a slice of the response's frame. A response's
+// result lives in the call's pooled waiter (muxPending); a redirect's is
+// its own. The caller hands the frame and the waiter back with Release
+// once the body is decoded; a body kept longer is copied first.
 type CallResult struct {
 	Resp     Response
 	Data     []byte
@@ -37,13 +38,21 @@ type CallResult struct {
 	SentLen int64
 
 	frame *[]byte
+	// waiter is the pooled waiter this result lives in, nil for a
+	// redirect's result.
+	waiter *muxPending
 }
 
-// Release hands the response's frame back to the pool; Resp.Body may not
-// be read afterwards. A result that is never released leaves its frame
-// to the GC.
+// Release hands the response's frame back to the pool, and the waiter
+// the result lives in with it: neither the result nor Resp.Body may be
+// read afterwards, and Release is called once. A result that is never
+// released leaves both to the GC.
 func (res *CallResult) Release() {
 	PutFrame(res.frame)
+	if p := res.waiter; p != nil {
+		p.release()
+		return
+	}
 	res.frame, res.Resp.Body = nil, nil
 }
 
@@ -113,13 +122,17 @@ const (
 // call that received its outcome on ch puts its waiter back, because
 // claim and fatal each remove a waiter from pending under mu before they
 // send, so it gets exactly one send, and once the caller has received
-// that nobody else holds it. A call that leaves any other way — its
-// deadline, a failed write, a register error — drops its waiter to the
-// GC: the demux goroutine or fatal may still send on ch, or be inside
-// Write.
+// that nobody else holds it. An outcome carrying res, the waiter's own
+// result, puts the waiter back when the caller releases that result; any
+// other outcome puts it back at once. A call that leaves any other way —
+// its deadline, a failed write, a register error — drops its waiter to
+// the GC: the demux goroutine or fatal may still send on ch, or be
+// inside Write.
 type muxPending struct {
 	ch   chan muxOutcome
 	sink Sink
+	// res is the answer the demux goroutine fills for this call.
+	res CallResult
 
 	// state orders the demux goroutine's use of the caller's sink against
 	// the caller giving up. w and werr, the stream in progress, are the
@@ -131,14 +144,14 @@ type muxPending struct {
 
 // begin resolves where the announced stream goes: the caller's sink, an
 // internal Buffer when it named none, or nowhere once the caller is gone.
-func (p *muxPending) begin(res *CallResult) io.Writer {
+func (p *muxPending) begin() io.Writer {
 	if p.sink == nil {
 		return new(Buffer)
 	}
 	if !p.state.CompareAndSwap(sinkIdle, sinkInside) {
 		return io.Discard
 	}
-	w, err := p.sink.Begin(&res.Resp)
+	w, err := p.sink.Begin(&p.res.Resp)
 	if err != nil {
 		p.werr = err
 		p.state.CompareAndSwap(sinkInside, sinkFailed)
@@ -285,6 +298,7 @@ var pendingPool = sync.Pool{New: func() any {
 // release returns an answered waiter to the pool, reset to idle.
 func (p *muxPending) release() {
 	p.sink, p.w, p.werr = nil, nil, nil
+	p.res = CallResult{}
 	p.state.Store(sinkIdle)
 	pendingPool.Put(p)
 }
@@ -328,48 +342,53 @@ func (m *Mux) readLoop() {
 		}
 		switch t {
 		case MsgResponse:
-			res := &CallResult{frame: frame}
-			if err := DecodeResponse(*frame, &res.Resp); err != nil {
+			var resp Response
+			if err := DecodeResponse(*frame, &resp); err != nil {
 				PutFrame(frame)
 				m.fatal(fmt.Errorf("wire: bad response frame: %w", types.ErrInvalid))
 				return
 			}
-			p := m.claim(res.Resp.ID)
-			var sinkErr error
-			if res.Resp.OK && res.Resp.DataFollows {
-				var w io.Writer = io.Discard
-				if p != nil {
-					w = p.begin(res)
+			p := m.claim(resp.ID)
+			if p == nil {
+				// Its caller has given up: the reply, and any stream it
+				// announced, goes nowhere.
+				PutFrame(frame)
+				if resp.OK && resp.DataFollows {
+					if _, err := m.c.RecvData(io.Discard); err != nil {
+						m.fatal(err)
+						return
+					}
 				}
+				continue
+			}
+			// The answer is built in the waiter, which goes with it to the
+			// caller, and the frame with them: the caller releases both.
+			res := &p.res
+			res.Resp, res.frame, res.waiter = resp, frame, p
+			var sinkErr error
+			if resp.OK && resp.DataFollows {
+				w := p.begin()
 				if res.DataLen, err = m.c.RecvData(w); err != nil {
-					res.Release()
+					PutFrame(frame)
 					// Dead first, then the news: a caller that sees the error
 					// must also see a dead mux, or it would pool the conn.
 					m.fatal(err)
-					if p != nil {
-						// Claimed, so fatal did not reach this caller.
-						p.ch <- muxOutcome{err: err}
-					}
+					// Claimed, so fatal did not reach this caller.
+					p.ch <- muxOutcome{err: err}
 					return
 				}
-				if p != nil {
-					p.end()
-					if b, ok := w.(*Buffer); ok && p.sink == nil {
-						res.Data = b.Bytes()
-					}
-					sinkErr = p.werr
+				p.end()
+				if b, ok := w.(*Buffer); ok && p.sink == nil {
+					res.Data = b.Bytes()
 				}
+				sinkErr = p.werr
 			}
-			switch {
-			case p == nil:
-				res.Release()
-			case sinkErr != nil:
-				res.Release()
+			if sinkErr != nil {
+				PutFrame(frame)
 				p.ch <- muxOutcome{err: &SinkError{sinkErr}}
-			default:
-				// The frame goes with the result: its caller releases it.
-				p.ch <- muxOutcome{res: res}
+				continue
 			}
+			p.ch <- muxOutcome{res: res}
 		case MsgRedirect:
 			// The redirect's strings are copies: the frame goes back now.
 			var rd Redirect
@@ -433,8 +452,11 @@ func (m *Mux) CallTo(req *Request, data io.Reader, sink Sink, deadline time.Time
 	}
 	select {
 	case out := <-p.ch:
-		// The one send is received: nobody else holds p.
-		p.release()
+		// The one send is received: nobody else holds p. The caller's
+		// Release puts it back when it is the result's home.
+		if out.res == nil || out.res.waiter != p {
+			p.release()
+		}
 		if out.res != nil {
 			out.res.SentLen = sent
 		}

@@ -269,7 +269,7 @@ func (c *Conn) ReadMsg() (MsgType, *[]byte, error) {
 // frame to the GC.
 func readPayload(r io.Reader, n int) (*[]byte, error) {
 	if n <= maxPooled {
-		bp := getFrame()
+		bp := GetFrame()
 		if cap(*bp) < n {
 			*bp = make([]byte, n)
 		}
@@ -327,9 +327,12 @@ func (c *Conn) ReadJSON(want MsgType, v any) error {
 }
 
 // OkResponse builds a success response with the given body, encoded
-// into a slice of its own size.
+// into a slice of its own size. No request path calls it: a server
+// encodes a reply's body into a frame from the pool (GetFrame) and hands
+// the frame back once the response is written. The benchmark's wire
+// ladder (bench/ladder.go) builds its canned reply with it.
 func OkResponse(body any, dataFollows bool) (Response, error) {
-	bp := getFrame()
+	bp := GetFrame()
 	defer PutFrame(bp)
 	raw, err := AppendBody(*bp, body)
 	if err != nil {

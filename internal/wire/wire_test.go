@@ -146,7 +146,8 @@ func TestErrKindRoundTrip(t *testing.T) {
 		t.Errorf("unclassified = %v", resp.Err())
 	}
 	// Success responses carry no error.
-	ok, _ := OkResponse(struct{}{}, false)
+	body, _ := AppendBody(nil, struct{}{})
+	ok := Response{OK: true, Body: body}
 	if ok.Err() != nil {
 		t.Error("ok response should have nil error")
 	}
