@@ -164,6 +164,7 @@ test-phases:
 # read path's allocation fences without -race, whose own allocations
 # would swamp them: Select values cost per answer, not per hit, in the
 # catalog and on a loopback round trip; a row lookup copies nothing; a
+# put's structural check walks up its path and makes nothing; a
 # decoded header's or args' strings come from one copy. Then the catalog against itself: the query and
 # mutation differential tests (a monolith against a 4-shard router, the
 # router reopened at 3 and 1 shards), the journal and snapshot fixtures
@@ -186,7 +187,7 @@ test-phases:
 test-mcat:
 	$(GO) test -race -count=10 ./internal/durable/
 	$(GO) test -race -count=10 ./internal/mcat/shard/
-	$(GO) test -count=3 -run 'TestQueryAllocates|TestGetObjectAllocatesNothing|TestDecodeStringAllocs|TestRoundTripAllocBudget' ./internal/mcat/ ./internal/wire/ ./internal/server/
+	$(GO) test -count=3 -run 'TestQueryAllocates|TestGetObjectAllocatesNothing|TestCheckMandatoryAllocatesNothing|TestDecodeStringAllocs|TestRoundTripAllocBudget' ./internal/mcat/ ./internal/wire/ ./internal/server/
 	$(GO) test -race -count=10 -run 'Query|Like|Differential' ./internal/mcat/
 	$(GO) test -race -count=1 -run 'TestJournalFixture|TestSnapshotFixture|TestEveryKindRefusedWhenAppendFails' ./internal/mcat/
 	$(GO) test -race -count=1 -run 'TestRefusedMetadata|TestIngestJournalFailure|TestIngestLosingRace|TestPutCrashPoints|TestCreateThroughLinkedCollection|TestRegisterFileRefusedTriplet|TestCreateJournalEntries|TestRefusedDeleteKeepsBytes' ./internal/core/

@@ -148,12 +148,13 @@ func TestMemberGetStreams(t *testing.T) {
 	}
 	get := func() {
 		row := b.Lookup("/home/big")
-		f, n, err := b.OpenGet("alice", &row, nil)
+		var f GetHandle
+		n, err := b.OpenGet(&f, "alice", &row, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer f.Close()
-		if got, err := io.Copy(io.Discard, f); err != nil || got != size || n != size {
+		if got, err := io.Copy(io.Discard, &f); err != nil || got != size || n != size {
 			t.Fatalf("member get = %d of %d bytes, %v; want %d", got, n, err, size)
 		}
 	}

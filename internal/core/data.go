@@ -5,6 +5,7 @@ import (
 	"cmp"
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
 	"time"
 
@@ -244,7 +245,12 @@ func (b *Broker) ingest(user string, opts IngestOpts) (types.DataObject, error) 
 	}
 	fo := b.rm.NewFanout()
 	reps := make([]types.Replica, len(members))
-	dests := make([]*replica.Dest, len(members))
+	var destBuf [4]*replica.Dest // a resource rarely has more members
+	dests := destBuf[:]
+	if len(members) > len(destBuf) {
+		dests = make([]*replica.Dest, len(members))
+	}
+	dests = dests[:len(members)]
 	for i, m := range members {
 		reps[i] = types.Replica{
 			Number:       types.ReplicaNumber(i),
@@ -308,8 +314,21 @@ func (b *Broker) ingest(user string, opts IngestOpts) (types.DataObject, error) 
 			b.repairKick()
 		}
 	}
-	b.audit(user, "ingest", path, true, fmt.Sprintf("%d bytes on %s (%d replicas)", obj.Size, opts.Resource, len(reps)))
+	b.audit(user, "ingest", path, true, ingestDetail(obj.Size, opts.Resource, len(reps)))
 	return *obj, nil
+}
+
+// ingestDetail is a put's audit detail, "<size> bytes on <resource> (<n>
+// replicas)", written into a stack buffer.
+func ingestDetail(size int64, resource string, replicas int) string {
+	var buf [96]byte
+	d := strconv.AppendInt(buf[:0], size, 10)
+	d = append(d, " bytes on "...)
+	d = append(d, resource...)
+	d = append(d, " ("...)
+	d = strconv.AppendInt(d, int64(replicas), 10)
+	d = append(d, " replicas)"...)
+	return string(d)
 }
 
 // Reingest replaces an object's contents, keeping all metadata linked
@@ -366,45 +385,51 @@ func (b *Broker) Get(user, path string) ([]byte, error) {
 // It is Lookup, OpenGet and one read into a buffer of the object's size.
 func (b *Broker) GetTraced(user, path string, sp *obs.Span) ([]byte, error) {
 	row := b.Lookup(path)
-	f, size, err := b.OpenGet(user, &row, sp)
+	var h GetHandle
+	size, err := b.OpenGet(&h, user, &row, sp)
 	if err != nil {
 		return nil, err
 	}
-	data, err := storage.ReadSized(f, size)
-	f.Close()
+	data, err := storage.ReadSized(&h, size)
+	h.Close()
 	if err != nil {
 		return nil, types.E("read", row.Path, err)
 	}
 	return data, nil
 }
 
-// OpenGet opens the object of a looked-up row for one whole-object read
-// and returns the reader with the size it will yield. File objects,
-// container members among them, stream from the replica the manager
-// selected; the other kinds (SQL, URL, method, shadow listings) are
-// produced in memory and served from there. The get is accounted when
-// the reader is closed — broker.get latency, hot-key bytes — from the
-// bytes actually read.
-func (b *Broker) OpenGet(user string, row *Row, sp *obs.Span) (storage.ReadFile, int64, error) {
+// OpenGet opens the object of a looked-up row into h, the caller's, for
+// one whole-object read, and returns the size h will yield. File
+// objects, container members among them, stream from the replica the
+// manager selected; the other kinds (SQL, URL, method, shadow listings)
+// are produced in memory and served from there. The get is accounted
+// when h is closed — broker.get latency, hot-key bytes — from the bytes
+// actually read. After an error the get is accounted and h holds
+// nothing to close.
+func (b *Broker) OpenGet(h *GetHandle, user string, row *Row, sp *obs.Span) (int64, error) {
 	err := b.checkReadRow(user, "get", row)
 	sp.Phase(obs.PhaseMCATLookup, time.Since(row.start))
 	if err == nil {
-		h := &getHandle{b: b, key: shard.KeyOf(row.Path), start: row.start}
+		*h = GetHandle{b: b, key: shard.KeyOf(row.Path), start: row.start}
 		var size int64
 		size, err = b.openInto(&h.Handle, user, &row.Obj, row.Path, sp)
 		b.auditTraced(sp, user, "get", row.Path, err == nil, "")
 		if err == nil {
-			return h, size, nil
+			return size, nil
 		}
+		*h = GetHandle{}
 	}
 	b.ops.get.Done(row.start, err)
 	b.ops.heat.Record(shard.KeyOf(row.Path), 0)
-	return nil, 0, err
+	return 0, err
 }
 
-// getHandle is one get's reader: the replica.Handle that counts its
-// bytes, and the get's own accounting, filed when it is closed.
-type getHandle struct {
+// GetHandle is one get's reader, a storage.ReadFile once OpenGet has
+// filled it: the replica.Handle that counts its bytes, and the get's own
+// accounting, filed when it is closed. Its caller holds it — in a
+// request's slot, a multiget's part, a local — so a get makes no object
+// for it.
+type GetHandle struct {
 	replica.Handle
 	b      *Broker
 	key    string
@@ -412,7 +437,8 @@ type getHandle struct {
 	closed bool
 }
 
-func (h *getHandle) Close() error {
+// Close files the get's accounting once and closes the reader.
+func (h *GetHandle) Close() error {
 	if !h.closed {
 		h.closed = true
 		h.b.ops.get.Done(h.start, h.Err())

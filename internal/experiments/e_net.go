@@ -94,18 +94,29 @@ func E3Failover(scale int) Table {
 
 // busyDriver serialises access to an inner driver and charges a fixed
 // service time per open — a saturated storage server. Load spread
-// across replicas then shows up as aggregate throughput.
+// across replicas then shows up as aggregate throughput. It counts its
+// opens, so the spread can also be read off the counts, whatever else
+// the host is running.
 type busyDriver struct {
 	storage.Driver
 	mu      sync.Mutex
 	service time.Duration
+	opens   int
 }
 
 func (b *busyDriver) Open(path string) (storage.ReadFile, error) {
 	b.mu.Lock()
+	b.opens++
 	time.Sleep(b.service)
 	b.mu.Unlock()
 	return b.Driver.Open(path)
+}
+
+// opened returns how many opens the driver has served.
+func (b *busyDriver) opened() int {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.opens
 }
 
 // E4LoadBalance measures the load-balancing claim (§3.2): concurrent
@@ -117,9 +128,12 @@ func E4LoadBalance(scale int) Table {
 		ID:      "E4",
 		Title:   "replication for load balancing (incl. E4a policy ablation)",
 		Claim:   `"data may be replicated in different storage systems on different hosts ... to provide load balancing" (§3.2)`,
-		Columns: []string{"replicas", "policy", "reads_per_s", "speedup_vs_1"},
-		Notes:   "8 concurrent readers; each storage server serialises opens at 300 µs",
+		Columns: []string{"replicas", "policy", "reads_per_s", "speedup_vs_1", "busiest_share", "modelled_reads_per_s"},
+		Notes: "8 concurrent readers; each storage server serialises opens at 300 µs; " +
+			"busiest_share is the busiest server's share of the reads' opens, and " +
+			"modelled_reads_per_s = reads ÷ (busiest server's opens × 300 µs), the rate those counts allow",
 	}
+	const service = 300 * time.Microsecond
 	nReads := 100 * scale
 	readers := 8
 	gen := workload.NewGen(13)
@@ -133,8 +147,10 @@ func E4LoadBalance(scale int) Table {
 		}{{"first-alive", 0}, {"round-robin", 1}} {
 			cat := mcat.New("admin", "sdsc")
 			b := core.New(cat, "srb1")
-			for i := 0; i < k; i++ {
-				d := &busyDriver{Driver: memfs.New(), service: 300 * time.Microsecond}
+			drivers := make([]*busyDriver, k)
+			for i := range drivers {
+				d := &busyDriver{Driver: memfs.New(), service: service}
+				drivers[i] = d
 				if err := b.AddPhysicalResource("admin", fmt.Sprintf("r%d", i), types.ClassFileSystem, "memfs", d); err != nil {
 					panic(err)
 				}
@@ -152,6 +168,10 @@ func E4LoadBalance(scale int) Table {
 				b.Replicas().SetPolicy(replica.RoundRobin)
 			}
 
+			before := make([]int, k)
+			for i, d := range drivers {
+				before[i] = d.opened()
+			}
 			start := time.Now()
 			var wg sync.WaitGroup
 			for w := 0; w < readers; w++ {
@@ -167,14 +187,23 @@ func E4LoadBalance(scale int) Table {
 			}
 			wg.Wait()
 			elapsed := time.Since(start)
-			rate := float64(readers*nReads) / elapsed.Seconds()
+			reads := readers * nReads
+			rate := float64(reads) / elapsed.Seconds()
 			if k == 1 && policy.p == 0 {
 				base = rate
+			}
+			total, busiest := 0, 0
+			for i, d := range drivers {
+				n := d.opened() - before[i]
+				total += n
+				busiest = max(busiest, n)
 			}
 			t.Rows = append(t.Rows, []string{
 				fmt.Sprintf("%d", k), policy.name,
 				fmt.Sprintf("%.0f", rate),
 				fmt.Sprintf("%.1fx", rate/base),
+				fmt.Sprintf("%.2f", float64(busiest)/float64(total)),
+				fmt.Sprintf("%.0f", float64(reads)/(float64(busiest)*service.Seconds())),
 			})
 		}
 	}

@@ -181,3 +181,21 @@ func TestGetObjectAllocatesNothing(t *testing.T) {
 		}
 	}
 }
+
+// TestCheckMandatoryAllocatesNothing: a put checks its collection's
+// structural attributes by walking up the collection's path, whose
+// ancestors are its prefixes, so where none is defined the check makes
+// no object.
+func TestCheckMandatoryAllocatesNothing(t *testing.T) {
+	skipUnderRace(t)
+	c := mcat.New("admin", "local")
+	must(t, c.MkCollAll("/zone/proj/run7", "admin"))
+	meta := []types.AVU{{Name: "band", Value: "J"}}
+	if n := testing.AllocsPerRun(100, func() {
+		if missing := c.CheckMandatory("/zone/proj/run7", meta); len(missing) != 0 {
+			t.Fatalf("missing %v", missing)
+		}
+	}); n != 0 {
+		t.Errorf("CheckMandatory at depth 3 allocates %v times, want 0", n)
+	}
+}

@@ -287,17 +287,20 @@ func (c *Catalog) commitLocked(j *Journal, e *Entry, line []byte) error {
 
 	case (op == "register" || op == "ingest") && e.Object != nil:
 		// The object with its identity (ID, replicas, timestamps) as given,
-		// and for an ingest the user metadata it was put with.
-		cp := e.Object.Clone()
-		cp.Collection = types.CleanPath(cp.Collection)
-		path := cp.Path()
-		if err := c.checkNewObjectLocked(op, path, cp.Collection, cp.Name); err != nil {
+		// and for an ingest the user metadata it was put with. The object
+		// becomes the row: its caller hands it over (Catalog.Ingest), a
+		// decoded entry has no other holder, and an exported one is a copy
+		// whose slices are shared read-only, as every row's are.
+		o := e.Object
+		o.Collection = types.CleanPath(o.Collection)
+		path := o.Path()
+		if err := c.checkNewObjectLocked(op, path, o.Collection, o.Name); err != nil {
 			return err
 		}
-		if cp.ID == 0 {
+		if o.ID == 0 {
 			return types.E(op, path, types.ErrInvalid)
 		}
-		if other, ok := c.byID[cp.ID]; ok {
+		if other, ok := c.byID[o.ID]; ok {
 			return types.E(op, other, types.ErrExists)
 		}
 		var meta []metaEntry
@@ -310,16 +313,16 @@ func (c *Catalog) commitLocked(j *Journal, e *Entry, line []byte) error {
 				meta[i] = metaEntry{Class: types.MetaUser, AVU: avu}
 			}
 		}
-		e.Object = cp
 		if err := c.appendLocked(j, e, line); err != nil {
 			return err
 		}
-		c.objects[path] = cp
-		c.canary.store(cp)
-		c.byID[cp.ID] = path
-		c.addChildObj(cp.Collection, path)
-		if cp.ID >= c.nextID {
-			c.nextID = c.alignIDLocked(cp.ID + 1)
+		clipRow(o)
+		c.objects[path] = o
+		c.canary.store(o)
+		c.byID[o.ID] = path
+		c.addChildObj(o.Collection, path)
+		if o.ID >= c.nextID {
+			c.nextID = c.alignIDLocked(o.ID + 1)
 		}
 		if meta != nil {
 			c.meta[path] = meta

@@ -248,10 +248,12 @@ func (c *Catalog) Structural(coll string) []types.StructuralAttr {
 			}
 		}
 	}
-	add(coll)
-	anc := types.Ancestors(coll)
-	for i := len(anc) - 1; i >= 0; i-- {
-		add(anc[i])
+	// coll, then each ancestor up to the root, each a prefix of coll.
+	for p := coll; ; p = types.Parent(p) {
+		add(p)
+		if p == "/" {
+			break
+		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out

@@ -91,6 +91,27 @@ func TestRegisterAndGetObject(t *testing.T) {
 	}
 }
 
+// TestIngestedRowIsClipped: the object Ingest stores is the caller's,
+// clipped, so a reader that appends to its replicas gets an array of its
+// own, never the spare capacity the caller built the slice with.
+func TestIngestedRowIsClipped(t *testing.T) {
+	c := newCat(t)
+	mustMkColl(t, c, "/d", "admin")
+	id, err := c.NewObjectID("/d/f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	reps := make([]types.Replica, 1, 4)
+	reps[0] = types.Replica{Number: 0, Resource: "r1", PhysicalPath: "/phys/f", Status: types.ReplicaClean}
+	if err := c.Ingest(&types.DataObject{ID: id, Collection: "/d", Name: "f", Owner: "u", Replicas: reps}, nil); err != nil {
+		t.Fatal(err)
+	}
+	got, err := c.GetObject("/d/f")
+	if err != nil || len(got.Replicas) != 1 || cap(got.Replicas) != 1 {
+		t.Fatalf("stored replicas: len %d cap %d, %v; want a clipped slice of 1", len(got.Replicas), cap(got.Replicas), err)
+	}
+}
+
 // TestReturnedRowOutlivesWrites pins the shared-row contract: a row
 // GetObject returned reads exactly as it did after the catalog updates
 // it, renames it, moves its collection or adds a replica to it, and

@@ -261,10 +261,11 @@ func (a *App) handleOpen(w http.ResponseWriter, r *http.Request, user string) {
 		pd.Versions = row.Obj.Versions
 		pd.Methods = a.broker.Extractors().MethodsFor(row.Obj.DataType)
 	}
-	if f, size, err := a.broker.OpenGet(user, &row, nil); err != nil {
+	var f core.GetHandle
+	if size, err := a.broker.OpenGet(&f, user, &row, nil); err != nil {
 		pd.Error = err.Error()
 	} else {
-		pd.Content, pd.IsHTML, err = renderContent(f, size)
+		pd.Content, pd.IsHTML, err = renderContent(&f, size)
 		f.Close()
 		if err != nil {
 			pd.Error = err.Error()
@@ -304,7 +305,8 @@ func renderContent(f io.Reader, size int64) (string, bool, error) {
 // the catalog.
 func (a *App) handleRaw(w http.ResponseWriter, r *http.Request, user string) {
 	row := a.broker.Lookup(r.URL.Query().Get("path"))
-	f, size, err := a.broker.OpenGet(user, &row, nil)
+	var f core.GetHandle
+	size, err := a.broker.OpenGet(&f, user, &row, nil)
 	if err != nil {
 		http.Error(w, err.Error(), statusOf(err))
 		return
@@ -314,7 +316,7 @@ func (a *App) handleRaw(w http.ResponseWriter, r *http.Request, user string) {
 	w.Header().Set("Content-Length", strconv.FormatInt(size, 10))
 	// Past the header an error can only cut the response short; the
 	// client sees fewer bytes than Content-Length promised.
-	chunk.Copy(w, io.LimitReader(f, size))
+	chunk.Copy(w, io.LimitReader(&f, size))
 }
 
 func (a *App) handleMkColl(w http.ResponseWriter, r *http.Request, user string) {

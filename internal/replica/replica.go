@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"io"
 	"slices"
+	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -126,9 +127,26 @@ func (m *Manager) SetPolicy(p Policy) { m.policy = p }
 
 // PhysPathFor allocates the canonical physical path for replica n of an
 // object: a vault layout keyed by object ID so renames in the logical
-// name space never require physical moves.
+// name space never require physical moves. The path is
+// "/vault/%03d/oid%d.r%d" of the ID's bucket, the ID and n, written into
+// a stack buffer: one allocation, the string.
 func PhysPathFor(o *types.DataObject, n types.ReplicaNumber) string {
-	return fmt.Sprintf("/vault/%03d/oid%d.r%d", o.ID%512, o.ID, n)
+	var buf [64]byte
+	b := append(buf[:0], "/vault/"...)
+	bucket, lim := int64(o.ID%512), int64(100)
+	if bucket < 0 {
+		b = append(b, '-')
+		bucket, lim = -bucket, 10 // %03d counts the sign in the width
+	}
+	for ; lim > 1 && bucket < lim; lim /= 10 {
+		b = append(b, '0') // one per digit the bucket lacks
+	}
+	b = strconv.AppendInt(b, bucket, 10)
+	b = append(b, "/oid"...)
+	b = strconv.AppendInt(b, int64(o.ID), 10)
+	b = append(b, ".r"...)
+	b = strconv.AppendInt(b, int64(n), 10)
+	return string(b)
 }
 
 // Checksum computes the hex SHA-256 the catalog stores for replicas.

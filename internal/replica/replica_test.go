@@ -37,17 +37,15 @@ func rig(t *testing.T) (*mcat.Catalog, drivers, *Manager) {
 	}
 	m := NewManager(cat, dm)
 	obj := &types.DataObject{Name: "f", Collection: "/d", Owner: "u", Kind: types.KindFile}
-	id, err := cat.RegisterObject(obj)
-	if err != nil {
+	if _, err := cat.RegisterObject(obj); err != nil {
 		t.Fatal(err)
 	}
-	obj.ID = id
 	phys := PhysPathFor(obj, 0)
 	data := []byte("replica payload")
 	if err := storage.WriteAll(dm["r1"], phys, data); err != nil {
 		t.Fatal(err)
 	}
-	err = cat.UpdateObject("/d/f", func(o *types.DataObject) error {
+	err := cat.UpdateObject("/d/f", func(o *types.DataObject) error {
 		o.Size = int64(len(data))
 		o.Checksum = Checksum(data)
 		o.Replicas = []types.Replica{{

@@ -103,18 +103,27 @@ type Dest struct {
 // fails drops out of the pass and the others carry on; because bytes the
 // source has already yielded cannot be replayed, a member that fails
 // mid-stream cannot be substituted by another — the caller marks it
-// dirty and leaves it to repair.
+// dirty and leaves it to repair. The first two destinations and the
+// digest live inside the Fanout, so a put to one or two members makes no
+// object for them.
 type Fanout struct {
 	m     *Manager
-	dests []*Dest
+	dests []*Dest // on ptrs until a third destination
+	ptrs  [2]*Dest
+	own   [2]Dest // the first two destinations
 	live  int
 	h     hash.Hash
+	sum   [sha256.Size]byte
 	size  int64
 	busy  time.Duration
 }
 
 // NewFanout starts an empty fan-out.
-func (m *Manager) NewFanout() *Fanout { return &Fanout{m: m, h: sha256.New()} }
+func (m *Manager) NewFanout() *Fanout {
+	f := &Fanout{m: m, h: sha256.New()}
+	f.dests = f.ptrs[:0]
+	return f
+}
 
 // Add opens path on resource as one more destination. An error means the
 // member cannot take part at all (no driver here, Create refused);
@@ -134,7 +143,13 @@ func (f *Fanout) Add(resource, path string) (*Dest, error) {
 		f.m.breaker(resource).Failure()
 		return nil, err
 	}
-	dst := &Dest{Resource: resource, Path: path, d: d, w: w}
+	var dst *Dest
+	if n := len(f.dests); n < len(f.own) {
+		dst = &f.own[n]
+	} else {
+		dst = new(Dest)
+	}
+	*dst = Dest{Resource: resource, Path: path, d: d, w: w}
 	f.dests = append(f.dests, dst)
 	f.live++
 	return dst, nil
@@ -146,8 +161,14 @@ func (f *Fanout) Live() int { return f.live }
 // Size returns the bytes the source yielded.
 func (f *Fanout) Size() int64 { return f.size }
 
-// Checksum returns the hex SHA-256 of the bytes the source yielded.
-func (f *Fanout) Checksum() string { return hex.EncodeToString(f.h.Sum(nil)) }
+// Checksum returns the hex SHA-256 of the bytes the source yielded: the
+// digest is summed into the Fanout and hex-encoded on the stack, so the
+// string is the one allocation.
+func (f *Fanout) Checksum() string {
+	var buf [2 * sha256.Size]byte
+	hex.Encode(buf[:], f.h.Sum(f.sum[:0]))
+	return string(buf[:])
+}
 
 // Busy returns the time spent inside the destinations' drivers (create,
 // write, close) — the storage.write share of the pass.

@@ -3,6 +3,7 @@ package replica
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"testing"
 
@@ -170,5 +171,54 @@ func TestReadHandleAccountsOnClose(t *testing.T) {
 	rows := reg.Peers().Snapshot()
 	if len(rows) != 1 || rows[0].Resource != "r1" || rows[0].Ops != 1 || rows[0].Bytes != 7 {
 		t.Errorf("observatory rows after a 7-byte read = %+v, want one r1 row of 7 bytes", rows)
+	}
+}
+
+// TestPhysPathFor: the strconv path is the one fmt.Sprintf wrote,
+// "/vault/%03d/oid%d.r%d", negative IDs included, in one allocation.
+func TestPhysPathFor(t *testing.T) {
+	for _, id := range []types.ObjectID{0, 1, 9, 10, 99, 100, 511, 512, 513, 1023, 123456789, -1, -9, -10, -99, -100, -511, -512, -1000, 1 << 62} {
+		for _, n := range []types.ReplicaNumber{0, 1, 12, -3} {
+			o := &types.DataObject{ID: id}
+			if got, want := PhysPathFor(o, n), fmt.Sprintf("/vault/%03d/oid%d.r%d", id%512, id, n); got != want {
+				t.Errorf("PhysPathFor(%d, %d) = %q, want %q", id, n, got, want)
+			}
+		}
+	}
+	o := &types.DataObject{ID: 4242}
+	if a := testing.AllocsPerRun(100, func() { _ = PhysPathFor(o, 1) }); a != 1 {
+		t.Errorf("PhysPathFor: %.0f allocations, want 1", a)
+	}
+}
+
+// TestFanoutChecksum: the digest is summed into the Fanout and encoded
+// on the stack, so the checksum is one allocation, the string, and it is
+// the hex SHA-256 of what the source yielded.
+func TestFanoutChecksum(t *testing.T) {
+	_, dm, m := rig(t)
+	fo := m.NewFanout()
+	// Three destinations: two live in the Fanout, the third on its own.
+	var dests []*Dest
+	for _, r := range []string{"r1", "r2", "r3"} {
+		dst, err := fo.Add(r, "/vault/sum")
+		if err != nil {
+			t.Fatal(err)
+		}
+		dests = append(dests, dst)
+	}
+	data := []byte("fan-out payload")
+	if err := fo.Copy(bytes.NewReader(data)); err != nil {
+		t.Fatal(err)
+	}
+	for i, dst := range dests {
+		if got, err := storage.ReadAll(dm[dst.Resource], "/vault/sum"); dst.Err != nil || err != nil || string(got) != string(data) {
+			t.Errorf("destination %d on %s: %q, %v, %v", i, dst.Resource, got, dst.Err, err)
+		}
+	}
+	if got, want := fo.Checksum(), Checksum(data); got != want {
+		t.Fatalf("Checksum = %s, want %s", got, want)
+	}
+	if a := testing.AllocsPerRun(100, func() { _ = fo.Checksum() }); a != 1 {
+		t.Errorf("Fanout.Checksum: %.0f allocations, want 1", a)
 	}
 }

@@ -16,9 +16,12 @@ import (
 // objects, client and server together, over loopback: a Stat, a 5-byte
 // Get, a 5-byte Put of a new object, and what a query's cost may grow by
 // with its hits. The budgets are absolute and measured — what this test
-// read once a request's session, dispatch goroutine and trace-ring
-// record were its connection slot's, reused, and a client call's result
-// lived in its pooled waiter; before that it read 11, 13 and 47 (16, 18
+// read once a put made each of its objects below the server once (the
+// catalog keeping the put's row, the fan-out holding its destinations
+// and checksum) and a get's handle lived in its slot; before that it
+// read 6, 8 and 41 (11, 13 and 47 before a request's session, dispatch
+// goroutine and trace-ring record were its connection slot's, reused,
+// and a client call's result lived in its pooled waiter; 16, 18
 // and 52 before trace and span IDs were integers until printed and a
 // frame was read into a pooled buffer, 19 and 19 before the catalog
 // handed out its stored rows uncopied and a request's header and args
@@ -95,8 +98,8 @@ func TestRoundTripAllocBudget(t *testing.T) {
 		budget float64
 	}{
 		{"stat", stat, 6},
-		{"get", get, 8},
-		{"put", put, 41},
+		{"get", get, 7},
+		{"put", put, 29},
 	} {
 		if got := testing.AllocsPerRun(2000, c.op); got > c.budget {
 			t.Errorf("%s round trip: %.0f heap objects, budget %.0f", c.name, got, c.budget)

@@ -468,12 +468,13 @@ func getObject(c call, a wire.PathArgs) error {
 			return c.s.federate(c.ss, owner, user, c.req)
 		}
 	}
-	f, size, err := c.b.OpenGet(user, &row, c.ss.span)
+	h := &c.ss.get
+	size, err := c.b.OpenGet(h, user, &row, c.ss.span)
 	if err != nil {
 		return c.ss.fail(err)
 	}
-	defer f.Close()
-	return c.ss.sendStream(wire.SizeReply{Size: size}, c.ss.source(f))
+	defer h.Close()
+	return c.ss.sendStream(wire.SizeReply{Size: size}, c.ss.source(h))
 }
 
 func issueTicket(c call, a wire.TicketArgs) (wire.TicketReply, error) {
@@ -710,13 +711,13 @@ func multiGet(c call, a wire.MultiGetArgs) error {
 				continue
 			}
 		}
-		f, size, err := c.b.OpenGet(c.user, &row, ss.span)
+		size, err := c.b.OpenGet(&parts[i].h, c.user, &row, ss.span)
 		if err != nil {
 			rep.Items[i].ErrKind, rep.Items[i].ErrMsg = wire.KindOf(err), err.Error()
 			continue
 		}
 		rep.Items[i].OK, rep.Items[i].Size = true, size
-		parts[i].f, parts[i].left = f, size
+		parts[i].f, parts[i].left = &parts[i].h, size
 	}
 	if len(owners) > 0 {
 		// The first owner runs inline: a one-owner batch spawns nothing.
@@ -833,10 +834,12 @@ func (ob *ownerBatch) fill(items []wire.MultiGetItem, parts []batchPart) {
 
 // batchPart is one item of a multiget's stream: a local item's open
 // replica, or a remote item's place in its owner's spool, and how many
-// of its bytes are still owed.
+// of its bytes are still owed. A local item's handle is held in its part,
+// so opening it makes no object.
 type batchPart struct {
 	path  string
-	f     storage.ReadFile
+	h     core.GetHandle
+	f     storage.ReadFile // &h once a local item is open, else nil
 	spool *chunk.Spool
 	off   int64
 	left  int64
@@ -924,12 +927,12 @@ func replicate(c call, a wire.ReplicateArgs) (types.Replica, error) {
 	// Open the source bytes: locally when possible, else via the holder.
 	var src io.Reader
 	if sourceOwner == "" {
-		f, _, err := s.broker.OpenGet(user, &row, ss.span)
-		if err != nil {
+		var h core.GetHandle
+		if _, err := s.broker.OpenGet(&h, user, &row, ss.span); err != nil {
 			return types.Replica{}, err
 		}
-		defer f.Close()
-		src = f
+		defer h.Close()
+		src = &h
 	} else {
 		req := &wire.Request{Op: wire.OpGet}
 		req.Args, _ = wire.AppendBody(nil, wire.PathArgs{Path: a.Path})

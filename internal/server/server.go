@@ -369,6 +369,9 @@ type reqState struct {
 	// src is the source of a streamed reply (sendStream), remembering
 	// its own read error.
 	src sourceReader
+	// get is a get's reader (getObject), opened in place by
+	// Broker.OpenGet and closed before dispatch returns.
+	get core.GetHandle
 	// streaming is set once a streamed reply's header is on the wire: the
 	// session then holds w.mu until dispatch closes the stream. aborted
 	// records why a begun stream cannot be completed (its source failed);

@@ -117,9 +117,11 @@ func (w *writer) Abort() error {
 	return nil
 }
 
-// markDirs records every ancestor directory of p; callers hold mu.
+// markDirs records every ancestor directory of p, each a prefix of it;
+// callers hold mu.
 func (f *FS) markDirs(p string) {
-	for _, a := range types.Ancestors(p) {
+	for a := types.CleanPath(p); a != "/"; {
+		a = types.Parent(a)
 		f.dirs[a] = true
 	}
 }

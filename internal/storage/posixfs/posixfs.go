@@ -84,17 +84,21 @@ func mapErr(op, path string, err error) error {
 
 // Create implements storage.Driver. The write is staged in a temp file
 // in the destination directory and renamed into place at Close, so
-// readers never observe partial contents.
+// readers never observe partial contents. The directory is made only
+// when the staged open finds it missing.
 func (f *FS) Create(path string) (storage.WriteFile, error) {
 	host, err := f.resolve(path)
 	if err != nil {
 		return nil, err
 	}
-	if err := os.MkdirAll(filepath.Dir(host), 0o755); err != nil {
-		return nil, mapErr("create", path, err)
-	}
 	w := &atomicWriter{path: path}
-	if err := w.Open(host); err != nil {
+	err = w.Open(host)
+	if errors.Is(err, fs.ErrNotExist) {
+		if err = os.MkdirAll(filepath.Dir(host), 0o755); err == nil {
+			err = w.Open(host)
+		}
+	}
+	if err != nil {
 		return nil, mapErr("create", path, err)
 	}
 	return w, nil
@@ -138,8 +142,7 @@ func (f *FS) Open(path string) (storage.ReadFile, error) {
 	if err != nil {
 		return nil, mapErr("open", path, err)
 	}
-	fi, err := fh.Stat()
-	if err == nil && fi.IsDir() {
+	if isDir(fh) {
 		fh.Close()
 		return nil, types.E("open", path, types.ErrInvalid)
 	}

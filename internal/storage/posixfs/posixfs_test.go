@@ -192,3 +192,28 @@ func TestResolve(t *testing.T) {
 		t.Errorf("resolve allocates %.1f objects, want 1 (the host path)", n)
 	}
 }
+
+// TestOpenAllocs: opening a file costs the host path and what os.Open
+// makes, and the directory check adds nothing (an fstat into the stack,
+// not an os.FileInfo). The budget is measured: it read 5 when the check
+// was fh.Stat.
+func TestOpenAllocs(t *testing.T) {
+	d, err := New(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := storage.WriteAll(d, "/vault/001/oid1.r0", []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	n := testing.AllocsPerRun(100, func() {
+		f, err := d.Open("/vault/001/oid1.r0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
+	})
+	const budget = 4
+	if n > budget {
+		t.Errorf("Open of a file: %.0f allocations, budget %d", n, budget)
+	}
+}

@@ -267,8 +267,19 @@ type DataObject struct {
 	CheckedOutBy string
 }
 
-// Path returns the full logical path of the object.
-func (o *DataObject) Path() string { return Join(o.Collection, o.Name) }
+// Path returns the full logical path of the object, Join(Collection,
+// Name). A stored row's Collection is absolute and clean and its Name
+// valid, so its path is the two around one slash, built in one
+// allocation; any other row is joined and cleaned.
+func (o *DataObject) Path() string {
+	if !ValidName(o.Name) || !strings.HasPrefix(o.Collection, "/") || CleanPath(o.Collection) != o.Collection {
+		return Join(o.Collection, o.Name)
+	}
+	if o.Collection == "/" {
+		return "/" + o.Name
+	}
+	return o.Collection + "/" + o.Name
+}
 
 // CleanReplica returns the first clean replica, preferring the given
 // resource if it holds one, and reports whether any was found.
