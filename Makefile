@@ -73,6 +73,17 @@ AUDIT_IMPORT := "gosrb/internal/audit"
 FILE_WRITES := os\.(Rename|CreateTemp|WriteFile)\(
 DRIVER_RENAME := ^internal/storage/posixfs/posixfs\.go:[0-9]+:\s*return mapErr\("rename", oldPath, os\.Rename\(oh, nh\)\)$$
 
+# The descriptor fence keeps raw syscalls behind one seam: a replica file
+# is reached by its descriptor only in internal/durable's Linux file, so
+# `unsafe` and syscall.Syscall appear nowhere else. The cross-vet keeps
+# that file's build tag and durable's *os.File fallback compiling: darwin
+# over everything but bench/ (whose stats.go does not build on windows),
+# and windows, arm64 (the Linux file) and riscv64 (no SYS_RENAMEAT: the
+# fallback) over durable and the drivers.
+RAW_SYSCALLS := "unsafe"|syscall\.(Raw)?Syscall
+RAW_SEAM := ^internal/durable/fd_linux\.go:
+CROSS_PKGS := ./internal/durable ./internal/storage/...
+
 # The format fence: every Go file is as gofmt writes it, so formatting
 # never rides along with (or needs) a commit of its own.
 lint: vet
@@ -87,6 +98,11 @@ lint: vet
 	@if grep -rnE '$(LOOKUP_AGAIN_SERVER)' --include=*.go --exclude=*_test.go internal/server || grep -rnE '$(LOOKUP_AGAIN_CORE)' --include=*.go --exclude=*_test.go internal/core; then echo "resolve a path once (Broker.Lookup) and pass the row down"; exit 1; fi
 	@if grep -rnE '$(PRESIZED)' --include=*.go --exclude=*_test.go internal/server; then echo "a server holds forwarded bytes in a chunk.Spool, never presized from a remote length"; exit 1; fi
 	@if grep -rnE '$(FILE_WRITES)' --include=*.go --exclude=*_test.go --exclude-dir=durable cmd internal examples | grep -vE '$(DRIVER_RENAME)'; then echo "file written outside internal/durable: publish it with durable.Replace or durable.Create, append with durable.Log"; exit 1; fi
+	@if grep -rnE '$(RAW_SYSCALLS)' --include=*.go cmd internal examples bench | grep -vE '$(RAW_SEAM)'; then echo "raw syscall outside internal/durable/fd_linux.go: reach files through durable"; exit 1; fi
+	GOOS=darwin $(GO) vet ./internal/... ./cmd/...
+	GOOS=windows $(GO) vet $(CROSS_PKGS)
+	GOARCH=arm64 $(GO) vet $(CROSS_PKGS)
+	GOARCH=riscv64 $(GO) vet $(CROSS_PKGS)
 	@if grep -nE '`-($(GONE_FLAGS))\b' README.md DESIGN.md; then echo "docs cite a removed flag: state the constant"; exit 1; fi
 	@if grep -nE 'BENCH_[a-z]*\.json' $(DOCS); then echo "docs cite a retired BENCH_*.json ratio file"; exit 1; fi; for t in $$(grep -ohE '(`|^)make [a-z][a-z0-9-]*' $(DOCS) | cut -d' ' -f2 | sort -u); do grep -q "^$$t:" Makefile || { echo "docs mention undefined target: make $$t"; exit 1; }; done
 	@if [ ! -x "$(STATICCHECK)" ] && command -v staticcheck >/dev/null 2>&1; then \

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"syscall"
 
 	"gosrb/internal/durable"
 	"gosrb/internal/storage"
@@ -38,13 +39,15 @@ func New(dir string) (*FS, error) {
 // Root returns the host directory backing the store.
 func (f *FS) Root() string { return f.root }
 
-// resolve maps a logical physical-path to a host path under root,
+// resolve maps a logical physical-path to a host path relative to root,
 // refusing a NUL, the root itself and any escape from it. CleanPath
 // leaves an absolute path with no "." or ".." element and no doubled
-// slash, so the host path is prefix and the cleaned path after its
-// leading slash, built in one allocation. Where the separator is not
-// '/', a name holding one would make new elements, ".." among them: the
-// host path would then not be clean, and is refused.
+// slash, so the relative path is the cleaned path after its leading
+// slash: for a clean path on a '/' system it is a substring of p, and
+// nothing is allocated; durable joins it to prefix on the stack. Where
+// the separator is not '/', a name holding one would make new elements,
+// ".." among them: the host path would then not be clean, and is
+// refused.
 func (f *FS) resolve(p string) (string, error) {
 	if strings.Contains(p, "\x00") {
 		return "", types.E("path", p, types.ErrInvalid)
@@ -53,11 +56,23 @@ func (f *FS) resolve(p string) (string, error) {
 	if c == "/" {
 		return "", types.E("path", p, types.ErrInvalid)
 	}
-	host := f.prefix + filepath.FromSlash(c[1:])
-	if filepath.Clean(host) != host {
-		return "", types.E("path", p, types.ErrInvalid)
+	rel := filepath.FromSlash(c[1:])
+	if os.PathSeparator != '/' {
+		if host := f.prefix + rel; filepath.Clean(host) != host {
+			return "", types.E("path", p, types.ErrInvalid)
+		}
 	}
-	return host, nil
+	return rel, nil
+}
+
+// host is resolve's path joined to prefix, for the ops that reach a file
+// through package os.
+func (f *FS) host(p string) (string, error) {
+	rel, err := f.resolve(p)
+	if err != nil {
+		return "", err
+	}
+	return f.prefix + rel, nil
 }
 
 // back converts a host path under root to the driver's slash path.
@@ -87,15 +102,15 @@ func mapErr(op, path string, err error) error {
 // readers never observe partial contents. The directory is made only
 // when the staged open finds it missing.
 func (f *FS) Create(path string) (storage.WriteFile, error) {
-	host, err := f.resolve(path)
+	rel, err := f.resolve(path)
 	if err != nil {
 		return nil, err
 	}
 	w := &atomicWriter{path: path}
-	err = w.Open(host)
+	err = w.Open(f.prefix, rel)
 	if errors.Is(err, fs.ErrNotExist) {
-		if err = os.MkdirAll(filepath.Dir(host), 0o755); err == nil {
-			err = w.Open(host)
+		if err = os.MkdirAll(filepath.Dir(f.prefix+rel), 0o755); err == nil {
+			err = w.Open(f.prefix, rel)
 		}
 	}
 	if err != nil {
@@ -118,7 +133,7 @@ func (w *atomicWriter) Abort() error { return mapErr("abort", w.path, w.File.Abo
 
 // OpenAppend implements storage.Driver.
 func (f *FS) OpenAppend(path string) (storage.WriteFile, error) {
-	host, err := f.resolve(path)
+	host, err := f.host(path)
 	if err != nil {
 		return nil, err
 	}
@@ -132,26 +147,25 @@ func (f *FS) OpenAppend(path string) (storage.WriteFile, error) {
 	return fh, nil
 }
 
-// Open implements storage.Driver.
+// Open implements storage.Driver. A directory is refused as invalid.
 func (f *FS) Open(path string) (storage.ReadFile, error) {
-	host, err := f.resolve(path)
+	rel, err := f.resolve(path)
 	if err != nil {
 		return nil, err
 	}
-	fh, err := os.Open(host)
+	r, err := durable.Open(f.prefix, rel)
+	if errors.Is(err, syscall.EISDIR) {
+		return nil, types.E("open", path, types.ErrInvalid)
+	}
 	if err != nil {
 		return nil, mapErr("open", path, err)
 	}
-	if isDir(fh) {
-		fh.Close()
-		return nil, types.E("open", path, types.ErrInvalid)
-	}
-	return fh, nil
+	return r, nil
 }
 
 // Stat implements storage.Driver.
 func (f *FS) Stat(path string) (storage.FileInfo, error) {
-	host, err := f.resolve(path)
+	host, err := f.host(path)
 	if err != nil {
 		return storage.FileInfo{}, err
 	}
@@ -167,25 +181,26 @@ func (f *FS) Stat(path string) (storage.FileInfo, error) {
 	}, nil
 }
 
-// Remove implements storage.Driver.
+// Remove implements storage.Driver. A directory is refused as invalid.
 func (f *FS) Remove(path string) error {
-	host, err := f.resolve(path)
+	rel, err := f.resolve(path)
 	if err != nil {
 		return err
 	}
-	if fi, err := os.Stat(host); err == nil && fi.IsDir() {
+	err = durable.Remove(f.prefix, rel)
+	if errors.Is(err, syscall.EISDIR) {
 		return types.E("remove", path, types.ErrInvalid)
 	}
-	return mapErr("remove", path, os.Remove(host))
+	return mapErr("remove", path, err)
 }
 
 // Rename implements storage.Driver.
 func (f *FS) Rename(oldPath, newPath string) error {
-	oh, err := f.resolve(oldPath)
+	oh, err := f.host(oldPath)
 	if err != nil {
 		return err
 	}
-	nh, err := f.resolve(newPath)
+	nh, err := f.host(newPath)
 	if err != nil {
 		return err
 	}
@@ -200,7 +215,7 @@ func (f *FS) Rename(oldPath, newPath string) error {
 
 // List implements storage.Driver.
 func (f *FS) List(dir string) ([]storage.FileInfo, error) {
-	host, err := f.resolve(dir)
+	host, err := f.host(dir)
 	if err != nil {
 		if types.CleanPath(dir) == "/" {
 			host = f.root
@@ -234,7 +249,7 @@ func (f *FS) List(dir string) ([]storage.FileInfo, error) {
 
 // Mkdir implements storage.Driver.
 func (f *FS) Mkdir(path string) error {
-	host, err := f.resolve(path)
+	host, err := f.host(path)
 	if err != nil {
 		return err
 	}
