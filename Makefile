@@ -54,9 +54,16 @@ WHOLE_READS := GetTraced\(|broker\.Get\(|storage\.ReadSized\(
 # The presize fence: internal/server holds forwarded bytes (a peer's multiget reply, a bulkput batch) in a chunk.Spool, never in a buffer sized from a length a remote party announced.
 PRESIZED := wire\.Buffer|Grow\(
 
-# The lookup fence: a read resolves its path once (core.Broker.Lookup) and hands the row down, so the server decides locality with ownerOf(row) and the broker opens the row with rm.OpenInto, never by path again.
+# The lookup fence: a read resolves its path once (core.Broker.Lookup) and hands the row down: the replica selector's Owner(row) picks the server, and the broker opens the row with rm.OpenInto, never by path again.
 LOOKUP_AGAIN_SERVER := localityOf\(
-LOOKUP_AGAIN_CORE := OpenReadEv\(
+LOOKUP_AGAIN_CORE := rm\.(OpenRead|ReadAll)\(
+
+# The selector fence: which replica serves a read, and so which server, is
+# decided by one filter (replica.Manager.candidates), so internal/server
+# tests no replica's state; and it reaches a peer one way, so its one
+# Mux.CallTo is peerCall's.
+REPLICA_FILTER := ReplicaClean
+PEER_CALLS := \.CallTo\(
 
 # The append fence: a catalog mutation reaches its journal only through commitLocked's append (journal.go), never a log( helper.
 JOURNAL_WRITES := \blog\(|appendLine\(|\.w\.Write\(
@@ -96,6 +103,8 @@ lint: vet
 	@if grep -rnF '$(AUDIT_IMPORT)' --include=*.go --exclude=*_test.go internal/mcat; then echo "audit import in internal/mcat: the audit trail belongs to the broker (core.Broker.Audit)"; exit 1; fi
 	@if grep -rnE '$(WHOLE_READS)' --include=*.go --exclude=*_test.go internal/server; then echo "whole-object read in internal/server: open with Broker.OpenGet and stream"; exit 1; fi
 	@if grep -rnE '$(LOOKUP_AGAIN_SERVER)' --include=*.go --exclude=*_test.go internal/server || grep -rnE '$(LOOKUP_AGAIN_CORE)' --include=*.go --exclude=*_test.go internal/core; then echo "resolve a path once (Broker.Lookup) and pass the row down"; exit 1; fi
+	@if grep -rnF '$(REPLICA_FILTER)' --include=*.go --exclude=*_test.go internal/server; then echo "replica filter in internal/server: ask the selector (Broker.Replicas().Owner)"; exit 1; fi
+	@if [ "$$(grep -rnE '$(PEER_CALLS)' --include=*.go --exclude=*_test.go internal/server | wc -l)" -ne 1 ]; then grep -rnE '$(PEER_CALLS)' --include=*.go --exclude=*_test.go internal/server; echo "internal/server calls a peer only through peerCall, its one Mux.CallTo"; exit 1; fi
 	@if grep -rnE '$(PRESIZED)' --include=*.go --exclude=*_test.go internal/server; then echo "a server holds forwarded bytes in a chunk.Spool, never presized from a remote length"; exit 1; fi
 	@if grep -rnE '$(FILE_WRITES)' --include=*.go --exclude=*_test.go --exclude-dir=durable cmd internal examples | grep -vE '$(DRIVER_RENAME)'; then echo "file written outside internal/durable: publish it with durable.Replace or durable.Create, append with durable.Log"; exit 1; fi
 	@if grep -rnE '$(RAW_SYSCALLS)' --include=*.go cmd internal examples bench | grep -vE '$(RAW_SEAM)'; then echo "raw syscall outside internal/durable/fd_linux.go: reach files through durable"; exit 1; fi

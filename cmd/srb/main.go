@@ -54,8 +54,18 @@ func main() {
 }
 
 func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "srb:", err)
+	fmt.Fprintln(os.Stderr, errLine(err))
 	os.Exit(1)
+}
+
+// errLine is err as srb reports it: prefixed "srb:" unless the message,
+// as a server's does, already starts with it.
+func errLine(err error) string {
+	msg := err.Error()
+	if !strings.HasPrefix(msg, "srb: ") {
+		msg = "srb: " + msg
+	}
+	return msg
 }
 
 func usage() {

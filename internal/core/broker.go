@@ -137,6 +137,7 @@ func New(cat shard.Catalog, serverName string) *Broker {
 	b.ops = newBrokerOps(b.metrics)
 	b.breakers = resilience.NewSet(resilience.DefaultBreakerConfig, b.metrics)
 	b.rm = replica.NewManager(cat, b)
+	b.rm.SetServer(serverName)
 	b.rm.SetMetrics(b.metrics)
 	b.rm.SetBreakers(b.breakers)
 	return b

@@ -57,6 +57,9 @@ type Manager struct {
 	drivers DriverMap
 	policy  Policy
 	rr      atomic.Uint64
+	// server is this manager's server in the federation: a replica on a
+	// resource it holds (or on one no server claims) is local.
+	server string
 
 	// fanoutOK / fanoutFail count individual replica writes during
 	// synchronous fan-out (WriteAll, SyncDirty, Replicate): one logical
@@ -122,6 +125,9 @@ func NewManager(cat Catalog, drivers DriverMap) *Manager {
 	return &Manager{cat: cat, drivers: drivers}
 }
 
+// SetServer names the federation server this manager reads for.
+func (m *Manager) SetServer(name string) { m.server = name }
+
 // SetPolicy changes the read-selection policy.
 func (m *Manager) SetPolicy(p Policy) { m.policy = p }
 
@@ -155,12 +161,14 @@ func Checksum(data []byte) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// candidates appends to buf the clean replicas of o on online
-// resources, in replica order, rotated in place when the policy is
-// RoundRobin. Breaker decisions are annotated onto sp when the read is
-// traced.
-func (m *Manager) candidates(buf []types.Replica, o *types.DataObject, prefer string, sp *obs.Span) []types.Replica {
-	clean := buf[:0]
+// candidates appends to buf the replicas of o a read can be served
+// from: clean, on an online resource whose breaker is not open. Those on
+// this server's resources come first, each group in replica order, and
+// local counts them. owner names the server holding the first candidate:
+// "" when this server does or there is none. Breaker decisions are
+// annotated onto sp when the read is traced.
+func (m *Manager) candidates(buf []types.Replica, o *types.DataObject, sp *obs.Span) (cands []types.Replica, local int, owner string) {
+	cands = buf[:0]
 	for _, r := range o.Replicas {
 		if r.Status != types.ReplicaClean {
 			continue
@@ -178,43 +186,53 @@ func (m *Manager) candidates(buf []types.Replica, o *types.DataObject, prefer st
 		case resilience.HalfOpen:
 			sp.Event(obs.EventBreakerProbe, "resource."+r.Resource)
 		}
-		clean = append(clean, r)
-	}
-	if prefer != "" {
-		for i, r := range clean {
-			if r.Resource == prefer {
-				clean[0], clean[i] = clean[i], clean[0]
-				break
+		if res.Server == "" || res.Server == m.server {
+			cands = slices.Insert(cands, local, r)
+			local++
+		} else {
+			if len(cands) == local {
+				owner = res.Server
 			}
+			cands = append(cands, r)
 		}
-		return clean
 	}
-	if m.policy == RoundRobin && len(clean) > 1 {
-		// Rotate left by k: reverse both halves, then the whole.
-		k := int(m.rr.Add(1)) % len(clean)
-		slices.Reverse(clean[:k])
-		slices.Reverse(clean[k:])
-		slices.Reverse(clean)
+	if local > 0 {
+		owner = ""
 	}
-	return clean
+	return cands, local, owner
+}
+
+// Owner names the server a read of the file row o goes to: the holder
+// of its first candidate replica, "" when that is this server, when no
+// replica can serve it (the local open then reports why), or when o is
+// not a plain file. A container member is served by its container's
+// replicas.
+func (m *Manager) Owner(o *types.DataObject) string {
+	if o.Kind != types.KindFile {
+		return ""
+	}
+	if o.Container != "" {
+		cont, err := m.cat.GetObject(o.Container)
+		if err != nil {
+			return ""
+		}
+		o = &cont
+	}
+	var buf [4]types.Replica
+	_, _, owner := m.candidates(buf[:0], o, nil)
+	return owner
 }
 
 // OpenRead opens the object's bytes for reading, trying clean replicas
 // per the policy and failing over past unavailable resources. It
 // returns the replica served.
 func (m *Manager) OpenRead(path, preferResource string) (storage.ReadFile, types.Replica, error) {
-	return m.OpenReadEv(path, preferResource, nil)
-}
-
-// OpenReadEv is OpenRead with trace-span annotation (see OpenInto), for
-// the callers that hold a path and not the object's row.
-func (m *Manager) OpenReadEv(path, preferResource string, sp *obs.Span) (storage.ReadFile, types.Replica, error) {
 	o, err := m.cat.GetObject(path)
 	if err != nil {
 		return nil, types.Replica{}, err
 	}
 	h := new(Handle)
-	r, err := m.OpenInto(h, &o, path, preferResource, sp)
+	r, err := m.OpenInto(h, &o, path, preferResource, nil)
 	if err != nil {
 		return nil, r, err
 	}
@@ -245,7 +263,7 @@ func (m *Manager) OpenInto(h *Handle, o *types.DataObject, path, preferResource 
 	return r, nil
 }
 
-func (m *Manager) openRead(o *types.DataObject, path, preferResource string, sp *obs.Span) (storage.ReadFile, types.Replica, error) {
+func (m *Manager) openRead(o *types.DataObject, path, prefer string, sp *obs.Span) (storage.ReadFile, types.Replica, error) {
 	// A container member has no replicas of its own: it is served from
 	// one of its container's segments, narrowed to its record.
 	holder := o
@@ -257,9 +275,26 @@ func (m *Manager) openRead(o *types.DataObject, path, preferResource string, sp 
 		holder = &cont
 	}
 	var buf [4]types.Replica
-	cands := m.candidates(buf[:0], holder, preferResource, sp)
+	cands, local, _ := m.candidates(buf[:0], holder, sp)
 	if len(cands) == 0 {
 		return nil, types.Replica{}, types.E("open", path, types.ErrOffline)
+	}
+	// Only this server's replicas can be opened here; the rest follow
+	// them, and each fails at Driver.
+	lead := cands[:local]
+	if prefer != "" {
+		for i, r := range lead {
+			if r.Resource == prefer {
+				lead[0], lead[i] = lead[i], lead[0]
+				break
+			}
+		}
+	} else if m.policy == RoundRobin && len(lead) > 1 {
+		// Rotate left by k: reverse both halves, then the whole.
+		k := int(m.rr.Add(1)) % len(lead)
+		slices.Reverse(lead[:k])
+		slices.Reverse(lead[k:])
+		slices.Reverse(lead)
 	}
 	var lastErr error
 	for i, r := range cands {

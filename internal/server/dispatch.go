@@ -431,7 +431,7 @@ func (c call) replyData(data []byte, err error) error {
 // the ingest and its reply is relayed untouched.
 func ingest(c call, a wire.IngestArgs) error {
 	if owner := c.s.resourceOwner(a.Resource); owner != "" && !c.ss.isPeer {
-		body, err := c.s.proxyIngest(owner, c.user, c.req, c.ss.in, c.ss.deadline, c.ss.span)
+		body, err := c.s.peerCall(owner, c.user, c.req, c.ss.in, nil, c.ss.deadline, c.ss.span, nil)
 		if err != nil {
 			return c.ss.fail(err)
 		}
@@ -464,7 +464,7 @@ func getObject(c call, a wire.PathArgs) error {
 	}
 	row := c.b.Lookup(a.Path)
 	if !c.ss.isPeer {
-		if owner := c.s.ownerOf(&row.Obj); owner != "" {
+		if owner := c.b.Replicas().Owner(&row.Obj); owner != "" {
 			return c.s.federate(c.ss, owner, user, c.req)
 		}
 	}
@@ -642,7 +642,7 @@ func bulkPut(c call, a wire.BulkPutArgs) (wire.BulkPutReply, error) {
 				DataType: it.DataType, Meta: it.Meta,
 			})
 			if err == nil {
-				_, err = s.proxyIngest(owner, user, ireq, data, ss.deadline, ss.span)
+				_, err = s.peerCall(owner, user, ireq, data, nil, ss.deadline, ss.span, nil)
 			}
 		} else {
 			_, err = s.broker.Ingest(user, core.IngestOpts{
@@ -704,7 +704,7 @@ func multiGet(c call, a wire.MultiGetArgs) error {
 		parts[i].path = p
 		row := c.b.Lookup(p)
 		if !ss.isPeer {
-			if owner := s.ownerOf(&row.Obj); owner != "" {
+			if owner := c.b.Replicas().Owner(&row.Obj); owner != "" {
 				ob := batchFor(&owners, owner)
 				ob.idx = append(ob.idx, i)
 				ob.paths = append(ob.paths, p)
@@ -764,16 +764,11 @@ func batchFor(owners *[]*ownerBatch, peer string) *ownerBatch {
 // fetch sends the owner its paths as one multiget, under the idempotent
 // retry, and holds the manifest it answers with to the request.
 func (ob *ownerBatch) fetch(c call) {
-	addr, ok := c.s.PeerAddr(ob.peer)
-	if !ok {
-		ob.err = types.E(wire.OpMultiGet, ob.peer, types.ErrOffline)
-		return
-	}
 	req := &wire.Request{Op: wire.OpMultiGet, Trace: c.req.Trace}
 	if req.Args, ob.err = wire.AppendBody(nil, wire.MultiGetArgs{Paths: ob.paths}); ob.err != nil {
 		return
 	}
-	if ob.err = c.s.proxyGet(ob.peer, addr, c.user, req, c.ss.deadline, c.ss.span, ob, nil); ob.err != nil {
+	if _, ob.err = c.s.peerCall(ob.peer, c.user, req, nil, ob, c.ss.deadline, c.ss.span, nil); ob.err != nil {
 		return
 	}
 	ob.err = ob.check()
@@ -885,7 +880,7 @@ func readRange(c call, a wire.RangeArgs) error {
 	ss := c.ss
 	row := c.b.Lookup(a.Path)
 	if !ss.isPeer {
-		if owner := c.s.ownerOf(&row.Obj); owner != "" {
+		if owner := c.b.Replicas().Owner(&row.Obj); owner != "" {
 			return c.s.federate(ss, owner, c.user, c.req)
 		}
 	}
@@ -915,7 +910,7 @@ func replicate(c call, a wire.ReplicateArgs) (types.Replica, error) {
 	s, ss, user := c.s, c.ss, c.user
 	targetOwner := s.resourceOwner(a.Resource)
 	row := c.b.Lookup(a.Path)
-	sourceOwner := s.ownerOf(&row.Obj)
+	sourceOwner := c.b.Replicas().Owner(&row.Obj)
 	if targetOwner == "" && sourceOwner == "" {
 		// Fully local.
 		return s.broker.Replicate(user, a.Path, a.Resource)
@@ -936,10 +931,6 @@ func replicate(c call, a wire.ReplicateArgs) (types.Replica, error) {
 	} else {
 		req := &wire.Request{Op: wire.OpGet}
 		req.Args, _ = wire.AppendBody(nil, wire.PathArgs{Path: a.Path})
-		addr, ok := s.PeerAddr(sourceOwner)
-		if !ok {
-			return types.Replica{}, types.E("replicate", sourceOwner, types.ErrOffline)
-		}
 		// The holder pushes the stream at us while the store below pulls
 		// it: a pipe joins the two without buffering. Bytes handed to the
 		// pipe are gone, so only a failure before the first one retries.
@@ -948,8 +939,9 @@ func replicate(c call, a wire.ReplicateArgs) (types.Replica, error) {
 		done := make(chan struct{})
 		go func() {
 			defer close(done)
-			pw.CloseWithError(s.proxyGet(sourceOwner, addr, user, req, ss.deadline, ss.span,
-				tw, func() bool { return !tw.touched.Load() }))
+			_, err := s.peerCall(sourceOwner, user, req, nil, tw, ss.deadline, ss.span,
+				func() bool { return !tw.touched.Load() })
+			pw.CloseWithError(err)
 		}()
 		// Closing the read end fails the fetch's next write, so it winds
 		// down even when the store gave up early; wait for it to.
@@ -961,18 +953,9 @@ func replicate(c call, a wire.ReplicateArgs) (types.Replica, error) {
 		return s.broker.IngestReplicaFrom(user, a.Path, a.Resource, src)
 	}
 	// Target remote: the owning peer stores the replica.
-	req := &wire.Request{Op: wire.OpIngestReplica, OnBehalf: user}
+	req := &wire.Request{Op: wire.OpIngestReplica}
 	req.Args, _ = wire.AppendBody(nil, wire.ReplicateArgs{Path: a.Path, Resource: a.Resource})
-	addr, ok := s.PeerAddr(targetOwner)
-	if !ok {
-		return types.Replica{}, types.E("replicate", targetOwner, types.ErrOffline)
-	}
-	var body []byte
-	err := s.peerDo(targetOwner, addr, ss.deadline, req, ss.span, true, func(pc *peerConn) error {
-		b, err := pc.roundTrip(req, src, nil)
-		body = b
-		return err
-	})
+	body, err := s.peerCall(targetOwner, user, req, src, nil, ss.deadline, ss.span, nil)
 	if err != nil {
 		return types.Replica{}, err
 	}
@@ -1007,25 +990,4 @@ func (s *Server) sqlOwner(path string) string {
 		return ""
 	}
 	return s.resourceOwner(o.SQL.Resource)
-}
-
-// proxyIngest relays an ingest request (with its data) to the owning
-// peer. Ingest mutates, so there is exactly one attempt.
-func (s *Server) proxyIngest(peerName, user string, req *wire.Request, data io.Reader, deadline time.Time, sp *obs.Span) ([]byte, error) {
-	addr, ok := s.PeerAddr(peerName)
-	if !ok {
-		return nil, types.E(req.Op, peerName, types.ErrOffline)
-	}
-	fwd := *req
-	fwd.OnBehalf = user
-	var body []byte
-	err := s.peerDo(peerName, addr, deadline, &fwd, sp, true, func(pc *peerConn) error {
-		b, err := pc.roundTrip(&fwd, data, nil)
-		body = b
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return body, nil
 }

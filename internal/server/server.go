@@ -730,44 +730,6 @@ func (s *Server) handshake(c *wire.Conn) (user, peer string, err error) {
 	return user, peer, c.WriteJSON(wire.MsgAuthOK, wire.AuthOK{Server: s.name})
 }
 
-// ownerOf names the peer that serves the file row o: "" when this
-// server does (or o is not a plain file, or the lookup found nothing),
-// otherwise a peer holding a clean replica on an online resource. A
-// container member follows its container's row.
-func (s *Server) ownerOf(o *types.DataObject) string {
-	if o.Kind != types.KindFile {
-		return ""
-	}
-	if o.Container != "" {
-		cont, err := s.broker.Cat.GetObject(o.Container)
-		if err != nil {
-			return ""
-		}
-		o = &cont
-	}
-	remote := ""
-	for _, r := range o.Replicas {
-		if r.Status != types.ReplicaClean {
-			continue
-		}
-		res, err := s.broker.Cat.GetResource(r.Resource)
-		if err != nil || !res.Online {
-			continue
-		}
-		if res.Server == s.name || res.Server == "" {
-			// A local clean replica counts only while its resource
-			// breaker passes traffic; a tripped local resource sends
-			// the read to a surviving remote replica instead.
-			if s.broker.Breakers().For("resource", r.Resource).Allow() {
-				return ""
-			}
-			continue
-		}
-		remote = res.Server
-	}
-	return remote
-}
-
 // resourceOwner names the peer owning resource, or "" when local.
 func (s *Server) resourceOwner(resource string) string {
 	res, err := s.broker.Cat.GetResource(resource)
@@ -788,11 +750,11 @@ func (s *Server) resourceOwner(resource string) string {
 // owning server's address. The forwarded request keeps req.Trace, so
 // the same trace ID lands in both servers' records.
 func (s *Server) federate(ss *session, peerName, user string, req *wire.Request) error {
-	addr, ok := s.PeerAddr(peerName)
-	if !ok {
-		return ss.fail(types.E(req.Op, peerName, types.ErrOffline))
-	}
 	if s.mode == Redirect {
+		addr, ok := s.PeerAddr(peerName)
+		if !ok {
+			return ss.fail(types.E(req.Op, peerName, types.ErrOffline))
+		}
 		return ss.redirect(peerName, addr)
 	}
 	// Serving a read through a peer is the federation-level failover:
@@ -800,7 +762,7 @@ func (s *Server) federate(ss *session, peerName, user string, req *wire.Request)
 	// breaker routed around a failing driver.
 	ss.span.Event(obs.EventFailover, "read via peer "+peerName)
 	rl := &relay{ss: ss}
-	err := s.proxyGet(peerName, addr, user, req, ss.deadline, ss.span, rl, rl.untouched)
+	_, err := s.peerCall(peerName, user, req, nil, rl, ss.deadline, ss.span, rl.untouched)
 	// A peer call that timed out may have left its last Write behind
 	// (wire.Sink); the session is ours again once that Write is out, and
 	// a Write that comes later finds the relay sealed.
@@ -824,7 +786,7 @@ func (s *Server) federate(ss *session, peerName, user string, req *wire.Request)
 //
 // Its writes run on the peer connection's reader and go to a socket a
 // client may have stopped reading. Two things keep that from costing
-// anyone else: the peer call has its connection to itself (peerDo), and
+// anyone else: the peer call has its connection to itself (peerCall), and
 // the client socket's write deadline is the request's own for as long
 // as the relay lasts, so a Write still blocked when the peer call times
 // out fails at that same moment. mu lets the handler wait for it.
@@ -909,72 +871,107 @@ func (s *Server) peerBreaker(name string) *resilience.Breaker {
 	return s.broker.Breakers().For("peer", name)
 }
 
-// peerDo runs one attempt against a peer: breaker gate, remaining-
-// budget rewrite, pooled checkout, and outcome recording. Only
-// conn-level failures (dial refused, conn dropped, I/O deadline) count
-// against the breaker — a peer answering with an application error is
-// alive. A transport failure also evicts the checked-out connection so
-// no later federation call inherits a broken conn.
+// peerCall sends req to a peer on user's behalf and returns the reply's
+// body, except to a sink, whose Begin has had it. send, when set, is the
+// request's data stream (a relayed ingest); sink, when set, takes the
+// reply's.
 //
-// stream says the call moves bulk data to or from a third party (this
-// request's client, a storage driver). Such a call holds its conn for
-// as long as the transfer lasts and stalls it when that party stalls,
-// so it gets a conn to itself; the calls that share conns are the ones
-// that cannot hold each other up.
-func (s *Server) peerDo(peerName, addr string, deadline time.Time, req *wire.Request, sp *obs.Span, stream bool, fn func(*peerConn) error) error {
-	br := s.peerBreaker(peerName)
-	switch br.State() {
-	case resilience.Open:
-		s.broker.Metrics().Counter("federation.fastfail").Inc()
-		sp.Event(obs.EventBreakerFast, "peer."+peerName)
-		return types.E(req.Op, peerName, fmt.Errorf("peer breaker open: %w", types.ErrOffline))
-	case resilience.HalfOpen:
-		sp.Event(obs.EventBreakerProbe, "peer."+peerName)
+// Each attempt gates on the peer's breaker, rewrites the remaining
+// budget, makes the peer's span a child of sp and checks out a pooled
+// conn. Only conn-level failures (dial refused, conn dropped, I/O
+// deadline) count against the breaker: a peer answering with an
+// application error is alive, and a reply that failed in our own sink
+// (*wire.SinkError) says nothing about the peer. A transport failure
+// also evicts the conn, so no later call inherits a broken one.
+//
+// A call with a stream to send or a sink to fill moves data to or from a
+// third party (this request's client, a storage driver): it holds its
+// conn for as long as the transfer lasts and stalls it when that party
+// stalls, so it gets a conn to itself. The calls that share conns are
+// the ones that cannot hold each other up.
+//
+// An idempotent op with nothing to send is retried under the server's
+// backoff policy, but only while retry (nil = always) allows it: once
+// payload bytes have reached a sink that cannot be rewound, a second
+// attempt would duplicate them. A retry that allows nothing from the
+// start gets the call one attempt.
+func (s *Server) peerCall(peer, user string, req *wire.Request, send io.Reader, sink wire.Sink, deadline time.Time, sp *obs.Span, retry func() bool) ([]byte, error) {
+	addr, ok := s.PeerAddr(peer)
+	if !ok {
+		return nil, types.E(req.Op, peer, types.ErrOffline)
 	}
-	if err := req.SetBudget(deadline); err != nil {
-		return err
-	}
-	// The span the peer opens for this request becomes a child of ours,
-	// so the federated hop shows up as a subtree when reassembled.
-	req.Span = sp.SpanID()
-	checkOut := s.peerPool.Get
-	if stream {
-		checkOut = s.peerPool.GetExclusive
-	}
-	m, err := checkOut(addr)
-	if err != nil {
-		if br.Failure() {
-			sp.Event(obs.EventBreakerTrip, "peer."+peerName)
+	fwd := *req
+	fwd.OnBehalf = user
+	var body []byte
+	attempt := func() error {
+		br := s.peerBreaker(peer)
+		switch br.State() {
+		case resilience.Open:
+			s.broker.Metrics().Counter("federation.fastfail").Inc()
+			sp.Event(obs.EventBreakerFast, "peer."+peer)
+			return types.E(req.Op, peer, fmt.Errorf("peer breaker open: %w", types.ErrOffline))
+		case resilience.HalfOpen:
+			sp.Event(obs.EventBreakerProbe, "peer."+peer)
 		}
-		return types.E(req.Op, peerName, err)
-	}
-	pc := &peerConn{m: m, deadline: deadline}
-	start := time.Now()
-	err = fn(pc)
-	hop := time.Since(start)
-	sp.Phase(obs.PhaseFederationHop, hop)
-	// A reply that failed in our own sink — this request's client hung up
-	// or stopped reading, the local store gave out — says nothing about
-	// the peer, however much its error looks like a transport's.
-	var ours *wire.SinkError
-	failed := err != nil && resilience.Transport(err) && !errors.As(err, &ours)
-	// Feed the transfer observatory: every peer round trip contributes
-	// latency, moved bytes and transport-level outcome to the per-peer
-	// history (an application error proves the peer alive).
-	s.broker.Metrics().Peers().Record(peerName, "", hop, pc.bytes, failed)
-	if failed {
-		s.peerPool.Fail(m)
-		if br.Failure() {
-			sp.Event(obs.EventBreakerTrip, "peer."+peerName)
+		if err := fwd.SetBudget(deadline); err != nil {
+			return err
 		}
-	} else {
-		s.peerPool.Put(m)
-		br.Success()
+		fwd.Span = sp.SpanID()
+		var m *wire.Mux
+		var err error
+		if send != nil || sink != nil {
+			m, err = s.peerPool.GetExclusive(addr)
+		} else {
+			m, err = s.peerPool.Get(addr)
+		}
+		if err != nil {
+			if br.Failure() {
+				sp.Event(obs.EventBreakerTrip, "peer."+peer)
+			}
+			return types.E(req.Op, peer, err)
+		}
+		start := time.Now()
+		var moved int64
+		res, err := m.CallTo(&fwd, send, sink, deadline)
+		if err == nil {
+			if err = res.Check(req.Op, sink != nil); err == nil {
+				moved = res.SentLen + res.DataLen
+				if sink == nil {
+					// The body outlives the reply's frame (a proxied reply
+					// is relayed after the call returns).
+					body = bytes.Clone(res.Resp.Body)
+				}
+			}
+			res.Release()
+		}
+		hop := time.Since(start)
+		sp.Phase(obs.PhaseFederationHop, hop)
+		var ours *wire.SinkError
+		failed := err != nil && resilience.Transport(err) && !errors.As(err, &ours)
+		// Every round trip feeds the transfer observatory's per-peer
+		// latency, bandwidth and transport outcome.
+		s.broker.Metrics().Peers().Record(peer, "", hop, moved, failed)
+		if failed {
+			s.peerPool.Fail(m)
+			if br.Failure() {
+				sp.Event(obs.EventBreakerTrip, "peer."+peer)
+			}
+		} else {
+			s.peerPool.Put(m)
+			br.Success()
+		}
+		return types.E(req.Op, peer, err)
 	}
-	if err != nil {
-		return types.E(req.Op, peerName, err)
+	if send != nil || !wire.Idempotent(req.Op) || (retry != nil && !retry()) {
+		err := attempt()
+		return body, err
 	}
-	return nil
+	r := s.retrier(deadline, sp)
+	if retry != nil {
+		r.Retryable = func(err error) bool { return retry() && resilience.Retryable(err) }
+	}
+	err := r.Do(attempt)
+	return body, err
 }
 
 // retrier builds the federation retry loop for one idempotent request.
@@ -989,71 +986,6 @@ func (s *Server) retrier(deadline time.Time, sp *obs.Span) resilience.Retrier {
 			sp.Event(obs.EventRetry, fmt.Sprintf("federation attempt %d: %v", attempt+1, err))
 		},
 	}
-}
-
-// proxyGet sends a data-returning request to a peer over a
-// peer-authenticated connection and directs the reply's data stream
-// into sink. Idempotent ops are retried under the server's backoff
-// policy, but only while retry (nil = always) still allows it: once
-// payload bytes have reached a sink that cannot be rewound, a second
-// attempt would duplicate them.
-func (s *Server) proxyGet(peerName, addr, user string, req *wire.Request, deadline time.Time, sp *obs.Span, sink wire.Sink, retry func() bool) error {
-	do := func() error {
-		fwd := *req
-		fwd.OnBehalf = user
-		return s.peerDo(peerName, addr, deadline, &fwd, sp, true, func(pc *peerConn) error {
-			_, err := pc.roundTrip(&fwd, nil, sink)
-			return err
-		})
-	}
-	if !wire.Idempotent(req.Op) {
-		return do()
-	}
-	r := s.retrier(deadline, sp)
-	if retry != nil {
-		r.Retryable = func(err error) bool { return retry() && resilience.Retryable(err) }
-	}
-	return r.Do(do)
-}
-
-// proxyCall relays a non-data request to a peer. With retry, an
-// idempotent op runs under the server's backoff policy; without, the hop
-// gets a single attempt.
-func (s *Server) proxyCall(peerName, user string, req *wire.Request, deadline time.Time, sp *obs.Span, retry bool) ([]byte, error) {
-	addr, ok := s.PeerAddr(peerName)
-	if !ok {
-		return nil, types.E(req.Op, peerName, types.ErrOffline)
-	}
-	var body []byte
-	do := func() error {
-		fwd := *req
-		fwd.OnBehalf = user
-		return s.peerDo(peerName, addr, deadline, &fwd, sp, false, func(pc *peerConn) error {
-			b, err := pc.roundTrip(&fwd, nil, nil)
-			body = b
-			return err
-		})
-	}
-	var err error
-	if retry && wire.Idempotent(req.Op) {
-		err = s.retrier(deadline, sp).Do(do)
-	} else {
-		err = do()
-	}
-	return body, err
-}
-
-// peerConn is one checked-out federation call slot: a pooled Mux plus
-// the request's deadline. The Mux enforces the deadline per call (a
-// peer that stops answering mid-exchange fails the request instead of
-// hanging it) and lets many federation calls share one authenticated
-// connection.
-type peerConn struct {
-	m        *wire.Mux
-	deadline time.Time
-	// bytes counts bulk payload moved on this call (either direction),
-	// for the peer transfer observatory's bandwidth EWMA.
-	bytes int64
 }
 
 // dialPeerMux connects and peer-authenticates to addr, wrapping the
@@ -1076,29 +1008,6 @@ func (s *Server) dialPeerMux(addr string) (*wire.Mux, error) {
 		return nil, err
 	}
 	return wire.Handshake(nc, wire.Auth{Peer: s.name}, auth.DeriveKey("peer:"+s.name, secret))
-}
-
-// roundTrip is one call on the checked-out conn: req, then the stream
-// data when the op sends one (a relayed ingest), and a reply whose data
-// stream goes into sink when the op returns one. It returns the reply's
-// body, except to a sink, whose Begin has had it.
-func (p *peerConn) roundTrip(req *wire.Request, data io.Reader, sink wire.Sink) ([]byte, error) {
-	res, err := p.m.CallTo(req, data, sink, p.deadline)
-	if err != nil {
-		return nil, err
-	}
-	defer res.Release()
-	if err := res.Check(req.Op, sink != nil); err != nil {
-		return nil, err
-	}
-	p.bytes += res.SentLen + res.DataLen
-	if sink != nil {
-		return nil, nil
-	}
-	// The body outlives the reply's frame (a proxied reply is relayed
-	// with rawReply after the call returns), so it is copied before the
-	// frame goes back.
-	return bytes.Clone(res.Resp.Body), nil
 }
 
 // parseLockKind maps wire lock names.
@@ -1153,7 +1062,7 @@ func (z reach) TraceSpans(id traceid.ID) []obs.SpanRecord {
 	var spans []obs.SpanRecord
 	args, _ := wire.AppendBody(nil, wire.TraceArgs{ID: id})
 	for _, pn := range z.s.peerNames() {
-		body, err := z.s.proxyCall(pn, z.user, &wire.Request{Op: wire.OpTrace, Args: args}, time.Time{}, nil, true)
+		body, err := z.s.peerCall(pn, z.user, &wire.Request{Op: wire.OpTrace, Args: args}, nil, nil, time.Time{}, nil, nil)
 		if err != nil {
 			continue
 		}
@@ -1164,6 +1073,9 @@ func (z reach) TraceSpans(id traceid.ID) []obs.SpanRecord {
 	}
 	return spans
 }
+
+// never allows no retry (see peerCall).
+func never() bool { return false }
 
 // GridMembers gathers each peer's windowed stats. Every hop gets a
 // single attempt — no retry loop: partial answers are the point of the
@@ -1180,7 +1092,7 @@ func (z reach) GridMembers(window time.Duration) []wire.GridMember {
 	for _, pn := range z.s.peerNames() {
 		m := wire.GridMember{Server: pn, Unreachable: true}
 		var rep wire.GridStatReply
-		body, err := z.s.proxyCall(pn, z.user, &wire.Request{Op: wire.OpGridStat, Args: args}, z.deadline, z.sp, false)
+		body, err := z.s.peerCall(pn, z.user, &wire.Request{Op: wire.OpGridStat, Args: args}, nil, nil, z.deadline, z.sp, never)
 		switch {
 		case err != nil:
 			m.Err = err.Error()

@@ -1,5 +1,5 @@
 // Connection pooling: bounded, breaker-aware reuse of authenticated
-// connections. The client library and the federation's peerDo both
+// connections. The client library and the federation's peerCall both
 // used to pay a dial + handshake per connection (or per call); a Pool
 // amortizes that across requests and, because each pooled connection
 // is a Mux, concurrent checkouts of the same address share connections

@@ -183,16 +183,26 @@ func KindOf(err error) string {
 	return ""
 }
 
-// ErrFromKind reconstructs a client-side error wrapping the right
-// sentinel.
+// ErrFromKind reconstructs a client-side error: its text is the
+// server's message verbatim, and it wraps the sentinel kind names.
 func ErrFromKind(kind, msg string) error {
 	for _, k := range errKinds {
 		if k.name == kind {
-			return fmt.Errorf("%s: %w", msg, k.err)
+			return &remoteError{msg: msg, err: k.err}
 		}
 	}
 	return errors.New(msg)
 }
+
+// remoteError is an error a server sent: the message already names the
+// sentinel, which Unwrap exposes to errors.Is.
+type remoteError struct {
+	msg string
+	err error
+}
+
+func (e *remoteError) Error() string { return e.msg }
+func (e *remoteError) Unwrap() error { return e.err }
 
 // Conn frames messages over an io.ReadWriter. At most one goroutine
 // may write and one may read at a time (frames from two writers would

@@ -127,17 +127,16 @@ func TestOversizeFrameRejected(t *testing.T) {
 }
 
 func TestErrKindRoundTrip(t *testing.T) {
-	for _, sentinel := range []error{
-		types.ErrNotFound, types.ErrExists, types.ErrPermission,
-		types.ErrLocked, types.ErrOffline, types.ErrInvalid,
-		types.ErrNotEmpty, types.ErrUnsupported, types.ErrAuth,
-		types.ErrMandatoryMeta,
-	} {
+	for _, k := range errKinds {
+		sentinel := k.err
 		wrapped := types.E("op", "/p", sentinel)
 		resp := ErrResponse(wrapped)
 		back := resp.Err()
 		if !errors.Is(back, sentinel) {
 			t.Errorf("sentinel %v lost through the wire: %v", sentinel, back)
+		}
+		if back.Error() != wrapped.Error() {
+			t.Errorf("%s: text %q came back as %q", k.name, wrapped, back)
 		}
 	}
 	// Unclassified errors still carry their message.
