@@ -68,6 +68,11 @@ PEER_CALLS := \.CallTo\(
 # The append fence: a catalog mutation reaches its journal only through commitLocked's append (journal.go), never a log( helper.
 JOURNAL_WRITES := \blog\(|appendLine\(|\.w\.Write\(
 
+# The entry fence: a catalog mutator builds its entry in a pooled line
+# buffer (journal.go's line, which encodeLine's lines come from), so a
+# mutation makes no object for its entry or the payload it points at.
+NEW_ENTRY := &Entry\{
+
 # The audit fence: the trail is the broker's (core.Broker.Audit), so the catalog never imports internal/audit.
 AUDIT_IMPORT := "gosrb/internal/audit"
 
@@ -100,6 +105,7 @@ lint: vet
 	@if grep -rnF 'signal.Notify(' --exclude-dir=daemon $(GO_SRC); then echo "signal handler outside internal/daemon: Runtime.Run owns shutdown"; exit 1; fi
 	@if grep -rnF 'RegisterObject(' --include=*.go --exclude=*_test.go $(CREATE_USERS); then echo "RegisterObject in a request path: create through newObject + Catalog.Ingest (internal/core)"; exit 1; fi
 	@if grep -rnE '$(JOURNAL_WRITES)' --include=*.go --exclude=*_test.go --exclude=journal.go internal/mcat; then echo "journal write outside journal.go: commit the entry through commitLocked, which appends it before it is applied"; exit 1; fi
+	@if grep -rnE '$(NEW_ENTRY)' --include=*.go --exclude=*_test.go internal/mcat; then echo "build the entry in the line buffer (encodeLine)"; exit 1; fi
 	@if grep -rnF '$(AUDIT_IMPORT)' --include=*.go --exclude=*_test.go internal/mcat; then echo "audit import in internal/mcat: the audit trail belongs to the broker (core.Broker.Audit)"; exit 1; fi
 	@if grep -rnE '$(WHOLE_READS)' --include=*.go --exclude=*_test.go internal/server; then echo "whole-object read in internal/server: open with Broker.OpenGet and stream"; exit 1; fi
 	@if grep -rnE '$(LOOKUP_AGAIN_SERVER)' --include=*.go --exclude=*_test.go internal/server || grep -rnE '$(LOOKUP_AGAIN_CORE)' --include=*.go --exclude=*_test.go internal/core; then echo "resolve a path once (Broker.Lookup) and pass the row down"; exit 1; fi
@@ -190,7 +196,9 @@ test-phases:
 # would swamp them: Select values cost per answer, not per hit, in the
 # catalog and on a loopback round trip; a row lookup copies nothing; a
 # put's structural check walks up its path and makes nothing; a
-# decoded header's or args' strings come from one copy. Then the catalog against itself: the query and
+# decoded header's or args' strings come from one copy; a triplet or an
+# annotation makes only what the catalog keeps, and a tail exemplar
+# nothing. Then the catalog against itself: the query and
 # mutation differential tests (a monolith against a 4-shard router, the
 # router reopened at 3 and 1 shards), the journal and snapshot fixtures
 # (the legacy JSON snapshot among them), the put as one transaction (a
@@ -212,7 +220,7 @@ test-phases:
 test-mcat:
 	$(GO) test -race -count=10 ./internal/durable/
 	$(GO) test -race -count=10 ./internal/mcat/shard/
-	$(GO) test -count=3 -run 'TestQueryAllocates|TestGetObjectAllocatesNothing|TestCheckMandatoryAllocatesNothing|TestDecodeStringAllocs|TestRoundTripAllocBudget' ./internal/mcat/ ./internal/wire/ ./internal/server/
+	$(GO) test -count=3 -run 'TestQueryAllocates|TestGetObjectAllocatesNothing|TestCheckMandatoryAllocatesNothing|TestDecodeStringAllocs|TestRoundTripAllocBudget|TestMutatorsKeepOnlyWhatTheyStore|TestExemplarStoreAllocs' ./internal/mcat/ ./internal/wire/ ./internal/server/ ./internal/obs/
 	$(GO) test -race -count=10 -run 'Query|Like|Differential' ./internal/mcat/
 	$(GO) test -race -count=1 -run 'TestJournalFixture|TestSnapshotFixture|TestEveryKindRefusedWhenAppendFails' ./internal/mcat/
 	$(GO) test -race -count=1 -run 'TestRefusedMetadata|TestIngestJournalFailure|TestIngestLosingRace|TestPutCrashPoints|TestCreateThroughLinkedCollection|TestRegisterFileRefusedTriplet|TestCreateJournalEntries|TestRefusedDeleteKeepsBytes' ./internal/core/

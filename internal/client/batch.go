@@ -42,7 +42,7 @@ func (cl *Client) BulkPut(items []BulkPut) ([]wire.BulkItemStatus, error) {
 		payload[i] = it.Data
 	}
 	var out wire.BulkPutReply
-	if err := cl.do(wire.OpBulkPut, args, &xfer{send: &payload}, &out, ""); err != nil {
+	if err := call(cl, wire.OpBulkPut, args, &xfer{send: &payload}, &out); err != nil {
 		return nil, err
 	}
 	return out.Results, nil
@@ -74,7 +74,7 @@ func (cl *Client) MultiGet(paths []string) ([]MultiGetResult, error) {
 		}
 		return out.DataLen(), nil
 	}}
-	if err := cl.do(wire.OpMultiGet, wire.MultiGetArgs{Paths: paths}, x, nil, ""); err != nil {
+	if err := call(cl, wire.OpMultiGet, wire.MultiGetArgs{Paths: paths}, x, none); err != nil {
 		return nil, err
 	}
 	data := x.bytes()
@@ -104,8 +104,8 @@ func (cl *Client) BulkStat(paths []string) ([]wire.BulkStatItem, error) {
 	if len(paths) == 0 {
 		return nil, nil
 	}
-	var out wire.BulkStatReply
-	if _, err := cl.call(wire.OpBulkStat, wire.BulkStatArgs{Paths: paths}, &out); err != nil {
+	out, err := ask[wire.BulkStatReply](cl, wire.OpBulkStat, wire.BulkStatArgs{Paths: paths})
+	if err != nil {
 		return nil, err
 	}
 	return out.Items, nil

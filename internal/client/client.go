@@ -191,8 +191,11 @@ func (cl *Client) Addr() string {
 	return cl.addr
 }
 
-// xfer is the bulk-data half of one logical call: the stream sent after
-// the request, and where the stream that follows the response goes.
+// xfer is one logical call's state besides its args and its reply body:
+// the stream sent after the request, where the stream that follows the
+// response goes, and what the attempts moved. A call that brings no
+// stream of its own takes a pooled xfer (newXfer) and hands it back
+// (free).
 type xfer struct {
 	// send is streamed after the request (nil = the op sends none). It is
 	// read once.
@@ -208,6 +211,8 @@ type xfer struct {
 	// announced extracts that length from the response body; nil reads a
 	// wire.SizeReply.
 	announced func(body []byte) (int64, error)
+	// ticket rides on every attempt's request (GetWithTicket).
+	ticket string
 
 	buf *wire.Buffer // the current attempt's in-memory result
 	// wrote counts the bytes handed to `to` (by the last attempt, when
@@ -215,6 +220,30 @@ type xfer struct {
 	// its last Write when it returns (wire.Sink).
 	wrote atomic.Int64
 	moved int64 // payload bytes moved either way, for the observatory
+	// retried is set once an attempt has failed and another is made.
+	retried bool
+	// data is the reader Put sends its bytes through.
+	data bytes.Reader
+}
+
+var xferPool = sync.Pool{New: func() any { return new(xfer) }}
+
+// newXfer lends an empty xfer from the pool.
+func newXfer() *xfer { return xferPool.Get().(*xfer) }
+
+// free hands a pooled x back once its caller has read what it keeps
+// (bytes). A call that failed, or failed once and was retried, may have
+// left the connection's reader inside x — a sink its deadline abandoned
+// (wire.Sink) — so its x is left to the GC instead.
+func (x *xfer) free(err error) {
+	if err != nil || x.retried {
+		return
+	}
+	x.send, x.to, x.rewound, x.announced, x.ticket = nil, nil, nil, nil, ""
+	x.buf, x.moved = nil, 0
+	x.wrote.Store(0)
+	x.data.Reset(nil)
+	xferPool.Put(x)
 }
 
 // Begin directs one attempt's reply stream (wire.Sink). Every attempt
@@ -269,25 +298,79 @@ func (x *xfer) bytes() []byte {
 	return x.buf.Bytes()
 }
 
-// call performs one logical call that sends no data stream. The
-// response body is decoded into out (when non-nil); a data stream, when
-// the reply announces one, is returned.
-func (cl *Client) call(op string, args any, out any) ([]byte, error) {
-	var x xfer
-	err := cl.do(op, args, &x, out, "")
-	return x.bytes(), err
+// none is the out of a call whose reply body is not read.
+var none *struct{}
+
+// call performs one logical call of op with its bulk-data half described
+// by x. args are encoded once, into a pooled frame that every attempt
+// sends, and neither they nor out escape: the reply body is decoded into
+// out (none: not read) before the response's frame goes back to the
+// pool.
+func call[A, R any](cl *Client, op string, args A, x *xfer, out *R) error {
+	start := time.Now()
+	bp := wire.GetFrame()
+	defer wire.PutFrame(bp)
+	raw, err := wire.AppendBody(*bp, &args)
+	*bp = raw
+	if err != nil {
+		return err
+	}
+	res, err := cl.do(op, raw, x, time.Since(start))
+	if err != nil {
+		return err
+	}
+	defer res.Release()
+	if out != nil {
+		if err := wire.DecodeBody(res.Resp.Body, out); err != nil {
+			return types.E(op, "", err)
+		}
+	}
+	return nil
+}
+
+// ask performs one logical call that moves no stream either way, in a
+// pooled xfer, and returns its reply by value: a method that passed a
+// pointer to its own variable instead is often inlined into its
+// caller's package, and there the pointer made the variable escape.
+func ask[R, A any](cl *Client, op string, args A) (R, error) {
+	var out R
+	err := exec(cl, op, args, &out)
+	return out, err
+}
+
+// exec is ask with the reply decoded into out (none: not read).
+func exec[A, R any](cl *Client, op string, args A, out *R) error {
+	x := newXfer()
+	err := call(cl, op, args, x, out)
+	x.free(err)
+	return err
+}
+
+// fetch performs one logical call whose reply stream is collected in
+// memory, and returns the stream.
+func fetch[A any](cl *Client, op string, args A) ([]byte, error) {
+	x := newXfer()
+	err := call(cl, op, args, x, none)
+	data := x.bytes()
+	x.free(err)
+	return data, err
 }
 
 // Call performs one logical call of an op that moves no bulk data, for
 // callers that know the op by its table row rather than by a method
 // here: args is the op's argument struct, out receives the reply.
 func (cl *Client) Call(op string, args, out any) error {
-	_, err := cl.call(op, args, out)
-	return err
+	if out == nil {
+		return exec(cl, op, args, none)
+	}
+	return exec(cl, op, args, &out)
 }
 
-// do performs one logical call with its bulk-data half described by x.
-// Each logical call mints one trace ID, kept across redirect and retry
+// do performs the attempts of one logical call: args are its encoded
+// arguments, ser the time encoding them took and x its bulk-data half.
+// It returns the last attempt's answer for the caller to decode and
+// release. Each
+// logical call mints one trace ID, kept across redirect and retry
 // attempts, so the servers involved all record it under the same trace.
 //
 // Idempotent operations that fail with a retryable error (offline,
@@ -296,8 +379,9 @@ func (cl *Client) Call(op string, args, out any) error {
 // poisoned mid-protocol. Mutating ops get exactly one attempt — a lost
 // response does not prove the mutation was lost — and a reply stream
 // that has reached the caller's writer ends the retries too.
-func (cl *Client) do(op string, args any, x *xfer, out any, ticket string) error {
+func (cl *Client) do(op string, args []byte, x *xfer, ser time.Duration) (*wire.CallResult, error) {
 	trace := traceid.New()
+	cl.phase(op, obs.PhaseSerialize, ser, trace)
 	cl.mu.Lock()
 	cl.lastTrace = trace
 	timeout, policy := cl.timeout, cl.retry
@@ -316,38 +400,41 @@ func (cl *Client) do(op string, args any, x *xfer, out any, ticket string) error
 	attempt := 0
 	r := resilience.Retrier{
 		Policy: policy, Sleep: sleep, Rand: randf, Deadline: deadline,
-		OnRetry: func(int, error) { cl.retries.Add(1); attempt++ },
+		OnRetry: func(int, error) { cl.retries.Add(1); attempt++; x.retried = true },
 	}
 	if x.to != nil {
 		r.Retryable = x.retryable
 	}
 	start := time.Now()
-	err := r.Do(func() error {
+	var res *wire.CallResult
+	err := r.Do(func() (err error) {
 		// A transport error evicted the failed conn inside callOnce, so
 		// the next attempt's checkout dials a clean connection —
 		// reconnect-on-transport-error lives in the pool now.
-		return cl.callRedirect(op, args, x, out, ticket, trace, attempt, deadline)
+		res, err = cl.callRedirect(op, args, x, trace, attempt, deadline)
+		return err
 	})
 	// Feed the observatory with the whole logical call (retries and
 	// redirects included — that is the latency the user experienced).
 	history.Record(cl.Server(), "", time.Since(start), x.moved, err != nil && resilience.Transport(err))
-	return err
+	return res, err
 }
 
 // callRedirect performs one attempt, following federation redirects.
-func (cl *Client) callRedirect(op string, args any, x *xfer, out any, ticket string, trace traceid.ID, attempt int, deadline time.Time) error {
+func (cl *Client) callRedirect(op string, args []byte, x *xfer, trace traceid.ID, attempt int, deadline time.Time) (*wire.CallResult, error) {
 	addr := cl.Addr()
 	for redirects := 0; ; redirects++ {
-		redirect, err := cl.callOnce(addr, op, args, x, out, ticket, trace, attempt, deadline)
+		res, err := cl.callOnce(addr, op, args, x, trace, attempt, deadline)
 		if err != nil {
-			return err
+			return nil, err
 		}
+		redirect := res.Redirect
 		if redirect == nil {
-			return nil
+			return res, nil
 		}
 		if redirects >= 4 || x.send != nil {
 			// Servers redirect reads only; a body already sent is spent.
-			return types.E(op, redirect.Addr, types.ErrInvalid)
+			return nil, types.E(op, redirect.Addr, types.ErrInvalid)
 		}
 		// Transparent federation redirect: switch addresses and retry
 		// (the pool dials the new server on checkout — single sign-on
@@ -360,17 +447,11 @@ func (cl *Client) callRedirect(op string, args any, x *xfer, out any, ticket str
 	}
 }
 
-func (cl *Client) callOnce(addr, op string, args any, x *xfer, out any, ticket string, trace traceid.ID, attempt int, deadline time.Time) (*wire.Redirect, error) {
-	serStart := time.Now()
-	// The arguments are copied into the request frame when it is written,
-	// before CallTo returns: a stack buffer holds them until then.
-	var scratch [512]byte
-	raw, err := wire.AppendBody(scratch[:0], args)
-	cl.phase(op, obs.PhaseSerialize, time.Since(serStart), trace)
-	if err != nil {
-		return nil, err
-	}
-	req := wire.Request{Op: op, Args: raw, Ticket: ticket, Trace: trace, Attempt: attempt}
+// callOnce sends the request once and returns its answer: a redirect,
+// or a success response whose body the caller decodes before it releases
+// it. A failure response is released here and returned as its error.
+func (cl *Client) callOnce(addr, op string, args []byte, x *xfer, trace traceid.ID, attempt int, deadline time.Time) (*wire.CallResult, error) {
+	req := wire.Request{Op: op, Args: args, Ticket: x.ticket, Trace: trace, Attempt: attempt}
 	// The wire budget tells the server chain how long this call may take;
 	// the Mux enforces it locally so a stalled server cannot hang the
 	// client past it.
@@ -401,56 +482,41 @@ func (cl *Client) callOnce(addr, op string, args any, x *xfer, out any, ticket s
 	cl.server = m.Server()
 	cl.mu.Unlock()
 	if res.Redirect != nil {
-		return res.Redirect, nil
+		return res, nil
 	}
 	x.moved += res.SentLen + res.DataLen
-	// The body is decoded into out, which copies what it keeps; then the
-	// response's frame goes back to the pool.
-	defer res.Release()
 	if err := res.Check(op, false); err != nil {
+		res.Release()
 		return nil, err
 	}
-	if out != nil {
-		if err := wire.DecodeBody(res.Resp.Body, out); err != nil {
-			return nil, types.E(op, "", err)
-		}
-	}
-	return nil, nil
+	return res, nil
 }
 
 // ---- Scommand-style API ----
 
 // Mkdir creates a collection (Smkdir).
 func (cl *Client) Mkdir(path string) error {
-	_, err := cl.call(wire.OpMkdir, wire.PathArgs{Path: path}, nil)
-	return err
+	return exec(cl, wire.OpMkdir, wire.PathArgs{Path: path}, none)
 }
 
 // RmColl removes an empty collection (Srmdir).
 func (cl *Client) RmColl(path string) error {
-	_, err := cl.call(wire.OpRmColl, wire.PathArgs{Path: path}, nil)
-	return err
+	return exec(cl, wire.OpRmColl, wire.PathArgs{Path: path}, none)
 }
 
 // List lists a collection (Sls).
 func (cl *Client) List(path string) ([]types.Stat, error) {
-	var out []types.Stat
-	_, err := cl.call(wire.OpList, wire.PathArgs{Path: path}, &out)
-	return out, err
+	return ask[[]types.Stat](cl, wire.OpList, wire.PathArgs{Path: path})
 }
 
 // Stat describes a path.
 func (cl *Client) Stat(path string) (types.Stat, error) {
-	var out types.Stat
-	_, err := cl.call(wire.OpStat, wire.PathArgs{Path: path}, &out)
-	return out, err
+	return ask[types.Stat](cl, wire.OpStat, wire.PathArgs{Path: path})
 }
 
 // GetObject fetches the full catalog record of an object.
 func (cl *Client) GetObject(path string) (types.DataObject, error) {
-	var out types.DataObject
-	_, err := cl.call(wire.OpGetObject, wire.PathArgs{Path: path}, &out)
-	return out, err
+	return ask[types.DataObject](cl, wire.OpGetObject, wire.PathArgs{Path: path})
 }
 
 // PutOpts parameterise Put.
@@ -463,19 +529,30 @@ type PutOpts struct {
 
 // Put ingests data at path (Sput).
 func (cl *Client) Put(path string, data []byte, opts PutOpts) (types.DataObject, error) {
-	return cl.PutFrom(path, bytes.NewReader(data), opts)
+	x := newXfer()
+	x.data.Reset(data)
+	x.send = &x.data
+	return cl.put(path, x, opts)
 }
 
 // PutFrom ingests the stream r at path: the bytes go from r to the
 // socket through one pooled chunk, so an object of any size is sent in
 // fixed memory. An ingest is sent exactly once, never retried.
 func (cl *Client) PutFrom(path string, r io.Reader, opts PutOpts) (types.DataObject, error) {
+	x := newXfer()
+	x.send = r
+	return cl.put(path, x, opts)
+}
+
+// put ingests x's stream at path, in x, a pooled xfer.
+func (cl *Client) put(path string, x *xfer, opts PutOpts) (types.DataObject, error) {
 	var out types.DataObject
 	args := wire.IngestArgs{
 		Path: path, Resource: opts.Resource, Container: opts.Container,
 		DataType: opts.DataType, Meta: opts.Meta,
 	}
-	err := cl.do(wire.OpIngest, args, &xfer{send: r}, &out, "")
+	err := call(cl, wire.OpIngest, args, x, &out)
+	x.free(err)
 	return out, err
 }
 
@@ -486,13 +563,13 @@ func (cl *Client) Reput(path string, data []byte) error {
 
 // ReputFrom is Reput with the new contents streamed from r.
 func (cl *Client) ReputFrom(path string, r io.Reader) error {
-	return cl.do(wire.OpReingest, wire.PathArgs{Path: path}, &xfer{send: r}, nil, "")
+	return call(cl, wire.OpReingest, wire.PathArgs{Path: path}, &xfer{send: r}, none)
 }
 
 // Get retrieves an object's contents (Sget) into one buffer allocated at
 // the size the server announces.
 func (cl *Client) Get(path string) ([]byte, error) {
-	return cl.call(wire.OpGet, wire.PathArgs{Path: path}, nil)
+	return fetch(cl, wire.OpGet, wire.PathArgs{Path: path})
 }
 
 // GetTo retrieves an object's contents into w and returns the bytes
@@ -508,19 +585,19 @@ func (cl *Client) Get(path string) ([]byte, error) {
 // again after that, and is the caller's to reuse only once it has.
 func (cl *Client) GetTo(path string, w io.Writer) (int64, error) {
 	x := &xfer{to: w}
-	err := cl.do(wire.OpGet, wire.PathArgs{Path: path}, x, nil, "")
+	err := call(cl, wire.OpGet, wire.PathArgs{Path: path}, x, none)
 	return x.wrote.Load(), err
 }
 
 // GetRange reads length bytes at offset; length < 0 reads to the end.
 func (cl *Client) GetRange(path string, offset, length int64) ([]byte, error) {
-	return cl.call(wire.OpReadRange, wire.RangeArgs{Path: path, Offset: offset, Length: length}, nil)
+	return fetch(cl, wire.OpReadRange, wire.RangeArgs{Path: path, Offset: offset, Length: length})
 }
 
 // GetRangeTo is GetRange streamed into w (see GetTo for the retry rule).
 func (cl *Client) GetRangeTo(path string, offset, length int64, w io.Writer) (int64, error) {
 	x := &xfer{to: w}
-	err := cl.do(wire.OpReadRange, wire.RangeArgs{Path: path, Offset: offset, Length: length}, x, nil, "")
+	err := call(cl, wire.OpReadRange, wire.RangeArgs{Path: path, Offset: offset, Length: length}, x, none)
 	return x.wrote.Load(), err
 }
 
@@ -563,9 +640,9 @@ func (s sliceAt) WriteAt(p []byte, off int64) (int, error) {
 // position can be returned to, and writing the same bytes there again
 // changes nothing, so the call keeps the retries a plain writer loses
 // with its first byte.
-func (cl *Client) getAt(op string, args any, w io.WriterAt, off int64) (int64, error) {
+func getAt[A any](cl *Client, op string, args A, w io.WriterAt, off int64) (int64, error) {
 	x := &xfer{rewound: func() io.Writer { return io.NewOffsetWriter(w, off) }}
-	err := cl.do(op, args, x, nil, "")
+	err := call(cl, op, args, x, none)
 	return x.wrote.Load(), err
 }
 
@@ -577,7 +654,7 @@ func (cl *Client) parallelTo(path string, size int64, streams int, w io.WriterAt
 		streams = int(size)
 	}
 	if streams <= 1 || size == 0 {
-		_, err := cl.getAt(wire.OpGet, wire.PathArgs{Path: path}, w, 0)
+		_, err := getAt(cl, wire.OpGet, wire.PathArgs{Path: path}, w, 0)
 		return err
 	}
 	chunk := (size + int64(streams) - 1) / int64(streams)
@@ -602,7 +679,7 @@ func (cl *Client) parallelTo(path string, size int64, streams int, w io.WriterAt
 			defer sub.Close()
 			sub.SetTimeout(timeout)
 			sub.SetRetryPolicy(retry)
-			n, err := sub.getAt(wire.OpReadRange, wire.RangeArgs{Path: path, Offset: off, Length: length}, w, off)
+			n, err := getAt(sub, wire.OpReadRange, wire.RangeArgs{Path: path, Offset: off, Length: length}, w, off)
 			if err == nil && n != length {
 				err = types.E("parallelget", path, fmt.Errorf("short range read (%d of %d)", n, length))
 			}
@@ -620,65 +697,52 @@ func (cl *Client) parallelTo(path string, size int64, streams int, w io.WriterAt
 
 // Replicate adds a replica on resource (Sreplicate).
 func (cl *Client) Replicate(path, resource string) (types.Replica, error) {
-	var out types.Replica
-	_, err := cl.call(wire.OpReplicate, wire.ReplicateArgs{Path: path, Resource: resource}, &out)
-	return out, err
+	return ask[types.Replica](cl, wire.OpReplicate, wire.ReplicateArgs{Path: path, Resource: resource})
 }
 
 // Delete removes an object (Srm).
 func (cl *Client) Delete(path string) error {
-	_, err := cl.call(wire.OpDelete, wire.PathArgs{Path: path}, nil)
-	return err
+	return exec(cl, wire.OpDelete, wire.PathArgs{Path: path}, none)
 }
 
 // DeleteReplica removes one replica.
 func (cl *Client) DeleteReplica(path string, number int) error {
-	_, err := cl.call(wire.OpDeleteReplica, wire.ReplicaArgs{Path: path, Number: number}, nil)
-	return err
+	return exec(cl, wire.OpDeleteReplica, wire.ReplicaArgs{Path: path, Number: number}, none)
 }
 
 // Move renames an object or collection (Smv).
 func (cl *Client) Move(src, dst string) error {
-	_, err := cl.call(wire.OpMove, wire.MoveArgs{Src: src, Dst: dst}, nil)
-	return err
+	return exec(cl, wire.OpMove, wire.MoveArgs{Src: src, Dst: dst}, none)
 }
 
 // Copy copies an object or collection (Scp).
 func (cl *Client) Copy(src, dst, resource string) error {
-	_, err := cl.call(wire.OpCopy, wire.CopyArgs{Src: src, Dst: dst, Resource: resource}, nil)
-	return err
+	return exec(cl, wire.OpCopy, wire.CopyArgs{Src: src, Dst: dst, Resource: resource}, none)
 }
 
 // Link creates a soft link (Sln).
 func (cl *Client) Link(target, linkPath string) error {
-	_, err := cl.call(wire.OpLink, wire.LinkArgs{Target: target, LinkPath: linkPath}, nil)
-	return err
+	return exec(cl, wire.OpLink, wire.LinkArgs{Target: target, LinkPath: linkPath}, none)
 }
 
 // AddMeta attaches a metadata triplet.
 func (cl *Client) AddMeta(path string, class types.MetaClass, avu types.AVU) error {
-	_, err := cl.call(wire.OpAddMeta, wire.MetaArgs{Path: path, Class: int(class), AVU: avu}, nil)
-	return err
+	return exec(cl, wire.OpAddMeta, wire.MetaArgs{Path: path, Class: int(class), AVU: avu}, none)
 }
 
 // GetMeta fetches one metadata class.
 func (cl *Client) GetMeta(path string, class types.MetaClass) ([]types.AVU, error) {
-	var out []types.AVU
-	_, err := cl.call(wire.OpGetMeta, wire.GetMetaArgs{Path: path, Class: int(class)}, &out)
-	return out, err
+	return ask[[]types.AVU](cl, wire.OpGetMeta, wire.GetMetaArgs{Path: path, Class: int(class)})
 }
 
 // Annotate adds commentary.
 func (cl *Client) Annotate(path string, ann types.Annotation) error {
-	_, err := cl.call(wire.OpAnnotate, wire.AnnotateArgs{Path: path, Ann: ann}, nil)
-	return err
+	return exec(cl, wire.OpAnnotate, wire.AnnotateArgs{Path: path, Ann: ann}, none)
 }
 
 // Annotations lists commentary.
 func (cl *Client) Annotations(path string) ([]types.Annotation, error) {
-	var out []types.Annotation
-	_, err := cl.call(wire.OpAnnotations, wire.PathArgs{Path: path}, &out)
-	return out, err
+	return ask[[]types.Annotation](cl, wire.OpAnnotations, wire.PathArgs{Path: path})
 }
 
 // Query runs a conjunctive metadata query.
@@ -691,8 +755,7 @@ func (cl *Client) Query(q mcat.Query) ([]mcat.Hit, error) {
 // the catalog shards (as "shard-N") that missed the scatter-gather
 // deadline or were stale followers, whose hits are therefore missing.
 func (cl *Client) QueryPartial(q mcat.Query) ([]mcat.Hit, []string, error) {
-	var out wire.QueryReply
-	_, err := cl.call(wire.OpQuery, wire.QueryArgs{Q: q}, &out)
+	out, err := ask[wire.QueryReply](cl, wire.OpQuery, wire.QueryArgs{Q: q})
 	return out.Hits, out.Partial, err
 }
 
@@ -706,54 +769,45 @@ func ShardPuller(user, password string) shard.PullFunc {
 			return shard.PullResult{}, err
 		}
 		defer cl.Close()
-		var out wire.ShardPullReply
-		_, err = cl.call(wire.OpShardPull, wire.ShardPullArgs{Shard: shardIdx, From: from}, &out)
+		out, err := ask[wire.ShardPullReply](cl, wire.OpShardPull, wire.ShardPullArgs{Shard: shardIdx, From: from})
 		return out.PullResult, err
 	}
 }
 
 // QueryAttrNames fetches the queryable attribute names under scope.
 func (cl *Client) QueryAttrNames(scope string) ([]string, error) {
-	var out []string
-	_, err := cl.call(wire.OpQueryAttrs, wire.PathArgs{Path: scope}, &out)
-	return out, err
+	return ask[[]string](cl, wire.OpQueryAttrs, wire.PathArgs{Path: scope})
 }
 
 // Chmod grants a permission level ("none", "read", "annotate", "write",
 // "own", "curate") to a grantee.
 func (cl *Client) Chmod(path, grantee, level string) error {
-	_, err := cl.call(wire.OpChmod, wire.ChmodArgs{Path: path, Grantee: grantee, Level: level}, nil)
-	return err
+	return exec(cl, wire.OpChmod, wire.ChmodArgs{Path: path, Grantee: grantee, Level: level}, none)
 }
 
 // Lock places a "shared" or "exclusive" lock.
 func (cl *Client) Lock(path, kind string, ttl time.Duration) error {
-	_, err := cl.call(wire.OpLock, wire.LockArgs{Path: path, Kind: kind, TTLSeconds: int64(ttl / time.Second)}, nil)
-	return err
+	return exec(cl, wire.OpLock, wire.LockArgs{Path: path, Kind: kind, TTLSeconds: int64(ttl / time.Second)}, none)
 }
 
 // Unlock removes the caller's lock.
 func (cl *Client) Unlock(path string) error {
-	_, err := cl.call(wire.OpUnlock, wire.PathArgs{Path: path}, nil)
-	return err
+	return exec(cl, wire.OpUnlock, wire.PathArgs{Path: path}, none)
 }
 
 // Pin protects a replica from cache purging.
 func (cl *Client) Pin(path, resource string, ttl time.Duration) error {
-	_, err := cl.call(wire.OpPin, wire.PinArgs{Path: path, Resource: resource, TTLSeconds: int64(ttl / time.Second)}, nil)
-	return err
+	return exec(cl, wire.OpPin, wire.PinArgs{Path: path, Resource: resource, TTLSeconds: int64(ttl / time.Second)}, none)
 }
 
 // Unpin removes the caller's pin.
 func (cl *Client) Unpin(path, resource string) error {
-	_, err := cl.call(wire.OpUnpin, wire.PinArgs{Path: path, Resource: resource}, nil)
-	return err
+	return exec(cl, wire.OpUnpin, wire.PinArgs{Path: path, Resource: resource}, none)
 }
 
 // Checkout takes an object out for editing.
 func (cl *Client) Checkout(path string) error {
-	_, err := cl.call(wire.OpCheckout, wire.PathArgs{Path: path}, nil)
-	return err
+	return exec(cl, wire.OpCheckout, wire.PathArgs{Path: path}, none)
 }
 
 // Checkin stores new contents, preserving the old as a version.
@@ -763,51 +817,43 @@ func (cl *Client) Checkin(path string, data []byte, comment string) error {
 
 // CheckinFrom is Checkin with the new contents streamed from r.
 func (cl *Client) CheckinFrom(path string, r io.Reader, comment string) error {
-	return cl.do(wire.OpCheckin, wire.CheckinArgs{Path: path, Comment: comment}, &xfer{send: r}, nil, "")
+	return call(cl, wire.OpCheckin, wire.CheckinArgs{Path: path, Comment: comment}, &xfer{send: r}, none)
 }
 
 // RegisterURL registers a URL object.
 func (cl *Client) RegisterURL(path, url string) (types.DataObject, error) {
-	var out types.DataObject
-	_, err := cl.call(wire.OpRegisterURL, wire.RegisterURLArgs{Path: path, URL: url}, &out)
-	return out, err
+	return ask[types.DataObject](cl, wire.OpRegisterURL, wire.RegisterURLArgs{Path: path, URL: url})
 }
 
 // RegisterSQL registers a SQL query object.
 func (cl *Client) RegisterSQL(path string, spec types.SQLSpec) (types.DataObject, error) {
-	var out types.DataObject
-	_, err := cl.call(wire.OpRegisterSQL, wire.RegisterSQLArgs{Path: path, Spec: spec}, &out)
-	return out, err
+	return ask[types.DataObject](cl, wire.OpRegisterSQL, wire.RegisterSQLArgs{Path: path, Spec: spec})
 }
 
 // ExecSQL executes a registered SQL object with an optional suffix.
 func (cl *Client) ExecSQL(path, suffix string) ([]byte, error) {
-	return cl.call(wire.OpExecSQL, wire.ExecSQLArgs{Path: path, Suffix: suffix}, nil)
+	return fetch(cl, wire.OpExecSQL, wire.ExecSQLArgs{Path: path, Suffix: suffix})
 }
 
 // Invoke runs a method object with extra arguments.
 func (cl *Client) Invoke(path string, args []string) ([]byte, error) {
-	return cl.call(wire.OpInvoke, wire.InvokeArgs{Path: path, Args: args}, nil)
+	return fetch(cl, wire.OpInvoke, wire.InvokeArgs{Path: path, Args: args})
 }
 
 // MkContainer creates a container on a resource.
 func (cl *Client) MkContainer(path, resource string) (types.DataObject, error) {
-	var out types.DataObject
-	_, err := cl.call(wire.OpMkContainer, wire.ContainerArgs{Path: path, Resource: resource}, &out)
-	return out, err
+	return ask[types.DataObject](cl, wire.OpMkContainer, wire.ContainerArgs{Path: path, Resource: resource})
 }
 
 // SyncContainer refreshes dirty container replicas.
 func (cl *Client) SyncContainer(path string) (int, error) {
-	var out wire.CountReply
-	_, err := cl.call(wire.OpSyncContainer, wire.PathArgs{Path: path}, &out)
+	out, err := ask[wire.CountReply](cl, wire.OpSyncContainer, wire.PathArgs{Path: path})
 	return out.N, err
 }
 
 // Extract runs a metadata extraction method on the server.
 func (cl *Client) Extract(path, method, from string) (int, error) {
-	var out wire.CountReply
-	_, err := cl.call(wire.OpExtract, wire.ExtractArgs{Path: path, Method: method, From: from}, &out)
+	out, err := ask[wire.CountReply](cl, wire.OpExtract, wire.ExtractArgs{Path: path, Method: method, From: from})
 	return out.N, err
 }
 
@@ -815,52 +861,44 @@ func (cl *Client) Extract(path, method, from string) (int, error) {
 // level ("read", ...), valid for uses redemptions (negative =
 // unlimited) and ttl. The caller must hold Own on the path.
 func (cl *Client) IssueTicket(path, level string, uses int, ttl time.Duration) (string, error) {
-	var out wire.TicketReply
-	_, err := cl.call(wire.OpIssueTicket, wire.TicketArgs{
+	out, err := ask[wire.TicketReply](cl, wire.OpIssueTicket, wire.TicketArgs{
 		Path: path, Level: level, Uses: uses, TTLSeconds: int64(ttl / time.Second),
-	}, &out)
+	})
 	return out.ID, err
 }
 
 // GetWithTicket retrieves an object using a delegated-access ticket,
 // independent of the caller's own grants.
 func (cl *Client) GetWithTicket(path, ticket string) ([]byte, error) {
-	x := &xfer{}
-	err := cl.do(wire.OpGet, wire.PathArgs{Path: path}, x, nil, ticket)
+	x := &xfer{ticket: ticket}
+	err := call(cl, wire.OpGet, wire.PathArgs{Path: path}, x, none)
 	return x.bytes(), err
 }
 
 // ShadowList lists entries inside a registered (shadow) directory.
 func (cl *Client) ShadowList(path, rel string) ([]storage.FileInfo, error) {
-	var out []storage.FileInfo
-	_, err := cl.call(wire.OpShadowList, wire.ShadowArgs{Path: path, Rel: rel}, &out)
-	return out, err
+	return ask[[]storage.FileInfo](cl, wire.OpShadowList, wire.ShadowArgs{Path: path, Rel: rel})
 }
 
 // ShadowOpen reads one file inside a shadow directory's cone.
 func (cl *Client) ShadowOpen(path, rel string) ([]byte, error) {
-	return cl.call(wire.OpShadowOpen, wire.ShadowArgs{Path: path, Rel: rel}, nil)
+	return fetch(cl, wire.OpShadowOpen, wire.ShadowArgs{Path: path, Rel: rel})
 }
 
 // AddUser registers an account with its password (administrators only).
 func (cl *Client) AddUser(name, domain, password string, admin bool) error {
-	_, err := cl.call(wire.OpAddUser, wire.AddUserArgs{Name: name, Domain: domain, Password: password, Admin: admin}, nil)
-	return err
+	return exec(cl, wire.OpAddUser, wire.AddUserArgs{Name: name, Domain: domain, Password: password, Admin: admin}, none)
 }
 
 // Audit queries the audit trail (administrators only); limit bounds
 // the tail returned (0 = everything).
 func (cl *Client) Audit(user, op, target string, limit int) ([]types.AuditRecord, error) {
-	var out []types.AuditRecord
-	_, err := cl.call(wire.OpAudit, wire.AuditArgs{User: user, Op: op, Target: target, Limit: limit}, &out)
-	return out, err
+	return ask[[]types.AuditRecord](cl, wire.OpAudit, wire.AuditArgs{User: user, Op: op, Target: target, Limit: limit})
 }
 
 // Resources lists the registered storage resources.
 func (cl *Client) Resources() ([]types.Resource, error) {
-	var out []types.Resource
-	_, err := cl.call(wire.OpResources, struct{}{}, &out)
-	return out, err
+	return ask[[]types.Resource](cl, wire.OpResources, struct{}{})
 }
 
 // LastTrace returns the trace ID of the most recent logical call, the
@@ -874,32 +912,24 @@ func (cl *Client) LastTrace() traceid.ID {
 // IncidentGet fetches one full incident bundle by index ID: meta plus
 // every captured file (profiles, span trees, state snapshots).
 func (cl *Client) IncidentGet(id string) (wire.IncidentGetReply, error) {
-	var out wire.IncidentGetReply
-	_, err := cl.call(wire.OpIncidentGet, wire.IncidentGetArgs{ID: id}, &out)
-	return out, err
+	return ask[wire.IncidentGetReply](cl, wire.OpIncidentGet, wire.IncidentGetArgs{ID: id})
 }
 
 // IncidentCapture triggers an on-demand incident capture on the
 // connected server. The call blocks for the CPU profile window (~2s).
 func (cl *Client) IncidentCapture(reason string) (wire.IncidentCaptureReply, error) {
-	var out wire.IncidentCaptureReply
-	_, err := cl.call(wire.OpIncidentCapture, wire.IncidentCaptureArgs{Reason: reason}, &out)
-	return out, err
+	return ask[wire.IncidentCaptureReply](cl, wire.OpIncidentCapture, wire.IncidentCaptureArgs{Reason: reason})
 }
 
 // Scrub runs the anti-entropy scrubber over one object (write
 // permission) or a collection subtree (admin only) and returns what it
 // found and fixed.
 func (cl *Client) Scrub(path string) (wire.ScrubReply, error) {
-	var out wire.ScrubReply
-	_, err := cl.call(wire.OpScrub, wire.PathArgs{Path: path}, &out)
-	return out, err
+	return ask[wire.ScrubReply](cl, wire.OpScrub, wire.PathArgs{Path: path})
 }
 
 // Checksum verifies every replica of one object against the catalog
 // checksum, returning a per-resource verdict without repairing.
 func (cl *Client) Checksum(path string) (wire.ChecksumReply, error) {
-	var out wire.ChecksumReply
-	_, err := cl.call(wire.OpChecksum, wire.PathArgs{Path: path}, &out)
-	return out, err
+	return ask[wire.ChecksumReply](cl, wire.OpChecksum, wire.PathArgs{Path: path})
 }

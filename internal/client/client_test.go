@@ -120,7 +120,7 @@ func TestDialFailure(t *testing.T) {
 
 // okResp builds a success response carrying v, as a server encodes one.
 func okResp(v any, dataFollows bool) wire.Response {
-	body, err := wire.AppendBody(nil, v)
+	body, err := wire.AppendBody(nil, &v)
 	if err != nil {
 		panic(err)
 	}

@@ -163,8 +163,9 @@ func (b *Broker) newObject(op, user, path string) (*types.DataObject, error) {
 // refused commit with the replica files it removes: obj, made by
 // newObject, enters the catalog with meta as one ingest entry.
 func (b *Broker) commit(op, user string, obj *types.DataObject, meta []types.AVU, detail string) (types.DataObject, error) {
-	err := b.Cat.Ingest(obj, meta)
-	b.audit(user, op, obj.Path(), err == nil, detail)
+	path := obj.Path()
+	err := b.Cat.Ingest(path, obj, meta)
+	b.audit(user, op, path, err == nil, detail)
 	if err != nil {
 		return types.DataObject{}, err
 	}
@@ -244,6 +245,7 @@ func (b *Broker) ingest(user string, opts IngestOpts) (types.DataObject, error) 
 		}
 	}
 	fo := b.rm.NewFanout()
+	defer fo.Release()
 	reps := make([]types.Replica, len(members))
 	var destBuf [4]*replica.Dest // a resource rarely has more members
 	dests := destBuf[:]
@@ -289,7 +291,7 @@ func (b *Broker) ingest(user string, opts IngestOpts) (types.DataObject, error) 
 		return types.DataObject{}, types.E("ingest", path, types.ErrOffline)
 	}
 	obj.Replicas = reps
-	if err := b.Cat.Ingest(obj, opts.Meta); err != nil {
+	if err := b.Cat.Ingest(path, obj, opts.Meta); err != nil {
 		b.discard(reps)
 		b.audit(user, "ingest", path, false, "commit: "+err.Error())
 		return types.DataObject{}, err
@@ -652,6 +654,7 @@ func (b *Broker) ingestReplica(user, path, resource string, r io.Reader) (types.
 	}
 	physPath := replica.PhysPathFor(&o, next)
 	fo := b.rm.NewFanout()
+	defer fo.Release()
 	dst, err := fo.Add(resource, physPath)
 	if err != nil {
 		return types.Replica{}, err

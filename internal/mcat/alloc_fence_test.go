@@ -2,6 +2,7 @@ package mcat_test
 
 import (
 	"fmt"
+	"io"
 	"testing"
 
 	"gosrb/internal/acl"
@@ -197,5 +198,49 @@ func TestCheckMandatoryAllocatesNothing(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Errorf("CheckMandatory at depth 3 allocates %v times, want 0", n)
+	}
+}
+
+// TestMutatorsKeepOnlyWhatTheyStore holds a journaled catalog's AddMeta
+// and AddAnnotation to the objects the catalog keeps: the path's first
+// metaEntry or annotation, and for a triplet the index's set of paths
+// for its new value. The entry, its line and the triplet or annotation
+// it points at are built in a pooled line buffer and make nothing; the
+// one more object an annotation costs is its creation time's JSON
+// (time.Time.MarshalJSON, ROADMAP M.4).
+func TestMutatorsKeepOnlyWhatTheyStore(t *testing.T) {
+	skipUnderRace(t)
+	const runs = 200
+	c := mcat.New("admin", "local")
+	c.SetJournal(mcat.NewJournal(io.Discard))
+	must(t, c.MkCollAll("/zone/proj", "admin"))
+	paths := make([]string, 2*(runs+1))
+	for i := range paths {
+		o := &types.DataObject{Collection: "/zone/proj", Name: fmt.Sprintf("o%05d", i), Owner: "alice"}
+		_, err := c.RegisterObject(o)
+		must(t, err)
+		paths[i] = o.Path()
+	}
+	values := make([]string, len(paths))
+	for i := range values {
+		values[i] = fmt.Sprint("v", i)
+	}
+	i := 0
+	addMeta := testing.AllocsPerRun(runs, func() {
+		must(t, c.AddMeta(paths[i], types.MetaUser, types.AVU{Name: "band", Value: values[i]}))
+		i++
+	})
+	annotate := testing.AllocsPerRun(runs, func() {
+		must(t, c.AddAnnotation(paths[i], types.Annotation{Author: "alice", Text: "seen"}))
+		i++
+	})
+	// A triplet keeps three objects: its path's metaEntry slice, and the
+	// new value's set of paths, a map and the group its first path lands
+	// in.
+	if addMeta != 3 {
+		t.Errorf("AddMeta makes %v objects, want 3: the metaEntry slice and the index's new set", addMeta)
+	}
+	if annotate != 2 {
+		t.Errorf("AddAnnotation makes %v objects, want 2: the annotation slice and its time's JSON", annotate)
 	}
 }

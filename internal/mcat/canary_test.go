@@ -67,7 +67,7 @@ func TestRowCanaryCatchesWriteAfterIngest(t *testing.T) {
 			}
 			o := &types.DataObject{ID: id, Collection: "/d", Name: "f", Owner: "u", Size: 3,
 				Replicas: []types.Replica{{Number: 0, Resource: "r1", PhysicalPath: "/phys/f", Status: types.ReplicaClean}}}
-			if err := c.Ingest(o, []types.AVU{{Name: "band", Value: "J"}}); err != nil {
+			if err := c.Ingest("/d/f", o, []types.AVU{{Name: "band", Value: "J"}}); err != nil {
 				t.Fatal(err)
 			}
 			o.Size = 4

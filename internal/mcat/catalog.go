@@ -73,8 +73,13 @@ type tables struct {
 	childObjs  map[string]map[string]string
 
 	resources map[string]*types.Resource
-	users     map[string]*types.User
-	groups    map[string]*types.Group
+	// self holds each physical resource as the one-member list
+	// ResolvePhysical returns for it: shared and read-only, so a put
+	// resolves its resource without making the list; a change to the
+	// resource replaces the list.
+	self   map[string][]types.Resource
+	users  map[string]*types.User
+	groups map[string]*types.Group
 
 	acls map[string]acl.List // logical path (or "resource:<name>") -> ACL
 
@@ -108,6 +113,7 @@ func newTables(root *types.Collection) tables {
 		childColls: make(map[string]map[string]string),
 		childObjs:  make(map[string]map[string]string),
 		resources:  make(map[string]*types.Resource),
+		self:       make(map[string][]types.Resource),
 		users:      make(map[string]*types.User),
 		groups:     make(map[string]*types.Group),
 		acls:       make(map[string]acl.List),
@@ -191,7 +197,12 @@ func (c *Catalog) alignIDLocked(min types.ObjectID) types.ObjectID {
 // ---- users and groups ----
 
 // AddUser registers a user.
-func (c *Catalog) AddUser(u types.User) error { return c.commit(&Entry{Op: "adduser", User: &u}) }
+func (c *Catalog) AddUser(u types.User) error {
+	l := lend(Entry{Op: "adduser"})
+	l.p.user = u
+	l.e.User = &l.p.user
+	return c.commitLine(l)
+}
 
 // GetUser returns a user by name.
 func (c *Catalog) GetUser(name string) (types.User, error) {
@@ -217,19 +228,23 @@ func (c *Catalog) Users() []types.User {
 }
 
 // DeleteUser removes a user account.
-func (c *Catalog) DeleteUser(name string) error { return c.commit(&Entry{Op: "deluser", Name: name}) }
+func (c *Catalog) DeleteUser(name string) error {
+	return c.commit(Entry{Op: "deluser", Name: name})
+}
 
 // AddGroup creates an empty group.
-func (c *Catalog) AddGroup(name string) error { return c.commit(&Entry{Op: "addgroup", Group: name}) }
+func (c *Catalog) AddGroup(name string) error {
+	return c.commit(Entry{Op: "addgroup", Group: name})
+}
 
 // AddToGroup adds a registered user to a group.
 func (c *Catalog) AddToGroup(group, user string) error {
-	return c.commit(&Entry{Op: "addtogroup", Group: group, Member: user})
+	return c.commit(Entry{Op: "addtogroup", Group: group, Member: user})
 }
 
 // RemoveFromGroup drops a user from a group.
 func (c *Catalog) RemoveFromGroup(group, user string) error {
-	return c.commit(&Entry{Op: "rmfromgroup", Group: group, Member: user})
+	return c.commit(Entry{Op: "rmfromgroup", Group: group, Member: user})
 }
 
 // GroupsOf returns the set of groups user belongs to.
@@ -285,7 +300,10 @@ func removeString(s []string, v string) []string {
 // at least two existing physical members (paper §5: "a logical resource
 // that ties together two or more physical resources").
 func (c *Catalog) AddResource(r types.Resource) error {
-	return c.commit(&Entry{Op: "addresource", Resource: &r})
+	l := lend(Entry{Op: "addresource"})
+	l.p.res = r
+	l.e.Resource = &l.p.res
+	return c.commitLine(l)
 }
 
 // GetResource returns a resource by name.
@@ -318,18 +336,19 @@ func (c *Catalog) Resources() []types.Resource {
 // SetResourceOnline flips a resource's availability; reads against an
 // offline resource fail over to replicas elsewhere (paper §3.4).
 func (c *Catalog) SetResourceOnline(name string, online bool) error {
-	return c.commit(&Entry{Op: "setonline", Name: name, Online: online})
+	return c.commit(Entry{Op: "setonline", Name: name, Online: online})
 }
 
 // SetResourcePolicy changes the replication policy of a logical
 // resource ("sync", "" or "async:k" with k <= len(members)).
 func (c *Catalog) SetResourcePolicy(name, policy string) error {
-	return c.commit(&Entry{Op: "replpolicy", Name: name, Value: policy})
+	return c.commit(Entry{Op: "replpolicy", Name: name, Value: policy})
 }
 
 // ResolvePhysical expands a resource name to the ordered list of
 // physical resources writes must reach: itself for a physical resource,
-// every member for a logical one.
+// every member for a logical one. A physical resource's list is the
+// catalog's own (self): shared and read-only, as a row is.
 func (c *Catalog) ResolvePhysical(name string) ([]types.Resource, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
@@ -338,7 +357,7 @@ func (c *Catalog) ResolvePhysical(name string) ([]types.Resource, error) {
 		return nil, types.E("resolve", name, types.ErrNotFound)
 	}
 	if r.Kind == types.ResourcePhysical {
-		return []types.Resource{*r}, nil
+		return c.self[name], nil
 	}
 	out := make([]types.Resource, 0, len(r.Members))
 	for _, m := range r.Members {
@@ -354,7 +373,7 @@ func (c *Catalog) ResolvePhysical(name string) ([]types.Resource, error) {
 // DeleteResource removes an unused resource: no replica may reference
 // it and no logical resource may list it as a member.
 func (c *Catalog) DeleteResource(name string) error {
-	return c.commit(&Entry{Op: "delresource", Name: name})
+	return c.commit(Entry{Op: "delresource", Name: name})
 }
 
 // Stats summarises catalog size.

@@ -7,11 +7,23 @@ import (
 	"gosrb/internal/types"
 )
 
-// commit commits e through the attached journal (see commitLocked).
-func (c *Catalog) commit(e *Entry) error {
+// commit commits e, built in a pooled line (lend), through the attached
+// journal (see commitLocked).
+func (c *Catalog) commit(e Entry) error { return c.commitLine(lend(e)) }
+
+// commitLine commits the entry built in l through the attached journal,
+// and hands l back.
+func (c *Catalog) commitLine(l *lineBuf) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.commitLocked(c.journal, e, nil)
+	return c.commitLineLocked(l)
+}
+
+// commitLineLocked is commitLine for a caller that holds the write lock.
+func (c *Catalog) commitLineLocked(l *lineBuf) error {
+	err := c.commitLocked(c.journal, &l.e, nil)
+	l.free()
+	return err
 }
 
 // commitLocked is the one way catalog state changes: every mutator, boot
@@ -25,9 +37,10 @@ func (c *Catalog) commit(e *Entry) error {
 // (replay). Callers hold the write lock, which also orders the lines as
 // the mutations.
 //
-// The catalog keeps what e points to, except what it copies: an account,
-// a resource or a collection, which a reshard applies to every shard
-// from one entry, and a created object, which its put goes on using.
+// The catalog keeps an object e points to, which its caller hands over
+// (a created or an updated row), and copies every other payload: a
+// mutator builds its entry in a pooled line (lend), and a reshard
+// applies one entry to every shard.
 // A stored object row never changes: an update, a rename or a move
 // stores a new row in its place, so a row handed to a reader stays as
 // it was read (the rowcanary build checks this; see canary.go).
@@ -136,6 +149,9 @@ func (c *Catalog) commitLocked(j *Journal, e *Entry, line []byte) error {
 			return err
 		}
 		c.resources[r.Name] = &r
+		if r.Kind == types.ResourcePhysical {
+			c.self[r.Name] = []types.Resource{r}
+		}
 
 	case op == "delresource":
 		if _, ok := c.resources[e.Name]; !ok {
@@ -157,6 +173,7 @@ func (c *Catalog) commitLocked(j *Journal, e *Entry, line []byte) error {
 			return err
 		}
 		delete(c.resources, e.Name)
+		delete(c.self, e.Name)
 
 	case op == "setonline":
 		r, ok := c.resources[e.Name]
@@ -167,6 +184,9 @@ func (c *Catalog) commitLocked(j *Journal, e *Entry, line []byte) error {
 			return err
 		}
 		r.Online = e.Online
+		if r.Kind == types.ResourcePhysical {
+			c.self[e.Name] = []types.Resource{*r}
+		}
 
 	case op == "replpolicy":
 		r, ok := c.resources[e.Name]
@@ -201,17 +221,18 @@ func (c *Catalog) commitLocked(j *Journal, e *Entry, line []byte) error {
 	case op == "repairenq" && e.Repair != nil:
 		// An upsert, not EnqueueRepair's add: an attempt count overwrites
 		// the task it counts for.
-		t := e.Repair
+		t := *e.Repair
 		if t.Key == "" {
 			t.Key = types.RepairKey(t.Path, t.Resource)
 		}
 		if t.Enqueued.IsZero() {
 			t.Enqueued = c.now()
 		}
+		e.Repair = &t
 		if err := c.appendLocked(j, e, line); err != nil {
 			return err
 		}
-		c.repairs[t.Key] = t
+		c.repairs[t.Key] = &t
 
 	case op == "repairdone":
 		if _, ok := c.repairs[e.Name]; !ok {
@@ -293,7 +314,12 @@ func (c *Catalog) commitLocked(j *Journal, e *Entry, line []byte) error {
 		// whose slices are shared read-only, as every row's are.
 		o := e.Object
 		o.Collection = types.CleanPath(o.Collection)
-		path := o.Path()
+		// A put names its path (Catalog.Ingest sets it once its line is
+		// encoded, so no line carries it); any other entry's is joined.
+		path := e.Path
+		if !o.PathIs(path) {
+			path = o.Path()
+		}
 		if err := c.checkNewObjectLocked(op, path, o.Collection, o.Name); err != nil {
 			return err
 		}
@@ -410,6 +436,12 @@ func (c *Catalog) commitLocked(j *Journal, e *Entry, line []byte) error {
 		c.byID[cp.ID] = newPath
 		c.addChildObj(e.Path2, newPath)
 		c.rekeyPathState(e.Path, newPath)
+		// An attachment naming the object follows it.
+		for _, files := range c.fileMeta {
+			if i := slices.Index(files, e.Path); i >= 0 {
+				files[i] = newPath
+			}
+		}
 
 	case op == "setacl":
 		if !c.pathExistsLocked(e.Path) {

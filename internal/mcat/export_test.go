@@ -27,7 +27,7 @@ func TestExportedRowOutlivesItsSource(t *testing.T) {
 			{Number: 1, Resource: "r2", PhysicalPath: "/phys/f.r1", Status: types.ReplicaClean, Size: 3, Checksum: "abc"},
 		},
 		Pins: []types.Pin{{Resource: "r1", Holder: "u"}}}
-	if err := src.Ingest(o, []types.AVU{{Name: "band", Value: "J"}}); err != nil {
+	if err := src.Ingest(o.Path(), o, []types.AVU{{Name: "band", Value: "J"}}); err != nil {
 		t.Fatal(err)
 	}
 	want, err := src.GetObject("/d/f")

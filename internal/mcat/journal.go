@@ -218,10 +218,27 @@ func (j *Journal) read(pos JournalPos, max int64) (res JournalRead, ok bool) {
 
 // lineBuf is a journal line being encoded: a buffer and the JSON encoder
 // that writes into it, pooled, so encoding a line allocates neither
-// (json.Marshal returns every line in a fresh copy).
+// (json.Marshal returns every line in a fresh copy). A mutator builds
+// its entry here too (lend), with the payload the entry points at, so
+// committing it makes no object for the entry: commitLocked copies what
+// the catalog keeps of a payload, and keeps only the objects a caller
+// hands over (a created or updated row).
 type lineBuf struct {
 	bytes.Buffer
 	enc *json.Encoder
+	e   Entry
+	p   payload
+}
+
+// payload holds what a mutator's entry points at.
+type payload struct {
+	avu, newAVU types.AVU
+	ann         types.Annotation
+	attr        types.StructuralAttr
+	coll        types.Collection
+	user        types.User
+	res         types.Resource
+	repair      types.RepairTask
 }
 
 var linePool = sync.Pool{New: func() any {
@@ -234,19 +251,33 @@ var linePool = sync.Pool{New: func() any {
 // does not pin its buffer.
 const maxPooledLine = 64 << 10
 
+// lend lends a pooled lineBuf with e built in it. The caller points e's
+// payload fields into l.p and commits it (commitLine).
+func lend(e Entry) *lineBuf {
+	l := linePool.Get().(*lineBuf)
+	l.e = e
+	return l
+}
+
 // encodeLine encodes e as one journal line: the bytes json.Marshal(e)
 // returns, then '\n'. The caller releases it with free.
 func encodeLine(e *Entry) (*lineBuf, error) {
 	l := linePool.Get().(*lineBuf)
-	l.Reset()
-	if err := l.enc.Encode(e); err != nil {
+	if err := l.encode(e); err != nil {
 		l.free()
 		return nil, err
 	}
 	return l, nil
 }
 
+func (l *lineBuf) encode(e *Entry) error {
+	l.Reset()
+	return l.enc.Encode(e)
+}
+
+// free hands l back to the pool, holding nothing of its entry.
 func (l *lineBuf) free() {
+	l.e, l.p = Entry{}, payload{}
 	if l.Cap() <= maxPooledLine {
 		linePool.Put(l)
 	}
@@ -450,4 +481,4 @@ func (c *Catalog) ApplyEntry(line []byte) error {
 // Apply commits one entry through the attached journal: the applier
 // behind migration between catalogs (Export) and the reshard. A nil
 // error means the entry took effect.
-func (c *Catalog) Apply(e Entry) error { return c.commit(&e) }
+func (c *Catalog) Apply(e Entry) error { return c.commit(e) }

@@ -151,7 +151,7 @@ func putM31(t *testing.T, c shard.Catalog) {
 		return types.Replica{Number: n, Resource: resource, PhysicalPath: fmt.Sprintf("/vault/%03d/oid%d.r%d", id%512, id, n),
 			Status: types.ReplicaClean, Size: 2880, Checksum: "sha256:2880", CreatedAt: fixtureEpoch}
 	}
-	m(c.Ingest(&types.DataObject{
+	m(c.Ingest("/home/alice/m31.fits", &types.DataObject{
 		ID: id, Collection: "/home/alice", Name: "m31.fits", Owner: "alice", DataType: "fits image",
 		Size: 2880, Checksum: "sha256:2880", Replicas: []types.Replica{replica(0, "disk1"), replica(1, "tape1")},
 	}, []types.AVU{{Name: "band", Value: "J"}, {Name: "dc:title", Value: "M31", Units: "text"}}))

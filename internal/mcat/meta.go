@@ -13,7 +13,7 @@ import (
 // SetACL grants (or with acl.None revokes) a level on the target path
 // for a grantee (user, "g:"+group, or acl.Public).
 func (c *Catalog) SetACL(path, grantee string, level acl.Level) error {
-	return c.commit(&Entry{Op: "setacl", Path: types.CleanPath(path), Grantee: grantee, Level: int(level)})
+	return c.commit(Entry{Op: "setacl", Path: types.CleanPath(path), Grantee: grantee, Level: int(level)})
 }
 
 // GetACL returns the explicit ACL stored on path (no inheritance).
@@ -75,7 +75,7 @@ func (c *Catalog) effectiveLevelLocked(path, user string) acl.Level {
 
 // SetResourceACL controls who may store onto a resource.
 func (c *Catalog) SetResourceACL(resource, grantee string, level acl.Level) error {
-	return c.commit(&Entry{Op: "setresourceacl", Name: resource, Grantee: grantee, Level: int(level)})
+	return c.commit(Entry{Op: "setresourceacl", Name: resource, Grantee: grantee, Level: int(level)})
 }
 
 // ResourceLevel returns the user's level on a resource. Resources with
@@ -114,7 +114,10 @@ func queryableClass(cl types.MetaClass) bool {
 // Multiple values for one attribute are allowed ("there is no limit for
 // the number of metadata associated with a SRB object").
 func (c *Catalog) AddMeta(path string, class types.MetaClass, avu types.AVU) error {
-	return c.commit(&Entry{Op: "addmeta", Path: types.CleanPath(path), Class: int(class), AVU: &avu})
+	l := lend(Entry{Op: "addmeta", Path: types.CleanPath(path), Class: int(class)})
+	l.p.avu = avu
+	l.e.AVU = &l.p.avu
+	return c.commitLine(l)
 }
 
 // GetMeta returns the triplets of one class on path, in insert order.
@@ -153,27 +156,33 @@ func (c *Catalog) AllMeta(path string) (map[types.MetaClass][]types.AVU, error) 
 // name, oldValue); oldValue "" matches every value of the attribute.
 // It returns how many triplets changed.
 func (c *Catalog) UpdateMeta(path string, class types.MetaClass, name, oldValue string, newAVU types.AVU) (int, error) {
-	return c.changeMeta(&Entry{Op: "updmeta", Path: types.CleanPath(path), Class: int(class),
-		AVU: &types.AVU{Name: name, Value: oldValue}, NewAVU: &newAVU})
+	l := lend(Entry{Op: "updmeta", Path: types.CleanPath(path), Class: int(class)})
+	l.p.avu, l.p.newAVU = types.AVU{Name: name, Value: oldValue}, newAVU
+	l.e.AVU, l.e.NewAVU = &l.p.avu, &l.p.newAVU
+	return c.changeMeta(l)
 }
 
 // DeleteMeta removes triplets matching (class, name, value); value ""
 // removes every value of the attribute. Returns how many were removed.
 func (c *Catalog) DeleteMeta(path string, class types.MetaClass, name, value string) (int, error) {
-	return c.changeMeta(&Entry{Op: "delmeta", Path: types.CleanPath(path), Class: int(class),
-		AVU: &types.AVU{Name: name, Value: value}})
+	l := lend(Entry{Op: "delmeta", Path: types.CleanPath(path), Class: int(class)})
+	l.p.avu = types.AVU{Name: name, Value: value}
+	l.e.AVU = &l.p.avu
+	return c.changeMeta(l)
 }
 
-// changeMeta commits an "updmeta" or "delmeta" entry and returns how
-// many triplets it changed. When none matches it commits nothing.
-func (c *Catalog) changeMeta(e *Entry) (int, error) {
+// changeMeta commits the "updmeta" or "delmeta" entry built in l and
+// returns how many triplets it changed. When none matches it commits
+// nothing.
+func (c *Catalog) changeMeta(l *lineBuf) (int, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	n := c.metaMatchesLocked(e)
-	if n == 0 && c.pathExistsLocked(e.Path) {
+	n := c.metaMatchesLocked(&l.e)
+	if n == 0 && c.pathExistsLocked(l.e.Path) {
+		l.free()
 		return 0, nil
 	}
-	if err := c.commitLocked(c.journal, e, nil); err != nil {
+	if err := c.commitLineLocked(l); err != nil {
 		return 0, err
 	}
 	return n, nil
@@ -201,13 +210,13 @@ func matchesMeta(m metaEntry, e *Entry) bool {
 // (the paper's third association method: "copy metadata from other SRB
 // objects or collections").
 func (c *Catalog) CopyMeta(from, to string) error {
-	return c.commit(&Entry{Op: "copymeta", Path: types.CleanPath(from), Path2: types.CleanPath(to)})
+	return c.commit(Entry{Op: "copymeta", Path: types.CleanPath(from), Path2: types.CleanPath(to)})
 }
 
 // AttachFileMeta associates metaFile (an SRB object holding triplets)
 // as file-based metadata for path. One file may serve many objects.
 func (c *Catalog) AttachFileMeta(path, metaFile string) error {
-	return c.commit(&Entry{Op: "filemeta", Path: types.CleanPath(path), Path2: types.CleanPath(metaFile)})
+	return c.commit(Entry{Op: "filemeta", Path: types.CleanPath(path), Path2: types.CleanPath(metaFile)})
 }
 
 // FileMeta returns the metadata-file paths attached to path.
@@ -223,12 +232,15 @@ func (c *Catalog) FileMeta(path string) []string {
 // SetStructural adds or replaces a structural attribute requirement on
 // a collection.
 func (c *Catalog) SetStructural(coll string, attr types.StructuralAttr) error {
-	return c.commit(&Entry{Op: "structural", Path: types.CleanPath(coll), Attr: &attr})
+	l := lend(Entry{Op: "structural", Path: types.CleanPath(coll)})
+	l.p.attr = attr
+	l.e.Attr = &l.p.attr
+	return c.commitLine(l)
 }
 
 // DeleteStructural removes a structural attribute from a collection.
 func (c *Catalog) DeleteStructural(coll, name string) error {
-	return c.commit(&Entry{Op: "delstructural", Path: types.CleanPath(coll), Name: name})
+	return c.commit(Entry{Op: "delstructural", Path: types.CleanPath(coll), Name: name})
 }
 
 // Structural returns the structural attributes a new member of coll
@@ -289,7 +301,10 @@ func (c *Catalog) CheckMandatory(coll string, provided []types.AVU) []string {
 // AddAnnotation appends commentary to a path. Timestamp is stamped when
 // zero.
 func (c *Catalog) AddAnnotation(path string, a types.Annotation) error {
-	return c.commit(&Entry{Op: "annotate", Path: types.CleanPath(path), Ann: &a})
+	l := lend(Entry{Op: "annotate", Path: types.CleanPath(path)})
+	l.p.ann = a
+	l.e.Ann = &l.p.ann
+	return c.commitLine(l)
 }
 
 // Annotations returns the commentary on path in insert order.
@@ -317,7 +332,7 @@ func (c *Catalog) DeleteAnnotations(path, author string) (int, error) {
 	if n == 0 && c.pathExistsLocked(path) {
 		return 0, nil
 	}
-	if err := c.commitLocked(c.journal, &Entry{Op: "delannotations", Path: path, Name: author}, nil); err != nil {
+	if err := c.commitLineLocked(lend(Entry{Op: "delannotations", Path: path, Name: author})); err != nil {
 		return 0, err
 	}
 	return n, nil

@@ -379,11 +379,19 @@ func TestUsersGroupsResources(t *testing.T) {
 	if len(phys) != 1 {
 		t.Errorf("physical resolve = %+v", phys)
 	}
-	// Online toggling.
+	// Online toggling. A physical resource resolves to the catalog's own
+	// list, which a change replaces: the list read before keeps what it
+	// read, and the next resolve sees the change.
 	c.SetResourceOnline("d1", false)
 	r, _ := c.GetResource("d1")
 	if r.Online {
 		t.Error("resource should be offline")
+	}
+	if !phys[0].Online {
+		t.Error("a resolved list changed under its reader")
+	}
+	if now, _ := c.ResolvePhysical("d1"); len(now) != 1 || now[0].Online {
+		t.Errorf("physical resolve after going offline = %+v", now)
 	}
 	// Deletion guards: member of a logical resource cannot be deleted.
 	if err := c.DeleteResource("d1"); !errors.Is(err, types.ErrInvalid) {

@@ -275,7 +275,7 @@ func nextMutation(rng *rand.Rand, mono *diffSide, pinned map[string]bool, step i
 			}
 			o := &types.DataObject{ID: id, Collection: coll, Name: name, Owner: owner, DataType: "generic", Size: int64(step), Checksum: birth,
 				Replicas: []types.Replica{{Number: 0, Resource: "r1", PhysicalPath: "/vault/" + birth, Status: types.ReplicaClean, Size: int64(step), Checksum: birth}}}
-			if err := s.c.Ingest(o, meta); err != nil {
+			if err := s.c.Ingest(p, o, meta); err != nil {
 				return err
 			}
 			s.birth[id] = birth

@@ -11,7 +11,16 @@ import (
 
 // MkColl creates a collection whose parent must already exist.
 func (c *Catalog) MkColl(path, owner string) error {
-	return c.commit(&Entry{Op: "mkcoll", Coll: &types.Collection{Path: path, Owner: owner}})
+	return c.commitLine(collLine("mkcoll", types.Collection{Path: path, Owner: owner}))
+}
+
+// collLine lends a line holding an op ("mkcoll" or "linkcoll") entry
+// for col.
+func collLine(op string, col types.Collection) *lineBuf {
+	l := lend(Entry{Op: op})
+	l.p.coll = col
+	l.e.Coll = &l.p.coll
+	return l
 }
 
 // MkCollAll creates a collection and any missing ancestors, one
@@ -27,7 +36,7 @@ func (c *Catalog) MkCollAll(path, owner string) error {
 		if _, ok := c.colls[a]; ok {
 			continue
 		}
-		if err := c.commitLocked(c.journal, &Entry{Op: "mkcoll", Coll: &types.Collection{Path: a, Owner: owner}}, nil); err != nil {
+		if err := c.commitLineLocked(collLine("mkcoll", types.Collection{Path: a, Owner: owner})); err != nil {
 			return err
 		}
 	}
@@ -102,7 +111,7 @@ func (c *Catalog) LinkColl(target, linkPath, owner string) error {
 	if types.WithinOrEqual(target, linkPath) {
 		return types.E("linkcoll", linkPath, types.ErrInvalid)
 	}
-	return c.commitLocked(c.journal, &Entry{Op: "linkcoll", Coll: &types.Collection{Path: linkPath, Owner: owner, LinkTarget: target}}, nil)
+	return c.commitLineLocked(collLine("linkcoll", types.Collection{Path: linkPath, Owner: owner, LinkTarget: target}))
 }
 
 // ListColl lists the direct members of a collection: sub-collections
@@ -161,7 +170,7 @@ func sortedVals(m map[string]string) []string {
 // DeleteColl removes an empty collection (or a linked sub-collection,
 // which never "contains" anything of its own).
 func (c *Catalog) DeleteColl(path string) error {
-	return c.commit(&Entry{Op: "rmcoll", Path: types.CleanPath(path)})
+	return c.commit(Entry{Op: "rmcoll", Path: types.CleanPath(path)})
 }
 
 func (c *Catalog) removeChildColl(parent, child string) {
@@ -219,7 +228,7 @@ func (c *Catalog) RegisterObject(o *types.DataObject) (types.ObjectID, error) {
 	if o.ModifiedAt.IsZero() {
 		o.ModifiedAt = o.CreatedAt
 	}
-	if err := c.commitLocked(c.journal, &Entry{Op: "register", Object: o}, nil); err != nil {
+	if err := c.commitLineLocked(lend(Entry{Op: "register", Object: o})); err != nil {
 		return 0, err
 	}
 	return o.ID, nil
@@ -245,12 +254,13 @@ func (c *Catalog) NewObjectID(path string) (types.ObjectID, error) {
 
 // Ingest commits one put as one journal entry, "ingest": o, holding the
 // ID NewObjectID handed out, its size, checksum and replica rows, and
-// the user metadata it was put with. Zero timestamps are stamped into o
-// from the catalog clock; o is then what the catalog stores. The entry
-// is encoded before the write lock is taken and appended before it is
-// applied: a put refused by a check or by the journal leaves nothing in
-// memory, and the journal's error is latched as for every mutation.
-func (c *Catalog) Ingest(o *types.DataObject, meta []types.AVU) error {
+// the user metadata it was put with; path is o's path, which the caller
+// has already built. Zero timestamps are stamped into o from the catalog
+// clock; o is then what the catalog stores. The entry is encoded before
+// the write lock is taken and appended before it is applied: a put
+// refused by a check or by the journal leaves nothing in memory, and the
+// journal's error is latched as for every mutation.
+func (c *Catalog) Ingest(path string, o *types.DataObject, meta []types.AVU) error {
 	o.Collection = types.CleanPath(o.Collection)
 	if o.CreatedAt.IsZero() {
 		c.mu.RLock()
@@ -260,15 +270,15 @@ func (c *Catalog) Ingest(o *types.DataObject, meta []types.AVU) error {
 	if o.ModifiedAt.IsZero() {
 		o.ModifiedAt = o.CreatedAt
 	}
-	e := &Entry{Op: "ingest", Object: o, Meta: meta}
-	l, err := encodeLine(e)
-	if err != nil {
-		return types.E("ingest", o.Path(), err)
-	}
+	l := lend(Entry{Op: "ingest", Object: o, Meta: meta})
 	defer l.free()
+	if err := l.encode(&l.e); err != nil {
+		return types.E("ingest", path, err)
+	}
+	l.e.Path = path
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.commitLocked(c.journal, e, l.Bytes())
+	return c.commitLocked(c.journal, &l.e, l.Bytes())
 }
 
 // checkNewObjectLocked reports why no object named name can be made in
@@ -354,19 +364,19 @@ func (c *Catalog) UpdateObject(path string, fn func(*types.DataObject) error) er
 	// Identity fields may not change through UpdateObject.
 	cp.ID, cp.Name, cp.Collection = o.ID, o.Name, o.Collection
 	cp.ModifiedAt = c.now()
-	return c.commitLocked(c.journal, &Entry{Op: "update", Object: cp}, nil)
+	return c.commitLineLocked(lend(Entry{Op: "update", Object: cp}))
 }
 
 // DeleteObject removes the object and all its per-path state.
 func (c *Catalog) DeleteObject(path string) error {
-	return c.commit(&Entry{Op: "delete", Path: types.CleanPath(path)})
+	return c.commit(Entry{Op: "delete", Path: types.CleanPath(path)})
 }
 
 // MoveObject renames an object to a new collection and/or base name.
 // Per the paper this is the logical move: metadata, ACLs and
 // annotations follow the object unchanged.
 func (c *Catalog) MoveObject(oldPath, newColl, newName string) error {
-	return c.commit(&Entry{Op: "move", Path: types.CleanPath(oldPath), Path2: types.CleanPath(newColl), Name: newName})
+	return c.commit(Entry{Op: "move", Path: types.CleanPath(oldPath), Path2: types.CleanPath(newColl), Name: newName})
 }
 
 // MoveColl moves a whole sub-collection: every descendant collection
@@ -378,7 +388,7 @@ func (c *Catalog) MoveObject(oldPath, newColl, newName string) error {
 // directory movement command, without changing the name by which the
 // data is discovered".
 func (c *Catalog) MoveColl(oldPath, newPath string) error {
-	return c.commit(&Entry{Op: "movecoll", Path: oldPath, Path2: newPath})
+	return c.commit(Entry{Op: "movecoll", Path: oldPath, Path2: newPath})
 }
 
 // moveSubtreeLocked applies a "movecoll" entry its commitLocked arm has

@@ -103,7 +103,7 @@ func TestIngestedRowIsClipped(t *testing.T) {
 	}
 	reps := make([]types.Replica, 1, 4)
 	reps[0] = types.Replica{Number: 0, Resource: "r1", PhysicalPath: "/phys/f", Status: types.ReplicaClean}
-	if err := c.Ingest(&types.DataObject{ID: id, Collection: "/d", Name: "f", Owner: "u", Replicas: reps}, nil); err != nil {
+	if err := c.Ingest("/d/f", &types.DataObject{ID: id, Collection: "/d", Name: "f", Owner: "u", Replicas: reps}, nil); err != nil {
 		t.Fatal(err)
 	}
 	got, err := c.GetObject("/d/f")
@@ -299,6 +299,42 @@ func TestDeleteObjectDropsAttachments(t *testing.T) {
 	for _, e := range c.Export("/") {
 		if e.Op == "filemeta" && e.Path2 == "/d/gone" {
 			t.Errorf("Export holds an attachment to a file that is gone: %+v", e)
+		}
+	}
+}
+
+// Moving an object takes every attachment naming it as a metadata file
+// along to its new path: live, in replay, and through an Export and
+// Apply into another catalog.
+func TestMoveObjectMovesAttachments(t *testing.T) {
+	c := newCat(t)
+	var buf bytes.Buffer
+	c.SetJournal(NewJournal(&buf))
+	mustMkColl(t, c, "/a", "admin")
+	mustMkColl(t, c, "/b", "admin")
+	mustRegister(t, c, "/a", "x", "u")
+	mustRegister(t, c, "/a", "m", "u")
+	if err := c.AttachFileMeta("/a/x", "/a/m"); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.MoveObject("/a/m", "/b", "m"); err != nil {
+		t.Fatal(err)
+	}
+	replayed := newCat(t)
+	if _, err := replayed.ReplayCounted(&buf); err != nil {
+		t.Fatal(err)
+	}
+	imported := newCat(t)
+	for _, root := range []string{"/b", "/a"} {
+		for _, e := range c.Export(root) {
+			if err := imported.Apply(e); err != nil {
+				t.Fatalf("apply %s %s: %v", e.Op, e.Target(), err)
+			}
+		}
+	}
+	for name, cat := range map[string]*Catalog{"live": c, "replayed": replayed, "imported": imported} {
+		if got := cat.FileMeta("/a/x"); len(got) != 1 || got[0] != "/b/m" {
+			t.Errorf("%s: FileMeta(/a/x) = %v, want [/b/m]", name, got)
 		}
 	}
 }

@@ -27,13 +27,21 @@ func (c *Catalog) EnqueueRepair(t types.RepairTask) bool {
 	if _, ok := c.repairs[t.Key]; ok {
 		return false
 	}
-	return c.commitLocked(c.journal, &Entry{Op: "repairenq", Repair: &t}, nil) == nil
+	return c.commitLineLocked(repairLine(t)) == nil
+}
+
+// repairLine lends a line holding a "repairenq" entry for t.
+func repairLine(t types.RepairTask) *lineBuf {
+	l := lend(Entry{Op: "repairenq"})
+	l.p.repair = t
+	l.e.Repair = &l.p.repair
+	return l
 }
 
 // CompleteRepair removes a finished (or obsolete) task from the queue.
 // Returns false when the key was not pending.
 func (c *Catalog) CompleteRepair(key string) bool {
-	return c.commit(&Entry{Op: "repairdone", Name: key}) == nil
+	return c.commit(Entry{Op: "repairdone", Name: key}) == nil
 }
 
 // NoteRepairAttempt records one failed execution of a pending task so
@@ -48,7 +56,7 @@ func (c *Catalog) NoteRepairAttempt(key string) int {
 	}
 	next := *t
 	next.Attempts++
-	if c.commitLocked(c.journal, &Entry{Op: "repairenq", Repair: &next}, nil) != nil {
+	if c.commitLineLocked(repairLine(next)) != nil {
 		return t.Attempts
 	}
 	return next.Attempts

@@ -520,8 +520,8 @@ func (r *Router) NewObjectID(path string) (id types.ObjectID, err error) {
 	return id, err
 }
 
-func (r *Router) Ingest(o *types.DataObject, meta []types.AVU) error {
-	return r.write("ingest", o.Path(), func(c *mcat.Catalog) error { return c.Ingest(o, meta) })
+func (r *Router) Ingest(path string, o *types.DataObject, meta []types.AVU) error {
+	return r.write("ingest", path, func(c *mcat.Catalog) error { return c.Ingest(path, o, meta) })
 }
 
 func (r *Router) GetObject(path string) (types.DataObject, error) {

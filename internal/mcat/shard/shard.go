@@ -78,7 +78,7 @@ type Catalog interface {
 	SubColls(root string) []string
 	RegisterObject(o *types.DataObject) (types.ObjectID, error)
 	NewObjectID(path string) (types.ObjectID, error)
-	Ingest(o *types.DataObject, meta []types.AVU) error
+	Ingest(path string, o *types.DataObject, meta []types.AVU) error
 	GetObject(path string) (types.DataObject, error)
 	ResolveObject(path string) (types.DataObject, error)
 	GetObjectByID(id types.ObjectID) (types.DataObject, error)

@@ -194,7 +194,7 @@ func TestFollowerAppliesPutWhole(t *testing.T) {
 		{Number: 1, Resource: "r1", PhysicalPath: "/vault/b", Status: types.ReplicaClean, Size: 3, Checksum: "abc"},
 	}}
 	meta := []types.AVU{{Name: "band", Value: "J"}, {Name: "experiment", Value: "put"}}
-	if err := leader.Ingest(o, meta); err != nil {
+	if err := leader.Ingest(o.Path(), o, meta); err != nil {
 		t.Fatal(err)
 	}
 	if res, err := leader.Pull(home, before); err != nil || res.Snapshot != nil || len(res.Entries) != 1 {

@@ -17,6 +17,7 @@ package obs
 
 import (
 	"math/bits"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -86,12 +87,52 @@ const histBuckets = 28
 
 // Exemplar is one retained "this trace landed in this bucket" sample:
 // the most recent observation at or above the registry's exemplar
-// threshold. The whole struct is swapped atomically as a unit, so a
-// reader can never see a trace ID paired with another observation's
-// duration.
+// threshold.
 type Exemplar struct {
 	TraceID traceid.ID
 	Micros  int64
+}
+
+// exemplarSlot holds one bucket's exemplar in place, under a sequence
+// lock: seq is odd while a writer is inside and advances by two per
+// store, and a reader retries until it has read the pair between two
+// equal even seqs, so it never sees a trace ID paired with another
+// observation's duration. A store makes no object. Zero seq means
+// nothing is retained.
+type exemplarSlot struct {
+	seq    atomic.Uint64
+	trace  atomic.Uint64
+	micros atomic.Int64
+}
+
+// store retains (trace, us). A store that finds another one inside
+// leaves the slot to it: of two observations at once, one is kept.
+func (s *exemplarSlot) store(trace traceid.ID, us int64) {
+	n := s.seq.Load()
+	if n&1 != 0 || !s.seq.CompareAndSwap(n, n+1) {
+		return
+	}
+	s.trace.Store(uint64(trace))
+	s.micros.Store(us)
+	s.seq.Store(n + 2)
+}
+
+// load returns the retained exemplar, if any.
+func (s *exemplarSlot) load() (Exemplar, bool) {
+	for {
+		n := s.seq.Load()
+		if n == 0 {
+			return Exemplar{}, false
+		}
+		if n&1 != 0 {
+			runtime.Gosched()
+			continue
+		}
+		e := Exemplar{TraceID: traceid.ID(s.trace.Load()), Micros: s.micros.Load()}
+		if s.seq.Load() == n {
+			return e, true
+		}
+	}
 }
 
 // Histogram is a fixed-bucket latency histogram with power-of-two
@@ -101,7 +142,7 @@ type Histogram struct {
 	count   atomic.Int64
 	sumNano atomic.Int64
 	buckets [histBuckets]atomic.Int64
-	ex      [histBuckets]atomic.Pointer[Exemplar]
+	ex      [histBuckets]exemplarSlot
 }
 
 // bucketOf maps a duration to its bucket index.
@@ -179,7 +220,7 @@ func (h *Histogram) Snapshot() HistSnapshot {
 	s.P99Micros = quantile(counts[:], total, 0.99)
 	s.Buckets = foldBuckets(&counts)
 	for k := range counts {
-		if e := h.ex[k].Load(); e != nil {
+		if e, ok := h.ex[k].load(); ok {
 			s.Exemplars = append(s.Exemplars, BucketExemplar{UpperMicros: BucketUpperMicros(k), TraceID: e.TraceID, Micros: e.Micros})
 		}
 	}
@@ -282,7 +323,7 @@ func (o *Op) ObserveTrace(d time.Duration, err error, trace traceid.ID) {
 	if us < o.exMin.Load() {
 		return
 	}
-	o.lat.ex[bucketOf(d)].Store(&Exemplar{TraceID: trace, Micros: us})
+	o.lat.ex[bucketOf(d)].store(trace, us)
 }
 
 // Count returns how many operations completed.

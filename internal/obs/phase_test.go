@@ -83,6 +83,24 @@ func TestExemplarConcurrency(t *testing.T) {
 	}
 }
 
+// TestExemplarStoreAllocs holds a tail observation to no heap object:
+// its exemplar is written into the bucket's slot in place.
+func TestExemplarStoreAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	reg := NewRegistry()
+	reg.SetExemplarThreshold(0)
+	op := reg.Op("phase.server.get.dispatch")
+	const trace = traceid.ID(0x7a1)
+	if n := testing.AllocsPerRun(1000, func() { op.ObserveTrace(3*time.Millisecond, nil, trace) }); n != 0 {
+		t.Fatalf("a tail observation made %v heap objects, want 0", n)
+	}
+	if exs := op.Snapshot().Exemplars; len(exs) != 1 || exs[0].TraceID != trace || exs[0].Micros != 3000 {
+		t.Fatalf("exemplars = %+v, want [%s 3000us]", exs, trace)
+	}
+}
+
 // TestExemplarThreshold pins the retention rule exactly: strictly below
 // the floor never retains, at the floor retains, empty traces never
 // retain, and a zero threshold retains every traced observation.

@@ -385,6 +385,7 @@ func (m *Manager) WriteFrom(path string, src io.Reader) (int64, error) {
 		return 0, types.E("write", path, types.ErrUnsupported)
 	}
 	fo := m.NewFanout()
+	defer fo.Release()
 	dests := make(map[types.ReplicaNumber]*Dest)
 	var failRes string
 	var failErr error
@@ -482,6 +483,7 @@ func (m *Manager) Replicate(path, resource string) (types.Replica, error) {
 	next := nextNumber(&o)
 	physPath := PhysPathFor(&o, next)
 	fo := m.NewFanout()
+	defer fo.Release()
 	dst, err := fo.Add(resource, physPath)
 	if err != nil {
 		return types.Replica{}, err
@@ -603,6 +605,7 @@ func (m *Manager) refresh(path string, targets []types.Replica) (fixed int, targ
 	}
 	defer src.Close()
 	fo := m.NewFanout()
+	defer fo.Release()
 	dests := make(map[types.ReplicaNumber]*Dest)
 	targetErr = types.ErrOffline
 	for _, r := range targets {

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"hash"
 	"io"
+	"sync"
 	"time"
 
 	"gosrb/internal/chunk"
@@ -104,8 +105,9 @@ type Dest struct {
 // source has already yielded cannot be replayed, a member that fails
 // mid-stream cannot be substituted by another — the caller marks it
 // dirty and leaves it to repair. The first two destinations and the
-// digest live inside the Fanout, so a put to one or two members makes no
-// object for them.
+// digest live inside the Fanout, and Fanouts are pooled with their
+// digest state, so a put to one or two members makes no object for
+// them.
 type Fanout struct {
 	m     *Manager
 	dests []*Dest // on ptrs until a third destination
@@ -118,11 +120,24 @@ type Fanout struct {
 	busy  time.Duration
 }
 
-// NewFanout starts an empty fan-out.
+var fanoutPool = sync.Pool{New: func() any { return &Fanout{h: sha256.New()} }}
+
+// NewFanout starts an empty fan-out, lent from a pool: the caller hands
+// it back with Release.
 func (m *Manager) NewFanout() *Fanout {
-	f := &Fanout{m: m, h: sha256.New()}
+	f := fanoutPool.Get().(*Fanout)
+	f.m = m
 	f.dests = f.ptrs[:0]
 	return f
+}
+
+// Release hands f back to the pool once its caller is done with f and
+// with every Dest its Add returned.
+func (f *Fanout) Release() {
+	h := f.h
+	h.Reset()
+	*f = Fanout{h: h}
+	fanoutPool.Put(f)
 }
 
 // Add opens path on resource as one more destination. An error means the

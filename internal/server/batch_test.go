@@ -490,7 +490,7 @@ func TestMultiGetOwnerManifestCannotPresize(t *testing.T) {
 			for _, p := range a.Paths {
 				rep.Items = append(rep.Items, wire.MultiGetItem{Path: p, OK: true, Size: (1 << 30) / int64(len(a.Paths))})
 			}
-			manifest, err := wire.AppendBody(nil, rep)
+			manifest, err := wire.AppendBody(nil, &rep)
 			if err == nil {
 				err = c.WriteResponse(&wire.Response{ID: req.ID, OK: true, Body: manifest, DataFollows: true})
 			}

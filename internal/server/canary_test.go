@@ -13,7 +13,7 @@ import (
 // panics, and nothing reaches the connection.
 func TestSessionCanaryPoisonsReset(t *testing.T) {
 	uses := map[string]func(ss *session){
-		"reply":       func(ss *session) { ss.reply(struct{}{}) },
+		"reply":       func(ss *session) { reply(ss, &struct{}{}) },
 		"rawReply":    func(ss *session) { ss.rawReply(nil) },
 		"fail":        func(ss *session) { ss.fail(errors.New("late")) },
 		"redirect":    func(ss *session) { ss.redirect("srb2", "addr") },

@@ -268,7 +268,7 @@ func get[A, R any](fn func(c call, a A) (R, error)) handler {
 		if err != nil {
 			return c.ss.fail(err)
 		}
-		return c.ss.reply(r)
+		return reply(c.ss, &r)
 	})
 }
 
@@ -292,7 +292,7 @@ func feed(r *report.Report) handler {
 		if err != nil {
 			return c.ss.fail(err)
 		}
-		return c.ss.reply(rep)
+		return reply(c.ss, &rep)
 	}
 }
 
@@ -444,7 +444,7 @@ func ingest(c call, a wire.IngestArgs) error {
 	if err != nil {
 		return c.ss.fail(err)
 	}
-	return c.ss.reply(o)
+	return reply(c.ss, &o)
 }
 
 // getObject streams an object from its open replica, or federates the
@@ -474,7 +474,7 @@ func getObject(c call, a wire.PathArgs) error {
 		return c.ss.fail(err)
 	}
 	defer h.Close()
-	return c.ss.sendStream(wire.SizeReply{Size: size}, c.ss.source(h))
+	return sendStream(c.ss, &wire.SizeReply{Size: size}, c.ss.source(h))
 }
 
 func issueTicket(c call, a wire.TicketArgs) (wire.TicketReply, error) {
@@ -637,7 +637,7 @@ func bulkPut(c call, a wire.BulkPutArgs) (wire.BulkPutReply, error) {
 		var err error
 		if owner := s.resourceOwner(it.Resource); owner != "" && !ss.isPeer {
 			ireq := &wire.Request{Op: wire.OpIngest, Trace: c.req.Trace}
-			ireq.Args, err = wire.AppendBody(nil, wire.IngestArgs{
+			ireq.Args, err = wire.AppendBody(nil, &wire.IngestArgs{
 				Path: it.Path, Resource: it.Resource, Container: it.Container,
 				DataType: it.DataType, Meta: it.Meta,
 			})
@@ -735,7 +735,7 @@ func multiGet(c call, a wire.MultiGetArgs) error {
 	for _, ob := range owners {
 		ob.fill(rep.Items, parts)
 	}
-	return ss.sendStream(rep, ss.source(&batchReader{parts: parts}))
+	return sendStream(ss, &rep, ss.source(&batchReader{parts: parts}))
 }
 
 // ownerBatch is the share of a multiget one peer holds: its paths, their
@@ -765,7 +765,7 @@ func batchFor(owners *[]*ownerBatch, peer string) *ownerBatch {
 // retry, and holds the manifest it answers with to the request.
 func (ob *ownerBatch) fetch(c call) {
 	req := &wire.Request{Op: wire.OpMultiGet, Trace: c.req.Trace}
-	if req.Args, ob.err = wire.AppendBody(nil, wire.MultiGetArgs{Paths: ob.paths}); ob.err != nil {
+	if req.Args, ob.err = wire.AppendBody(nil, &wire.MultiGetArgs{Paths: ob.paths}); ob.err != nil {
 		return
 	}
 	if _, ob.err = c.s.peerCall(ob.peer, c.user, req, nil, ob, c.ss.deadline, c.ss.span, nil); ob.err != nil {
@@ -899,7 +899,7 @@ func readRange(c call, a wire.RangeArgs) error {
 	if length < 0 {
 		length = 0 // offset at or past the end: an empty range
 	}
-	return ss.sendStream(wire.SizeReply{Size: length},
+	return sendStream(ss, &wire.SizeReply{Size: length},
 		ss.source(io.NewSectionReader(f, a.Offset, length)))
 }
 
@@ -930,7 +930,7 @@ func replicate(c call, a wire.ReplicateArgs) (types.Replica, error) {
 		src = &h
 	} else {
 		req := &wire.Request{Op: wire.OpGet}
-		req.Args, _ = wire.AppendBody(nil, wire.PathArgs{Path: a.Path})
+		req.Args, _ = wire.AppendBody(nil, &wire.PathArgs{Path: a.Path})
 		// The holder pushes the stream at us while the store below pulls
 		// it: a pipe joins the two without buffering. Bytes handed to the
 		// pipe are gone, so only a failure before the first one retries.
@@ -954,7 +954,7 @@ func replicate(c call, a wire.ReplicateArgs) (types.Replica, error) {
 	}
 	// Target remote: the owning peer stores the replica.
 	req := &wire.Request{Op: wire.OpIngestReplica}
-	req.Args, _ = wire.AppendBody(nil, wire.ReplicateArgs{Path: a.Path, Resource: a.Resource})
+	req.Args, _ = wire.AppendBody(nil, &wire.ReplicateArgs{Path: a.Path, Resource: a.Resource})
 	body, err := s.peerCall(targetOwner, user, req, src, nil, ss.deadline, ss.span, nil)
 	if err != nil {
 		return types.Replica{}, err

@@ -197,7 +197,8 @@ func testHotOpCodecs(t *testing.T) {
 			t.Errorf("%s with %T args: %v", row.op, row.args, resp.Err())
 			continue
 		}
-		if err := wire.DecodeBody(resp.Body, reflect.New(reflect.TypeOf(row.reply)).Interface()); err != nil {
+		out := reflect.New(reflect.TypeOf(row.reply)).Interface()
+		if err := wire.DecodeBody(resp.Body, &out); err != nil {
 			t.Errorf("%s: reply does not decode as %T: %v", row.op, row.reply, err)
 		}
 		if err := wire.DecodeBody(resp.Body, new(any)); !errors.Is(err, types.ErrInvalid) {

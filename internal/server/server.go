@@ -448,9 +448,10 @@ func (ss *session) finishInbound() {
 	}
 }
 
-// reply stages a success response with body, encoded into a frame from
-// the pool that dispatch hands back once the response is written.
-func (ss *session) reply(body any) error {
+// reply stages a success response with *body, encoded into a frame from
+// the pool that dispatch hands back once the response is written. body
+// does not escape (wire.AppendBody).
+func reply[T any](ss *session, body *T) error {
 	checkLive(ss)
 	bp := wire.GetFrame()
 	raw, err := wire.AppendBody(*bp, body)
@@ -529,7 +530,7 @@ func (ss *session) Write(p []byte) (int, error) {
 // sourceReader (ss.source), so its error is told apart from the
 // transport's: a source that fails after the header cannot become an
 // error response any more, and the stream is aborted.
-func (ss *session) sendStream(body any, src io.Reader) error {
+func sendStream[T any](ss *session, body *T, src io.Reader) error {
 	// The header is copied into its frame before beginStream returns.
 	var scratch [256]byte
 	raw, err := wire.AppendBody(scratch[:0], body)
@@ -548,7 +549,7 @@ func (ss *session) sendStream(body any, src io.Reader) error {
 
 // replyData replies with data's size and then data, framed in place.
 func (ss *session) replyData(data []byte) error {
-	return ss.sendStream(wire.SizeReply{Size: int64(len(data))}, bytes.NewReader(data))
+	return sendStream(ss, &wire.SizeReply{Size: int64(len(data))}, bytes.NewReader(data))
 }
 
 // source wraps r in the session's sourceReader for sendStream.
@@ -1060,7 +1061,7 @@ func (s *Server) peerNames() []string {
 // own, so fetching a trace never pollutes the trace being fetched.
 func (z reach) TraceSpans(id traceid.ID) []obs.SpanRecord {
 	var spans []obs.SpanRecord
-	args, _ := wire.AppendBody(nil, wire.TraceArgs{ID: id})
+	args, _ := wire.AppendBody(nil, &wire.TraceArgs{ID: id})
 	for _, pn := range z.s.peerNames() {
 		body, err := z.s.peerCall(pn, z.user, &wire.Request{Op: wire.OpTrace, Args: args}, nil, nil, time.Time{}, nil, nil)
 		if err != nil {
@@ -1088,7 +1089,7 @@ func (z reach) GridMembers(window time.Duration) []wire.GridMember {
 		z.deadline = time.Now().Add(z.budget)
 	}
 	var members []wire.GridMember
-	args, _ := wire.AppendBody(nil, wire.GridStatArgs{WindowSeconds: int64(window / time.Second), LocalOnly: true})
+	args, _ := wire.AppendBody(nil, &wire.GridStatArgs{WindowSeconds: int64(window / time.Second), LocalOnly: true})
 	for _, pn := range z.s.peerNames() {
 		m := wire.GridMember{Server: pn, Unreachable: true}
 		var rep wire.GridStatReply

@@ -197,7 +197,7 @@ func TestTicketBelowReadGrantsNothing(t *testing.T) {
 
 func mustArgs(t *testing.T, v any) []byte {
 	t.Helper()
-	b, err := wire.AppendBody(nil, v)
+	b, err := wire.AppendBody(nil, &v)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -272,13 +272,32 @@ type DataObject struct {
 // valid, so its path is the two around one slash, built in one
 // allocation; any other row is joined and cleaned.
 func (o *DataObject) Path() string {
-	if !ValidName(o.Name) || !strings.HasPrefix(o.Collection, "/") || CleanPath(o.Collection) != o.Collection {
+	if !o.stored() {
 		return Join(o.Collection, o.Name)
 	}
 	if o.Collection == "/" {
 		return "/" + o.Name
 	}
 	return o.Collection + "/" + o.Name
+}
+
+// PathIs reports whether p is the object's path (p == o.Path()), without
+// building the path of a stored row.
+func (o *DataObject) PathIs(p string) bool {
+	switch {
+	case !o.stored():
+		return p == Join(o.Collection, o.Name)
+	case o.Collection == "/":
+		return len(p) == 1+len(o.Name) && p[0] == '/' && p[1:] == o.Name
+	}
+	n := len(o.Collection)
+	return len(p) == n+1+len(o.Name) && p[:n] == o.Collection && p[n] == '/' && p[n+1:] == o.Name
+}
+
+// stored reports whether the row is shaped as a stored row is: a valid
+// name in an absolute, clean collection.
+func (o *DataObject) stored() bool {
+	return ValidName(o.Name) && strings.HasPrefix(o.Collection, "/") && CleanPath(o.Collection) == o.Collection
 }
 
 // CleanReplica returns the first clean replica, preferring the given

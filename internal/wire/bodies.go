@@ -30,69 +30,71 @@ const (
 	tagBulkStatReply
 )
 
-// appendBinary appends v's tag and binary layout to b when v is of a hot
-// type: the args and replies of the ops that make up the small-object
-// workload (stat, ls, get, put, meta, annotate, query, the batches) and
-// the empty reply of every op that answers with nothing.
+// appendBinary appends *v's tag and binary layout to b when v points to
+// a hot type: the args and replies of the ops that make up the
+// small-object workload (stat, ls, get, put, meta, annotate, query, the
+// batches) and the empty reply of every op that answers with nothing. v
+// does not escape.
 func appendBinary(b []byte, v any) ([]byte, bool) {
 	switch x := v.(type) {
-	case struct{}:
+	case *struct{}:
 		b = append(b, tagEmpty)
-	case PathArgs:
+	case *PathArgs:
 		b = appendString(append(b, tagPathArgs), x.Path)
-	case IngestArgs:
+	case *IngestArgs:
 		b = appendString(append(b, tagIngestArgs), x.Path)
 		b = appendString(b, x.Resource)
 		b = appendString(b, x.Container)
 		b = appendString(b, x.DataType)
 		b = appendSlice(b, x.Meta, appendAVU)
-	case MetaArgs:
+	case *MetaArgs:
 		b = appendString(append(b, tagMetaArgs), x.Path)
 		b = appendInt(b, x.Class)
 		b = appendAVU(b, &x.AVU)
-	case GetMetaArgs:
+	case *GetMetaArgs:
 		b = appendString(append(b, tagGetMetaArgs), x.Path)
 		b = appendInt(b, x.Class)
-	case AnnotateArgs:
+	case *AnnotateArgs:
 		b = appendString(append(b, tagAnnotateArgs), x.Path)
 		b = appendString(b, x.Ann.Author)
 		b = appendString(b, x.Ann.Kind)
 		b = appendString(b, x.Ann.Location)
 		b = appendString(b, x.Ann.Text)
 		b = appendTime(b, x.Ann.CreatedAt)
-	case RangeArgs:
+	case *RangeArgs:
 		b = appendString(append(b, tagRangeArgs), x.Path)
 		b = appendInt64(b, x.Offset)
 		b = appendInt64(b, x.Length)
-	case QueryArgs:
+	case *QueryArgs:
 		b = appendString(append(b, tagQueryArgs), x.Q.Scope)
 		b = appendSlice(b, x.Q.Conds, appendCondition)
 		b = appendStrings(b, x.Q.Select)
 		b = appendInt(b, x.Q.Limit)
-	case MultiGetArgs:
+	case *MultiGetArgs:
 		b = appendStrings(append(b, tagMultiGetArgs), x.Paths)
-	case BulkStatArgs:
+	case *BulkStatArgs:
 		b = appendStrings(append(b, tagBulkStatArgs), x.Paths)
-	case SizeReply:
+	case *SizeReply:
 		b = appendInt64(append(b, tagSizeReply), x.Size)
-	case types.Stat:
-		b = appendStat(append(b, tagStat), &x)
-	case []types.Stat:
-		b = appendSlice(append(b, tagStats), x, appendStat)
-	case types.DataObject:
-		b = appendObject(append(b, tagDataObject), &x)
-	case []types.AVU:
-		b = appendSlice(append(b, tagAVUs), x, appendAVU)
-	case QueryReply:
+	case *types.Stat:
+		b = appendStat(append(b, tagStat), x)
+	case *[]types.Stat:
+		b = appendSlice(append(b, tagStats), *x, appendStat)
+	case *types.DataObject:
+		b = appendObject(append(b, tagDataObject), x)
+	case *[]types.AVU:
+		b = appendSlice(append(b, tagAVUs), *x, appendAVU)
+	case *QueryReply:
 		b = appendSlice(append(b, tagQueryReply), x.Hits, appendHit)
-		if len(x.Partial) == 0 {
-			x.Partial = nil // omitempty in JSON: an empty list arrives as nil
+		partial := x.Partial
+		if len(partial) == 0 {
+			partial = nil // omitempty in JSON: an empty list arrives as nil
 		}
-		b = appendStrings(b, x.Partial)
-	case MultiGetReply:
+		b = appendStrings(b, partial)
+	case *MultiGetReply:
 		b = appendString(append(b, tagMultiGetReply), x.Server)
 		b = appendSlice(b, x.Items, appendMultiGetItem)
-	case BulkStatReply:
+	case *BulkStatReply:
 		b = appendString(append(b, tagBulkStatReply), x.Server)
 		b = appendSlice(b, x.Items, appendBulkStatItem)
 	default:

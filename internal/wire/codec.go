@@ -14,6 +14,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"reflect"
 	"sync"
 	"time"
 
@@ -230,12 +231,36 @@ func DecodeRedirect(p []byte, r *Redirect) error {
 
 // ---- bodies ----
 
-// AppendBody appends v's body encoding to b: v's type tag, then v in its
-// binary layout, or as JSON when its type has none.
-func AppendBody(b []byte, v any) ([]byte, error) {
+// AppendBody appends *v's body encoding to b: its type tag, then *v in
+// its binary layout, or as JSON when its type has none. v does not
+// escape: a hot type is encoded where it lies, and only the JSON path
+// pays for a heap copy, as DecodeArgs does. A v that points to an
+// interface encodes the value the interface holds, as that value's own
+// type would (appendBoxed).
+func AppendBody[T any](b []byte, v *T) ([]byte, error) {
+	if p, ok := any(v).(*any); ok {
+		return appendBoxed(b, *p)
+	}
 	if out, ok := appendBinary(b, v); ok {
 		return out, nil
 	}
+	return appendJSON(b, *v)
+}
+
+// appendBoxed encodes a value an interface holds: a hot type's value is
+// copied once so that appendBinary can take its address.
+func appendBoxed(b []byte, v any) ([]byte, error) {
+	if v != nil {
+		p := reflect.New(reflect.TypeOf(v))
+		p.Elem().Set(reflect.ValueOf(v))
+		if out, ok := appendBinary(b, p.Interface()); ok {
+			return out, nil
+		}
+	}
+	return appendJSON(b, v)
+}
+
+func appendJSON(b []byte, v any) ([]byte, error) {
 	raw, err := json.Marshal(v)
 	if err != nil {
 		return b, err
@@ -243,18 +268,35 @@ func AppendBody(b []byte, v any) ([]byte, error) {
 	return append(append(b, tagJSON), raw...), nil
 }
 
-// DecodeBody decodes a reply body into v, a pointer to the type the body
-// was encoded from. An empty body leaves v as it is. The decoded strings
-// share one allocation, a copy of the body from the first of them on,
+// DecodeBody decodes a reply body into *v, of the type the body was
+// encoded from. An empty body leaves *v as it is. v does not escape, as
+// in AppendBody; a v that points to an interface holding a pointer
+// decodes into what that pointer points to. The decoded strings share
+// one allocation, a copy of the body from the first of them on,
 // whatever the body's size: a reply is the client's to keep whole.
-func DecodeBody(body []byte, v any) error {
+func DecodeBody[T any](body []byte, v *T) error {
 	if len(body) == 0 {
 		return nil
+	}
+	if p, ok := any(v).(*any); ok && *p != nil {
+		return decodeBoxed(body, *p)
 	}
 	if ok, err := decodeBinary(body, v, false); ok {
 		return err
 	}
-	return decodeJSON(body, v)
+	p := new(T)
+	*p = *v
+	err := decodeJSON(body, p)
+	*v = *p
+	return err
+}
+
+// decodeBoxed decodes a body into p, a pointer held in an interface.
+func decodeBoxed(body []byte, p any) error {
+	if ok, err := decodeBinary(body, p, false); ok {
+		return err
+	}
+	return decodeJSON(body, p)
 }
 
 // DecodeArgs decodes a request's arguments into the op's argument struct;

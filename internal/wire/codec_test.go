@@ -40,7 +40,7 @@ type hot[T any] struct{}
 func (hot[T]) sample(r *rand.Rand) []byte {
 	var v T
 	fill(reflect.ValueOf(&v).Elem(), r)
-	b, _ := AppendBody(nil, v)
+	b, _ := AppendBody(nil, &v)
 	return b
 }
 
@@ -67,7 +67,7 @@ func (hot[T]) differential(t *testing.T, r *rand.Rand) {
 	t.Helper()
 	var v T
 	fill(reflect.ValueOf(&v).Elem(), r)
-	body, err := AppendBody(nil, v)
+	body, err := AppendBody(nil, &v)
 	if err != nil {
 		t.Fatalf("%T: encode: %v", v, err)
 	}
@@ -204,13 +204,13 @@ func utcTimes(v reflect.Value) {
 // another type than its own fails.
 func TestCodecEdges(t *testing.T) {
 	st := types.Stat{Path: "/p", ModifiedAt: time.Time{}}
-	body, _ := AppendBody(nil, st)
+	body, _ := AppendBody(nil, &st)
 	var back types.Stat
 	if err := DecodeBody(body, &back); err != nil || !back.ModifiedAt.IsZero() || back != st {
 		t.Errorf("zero time: got %+v, %v", back, err)
 	}
 	for _, in := range []MultiGetArgs{{}, {Paths: []string{}}} {
-		body, _ := AppendBody(nil, in)
+		body, _ := AppendBody(nil, &in)
 		out, err := DecodeArgs[MultiGetArgs](body)
 		if err != nil || (out.Paths == nil) != (in.Paths == nil) {
 			t.Errorf("paths %#v came back as %#v, %v", in.Paths, out.Paths, err)
@@ -219,7 +219,7 @@ func TestCodecEdges(t *testing.T) {
 	if _, err := DecodeArgs[RangeArgs](body); !errors.Is(err, types.ErrInvalid) {
 		t.Errorf("a Stat body decoded as RangeArgs: %v", err)
 	}
-	jsonBody, _ := AppendBody(nil, ShardPullArgs{Shard: 1})
+	jsonBody, _ := AppendBody(nil, &ShardPullArgs{Shard: 1})
 	if _, err := DecodeArgs[PathArgs](jsonBody); !errors.Is(err, types.ErrInvalid) {
 		t.Errorf("a JSON body decoded as PathArgs: %v", err)
 	}
@@ -254,12 +254,12 @@ func TestQueryReplyEncodesDeterministically(t *testing.T) {
 		}
 		reply.Hits = append(reply.Hits, h)
 	}
-	first, err := AppendBody(nil, reply)
+	first, err := AppendBody(nil, &reply)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for n := 1; n < 100; n++ {
-		if b, _ := AppendBody(nil, reply); !bytes.Equal(b, first) {
+		if b, _ := AppendBody(nil, &reply); !bytes.Equal(b, first) {
 			t.Fatalf("encoding %d of one reply differs from the first:\n%x\n%x", n, b, first)
 		}
 	}
@@ -339,7 +339,7 @@ func TestCodecAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own account")
 	}
-	args, _ := AppendBody(nil, PathArgs{Path: "/small/c000/o00000"})
+	args, _ := AppendBody(nil, &PathArgs{Path: "/small/c000/o00000"})
 	payload := appendRequest(nil, &Request{ID: 7, Op: OpStat, Trace: 0x0123456789abcdef, Args: args})
 	st := types.Stat{Path: "/small/c000/o00000", Owner: "bench", Size: 4096, Replicas: 1, DataType: "generic", ModifiedAt: time.Now()}
 	c := NewConn(&discardRW{})
@@ -353,7 +353,7 @@ func TestCodecAllocs(t *testing.T) {
 		}
 		bp := GetFrame()
 		defer PutFrame(bp)
-		body, err := AppendBody(*bp, st)
+		body, err := AppendBody(*bp, &st)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -372,7 +372,7 @@ func TestCodecAllocs(t *testing.T) {
 		list[i] = st
 		list[i].Path = fmt.Sprintf("/small/c000/o%05d", i)
 	}
-	body, _ := AppendBody(nil, list)
+	body, _ := AppendBody(nil, &list)
 	payload = appendResponse(nil, &Response{ID: 7, OK: true, Body: body})
 	client := testing.AllocsPerRun(200, func() {
 		var resp Response
@@ -402,8 +402,8 @@ func TestDecodeStringAllocs(t *testing.T) {
 	}
 	// No one-byte strings: Go converts those without allocating.
 	meta := []types.AVU{{Name: "band", Value: "JH", Units: "nm"}, {Name: "mag", Value: "12.5", Units: "dex"}, {Name: "run", Value: "r7", Units: "id"}}
-	small, _ := AppendBody(nil, IngestArgs{Path: "/home/x", Resource: "d1", DataType: "generic", Meta: meta})
-	large, _ := AppendBody(nil, IngestArgs{Path: "/home/x", Resource: "d1", DataType: strings.Repeat("t", maxPooled), Meta: meta})
+	small, _ := AppendBody(nil, &IngestArgs{Path: "/home/x", Resource: "d1", DataType: "generic", Meta: meta})
+	large, _ := AppendBody(nil, &IngestArgs{Path: "/home/x", Resource: "d1", DataType: strings.Repeat("t", maxPooled), Meta: meta})
 	header := appendRequest(nil, &Request{ID: 7, Op: OpStat, OnBehalf: "alice", Trace: 0x0123456789abcdef, Span: 0x01234567, Args: small})
 	plain := appendRequest(nil, &Request{ID: 7, Op: OpStat, Trace: 0x0123456789abcdef, Args: small})
 	for _, c := range []struct {

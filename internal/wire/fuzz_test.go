@@ -111,7 +111,7 @@ func allocated(fn func()) uint64 {
 // no panic, allocation bounded by the input, and a request that decodes
 // decodes to itself again once re-encoded.
 func FuzzDecodeRequest(f *testing.F) {
-	args, _ := AppendBody(nil, PathArgs{Path: "/home/a"})
+	args, _ := AppendBody(nil, &PathArgs{Path: "/home/a"})
 	f.Add(appendRequest(nil, &Request{ID: 1, Op: OpStat, Trace: 0x0123456789abcdef, Span: 1, Args: args}))
 	f.Add(appendRequest(nil, &Request{ID: 2, Op: "frobnicate", OnBehalf: "alice", TimeoutMillis: 5}))
 	f.Add(appendResponse(nil, &Response{ID: 3, OK: true, DataFollows: true, Body: args}))

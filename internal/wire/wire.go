@@ -341,10 +341,10 @@ func (c *Conn) ReadJSON(want MsgType, v any) error {
 // encodes a reply's body into a frame from the pool (GetFrame) and hands
 // the frame back once the response is written. The benchmark's wire
 // ladder (bench/ladder.go) builds its canned reply with it.
-func OkResponse(body any, dataFollows bool) (Response, error) {
+func OkResponse[T any](body T, dataFollows bool) (Response, error) {
 	bp := GetFrame()
 	defer PutFrame(bp)
-	raw, err := AppendBody(*bp, body)
+	raw, err := AppendBody(*bp, &body)
 	if err != nil {
 		return Response{}, err
 	}

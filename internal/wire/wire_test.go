@@ -145,7 +145,7 @@ func TestErrKindRoundTrip(t *testing.T) {
 		t.Errorf("unclassified = %v", resp.Err())
 	}
 	// Success responses carry no error.
-	body, _ := AppendBody(nil, struct{}{})
+	body, _ := AppendBody(nil, &struct{}{})
 	ok := Response{OK: true, Body: body}
 	if ok.Err() != nil {
 		t.Error("ok response should have nil error")
