@@ -73,6 +73,12 @@ JOURNAL_WRITES := \blog\(|appendLine\(|\.w\.Write\(
 # mutation makes no object for its entry or the payload it points at.
 NEW_ENTRY := &Entry\{
 
+# The lender fence: a scattered query's shard shares run on the parked
+# workers of one lender (internal/mcat/shard/query.go), whose `go`
+# statement is the only one in the package, so no query starts a
+# goroutine per shard again.
+GO_STMT := ^\s*go [A-Za-z_(]
+
 # The audit fence: the trail is the broker's (core.Broker.Audit), so the catalog never imports internal/audit.
 AUDIT_IMPORT := "gosrb/internal/audit"
 
@@ -106,6 +112,7 @@ lint: vet
 	@if grep -rnF 'RegisterObject(' --include=*.go --exclude=*_test.go $(CREATE_USERS); then echo "RegisterObject in a request path: create through newObject + Catalog.Ingest (internal/core)"; exit 1; fi
 	@if grep -rnE '$(JOURNAL_WRITES)' --include=*.go --exclude=*_test.go --exclude=journal.go internal/mcat; then echo "journal write outside journal.go: commit the entry through commitLocked, which appends it before it is applied"; exit 1; fi
 	@if grep -rnE '$(NEW_ENTRY)' --include=*.go --exclude=*_test.go internal/mcat; then echo "build the entry in the line buffer (encodeLine)"; exit 1; fi
+	@if [ "$$(grep -rnE '$(GO_STMT)' --include=*.go --exclude=*_test.go internal/mcat/shard | wc -l)" -gt 1 ]; then grep -rnE '$(GO_STMT)' --include=*.go --exclude=*_test.go internal/mcat/shard; echo "hand shard work to the lender (query.go)"; exit 1; fi
 	@if grep -rnF '$(AUDIT_IMPORT)' --include=*.go --exclude=*_test.go internal/mcat; then echo "audit import in internal/mcat: the audit trail belongs to the broker (core.Broker.Audit)"; exit 1; fi
 	@if grep -rnE '$(WHOLE_READS)' --include=*.go --exclude=*_test.go internal/server; then echo "whole-object read in internal/server: open with Broker.OpenGet and stream"; exit 1; fi
 	@if grep -rnE '$(LOOKUP_AGAIN_SERVER)' --include=*.go --exclude=*_test.go internal/server || grep -rnE '$(LOOKUP_AGAIN_CORE)' --include=*.go --exclude=*_test.go internal/core; then echo "resolve a path once (Broker.Lookup) and pass the row down"; exit 1; fi
@@ -190,17 +197,21 @@ test-phases:
 # reading the journal by position while appends and compactions land
 # (TestPullRacesAppend), and the deadline-partial path are all
 # cross-goroutine; a scatter timed out on a held shard must not be
-# recycled under a later query (TestScatterReuseAfterDeadline). (The shard
+# recycled under a later query (TestScatterReuseAfterDeadline), and
+# concurrent queries' shares for one held shard each get a worker of the
+# lender, whose idle workers exit (TestLender*). (The shard
 # failover chaos e2e rides test-faults' 10x TestChaos loop.) Then the
 # read path's allocation fences without -race, whose own allocations
 # would swamp them: Select values cost per answer, not per hit, in the
-# catalog and on a loopback round trip; a row lookup copies nothing; a
+# catalog and on a loopback round trip; a warm root-scope query on 4
+# shards makes only the answer it returns; a row lookup copies nothing; a
 # put's structural check walks up its path and makes nothing; a
 # decoded header's or args' strings come from one copy; a triplet or an
 # annotation makes only what the catalog keeps, and a tail exemplar
 # nothing. Then the catalog against itself: the query and
 # mutation differential tests (a monolith against a 4-shard router, the
-# router reopened at 3 and 1 shards), the journal and snapshot fixtures
+# router reopened at 3 and 1 shards, four goroutines querying one router
+# at once), the journal and snapshot fixtures
 # (the legacy JSON snapshot among them), the put as one transaction (a
 # refused triplet, a failed journal append, a lost race for the path,
 # and the put's journal bytes cut at every offset on a 1- and a 4-shard
@@ -220,7 +231,7 @@ test-phases:
 test-mcat:
 	$(GO) test -race -count=10 ./internal/durable/
 	$(GO) test -race -count=10 ./internal/mcat/shard/
-	$(GO) test -count=3 -run 'TestQueryAllocates|TestGetObjectAllocatesNothing|TestCheckMandatoryAllocatesNothing|TestDecodeStringAllocs|TestRoundTripAllocBudget|TestMutatorsKeepOnlyWhatTheyStore|TestExemplarStoreAllocs' ./internal/mcat/ ./internal/wire/ ./internal/server/ ./internal/obs/
+	$(GO) test -count=3 -run 'TestQueryAllocates|TestGetObjectAllocatesNothing|TestCheckMandatoryAllocatesNothing|TestDecodeStringAllocs|TestRoundTripAllocBudget|TestMutatorsKeepOnlyWhatTheyStore|TestExemplarStoreAllocs|TestScatterQueryAllocs' ./internal/mcat/ ./internal/mcat/shard/ ./internal/wire/ ./internal/server/ ./internal/obs/
 	$(GO) test -race -count=10 -run 'Query|Like|Differential' ./internal/mcat/
 	$(GO) test -race -count=1 -run 'TestJournalFixture|TestSnapshotFixture|TestEveryKindRefusedWhenAppendFails' ./internal/mcat/
 	$(GO) test -race -count=1 -run 'TestRefusedMetadata|TestIngestJournalFailure|TestIngestLosingRace|TestPutCrashPoints|TestCreateThroughLinkedCollection|TestRegisterFileRefusedTriplet|TestCreateJournalEntries|TestRefusedDeleteKeepsBytes' ./internal/core/

@@ -312,27 +312,49 @@ func inScope(scope, path string) bool {
 }
 
 // RunQuery executes a conjunctive query and returns hits sorted by
-// path. Equality conditions on user/type attributes narrow through the
-// inverted index, keeping latency flat as the catalog grows (E2).
+// path, nil when nothing matches. It is RunQueryInto on a fresh Answer.
+func (c *Catalog) RunQuery(q Query) ([]Hit, error) {
+	var a Answer
+	err := c.RunQueryInto(&a, q)
+	return a.Hits, err
+}
+
+// Answer is a query's result in buffers its owner keeps from one query
+// to the next: the hits, the column headers their Values are cut from
+// (hit i's are Cols[i*len(Select):]) and the values the columns are cut
+// from. RunQueryInto refills it, allocating only where an answer
+// outgrows the capacity the buffers already have; a buffer may be
+// reused once nothing reads the previous answer.
+type Answer struct {
+	Hits []Hit
+	Cols [][]string
+	Vals []string
+}
+
+// RunQueryInto executes a conjunctive query into a, replacing what it
+// held, with hits sorted by path. Equality conditions on user/type
+// attributes narrow through the inverted index, keeping latency flat as
+// the catalog grows (E2).
 //
 // The query is compiled once, the candidates (the smallest posting set
 // of the index, or every object) are walked where they are stored and
 // each condition is tested against the object's own records; only the
 // paths that match are collected (on the stack, up to maxStackHits),
 // sorted and cut at Limit, and only those get their Select values. An
-// answer is three allocations whatever its size: the hits, one slab of
-// columns (hit i's are cols[i*len(Select):]) and one slab of the values
-// the columns are cut from, which grows only when a hit holds more than
-// one value per column. Only a numeric system attribute (sys:size,
-// sys:replicas) formats a string per hit.
-func (c *Catalog) RunQuery(q Query) ([]Hit, error) {
+// answer lives in three buffers whatever its size, and into fresh ones
+// it costs three allocations: the hits, the column headers and the
+// values, which grow only when a hit holds more than one value per
+// column. Only a numeric system attribute (sys:size, sys:replicas)
+// formats a string per hit.
+func (c *Catalog) RunQueryInto(a *Answer, q Query) error {
+	a.Hits, a.Cols, a.Vals = a.Hits[:0], a.Cols[:0], a.Vals[:0]
 	scope := types.CleanPath(q.Scope)
 	var buf [4]cond
 	conds := buf[:0]
 	for _, cn := range q.Conds {
 		cc, ok := compile(cn)
 		if !ok {
-			return nil, types.E("query", cn.Op, types.ErrInvalid)
+			return types.E("query", cn.Op, types.ErrInvalid)
 		}
 		conds = append(conds, cc)
 	}
@@ -349,7 +371,7 @@ func (c *Catalog) RunQuery(q Query) ([]Hit, error) {
 		}
 		set := c.attrIndex[strings.ToLower(cc.attr)][cc.want]
 		if len(set) == 0 {
-			return nil, nil
+			return nil
 		}
 		if candidates == nil || len(set) < len(candidates) {
 			candidates = set
@@ -373,34 +395,38 @@ func (c *Catalog) RunQuery(q Query) ([]Hit, error) {
 		}
 	}
 	if len(paths) == 0 {
-		return nil, nil
+		return nil
 	}
 	slices.Sort(paths)
 	if q.Limit > 0 && len(paths) > q.Limit {
 		paths = paths[:q.Limit]
 	}
-	hits := make([]Hit, len(paths))
+	hits := slices.Grow(a.Hits, len(paths))[:len(paths)]
 	for i, p := range paths {
-		hits[i].Path = p
+		hits[i] = Hit{Path: p}
 	}
+	a.Hits = hits
 	if w := len(q.Select); w > 0 {
-		cols := make([][]string, len(hits)*w)
-		vals := make([]string, 0, len(cols))
+		n := len(hits) * w
+		cols := slices.Grow(a.Cols, n)[:n]
+		clear(cols)
+		vals := slices.Grow(a.Vals, n)
 		for i := range hits {
 			h := &hits[i]
 			o := c.objects[h.Path]
 			h.Values = cols[i*w : (i+1)*w : (i+1)*w]
-			for k, a := range q.Select {
+			for k, attr := range q.Select {
 				start := len(vals)
 				// A column keeps the array it was cut from when a later
 				// append moves vals.
-				if vals = c.appendAttrValues(vals, h.Path, o, a); len(vals) > start {
+				if vals = c.appendAttrValues(vals, h.Path, o, attr); len(vals) > start {
 					h.Values[k] = vals[start:len(vals):len(vals)]
 				}
 			}
 		}
+		a.Cols, a.Vals = cols, vals
 	}
-	return hits, nil
+	return nil
 }
 
 // maxStackHits is how many matching paths RunQuery collects without a

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 
 	"gosrb/internal/mcat"
@@ -178,9 +179,7 @@ func TestQueryDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d: router %+v: %v", seed, q, err)
 			}
-			// The router's scatter path answers "no hits" with an empty
-			// list where the catalog answers nil; nothing else may differ.
-			if len(sharded)+len(want) > 0 && !reflect.DeepEqual(sharded, want) {
+			if !reflect.DeepEqual(sharded, want) {
 				t.Fatalf("seed %d: %+v\nrouter: %v\noracle: %v", seed, q, sharded, want)
 			}
 			if len(want) > 0 {
@@ -194,6 +193,56 @@ func TestQueryDifferential(t *testing.T) {
 			t.Errorf("seed %d: only %d of 500 queries had hits and %d were cut by Limit; the generator has drifted", seed, nonEmpty, cut)
 		}
 	}
+}
+
+// TestQueryDifferentialConcurrent runs the differential's queries from
+// four goroutines on one router at once: the shards' shares of
+// concurrent scatters run on the same parked workers and answer into
+// their own scatters' buffers, and every answer must still be the
+// oracle's.
+func TestQueryDifferentialConcurrent(t *testing.T) {
+	const goroutines, perGoroutine = 4, 150
+	mono := mcat.New("admin", "local")
+	router := shard.NewRouter(4, "admin", "local")
+	router.EnableMemoryJournals()
+	populate(t, mono, 1)
+	populate(t, router, 1)
+
+	type probe struct {
+		q    mcat.Query
+		want []mcat.Hit
+	}
+	probes := make([][]probe, goroutines)
+	for g := range probes {
+		rng := rand.New(rand.NewSource(int64(g+1) * 104729))
+		for i := 0; i < perGoroutine; i++ {
+			q := randomQuery(rng)
+			want, err := mono.OracleRunQuery(q)
+			if err != nil {
+				t.Fatalf("oracle %+v: %v", q, err)
+			}
+			probes[g] = append(probes[g], probe{q, want})
+		}
+	}
+	var wg sync.WaitGroup
+	for g := range probes {
+		wg.Add(1)
+		go func(ps []probe) {
+			defer wg.Done()
+			for _, p := range ps {
+				got, err := router.RunQuery(p.q)
+				if err != nil {
+					t.Errorf("router %+v: %v", p.q, err)
+					return
+				}
+				if !reflect.DeepEqual(got, p.want) {
+					t.Errorf("%+v\nrouter: %v\noracle: %v", p.q, got, p.want)
+					return
+				}
+			}
+		}(probes[g])
+	}
+	wg.Wait()
 }
 
 func TestQueryRejectsUnknownOperator(t *testing.T) {

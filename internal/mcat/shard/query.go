@@ -3,6 +3,7 @@ package shard
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 	"time"
 
 	"gosrb/internal/mcat"
@@ -62,7 +63,7 @@ func (r *Router) QueryPartial(q mcat.Query) ([]mcat.Hit, []string, error) {
 	fanStart := time.Now()
 	s := r.getScatter(q)
 	for i := range r.shards {
-		go s.ask(i, r.shards[i].cat)
+		lend(task{s: s, i: i, c: r.shards[i].cat})
 	}
 	var firstErr error
 	pending := r.n
@@ -77,7 +78,7 @@ collect:
 				}
 				continue
 			}
-			s.answers[a.idx], s.answered[a.idx] = a.hits, true
+			s.answered[a.idx] = true
 		case <-s.deadline.C:
 			break collect
 		}
@@ -103,31 +104,47 @@ collect:
 	}
 
 	mergeStart := time.Now()
-	out := mergeHits(s.answers, q.Limit)
+	// Only an answered shard's buffers are whole: a shard past the
+	// deadline may still be writing its own.
+	for i, ok := range s.answered {
+		if ok {
+			s.lists[i] = s.answers[i].Hits
+		}
+	}
+	out := mergeHits(s.lists, q.Limit)
+	if len(out) == 0 {
+		out = nil // no hits: nil, as a catalog answers
+	}
 	r.mergeOp.Observe(time.Since(mergeStart), nil)
 	return out, partial, nil
 }
 
 // scatter is the rendezvous of one scatter-gather query: the query, the
-// channel the shards answer on, their answers and the deadline. The
-// router recycles it only when every shard has answered, for then
-// nothing else holds it. After a deadline a shard still running may yet
-// send on its channel, so the query drops it to the GC instead, as the
-// wire mux does with a waiter whose call timed out.
+// channel the shards answer on, the buffers each shard answers into,
+// which shards have answered and the deadline. The router recycles it
+// only when every shard has answered, for then nothing else holds it,
+// and its buffers have stayed within maxPooledAnswer. After a deadline a
+// shard still running may yet write its buffers and send on the
+// channel, so the query drops the scatter to the GC instead, as the wire
+// mux does with a waiter whose call timed out.
 type scatter struct {
 	q        mcat.Query
 	ch       chan answer
-	answers  [][]mcat.Hit
+	answers  []mcat.Answer // shard i answers into answers[i]
+	lists    [][]mcat.Hit  // the answered shards' hits, which the merge consumes
 	answered []bool
 	deadline *time.Timer
 }
 
-// answer is one shard's reply to a scattered query.
+// answer is one shard's word that answers[idx] is complete, or its error.
 type answer struct {
-	idx  int
-	hits []mcat.Hit
-	err  error
+	idx int
+	err error
 }
+
+// maxPooledAnswer caps each buffer of a pooled scatter's shard answers,
+// in elements: a scatter one large answer grew past it goes to the GC.
+const maxPooledAnswer = 4096
 
 // getScatter takes a recycled scatter, or makes one, for q and starts
 // its deadline.
@@ -136,7 +153,8 @@ func (r *Router) getScatter(q mcat.Query) *scatter {
 	if s == nil {
 		s = &scatter{
 			ch:       make(chan answer, r.n),
-			answers:  make([][]mcat.Hit, r.n),
+			answers:  make([]mcat.Answer, r.n),
+			lists:    make([][]mcat.Hit, r.n),
 			answered: make([]bool, r.n),
 			deadline: time.NewTimer(r.qTimeout),
 		}
@@ -147,51 +165,156 @@ func (r *Router) getScatter(q mcat.Query) *scatter {
 	return s
 }
 
-// ask runs the query on shard i and sends the shard's answer.
-func (s *scatter) ask(i int, c *mcat.Catalog) {
-	hits, err := c.RunQuery(s.q)
-	s.ch <- answer{idx: i, hits: hits, err: err}
-}
-
 // putScatter recycles s, which every shard has answered and whose
-// deadline is stopped.
+// deadline is stopped, unless an answer grew one of its buffers past
+// maxPooledAnswer.
 func (r *Router) putScatter(s *scatter) {
+	for i := range s.answers {
+		if a := &s.answers[i]; cap(a.Hits) > maxPooledAnswer || cap(a.Cols) > maxPooledAnswer || cap(a.Vals) > maxPooledAnswer {
+			return
+		}
+	}
 	s.q = mcat.Query{}
-	clear(s.answers)
+	clear(s.lists)
 	clear(s.answered)
 	r.scatters.Put(s)
+}
+
+// task is one shard's share of a scattered query: shard i answers s.q
+// from catalog c into s.answers[i].
+type task struct {
+	s *scatter
+	i int
+	c *mcat.Catalog
+}
+
+// run answers the task and tells the scatter.
+func (t task) run() {
+	err := t.c.RunQueryInto(&t.s.answers[t.i], t.s.q)
+	t.s.ch <- answer{idx: t.i, err: err}
+}
+
+// The lender runs the shards' shares of scattered queries, for every
+// router in the process, on parked workers. lend hands a task to a
+// worker waiting on tasks and starts one only when none is, so a query
+// whose shard is held (a long write, a wedged journal) takes a fresh
+// worker rather than queueing behind it, and shares of queries to the
+// same shard run concurrently. A worker parks for workerIdle after each
+// task and exits if none comes.
+var (
+	tasks   = make(chan task)
+	workers atomic.Int32 // workers alive, running a task or parked
+	// idleOverride, when set, replaces workerIdle (tests shorten it).
+	idleOverride atomic.Int64
+)
+
+// workerIdle is how long a parked worker waits for a task before it
+// exits.
+const workerIdle = time.Second
+
+func lend(t task) {
+	select {
+	case tasks <- t:
+	default:
+		workers.Add(1)
+		go work(t)
+	}
+}
+
+// work runs t, then each task it is handed while parked, until it has
+// waited the idle period for one. A tick left over from a task that
+// outlasted the period only makes the worker exit early.
+func work(t task) {
+	defer workers.Add(-1)
+	t.run()
+	idle := time.NewTimer(idlePeriod())
+	for {
+		select {
+		case t = <-tasks:
+			t.run()
+			idle.Reset(idlePeriod())
+		case <-idle.C:
+			return
+		}
+	}
+}
+
+func idlePeriod() time.Duration {
+	if d := idleOverride.Load(); d > 0 {
+		return time.Duration(d)
+	}
+	return workerIdle
 }
 
 // mergeHits merges the shards' answers, each already sorted by path,
 // into one sorted list of at most limit hits (0 = all). A path two
 // shards both report (an object mid-migration) is kept once, from the
-// lower-numbered shard. It consumes lists.
+// lower-numbered shard. The merged hits are copies that share nothing
+// with lists but strings: a first pass over copies of the cursors counts
+// the winners, their columns and their values, and the second copies
+// them into one slab of each, so the answer costs three allocations
+// however many shards answered. It consumes lists.
 func mergeHits(lists [][]mcat.Hit, limit int) []mcat.Hit {
-	total := 0
-	for _, l := range lists {
-		total += len(l)
+	var buf [8][]mcat.Hit
+	cur := append(buf[:0], lists...)
+	n, ncols, nvals := 0, 0, 0
+	last := ""
+	for limit <= 0 || n < limit {
+		h, ok := popMin(cur)
+		if !ok {
+			break
+		}
+		if n > 0 && h.Path == last {
+			continue
+		}
+		last = h.Path
+		n++
+		ncols += len(h.Values)
+		for _, v := range h.Values {
+			nvals += len(v)
+		}
 	}
-	if limit > 0 && total > limit {
-		total = limit
-	}
-	out := make([]mcat.Hit, 0, total)
-	for len(out) < total {
-		best := -1
-		for i, l := range lists {
-			if len(l) > 0 && (best < 0 || l[0].Path < lists[best][0].Path) {
-				best = i
+
+	out := make([]mcat.Hit, n)
+	cols := make([][]string, ncols)
+	vals := make([]string, 0, nvals)
+	for i := 0; i < n; {
+		h, _ := popMin(lists)
+		if i > 0 && h.Path == out[i-1].Path {
+			continue
+		}
+		out[i].Path = h.Path
+		if h.Values != nil {
+			w := len(h.Values)
+			out[i].Values, cols = cols[:w:w], cols[w:]
+			for k, v := range h.Values {
+				if v != nil {
+					start := len(vals)
+					vals = append(vals, v...)
+					out[i].Values[k] = vals[start:len(vals):len(vals)]
+				}
 			}
 		}
-		if best < 0 {
-			break // duplicates made total an overestimate
-		}
-		h := lists[best][0]
-		lists[best] = lists[best][1:]
-		if len(out) == 0 || out[len(out)-1].Path != h.Path {
-			out = append(out, h)
-		}
+		i++
 	}
 	return out
+}
+
+// popMin takes the smallest head of lists, the lowest-numbered list's
+// on a tie, reporting false when every list is empty.
+func popMin(lists [][]mcat.Hit) (mcat.Hit, bool) {
+	best := -1
+	for i, l := range lists {
+		if len(l) > 0 && (best < 0 || l[0].Path < lists[best][0].Path) {
+			best = i
+		}
+	}
+	if best < 0 {
+		return mcat.Hit{}, false
+	}
+	h := lists[best][0]
+	lists[best] = lists[best][1:]
+	return h, true
 }
 
 // QueryAttrNames unions the queryable attribute names across the
