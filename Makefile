@@ -79,6 +79,16 @@ NEW_ENTRY := &Entry\{
 # goroutine per shard again.
 GO_STMT := ^\s*go [A-Za-z_(]
 
+# The reach fences: a call reaches a server through a pool it already
+# has. A server, the daemon runtime and the catalog reach a peer through
+# peerCall on the federation pool, never a client of their own; and in
+# the client library a call that needs a conn of its own leases one
+# (Pool.GetExclusive), so only Dial calls DialWith.
+CLIENT_IMPORT := "gosrb/internal/client"
+SERVER_SIDE := internal/server internal/daemon internal/mcat cmd/srbd
+DIAL_WITH := DialWith\(
+DIAL_WITH_OK := func DialWith\(|^internal/client/client\.go:[0-9]+:\s*return DialWith\(addr, user, password, nil\)$$
+
 # The audit fence: the trail is the broker's (core.Broker.Audit), so the catalog never imports internal/audit.
 AUDIT_IMPORT := "gosrb/internal/audit"
 
@@ -113,6 +123,8 @@ lint: vet
 	@if grep -rnE '$(JOURNAL_WRITES)' --include=*.go --exclude=*_test.go --exclude=journal.go internal/mcat; then echo "journal write outside journal.go: commit the entry through commitLocked, which appends it before it is applied"; exit 1; fi
 	@if grep -rnE '$(NEW_ENTRY)' --include=*.go --exclude=*_test.go internal/mcat; then echo "build the entry in the line buffer (encodeLine)"; exit 1; fi
 	@if [ "$$(grep -rnE '$(GO_STMT)' --include=*.go --exclude=*_test.go internal/mcat/shard | wc -l)" -gt 1 ]; then grep -rnE '$(GO_STMT)' --include=*.go --exclude=*_test.go internal/mcat/shard; echo "hand shard work to the lender (query.go)"; exit 1; fi
+	@if grep -rnF '$(CLIENT_IMPORT)' --include=*.go --exclude=*_test.go $(SERVER_SIDE); then echo "a server reaches a server through peerCall"; exit 1; fi
+	@if [ "$$(grep -rnE '$(DIAL_WITH)' --include=*.go --exclude=*_test.go internal/client | grep -vE 'func DialWith\(' | wc -l)" -ne 1 ] || grep -rnE '$(DIAL_WITH)' --include=*.go --exclude=*_test.go internal/client | grep -vE '$(DIAL_WITH_OK)'; then grep -rnE '$(DIAL_WITH)' --include=*.go --exclude=*_test.go internal/client; echo "a call that needs a conn of its own leases one: Pool.GetExclusive"; exit 1; fi
 	@if grep -rnF '$(AUDIT_IMPORT)' --include=*.go --exclude=*_test.go internal/mcat; then echo "audit import in internal/mcat: the audit trail belongs to the broker (core.Broker.Audit)"; exit 1; fi
 	@if grep -rnE '$(WHOLE_READS)' --include=*.go --exclude=*_test.go internal/server; then echo "whole-object read in internal/server: open with Broker.OpenGet and stream"; exit 1; fi
 	@if grep -rnE '$(LOOKUP_AGAIN_SERVER)' --include=*.go --exclude=*_test.go internal/server || grep -rnE '$(LOOKUP_AGAIN_CORE)' --include=*.go --exclude=*_test.go internal/core; then echo "resolve a path once (Broker.Lookup) and pass the row down"; exit 1; fi

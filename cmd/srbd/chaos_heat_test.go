@@ -193,15 +193,18 @@ func TestChaosHeatObservatory(t *testing.T) {
 	b2 := core.New(folCat, "srb2")
 	folCat.SetMetrics(b2.Metrics())
 	for i := 0; i < shards; i++ {
-		folCat.SetFollower(i, addr1)
+		folCat.SetFollower(i, "srb1")
 	}
-	folCat.SetPuller(client.ShardPuller("admin", "adminpw"), 1000)
 
 	s2 := server.New(b2, authn, server.Proxy)
 	t.Cleanup(func() { s2.Close() })
-	if _, err := s2.Listen("127.0.0.1:0"); err != nil {
+	addr2, err := s2.Listen("127.0.0.1:0")
+	if err != nil {
 		t.Fatal(err)
 	}
+	s1.AddPeer("srb2", addr2, "zs")
+	s2.AddPeer("srb1", addr1, "zs")
+	folCat.SetPuller(s2.ShardPuller("admin"), 1000)
 	admin2 := serveAdmin(t, s2)
 
 	// A lag SLO on the follower. Evaluation reads the replag gauges

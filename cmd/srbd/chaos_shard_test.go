@@ -50,15 +50,14 @@ func TestChaosShardFailover(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The follower server mirrors every shard off srb1 over the wire:
-	// each pull is a fresh authenticated dial, so killing srb1 fails
-	// pulls the way a dead peer would.
+	// The follower server mirrors every shard off srb1, its peer, over
+	// the wire: each pull is a peer call on srb2's pooled link, so
+	// killing srb1 fails pulls the way it fails any call to a dead peer.
 	folCat := shard.NewRouter(shards, "admin", "sdsc")
 	folCat.EnableMemoryJournals()
 	for i := 0; i < shards; i++ {
-		folCat.SetFollower(i, addr1)
+		folCat.SetFollower(i, "srb1")
 	}
-	folCat.SetPuller(client.ShardPuller("admin", "adminpw"), 3)
 
 	b2 := core.New(folCat, "srb2")
 	s2 := server.New(b2, authn, server.Proxy)
@@ -67,6 +66,9 @@ func TestChaosShardFailover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	s1.AddPeer("srb2", addr2, "zs")
+	s2.AddPeer("srb1", addr1, "zs")
+	folCat.SetPuller(s2.ShardPuller("admin"), 3)
 
 	cl1, err := client.Dial(addr1, "alice", "alicepw")
 	if err != nil {

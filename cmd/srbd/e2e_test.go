@@ -254,7 +254,7 @@ func TestDaemonJobTableAndStopOrder(t *testing.T) {
 		jobs string
 		stop []string
 	}{
-		{[]string{"-catalog", "mcat.json", "-telemetry-dir", "telem", "-mcat-follow", "127.0.0.1:1"},
+		{[]string{"-catalog", "mcat.json", "-telemetry-dir", "telem", "-peer", "srb9=127.0.0.1:1=zs", "-mcat-follow", "srb9"},
 			"catalog.save replica.sweep rollup heat.decay telemetry shard.gauges shard.sync",
 			[]string{"shutting down", "repair engine stopped", "catalog saved to mcat.json", "telemetry closed", "final stats: uptime="}},
 		{[]string{"-catalog", "mcat.json", "-save-every", "0", "-rollup-interval", "0"},

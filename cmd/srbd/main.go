@@ -20,7 +20,6 @@ import (
 	"strings"
 	"time"
 
-	"gosrb/internal/client"
 	"gosrb/internal/daemon"
 	"gosrb/internal/mcat/shard"
 	"gosrb/internal/obs"
@@ -43,7 +42,7 @@ func defineFlags(fs *flag.FlagSet) *options {
 	fs.StringVar(&o.addr, "addr", ":5544", "listen address")
 	fs.BoolVar(&o.quiet, "quiet", false, "log only errors (default logs every failed operation with op/remote/trace context)")
 	fs.StringVar(&o.Name, "name", "srb1", "server name within the federation")
-	fs.StringVar(&o.mcatFollow, "mcat-follow", "", "leader daemon address: this daemon's catalog becomes a read-only follower replicating every shard's journal stream from it (admin credentials must match)")
+	fs.StringVar(&o.mcatFollow, "mcat-follow", "", "leader daemon's -peer name: this daemon's catalog becomes a read-only follower replicating every shard's journal stream from it over the peer link")
 	fs.StringVar(&o.mode, "mode", "proxy", "federation mode: proxy or redirect")
 	fs.DurationVar(&o.slowOp, "slow-op", 0, "log the full span tree of any operation slower than this (0 disables)")
 	fs.Var(&o.logicals, "logical", "logical resource: name=member1,member2; repeatable")
@@ -124,15 +123,18 @@ func main() {
 		return nil
 	})
 	// Follower mode: every shard of this daemon's catalog replicates
-	// the same-numbered shard of the leader daemon, pulling the lines of
-	// its journal from its position (or a snapshot when that position
-	// is not in the journal) every syncEvery.
+	// the same-numbered shard of the leader daemon, a -peer, pulling the
+	// lines of its journal from its position (or a snapshot when that
+	// position is not in the journal) every syncEvery over the peer link.
 	// Repeated pull failures promote the shards to leader.
 	if leader := o.mcatFollow; leader != "" {
+		if _, ok := srv.PeerAddr(leader); !ok {
+			logger.Fatalf("-mcat-follow %s names no -peer", leader)
+		}
 		for i := 0; i < cat.N(); i++ {
 			cat.SetFollower(i, leader)
 		}
-		cat.SetPuller(client.ShardPuller(o.Admin, o.AdminPw), shard.DefaultPromoteAfter)
+		cat.SetPuller(srv.ShardPuller(o.Admin), shard.DefaultPromoteAfter)
 		rt.Engine.AddJob("shard.sync", syncEvery, 0.1, func(sp *obs.Span) error {
 			err := cat.SyncOnce()
 			cat.RefreshReplag(time.Now())

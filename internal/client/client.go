@@ -16,7 +16,6 @@ import (
 
 	"gosrb/internal/auth"
 	"gosrb/internal/mcat"
-	"gosrb/internal/mcat/shard"
 	"gosrb/internal/obs"
 	"gosrb/internal/resilience"
 	"gosrb/internal/storage"
@@ -30,10 +29,12 @@ import (
 const DialTimeout = resilience.DialTimeout
 
 // Client is one authenticated identity against an SRB server, backed
-// by a bounded connection pool of multiplexed connections. Methods are
-// safe for concurrent use; concurrent calls pipeline over shared
-// connections instead of queueing, and ParallelGet opens dedicated
-// connections for concurrent bulk streams.
+// by a bounded connection pool of multiplexed connections through which
+// every call goes. Methods are safe for concurrent use; concurrent calls
+// pipeline over shared connections instead of queueing, and each of
+// ParallelGet's streams leases a connection of its own from the pool
+// (wire.Pool.GetExclusive), with the client's timeout, retries and
+// telemetry.
 type Client struct {
 	mu sync.Mutex
 	// pool owns the authenticated connections; checkout dials lazily
@@ -65,9 +66,6 @@ type Client struct {
 	// lastTrace remembers the trace ID minted for the most recent
 	// logical call, so callers can fetch its span tree afterwards.
 	lastTrace traceid.ID
-	// history, when set, receives one per-server transfer observation
-	// per logical call — the client-side feed of the peer observatory.
-	history *obs.PeerHistory
 	// metrics, when set, receives client-side latency-decomposition
 	// phases (serialize, pool checkout, mux in-flight, dial, batch hold)
 	// as phase.client.* ops, plus the connection pool's wire.pool.*
@@ -137,15 +135,6 @@ func (cl *Client) SetRetryPolicy(p resilience.Policy) {
 	cl.mu.Unlock()
 }
 
-// SetPeerHistory attaches a transfer observatory table: every logical
-// call then records its latency, payload bytes and transport outcome
-// against the serving server's name (nil detaches).
-func (cl *Client) SetPeerHistory(ph *obs.PeerHistory) {
-	cl.mu.Lock()
-	cl.history = ph
-	cl.mu.Unlock()
-}
-
 // SetMetrics attaches a telemetry registry: every call then records its
 // client-side latency phases (phase.client.<op>.<phase> histograms with
 // trace-ID tail exemplars) and the connection pool exports its
@@ -193,9 +182,9 @@ func (cl *Client) Addr() string {
 
 // xfer is one logical call's state besides its args and its reply body:
 // the stream sent after the request, where the stream that follows the
-// response goes, and what the attempts moved. A call that brings no
-// stream of its own takes a pooled xfer (newXfer) and hands it back
-// (free).
+// response goes, and whether the call needs a conn of its own. A call
+// that brings no stream of its own takes a pooled xfer (newXfer) and
+// hands it back (free).
 type xfer struct {
 	// send is streamed after the request (nil = the op sends none). It is
 	// read once.
@@ -219,7 +208,9 @@ type xfer struct {
 	// rewound). Atomic because a call that timed out may still be inside
 	// its last Write when it returns (wire.Sink).
 	wrote atomic.Int64
-	moved int64 // payload bytes moved either way, for the observatory
+	// exclusive leases each attempt a conn no other call shares
+	// (wire.Pool.GetExclusive): one of ParallelGet's streams.
+	exclusive bool
 	// retried is set once an attempt has failed and another is made.
 	retried bool
 	// data is the reader Put sends its bytes through.
@@ -240,7 +231,7 @@ func (x *xfer) free(err error) {
 		return
 	}
 	x.send, x.to, x.rewound, x.announced, x.ticket = nil, nil, nil, nil, ""
-	x.buf, x.moved = nil, 0
+	x.buf, x.exclusive = nil, false
 	x.wrote.Store(0)
 	x.data.Reset(nil)
 	xferPool.Put(x)
@@ -385,7 +376,7 @@ func (cl *Client) do(op string, args []byte, x *xfer, ser time.Duration) (*wire.
 	cl.mu.Lock()
 	cl.lastTrace = trace
 	timeout, policy := cl.timeout, cl.retry
-	sleep, randf, history := cl.sleep, cl.randf, cl.history
+	sleep, randf := cl.sleep, cl.randf
 	cl.mu.Unlock()
 	var deadline time.Time
 	if timeout > 0 {
@@ -405,7 +396,6 @@ func (cl *Client) do(op string, args []byte, x *xfer, ser time.Duration) (*wire.
 	if x.to != nil {
 		r.Retryable = x.retryable
 	}
-	start := time.Now()
 	var res *wire.CallResult
 	err := r.Do(func() (err error) {
 		// A transport error evicted the failed conn inside callOnce, so
@@ -414,9 +404,6 @@ func (cl *Client) do(op string, args []byte, x *xfer, ser time.Duration) (*wire.
 		res, err = cl.callRedirect(op, args, x, trace, attempt, deadline)
 		return err
 	})
-	// Feed the observatory with the whole logical call (retries and
-	// redirects included — that is the latency the user experienced).
-	history.Record(cl.Server(), "", time.Since(start), x.moved, err != nil && resilience.Transport(err))
 	return res, err
 }
 
@@ -459,7 +446,11 @@ func (cl *Client) callOnce(addr, op string, args []byte, x *xfer, trace traceid.
 		return nil, err
 	}
 	coStart := time.Now()
-	m, err := cl.pool.Get(addr)
+	get := cl.pool.Get
+	if x.exclusive {
+		get = cl.pool.GetExclusive
+	}
+	m, err := get(addr)
 	cl.phase(op, obs.PhasePoolCheckout, time.Since(coStart), trace)
 	if err != nil {
 		return nil, err
@@ -467,24 +458,18 @@ func (cl *Client) callOnce(addr, op string, args []byte, x *xfer, trace traceid.
 	callStart := time.Now()
 	res, err := m.CallTo(&req, x.send, x, deadline)
 	cl.phase(op, obs.PhaseMuxInflight, time.Since(callStart), trace)
+	// A conn the call broke is evicted; one a call timeout left healthy
+	// stays (the late response is discarded by ID).
+	cl.pool.Put(m)
 	if err != nil {
-		// Evict only broken conns; a call timeout leaves the connection
-		// healthy (the late response is discarded by ID).
-		if m.Dead() {
-			cl.pool.Fail(m)
-		} else {
-			cl.pool.Put(m)
-		}
 		return nil, types.E(op, "", err)
 	}
-	cl.pool.Put(m)
 	cl.mu.Lock()
 	cl.server = m.Server()
 	cl.mu.Unlock()
 	if res.Redirect != nil {
 		return res, nil
 	}
-	x.moved += res.SentLen + res.DataLen
 	if err := res.Check(op, false); err != nil {
 		res.Release()
 		return nil, err
@@ -602,7 +587,8 @@ func (cl *Client) GetRangeTo(path string, offset, length int64, w io.Writer) (in
 }
 
 // ParallelGet retrieves an object over streams concurrent connections,
-// each fetching a contiguous range — SRB's parallel bulk transfer.
+// each fetching a contiguous range — SRB's parallel bulk transfer. Each
+// stream leases a pooled connection of its own for each attempt.
 func (cl *Client) ParallelGet(path string, streams int) ([]byte, error) {
 	st, err := cl.Stat(path)
 	if err != nil {
@@ -639,9 +625,9 @@ func (s sliceAt) WriteAt(p []byte, off int64) (int, error) {
 // getAt runs a get-style op with the reply written to w from off on. A
 // position can be returned to, and writing the same bytes there again
 // changes nothing, so the call keeps the retries a plain writer loses
-// with its first byte.
-func getAt[A any](cl *Client, op string, args A, w io.WriterAt, off int64) (int64, error) {
-	x := &xfer{rewound: func() io.Writer { return io.NewOffsetWriter(w, off) }}
+// with its first byte. exclusive leases the call a conn of its own.
+func getAt[A any](cl *Client, op string, args A, w io.WriterAt, off int64, exclusive bool) (int64, error) {
+	x := &xfer{rewound: func() io.Writer { return io.NewOffsetWriter(w, off) }, exclusive: exclusive}
 	err := call(cl, op, args, x, none)
 	return x.wrote.Load(), err
 }
@@ -654,14 +640,11 @@ func (cl *Client) parallelTo(path string, size int64, streams int, w io.WriterAt
 		streams = int(size)
 	}
 	if streams <= 1 || size == 0 {
-		_, err := getAt(cl, wire.OpGet, wire.PathArgs{Path: path}, w, 0)
+		_, err := getAt(cl, wire.OpGet, wire.PathArgs{Path: path}, w, 0, false)
 		return err
 	}
 	chunk := (size + int64(streams) - 1) / int64(streams)
 	errs := make(chan error, streams)
-	cl.mu.Lock()
-	timeout, retry := cl.timeout, cl.retry
-	cl.mu.Unlock()
 	for i := 0; i < streams; i++ {
 		off := int64(i) * chunk
 		length := chunk
@@ -669,17 +652,7 @@ func (cl *Client) parallelTo(path string, size int64, streams int, w io.WriterAt
 			length = size - off
 		}
 		go func(off, length int64) {
-			// Each stream is its own authenticated connection and
-			// inherits the parent's resilience knobs.
-			sub, err := DialWith(cl.Addr(), cl.user, cl.password, cl.dial)
-			if err != nil {
-				errs <- err
-				return
-			}
-			defer sub.Close()
-			sub.SetTimeout(timeout)
-			sub.SetRetryPolicy(retry)
-			n, err := getAt(sub, wire.OpReadRange, wire.RangeArgs{Path: path, Offset: off, Length: length}, w, off)
+			n, err := getAt(cl, wire.OpReadRange, wire.RangeArgs{Path: path, Offset: off, Length: length}, w, off, true)
 			if err == nil && n != length {
 				err = types.E("parallelget", path, fmt.Errorf("short range read (%d of %d)", n, length))
 			}
@@ -757,21 +730,6 @@ func (cl *Client) Query(q mcat.Query) ([]mcat.Hit, error) {
 func (cl *Client) QueryPartial(q mcat.Query) ([]mcat.Hit, []string, error) {
 	out, err := ask[wire.QueryReply](cl, wire.OpQuery, wire.QueryArgs{Q: q})
 	return out.Hits, out.Partial, err
-}
-
-// ShardPuller is the transport a follower pulls its leader's journal
-// over (peer/admin only): each pull dials the leader as user afresh, so
-// a dead leader fails the pull the way a dead peer would.
-func ShardPuller(user, password string) shard.PullFunc {
-	return func(peer string, shardIdx int, from shard.Position) (shard.PullResult, error) {
-		cl, err := Dial(peer, user, password)
-		if err != nil {
-			return shard.PullResult{}, err
-		}
-		defer cl.Close()
-		out, err := ask[wire.ShardPullReply](cl, wire.OpShardPull, wire.ShardPullArgs{Shard: shardIdx, From: from})
-		return out.PullResult, err
-	}
 }
 
 // QueryAttrNames fetches the queryable attribute names under scope.

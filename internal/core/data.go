@@ -78,6 +78,16 @@ func (b *Broker) StatPath(user, path string) (types.Stat, error) {
 	}, nil
 }
 
+// GetObject returns an object's whole catalog row — owner, every
+// replica's physical path, checksum, versions, lock — to a user who may
+// read it.
+func (b *Broker) GetObject(user, path string) (types.DataObject, error) {
+	if err := b.need(user, path, acl.Read, "getobject"); err != nil {
+		return types.DataObject{}, err
+	}
+	return b.Cat.GetObject(path)
+}
+
 // RmColl removes an empty collection; Own on the collection required.
 func (b *Broker) RmColl(user, path string) error {
 	if err := b.need(user, path, acl.Own, "rmcoll"); err != nil {

@@ -214,6 +214,14 @@ func (b *Broker) Annotations(user, path string) ([]types.Annotation, error) {
 
 // ---- access control and structural metadata ----
 
+// ACL lists the grants stored on a path to a user who may read it.
+func (b *Broker) ACL(user, path string) (acl.List, error) {
+	if err := b.need(user, path, acl.Read, "acl"); err != nil {
+		return nil, err
+	}
+	return b.Cat.GetACL(path)
+}
+
 // Chmod grants or revokes a permission level; Own required.
 func (b *Broker) Chmod(user, path, grantee string, level acl.Level) error {
 	if err := b.need(user, path, acl.Own, "chmod"); err != nil {

@@ -168,8 +168,8 @@ func mountResource(b *core.Broker, admin, spec string) error {
 }
 
 // Runtime is one daemon process: New boots it, the main adds the jobs
-// and listeners that are its own, Start runs the engine, Run waits for
-// a signal and Stop ends everything in order.
+// and listeners that are its own, Start runs the engine and catches the
+// stop signals, Run waits for one and Stop ends everything in order.
 type Runtime struct {
 	// Broker serves every surface of the daemon; Cat is its catalog.
 	Broker *core.Broker
@@ -190,6 +190,9 @@ type Runtime struct {
 	// their goroutines.
 	https  []*http.Server
 	served sync.WaitGroup
+	// sig receives SIGINT and SIGTERM from Start on, so a signal that
+	// lands before Run waits for it still walks the stop sequence.
+	sig chan os.Signal
 }
 
 // New boots the daemon: the catalog, the broker over it, durable
@@ -415,8 +418,12 @@ func (rt *Runtime) flightRecorder(ev *obs.SLOEvaluator) (*obs.IncidentRecorder, 
 	return rec, nil
 }
 
-// Start attaches the engine to the broker and runs it.
+// Start catches SIGINT and SIGTERM for Run, then attaches the engine to
+// the broker and runs it. A main calls it before it listens, so no
+// signal that arrives once the daemon is reachable kills it unsaved.
 func (rt *Runtime) Start() {
+	rt.sig = make(chan os.Signal, 1)
+	signal.Notify(rt.sig, os.Interrupt, syscall.SIGTERM)
 	rt.Broker.SetRepair(rt.Engine)
 	rt.Engine.Start()
 	if n, _ := rt.Cat.RepairBacklog(); n > 0 {
@@ -458,12 +465,10 @@ func (rt *Runtime) ServeAdmin() error {
 	return nil
 }
 
-// Run blocks until SIGINT or SIGTERM, then closes the main's own
-// listeners and stops the runtime.
+// Run blocks until the SIGINT or SIGTERM Start began to catch, then
+// closes the main's own listeners and stops the runtime.
 func (rt *Runtime) Run(listeners ...io.Closer) {
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	<-sig
+	<-rt.sig
 	rt.cfg.Logf("shutting down")
 	for _, l := range listeners {
 		l.Close()
@@ -481,6 +486,7 @@ const shutdownGrace = 5 * time.Second
 // history survives into the next; and one stats line, so the totals are
 // in the log even when no scraper ever hit the admin endpoint.
 func (rt *Runtime) Stop() {
+	signal.Stop(rt.sig)
 	cfg, reg := rt.cfg, rt.Broker.Metrics()
 	ctx, cancel := context.WithTimeout(context.Background(), shutdownGrace)
 	for _, srv := range rt.https {

@@ -12,6 +12,7 @@
 package mysrb
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -231,7 +232,7 @@ func (a *App) handleBrowse(w http.ResponseWriter, r *http.Request, user string) 
 		pd.TopMeta = avus
 	}
 	pd.Structs = a.broker.Cat.Structural(path)
-	if anns, err := a.broker.Cat.Annotations(path); err == nil {
+	if anns, err := a.broker.Annotations(user, path); err == nil {
 		pd.Annots = anns
 	}
 	pd.Resources = a.broker.Cat.Resources()
@@ -256,15 +257,15 @@ func (a *App) handleOpen(w http.ResponseWriter, r *http.Request, user string) {
 	if anns, err := a.broker.Annotations(user, path); err == nil {
 		pd.Annots = anns
 	}
+	// The row's versions and type are shown only once OpenGet has
+	// checked read.
 	row := a.broker.Lookup(path)
-	if row.Err == nil {
-		pd.Versions = row.Obj.Versions
-		pd.Methods = a.broker.Extractors().MethodsFor(row.Obj.DataType)
-	}
 	var f core.GetHandle
 	if size, err := a.broker.OpenGet(&f, user, &row, nil); err != nil {
 		pd.Error = err.Error()
 	} else {
+		pd.Versions = row.Obj.Versions
+		pd.Methods = a.broker.Extractors().MethodsFor(row.Obj.DataType)
 		pd.Content, pd.IsHTML, err = renderContent(&f, size)
 		f.Close()
 		if err != nil {
@@ -505,7 +506,7 @@ func (a *App) handleACL(w http.ResponseWriter, r *http.Request, user string) {
 		return
 	}
 	pd := pageData{User: user, Path: path, Parent: types.Parent(path)}
-	list, err := a.broker.Cat.GetACL(path)
+	list, err := a.broker.ACL(user, path)
 	if err != nil {
 		pd.Error = err.Error()
 	}
@@ -633,7 +634,11 @@ const editMaxBytes = 256 * 1024
 // save, keeping all metadata linked.
 func (a *App) handleEdit(w http.ResponseWriter, r *http.Request, user string) {
 	path := types.CleanPath(r.URL.Query().Get("path"))
-	o, err := a.broker.Cat.GetObject(path)
+	o, err := a.broker.GetObject(user, path)
+	if errors.Is(err, types.ErrPermission) {
+		http.Error(w, err.Error(), http.StatusForbidden)
+		return
+	}
 	if err != nil {
 		http.NotFound(w, r)
 		return

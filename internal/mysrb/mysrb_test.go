@@ -625,3 +625,60 @@ func TestGridPhaseTable(t *testing.T) {
 		t.Error("/grid still shows the empty-state note with phases recorded")
 	}
 }
+
+// TestPagesHideWhatUserCannotRead: a user with no grant on /cultures
+// sees none of its annotations, version comments or grantees on any
+// page, and the edit facility answers a path it cannot read the same
+// way whether or not the path exists.
+func TestPagesHideWhatUserCannotRead(t *testing.T) {
+	r := newRig(t)
+	r.login("curator", "pw")
+	r.multipartIngest("/cultures", "f.txt", "disk1", []byte("x"), nil)
+	b := r.broker
+	b.Cat.AddUser(types.User{Name: "colleague", Domain: "sdsc"})
+	b.Cat.AddUser(types.User{Name: "outsider", Domain: "sdsc"})
+	r.authn.Register("outsider", "opw")
+	for _, err := range []error{
+		b.Annotate("curator", "/cultures", types.Annotation{Kind: "comment", Text: "collection-note-secret"}),
+		b.Annotate("curator", "/cultures/f.txt", types.Annotation{Kind: "comment", Text: "object-note-secret"}),
+		b.Checkout("curator", "/cultures/f.txt"),
+		b.Checkin("curator", "/cultures/f.txt", []byte("y"), "version-comment-secret"),
+		b.Chmod("curator", "/cultures", "colleague", acl.Read),
+		b.Chmod("curator", "/cultures/f.txt", "colleague", acl.Read),
+	} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	out := &rig{t: t, srv: r.srv, http: &http.Client{Jar: newJar()}}
+	out.login("outsider", "opw")
+	secrets := []string{"collection-note-secret", "object-note-secret", "version-comment-secret", "colleague"}
+	for _, page := range []string{
+		"/browse?path=/cultures", "/open?path=/cultures/f.txt",
+		"/acl?path=/cultures", "/acl?path=/cultures/f.txt", "/edit?path=/cultures/f.txt",
+	} {
+		body, _ := out.get(page)
+		for _, s := range secrets {
+			if strings.Contains(body, s) {
+				t.Errorf("%s shows %q to a user with no grant", page, s)
+			}
+		}
+	}
+	existing, c1 := out.get("/edit?path=/cultures/f.txt")
+	missing, c2 := out.get("/edit?path=/cultures/none.txt")
+	if c1 != http.StatusForbidden || c1 != c2 || existing != strings.Replace(missing, "none.txt", "f.txt", 1) {
+		t.Errorf("edit answers %d %q for a path that exists and %d %q for one that does not", c1, existing, c2, missing)
+	}
+
+	// The owner still sees all of it.
+	for page, want := range map[string]string{
+		"/browse?path=/cultures":     "collection-note-secret",
+		"/open?path=/cultures/f.txt": "version-comment-secret",
+		"/acl?path=/cultures":        "colleague",
+	} {
+		if body, _ := r.get(page); !strings.Contains(body, want) {
+			t.Errorf("%s lacks %q for the owner", page, want)
+		}
+	}
+}

@@ -340,7 +340,7 @@ var handlers = map[string]handler{
 	wire.OpRmColl:      do(func(c call, a wire.PathArgs) error { return c.b.RmColl(c.user, a.Path) }),
 	wire.OpList:        get(func(c call, a wire.PathArgs) ([]types.Stat, error) { return c.b.List(c.user, a.Path) }),
 	wire.OpStat:        get(func(c call, a wire.PathArgs) (types.Stat, error) { return c.b.StatPath(c.user, a.Path) }),
-	wire.OpGetObject:   get(func(c call, a wire.PathArgs) (types.DataObject, error) { return c.b.Cat.GetObject(a.Path) }),
+	wire.OpGetObject:   get(func(c call, a wire.PathArgs) (types.DataObject, error) { return c.b.GetObject(c.user, a.Path) }),
 	wire.OpIngest:      via(ingest),
 	wire.OpReingest:    do(func(c call, a wire.PathArgs) error { return c.b.ReingestFrom(c.user, a.Path, c.ss.in) }),
 	wire.OpGet:         via(getObject),

@@ -32,6 +32,7 @@ import (
 	"gosrb/internal/auth"
 	"gosrb/internal/chunk"
 	"gosrb/internal/core"
+	"gosrb/internal/mcat/shard"
 	"gosrb/internal/obs"
 	"gosrb/internal/report"
 	"gosrb/internal/resilience"
@@ -122,31 +123,8 @@ func New(b *core.Broker, a *auth.Authenticator, mode FederationMode) *Server {
 		Dial:    s.dialPeerMux,
 		Metrics: b.Metrics(),
 		Prefix:  "federation.pool",
-		Gate:    s.peerGate,
 	})
 	return s
-}
-
-// peerGate makes checkout breaker-aware: a pooled connection to a peer
-// whose breaker is open fails fast at the pool, before any frame moves.
-func (s *Server) peerGate(addr string) wire.Gate {
-	name := s.peerNameByAddr(addr)
-	if name == "" {
-		return nil
-	}
-	return s.peerBreaker(name)
-}
-
-// peerNameByAddr reverse-resolves a peer address to its server name.
-func (s *Server) peerNameByAddr(addr string) string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	for name, p := range s.peers {
-		if p.addr == addr {
-			return name
-		}
-	}
-	return ""
 }
 
 // PeerPoolStats reports the federation connection pool's occupancy and
@@ -159,11 +137,6 @@ func (s *Server) PeerPoolStats() wire.PoolStats { return s.peerPool.Stats() }
 // immediately.
 func (s *Server) SetPeerDialer(dial func(addr string) (net.Conn, error)) {
 	s.peerDial = dial
-	s.flushPeerPool()
-}
-
-// flushPeerPool closes every pooled peer connection (transport swap).
-func (s *Server) flushPeerPool() {
 	s.peerPool.Flush()
 }
 
@@ -882,8 +855,9 @@ func (s *Server) peerBreaker(name string) *resilience.Breaker {
 // conn. Only conn-level failures (dial refused, conn dropped, I/O
 // deadline) count against the breaker: a peer answering with an
 // application error is alive, and a reply that failed in our own sink
-// (*wire.SinkError) says nothing about the peer. A transport failure
-// also evicts the conn, so no later call inherits a broken one.
+// (*wire.SinkError) says nothing about the peer. The conn goes back to
+// the pool either way: one the call broke is evicted there, so no later
+// call inherits it, and one a call timeout left healthy stays.
 //
 // A call with a stream to send or a sink to fill moves data to or from a
 // third party (this request's client, a storage driver): it holds its
@@ -952,14 +926,11 @@ func (s *Server) peerCall(peer, user string, req *wire.Request, send io.Reader, 
 		// Every round trip feeds the transfer observatory's per-peer
 		// latency, bandwidth and transport outcome.
 		s.broker.Metrics().Peers().Record(peer, "", hop, moved, failed)
-		if failed {
-			s.peerPool.Fail(m)
-			if br.Failure() {
-				sp.Event(obs.EventBreakerTrip, "peer."+peer)
-			}
-		} else {
-			s.peerPool.Put(m)
+		s.peerPool.Put(m)
+		if !failed {
 			br.Success()
+		} else if br.Failure() {
+			sp.Event(obs.EventBreakerTrip, "peer."+peer)
 		}
 		return types.E(req.Op, peer, err)
 	}
@@ -973,6 +944,29 @@ func (s *Server) peerCall(peer, user string, req *wire.Request, send io.Reader, 
 	}
 	err := r.Do(attempt)
 	return body, err
+}
+
+// ShardPuller is the transport a follower pulls its leader's journal
+// over: a peerCall to the leader, one of this server's peers, on behalf
+// of admin. It shares the federation pool and the leader's breaker, so
+// a dead leader fails the pull the way a dead peer fails any call; a
+// pull is not idempotent, so it gets one attempt.
+func (s *Server) ShardPuller(admin string) shard.PullFunc {
+	return func(leader string, i int, from shard.Position) (shard.PullResult, error) {
+		args, err := wire.AppendBody(nil, &wire.ShardPullArgs{Shard: i, From: from})
+		if err != nil {
+			return shard.PullResult{}, err
+		}
+		body, err := s.peerCall(leader, admin, &wire.Request{Op: wire.OpShardPull, Args: args}, nil, nil, time.Time{}, nil, nil)
+		if err != nil {
+			return shard.PullResult{}, err
+		}
+		var rep wire.ShardPullReply
+		if err := wire.DecodeBody(body, &rep); err != nil {
+			return shard.PullResult{}, types.E(wire.OpShardPull, leader, err)
+		}
+		return rep.PullResult, nil
+	}
 }
 
 // retrier builds the federation retry loop for one idempotent request.
@@ -994,9 +988,13 @@ func (s *Server) retrier(deadline time.Time, sp *obs.Span) resilience.Retrier {
 // table by address at dial time, and s.peerDial is read per dial so a
 // transport swapped in by fault injection applies to new connections.
 func (s *Server) dialPeerMux(addr string) (*wire.Mux, error) {
-	name := s.peerNameByAddr(addr)
+	var secret string
 	s.mu.RLock()
-	secret := s.peers[name].secret
+	for _, p := range s.peers {
+		if p.addr == addr {
+			secret = p.secret
+		}
+	}
 	s.mu.RUnlock()
 	dial := s.peerDial
 	if dial == nil {

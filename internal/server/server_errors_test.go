@@ -195,6 +195,29 @@ func TestTicketBelowReadGrantsNothing(t *testing.T) {
 	}
 }
 
+// TestGetObjectNeedsRead: an object's catalog row — owner, replica
+// paths, checksum — goes only to a user who may read the object.
+func TestGetObjectNeedsRead(t *testing.T) {
+	z := newZone(t, Proxy)
+	alice := z.client(z.addr1, "alice", "alicepw")
+	if _, err := alice.Put("/home/row.txt", []byte("payload"), client.PutOpts{Resource: "disk1"}); err != nil {
+		t.Fatal(err)
+	}
+	z.authn.Register("bob", "bobpw")
+	z.cat.AddUser(types.User{Name: "bob", Domain: "x"})
+	bob := z.client(z.addr1, "bob", "bobpw")
+	if o, err := bob.GetObject("/home/row.txt"); !errors.Is(err, types.ErrPermission) {
+		t.Errorf("getobject with no grant = %+v, %v; want %v", o, err, types.ErrPermission)
+	}
+	o, err := alice.GetObject("/home/row.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if o.Owner != "alice" || o.Checksum == "" || len(o.Replicas) != 1 || o.Replicas[0].PhysicalPath == "" {
+		t.Errorf("owner's getobject = %+v, want the whole row", o)
+	}
+}
+
 func mustArgs(t *testing.T, v any) []byte {
 	t.Helper()
 	b, err := wire.AppendBody(nil, &v)

@@ -15,6 +15,7 @@ import (
 	"gosrb/internal/core"
 	"gosrb/internal/mcat"
 	"gosrb/internal/mcat/shard"
+	"gosrb/internal/obs"
 	stg "gosrb/internal/storage"
 	"gosrb/internal/storage/dbfs"
 	"gosrb/internal/storage/memfs"
@@ -309,6 +310,30 @@ func TestParallelGet(t *testing.T) {
 	part, err := cl.GetRange("/home/big.bin", 100, 50)
 	if err != nil || !bytes.Equal(part, payload[100:150]) {
 		t.Errorf("range read mismatch: %v", err)
+	}
+}
+
+// TestParallelGetRecordsItsStreams: ParallelGet's streams are calls of
+// the client itself, on conns leased from its pool, so each range read
+// lands in the client's own phase.client.readrange.* ops.
+func TestParallelGetRecordsItsStreams(t *testing.T) {
+	z := newZone(t, Proxy)
+	cl := z.client(z.addr1, "alice", "alicepw")
+	payload := make([]byte, 64<<10)
+	if _, err := cl.Put("/home/streams.bin", payload, client.PutOpts{Resource: "disk1"}); err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	cl.SetMetrics(reg)
+	got, err := cl.ParallelGet("/home/streams.bin", 4)
+	if err != nil || !bytes.Equal(got, payload) {
+		t.Fatalf("ParallelGet = %d bytes, %v", len(got), err)
+	}
+	for _, phase := range []string{obs.PhasePoolCheckout, obs.PhaseMuxInflight} {
+		name := obs.PhasePrefix + "client." + wire.OpReadRange + "." + phase
+		if n := reg.Op(name).Snapshot().Count; n != 4 {
+			t.Errorf("%s counted %d range calls, want 4", name, n)
+		}
 	}
 }
 

@@ -41,9 +41,6 @@ func NewFetcher() *Fetcher {
 	}
 }
 
-// SetClient replaces the HTTP client (tests).
-func (f *Fetcher) SetClient(c *http.Client) { f.client = c }
-
 // RegisterMem binds contents to a mem:// URL. Registering a nil handler
 // removes the binding.
 func (f *Fetcher) RegisterMem(memURL string, h Handler) {

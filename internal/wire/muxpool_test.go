@@ -218,7 +218,7 @@ func pipeDialer(wrap func(net.Conn) net.Conn) (func(string) (*Mux, error), *atom
 	return dial, &dials
 }
 
-// TestPoolConcurrentCheckout storms Get/Call/Put (with sprinkled Fail)
+// TestPoolConcurrentCheckout storms Get/Call/Put (with sprinkled evictions)
 // from many goroutines: no deadlock, no cross-matched responses, and
 // the pool never exceeds its conn bound.
 func TestPoolConcurrentCheckout(t *testing.T) {
@@ -234,7 +234,15 @@ func TestPoolConcurrentCheckout(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
-				m, err := p.Get("addr")
+				// Now and then a conn is evicted healthy: closed and checked
+				// in. Closing it must break no one else's call, so that
+				// checkout leases its conn alone.
+				evict := (w+i)%13 == 0
+				get := p.Get
+				if evict {
+					get = p.GetExclusive
+				}
+				m, err := get("addr")
 				if err != nil {
 					errs <- err
 					return
@@ -243,7 +251,8 @@ func TestPoolConcurrentCheckout(t *testing.T) {
 				res, err := m.Call(&Request{Op: op}, nil, time.Now().Add(5*time.Second))
 				if err != nil {
 					errs <- fmt.Errorf("%s: %w", op, err)
-					p.Fail(m)
+					m.Close()
+					p.Put(m)
 					continue
 				}
 				var got string
@@ -251,11 +260,10 @@ func TestPoolConcurrentCheckout(t *testing.T) {
 				if got != op {
 					errs <- fmt.Errorf("%s cross-matched to %s", op, got)
 				}
-				if (w+i)%13 == 0 {
-					p.Fail(m) // evict a healthy conn now and then
-				} else {
-					p.Put(m)
+				if evict {
+					m.Close()
 				}
+				p.Put(m)
 			}
 		}(w)
 	}
@@ -412,7 +420,8 @@ func TestPoolRecoversFromKilledTransport(t *testing.T) {
 		if !transportShaped {
 			t.Fatalf("outage error %v is not transport-shaped", err)
 		}
-		p.Fail(m)
+		m.Close()
+		p.Put(m)
 	}
 	if !sawFailure {
 		t.Fatal("kill switch produced no failures")

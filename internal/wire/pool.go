@@ -1,14 +1,19 @@
-// Connection pooling: bounded, breaker-aware reuse of authenticated
-// connections. The client library and the federation's peerCall both
-// used to pay a dial + handshake per connection (or per call); a Pool
-// amortizes that across requests and, because each pooled connection
-// is a Mux, concurrent checkouts of the same address share connections
-// up to a per-conn in-flight preference before opening new ones.
+// Connection pooling: bounded reuse of authenticated connections, the
+// one way a call reaches a server — a client's calls and its parallel
+// streams through the client's pool, a server's calls to its peers
+// (proxied reads and writes, gathers, a follower's journal pulls)
+// through peerCall's. A Pool amortizes the dial and handshake across
+// requests and, because each pooled connection is a Mux, concurrent
+// checkouts of the same address share connections up to a per-conn
+// in-flight preference before opening new ones.
 //
-// Lifecycle: Get checks out (dialing if needed), Put checks in, Fail
-// checks in reporting a transport error (the conn is evicted). Dead
-// connections are dropped on sight; idle ones are reaped once they
-// have sat unused past IdleAfter.
+// Lifecycle: Get checks out (dialing if needed) and Put checks in. A
+// conn goes back one way whatever its call did: one the call left dead
+// (Mux.Dead) is evicted, and one whose call only timed out is healthy —
+// the late reply is dropped by ID — so it stays. Dead connections are
+// dropped on sight; idle ones are reaped once they have sat unused past
+// IdleAfter. The pool admits every checkout: a caller guarding an
+// address with a breaker asks it before it asks the pool (peerCall).
 //
 // Sharing suits calls whose frames are small and whose ends never wait
 // on anyone else. A bulk stream relayed to or from a third party is
@@ -26,14 +31,6 @@ import (
 	"gosrb/internal/types"
 )
 
-// Gate lets a checkout consult a circuit breaker (or any admission
-// rule) before dialing or reusing a connection to an address.
-// resilience.Breaker satisfies the Allow contract via a thin adapter
-// at the call site; Allow must not consume probe tokens.
-type Gate interface {
-	Allow() bool
-}
-
 // PoolConfig tunes a Pool. Zero values get defaults.
 type PoolConfig struct {
 	// Dial establishes and authenticates one connection; required.
@@ -48,9 +45,6 @@ type PoolConfig struct {
 	MaxInflight int
 	// IdleAfter reaps connections unused this long (default 60s).
 	IdleAfter time.Duration
-	// Gate, when set, is consulted per checkout; a closed gate fails
-	// the checkout with types.ErrOffline (breaker-aware checkout).
-	Gate func(addr string) Gate
 	// Metrics, when set, exports pool.conns / pool.dialed /
 	// pool.evicted / pool.reaped under Prefix.
 	Metrics *obs.Registry
@@ -66,11 +60,6 @@ type poolEntry struct {
 	// exclusive hides the conn from every other checkout while its one
 	// lease lasts.
 	exclusive bool
-	// dying marks a conn evicted while shared: it is hidden from
-	// checkout at once but closed only when the last lease drains, so
-	// one caller's transport error does not yank the socket out from
-	// under co-tenants with calls still in flight.
-	dying bool
 }
 
 // Pool is a bounded, shared connection pool keyed by address.
@@ -140,21 +129,17 @@ func (p *Pool) publishLocked() {
 	p.gConns.Set(int64(n))
 }
 
-// sweepLocked drops dead connections and reaps idle ones for addr.
+// sweepLocked drops dead connections and reaps idle ones for addr. A
+// dead conn closed itself when it failed (Mux.Dead); a co-tenant still
+// holding a lease on it finds nothing to check in.
 func (p *Pool) sweepLocked(addr string) {
 	now := p.cfg.Now()
 	list := p.conns[addr]
 	kept := list[:0]
 	for _, e := range list {
-		if e.m.Dead() && !e.dying {
-			e.dying = true
-			p.evicted.Inc()
-		}
 		switch {
-		case e.dying && e.leases == 0:
-			e.m.Close()
-		case e.dying:
-			kept = append(kept, e) // drains when the last lease releases
+		case e.m.Dead():
+			p.evicted.Inc()
 		case e.leases == 0 && e.m.InFlight() == 0 && now.Sub(e.m.LastUsed()) >= p.cfg.IdleAfter:
 			p.reaped.Inc()
 			e.m.Close()
@@ -171,12 +156,11 @@ func (p *Pool) sweepLocked(addr string) {
 
 // Get checks out a connection to addr, dialing when the pool has
 // spare capacity and every existing connection is loaded past the
-// in-flight preference. Always pair with Put or Fail.
+// in-flight preference. Always pair with Put.
 //
-// Every checkout — including one a closed gate rejects immediately —
-// records into <prefix>.checkout_wait_us, so pool starvation (long
-// waits) is distinguishable from breaker rejection (fast errors) in
-// the same histogram; <prefix>.waiting gauges checkouts in progress.
+// Every checkout records into <prefix>.checkout_wait_us (a failed dial
+// as an error observation); <prefix>.waiting gauges checkouts in
+// progress.
 func (p *Pool) Get(addr string) (*Mux, error) {
 	return p.checkOut(addr, false)
 }
@@ -187,7 +171,7 @@ func (p *Pool) Get(addr string) (*Mux, error) {
 // bound exists to make calls share, which is what this call must not do
 // — so streams in flight add to the pool's connections; once checked in
 // each is an ordinary pooled connection, shared while busy and reaped
-// when idle. Pair with Put or Fail like Get.
+// when idle. Pair with Put like Get.
 func (p *Pool) GetExclusive(addr string) (*Mux, error) {
 	return p.checkOut(addr, true)
 }
@@ -229,9 +213,6 @@ func (p *Pool) SetMetrics(reg *obs.Registry) {
 }
 
 func (p *Pool) get(addr string, exclusive bool) (*Mux, error) {
-	if gate := p.gate(addr); gate != nil && !gate.Allow() {
-		return nil, types.E("dial", addr, fmt.Errorf("connection gate open (breaker): %w", types.ErrOffline))
-	}
 	for {
 		p.mu.Lock()
 		if p.closed {
@@ -242,7 +223,7 @@ func (p *Pool) get(addr string, exclusive bool) (*Mux, error) {
 		var best *poolEntry
 		live := 0
 		for _, e := range p.conns[addr] {
-			if e.dying || e.exclusive {
+			if e.exclusive {
 				continue
 			}
 			live++
@@ -308,62 +289,36 @@ func (p *Pool) get(addr string, exclusive bool) (*Mux, error) {
 	}
 }
 
-func (p *Pool) gate(addr string) Gate {
-	if p.cfg.Gate == nil {
-		return nil
-	}
-	return p.cfg.Gate(addr)
-}
-
-// Put checks a connection back in. Dead connections are evicted.
+// Put checks a connection back in. One its call left dead is evicted.
 func (p *Pool) Put(m *Mux) {
-	p.release(m, false)
-}
-
-// Fail checks a connection back in after a transport error: it is
-// evicted and closed so no later checkout reuses a broken conn.
-func (p *Pool) Fail(m *Mux) {
-	p.release(m, true)
-}
-
-func (p *Pool) release(m *Mux, evict bool) {
 	if m == nil {
 		return
 	}
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	for addr, list := range p.conns {
 		for i, e := range list {
 			if e.m != m {
 				continue
 			}
-			if e.leases > 0 {
-				e.leases--
-			}
-			e.exclusive = false
-			if (evict || m.Dead()) && !e.dying {
-				e.dying = true
+			if m.Dead() {
 				p.evicted.Inc()
-			}
-			if e.dying && e.leases == 0 {
-				p.conns[addr] = append(list[:i], list[i+1:]...)
-				if len(p.conns[addr]) == 0 {
+				if list = append(list[:i], list[i+1:]...); len(list) == 0 {
 					delete(p.conns, addr)
+				} else {
+					p.conns[addr] = list
 				}
-				p.publishLocked()
-				p.mu.Unlock()
-				m.Close()
-				return
+			} else {
+				if e.leases > 0 {
+					e.leases--
+				}
+				e.exclusive = false
 			}
 			p.publishLocked()
-			p.mu.Unlock()
 			return
 		}
 	}
-	p.mu.Unlock()
-	// Not pooled (already evicted): just make sure it is closed.
-	if evict {
-		m.Close()
-	}
+	// Not pooled: it died and was swept, or Flush or Close dropped it.
 }
 
 // Stats reports pool occupancy and lifetime counters.
