@@ -89,6 +89,14 @@ SERVER_SIDE := internal/server internal/daemon internal/mcat cmd/srbd
 DIAL_WITH := DialWith\(
 DIAL_WITH_OK := func DialWith\(|^internal/client/client\.go:[0-9]+:\s*return DialWith\(addr, user, password, nil\)$$
 
+# The lending fence: a get's storage read handles are lent by their
+# pools (package lend) and handed back by their Close, so a get makes
+# none: instrumented.Open's countingReader, memfs's reader and durable's
+# Reader are built only in their pool's New.
+LENT_HANDLES := &countingReader\{|&reader\{|&Reader\{
+LENT_FILES := $(filter-out %_test.go,$(wildcard internal/storage/*.go internal/storage/memfs/*.go internal/durable/*.go))
+POOL_NEW := sync\.Pool\{New: func\(\) any \{ return &[A-Za-z]+\{\} \}\}
+
 # The audit fence: the trail is the broker's (core.Broker.Audit), so the catalog never imports internal/audit.
 AUDIT_IMPORT := "gosrb/internal/audit"
 
@@ -125,6 +133,7 @@ lint: vet
 	@if [ "$$(grep -rnE '$(GO_STMT)' --include=*.go --exclude=*_test.go internal/mcat/shard | wc -l)" -gt 1 ]; then grep -rnE '$(GO_STMT)' --include=*.go --exclude=*_test.go internal/mcat/shard; echo "hand shard work to the lender (query.go)"; exit 1; fi
 	@if grep -rnF '$(CLIENT_IMPORT)' --include=*.go --exclude=*_test.go $(SERVER_SIDE); then echo "a server reaches a server through peerCall"; exit 1; fi
 	@if [ "$$(grep -rnE '$(DIAL_WITH)' --include=*.go --exclude=*_test.go internal/client | grep -vE 'func DialWith\(' | wc -l)" -ne 1 ] || grep -rnE '$(DIAL_WITH)' --include=*.go --exclude=*_test.go internal/client | grep -vE '$(DIAL_WITH_OK)'; then grep -rnE '$(DIAL_WITH)' --include=*.go --exclude=*_test.go internal/client; echo "a call that needs a conn of its own leases one: Pool.GetExclusive"; exit 1; fi
+	@if grep -nE '$(LENT_HANDLES)' $(LENT_FILES) | grep -vE '$(POOL_NEW)'; then echo "a read handle built outside its pool: take it from the pool, whose New is the one place it is made (package lend)"; exit 1; fi
 	@if grep -rnF '$(AUDIT_IMPORT)' --include=*.go --exclude=*_test.go internal/mcat; then echo "audit import in internal/mcat: the audit trail belongs to the broker (core.Broker.Audit)"; exit 1; fi
 	@if grep -rnE '$(WHOLE_READS)' --include=*.go --exclude=*_test.go internal/server; then echo "whole-object read in internal/server: open with Broker.OpenGet and stream"; exit 1; fi
 	@if grep -rnE '$(LOOKUP_AGAIN_SERVER)' --include=*.go --exclude=*_test.go internal/server || grep -rnE '$(LOOKUP_AGAIN_CORE)' --include=*.go --exclude=*_test.go internal/core; then echo "resolve a path once (Broker.Lookup) and pass the row down"; exit 1; fi
@@ -164,7 +173,10 @@ test:
 # The suite under the race detector runs with both canaries on: a
 # write into a catalog row a reader was handed panics with its path
 # (internal/mcat/canary.go), and a frame handed back to the pool is
-# poisoned, so a slice kept past it reads garbage (internal/wire/canary.go).
+# poisoned, so a slice kept past it reads garbage (internal/wire/canary.go);
+# a lent read handle, a client call's xfer and a multiget's bookkeeping
+# are never recycled, and a use of a handle or xfer after its Close or
+# free panics (internal/lend).
 race:
 	$(GO) test -race -tags rowcanary,framecanary ./...
 
@@ -186,14 +198,14 @@ test-repair:
 # reuse among it) and the batch-semantics tests, repeated under -race —
 # the checkout/checkin, out-of-order demux and recycled-waiter races only
 # surface across many interleavings. (The pipelined chaos e2e rides
-# test-faults' 10x TestChaos loop.) Then the round trip's allocation
-# budget, which the race detector's own allocations would swamp, without
-# -race.
+# test-faults' 10x TestChaos loop.) Then the allocation budgets of the
+# round trip and of a read through a peer, which the race detector's own
+# allocations would swamp, without -race.
 test-wire:
 	$(GO) test -race -count=10 -run 'TestHandshake|TestMux|TestPool' ./internal/wire/
 	$(GO) test -race -count=10 -run 'TestBatcher' ./internal/client/
 	$(GO) test -race -count=1 -run 'TestBulk|TestMultiGet' ./internal/server/
-	$(GO) test -count=3 -run 'TestRoundTripAllocBudget' ./internal/server/
+	$(GO) test -count=3 -run 'TestRoundTripAllocBudget|TestFederatedReadAllocBudget' ./internal/server/
 
 # Exemplar-integrity sweep: the bucket→trace-ID retention race only
 # surfaces across many interleavings; 10x under -race proves tail
@@ -215,7 +227,8 @@ test-phases:
 # failover chaos e2e rides test-faults' 10x TestChaos loop.) Then the
 # read path's allocation fences without -race, whose own allocations
 # would swamp them: Select values cost per answer, not per hit, in the
-# catalog and on a loopback round trip; a warm root-scope query on 4
+# catalog and on a loopback round trip; a proxied get and a federated
+# multiget make only what their callers keep; a warm root-scope query on 4
 # shards makes only the answer it returns; a row lookup copies nothing; a
 # put's structural check walks up its path and makes nothing; a
 # decoded header's or args' strings come from one copy; a triplet or an
@@ -243,7 +256,7 @@ test-phases:
 test-mcat:
 	$(GO) test -race -count=10 ./internal/durable/
 	$(GO) test -race -count=10 ./internal/mcat/shard/
-	$(GO) test -count=3 -run 'TestQueryAllocates|TestGetObjectAllocatesNothing|TestCheckMandatoryAllocatesNothing|TestDecodeStringAllocs|TestRoundTripAllocBudget|TestMutatorsKeepOnlyWhatTheyStore|TestExemplarStoreAllocs|TestScatterQueryAllocs' ./internal/mcat/ ./internal/mcat/shard/ ./internal/wire/ ./internal/server/ ./internal/obs/
+	$(GO) test -count=3 -run 'TestQueryAllocates|TestGetObjectAllocatesNothing|TestCheckMandatoryAllocatesNothing|TestDecodeStringAllocs|TestRoundTripAllocBudget|TestFederatedReadAllocBudget|TestMutatorsKeepOnlyWhatTheyStore|TestExemplarStoreAllocs|TestScatterQueryAllocs' ./internal/mcat/ ./internal/mcat/shard/ ./internal/wire/ ./internal/server/ ./internal/obs/
 	$(GO) test -race -count=10 -run 'Query|Like|Differential' ./internal/mcat/
 	$(GO) test -race -count=1 -run 'TestJournalFixture|TestSnapshotFixture|TestEveryKindRefusedWhenAppendFails' ./internal/mcat/
 	$(GO) test -race -count=1 -run 'TestRefusedMetadata|TestIngestJournalFailure|TestIngestLosingRace|TestPutCrashPoints|TestCreateThroughLinkedCollection|TestRegisterFileRefusedTriplet|TestCreateJournalEntries|TestRefusedDeleteKeepsBytes' ./internal/core/

@@ -67,17 +67,20 @@ func (cl *Client) MultiGet(paths []string) ([]MultiGetResult, error) {
 	// is decoded once, as the stream is announced, and its sizes add up
 	// to the one buffer the whole batch is received into.
 	var out wire.MultiGetReply
-	x := &xfer{announced: func(body []byte) (int64, error) {
+	x := newXfer()
+	x.announced = func(body []byte) (int64, error) {
 		out = wire.MultiGetReply{}
 		if err := wire.DecodeBody(body, &out); err != nil {
 			return 0, err
 		}
 		return out.DataLen(), nil
-	}}
+	}
 	if err := call(cl, wire.OpMultiGet, wire.MultiGetArgs{Paths: paths}, x, none); err != nil {
+		// A call that failed may have left the conn's reader filling x.
 		return nil, err
 	}
 	data := x.bytes()
+	x.free(nil)
 	if len(out.Items) != len(paths) {
 		return nil, types.E("multiget", "", fmt.Errorf("server returned %d items for %d paths: %w", len(out.Items), len(paths), types.ErrInvalid))
 	}

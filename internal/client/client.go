@@ -7,6 +7,7 @@ package client
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -15,6 +16,7 @@ import (
 	"time"
 
 	"gosrb/internal/auth"
+	"gosrb/internal/lend"
 	"gosrb/internal/mcat"
 	"gosrb/internal/obs"
 	"gosrb/internal/resilience"
@@ -203,7 +205,10 @@ type xfer struct {
 	// ticket rides on every attempt's request (GetWithTicket).
 	ticket string
 
-	buf *wire.Buffer // the current attempt's in-memory result
+	// buf is the current attempt's in-memory result: own on the first
+	// attempt, one of its own on a retry (Begin).
+	buf *wire.Buffer
+	own wire.Buffer
 	// wrote counts the bytes handed to `to` (by the last attempt, when
 	// rewound). Atomic because a call that timed out may still be inside
 	// its last Write when it returns (wire.Sink).
@@ -215,6 +220,9 @@ type xfer struct {
 	retried bool
 	// data is the reader Put sends its bytes through.
 	data bytes.Reader
+	// freed marks, under the framecanary build tag, an xfer its caller
+	// has freed, which is then never lent again (package lend).
+	freed bool
 }
 
 var xferPool = sync.Pool{New: func() any { return new(xfer) }}
@@ -225,24 +233,33 @@ func newXfer() *xfer { return xferPool.Get().(*xfer) }
 // free hands a pooled x back once its caller has read what it keeps
 // (bytes). A call that failed, or failed once and was retried, may have
 // left the connection's reader inside x — a sink its deadline abandoned
-// (wire.Sink) — so its x is left to the GC instead.
+// (wire.Sink) — so its x is left to the GC instead. Freeing zeroes x,
+// its own buffer with it, so the slice bytes handed the caller is never
+// appended to again.
 func (x *xfer) free(err error) {
 	if err != nil || x.retried {
 		return
 	}
-	x.send, x.to, x.rewound, x.announced, x.ticket = nil, nil, nil, nil, ""
-	x.buf, x.exclusive = nil, false
-	x.wrote.Store(0)
-	x.data.Reset(nil)
-	xferPool.Put(x)
+	*x = xfer{freed: lend.Canary}
+	if lend.Recycle() {
+		xferPool.Put(x)
+	}
 }
+
+// errFreed fails a use of an xfer after free.
+var errFreed = errors.New("client: call state used after free")
 
 // Begin directs one attempt's reply stream (wire.Sink). Every attempt
 // collects into a buffer of its own, or into its writer rewound, so a
 // retry starts clean whatever became of the attempt before it; a plain
 // writer cannot be rewound, which is why retryable stops allowing
-// retries once it has taken a byte.
+// retries once it has taken a byte. The first attempt's buffer is x's
+// own; a retry's is new, because the attempt before it may still be
+// writing into the one it had.
 func (x *xfer) Begin(resp *wire.Response) (io.Writer, error) {
+	if x.freed {
+		return nil, lend.Stale("client: xfer", errFreed)
+	}
 	if x.rewound != nil {
 		x.to = x.rewound()
 		x.wrote.Store(0)
@@ -250,25 +267,29 @@ func (x *xfer) Begin(resp *wire.Response) (io.Writer, error) {
 	if x.to != nil {
 		return x, nil
 	}
+	x.buf = &x.own
+	if x.retried {
+		x.buf = new(wire.Buffer)
+	}
 	if x.announced == nil {
-		buf, err := wire.NewSizedBuffer(resp.Body)
-		if err != nil {
+		if err := x.buf.Presize(resp.Body); err != nil {
 			return nil, err
 		}
-		x.buf = buf
-		return buf, nil
+		return x.buf, nil
 	}
 	size, err := x.announced(resp.Body)
 	if err != nil {
 		return nil, err
 	}
-	x.buf = new(wire.Buffer)
 	x.buf.Grow(size)
 	return x.buf, nil
 }
 
 // Write passes reply bytes on to the caller's writer.
 func (x *xfer) Write(p []byte) (int, error) {
+	if x.freed {
+		return 0, lend.Stale("client: xfer", errFreed)
+	}
 	n, err := x.to.Write(p)
 	x.wrote.Add(int64(n))
 	return n, err
@@ -338,13 +359,16 @@ func exec[A, R any](cl *Client, op string, args A, out *R) error {
 }
 
 // fetch performs one logical call whose reply stream is collected in
-// memory, and returns the stream.
+// memory, and returns the stream. A call that failed returns no bytes:
+// the conn's reader may still be filling its buffer (wire.Sink).
 func fetch[A any](cl *Client, op string, args A) ([]byte, error) {
 	x := newXfer()
-	err := call(cl, op, args, x, none)
+	if err := call(cl, op, args, x, none); err != nil {
+		return nil, err
+	}
 	data := x.bytes()
-	x.free(err)
-	return data, err
+	x.free(nil)
+	return data, nil
 }
 
 // Call performs one logical call of an op that moves no bulk data, for

@@ -1,7 +1,9 @@
 package client
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"net"
 	"testing"
 
@@ -312,3 +314,52 @@ func TestAllMethodsAgainstFake(t *testing.T) {
 type discard struct{}
 
 func (discard) Write(p []byte) (int, error) { return len(p), nil }
+
+// TestGetResultOutlivesItsBuffer: a Get's result is the buffer its
+// pooled xfer received into, handed to the caller when the xfer goes
+// back to the pool, so no later call on the client may write into it.
+// The first Get's slice is kept while 100 Gets of other objects, of other
+// sizes and bytes, reuse the xfers.
+func TestGetResultOutlivesItsBuffer(t *testing.T) {
+	content := func(path string) []byte {
+		n := 0
+		for _, c := range path {
+			n += int(c)
+		}
+		return bytes.Repeat([]byte(path[len(path)-1:]), 32+n*37%400)
+	}
+	addr := startFake(t, func(c *wire.Conn, req *wire.Request) error {
+		a, err := wire.DecodeArgs[wire.PathArgs](req.Args)
+		if err != nil {
+			return err
+		}
+		data := content(a.Path)
+		if err := answer(c, req, okResp(wire.SizeReply{Size: int64(len(data))}, true)); err != nil {
+			return err
+		}
+		return c.SendData(bytes.NewReader(data))
+	})
+	cl, err := Dial(addr, "u", "pw")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	kept, err := cl.Get("/obj/a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := bytes.Clone(kept)
+	if !bytes.Equal(want, content("/obj/a")) {
+		t.Fatalf("first get = %q", want)
+	}
+	for i := 0; i < 100; i++ {
+		p := fmt.Sprintf("/obj/%d%c", i, 'b'+i%20)
+		got, err := cl.Get(p)
+		if err != nil || !bytes.Equal(got, content(p)) {
+			t.Fatalf("get %s = %q, %v", p, got, err)
+		}
+	}
+	if !bytes.Equal(kept, want) {
+		t.Errorf("the first get's result changed under later gets: %q, want %q", kept, want)
+	}
+}

@@ -19,6 +19,8 @@ import (
 	"strings"
 	"sync"
 	"syscall"
+
+	"gosrb/internal/lend"
 )
 
 // TempPrefix starts the name of every temp file Create makes. A listing
@@ -184,10 +186,24 @@ var errNegativeOffset = errors.New("negative offset")
 // wrapping os.ErrClosed and none reaches the descriptor, whose number
 // the kernel may since have given to another file. Concurrent ReadAt
 // calls are safe; a Close concurrent with any other call is not.
+//
+// A Reader is lent from a pool (package lend): Open takes it and Close
+// hands it back, zeroed but for the path its late caller's error names,
+// so a get makes no object for it. Close is its holder's last use: once
+// the pool has lent it again, a call through the old holder's pointer
+// would reach the new holder's file.
 type Reader struct {
 	fd   fd
 	p    fpath
 	open bool
+}
+
+// readers lends Readers.
+var readers = sync.Pool{New: func() any { return &Reader{} }}
+
+// closed is the error of a call on a closed Reader.
+func (r *Reader) closed(op string) error {
+	return lend.Stale("durable: Reader", r.p.err(op, os.ErrClosed))
 }
 
 // Open opens dir joined with name for reading. A directory is refused
@@ -202,12 +218,14 @@ func Open(dir, name string) (*Reader, error) {
 		fd.close()
 		return nil, p.err("open", syscall.EISDIR)
 	}
-	return &Reader{fd: fd, p: p, open: true}, nil
+	r := readers.Get().(*Reader)
+	r.fd, r.p, r.open = fd, p, true
+	return r, nil
 }
 
 func (r *Reader) Read(p []byte) (int, error) {
 	if !r.open {
-		return 0, r.p.err("read", os.ErrClosed)
+		return 0, r.closed("read")
 	}
 	if len(p) == 0 {
 		return 0, nil
@@ -225,7 +243,7 @@ func (r *Reader) Read(p []byte) (int, error) {
 func (r *Reader) ReadAt(p []byte, off int64) (int, error) {
 	switch {
 	case !r.open:
-		return 0, r.p.err("read", os.ErrClosed)
+		return 0, r.closed("read")
 	case off < 0:
 		return 0, r.p.err("readat", errNegativeOffset)
 	}
@@ -245,7 +263,7 @@ func (r *Reader) ReadAt(p []byte, off int64) (int, error) {
 
 func (r *Reader) Seek(off int64, whence int) (int64, error) {
 	if !r.open {
-		return 0, r.p.err("seek", os.ErrClosed)
+		return 0, r.closed("seek")
 	}
 	n, err := r.fd.seek(off, whence)
 	if err != nil {
@@ -254,15 +272,21 @@ func (r *Reader) Seek(off int64, whence int) (int64, error) {
 	return n, nil
 }
 
-// Close releases the descriptor. A second Close returns an error
-// wrapping os.ErrClosed.
+// Close releases the descriptor and hands r back to its pool. A second
+// Close before the pool lends r again returns an error wrapping
+// os.ErrClosed.
 func (r *Reader) Close() error {
 	if !r.open {
-		return r.p.err("close", os.ErrClosed)
+		return r.closed("close")
 	}
-	r.open = false
-	if err := r.fd.close(); err != nil {
-		return r.p.err("close", err)
+	err := r.fd.close()
+	p := r.p
+	*r = Reader{p: p}
+	if lend.Recycle() {
+		readers.Put(r)
+	}
+	if err != nil {
+		return p.err("close", err)
 	}
 	return nil
 }

@@ -12,6 +12,8 @@ import (
 	"sync"
 	"syscall"
 	"testing"
+
+	"gosrb/internal/lend"
 )
 
 // readerOp is one call made on a Reader and on an *os.File.
@@ -40,7 +42,9 @@ func (op readerOp) String() string {
 // and the path). After Close the Reader must return an error wrapping
 // os.ErrClosed from every call; the *os.File does too, except for a
 // ReadAt it answers before reaching its descriptor (an empty buffer, a
-// negative offset).
+// negative offset). Under the framecanary build tag a closed Reader
+// panics instead (package lend): it is a lent handle its holder handed
+// back.
 func matchOSFile(t *testing.T, size int, ops []readerOp) {
 	t.Helper()
 	dir := t.TempDir() + string(os.PathSeparator)
@@ -55,7 +59,12 @@ func matchOSFile(t *testing.T, size int, ops []readerOp) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer r.Close()
+	closed := false
+	defer func() {
+		if !closed {
+			r.Close()
+		}
+	}()
 	o, err := os.Open(dir + "f")
 	if err != nil {
 		t.Fatal(err)
@@ -67,12 +76,17 @@ func matchOSFile(t *testing.T, size int, ops []readerOp) {
 		}
 		return err.Error()
 	}
-	closed := false
 	for i, op := range ops {
 		var gn, wn int
 		var gpos, wpos int64
 		var gerr, werr error
 		gb, wb := make([]byte, op.n), make([]byte, op.n)
+		if closed && lend.Canary {
+			if !panics(func() { applyOp(r, op, gb) }) {
+				t.Errorf("op %d %v after Close did not panic under the canary", i, op)
+			}
+			continue
+		}
 		switch op.kind {
 		case 'r':
 			gn, gerr = r.Read(gb)
@@ -105,6 +119,27 @@ func matchOSFile(t *testing.T, size int, ops []readerOp) {
 			t.Errorf("op %d %v = %d, %d, %v; *os.File: %d, %d, %v", i, op, gn, gpos, gerr, wn, wpos, werr)
 		}
 	}
+}
+
+// applyOp makes op's call on r, into p.
+func applyOp(r *Reader, op readerOp, p []byte) {
+	switch op.kind {
+	case 'r':
+		r.Read(p)
+	case 'a':
+		r.ReadAt(p, op.off)
+	case 's':
+		r.Seek(op.off, op.whence)
+	default:
+		r.Close()
+	}
+}
+
+// panics reports whether fn panicked.
+func panics(fn func()) (did bool) {
+	defer func() { did = recover() != nil }()
+	fn()
+	return false
 }
 
 func TestReaderMatchesOSFile(t *testing.T) {

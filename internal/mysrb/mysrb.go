@@ -225,13 +225,16 @@ func (a *App) handleBrowse(w http.ResponseWriter, r *http.Request, user string) 
 	entries, err := a.broker.List(user, path)
 	if err != nil {
 		pd.Error = err.Error()
+	} else {
+		// A collection's structural metadata (its required attribute
+		// names) is shown to whoever may list it, and to no one else.
+		pd.Structs = a.broker.Cat.Structural(path)
 	}
 	pd.Entries = entries
 	// Top window: collection metadata.
 	if avus, err := a.broker.GetMeta(user, path, types.MetaUser); err == nil {
 		pd.TopMeta = avus
 	}
-	pd.Structs = a.broker.Cat.Structural(path)
 	if anns, err := a.broker.Annotations(user, path); err == nil {
 		pd.Annots = anns
 	}
@@ -335,7 +338,11 @@ func (a *App) handleIngest(w http.ResponseWriter, r *http.Request, user string) 
 	coll := types.CleanPath(r.URL.Query().Get("path"))
 	if r.Method == http.MethodGet {
 		pd := pageData{User: user, Path: coll, Parent: types.Parent(coll)}
-		pd.Structs = a.broker.Cat.Structural(coll)
+		// The form asks for the attributes the collection requires only of
+		// a user who may put objects in it.
+		if a.broker.Cat.EffectiveLevel(coll, user) >= acl.Write {
+			pd.Structs = a.broker.Cat.Structural(coll)
+		}
 		pd.Resources = a.broker.Cat.Resources()
 		pd.DCNames = metadata.DublinCoreElements
 		render(w, "ingest", pd)

@@ -682,3 +682,40 @@ func TestPagesHideWhatUserCannotRead(t *testing.T) {
 		}
 	}
 }
+
+// TestStructuralMetadataNeedsAGrant: a collection's structural metadata
+// names the attributes it requires, which is itself information about
+// the collection. The browse page shows it only to a user who may list
+// the collection, and the ingest form only to one who may write to it.
+func TestStructuralMetadataNeedsAGrant(t *testing.T) {
+	r := newRig(t)
+	r.login("curator", "pw")
+	b := r.broker
+	if err := b.Cat.SetStructural("/cultures", types.StructuralAttr{Name: "secret-schema-attr", Mandatory: true}); err != nil {
+		t.Fatal(err)
+	}
+	b.Cat.AddUser(types.User{Name: "outsider", Domain: "sdsc"})
+	r.authn.Register("outsider", "opw")
+	out := &rig{t: t, srv: r.srv, http: &http.Client{Jar: newJar()}}
+	out.login("outsider", "opw")
+	pages := []string{"/browse?path=/cultures", "/ingest?path=/cultures"}
+	for _, page := range pages {
+		if body, _ := out.get(page); strings.Contains(body, "secret-schema-attr") {
+			t.Errorf("%s shows the collection's structural metadata to a user with no grant", page)
+		}
+		if body, _ := r.get(page); !strings.Contains(body, "secret-schema-attr") {
+			t.Errorf("%s hides the collection's structural metadata from its owner", page)
+		}
+	}
+	// A reader may list the collection but not write to it: browse shows
+	// the attributes, the ingest form does not.
+	if err := b.Chmod("curator", "/cultures", "outsider", acl.Read); err != nil {
+		t.Fatal(err)
+	}
+	if body, _ := out.get(pages[0]); !strings.Contains(body, "secret-schema-attr") {
+		t.Errorf("%s hides the structural metadata from a reader of the collection", pages[0])
+	}
+	if body, _ := out.get(pages[1]); strings.Contains(body, "secret-schema-attr") {
+		t.Errorf("%s shows the structural metadata to a user who may not write the collection", pages[1])
+	}
+}

@@ -71,13 +71,20 @@ func (h *Handle) ReadAt(p []byte, off int64) (int, error) {
 
 func (h *Handle) Seek(off int64, whence int) (int64, error) { return h.f.Seek(off, whence) }
 
+// Close files the read's accounting and closes the driver's handle, both
+// once: the driver's handle may be lent (package lend), and a second
+// Close of it would hand back what the pool has since lent to another
+// reader. A later Close returns nil.
 func (h *Handle) Close() error {
-	if !h.closed && h.m != nil {
+	if h.closed {
+		return nil
+	}
+	h.closed = true
+	if h.m != nil {
 		h.sp.Phase(obs.PhaseStorageRead, h.busy)
 		h.m.peers.Record("", h.resource, h.busy, h.n, h.err != nil)
 		h.m.heat.Record(h.path, h.n)
 	}
-	h.closed = true
 	return h.f.Close()
 }
 

@@ -174,6 +174,54 @@ func TestReadHandleAccountsOnClose(t *testing.T) {
 	}
 }
 
+// closeCounter is a driver whose read handles count their Closes.
+type closeCounter struct {
+	storage.Driver
+	closes int
+}
+
+func (c *closeCounter) Open(path string) (storage.ReadFile, error) {
+	f, err := c.Driver.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	return &countedClose{ReadFile: f, c: c}, nil
+}
+
+type countedClose struct {
+	storage.ReadFile
+	c *closeCounter
+}
+
+func (f *countedClose) Close() error {
+	f.c.closes++
+	return f.ReadFile.Close()
+}
+
+// TestReadHandleClosesOnce: a Handle closed twice closes its driver's
+// handle once, for that handle may be lent (package lend) and a second
+// Close would hand back what its pool has since lent to another reader.
+func TestReadHandleClosesOnce(t *testing.T) {
+	_, dm, m := rig(t)
+	cc := &closeCounter{Driver: dm["r1"]}
+	dm["r1"] = cc
+	f, _, err := m.OpenRead("/d/f", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := io.ReadAll(f); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if err := f.Close(); err != nil {
+			t.Fatalf("Close %d: %v", i+1, err)
+		}
+	}
+	if cc.closes != 1 {
+		t.Errorf("two Handle.Close calls closed the driver's handle %d times, want 1", cc.closes)
+	}
+}
+
 // TestPhysPathFor: the strconv path is the one fmt.Sprintf wrote,
 // "/vault/%03d/oid%d.r%d", negative IDs included, in one allocation.
 func TestPhysPathFor(t *testing.T) {

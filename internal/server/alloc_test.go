@@ -1,12 +1,14 @@
 package server
 
 import (
+	"bytes"
 	"fmt"
 	"runtime"
 	"strconv"
 	"testing"
 
 	"gosrb/internal/client"
+	"gosrb/internal/core"
 	"gosrb/internal/mcat"
 	stg "gosrb/internal/storage"
 	"gosrb/internal/storage/memfs"
@@ -19,11 +21,13 @@ import (
 // Get and a 5-byte Put of a new object on memfs and on posixfs, a
 // triplet, an annotation, a delete and a 4-hit query, and what a
 // query's cost may grow by with its hits. The budgets are absolute and
-// measured. They read 2, 5, 19, 3, 1, 1 and 11 (posixfs's get and put 5
-// and 16) once a call made only what it keeps: typed bodies encoded
-// once per call and replies decoded and sent by pointer, a client
-// call's xfer pooled, a catalog entry built in its pooled line, a put's
-// path made once and its fan-out pooled with its digest; before that
+// measured. They read 2, 2, 19, 3, 1, 1 and 11 (posixfs's get and put 2
+// and 16) once a get's storage read handles were lent from their pools
+// and its receive buffer lived in its pooled xfer; 2, 5, 19, 3, 1, 1
+// and 11 (posixfs 5 and 16) once a call made only what it keeps: typed
+// bodies encoded once per call and replies decoded and sent by pointer,
+// a client call's xfer pooled, a catalog entry built in its pooled line,
+// a put's path made once and its fan-out pooled with its digest; before that
 // they read 6, 7, 29, 7, 5, 4 and 15 (posixfs 7 and 26). posixfs's get
 // and put read 7 and 26 once it reached a replica file by its
 // descriptor (10 and 36 over *os.File). memfs's stat, get and put read
@@ -163,11 +167,11 @@ func TestRoundTripAllocBudget(t *testing.T) {
 		op     func()
 		budget float64
 	}
-	rows := []row{{"stat", stat, 2}, {"get", get, 5}, {"put", put, 19},
+	rows := []row{{"stat", stat, 2}, {"get", get, 2}, {"put", put, 19},
 		{"addmeta", addMeta, 3}, {"annotate", annotate, 1}, {"delete", del, 1}, {"query(4)", query(4), 11}}
 	// Elsewhere durable reaches a file through *os.File, which costs more.
 	if runtime.GOOS == "linux" && (runtime.GOARCH == "amd64" || runtime.GOARCH == "arm64") {
-		rows = append(rows, row{"get posixfs", getPosix, 5}, row{"put posixfs", putPosix, 16})
+		rows = append(rows, row{"get posixfs", getPosix, 2}, row{"put posixfs", putPosix, 16})
 	}
 	for _, c := range rows {
 		if got := testing.AllocsPerRun(2000, c.op); got > c.budget {
@@ -181,5 +185,73 @@ func TestRoundTripAllocBudget(t *testing.T) {
 		t.Errorf("query round trip: %.0f heap objects for 4 hits, %.0f for 64; at most %d more", few, many, perAnswer)
 	} else {
 		t.Logf("query round trip: %.0f heap objects for 4 hits, %.0f for 64 (at most %d more)", few, many, perAnswer)
+	}
+}
+
+// TestFederatedReadAllocBudget holds what a read through a peer costs in
+// heap objects, both servers and the client together, over loopback: a
+// 16 KiB get srb1 proxies from srb2, and a 16-path multiget of which srb2
+// owns every other item. The budgets are absolute and measured: they
+// read 4 and 13 once a read's storage handles were lent, the client's
+// receive buffer was its xfer's own, a multiget's bookkeeping (its
+// owners' spools and request frames among it) was one pooled value, a
+// streamed reply's header was encoded in a pooled frame and a proxied
+// get's relay lived in its connection slot; before that they read 11
+// and 73. What is left is what the caller keeps (the data, the results)
+// and the strings decoded from each hop's args and manifests. One more
+// object on the federated read path fails here by name.
+func TestFederatedReadAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	z := newZone(t, Proxy)
+	data := bytes.Repeat([]byte("federated"), 16<<10/9+1)[:16<<10]
+	if _, err := z.b2.Ingest("alice", core.IngestOpts{Path: "/home/far", Data: data, Resource: "disk2"}); err != nil {
+		t.Fatal(err)
+	}
+	paths := make([]string, 16)
+	for i := range paths {
+		b, res := z.b1, "disk1"
+		if i%2 == 1 {
+			b, res = z.b2, "disk2"
+		}
+		paths[i] = fmt.Sprintf("/home/batch%02d", i)
+		if _, err := b.Ingest("alice", core.IngestOpts{Path: paths[i], Data: []byte(paths[i]), Resource: res}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cl := z.client(z.addr1, "alice", "alicepw")
+	get := func() {
+		if got, err := cl.Get("/home/far"); err != nil || len(got) != len(data) {
+			t.Fatalf("proxied get = %d bytes, %v", len(got), err)
+		}
+	}
+	multiGet := func() {
+		res, err := cl.MultiGet(paths)
+		if err != nil || len(res) != len(paths) {
+			t.Fatalf("multiget = %d results, %v", len(res), err)
+		}
+		for i, r := range res {
+			if r.Err != nil || string(r.Data) != paths[i] {
+				t.Fatalf("multiget item %d = %q, %v", i, r.Data, r.Err)
+			}
+		}
+	}
+	// Warm-up: the pools on both servers, the peer conn, the registry's
+	// rows.
+	for i := 0; i < 200; i++ {
+		get()
+		multiGet()
+	}
+	for _, c := range []struct {
+		name   string
+		op     func()
+		budget float64
+	}{{"proxied get", get, 4}, {"multiget(8 local, 8 remote)", multiGet, 13}} {
+		if got := testing.AllocsPerRun(1000, c.op); got > c.budget {
+			t.Errorf("%s: %.0f heap objects, budget %.0f", c.name, got, c.budget)
+		} else {
+			t.Logf("%s: %.0f heap objects (budget %.0f)", c.name, got, c.budget)
+		}
 	}
 }

@@ -16,6 +16,7 @@ import (
 
 	"gosrb/internal/acl"
 	"gosrb/internal/auth"
+	"gosrb/internal/chunk"
 	"gosrb/internal/client"
 	"gosrb/internal/core"
 	"gosrb/internal/faultnet"
@@ -576,6 +577,120 @@ func TestMultiGetRetryAfterMidStreamDrop(t *testing.T) {
 	}
 	if got := z.b1.Metrics().Counter("federation.retries").Value(); got != 1 {
 		t.Errorf("federation.retries = %d, want 1", got)
+	}
+}
+
+// readGate is a driver whose handles of one file hold every Read until
+// release is closed.
+type readGate struct {
+	stg.Driver
+	path    string
+	release chan struct{}
+}
+
+func (d readGate) Open(path string) (stg.ReadFile, error) {
+	f, err := d.Driver.Open(path)
+	if err != nil || path != d.path {
+		return f, err
+	}
+	return gatedFile{f, d.release}, nil
+}
+
+type gatedFile struct {
+	stg.ReadFile
+	release chan struct{}
+}
+
+func (f gatedFile) Read(p []byte) (int, error) {
+	<-f.release
+	return f.ReadFile.Read(p)
+}
+
+// TestMultiGetOwnerTimeoutDropsItsBookkeeping: a multiget whose owner
+// stalls mid-stream past the request's budget fails that owner's items,
+// and its bookkeeping — the owner's sink and the spool holding the part
+// of the stream that came — goes to the GC, not back to the pool: the
+// peer connection's reader may still be running into it (wire.Sink), so
+// the next multiget must not be handed it. Every multiget after the
+// owner answers again comes back whole, and none of them drops its
+// bookkeeping.
+func TestMultiGetOwnerTimeoutDropsItsBookkeeping(t *testing.T) {
+	z := newZone(t, Proxy)
+	var paths []string
+	var stalled string
+	want := make([][]byte, 6)
+	for i := range want {
+		b, res := z.b1, "disk1"
+		want[i] = body(i)
+		if i%2 == 1 {
+			b, res = z.b2, "disk2"
+		}
+		if i == 1 {
+			// srb2's first item fills more than the chunk its reply is
+			// sent from, so a chunk of it reaches srb1's spool before srb2
+			// stalls in its second.
+			want[i] = bytes.Repeat(want[i], chunk.Size/len(want[i])+1)
+		}
+		paths = append(paths, fmt.Sprintf("/home/t%d", i))
+		o, err := b.Ingest("alice", core.IngestOpts{Path: paths[i], Data: want[i], Resource: res})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 3 {
+			stalled = o.Replicas[0].PhysicalPath
+		}
+	}
+	d2, err := z.b2.Driver("disk2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gate := readGate{Driver: d2, path: stalled, release: make(chan struct{})}
+	released := false
+	defer func() {
+		if !released {
+			close(gate.release)
+		}
+	}()
+	if err := z.b2.Remount("disk2", gate); err != nil {
+		t.Fatal(err)
+	}
+	dropped := z.b1.Metrics().Counter("server.multiget.dropped")
+	cl := z.client(z.addr1, "alice", "alicepw")
+	cl.SetTimeout(300 * time.Millisecond)
+	cl.SetRetryPolicy(resilience.Policy{MaxAttempts: 1})
+	if res, err := cl.MultiGet(paths); err == nil {
+		for i, r := range res {
+			if i%2 == 1 && r.Err == nil {
+				t.Errorf("%s came back from an owner that never answered", r.Path)
+			}
+		}
+	}
+	// srb1's handler ends at the budget too, after the client has given
+	// up; it drops the mget as it ends.
+	for deadline := time.Now().Add(10 * time.Second); dropped.Value() != 1; {
+		if time.Now().After(deadline) {
+			t.Fatalf("server.multiget.dropped = %d after the owner timed out, want 1", dropped.Value())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	// The owner answers its abandoned call now, while the next multigets
+	// run.
+	close(gate.release)
+	released = true
+	cl.SetTimeout(10 * time.Second)
+	for n := 0; n < 50; n++ {
+		res, err := cl.MultiGet(paths)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, r := range res {
+			if r.Err != nil || !bytes.Equal(r.Data, want[i]) {
+				t.Fatalf("multiget %d, %s: %d bytes, %v; want its %d bytes", n, r.Path, len(r.Data), r.Err, len(want[i]))
+			}
+		}
+	}
+	if got := dropped.Value(); got != 1 {
+		t.Errorf("server.multiget.dropped = %d after 50 whole multigets, want it still 1", got)
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 	"gosrb/internal/audit"
 	"gosrb/internal/chunk"
 	"gosrb/internal/core"
+	"gosrb/internal/lend"
 	"gosrb/internal/mcat/shard"
 	"gosrb/internal/obs"
 	"gosrb/internal/report"
@@ -676,88 +677,156 @@ func bulkPut(c call, a wire.BulkPutArgs) (wire.BulkPutReply, error) {
 // through the pooled chunk, so no local item is held whole. A local open
 // that fails fails its own item.
 //
-// Once the reply is sent, the spool of every owner whose call succeeded
-// goes back to the pool. A failed attempt's spool is dropped to the GC
-// instead: a call that timed out may leave its last Write running
-// (wire.Sink), and a chunk put back under it would corrupt another
-// request.
+// The call's bookkeeping — the reply's items, the parts, the owners with
+// their places, paths and request frames, the reader over the parts — is
+// one pooled mget. Once the reply is sent, the spool of every owner whose
+// call succeeded goes back to the pool, and the mget goes back when every
+// owner's call succeeded on one stream (finish). Otherwise both are
+// dropped to the GC: a call that timed out may leave its last sink call
+// running (wire.Sink), into the owner's spool and the owner itself, and
+// either put back under it would corrupt another request.
 func multiGet(c call, a wire.MultiGetArgs) error {
 	s, ss := c.s, c.ss
 	s.observeBatch(len(a.Paths))
-	rep := wire.MultiGetReply{Server: s.name, Items: make([]wire.MultiGetItem, len(a.Paths))}
-	parts := make([]batchPart, len(a.Paths))
-	var owners []*ownerBatch
-	defer func() {
-		for _, ob := range owners {
-			if ob.err == nil {
-				ob.spool.Release()
-			}
-		}
-		for i := range parts {
-			if parts[i].f != nil {
-				parts[i].f.Close()
-			}
-		}
-	}()
+	m := getMget(len(a.Paths))
+	m.rep.Server = s.name
+	defer m.finish(c.b.Metrics())
 	for i, p := range a.Paths {
-		rep.Items[i].Path = p
-		parts[i].path = p
+		m.rep.Items[i].Path = p
+		m.parts[i].path = p
 		row := c.b.Lookup(p)
 		if !ss.isPeer {
 			if owner := c.b.Replicas().Owner(&row.Obj); owner != "" {
-				ob := batchFor(&owners, owner)
+				ob := m.batchFor(owner)
 				ob.idx = append(ob.idx, i)
 				ob.paths = append(ob.paths, p)
 				continue
 			}
 		}
-		size, err := c.b.OpenGet(&parts[i].h, c.user, &row, ss.span)
+		size, err := c.b.OpenGet(&m.parts[i].h, c.user, &row, ss.span)
 		if err != nil {
-			rep.Items[i].ErrKind, rep.Items[i].ErrMsg = wire.KindOf(err), err.Error()
+			m.rep.Items[i].ErrKind, m.rep.Items[i].ErrMsg = wire.KindOf(err), err.Error()
 			continue
 		}
-		rep.Items[i].OK, rep.Items[i].Size = true, size
-		parts[i].f, parts[i].left = &parts[i].h, size
+		m.rep.Items[i].OK, m.rep.Items[i].Size = true, size
+		m.parts[i].f, m.parts[i].left = &m.parts[i].h, size
 	}
-	if len(owners) > 0 {
+	if owners := m.owners; len(owners) > 0 {
 		// The first owner runs inline: a one-owner batch spawns nothing.
-		var wg sync.WaitGroup
-		for _, ob := range owners[1:] {
-			wg.Add(1)
+		for i := range owners[1:] {
+			ob := &owners[1+i]
+			m.wg.Add(1)
 			go func() {
-				defer wg.Done()
+				defer m.wg.Done()
 				ob.fetch(c)
 			}()
 		}
 		owners[0].fetch(c)
-		wg.Wait()
+		m.wg.Wait()
 	}
-	for _, ob := range owners {
-		ob.fill(rep.Items, parts)
+	for i := range m.owners {
+		m.owners[i].fill(m.rep.Items, m.parts)
 	}
-	return sendStream(ss, &rep, ss.source(&batchReader{parts: parts}))
+	m.src = batchReader{parts: m.parts}
+	return sendStream(ss, &m.rep, ss.source(&m.src))
+}
+
+// mget is one multiget's bookkeeping, lent from mgets.
+type mget struct {
+	rep    wire.MultiGetReply
+	parts  []batchPart
+	owners []ownerBatch
+	wg     sync.WaitGroup // the owners fetched beside the first
+	src    batchReader
+}
+
+// mgets lends mgets: a multiget makes none for its bookkeeping.
+var mgets = sync.Pool{New: func() any { return new(mget) }}
+
+// maxPooledMget caps a pooled mget's buffers, in items: an mget a large
+// batch grew past it goes to the GC.
+const maxPooledMget = 1024
+
+// getMget lends an mget sized for n items, the paths the request holds.
+func getMget(n int) *mget {
+	m := mgets.Get().(*mget)
+	if cap(m.parts) < n {
+		m.rep.Items, m.parts = make([]wire.MultiGetItem, n), make([]batchPart, n)
+	}
+	m.rep.Items, m.parts = m.rep.Items[:n], m.parts[:n]
+	return m
+}
+
+// finish closes the local items' readers and releases the spools of the
+// owners whose calls succeeded. It recycles m only when every owner's
+// call succeeded on its first stream, for then no sink call can still
+// be running into it, and m stayed within maxPooledMget; an m held back
+// for an owner's sake is counted in server.multiget.dropped.
+func (m *mget) finish(reg *obs.Registry) {
+	settled := true
+	for i := range m.owners {
+		ob := &m.owners[i]
+		if ob.err == nil {
+			ob.spool.Release()
+		}
+		settled = settled && ob.err == nil && ob.streams <= 1
+	}
+	for i := range m.parts {
+		if m.parts[i].f != nil {
+			m.parts[i].f.Close()
+		}
+	}
+	if !settled {
+		reg.Counter("server.multiget.dropped").Inc()
+	}
+	if !settled || !lend.Recycle() || cap(m.parts) > maxPooledMget {
+		return
+	}
+	clear(m.rep.Items)
+	clear(m.parts)
+	for i := range m.owners {
+		ob := &m.owners[i]
+		clear(ob.paths)
+		*ob = ownerBatch{idx: ob.idx[:0], paths: ob.paths[:0], args: ob.args[:0], own: ob.own}
+	}
+	m.rep = wire.MultiGetReply{Items: m.rep.Items[:0]}
+	m.parts, m.owners, m.src = m.parts[:0], m.owners[:0], batchReader{}
+	mgets.Put(m)
 }
 
 // ownerBatch is the share of a multiget one peer holds: its paths, their
-// places in the request, and its answer.
+// places in the request, the frame its request is encoded in, and its
+// answer.
 type ownerBatch struct {
 	peer  string
 	idx   []int
 	paths []string
+	args  []byte
 	rep   wire.MultiGetReply
 	spool *chunk.Spool
 	err   error
+	// streams counts the reply streams Begin took, one per attempt that
+	// got a manifest. The first is received into own.
+	streams int
+	own     chunk.Spool
 }
 
-// batchFor finds peer's batch among *owners, adding it when new.
-func batchFor(owners *[]*ownerBatch, peer string) *ownerBatch {
-	for _, ob := range *owners {
-		if ob.peer == peer {
-			return ob
+// batchFor finds peer's batch among m's owners, adding it when new. The
+// pointer is good until the next call.
+func (m *mget) batchFor(peer string) *ownerBatch {
+	for i := range m.owners {
+		if m.owners[i].peer == peer {
+			return &m.owners[i]
 		}
 	}
-	ob := &ownerBatch{peer: peer}
-	*owners = append(*owners, ob)
+	if len(m.owners) < cap(m.owners) {
+		// A recycled owner keeps its buffers.
+		m.owners = m.owners[:len(m.owners)+1]
+	} else {
+		m.owners = append(m.owners, ownerBatch{})
+	}
+	ob := &m.owners[len(m.owners)-1]
+	ob.peer = peer
 	return ob
 }
 
@@ -765,9 +834,10 @@ func batchFor(owners *[]*ownerBatch, peer string) *ownerBatch {
 // retry, and holds the manifest it answers with to the request.
 func (ob *ownerBatch) fetch(c call) {
 	req := &wire.Request{Op: wire.OpMultiGet, Trace: c.req.Trace}
-	if req.Args, ob.err = wire.AppendBody(nil, &wire.MultiGetArgs{Paths: ob.paths}); ob.err != nil {
+	if ob.args, ob.err = wire.AppendBody(ob.args[:0], &wire.MultiGetArgs{Paths: ob.paths}); ob.err != nil {
 		return
 	}
+	req.Args = ob.args
 	if _, ob.err = c.s.peerCall(ob.peer, c.user, req, nil, ob, c.ss.deadline, c.ss.span, nil); ob.err != nil {
 		return
 	}
@@ -778,13 +848,18 @@ func (ob *ownerBatch) fetch(c call) {
 // into a spool (wire.Sink). Nothing is presized from the manifest's
 // sizes: a peer's announced length buys it no memory, only the bytes it
 // sends do. Each attempt starts from a fresh spool, so a retry never
-// sees a torn one, nor a chunk an abandoned attempt may still write to.
+// sees a torn one, nor a chunk an abandoned attempt may still write to:
+// the first attempt's is ob's own, a retry's is new.
 func (ob *ownerBatch) Begin(resp *wire.Response) (io.Writer, error) {
+	ob.streams++
 	ob.rep = wire.MultiGetReply{}
 	if err := wire.DecodeBody(resp.Body, &ob.rep); err != nil {
 		return nil, err
 	}
-	ob.spool = new(chunk.Spool)
+	ob.spool = &ob.own
+	if ob.streams > 1 {
+		ob.spool = new(chunk.Spool)
+	}
 	return ob.spool, nil
 }
 

@@ -101,6 +101,9 @@ type Server struct {
 type peer struct {
 	addr   string
 	secret string
+	// via is the detail of the failover event a read served through the
+	// peer records, made once here rather than per read.
+	via string
 }
 
 // New returns a server over the broker. name must match the broker's
@@ -166,7 +169,7 @@ func (s *Server) Tickets() *auth.TicketStore { return s.tickets }
 // for server-to-server authentication.
 func (s *Server) AddPeer(name, addr, secret string) {
 	s.mu.Lock()
-	s.peers[name] = peer{addr: addr, secret: secret}
+	s.peers[name] = peer{addr: addr, secret: secret, via: "read via peer " + name}
 	s.mu.Unlock()
 	s.authn.RegisterPeer(name, secret)
 }
@@ -177,6 +180,18 @@ func (s *Server) PeerAddr(name string) (string, bool) {
 	defer s.mu.RUnlock()
 	p, ok := s.peers[name]
 	return p.addr, ok
+}
+
+// viaPeer is the failover event's detail for a read served through the
+// named peer.
+func (s *Server) viaPeer(name string) string {
+	s.mu.RLock()
+	p, ok := s.peers[name]
+	s.mu.RUnlock()
+	if !ok {
+		return "read via peer " + name
+	}
+	return p.via
 }
 
 // Listen starts accepting connections on addr ("host:0" picks a port)
@@ -313,6 +328,9 @@ type session struct {
 	// it keeps the array its events grew into from one request to the
 	// next.
 	spanBuf obs.Span
+	// rl is the slot's relay for a proxied read (federate), kept across
+	// requests while its calls succeed.
+	rl *relay
 	reqState
 }
 
@@ -504,13 +522,19 @@ func (ss *session) Write(p []byte) (int, error) {
 // transport's: a source that fails after the header cannot become an
 // error response any more, and the stream is aborted.
 func sendStream[T any](ss *session, body *T, src io.Reader) error {
-	// The header is copied into its frame before beginStream returns.
-	var scratch [256]byte
-	raw, err := wire.AppendBody(scratch[:0], body)
+	// The header is encoded in a pooled frame, for a manifest outgrows
+	// any scratch on the stack, and is copied into the conn's frame
+	// before beginStream returns.
+	bp := wire.GetFrame()
+	raw, err := wire.AppendBody(*bp, body)
 	if err != nil {
+		wire.PutFrame(bp)
 		return err
 	}
-	if err := ss.beginStream(raw, time.Time{}); err != nil {
+	*bp = raw
+	err = ss.beginStream(raw, time.Time{})
+	wire.PutFrame(bp)
+	if err != nil {
 		return err
 	}
 	_, err = chunk.Copy(ss, src)
@@ -734,15 +758,19 @@ func (s *Server) federate(ss *session, peerName, user string, req *wire.Request)
 	// Serving a read through a peer is the federation-level failover:
 	// either the data only lives there, or the local replica's resource
 	// breaker routed around a failing driver.
-	ss.span.Event(obs.EventFailover, "read via peer "+peerName)
-	rl := &relay{ss: ss}
+	if ss.span != nil {
+		ss.span.Event(obs.EventFailover, s.viaPeer(peerName))
+	}
+	rl := ss.relay()
 	_, err := s.peerCall(peerName, user, req, nil, rl, ss.deadline, ss.span, rl.untouched)
 	// A peer call that timed out may have left its last Write behind
 	// (wire.Sink); the session is ours again once that Write is out, and
-	// a Write that comes later finds the relay sealed.
+	// a Write that comes later finds the relay sealed. Such a relay is
+	// the late Write's to keep: the slot drops it and makes another.
 	rl.seal()
 	defer rl.mu.Unlock()
 	if err != nil {
+		ss.rl = nil
 		return ss.fail(err)
 	}
 	err = rl.finish()
@@ -771,6 +799,11 @@ func (s *Server) federate(ss *session, peerName, user string, req *wire.Request)
 // once federate has replied. By then the session belongs to the
 // connection's next request. So federate seals the relay under mu, and
 // a sealed relay's Begin and Write fail without touching the session.
+//
+// A relay lives in its connection slot (session.relay), which reuses it,
+// header buffer and all, for the slot's next proxied read once its call
+// has succeeded; after a failed call the slot drops it, for a late Write
+// may still come.
 type relay struct {
 	ss   *session
 	body []byte // the peer's response body, relayed untouched
@@ -791,6 +824,18 @@ func (r *relay) seal() {
 	r.sealed = true
 }
 
+// relay readies the slot's relay for a proxied read of this request,
+// making one when the slot has none.
+func (ss *session) relay() *relay {
+	rl := ss.rl
+	if rl == nil {
+		rl = new(relay)
+		ss.rl = rl
+	}
+	rl.ss, rl.body, rl.begun, rl.sealed = ss, rl.body[:0], false, false
+	return rl
+}
+
 // Begin keeps the peer's header for the client (wire.Sink). The body is
 // copied: an empty stream writes the client's header only after the peer
 // call has returned and released the frame resp.Body is a slice of.
@@ -800,7 +845,7 @@ func (r *relay) Begin(resp *wire.Response) (io.Writer, error) {
 	if r.sealed {
 		return nil, errRelaySealed
 	}
-	r.body = bytes.Clone(resp.Body)
+	r.body = append(r.body[:0], resp.Body...)
 	return r, nil
 }
 
@@ -921,8 +966,7 @@ func (s *Server) peerCall(peer, user string, req *wire.Request, send io.Reader, 
 		}
 		hop := time.Since(start)
 		sp.Phase(obs.PhaseFederationHop, hop)
-		var ours *wire.SinkError
-		failed := err != nil && resilience.Transport(err) && !errors.As(err, &ours)
+		failed := err != nil && resilience.Transport(err) && !sinkFailed(err)
 		// Every round trip feeds the transfer observatory's per-peer
 		// latency, bandwidth and transport outcome.
 		s.broker.Metrics().Peers().Record(peer, "", hop, moved, failed)
@@ -944,6 +988,14 @@ func (s *Server) peerCall(peer, user string, req *wire.Request, send io.Reader, 
 	}
 	err := r.Do(attempt)
 	return body, err
+}
+
+// sinkFailed reports a call that failed in our own sink (*wire.SinkError).
+// It is its own function so that only a transport failure pays for the
+// target errors.As needs on the heap.
+func sinkFailed(err error) bool {
+	var ours *wire.SinkError
+	return errors.As(err, &ours)
 }
 
 // ShardPuller is the transport a follower pulls its leader's journal

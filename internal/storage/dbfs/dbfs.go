@@ -10,6 +10,7 @@ package dbfs
 
 import (
 	"fmt"
+	"io/fs"
 	"strings"
 	"sync"
 	"time"
@@ -164,12 +165,40 @@ func (f *FS) Open(path string) (storage.ReadFile, error) {
 	if !found {
 		return nil, types.E("open", path, types.ErrNotFound)
 	}
-	return &reader{Reader: *strings.NewReader(data)}, nil
+	return &reader{rd: *strings.NewReader(data)}, nil
 }
 
-type reader struct{ strings.Reader }
+// reader serves a LOB's bytes; after Close every call fails.
+type reader struct {
+	rd     strings.Reader
+	closed bool
+}
 
-func (r *reader) Close() error { return nil }
+func (r *reader) Read(p []byte) (int, error) {
+	if r.closed {
+		return 0, types.E("read", "", fs.ErrClosed)
+	}
+	return r.rd.Read(p)
+}
+
+func (r *reader) ReadAt(p []byte, off int64) (int, error) {
+	if r.closed {
+		return 0, types.E("read", "", fs.ErrClosed)
+	}
+	return r.rd.ReadAt(p, off)
+}
+
+func (r *reader) Seek(off int64, whence int) (int64, error) {
+	if r.closed {
+		return 0, types.E("seek", "", fs.ErrClosed)
+	}
+	return r.rd.Seek(off, whence)
+}
+
+func (r *reader) Close() error {
+	r.closed = true
+	return nil
+}
 
 // Stat implements storage.Driver.
 func (f *FS) Stat(path string) (storage.FileInfo, error) {

@@ -11,6 +11,7 @@ import (
 	"sync"
 	"testing"
 
+	"gosrb/internal/lend"
 	"gosrb/internal/storage"
 	"gosrb/internal/types"
 )
@@ -40,6 +41,7 @@ func Run(t *testing.T, factory func(t *testing.T) storage.Driver) {
 		{"LargeFile", testLargeFile},
 		{"ConcurrentWriters", testConcurrentWriters},
 		{"SnapshotIsolation", testSnapshotIsolation},
+		{"ReadAfterClose", testReadAfterClose},
 		{"MkdirAndStat", testMkdir},
 	}
 	for _, tc := range tests {
@@ -293,6 +295,44 @@ func testSnapshotIsolation(t *testing.T, d storage.Driver) {
 	// Drivers may serve either version, but must serve a consistent one.
 	if string(got) != "version-one" && string(got) != "version-two!" {
 		t.Errorf("torn read: %q", got)
+	}
+}
+
+// testReadAfterClose holds a read handle's Close as its last use: a
+// Read, ReadAt or Seek after it returns an error and moves no byte, or,
+// for a handle lent from a pool under the framecanary build tag (package
+// lend), panics.
+func testReadAfterClose(t *testing.T, d storage.Driver) {
+	mustWrite(t, d, "/closed", []byte("0123456789"))
+	r, err := d.Open("/closed")
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	if err := r.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	buf := make([]byte, 4)
+	for _, c := range []struct {
+		name string
+		call func() (int64, error)
+	}{
+		{"Read", func() (int64, error) { n, err := r.Read(buf); return int64(n), err }},
+		{"ReadAt", func() (int64, error) { n, err := r.ReadAt(buf, 2); return int64(n), err }},
+		{"Seek", func() (int64, error) { return r.Seek(3, io.SeekStart) }},
+	} {
+		func() {
+			defer func() {
+				if v := recover(); v != nil && !lend.Canary {
+					t.Errorf("%s after Close panicked: %v", c.name, v)
+				}
+			}()
+			if n, err := c.call(); err == nil || n != 0 {
+				t.Errorf("%s after Close = %d, %v; want an error and nothing moved", c.name, n, err)
+			}
+		}()
+		if bytes.ContainsAny(buf, "0123456789") {
+			t.Fatalf("%s after Close read %q", c.name, buf)
+		}
 	}
 }
 

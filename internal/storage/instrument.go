@@ -1,7 +1,12 @@
 package storage
 
 import (
+	"io/fs"
+	"sync"
+
+	"gosrb/internal/lend"
 	"gosrb/internal/obs"
+	"gosrb/internal/types"
 )
 
 // IOMetrics are the per-driver byte and operation counters an
@@ -73,7 +78,9 @@ func (i *instrumented) Open(path string) (ReadFile, error) {
 		return nil, i.err(err)
 	}
 	i.m.Reads.Inc()
-	return &countingReader{r: r, n: i.m.BytesOut}, nil
+	c := countingReaders.Get().(*countingReader)
+	c.r, c.n = r, i.m.BytesOut
+	return c, nil
 }
 
 func (i *instrumented) Stat(path string) (FileInfo, error) {
@@ -110,26 +117,55 @@ func (c *countingWriter) Close() error { return c.w.Close() }
 func (c *countingWriter) Abort() error { return ForwardAbort(c.w) }
 
 // countingReader counts bytes served by the underlying ReadFile across
-// all three read styles.
+// all three read styles. It is lent from countingReaders (package lend):
+// Close closes the driver's handle, zeroes the reader and hands it back,
+// so a late call on it finds it closed until the pool lends it again.
 type countingReader struct {
 	r ReadFile
 	n *obs.Counter
 }
 
+// countingReaders lends countingReaders: a get makes none.
+var countingReaders = sync.Pool{New: func() any { return &countingReader{} }}
+
+// closed is the error of a call on a closed countingReader.
+func closed(op string) error {
+	return lend.Stale("storage: counting reader", types.E(op, "", fs.ErrClosed))
+}
+
 func (c *countingReader) Read(p []byte) (int, error) {
+	if c.r == nil {
+		return 0, closed("read")
+	}
 	n, err := c.r.Read(p)
 	c.n.Add(int64(n))
 	return n, err
 }
 
 func (c *countingReader) ReadAt(p []byte, off int64) (int, error) {
+	if c.r == nil {
+		return 0, closed("read")
+	}
 	n, err := c.r.ReadAt(p, off)
 	c.n.Add(int64(n))
 	return n, err
 }
 
 func (c *countingReader) Seek(offset int64, whence int) (int64, error) {
+	if c.r == nil {
+		return 0, closed("seek")
+	}
 	return c.r.Seek(offset, whence)
 }
 
-func (c *countingReader) Close() error { return c.r.Close() }
+func (c *countingReader) Close() error {
+	if c.r == nil {
+		return closed("close")
+	}
+	err := c.r.Close()
+	*c = countingReader{}
+	if lend.Recycle() {
+		countingReaders.Put(c)
+	}
+	return err
+}

@@ -5,10 +5,12 @@ package memfs
 
 import (
 	"bytes"
+	"io/fs"
 	"strings"
 	"sync"
 	"time"
 
+	"gosrb/internal/lend"
 	"gosrb/internal/storage"
 	"gosrb/internal/types"
 )
@@ -127,7 +129,8 @@ func (f *FS) markDirs(p string) {
 }
 
 // Open implements storage.Driver. The returned handle reads a snapshot:
-// later writes to the same path do not affect it.
+// later writes to the same path do not affect it. It is lent from a
+// pool (package lend) and handed back by its Close.
 func (f *FS) Open(path string) (storage.ReadFile, error) {
 	p, err := f.clean(path)
 	if err != nil {
@@ -139,14 +142,58 @@ func (f *FS) Open(path string) (storage.ReadFile, error) {
 	if !ok {
 		return nil, types.E("open", path, types.ErrNotFound)
 	}
-	return &reader{Reader: *bytes.NewReader(e.data)}, nil
+	r := readers.Get().(*reader)
+	r.rd.Reset(e.data)
+	r.open = true
+	return r, nil
 }
 
+// readers lends read handles: a get makes none.
+var readers = sync.Pool{New: func() any { return &reader{} }}
+
+// reader is a lent read handle. Close zeroes it before handing it back,
+// so a late call on it finds it closed until the pool lends it again.
 type reader struct {
-	bytes.Reader
+	rd   bytes.Reader
+	open bool
 }
 
-func (r *reader) Close() error { return nil }
+// closed is the error of a call on a closed handle.
+func closed(op string) error {
+	return lend.Stale("memfs: read handle", types.E(op, "", fs.ErrClosed))
+}
+
+func (r *reader) Read(p []byte) (int, error) {
+	if !r.open {
+		return 0, closed("read")
+	}
+	return r.rd.Read(p)
+}
+
+func (r *reader) ReadAt(p []byte, off int64) (int, error) {
+	if !r.open {
+		return 0, closed("read")
+	}
+	return r.rd.ReadAt(p, off)
+}
+
+func (r *reader) Seek(off int64, whence int) (int64, error) {
+	if !r.open {
+		return 0, closed("seek")
+	}
+	return r.rd.Seek(off, whence)
+}
+
+func (r *reader) Close() error {
+	if !r.open {
+		return closed("close")
+	}
+	*r = reader{}
+	if lend.Recycle() {
+		readers.Put(r)
+	}
+	return nil
+}
 
 // Stat implements storage.Driver.
 func (f *FS) Stat(path string) (storage.FileInfo, error) {

@@ -203,16 +203,15 @@ func (b *Buffer) Grow(n int64) {
 	b.b = nb
 }
 
-// NewSizedBuffer returns a Buffer presized from body, the wire.SizeReply
-// with which a reply announces its stream's length.
-func NewSizedBuffer(body []byte) (*Buffer, error) {
+// Presize grows b from body, the wire.SizeReply with which a reply
+// announces its stream's length.
+func (b *Buffer) Presize(body []byte) error {
 	var sz SizeReply
 	if _, err := decodeBinary(body, &sz, false); err != nil {
-		return nil, err
+		return err
 	}
-	b := new(Buffer)
 	b.Grow(sz.Size)
-	return b, nil
+	return nil
 }
 
 // Bytes returns the bytes received.
