@@ -33,7 +33,10 @@ DOCS := README.md DESIGN.md EXPERIMENTS.md .claude/skills/verify/SKILL.md
 # The lifecycle fence keeps periodic work on the one scheduler and
 # shutdown in the one place: no ticker outside internal/repair (register
 # a row of the job table instead), no signal handler outside
-# internal/daemon, and no doc citing a flag that became a constant.
+# internal/daemon, no doc citing a flag that became a constant, and one
+# daemon: a runtime is booted (daemon.New) only by srbd, which serves
+# MySRB over its own broker, and no doc names the web daemon that had a
+# catalog of its own.
 GONE_FLAGS := sync-every|heat-decay|exemplar-threshold|breaker-threshold|breaker-cooldown|dial-timeout|mcat-sync-every
 GO_SRC := --include=*.go --exclude=*_test.go cmd internal examples bench
 
@@ -127,6 +130,7 @@ lint: vet
 	@if grep -rnE 'time\.(Tick|NewTicker)\(' --exclude-dir=repair $(GO_SRC); then echo "ticker outside internal/repair: make it a row of the job table (internal/daemon)"; exit 1; fi
 	@if grep -rnE 'json\.(Marshal|Unmarshal)\(' --include=*.go --exclude=*_test.go $(WIRE_USERS); then echo "JSON outside internal/wire: encode wire args and bodies with wire.AppendBody / wire.DecodeBody"; exit 1; fi
 	@if grep -rnF 'signal.Notify(' --exclude-dir=daemon $(GO_SRC); then echo "signal handler outside internal/daemon: Runtime.Run owns shutdown"; exit 1; fi
+	@if grep -rnF 'daemon.New(' $(GO_SRC) | grep -v '^cmd/srbd/'; then echo "one daemon: give srbd the listener"; exit 1; fi
 	@if grep -rnF 'RegisterObject(' --include=*.go --exclude=*_test.go $(CREATE_USERS); then echo "RegisterObject in a request path: create through newObject + Catalog.Ingest (internal/core)"; exit 1; fi
 	@if grep -rnE '$(JOURNAL_WRITES)' --include=*.go --exclude=*_test.go --exclude=journal.go internal/mcat; then echo "journal write outside journal.go: commit the entry through commitLocked, which appends it before it is applied"; exit 1; fi
 	@if grep -rnE '$(NEW_ENTRY)' --include=*.go --exclude=*_test.go internal/mcat; then echo "build the entry in the line buffer (encodeLine)"; exit 1; fi
@@ -147,6 +151,7 @@ lint: vet
 	GOARCH=arm64 $(GO) vet $(CROSS_PKGS)
 	GOARCH=riscv64 $(GO) vet $(CROSS_PKGS)
 	@if grep -nE '`-($(GONE_FLAGS))\b' README.md DESIGN.md; then echo "docs cite a removed flag: state the constant"; exit 1; fi
+	@if grep -n 'mysrbd' $(DOCS); then echo "docs name mysrbd: MySRB is srbd -web-addr"; exit 1; fi
 	@if grep -nE 'BENCH_[a-z]*\.json' $(DOCS); then echo "docs cite a retired BENCH_*.json ratio file"; exit 1; fi; for t in $$(grep -ohE '(`|^)make [a-z][a-z0-9-]*' $(DOCS) | cut -d' ' -f2 | sort -u); do grep -q "^$$t:" Makefile || { echo "docs mention undefined target: make $$t"; exit 1; }; done
 	@if [ ! -x "$(STATICCHECK)" ] && command -v staticcheck >/dev/null 2>&1; then \
 		cp "$$(command -v staticcheck)" "$(STATICCHECK)" 2>/dev/null || true; \

@@ -1,14 +1,16 @@
 package main
 
 import (
-	"bufio"
+	"bytes"
 	"encoding/json"
 	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -29,9 +31,30 @@ func buildSrbd(t *testing.T) string {
 	return bin
 }
 
-// startSrbd launches the daemon and returns its bound address and a
-// stop function that shuts it down gracefully.
-func startSrbd(t *testing.T, bin string, extraArgs ...string) (string, func()) {
+// srbd is one running daemon: its wire address, the URLs of the web
+// interface and the admin endpoint when its flags ask for them, and its
+// log so far.
+type srbd struct {
+	t                *testing.T
+	cmd              *exec.Cmd
+	addr, web, admin string
+
+	mu  sync.Mutex
+	buf bytes.Buffer
+
+	once sync.Once
+	exit error
+}
+
+var (
+	addrRe  = regexp.MustCompile(`listening on (\S+)`)
+	webRe   = regexp.MustCompile(`at (http://\S+)/mySRB\.html`)
+	adminRe = regexp.MustCompile(`admin endpoint on (http://\S+)`)
+)
+
+// startSrbd launches the daemon and waits until it has logged every
+// listener its flags ask for. Cleanup stops it gracefully.
+func startSrbd(t *testing.T, bin string, extraArgs ...string) *srbd {
 	t.Helper()
 	args := append([]string{
 		"-addr", "127.0.0.1:0",
@@ -41,53 +64,71 @@ func startSrbd(t *testing.T, bin string, extraArgs ...string) (string, func()) {
 		"-resource", "disk1=memfs:",
 		"-save-every", "0",
 	}, extraArgs...)
-	cmd := exec.Command(bin, args...)
-	stderr, err := cmd.StderrPipe()
-	if err != nil {
+	d := &srbd{t: t, cmd: exec.Command(bin, args...)}
+	d.cmd.Stderr = d
+	if err := d.cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
-	if err := cmd.Start(); err != nil {
-		t.Fatal(err)
+	t.Cleanup(func() { d.stop() })
+	listeners := map[*string]*regexp.Regexp{&d.addr: addrRe}
+	if slices.Contains(args, "-web-addr") {
+		listeners[&d.web] = webRe
 	}
-	// The daemon logs "<name> listening on <addr>".
-	addrRe := regexp.MustCompile(`listening on (\S+)`)
-	addrCh := make(chan string, 1)
-	go func() {
-		sc := bufio.NewScanner(stderr)
-		for sc.Scan() {
-			if m := addrRe.FindStringSubmatch(sc.Text()); m != nil {
-				select {
-				case addrCh <- m[1]:
-				default:
-				}
+	if slices.Contains(args, "-admin-addr") {
+		listeners[&d.admin] = adminRe
+	}
+	for deadline := time.Now().Add(10 * time.Second); len(listeners) > 0; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			d.kill()
+			t.Fatalf("srbd did not report its listeners:\n%s", d.log())
+		}
+		log := d.log()
+		for at, re := range listeners {
+			if m := re.FindStringSubmatch(log); m != nil {
+				*at = m[1]
+				delete(listeners, at)
 			}
 		}
-	}()
-	var addr string
-	select {
-	case addr = <-addrCh:
-	case <-time.After(10 * time.Second):
-		cmd.Process.Kill()
-		t.Fatal("srbd did not report a listen address")
 	}
-	stopped := false
-	stop := func() {
-		if stopped {
-			return
-		}
-		stopped = true
-		cmd.Process.Signal(syscall.SIGTERM)
-		done := make(chan struct{})
-		go func() { cmd.Wait(); close(done) }()
+	return d
+}
+
+// Write collects the daemon's log.
+func (d *srbd) Write(p []byte) (int, error) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.buf.Write(p)
+}
+
+func (d *srbd) log() string {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.buf.String()
+}
+
+// stop sends SIGTERM and waits for the daemon to exit, killing it after
+// 10 s, and returns how it exited. A second stop or kill does nothing.
+func (d *srbd) stop() error {
+	d.once.Do(func() {
+		d.cmd.Process.Signal(syscall.SIGTERM)
+		done := make(chan error, 1)
+		go func() { done <- d.cmd.Wait() }()
 		select {
-		case <-done:
+		case d.exit = <-done:
 		case <-time.After(10 * time.Second):
-			cmd.Process.Kill()
-			<-done
+			d.cmd.Process.Kill()
+			d.exit = <-done
 		}
-	}
-	t.Cleanup(stop)
-	return addr, stop
+	})
+	return d.exit
+}
+
+// kill ends the daemon with SIGKILL: no stop sequence runs.
+func (d *srbd) kill() {
+	d.once.Do(func() {
+		d.cmd.Process.Kill()
+		d.exit = d.cmd.Wait()
+	})
 }
 
 // TestDaemonEndToEnd drives the real binary: put/get over TCP, graceful
@@ -101,16 +142,16 @@ func TestDaemonEndToEnd(t *testing.T) {
 	catalog := filepath.Join(state, "mcat.json")
 	journal := filepath.Join(state, "mcat.journal")
 
-	addr, stop := startSrbd(t, bin, "-catalog", catalog, "-journal", journal)
+	d := startSrbd(t, bin, "-catalog", catalog, "-journal", journal)
 
-	cl, err := client.Dial(addr, "alice", "alicepw")
+	cl, err := client.Dial(d.addr, "alice", "alicepw")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := cl.Mkdir("/home"); err == nil {
 		t.Fatal("alice should not create top-level collections")
 	}
-	admin, err := client.Dial(addr, "admin", "adminpw")
+	admin, err := client.Dial(d.addr, "admin", "adminpw")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +180,7 @@ func TestDaemonEndToEnd(t *testing.T) {
 	admin.Close()
 
 	// Graceful shutdown snapshots the catalog.
-	stop()
+	d.stop()
 	if _, err := os.Stat(catalog); err != nil {
 		t.Fatalf("no snapshot written: %v", err)
 	}
@@ -147,9 +188,7 @@ func TestDaemonEndToEnd(t *testing.T) {
 	// Restart: the catalog (namespace + metadata + ACLs) survives. The
 	// bytes do not — disk1 is an in-memory resource — which is exactly
 	// what the catalog records as a now-unreachable replica.
-	addr2, stop2 := startSrbd(t, bin, "-catalog", catalog, "-journal", journal)
-	defer stop2()
-	cl2, err := client.Dial(addr2, "alice", "alicepw")
+	cl2, err := client.Dial(startSrbd(t, bin, "-catalog", catalog, "-journal", journal).addr, "alice", "alicepw")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,37 +217,8 @@ func TestDaemonJournalRecovery(t *testing.T) {
 	catalog := filepath.Join(state, "mcat.json")
 	journal := filepath.Join(state, "mcat.journal")
 
-	args := []string{
-		"-addr", "127.0.0.1:0", "-name", "srb-e2e", "-admin-pw", "adminpw",
-		"-resource", "disk1=memfs:", "-save-every", "0",
-		"-catalog", catalog, "-journal", journal,
-	}
-	cmd := exec.Command(bin, args...)
-	stderr, _ := cmd.StderrPipe()
-	if err := cmd.Start(); err != nil {
-		t.Fatal(err)
-	}
-	addrRe := regexp.MustCompile(`listening on (\S+)`)
-	var addr string
-	sc := bufio.NewScanner(stderr)
-	deadline := time.After(10 * time.Second)
-	found := make(chan string, 1)
-	go func() {
-		for sc.Scan() {
-			if m := addrRe.FindStringSubmatch(sc.Text()); m != nil {
-				found <- m[1]
-				return
-			}
-		}
-	}()
-	select {
-	case addr = <-found:
-	case <-deadline:
-		cmd.Process.Kill()
-		t.Fatal("no listen address")
-	}
-
-	admin, err := client.Dial(addr, "admin", "adminpw")
+	d := startSrbd(t, bin, "-catalog", catalog, "-journal", journal)
+	admin, err := client.Dial(d.addr, "admin", "adminpw")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,8 +228,7 @@ func TestDaemonJournalRecovery(t *testing.T) {
 	admin.Close()
 	// Give the journal writer a moment, then kill hard: no snapshot.
 	time.Sleep(200 * time.Millisecond)
-	cmd.Process.Kill()
-	cmd.Wait()
+	d.kill()
 	if _, err := os.Stat(catalog); err == nil {
 		t.Log("note: snapshot exists (unexpected but harmless)")
 	}
@@ -229,9 +238,7 @@ func TestDaemonJournalRecovery(t *testing.T) {
 	}
 
 	// Restart: the journal replays the lost mutation.
-	addr2, stop2 := startSrbd(t, bin, "-catalog", catalog, "-journal", journal)
-	defer stop2()
-	admin2, err := client.Dial(addr2, "admin", "adminpw")
+	admin2, err := client.Dial(startSrbd(t, bin, "-catalog", catalog, "-journal", journal).addr, "admin", "adminpw")
 	if err != nil {
 		t.Fatal(err)
 	}

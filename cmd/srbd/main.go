@@ -1,16 +1,18 @@
 // Command srbd runs a federated SRB server: it mounts storage drivers
-// for the resources it owns, serves the wire protocol, and participates
-// in a zone with peer servers.
+// for the resources it owns, serves the wire protocol, participates in a
+// zone with peer servers and, with -web-addr, serves the MySRB web
+// interface over the same broker — the web gateway of the paper,
+// available in the original at https://srb.npaci.edu/mySRB.html.
 //
 // Example:
 //
-//	srbd -addr :5544 -name srb1 \
+//	srbd -addr :5544 -name srb1 -web-addr :8080 \
 //	     -resource disk1=posixfs:/var/srb/vault1 \
 //	     -resource cache1=memfs: \
 //	     -resource arch1=archivefs:50ms \
 //	     -user alice=alicepw \
 //	     -peer srb2=host2:5544=zonesecret \
-//	     -catalog /var/srb/mcat.json
+//	     -catalog /var/srb/mcat.json -journal /var/srb/mcat.journal
 package main
 
 import (
@@ -22,6 +24,7 @@ import (
 
 	"gosrb/internal/daemon"
 	"gosrb/internal/mcat/shard"
+	"gosrb/internal/mysrb"
 	"gosrb/internal/obs"
 	"gosrb/internal/server"
 )
@@ -29,17 +32,17 @@ import (
 // options is everything srbd's flags set.
 type options struct {
 	*daemon.Config
-	addr, mode, mcatFollow     string
-	quiet                      bool
-	slowOp                     time.Duration
-	peers, logicals, asyncRepl daemon.Repeated
+	addr, webAddr, mode, mcatFollow string
+	quiet                           bool
+	slowOp                          time.Duration
+	peers, logicals, asyncRepl      daemon.Repeated
 }
 
 // defineFlags registers srbd's flags on fs.
 func defineFlags(fs *flag.FlagSet) *options {
 	o := &options{Config: daemon.Flags(fs)}
-	o.CatalogFlags(fs)
 	fs.StringVar(&o.addr, "addr", ":5544", "listen address")
+	fs.StringVar(&o.webAddr, "web-addr", "", "MySRB web interface listen address, served over this daemon's broker (empty disables)")
 	fs.BoolVar(&o.quiet, "quiet", false, "log only errors (default logs every failed operation with op/remote/trace context)")
 	fs.StringVar(&o.Name, "name", "srb1", "server name within the federation")
 	fs.StringVar(&o.mcatFollow, "mcat-follow", "", "leader daemon's -peer name: this daemon's catalog becomes a read-only follower replicating every shard's journal stream from it over the peer link")
@@ -149,6 +152,16 @@ func main() {
 		logger.Fatalf("listen: %v", err)
 	}
 	logger.Printf("%s version %s listening on %s (%s federation)", o.Name, obs.Version, bound, o.mode)
+	if o.webAddr != "" {
+		app := mysrb.New(broker, rt.Authn)
+		app.SetSlowOpThreshold(o.slowOp)
+		app.Logger = srv.Logger
+		web, err := rt.Serve(o.webAddr, app)
+		if err != nil {
+			logger.Fatalf("web listen: %v", err)
+		}
+		logger.Printf("MySRB version %s at http://%s/mySRB.html", obs.Version, web)
+	}
 	if err := rt.ServeAdmin(); err != nil {
 		logger.Fatal(err)
 	}

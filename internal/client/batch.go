@@ -54,6 +54,9 @@ type MultiGetResult struct {
 	Path string
 	Data []byte
 	Err  error
+
+	// size is the item's length in the data stream, from the manifest.
+	size int64
 }
 
 // MultiGet fetches many objects in one round trip, preserving request
@@ -64,41 +67,45 @@ func (cl *Client) MultiGet(paths []string) ([]MultiGetResult, error) {
 		return nil, nil
 	}
 	// The manifest arrives in the response body, ahead of the bytes: it
-	// is decoded once, as the stream is announced, and its sizes add up
-	// to the one buffer the whole batch is received into.
-	var out wire.MultiGetReply
+	// is decoded once, as the stream is announced, straight into the
+	// results (Begin), and its sizes add up to the one buffer the whole
+	// batch is received into.
+	results := make([]MultiGetResult, len(paths))
 	x := newXfer()
-	x.announced = func(body []byte) (int64, error) {
-		out = wire.MultiGetReply{}
-		if err := wire.DecodeBody(body, &out); err != nil {
-			return 0, err
-		}
-		return out.DataLen(), nil
-	}
+	x.mget = results
 	if err := call(cl, wire.OpMultiGet, wire.MultiGetArgs{Paths: paths}, x, none); err != nil {
 		// A call that failed may have left the conn's reader filling x.
 		return nil, err
 	}
 	data := x.bytes()
 	x.free(nil)
-	if len(out.Items) != len(paths) {
-		return nil, types.E("multiget", "", fmt.Errorf("server returned %d items for %d paths: %w", len(out.Items), len(paths), types.ErrInvalid))
-	}
-	results := make([]MultiGetResult, len(out.Items))
 	off := int64(0)
-	for i := range out.Items {
-		it := &out.Items[i]
-		results[i] = MultiGetResult{Path: it.Path, Err: it.Err()}
-		if !it.OK {
+	for i := range results {
+		r := &results[i]
+		if r.Err != nil {
 			continue
 		}
-		if off+it.Size > int64(len(data)) {
-			return nil, types.E("multiget", it.Path, fmt.Errorf("data stream short of manifest: %w", types.ErrInvalid))
+		if off+r.size > int64(len(data)) {
+			return nil, types.E("multiget", r.Path, fmt.Errorf("data stream short of manifest: %w", types.ErrInvalid))
 		}
-		results[i].Data = data[off : off+it.Size : off+it.Size]
-		off += it.Size
+		r.Data = data[off : off+r.size : off+r.size]
+		off += r.size
 	}
 	return results, nil
+}
+
+// manifest decodes a multiget's reply body into results, one per path
+// asked for, and returns the length of the data stream it announces.
+func manifest(body []byte, results []MultiGetResult) (int64, error) {
+	n, total, err := wire.DecodeMultiGetItems(body, func(i int, it wire.MultiGetItem) {
+		if i < len(results) {
+			results[i] = MultiGetResult{Path: it.Path, Err: it.Err(), size: it.Size}
+		}
+	})
+	if err == nil && n != len(results) {
+		err = types.E("multiget", "", fmt.Errorf("server returned %d items for %d paths: %w", n, len(results), types.ErrInvalid))
+	}
+	return total, err
 }
 
 // BulkStat stats many paths in one round trip, preserving request

@@ -199,9 +199,9 @@ type xfer struct {
 	// at the start of the reply: a writer that can be taken back there
 	// does not end the retries by having been written to.
 	rewound func() io.Writer
-	// announced extracts that length from the response body; nil reads a
-	// wire.SizeReply.
-	announced func(body []byte) (int64, error)
+	// mget receives a multiget's manifest, which announces that length;
+	// nil reads a wire.SizeReply.
+	mget []MultiGetResult
 	// ticket rides on every attempt's request (GetWithTicket).
 	ticket string
 
@@ -271,13 +271,13 @@ func (x *xfer) Begin(resp *wire.Response) (io.Writer, error) {
 	if x.retried {
 		x.buf = new(wire.Buffer)
 	}
-	if x.announced == nil {
+	if x.mget == nil {
 		if err := x.buf.Presize(resp.Body); err != nil {
 			return nil, err
 		}
 		return x.buf, nil
 	}
-	size, err := x.announced(resp.Body)
+	size, err := manifest(resp.Body, x.mget)
 	if err != nil {
 		return nil, err
 	}

@@ -1,9 +1,9 @@
-// Package daemon is the process lifecycle srbd and mysrbd share: the
-// catalog booted through shard.Open, accounts and storage resources from
-// flag values, durable telemetry, the repair engine with the job table
-// every periodic activity is a row of, the SLO evaluator, the flight
-// recorder, the HTTP listeners and the stop sequence a signal runs. A
-// main parses its flags, calls New, adds what is its own and calls Run.
+// Package daemon is srbd's process lifecycle: the catalog booted through
+// shard.Open, accounts and storage resources from flag values, durable
+// telemetry, the repair engine with the job table every periodic
+// activity is a row of, the SLO evaluator, the flight recorder, the HTTP
+// listeners and the stop sequence a signal runs. The main parses its
+// flags, calls New, adds what is its own and calls Run.
 package daemon
 
 import (
@@ -44,8 +44,8 @@ type Repeated []string
 func (r *Repeated) String() string     { return strings.Join(*r, ",") }
 func (r *Repeated) Set(v string) error { *r = append(*r, v); return nil }
 
-// Config holds the settings of the shared runtime: what Flags and
-// CatalogFlags parse, plus the daemon's name and log sink.
+// Config holds the settings of the runtime: what Flags parses, plus the
+// daemon's name and log sink.
 type Config struct {
 	// Name is the daemon's server name: the telemetry journal, incident
 	// bundles and repair spans carry it.
@@ -66,19 +66,21 @@ type Config struct {
 	TelemetryDir  string
 	TelemetryRet  time.Duration
 
-	// Set by the flags of Flags and CatalogFlags only. Without the
-	// latter (mysrbd): one unjournaled shard, saved every minute.
+	// Set by Flags only.
 	catalog, journal, adminAddr string
 	shards                      int
 	saveEvery                   time.Duration
 }
 
-// Flags registers on fs the flags srbd and mysrbd share.
+// Flags registers on fs the flags of the runtime.
 func Flags(fs *flag.FlagSet) *Config {
-	c := &Config{shards: 1, saveEvery: time.Minute}
+	c := new(Config)
 	fs.StringVar(&c.Admin, "admin", "admin", "administrator user name")
 	fs.StringVar(&c.adminAddr, "admin-addr", "", "admin HTTP listen address for /metrics, /healthz, the status feeds and /debug/pprof (empty disables)")
 	fs.StringVar(&c.catalog, "catalog", "", "MCAT snapshot file: loaded at start, saved periodically and on exit (empty keeps the catalog in memory)")
+	fs.StringVar(&c.journal, "journal", "", "MCAT append log; replayed over the snapshot at start, emptied in place at each snapshot")
+	fs.IntVar(&c.shards, "mcat-shards", 1, "MCAT partition count; 1 keeps the monolithic catalog and its on-disk layout, N shards the namespace across <catalog>.shard<i> files with scatter-gather queries")
+	fs.DurationVar(&c.saveEvery, "save-every", time.Minute, "catalog autosave interval (0 disables)")
 	fs.StringVar(&c.AdminPw, "admin-pw", os.Getenv("SRB_ADMIN_PW"), "administrator password (or $SRB_ADMIN_PW)")
 	fs.Var(&c.Users, "user", "user account: name=password; repeatable")
 	fs.Var(&c.Resources, "resource", "physical resource: name=driver:arg (driver: posixfs|memfs|archivefs|dbfs); repeatable")
@@ -90,13 +92,6 @@ func Flags(fs *flag.FlagSet) *Config {
 	fs.StringVar(&c.TelemetryDir, "telemetry-dir", "", "flight recorder directory: durable telemetry journal plus incident bundles, restored at boot (empty disables)")
 	fs.DurationVar(&c.TelemetryRet, "telemetry-retention", 24*time.Hour, "how much telemetry and incident history survives compaction (0 keeps whatever the rings retain)")
 	return c
-}
-
-// CatalogFlags registers the catalog-store flags only srbd exposes.
-func (c *Config) CatalogFlags(fs *flag.FlagSet) {
-	fs.StringVar(&c.journal, "journal", "", "MCAT append log; replayed over the snapshot at start, emptied in place at each snapshot")
-	fs.IntVar(&c.shards, "mcat-shards", 1, "MCAT partition count; 1 keeps the monolithic catalog and its on-disk layout, N shards the namespace across <catalog>.shard<i> files with scatter-gather queries")
-	fs.DurationVar(&c.saveEvery, "save-every", time.Minute, "catalog autosave interval (0 disables)")
 }
 
 // accounts builds the authenticator: the administrator plus every -user
@@ -280,13 +275,12 @@ func New(cfg *Config) (*Runtime, error) {
 	return rt, nil
 }
 
-// addJobs registers the job table both daemons share: every periodic
-// activity is one row — name, interval, jitter, run — on the repair
-// engine's scheduler, where it is jittered, spanned, timed as
-// repair.job.<name>, listed in /repair and deferred by a pause. A row
-// whose interval is not positive is off. A main adds its own rows with
-// Engine.AddJob. ev and rec are nil without -slo-rules and
-// -telemetry-dir.
+// addJobs registers the runtime's job table: every periodic activity is
+// one row — name, interval, jitter, run — on the repair engine's
+// scheduler, where it is jittered, spanned, timed as repair.job.<name>,
+// listed in /repair and deferred by a pause. A row whose interval is not
+// positive is off. srbd adds its own rows with Engine.AddJob. ev and rec
+// are nil without -slo-rules and -telemetry-dir.
 func (rt *Runtime) addJobs(ev *obs.SLOEvaluator, rec *obs.IncidentRecorder) {
 	cfg, b, reg := rt.cfg, rt.Broker, rt.Broker.Metrics()
 	row := func(name string, on bool, every time.Duration, jitter float64, run func(sp *obs.Span) error) {

@@ -37,15 +37,11 @@ func (l *logSink) String() string {
 	return strings.Join(l.lines, "\n")
 }
 
-// boot parses args the way a daemon does — srbd registers the catalog
-// flags too, mysrbd does not — and boots the runtime.
-func boot(t *testing.T, srbd bool, args ...string) (*Runtime, *logSink) {
+// boot parses args the way srbd does and boots the runtime.
+func boot(t *testing.T, args ...string) (*Runtime, *logSink) {
 	t.Helper()
 	fs := flag.NewFlagSet("t", flag.ContinueOnError)
 	cfg := Flags(fs)
-	if srbd {
-		cfg.CatalogFlags(fs)
-	}
 	if err := fs.Parse(args); err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +73,6 @@ func TestRuntimeJobs(t *testing.T) {
 	}
 	fs := flag.NewFlagSet("t", flag.ContinueOnError)
 	cfg := Flags(fs)
-	cfg.CatalogFlags(fs)
 	if err := fs.Parse([]string{
 		"-scrub-interval", "1h", "-slo-rules", rules, "-slo-interval", "7s",
 		"-telemetry-dir", filepath.Join(dir, "telem"), "-user", "alice=pw",
@@ -148,35 +143,32 @@ func TestRuntimeJobs(t *testing.T) {
 	}
 
 	// Each row is listed once, and only when its setting enables it:
-	// catalog.save needs -catalog and a positive -save-every, the
-	// constant rows are always on, a daemon without the catalog flags
-	// (mysrbd) saves every minute.
+	// catalog.save needs -catalog and a positive -save-every, which
+	// defaults to a minute; the constant rows are always on.
 	file := filepath.Join(dir, "other.json")
 	for _, c := range []struct {
-		srbd bool
 		args []string
 		want string
 	}{
-		{true, nil, "replica.sweep rollup heat.decay"},
-		{true, []string{"-save-every", "5s"}, "replica.sweep rollup heat.decay"},
-		{true, []string{"-catalog", file}, "catalog.save replica.sweep rollup heat.decay"},
-		{true, []string{"-catalog", file, "-save-every", "0"}, "replica.sweep rollup heat.decay"},
-		{false, []string{"-catalog", file}, "catalog.save replica.sweep rollup heat.decay"},
-		{false, []string{"-scrub-interval", "1h", "-rollup-interval", "0"}, "replica.sweep scrub heat.decay"},
+		{nil, "replica.sweep rollup heat.decay"},
+		{[]string{"-save-every", "5s"}, "replica.sweep rollup heat.decay"},
+		{[]string{"-catalog", file}, "catalog.save replica.sweep rollup heat.decay"},
+		{[]string{"-catalog", file, "-save-every", "0"}, "replica.sweep rollup heat.decay"},
+		{[]string{"-scrub-interval", "1h", "-rollup-interval", "0"}, "replica.sweep scrub heat.decay"},
 	} {
-		rt, _ := boot(t, c.srbd, c.args...)
+		rt, _ := boot(t, c.args...)
 		if got := jobNames(rt); got != c.want {
-			t.Errorf("srbd=%v %v: jobs = %q, want %q", c.srbd, c.args, got, c.want)
+			t.Errorf("%v: jobs = %q, want %q", c.args, got, c.want)
 		}
 		if first := rt.Engine.Status().Jobs[0]; first.Name == "catalog.save" && first.Interval != time.Minute {
-			t.Errorf("srbd=%v %v: saves every %s, want the 1m default", c.srbd, c.args, first.Interval)
+			t.Errorf("%v: saves every %s, want the 1m default", c.args, first.Interval)
 		}
 	}
 }
 
-// TestCatalogFileCompatibility is the on-disk contract of the shared
-// boot: a snapshot mcat.Catalog.SaveFile wrote (what mysrbd kept before
-// it booted through shard.Open) loads, and what Stop saves is a file
+// TestCatalogFileCompatibility is the on-disk contract of the boot: a
+// snapshot mcat.Catalog.SaveFile wrote (what a daemon kept before it
+// booted through shard.Open) loads, and what Stop saves is a file
 // mcat.Catalog.LoadFile reads. Stop logs its steps in their fixed order.
 func TestCatalogFileCompatibility(t *testing.T) {
 	dir := t.TempDir()
@@ -192,7 +184,7 @@ func TestCatalogFileCompatibility(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rt, sink := boot(t, false, "-catalog", file, "-telemetry-dir", filepath.Join(dir, "telem"))
+	rt, sink := boot(t, "-catalog", file, "-telemetry-dir", filepath.Join(dir, "telem"))
 	if avus, err := rt.Cat.GetMeta("/legacy", types.MetaUser); err != nil || len(avus) != 1 || avus[0].Value != "pre-router" {
 		t.Fatalf("legacy snapshot through the shared boot: meta = %v, %v", avus, err)
 	}
@@ -219,29 +211,24 @@ func TestCatalogFileCompatibility(t *testing.T) {
 	}
 }
 
-// TestUnreadableSnapshotRefusesToBoot: a damaged snapshot is an error to
-// both daemons, never an empty grid the next save would write over it.
+// TestUnreadableSnapshotRefusesToBoot: a damaged snapshot is an error,
+// never an empty grid the next save would write over it.
 func TestUnreadableSnapshotRefusesToBoot(t *testing.T) {
 	file := filepath.Join(t.TempDir(), "mcat.json")
 	damaged := []byte(`{"Version":1,"Objects":{"/a/b":{"ID":7,` + "\x00\xff")
 	if err := os.WriteFile(file, damaged, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	for _, srbd := range []bool{true, false} {
-		fs := flag.NewFlagSet("t", flag.ContinueOnError)
-		cfg := Flags(fs)
-		if srbd {
-			cfg.CatalogFlags(fs)
-		}
-		fs.Parse([]string{"-catalog", file})
-		cfg.Name, cfg.Logf = "srb1", t.Logf
-		if rt, err := New(cfg); err == nil {
-			rt.Stop()
-			t.Errorf("srbd=%v booted over an unreadable snapshot", srbd)
-		}
-		if got, _ := os.ReadFile(file); !bytes.Equal(got, damaged) {
-			t.Fatalf("srbd=%v: the damaged snapshot was rewritten", srbd)
-		}
+	fs := flag.NewFlagSet("t", flag.ContinueOnError)
+	cfg := Flags(fs)
+	fs.Parse([]string{"-catalog", file})
+	cfg.Name, cfg.Logf = "srb1", t.Logf
+	if rt, err := New(cfg); err == nil {
+		rt.Stop()
+		t.Error("booted over an unreadable snapshot")
+	}
+	if got, _ := os.ReadFile(file); !bytes.Equal(got, damaged) {
+		t.Fatal("the damaged snapshot was rewritten")
 	}
 }
 
@@ -255,7 +242,6 @@ func TestStopWhileSaving(t *testing.T) {
 	args := []string{"-catalog", filepath.Join(dir, "mcat.json"), "-journal", filepath.Join(dir, "mcat.journal")}
 	fs := flag.NewFlagSet("t", flag.ContinueOnError)
 	cfg := Flags(fs)
-	cfg.CatalogFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +288,7 @@ func TestStopWhileSaving(t *testing.T) {
 			t.Fatalf("final snapshot lacks %s", p)
 		}
 	}
-	again, _ := boot(t, true, args...)
+	again, _ := boot(t, args...)
 	if n := len(again.Cat.SubColls("/")); n != colls {
 		t.Errorf("reopened catalog holds %d collections, want %d", n, colls)
 	}
@@ -316,7 +302,7 @@ func TestPauseDefersSaveNotShutdown(t *testing.T) {
 	fs := flag.NewFlagSet("t", flag.ContinueOnError)
 	cfg := Flags(fs)
 	fs.Parse([]string{"-catalog", file})
-	cfg.Name, cfg.Logf, cfg.AdminPw = "mysrb", t.Logf, "pw"
+	cfg.Name, cfg.Logf, cfg.AdminPw = "srb1", t.Logf, "pw"
 	cfg.saveEvery = 2 * time.Millisecond
 	rt, err := New(cfg)
 	if err != nil {

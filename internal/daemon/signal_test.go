@@ -82,7 +82,6 @@ func TestSignalBeforeRun(t *testing.T) {
 func signalChild(dir string) {
 	fs := flag.NewFlagSet("child", flag.ContinueOnError)
 	cfg := Flags(fs)
-	cfg.CatalogFlags(fs)
 	if err := fs.Parse([]string{"-catalog", filepath.Join(dir, "mcat.json")}); err != nil {
 		log.Fatal(err)
 	}

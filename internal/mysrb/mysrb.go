@@ -45,7 +45,7 @@ type App struct {
 	mux    *http.ServeMux
 	// slowOp holds the slow-request threshold in nanoseconds (0 =
 	// disabled): any session request at least this slow gets its span
-	// tree written to the log (mysrbd's -slow-op flag).
+	// tree written to the log (srbd's -slow-op flag).
 	slowOp atomic.Int64
 	// env is what the status pages report on: this process's broker.
 	env report.Env

@@ -14,7 +14,9 @@
 // high-water mark; the small usage/peer tables are written whole, last
 // entry wins on replay). Every telemetryCompactEvery flushes the store
 // compacts: snapshot first, then journal truncation — a crash between
-// the two only leaves duplicate entries, which replay deduplicates.
+// the two leaves the journal's rollups and alerts in the snapshot too,
+// and replay drops each one the snapshot already holds: a rollup by its
+// capture time, an alert by its time, rule and transition.
 // Replay is tolerant: a truncated or corrupt line is skipped, never
 // fatal, so a crash mid-append costs at most the last flush.
 package obs
@@ -34,7 +36,7 @@ import (
 )
 
 // DefaultTelemetryFlush is the default cadence of the telemetry flush
-// job (srbd/mysrbd wire it onto the repair scheduler).
+// job (srbd wires it onto the repair scheduler).
 const DefaultTelemetryFlush = 30 * time.Second
 
 // telemetryCompactEvery: flushes between snapshot compactions. At the
@@ -142,6 +144,10 @@ func (ts *TelemetryStore) load() *TelemetrySnapshot {
 		}
 	}
 	if f, err := os.Open(filepath.Join(ts.dir, "telemetry.journal")); err == nil {
+		seen := make(map[alertKey]bool, len(snap.Alerts))
+		for i := range snap.Alerts {
+			seen[snap.Alerts[i].key()] = true
+		}
 		ts.ReplaySkipped, _ = durable.Replay(f, func(line []byte) bool {
 			var e telemetryEntry
 			if json.Unmarshal(line, &e) != nil {
@@ -151,7 +157,10 @@ func (ts *TelemetryStore) load() *TelemetrySnapshot {
 			case e.Rollup != nil:
 				snap.Rollups = append(snap.Rollups, *e.Rollup)
 			case e.Alert != nil:
-				snap.Alerts = append(snap.Alerts, *e.Alert)
+				if k := e.Alert.key(); !seen[k] {
+					seen[k] = true
+					snap.Alerts = append(snap.Alerts, *e.Alert)
+				}
 			case e.Usage != nil:
 				snap.Usage = e.Usage // whole-table entries: last wins
 			case e.Peers != nil:
@@ -168,6 +177,16 @@ func (ts *TelemetryStore) load() *TelemetrySnapshot {
 	snap.Rollups = dedupRollups(snap.Rollups)
 	return snap
 }
+
+// alertKey identifies an alert transition: a rule fires or resolves at
+// most once at one instant.
+type alertKey struct {
+	at     int64
+	rule   string
+	firing bool
+}
+
+func (a *Alert) key() alertKey { return alertKey{a.At.UnixNano(), a.Rule, a.Firing} }
 
 // dedupRollups sorts by capture time and drops duplicates — compaction
 // overlap (snapshot + journal both holding an entry) is expected.
@@ -275,7 +294,7 @@ func (ts *TelemetryStore) compact(reg *Registry, log *AlertLog, now time.Time) e
 		return err
 	}
 	// Snapshot published: start a fresh journal. A crash before this
-	// point leaves the old journal whole — replay dedups the overlap. A
+	// point leaves the old journal whole — replay drops the overlap. A
 	// journal that cannot be reopened fails every later flush.
 	return ts.log.Truncate()
 }

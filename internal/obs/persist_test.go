@@ -131,6 +131,50 @@ func TestTelemetryAlertsRoundTrip(t *testing.T) {
 	}
 }
 
+// TestTelemetryCompactionCrashAlertsOnce crashes a compaction between
+// its two steps: telemetry.json is published with an alert the journal
+// still holds. Replay must restore that alert once, or the duplicate
+// seeds the live alert log and the next compaction keeps it for good.
+func TestTelemetryCompactionCrashAlertsOnce(t *testing.T) {
+	dir := t.TempDir()
+	now := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
+	ts, err := OpenTelemetryStore(dir, "srb1", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := NewRegistry()
+	log := NewAlertLog(0)
+	log.Add(Alert{At: now, Rule: "get-p99", Firing: true})
+	if err := ts.Flush(reg, log, now); err != nil {
+		t.Fatal(err)
+	}
+	j := filepath.Join(dir, "telemetry.journal")
+	journal, err := os.ReadFile(j)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ts.Close(reg, log, now.Add(time.Second)); err != nil { // compacts
+		t.Fatal(err)
+	}
+	// The crash: the journal was never truncated.
+	if err := os.WriteFile(j, journal, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	ts2, err := OpenTelemetryStore(dir, "srb1", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ts2.Close(nil, nil, now)
+	snap, err := ts2.Restore(NewRegistry())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(snap.Alerts) != 1 {
+		t.Fatalf("restored %d alerts, want 1: %+v", len(snap.Alerts), snap.Alerts)
+	}
+}
+
 // TestTelemetryCorruptJournalRecovery crashes mid-append: the journal
 // gets a truncated JSON line plus binary garbage. Replay must keep every
 // whole line and skip the rest without failing the boot.

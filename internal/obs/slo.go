@@ -424,8 +424,9 @@ func observeReplag(ws WindowStats, target string) (float64, bool) {
 }
 
 // resolveTarget finds the op family a rule names: exact match first,
-// then the conventional layer prefixes, so "get" finds "server.get" on
-// srbd and "web.get" on mysrbd without per-daemon rule files.
+// then the conventional layer prefixes in order, so on srbd, which
+// serves the wire and the web, "get" finds "server.get"; a rule on web
+// traffic alone names its web op in full ("web.open", "web.browse").
 func resolveTarget(ws WindowStats, target string) (WindowOp, bool) {
 	if o, ok := ws.Ops[target]; ok {
 		return o, true

@@ -28,11 +28,13 @@ type Env struct {
 	// and flight recorder.
 	Broker *core.Broker
 	// Zone, when set, reaches the daemon's federation peers: the grid and
-	// trace reports then cover the zone. nil (mysrbd, and srbd answering a
-	// peer) keeps them to this daemon, bounding a gather to one hop.
+	// trace reports then cover the zone. nil (MySRB's status pages, and
+	// srbd answering a peer) keeps them to this daemon, bounding a gather
+	// to one hop.
 	Zone Zone
 	// Pool, when set, reports the daemon's federation connection pool
-	// (mysrbd opens no peer connections and leaves it nil).
+	// (MySRB's status pages report on an env of their own and leave it
+	// nil).
 	Pool func() wire.PoolStats
 }
 

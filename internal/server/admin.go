@@ -20,10 +20,9 @@ import (
 // NewAdminHandler builds the admin mux over env: the operator-facing
 // HTTP endpoint riding alongside the wire listener. This package only
 // builds the handler; daemon.Runtime.ServeAdmin listens, serves it on
-// -admin-addr and shuts it down, for srbd (env from Server.AdminEnv)
-// and mysrbd (an env with no zone) alike. It is read-only
-// (but for /repair's pause and resume) and unauthenticated, so bind it
-// to localhost in production. Every status feed in
+// -admin-addr and shuts it down, over the env Server.AdminEnv gives
+// srbd. It is read-only (but for /repair's pause and resume) and
+// unauthenticated, so bind it to localhost in production. Every status feed in
 // report.All has a route, "/"+Name, derived from its row: the feed's
 // parameters are query keys (?window=5m, ?user=alice), and the answer is
 // the row's reply as JSON or its rendering as text — ?format=json or

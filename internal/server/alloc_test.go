@@ -197,9 +197,12 @@ func TestRoundTripAllocBudget(t *testing.T) {
 // owners' spools and request frames among it) was one pooled value, a
 // streamed reply's header was encoded in a pooled frame and a proxied
 // get's relay lived in its connection slot; before that they read 11
-// and 73. What is left is what the caller keeps (the data, the results)
-// and the strings decoded from each hop's args and manifests. One more
-// object on the federated read path fails here by name.
+// and 73. The multiget's fell to 10 once the client decoded its manifest
+// straight into the results it returns, with no decode closure, reply
+// or item slice of its own. What is left is what the caller keeps (the
+// data, the results) and the strings decoded from each hop's args and
+// manifests. One more object on the federated read path fails here by
+// name.
 func TestFederatedReadAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own account")
@@ -247,7 +250,7 @@ func TestFederatedReadAllocBudget(t *testing.T) {
 		name   string
 		op     func()
 		budget float64
-	}{{"proxied get", get, 4}, {"multiget(8 local, 8 remote)", multiGet, 13}} {
+	}{{"proxied get", get, 4}, {"multiget(8 local, 8 remote)", multiGet, 10}} {
 		if got := testing.AllocsPerRun(1000, c.op); got > c.budget {
 			t.Errorf("%s: %.0f heap objects, budget %.0f", c.name, got, c.budget)
 		} else {

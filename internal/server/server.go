@@ -162,9 +162,6 @@ func (s *Server) SetSlowOpThreshold(d time.Duration) {
 // Name returns the server's federation name.
 func (s *Server) Name() string { return s.name }
 
-// Tickets exposes the server's delegated-access ticket store.
-func (s *Server) Tickets() *auth.TicketStore { return s.tickets }
-
 // AddPeer registers a federated peer and the shared zone secret used
 // for server-to-server authentication.
 func (s *Server) AddPeer(name, addr, secret string) {

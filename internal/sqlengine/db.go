@@ -60,17 +60,6 @@ func (db *DB) Insert(name string, row Row) error {
 	return nil
 }
 
-// Tables lists the table names.
-func (db *DB) Tables() []string {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	out := make([]string, 0, len(db.tables))
-	for n := range db.tables {
-		out = append(out, n)
-	}
-	return out
-}
-
 // snapshot returns the table under the read lock, copied shallowly so
 // the executor works on a stable row slice.
 func (db *DB) snapshot(name string) (*Table, error) {

@@ -346,6 +346,28 @@ func (d *decoder) multiGetItem(it *MultiGetItem) {
 	it.ErrMsg = d.string()
 }
 
+// DecodeMultiGetItems decodes a MultiGetReply body without building its
+// Items: each item is handed to each in order, so a client decodes the
+// manifest straight into the results it returns. It returns the item
+// count and the length of the data stream the reply announces.
+func DecodeMultiGetItems(body []byte, each func(i int, it MultiGetItem)) (n int, dataLen int64, err error) {
+	d := decoder{b: body}
+	d.tag(d.byte(), tagMultiGetReply)
+	d.string() // Server
+	n, _ = d.length(5)
+	var it MultiGetItem
+	for i := 0; i < n && d.err == nil; i++ {
+		if d.multiGetItem(&it); d.err == nil {
+			each(i, it)
+			if it.OK {
+				dataLen += it.Size
+			}
+		}
+	}
+	d.end()
+	return n, dataLen, d.err
+}
+
 func appendBulkStatItem(b []byte, it *BulkStatItem) []byte {
 	b = appendString(b, it.Path)
 	b = appendBool(b, it.OK)

@@ -231,6 +231,46 @@ func TestCodecEdges(t *testing.T) {
 	}
 }
 
+// TestDecodeMultiGetItems: the item-by-item decode a client's multiget
+// uses hands over the items DecodeBody decodes, in order, and announces
+// their DataLen; a body cut short, or of another type, fails.
+func TestDecodeMultiGetItems(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	for i := 0; i < 200; i++ {
+		var rep MultiGetReply
+		fill(reflect.ValueOf(&rep).Elem(), r)
+		body, _ := AppendBody(nil, &rep)
+		var want MultiGetReply
+		if err := DecodeBody(body, &want); err != nil {
+			t.Fatal(err)
+		}
+		var got []MultiGetItem
+		n, dataLen, err := DecodeMultiGetItems(body, func(i int, it MultiGetItem) {
+			if i != len(got) {
+				t.Fatalf("item %d handed over as %d", len(got), i)
+			}
+			got = append(got, it)
+		})
+		if err != nil || n != len(want.Items) || dataLen != want.DataLen() || len(got) != n {
+			t.Fatalf("decoded %d items, %d bytes, %v; want %d items, %d bytes", n, dataLen, err, len(want.Items), want.DataLen())
+		}
+		for i := range got {
+			if got[i] != want.Items[i] {
+				t.Fatalf("item %d = %+v, want %+v", i, got[i], want.Items[i])
+			}
+		}
+		for cut := 0; cut < len(body); cut++ {
+			if _, _, err := DecodeMultiGetItems(body[:cut], func(int, MultiGetItem) {}); err == nil {
+				t.Fatalf("a body cut at %d of %d decoded", cut, len(body))
+			}
+		}
+	}
+	stat, _ := AppendBody(nil, &types.Stat{Path: "/p"})
+	if _, _, err := DecodeMultiGetItems(stat, func(int, MultiGetItem) {}); err == nil {
+		t.Error("a Stat body decoded as a multiget manifest")
+	}
+}
+
 // TestQueryReplyEncodesDeterministically: a hit's values travel as
 // columns in Select order, so one reply encodes to the same bytes every
 // time, and they decode into the same columns, a nil one still nil and
