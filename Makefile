@@ -76,6 +76,13 @@ JOURNAL_WRITES := \blog\(|appendLine\(|\.w\.Write\(
 # mutation makes no object for its entry or the payload it points at.
 NEW_ENTRY := &Entry\{
 
+# The line fence: a journal or snapshot line is appended by hand
+# (internal/mcat/line.go's appendEntry), never by the reflective
+# encoder, which makes an object for every time it meets. canary.go,
+# built only under the rowcanary tag, fingerprints rows with JSON.
+LINE_ENCODERS := json\.(Marshal|MarshalIndent|NewEncoder)\(
+LINE_FILES := $(filter-out %_test.go internal/mcat/canary.go,$(wildcard internal/mcat/*.go))
+
 # The lender fence: a scattered query's shard shares run on the parked
 # workers of one lender (internal/mcat/shard/query.go), whose `go`
 # statement is the only one in the package, so no query starts a
@@ -134,6 +141,7 @@ lint: vet
 	@if grep -rnF 'RegisterObject(' --include=*.go --exclude=*_test.go $(CREATE_USERS); then echo "RegisterObject in a request path: create through newObject + Catalog.Ingest (internal/core)"; exit 1; fi
 	@if grep -rnE '$(JOURNAL_WRITES)' --include=*.go --exclude=*_test.go --exclude=journal.go internal/mcat; then echo "journal write outside journal.go: commit the entry through commitLocked, which appends it before it is applied"; exit 1; fi
 	@if grep -rnE '$(NEW_ENTRY)' --include=*.go --exclude=*_test.go internal/mcat; then echo "build the entry in the line buffer (encodeLine)"; exit 1; fi
+	@if grep -nE '$(LINE_ENCODERS)' $(LINE_FILES); then echo "append journal and snapshot lines with appendEntry"; exit 1; fi
 	@if [ "$$(grep -rnE '$(GO_STMT)' --include=*.go --exclude=*_test.go internal/mcat/shard | wc -l)" -gt 1 ]; then grep -rnE '$(GO_STMT)' --include=*.go --exclude=*_test.go internal/mcat/shard; echo "hand shard work to the lender (query.go)"; exit 1; fi
 	@if grep -rnF '$(CLIENT_IMPORT)' --include=*.go --exclude=*_test.go $(SERVER_SIDE); then echo "a server reaches a server through peerCall"; exit 1; fi
 	@if [ "$$(grep -rnE '$(DIAL_WITH)' --include=*.go --exclude=*_test.go internal/client | grep -vE 'func DialWith\(' | wc -l)" -ne 1 ] || grep -rnE '$(DIAL_WITH)' --include=*.go --exclude=*_test.go internal/client | grep -vE '$(DIAL_WITH_OK)'; then grep -rnE '$(DIAL_WITH)' --include=*.go --exclude=*_test.go internal/client; echo "a call that needs a conn of its own leases one: Pool.GetExclusive"; exit 1; fi
@@ -236,9 +244,10 @@ test-phases:
 # multiget make only what their callers keep; a warm root-scope query on 4
 # shards makes only the answer it returns; a row lookup copies nothing; a
 # put's structural check walks up its path and makes nothing; a
-# decoded header's or args' strings come from one copy; a triplet or an
-# annotation makes only what the catalog keeps, and a tail exemplar
-# nothing. Then the catalog against itself: the query and
+# decoded header's or args' strings come from one copy; a triplet, an
+# annotation or a put makes only what the catalog keeps (a put's line,
+# appended by hand, nothing; a value one path holds, no set), and a tail
+# exemplar nothing. Then the catalog against itself: the query and
 # mutation differential tests (a monolith against a 4-shard router, the
 # router reopened at 3 and 1 shards, four goroutines querying one router
 # at once), the journal and snapshot fixtures
@@ -252,8 +261,9 @@ test-phases:
 # a refused delete keeping its bytes, 15 s of the LIKE matcher fuzzed
 # against the recursive matcher it replaced, 15 s of arbitrary
 # journal bytes through the one seam boot replay, replication and
-# migration share, and 15 s of arbitrary bytes through the snapshot
-# loader a follower's catch-up takes off the wire. (Minimizing an input
+# migration share, 15 s of arbitrary bytes through the snapshot
+# loader a follower's catch-up takes off the wire, and 15 s of fuzzed
+# entries through the hand-written line appender against json.Marshal. (Minimizing an input
 # as long as a journal would otherwise take the whole 15 s.) First, the
 # durable-file layer every snapshot and journal sits on: publish and
 # abort, the line log's concurrent appends and torn tail, replay's line
@@ -261,13 +271,14 @@ test-phases:
 test-mcat:
 	$(GO) test -race -count=10 ./internal/durable/
 	$(GO) test -race -count=10 ./internal/mcat/shard/
-	$(GO) test -count=3 -run 'TestQueryAllocates|TestGetObjectAllocatesNothing|TestCheckMandatoryAllocatesNothing|TestDecodeStringAllocs|TestRoundTripAllocBudget|TestFederatedReadAllocBudget|TestMutatorsKeepOnlyWhatTheyStore|TestExemplarStoreAllocs|TestScatterQueryAllocs' ./internal/mcat/ ./internal/mcat/shard/ ./internal/wire/ ./internal/server/ ./internal/obs/
+	$(GO) test -count=3 -run 'TestQueryAllocates|TestGetObjectAllocatesNothing|TestCheckMandatoryAllocatesNothing|TestDecodeStringAllocs|TestRoundTripAllocBudget|TestFederatedReadAllocBudget|TestMutatorsKeepOnlyWhatTheyStore|TestPostingSetMapsOnlyFromTheSecondPath|TestEncodeIngestLineAllocatesNothing|TestIngestKeepsOnlyWhatItStores|TestExemplarStoreAllocs|TestScatterQueryAllocs' ./internal/mcat/ ./internal/mcat/shard/ ./internal/wire/ ./internal/server/ ./internal/obs/
 	$(GO) test -race -count=10 -run 'Query|Like|Differential' ./internal/mcat/
 	$(GO) test -race -count=1 -run 'TestJournalFixture|TestSnapshotFixture|TestEveryKindRefusedWhenAppendFails' ./internal/mcat/
 	$(GO) test -race -count=1 -run 'TestRefusedMetadata|TestIngestJournalFailure|TestIngestLosingRace|TestPutCrashPoints|TestCreateThroughLinkedCollection|TestRegisterFileRefusedTriplet|TestCreateJournalEntries|TestRefusedDeleteKeepsBytes' ./internal/core/
 	$(GO) test -run '^$$' -fuzz=FuzzLikeMatch -fuzztime=15s ./internal/mcat/
 	$(GO) test -run '^$$' -fuzz=FuzzJournalReplay -fuzztime=15s -fuzzminimizetime=1s ./internal/mcat/
 	$(GO) test -run '^$$' -fuzz=FuzzSnapshotLoad -fuzztime=15s -fuzzminimizetime=1s ./internal/mcat/
+	$(GO) test -run '^$$' -fuzz=FuzzEntryLine -fuzztime=15s -fuzzminimizetime=1s ./internal/mcat/
 
 # Heat-observatory sweep: the top-K sketch (Zipf recall, decay,
 # concurrent writers, rollup fold, persistence), the keyed table the

@@ -262,10 +262,10 @@ func TestDaemonJobTableAndStopOrder(t *testing.T) {
 		stop []string
 	}{
 		{[]string{"-catalog", "mcat.json", "-telemetry-dir", "telem", "-peer", "srb9=127.0.0.1:1=zs", "-mcat-follow", "srb9"},
-			"catalog.save replica.sweep rollup heat.decay telemetry shard.gauges shard.sync",
+			"catalog.save replica.sweep rollup heat.decay auth.sweep telemetry shard.gauges shard.sync",
 			[]string{"shutting down", "repair engine stopped", "catalog saved to mcat.json", "telemetry closed", "final stats: uptime="}},
 		{[]string{"-catalog", "mcat.json", "-save-every", "0", "-rollup-interval", "0"},
-			"replica.sweep heat.decay shard.gauges",
+			"replica.sweep heat.decay auth.sweep shard.gauges",
 			[]string{"shutting down", "repair engine stopped", "catalog saved to mcat.json", "final stats: uptime="}},
 	} {
 		dir := t.TempDir()

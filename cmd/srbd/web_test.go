@@ -131,7 +131,7 @@ func TestGatewayEndToEnd(t *testing.T) {
 			ran = ran || j.Name == "rollup" && j.Runs > 0
 		}
 	}
-	if got, want := strings.Join(names, " "), "catalog.save replica.sweep rollup heat.decay telemetry shard.gauges"; got != want {
+	if got, want := strings.Join(names, " "), "catalog.save replica.sweep rollup heat.decay auth.sweep telemetry shard.gauges"; got != want {
 		t.Errorf("/repair lists %q, want %q", got, want)
 	}
 

@@ -206,8 +206,17 @@ type Ticket struct {
 type TicketStore struct {
 	mu      sync.Mutex
 	tickets map[string]*Ticket
+	// sweepAt is the count of tickets at which Issue next drops the
+	// expired and used-up ones: twice what the last sweep left, so a
+	// ticket never redeemed is not kept for good and sweeping costs O(1)
+	// an issue.
+	sweepAt int
 	now     func() time.Time
 }
+
+// minTicketSweep is the least sweepAt, so a small store is not swept on
+// every issue.
+const minTicketSweep = 64
 
 // NewTicketStore returns an empty store.
 func NewTicketStore() *TicketStore {
@@ -233,8 +242,17 @@ func (ts *TicketStore) Issue(issuer, path, level string, uses int, expires time.
 		Expires: expires,
 	}
 	ts.mu.Lock()
+	defer ts.mu.Unlock()
+	if len(ts.tickets) >= ts.sweepAt {
+		now := ts.now()
+		for id, old := range ts.tickets {
+			if old.Uses == 0 || now.After(old.Expires) {
+				delete(ts.tickets, id)
+			}
+		}
+		ts.sweepAt = max(2*len(ts.tickets), minTicketSweep)
+	}
 	ts.tickets[t.ID] = t
-	ts.mu.Unlock()
 	return t, nil
 }
 

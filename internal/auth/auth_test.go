@@ -150,6 +150,40 @@ func TestTicketExpiryAndRevoke(t *testing.T) {
 	}
 }
 
+// TestTicketStoreDropsTicketsNeverRedeemed: an expired or used-up ticket
+// that is never redeemed again is dropped by a later Issue, which sweeps
+// once the store has doubled since its last sweep, so a store of
+// abandoned tickets stays bounded.
+func TestTicketStoreDropsTicketsNeverRedeemed(t *testing.T) {
+	ts := NewTicketStore()
+	now := time.Unix(0, 0)
+	ts.SetClock(func() time.Time { return now })
+	expired, _ := ts.Issue("o", "/p", "read", -1, now.Add(time.Minute))
+	usedUp, _ := ts.Issue("o", "/p", "read", 1, now.Add(time.Hour))
+	if _, _, err := ts.Redeem(usedUp.ID, "/p"); err != nil {
+		t.Fatal(err)
+	}
+	live, _ := ts.Issue("o", "/p", "read", -1, now.Add(time.Hour))
+	now = now.Add(2 * time.Minute)
+	for i := 0; i < 10*minTicketSweep; i++ {
+		if _, err := ts.Issue("o", "/p", "read", -1, now.Add(time.Second)); err != nil {
+			t.Fatal(err)
+		}
+		now = now.Add(2 * time.Second)
+		if n := len(ts.tickets); n > minTicketSweep {
+			t.Fatalf("after %d abandoned tickets the store holds %d, want at most %d", i+1, n, minTicketSweep)
+		}
+	}
+	for _, tk := range []*Ticket{expired, usedUp} {
+		if _, ok := ts.tickets[tk.ID]; ok {
+			t.Errorf("ticket %+v was never dropped", tk)
+		}
+	}
+	if _, _, err := ts.Redeem(live.ID, "/p"); err != nil {
+		t.Errorf("a live ticket was dropped: %v", err)
+	}
+}
+
 func TestDeriveKeyDomainSeparation(t *testing.T) {
 	// Different users with the same password get different keys.
 	if string(DeriveKey("a", "pw")) == string(DeriveKey("b", "pw")) {

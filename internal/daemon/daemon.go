@@ -320,6 +320,12 @@ func (rt *Runtime) addJobs(ev *obs.SLOEvaluator, rec *obs.IncidentRecorder) {
 		reg.HeatObjects().Decay(0.5)
 		return nil
 	})
+	// Drop expired web sessions: one abandoned without a logout is never
+	// revisited, and the authenticator lives as long as the daemon.
+	row("auth.sweep", true, time.Minute, 0.1, func(*obs.Span) error {
+		rt.Authn.Sweep()
+		return nil
+	})
 	row("slo", ev != nil, cfg.SLOEvery, 0.1, func(sp *obs.Span) error {
 		for _, st := range ev.Evaluate(time.Now()) {
 			if st.Violating {

@@ -102,7 +102,7 @@ func TestRuntimeJobs(t *testing.T) {
 	}{
 		{"catalog.save", 3 * time.Minute}, {"replica.sweep", time.Minute},
 		{"scrub", time.Hour}, {"rollup", 10 * time.Second}, {"heat.decay", time.Minute},
-		{"slo", 7 * time.Second}, {"telemetry", obs.DefaultTelemetryFlush},
+		{"auth.sweep", time.Minute}, {"slo", 7 * time.Second}, {"telemetry", obs.DefaultTelemetryFlush},
 		{"shard.gauges", time.Minute},
 	}
 	jobs := rt.Engine.Status().Jobs
@@ -150,11 +150,11 @@ func TestRuntimeJobs(t *testing.T) {
 		args []string
 		want string
 	}{
-		{nil, "replica.sweep rollup heat.decay"},
-		{[]string{"-save-every", "5s"}, "replica.sweep rollup heat.decay"},
-		{[]string{"-catalog", file}, "catalog.save replica.sweep rollup heat.decay"},
-		{[]string{"-catalog", file, "-save-every", "0"}, "replica.sweep rollup heat.decay"},
-		{[]string{"-scrub-interval", "1h", "-rollup-interval", "0"}, "replica.sweep scrub heat.decay"},
+		{nil, "replica.sweep rollup heat.decay auth.sweep"},
+		{[]string{"-save-every", "5s"}, "replica.sweep rollup heat.decay auth.sweep"},
+		{[]string{"-catalog", file}, "catalog.save replica.sweep rollup heat.decay auth.sweep"},
+		{[]string{"-catalog", file, "-save-every", "0"}, "replica.sweep rollup heat.decay auth.sweep"},
+		{[]string{"-scrub-interval", "1h", "-rollup-interval", "0"}, "replica.sweep scrub heat.decay auth.sweep"},
 	} {
 		rt, _ := boot(t, c.args...)
 		if got := jobNames(rt); got != c.want {
@@ -163,6 +163,25 @@ func TestRuntimeJobs(t *testing.T) {
 		if first := rt.Engine.Status().Jobs[0]; first.Name == "catalog.save" && first.Interval != time.Minute {
 			t.Errorf("%v: saves every %s, want the 1m default", c.args, first.Interval)
 		}
+	}
+}
+
+// TestAuthSweepJob: a web session abandoned without a logout is never
+// revisited, so the auth.sweep row is what drops it once it expires.
+func TestAuthSweepJob(t *testing.T) {
+	rt, _ := boot(t)
+	now := time.Now()
+	rt.Authn.SetClock(func() time.Time { return now })
+	s, err := rt.Authn.NewSession("admin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	now = s.Expires.Add(time.Second)
+	if err := rt.Engine.RunJob("auth.sweep"); err != nil {
+		t.Fatal(err)
+	}
+	if n := rt.Authn.Sweep(); n != 0 {
+		t.Errorf("%d expired session(s) outlived the auth.sweep job", n)
 	}
 }
 

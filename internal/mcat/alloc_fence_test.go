@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"testing"
+	"time"
 
 	"gosrb/internal/acl"
 	"gosrb/internal/mcat"
@@ -203,11 +204,10 @@ func TestCheckMandatoryAllocatesNothing(t *testing.T) {
 
 // TestMutatorsKeepOnlyWhatTheyStore holds a journaled catalog's AddMeta
 // and AddAnnotation to the objects the catalog keeps: the path's first
-// metaEntry or annotation, and for a triplet the index's set of paths
-// for its new value. The entry, its line and the triplet or annotation
-// it points at are built in a pooled line buffer and make nothing; the
-// one more object an annotation costs is its creation time's JSON
-// (time.Time.MarshalJSON, ROADMAP M.4).
+// metaEntry or annotation slice. The entry, its line and the triplet or
+// annotation it points at are built in a pooled line buffer, the line
+// is appended there by hand (times included) and the index keeps a
+// value that one path holds inline, so nothing else is made.
 func TestMutatorsKeepOnlyWhatTheyStore(t *testing.T) {
 	skipUnderRace(t)
 	const runs = 200
@@ -234,13 +234,111 @@ func TestMutatorsKeepOnlyWhatTheyStore(t *testing.T) {
 		must(t, c.AddAnnotation(paths[i], types.Annotation{Author: "alice", Text: "seen"}))
 		i++
 	})
-	// A triplet keeps three objects: its path's metaEntry slice, and the
-	// new value's set of paths, a map and the group its first path lands
-	// in.
-	if addMeta != 3 {
-		t.Errorf("AddMeta makes %v objects, want 3: the metaEntry slice and the index's new set", addMeta)
+	if addMeta != 1 {
+		t.Errorf("AddMeta makes %v objects, want 1: the metaEntry slice", addMeta)
 	}
-	if annotate != 2 {
-		t.Errorf("AddAnnotation makes %v objects, want 2: the annotation slice and its time's JSON", annotate)
+	if annotate != 1 {
+		t.Errorf("AddAnnotation makes %v objects, want 1: the annotation slice", annotate)
+	}
+}
+
+// TestPostingSetMapsOnlyFromTheSecondPath: the index keeps a value that
+// one path holds inline, so a triplet whose value is new makes only its
+// path's metaEntry slice; the second path to hold a value turns the
+// value's set into a map (what a map of two costs, more than nothing);
+// a third path lands in that map and makes nothing more.
+func TestPostingSetMapsOnlyFromTheSecondPath(t *testing.T) {
+	skipUnderRace(t)
+	const runs = 100
+	c := mcat.New("admin", "local")
+	must(t, c.MkCollAll("/zone/proj", "admin"))
+	paths := make([][3]string, runs+1)
+	for i := range paths {
+		for k := range paths[i] {
+			o := &types.DataObject{Collection: "/zone/proj", Name: fmt.Sprintf("o%05d.%d", i, k), Owner: "alice"}
+			_, err := c.RegisterObject(o)
+			must(t, err)
+			paths[i][k] = o.Path()
+		}
+	}
+	values := make([]string, len(paths))
+	for i := range values {
+		values[i] = fmt.Sprint("v", i)
+	}
+	holders := func(k int) float64 {
+		i := 0
+		return testing.AllocsPerRun(runs, func() {
+			must(t, c.AddMeta(paths[i][k], types.MetaUser, types.AVU{Name: "band", Value: values[i]}))
+			i++
+		})
+	}
+	first, second, third := holders(0), holders(1), holders(2)
+	if first != 1 || third != 1 || second <= first {
+		t.Errorf("a value's first, second and third path make %v, %v and %v objects; want 1, more than 1 (the set's map) and 1", first, second, third)
+	}
+	for i, v := range values {
+		q := mcat.Query{Scope: "/", Conds: []mcat.Condition{{Attr: "band", Op: "=", Value: v}}}
+		hits, err := c.RunQuery(q)
+		must(t, err)
+		if len(hits) != 3 || hits[0].Path != paths[i][0] || hits[2].Path != paths[i][2] {
+			t.Fatalf("band = %s: %+v, want its three paths", v, hits)
+		}
+	}
+}
+
+// putRow is a one-replica put's row, as the broker hands it to Ingest.
+func putRow(id types.ObjectID, name string) *types.DataObject {
+	return &types.DataObject{
+		ID: id, Collection: "/zone/proj", Name: name, Owner: "alice", DataType: "generic",
+		Size: 4096, Checksum: "4f2a9c", Replicas: []types.Replica{{
+			Resource: "disk1", PhysicalPath: fmt.Sprintf("/vault/%03d/oid%d.r0", id%512, id),
+			Status: types.ReplicaClean, Size: 4096, Checksum: "4f2a9c",
+		}},
+	}
+}
+
+// TestEncodeIngestLineAllocatesNothing: a put's journal line, five times
+// among its fields, is appended into a pooled buffer without one object.
+func TestEncodeIngestLineAllocatesNothing(t *testing.T) {
+	skipUnderRace(t)
+	o := putRow(7, "frame.fits")
+	o.CreatedAt = time.Date(2002, 7, 24, 9, 0, 0, 123456789, time.UTC)
+	o.ModifiedAt, o.Replicas[0].CreatedAt, o.Replicas[0].ModifiedAt = o.CreatedAt, o.CreatedAt, o.CreatedAt
+	e := &mcat.Entry{Op: "ingest", Object: o, Meta: []types.AVU{{Name: "note", Value: "n7"}}}
+	if n := testing.AllocsPerRun(100, func() { must(t, mcat.EncodeLine(e)) }); n != 0 {
+		t.Errorf("encoding an ingest line allocates %v times, want 0", n)
+	}
+}
+
+// TestIngestKeepsOnlyWhatItStores pins a journaled put with one triplet
+// at the one object the catalog makes for it: its triplet's metaEntry
+// slice. The row and its path are the caller's, handed over; the line is
+// appended in a pooled buffer, times included, and the triplet's value,
+// new to the index, is kept inline. (The tables' maps grow now and then,
+// which averages out under one object a put.)
+func TestIngestKeepsOnlyWhatItStores(t *testing.T) {
+	skipUnderRace(t)
+	const runs = 200
+	c := mcat.New("admin", "local")
+	c.SetJournal(mcat.NewJournal(io.Discard))
+	must(t, c.MkCollAll("/zone/proj", "admin"))
+	rows := make([]*types.DataObject, runs+1)
+	paths := make([]string, len(rows))
+	meta := make([][]types.AVU, len(rows))
+	for i := range rows {
+		name := fmt.Sprintf("o%05d", i)
+		id, err := c.NewObjectID("/zone/proj/" + name)
+		must(t, err)
+		rows[i] = putRow(id, name)
+		paths[i] = rows[i].Path()
+		meta[i] = []types.AVU{{Name: "note", Value: fmt.Sprint("n", i)}}
+	}
+	i := 0
+	n := testing.AllocsPerRun(runs, func() {
+		must(t, c.Ingest(paths[i], rows[i], meta[i]))
+		i++
+	})
+	if n != 1 {
+		t.Errorf("a journaled put makes %v objects, want 1: its metaEntry slice", n)
 	}
 }

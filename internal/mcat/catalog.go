@@ -89,9 +89,10 @@ type tables struct {
 	fileMeta   map[string][]string // path -> logical paths of metadata-carrying files
 
 	// attrIndex is the inverted metadata index: attribute name ->
-	// value -> set of logical paths. Only queryable classes (user,
-	// type) are indexed.
-	attrIndex map[string]map[string]map[string]bool
+	// value -> the logical paths holding it (postings: one path inline,
+	// a map from the second). Only queryable classes (user, type) are
+	// indexed.
+	attrIndex map[string]map[string]postings
 
 	// repairs is the pending background-repair queue, keyed by
 	// RepairTask.Key. Enqueue/complete are journaled so the queue
@@ -121,7 +122,7 @@ func newTables(root *types.Collection) tables {
 		structural: make(map[string][]types.StructuralAttr),
 		annots:     make(map[string][]types.Annotation),
 		fileMeta:   make(map[string][]string),
-		attrIndex:  make(map[string]map[string]map[string]bool),
+		attrIndex:  make(map[string]map[string]postings),
 		repairs:    make(map[string]*types.RepairTask),
 		canary:     new(rowCanary),
 	}

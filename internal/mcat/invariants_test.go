@@ -111,8 +111,14 @@ func checkInvariants(t *testing.T, c *Catalog) {
 		}
 	}
 	for name, vals := range c.attrIndex {
-		for val, paths := range vals {
-			for p := range paths {
+		if len(vals) == 0 {
+			t.Errorf("invariant: attribute %s indexed with no value", name)
+		}
+		for val, set := range vals {
+			if set.len() == 0 {
+				t.Errorf("invariant: value %s=%s indexed with no path", name, val)
+			}
+			for _, p := range set.paths() {
 				if want[name] == nil || want[name][val] == nil || !want[name][val][p] {
 					t.Errorf("invariant: stale index entry %s=%s -> %s", name, val, p)
 				}
@@ -122,7 +128,7 @@ func checkInvariants(t *testing.T, c *Catalog) {
 	for name, vals := range want {
 		for val, paths := range vals {
 			for p := range paths {
-				if c.attrIndex[name] == nil || c.attrIndex[name][val] == nil || !c.attrIndex[name][val][p] {
+				if set := c.attrIndex[name][val]; !set.has(p) {
 					t.Errorf("invariant: missing index entry %s=%s -> %s", name, val, p)
 				}
 			}
@@ -304,4 +310,19 @@ func TestRandomOpsPreserveInvariants(t *testing.T) {
 			}
 		})
 	}
+}
+
+// paths lists the set's paths, nil for an empty set.
+func (s *postings) paths() []string {
+	if s.many == nil {
+		if s.one == "" {
+			return nil
+		}
+		return []string{s.one}
+	}
+	out := make([]string, 0, len(s.many))
+	for p := range s.many {
+		out = append(out, p)
+	}
+	return out
 }

@@ -216,18 +216,16 @@ func (j *Journal) read(pos JournalPos, max int64) (res JournalRead, ok bool) {
 	return res, true
 }
 
-// lineBuf is a journal line being encoded: a buffer and the JSON encoder
-// that writes into it, pooled, so encoding a line allocates neither
-// (json.Marshal returns every line in a fresh copy). A mutator builds
-// its entry here too (lend), with the payload the entry points at, so
+// lineBuf is a journal line being encoded: its bytes, pooled, which
+// appendEntry writes without making an object. A mutator builds its
+// entry here too (lend), with the payload the entry points at, so
 // committing it makes no object for the entry: commitLocked copies what
 // the catalog keeps of a payload, and keeps only the objects a caller
 // hands over (a created or updated row).
 type lineBuf struct {
-	bytes.Buffer
-	enc *json.Encoder
-	e   Entry
-	p   payload
+	b []byte
+	e Entry
+	p payload
 }
 
 // payload holds what a mutator's entry points at.
@@ -241,11 +239,10 @@ type payload struct {
 	repair      types.RepairTask
 }
 
-var linePool = sync.Pool{New: func() any {
-	l := new(lineBuf)
-	l.enc = json.NewEncoder(&l.Buffer)
-	return l
-}}
+// linePool's buffers start with room for a put's line with a few
+// replicas, so a line appended into a fresh one (the pool empties at
+// every GC) does not grow it step by step.
+var linePool = sync.Pool{New: func() any { return &lineBuf{b: make([]byte, 0, 2<<10)} }}
 
 // maxPooledLine bounds the buffers kept for reuse, so one outsized entry
 // does not pin its buffer.
@@ -259,8 +256,9 @@ func lend(e Entry) *lineBuf {
 	return l
 }
 
-// encodeLine encodes e as one journal line: the bytes json.Marshal(e)
-// returns, then '\n'. The caller releases it with free.
+// encodeLine encodes e as one journal line (appendEntry): the bytes
+// encoding/json marshals e to, then '\n'. The caller releases it with
+// free.
 func encodeLine(e *Entry) (*lineBuf, error) {
 	l := linePool.Get().(*lineBuf)
 	if err := l.encode(e); err != nil {
@@ -270,15 +268,15 @@ func encodeLine(e *Entry) (*lineBuf, error) {
 	return l, nil
 }
 
-func (l *lineBuf) encode(e *Entry) error {
-	l.Reset()
-	return l.enc.Encode(e)
+func (l *lineBuf) encode(e *Entry) (err error) {
+	l.b, err = appendEntry(l.b[:0], e)
+	return err
 }
 
 // free hands l back to the pool, holding nothing of its entry.
 func (l *lineBuf) free() {
 	l.e, l.p = Entry{}, payload{}
-	if l.Cap() <= maxPooledLine {
+	if cap(l.b) <= maxPooledLine {
 		linePool.Put(l)
 	}
 }
@@ -319,7 +317,7 @@ func (c *Catalog) appendLocked(j *Journal, e *Entry, line []byte) error {
 			return types.E(e.Op, e.Target(), err)
 		}
 		defer l.free()
-		line = l.Bytes()
+		line = l.b
 	}
 	if err := j.appendLine(line); err != nil {
 		c.journalFailed(err)

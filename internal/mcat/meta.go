@@ -340,37 +340,78 @@ func (c *Catalog) DeleteAnnotations(path, author string) (int, error) {
 
 // ---- inverted index and per-path state management ----
 
+// postings is the set of paths that hold one value of an attribute. A
+// value held by one path, as most are, keeps that path inline; the set
+// becomes a map only when a second path arrives, and stays one.
+type postings struct {
+	one  string
+	many map[string]struct{}
+}
+
+func (s *postings) len() int {
+	switch {
+	case s.many != nil:
+		return len(s.many)
+	case s.one != "":
+		return 1
+	}
+	return 0
+}
+
+func (s *postings) has(path string) bool {
+	if s.many != nil {
+		_, ok := s.many[path]
+		return ok
+	}
+	return s.one != "" && s.one == path
+}
+
+func (s *postings) add(path string) {
+	switch {
+	case s.many != nil:
+		s.many[path] = struct{}{}
+	case s.one == "" || s.one == path:
+		s.one = path
+	default:
+		s.many = map[string]struct{}{s.one: {}, path: {}}
+		s.one = ""
+	}
+}
+
+func (s *postings) remove(path string) {
+	if s.many != nil {
+		delete(s.many, path)
+	} else if s.one == path {
+		s.one = ""
+	}
+}
+
 // indexAdd records path under the lower-cased attribute name so query
 // matching is case-insensitive on names (values stay exact).
 func (c *Catalog) indexAdd(name, value, path string) {
 	name = strings.ToLower(name)
 	vals := c.attrIndex[name]
 	if vals == nil {
-		vals = make(map[string]map[string]bool)
+		vals = make(map[string]postings)
 		c.attrIndex[name] = vals
 	}
-	paths := vals[value]
-	if paths == nil {
-		paths = make(map[string]bool)
-		vals[value] = paths
-	}
-	paths[path] = true
+	set := vals[value]
+	set.add(path)
+	vals[value] = set
 }
 
 func (c *Catalog) indexRemove(name, value, path string) {
 	name = strings.ToLower(name)
 	vals := c.attrIndex[name]
-	if vals == nil {
+	set, ok := vals[value]
+	if !ok {
 		return
 	}
-	paths := vals[value]
-	if paths == nil {
-		return
+	set.remove(path)
+	if set.len() > 0 {
+		return // a map shrank in place, or another path stays inline
 	}
-	delete(paths, path)
-	if len(paths) == 0 {
-		delete(vals, value)
-	}
+	delete(vals, value)
 	if len(vals) == 0 {
 		delete(c.attrIndex, name)
 	}

@@ -278,7 +278,7 @@ func (c *Catalog) Ingest(path string, o *types.DataObject, meta []types.AVU) err
 	l.e.Path = path
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.commitLocked(c.journal, &l.e, l.Bytes())
+	return c.commitLocked(c.journal, &l.e, l.b)
 }
 
 // checkNewObjectLocked reports why no object named name can be made in

@@ -58,10 +58,14 @@ func (c *Catalog) Save(w io.Writer) error {
 func (c *Catalog) saveLocked(w io.Writer, gen uint64) error {
 	entries := c.exportLocked("/")
 	bw := bufio.NewWriterSize(w, 64<<10)
-	enc := json.NewEncoder(bw)
-	err := enc.Encode(snapshotHead{Version: snapshotVersion, NextID: c.nextID, Entries: len(entries), Root: c.colls["/"], Gen: gen})
+	line, err := appendHead(nil, &snapshotHead{Version: snapshotVersion, NextID: c.nextID, Entries: len(entries), Root: c.colls["/"], Gen: gen})
+	if err == nil {
+		_, err = bw.Write(line)
+	}
 	for i := 0; i < len(entries) && err == nil; i++ {
-		err = enc.Encode(&entries[i])
+		if line, err = appendEntry(line[:0], &entries[i]); err == nil {
+			_, err = bw.Write(line)
+		}
 	}
 	if err != nil {
 		return err

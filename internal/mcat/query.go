@@ -363,33 +363,43 @@ func (c *Catalog) RunQueryInto(a *Answer, q Query) error {
 
 	// Choose the smallest equality posting set, if any. A value or an
 	// attribute the index does not hold is held by no object.
-	var candidates map[string]bool
+	var candidates postings
+	narrowed := false
 	for i := range conds {
 		cc := &conds[i]
 		if cc.op != opEq || cc.src != srcMeta {
 			continue
 		}
-		set := c.attrIndex[strings.ToLower(cc.attr)][cc.want]
-		if len(set) == 0 {
+		set, ok := c.attrIndex[strings.ToLower(cc.attr)][cc.want]
+		if !ok {
 			return nil
 		}
-		if candidates == nil || len(set) < len(candidates) {
-			candidates = set
+		if !narrowed || set.len() < candidates.len() {
+			candidates, narrowed = set, true
 		}
 	}
 
 	var pathBuf [maxStackHits]string
 	paths := pathBuf[:0]
-	if candidates != nil {
-		for p := range candidates {
-			// A posting may be a collection's path: those are not hits.
-			if o, ok := c.objects[p]; ok && inScope(scope, p) && matchesAll(conds, c, p, o) {
+	// A posting may be a collection's path: those are not hits.
+	hit := func(p string) bool {
+		o, ok := c.objects[p]
+		return ok && inScope(scope, p) && matchesAll(conds, c, p, o)
+	}
+	switch {
+	case !narrowed:
+		for p, o := range c.objects {
+			if inScope(scope, p) && matchesAll(conds, c, p, o) {
 				paths = append(paths, p)
 			}
 		}
-	} else {
-		for p, o := range c.objects {
-			if inScope(scope, p) && matchesAll(conds, c, p, o) {
+	case candidates.many == nil:
+		if hit(candidates.one) {
+			paths = append(paths, candidates.one)
+		}
+	default:
+		for p := range candidates.many {
+			if hit(p) {
 				paths = append(paths, p)
 			}
 		}

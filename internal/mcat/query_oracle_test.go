@@ -122,7 +122,7 @@ func (c *Catalog) OracleRunQuery(q Query) ([]Hit, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 
-	var candidates map[string]bool
+	var candidates []string
 	for _, cond := range q.Conds {
 		if cond.Op != "=" || strings.HasPrefix(cond.Attr, "sys:") || lowerEq(cond.Attr, "annotation") {
 			continue
@@ -132,16 +132,14 @@ func (c *Catalog) OracleRunQuery(q Query) ([]Hit, error) {
 			return nil, nil
 		}
 		set := vals[cond.Value]
-		if candidates == nil || len(set) < len(candidates) {
-			candidates = set
+		if candidates == nil || set.len() < len(candidates) {
+			candidates = set.paths()
 		}
 	}
 
 	var paths []string
 	if candidates != nil {
-		for p := range candidates {
-			paths = append(paths, p)
-		}
+		paths = append(paths, candidates...)
 	} else {
 		for p := range c.objects {
 			paths = append(paths, p)

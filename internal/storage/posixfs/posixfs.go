@@ -109,7 +109,7 @@ func (f *FS) Create(path string) (storage.WriteFile, error) {
 	w := &atomicWriter{path: path}
 	err = w.Open(f.prefix, rel)
 	if errors.Is(err, fs.ErrNotExist) {
-		if err = os.MkdirAll(filepath.Dir(f.prefix+rel), 0o755); err == nil {
+		if err = mkdir(filepath.Dir(f.prefix + rel)); err == nil {
 			err = w.Open(f.prefix, rel)
 		}
 	}
@@ -117,6 +117,21 @@ func (f *FS) Create(path string) (storage.WriteFile, error) {
 		return nil, mapErr("create", path, err)
 	}
 	return w, nil
+}
+
+// mkdir makes dir for a create that found it missing. Usually only dir
+// itself is (a vault bucket's first replica), so it is made in one call;
+// only when its parent is missing too does the walk of MkdirAll run. A
+// dir a concurrent create made first is no error.
+func mkdir(dir string) error {
+	err := os.Mkdir(dir, 0o755)
+	switch {
+	case errors.Is(err, fs.ErrNotExist):
+		return os.MkdirAll(dir, 0o755)
+	case errors.Is(err, fs.ErrExist):
+		return nil
+	}
+	return err
 }
 
 // atomicWriter is a replica file staged by durable: Close publishes it,

@@ -2,6 +2,7 @@ package posixfs
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -352,5 +353,59 @@ func TestCreateOverDirectory(t *testing.T) {
 	}
 	if got, err := storage.ReadAll(d, "/full/child"); err != nil || string(got) != "x" {
 		t.Errorf("/full/child = %q, %v", got, err)
+	}
+}
+
+// TestCreateMakesItsDirectory: a Create into a missing directory makes
+// it, whether only the vault bucket is missing, the vault too (a fresh
+// root), or the vault went away after buckets were made in it; and
+// creates racing into one missing bucket all succeed.
+func TestCreateMakesItsDirectory(t *testing.T) {
+	d, err := New(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	put := func(p string) error {
+		if err := storage.WriteAll(d, p, []byte(p)); err != nil {
+			return err
+		}
+		if got, err := storage.ReadAll(d, p); err != nil || string(got) != p {
+			return fmt.Errorf("read back %q, %v", got, err)
+		}
+		return nil
+	}
+	for _, step := range []struct {
+		name, path string
+		before     func() error
+	}{
+		{"fresh root", "/vault/000/oid1.r0", nil},
+		{"missing bucket", "/vault/001/oid2.r0", nil},
+		{"missing vault", "/vault/002/oid3.r0", func() error { return os.RemoveAll(filepath.Join(d.Root(), "vault")) }},
+		{"missing parents", "/a/b/c/oid4.r0", nil},
+	} {
+		if step.before != nil {
+			if err := step.before(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := put(step.path); err != nil {
+			t.Errorf("%s: %s: %v", step.name, step.path, err)
+		}
+	}
+
+	const racers = 8
+	start := make(chan struct{})
+	errs := make(chan error, racers)
+	for i := 0; i < racers; i++ {
+		go func() {
+			<-start
+			errs <- put(fmt.Sprintf("/vault/100/oid%d.r0", i))
+		}()
+	}
+	close(start)
+	for i := 0; i < racers; i++ {
+		if err := <-errs; err != nil {
+			t.Errorf("a create racing into a missing bucket: %v", err)
+		}
 	}
 }
