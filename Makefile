@@ -113,11 +113,18 @@ AUDIT_IMPORT := "gosrb/internal/audit"
 # The file fence keeps one way to put a file on disk: a snapshot, shard
 # map, telemetry file, incident file, replica file or download is
 # published by internal/durable (Create, Replace), and a journal is a
-# durable.Log, never a rename, temp file or WriteFile of its own. The one
+# durable.Journal, never a rename, temp file or WriteFile of its own. The one
 # rename outside it is posixfs's driver Rename op, which moves an object
 # and publishes nothing.
 FILE_WRITES := os\.(Rename|CreateTemp|WriteFile)\(
 DRIVER_RENAME := ^internal/storage/posixfs/posixfs\.go:[0-9]+:\s*return mapErr\("rename", oldPath, os\.Rename\(oh, nh\)\)$$
+
+# The compacting-log fence: a store's snapshot and journal are one
+# durable.Journal, whose Resume and Compact hold the one generation rule
+# (a journal its snapshot covers is emptied, not replayed), so nothing
+# outside internal/durable opens a bare line log or empties one. A
+# time.Duration's Truncate takes an argument; a log's takes none.
+RAW_LOGS := durable\.OpenLog\(|\.Truncate\(\)
 
 # The descriptor fence keeps raw syscalls behind one seam: a replica file
 # is reached by its descriptor only in internal/durable's Linux file, so
@@ -152,7 +159,8 @@ lint: vet
 	@if grep -rnF '$(REPLICA_FILTER)' --include=*.go --exclude=*_test.go internal/server; then echo "replica filter in internal/server: ask the selector (Broker.Replicas().Owner)"; exit 1; fi
 	@if [ "$$(grep -rnE '$(PEER_CALLS)' --include=*.go --exclude=*_test.go internal/server | wc -l)" -ne 1 ]; then grep -rnE '$(PEER_CALLS)' --include=*.go --exclude=*_test.go internal/server; echo "internal/server calls a peer only through peerCall, its one Mux.CallTo"; exit 1; fi
 	@if grep -rnE '$(PRESIZED)' --include=*.go --exclude=*_test.go internal/server; then echo "a server holds forwarded bytes in a chunk.Spool, never presized from a remote length"; exit 1; fi
-	@if grep -rnE '$(FILE_WRITES)' --include=*.go --exclude=*_test.go --exclude-dir=durable cmd internal examples | grep -vE '$(DRIVER_RENAME)'; then echo "file written outside internal/durable: publish it with durable.Replace or durable.Create, append with durable.Log"; exit 1; fi
+	@if grep -rnE '$(FILE_WRITES)' --include=*.go --exclude=*_test.go --exclude-dir=durable cmd internal examples | grep -vE '$(DRIVER_RENAME)'; then echo "file written outside internal/durable: publish it with durable.Replace or durable.Create, append with durable.Journal"; exit 1; fi
+	@if grep -rnE '$(RAW_LOGS)' --exclude-dir=durable $(GO_SRC); then echo "a store's snapshot and journal go through durable's compacting log"; exit 1; fi
 	@if grep -rnE '$(RAW_SYSCALLS)' --include=*.go cmd internal examples bench | grep -vE '$(RAW_SEAM)'; then echo "raw syscall outside internal/durable/fd_linux.go: reach files through durable"; exit 1; fi
 	GOOS=darwin $(GO) vet ./internal/... ./cmd/...
 	GOOS=windows $(GO) vet $(CROSS_PKGS)
@@ -267,7 +275,8 @@ test-phases:
 # as long as a journal would otherwise take the whole 15 s.) First, the
 # durable-file layer every snapshot and journal sits on: publish and
 # abort, the line log's concurrent appends and torn tail, replay's line
-# limits.
+# limits, and the compacting log's generation rule at each crash point
+# (TestCompactingLogCrashRule).
 test-mcat:
 	$(GO) test -race -count=10 ./internal/durable/
 	$(GO) test -race -count=10 ./internal/mcat/shard/

@@ -26,7 +26,7 @@ func TestChaosFlightRecorder(t *testing.T) {
 	b1.Metrics().CaptureRollup(now.Add(-5 * time.Minute))
 
 	dir := t.TempDir()
-	telem, err := obs.OpenTelemetryStore(dir, "srb1", time.Hour)
+	telem, err := obs.OpenTelemetryStore(dir, time.Hour)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestChaosFlightRecorder(t *testing.T) {
 	if err := telem.Close(b1.Metrics(), ev.AlertLog(), now); err != nil {
 		t.Fatal(err)
 	}
-	telem2, err := obs.OpenTelemetryStore(dir, "srb1", time.Hour)
+	telem2, err := obs.OpenTelemetryStore(dir, time.Hour)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,6 +12,7 @@ import (
 
 	"gosrb/internal/acl"
 	"gosrb/internal/core"
+	"gosrb/internal/durable"
 	"gosrb/internal/mcat"
 	"gosrb/internal/mcat/shard"
 	"gosrb/internal/storage"
@@ -62,7 +63,7 @@ func filesOn(disks []*memfs.FS) int {
 func TestRefusedMetadataStoresNothing(t *testing.T) {
 	cat := mcat.New("admin", "sdsc")
 	var jnl bytes.Buffer
-	cat.SetJournal(mcat.NewJournal(&jnl))
+	cat.SetJournal(durable.NewJournal(&jnl))
 	b, disks := commitRig(t, cat)
 	lines := jnl.Len()
 
@@ -107,7 +108,7 @@ func TestIngestJournalFailureNotAcknowledged(t *testing.T) {
 	cat := shard.NewRouter(1, "admin", "sdsc")
 	b, disks := commitRig(t, cat)
 	disk := &failingDisk{n: 2}
-	cat.AttachJournal(0, mcat.NewJournal(disk))
+	cat.AttachJournal(0, durable.NewJournal(disk))
 
 	put := func(name string) error {
 		_, err := b.Ingest("alice", core.IngestOpts{
@@ -161,7 +162,7 @@ func TestRefusedDeleteKeepsBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	files := filesOn(disks)
-	cat.AttachJournal(0, mcat.NewJournal(&failingDisk{n: 1}))
+	cat.AttachJournal(0, durable.NewJournal(&failingDisk{n: 1}))
 
 	if err := b.Delete("alice", "/home/f"); !errors.Is(err, errIO) {
 		t.Errorf("delete whose append fails: err = %v, want the append's error", err)

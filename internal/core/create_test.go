@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"gosrb/internal/core"
+	"gosrb/internal/durable"
 	"gosrb/internal/mcat"
 	"gosrb/internal/mcat/shard"
 	"gosrb/internal/storage"
@@ -116,7 +117,7 @@ func TestCreateThroughLinkedCollection(t *testing.T) {
 func TestRegisterFileRefusedTripletStoresNothing(t *testing.T) {
 	cat := mcat.New("admin", "sdsc")
 	var jnl bytes.Buffer
-	cat.SetJournal(mcat.NewJournal(&jnl))
+	cat.SetJournal(durable.NewJournal(&jnl))
 	b, _ := createRig(t, cat)
 	lines := jnl.Len()
 
@@ -148,13 +149,13 @@ func TestCreateJournalEntries(t *testing.T) {
 		if shards == 0 {
 			mono := mcat.New("admin", "sdsc")
 			bufs = append(bufs, new(bytes.Buffer))
-			mono.SetJournal(mcat.NewJournal(bufs[0]))
+			mono.SetJournal(durable.NewJournal(bufs[0]))
 			cat = mono
 		} else {
 			r := shard.NewRouter(shards, "admin", "sdsc")
 			for i := 0; i < shards; i++ {
 				bufs = append(bufs, new(bytes.Buffer))
-				r.AttachJournal(i, mcat.NewJournal(bufs[i]))
+				r.AttachJournal(i, durable.NewJournal(bufs[i]))
 			}
 			cat = r
 		}

@@ -134,7 +134,7 @@ func flightCell(tb testing.TB, on bool) func(int) error {
 		return func(i int) error { return obsBenchOp(br, false, i) }
 	}
 	reg := br.Metrics()
-	telem, err := obs.OpenTelemetryStore(tb.TempDir(), "bench", time.Hour)
+	telem, err := obs.OpenTelemetryStore(tb.TempDir(), time.Hour)
 	if err != nil {
 		tb.Fatal(err)
 	}

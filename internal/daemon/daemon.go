@@ -234,7 +234,7 @@ func New(cfg *Config) (*Runtime, error) {
 	// across the restart.
 	var restoredAlerts []obs.Alert
 	if cfg.TelemetryDir != "" {
-		if rt.telem, err = obs.OpenTelemetryStore(cfg.TelemetryDir, cfg.Name, cfg.TelemetryRet); err != nil {
+		if rt.telem, err = obs.OpenTelemetryStore(cfg.TelemetryDir, cfg.TelemetryRet); err != nil {
 			return nil, fmt.Errorf("telemetry: %w", err)
 		}
 		snap, err := rt.telem.Restore(reg)

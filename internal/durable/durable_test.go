@@ -140,7 +140,7 @@ func TestReplay(t *testing.T) {
 
 func TestLogAppend(t *testing.T) {
 	var buf bytes.Buffer
-	l := NewLog(&buf)
+	l := NewJournal(&buf)
 	for _, line := range []string{"a", "b\n", ""} {
 		if err := l.Append([]byte(line)); err != nil {
 			t.Fatal(err)
@@ -160,11 +160,11 @@ func TestLogAppend(t *testing.T) {
 	}
 }
 
-// TestLogFile drives a file-backed log through a reopen, Truncate and a
+// TestLogFile drives a file journal through a reopen, an emptying and a
 // reopen that fails.
 func TestLogFile(t *testing.T) {
 	final := filepath.Join(t.TempDir(), "log")
-	l, err := OpenLog(final)
+	l, err := OpenJournal(final)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestLogFile(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if l, err = OpenLog(final); err != nil {
+	if l, err = OpenJournal(final); err != nil {
 		t.Fatal(err)
 	}
 	l.Append([]byte("b"))
@@ -182,7 +182,7 @@ func TestLogFile(t *testing.T) {
 	if b, _ := os.ReadFile(final); string(b) != "a\nb\n" {
 		t.Fatalf("reopened log = %q", b)
 	}
-	if err := l.Truncate(); err != nil {
+	if err := l.empty(0); err != nil {
 		t.Fatal(err)
 	}
 	l.Append([]byte("c"))
@@ -196,8 +196,8 @@ func TestLogFile(t *testing.T) {
 	if err := os.MkdirAll(filepath.Join(final, "child"), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Truncate(); err == nil {
-		t.Fatal("Truncate over a directory succeeded")
+	if err := l.empty(0); err == nil {
+		t.Fatal("emptying over a directory succeeded")
 	}
 	if err := l.Append([]byte("d")); err == nil {
 		t.Error("Append after a failed reopen succeeded")
@@ -215,7 +215,7 @@ func TestLogTornTail(t *testing.T) {
 	if err := os.WriteFile(path, []byte("one\ntw"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	l, err := OpenLog(path)
+	l, err := OpenJournal(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +248,7 @@ func TestLogTornTail(t *testing.T) {
 	}
 
 	// A log that ends with its newline gains no blank line.
-	if l, err = OpenLog(path); err != nil {
+	if l, err = OpenJournal(path); err != nil {
 		t.Fatal(err)
 	}
 	l.Append([]byte("five"))
@@ -262,7 +262,7 @@ func TestLogTornTail(t *testing.T) {
 // whole, each as one line.
 func TestLogConcurrentAppends(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "log")
-	l, err := OpenLog(path)
+	l, err := OpenJournal(path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"gosrb/internal/acl"
+	"gosrb/internal/durable"
 	"gosrb/internal/mcat"
 	"gosrb/internal/mcat/shard"
 	"gosrb/internal/types"
@@ -212,7 +213,7 @@ func TestMutatorsKeepOnlyWhatTheyStore(t *testing.T) {
 	skipUnderRace(t)
 	const runs = 200
 	c := mcat.New("admin", "local")
-	c.SetJournal(mcat.NewJournal(io.Discard))
+	c.SetJournal(durable.NewJournal(io.Discard))
 	must(t, c.MkCollAll("/zone/proj", "admin"))
 	paths := make([]string, 2*(runs+1))
 	for i := range paths {
@@ -320,7 +321,7 @@ func TestIngestKeepsOnlyWhatItStores(t *testing.T) {
 	skipUnderRace(t)
 	const runs = 200
 	c := mcat.New("admin", "local")
-	c.SetJournal(mcat.NewJournal(io.Discard))
+	c.SetJournal(durable.NewJournal(io.Discard))
 	must(t, c.MkCollAll("/zone/proj", "admin"))
 	rows := make([]*types.DataObject, runs+1)
 	paths := make([]string, len(rows))

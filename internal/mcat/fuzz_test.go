@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"gosrb/internal/acl"
+	"gosrb/internal/durable"
 	"gosrb/internal/types"
 )
 
@@ -19,7 +20,7 @@ func FuzzJournalReplay(f *testing.F) {
 	// Seed: a journal produced by a representative mutation sequence.
 	var buf bytes.Buffer
 	c := New("admin", "local")
-	c.SetJournal(NewJournal(&buf))
+	c.SetJournal(durable.NewJournal(&buf))
 	fuzzSeed(c)
 	full := buf.Bytes()
 	f.Add(full)

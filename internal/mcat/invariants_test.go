@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"gosrb/internal/acl"
+	"gosrb/internal/durable"
 	"gosrb/internal/types"
 )
 
@@ -196,7 +197,7 @@ func TestRandomOpsPreserveInvariants(t *testing.T) {
 			rnd := rand.New(rand.NewSource(seed))
 			var journal bytes.Buffer
 			c := New("admin", "sdsc")
-			c.SetJournal(NewJournal(&journal))
+			c.SetJournal(durable.NewJournal(&journal))
 
 			colls := []string{"/"}
 			var objs []string

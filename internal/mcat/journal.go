@@ -3,10 +3,7 @@ package mcat
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"io"
-	"math"
-	"math/rand/v2"
 	"sync"
 
 	"gosrb/internal/durable"
@@ -71,149 +68,26 @@ type Entry struct {
 	Meta []types.AVU `json:",omitempty"`
 }
 
-// Journal receives catalog mutations: a durable.Log that replicas read
-// by position (JournalPos). Safe for concurrent use. A file or memory
-// journal starts with a head line naming its generation, a random
-// nonzero ID it takes each time it is emptied: at creation and at every
-// Catalog.Compact. The head is not an entry; replay and ReadJournal
-// pass over it. Any other journal, or a file an older binary wrote, has
-// no head: generation 0, which names no journal.
-type Journal struct {
-	mu       sync.Mutex
-	log      *durable.Log
-	gen      uint64
-	head     int64 // the head line's length: where entries start
-	readable bool  // a file or memory journal: it takes a head and is read by position
-	max      int64 // a memory journal's bound: an append past it empties the journal first
-}
+// Journal receives catalog mutations: the journal of durable's
+// compacting log, which replicas read by position (JournalPos).
+type Journal = durable.Journal
+
+// JournalPos is a replica's position in a journal (durable.Pos).
+type JournalPos = durable.Pos
 
 // memJournalMax bounds a memory journal: about 4 096 typical lines.
 const memJournalMax = 4 << 20
 
-// JournalPos is a replica's position in a journal: its generation and
-// the offset of the next line the replica needs. It outlives a restart
-// of the writer, and comes off the wire as outside input.
-type JournalPos struct {
-	Gen uint64
-	Off int64
-}
+// NewMemJournal returns a memory journal bounded by memJournalMax.
+func NewMemJournal() *Journal { return durable.NewMemJournal(memJournalMax) }
 
-// headPrefix starts a journal's head line, {"Gen":<generation>}. No
-// entry starts with it: Op is an entry's first field.
-var headPrefix = []byte(`{"Gen":`)
-
-// NewJournal wraps a writer as an append log, with no head.
-func NewJournal(w io.Writer) *Journal { return &Journal{log: durable.NewLog(w)} }
-
-// NewMemJournal returns a journal kept in memory, read as a file
-// journal is, that empties itself past memJournalMax bytes.
-func NewMemJournal() *Journal {
-	j := &Journal{log: durable.NewMemLog(), readable: true, max: memJournalMax}
-	j.empty(newGen()) // memory takes every write
-	return j
-}
-
-// OpenJournalFile opens (creating or appending) a file-backed journal
-// and reads its generation from its head; a file too short for one has
-// none.
+// OpenJournalFile opens (creating or appending) a file journal.
 func OpenJournalFile(path string) (*Journal, error) {
-	l, err := durable.OpenLog(path)
+	j, err := durable.OpenJournal(path)
 	if err != nil {
 		return nil, types.E("journal", path, err)
 	}
-	j := &Journal{log: l, readable: true}
-	var buf [64]byte
-	n, _ := l.ReadAt(buf[:], 0)
-	var h struct{ Gen uint64 }
-	if line, _, ok := bytes.Cut(buf[:n], []byte{'\n'}); ok && bytes.HasPrefix(line, headPrefix) && json.Unmarshal(line, &h) == nil {
-		j.gen, j.head = h.Gen, int64(len(line)+1)
-	}
 	return j, nil
-}
-
-// newGen returns a random nonzero generation.
-func newGen() uint64 { return rand.Uint64N(math.MaxUint64) + 1 }
-
-// Close syncs and closes a file-backed journal; later appends fail.
-func (j *Journal) Close() error { return j.log.Close() }
-
-// Sync flushes a file-backed journal to stable storage.
-func (j *Journal) Sync() error { return j.log.Sync() }
-
-// Pos returns the position past the journal's last byte (zero for nil).
-func (j *Journal) Pos() JournalPos {
-	if j == nil {
-		return JournalPos{}
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return JournalPos{j.gen, j.log.Size()}
-}
-
-// empty empties the journal and, if it is readable and gen is not 0,
-// starts it with gen's head.
-func (j *Journal) empty(gen uint64) error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.emptyLocked(gen)
-}
-
-func (j *Journal) emptyLocked(gen uint64) error {
-	j.gen, j.head = 0, 0
-	if err := j.log.Truncate(); err != nil || !j.readable || gen == 0 {
-		return err
-	}
-	head := fmt.Appendf(nil, "%s%d}\n", headPrefix, gen)
-	if err := j.log.Append(head); err != nil {
-		return err
-	}
-	j.gen, j.head = gen, int64(len(head))
-	return nil
-}
-
-// read returns the whole lines from pos, passing over and counting the
-// ones that do not parse (a torn write's fragment). ok is false when pos
-// is not the start of a line of this journal: another generation or 0,
-// an offset before the first entry, past the end or inside a line.
-func (j *Journal) read(pos JournalPos, max int64) (res JournalRead, ok bool) {
-	if j == nil {
-		return res, false
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	size := j.log.Size()
-	if !j.readable || pos.Gen == 0 || pos.Gen != j.gen || pos.Off < j.head || pos.Off > size {
-		return res, false
-	}
-	if pos.Off > j.head {
-		var prev [1]byte
-		if _, err := j.log.ReadAt(prev[:], pos.Off-1); err != nil || prev[0] != '\n' {
-			return res, false
-		}
-	}
-	buf := make([]byte, min(size-pos.Off, max))
-	for {
-		if _, err := j.log.ReadAt(buf, pos.Off); err != nil {
-			return res, false
-		}
-		if bytes.IndexByte(buf, '\n') >= 0 || pos.Off+int64(len(buf)) == size {
-			break
-		}
-		buf = make([]byte, min(size-pos.Off, 2*int64(len(buf))))
-	}
-	end := bytes.LastIndexByte(buf, '\n') + 1
-	for _, line := range bytes.Split(buf[:end], []byte{'\n'}) {
-		switch {
-		case len(line) == 0:
-		case json.Valid(line):
-			res.Entries = append(res.Entries, line)
-		default:
-			res.Skipped++
-		}
-	}
-	res.Pos = JournalPos{pos.Gen, pos.Off + int64(end)}
-	res.Full = end > 0 && res.Pos.Off < size
-	return res, true
 }
 
 // lineBuf is a journal line being encoded: its bytes, pooled, which
@@ -281,21 +155,6 @@ func (l *lineBuf) free() {
 	}
 }
 
-// appendLine issues one line as one Write, which keeps a torn append at
-// most one line long. A line handed over without its newline, as
-// replication carries a leader's lines, gets one. A memory journal the
-// line would take past its bound is emptied first.
-func (j *Journal) appendLine(line []byte) error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.max > 0 && j.log.Size()+int64(len(line)) >= j.max {
-		if err := j.emptyLocked(newGen()); err != nil {
-			return err
-		}
-	}
-	return j.log.Append(line)
-}
-
 // SetJournal attaches (or with nil detaches) the catalog's append log.
 // Mutations made while attached are recorded; reads never are.
 func (c *Catalog) SetJournal(j *Journal) {
@@ -319,7 +178,7 @@ func (c *Catalog) appendLocked(j *Journal, e *Entry, line []byte) error {
 		defer l.free()
 		line = l.b
 	}
-	if err := j.appendLine(line); err != nil {
+	if err := j.Append(line); err != nil {
 		c.journalFailed(err)
 		return types.E(e.Op, e.Target(), err)
 	}
@@ -375,9 +234,6 @@ type ReplayStats struct {
 // surfaces the count (log + metric).
 func (c *Catalog) ReplayCounted(r io.Reader) (st ReplayStats, err error) {
 	st.Corrupt, err = durable.Replay(r, func(line []byte) bool {
-		if bytes.HasPrefix(line, headPrefix) {
-			return true
-		}
 		var e Entry
 		if json.Unmarshal(line, &e) != nil {
 			return false
@@ -395,25 +251,17 @@ func (c *Catalog) ReplayCounted(r io.Reader) (st ReplayStats, err error) {
 }
 
 // Resume brings the catalog, just loaded, up to its journal file j and
-// attaches j. A snapshot Compact published names the generation it
-// emptied j under; if j is in another, the compaction was cut before
-// that, the snapshot holds all of j, and j is emptied under the
-// snapshot's generation rather than replayed twice. Otherwise j is
-// replayed, and an empty j with no head takes a new generation.
+// attaches j: j is replayed unless the loaded snapshot covers it
+// (durable.Journal.Resume).
 func (c *Catalog) Resume(j *Journal) (ReplayStats, error) {
 	c.mu.RLock()
 	snap := c.snapGen
 	c.mu.RUnlock()
 	var st ReplayStats
-	var err error
-	switch pos := j.Pos(); {
-	case snap != 0 && pos.Gen != snap:
-		err = j.empty(snap)
-	case pos.Gen == 0 && pos.Off == 0:
-		err = j.empty(newGen())
-	default:
-		st, err = c.ReplayCounted(io.NewSectionReader(j.log, 0, pos.Off))
-	}
+	err := j.Resume(snap, func(r io.Reader) (err error) {
+		st, err = c.ReplayCounted(r)
+		return err
+	})
 	if err != nil {
 		return st, types.E("journal", "", err)
 	}
@@ -424,11 +272,8 @@ func (c *Catalog) Resume(j *Journal) (ReplayStats, error) {
 // JournalRead is one ReadJournal: lines, or a snapshot; Pos is where the
 // reader is once it applied them, and Full says more lines follow.
 type JournalRead struct {
-	Entries  [][]byte `json:",omitempty"`
-	Snapshot []byte   `json:",omitempty"`
-	Pos      JournalPos
-	Full     bool `json:",omitempty"`
-	Skipped  int  `json:"-"` // lines passed over because they do not parse
+	durable.Lines
+	Snapshot []byte `json:",omitempty"`
 }
 
 // ReadJournal reads the attached journal from pos under one hold of the
@@ -438,14 +283,14 @@ type JournalRead struct {
 func (c *Catalog) ReadJournal(pos JournalPos, max int64) (JournalRead, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	if res, ok := c.journal.read(pos, max); ok {
-		return res, nil
+	if res, ok := c.journal.Read(pos, max); ok {
+		return JournalRead{Lines: res}, nil
 	}
 	var buf bytes.Buffer
 	if err := c.saveLocked(&buf, 0); err != nil {
 		return JournalRead{}, err
 	}
-	return JournalRead{Snapshot: buf.Bytes(), Pos: c.journal.Pos()}, nil
+	return JournalRead{Lines: durable.Lines{Pos: c.journal.Pos()}, Snapshot: buf.Bytes()}, nil
 }
 
 // JournalPos returns the position past the attached journal's end.

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"gosrb/internal/acl"
+	"gosrb/internal/durable"
 	"gosrb/internal/mcat"
 	"gosrb/internal/mcat/shard"
 	"gosrb/internal/types"
@@ -175,7 +176,7 @@ func checkFixture(t *testing.T, file string, script func(*testing.T, shard.Catal
 	var buf bytes.Buffer
 	live := mcat.New("admin", "sdsc")
 	live.SetClock(func() time.Time { return fixtureEpoch })
-	live.SetJournal(mcat.NewJournal(&buf))
+	live.SetJournal(durable.NewJournal(&buf))
 	script(t, live)
 	if !bytes.Equal(buf.Bytes(), fixture) {
 		t.Errorf("the fixture script no longer journals the bytes of %s:\n%s", file, buf.Bytes())
@@ -184,7 +185,7 @@ func checkFixture(t *testing.T, file string, script func(*testing.T, shard.Catal
 	var routed bytes.Buffer
 	r := shard.NewRouter(1, "admin", "sdsc")
 	r.SetClock(func() time.Time { return fixtureEpoch })
-	r.AttachJournal(0, mcat.NewJournal(&routed))
+	r.AttachJournal(0, durable.NewJournal(&routed))
 	script(t, r)
 	if !bytes.Equal(routed.Bytes(), fixture) {
 		t.Errorf("the fixture script through a one-shard router journals other bytes than %s:\n%s", file, routed.Bytes())
@@ -243,7 +244,7 @@ func TestEveryKindRefusedWhenAppendFails(t *testing.T) {
 			t.Fatalf("line %d: replaying the lines before it: %+v, %v", k+1, st, err)
 		}
 		before := dump(c, fixtureID)
-		c.SetJournal(mcat.NewJournal(refusingDisk{}))
+		c.SetJournal(durable.NewJournal(refusingDisk{}))
 		if err := c.Apply(e); err == nil || c.JournalErr() == nil {
 			t.Errorf("line %d, %s: Apply = %v, JournalErr = %v; want the append's error latched", k+1, e.Op, err, c.JournalErr())
 		}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"gosrb/internal/acl"
+	"gosrb/internal/durable"
 	"gosrb/internal/types"
 )
 
@@ -17,7 +18,7 @@ func journalRoundTrip(t *testing.T, mutate func(c *Catalog)) (*Catalog, *Catalog
 	t.Helper()
 	var buf bytes.Buffer
 	c1 := New("admin", "sdsc")
-	c1.SetJournal(NewJournal(&buf))
+	c1.SetJournal(durable.NewJournal(&buf))
 	mutate(c1)
 	c2 := New("admin", "sdsc")
 	if _, err := c2.ReplayCounted(bytes.NewReader(buf.Bytes())); err != nil {
@@ -135,7 +136,7 @@ func TestSnapshotPlusJournalTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	var tail bytes.Buffer
-	c1.SetJournal(NewJournal(&tail))
+	c1.SetJournal(durable.NewJournal(&tail))
 	mustRegister(t, c1, "/d", "after", "admin")
 	c1.AddMeta("/d/after", types.MetaUser, types.AVU{Name: "k", Value: "v"})
 
@@ -157,7 +158,7 @@ func TestSnapshotPlusJournalTail(t *testing.T) {
 func TestReplayIsIdempotentOnDuplicates(t *testing.T) {
 	var buf bytes.Buffer
 	c1 := New("admin", "sdsc")
-	c1.SetJournal(NewJournal(&buf))
+	c1.SetJournal(durable.NewJournal(&buf))
 	c1.MkColl("/d", "admin")
 	mustRegister(t, c1, "/d", "f", "admin")
 
@@ -236,12 +237,12 @@ func TestJournalFile(t *testing.T) {
 func TestReplayDoesNotRelog(t *testing.T) {
 	var src bytes.Buffer
 	c1 := New("admin", "sdsc")
-	c1.SetJournal(NewJournal(&src))
+	c1.SetJournal(durable.NewJournal(&src))
 	c1.MkColl("/d", "admin")
 
 	var dst bytes.Buffer
 	c2 := New("admin", "sdsc")
-	c2.SetJournal(NewJournal(&dst))
+	c2.SetJournal(durable.NewJournal(&dst))
 	if _, err := c2.ReplayCounted(bytes.NewReader(src.Bytes())); err != nil {
 		t.Fatal(err)
 	}
@@ -259,8 +260,8 @@ func TestReplayDoesNotRelog(t *testing.T) {
 // generation: a position in the old one reads nothing and is sent a
 // snapshot, and the new generation reads the line that overflowed it.
 func TestMemJournalEmptiesPastBound(t *testing.T) {
-	j := NewMemJournal()
-	j.max = 512
+	const max = 512
+	j := durable.NewMemJournal(max)
 	c := New("admin", "sdsc")
 	c.SetJournal(j)
 	start := j.Pos()
@@ -272,14 +273,15 @@ func TestMemJournalEmptiesPastBound(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if size := j.Pos().Off; size >= j.max {
-		t.Errorf("the emptied journal is %d bytes, past its bound %d", size, j.max)
+	if size := j.Pos().Off; size >= max {
+		t.Errorf("the emptied journal is %d bytes, past its bound %d", size, max)
 	}
 	old, err := c.ReadJournal(start, 1<<20)
 	if err != nil || old.Snapshot == nil || old.Pos != j.Pos() {
 		t.Fatalf("read from the old generation: snapshot %v at %+v, %v; want a catch-up at %+v", old.Snapshot != nil, old.Pos, err, j.Pos())
 	}
-	fresh, err := c.ReadJournal(JournalPos{Gen: j.Pos().Gen, Off: j.head}, 1<<20)
+	head := int64(len(durable.AppendHead(nil, j.Pos().Gen)))
+	fresh, err := c.ReadJournal(JournalPos{Gen: j.Pos().Gen, Off: head}, 1<<20)
 	if err != nil || len(fresh.Entries) != 1 || fresh.Pos != j.Pos() {
 		t.Errorf("read from the new generation: %d entries to %+v, %v; want the line that overflowed it", len(fresh.Entries), fresh.Pos, err)
 	}

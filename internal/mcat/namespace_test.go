@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"gosrb/internal/durable"
 	"gosrb/internal/types"
 )
 
@@ -269,7 +270,7 @@ func TestDeleteObjectAndColl(t *testing.T) {
 func TestDeleteObjectDropsAttachments(t *testing.T) {
 	c := newCat(t)
 	var buf bytes.Buffer
-	c.SetJournal(NewJournal(&buf))
+	c.SetJournal(durable.NewJournal(&buf))
 	mustMkColl(t, c, "/d", "admin")
 	for _, name := range []string{"x", "y", "meta", "other"} {
 		mustRegister(t, c, "/d", name, "u")
@@ -309,7 +310,7 @@ func TestDeleteObjectDropsAttachments(t *testing.T) {
 func TestMoveObjectMovesAttachments(t *testing.T) {
 	c := newCat(t)
 	var buf bytes.Buffer
-	c.SetJournal(NewJournal(&buf))
+	c.SetJournal(durable.NewJournal(&buf))
 	mustMkColl(t, c, "/a", "admin")
 	mustMkColl(t, c, "/b", "admin")
 	mustRegister(t, c, "/a", "x", "u")

@@ -9,7 +9,6 @@ import (
 	"os"
 
 	"gosrb/internal/acl"
-	"gosrb/internal/durable"
 	"gosrb/internal/types"
 )
 
@@ -135,27 +134,16 @@ func rows[V any](m map[string]V) map[string]*V {
 }
 
 // Compact publishes the catalog's snapshot at path (none if path is
-// empty), then empties the attached journal under a new generation the
-// snapshot names, under one hold of the read lock: every line the
-// journal held is in the snapshot, and every later one lands in the
-// emptied journal, where no old position reads.
+// empty) and empties the attached journal under the generation the
+// snapshot names (durable.Journal.Compact), under one hold of the read
+// lock, so no append lands between the two.
 func (c *Catalog) Compact(path string) error {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	j := c.journal
-	var gen uint64
-	if j != nil && j.readable {
-		gen = newGen()
+	if err := c.journal.Compact(path, c.saveLocked); err != nil {
+		return types.E("save", path, err)
 	}
-	if path != "" {
-		if err := durable.Replace(path, func(w io.Writer) error { return c.saveLocked(w, gen) }); err != nil {
-			return types.E("save", path, err)
-		}
-	}
-	if j == nil {
-		return nil
-	}
-	return j.empty(gen)
+	return nil
 }
 
 // LoadFile loads a snapshot from path.

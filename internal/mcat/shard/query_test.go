@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"gosrb/internal/durable"
 	"gosrb/internal/mcat"
 	"gosrb/internal/types"
 )
@@ -114,7 +115,7 @@ func heldShard(t *testing.T, r *Router) (victim int, release func()) {
 	t.Helper()
 	victim = r.homeIdx("/c0/held")
 	w := &gateWriter{started: make(chan struct{}), gate: make(chan struct{})}
-	r.AttachJournal(victim, mcat.NewJournal(w))
+	r.AttachJournal(victim, durable.NewJournal(w))
 	done := make(chan error, 1)
 	go func() { done <- r.MkColl("/c0/held", "admin") }()
 	<-w.started

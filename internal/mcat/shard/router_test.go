@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"gosrb/internal/acl"
+	"gosrb/internal/durable"
 	"gosrb/internal/mcat"
 	"gosrb/internal/types"
 )
@@ -207,7 +208,7 @@ func TestCrossShardMoveObject(t *testing.T) {
 		t.Fatal(err)
 	}
 	var dst bytes.Buffer
-	r.AttachJournal(r.homeIdx(dstColl), mcat.NewJournal(&dst))
+	r.AttachJournal(r.homeIdx(dstColl), durable.NewJournal(&dst))
 	if err := r.MoveObject(src, dstColl, "moved.dat"); err != nil {
 		t.Fatalf("MoveObject: %v", err)
 	}
@@ -337,7 +338,7 @@ func TestQueryDeadlineProducesPartial(t *testing.T) {
 	seedGrid(t, r)
 	victim := r.homeIdx("/projects/p1")
 	w := &gateWriter{started: make(chan struct{}), gate: make(chan struct{})}
-	r.AttachJournal(victim, mcat.NewJournal(w))
+	r.AttachJournal(victim, durable.NewJournal(w))
 	done := make(chan error, 1)
 	go func() { done <- r.MkColl("/projects/p1/held", "admin") }()
 	<-w.started // the mutation now holds the victim shard's write lock
@@ -481,7 +482,7 @@ func TestScatterReuseAfterDeadline(t *testing.T) {
 
 	victim := r.homeIdx("/c0/held")
 	w := &gateWriter{started: make(chan struct{}), gate: make(chan struct{})}
-	r.AttachJournal(victim, mcat.NewJournal(w))
+	r.AttachJournal(victim, durable.NewJournal(w))
 	done := make(chan error, 1)
 	go func() { done <- r.MkColl("/c0/held", "admin") }()
 	<-w.started // the victim shard's write lock is held from here

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"gosrb/internal/acl"
+	"gosrb/internal/durable"
 	"gosrb/internal/mcat"
 	"gosrb/internal/obs"
 	"gosrb/internal/types"
@@ -329,7 +330,7 @@ func TestFollowerJournalFailureStopsApplying(t *testing.T) {
 	reg := obs.NewRegistry()
 	f.SetMetrics(reg)
 	disk := &failingDisk{}
-	f.AttachJournal(0, mcat.NewJournal(disk))
+	f.AttachJournal(0, durable.NewJournal(disk))
 	f.SetFollower(0, "leader")
 	f.SetPuller(pullFrom(leader), 1)
 	if err := f.SyncOnce(); err != nil {

@@ -231,7 +231,7 @@ func TestHeatRidesRollupWindow(t *testing.T) {
 func TestHeatPersistRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	reg := NewRegistry()
-	ts, err := OpenTelemetryStore(dir, "srb-test", time.Hour)
+	ts, err := OpenTelemetryStore(dir, time.Hour)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +248,7 @@ func TestHeatPersistRoundTrip(t *testing.T) {
 	}
 
 	reg2 := NewRegistry()
-	ts2, err := OpenTelemetryStore(dir, "srb-test", time.Hour)
+	ts2, err := OpenTelemetryStore(dir, time.Hour)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +277,7 @@ func TestHeatPersistRoundTrip(t *testing.T) {
 func TestHeatJournalSkipsSeed(t *testing.T) {
 	dir := t.TempDir()
 	reg := NewRegistry()
-	ts, err := OpenTelemetryStore(dir, "srb-test", time.Hour)
+	ts, err := OpenTelemetryStore(dir, time.Hour)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +290,7 @@ func TestHeatJournalSkipsSeed(t *testing.T) {
 	ts.Close(nil, nil, time.Now())
 
 	reg2 := NewRegistry()
-	ts2, err := OpenTelemetryStore(dir, "srb-test", time.Hour)
+	ts2, err := OpenTelemetryStore(dir, time.Hour)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,6 +13,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime/pprof"
@@ -21,6 +22,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"gosrb/internal/durable"
 )
 
 // ErrRateLimited reports a capture suppressed by the per-rule minimum
@@ -323,4 +326,12 @@ func validIncidentID(id string) bool {
 // validIncidentFile accepts plain file names only.
 func validIncidentFile(name string) bool {
 	return name != "" && name == filepath.Base(name) && !strings.HasPrefix(name, ".")
+}
+
+// replaceFile publishes b as the contents of path (durable.Replace).
+func replaceFile(path string, b []byte) error {
+	return durable.Replace(path, func(w io.Writer) error {
+		_, err := w.Write(b)
+		return err
+	})
 }

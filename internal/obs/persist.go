@@ -1,33 +1,35 @@
 // Durable telemetry: the flight recorder's on-disk history. The store
-// follows the MCAT persistence discipline — a JSON snapshot plus an
-// append-only JSON-line journal — so the rollup ring, alert log, usage
-// table and peer observatory survive restarts: `srb top -window 1h`,
-// /grid and SLO burn math keep answering over pre-restart intervals.
+// is a compacting log (durable.Journal), as the catalog is, so the rollup
+// ring, alert log, usage table and peer observatory survive restarts:
+// `srb top -window 1h`, /grid and SLO burn math keep answering over
+// pre-restart intervals.
 //
 // Layout under the telemetry dir:
 //
-//	telemetry.json      full snapshot, rewritten atomically at compaction
-//	telemetry.journal   entries appended since the snapshot
+//	telemetry.json      the compacted log: a {"Gen":N} head, then one line per rollup, alert or table
+//	telemetry.journal   a {"Gen":N} head, then the lines appended since
 //	incidents/          incident bundles (see incident.go)
 //
 // A flush appends only what is new (rollups and alerts carry forward a
-// high-water mark; the small usage/peer tables are written whole, last
-// entry wins on replay). Every telemetryCompactEvery flushes the store
-// compacts: snapshot first, then journal truncation — a crash between
-// the two leaves the journal's rollups and alerts in the snapshot too,
-// and replay drops each one the snapshot already holds: a rollup by its
-// capture time, an alert by its time, rule and transition.
-// Replay is tolerant: a truncated or corrupt line is skipped, never
-// fatal, so a crash mid-append costs at most the last flush.
+// high-water mark; the small usage/peer/heat tables are written whole,
+// last line wins on replay). Every telemetryCompactEvery flushes the
+// store compacts: telemetry.json is published naming a new generation,
+// then the journal is emptied under it. A crash between the two leaves
+// the journal in the old generation, which restore drops as covered
+// rather than replays. Replay is tolerant: a truncated or corrupt line
+// is skipped, never fatal, so a crash mid-append costs at most the last
+// flush. A telemetry.json an older binary wrote, one JSON document, is
+// still read (readLegacy), and the first compaction replaces it.
 package obs
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -43,7 +45,8 @@ const DefaultTelemetryFlush = 30 * time.Second
 // default 30s flush that is one compaction every ~10 minutes.
 const telemetryCompactEvery = 20
 
-// telemetryEntry is one journal line. Exactly one field is set.
+// telemetryEntry is one line of the snapshot or the journal. Exactly one
+// field is set.
 type telemetryEntry struct {
 	Rollup      *Rollup     `json:",omitempty"`
 	Alert       *Alert      `json:",omitempty"`
@@ -53,31 +56,28 @@ type telemetryEntry struct {
 	HeatObjects []HeatStat  `json:",omitempty"`
 }
 
-// TelemetrySnapshot is the full persisted state.
+// TelemetrySnapshot is the persisted state Restore read back.
 type TelemetrySnapshot struct {
-	SavedAt     time.Time
-	Server      string
-	Rollups     []Rollup    `json:",omitempty"`
-	Alerts      []Alert     `json:",omitempty"`
-	Usage       []UsageStat `json:",omitempty"`
-	Peers       []PeerStat  `json:",omitempty"`
-	HeatKeys    []HeatStat  `json:",omitempty"`
-	HeatObjects []HeatStat  `json:",omitempty"`
+	Rollups     []Rollup
+	Alerts      []Alert
+	Usage       []UsageStat
+	Peers       []PeerStat
+	HeatKeys    []HeatStat
+	HeatObjects []HeatStat
 }
 
 // TelemetryStore owns the on-disk telemetry history of one daemon.
 // Safe for concurrent use; Flush and Close serialise on one lock.
 type TelemetryStore struct {
 	dir       string
-	server    string
 	retention time.Duration
 
-	// ReplaySkipped counts the corrupt or truncated journal lines Restore
-	// skipped (boot logs it).
+	// ReplaySkipped counts the corrupt or truncated lines Restore skipped
+	// (boot logs it).
 	ReplaySkipped int
 
-	mu  sync.Mutex
-	log *durable.Log
+	mu      sync.Mutex
+	journal *durable.Journal
 	// line holds the entry being appended, encoded by enc, so a flush
 	// allocates no line of its own.
 	line       bytes.Buffer
@@ -90,15 +90,15 @@ type TelemetryStore struct {
 // OpenTelemetryStore opens (creating as needed) the telemetry store in
 // dir. retention bounds how far back rollups, alerts and incident
 // bundles are kept at compaction (0 keeps everything the ring retains).
-func OpenTelemetryStore(dir, server string, retention time.Duration) (*TelemetryStore, error) {
+func OpenTelemetryStore(dir string, retention time.Duration) (*TelemetryStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	log, err := durable.OpenLog(filepath.Join(dir, "telemetry.journal"))
+	j, err := durable.OpenJournal(filepath.Join(dir, "telemetry.journal"))
 	if err != nil {
 		return nil, err
 	}
-	ts := &TelemetryStore{dir: dir, server: server, retention: retention, log: log}
+	ts := &TelemetryStore{dir: dir, retention: retention, journal: j}
 	ts.enc = json.NewEncoder(&ts.line)
 	return ts, nil
 }
@@ -112,103 +112,105 @@ func OpenTelemetryStore(dir, server string, retention time.Duration) (*Telemetry
 // log with — the evaluator does not exist yet at restore time. Call
 // once, before the first Flush.
 func (ts *TelemetryStore) Restore(reg *Registry) (*TelemetrySnapshot, error) {
-	if ts == nil {
-		return &TelemetrySnapshot{}, nil
-	}
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
-	snap := ts.load()
-	if reg != nil {
-		if n := len(snap.Rollups); n > 0 {
-			reg.seedFrom(snap.Rollups[n-1])
-			reg.Rollups().Restore(snap.Rollups)
-			ts.lastRollup = snap.Rollups[n-1].At
-		}
-		reg.Usage().Restore(snap.Usage)
-		reg.Peers().Restore(snap.Peers)
-		reg.HeatKeys().Restore(snap.HeatKeys)
-		reg.HeatObjects().Restore(snap.HeatObjects)
+	snap, err := ts.load()
+	if err != nil {
+		return nil, err
 	}
+	for _, ru := range snap.Rollups {
+		reg.Rollups().Add(ru)
+	}
+	if n := len(snap.Rollups); n > 0 {
+		reg.seedFrom(snap.Rollups[n-1])
+		ts.lastRollup = snap.Rollups[n-1].At
+	}
+	reg.Usage().Restore(snap.Usage)
+	reg.Peers().Restore(snap.Peers)
+	reg.HeatKeys().Restore(snap.HeatKeys)
+	reg.HeatObjects().Restore(snap.HeatObjects)
 	ts.alertsSeen = int64(len(snap.Alerts))
 	return snap, nil
 }
 
-// load reads snapshot + journal, merging tolerantly: unreadable files
-// and corrupt lines contribute nothing instead of failing the boot.
-func (ts *TelemetryStore) load() *TelemetrySnapshot {
-	snap := &TelemetrySnapshot{Server: ts.server}
-	if b, err := os.ReadFile(filepath.Join(ts.dir, "telemetry.json")); err == nil {
-		var s TelemetrySnapshot
-		if json.Unmarshal(b, &s) == nil {
-			snap = &s
-		}
+// load reads telemetry.json, then the journal unless telemetry.json
+// covers it (durable.Journal.Resume). An unreadable file or a corrupt
+// line contributes nothing instead of failing the boot; a journal that
+// cannot be emptied fails it. The caller holds ts.mu.
+func (ts *TelemetryStore) load() (*TelemetrySnapshot, error) {
+	snap, held := new(TelemetrySnapshot), func(*telemetryEntry) bool { return false }
+	b, err := os.ReadFile(filepath.Join(ts.dir, "telemetry.json"))
+	first, _, _ := bytes.Cut(b, []byte{'\n'})
+	gen, ok := durable.ReadHead(first)
+	switch {
+	case ok:
+		ts.ReplaySkipped, _ = durable.Replay(bytes.NewReader(b), snap.apply(held))
+	case err == nil:
+		held = snap.readLegacy(b)
 	}
-	if f, err := os.Open(filepath.Join(ts.dir, "telemetry.journal")); err == nil {
-		seen := make(map[alertKey]bool, len(snap.Alerts))
-		for i := range snap.Alerts {
-			seen[snap.Alerts[i].key()] = true
-		}
-		ts.ReplaySkipped, _ = durable.Replay(f, func(line []byte) bool {
-			var e telemetryEntry
-			if json.Unmarshal(line, &e) != nil {
-				return false // truncated or corrupt tail: skip, keep going
-			}
-			switch {
-			case e.Rollup != nil:
-				snap.Rollups = append(snap.Rollups, *e.Rollup)
-			case e.Alert != nil:
-				if k := e.Alert.key(); !seen[k] {
-					seen[k] = true
-					snap.Alerts = append(snap.Alerts, *e.Alert)
-				}
-			case e.Usage != nil:
-				snap.Usage = e.Usage // whole-table entries: last wins
-			case e.Peers != nil:
-				snap.Peers = e.Peers
-			case e.HeatKeys != nil:
-				snap.HeatKeys = e.HeatKeys
-			case e.HeatObjects != nil:
-				snap.HeatObjects = e.HeatObjects
-			}
-			return true
-		})
-		f.Close()
-	}
-	snap.Rollups = dedupRollups(snap.Rollups)
-	return snap
-}
-
-// alertKey identifies an alert transition: a rule fires or resolves at
-// most once at one instant.
-type alertKey struct {
-	at     int64
-	rule   string
-	firing bool
-}
-
-func (a *Alert) key() alertKey { return alertKey{a.At.UnixNano(), a.Rule, a.Firing} }
-
-// dedupRollups sorts by capture time and drops duplicates — compaction
-// overlap (snapshot + journal both holding an entry) is expected.
-func dedupRollups(rus []Rollup) []Rollup {
-	if len(rus) == 0 {
+	return snap, ts.journal.Resume(gen, func(r io.Reader) error {
+		n, _ := durable.Replay(r, snap.apply(held))
+		ts.ReplaySkipped += n
 		return nil
-	}
-	sort.Slice(rus, func(i, j int) bool { return rus[i].At.Before(rus[j].At) })
-	out := rus[:1]
-	for _, r := range rus[1:] {
-		if !r.At.Equal(out[len(out)-1].At) {
-			out = append(out, r)
+	})
+}
+
+// apply returns a replay callback that takes each line into s but the
+// ones held says s holds already: a rollup or an alert after those
+// before it, a table whole (the last one wins).
+func (s *TelemetrySnapshot) apply(held func(*telemetryEntry) bool) func([]byte) bool {
+	return func(line []byte) bool {
+		var e telemetryEntry
+		if json.Unmarshal(line, &e) != nil {
+			return false // truncated or corrupt: skip, keep going
 		}
+		switch {
+		case held(&e):
+		case e.Rollup != nil:
+			s.Rollups = append(s.Rollups, *e.Rollup)
+		case e.Alert != nil:
+			s.Alerts = append(s.Alerts, *e.Alert)
+		case e.Usage != nil:
+			s.Usage = e.Usage
+		case e.Peers != nil:
+			s.Peers = e.Peers
+		case e.HeatKeys != nil:
+			s.HeatKeys = e.HeatKeys
+		case e.HeatObjects != nil:
+			s.HeatObjects = e.HeatObjects
+		}
+		return true
 	}
-	return out
+}
+
+// readLegacy reads b into s: a telemetry.json an older binary wrote, the
+// whole state as one JSON document, beside a journal with no head. That
+// binary published the document before it emptied the journal, so a
+// crash between the two left the journal's rollups and alerts in both,
+// and no generation tells. held keeps that binary's rule: the document
+// holds a rollup no newer than its newest, and an alert of its own at
+// the same time, rule and transition.
+func (s *TelemetrySnapshot) readLegacy(b []byte) (held func(*telemetryEntry) bool) {
+	if json.Unmarshal(b, s) != nil {
+		*s = TelemetrySnapshot{}
+	}
+	var newest time.Time
+	if n := len(s.Rollups); n > 0 {
+		newest = s.Rollups[n-1].At
+	}
+	alerts := s.Alerts
+	return func(e *telemetryEntry) bool {
+		return e.Rollup != nil && !e.Rollup.At.After(newest) ||
+			e.Alert != nil && slices.ContainsFunc(alerts, func(a Alert) bool {
+				return a.At.Equal(e.Alert.At) && a.Rule == e.Alert.Rule && a.Firing == e.Alert.Firing
+			})
+	}
 }
 
 // Flush appends everything new since the previous flush: rollups past
 // the high-water mark, alert-log entries past the last flushed
-// sequence, and the current usage/peer tables. Every
-// telemetryCompactEvery flushes it compacts instead. log may be nil
-// (no SLO evaluator attached).
+// sequence, and the current tables. Every telemetryCompactEvery flushes
+// it compacts instead. log may be nil (no SLO evaluator attached).
 func (ts *TelemetryStore) Flush(reg *Registry, log *AlertLog, now time.Time) error {
 	if ts == nil || reg == nil {
 		return nil
@@ -219,101 +221,88 @@ func (ts *TelemetryStore) Flush(reg *Registry, log *AlertLog, now time.Time) err
 	if ts.flushes%telemetryCompactEvery == 0 {
 		return ts.compact(reg, log, now)
 	}
-	for _, ru := range reg.Rollups().Recent(0) {
-		if !ru.At.After(ts.lastRollup) {
+	return ts.emit(reg, log, ts.lastRollup, ts.alertsSeen, time.Time{}, ts.append)
+}
+
+// emit hands put, as lines, the rollups captured after since, the
+// alerts past sequence seen, each no older than cutoff, then each
+// non-empty table whole, and moves the high-water marks past what put
+// took. The caller holds ts.mu.
+func (ts *TelemetryStore) emit(reg *Registry, log *AlertLog, since time.Time, seen int64, cutoff time.Time, put func(*telemetryEntry) error) error {
+	rus := reg.Rollups().Recent(0)
+	for i := range rus {
+		if !rus[i].At.After(since) || rus[i].At.Before(cutoff) {
 			continue
 		}
-		r := ru
-		if err := ts.append(telemetryEntry{Rollup: &r}); err != nil {
+		if err := put(&telemetryEntry{Rollup: &rus[i]}); err != nil {
 			return err
 		}
-		ts.lastRollup = ru.At
+		ts.lastRollup = rus[i].At
 	}
 	if log != nil {
-		fresh, total := log.TailAfter(ts.alertsSeen)
-		for _, a := range fresh {
-			al := a
-			if err := ts.append(telemetryEntry{Alert: &al}); err != nil {
+		// Restored alerts are re-seeded into the live log at boot, so the
+		// live log is the single source of alert history.
+		alerts, total := log.TailAfter(seen)
+		for i := range alerts {
+			if alerts[i].At.Before(cutoff) {
+				continue
+			}
+			if err := put(&telemetryEntry{Alert: &alerts[i]}); err != nil {
 				return err
 			}
+			ts.alertsSeen = total - int64(len(alerts)-1-i)
 		}
 		ts.alertsSeen = total
 	}
-	for _, e := range []telemetryEntry{
+	tables := []telemetryEntry{
 		{Usage: reg.Usage().Snapshot()}, {Peers: reg.Peers().Snapshot()},
 		{HeatKeys: reg.HeatKeys().Snapshot()}, {HeatObjects: reg.HeatObjects().Snapshot()},
-	} {
+	}
+	for i := range tables {
+		e := &tables[i]
 		if len(e.Usage)+len(e.Peers)+len(e.HeatKeys)+len(e.HeatObjects) == 0 {
 			continue
 		}
-		if err := ts.append(e); err != nil {
+		if err := put(e); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// compact rewrites the snapshot from live state (pruned to retention)
-// and truncates the journal. The caller holds ts.mu.
+// compact publishes telemetry.json from live state, pruned to retention,
+// and empties the journal (durable.Journal.Compact). A snapshot that is
+// not published leaves the high-water marks where they were, so the next
+// flush journals what it would have held. A journal that cannot be
+// emptied is closed, and fails every later flush. The caller holds ts.mu.
 func (ts *TelemetryStore) compact(reg *Registry, log *AlertLog, now time.Time) error {
 	cutoff := time.Time{}
 	if ts.retention > 0 {
 		cutoff = now.Add(-ts.retention)
 	}
-	snap := TelemetrySnapshot{SavedAt: now, Server: ts.server}
-	for _, ru := range reg.Rollups().Recent(0) {
-		if ru.At.Before(cutoff) {
-			continue
+	lastRollup, alertsSeen := ts.lastRollup, ts.alertsSeen
+	err := ts.journal.Compact(filepath.Join(ts.dir, "telemetry.json"), func(w io.Writer, gen uint64) error {
+		bw := bufio.NewWriter(w)
+		bw.Write(durable.AppendHead(nil, gen))
+		enc := json.NewEncoder(bw)
+		if err := ts.emit(reg, log, time.Time{}, 0, cutoff, func(e *telemetryEntry) error { return enc.Encode(e) }); err != nil {
+			return err
 		}
-		snap.Rollups = append(snap.Rollups, ru)
-		if ru.At.After(ts.lastRollup) {
-			ts.lastRollup = ru.At
-		}
-	}
-	// Restored alerts are re-seeded into the live log at boot, so the
-	// live log is the single source of alert history here.
-	if log != nil {
-		for _, a := range log.Recent(0) {
-			if a.At.Before(cutoff) {
-				continue
-			}
-			snap.Alerts = append(snap.Alerts, a)
-		}
-		ts.alertsSeen = log.Total()
-	}
-	snap.Usage = reg.Usage().Snapshot()
-	snap.Peers = reg.Peers().Snapshot()
-	snap.HeatKeys = reg.HeatKeys().Snapshot()
-	snap.HeatObjects = reg.HeatObjects().Snapshot()
-
-	b, err := json.Marshal(&snap)
-	if err != nil {
-		return err
-	}
-	if err := replaceFile(filepath.Join(ts.dir, "telemetry.json"), b); err != nil {
-		return err
-	}
-	// Snapshot published: start a fresh journal. A crash before this
-	// point leaves the old journal whole — replay drops the overlap. A
-	// journal that cannot be reopened fails every later flush.
-	return ts.log.Truncate()
-}
-
-// replaceFile publishes b as the contents of path (durable.Replace).
-func replaceFile(path string, b []byte) error {
-	return durable.Replace(path, func(w io.Writer) error {
-		_, err := w.Write(b)
-		return err
+		return bw.Flush()
 	})
+	if err != nil {
+		ts.lastRollup, ts.alertsSeen = lastRollup, alertsSeen
+	}
+	return err
 }
 
 // append writes e as one journal line. The caller holds ts.mu.
-func (ts *TelemetryStore) append(e telemetryEntry) error {
+func (ts *TelemetryStore) append(e *telemetryEntry) error {
 	ts.line.Reset()
 	if err := ts.enc.Encode(e); err != nil {
 		return err
 	}
-	return ts.log.Append(ts.line.Bytes())
+	return ts.journal.Append(ts.line.Bytes())
 }
 
 // Close compacts one final time (so a clean shutdown persists right up
@@ -328,7 +317,7 @@ func (ts *TelemetryStore) Close(reg *Registry, log *AlertLog, now time.Time) err
 	if reg != nil {
 		err = ts.compact(reg, log, now)
 	}
-	if cerr := ts.log.Close(); err == nil {
+	if cerr := ts.journal.Close(); err == nil {
 		err = cerr
 	}
 	return err
@@ -363,17 +352,5 @@ func (r *Registry) seedFrom(ru Rollup) {
 		for i := range o.Buckets {
 			op.lat.buckets[i].Add(o.Buckets[i] - op.lat.buckets[i].Load())
 		}
-	}
-}
-
-// Restore refills the ring from persisted rollups, oldest first. The
-// caller seeds the live registry separately (seedFrom) so WindowAt
-// deltas against these baselines stay consistent.
-func (rr *RollupRing) Restore(rus []Rollup) {
-	if rr == nil {
-		return
-	}
-	for _, ru := range rus {
-		rr.Add(ru)
 	}
 }

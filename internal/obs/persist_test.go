@@ -3,8 +3,10 @@ package obs
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -20,7 +22,7 @@ func TestTelemetryRestoreWindowAt(t *testing.T) {
 	dir := t.TempDir()
 	now := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
 
-	ts, err := OpenTelemetryStore(dir, "srb1", time.Hour)
+	ts, err := OpenTelemetryStore(dir, time.Hour)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +50,7 @@ func TestTelemetryRestoreWindowAt(t *testing.T) {
 	}
 
 	// "Restart": new store handle, empty registry.
-	ts2, err := OpenTelemetryStore(dir, "srb1", time.Hour)
+	ts2, err := OpenTelemetryStore(dir, time.Hour)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +101,7 @@ func TestTelemetryRestoreWindowAt(t *testing.T) {
 func TestTelemetryAlertsRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	now := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
-	ts, err := OpenTelemetryStore(dir, "srb1", 0)
+	ts, err := OpenTelemetryStore(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +117,7 @@ func TestTelemetryAlertsRoundTrip(t *testing.T) {
 	}
 	ts.Close(nil, nil, now) // close without compacting: journal only
 
-	ts2, err := OpenTelemetryStore(dir, "srb1", 0)
+	ts2, err := OpenTelemetryStore(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +140,7 @@ func TestTelemetryAlertsRoundTrip(t *testing.T) {
 func TestTelemetryCompactionCrashAlertsOnce(t *testing.T) {
 	dir := t.TempDir()
 	now := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
-	ts, err := OpenTelemetryStore(dir, "srb1", 0)
+	ts, err := OpenTelemetryStore(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +163,7 @@ func TestTelemetryCompactionCrashAlertsOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ts2, err := OpenTelemetryStore(dir, "srb1", 0)
+	ts2, err := OpenTelemetryStore(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +183,7 @@ func TestTelemetryCompactionCrashAlertsOnce(t *testing.T) {
 func TestTelemetryCorruptJournalRecovery(t *testing.T) {
 	dir := t.TempDir()
 	now := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
-	ts, err := OpenTelemetryStore(dir, "srb1", 0)
+	ts, err := OpenTelemetryStore(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +209,7 @@ func TestTelemetryCorruptJournalRecovery(t *testing.T) {
 	f.WriteString("not json at all\n")
 	f.Close()
 
-	ts2, err := OpenTelemetryStore(dir, "srb1", 0)
+	ts2, err := OpenTelemetryStore(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +238,7 @@ func TestTelemetryCorruptJournalRecovery(t *testing.T) {
 func TestTelemetryFlushAfterFailedCompaction(t *testing.T) {
 	dir := t.TempDir()
 	now := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
-	ts, err := OpenTelemetryStore(dir, "srb1", 0)
+	ts, err := OpenTelemetryStore(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +271,7 @@ func TestTelemetryFlushAfterFailedCompaction(t *testing.T) {
 func TestTelemetryCompactionDedup(t *testing.T) {
 	dir := t.TempDir()
 	base := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
-	ts, err := OpenTelemetryStore(dir, "srb1", time.Hour)
+	ts, err := OpenTelemetryStore(dir, time.Hour)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +289,7 @@ func TestTelemetryCompactionDedup(t *testing.T) {
 	if err := ts.Close(reg, nil, base.Add(time.Duration(n)*time.Second)); err != nil {
 		t.Fatal(err)
 	}
-	ts2, err := OpenTelemetryStore(dir, "srb1", time.Hour)
+	ts2, err := OpenTelemetryStore(dir, time.Hour)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +310,7 @@ func TestTelemetryCompactionDedup(t *testing.T) {
 	// Retention: reopen with a tight horizon and compact — old rollups
 	// must not survive.
 	reg3 := NewRegistry()
-	ts3, err := OpenTelemetryStore(dir, "srb1", 10*time.Second)
+	ts3, err := OpenTelemetryStore(dir, 10*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +321,7 @@ func TestTelemetryCompactionDedup(t *testing.T) {
 	if err := ts3.Close(reg3, nil, nowLate); err != nil {
 		t.Fatal(err)
 	}
-	ts4, err := OpenTelemetryStore(dir, "srb1", 0)
+	ts4, err := OpenTelemetryStore(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,7 +352,7 @@ func TestParentFormatTraceIDs(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "telemetry.journal"), []byte(usage), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	ts, err := OpenTelemetryStore(dir, "srb1", 0)
+	ts, err := OpenTelemetryStore(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -396,5 +398,105 @@ func TestParentFormatTraceIDs(t *testing.T) {
 		if back, err := json.Marshal(c.v); err != nil || string(back) != c.line {
 			t.Errorf("%s written back as %s, %v", c.line, back, err)
 		}
+	}
+}
+
+// TestTelemetryLegacyCompactionCrash: an older binary's telemetry.json,
+// one JSON document, beside the journal it had not yet truncated when it
+// was killed, holding the document's newest rollup and its alert again
+// and one rollup past them. Restore takes each once, and the first
+// compaction replaces the document with a compacted log.
+func TestTelemetryLegacyCompactionCrash(t *testing.T) {
+	dir := t.TempDir()
+	at := func(s int) string { return time.Date(2026, 8, 8, 12, 0, s, 0, time.UTC).Format(time.RFC3339) }
+	rollup := func(s int) string { return `{"At":"` + at(s) + `","Counters":{"bytes":` + fmt.Sprint(s) + `}}` }
+	alert := `{"At":"` + at(1) + `","Rule":"get-p99","Raw":"","Firing":true,"Observed":0,"BurnPct":0}`
+	doc := `{"SavedAt":"` + at(2) + `","Server":"srb1","Rollups":[` + rollup(0) + `,` + rollup(1) + `],"Alerts":[` + alert + `]}`
+	journal := `{"Rollup":` + rollup(1) + "}\n" + `{"Alert":` + alert + "}\n" + `{"Rollup":` + rollup(3) + "}\n"
+	for name, b := range map[string]string{"telemetry.json": doc, "telemetry.journal": journal} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(b), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ts, err := OpenTelemetryStore(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := NewRegistry()
+	snap, err := ts.Restore(reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(snap.Rollups) != 3 || len(snap.Alerts) != 1 || snap.Rollups[2].Counters["bytes"] != 3 {
+		t.Fatalf("restored %d rollups (%+v) and %d alerts, want 3 and 1", len(snap.Rollups), snap.Rollups, len(snap.Alerts))
+	}
+	log := NewAlertLog(0)
+	for _, a := range snap.Alerts {
+		log.Add(a)
+	}
+	if err := ts.Close(reg, log, time.Date(2026, 8, 8, 12, 1, 0, 0, time.UTC)); err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(filepath.Join(dir, "telemetry.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first, _, _ := strings.Cut(string(b), "\n"); !strings.HasPrefix(first, `{"Gen":`) {
+		t.Errorf("telemetry.json after the first compaction starts %.40q, want a head", first)
+	}
+	ts2, err := OpenTelemetryStore(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ts2.Close(nil, nil, time.Time{})
+	if snap, err := ts2.Restore(NewRegistry()); err != nil || len(snap.Rollups) != 3 || len(snap.Alerts) != 1 {
+		t.Errorf("restored the compacted log to %+v, %v; want 3 rollups and 1 alert", snap, err)
+	}
+}
+
+// TestTelemetryUnpublishedCompactionKeepsHistory: a compaction whose
+// telemetry.json cannot be published leaves the journal as it was, and
+// the rollups and alerts captured since the last flush reach it at the
+// next flush, so a restart still restores them.
+func TestTelemetryUnpublishedCompactionKeepsHistory(t *testing.T) {
+	dir := t.TempDir()
+	now := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
+	ts, err := OpenTelemetryStore(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg, log := NewRegistry(), NewAlertLog(0)
+	if _, err := ts.Restore(reg); err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i < telemetryCompactEvery; i++ {
+		if err := ts.Flush(reg, log, now); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A directory with a child where telemetry.json goes: the rename fails.
+	if err := os.MkdirAll(filepath.Join(dir, "telemetry.json", "child"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	reg.CaptureRollup(now)
+	log.Add(Alert{At: now, Rule: "get-p99", Firing: true})
+	if err := ts.Flush(reg, log, now); err == nil {
+		t.Fatal("a compaction over a directory succeeded")
+	}
+	if err := ts.Flush(reg, log, now.Add(time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	ts.Close(nil, nil, now)
+	if err := os.RemoveAll(filepath.Join(dir, "telemetry.json")); err != nil {
+		t.Fatal(err)
+	}
+	ts2, err := OpenTelemetryStore(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ts2.Close(nil, nil, now)
+	snap, err := ts2.Restore(NewRegistry())
+	if err != nil || len(snap.Rollups) != 1 || len(snap.Alerts) != 1 {
+		t.Errorf("restored %d rollups and %d alerts (%v), want the 1 and 1 the failed compaction held", len(snap.Rollups), len(snap.Alerts), err)
 	}
 }

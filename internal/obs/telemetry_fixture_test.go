@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -14,15 +15,18 @@ import (
 // testdata/journal.v1 pins the catalog journal. testdata/telemetry.v1
 // was written by telemetryScript at the commit before the keyed tables
 // shared one implementation, and testdata/telemetry.v1.dump is what
-// restoring it answered there. Both are kept as written then.
+// restoring it answered there. Both are kept as written then: v1's
+// telemetry.json is one JSON document, which a store still reads.
+// testdata/telemetry.v2 is what the script writes since the store became
+// a compacting log, each file a {"Gen":N} head and one line per rollup,
+// alert or table; it restores to v1's dump.
 //
 // A trace ID was any string then, and the script recorded the
 // pseudo-IDs "t1" and "t2"; an ID is an integer now, and the script
-// records 1 and 2, which print as 16 hex digits. So the format is
-// unchanged while the script writes the fixture's bytes with those two
-// values printed so (asHexIDs), and the fixture, read back, answers its
-// dump with only the two LastTrace fields gone: a persisted ID that is
-// not one costs that field alone.
+// records 1 and 2, which print as 16 hex digits. So the script's files
+// restore to v1's dump with those two values printed so (asHexIDs), and
+// v1, read back, answers its dump with only the two LastTrace fields
+// gone: a persisted ID that is not one costs that field alone.
 
 // asHexIDs maps the fixture's pseudo-IDs to the IDs the script records
 // today.
@@ -47,7 +51,7 @@ func telemetryScript(t *testing.T, dir string) {
 			t.Fatal(err)
 		}
 	}
-	ts, err := OpenTelemetryStore(dir, "srb1", 0)
+	ts, err := OpenTelemetryStore(dir, 0)
 	must(err)
 	reg, log := NewRegistry(), NewAlertLog(0)
 	reg.Counter("wire.bytes_in").Add(4096)
@@ -62,7 +66,7 @@ func telemetryScript(t *testing.T, dir string) {
 	log.Add(Alert{At: at(0), Rule: "get_p99_5m", Raw: "get p99 < 5ms over 5m", Firing: true, Observed: 11000, BurnPct: 220})
 	must(ts.Close(reg, log, at(1)))
 
-	ts, err = OpenTelemetryStore(dir, "srb1", 0)
+	ts, err = OpenTelemetryStore(dir, 0)
 	must(err)
 	reg = NewRegistry()
 	snap, err := ts.Restore(reg)
@@ -109,7 +113,7 @@ type telemetryDump struct {
 
 func restoreDump(t *testing.T, dir string) []byte {
 	t.Helper()
-	ts, err := OpenTelemetryStore(dir, "srb1", 0)
+	ts, err := OpenTelemetryStore(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,21 +138,32 @@ func restoreDump(t *testing.T, dir string) []byte {
 }
 
 func TestTelemetryFixture(t *testing.T) {
-	const fixture = "testdata/telemetry.v1"
+	const fixture = "testdata/telemetry.v2"
 	written := t.TempDir()
 	telemetryScript(t, written)
+	var heads []string
 	for _, name := range telemetryFiles {
 		want := readFixture(t, filepath.Join(fixture, name))
 		got := readFixture(t, filepath.Join(written, name))
-		if want = asHexIDs.Replace(want); got != want {
+		heads = append(heads, headGen.FindString(got))
+		if maskGen(got) != maskGen(want) {
 			t.Errorf("the fixture script no longer writes the bytes of %s/%s:\n%s", fixture, name, got)
 		}
 	}
-	want := asHexIDs.Replace(readFixture(t, fixture+".dump"))
+	if heads[0] == "" || heads[0] != heads[1] {
+		t.Errorf("heads %q: want the journal emptied under the generation the snapshot names", heads)
+	}
+	want := asHexIDs.Replace(readFixture(t, "testdata/telemetry.v1.dump"))
 	if got := restoreDump(t, copyFixture(t, written)); string(got) != want {
 		t.Errorf("the script's files restore to another dump than the fixture did when written:\n%s", got)
 	}
 }
+
+// headGen matches a head line; a generation is random, so the byte
+// comparison masks its digits.
+var headGen = regexp.MustCompile(`(?m)^\{"Gen":[0-9]+\}$`)
+
+func maskGen(s string) string { return headGen.ReplaceAllString(s, `{"Gen":N}`) }
 
 // TestTelemetryFixtureLegacy: the fixture's own bytes, pseudo-IDs and
 // all, still restore — every rollup, alert and table row — losing only

@@ -11,6 +11,7 @@ import (
 
 	"gosrb/internal/auth"
 	"gosrb/internal/core"
+	"gosrb/internal/durable"
 	"gosrb/internal/mcat"
 	"gosrb/internal/mcat/shard"
 	"gosrb/internal/types"
@@ -43,7 +44,7 @@ func TestJournalAppendFailureLatches(t *testing.T) {
 	b := core.New(cat, "srb1")
 	cat.SetMetrics(b.Metrics())
 	disk := &fullDisk{room: 2000}
-	cat.AttachJournal(0, mcat.NewJournal(disk))
+	cat.AttachJournal(0, durable.NewJournal(disk))
 
 	if err := cat.MkColl("/d", "admin"); err != nil {
 		t.Fatal(err)

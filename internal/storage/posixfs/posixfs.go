@@ -119,10 +119,10 @@ func (f *FS) Create(path string) (storage.WriteFile, error) {
 	return w, nil
 }
 
-// mkdir makes dir for a create that found it missing. Usually only dir
-// itself is (a vault bucket's first replica), so it is made in one call;
-// only when its parent is missing too does the walk of MkdirAll run. A
-// dir a concurrent create made first is no error.
+// mkdir makes dir for a create or an append that found it missing.
+// Usually only dir itself is (a vault bucket's first replica), so it is
+// made in one call; only when its parent is missing too does the walk of
+// MkdirAll run. A dir a concurrent create made first is no error.
 func mkdir(dir string) error {
 	err := os.Mkdir(dir, 0o755)
 	switch {
@@ -146,16 +146,19 @@ func (w *atomicWriter) Close() error { return mapErr("close", w.path, w.Commit()
 // Abort discards the staged temp file; the destination is untouched.
 func (w *atomicWriter) Abort() error { return mapErr("abort", w.path, w.File.Abort()) }
 
-// OpenAppend implements storage.Driver.
+// OpenAppend implements storage.Driver. As in Create, the directory is
+// made only when the open finds it missing.
 func (f *FS) OpenAppend(path string) (storage.WriteFile, error) {
 	host, err := f.host(path)
 	if err != nil {
 		return nil, err
 	}
-	if err := os.MkdirAll(filepath.Dir(host), 0o755); err != nil {
-		return nil, mapErr("append", path, err)
-	}
 	fh, err := os.OpenFile(host, os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
+	if errors.Is(err, fs.ErrNotExist) {
+		if err = mkdir(filepath.Dir(host)); err == nil {
+			fh, err = os.OpenFile(host, os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
+		}
+	}
 	if err != nil {
 		return nil, mapErr("append", path, err)
 	}

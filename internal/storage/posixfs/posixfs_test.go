@@ -356,17 +356,30 @@ func TestCreateOverDirectory(t *testing.T) {
 	}
 }
 
-// TestCreateMakesItsDirectory: a Create into a missing directory makes
-// it, whether only the vault bucket is missing, the vault too (a fresh
-// root), or the vault went away after buckets were made in it; and
-// creates racing into one missing bucket all succeed.
+// TestCreateMakesItsDirectory: a Create or an OpenAppend into a missing
+// directory makes it, whether only the vault bucket is missing, the
+// vault too (a fresh root), or the vault went away after buckets were
+// made in it; and creates or appends racing into one missing bucket all
+// succeed.
 func TestCreateMakesItsDirectory(t *testing.T) {
 	d, err := New(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	put := func(p string) error {
-		if err := storage.WriteAll(d, p, []byte(p)); err != nil {
+	create := func(p string) error { return storage.WriteAll(d, p, []byte(p)) }
+	appendTo := func(p string) error {
+		w, err := d.OpenAppend(p)
+		if err != nil {
+			return err
+		}
+		if _, err := w.Write([]byte(p)); err != nil {
+			w.Close()
+			return err
+		}
+		return w.Close()
+	}
+	put := func(write func(string) error, p string) error {
+		if err := write(p); err != nil {
 			return err
 		}
 		if got, err := storage.ReadAll(d, p); err != nil || string(got) != p {
@@ -376,36 +389,44 @@ func TestCreateMakesItsDirectory(t *testing.T) {
 	}
 	for _, step := range []struct {
 		name, path string
+		write      func(string) error
 		before     func() error
 	}{
-		{"fresh root", "/vault/000/oid1.r0", nil},
-		{"missing bucket", "/vault/001/oid2.r0", nil},
-		{"missing vault", "/vault/002/oid3.r0", func() error { return os.RemoveAll(filepath.Join(d.Root(), "vault")) }},
-		{"missing parents", "/a/b/c/oid4.r0", nil},
+		{"fresh root", "/vault/000/oid1.r0", create, nil},
+		{"missing bucket", "/vault/001/oid2.r0", create, nil},
+		{"missing vault", "/vault/002/oid3.r0", create, func() error { return os.RemoveAll(filepath.Join(d.Root(), "vault")) }},
+		{"missing parents", "/a/b/c/oid4.r0", create, nil},
+		{"append, missing bucket", "/vault/003/seg1", appendTo, nil},
+		{"append, missing parents", "/d/e/f/seg2", appendTo, nil},
 	} {
 		if step.before != nil {
 			if err := step.before(); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if err := put(step.path); err != nil {
+		if err := put(step.write, step.path); err != nil {
 			t.Errorf("%s: %s: %v", step.name, step.path, err)
 		}
 	}
 
 	const racers = 8
-	start := make(chan struct{})
-	errs := make(chan error, racers)
-	for i := 0; i < racers; i++ {
-		go func() {
-			<-start
-			errs <- put(fmt.Sprintf("/vault/100/oid%d.r0", i))
-		}()
-	}
-	close(start)
-	for i := 0; i < racers; i++ {
-		if err := <-errs; err != nil {
-			t.Errorf("a create racing into a missing bucket: %v", err)
+	for _, race := range []struct {
+		name, bucket string
+		write        func(string) error
+	}{{"create", "/vault/100", create}, {"append", "/vault/101", appendTo}} {
+		start := make(chan struct{})
+		errs := make(chan error, racers)
+		for i := 0; i < racers; i++ {
+			go func() {
+				<-start
+				errs <- put(race.write, fmt.Sprintf("%s/oid%d.r0", race.bucket, i))
+			}()
+		}
+		close(start)
+		for i := 0; i < racers; i++ {
+			if err := <-errs; err != nil {
+				t.Errorf("a %s racing into a missing bucket: %v", race.name, err)
+			}
 		}
 	}
 }
