@@ -31,13 +31,14 @@ STATICCHECK := $(CURDIR)/bin/staticcheck
 DOCS := README.md DESIGN.md EXPERIMENTS.md .claude/skills/verify/SKILL.md
 
 # The lifecycle fence keeps periodic work on the one scheduler and
-# shutdown in the one place: no ticker outside internal/repair (register
-# a row of the job table instead), no signal handler outside
-# internal/daemon, no doc citing a flag that became a constant, and one
+# shutdown in the one place: no ticker or timer callback outside
+# internal/repair (register a row of the job table instead), no signal
+# handler outside internal/daemon, no doc citing a flag that became a
+# constant or went, and one
 # daemon: a runtime is booted (daemon.New) only by srbd, which serves
 # MySRB over its own broker, and no doc names the web daemon that had a
 # catalog of its own.
-GONE_FLAGS := sync-every|heat-decay|exemplar-threshold|breaker-threshold|breaker-cooldown|dial-timeout|mcat-sync-every
+GONE_FLAGS := sync-every|heat-decay|exemplar-threshold|breaker-threshold|breaker-cooldown|dial-timeout|mcat-sync-every|batch-period
 GO_SRC := --include=*.go --exclude=*_test.go cmd internal examples bench
 
 # The codec fence keeps the wire format known to internal/wire alone: the
@@ -141,7 +142,7 @@ CROSS_PKGS := ./internal/durable ./internal/storage/...
 # never rides along with (or needs) a commit of its own.
 lint: vet
 	@if [ -n "$$(gofmt -l .)" ]; then gofmt -l .; echo "not gofmt-clean: run gofmt -w on the files above"; exit 1; fi
-	@if grep -rnE 'time\.(Tick|NewTicker)\(' --exclude-dir=repair $(GO_SRC); then echo "ticker outside internal/repair: make it a row of the job table (internal/daemon)"; exit 1; fi
+	@if grep -rnE 'time\.(Tick|NewTicker|AfterFunc)\(' --exclude-dir=repair $(GO_SRC); then echo "timer outside internal/repair: periodic work is a job-table row (internal/daemon)"; exit 1; fi
 	@if grep -rnE 'json\.(Marshal|Unmarshal)\(' --include=*.go --exclude=*_test.go $(WIRE_USERS); then echo "JSON outside internal/wire: encode wire args and bodies with wire.AppendBody / wire.DecodeBody"; exit 1; fi
 	@if grep -rnF 'signal.Notify(' --exclude-dir=daemon $(GO_SRC); then echo "signal handler outside internal/daemon: Runtime.Run owns shutdown"; exit 1; fi
 	@if grep -rnF 'daemon.New(' $(GO_SRC) | grep -v '^cmd/srbd/'; then echo "one daemon: give srbd the listener"; exit 1; fi
@@ -216,15 +217,16 @@ test-repair:
 	$(GO) test -race -count=1 -run 'TestRepairQueueRestartRecovery|TestHealthzWedgedRepair' ./cmd/srbd/
 
 # Wire-protocol sweep: the handshake, the mux/pool race suite (waiter
-# reuse among it) and the batch-semantics tests, repeated under -race —
-# the checkout/checkin, out-of-order demux and recycled-waiter races only
-# surface across many interleavings. (The pipelined chaos e2e rides
-# test-faults' 10x TestChaos loop.) Then the allocation budgets of the
+# reuse among it), srb put -bulk's batches end to end and the batch ops'
+# server tests, repeated under -race — the checkout/checkin, out-of-order
+# demux and recycled-waiter races only surface across many interleavings.
+# (The pipelined chaos e2e rides test-faults' 10x TestChaos loop.) Then
+# the allocation budgets of the
 # round trip and of a read through a peer, which the race detector's own
 # allocations would swamp, without -race.
 test-wire:
 	$(GO) test -race -count=10 -run 'TestHandshake|TestMux|TestPool' ./internal/wire/
-	$(GO) test -race -count=10 -run 'TestBatcher' ./internal/client/
+	$(GO) test -race -count=10 -run 'TestPutBulk' ./cmd/srb/
 	$(GO) test -race -count=1 -run 'TestBulk|TestMultiGet' ./internal/server/
 	$(GO) test -count=3 -run 'TestRoundTripAllocBudget|TestFederatedReadAllocBudget' ./internal/server/
 

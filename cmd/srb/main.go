@@ -19,7 +19,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"gosrb/internal/client"
@@ -89,13 +88,13 @@ commands:
   mkdir <coll>                       create a collection
   rmdir <coll>                       remove an empty collection
   put <local> <path> [-resource r | -container c] [-type t]
-  put -bulk <coll> <local>... [-resource r] [-batch n]
-      [-batch-bytes b] [-batch-period d]
-                                     ingest many files in batched round
-                                     trips (flush at n files, b bytes, or
-                                     d after the first buffered file)
+  put -bulk <coll> <local>... [-resource r | -container c] [-type t]
+      [-batch n] [-batch-bytes b]    ingest many files in batched round
+                                     trips (a batch closes at n files or
+                                     b bytes; 64 and 4 MiB by default)
   get <path> [local]                 retrieve (stdout when no local file)
-  pget <path> <local> <streams>      parallel retrieve
+  pget <path> <local> [streams]      parallel retrieve (4 streams by
+                                     default, at most %d)
   rm <path>                          delete an object
   rmreplica <path> <n>               delete one replica
   mv <src> <dst>                     logical move
@@ -117,7 +116,7 @@ commands:
   invoke <path> [args...]            run a method object
   resources                          list storage resources
   audit [user]                       show the audit trail tail (admin)
-`, reportUsage())
+`, reportUsage(), client.MaxStreams)
 }
 
 // reportUsage lists the status reports, one entry per report row: its
@@ -345,17 +344,13 @@ func run(cl *client.Client, cmd string, args []string) error {
 		if len(args) > 0 && args[0] == "-bulk" {
 			return runBulkPut(cl, args[1:])
 		}
-		local, remote := need(args, 0, "local file"), need(args, 1, "path")
-		opts := client.PutOpts{}
-		for i := 2; i < len(args)-1; i += 2 {
-			switch args[i] {
-			case "-resource":
-				opts.Resource = args[i+1]
-			case "-container":
-				opts.Container = args[i+1]
-			case "-type":
-				opts.DataType = args[i+1]
-			}
+		pos, opts, err := parsePut(args, nil)
+		if err != nil {
+			return err
+		}
+		local, remote := need(pos, 0, "local file"), need(pos, 1, "path")
+		if len(pos) > 2 {
+			return fmt.Errorf("put takes one local file and one path, not %q too", pos[2])
 		}
 		// The file is streamed, never read whole: its size is no concern.
 		f, err := os.Open(local)
@@ -385,7 +380,11 @@ func run(cl *client.Client, cmd string, args []string) error {
 		path, local := need(args, 0, "path"), need(args, 1, "local file")
 		streams := 4
 		if len(args) > 2 {
-			streams, _ = strconv.Atoi(args[2])
+			n, err := strconv.Atoi(args[2])
+			if err != nil || n < 1 {
+				return fmt.Errorf("bad stream count %q: want a whole number from 1 (at most %d are used)", args[2], client.MaxStreams)
+			}
+			streams = n
 		}
 		return writeLocal(local, func(f *durable.File) error {
 			_, err := cl.ParallelGetTo(path, streams, f)
@@ -601,95 +600,112 @@ func run(cl *client.Client, cmd string, args []string) error {
 	}
 }
 
-// runBulkPut ingests many local files under one destination collection
-// using batched bulkput round trips: the batcher flushes at -batch
-// files, -batch-bytes buffered payload, or -batch-period after the
-// first buffered file, whichever fires first. Items fail independently;
-// the command reports per-file outcomes and fails if any file did.
-func runBulkPut(cl *client.Client, args []string) error {
-	opts := client.PutOpts{}
-	policy := client.DefaultBatchPolicy
-	var pos []string
+// bulkCut is where srb put -bulk closes a batch: after the file that
+// brings it to files files or to at least bytes bytes.
+type bulkCut struct {
+	files int
+	bytes int64
+}
+
+// parsePut splits put's words into its positional arguments and its
+// flags: -resource, -container and -type, and with a non-nil cut (put
+// -bulk) -batch and -batch-bytes, which set it. Every flag takes a
+// value; an unknown flag, or one with no value, is an error naming it.
+func parsePut(args []string, cut *bulkCut) (pos []string, opts client.PutOpts, err error) {
 	for i := 0; i < len(args); i++ {
 		a := args[i]
 		if !strings.HasPrefix(a, "-") {
 			pos = append(pos, a)
 			continue
 		}
-		if i+1 >= len(args) {
-			return fmt.Errorf("flag %s needs a value", a)
+		if i+1 >= len(args) || strings.HasPrefix(args[i+1], "-") {
+			return nil, opts, fmt.Errorf("flag %s needs a value", a)
 		}
-		v := args[i+1]
 		i++
-		switch a {
-		case "-resource":
+		v := args[i]
+		switch {
+		case a == "-resource":
 			opts.Resource = v
-		case "-container":
+		case a == "-container":
 			opts.Container = v
-		case "-type":
+		case a == "-type":
 			opts.DataType = v
-		case "-batch":
+		case a == "-batch" && cut != nil:
 			n, err := strconv.Atoi(v)
 			if err != nil || n <= 0 {
-				return fmt.Errorf("bad -batch %q", v)
+				return nil, opts, fmt.Errorf("bad -batch %q", v)
 			}
-			policy.Count = n
-		case "-batch-bytes":
+			cut.files = n
+		case a == "-batch-bytes" && cut != nil:
 			n, err := strconv.ParseInt(v, 10, 64)
 			if err != nil || n <= 0 {
-				return fmt.Errorf("bad -batch-bytes %q", v)
+				return nil, opts, fmt.Errorf("bad -batch-bytes %q", v)
 			}
-			policy.Bytes = n
-		case "-batch-period":
-			d, err := time.ParseDuration(v)
-			if err != nil || d <= 0 {
-				return fmt.Errorf("bad -batch-period %q", v)
-			}
-			policy.Period = d
+			cut.bytes = n
 		default:
-			return fmt.Errorf("unknown flag %s", a)
+			return nil, opts, fmt.Errorf("unknown flag %s", a)
 		}
+	}
+	return pos, opts, nil
+}
+
+// runBulkPut ingests many local files under one destination collection
+// in bulkput round trips, one per batch: a batch closes after the file
+// that brings it to -batch files (64) or to at least -batch-bytes bytes
+// (4 MiB). Items fail independently; the command reports per-file
+// outcomes and fails if any file did.
+func runBulkPut(cl *client.Client, args []string) error {
+	cut := bulkCut{files: 64, bytes: 4 << 20}
+	pos, opts, err := parsePut(args, &cut)
+	if err != nil {
+		return err
 	}
 	if len(pos) < 2 {
 		return fmt.Errorf("put -bulk needs a destination collection and at least one local file")
 	}
 	coll, locals := strings.TrimSuffix(pos[0], "/"), pos[1:]
-	// The period flush runs on a timer goroutine, so the result sink
-	// must be safe against concurrent reporting.
-	var mu sync.Mutex
-	okCount, failCount := 0, 0
-	b := client.NewPutBatcher(cl, policy)
-	b.OnFlush(func(results []wire.BulkItemStatus) {
-		mu.Lock()
-		defer mu.Unlock()
+	var batch []client.BulkPut
+	var size int64
+	ok, failed, trips := 0, 0, 0
+	send := func() error {
+		results, err := cl.BulkPut(batch)
+		if err != nil {
+			return err
+		}
+		trips++
 		for _, r := range results {
 			if r.OK {
-				okCount++
+				ok++
 				fmt.Printf("ingested %s\n", r.Path)
 			} else {
-				failCount++
+				failed++
 				fmt.Fprintf(os.Stderr, "srb: put %s: %s\n", r.Path, r.ErrMsg)
 			}
 		}
-	})
+		batch, size = nil, 0
+		return nil
+	}
 	for _, local := range locals {
 		data, err := os.ReadFile(local)
 		if err != nil {
 			return err
 		}
-		dest := coll + "/" + filepath.Base(local)
-		if err := b.Add(client.BulkPut{Path: dest, Data: data, Opts: opts}); err != nil {
+		batch = append(batch, client.BulkPut{Path: coll + "/" + filepath.Base(local), Data: data, Opts: opts})
+		size += int64(len(data))
+		if len(batch) >= cut.files || size >= cut.bytes {
+			if err := send(); err != nil {
+				return err
+			}
+		}
+	}
+	if len(batch) > 0 {
+		if err := send(); err != nil {
 			return err
 		}
 	}
-	if err := b.Close(); err != nil {
-		return err
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	fmt.Printf("bulk put: %d ok, %d failed (%d round trips)\n", okCount, failCount, b.Flushes())
-	if failCount > 0 {
-		return fmt.Errorf("%d file(s) failed", failCount)
+	fmt.Printf("bulk put: %d ok, %d failed (%d round trips)\n", ok, failed, trips)
+	if failed > 0 {
+		return fmt.Errorf("%d file(s) failed", failed)
 	}
 	return nil
 }

@@ -19,36 +19,51 @@ import (
 	"gosrb/internal/wire"
 )
 
-// capture runs one srb command against cl and returns what it printed.
-func capture(t *testing.T, cl *client.Client, cmd string, args ...string) string {
+// runOut runs one srb command against cl and returns what it printed
+// on stdout and on stderr, and its error.
+func runOut(t *testing.T, cl *client.Client, cmd string, args ...string) (stdout, stderr string, err error) {
 	t.Helper()
-	r, w, err := os.Pipe()
+	outR, outW, err := os.Pipe()
 	if err != nil {
 		t.Fatal(err)
 	}
-	stdout := os.Stdout
-	os.Stdout = w
-	runErr := run(cl, cmd, args)
-	os.Stdout = stdout
-	w.Close()
-	out, _ := io.ReadAll(r)
-	if runErr != nil {
-		t.Fatalf("srb %s %v: %v", cmd, args, runErr)
+	errR, errW, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
 	}
-	return string(out)
+	oldOut, oldErr := os.Stdout, os.Stderr
+	os.Stdout, os.Stderr = outW, errW
+	runErr := run(cl, cmd, args)
+	os.Stdout, os.Stderr = oldOut, oldErr
+	outW.Close()
+	errW.Close()
+	o, _ := io.ReadAll(outR)
+	e, _ := io.ReadAll(errR)
+	return string(o), string(e), runErr
 }
 
-// TestReportVerbs drives the status verbs against a live server: every
-// one goes through the single report driver, which takes -json wherever
-// it stands among the words.
-func TestReportVerbs(t *testing.T) {
+// capture runs one srb command against cl and returns what it printed.
+func capture(t *testing.T, cl *client.Client, cmd string, args ...string) string {
+	t.Helper()
+	out, _, err := runOut(t, cl, cmd, args...)
+	if err != nil {
+		t.Fatalf("srb %s %v: %v", cmd, args, err)
+	}
+	return out
+}
+
+// testServer starts an in-process srb1 with one memfs resource, disk1,
+// and two users, alice and bob, who may write /home; dial logs a user in
+// with the password "<user>pw".
+func testServer(t *testing.T) (b *core.Broker, dial func(user string) *client.Client) {
+	t.Helper()
 	cat := mcat.New("admin", "sdsc")
 	cat.AddUser(types.User{Name: "alice", Domain: "sdsc"})
 	cat.AddUser(types.User{Name: "bob", Domain: "sdsc"})
 	cat.MkColl("/home", "admin")
 	cat.SetACL("/home", "alice", acl.Write)
 	cat.SetACL("/home", "bob", acl.Write)
-	b := core.New(cat, "srb1")
+	b = core.New(cat, "srb1")
 	if err := b.AddPhysicalResource("admin", "disk1", types.ClassFileSystem, "memfs", memfs.New()); err != nil {
 		t.Fatal(err)
 	}
@@ -61,15 +76,22 @@ func TestReportVerbs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dial := func(user, pw string) *client.Client {
-		cl, err := client.Dial(addr, user, pw)
+	return b, func(user string) *client.Client {
+		cl, err := client.Dial(addr, user, user+"pw")
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { cl.Close() })
 		return cl
 	}
-	alice, bob := dial("alice", "alicepw"), dial("bob", "bobpw")
+}
+
+// TestReportVerbs drives the status verbs against a live server: every
+// one goes through the single report driver, which takes -json wherever
+// it stands among the words.
+func TestReportVerbs(t *testing.T) {
+	_, dial := testServer(t)
+	alice, bob := dial("alice"), dial("bob")
 	if _, err := alice.Put("/home/a.txt", []byte("a"), client.PutOpts{Resource: "disk1"}); err != nil {
 		t.Fatal(err)
 	}

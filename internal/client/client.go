@@ -69,8 +69,8 @@ type Client struct {
 	// logical call, so callers can fetch its span tree afterwards.
 	lastTrace traceid.ID
 	// metrics, when set, receives client-side latency-decomposition
-	// phases (serialize, pool checkout, mux in-flight, dial, batch hold)
-	// as phase.client.* ops, plus the connection pool's wire.pool.*
+	// phases (serialize, pool checkout, mux in-flight, dial) as
+	// phase.client.* ops, plus the connection pool's wire.pool.*
 	// gauges and checkout-wait histogram.
 	metrics atomic.Pointer[obs.Registry]
 }
@@ -610,9 +610,10 @@ func (cl *Client) GetRangeTo(path string, offset, length int64, w io.Writer) (in
 	return x.wrote.Load(), err
 }
 
-// ParallelGet retrieves an object over streams concurrent connections,
-// each fetching a contiguous range — SRB's parallel bulk transfer. Each
-// stream leases a pooled connection of its own for each attempt.
+// ParallelGet retrieves an object over streams concurrent connections
+// (at most MaxStreams), each fetching a contiguous range — SRB's
+// parallel bulk transfer. Each stream leases a pooled connection of its
+// own for each attempt.
 func (cl *Client) ParallelGet(path string, streams int) ([]byte, error) {
 	st, err := cl.Stat(path)
 	if err != nil {
@@ -656,14 +657,23 @@ func getAt[A any](cl *Client, op string, args A, w io.WriterAt, off int64, exclu
 	return x.wrote.Load(), err
 }
 
+// MaxStreams caps the streams of one parallel get. Each stream leases a
+// connection of its own, which the pool's MaxConns does not hold back
+// (wire.Pool.GetExclusive), so this cap is what bounds the goroutines and
+// connections a single call starts.
+const MaxStreams = 16
+
+// streamCount is how many streams a parallel get of size bytes runs when
+// asked for streams: at least one, at most MaxStreams, and no more than
+// the object has bytes.
+func streamCount(size int64, streams int) int {
+	n := int64(min(max(streams, 1), MaxStreams))
+	return int(max(min(n, size), 1))
+}
+
 func (cl *Client) parallelTo(path string, size int64, streams int, w io.WriterAt) error {
-	if streams < 1 {
-		streams = 1
-	}
-	if int64(streams) > size {
-		streams = int(size)
-	}
-	if streams <= 1 || size == 0 {
+	streams = streamCount(size, streams)
+	if streams == 1 {
 		_, err := getAt(cl, wire.OpGet, wire.PathArgs{Path: path}, w, 0, false)
 		return err
 	}

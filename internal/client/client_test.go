@@ -363,3 +363,29 @@ func TestGetResultOutlivesItsBuffer(t *testing.T) {
 		t.Errorf("the first get's result changed under later gets: %q, want %q", kept, want)
 	}
 }
+
+// TestStreamCount: a parallel get runs at least one stream, never more
+// than MaxStreams however many are asked for, and never more than the
+// object has bytes; E6's eight streams are reachable.
+func TestStreamCount(t *testing.T) {
+	const gib = 1 << 30
+	for _, c := range []struct {
+		size    int64
+		streams int
+		want    int
+	}{
+		{gib, 8, 8},
+		{gib, MaxStreams, MaxStreams},
+		{gib, MaxStreams + 1, MaxStreams},
+		{gib, 100000, MaxStreams},
+		{gib, 0, 1},
+		{gib, -3, 1},
+		{5, 8, 5},
+		{1, 4, 1},
+		{0, 4, 1},
+	} {
+		if got := streamCount(c.size, c.streams); got != c.want {
+			t.Errorf("streamCount(%d, %d) = %d, want %d", c.size, c.streams, got, c.want)
+		}
+	}
+}

@@ -185,6 +185,26 @@ func TestGetObjectAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestGetResourceAllocatesNothing: a resource lookup hands out the
+// stored row, whose Members the reader shares, so a put that reads a
+// logical resource's policy or owner copies nothing onto the heap.
+func TestGetResourceAllocatesNothing(t *testing.T) {
+	skipUnderRace(t)
+	c := mcat.New("admin", "local")
+	for _, name := range []string{"d1", "d2"} {
+		must(t, c.AddResource(types.Resource{Name: name, Kind: types.ResourcePhysical, Driver: "memfs"}))
+	}
+	must(t, c.AddResource(types.Resource{Name: "pair", Kind: types.ResourceLogical, Members: []string{"d1", "d2"}, ReplPolicy: "async:1"}))
+	n := testing.AllocsPerRun(100, func() {
+		if r, err := c.GetResource("pair"); err != nil || len(r.Members) != 2 {
+			t.Fatalf("GetResource = %+v, %v", r, err)
+		}
+	})
+	if n != 0 {
+		t.Errorf("GetResource of a logical resource allocates %v times, want 0", n)
+	}
+}
+
 // TestCheckMandatoryAllocatesNothing: a put checks its collection's
 // structural attributes by walking up the collection's path, whose
 // ancestors are its prefixes, so where none is defined the check makes

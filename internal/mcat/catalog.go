@@ -307,7 +307,10 @@ func (c *Catalog) AddResource(r types.Resource) error {
 	return c.commitLine(l)
 }
 
-// GetResource returns a resource by name.
+// GetResource returns a resource by name. Its Members slice is the
+// stored row's, shared read-only as an object row's slices are: a
+// committed resource's members never change (commitLocked stores its own
+// copy), so a caller reads them and writes into a copy.
 func (c *Catalog) GetResource(name string) (types.Resource, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
@@ -315,20 +318,17 @@ func (c *Catalog) GetResource(name string) (types.Resource, error) {
 	if !ok {
 		return types.Resource{}, types.E("getresource", name, types.ErrNotFound)
 	}
-	out := *r
-	out.Members = append([]string(nil), r.Members...)
-	return out, nil
+	return *r, nil
 }
 
-// Resources lists all resources sorted by name.
+// Resources lists all resources sorted by name, their Members shared
+// read-only as GetResource's are.
 func (c *Catalog) Resources() []types.Resource {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	out := make([]types.Resource, 0, len(c.resources))
 	for _, r := range c.resources {
-		cp := *r
-		cp.Members = append([]string(nil), r.Members...)
-		out = append(out, cp)
+		out = append(out, *r)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out

@@ -144,6 +144,9 @@ func (c *Catalog) commitLocked(j *Journal, e *Entry, line []byte) error {
 			r.CreatedAt = c.now()
 		}
 		r.Online = true
+		// The stored row is handed out shared; it must not alias the
+		// caller's slice.
+		r.Members = slices.Clone(r.Members)
 		e.Resource = &r
 		if err := c.appendLocked(j, e, line); err != nil {
 			return err

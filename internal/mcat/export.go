@@ -17,7 +17,8 @@ import (
 // ACLs — come first, and the repair queue last. Root itself is a
 // collection or an object; a path that is neither exports nothing. An
 // ingest entry's object shares its row's slices, read-only, as
-// GetObject does.
+// GetObject does, and a resource entry its row's members, as
+// GetResource does.
 func (c *Catalog) Export(root string) []Entry {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
@@ -45,7 +46,6 @@ func (c *Catalog) exportLocked(root string) []Entry {
 		})
 		for _, name := range names {
 			r := *c.resources[name]
-			r.Members = append([]string(nil), r.Members...)
 			out = append(out, Entry{Op: "addresource", Resource: &r})
 			if !r.Online { // AddResource registers a resource online
 				out = append(out, Entry{Op: "setonline", Name: name})

@@ -368,8 +368,15 @@ func TestUsersGroupsResources(t *testing.T) {
 	if err := c.AddResource(types.Resource{Name: "lr", Kind: types.ResourceLogical, Members: []string{"d1", "ghost"}}); !errors.Is(err, types.ErrNotFound) {
 		t.Errorf("missing member: %v", err)
 	}
-	if err := c.AddResource(types.Resource{Name: "lr", Kind: types.ResourceLogical, Members: []string{"d1", "d2"}}); err != nil {
+	members := []string{"d1", "d2"}
+	if err := c.AddResource(types.Resource{Name: "lr", Kind: types.ResourceLogical, Members: members}); err != nil {
 		t.Fatal(err)
+	}
+	// The stored row, which readers share, keeps its own members: a
+	// write into the caller's slice does not reach it.
+	members[0] = "changed"
+	if lr, err := c.GetResource("lr"); err != nil || lr.Members[0] != "d1" {
+		t.Errorf("GetResource after the caller's slice changed = %+v, %v", lr, err)
 	}
 	phys, err := c.ResolvePhysical("lr")
 	if err != nil || len(phys) != 2 || phys[0].Name != "d1" {

@@ -46,7 +46,6 @@ const (
 
 	// Client-side phases (recorded into the client's own registry; the
 	// client has no server span, so these never appear in span trees).
-	PhaseBatchHold    = "batch.hold"    // item sat in the PutBatcher before its flush started
 	PhasePoolCheckout = "pool.checkout" // waiting for a pooled connection (includes dial when one is minted)
 	PhaseDial         = "dial"          // TCP connect + handshake for a fresh pooled conn
 	PhaseSerialize    = "serialize"     // request argument marshaling
