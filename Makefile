@@ -77,11 +77,16 @@ JOURNAL_WRITES := \blog\(|appendLine\(|\.w\.Write\(
 # mutation makes no object for its entry or the payload it points at.
 NEW_ENTRY := &Entry\{
 
-# The line fence: a journal or snapshot line is appended by hand
-# (internal/mcat/line.go's appendEntry), never by the reflective
-# encoder, which makes an object for every time it meets. canary.go,
-# built only under the rowcanary tag, fingerprints rows with JSON.
+# The line fence: a journal or snapshot line is appended and read by
+# hand (internal/mcat/line.go's appendEntry and readEntry), never by the
+# reflective encoder, which makes an object for every time it meets, nor
+# by the reflective decoder. canary.go, built only under the rowcanary
+# tag, fingerprints rows with JSON; legacy.go reads the version-1
+# snapshot, one JSON document, with json.Unmarshal; and line.go's unquote
+# hands a string token with an escape in it to json.Unmarshal.
 LINE_ENCODERS := json\.(Marshal|MarshalIndent|NewEncoder)\(
+LINE_DECODERS := json\.(Unmarshal|NewDecoder)\(
+LINE_UNQUOTE := ^internal/mcat/line\.go:[0-9]+:\s*_ = json\.Unmarshal\(tok, &s\)$$
 LINE_FILES := $(filter-out %_test.go internal/mcat/canary.go,$(wildcard internal/mcat/*.go))
 
 # The lender fence: a scattered query's shard shares run on the parked
@@ -150,6 +155,7 @@ lint: vet
 	@if grep -rnE '$(JOURNAL_WRITES)' --include=*.go --exclude=*_test.go --exclude=journal.go internal/mcat; then echo "journal write outside journal.go: commit the entry through commitLocked, which appends it before it is applied"; exit 1; fi
 	@if grep -rnE '$(NEW_ENTRY)' --include=*.go --exclude=*_test.go internal/mcat; then echo "build the entry in the line buffer (encodeLine)"; exit 1; fi
 	@if grep -nE '$(LINE_ENCODERS)' $(LINE_FILES); then echo "append journal and snapshot lines with appendEntry"; exit 1; fi
+	@if grep -nE '$(LINE_DECODERS)' $(filter-out internal/mcat/legacy.go,$(LINE_FILES)) | grep -vE '$(LINE_UNQUOTE)'; then echo "read journal and snapshot lines with readEntry"; exit 1; fi
 	@if [ "$$(grep -rnE '$(GO_STMT)' --include=*.go --exclude=*_test.go internal/mcat/shard | wc -l)" -gt 1 ]; then grep -rnE '$(GO_STMT)' --include=*.go --exclude=*_test.go internal/mcat/shard; echo "hand shard work to the lender (query.go)"; exit 1; fi
 	@if grep -rnF '$(CLIENT_IMPORT)' --include=*.go --exclude=*_test.go $(SERVER_SIDE); then echo "a server reaches a server through peerCall"; exit 1; fi
 	@if [ "$$(grep -rnE '$(DIAL_WITH)' --include=*.go --exclude=*_test.go internal/client | grep -vE 'func DialWith\(' | wc -l)" -ne 1 ] || grep -rnE '$(DIAL_WITH)' --include=*.go --exclude=*_test.go internal/client | grep -vE '$(DIAL_WITH_OK)'; then grep -rnE '$(DIAL_WITH)' --include=*.go --exclude=*_test.go internal/client; echo "a call that needs a conn of its own leases one: Pool.GetExclusive"; exit 1; fi
@@ -256,8 +262,9 @@ test-phases:
 # put's structural check walks up its path and makes nothing; a
 # decoded header's or args' strings come from one copy; a triplet, an
 # annotation or a put makes only what the catalog keeps (a put's line,
-# appended by hand, nothing; a value one path holds, no set), and a tail
-# exemplar nothing. Then the catalog against itself: the query and
+# appended by hand, nothing; a value one path holds, no set), a tail
+# exemplar nothing, and a boot's snapshot load only the rows it reads,
+# about twelve objects a line. Then the catalog against itself: the query and
 # mutation differential tests (a monolith against a 4-shard router, the
 # router reopened at 3 and 1 shards, four goroutines querying one router
 # at once), the journal and snapshot fixtures
@@ -273,7 +280,9 @@ test-phases:
 # journal bytes through the one seam boot replay, replication and
 # migration share, 15 s of arbitrary bytes through the snapshot
 # loader a follower's catch-up takes off the wire, and 15 s of fuzzed
-# entries through the hand-written line appender against json.Marshal. (Minimizing an input
+# entries through the hand-written line appender against json.Marshal,
+# and 15 s of arbitrary and appended lines through the hand-written line
+# reader against json.Unmarshal. (Minimizing an input
 # as long as a journal would otherwise take the whole 15 s.) First, the
 # durable-file layer every snapshot and journal sits on: publish and
 # abort, the line log's concurrent appends and torn tail, replay's line
@@ -282,7 +291,7 @@ test-phases:
 test-mcat:
 	$(GO) test -race -count=10 ./internal/durable/
 	$(GO) test -race -count=10 ./internal/mcat/shard/
-	$(GO) test -count=3 -run 'TestQueryAllocates|TestGetObjectAllocatesNothing|TestCheckMandatoryAllocatesNothing|TestDecodeStringAllocs|TestRoundTripAllocBudget|TestFederatedReadAllocBudget|TestMutatorsKeepOnlyWhatTheyStore|TestPostingSetMapsOnlyFromTheSecondPath|TestEncodeIngestLineAllocatesNothing|TestIngestKeepsOnlyWhatItStores|TestExemplarStoreAllocs|TestScatterQueryAllocs' ./internal/mcat/ ./internal/mcat/shard/ ./internal/wire/ ./internal/server/ ./internal/obs/
+	$(GO) test -count=3 -run 'TestLoadAllocates|TestQueryAllocates|TestGetObjectAllocatesNothing|TestCheckMandatoryAllocatesNothing|TestDecodeStringAllocs|TestRoundTripAllocBudget|TestFederatedReadAllocBudget|TestMutatorsKeepOnlyWhatTheyStore|TestPostingSetMapsOnlyFromTheSecondPath|TestEncodeIngestLineAllocatesNothing|TestIngestKeepsOnlyWhatItStores|TestExemplarStoreAllocs|TestScatterQueryAllocs' ./internal/mcat/ ./internal/mcat/shard/ ./internal/wire/ ./internal/server/ ./internal/obs/
 	$(GO) test -race -count=10 -run 'Query|Like|Differential' ./internal/mcat/
 	$(GO) test -race -count=1 -run 'TestJournalFixture|TestSnapshotFixture|TestEveryKindRefusedWhenAppendFails' ./internal/mcat/
 	$(GO) test -race -count=1 -run 'TestRefusedMetadata|TestIngestJournalFailure|TestIngestLosingRace|TestPutCrashPoints|TestCreateThroughLinkedCollection|TestRegisterFileRefusedTriplet|TestCreateJournalEntries|TestRefusedDeleteKeepsBytes' ./internal/core/
@@ -290,6 +299,7 @@ test-mcat:
 	$(GO) test -run '^$$' -fuzz=FuzzJournalReplay -fuzztime=15s -fuzzminimizetime=1s ./internal/mcat/
 	$(GO) test -run '^$$' -fuzz=FuzzSnapshotLoad -fuzztime=15s -fuzzminimizetime=1s ./internal/mcat/
 	$(GO) test -run '^$$' -fuzz=FuzzEntryLine -fuzztime=15s -fuzzminimizetime=1s ./internal/mcat/
+	$(GO) test -run '^$$' -fuzz=FuzzEntryRead -fuzztime=15s -fuzzminimizetime=1s ./internal/mcat/
 
 # Heat-observatory sweep: the top-K sketch (Zipf recall, decay,
 # concurrent writers, rollup fold, persistence), the keyed table the

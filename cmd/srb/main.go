@@ -192,7 +192,17 @@ func printJSON(v any) error {
 	return enc.Encode(v)
 }
 
-func run(cl *client.Client, cmd string, args []string) error {
+// run runs one command. A missing argument (need) is its error too.
+func run(cl *client.Client, cmd string, args []string) (err error) {
+	defer func() {
+		switch p := recover().(type) {
+		case nil:
+		case missingArg:
+			err = p.error
+		default:
+			panic(p)
+		}
+	}()
 	// A status report's verb is two words ("repair status") or one (the
 	// switch's default).
 	if len(args) > 0 {
@@ -679,7 +689,7 @@ func runBulkPut(cl *client.Client, args []string) error {
 				fmt.Printf("ingested %s\n", r.Path)
 			} else {
 				failed++
-				fmt.Fprintf(os.Stderr, "srb: put %s: %s\n", r.Path, r.ErrMsg)
+				fmt.Fprintf(os.Stderr, "srb: put %s: %s\n", r.Path, strings.TrimPrefix(r.ErrMsg, "srb: "))
 			}
 		}
 		batch, size = nil, 0
@@ -726,10 +736,13 @@ func writeLocal(path string, fill func(*durable.File) error) error {
 	return f.Commit()
 }
 
-// need returns args[i] or exits with a usage message.
+// missingArg is need's panic, which run recovers and returns.
+type missingArg struct{ error }
+
+// need returns args[i]; without it, run returns "missing argument: what".
 func need(args []string, i int, what string) string {
 	if i >= len(args) {
-		fatal(fmt.Errorf("missing argument: %s", what))
+		panic(missingArg{fmt.Errorf("missing argument: %s", what)})
 	}
 	return args[i]
 }

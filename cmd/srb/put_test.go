@@ -96,8 +96,8 @@ func TestPutBulk(t *testing.T) {
 	}
 	before := served()
 	out, stderr, err := runOut(t, alice, "put", append(append([]string{"-bulk", "/home/dup"}, files("h", 1, 1, 1)...), "-resource", "disk1")...)
-	if err == nil || !strings.Contains(stderr, "srb: put /home/dup/h1.dat: ") {
-		t.Errorf("a bulk put with a failing item: err %v, stderr\n%s", err, stderr)
+	if want := "srb: put /home/dup/h1.dat: ingest /home/dup/h1.dat: already exists\n"; err == nil || stderr != want {
+		t.Errorf("a bulk put with a failing item: err %v, stderr\n%s\nwant\n%s", err, stderr, want)
 	}
 	if !strings.HasSuffix(out, "bulk put: 2 ok, 1 failed (1 round trips)\n") || served()-before != 1 {
 		t.Errorf("a bulk put with a failing item printed\n%s", out)
@@ -110,23 +110,27 @@ func TestPutBulk(t *testing.T) {
 
 	// put and put -bulk parse one set of flags: an unknown one, a flag
 	// with no value and a bulk flag on a plain put are refused by name,
-	// before anything is sent.
+	// before anything is sent. A missing argument is run's error too, not
+	// an exit of the process.
 	local := files("i", 1)[0]
 	before = served()
 	for _, c := range []struct {
+		cmd  string
 		args []string
-		flag string
+		want string
 	}{
-		{[]string{"-bulk", "/home", local, "-batch-period", "1s"}, "-batch-period"},
-		{[]string{"-bulk", "/home", local, "-bogus", "x"}, "-bogus"},
-		{[]string{"-bulk", "/home", local, "-batch"}, "-batch"},
-		{[]string{local, "/home/i.dat", "-resourc", "disk1"}, "-resourc"},
-		{[]string{local, "/home/i.dat", "-resource"}, "-resource"},
-		{[]string{local, "/home/i.dat", "-type", "-container", "c"}, "-type"},
-		{[]string{local, "/home/i.dat", "-batch", "2"}, "-batch"},
+		{"put", []string{"-bulk", "/home", local, "-batch-period", "1s"}, "-batch-period"},
+		{"put", []string{"-bulk", "/home", local, "-bogus", "x"}, "-bogus"},
+		{"put", []string{"-bulk", "/home", local, "-batch"}, "-batch"},
+		{"put", []string{local, "/home/i.dat", "-resourc", "disk1"}, "-resourc"},
+		{"put", []string{local, "/home/i.dat", "-resource"}, "-resource"},
+		{"put", []string{local, "/home/i.dat", "-type", "-container", "c"}, "-type"},
+		{"put", []string{local, "/home/i.dat", "-batch", "2"}, "-batch"},
+		{"put", []string{local}, "missing argument: path"},
+		{"pget", nil, "missing argument: path"},
 	} {
-		if _, _, err := runOut(t, alice, "put", c.args...); err == nil || !strings.Contains(err.Error()+" ", c.flag+" ") {
-			t.Errorf("put %v = %v, want an error naming %s", c.args, err, c.flag)
+		if _, _, err := runOut(t, alice, c.cmd, c.args...); err == nil || !strings.Contains(err.Error()+" ", c.want+" ") {
+			t.Errorf("%s %v = %v, want an error naming %s", c.cmd, c.args, err, c.want)
 		}
 	}
 	if served() != before {

@@ -1,6 +1,7 @@
 package mcat_test
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"testing"
@@ -361,5 +362,38 @@ func TestIngestKeepsOnlyWhatItStores(t *testing.T) {
 	})
 	if n != 1 {
 		t.Errorf("a journaled put makes %v objects, want 1: its metaEntry slice", n)
+	}
+}
+
+// TestLoadAllocates fences what a boot makes per snapshot line: a
+// snapshot of 1 000 puts, each an ingest line (one replica, two user
+// metadata values) and an addmeta line (one type value), the line shapes
+// of the bench's catalog_heavy. Loading it makes the catalog's rows,
+// their strings and its indexes, and reading a line makes only the
+// entry's payload: each string, each list and each pointed-at struct
+// once. History: 20.1 objects a line while lines were read by
+// json.Unmarshal; 12.1 once read by hand (line.go's readEntry).
+func TestLoadAllocates(t *testing.T) {
+	skipUnderRace(t)
+	const puts = 1000
+	src := mcat.New("admin", "local")
+	must(t, src.MkCollAll("/zone/proj", "admin"))
+	at := time.Date(2002, 7, 24, 9, 0, 0, 123456789, time.UTC)
+	for i := 0; i < puts; i++ {
+		name := fmt.Sprintf("o%05d", i)
+		id, err := src.NewObjectID("/zone/proj/" + name)
+		must(t, err)
+		o := putRow(id, name)
+		o.CreatedAt, o.ModifiedAt, o.Replicas[0].CreatedAt, o.Replicas[0].ModifiedAt = at, at, at, at
+		must(t, src.Ingest(o.Path(), o, []types.AVU{{Name: "band", Value: "J"}, {Name: "mag", Value: fmt.Sprint(i % 1000)}}))
+		must(t, src.AddMeta(o.Path(), types.MetaType, types.AVU{Name: "dc:title", Value: fmt.Sprint("survey field ", i)}))
+	}
+	var snap bytes.Buffer
+	must(t, src.Save(&snap))
+	lines := bytes.Count(snap.Bytes(), []byte("\n"))
+	c := mcat.New("admin", "local")
+	perLine := testing.AllocsPerRun(3, func() { must(t, c.Load(bytes.NewReader(snap.Bytes()))) }) / float64(lines)
+	if budget := 13.0; perLine > budget {
+		t.Errorf("loading a snapshot makes %.1f objects a line, budget %.0f", perLine, budget)
 	}
 }

@@ -2,7 +2,6 @@ package mcat
 
 import (
 	"bytes"
-	"encoding/json"
 	"io"
 	"sync"
 
@@ -233,9 +232,15 @@ type ReplayStats struct {
 // the entries behind it — but they are counted, and every caller
 // surfaces the count (log + metric).
 func (c *Catalog) ReplayCounted(r io.Reader) (st ReplayStats, err error) {
+	// One reader and one entry serve every line: commitLocked keeps what
+	// e points at, never e.
+	var (
+		rd reader
+		e  Entry
+	)
 	st.Corrupt, err = durable.Replay(r, func(line []byte) bool {
-		var e Entry
-		if json.Unmarshal(line, &e) != nil {
+		e = Entry{}
+		if rd.entry(line, &e) != nil {
 			return false
 		}
 		c.mu.Lock()
@@ -310,7 +315,7 @@ func (c *Catalog) JournalPos() JournalPos {
 // guard enforces that for routed traffic.
 func (c *Catalog) ApplyEntry(line []byte) error {
 	var e Entry
-	if err := json.Unmarshal(line, &e); err != nil {
+	if err := readEntry(line, &e); err != nil {
 		return types.E("replicate", "", err)
 	}
 	c.mu.Lock()

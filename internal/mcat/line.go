@@ -1,25 +1,36 @@
 package mcat
 
 import (
+	"encoding/json"
 	"errors"
+	"slices"
 	"strconv"
 	"time"
+	"unicode"
 	"unicode/utf8"
 
 	"gosrb/internal/types"
 )
 
-// A journal or snapshot line is appended by hand: appendEntry writes the
-// bytes json.Marshal writes for an entry, then '\n', into the caller's
-// buffer, so a line makes no object (the reflective encoder makes one
-// for every time.Time it meets). Each payload type has its appender,
-// which writes the type's fields in struct order under their Go names,
-// leaves out an omitempty field that is empty, writes a nil slice or
-// pointer as null and an empty slice as [], and an enum as its integer.
-// A field added to a payload type is added to its appender too, or the
-// journal drops it: TestJournalFixture and FuzzEntryLine, which holds
-// appendEntry to json.Marshal byte for byte, catch the omission. Reading
-// stays on encoding/json, which parses every line written here.
+// A journal or snapshot line is appended and read by hand. appendEntry
+// writes the bytes json.Marshal writes for an entry, then '\n', into the
+// caller's buffer, so a line makes no object (the reflective encoder
+// makes one for every time.Time it meets). Each payload type has its
+// appender, which writes the type's fields in struct order under their
+// Go names, leaves out an omitempty field that is empty, writes a nil
+// slice or pointer as null and an empty slice as [], and an enum as its
+// integer. A field added to a payload type is added to its appender too,
+// or the journal drops it: TestJournalFixture and FuzzEntryLine, which
+// holds appendEntry to json.Marshal byte for byte, catch the omission.
+//
+// readEntry and readHead are the inverse: one scan of the line, straight
+// into the struct, with one reader per payload type, a table of its
+// fields in struct order under their Go names, each with how its value
+// is read. They accept exactly the lines json.Unmarshal accepts and
+// yield what it yields, so every line an older binary wrote still reads.
+// A field added to a payload type is added to its reader too, or the
+// reader skips it: FuzzEntryRead, which holds both readers to
+// json.Unmarshal, catches the omission.
 
 // appender is a line being appended, and the first error met writing
 // it: a time that RFC 3339 cannot hold, which json.Marshal refuses too.
@@ -502,4 +513,612 @@ func (a *appender) str(s string) {
 		start = i
 	}
 	a.b = append(append(b, s[start:]...), '"')
+}
+
+// errLine is a line readEntry or readHead refuses, as json.Unmarshal
+// refuses it: for its syntax, or for a value of the wrong type.
+var errLine = errors.New("malformed catalog line")
+
+// maxDepth is encoding/json's nesting limit, which a line keeps to.
+const maxDepth = 10000
+
+// reader is a line being read. A refused line is marked bad and read to
+// its end, so every later step fails at once.
+type reader struct {
+	b     []byte
+	i     int
+	depth int
+	bad   bool
+}
+
+// readEntry reads one journal or snapshot line into e, which is zero.
+func readEntry(line []byte, e *Entry) error {
+	var r reader
+	return r.entry(line, e)
+}
+
+// entry reads line into e, which is zero, with r, which a caller reading
+// many lines keeps for all of them.
+func (r *reader) entry(line []byte, e *Entry) error {
+	*r = reader{b: line}
+	entryFields.read(r, e)
+	return r.end()
+}
+
+// readHead reads a snapshot's head line into h.
+func readHead(line []byte, h *snapshotHead) error {
+	r := reader{b: line}
+	headFields.read(&r, h)
+	return r.end()
+}
+
+var (
+	entryFields = newFields([]field[Entry]{
+		{"Op", func(r *reader, e *Entry) { r.str(&e.Op) }},
+		{"User", func(r *reader, e *Entry) { ptr(r, &e.User, userFields.read) }},
+		{"Group", func(r *reader, e *Entry) { r.str(&e.Group) }},
+		{"Member", func(r *reader, e *Entry) { r.str(&e.Member) }},
+		{"Resource", func(r *reader, e *Entry) { ptr(r, &e.Resource, resourceFields.read) }},
+		{"Coll", func(r *reader, e *Entry) { ptr(r, &e.Coll, collFields.read) }},
+		{"Object", func(r *reader, e *Entry) { ptr(r, &e.Object, objectFields.read) }},
+		{"Path", func(r *reader, e *Entry) { r.str(&e.Path) }},
+		{"Path2", func(r *reader, e *Entry) { r.str(&e.Path2) }},
+		{"Name", func(r *reader, e *Entry) { r.str(&e.Name) }},
+		{"Grantee", func(r *reader, e *Entry) { r.str(&e.Grantee) }},
+		{"Level", func(r *reader, e *Entry) { integer(r, &e.Level) }},
+		{"Class", func(r *reader, e *Entry) { integer(r, &e.Class) }},
+		{"AVU", func(r *reader, e *Entry) { ptr(r, &e.AVU, avuFields.read) }},
+		{"NewAVU", func(r *reader, e *Entry) { ptr(r, &e.NewAVU, avuFields.read) }},
+		{"Attr", func(r *reader, e *Entry) { ptr(r, &e.Attr, structuralFields.read) }},
+		{"Ann", func(r *reader, e *Entry) { ptr(r, &e.Ann, annotationFields.read) }},
+		{"Online", func(r *reader, e *Entry) { r.bool(&e.Online) }},
+		{"Value", func(r *reader, e *Entry) { r.str(&e.Value) }},
+		{"Repair", func(r *reader, e *Entry) { ptr(r, &e.Repair, repairFields.read) }},
+		{"Meta", func(r *reader, e *Entry) { e.Meta = list(r, e.Meta, avuFields.read) }},
+	})
+	headFields = newFields([]field[snapshotHead]{
+		{"Version", func(r *reader, h *snapshotHead) { integer(r, &h.Version) }},
+		{"NextID", func(r *reader, h *snapshotHead) { integer(r, &h.NextID) }},
+		{"Entries", func(r *reader, h *snapshotHead) { integer(r, &h.Entries) }},
+		{"Root", func(r *reader, h *snapshotHead) { ptr(r, &h.Root, collFields.read) }},
+		{"Gen", func(r *reader, h *snapshotHead) { r.uint(&h.Gen) }},
+	})
+	userFields = newFields([]field[types.User]{
+		{"Name", func(r *reader, u *types.User) { r.str(&u.Name) }},
+		{"Domain", func(r *reader, u *types.User) { r.str(&u.Domain) }},
+		{"CreatedAt", func(r *reader, u *types.User) { r.time(&u.CreatedAt) }},
+		{"Admin", func(r *reader, u *types.User) { r.bool(&u.Admin) }},
+	})
+	resourceFields = newFields([]field[types.Resource]{
+		{"Name", func(r *reader, res *types.Resource) { r.str(&res.Name) }},
+		{"Kind", func(r *reader, res *types.Resource) { integer(r, &res.Kind) }},
+		{"Class", func(r *reader, res *types.Resource) { integer(r, &res.Class) }},
+		{"Driver", func(r *reader, res *types.Resource) { r.str(&res.Driver) }},
+		{"Server", func(r *reader, res *types.Resource) { r.str(&res.Server) }},
+		{"Members", func(r *reader, res *types.Resource) { res.Members = list(r, res.Members, (*reader).str) }},
+		{"Online", func(r *reader, res *types.Resource) { r.bool(&res.Online) }},
+		{"ReplPolicy", func(r *reader, res *types.Resource) { r.str(&res.ReplPolicy) }},
+		{"CreatedAt", func(r *reader, res *types.Resource) { r.time(&res.CreatedAt) }},
+	})
+	collFields = newFields([]field[types.Collection]{
+		{"Path", func(r *reader, c *types.Collection) { r.str(&c.Path) }},
+		{"Owner", func(r *reader, c *types.Collection) { r.str(&c.Owner) }},
+		{"CreatedAt", func(r *reader, c *types.Collection) { r.time(&c.CreatedAt) }},
+		{"LinkTarget", func(r *reader, c *types.Collection) { r.str(&c.LinkTarget) }},
+	})
+	objectFields = newFields([]field[types.DataObject]{
+		{"ID", func(r *reader, o *types.DataObject) { integer(r, &o.ID) }},
+		{"Name", func(r *reader, o *types.DataObject) { r.str(&o.Name) }},
+		{"Collection", func(r *reader, o *types.DataObject) { r.str(&o.Collection) }},
+		{"Kind", func(r *reader, o *types.DataObject) { integer(r, &o.Kind) }},
+		{"DataType", func(r *reader, o *types.DataObject) { r.str(&o.DataType) }},
+		{"Owner", func(r *reader, o *types.DataObject) { r.str(&o.Owner) }},
+		{"Size", func(r *reader, o *types.DataObject) { integer(r, &o.Size) }},
+		{"Checksum", func(r *reader, o *types.DataObject) { r.str(&o.Checksum) }},
+		{"CreatedAt", func(r *reader, o *types.DataObject) { r.time(&o.CreatedAt) }},
+		{"ModifiedAt", func(r *reader, o *types.DataObject) { r.time(&o.ModifiedAt) }},
+		{"Replicas", func(r *reader, o *types.DataObject) { o.Replicas = list(r, o.Replicas, replicaFields.read) }},
+		{"Container", func(r *reader, o *types.DataObject) { r.str(&o.Container) }},
+		{"ContainerOffset", func(r *reader, o *types.DataObject) { integer(r, &o.ContainerOffset) }},
+		{"ContainerSize", func(r *reader, o *types.DataObject) { integer(r, &o.ContainerSize) }},
+		{"LinkTarget", func(r *reader, o *types.DataObject) { r.str(&o.LinkTarget) }},
+		{"URL", func(r *reader, o *types.DataObject) { r.str(&o.URL) }},
+		{"SQL", func(r *reader, o *types.DataObject) { ptr(r, &o.SQL, sqlFields.read) }},
+		{"Method", func(r *reader, o *types.DataObject) { ptr(r, &o.Method, methodFields.read) }},
+		{"Alternates", func(r *reader, o *types.DataObject) { o.Alternates = list(r, o.Alternates, altFields.read) }},
+		{"Lock", func(r *reader, o *types.DataObject) { lockFields.read(r, &o.Lock) }},
+		{"Pins", func(r *reader, o *types.DataObject) { o.Pins = list(r, o.Pins, pinFields.read) }},
+		{"Versions", func(r *reader, o *types.DataObject) { o.Versions = list(r, o.Versions, versionFields.read) }},
+		{"CheckedOutBy", func(r *reader, o *types.DataObject) { r.str(&o.CheckedOutBy) }},
+	})
+	replicaFields = newFields([]field[types.Replica]{
+		{"Number", func(r *reader, rp *types.Replica) { integer(r, &rp.Number) }},
+		{"Resource", func(r *reader, rp *types.Replica) { r.str(&rp.Resource) }},
+		{"PhysicalPath", func(r *reader, rp *types.Replica) { r.str(&rp.PhysicalPath) }},
+		{"Status", func(r *reader, rp *types.Replica) { integer(r, &rp.Status) }},
+		{"Size", func(r *reader, rp *types.Replica) { integer(r, &rp.Size) }},
+		{"Checksum", func(r *reader, rp *types.Replica) { r.str(&rp.Checksum) }},
+		{"CreatedAt", func(r *reader, rp *types.Replica) { r.time(&rp.CreatedAt) }},
+		{"ModifiedAt", func(r *reader, rp *types.Replica) { r.time(&rp.ModifiedAt) }},
+		{"Registered", func(r *reader, rp *types.Replica) { r.bool(&rp.Registered) }},
+	})
+	sqlFields = newFields([]field[types.SQLSpec]{
+		{"Resource", func(r *reader, s *types.SQLSpec) { r.str(&s.Resource) }},
+		{"Query", func(r *reader, s *types.SQLSpec) { r.str(&s.Query) }},
+		{"Partial", func(r *reader, s *types.SQLSpec) { r.bool(&s.Partial) }},
+		{"Template", func(r *reader, s *types.SQLSpec) { r.str(&s.Template) }},
+	})
+	methodFields = newFields([]field[types.MethodSpec]{
+		{"Proxy", func(r *reader, m *types.MethodSpec) { r.bool(&m.Proxy) }},
+		{"Server", func(r *reader, m *types.MethodSpec) { r.str(&m.Server) }},
+		{"Name", func(r *reader, m *types.MethodSpec) { r.str(&m.Name) }},
+		{"Args", func(r *reader, m *types.MethodSpec) { m.Args = list(r, m.Args, (*reader).str) }},
+	})
+	altFields = newFields([]field[types.AltSpec]{
+		{"Kind", func(r *reader, a *types.AltSpec) { integer(r, &a.Kind) }},
+		{"URL", func(r *reader, a *types.AltSpec) { r.str(&a.URL) }},
+		{"SQL", func(r *reader, a *types.AltSpec) { ptr(r, &a.SQL, sqlFields.read) }},
+		{"Resource", func(r *reader, a *types.AltSpec) { r.str(&a.Resource) }},
+		{"PhysicalPath", func(r *reader, a *types.AltSpec) { r.str(&a.PhysicalPath) }},
+	})
+	lockFields = newFields([]field[types.Lock]{
+		{"Kind", func(r *reader, l *types.Lock) { integer(r, &l.Kind) }},
+		{"Holder", func(r *reader, l *types.Lock) { r.str(&l.Holder) }},
+		{"Expires", func(r *reader, l *types.Lock) { r.time(&l.Expires) }},
+	})
+	pinFields = newFields([]field[types.Pin]{
+		{"Resource", func(r *reader, p *types.Pin) { r.str(&p.Resource) }},
+		{"Holder", func(r *reader, p *types.Pin) { r.str(&p.Holder) }},
+		{"Expires", func(r *reader, p *types.Pin) { r.time(&p.Expires) }},
+	})
+	versionFields = newFields([]field[types.Version]{
+		{"Number", func(r *reader, v *types.Version) { integer(r, &v.Number) }},
+		{"Resource", func(r *reader, v *types.Version) { r.str(&v.Resource) }},
+		{"Path", func(r *reader, v *types.Version) { r.str(&v.Path) }},
+		{"Size", func(r *reader, v *types.Version) { integer(r, &v.Size) }},
+		{"Checksum", func(r *reader, v *types.Version) { r.str(&v.Checksum) }},
+		{"CreatedAt", func(r *reader, v *types.Version) { r.time(&v.CreatedAt) }},
+		{"Comment", func(r *reader, v *types.Version) { r.str(&v.Comment) }},
+	})
+	avuFields = newFields([]field[types.AVU]{
+		{"Name", func(r *reader, v *types.AVU) { r.str(&v.Name) }},
+		{"Value", func(r *reader, v *types.AVU) { r.str(&v.Value) }},
+		{"Units", func(r *reader, v *types.AVU) { r.str(&v.Units) }},
+	})
+	structuralFields = newFields([]field[types.StructuralAttr]{
+		{"Name", func(r *reader, s *types.StructuralAttr) { r.str(&s.Name) }},
+		{"Defaults", func(r *reader, s *types.StructuralAttr) { s.Defaults = list(r, s.Defaults, (*reader).str) }},
+		{"Comment", func(r *reader, s *types.StructuralAttr) { r.str(&s.Comment) }},
+		{"Mandatory", func(r *reader, s *types.StructuralAttr) { r.bool(&s.Mandatory) }},
+		{"Units", func(r *reader, s *types.StructuralAttr) { r.str(&s.Units) }},
+	})
+	annotationFields = newFields([]field[types.Annotation]{
+		{"Author", func(r *reader, n *types.Annotation) { r.str(&n.Author) }},
+		{"Kind", func(r *reader, n *types.Annotation) { r.str(&n.Kind) }},
+		{"Location", func(r *reader, n *types.Annotation) { r.str(&n.Location) }},
+		{"Text", func(r *reader, n *types.Annotation) { r.str(&n.Text) }},
+		{"CreatedAt", func(r *reader, n *types.Annotation) { r.time(&n.CreatedAt) }},
+	})
+	repairFields = newFields([]field[types.RepairTask]{
+		{"Key", func(r *reader, t *types.RepairTask) { r.str(&t.Key) }},
+		{"Path", func(r *reader, t *types.RepairTask) { r.str(&t.Path) }},
+		{"Resource", func(r *reader, t *types.RepairTask) { r.str(&t.Resource) }},
+		{"Kind", func(r *reader, t *types.RepairTask) { r.str(&t.Kind) }},
+		{"Reason", func(r *reader, t *types.RepairTask) { r.str(&t.Reason) }},
+		{"Enqueued", func(r *reader, t *types.RepairTask) { r.time(&t.Enqueued) }},
+		{"Attempts", func(r *reader, t *types.RepairTask) { integer(r, &t.Attempts) }},
+	})
+	noFields = newFields([]field[struct{}]{})
+)
+
+// field is a payload type's field: its Go name, and how its value is
+// read into a T.
+type field[T any] struct {
+	name string
+	read func(*reader, *T)
+}
+
+// fields is a payload type's reader: its fields, and each name folded
+// (appendFolded), which is how encoding/json matches a key that names
+// no field exactly.
+type fields[T any] struct {
+	list   []field[T]
+	folded []string
+}
+
+func newFields[T any](list []field[T]) *fields[T] {
+	fs := &fields[T]{list: list}
+	for _, f := range list {
+		fs.folded = append(fs.folded, string(appendFolded(nil, []byte(f.name))))
+	}
+	return fs
+}
+
+// read reads an object into v: each key that names a field (exactly,
+// else folded) has its value read into that field, and a key that names
+// none has its value skipped. A repeated key is read again over what the
+// first left. null leaves v as it was, and any other value refuses the
+// line.
+func (fs *fields[T]) read(r *reader, v *T) {
+	if r.null() || !r.open('{') {
+		return
+	}
+	if !r.next('}') {
+		for {
+			if i := fs.match(r.key()); i >= 0 {
+				fs.list[i].read(r, v)
+			} else {
+				r.skip()
+			}
+			if !r.next(',') {
+				break
+			}
+		}
+		if !r.next('}') {
+			r.fail()
+		}
+	}
+	r.depth--
+}
+
+// match returns the index of the field key names, or -1.
+func (fs *fields[T]) match(key []byte) int {
+	for i := range fs.list {
+		if string(key) == fs.list[i].name {
+			return i
+		}
+	}
+	var buf [32]byte
+	k := appendFolded(buf[:0], key)
+	for i, f := range fs.folded {
+		if string(k) == f {
+			return i
+		}
+	}
+	return -1
+}
+
+// appendFolded appends key as encoding/json folds it: ASCII letters
+// upper-cased, and every other rune as the least of its case-folding
+// orbit, so two keys fold alike exactly when bytes.EqualFold holds.
+func appendFolded(b, key []byte) []byte {
+	for i := 0; i < len(key); {
+		if c := key[i]; c < utf8.RuneSelf {
+			if 'a' <= c && c <= 'z' {
+				c -= 'a' - 'A'
+			}
+			b = append(b, c)
+			i++
+			continue
+		}
+		r, n := utf8.DecodeRune(key[i:])
+		b = utf8.AppendRune(b, foldRune(r))
+		i += n
+	}
+	return b
+}
+
+// foldRune returns the least rune of r's case-folding orbit.
+func foldRune(r rune) rune {
+	for {
+		f := unicode.SimpleFold(r)
+		if f <= r {
+			return f
+		}
+		r = f
+	}
+}
+
+func (r *reader) end() error {
+	if r.ws(); r.bad || r.i < len(r.b) {
+		return errLine
+	}
+	return nil
+}
+
+func (r *reader) fail() {
+	r.bad = true
+	r.i = len(r.b)
+}
+
+func (r *reader) ws() {
+	for ; r.i < len(r.b); r.i++ {
+		if c := r.b[r.i]; c != ' ' && c != '\t' && c != '\n' && c != '\r' {
+			return
+		}
+	}
+}
+
+// peek returns the next byte after whitespace, or 0 at the end.
+func (r *reader) peek() byte {
+	if r.ws(); r.i < len(r.b) {
+		return r.b[r.i]
+	}
+	return 0
+}
+
+// next consumes c if it is the next byte after whitespace.
+func (r *reader) next(c byte) bool {
+	if r.peek() == c {
+		r.i++
+		return true
+	}
+	return false
+}
+
+// eat consumes c if it is the next byte.
+func (r *reader) eat(c byte) bool {
+	if r.i < len(r.b) && r.b[r.i] == c {
+		r.i++
+		return true
+	}
+	return false
+}
+
+// lit consumes the literal s (null, true or false) if it comes next.
+func (r *reader) lit(s string) bool {
+	if r.peek() == s[0] && len(r.b)-r.i >= len(s) && string(r.b[r.i:r.i+len(s)]) == s {
+		r.i += len(s)
+		return true
+	}
+	return false
+}
+
+// null consumes a null. It leaves a string, number, bool, time or struct
+// as it was, and makes a pointer or a slice nil, as encoding/json does.
+func (r *reader) null() bool { return r.lit("null") }
+
+// open consumes c, which opens an object or a list one level deeper.
+func (r *reader) open(c byte) bool {
+	if r.depth++; !r.next(c) || r.depth > maxDepth {
+		r.fail()
+		return false
+	}
+	return true
+}
+
+// items reads a list, calling elem for each of its values, and returns
+// how many there were.
+func (r *reader) items(elem func(i int)) int {
+	if !r.open('[') {
+		return 0
+	}
+	n := 0
+	if !r.next(']') {
+		for {
+			elem(n)
+			n++
+			if !r.next(',') {
+				break
+			}
+		}
+		if !r.next(']') {
+			r.fail()
+		}
+	}
+	r.depth--
+	return n
+}
+
+// list reads a list into s as encoding/json does: value i over what s[i]
+// held, which a repeated key's earlier list can have left there, s cut to
+// the values read, and an empty list as an empty slice, not nil. null
+// makes s nil.
+func list[T any](r *reader, s []T, elem func(*reader, *T)) []T {
+	if r.null() {
+		return nil
+	}
+	n := r.items(func(i int) {
+		if i >= cap(s) {
+			s = slices.Grow(s, 1)
+		}
+		if i >= len(s) {
+			s = s[:i+1]
+		}
+		elem(r, &s[i])
+	})
+	if n == 0 {
+		return []T{}
+	}
+	return s[:n]
+}
+
+// ptr reads an object into *p, made if *p is nil; null makes *p nil.
+func ptr[T any](r *reader, p **T, read func(*reader, *T)) {
+	if r.null() {
+		*p = nil
+		return
+	}
+	if *p == nil {
+		*p = new(T)
+	}
+	read(r, *p)
+}
+
+// skip reads a value that names no field: any JSON value.
+func (r *reader) skip() {
+	switch c := r.peek(); {
+	case c == '{':
+		noFields.read(r, nil)
+	case c == '[':
+		r.items(func(int) { r.skip() })
+	case c == '"':
+		r.token()
+	case c == '-' || '0' <= c && c <= '9':
+		r.number()
+	case !r.lit("true") && !r.lit("false") && !r.lit("null"):
+		r.fail()
+	}
+}
+
+// key reads an object's key, and the colon after it.
+func (r *reader) key() []byte {
+	tok, plain := r.token()
+	if !r.next(':') {
+		r.fail()
+		return nil
+	}
+	if !plain {
+		return []byte(unquote(tok))
+	}
+	return tok[1 : len(tok)-1]
+}
+
+// token reads a string's token, quotes and all. plain says it holds no
+// escape and is valid UTF-8, so the bytes between its quotes are the
+// string.
+func (r *reader) token() (tok []byte, plain bool) {
+	if r.peek() != '"' {
+		r.fail()
+		return nil, false
+	}
+	start := r.i
+	plain, ascii := true, true
+	for r.i++; r.i < len(r.b); r.i++ {
+		switch c := r.b[r.i]; {
+		case c == '"':
+			r.i++
+			tok = r.b[start:r.i]
+			return tok, plain && (ascii || utf8.Valid(tok))
+		case c == '\\':
+			if plain = false; !r.escape() {
+				r.fail()
+				return nil, false
+			}
+		case c < ' ':
+			r.fail()
+			return nil, false
+		case c >= utf8.RuneSelf:
+			ascii = false
+		}
+	}
+	r.fail()
+	return nil, false
+}
+
+// escape steps over an escape's letter and, for \u, its four hex digits;
+// r.i is at the backslash.
+func (r *reader) escape() bool {
+	if r.i+1 >= len(r.b) {
+		return false
+	}
+	switch r.b[r.i+1] {
+	case '"', '\\', '/', 'b', 'f', 'n', 'r', 't':
+		r.i++
+		return true
+	case 'u':
+		if r.i+6 > len(r.b) {
+			return false
+		}
+		for _, h := range r.b[r.i+2 : r.i+6] {
+			if !('0' <= h && h <= '9' || 'a' <= h && h <= 'f' || 'A' <= h && h <= 'F') {
+				return false
+			}
+		}
+		r.i += 5
+		return true
+	}
+	return false
+}
+
+// unquote is the string a token with an escape or invalid UTF-8 stands
+// for, as encoding/json reads that one token: it turns each byte of
+// invalid UTF-8 and each lone surrogate into U+FFFD.
+func unquote(tok []byte) (s string) {
+	_ = json.Unmarshal(tok, &s)
+	return s
+}
+
+// str reads a string into an allocation of its own, never a piece of
+// the line, which a row holding it would pin whole.
+func (r *reader) str(s *string) {
+	if r.null() {
+		return
+	}
+	switch tok, plain := r.token(); {
+	case r.bad:
+	case plain:
+		*s = string(tok[1 : len(tok)-1])
+	default:
+		*s = unquote(tok)
+	}
+}
+
+// time reads a time as time.Time.UnmarshalJSON does: the bytes between
+// the quotes as they stand, escapes and all, through UnmarshalText.
+func (r *reader) time(t *time.Time) {
+	if r.null() {
+		return
+	}
+	if tok, _ := r.token(); !r.bad && t.UnmarshalText(tok[1:len(tok)-1]) != nil {
+		r.fail()
+	}
+}
+
+func (r *reader) bool(p *bool) {
+	switch {
+	case r.null():
+	case r.lit("true"):
+		*p = true
+	case r.lit("false"):
+		*p = false
+	default:
+		r.fail()
+	}
+}
+
+// number reads a number's token to JSON's syntax.
+func (r *reader) number() []byte {
+	r.ws()
+	start := r.i
+	r.eat('-')
+	ok := r.eat('0') || r.digits()
+	if ok && r.eat('.') {
+		ok = r.digits()
+	}
+	if ok && (r.eat('e') || r.eat('E')) {
+		_ = r.eat('+') || r.eat('-')
+		ok = r.digits()
+	}
+	if !ok {
+		r.fail()
+		return nil
+	}
+	return r.b[start:r.i]
+}
+
+// digits consumes a run of digits and reports whether there was one.
+func (r *reader) digits() bool {
+	start := r.i
+	for r.i < len(r.b) && '0' <= r.b[r.i] && r.b[r.i] <= '9' {
+		r.i++
+	}
+	return r.i > start
+}
+
+// integer reads an integer as encoding/json does, with strconv.ParseInt:
+// a fraction, an exponent, or a value outside T refuses the line, and so
+// does any value but a number or null.
+func integer[T ~int | ~int64](r *reader, p *T) {
+	if r.null() {
+		return
+	}
+	n, err := strconv.ParseInt(string(r.number()), 10, 64)
+	if err != nil || int64(T(n)) != n {
+		r.fail()
+		return
+	}
+	*p = T(n)
+}
+
+func (r *reader) uint(p *uint64) {
+	if r.null() {
+		return
+	}
+	n, err := strconv.ParseUint(string(r.number()), 10, 64)
+	if err != nil {
+		r.fail()
+		return
+	}
+	*p = n
 }

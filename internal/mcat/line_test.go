@@ -135,3 +135,93 @@ func (m *mutator) walk(v reflect.Value) {
 		}
 	}
 }
+
+// FuzzEntryRead holds readEntry and readHead to json.Unmarshal: the same
+// accept or refuse decision, and on accept a reflect.DeepEqual result.
+// The corpus is every line of the journal and snapshot fixtures, and
+// hostile lines: keys reordered, case-folded and repeated, nulls,
+// escapes, invalid UTF-8, numbers an integer field refuses, values of the
+// wrong type, unknown keys and deep nesting. Each input is also read as
+// FuzzEntryLine mutates it, appended by appendEntry (and appendHead), so
+// every field the appenders write is read back.
+func FuzzEntryRead(f *testing.F) {
+	for _, file := range []string{"testdata/journal.v1", "testdata/journal.ingest", "testdata/snapshot.v2"} {
+		fixture, err := os.ReadFile(file)
+		if err != nil {
+			f.Fatal(err)
+		}
+		for _, line := range bytes.Split(bytes.TrimSpace(fixture), []byte("\n")) {
+			f.Add(line, "", int64(0), int64(0), 0, uint8(0))
+			f.Add(line, "a\"\\\xff\xc3|é\u2028|", int64(1_000_000_000), int64(123_456_789), 5*3600+1800, uint8(0xff))
+			f.Add(line, "|x|", int64(-62135596800), int64(0), 0, uint8(0x3d))
+		}
+	}
+	deep := strings.Repeat("[", maxDepth-1) + strings.Repeat("]", maxDepth-1)
+	for _, line := range []string{
+		`{"Object":{"Name":"x","Replicas":[{"Status":1,"Number":2}],"ID":3},"Op":"ingest"}`,
+		`{"op":"mkcoll","COLL":{"pAth":"/a","ſ":1},"\u212aey":2}`,
+		"{\"Op\":\"ingest\",\"Object\":{\"\u212aind\":2,\"ID\":1,\"checkedoutBY\":\"x\"},\"PATH2\":\"/b\"}",
+		`{"Op":"a","Op":"b","User":{"Name":"a"},"User":{"Domain":"b"},"Repair":{"Key":"k"},"Repair":null}`,
+		`{"Meta":[{"Name":"x","Value":"y"},{"Name":"z"}],"Meta":[{"Units":"u"}],"Meta":[null,{},{"Name":"w"}]}`,
+		`{"Resource":{"Members":["a","b","c"]},"Resource":{"Members":["d"]},"Resource":{"Members":[null,null]}}`,
+		`{"Meta":[{"Name":"x"}],"Meta":[]}`, `{"Coll":{"Path":"/a"},"Coll":null}`, `{"Meta":[{}],"Meta":null}`,
+		`{"Op":null,"Level":null,"Online":null,"Object":{"Replicas":null,"Lock":null,"CreatedAt":null,"ID":null,"SQL":null,"Pins":[]}}`,
+		`{"Op":"\u0069ngest","Path":"\/a\"b\\c\n\u00e9\ud83d\ude00\u003c","Name":"\ud800x","Value":"\udc00\ud800\ud800"}`,
+		"{\"Op\":\"x\xff\",\"Path\":\"\xc3\",\"\xffOp\":1,\"Name\":\"\xed\xa0\x80\"}",
+		`{"Level":1e2}`, `{"Level":1.0}`, `{"Level":01}`, `{"Level":-0}`, `{"Level":-}`, `{"Level":.5}`,
+		`{"Level":9223372036854775807}`, `{"Level":9223372036854775808}`, `{"Level":-9223372036854775809}`,
+		`{"Object":{"Size":99999999999999999999,"Kind":"1"}}`,
+		`{"Version":2,"NextID":7,"Entries":1,"Root":{"Path":"/"},"Gen":18446744073709551615}`,
+		`{"Version":2,"Gen":-1}`, `{"Version":2,"Gen":18446744073709551616}`, `{"Version":2.5}`, `{"Root":[]}`,
+		`{"Op":1}`, `{"User":"x"}`, `{"Meta":{}}`, `{"Online":"true"}`, `{"Online":tru}`, `{"Group":nul}`,
+		`{"Object":{"CreatedAt":5}}`, `{"Object":{"CreatedAt":{}}}`, `{"Object":{"CreatedAt":"2002-07-24T09:00:00\u005a"}}`,
+		`{"Object":{"CreatedAt":"2002-07-24T09:00:00+05:30","ModifiedAt":"2002-07-24T09:00:00.5-01:00"}}`,
+		`{"Object":{"CreatedAt":"2002-7-24T09:00:00Z"}}`, `{"Object":{"Lock":{"Expires":"10000-01-01T00:00:00Z"}}}`,
+		`{"Op":"x","junk":{"a":[1,-2.5e+3,{"b":null}],"c":true,"d":"\u00e9"},"more":[],"x":false}`,
+		`{"junk":[1,]}`, `{"junk":{"a"}}`, `{"junk":{"a":1,}}`, `{"Op":"x",}`, `{,}`, `{"Op" "x"}`, `{"Op":"x" "Path":"y"}`,
+		" \t{ \"Op\" : \"x\" , \"Level\" : 2 , \"Meta\" : [ { } , { \"Name\" : \"n\" } ] } \r\n",
+		`null`, `[]`, `"x"`, `5`, ``, ` `, `{}`, `{"Op":"x"} x`, `{"Op":"x"}{}`, `{"Op":"x"`, `{"Op`,
+		"{\"Op\":\"a\x01\"}", `{"Op":"\x"}`, `{"Op":"\u12"}`, `{"Op":"\u12g4"}`, "{\"Op\":\"a\x7f\"}",
+		`{"x":` + deep + `}`, `{"x":[` + deep + `]}`, `{"Meta":[` + deep + `]}`,
+	} {
+		f.Add([]byte(line), "", int64(0), int64(0), 0, uint8(0))
+	}
+
+	f.Fuzz(func(t *testing.T, line []byte, s string, sec, nsec int64, off int, mask uint8) {
+		sameRead(t, line)
+		var e Entry
+		_ = json.Unmarshal(line, &e)
+		tm := time.Unix(sec, nsec).UTC()
+		if mask&0x80 != 0 {
+			tm = tm.In(time.FixedZone("", off))
+		}
+		m := mutator{pieces: strings.Split(s, "|"), time: tm, mask: mask}
+		m.walk(reflect.ValueOf(&e).Elem())
+		if b, err := appendEntry(nil, &e); err == nil {
+			sameRead(t, b)
+		}
+		h := snapshotHead{Version: int(nsec), NextID: types.ObjectID(sec), Entries: off, Root: e.Coll, Gen: uint64(sec)}
+		if b, err := appendHead(nil, &h); err == nil {
+			sameRead(t, b)
+		}
+	})
+}
+
+// sameRead holds readEntry and readHead on line to json.Unmarshal.
+func sameRead(t *testing.T, line []byte) {
+	t.Helper()
+	var want, got Entry
+	same(t, line, json.Unmarshal(line, &want), readEntry(line, &got), &want, &got)
+	var wantH, gotH snapshotHead
+	same(t, line, json.Unmarshal(line, &wantH), readHead(line, &gotH), &wantH, &gotH)
+}
+
+func same(t *testing.T, line []byte, werr, gerr error, want, got any) {
+	t.Helper()
+	switch {
+	case (werr == nil) != (gerr == nil):
+		t.Fatalf("%q into %T: json.Unmarshal error %v, read error %v", line, want, werr, gerr)
+	case werr == nil && !reflect.DeepEqual(got, want):
+		t.Fatalf("%q into %T:\nread           %+v\njson.Unmarshal %+v", line, want, got, want)
+	}
+}

@@ -2,13 +2,10 @@ package mcat
 
 import (
 	"bufio"
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
 
-	"gosrb/internal/acl"
 	"gosrb/internal/types"
 )
 
@@ -29,23 +26,6 @@ type snapshotHead struct {
 // snapshotVersion is the head's Version. Version 1 was the whole catalog
 // as one JSON document (legacySnapshot), which Load still reads.
 const snapshotVersion = 2
-
-// legacySnapshot is a version-1 snapshot: the head's first two fields
-// and every primary map, on one line. It is read, never written.
-type legacySnapshot struct {
-	snapshotHead
-	Objects    map[string]types.DataObject
-	Colls      map[string]types.Collection
-	Resources  map[string]types.Resource
-	Users      map[string]types.User
-	Groups     map[string]types.Group
-	ACLs       map[string]acl.List
-	Meta       map[string][]metaEntry
-	Structural map[string][]types.StructuralAttr
-	Annots     map[string][]types.Annotation
-	FileMeta   map[string][]string
-	Repairs    map[string]types.RepairTask
-}
 
 // Save writes a consistent snapshot of the catalog.
 func (c *Catalog) Save(w io.Writer) error {
@@ -76,61 +56,43 @@ func (c *Catalog) saveLocked(w io.Writer, gen uint64) error {
 // snapshot's entries into an empty catalog through commitLocked, the
 // path journal replay takes, and swaps the result in whole: a line that
 // does not parse, an entry refused or a count short of the head's fails
-// the load and leaves the catalog as it was. A legacy snapshot's maps,
-// wrapped in a scratch catalog, are saved as a snapshot and loaded.
+// the load and leaves the catalog as it was. A head of Version 1 is a
+// legacy snapshot (loadLegacy).
 func (c *Catalog) Load(r io.Reader) error {
 	br := bufio.NewReaderSize(r, 64<<10)
 	first, err := br.ReadBytes('\n')
-	var s legacySnapshot
+	var h snapshotHead
 	if err == nil || err == io.EOF {
-		err = json.Unmarshal(first, &s)
+		err = readHead(first, &h)
 	}
 	switch {
 	case err != nil:
 		return types.E("load", "", err)
-	case s.Version == 1:
-		old := &Catalog{tables: tables{nextID: s.NextID, objects: rows(s.Objects), colls: rows(s.Colls),
-			resources: rows(s.Resources), users: rows(s.Users), groups: rows(s.Groups), acls: s.ACLs, meta: s.Meta,
-			structural: s.Structural, annots: s.Annots, fileMeta: s.FileMeta, repairs: rows(s.Repairs),
-		}}
-		var buf bytes.Buffer
-		if err := old.saveLocked(&buf, 0); err != nil {
-			return types.E("load", "", err)
-		}
-		return c.Load(&buf)
-	case s.Version != snapshotVersion:
+	case h.Version == 1:
+		return c.loadLegacy(first)
+	case h.Version != snapshotVersion:
 		return types.E("load", "", types.ErrInvalid)
 	}
 	root := types.Collection{}
-	if s.Root != nil {
-		root = *s.Root
+	if h.Root != nil {
+		root = *h.Root
 	}
 	root.Path = "/"
 	c.mu.RLock()
 	fresh := &Catalog{tables: newTables(&root), idOffset: c.idOffset, idStride: c.idStride, now: c.now}
 	c.mu.RUnlock()
-	fresh.nextID = fresh.alignIDLocked(max(s.NextID, 1))
+	fresh.nextID = fresh.alignIDLocked(max(h.NextID, 1))
 	st, err := fresh.ReplayCounted(br)
-	if err == nil && (st.Applied != s.Entries || st.Refused+st.Corrupt > 0) {
-		err = fmt.Errorf("%d of %d entries applied (%d refused, %d corrupt): %w", st.Applied, s.Entries, st.Refused, st.Corrupt, types.ErrInvalid)
+	if err == nil && (st.Applied != h.Entries || st.Refused+st.Corrupt > 0) {
+		err = fmt.Errorf("%d of %d entries applied (%d refused, %d corrupt): %w", st.Applied, h.Entries, st.Refused, st.Corrupt, types.ErrInvalid)
 	}
 	if err != nil {
 		return types.E("load", "", err)
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.tables, c.snapGen = fresh.tables, s.Gen
+	c.tables, c.snapGen = fresh.tables, h.Gen
 	return nil
-}
-
-// rows keys a pointer to each of m's rows. A null row decodes as a zero
-// one, which the load refuses where the row needs a name or an ID.
-func rows[V any](m map[string]V) map[string]*V {
-	out := make(map[string]*V, len(m))
-	for k, v := range m {
-		out[k] = &v
-	}
-	return out
 }
 
 // Compact publishes the catalog's snapshot at path (none if path is
