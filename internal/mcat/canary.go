@@ -3,7 +3,6 @@
 package mcat
 
 import (
-	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"sync"
@@ -24,14 +23,15 @@ type rowCanary struct {
 }
 
 // fingerprint hashes everything o holds, through its slices and
-// pointers.
+// pointers, as its journal line's table (objectFields) writes it.
 func fingerprint(o *types.DataObject) uint64 {
-	b, err := json.Marshal(o)
-	if err != nil {
-		panic(fmt.Sprintf("mcat: row canary: %v", err))
+	var a appender
+	objectFields.write(&a, o)
+	if a.err != nil {
+		panic(fmt.Sprintf("mcat: row canary: %v", a.err))
 	}
 	h := fnv.New64a()
-	h.Write(b)
+	h.Write(a.b)
 	return h.Sum64()
 }
 

@@ -89,14 +89,14 @@ func OpenJournalFile(path string) (*Journal, error) {
 	return j, nil
 }
 
-// lineBuf is a journal line being encoded: its bytes, pooled, which
-// appendEntry writes without making an object. A mutator builds its
-// entry here too (lend), with the payload the entry points at, so
-// committing it makes no object for the entry: commitLocked copies what
-// the catalog keeps of a payload, and keeps only the objects a caller
-// hands over (a created or updated row).
+// lineBuf is a journal line being encoded: its appender, pooled, into
+// which entryFields.line writes without making an object. A mutator
+// builds its entry here too (lend), with the payload the entry points
+// at, so committing it makes no object for the entry: commitLocked
+// copies what the catalog keeps of a payload, and keeps only the objects
+// a caller hands over (a created or updated row).
 type lineBuf struct {
-	b []byte
+	appender
 	e Entry
 	p payload
 }
@@ -115,7 +115,7 @@ type payload struct {
 // linePool's buffers start with room for a put's line with a few
 // replicas, so a line appended into a fresh one (the pool empties at
 // every GC) does not grow it step by step.
-var linePool = sync.Pool{New: func() any { return &lineBuf{b: make([]byte, 0, 2<<10)} }}
+var linePool = sync.Pool{New: func() any { return &lineBuf{appender: appender{b: make([]byte, 0, 2<<10)}} }}
 
 // maxPooledLine bounds the buffers kept for reuse, so one outsized entry
 // does not pin its buffer.
@@ -129,7 +129,7 @@ func lend(e Entry) *lineBuf {
 	return l
 }
 
-// encodeLine encodes e as one journal line (appendEntry): the bytes
+// encodeLine encodes e as one journal line (entryFields.line): the bytes
 // encoding/json marshals e to, then '\n'. The caller releases it with
 // free.
 func encodeLine(e *Entry) (*lineBuf, error) {
@@ -141,9 +141,9 @@ func encodeLine(e *Entry) (*lineBuf, error) {
 	return l, nil
 }
 
-func (l *lineBuf) encode(e *Entry) (err error) {
-	l.b, err = appendEntry(l.b[:0], e)
-	return err
+func (l *lineBuf) encode(e *Entry) error {
+	l.b = l.b[:0]
+	return entryFields.line(&l.appender, e)
 }
 
 // free hands l back to the pool, holding nothing of its entry.
@@ -224,6 +224,9 @@ type ReplayStats struct {
 	Corrupt int
 }
 
+// maxReusedMeta bounds the Meta list a replay keeps for its next line.
+const maxReusedMeta = 16
+
 // ReplayCounted applies a journal stream to the catalog, appending
 // nothing. It is used after loading the most recent snapshot; entries
 // that conflict with existing state (e.g. replays of mutations already
@@ -232,14 +235,22 @@ type ReplayStats struct {
 // the entries behind it — but they are counted, and every caller
 // surfaces the count (log + metric).
 func (c *Catalog) ReplayCounted(r io.Reader) (st ReplayStats, err error) {
-	// One reader and one entry serve every line: commitLocked keeps what
-	// e points at, never e.
+	// One reader and one entry serve every line. commitLocked keeps the
+	// payloads e points at, but neither e nor its Meta list, which it
+	// copies: so the next line reads its Meta into the last one's array,
+	// cleared to its capacity as a fresh list's spare room would be, and
+	// dropped once a long list has outgrown maxReusedMeta.
 	var (
 		rd reader
 		e  Entry
 	)
 	st.Corrupt, err = durable.Replay(r, func(line []byte) bool {
-		e = Entry{}
+		meta := e.Meta[:cap(e.Meta)]
+		if len(meta) > maxReusedMeta {
+			meta = nil
+		}
+		clear(meta)
+		e = Entry{Meta: meta[:0]}
 		if rd.entry(line, &e) != nil {
 			return false
 		}

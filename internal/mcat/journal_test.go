@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -188,6 +189,28 @@ func TestReplayCountsGarbage(t *testing.T) {
 	st, err = c.ReplayCounted(strings.NewReader(`{"Op":"future-op"}` + "\n"))
 	if err != nil || st != (ReplayStats{Refused: 1}) {
 		t.Errorf("unknown op: %+v, %v", st, err)
+	}
+}
+
+// TestReplayReadsEachMetaAfresh: a replay reads each ingest line's Meta
+// into the last line's list, so a key a line leaves out reads as empty,
+// never as what the line before held there.
+func TestReplayReadsEachMetaAfresh(t *testing.T) {
+	journal := `{"Op":"mkcoll","Coll":{"Path":"/a","Owner":"admin"}}
+{"Op":"ingest","Object":{"ID":1,"Name":"x","Collection":"/a","Owner":"admin"},"Meta":[{"Name":"band","Value":"J","Units":"mag"},{"Name":"seen","Value":"2"}]}
+{"Op":"ingest","Object":{"ID":2,"Name":"y","Collection":"/a","Owner":"admin"},"Meta":[{"Name":"band"}]}
+`
+	c := New("admin", "sdsc")
+	if st, err := c.ReplayCounted(strings.NewReader(journal)); err != nil || st.Applied != 3 {
+		t.Fatalf("replay: %+v, %v", st, err)
+	}
+	for path, want := range map[string][]types.AVU{
+		"/a/x": {{Name: "band", Value: "J", Units: "mag"}, {Name: "seen", Value: "2"}},
+		"/a/y": {{Name: "band"}},
+	} {
+		if got, err := c.GetMeta(path, types.MetaUser); err != nil || !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: %+v, %v; want %+v", path, got, err, want)
+		}
 	}
 }
 

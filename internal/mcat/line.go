@@ -12,28 +12,31 @@ import (
 	"gosrb/internal/types"
 )
 
-// A journal or snapshot line is appended and read by hand. appendEntry
-// writes the bytes json.Marshal writes for an entry, then '\n', into the
-// caller's buffer, so a line makes no object (the reflective encoder
-// makes one for every time.Time it meets). Each payload type has its
-// appender, which writes the type's fields in struct order under their
-// Go names, leaves out an omitempty field that is empty, writes a nil
-// slice or pointer as null and an empty slice as [], and an enum as its
-// integer. A field added to a payload type is added to its appender too,
-// or the journal drops it: TestJournalFixture and FuzzEntryLine, which
-// holds appendEntry to json.Marshal byte for byte, catch the omission.
+// A journal or snapshot line is appended and read by hand, both ways
+// from one table per payload type: its fields in struct order, each
+// under its Go name, with its accessor and its kind (str, num, unsigned,
+// boolean, stamp, strs, object, ptr, slice), and opt where its tag says
+// omitempty. Each kind builds the field's read step and its append step.
 //
-// readEntry and readHead are the inverse: one scan of the line, straight
-// into the struct, with one reader per payload type, a table of its
-// fields in struct order under their Go names, each with how its value
-// is read. They accept exactly the lines json.Unmarshal accepts and
-// yield what it yields, so every line an older binary wrote still reads.
-// A field added to a payload type is added to its reader too, or the
-// reader skips it: FuzzEntryRead, which holds both readers to
-// json.Unmarshal, catches the omission.
+// fields.line appends the bytes json.Marshal makes of a value, then
+// '\n', into the caller's appender, so a line makes no object (the
+// reflective encoder makes one for every time.Time it meets): an opt
+// field that is empty is left out, a nil slice or pointer is null and an
+// empty slice [], and an enum is its integer. fields.read is the
+// inverse: one scan of the line, straight into the struct. It accepts
+// exactly the lines json.Unmarshal accepts and yields what it yields, so
+// every line an older binary wrote still reads.
+//
+// A field added to a payload type is added to its table, or the journal
+// drops it: TestLineTablesNameEveryField names it, and FuzzEntryLine and
+// FuzzEntryRead, which hold the table to json.Marshal and json.Unmarshal,
+// catch a wrong kind or accessor.
 
 // appender is a line being appended, and the first error met writing
 // it: a time that RFC 3339 cannot hold, which json.Marshal refuses too.
+// A line's appender lives in its pooled lineBuf, and a snapshot's in its
+// saveLocked: the tables' steps are function values, so an appender
+// handed to them is on the heap.
 type appender struct {
 	b   []byte
 	err error
@@ -44,399 +47,339 @@ var (
 	errZone = errors.New("time: timezone hour outside of range [0,23]")
 )
 
-// appendEntry appends e's journal line to b.
-func appendEntry(b []byte, e *Entry) ([]byte, error) {
-	a := appender{b: b}
-	a.raw(`{"Op":`)
-	a.str(e.Op)
-	if e.User != nil {
-		a.raw(`,"User":`)
-		a.user(e.User)
+var (
+	entryFields = newFields(
+		str("Op", func(e *Entry) *string { return &e.Op }),
+		opt(ptr("User", func(e *Entry) **types.User { return &e.User }, userFields)),
+		opt(str("Group", func(e *Entry) *string { return &e.Group })),
+		opt(str("Member", func(e *Entry) *string { return &e.Member })),
+		opt(ptr("Resource", func(e *Entry) **types.Resource { return &e.Resource }, resourceFields)),
+		opt(ptr("Coll", func(e *Entry) **types.Collection { return &e.Coll }, collFields)),
+		opt(ptr("Object", func(e *Entry) **types.DataObject { return &e.Object }, objectFields)),
+		opt(str("Path", func(e *Entry) *string { return &e.Path })),
+		opt(str("Path2", func(e *Entry) *string { return &e.Path2 })),
+		opt(str("Name", func(e *Entry) *string { return &e.Name })),
+		opt(str("Grantee", func(e *Entry) *string { return &e.Grantee })),
+		opt(num("Level", func(e *Entry) *int { return &e.Level })),
+		opt(num("Class", func(e *Entry) *int { return &e.Class })),
+		opt(ptr("AVU", func(e *Entry) **types.AVU { return &e.AVU }, avuFields)),
+		opt(ptr("NewAVU", func(e *Entry) **types.AVU { return &e.NewAVU }, avuFields)),
+		opt(ptr("Attr", func(e *Entry) **types.StructuralAttr { return &e.Attr }, structuralFields)),
+		opt(ptr("Ann", func(e *Entry) **types.Annotation { return &e.Ann }, annotationFields)),
+		opt(boolean("Online", func(e *Entry) *bool { return &e.Online })),
+		opt(str("Value", func(e *Entry) *string { return &e.Value })),
+		opt(ptr("Repair", func(e *Entry) **types.RepairTask { return &e.Repair }, repairFields)),
+		opt(slice("Meta", func(e *Entry) *[]types.AVU { return &e.Meta }, avuFields)),
+	)
+	headFields = newFields(
+		num("Version", func(h *snapshotHead) *int { return &h.Version }),
+		num("NextID", func(h *snapshotHead) *types.ObjectID { return &h.NextID }),
+		opt(num("Entries", func(h *snapshotHead) *int { return &h.Entries })),
+		opt(ptr("Root", func(h *snapshotHead) **types.Collection { return &h.Root }, collFields)),
+		opt(unsigned("Gen", func(h *snapshotHead) *uint64 { return &h.Gen })),
+	)
+	userFields = newFields(
+		str("Name", func(u *types.User) *string { return &u.Name }),
+		str("Domain", func(u *types.User) *string { return &u.Domain }),
+		stamp("CreatedAt", func(u *types.User) *time.Time { return &u.CreatedAt }),
+		boolean("Admin", func(u *types.User) *bool { return &u.Admin }),
+	)
+	resourceFields = newFields(
+		str("Name", func(r *types.Resource) *string { return &r.Name }),
+		num("Kind", func(r *types.Resource) *types.ResourceKind { return &r.Kind }),
+		num("Class", func(r *types.Resource) *types.ResourceClass { return &r.Class }),
+		str("Driver", func(r *types.Resource) *string { return &r.Driver }),
+		str("Server", func(r *types.Resource) *string { return &r.Server }),
+		strs("Members", func(r *types.Resource) *[]string { return &r.Members }),
+		boolean("Online", func(r *types.Resource) *bool { return &r.Online }),
+		opt(str("ReplPolicy", func(r *types.Resource) *string { return &r.ReplPolicy })),
+		stamp("CreatedAt", func(r *types.Resource) *time.Time { return &r.CreatedAt }),
+	)
+	collFields = newFields(
+		str("Path", func(c *types.Collection) *string { return &c.Path }),
+		str("Owner", func(c *types.Collection) *string { return &c.Owner }),
+		stamp("CreatedAt", func(c *types.Collection) *time.Time { return &c.CreatedAt }),
+		str("LinkTarget", func(c *types.Collection) *string { return &c.LinkTarget }),
+	)
+	objectFields = newFields(
+		num("ID", func(o *types.DataObject) *types.ObjectID { return &o.ID }),
+		str("Name", func(o *types.DataObject) *string { return &o.Name }),
+		str("Collection", func(o *types.DataObject) *string { return &o.Collection }),
+		num("Kind", func(o *types.DataObject) *types.ObjectKind { return &o.Kind }),
+		str("DataType", func(o *types.DataObject) *string { return &o.DataType }),
+		str("Owner", func(o *types.DataObject) *string { return &o.Owner }),
+		num("Size", func(o *types.DataObject) *int64 { return &o.Size }),
+		str("Checksum", func(o *types.DataObject) *string { return &o.Checksum }),
+		stamp("CreatedAt", func(o *types.DataObject) *time.Time { return &o.CreatedAt }),
+		stamp("ModifiedAt", func(o *types.DataObject) *time.Time { return &o.ModifiedAt }),
+		slice("Replicas", func(o *types.DataObject) *[]types.Replica { return &o.Replicas }, replicaFields),
+		str("Container", func(o *types.DataObject) *string { return &o.Container }),
+		num("ContainerOffset", func(o *types.DataObject) *int64 { return &o.ContainerOffset }),
+		num("ContainerSize", func(o *types.DataObject) *int64 { return &o.ContainerSize }),
+		str("LinkTarget", func(o *types.DataObject) *string { return &o.LinkTarget }),
+		str("URL", func(o *types.DataObject) *string { return &o.URL }),
+		ptr("SQL", func(o *types.DataObject) **types.SQLSpec { return &o.SQL }, sqlFields),
+		ptr("Method", func(o *types.DataObject) **types.MethodSpec { return &o.Method }, methodFields),
+		slice("Alternates", func(o *types.DataObject) *[]types.AltSpec { return &o.Alternates }, altFields),
+		object("Lock", func(o *types.DataObject) *types.Lock { return &o.Lock }, lockFields),
+		slice("Pins", func(o *types.DataObject) *[]types.Pin { return &o.Pins }, pinFields),
+		slice("Versions", func(o *types.DataObject) *[]types.Version { return &o.Versions }, versionFields),
+		str("CheckedOutBy", func(o *types.DataObject) *string { return &o.CheckedOutBy }),
+	)
+	replicaFields = newFields(
+		num("Number", func(r *types.Replica) *types.ReplicaNumber { return &r.Number }),
+		str("Resource", func(r *types.Replica) *string { return &r.Resource }),
+		str("PhysicalPath", func(r *types.Replica) *string { return &r.PhysicalPath }),
+		num("Status", func(r *types.Replica) *types.ReplicaStatus { return &r.Status }),
+		num("Size", func(r *types.Replica) *int64 { return &r.Size }),
+		str("Checksum", func(r *types.Replica) *string { return &r.Checksum }),
+		stamp("CreatedAt", func(r *types.Replica) *time.Time { return &r.CreatedAt }),
+		stamp("ModifiedAt", func(r *types.Replica) *time.Time { return &r.ModifiedAt }),
+		boolean("Registered", func(r *types.Replica) *bool { return &r.Registered }),
+	)
+	sqlFields = newFields(
+		str("Resource", func(s *types.SQLSpec) *string { return &s.Resource }),
+		str("Query", func(s *types.SQLSpec) *string { return &s.Query }),
+		boolean("Partial", func(s *types.SQLSpec) *bool { return &s.Partial }),
+		str("Template", func(s *types.SQLSpec) *string { return &s.Template }),
+	)
+	methodFields = newFields(
+		boolean("Proxy", func(m *types.MethodSpec) *bool { return &m.Proxy }),
+		str("Server", func(m *types.MethodSpec) *string { return &m.Server }),
+		str("Name", func(m *types.MethodSpec) *string { return &m.Name }),
+		strs("Args", func(m *types.MethodSpec) *[]string { return &m.Args }),
+	)
+	altFields = newFields(
+		num("Kind", func(a *types.AltSpec) *types.ObjectKind { return &a.Kind }),
+		str("URL", func(a *types.AltSpec) *string { return &a.URL }),
+		ptr("SQL", func(a *types.AltSpec) **types.SQLSpec { return &a.SQL }, sqlFields),
+		str("Resource", func(a *types.AltSpec) *string { return &a.Resource }),
+		str("PhysicalPath", func(a *types.AltSpec) *string { return &a.PhysicalPath }),
+	)
+	lockFields = newFields(
+		num("Kind", func(l *types.Lock) *types.LockKind { return &l.Kind }),
+		str("Holder", func(l *types.Lock) *string { return &l.Holder }),
+		stamp("Expires", func(l *types.Lock) *time.Time { return &l.Expires }),
+	)
+	pinFields = newFields(
+		str("Resource", func(p *types.Pin) *string { return &p.Resource }),
+		str("Holder", func(p *types.Pin) *string { return &p.Holder }),
+		stamp("Expires", func(p *types.Pin) *time.Time { return &p.Expires }),
+	)
+	versionFields = newFields(
+		num("Number", func(v *types.Version) *int { return &v.Number }),
+		str("Resource", func(v *types.Version) *string { return &v.Resource }),
+		str("Path", func(v *types.Version) *string { return &v.Path }),
+		num("Size", func(v *types.Version) *int64 { return &v.Size }),
+		str("Checksum", func(v *types.Version) *string { return &v.Checksum }),
+		stamp("CreatedAt", func(v *types.Version) *time.Time { return &v.CreatedAt }),
+		str("Comment", func(v *types.Version) *string { return &v.Comment }),
+	)
+	avuFields = newFields(
+		str("Name", func(v *types.AVU) *string { return &v.Name }),
+		str("Value", func(v *types.AVU) *string { return &v.Value }),
+		str("Units", func(v *types.AVU) *string { return &v.Units }),
+	)
+	structuralFields = newFields(
+		str("Name", func(s *types.StructuralAttr) *string { return &s.Name }),
+		strs("Defaults", func(s *types.StructuralAttr) *[]string { return &s.Defaults }),
+		str("Comment", func(s *types.StructuralAttr) *string { return &s.Comment }),
+		boolean("Mandatory", func(s *types.StructuralAttr) *bool { return &s.Mandatory }),
+		str("Units", func(s *types.StructuralAttr) *string { return &s.Units }),
+	)
+	annotationFields = newFields(
+		str("Author", func(n *types.Annotation) *string { return &n.Author }),
+		str("Kind", func(n *types.Annotation) *string { return &n.Kind }),
+		str("Location", func(n *types.Annotation) *string { return &n.Location }),
+		str("Text", func(n *types.Annotation) *string { return &n.Text }),
+		stamp("CreatedAt", func(n *types.Annotation) *time.Time { return &n.CreatedAt }),
+	)
+	repairFields = newFields(
+		str("Key", func(t *types.RepairTask) *string { return &t.Key }),
+		str("Path", func(t *types.RepairTask) *string { return &t.Path }),
+		str("Resource", func(t *types.RepairTask) *string { return &t.Resource }),
+		str("Kind", func(t *types.RepairTask) *string { return &t.Kind }),
+		opt(str("Reason", func(t *types.RepairTask) *string { return &t.Reason })),
+		stamp("Enqueued", func(t *types.RepairTask) *time.Time { return &t.Enqueued }),
+		opt(num("Attempts", func(t *types.RepairTask) *int { return &t.Attempts })),
+	)
+	noFields = newFields[struct{}]()
+)
+
+// field is a payload type's field: its Go name, its key as a line
+// writes it after another field, whether it is left out when empty
+// (omitempty), and its kind's steps on a T: reading its value, appending
+// it, and telling whether it is empty.
+type field[T any] struct {
+	name  string
+	key   string
+	opt   bool
+	read  func(*reader, *T)
+	write func(*appender, *T)
+	empty func(*T) bool
+}
+
+// opt marks f omitempty.
+func opt[T any](f field[T]) field[T] {
+	f.opt = true
+	return f
+}
+
+func str[T any](name string, at func(*T) *string) field[T] {
+	return field[T]{name: name,
+		read:  func(r *reader, v *T) { r.str(at(v)) },
+		write: func(a *appender, v *T) { a.str(*at(v)) },
+		empty: func(v *T) bool { return *at(v) == "" },
 	}
-	a.optStr(`,"Group":`, e.Group)
-	a.optStr(`,"Member":`, e.Member)
-	if e.Resource != nil {
-		a.raw(`,"Resource":`)
-		a.resource(e.Resource)
+}
+
+// num is an integer field: an int, an int64 or an enum over one.
+func num[T any, F ~int | ~int64](name string, at func(*T) *F) field[T] {
+	return field[T]{name: name,
+		read:  func(r *reader, v *T) { integer(r, at(v)) },
+		write: func(a *appender, v *T) { a.b = strconv.AppendInt(a.b, int64(*at(v)), 10) },
+		empty: func(v *T) bool { return *at(v) == 0 },
 	}
-	if e.Coll != nil {
-		a.raw(`,"Coll":`)
-		a.coll(e.Coll)
+}
+
+func unsigned[T any](name string, at func(*T) *uint64) field[T] {
+	return field[T]{name: name,
+		read:  func(r *reader, v *T) { r.uint(at(v)) },
+		write: func(a *appender, v *T) { a.b = strconv.AppendUint(a.b, *at(v), 10) },
+		empty: func(v *T) bool { return *at(v) == 0 },
 	}
-	if e.Object != nil {
-		a.raw(`,"Object":`)
-		a.object(e.Object)
+}
+
+func boolean[T any](name string, at func(*T) *bool) field[T] {
+	return field[T]{name: name,
+		read:  func(r *reader, v *T) { r.bool(at(v)) },
+		write: func(a *appender, v *T) { a.b = strconv.AppendBool(a.b, *at(v)) },
+		empty: func(v *T) bool { return !*at(v) },
 	}
-	a.optStr(`,"Path":`, e.Path)
-	a.optStr(`,"Path2":`, e.Path2)
-	a.optStr(`,"Name":`, e.Name)
-	a.optStr(`,"Grantee":`, e.Grantee)
-	a.optInt(`,"Level":`, int64(e.Level))
-	a.optInt(`,"Class":`, int64(e.Class))
-	if e.AVU != nil {
-		a.raw(`,"AVU":`)
-		a.avu(e.AVU)
+}
+
+// stamp is a time.Time field, which omitempty never leaves out.
+func stamp[T any](name string, at func(*T) *time.Time) field[T] {
+	return field[T]{name: name,
+		read:  func(r *reader, v *T) { r.time(at(v)) },
+		write: func(a *appender, v *T) { a.time(*at(v)) },
+		empty: func(*T) bool { return false },
 	}
-	if e.NewAVU != nil {
-		a.raw(`,"NewAVU":`)
-		a.avu(e.NewAVU)
+}
+
+// strs is a list of strings.
+func strs[T any](name string, at func(*T) *[]string) field[T] {
+	return listOf(name, at, (*reader).str, func(a *appender, s *string) { a.str(*s) })
+}
+
+// object is a struct field, read and appended by its type's table;
+// omitempty never leaves it out.
+func object[T, F any](name string, at func(*T) *F, fs *fields[F]) field[T] {
+	return field[T]{name: name,
+		read:  func(r *reader, v *T) { fs.read(r, at(v)) },
+		write: func(a *appender, v *T) { fs.write(a, at(v)) },
+		empty: func(*T) bool { return false },
 	}
-	if e.Attr != nil {
-		a.raw(`,"Attr":`)
-		a.structural(e.Attr)
+}
+
+// ptr is a pointer to a struct: read into *p, made if *p is nil, and
+// null makes *p nil.
+func ptr[T, F any](name string, at func(*T) **F, fs *fields[F]) field[T] {
+	return field[T]{name: name,
+		read: func(r *reader, v *T) {
+			p := at(v)
+			switch {
+			case r.null():
+				*p = nil
+				return
+			case *p == nil:
+				*p = new(F)
+			}
+			fs.read(r, *p)
+		},
+		write: func(a *appender, v *T) {
+			if p := *at(v); p == nil {
+				a.raw("null")
+			} else {
+				fs.write(a, p)
+			}
+		},
+		empty: func(v *T) bool { return *at(v) == nil },
 	}
-	if e.Ann != nil {
-		a.raw(`,"Ann":`)
-		a.annotation(e.Ann)
+}
+
+// slice is a list of structs.
+func slice[T, F any](name string, at func(*T) *[]F, fs *fields[F]) field[T] {
+	return listOf(name, at, fs.read, fs.write)
+}
+
+// listOf is a list, each element read and appended by the steps given:
+// a nil slice is null, an empty one [].
+func listOf[T, F any](name string, at func(*T) *[]F, read func(*reader, *F), write func(*appender, *F)) field[T] {
+	return field[T]{name: name,
+		read: func(r *reader, v *T) { p := at(v); *p = list(r, *p, read) },
+		write: func(a *appender, v *T) {
+			s := *at(v)
+			if s == nil {
+				a.raw("null")
+				return
+			}
+			a.raw("[")
+			for i := range s {
+				if i > 0 {
+					a.raw(",")
+				}
+				write(a, &s[i])
+			}
+			a.raw("]")
+		},
+		empty: func(v *T) bool { return len(*at(v)) == 0 },
 	}
-	if e.Online {
-		a.raw(`,"Online":true`)
+}
+
+// fields is a payload type's table: its fields, and each name folded
+// (appendFolded), which is how encoding/json matches a key that names
+// no field exactly.
+type fields[T any] struct {
+	list   []field[T]
+	folded []string
+}
+
+func newFields[T any](list ...field[T]) *fields[T] {
+	fs := &fields[T]{list: list}
+	for i := range list {
+		list[i].key = `,"` + list[i].name + `":`
+		fs.folded = append(fs.folded, string(appendFolded(nil, []byte(list[i].name))))
 	}
-	a.optStr(`,"Value":`, e.Value)
-	if e.Repair != nil {
-		a.raw(`,"Repair":`)
-		a.repair(e.Repair)
-	}
-	if len(e.Meta) > 0 {
-		a.raw(`,"Meta":[`)
-		for i := range e.Meta {
-			a.next(i)
-			a.avu(&e.Meta[i])
+	return fs
+}
+
+// line appends v's line to a.b: what json.Marshal makes of v, then '\n'.
+func (fs *fields[T]) line(a *appender, v *T) error {
+	a.err = nil
+	fs.write(a, v)
+	a.raw("\n")
+	return a.err
+}
+
+// write appends v as json.Marshal does: its fields in order, but for an
+// opt one that is empty.
+func (fs *fields[T]) write(a *appender, v *T) {
+	a.b = append(a.b, '{')
+	comma := 1 // the first key written goes without its comma
+	for i := range fs.list {
+		f := &fs.list[i]
+		if f.opt && f.empty(v) {
+			continue
 		}
-		a.raw("]")
+		a.b = append(a.b, f.key[comma:]...)
+		comma = 0
+		f.write(a, v)
 	}
-	a.raw("}\n")
-	return a.b, a.err
-}
-
-// appendHead appends a snapshot's head line to b.
-func appendHead(b []byte, h *snapshotHead) ([]byte, error) {
-	a := appender{b: b}
-	a.raw(`{"Version":`)
-	a.int(int64(h.Version))
-	a.raw(`,"NextID":`)
-	a.int(int64(h.NextID))
-	a.optInt(`,"Entries":`, int64(h.Entries))
-	if h.Root != nil {
-		a.raw(`,"Root":`)
-		a.coll(h.Root)
-	}
-	if h.Gen != 0 {
-		a.raw(`,"Gen":`)
-		a.b = strconv.AppendUint(a.b, h.Gen, 10)
-	}
-	a.raw("}\n")
-	return a.b, a.err
-}
-
-func (a *appender) user(u *types.User) {
-	a.raw(`{"Name":`)
-	a.str(u.Name)
-	a.raw(`,"Domain":`)
-	a.str(u.Domain)
-	a.raw(`,"CreatedAt":`)
-	a.time(u.CreatedAt)
-	a.raw(`,"Admin":`)
-	a.bool(u.Admin)
-	a.raw("}")
-}
-
-func (a *appender) resource(r *types.Resource) {
-	a.raw(`{"Name":`)
-	a.str(r.Name)
-	a.raw(`,"Kind":`)
-	a.int(int64(r.Kind))
-	a.raw(`,"Class":`)
-	a.int(int64(r.Class))
-	a.raw(`,"Driver":`)
-	a.str(r.Driver)
-	a.raw(`,"Server":`)
-	a.str(r.Server)
-	a.raw(`,"Members":`)
-	a.strs(r.Members)
-	a.raw(`,"Online":`)
-	a.bool(r.Online)
-	a.optStr(`,"ReplPolicy":`, r.ReplPolicy)
-	a.raw(`,"CreatedAt":`)
-	a.time(r.CreatedAt)
-	a.raw("}")
-}
-
-func (a *appender) coll(c *types.Collection) {
-	a.raw(`{"Path":`)
-	a.str(c.Path)
-	a.raw(`,"Owner":`)
-	a.str(c.Owner)
-	a.raw(`,"CreatedAt":`)
-	a.time(c.CreatedAt)
-	a.raw(`,"LinkTarget":`)
-	a.str(c.LinkTarget)
-	a.raw("}")
-}
-
-func (a *appender) object(o *types.DataObject) {
-	a.raw(`{"ID":`)
-	a.int(int64(o.ID))
-	a.raw(`,"Name":`)
-	a.str(o.Name)
-	a.raw(`,"Collection":`)
-	a.str(o.Collection)
-	a.raw(`,"Kind":`)
-	a.int(int64(o.Kind))
-	a.raw(`,"DataType":`)
-	a.str(o.DataType)
-	a.raw(`,"Owner":`)
-	a.str(o.Owner)
-	a.raw(`,"Size":`)
-	a.int(o.Size)
-	a.raw(`,"Checksum":`)
-	a.str(o.Checksum)
-	a.raw(`,"CreatedAt":`)
-	a.time(o.CreatedAt)
-	a.raw(`,"ModifiedAt":`)
-	a.time(o.ModifiedAt)
-	a.raw(`,"Replicas":`)
-	if a.list(o.Replicas == nil) {
-		for i := range o.Replicas {
-			a.next(i)
-			a.replica(&o.Replicas[i])
-		}
-		a.raw("]")
-	}
-	a.raw(`,"Container":`)
-	a.str(o.Container)
-	a.raw(`,"ContainerOffset":`)
-	a.int(o.ContainerOffset)
-	a.raw(`,"ContainerSize":`)
-	a.int(o.ContainerSize)
-	a.raw(`,"LinkTarget":`)
-	a.str(o.LinkTarget)
-	a.raw(`,"URL":`)
-	a.str(o.URL)
-	a.raw(`,"SQL":`)
-	a.sql(o.SQL)
-	a.raw(`,"Method":`)
-	if m := o.Method; m == nil {
-		a.raw("null")
-	} else {
-		a.raw(`{"Proxy":`)
-		a.bool(m.Proxy)
-		a.raw(`,"Server":`)
-		a.str(m.Server)
-		a.raw(`,"Name":`)
-		a.str(m.Name)
-		a.raw(`,"Args":`)
-		a.strs(m.Args)
-		a.raw("}")
-	}
-	a.raw(`,"Alternates":`)
-	if a.list(o.Alternates == nil) {
-		for i := range o.Alternates {
-			alt := &o.Alternates[i]
-			a.next(i)
-			a.raw(`{"Kind":`)
-			a.int(int64(alt.Kind))
-			a.raw(`,"URL":`)
-			a.str(alt.URL)
-			a.raw(`,"SQL":`)
-			a.sql(alt.SQL)
-			a.raw(`,"Resource":`)
-			a.str(alt.Resource)
-			a.raw(`,"PhysicalPath":`)
-			a.str(alt.PhysicalPath)
-			a.raw("}")
-		}
-		a.raw("]")
-	}
-	a.raw(`,"Lock":{"Kind":`)
-	a.int(int64(o.Lock.Kind))
-	a.raw(`,"Holder":`)
-	a.str(o.Lock.Holder)
-	a.raw(`,"Expires":`)
-	a.time(o.Lock.Expires)
-	a.raw(`},"Pins":`)
-	if a.list(o.Pins == nil) {
-		for i := range o.Pins {
-			p := &o.Pins[i]
-			a.next(i)
-			a.raw(`{"Resource":`)
-			a.str(p.Resource)
-			a.raw(`,"Holder":`)
-			a.str(p.Holder)
-			a.raw(`,"Expires":`)
-			a.time(p.Expires)
-			a.raw("}")
-		}
-		a.raw("]")
-	}
-	a.raw(`,"Versions":`)
-	if a.list(o.Versions == nil) {
-		for i := range o.Versions {
-			v := &o.Versions[i]
-			a.next(i)
-			a.raw(`{"Number":`)
-			a.int(int64(v.Number))
-			a.raw(`,"Resource":`)
-			a.str(v.Resource)
-			a.raw(`,"Path":`)
-			a.str(v.Path)
-			a.raw(`,"Size":`)
-			a.int(v.Size)
-			a.raw(`,"Checksum":`)
-			a.str(v.Checksum)
-			a.raw(`,"CreatedAt":`)
-			a.time(v.CreatedAt)
-			a.raw(`,"Comment":`)
-			a.str(v.Comment)
-			a.raw("}")
-		}
-		a.raw("]")
-	}
-	a.raw(`,"CheckedOutBy":`)
-	a.str(o.CheckedOutBy)
-	a.raw("}")
-}
-
-func (a *appender) replica(r *types.Replica) {
-	a.raw(`{"Number":`)
-	a.int(int64(r.Number))
-	a.raw(`,"Resource":`)
-	a.str(r.Resource)
-	a.raw(`,"PhysicalPath":`)
-	a.str(r.PhysicalPath)
-	a.raw(`,"Status":`)
-	a.int(int64(r.Status))
-	a.raw(`,"Size":`)
-	a.int(r.Size)
-	a.raw(`,"Checksum":`)
-	a.str(r.Checksum)
-	a.raw(`,"CreatedAt":`)
-	a.time(r.CreatedAt)
-	a.raw(`,"ModifiedAt":`)
-	a.time(r.ModifiedAt)
-	a.raw(`,"Registered":`)
-	a.bool(r.Registered)
-	a.raw("}")
-}
-
-func (a *appender) sql(s *types.SQLSpec) {
-	if s == nil {
-		a.raw("null")
-		return
-	}
-	a.raw(`{"Resource":`)
-	a.str(s.Resource)
-	a.raw(`,"Query":`)
-	a.str(s.Query)
-	a.raw(`,"Partial":`)
-	a.bool(s.Partial)
-	a.raw(`,"Template":`)
-	a.str(s.Template)
-	a.raw("}")
-}
-
-func (a *appender) avu(v *types.AVU) {
-	a.raw(`{"Name":`)
-	a.str(v.Name)
-	a.raw(`,"Value":`)
-	a.str(v.Value)
-	a.raw(`,"Units":`)
-	a.str(v.Units)
-	a.raw("}")
-}
-
-func (a *appender) structural(s *types.StructuralAttr) {
-	a.raw(`{"Name":`)
-	a.str(s.Name)
-	a.raw(`,"Defaults":`)
-	a.strs(s.Defaults)
-	a.raw(`,"Comment":`)
-	a.str(s.Comment)
-	a.raw(`,"Mandatory":`)
-	a.bool(s.Mandatory)
-	a.raw(`,"Units":`)
-	a.str(s.Units)
-	a.raw("}")
-}
-
-func (a *appender) annotation(n *types.Annotation) {
-	a.raw(`{"Author":`)
-	a.str(n.Author)
-	a.raw(`,"Kind":`)
-	a.str(n.Kind)
-	a.raw(`,"Location":`)
-	a.str(n.Location)
-	a.raw(`,"Text":`)
-	a.str(n.Text)
-	a.raw(`,"CreatedAt":`)
-	a.time(n.CreatedAt)
-	a.raw("}")
-}
-
-func (a *appender) repair(t *types.RepairTask) {
-	a.raw(`{"Key":`)
-	a.str(t.Key)
-	a.raw(`,"Path":`)
-	a.str(t.Path)
-	a.raw(`,"Resource":`)
-	a.str(t.Resource)
-	a.raw(`,"Kind":`)
-	a.str(t.Kind)
-	a.optStr(`,"Reason":`, t.Reason)
-	a.raw(`,"Enqueued":`)
-	a.time(t.Enqueued)
-	a.optInt(`,"Attempts":`, int64(t.Attempts))
-	a.raw("}")
+	a.b = append(a.b, '}')
 }
 
 func (a *appender) raw(s string) { a.b = append(a.b, s...) }
-
-func (a *appender) int(n int64) { a.b = strconv.AppendInt(a.b, n, 10) }
-
-func (a *appender) bool(v bool) { a.b = strconv.AppendBool(a.b, v) }
-
-// optStr writes key and s unless s is empty (omitempty).
-func (a *appender) optStr(key, s string) {
-	if s != "" {
-		a.raw(key)
-		a.str(s)
-	}
-}
-
-// optInt writes key and n unless n is 0 (omitempty).
-func (a *appender) optInt(key string, n int64) {
-	if n != 0 {
-		a.raw(key)
-		a.int(n)
-	}
-}
-
-// list opens a list, or writes null for a nil slice and reports false.
-func (a *appender) list(isNil bool) bool {
-	if isNil {
-		a.raw("null")
-		return false
-	}
-	a.raw("[")
-	return true
-}
-
-// next separates the list's element i from the one before it.
-func (a *appender) next(i int) {
-	if i > 0 {
-		a.raw(",")
-	}
-}
-
-func (a *appender) strs(s []string) {
-	if a.list(s == nil) {
-		for i := range s {
-			a.next(i)
-			a.str(s[i])
-		}
-		a.raw("]")
-	}
-}
 
 // time writes t as time.Time.MarshalJSON does: RFC 3339 with the
 // fraction's trailing zeros cut, refusing a year that is not four digits
@@ -550,188 +493,6 @@ func readHead(line []byte, h *snapshotHead) error {
 	r := reader{b: line}
 	headFields.read(&r, h)
 	return r.end()
-}
-
-var (
-	entryFields = newFields([]field[Entry]{
-		{"Op", func(r *reader, e *Entry) { r.str(&e.Op) }},
-		{"User", func(r *reader, e *Entry) { ptr(r, &e.User, userFields.read) }},
-		{"Group", func(r *reader, e *Entry) { r.str(&e.Group) }},
-		{"Member", func(r *reader, e *Entry) { r.str(&e.Member) }},
-		{"Resource", func(r *reader, e *Entry) { ptr(r, &e.Resource, resourceFields.read) }},
-		{"Coll", func(r *reader, e *Entry) { ptr(r, &e.Coll, collFields.read) }},
-		{"Object", func(r *reader, e *Entry) { ptr(r, &e.Object, objectFields.read) }},
-		{"Path", func(r *reader, e *Entry) { r.str(&e.Path) }},
-		{"Path2", func(r *reader, e *Entry) { r.str(&e.Path2) }},
-		{"Name", func(r *reader, e *Entry) { r.str(&e.Name) }},
-		{"Grantee", func(r *reader, e *Entry) { r.str(&e.Grantee) }},
-		{"Level", func(r *reader, e *Entry) { integer(r, &e.Level) }},
-		{"Class", func(r *reader, e *Entry) { integer(r, &e.Class) }},
-		{"AVU", func(r *reader, e *Entry) { ptr(r, &e.AVU, avuFields.read) }},
-		{"NewAVU", func(r *reader, e *Entry) { ptr(r, &e.NewAVU, avuFields.read) }},
-		{"Attr", func(r *reader, e *Entry) { ptr(r, &e.Attr, structuralFields.read) }},
-		{"Ann", func(r *reader, e *Entry) { ptr(r, &e.Ann, annotationFields.read) }},
-		{"Online", func(r *reader, e *Entry) { r.bool(&e.Online) }},
-		{"Value", func(r *reader, e *Entry) { r.str(&e.Value) }},
-		{"Repair", func(r *reader, e *Entry) { ptr(r, &e.Repair, repairFields.read) }},
-		{"Meta", func(r *reader, e *Entry) { e.Meta = list(r, e.Meta, avuFields.read) }},
-	})
-	headFields = newFields([]field[snapshotHead]{
-		{"Version", func(r *reader, h *snapshotHead) { integer(r, &h.Version) }},
-		{"NextID", func(r *reader, h *snapshotHead) { integer(r, &h.NextID) }},
-		{"Entries", func(r *reader, h *snapshotHead) { integer(r, &h.Entries) }},
-		{"Root", func(r *reader, h *snapshotHead) { ptr(r, &h.Root, collFields.read) }},
-		{"Gen", func(r *reader, h *snapshotHead) { r.uint(&h.Gen) }},
-	})
-	userFields = newFields([]field[types.User]{
-		{"Name", func(r *reader, u *types.User) { r.str(&u.Name) }},
-		{"Domain", func(r *reader, u *types.User) { r.str(&u.Domain) }},
-		{"CreatedAt", func(r *reader, u *types.User) { r.time(&u.CreatedAt) }},
-		{"Admin", func(r *reader, u *types.User) { r.bool(&u.Admin) }},
-	})
-	resourceFields = newFields([]field[types.Resource]{
-		{"Name", func(r *reader, res *types.Resource) { r.str(&res.Name) }},
-		{"Kind", func(r *reader, res *types.Resource) { integer(r, &res.Kind) }},
-		{"Class", func(r *reader, res *types.Resource) { integer(r, &res.Class) }},
-		{"Driver", func(r *reader, res *types.Resource) { r.str(&res.Driver) }},
-		{"Server", func(r *reader, res *types.Resource) { r.str(&res.Server) }},
-		{"Members", func(r *reader, res *types.Resource) { res.Members = list(r, res.Members, (*reader).str) }},
-		{"Online", func(r *reader, res *types.Resource) { r.bool(&res.Online) }},
-		{"ReplPolicy", func(r *reader, res *types.Resource) { r.str(&res.ReplPolicy) }},
-		{"CreatedAt", func(r *reader, res *types.Resource) { r.time(&res.CreatedAt) }},
-	})
-	collFields = newFields([]field[types.Collection]{
-		{"Path", func(r *reader, c *types.Collection) { r.str(&c.Path) }},
-		{"Owner", func(r *reader, c *types.Collection) { r.str(&c.Owner) }},
-		{"CreatedAt", func(r *reader, c *types.Collection) { r.time(&c.CreatedAt) }},
-		{"LinkTarget", func(r *reader, c *types.Collection) { r.str(&c.LinkTarget) }},
-	})
-	objectFields = newFields([]field[types.DataObject]{
-		{"ID", func(r *reader, o *types.DataObject) { integer(r, &o.ID) }},
-		{"Name", func(r *reader, o *types.DataObject) { r.str(&o.Name) }},
-		{"Collection", func(r *reader, o *types.DataObject) { r.str(&o.Collection) }},
-		{"Kind", func(r *reader, o *types.DataObject) { integer(r, &o.Kind) }},
-		{"DataType", func(r *reader, o *types.DataObject) { r.str(&o.DataType) }},
-		{"Owner", func(r *reader, o *types.DataObject) { r.str(&o.Owner) }},
-		{"Size", func(r *reader, o *types.DataObject) { integer(r, &o.Size) }},
-		{"Checksum", func(r *reader, o *types.DataObject) { r.str(&o.Checksum) }},
-		{"CreatedAt", func(r *reader, o *types.DataObject) { r.time(&o.CreatedAt) }},
-		{"ModifiedAt", func(r *reader, o *types.DataObject) { r.time(&o.ModifiedAt) }},
-		{"Replicas", func(r *reader, o *types.DataObject) { o.Replicas = list(r, o.Replicas, replicaFields.read) }},
-		{"Container", func(r *reader, o *types.DataObject) { r.str(&o.Container) }},
-		{"ContainerOffset", func(r *reader, o *types.DataObject) { integer(r, &o.ContainerOffset) }},
-		{"ContainerSize", func(r *reader, o *types.DataObject) { integer(r, &o.ContainerSize) }},
-		{"LinkTarget", func(r *reader, o *types.DataObject) { r.str(&o.LinkTarget) }},
-		{"URL", func(r *reader, o *types.DataObject) { r.str(&o.URL) }},
-		{"SQL", func(r *reader, o *types.DataObject) { ptr(r, &o.SQL, sqlFields.read) }},
-		{"Method", func(r *reader, o *types.DataObject) { ptr(r, &o.Method, methodFields.read) }},
-		{"Alternates", func(r *reader, o *types.DataObject) { o.Alternates = list(r, o.Alternates, altFields.read) }},
-		{"Lock", func(r *reader, o *types.DataObject) { lockFields.read(r, &o.Lock) }},
-		{"Pins", func(r *reader, o *types.DataObject) { o.Pins = list(r, o.Pins, pinFields.read) }},
-		{"Versions", func(r *reader, o *types.DataObject) { o.Versions = list(r, o.Versions, versionFields.read) }},
-		{"CheckedOutBy", func(r *reader, o *types.DataObject) { r.str(&o.CheckedOutBy) }},
-	})
-	replicaFields = newFields([]field[types.Replica]{
-		{"Number", func(r *reader, rp *types.Replica) { integer(r, &rp.Number) }},
-		{"Resource", func(r *reader, rp *types.Replica) { r.str(&rp.Resource) }},
-		{"PhysicalPath", func(r *reader, rp *types.Replica) { r.str(&rp.PhysicalPath) }},
-		{"Status", func(r *reader, rp *types.Replica) { integer(r, &rp.Status) }},
-		{"Size", func(r *reader, rp *types.Replica) { integer(r, &rp.Size) }},
-		{"Checksum", func(r *reader, rp *types.Replica) { r.str(&rp.Checksum) }},
-		{"CreatedAt", func(r *reader, rp *types.Replica) { r.time(&rp.CreatedAt) }},
-		{"ModifiedAt", func(r *reader, rp *types.Replica) { r.time(&rp.ModifiedAt) }},
-		{"Registered", func(r *reader, rp *types.Replica) { r.bool(&rp.Registered) }},
-	})
-	sqlFields = newFields([]field[types.SQLSpec]{
-		{"Resource", func(r *reader, s *types.SQLSpec) { r.str(&s.Resource) }},
-		{"Query", func(r *reader, s *types.SQLSpec) { r.str(&s.Query) }},
-		{"Partial", func(r *reader, s *types.SQLSpec) { r.bool(&s.Partial) }},
-		{"Template", func(r *reader, s *types.SQLSpec) { r.str(&s.Template) }},
-	})
-	methodFields = newFields([]field[types.MethodSpec]{
-		{"Proxy", func(r *reader, m *types.MethodSpec) { r.bool(&m.Proxy) }},
-		{"Server", func(r *reader, m *types.MethodSpec) { r.str(&m.Server) }},
-		{"Name", func(r *reader, m *types.MethodSpec) { r.str(&m.Name) }},
-		{"Args", func(r *reader, m *types.MethodSpec) { m.Args = list(r, m.Args, (*reader).str) }},
-	})
-	altFields = newFields([]field[types.AltSpec]{
-		{"Kind", func(r *reader, a *types.AltSpec) { integer(r, &a.Kind) }},
-		{"URL", func(r *reader, a *types.AltSpec) { r.str(&a.URL) }},
-		{"SQL", func(r *reader, a *types.AltSpec) { ptr(r, &a.SQL, sqlFields.read) }},
-		{"Resource", func(r *reader, a *types.AltSpec) { r.str(&a.Resource) }},
-		{"PhysicalPath", func(r *reader, a *types.AltSpec) { r.str(&a.PhysicalPath) }},
-	})
-	lockFields = newFields([]field[types.Lock]{
-		{"Kind", func(r *reader, l *types.Lock) { integer(r, &l.Kind) }},
-		{"Holder", func(r *reader, l *types.Lock) { r.str(&l.Holder) }},
-		{"Expires", func(r *reader, l *types.Lock) { r.time(&l.Expires) }},
-	})
-	pinFields = newFields([]field[types.Pin]{
-		{"Resource", func(r *reader, p *types.Pin) { r.str(&p.Resource) }},
-		{"Holder", func(r *reader, p *types.Pin) { r.str(&p.Holder) }},
-		{"Expires", func(r *reader, p *types.Pin) { r.time(&p.Expires) }},
-	})
-	versionFields = newFields([]field[types.Version]{
-		{"Number", func(r *reader, v *types.Version) { integer(r, &v.Number) }},
-		{"Resource", func(r *reader, v *types.Version) { r.str(&v.Resource) }},
-		{"Path", func(r *reader, v *types.Version) { r.str(&v.Path) }},
-		{"Size", func(r *reader, v *types.Version) { integer(r, &v.Size) }},
-		{"Checksum", func(r *reader, v *types.Version) { r.str(&v.Checksum) }},
-		{"CreatedAt", func(r *reader, v *types.Version) { r.time(&v.CreatedAt) }},
-		{"Comment", func(r *reader, v *types.Version) { r.str(&v.Comment) }},
-	})
-	avuFields = newFields([]field[types.AVU]{
-		{"Name", func(r *reader, v *types.AVU) { r.str(&v.Name) }},
-		{"Value", func(r *reader, v *types.AVU) { r.str(&v.Value) }},
-		{"Units", func(r *reader, v *types.AVU) { r.str(&v.Units) }},
-	})
-	structuralFields = newFields([]field[types.StructuralAttr]{
-		{"Name", func(r *reader, s *types.StructuralAttr) { r.str(&s.Name) }},
-		{"Defaults", func(r *reader, s *types.StructuralAttr) { s.Defaults = list(r, s.Defaults, (*reader).str) }},
-		{"Comment", func(r *reader, s *types.StructuralAttr) { r.str(&s.Comment) }},
-		{"Mandatory", func(r *reader, s *types.StructuralAttr) { r.bool(&s.Mandatory) }},
-		{"Units", func(r *reader, s *types.StructuralAttr) { r.str(&s.Units) }},
-	})
-	annotationFields = newFields([]field[types.Annotation]{
-		{"Author", func(r *reader, n *types.Annotation) { r.str(&n.Author) }},
-		{"Kind", func(r *reader, n *types.Annotation) { r.str(&n.Kind) }},
-		{"Location", func(r *reader, n *types.Annotation) { r.str(&n.Location) }},
-		{"Text", func(r *reader, n *types.Annotation) { r.str(&n.Text) }},
-		{"CreatedAt", func(r *reader, n *types.Annotation) { r.time(&n.CreatedAt) }},
-	})
-	repairFields = newFields([]field[types.RepairTask]{
-		{"Key", func(r *reader, t *types.RepairTask) { r.str(&t.Key) }},
-		{"Path", func(r *reader, t *types.RepairTask) { r.str(&t.Path) }},
-		{"Resource", func(r *reader, t *types.RepairTask) { r.str(&t.Resource) }},
-		{"Kind", func(r *reader, t *types.RepairTask) { r.str(&t.Kind) }},
-		{"Reason", func(r *reader, t *types.RepairTask) { r.str(&t.Reason) }},
-		{"Enqueued", func(r *reader, t *types.RepairTask) { r.time(&t.Enqueued) }},
-		{"Attempts", func(r *reader, t *types.RepairTask) { integer(r, &t.Attempts) }},
-	})
-	noFields = newFields([]field[struct{}]{})
-)
-
-// field is a payload type's field: its Go name, and how its value is
-// read into a T.
-type field[T any] struct {
-	name string
-	read func(*reader, *T)
-}
-
-// fields is a payload type's reader: its fields, and each name folded
-// (appendFolded), which is how encoding/json matches a key that names
-// no field exactly.
-type fields[T any] struct {
-	list   []field[T]
-	folded []string
-}
-
-func newFields[T any](list []field[T]) *fields[T] {
-	fs := &fields[T]{list: list}
-	for _, f := range list {
-		fs.folded = append(fs.folded, string(appendFolded(nil, []byte(f.name))))
-	}
-	return fs
 }
 
 // read reads an object into v: each key that names a field (exactly,
@@ -921,18 +682,6 @@ func list[T any](r *reader, s []T, elem func(*reader, *T)) []T {
 		return []T{}
 	}
 	return s[:n]
-}
-
-// ptr reads an object into *p, made if *p is nil; null makes *p nil.
-func ptr[T any](r *reader, p **T, read func(*reader, *T)) {
-	if r.null() {
-		*p = nil
-		return
-	}
-	if *p == nil {
-		*p = new(T)
-	}
-	read(r, *p)
 }
 
 // skip reads a value that names no field: any JSON value.

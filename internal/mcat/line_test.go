@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -22,11 +23,12 @@ func EncodeLine(e *Entry) error {
 	return err
 }
 
-// FuzzEntryLine holds appendEntry and appendHead to json.Marshal: the
-// same bytes, then '\n', and an error exactly where json.Marshal refuses.
-// The corpus is every line of the journal fixtures, which hold every
-// entry kind (TestJournalFixture checks that), each as it is and with
-// its strings, times, slices and pointers replaced by fuzzed ones.
+// FuzzEntryLine holds entryFields.line and headFields.line to
+// json.Marshal: the same bytes, then '\n', and an error exactly where
+// json.Marshal refuses. The corpus is every line of the journal
+// fixtures, which hold every entry kind (TestJournalFixture checks
+// that), each as it is and with its strings, times, slices and pointers
+// replaced by fuzzed ones.
 func FuzzEntryLine(f *testing.F) {
 	hostile := "a\x00\x1f\b\f\n\r\t<>&\u2028\u2029\"\\\xff\xc3|é\x7f|"
 	for _, file := range []string{"testdata/journal.v1", "testdata/journal.ingest"} {
@@ -56,18 +58,20 @@ func FuzzEntryLine(f *testing.F) {
 		}
 		m := mutator{pieces: strings.Split(s, "|"), time: tm, mask: mask}
 		m.walk(reflect.ValueOf(&e).Elem())
-		sameLine(t, "entry", &e, func(b []byte) ([]byte, error) { return appendEntry(b, &e) })
+		sameLine(t, "entry", &e, entryFields)
 		h := snapshotHead{Version: int(nsec), NextID: types.ObjectID(sec), Entries: off, Root: e.Coll, Gen: uint64(sec)}
-		sameLine(t, "head", &h, func(b []byte) ([]byte, error) { return appendHead(b, &h) })
+		sameLine(t, "head", &h, headFields)
 	})
 }
 
-// sameLine holds what appendLine appends after a prefix to what
+// sameLine holds what fs.line appends after a prefix to what
 // json.Marshal makes of v, then '\n'.
-func sameLine(t *testing.T, what string, v any, appendLine func([]byte) ([]byte, error)) {
+func sameLine[T any](t *testing.T, what string, v *T, fs *fields[T]) {
 	t.Helper()
 	want, werr := json.Marshal(v)
-	got, gerr := appendLine([]byte("prefix"))
+	a := appender{b: []byte("prefix")}
+	gerr := fs.line(&a, v)
+	got := a.b
 	switch {
 	case (werr == nil) != (gerr == nil):
 		t.Fatalf("%s: json.Marshal error %v, appended error %v", what, werr, gerr)
@@ -142,8 +146,8 @@ func (m *mutator) walk(v reflect.Value) {
 // hostile lines: keys reordered, case-folded and repeated, nulls,
 // escapes, invalid UTF-8, numbers an integer field refuses, values of the
 // wrong type, unknown keys and deep nesting. Each input is also read as
-// FuzzEntryLine mutates it, appended by appendEntry (and appendHead), so
-// every field the appenders write is read back.
+// FuzzEntryLine mutates it, appended by entryFields.line (and
+// headFields.line), so every field the tables write is read back.
 func FuzzEntryRead(f *testing.F) {
 	for _, file := range []string{"testdata/journal.v1", "testdata/journal.ingest", "testdata/snapshot.v2"} {
 		fixture, err := os.ReadFile(file)
@@ -197,12 +201,13 @@ func FuzzEntryRead(f *testing.F) {
 		}
 		m := mutator{pieces: strings.Split(s, "|"), time: tm, mask: mask}
 		m.walk(reflect.ValueOf(&e).Elem())
-		if b, err := appendEntry(nil, &e); err == nil {
-			sameRead(t, b)
+		var a appender
+		if entryFields.line(&a, &e) == nil {
+			sameRead(t, a.b)
 		}
 		h := snapshotHead{Version: int(nsec), NextID: types.ObjectID(sec), Entries: off, Root: e.Coll, Gen: uint64(sec)}
-		if b, err := appendHead(nil, &h); err == nil {
-			sameRead(t, b)
+		if a.b = a.b[:0]; headFields.line(&a, &h) == nil {
+			sameRead(t, a.b)
 		}
 	})
 }
@@ -224,4 +229,93 @@ func same(t *testing.T, line []byte, werr, gerr error, want, got any) {
 	case werr == nil && !reflect.DeepEqual(got, want):
 		t.Fatalf("%q into %T:\nread           %+v\njson.Unmarshal %+v", line, want, got, want)
 	}
+}
+
+// TestLineTablesNameEveryField holds each line table to its type: the
+// type's exported fields in struct order, each under its Go name, and
+// opt exactly where the field's tag says omitempty. A field added to a
+// payload type and not to its table fails here by name.
+func TestLineTablesNameEveryField(t *testing.T) {
+	tableNames(t, entryFields)
+	tableNames(t, headFields)
+	tableNames(t, userFields)
+	tableNames(t, resourceFields)
+	tableNames(t, collFields)
+	tableNames(t, objectFields)
+	tableNames(t, replicaFields)
+	tableNames(t, sqlFields)
+	tableNames(t, methodFields)
+	tableNames(t, altFields)
+	tableNames(t, lockFields)
+	tableNames(t, pinFields)
+	tableNames(t, versionFields)
+	tableNames(t, avuFields)
+	tableNames(t, structuralFields)
+	tableNames(t, annotationFields)
+	tableNames(t, repairFields)
+}
+
+func tableNames[T any](t *testing.T, fs *fields[T]) {
+	typ := reflect.TypeFor[T]()
+	t.Run(typ.Name(), func(t *testing.T) {
+		var want, got []string
+		for i := 0; i < typ.NumField(); i++ {
+			f := typ.Field(i)
+			if !f.IsExported() {
+				continue
+			}
+			name := f.Name
+			if _, opts, _ := strings.Cut(f.Tag.Get("json"), ","); slices.Contains(strings.Split(opts, ","), "omitempty") {
+				name += ",omitempty"
+			}
+			want = append(want, name)
+		}
+		for _, f := range fs.list {
+			if f.opt {
+				f.name += ",omitempty"
+			}
+			got = append(got, f.name)
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("the table names\n%q\nthe type's fields are\n%q", got, want)
+		}
+	})
+}
+
+// BenchmarkLine appends a one-replica put's journal line into a pooled
+// buffer, and reads it back.
+func BenchmarkLine(b *testing.B) {
+	at := time.Date(2002, 7, 24, 9, 0, 0, 123456789, time.UTC)
+	e := &Entry{Op: "ingest", Meta: []types.AVU{{Name: "band", Value: "J"}, {Name: "mag", Value: "7"}}, Object: &types.DataObject{
+		ID: 7, Collection: "/zone/proj", Name: "frame.fits", Owner: "alice", DataType: "generic",
+		Size: 4096, Checksum: "4f2a9c", CreatedAt: at, ModifiedAt: at, Replicas: []types.Replica{{
+			Resource: "disk1", PhysicalPath: "/vault/007/oid7.r0", Status: types.ReplicaClean,
+			Size: 4096, Checksum: "4f2a9c", CreatedAt: at, ModifiedAt: at,
+		}},
+	}}
+	l, err := encodeLine(e)
+	if err != nil {
+		b.Fatal(err)
+	}
+	line := bytes.Clone(l.b)
+	l.free()
+	b.Run("encode", func(b *testing.B) {
+		b.ReportAllocs()
+		for range b.N {
+			l, err := encodeLine(e)
+			if err != nil {
+				b.Fatal(err)
+			}
+			l.free()
+		}
+	})
+	b.Run("read", func(b *testing.B) {
+		b.ReportAllocs()
+		for range b.N {
+			var got Entry
+			if err := readEntry(line, &got); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

@@ -37,13 +37,16 @@ func (c *Catalog) Save(w io.Writer) error {
 func (c *Catalog) saveLocked(w io.Writer, gen uint64) error {
 	entries := c.exportLocked("/")
 	bw := bufio.NewWriterSize(w, 64<<10)
-	line, err := appendHead(nil, &snapshotHead{Version: snapshotVersion, NextID: c.nextID, Entries: len(entries), Root: c.colls["/"], Gen: gen})
+	// One appender serves every line: the tables' steps put it on the heap.
+	var a appender
+	err := headFields.line(&a, &snapshotHead{Version: snapshotVersion, NextID: c.nextID, Entries: len(entries), Root: c.colls["/"], Gen: gen})
 	if err == nil {
-		_, err = bw.Write(line)
+		_, err = bw.Write(a.b)
 	}
 	for i := 0; i < len(entries) && err == nil; i++ {
-		if line, err = appendEntry(line[:0], &entries[i]); err == nil {
-			_, err = bw.Write(line)
+		a.b = a.b[:0]
+		if err = entryFields.line(&a, &entries[i]); err == nil {
+			_, err = bw.Write(a.b)
 		}
 	}
 	if err != nil {
