@@ -2,11 +2,14 @@ package wire
 
 import (
 	"bytes"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
+	"flag"
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -26,6 +29,8 @@ var hotTypes = []hotType{
 }
 
 type hotType interface {
+	// name is the type's Go name.
+	name() string
 	// sample encodes a random value of the type.
 	sample(r *rand.Rand) []byte
 	// differential fails t unless a random value comes back the same
@@ -36,6 +41,8 @@ type hotType interface {
 }
 
 type hot[T any] struct{}
+
+func (hot[T]) name() string { return reflect.TypeOf((*T)(nil)).Elem().String() }
 
 func (hot[T]) sample(r *rand.Rand) []byte {
 	var v T
@@ -59,6 +66,84 @@ func TestCodecDifferential(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		for _, h := range hotTypes {
 			h.differential(t, r)
+		}
+	}
+}
+
+var update = flag.Bool("update", false, "rewrite testdata/bodies.hex from the current codec")
+
+// bodiesFixture holds seeded samples of every hot type, one body a line
+// as its type's name and its bytes in hex.
+const bodiesFixture = "testdata/bodies.hex"
+
+// TestBodyBytesPinned pins the body bytes themselves: the same seeded
+// samples of every hot type must encode to the bytes in bodiesFixture,
+// which an older build wrote. The differential test only shows that a
+// value survives a round trip; this one fails on any change to a layout,
+// which a peer running another build would misread. Regenerate with
+// -update only for a deliberate format change, under new body tags.
+func TestBodyBytesPinned(t *testing.T) {
+	var out bytes.Buffer
+	r := rand.New(rand.NewSource(57))
+	for i := 0; i < 20; i++ {
+		for _, h := range hotTypes {
+			fmt.Fprintf(&out, "%s %s\n", h.name(), hex.EncodeToString(h.sample(r)))
+		}
+	}
+	if *update {
+		if err := os.WriteFile(bodiesFixture, out.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(bodiesFixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, wantLines := strings.Split(out.String(), "\n"), strings.Split(string(want), "\n")
+	if len(got) != len(wantLines) {
+		t.Fatalf("%d bodies encoded, the fixture holds %d", len(got), len(wantLines))
+	}
+	for i := range got {
+		if got[i] != wantLines[i] {
+			t.Fatalf("body %d encodes as\n%s\nthe fixture holds\n%s", i, got[i], wantLines[i])
+		}
+	}
+}
+
+// BenchmarkBodyCodec encodes and decodes, as a reply, a value of each of
+// the shapes the small-object workload sends most: a path, a stat, a
+// 100-entry listing and a two-replica catalog record.
+func BenchmarkBodyCodec(b *testing.B) {
+	at := time.Date(2002, 7, 24, 9, 30, 0, 123, time.UTC)
+	st := types.Stat{Path: "/small/c000/o00000", Owner: "bench", Size: 4096, Replicas: 1, DataType: "generic", ModifiedAt: at}
+	list := make([]types.Stat, 100)
+	for i := range list {
+		list[i] = st
+		list[i].Path = fmt.Sprintf("/small/c000/o%05d", i)
+	}
+	obj := types.DataObject{ID: 42, Name: "o00000", Collection: "/small/c000", DataType: "generic", Owner: "bench",
+		Size: 4096, Checksum: "sha256:0123456789abcdef", CreatedAt: at, ModifiedAt: at}
+	for n := 0; n < 2; n++ {
+		obj.Replicas = append(obj.Replicas, types.Replica{Number: types.ReplicaNumber(n), Resource: fmt.Sprintf("disk%d", n),
+			PhysicalPath: fmt.Sprintf("/vault%d/00/42.%d", n, n), Size: 4096, Checksum: obj.Checksum, CreatedAt: at, ModifiedAt: at})
+	}
+	b.Run("PathArgs", benchBody(&PathArgs{Path: st.Path}))
+	b.Run("Stat", benchBody(&st))
+	b.Run("Stats100", benchBody(&list))
+	b.Run("DataObject2", benchBody(&obj))
+}
+
+func benchBody[T any](v *T) func(*testing.B) {
+	return func(b *testing.B) {
+		buf, _ := AppendBody(nil, v)
+		b.SetBytes(int64(len(buf)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			buf, _ = AppendBody(buf[:0], v)
+			var out T
+			if err := DecodeBody(buf, &out); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }
