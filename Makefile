@@ -205,9 +205,13 @@ test:
 # poisoned, so a slice kept past it reads garbage (internal/wire/canary.go);
 # a lent read handle, a client call's xfer and a multiget's bookkeeping
 # are never recycled, and a use of a handle or xfer after its Close or
-# free panics (internal/lend).
+# free panics (internal/lend). Then the suite again with both canaries
+# and without -race: an allocation fence must stand down under a canary
+# as it does under the race detector, and the run above, always under
+# -race, would never show one that does not.
 race:
 	$(GO) test -race -tags rowcanary,framecanary ./...
+	$(GO) test -count=1 -tags rowcanary,framecanary ./...
 
 # Fault-injection sweep: the resilience and faultnet suites plus the
 # chaos end-to-end, repeated under -race to prove the fixed-seed fault

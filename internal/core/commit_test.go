@@ -13,6 +13,7 @@ import (
 	"gosrb/internal/acl"
 	"gosrb/internal/core"
 	"gosrb/internal/durable"
+	"gosrb/internal/lend"
 	"gosrb/internal/mcat"
 	"gosrb/internal/mcat/shard"
 	"gosrb/internal/storage"
@@ -439,13 +440,22 @@ const (
 	ingestAllocsSlack    = 3
 )
 
+// skipAllocFence stands an allocation fence down where the counts are
+// not the broker's own: under the race detector, with the catalog's row
+// canary, whose fingerprints allocate, and with the frame canary, under
+// which lent objects are dropped rather than recycled (lend.Canary).
+func skipAllocFence(t *testing.T) {
+	t.Helper()
+	if raceEnabled || rowCanary || lend.Canary {
+		t.Skip("allocation counts are not meaningful under the race detector or a canary")
+	}
+}
+
 // TestIngestAllocations fences what one put costs in heap objects on
 // every `go test`, not only in bench/: a 64 B Ingest with three
 // triplets on a journaled 4-shard router.
 func TestIngestAllocations(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are not meaningful under the race detector")
-	}
+	skipAllocFence(t)
 	r := shard.NewRouter(4, "admin", "sdsc")
 	r.EnableMemoryJournals()
 	b := core.New(r, "srb1")
@@ -482,9 +492,7 @@ func TestIngestAllocations(t *testing.T) {
 // linux/amd64, when every mutation but a create was applied before it
 // was logged; logging first must not cost more.
 func TestMutationAllocations(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are not meaningful under the race detector")
-	}
+	skipAllocFence(t)
 	const runs = 200
 	budgets := []struct {
 		op     string

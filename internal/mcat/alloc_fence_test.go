@@ -24,10 +24,13 @@ func must(t *testing.T, err error) {
 	}
 }
 
-func skipUnderRace(t *testing.T) {
+// skipAllocFence stands an allocation fence down where the counts are not
+// the catalog's own: under the race detector, and with the row canary
+// built.
+func skipAllocFence(t *testing.T) {
 	t.Helper()
-	if raceEnabled {
-		t.Skip("allocation counts are not meaningful under the race detector")
+	if raceEnabled || canaryEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector or a canary")
 	}
 }
 
@@ -53,7 +56,7 @@ func queryCatalog(t *testing.T, n int) *mcat.Catalog {
 }
 
 func TestQueryAllocatesPerHitNotPerCandidate(t *testing.T) {
-	skipUnderRace(t)
+	skipAllocFence(t)
 	q := mcat.Query{
 		Scope:  "/",
 		Conds:  []mcat.Condition{{Attr: "band", Op: "=", Value: "J"}, {Attr: "mag", Op: ">=", Value: "990"}},
@@ -78,7 +81,7 @@ func TestQueryAllocatesPerHitNotPerCandidate(t *testing.T) {
 // a fixed number of slabs per answer: with two columns, a 100-hit answer
 // allocates what a 10-hit one does.
 func TestQueryAllocatesPerAnswerNotPerHit(t *testing.T) {
-	skipUnderRace(t)
+	skipAllocFence(t)
 	c := queryCatalog(t, 200)
 	allocs := func(minMag string, want int) float64 {
 		q := mcat.Query{
@@ -103,7 +106,7 @@ func TestQueryAllocatesPerAnswerNotPerHit(t *testing.T) {
 }
 
 func TestKeyOfCleanPathDoesNotAllocate(t *testing.T) {
-	skipUnderRace(t)
+	skipAllocFence(t)
 	for _, p := range []string{"/", "/zone", "/zone/proj", "/zone/proj/run7/frame-000123.fits"} {
 		if n := testing.AllocsPerRun(100, func() { shard.KeyOf(p) }); n != 0 {
 			t.Errorf("KeyOf(%q) allocates %v times, want 0", p, n)
@@ -112,7 +115,7 @@ func TestKeyOfCleanPathDoesNotAllocate(t *testing.T) {
 }
 
 func TestEffectiveLevelDoesNotAllocate(t *testing.T) {
-	skipUnderRace(t)
+	skipAllocFence(t)
 	c := mcat.New("admin", "local")
 	for _, u := range []string{"alice", "bob"} {
 		must(t, c.AddUser(types.User{Name: u, Domain: "sdsc"}))
@@ -136,7 +139,7 @@ func TestEffectiveLevelDoesNotAllocate(t *testing.T) {
 }
 
 func TestListCollAllocationsDoNotGrowWithEntries(t *testing.T) {
-	skipUnderRace(t)
+	skipAllocFence(t)
 	c := mcat.New("admin", "local")
 	must(t, c.MkCollAll("/zone/proj", "admin"))
 	for i := 0; i < 200; i++ {
@@ -158,7 +161,7 @@ func TestListCollAllocationsDoNotGrowWithEntries(t *testing.T) {
 // whose slices the reader shares, so it copies nothing onto the heap
 // however many replicas, pins and versions the row holds.
 func TestGetObjectAllocatesNothing(t *testing.T) {
-	skipUnderRace(t)
+	skipAllocFence(t)
 	c := mcat.New("admin", "local")
 	must(t, c.MkCollAll("/zone/proj", "admin"))
 	o := &types.DataObject{
@@ -190,7 +193,7 @@ func TestGetObjectAllocatesNothing(t *testing.T) {
 // stored row, whose Members the reader shares, so a put that reads a
 // logical resource's policy or owner copies nothing onto the heap.
 func TestGetResourceAllocatesNothing(t *testing.T) {
-	skipUnderRace(t)
+	skipAllocFence(t)
 	c := mcat.New("admin", "local")
 	for _, name := range []string{"d1", "d2"} {
 		must(t, c.AddResource(types.Resource{Name: name, Kind: types.ResourcePhysical, Driver: "memfs"}))
@@ -211,7 +214,7 @@ func TestGetResourceAllocatesNothing(t *testing.T) {
 // ancestors are its prefixes, so where none is defined the check makes
 // no object.
 func TestCheckMandatoryAllocatesNothing(t *testing.T) {
-	skipUnderRace(t)
+	skipAllocFence(t)
 	c := mcat.New("admin", "local")
 	must(t, c.MkCollAll("/zone/proj/run7", "admin"))
 	meta := []types.AVU{{Name: "band", Value: "J"}}
@@ -231,7 +234,7 @@ func TestCheckMandatoryAllocatesNothing(t *testing.T) {
 // is appended there by hand (times included) and the index keeps a
 // value that one path holds inline, so nothing else is made.
 func TestMutatorsKeepOnlyWhatTheyStore(t *testing.T) {
-	skipUnderRace(t)
+	skipAllocFence(t)
 	const runs = 200
 	c := mcat.New("admin", "local")
 	c.SetJournal(durable.NewJournal(io.Discard))
@@ -270,7 +273,7 @@ func TestMutatorsKeepOnlyWhatTheyStore(t *testing.T) {
 // value's set into a map (what a map of two costs, more than nothing);
 // a third path lands in that map and makes nothing more.
 func TestPostingSetMapsOnlyFromTheSecondPath(t *testing.T) {
-	skipUnderRace(t)
+	skipAllocFence(t)
 	const runs = 100
 	c := mcat.New("admin", "local")
 	must(t, c.MkCollAll("/zone/proj", "admin"))
@@ -322,7 +325,7 @@ func putRow(id types.ObjectID, name string) *types.DataObject {
 // TestEncodeIngestLineAllocatesNothing: a put's journal line, five times
 // among its fields, is appended into a pooled buffer without one object.
 func TestEncodeIngestLineAllocatesNothing(t *testing.T) {
-	skipUnderRace(t)
+	skipAllocFence(t)
 	o := putRow(7, "frame.fits")
 	o.CreatedAt = time.Date(2002, 7, 24, 9, 0, 0, 123456789, time.UTC)
 	o.ModifiedAt, o.Replicas[0].CreatedAt, o.Replicas[0].ModifiedAt = o.CreatedAt, o.CreatedAt, o.CreatedAt
@@ -339,7 +342,7 @@ func TestEncodeIngestLineAllocatesNothing(t *testing.T) {
 // new to the index, is kept inline. (The tables' maps grow now and then,
 // which averages out under one object a put.)
 func TestIngestKeepsOnlyWhatItStores(t *testing.T) {
-	skipUnderRace(t)
+	skipAllocFence(t)
 	const runs = 200
 	c := mcat.New("admin", "local")
 	c.SetJournal(durable.NewJournal(io.Discard))
@@ -376,7 +379,7 @@ func TestIngestKeepsOnlyWhatItStores(t *testing.T) {
 // 12.1 once read by hand (line.go's readEntry); 11.1 once Meta's list
 // was reused.
 func TestLoadAllocates(t *testing.T) {
-	skipUnderRace(t)
+	skipAllocFence(t)
 	const puts = 1000
 	src := mcat.New("admin", "local")
 	must(t, src.MkCollAll("/zone/proj", "admin"))

@@ -58,10 +58,6 @@ type Config struct {
 	// Poll is how often the dispatcher re-reads the queue when idle
 	// (default 250ms); Kick wakes it early.
 	Poll time.Duration
-	// Rate is the minimum spacing between task executions across all
-	// workers (0 = unlimited) — the engine must not out-compete
-	// foreground traffic for storage bandwidth.
-	Rate time.Duration
 	// Server names this daemon in task/job span records.
 	Server string
 	// Seed pins the schedule-jitter and backoff-jitter PRNG for
@@ -104,9 +100,6 @@ type Engine struct {
 	rng      *rand.Rand
 	paused   bool
 	started  bool
-
-	rateMu   sync.Mutex
-	rateNext time.Time
 
 	alive    atomic.Int64
 	stopCh   chan struct{}
@@ -278,34 +271,12 @@ func (e *Engine) dispatch(workCh chan types.RepairTask) {
 	}
 }
 
-// worker executes tasks, spacing executions by the configured rate.
+// worker executes tasks.
 func (e *Engine) worker(workCh chan types.RepairTask) {
 	e.alive.Add(1)
 	defer e.alive.Add(-1)
 	for t := range workCh {
-		e.rateWait()
 		e.runTask(t)
-	}
-}
-
-// rateWait enforces the global minimum spacing between task starts.
-func (e *Engine) rateWait() {
-	if e.cfg.Rate <= 0 {
-		return
-	}
-	e.rateMu.Lock()
-	now := time.Now()
-	next := e.rateNext
-	if next.Before(now) {
-		next = now
-	}
-	e.rateNext = next.Add(e.cfg.Rate)
-	e.rateMu.Unlock()
-	if d := next.Sub(now); d > 0 {
-		select {
-		case <-time.After(d):
-		case <-e.stopCh:
-		}
 	}
 }
 

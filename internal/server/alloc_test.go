@@ -9,12 +9,25 @@ import (
 
 	"gosrb/internal/client"
 	"gosrb/internal/core"
+	"gosrb/internal/lend"
 	"gosrb/internal/mcat"
 	stg "gosrb/internal/storage"
 	"gosrb/internal/storage/memfs"
 	"gosrb/internal/storage/posixfs"
 	"gosrb/internal/types"
 )
+
+// skipAllocFence stands an allocation fence down where the counts are
+// not the request path's own: under the race detector, with the
+// catalog's row canary, whose fingerprints allocate, and with the frame
+// canary, under which lent objects are dropped rather than recycled
+// (lend.Canary).
+func skipAllocFence(t *testing.T) {
+	t.Helper()
+	if raceEnabled || rowCanary || lend.Canary {
+		t.Skip("allocation counts are not meaningful under the race detector or a canary")
+	}
+}
 
 // TestRoundTripAllocBudget holds what one small request costs in heap
 // objects, client and server together, over loopback: a Stat, a 5-byte
@@ -45,9 +58,7 @@ import (
 // envelope came to one allocation per request). One more object per
 // request on the path every RPC takes fails here by name.
 func TestRoundTripAllocBudget(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector allocates on its own account")
-	}
+	skipAllocFence(t)
 	vault, err := posixfs.New(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
@@ -204,9 +215,7 @@ func TestRoundTripAllocBudget(t *testing.T) {
 // manifests. One more object on the federated read path fails here by
 // name.
 func TestFederatedReadAllocBudget(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector allocates on its own account")
-	}
+	skipAllocFence(t)
 	z := newZone(t, Proxy)
 	data := bytes.Repeat([]byte("federated"), 16<<10/9+1)[:16<<10]
 	if _, err := z.b2.Ingest("alice", core.IngestOpts{Path: "/home/far", Data: data, Resource: "disk2"}); err != nil {

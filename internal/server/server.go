@@ -438,7 +438,10 @@ func (ss *session) finishInbound() {
 
 // reply stages a success response with *body, encoded into a frame from
 // the pool that dispatch hands back once the response is written. body
-// does not escape (wire.AppendBody).
+// does not escape (wire.AppendBody). A body too large for a response
+// frame stages an ErrInvalid failure instead: the client is told, and does
+// not retry, where a frame refused at write time would drop the connection
+// and the client would send the same call again.
 func reply[T any](ss *session, body *T) error {
 	checkLive(ss)
 	bp := wire.GetFrame()
@@ -446,6 +449,11 @@ func reply[T any](ss *session, body *T) error {
 	if err != nil {
 		wire.PutFrame(bp)
 		return err
+	}
+	if len(raw) > wire.MaxBody {
+		wire.PutFrame(bp)
+		return ss.fail(types.E(ss.req.Op, "", fmt.Errorf("reply body of %d bytes exceeds the %d a response frame carries: %w",
+			len(raw), wire.MaxBody, types.ErrInvalid)))
 	}
 	*bp = raw
 	ss.body = bp

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -225,4 +226,32 @@ func mustArgs(t *testing.T, v any) []byte {
 		t.Fatal(err)
 	}
 	return b
+}
+
+// TestOversizeReplyFails: a reply whose body no response frame can carry
+// (here about 17 MB of metadata) fails the call at once with ErrInvalid,
+// which the client does not retry, and the connection serves the next
+// call. A frame refused at write time would drop the connection instead,
+// and the client would send the same call again.
+func TestOversizeReplyFails(t *testing.T) {
+	z := newZone(t, Proxy)
+	cl := z.client(z.addr1, "alice", "alicepw")
+	if _, err := cl.Put("/home/big", []byte("x"), client.PutOpts{Resource: "disk1"}); err != nil {
+		t.Fatal(err)
+	}
+	value := strings.Repeat("v", 1024)
+	for i := 0; i < 17000; i++ {
+		if err := z.cat.AddMeta("/home/big", types.MetaUser, types.AVU{Name: fmt.Sprintf("k%05d", i), Value: value}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := cl.GetMeta("/home/big", types.MetaUser); !errors.Is(err, types.ErrInvalid) {
+		t.Fatalf("oversize GetMeta: %v, want ErrInvalid", err)
+	}
+	if n := cl.Retries(); n != 0 {
+		t.Errorf("oversize GetMeta retried %d times", n)
+	}
+	if st, err := cl.Stat("/home/big"); err != nil || st.Size != 1 {
+		t.Errorf("stat after the oversize reply = %+v, %v", st, err)
+	}
 }

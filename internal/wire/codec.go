@@ -2,11 +2,11 @@
 // built append-style in one pooled buffer — fixed field order, uvarint
 // lengths — and sent with one Write; they decode without reflection.
 // Bodies (a request's Args, a response's Body) open with a one-byte tag
-// naming their Go type: a hot type (see appendBinary) follows in its own
-// binary layout, any other type as JSON. Which encoding a value gets is
-// thus a property of its type, identical at both ends, and a body decoded
-// into a type other than the one it was encoded from fails instead of
-// decoding into garbage. The handshake frames stay JSON (WriteJSON,
+// naming their Go type: a hot type (see walk) follows in its own binary
+// layout, any other type as JSON. Which encoding a value gets is thus a
+// property of its type, identical at both ends, and a body decoded into a
+// type other than the one it was encoded from fails instead of decoding
+// into garbage. The handshake frames stay JSON (WriteJSON,
 // ReadJSON): they cross once per connection.
 package wire
 
@@ -339,52 +339,110 @@ func appendString(b []byte, s string) []byte {
 	return append(b, s...)
 }
 
-func appendBool(b []byte, v bool) []byte {
-	if v {
-		return append(b, 1)
-	}
-	return append(b, 0)
+// codec is one walk over a hot value (see walk): with enc set, each step
+// appends its field to b; otherwise it reads the field from d. A type's
+// layout is thus written once, for both directions.
+type codec struct {
+	enc bool
+	b   []byte
+	d   decoder
 }
 
-func appendInt(b []byte, v int) []byte { return binary.AppendVarint(b, int64(v)) }
-
-func appendInt64(b []byte, v int64) []byte { return binary.AppendVarint(b, v) }
-
-// appendTime writes a zero time as one 0 byte (UnixNano is undefined for
-// it), any other as 1, Unix seconds and nanoseconds. The location is not
-// kept: the instant is.
-func appendTime(b []byte, t time.Time) []byte {
-	if t.IsZero() {
-		return append(b, 0)
+// tag writes a body's type tag, or fails a body whose tag is another.
+func (c *codec) tag(t byte) {
+	if c.enc {
+		c.b = append(c.b, t)
+		return
 	}
-	b = append(b, 1)
-	b = binary.AppendVarint(b, t.Unix())
-	return binary.AppendUvarint(b, uint64(t.Nanosecond()))
+	if got := c.d.byte(); got != t && c.d.err == nil {
+		c.d.err, c.d.off = errTag, len(c.d.b)
+	}
 }
 
-// appendLen writes a slice or map length as n+1, keeping 0 for nil: the
-// distinction JSON keeps between null and [].
-func appendLen(b []byte, n int, isNil bool) []byte {
-	if isNil {
-		return append(b, 0)
+func (c *codec) str(s *string) {
+	if c.enc {
+		c.b = appendString(c.b, *s)
+		return
 	}
-	return binary.AppendUvarint(b, uint64(n)+1)
+	*s = c.d.string()
 }
 
-func appendSlice[T any](b []byte, s []T, enc func([]byte, *T) []byte) []byte {
-	b = appendLen(b, len(s), s == nil)
-	for i := range s {
-		b = enc(b, &s[i])
+// errKind is a string that decodes to its errKinds name without
+// allocating.
+func (c *codec) errKind(s *string) {
+	if c.enc {
+		c.b = appendString(c.b, *s)
+		return
 	}
-	return b
+	*s = internKind(c.d.bytes())
 }
 
-func appendStrings(b []byte, s []string) []byte {
-	b = appendLen(b, len(s), s == nil)
-	for _, v := range s {
-		b = appendString(b, v)
+func (c *codec) boolean(v *bool) {
+	if !c.enc {
+		*v = c.d.bool()
+	} else if *v {
+		c.b = append(c.b, 1)
+	} else {
+		c.b = append(c.b, 0)
 	}
-	return b
+}
+
+func num[T ~int | ~int64](c *codec, v *T) {
+	if c.enc {
+		c.b = binary.AppendVarint(c.b, int64(*v))
+		return
+	}
+	*v = T(c.d.varint())
+}
+
+// time writes a zero time as one 0 byte (UnixNano is undefined for it),
+// any other as 1, Unix seconds and nanoseconds. The location is not kept:
+// the instant is.
+func (c *codec) time(t *time.Time) {
+	switch {
+	case !c.enc:
+		*t = c.d.time()
+	case t.IsZero():
+		c.b = append(c.b, 0)
+	default:
+		c.b = binary.AppendVarint(append(c.b, 1), t.Unix())
+		c.b = binary.AppendUvarint(c.b, uint64(t.Nanosecond()))
+	}
+}
+
+// list writes a slice's length as n+1, keeping 0 for nil (the distinction
+// JSON keeps between null and []), or reads one and makes the slice; min
+// is the fewest bytes an element encodes to (see decoder.length). It
+// returns the length, and the caller walks the elements.
+func list[T any](c *codec, s *[]T, min int) int {
+	if !c.enc {
+		*s = makeSlice[T](&c.d, min)
+	} else if *s == nil {
+		c.b = append(c.b, 0)
+	} else {
+		c.b = binary.AppendUvarint(c.b, uint64(len(*s))+1)
+	}
+	return len(*s)
+}
+
+func (c *codec) strs(s *[]string) {
+	for i := range list(c, s, 1) {
+		c.str(&(*s)[i])
+	}
+}
+
+// opt writes whether *p is set, or reads it and sets *p to a new T or
+// nil. It reports whether *p is set, and the caller walks what it points
+// to.
+func opt[T any](c *codec, p **T) bool {
+	set := *p != nil
+	if c.boolean(&set); !c.enc {
+		*p = nil
+		if set {
+			*p = new(T)
+		}
+	}
+	return set
 }
 
 // decoder reads one encoded value. The first malformed read latches err
@@ -432,8 +490,6 @@ func (d *decoder) varint() int64 {
 	d.off += n
 	return v
 }
-
-func (d *decoder) int() int { return int(d.varint()) }
 
 // uint64 reads 8 big-endian bytes.
 func (d *decoder) uint64() uint64 {
@@ -534,18 +590,6 @@ func makeSlice[T any](d *decoder, min int) []T {
 		return nil
 	}
 	return make([]T, n)
-}
-
-func (d *decoder) strings() []string {
-	n, isNil := d.length(1)
-	if isNil {
-		return nil
-	}
-	s := make([]string, n)
-	for i := range s {
-		s[i] = d.string()
-	}
-	return s
 }
 
 // rest returns the unread bytes (nil when there are none).

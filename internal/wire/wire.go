@@ -50,6 +50,12 @@ const (
 // cannot exhaust memory; bulk data is chunked beneath it.
 const MaxFrame = 16 << 20
 
+// MaxBody bounds the body of a success response: MaxFrame less the widest
+// envelope appendResponse writes around it (an ID of up to 10 bytes, the
+// flags byte, and an empty ErrKind and ErrMsg of one byte each). A larger
+// body cannot be sent.
+const MaxBody = MaxFrame - binary.MaxVarintLen64 - 3
+
 // DataChunk is the bulk transfer chunk size: the payload of one Data
 // frame, and the size of the pooled buffer every hop copies through.
 const DataChunk = chunk.Size
