@@ -29,7 +29,7 @@ func must(t *testing.T, err error) {
 // built.
 func skipAllocFence(t *testing.T) {
 	t.Helper()
-	if raceEnabled || canaryEnabled {
+	if raceEnabled || rowCanary {
 		t.Skip("allocation counts are not meaningful under the race detector or a canary")
 	}
 }

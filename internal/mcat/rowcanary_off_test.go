@@ -2,4 +2,4 @@
 
 package mcat_test
 
-const canaryEnabled = false
+const rowCanary = false

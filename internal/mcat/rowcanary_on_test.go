@@ -2,7 +2,7 @@
 
 package mcat_test
 
-// canaryEnabled tells the allocation fences to stand down: the row
-// canary fingerprints each row the catalog stores or hands out, and its
+// rowCanary tells the allocation fences to stand down: the row canary
+// fingerprints each row the catalog stores or hands out, and its
 // fingerprints allocate.
-const canaryEnabled = true
+const rowCanary = true
