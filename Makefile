@@ -55,6 +55,9 @@ CREATE_USERS := internal/core internal/server internal/mysrb
 # The read fence: internal/server streams an object from Broker.OpenGet, never reads it whole.
 WHOLE_READS := GetTraced\(|broker\.Get\(|storage\.ReadSized\(
 
+# The slot fence: a reply internal/server only encodes is built in its connection slot: a listing in the slot's []types.Stat (Broker.AppendList), a query answer in its mcat.Answer (Broker.QueryInto), never in a fresh one per request.
+SLOT_BUILT := c\.b\.(List|QueryPartial)\(
+
 # The presize fence: internal/server holds forwarded bytes (a peer's multiget reply, a bulkput batch) in a chunk.Spool, never in a buffer sized from a length a remote party announced.
 PRESIZED := wire\.Buffer|Grow\(
 
@@ -166,6 +169,7 @@ lint: vet
 	@if grep -rnE '$(LOOKUP_AGAIN_SERVER)' --include=*.go --exclude=*_test.go internal/server || grep -rnE '$(LOOKUP_AGAIN_CORE)' --include=*.go --exclude=*_test.go internal/core; then echo "resolve a path once (Broker.Lookup) and pass the row down"; exit 1; fi
 	@if grep -rnF '$(REPLICA_FILTER)' --include=*.go --exclude=*_test.go internal/server; then echo "replica filter in internal/server: ask the selector (Broker.Replicas().Owner)"; exit 1; fi
 	@if [ "$$(grep -rnE '$(PEER_CALLS)' --include=*.go --exclude=*_test.go internal/server | wc -l)" -ne 1 ]; then grep -rnE '$(PEER_CALLS)' --include=*.go --exclude=*_test.go internal/server; echo "internal/server calls a peer only through peerCall, its one Mux.CallTo"; exit 1; fi
+	@if grep -rnE '$(SLOT_BUILT)' --include=*.go --exclude=*_test.go internal/server; then echo "a reply the server only encodes is built in the slot: Broker.AppendList into session.stats, Broker.QueryInto into session.ans"; exit 1; fi
 	@if grep -rnE '$(PRESIZED)' --include=*.go --exclude=*_test.go internal/server; then echo "a server holds forwarded bytes in a chunk.Spool, never presized from a remote length"; exit 1; fi
 	@if grep -rnE '$(FILE_WRITES)' --include=*.go --exclude=*_test.go --exclude-dir=durable cmd internal examples | grep -vE '$(DRIVER_RENAME)'; then echo "file written outside internal/durable: publish it with durable.Replace or durable.Create, append with durable.Journal"; exit 1; fi
 	@if grep -rnE '$(RAW_LOGS)' --exclude-dir=durable $(GO_SRC); then echo "a store's snapshot and journal go through durable's compacting log"; exit 1; fi

@@ -35,25 +35,34 @@ func (b *Broker) Mkdir(user, path string) error {
 	return nil
 }
 
-// List returns the members of a collection the user may read.
+// List returns the members of a collection the user may read. It is
+// AppendList into a fresh slice.
 func (b *Broker) List(user, path string) ([]types.Stat, error) {
-	start := time.Now()
-	stats, err := b.list(user, path)
-	b.ops.list.Done(start, err)
-	b.ops.heat.Record(shard.KeyOf(path), 0)
-	return stats, err
+	return b.AppendList(nil, user, path)
 }
 
-func (b *Broker) list(user, path string) ([]types.Stat, error) {
+// AppendList appends the members of a collection the user may read to
+// dst (Catalog.AppendList): a caller that keeps dst from one listing to
+// the next lists into it without making a slice. On error dst comes
+// back unchanged.
+func (b *Broker) AppendList(dst []types.Stat, user, path string) ([]types.Stat, error) {
+	start := time.Now()
+	dst, err := b.appendList(dst, user, path)
+	b.ops.list.Done(start, err)
+	b.ops.heat.Record(shard.KeyOf(path), 0)
+	return dst, err
+}
+
+func (b *Broker) appendList(dst []types.Stat, user, path string) ([]types.Stat, error) {
 	if err := b.need(user, path, acl.Read, "list"); err != nil {
-		return nil, err
+		return dst, err
 	}
-	stats, err := b.Cat.ListColl(path)
+	dst, err := b.Cat.AppendList(dst, path)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
 	b.audit(user, "list", path, true, "")
-	return stats, nil
+	return dst, nil
 }
 
 // StatPath describes a collection or object.

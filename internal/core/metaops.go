@@ -270,28 +270,45 @@ func (b *Broker) Query(user string, q mcat.Query) ([]mcat.Hit, error) {
 // catalog is sharded and a shard misses its deadline or is a stale
 // follower, its name lands in partial and the hits from the shards
 // that did answer are still returned. A monolithic catalog never
-// reports partial shards.
+// reports partial shards. It is QueryInto on a fresh answer.
 func (b *Broker) QueryPartial(user string, q mcat.Query) ([]mcat.Hit, []string, error) {
+	var a mcat.Answer
+	partial, err := b.QueryInto(&a, user, q)
+	if err != nil {
+		return nil, partial, err
+	}
+	return a.Hits, partial, nil
+}
+
+// QueryInto is QueryPartial into a, replacing what it held
+// (Catalog.QueryInto): a caller that keeps a from one query to the next
+// answers into its buffers. a.Hits is nil when the catalog matched
+// nothing, and empty when it matched only hits the user may not read, as
+// QueryPartial's hits are.
+func (b *Broker) QueryInto(a *mcat.Answer, user string, q mcat.Query) ([]string, error) {
 	start := time.Now()
 	limit := q.Limit
 	q.Limit = 0
-	hits, partial, err := b.Cat.QueryPartial(q)
+	partial, err := b.Cat.QueryInto(a, q)
 	if err != nil {
 		b.ops.query.Done(start, err)
-		return nil, partial, err
+		return partial, err
 	}
-	hits = b.readable(user, hits, limit)
-	b.audit(user, "query", q.Scope, true, fmt.Sprintf("%d conds, %d hits, %d partial shards", len(q.Conds), len(hits), len(partial)))
+	a.Hits = b.readable(user, a.Hits, limit)
+	b.audit(user, "query", q.Scope, true, fmt.Sprintf("%d conds, %d hits, %d partial shards", len(q.Conds), len(a.Hits), len(partial)))
 	b.ops.query.Done(start, nil)
 	b.ops.heat.Record(shard.KeyOf(q.Scope), 0)
-	return hits, partial, nil
+	return partial, nil
 }
 
 // readable keeps the hits user may read, in order, cut at limit (0 =
-// all), filtering hits in place: the catalog's answer is the caller's
-// own. The query that found them ran without the limit: cutting before
-// this filter would count hits the user cannot see.
+// all), filtering hits in place and clearing the rest, and is nil when
+// hits is empty. The query that found them ran without the limit:
+// cutting before this filter would count hits the user cannot see.
 func (b *Broker) readable(user string, hits []mcat.Hit, limit int) []mcat.Hit {
+	if len(hits) == 0 {
+		return nil
+	}
 	out := hits[:0]
 	for _, h := range hits {
 		if limit > 0 && len(out) == limit {
@@ -301,6 +318,7 @@ func (b *Broker) readable(user string, hits []mcat.Hit, limit int) []mcat.Hit {
 			out = append(out, h)
 		}
 	}
+	clear(hits[len(out):])
 	return out
 }
 

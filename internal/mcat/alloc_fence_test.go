@@ -77,6 +77,26 @@ func TestQueryAllocatesPerHitNotPerCandidate(t *testing.T) {
 	}
 }
 
+// TestQueryAllocatesNothingWalkingItsScope: a scoped query without an
+// equality condition walks its scope's subtree through the child
+// indexes, and into an answer with room for its hits makes nothing.
+func TestQueryAllocatesNothingWalkingItsScope(t *testing.T) {
+	skipAllocFence(t)
+	c := queryCatalog(t, 200)
+	must(t, c.MkCollAll("/zone/proj/sub", "admin"))
+	q := mcat.Query{Scope: "/zone", Conds: []mcat.Condition{{Attr: "mag", Op: ">=", Value: "990"}}, Select: []string{"mag"}}
+	var a mcat.Answer
+	must(t, c.RunQueryInto(&a, q))
+	n := testing.AllocsPerRun(20, func() {
+		if err := c.RunQueryInto(&a, q); err != nil || len(a.Hits) != 10 {
+			t.Fatalf("scoped query: %d hits, err %v", len(a.Hits), err)
+		}
+	})
+	if n != 0 {
+		t.Errorf("a scoped query into a warm answer allocates %v times, want 0", n)
+	}
+}
+
 // TestQueryAllocatesPerAnswerNotPerHit holds a query's Select values to
 // a fixed number of slabs per answer: with two columns, a 100-hit answer
 // allocates what a 10-hit one does.
@@ -152,8 +172,20 @@ func TestListCollAllocationsDoNotGrowWithEntries(t *testing.T) {
 			t.Fatalf("ListColl: %d entries, err %v", len(st), err)
 		}
 	})
-	if n > 8 {
-		t.Errorf("ListColl of 200 entries allocates %v times, want <= 8 in total", n)
+	if n > 1 {
+		t.Errorf("ListColl of 200 entries allocates %v times, want 1: the slice it returns", n)
+	}
+	// Into a buffer that has room, a listing makes nothing: its names are
+	// sorted in a pooled scratch.
+	dst := make([]types.Stat, 0, 200)
+	n = testing.AllocsPerRun(20, func() {
+		st, err := c.AppendList(dst[:0], "/zone/proj")
+		if err != nil || len(st) != 200 || &st[0] != &dst[:1][0] {
+			t.Fatalf("AppendList: %d entries, err %v", len(st), err)
+		}
+	})
+	if n != 0 {
+		t.Errorf("AppendList of 200 entries into a warm buffer allocates %v times, want 0", n)
 	}
 }
 

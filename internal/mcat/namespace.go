@@ -3,6 +3,7 @@ package mcat
 import (
 	"slices"
 	"sort"
+	"sync"
 
 	"gosrb/internal/types"
 )
@@ -115,32 +116,73 @@ func (c *Catalog) LinkColl(target, linkPath, owner string) error {
 }
 
 // ListColl lists the direct members of a collection: sub-collections
-// first, then objects, each sorted by name.
+// first, then objects, each sorted by name. It is AppendList into a
+// fresh slice: nil for an empty collection.
 func (c *Catalog) ListColl(path string) ([]types.Stat, error) {
+	return c.AppendList(nil, path)
+}
+
+// AppendList appends the direct members of a collection to dst, as
+// ListColl lists them. It sorts the members' paths in a scratch from
+// namesPool and makes nothing when dst has room for them. On error dst
+// comes back unchanged.
+func (c *Catalog) AppendList(dst []types.Stat, path string) ([]types.Stat, error) {
 	path = types.CleanPath(path)
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	col, ok := c.colls[path]
 	if !ok {
-		return nil, types.E("list", path, types.ErrNotFound)
+		return dst, types.E("list", path, types.ErrNotFound)
 	}
 	if col.LinkTarget != "" {
 		path = col.LinkTarget
 	}
-	n := len(c.childColls[path]) + len(c.childObjs[path])
-	if n == 0 {
-		return nil, nil
+	colls, objs := c.childColls[path], c.childObjs[path]
+	if len(colls)+len(objs) == 0 {
+		return dst, nil
 	}
-	out := make([]types.Stat, 0, n)
-	for _, p := range sortedVals(c.childColls[path]) {
+	dst = slices.Grow(dst, len(colls)+len(objs))
+	sp := namesPool.Get().(*[]string)
+	names := sortedPaths((*sp)[:0], colls)
+	for _, p := range names {
 		sub := c.colls[p]
-		st := types.Stat{Path: p, IsCollect: true, Owner: sub.Owner, ModifiedAt: sub.CreatedAt}
-		out = append(out, st)
+		dst = append(dst, types.Stat{Path: p, IsCollect: true, Owner: sub.Owner, ModifiedAt: sub.CreatedAt})
 	}
-	for _, p := range sortedVals(c.childObjs[path]) {
-		out = append(out, statOf(p, c.objects[p]))
+	clear(names)
+	names = sortedPaths(names[:0], objs)
+	for _, p := range names {
+		dst = append(dst, statOf(p, c.objects[p]))
 	}
-	return out, nil
+	putNames(sp, names)
+	return dst, nil
+}
+
+// namesPool lends the scratch a listing sorts a collection's member
+// paths in; maxPooledNames bounds what goes back, so one huge
+// collection's scratch is not kept.
+var namesPool = sync.Pool{New: func() any { return new([]string) }}
+
+const maxPooledNames = 4096
+
+// putNames clears names, sp's scratch as the caller last cut it, and
+// hands sp back to namesPool.
+func putNames(sp *[]string, names []string) {
+	clear(names)
+	if cap(names) <= maxPooledNames {
+		*sp = names[:0]
+		namesPool.Put(sp)
+	}
+}
+
+// sortedPaths appends the paths a child index holds to names, sorted.
+// The members of one collection share their parent, so this is their
+// order by name.
+func sortedPaths(names []string, m map[string]string) []string {
+	for _, p := range m {
+		names = append(names, p)
+	}
+	slices.Sort(names)
+	return names
 }
 
 // statOf describes the object stored under path p (its key in the
@@ -156,15 +198,6 @@ func statOf(p string, o *types.DataObject) types.Stat {
 		Replicas:   len(o.Replicas),
 		Container:  o.Container,
 	}
-}
-
-func sortedVals(m map[string]string) []string {
-	out := make([]string, 0, len(m))
-	for _, v := range m {
-		out = append(out, v)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // DeleteColl removes an empty collection (or a linked sub-collection,
@@ -463,11 +496,14 @@ func (c *Catalog) ObjectsIn(coll string) []types.DataObject {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	var out []types.DataObject
-	for _, p := range sortedVals(c.childObjs[coll]) {
+	sp := namesPool.Get().(*[]string)
+	names := sortedPaths((*sp)[:0], c.childObjs[coll])
+	for _, p := range names {
 		o := c.objects[p]
 		c.canary.check(p, o)
 		out = append(out, *o)
 	}
+	putNames(sp, names)
 	return out
 }
 

@@ -51,6 +51,12 @@ func (c *Catalog) QueryPartial(q Query) ([]Hit, []string, error) {
 	return hits, nil, err
 }
 
+// QueryInto is RunQueryInto under the same contract: a monolithic
+// catalog reports no partial shards.
+func (c *Catalog) QueryInto(a *Answer, q Query) ([]string, error) {
+	return nil, c.RunQueryInto(a, q)
+}
+
 // SysAttrs lists the queryable system-metadata pseudo-attributes.
 func SysAttrs() []string {
 	return []string{
@@ -337,11 +343,11 @@ type Answer struct {
 // the catalog grows (E2).
 //
 // The query is compiled once, the candidates (the smallest posting set
-// of the index, or every object) are walked where they are stored and
-// each condition is tested against the object's own records; only the
-// paths that match are collected (on the stack, up to maxStackHits),
-// sorted and cut at Limit, and only those get their Select values. An
-// answer lives in three buffers whatever its size, and into fresh ones
+// of the index, or every object in the scope) are walked where they are
+// stored and each condition is tested against the object's own records;
+// only the paths that match are collected (on the stack, up to
+// maxStackHits), sorted and cut at Limit, and only those get their
+// Select values. An answer lives in three buffers whatever its size, and into fresh ones
 // it costs three allocations: the hits, the column headers and the
 // values, which grow only when a hit holds more than one value per
 // column. Only a numeric system attribute (sys:size, sys:replicas)
@@ -387,12 +393,18 @@ func (c *Catalog) RunQueryInto(a *Answer, q Query) error {
 		return ok && inScope(scope, p) && matchesAll(conds, c, p, o)
 	}
 	switch {
-	case !narrowed:
+	case !narrowed && scope == "/":
 		for p, o := range c.objects {
-			if inScope(scope, p) && matchesAll(conds, c, p, o) {
+			if matchesAll(conds, c, p, o) {
 				paths = append(paths, p)
 			}
 		}
+	case !narrowed:
+		c.eachInScope(scope, func(p string, o *types.DataObject) {
+			if matchesAll(conds, c, p, o) {
+				paths = append(paths, p)
+			}
+		})
 	case candidates.many == nil:
 		if hit(candidates.one) {
 			paths = append(paths, candidates.one)
@@ -437,6 +449,21 @@ func (c *Catalog) RunQueryInto(a *Answer, q Query) error {
 		a.Cols, a.Vals = cols, vals
 	}
 	return nil
+}
+
+// eachInScope calls fn with every object strictly inside the
+// collection coll, walking the child indexes down from it, so a scoped
+// query examines its scope's objects, not the catalog's. A link
+// collection's target is not followed: inScope matches an object by its
+// own path, which lies under the target. A coll that names an object,
+// or nothing, has no members.
+func (c *Catalog) eachInScope(coll string, fn func(p string, o *types.DataObject)) {
+	for _, p := range c.childObjs[coll] {
+		fn(p, c.objects[p])
+	}
+	for _, sub := range c.childColls[coll] {
+		c.eachInScope(sub, fn)
+	}
 }
 
 // maxStackHits is how many matching paths RunQuery collects without a

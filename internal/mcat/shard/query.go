@@ -2,6 +2,7 @@ package shard
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -38,25 +39,38 @@ func PartialError(partial []string) error {
 }
 
 // QueryPartial runs the query and reports the shards, if any, whose
-// answers are missing or suspect.
+// answers are missing or suspect. It is QueryInto on a fresh answer:
+// hits are nil when none match.
 func (r *Router) QueryPartial(q mcat.Query) ([]mcat.Hit, []string, error) {
+	var a mcat.Answer
+	partial, err := r.QueryInto(&a, q)
+	if err != nil {
+		return nil, nil, err
+	}
+	return a.Hits, partial, nil
+}
+
+// QueryInto runs the query into a, replacing what it held, and reports
+// the shards, if any, whose answers are missing or suspect. A scope one
+// shard holds is that shard's RunQueryInto; a scattered query merges the
+// shards' answers into a.
+func (r *Router) QueryInto(a *mcat.Answer, q mcat.Query) ([]string, error) {
 	if r.n == 1 {
-		return r.shards[0].cat.QueryPartial(q)
+		return r.shards[0].cat.QueryInto(a, q)
 	}
 	scope := types.CleanPath(q.Scope)
 	if types.Depth(scope) >= 2 {
 		r.singleQ.Inc()
 		i := r.homeIdx(scope)
-		hits, err := r.shards[i].cat.RunQuery(q)
-		if err != nil {
-			return nil, nil, err
+		if err := r.shards[i].cat.RunQueryInto(a, q); err != nil {
+			return nil, err
 		}
 		var partial []string
 		if r.isStale(i) {
 			partial = []string{r.shardName(i)}
 			r.notePartial()
 		}
-		return hits, partial, nil
+		return partial, nil
 	}
 
 	r.scatterQ.Inc()
@@ -70,15 +84,15 @@ func (r *Router) QueryPartial(q mcat.Query) ([]mcat.Hit, []string, error) {
 collect:
 	for pending > 0 {
 		select {
-		case a := <-s.ch:
+		case ans := <-s.ch:
 			pending--
-			if a.err != nil {
+			if ans.err != nil {
 				if firstErr == nil {
-					firstErr = a.err
+					firstErr = ans.err
 				}
 				continue
 			}
-			s.answered[a.idx] = true
+			s.answered[ans.idx] = true
 		case <-s.deadline.C:
 			break collect
 		}
@@ -90,7 +104,7 @@ collect:
 	}
 	r.fanoutOp.Observe(time.Since(fanStart), nil)
 	if firstErr != nil {
-		return nil, nil, firstErr
+		return nil, firstErr
 	}
 
 	var partial []string
@@ -111,12 +125,9 @@ collect:
 			s.lists[i] = s.answers[i].Hits
 		}
 	}
-	out := mergeHits(s.lists, q.Limit)
-	if len(out) == 0 {
-		out = nil // no hits: nil, as a catalog answers
-	}
+	mergeHits(a, s.lists, q.Limit)
 	r.mergeOp.Observe(time.Since(mergeStart), nil)
-	return out, partial, nil
+	return partial, nil
 }
 
 // scatter is the rendezvous of one scatter-gather query: the query, the
@@ -247,14 +258,14 @@ func idlePeriod() time.Duration {
 }
 
 // mergeHits merges the shards' answers, each already sorted by path,
-// into one sorted list of at most limit hits (0 = all). A path two
-// shards both report (an object mid-migration) is kept once, from the
-// lower-numbered shard. The merged hits are copies that share nothing
-// with lists but strings: a first pass over copies of the cursors counts
-// the winners, their columns and their values, and the second copies
-// them into one slab of each, so the answer costs three allocations
-// however many shards answered. It consumes lists.
-func mergeHits(lists [][]mcat.Hit, limit int) []mcat.Hit {
+// into a, replacing what it held: one sorted list of at most limit hits
+// (0 = all). A path two shards both report (an object mid-migration) is
+// kept once, from the lower-numbered shard. The merged hits share
+// nothing with lists but strings: a first pass over copies of the
+// cursors counts the winners, their columns and their values, and the
+// second copies them into a's three buffers, which grow only past the
+// capacity they have, as RunQueryInto's do. It consumes lists.
+func mergeHits(a *mcat.Answer, lists [][]mcat.Hit, limit int) {
 	var buf [8][]mcat.Hit
 	cur := append(buf[:0], lists...)
 	n, ncols, nvals := 0, 0, 0
@@ -275,15 +286,16 @@ func mergeHits(lists [][]mcat.Hit, limit int) []mcat.Hit {
 		}
 	}
 
-	out := make([]mcat.Hit, n)
-	cols := make([][]string, ncols)
-	vals := make([]string, 0, nvals)
+	out := slices.Grow(a.Hits[:0], n)[:n]
+	slab := slices.Grow(a.Cols[:0], ncols)[:ncols]
+	clear(slab)
+	cols, vals := slab, slices.Grow(a.Vals[:0], nvals)
 	for i := 0; i < n; {
 		h, _ := popMin(lists)
 		if i > 0 && h.Path == out[i-1].Path {
 			continue
 		}
-		out[i].Path = h.Path
+		out[i] = mcat.Hit{Path: h.Path}
 		if h.Values != nil {
 			w := len(h.Values)
 			out[i].Values, cols = cols[:w:w], cols[w:]
@@ -297,7 +309,7 @@ func mergeHits(lists [][]mcat.Hit, limit int) []mcat.Hit {
 		}
 		i++
 	}
-	return out
+	a.Hits, a.Cols, a.Vals = out, slab, vals
 }
 
 // popMin takes the smallest head of lists, the lowest-numbered list's

@@ -3,6 +3,7 @@ package shard
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -29,7 +30,7 @@ func TestMergeHits(t *testing.T) {
 		limit int
 		want  []mcat.Hit
 	}{
-		{"nothing answered", [][]mcat.Hit{nil, nil}, 0, []mcat.Hit{}},
+		{"nothing answered", [][]mcat.Hit{nil, nil}, 0, nil},
 		{"interleaved", [][]mcat.Hit{hits("/a", "/d"), nil, hits("/b", "/c", "/e")}, 0, hits("/a", "/b", "/c", "/d", "/e")},
 		{"cut at limit", [][]mcat.Hit{hits("/a", "/d"), hits("/b", "/c")}, 3, hits("/a", "/b", "/c")},
 		{"limit above total", [][]mcat.Hit{hits("/b"), hits("/a")}, 10, hits("/a", "/b")},
@@ -40,9 +41,19 @@ func TestMergeHits(t *testing.T) {
 		}, 0, []mcat.Hit{fromShard(0, "/a"), fromShard(0, "/m"), fromShard(1, "/z")}},
 		{"duplicate does not use up the limit", [][]mcat.Hit{hits("/a", "/b"), hits("/a", "/c")}, 3, hits("/a", "/b", "/c")},
 	}
+	// A merge into an answer that held more hits, with more values, keeps
+	// none of them: only the buffers.
+	held := [][]mcat.Hit{{fromShard(0, "/x1"), fromShard(0, "/x2"), fromShard(0, "/x3"), fromShard(0, "/x4")}, {fromShard(1, "/x0")}}
 	for _, c := range cases {
-		if got := mergeHits(c.lists, c.limit); !reflect.DeepEqual(got, c.want) {
-			t.Errorf("%s: got %v, want %v", c.name, got, c.want)
+		var fresh, warm mcat.Answer
+		mergeHits(&fresh, slices.Clone(c.lists), c.limit)
+		if !reflect.DeepEqual(fresh.Hits, c.want) {
+			t.Errorf("%s: got %v, want %v", c.name, fresh.Hits, c.want)
+		}
+		mergeHits(&warm, slices.Clone(held), 0)
+		mergeHits(&warm, slices.Clone(c.lists), c.limit)
+		if len(warm.Hits) != len(c.want) || len(c.want) > 0 && !reflect.DeepEqual(warm.Hits, c.want) {
+			t.Errorf("%s into a used answer: got %v, want %v", c.name, warm.Hits, c.want)
 		}
 	}
 }
@@ -106,6 +117,20 @@ func TestScatterQueryAllocs(t *testing.T) {
 	small, large := allocs(190, 10), allocs(100, 100)
 	if small > 3 || large > 3 {
 		t.Errorf("a warm 4-shard 2-column query allocates %v objects for 10 hits and %v for 100; want at most 3 (hits, columns, values)", small, large)
+	}
+	// Into an answer with room, as a server's connection slot keeps one,
+	// the merge makes nothing.
+	var a mcat.Answer
+	q := magQuery(100)
+	if _, err := r.QueryInto(&a, q); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if partial, err := r.QueryInto(&a, q); err != nil || len(partial) > 0 || len(a.Hits) != 100 {
+			t.Fatalf("QueryInto: %d hits, partial %v, err %v", len(a.Hits), partial, err)
+		}
+	}); n != 0 {
+		t.Errorf("a warm 4-shard query into a warm answer allocates %v objects, want 0", n)
 	}
 }
 

@@ -3,7 +3,9 @@ package shard
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -404,51 +406,55 @@ func (r *Router) LinkColl(target, linkPath, owner string) error {
 	return r.write("linkcoll", linkPath, func(c *mcat.Catalog) error { return c.LinkColl(target, linkPath, owner) })
 }
 
+// ListColl lists a collection's direct members, as the monolith does:
+// AppendList into a fresh slice.
 func (r *Router) ListColl(path string) ([]types.Stat, error) {
+	return r.AppendList(nil, path)
+}
+
+// AppendList appends a collection's direct members to dst, collections
+// first, then objects, each sorted by name. A deep collection is its
+// home shard's to list. A spine collection's children scatter across
+// shards, so every shard's listing is appended, then sorted and cut to
+// one entry a path, the lowest-numbered shard's. On error dst comes back
+// unchanged.
+func (r *Router) AppendList(dst []types.Stat, path string) ([]types.Stat, error) {
 	path = types.CleanPath(path)
 	if r.n == 1 || !Spine(path) {
-		return r.home(path).ListColl(path)
+		return r.home(path).AppendList(dst, path)
 	}
-	// Spine collection: direct children scatter across shards.
-	seen := make(map[string]types.Stat)
+	start := len(dst)
 	var firstErr error
 	found := false
 	for _, st := range r.shards {
-		out, err := st.cat.ListColl(path)
-		if err != nil {
+		var err error
+		if dst, err = st.cat.AppendList(dst, path); err != nil {
 			if firstErr == nil {
 				firstErr = err
 			}
 			continue
 		}
 		found = true
-		for _, s := range out {
-			if _, ok := seen[s.Path]; !ok {
-				seen[s.Path] = s
-			}
-		}
 	}
 	if !found {
-		return nil, firstErr
+		return dst, firstErr
 	}
-	var dirs, objs []string
-	for p, s := range seen {
-		if s.IsCollect {
-			dirs = append(dirs, p)
-		} else {
-			objs = append(objs, p)
+	// Stable sorts keep each path's entries in shard order, so the
+	// compaction keeps the lowest-numbered shard's.
+	list := dst[start:]
+	slices.SortStableFunc(list, func(a, b types.Stat) int { return strings.Compare(a.Path, b.Path) })
+	list = slices.CompactFunc(list, func(a, b types.Stat) bool { return a.Path == b.Path })
+	slices.SortStableFunc(list, func(a, b types.Stat) int {
+		switch {
+		case a.IsCollect == b.IsCollect:
+			return 0
+		case a.IsCollect:
+			return -1
+		default:
+			return 1
 		}
-	}
-	sort.Strings(dirs)
-	sort.Strings(objs)
-	out := make([]types.Stat, 0, len(seen))
-	for _, p := range dirs {
-		out = append(out, seen[p])
-	}
-	for _, p := range objs {
-		out = append(out, seen[p])
-	}
-	return out, nil
+	})
+	return dst[:start+len(list)], nil
 }
 
 func (r *Router) DeleteColl(path string) error {

@@ -518,3 +518,44 @@ func TestScatterReuseAfterDeadline(t *testing.T) {
 		t.Fatalf("held mutation: %v", err)
 	}
 }
+
+// TestAppendListKeepsPrefix: AppendList appends what ListColl lists
+// after whatever dst holds, on the monolith and on routers of 1 and 4
+// shards (whose spine listings merge every shard's), and on error hands
+// dst back unchanged.
+func TestAppendListKeepsPrefix(t *testing.T) {
+	mono := mcat.New("admin", "local")
+	cats := map[string]Catalog{"monolith": mono, "1 shard": newTestRouter(t, 1), "4 shards": newTestRouter(t, 4)}
+	for _, c := range cats {
+		c.SetClock(func() time.Time { return time.Unix(1e9, 0) })
+		seedGrid(t, c)
+		for _, o := range []types.DataObject{{Collection: "/", Name: "top.dat"}, {Collection: "/home", Name: "a.dat"}, {Collection: "/home", Name: "b.dat"}} {
+			o.Owner = "admin"
+			if _, err := c.RegisterObject(&o); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	keep := types.Stat{Path: "/kept", Owner: "x"}
+	for name, c := range cats {
+		for _, path := range []string{"/", "/home", "/home/alice", "/home/alice/deep", "/projects", "/projects/p1"} {
+			want, err := mono.ListColl(path)
+			if err != nil || len(want) == 0 {
+				t.Fatalf("monolith ListColl(%s) = %v, %v", path, want, err)
+			}
+			if got, err := c.ListColl(path); err != nil || !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: ListColl(%s) = %+v, %v; want %+v", name, path, got, err, want)
+			}
+			got, err := c.AppendList([]types.Stat{keep}, path)
+			if err != nil || len(got) != 1+len(want) || got[0] != keep || !reflect.DeepEqual(got[1:], want) {
+				t.Errorf("%s: AppendList([kept], %s) = %+v, %v; want the prefix, then %+v", name, path, got, err, want)
+			}
+		}
+		dst := make([]types.Stat, 1, 8)
+		dst[0] = keep
+		got, err := c.AppendList(dst, "/nowhere")
+		if !errors.Is(err, types.ErrNotFound) || len(got) != 1 || &got[0] != &dst[0] || got[0] != keep || dst[:2][1] != (types.Stat{}) {
+			t.Errorf("%s: AppendList onto a missing path = %+v, %v; want dst unchanged and ErrNotFound", name, got, err)
+		}
+	}
+}

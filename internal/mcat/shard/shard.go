@@ -73,6 +73,7 @@ type Catalog interface {
 	ResolveColl(path string) (string, error)
 	LinkColl(target, linkPath, owner string) error
 	ListColl(path string) ([]types.Stat, error)
+	AppendList(dst []types.Stat, path string) ([]types.Stat, error)
 	DeleteColl(path string) error
 	CollExists(path string) bool
 	SubColls(root string) []string
@@ -118,6 +119,7 @@ type Catalog interface {
 	// Metadata query.
 	RunQuery(q mcat.Query) ([]mcat.Hit, error)
 	QueryPartial(q mcat.Query) ([]mcat.Hit, []string, error)
+	QueryInto(a *mcat.Answer, q mcat.Query) (partial []string, err error)
 	QueryAttrNames(scope string) []string
 
 	// Deferred-repair queue.

@@ -15,6 +15,7 @@ import (
 	"gosrb/internal/storage/memfs"
 	"gosrb/internal/storage/posixfs"
 	"gosrb/internal/types"
+	"gosrb/internal/wire"
 )
 
 // skipAllocFence stands an allocation fence down where the counts are
@@ -32,9 +33,13 @@ func skipAllocFence(t *testing.T) {
 // TestRoundTripAllocBudget holds what one small request costs in heap
 // objects, client and server together, over loopback: a Stat, a 5-byte
 // Get and a 5-byte Put of a new object on memfs and on posixfs, a
-// triplet, an annotation, a delete and a 4-hit query, and what a
-// query's cost may grow by with its hits. The budgets are absolute and
-// measured. They read 2, 2, 19, 3, 1, 1 and 11 (posixfs's get and put 2
+// triplet, an annotation, a delete, a 4-hit query and a 200-entry
+// listing, what a query's cost may grow by with its hits, and what a
+// listing's costs in bytes beside the client's own decode of it. The
+// budgets are absolute and measured. The query's read 8 and the
+// listing's 3 once the server built both in its connection slot, where
+// it had made a fresh answer or []types.Stat per request and dropped it
+// once encoded. They read 2, 2, 19, 3, 1, 1 and 11 (posixfs's get and put 2
 // and 16) once a get's storage read handles were lent from their pools
 // and its receive buffer lived in its pooled xfer; 2, 5, 19, 3, 1, 1
 // and 11 (posixfs 5 and 16) once a call made only what it keeps: typed
@@ -161,8 +166,25 @@ func TestRoundTripAllocBudget(t *testing.T) {
 			}
 		}
 	}
+	// A listing of 200 entries: the server builds it in its connection
+	// slot, and the client decodes it into the slice and the one string
+	// slab it returns.
+	if err := cl.Mkdir("/home/ls"); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 200; i++ {
+		if _, err := cl.Put(fmt.Sprintf("/home/ls/o%03d", i), []byte("l"), client.PutOpts{Resource: "d1"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ls := func() {
+		if st, err := cl.List("/home/ls"); err != nil || len(st) != 200 {
+			t.Fatalf("ls = %d entries, %v", len(st), err)
+		}
+	}
 	// Warm-up: the pools, the registry's op and phase rows, the usage row.
 	for i := 0; i < 200; i++ {
+		ls()
 		stat()
 		get()
 		put()
@@ -179,7 +201,7 @@ func TestRoundTripAllocBudget(t *testing.T) {
 		budget float64
 	}
 	rows := []row{{"stat", stat, 2}, {"get", get, 2}, {"put", put, 19},
-		{"addmeta", addMeta, 3}, {"annotate", annotate, 1}, {"delete", del, 1}, {"query(4)", query(4), 11}}
+		{"addmeta", addMeta, 3}, {"annotate", annotate, 1}, {"delete", del, 1}, {"query(4)", query(4), 8}, {"ls(200)", ls, 3}}
 	// Elsewhere durable reaches a file through *os.File, which costs more.
 	if runtime.GOOS == "linux" && (runtime.GOARCH == "amd64" || runtime.GOARCH == "arm64") {
 		rows = append(rows, row{"get posixfs", getPosix, 2}, row{"put posixfs", putPosix, 16})
@@ -197,6 +219,42 @@ func TestRoundTripAllocBudget(t *testing.T) {
 	} else {
 		t.Logf("query round trip: %.0f heap objects for 4 hits, %.0f for 64 (at most %d more)", few, many, perAnswer)
 	}
+	// In bytes, a listing's round trip is about the client's own decode
+	// of the body: a []types.Stat made on the server as well would double
+	// it.
+	listing, err := cl.List("/home/ls")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := wire.AppendBody(nil, &listing)
+	if err != nil {
+		t.Fatal(err)
+	}
+	decode := func() {
+		var st []types.Stat
+		if err := wire.DecodeBody(body, &st); err != nil || len(st) != 200 {
+			t.Fatalf("decode = %d entries, %v", len(st), err)
+		}
+	}
+	const maxOverDecode = 1.25
+	if rt, dec := bytesPerRun(500, ls), bytesPerRun(500, decode); rt > maxOverDecode*dec {
+		t.Errorf("ls(200) round trip: %.0f B, %.2fx the client's %.0f B decode; at most %.2fx", rt, rt/dec, dec, maxOverDecode)
+	} else {
+		t.Logf("ls(200) round trip: %.0f B, %.2fx the client's %.0f B decode (at most %.2fx)", rt, rt/dec, dec, maxOverDecode)
+	}
+}
+
+// bytesPerRun is the heap bytes the process allocates per call of fn,
+// averaged over runs calls, after one call to warm it.
+func bytesPerRun(runs int, fn func()) float64 {
+	fn()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		fn()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
 }
 
 // TestFederatedReadAllocBudget holds what a read through a peer costs in

@@ -339,7 +339,7 @@ var ops = func() map[string]*op {
 var handlers = map[string]handler{
 	wire.OpMkdir:       do(func(c call, a wire.PathArgs) error { return c.b.Mkdir(c.user, a.Path) }),
 	wire.OpRmColl:      do(func(c call, a wire.PathArgs) error { return c.b.RmColl(c.user, a.Path) }),
-	wire.OpList:        get(func(c call, a wire.PathArgs) ([]types.Stat, error) { return c.b.List(c.user, a.Path) }),
+	wire.OpList:        via(list),
 	wire.OpStat:        get(func(c call, a wire.PathArgs) (types.Stat, error) { return c.b.StatPath(c.user, a.Path) }),
 	wire.OpGetObject:   get(func(c call, a wire.PathArgs) (types.DataObject, error) { return c.b.GetObject(c.user, a.Path) }),
 	wire.OpIngest:      via(ingest),
@@ -366,7 +366,7 @@ var handlers = map[string]handler{
 	}),
 	wire.OpAnnotate:    do(func(c call, a wire.AnnotateArgs) error { return c.b.Annotate(c.user, a.Path, a.Ann) }),
 	wire.OpAnnotations: get(func(c call, a wire.PathArgs) ([]types.Annotation, error) { return c.b.Annotations(c.user, a.Path) }),
-	wire.OpQuery:       get(query),
+	wire.OpQuery:       via(query),
 	wire.OpQueryAttrs:  get(func(c call, a wire.PathArgs) ([]string, error) { return c.b.QueryAttrNames(c.user, a.Path), nil }),
 	wire.OpChmod:       do(chmod),
 	wire.OpLock:        do(lock),
@@ -497,15 +497,44 @@ func issueTicket(c call, a wire.TicketArgs) (wire.TicketReply, error) {
 	return wire.TicketReply{ID: tk.ID}, nil
 }
 
-func query(c call, a wire.QueryArgs) (wire.QueryReply, error) {
+// list lists into the slot's kept buffer (session.stats) and encodes
+// the reply from it.
+func list(c call, a wire.PathArgs) error {
+	st, err := c.b.AppendList(c.ss.stats[:0], c.user, a.Path)
+	if err != nil {
+		return c.ss.fail(err)
+	}
+	body := st
+	if len(body) == 0 {
+		body = nil // an empty collection lists as nil, as ListColl's does
+	}
+	err = reply(c.ss, &body)
+	c.ss.stats = keep(st)
+	return err
+}
+
+// query answers into the slot's kept answer (session.ans) and encodes
+// the reply from it.
+func query(c call, a wire.QueryArgs) error {
 	qstart := time.Now()
-	hits, partial, err := c.b.QueryPartial(c.user, a.Q)
+	ans := &c.ss.ans
+	hits := ans.Hits // the buffer, which QueryInto gives up for nil when nothing matches
+	partial, err := c.b.QueryInto(ans, c.user, a.Q)
 	// On a sharded catalog the whole call is the scatter-gather
 	// fan-out; the router's own phase ops attribute the merge tail.
 	if sh, ok := c.b.Cat.(interface{ N() int }); err == nil && ok && sh.N() > 1 {
 		c.ss.span.Phase(obs.PhaseShardFanout, time.Since(qstart))
 	}
-	return wire.QueryReply{Hits: hits, Partial: partial}, err
+	if err != nil {
+		err = c.ss.fail(err)
+	} else {
+		err = reply(c.ss, &wire.QueryReply{Hits: ans.Hits, Partial: partial})
+	}
+	if ans.Hits == nil {
+		ans.Hits = hits
+	}
+	ans.Hits, ans.Cols, ans.Vals = keep(ans.Hits), keep(ans.Cols), keep(ans.Vals)
+	return err
 }
 
 func chmod(c call, a wire.ChmodArgs) error {

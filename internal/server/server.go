@@ -23,6 +23,7 @@ import (
 	"io"
 	"net"
 	"os"
+	"reflect"
 	"sort"
 	"strings"
 	"sync"
@@ -32,6 +33,8 @@ import (
 	"gosrb/internal/auth"
 	"gosrb/internal/chunk"
 	"gosrb/internal/core"
+	"gosrb/internal/lend"
+	"gosrb/internal/mcat"
 	"gosrb/internal/mcat/shard"
 	"gosrb/internal/obs"
 	"gosrb/internal/report"
@@ -303,10 +306,12 @@ func (w *connWriter) drop(err error) {
 // the request state (reqState) is zeroed when the request ends (reset),
 // so pipelined handlers never share mutable state. The span and the
 // stream source are held by value and kept across requests, so serving a
-// request allocates neither. Nothing holds a session, or its span, once
-// dispatch has returned: every goroutine, peer call and replica handle a
-// handler starts is waited for or closed first, and a relay is sealed
-// (DESIGN.md, "The request lives in a connection slot").
+// request allocates neither; a listing or a query answer is built in
+// buffers the slot keeps too, up to maxKept bytes each. Nothing holds a
+// session, or its span, once dispatch has returned: every goroutine,
+// peer call and replica handle a handler starts is waited for or closed
+// first, and a relay is sealed (DESIGN.md, "The request lives in a
+// connection slot").
 //
 // A handler produces its reply through the session: reply, rawReply,
 // fail and redirect stage the single frame of a plain reply; beginStream
@@ -328,7 +333,30 @@ type session struct {
 	// rl is the slot's relay for a proxied read (federate), kept across
 	// requests while its calls succeed.
 	rl *relay
+	// stats and ans are the slot's listing and query answer: list and
+	// query build their replies in them, and keep hands them on to the
+	// slot's next request with their rows cleared, while each buffer is
+	// within maxKept bytes.
+	stats []types.Stat
+	ans   mcat.Answer
 	reqState
+}
+
+// maxKept bounds, in bytes, each buffer a slot keeps for its next
+// request: the frame pool's bound, so a slot holds nothing large
+// between requests, however many slots a connection has.
+const maxKept = 64 << 10
+
+// keep readies b, a reply the slot built and encoded, for the slot's
+// next request: its rows are cleared, so they pin nothing, and it is
+// kept empty unless it outgrew maxKept or the frame canary is on (then
+// nil, and the next request makes its own).
+func keep[T any](b []T) []T {
+	clear(b)
+	if !lend.Recycle() || uintptr(cap(b))*reflect.TypeFor[T]().Size() > maxKept {
+		return nil
+	}
+	return b[:0]
 }
 
 // reqState is one request's part of a session, zeroed by reset.

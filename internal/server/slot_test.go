@@ -3,14 +3,20 @@ package server
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"net"
+	"reflect"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
 	"gosrb/internal/auth"
 	"gosrb/internal/client"
+	"gosrb/internal/core"
+	"gosrb/internal/lend"
+	"gosrb/internal/mcat"
 	stg "gosrb/internal/storage"
 	"gosrb/internal/storage/memfs"
 	"gosrb/internal/types"
@@ -191,3 +197,88 @@ func TestLateRelayWriteReachesNothing(t *testing.T) {
 		t.Errorf("a late relay write put %d bytes on the client connection", n)
 	}
 }
+
+// TestSlotKeepsNoLargeReply: a 5 000-entry listing and a 5 000-hit
+// query each return every entry over loopback. Served through a slot's
+// session by the same handlers, each is built in the slot's buffers and
+// encoded whole, and afterwards the slot keeps no buffer over maxKept
+// bytes; a 200-entry one is kept, its rows cleared, for the slot's next
+// request (except under the frame canary, which keeps nothing).
+func TestSlotKeepsNoLargeReply(t *testing.T) {
+	b, s, addr := bootOne(t, map[string]stg.Driver{"d1": memfs.New()}, nil, "")
+	for _, c := range []struct {
+		coll string
+		n    int
+	}{{"/home/big", 5000}, {"/home/small", 200}} {
+		if err := b.Mkdir("alice", c.coll); err != nil {
+			t.Fatal(err)
+		}
+		meta := []types.AVU{{Name: "set", Value: c.coll}}
+		for i := 0; i < c.n; i++ {
+			if _, err := b.Ingest("alice", core.IngestOpts{Path: fmt.Sprintf("%s/o%04d", c.coll, i), Data: []byte("x"), Resource: "d1", Meta: meta}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	queryOf := func(coll string) mcat.Query {
+		return mcat.Query{Scope: coll, Conds: []mcat.Condition{{Attr: "set", Op: "=", Value: coll}}, Select: []string{"set"}}
+	}
+
+	cl := dialT(t, addr)
+	if st, err := cl.List("/home/big"); err != nil || len(st) != 5000 || st[4999].Path != "/home/big/o4999" {
+		t.Fatalf("List of 5000 = %d entries, %v", len(st), err)
+	}
+	if hits, err := cl.Query(queryOf("/home/big")); err != nil || len(hits) != 5000 || hits[4999].Values[0][0] != "/home/big" {
+		t.Fatalf("Query for 5000 hits = %d hits, %v", len(hits), err)
+	}
+
+	ss := &session{user: "alice", remote: "test"}
+	// serve dispatches one request on the slot's session and returns a
+	// copy of the body it staged.
+	serve := func(op string, args any) []byte {
+		t.Helper()
+		ss.req, ss.reqID = wire.Request{Op: op, Args: mustArgs(t, args)}, 1
+		if err := s.dispatchOp(ss, &ss.req); err != nil || !ss.staged.OK {
+			t.Fatalf("%s: %v, %s", op, err, ss.staged.ErrMsg)
+		}
+		body := slices.Clone(ss.staged.Body)
+		ss.releaseFrame()
+		ss.reset()
+		return body
+	}
+	for _, c := range []struct {
+		coll string
+		n    int
+		kept bool
+	}{{"/home/small", 200, true}, {"/home/big", 5000, false}, {"/home/small", 200, true}} {
+		var st []types.Stat
+		var r wire.QueryReply
+		if err := wire.DecodeBody(serve(wire.OpList, wire.PathArgs{Path: c.coll}), &st); err != nil {
+			t.Fatal(err)
+		}
+		if err := wire.DecodeBody(serve(wire.OpQuery, wire.QueryArgs{Q: queryOf(c.coll)}), &r); err != nil {
+			t.Fatal(err)
+		}
+		if len(st) != c.n || len(r.Hits) != c.n || st[c.n-1].Path != fmt.Sprintf("%s/o%04d", c.coll, c.n-1) || r.Hits[c.n-1].Values[0][0] != c.coll {
+			t.Fatalf("%s through a slot: %d entries, %d hits; want %d of each", c.coll, len(st), len(r.Hits), c.n)
+		}
+		held := map[string]int{"listing": bytesHeld(ss.stats), "hits": bytesHeld(ss.ans.Hits), "columns": bytesHeld(ss.ans.Cols), "values": bytesHeld(ss.ans.Vals)}
+		for name, size := range held {
+			if size > maxKept {
+				t.Errorf("after %s: the slot keeps a %d-byte %s buffer, over %d", c.coll, size, name, maxKept)
+			}
+			if kept := size > 0; kept != (c.kept && lend.Recycle()) {
+				t.Errorf("after %s: %s buffer kept %v (%d bytes)", c.coll, name, kept, size)
+			}
+		}
+		if slices.ContainsFunc(ss.stats[:cap(ss.stats)], func(s types.Stat) bool { return s != types.Stat{} }) ||
+			slices.ContainsFunc(ss.ans.Hits[:cap(ss.ans.Hits)], func(h mcat.Hit) bool { return h.Path != "" || h.Values != nil }) ||
+			slices.ContainsFunc(ss.ans.Cols[:cap(ss.ans.Cols)], func(c []string) bool { return c != nil }) ||
+			slices.ContainsFunc(ss.ans.Vals[:cap(ss.ans.Vals)], func(v string) bool { return v != "" }) {
+			t.Errorf("after %s: the slot's buffers still hold rows", c.coll)
+		}
+	}
+}
+
+// bytesHeld is the memory b's array holds.
+func bytesHeld[T any](b []T) int { return cap(b) * int(reflect.TypeFor[T]().Size()) }
