@@ -109,13 +109,20 @@ SERVER_SIDE := internal/server internal/daemon internal/mcat cmd/srbd
 DIAL_WITH := DialWith\(
 DIAL_WITH_OK := func DialWith\(|^internal/client/client\.go:[0-9]+:\s*return DialWith\(addr, user, password, nil\)$$
 
-# The lending fence: a get's storage read handles are lent by their
-# pools (package lend) and handed back by their Close, so a get makes
-# none: instrumented.Open's countingReader, memfs's reader and durable's
-# Reader are built only in their pool's New.
-LENT_HANDLES := &countingReader\{|&reader\{|&Reader\{
+# The lending fence: a replica's storage handles are lent by their
+# pools (package lend) and handed back by their Close, so a get or a put
+# makes none: instrumented.Open's countingReader, instrumented.Create's
+# and OpenAppend's countingWriter, memfs's reader and durable's Reader
+# are built only in their pool's constructor.
+LENT_HANDLES := &countingReader\{|&countingWriter\{|&reader\{|&Reader\{
 LENT_FILES := $(filter-out %_test.go,$(wildcard internal/storage/*.go internal/storage/memfs/*.go internal/durable/*.go))
-POOL_NEW := sync\.Pool\{New: func\(\) any \{ return &[A-Za-z]+\{\} \}\}
+POOL_NEW := lend\.NewPool\([0-9]+, func\(\) \*[A-Za-z]+ \{ return &[A-Za-z]+\{\} \}\)
+
+# The pool fence: a pooled object is lent by a lend.Pool, which a GC does
+# not empty and whose bound caps what it keeps idle, never by a
+# sync.Pool, which every GC empties and a request then refills.
+SYNC_POOL := sync\.Pool\b
+SYNC_POOL_DOC := ^[^:]+:[0-9]+:\s*//
 
 # The audit fence: the trail is the broker's (core.Broker.Audit), so the catalog never imports internal/audit.
 AUDIT_IMPORT := "gosrb/internal/audit"
@@ -163,7 +170,8 @@ lint: vet
 	@if [ "$$(grep -rnE '$(GO_STMT)' --include=*.go --exclude=*_test.go internal/mcat/shard | wc -l)" -gt 1 ]; then grep -rnE '$(GO_STMT)' --include=*.go --exclude=*_test.go internal/mcat/shard; echo "hand shard work to the lender (query.go)"; exit 1; fi
 	@if grep -rnF '$(CLIENT_IMPORT)' --include=*.go --exclude=*_test.go $(SERVER_SIDE); then echo "a server reaches a server through peerCall"; exit 1; fi
 	@if [ "$$(grep -rnE '$(DIAL_WITH)' --include=*.go --exclude=*_test.go internal/client | grep -vE 'func DialWith\(' | wc -l)" -ne 1 ] || grep -rnE '$(DIAL_WITH)' --include=*.go --exclude=*_test.go internal/client | grep -vE '$(DIAL_WITH_OK)'; then grep -rnE '$(DIAL_WITH)' --include=*.go --exclude=*_test.go internal/client; echo "a call that needs a conn of its own leases one: Pool.GetExclusive"; exit 1; fi
-	@if grep -nE '$(LENT_HANDLES)' $(LENT_FILES) | grep -vE '$(POOL_NEW)'; then echo "a read handle built outside its pool: take it from the pool, whose New is the one place it is made (package lend)"; exit 1; fi
+	@if grep -nE '$(LENT_HANDLES)' $(LENT_FILES) | grep -vE '$(POOL_NEW)'; then echo "a storage handle built outside its pool: take it from the pool, whose constructor is the one place it is made (package lend)"; exit 1; fi
+	@if grep -rnE '$(SYNC_POOL)' $(GO_SRC) | grep -vE '$(SYNC_POOL_DOC)'; then echo "lend from a lend.Pool"; exit 1; fi
 	@if grep -rnF '$(AUDIT_IMPORT)' --include=*.go --exclude=*_test.go internal/mcat; then echo "audit import in internal/mcat: the audit trail belongs to the broker (core.Broker.Audit)"; exit 1; fi
 	@if grep -rnE '$(WHOLE_READS)' --include=*.go --exclude=*_test.go internal/server; then echo "whole-object read in internal/server: open with Broker.OpenGet and stream"; exit 1; fi
 	@if grep -rnE '$(LOOKUP_AGAIN_SERVER)' --include=*.go --exclude=*_test.go internal/server || grep -rnE '$(LOOKUP_AGAIN_CORE)' --include=*.go --exclude=*_test.go internal/core; then echo "resolve a path once (Broker.Lookup) and pass the row down"; exit 1; fi
@@ -207,9 +215,8 @@ test:
 # write into a catalog row a reader was handed panics with its path
 # (internal/mcat/canary.go), and a frame handed back to the pool is
 # poisoned, so a slice kept past it reads garbage (internal/wire/canary.go);
-# a lent read handle, a client call's xfer and a multiget's bookkeeping
-# are never recycled, and a use of a handle or xfer after its Close or
-# free panics (internal/lend). Then the suite again with both canaries
+# nothing a lend.Pool is handed back is lent again, and a use of a
+# storage handle or xfer after its Close or free panics (internal/lend). Then the suite again with both canaries
 # and without -race: an allocation fence must stand down under a canary
 # as it does under the race detector, and the run above, always under
 # -race, would never show one that does not.

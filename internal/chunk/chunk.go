@@ -8,7 +8,8 @@ import (
 	"bytes"
 	"errors"
 	"io"
-	"sync"
+
+	"gosrb/internal/lend"
 )
 
 // Size is the buffer size, and therefore the wire's Data frame payload
@@ -16,11 +17,13 @@ import (
 // streamed transfer issues.
 const Size = 256 * 1024
 
-var pool = sync.Pool{New: func() any { b := make([]byte, Size); return &b }}
+// pool lends the chunks: one is in flight per stream being copied, and
+// a spool holds one per Size bytes it holds.
+var pool = lend.NewPool(16, func() *[]byte { b := make([]byte, Size); return &b })
 
 // Get borrows a Size-byte buffer. The borrower owns it until Put and
 // must not retain any slice of it afterwards.
-func Get() *[]byte { return pool.Get().(*[]byte) }
+func Get() *[]byte { return pool.Get() }
 
 // Put returns a buffer obtained from Get.
 func Put(b *[]byte) { pool.Put(b) }

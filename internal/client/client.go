@@ -225,10 +225,12 @@ type xfer struct {
 	freed bool
 }
 
-var xferPool = sync.Pool{New: func() any { return new(xfer) }}
+// xferPool lends xfers: one is in flight per call the process has
+// outstanding.
+var xferPool = lend.NewPool(64, func() *xfer { return new(xfer) })
 
 // newXfer lends an empty xfer from the pool.
-func newXfer() *xfer { return xferPool.Get().(*xfer) }
+func newXfer() *xfer { return xferPool.Get() }
 
 // free hands a pooled x back once its caller has read what it keeps
 // (bytes). A call that failed, or failed once and was retried, may have
@@ -241,9 +243,7 @@ func (x *xfer) free(err error) {
 		return
 	}
 	*x = xfer{freed: lend.Canary}
-	if lend.Recycle() {
-		xferPool.Put(x)
-	}
+	xferPool.Put(x)
 }
 
 // errFreed fails a use of an xfer after free.

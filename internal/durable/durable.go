@@ -199,8 +199,8 @@ type Reader struct {
 	open bool
 }
 
-// readers lends Readers.
-var readers = sync.Pool{New: func() any { return &Reader{} }}
+// readers lends Readers: one is in flight per replica file being read.
+var readers = lend.NewPool(64, func() *Reader { return &Reader{} })
 
 // closed is the error of a call on a closed Reader.
 func (r *Reader) closed(op string) error {
@@ -219,7 +219,7 @@ func Open(dir, name string) (*Reader, error) {
 		fd.close()
 		return nil, p.err("open", syscall.EISDIR)
 	}
-	r := readers.Get().(*Reader)
+	r := readers.Get()
 	r.fd, r.p, r.open = fd, p, true
 	return r, nil
 }
@@ -283,9 +283,7 @@ func (r *Reader) Close() error {
 	err := r.fd.close()
 	p := r.p
 	*r = Reader{p: p}
-	if lend.Recycle() {
-		readers.Put(r)
-	}
+	readers.Put(r)
 	if err != nil {
 		return p.err("close", err)
 	}

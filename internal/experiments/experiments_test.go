@@ -50,11 +50,23 @@ func TestE1ContainerAlwaysWins(t *testing.T) {
 }
 
 func TestE2IndexKeepsEqualityCheap(t *testing.T) {
+	// Each query is timed once per table, so one scheduling stall could
+	// decide the comparison: each is taken as the best of a few tables.
+	const runs = 3
 	tb := E2CatalogScaling(1)
 	ei, li := col(t, tb, "eq_query_ms"), col(t, tb, "like_query_ms")
 	hi := col(t, tb, "eq_hits")
-	for _, row := range tb.Rows {
-		eq, like := parse(t, row[ei]), parse(t, row[li])
+	eqs, likes := make([]float64, len(tb.Rows)), make([]float64, len(tb.Rows))
+	for i, row := range tb.Rows {
+		eqs[i], likes[i] = parse(t, row[ei]), parse(t, row[li])
+	}
+	for r := 1; r < runs; r++ {
+		for i, row := range E2CatalogScaling(1).Rows {
+			eqs[i], likes[i] = min(eqs[i], parse(t, row[ei])), min(likes[i], parse(t, row[li]))
+		}
+	}
+	for i, row := range tb.Rows {
+		eq, like := eqs[i], likes[i]
 		if eq > like*2 {
 			t.Errorf("objects %s: indexed equality (%v ms) should not dwarf a scan (%v ms)", row[0], eq, like)
 		}

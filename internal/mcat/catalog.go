@@ -199,7 +199,7 @@ func (c *Catalog) alignIDLocked(min types.ObjectID) types.ObjectID {
 
 // AddUser registers a user.
 func (c *Catalog) AddUser(u types.User) error {
-	l := lend(Entry{Op: "adduser"})
+	l := lendLine(Entry{Op: "adduser"})
 	l.p.user = u
 	l.e.User = &l.p.user
 	return c.commitLine(l)
@@ -301,7 +301,7 @@ func removeString(s []string, v string) []string {
 // at least two existing physical members (paper §5: "a logical resource
 // that ties together two or more physical resources").
 func (c *Catalog) AddResource(r types.Resource) error {
-	l := lend(Entry{Op: "addresource"})
+	l := lendLine(Entry{Op: "addresource"})
 	l.p.res = r
 	l.e.Resource = &l.p.res
 	return c.commitLine(l)

@@ -9,7 +9,7 @@ import (
 
 // commit commits e, built in a pooled line (lend), through the attached
 // journal (see commitLocked).
-func (c *Catalog) commit(e Entry) error { return c.commitLine(lend(e)) }
+func (c *Catalog) commit(e Entry) error { return c.commitLine(lendLine(e)) }
 
 // commitLine commits the entry built in l through the attached journal,
 // and hands l back.

@@ -3,9 +3,9 @@ package mcat
 import (
 	"bytes"
 	"io"
-	"sync"
 
 	"gosrb/internal/durable"
+	"gosrb/internal/lend"
 	"gosrb/internal/types"
 )
 
@@ -112,19 +112,21 @@ type payload struct {
 	repair      types.RepairTask
 }
 
-// linePool's buffers start with room for a put's line with a few
-// replicas, so a line appended into a fresh one (the pool empties at
-// every GC) does not grow it step by step.
-var linePool = sync.Pool{New: func() any { return &lineBuf{appender: appender{b: make([]byte, 0, 2<<10)}} }}
+// linePool lends the buffers a mutation's entry is built and encoded
+// in: one or two are in flight per mutation being committed, which a
+// catalog does one at a time. A new buffer starts with room for
+// a put's line with a few replicas, so a line appended into it does not
+// grow it step by step.
+var linePool = lend.NewPool(16, func() *lineBuf { return &lineBuf{appender: appender{b: make([]byte, 0, 2<<10)}} })
 
 // maxPooledLine bounds the buffers kept for reuse, so one outsized entry
 // does not pin its buffer.
 const maxPooledLine = 64 << 10
 
-// lend lends a pooled lineBuf with e built in it. The caller points e's
+// lendLine lends a pooled lineBuf with e built in it. The caller points e's
 // payload fields into l.p and commits it (commitLine).
-func lend(e Entry) *lineBuf {
-	l := linePool.Get().(*lineBuf)
+func lendLine(e Entry) *lineBuf {
+	l := linePool.Get()
 	l.e = e
 	return l
 }
@@ -133,7 +135,7 @@ func lend(e Entry) *lineBuf {
 // encoding/json marshals e to, then '\n'. The caller releases it with
 // free.
 func encodeLine(e *Entry) (*lineBuf, error) {
-	l := linePool.Get().(*lineBuf)
+	l := linePool.Get()
 	if err := l.encode(e); err != nil {
 		l.free()
 		return nil, err

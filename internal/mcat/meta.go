@@ -114,7 +114,7 @@ func queryableClass(cl types.MetaClass) bool {
 // Multiple values for one attribute are allowed ("there is no limit for
 // the number of metadata associated with a SRB object").
 func (c *Catalog) AddMeta(path string, class types.MetaClass, avu types.AVU) error {
-	l := lend(Entry{Op: "addmeta", Path: types.CleanPath(path), Class: int(class)})
+	l := lendLine(Entry{Op: "addmeta", Path: types.CleanPath(path), Class: int(class)})
 	l.p.avu = avu
 	l.e.AVU = &l.p.avu
 	return c.commitLine(l)
@@ -156,7 +156,7 @@ func (c *Catalog) AllMeta(path string) (map[types.MetaClass][]types.AVU, error) 
 // name, oldValue); oldValue "" matches every value of the attribute.
 // It returns how many triplets changed.
 func (c *Catalog) UpdateMeta(path string, class types.MetaClass, name, oldValue string, newAVU types.AVU) (int, error) {
-	l := lend(Entry{Op: "updmeta", Path: types.CleanPath(path), Class: int(class)})
+	l := lendLine(Entry{Op: "updmeta", Path: types.CleanPath(path), Class: int(class)})
 	l.p.avu, l.p.newAVU = types.AVU{Name: name, Value: oldValue}, newAVU
 	l.e.AVU, l.e.NewAVU = &l.p.avu, &l.p.newAVU
 	return c.changeMeta(l)
@@ -165,7 +165,7 @@ func (c *Catalog) UpdateMeta(path string, class types.MetaClass, name, oldValue 
 // DeleteMeta removes triplets matching (class, name, value); value ""
 // removes every value of the attribute. Returns how many were removed.
 func (c *Catalog) DeleteMeta(path string, class types.MetaClass, name, value string) (int, error) {
-	l := lend(Entry{Op: "delmeta", Path: types.CleanPath(path), Class: int(class)})
+	l := lendLine(Entry{Op: "delmeta", Path: types.CleanPath(path), Class: int(class)})
 	l.p.avu = types.AVU{Name: name, Value: value}
 	l.e.AVU = &l.p.avu
 	return c.changeMeta(l)
@@ -232,7 +232,7 @@ func (c *Catalog) FileMeta(path string) []string {
 // SetStructural adds or replaces a structural attribute requirement on
 // a collection.
 func (c *Catalog) SetStructural(coll string, attr types.StructuralAttr) error {
-	l := lend(Entry{Op: "structural", Path: types.CleanPath(coll)})
+	l := lendLine(Entry{Op: "structural", Path: types.CleanPath(coll)})
 	l.p.attr = attr
 	l.e.Attr = &l.p.attr
 	return c.commitLine(l)
@@ -301,7 +301,7 @@ func (c *Catalog) CheckMandatory(coll string, provided []types.AVU) []string {
 // AddAnnotation appends commentary to a path. Timestamp is stamped when
 // zero.
 func (c *Catalog) AddAnnotation(path string, a types.Annotation) error {
-	l := lend(Entry{Op: "annotate", Path: types.CleanPath(path)})
+	l := lendLine(Entry{Op: "annotate", Path: types.CleanPath(path)})
 	l.p.ann = a
 	l.e.Ann = &l.p.ann
 	return c.commitLine(l)
@@ -332,7 +332,7 @@ func (c *Catalog) DeleteAnnotations(path, author string) (int, error) {
 	if n == 0 && c.pathExistsLocked(path) {
 		return 0, nil
 	}
-	if err := c.commitLineLocked(lend(Entry{Op: "delannotations", Path: path, Name: author})); err != nil {
+	if err := c.commitLineLocked(lendLine(Entry{Op: "delannotations", Path: path, Name: author})); err != nil {
 		return 0, err
 	}
 	return n, nil

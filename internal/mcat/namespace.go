@@ -3,8 +3,8 @@ package mcat
 import (
 	"slices"
 	"sort"
-	"sync"
 
+	"gosrb/internal/lend"
 	"gosrb/internal/types"
 )
 
@@ -18,7 +18,7 @@ func (c *Catalog) MkColl(path, owner string) error {
 // collLine lends a line holding an op ("mkcoll" or "linkcoll") entry
 // for col.
 func collLine(op string, col types.Collection) *lineBuf {
-	l := lend(Entry{Op: op})
+	l := lendLine(Entry{Op: op})
 	l.p.coll = col
 	l.e.Coll = &l.p.coll
 	return l
@@ -142,7 +142,7 @@ func (c *Catalog) AppendList(dst []types.Stat, path string) ([]types.Stat, error
 		return dst, nil
 	}
 	dst = slices.Grow(dst, len(colls)+len(objs))
-	sp := namesPool.Get().(*[]string)
+	sp := namesPool.Get()
 	names := sortedPaths((*sp)[:0], colls)
 	for _, p := range names {
 		sub := c.colls[p]
@@ -158,9 +158,9 @@ func (c *Catalog) AppendList(dst []types.Stat, path string) ([]types.Stat, error
 }
 
 // namesPool lends the scratch a listing sorts a collection's member
-// paths in; maxPooledNames bounds what goes back, so one huge
-// collection's scratch is not kept.
-var namesPool = sync.Pool{New: func() any { return new([]string) }}
+// paths in: one is in flight per listing being built. maxPooledNames
+// bounds what goes back, so one huge collection's scratch is not kept.
+var namesPool = lend.NewPool(8, func() *[]string { return new([]string) })
 
 const maxPooledNames = 4096
 
@@ -261,7 +261,7 @@ func (c *Catalog) RegisterObject(o *types.DataObject) (types.ObjectID, error) {
 	if o.ModifiedAt.IsZero() {
 		o.ModifiedAt = o.CreatedAt
 	}
-	if err := c.commitLineLocked(lend(Entry{Op: "register", Object: o})); err != nil {
+	if err := c.commitLineLocked(lendLine(Entry{Op: "register", Object: o})); err != nil {
 		return 0, err
 	}
 	return o.ID, nil
@@ -303,7 +303,7 @@ func (c *Catalog) Ingest(path string, o *types.DataObject, meta []types.AVU) err
 	if o.ModifiedAt.IsZero() {
 		o.ModifiedAt = o.CreatedAt
 	}
-	l := lend(Entry{Op: "ingest", Object: o, Meta: meta})
+	l := lendLine(Entry{Op: "ingest", Object: o, Meta: meta})
 	defer l.free()
 	if err := l.encode(&l.e); err != nil {
 		return types.E("ingest", path, err)
@@ -397,7 +397,7 @@ func (c *Catalog) UpdateObject(path string, fn func(*types.DataObject) error) er
 	// Identity fields may not change through UpdateObject.
 	cp.ID, cp.Name, cp.Collection = o.ID, o.Name, o.Collection
 	cp.ModifiedAt = c.now()
-	return c.commitLineLocked(lend(Entry{Op: "update", Object: cp}))
+	return c.commitLineLocked(lendLine(Entry{Op: "update", Object: cp}))
 }
 
 // DeleteObject removes the object and all its per-path state.
@@ -496,7 +496,7 @@ func (c *Catalog) ObjectsIn(coll string) []types.DataObject {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	var out []types.DataObject
-	sp := namesPool.Get().(*[]string)
+	sp := namesPool.Get()
 	names := sortedPaths((*sp)[:0], c.childObjs[coll])
 	for _, p := range names {
 		o := c.objects[p]

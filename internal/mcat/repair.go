@@ -32,7 +32,7 @@ func (c *Catalog) EnqueueRepair(t types.RepairTask) bool {
 
 // repairLine lends a line holding a "repairenq" entry for t.
 func repairLine(t types.RepairTask) *lineBuf {
-	l := lend(Entry{Op: "repairenq"})
+	l := lendLine(Entry{Op: "repairenq"})
 	l.p.repair = t
 	l.e.Repair = &l.p.repair
 	return l

@@ -77,7 +77,7 @@ func (r *Router) QueryInto(a *mcat.Answer, q mcat.Query) ([]string, error) {
 	fanStart := time.Now()
 	s := r.getScatter(q)
 	for i := range r.shards {
-		lend(task{s: s, i: i, c: r.shards[i].cat})
+		handOff(task{s: s, i: i, c: r.shards[i].cat})
 	}
 	var firstErr error
 	pending := r.n
@@ -157,21 +157,23 @@ type answer struct {
 // in elements: a scatter one large answer grew past it goes to the GC.
 const maxPooledAnswer = 4096
 
-// getScatter takes a recycled scatter, or makes one, for q and starts
-// its deadline.
-func (r *Router) getScatter(q mcat.Query) *scatter {
-	s, _ := r.scatters.Get().(*scatter)
-	if s == nil {
-		s = &scatter{
-			ch:       make(chan answer, r.n),
-			answers:  make([]mcat.Answer, r.n),
-			lists:    make([][]mcat.Hit, r.n),
-			answered: make([]bool, r.n),
-			deadline: time.NewTimer(r.qTimeout),
-		}
-	} else {
-		s.deadline.Reset(r.qTimeout)
+// newScatter makes a scatter for n shards, its deadline stopped.
+func newScatter(n int) *scatter {
+	s := &scatter{
+		ch:       make(chan answer, n),
+		answers:  make([]mcat.Answer, n),
+		lists:    make([][]mcat.Hit, n),
+		answered: make([]bool, n),
+		deadline: time.NewTimer(time.Hour),
 	}
+	s.deadline.Stop()
+	return s
+}
+
+// getScatter lends a scatter for q and starts its deadline.
+func (r *Router) getScatter(q mcat.Query) *scatter {
+	s := r.scatters.Get()
+	s.deadline.Reset(r.qTimeout)
 	s.q = q
 	return s
 }
@@ -206,7 +208,7 @@ func (t task) run() {
 }
 
 // The lender runs the shards' shares of scattered queries, for every
-// router in the process, on parked workers. lend hands a task to a
+// router in the process, on parked workers. handOff hands a task to a
 // worker waiting on tasks and starts one only when none is, so a query
 // whose shard is held (a long write, a wedged journal) takes a fresh
 // worker rather than queueing behind it, and shares of queries to the
@@ -223,7 +225,7 @@ var (
 // exits.
 const workerIdle = time.Second
 
-func lend(t task) {
+func handOff(t task) {
 	select {
 	case tasks <- t:
 	default:

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"gosrb/internal/lend"
 	"gosrb/internal/mcat"
 	"gosrb/internal/obs"
 	"gosrb/internal/types"
@@ -33,7 +34,7 @@ type Router struct {
 	shards []*state
 
 	qTimeout     time.Duration
-	scatters     sync.Pool // of *scatter, sized for n shards (query.go)
+	scatters     *lend.Pool[scatter] // sized for n shards (query.go)
 	puller       PullFunc
 	promoteAfter int
 	// compact compacts shard i after a catch-up loads it (applyPull); a
@@ -98,6 +99,8 @@ func NewRouter(n int, admin, domain string) *Router {
 		r.shards = append(r.shards, &state{cat: c, role: Leader})
 	}
 	r.compact = func(i int) error { return r.shards[i].cat.Compact("") }
+	// One scatter is in flight per root-scope query the router runs.
+	r.scatters = lend.NewPool(4, func() *scatter { return newScatter(n) })
 	return r
 }
 

@@ -6,10 +6,10 @@ import (
 	"errors"
 	"hash"
 	"io"
-	"sync"
 	"time"
 
 	"gosrb/internal/chunk"
+	"gosrb/internal/lend"
 	"gosrb/internal/obs"
 	"gosrb/internal/storage"
 )
@@ -127,12 +127,14 @@ type Fanout struct {
 	busy  time.Duration
 }
 
-var fanoutPool = sync.Pool{New: func() any { return &Fanout{h: sha256.New()} }}
+// fanoutPool lends Fanouts with their digest state: one is in flight per
+// put being stored.
+var fanoutPool = lend.NewPool(16, func() *Fanout { return &Fanout{h: sha256.New()} })
 
 // NewFanout starts an empty fan-out, lent from a pool: the caller hands
 // it back with Release.
 func (m *Manager) NewFanout() *Fanout {
-	f := fanoutPool.Get().(*Fanout)
+	f := fanoutPool.Get()
 	f.m = m
 	f.dests = f.ptrs[:0]
 	return f

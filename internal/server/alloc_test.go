@@ -244,6 +244,65 @@ func TestRoundTripAllocBudget(t *testing.T) {
 	}
 }
 
+// TestRoundTripSurvivesGC holds that a GC costs a 1 MiB put and get on
+// posixfs no heap objects: the pools they lend from (chunks, frames,
+// fan-outs with their digest state, storage handles, call state) are
+// lend.Pools, which keep their idle objects across a GC, so a round trip
+// right after one allocates no more than a warm round trip does. With
+// sync.Pools each GC dropped their per-P caches and the next round trip
+// made them again.
+func TestRoundTripSurvivesGC(t *testing.T) {
+	skipAllocFence(t)
+	vault, err := posixfs.New(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for b := 0; b < 512; b++ {
+		if err := vault.Mkdir(fmt.Sprintf("/vault/%03d", b)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, _, addr := bootOne(t, map[string]stg.Driver{"p1": vault}, nil, "")
+	cl := dialT(t, addr)
+	data := bytes.Repeat([]byte("0123456789abcdef"), 1<<16)
+	const rounds = 40
+	paths := make([]string, 3*rounds)
+	for i := range paths {
+		paths[i] = fmt.Sprintf("/home/gc%04d", i)
+	}
+	next := 0
+	round := func() {
+		if _, err := cl.Put(paths[next], data, client.PutOpts{Resource: "p1"}); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := cl.Get(paths[next]); err != nil || len(got) != len(data) {
+			t.Fatalf("get = %d bytes, %v", len(got), err)
+		}
+		next++
+	}
+	mallocs := func(gc bool) float64 {
+		var total uint64
+		for i := 0; i < rounds; i++ {
+			if gc {
+				runtime.GC()
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			round()
+			runtime.ReadMemStats(&after)
+			total += after.Mallocs - before.Mallocs
+		}
+		return float64(total) / rounds
+	}
+	mallocs(false) // warm-up
+	warm, afterGC := mallocs(false), mallocs(true)
+	if afterGC > warm {
+		t.Errorf("1 MiB put+get after a GC: %.2f heap objects, warm %.2f", afterGC, warm)
+	} else {
+		t.Logf("1 MiB put+get after a GC: %.2f heap objects, warm %.2f", afterGC, warm)
+	}
+}
+
 // bytesPerRun is the heap bytes the process allocates per call of fn,
 // averaged over runs calls, after one call to warm it.
 func bytesPerRun(runs int, fn func()) float64 {

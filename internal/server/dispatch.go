@@ -769,8 +769,9 @@ type mget struct {
 	src    batchReader
 }
 
-// mgets lends mgets: a multiget makes none for its bookkeeping.
-var mgets = sync.Pool{New: func() any { return new(mget) }}
+// mgets lends mgets: a multiget makes none for its bookkeeping. One is
+// in flight per multiget being served.
+var mgets = lend.NewPool(8, func() *mget { return new(mget) })
 
 // maxPooledMget caps a pooled mget's buffers, in items: an mget a large
 // batch grew past it goes to the GC.
@@ -778,7 +779,7 @@ const maxPooledMget = 1024
 
 // getMget lends an mget sized for n items, the paths the request holds.
 func getMget(n int) *mget {
-	m := mgets.Get().(*mget)
+	m := mgets.Get()
 	if cap(m.parts) < n {
 		m.rep.Items, m.parts = make([]wire.MultiGetItem, n), make([]batchPart, n)
 	}
@@ -808,7 +809,7 @@ func (m *mget) finish(reg *obs.Registry) {
 	if !settled {
 		reg.Counter("server.multiget.dropped").Inc()
 	}
-	if !settled || !lend.Recycle() || cap(m.parts) > maxPooledMget {
+	if !settled || cap(m.parts) > maxPooledMget {
 		return
 	}
 	clear(m.rep.Items)

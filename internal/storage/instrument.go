@@ -2,7 +2,6 @@ package storage
 
 import (
 	"io/fs"
-	"sync"
 
 	"gosrb/internal/lend"
 	"gosrb/internal/obs"
@@ -55,21 +54,22 @@ func (i *instrumented) err(e error) error {
 }
 
 func (i *instrumented) Create(path string) (WriteFile, error) {
-	w, err := i.d.Create(path)
-	if err != nil {
-		return nil, i.err(err)
-	}
-	i.m.Writes.Inc()
-	return &countingWriter{w: w, n: i.m.BytesIn}, nil
+	return i.counting(i.d.Create(path))
 }
 
 func (i *instrumented) OpenAppend(path string) (WriteFile, error) {
-	w, err := i.d.OpenAppend(path)
+	return i.counting(i.d.OpenAppend(path))
+}
+
+// counting wraps a write handle the driver opened in a countingWriter.
+func (i *instrumented) counting(w WriteFile, err error) (WriteFile, error) {
 	if err != nil {
 		return nil, i.err(err)
 	}
 	i.m.Writes.Inc()
-	return &countingWriter{w: w, n: i.m.BytesIn}, nil
+	c := countingWriters.Get()
+	c.w, c.n = w, i.m.BytesIn
+	return c, nil
 }
 
 func (i *instrumented) Open(path string) (ReadFile, error) {
@@ -78,7 +78,7 @@ func (i *instrumented) Open(path string) (ReadFile, error) {
 		return nil, i.err(err)
 	}
 	i.m.Reads.Inc()
-	c := countingReaders.Get().(*countingReader)
+	c := countingReaders.Get()
 	c.r, c.n = r, i.m.BytesOut
 	return c, nil
 }
@@ -101,20 +101,52 @@ func (i *instrumented) List(dir string) ([]FileInfo, error) {
 
 func (i *instrumented) Mkdir(path string) error { return i.err(i.d.Mkdir(path)) }
 
-// countingWriter counts bytes accepted by the underlying WriteFile.
+// countingWriter counts bytes accepted by the underlying WriteFile. It
+// is lent from countingWriters (package lend): the first Close or Abort
+// that succeeds zeroes the writer and hands it back, so a late call on it
+// finds it closed until the pool lends it again. One that fails keeps
+// it, for the caller's Abort (storage.Abort) still has the driver's
+// handle to discard.
 type countingWriter struct {
 	w WriteFile
 	n *obs.Counter
 }
 
+// countingWriters lends countingWriters: a replica write makes none. One
+// is in flight per replica file being written.
+var countingWriters = lend.NewPool(64, func() *countingWriter { return &countingWriter{} })
+
 func (c *countingWriter) Write(p []byte) (int, error) {
+	if c.w == nil {
+		return 0, closed("write")
+	}
 	n, err := c.w.Write(p)
 	c.n.Add(int64(n))
 	return n, err
 }
 
-func (c *countingWriter) Close() error { return c.w.Close() }
-func (c *countingWriter) Abort() error { return ForwardAbort(c.w) }
+func (c *countingWriter) Close() error {
+	if c.w == nil {
+		return closed("close")
+	}
+	return c.done(c.w.Close())
+}
+
+func (c *countingWriter) Abort() error {
+	if c.w == nil {
+		return closed("abort")
+	}
+	return c.done(ForwardAbort(c.w))
+}
+
+// done hands c back once the driver's handle is settled (err is nil).
+func (c *countingWriter) done(err error) error {
+	if err == nil {
+		*c = countingWriter{}
+		countingWriters.Put(c)
+	}
+	return err
+}
 
 // countingReader counts bytes served by the underlying ReadFile across
 // all three read styles. It is lent from countingReaders (package lend):
@@ -125,12 +157,13 @@ type countingReader struct {
 	n *obs.Counter
 }
 
-// countingReaders lends countingReaders: a get makes none.
-var countingReaders = sync.Pool{New: func() any { return &countingReader{} }}
+// countingReaders lends countingReaders: a get makes none. One is in
+// flight per replica file being read.
+var countingReaders = lend.NewPool(64, func() *countingReader { return &countingReader{} })
 
-// closed is the error of a call on a closed countingReader.
+// closed is the error of a call on a closed counting handle.
 func closed(op string) error {
-	return lend.Stale("storage: counting reader", types.E(op, "", fs.ErrClosed))
+	return lend.Stale("storage: counting handle", types.E(op, "", fs.ErrClosed))
 }
 
 func (c *countingReader) Read(p []byte) (int, error) {
@@ -164,8 +197,6 @@ func (c *countingReader) Close() error {
 	}
 	err := c.r.Close()
 	*c = countingReader{}
-	if lend.Recycle() {
-		countingReaders.Put(c)
-	}
+	countingReaders.Put(c)
 	return err
 }

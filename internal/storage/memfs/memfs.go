@@ -142,14 +142,15 @@ func (f *FS) Open(path string) (storage.ReadFile, error) {
 	if !ok {
 		return nil, types.E("open", path, types.ErrNotFound)
 	}
-	r := readers.Get().(*reader)
+	r := readers.Get()
 	r.rd.Reset(e.data)
 	r.open = true
 	return r, nil
 }
 
-// readers lends read handles: a get makes none.
-var readers = sync.Pool{New: func() any { return &reader{} }}
+// readers lends read handles: a get makes none. One is in flight per
+// file being read.
+var readers = lend.NewPool(64, func() *reader { return &reader{} })
 
 // reader is a lent read handle. Close zeroes it before handing it back,
 // so a late call on it finds it closed until the pool lends it again.
@@ -189,9 +190,7 @@ func (r *reader) Close() error {
 		return closed("close")
 	}
 	*r = reader{}
-	if lend.Recycle() {
-		readers.Put(r)
-	}
+	readers.Put(r)
 	return nil
 }
 

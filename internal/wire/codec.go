@@ -15,9 +15,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"reflect"
-	"sync"
 	"time"
 
+	"gosrb/internal/lend"
 	"gosrb/internal/traceid"
 	"gosrb/internal/types"
 )
@@ -42,13 +42,14 @@ const maxPooled = 64 << 10
 
 // framePool holds the buffers frames are built in and read into: a
 // writer borrows one for the frame it sends, ReadMsg one for the frame it
-// receives (see readPayload).
-var framePool = sync.Pool{New: func() any { b := make([]byte, 0, 512); return &b }}
+// receives (see readPayload), and a server keeps one per request until
+// its reply is written.
+var framePool = lend.NewPool(32, func() *[]byte { b := make([]byte, 0, 512); return &b })
 
 // GetFrame lends an empty buffer from framePool: what ReadMsg reads a
 // frame into, and what a server builds a reply body in (AppendBody)
 // until the frame that carries it is written. Hand it back with PutFrame.
-func GetFrame() *[]byte { return framePool.Get().(*[]byte) }
+func GetFrame() *[]byte { return framePool.Get() }
 
 // PutFrame hands back a frame ReadMsg or ReadRequest lent. Nothing may
 // read the frame, or a slice of it, afterwards: the next frame either

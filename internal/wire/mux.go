@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"gosrb/internal/auth"
+	"gosrb/internal/lend"
 	"gosrb/internal/types"
 )
 
@@ -290,10 +291,10 @@ func (m *Mux) fatal(err error) {
 }
 
 // pendingPool holds answered waiters, each with its channel (see
-// muxPending).
-var pendingPool = sync.Pool{New: func() any {
+// muxPending): one is in flight per call its process has outstanding.
+var pendingPool = lend.NewPool(64, func() *muxPending {
 	return &muxPending{ch: make(chan muxOutcome, 1)}
-}}
+})
 
 // release returns an answered waiter to the pool, reset to idle.
 func (p *muxPending) release() {
@@ -306,7 +307,7 @@ func (p *muxPending) release() {
 // register allocates an ID and parks a waiter for it.
 func (m *Mux) register(sink Sink) (uint64, *muxPending, error) {
 	id := m.nextID.Add(1)
-	p := pendingPool.Get().(*muxPending)
+	p := pendingPool.Get()
 	p.sink = sink
 	m.mu.Lock()
 	if m.err != nil {
