@@ -55,8 +55,15 @@ CREATE_USERS := internal/core internal/server internal/mysrb
 # The read fence: internal/server streams an object from Broker.OpenGet, never reads it whole.
 WHOLE_READS := GetTraced\(|broker\.Get\(|storage\.ReadSized\(
 
-# The slot fence: a reply internal/server only encodes is built in its connection slot: a listing in the slot's []types.Stat (Broker.AppendList), a query answer in its mcat.Answer (Broker.QueryInto), never in a fresh one per request.
-SLOT_BUILT := c\.b\.(List|QueryPartial)\(
+# The slot fence: a reply internal/server only encodes is built in its connection slot: a listing in the slot's []types.Stat (Broker.AppendList), an object's triplets in its []types.AVU (Broker.AppendMeta), a query answer in its mcat.Answer (Broker.QueryInto), never in a fresh one per request.
+SLOT_BUILT := c\.b\.(List|QueryPartial|GetMeta)\(
+
+# The args fence: a request's arguments are decoded in one place in
+# internal/server, via (dispatch.go), which cuts an idempotent op's strings
+# from the slot's slab (wire.DecodeArgsIn) and gives any other op's a copy
+# of their own (wire.DecodeArgs), so no handler decodes around that rule.
+ARGS_DECODE := wire\.DecodeArgs
+SERVER_FILES := $(filter-out %_test.go,$(wildcard internal/server/*.go))
 
 # The presize fence: internal/server holds forwarded bytes (a peer's multiget reply, a bulkput batch) in a chunk.Spool, never in a buffer sized from a length a remote party announced.
 PRESIZED := wire\.Buffer|Grow\(
@@ -177,7 +184,8 @@ lint: vet
 	@if grep -rnE '$(LOOKUP_AGAIN_SERVER)' --include=*.go --exclude=*_test.go internal/server || grep -rnE '$(LOOKUP_AGAIN_CORE)' --include=*.go --exclude=*_test.go internal/core; then echo "resolve a path once (Broker.Lookup) and pass the row down"; exit 1; fi
 	@if grep -rnF '$(REPLICA_FILTER)' --include=*.go --exclude=*_test.go internal/server; then echo "replica filter in internal/server: ask the selector (Broker.Replicas().Owner)"; exit 1; fi
 	@if [ "$$(grep -rnE '$(PEER_CALLS)' --include=*.go --exclude=*_test.go internal/server | wc -l)" -ne 1 ]; then grep -rnE '$(PEER_CALLS)' --include=*.go --exclude=*_test.go internal/server; echo "internal/server calls a peer only through peerCall, its one Mux.CallTo"; exit 1; fi
-	@if grep -rnE '$(SLOT_BUILT)' --include=*.go --exclude=*_test.go internal/server; then echo "a reply the server only encodes is built in the slot: Broker.AppendList into session.stats, Broker.QueryInto into session.ans"; exit 1; fi
+	@if grep -rnE '$(SLOT_BUILT)' --include=*.go --exclude=*_test.go internal/server; then echo "a reply the server only encodes is built in the slot: Broker.AppendList into session.stats, Broker.AppendMeta into session.avus, Broker.QueryInto into session.ans"; exit 1; fi
+	@if awk '/^[^[:space:]}]/{f=$$0} /$(ARGS_DECODE)/ && !/^[[:space:]]*\/\// && f !~ /^func via\[/ {print FILENAME":"FNR": "$$0; bad=1} END{exit !bad}' $(SERVER_FILES); then echo "arguments decoded outside via: an idempotent op's come from the slot's slab, any other op's are a copy (via, internal/server/dispatch.go)"; exit 1; fi
 	@if grep -rnE '$(PRESIZED)' --include=*.go --exclude=*_test.go internal/server; then echo "a server holds forwarded bytes in a chunk.Spool, never presized from a remote length"; exit 1; fi
 	@if grep -rnE '$(FILE_WRITES)' --include=*.go --exclude=*_test.go --exclude-dir=durable cmd internal examples | grep -vE '$(DRIVER_RENAME)'; then echo "file written outside internal/durable: publish it with durable.Replace or durable.Create, append with durable.Journal"; exit 1; fi
 	@if grep -rnE '$(RAW_LOGS)' --exclude-dir=durable $(GO_SRC); then echo "a store's snapshot and journal go through durable's compacting log"; exit 1; fi

@@ -29,35 +29,43 @@ func (b *Broker) AddMeta(user, path string, class types.MetaClass, avu types.AVU
 }
 
 // GetMeta returns the metadata of one class; system metadata is
-// synthesised from catalog state.
+// synthesised from catalog state. It is AppendMeta into a fresh slice.
 func (b *Broker) GetMeta(user, path string, class types.MetaClass) ([]types.AVU, error) {
-	if err := b.need(user, path, acl.Read, "getmeta"); err != nil {
-		return nil, err
-	}
-	if class == types.MetaSystem {
-		return b.systemMeta(path)
-	}
-	if class == types.MetaFile {
-		return b.fileMeta(user, path)
-	}
-	return b.Cat.GetMeta(path, class)
+	return b.AppendMeta(nil, user, path, class)
 }
 
-// systemMeta renders the system-defined metadata the paper says users
-// "can view ... and also use in their search mechanism".
-func (b *Broker) systemMeta(path string) ([]types.AVU, error) {
+// AppendMeta appends the metadata of one class on path to dst: a caller
+// that keeps dst from one call to the next (a server's connection slot)
+// makes no slice for the triplets it only encodes. On error dst comes
+// back unchanged.
+func (b *Broker) AppendMeta(dst []types.AVU, user, path string, class types.MetaClass) ([]types.AVU, error) {
+	if err := b.need(user, path, acl.Read, "getmeta"); err != nil {
+		return dst, err
+	}
+	switch class {
+	case types.MetaSystem:
+		return b.systemMeta(dst, path)
+	case types.MetaFile:
+		return b.fileMeta(dst, user, path), nil
+	}
+	return b.Cat.AppendMeta(dst, path, class)
+}
+
+// systemMeta appends the system-defined metadata the paper says users
+// "can view ... and also use in their search mechanism" to dst.
+func (b *Broker) systemMeta(dst []types.AVU, path string) ([]types.AVU, error) {
 	if col, err := b.Cat.GetColl(path); err == nil {
-		return []types.AVU{
-			{Name: "sys:collection", Value: col.Path},
-			{Name: "sys:owner", Value: col.Owner},
-			{Name: "sys:created", Value: col.CreatedAt.UTC().Format("2006-01-02 15:04:05")},
-		}, nil
+		return append(dst,
+			types.AVU{Name: "sys:collection", Value: col.Path},
+			types.AVU{Name: "sys:owner", Value: col.Owner},
+			types.AVU{Name: "sys:created", Value: col.CreatedAt.UTC().Format("2006-01-02 15:04:05")},
+		), nil
 	}
 	o, err := b.Cat.GetObject(path)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
-	out := []types.AVU{
+	out := append(dst, []types.AVU{
 		{Name: "sys:name", Value: o.Name},
 		{Name: "sys:collection", Value: o.Collection},
 		{Name: "sys:owner", Value: o.Owner},
@@ -65,7 +73,7 @@ func (b *Broker) systemMeta(path string) ([]types.AVU, error) {
 		{Name: "sys:datatype", Value: o.DataType},
 		{Name: "sys:size", Value: fmt.Sprint(o.Size)},
 		{Name: "sys:replicas", Value: fmt.Sprint(len(o.Replicas))},
-	}
+	}...)
 	for _, r := range o.Replicas {
 		out = append(out, types.AVU{
 			Name:  fmt.Sprintf("sys:replica%d", r.Number),
@@ -78,11 +86,10 @@ func (b *Broker) systemMeta(path string) ([]types.AVU, error) {
 	return out, nil
 }
 
-// fileMeta reads the triplets from every attached metadata-carrying
-// file. "This metadata is used only for viewing and cannot take part in
-// querying."
-func (b *Broker) fileMeta(user, path string) ([]types.AVU, error) {
-	var out []types.AVU
+// fileMeta appends the triplets from every attached metadata-carrying
+// file to dst. "This metadata is used only for viewing and cannot take
+// part in querying."
+func (b *Broker) fileMeta(dst []types.AVU, user, path string) []types.AVU {
 	for _, mf := range b.Cat.FileMeta(path) {
 		o, err := b.Cat.GetObject(mf)
 		if err != nil {
@@ -92,9 +99,9 @@ func (b *Broker) fileMeta(user, path string) ([]types.AVU, error) {
 		if err != nil {
 			continue
 		}
-		out = append(out, metadata.ParseTriplets(raw)...)
+		dst = append(dst, metadata.ParseTriplets(raw)...)
 	}
-	return out, nil
+	return dst
 }
 
 // UpdateMeta rewrites matching triplets; ownership required.

@@ -120,21 +120,28 @@ func (c *Catalog) AddMeta(path string, class types.MetaClass, avu types.AVU) err
 	return c.commitLine(l)
 }
 
-// GetMeta returns the triplets of one class on path, in insert order.
+// GetMeta returns the triplets of one class on path, in insert order. It
+// is AppendMeta into a fresh slice.
 func (c *Catalog) GetMeta(path string, class types.MetaClass) ([]types.AVU, error) {
+	return c.AppendMeta(nil, path, class)
+}
+
+// AppendMeta appends the triplets of one class on path to dst, in insert
+// order: a caller that keeps dst from one call to the next makes no
+// slice for them. On error dst comes back unchanged.
+func (c *Catalog) AppendMeta(dst []types.AVU, path string, class types.MetaClass) ([]types.AVU, error) {
 	path = types.CleanPath(path)
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	if !c.pathExistsLocked(path) {
-		return nil, types.E("getmeta", path, types.ErrNotFound)
+		return dst, types.E("getmeta", path, types.ErrNotFound)
 	}
-	var out []types.AVU
 	for _, e := range c.meta[path] {
 		if e.Class == class {
-			out = append(out, e.AVU)
+			dst = append(dst, e.AVU)
 		}
 	}
-	return out, nil
+	return dst, nil
 }
 
 // AllMeta returns every stored triplet on path grouped by class.

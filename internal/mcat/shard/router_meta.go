@@ -43,7 +43,11 @@ func (r *Router) AddMeta(path string, class types.MetaClass, avu types.AVU) erro
 }
 
 func (r *Router) GetMeta(path string, class types.MetaClass) ([]types.AVU, error) {
-	return r.home(path).GetMeta(path, class)
+	return r.AppendMeta(nil, path, class)
+}
+
+func (r *Router) AppendMeta(dst []types.AVU, path string, class types.MetaClass) ([]types.AVU, error) {
+	return r.home(path).AppendMeta(dst, path, class)
 }
 
 func (r *Router) AllMeta(path string) (map[types.MetaClass][]types.AVU, error) {

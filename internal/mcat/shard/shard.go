@@ -102,6 +102,7 @@ type Catalog interface {
 	// Descriptive, structural and file-based metadata; annotations.
 	AddMeta(path string, class types.MetaClass, avu types.AVU) error
 	GetMeta(path string, class types.MetaClass) ([]types.AVU, error)
+	AppendMeta(dst []types.AVU, path string, class types.MetaClass) ([]types.AVU, error)
 	AllMeta(path string) (map[types.MetaClass][]types.AVU, error)
 	UpdateMeta(path string, class types.MetaClass, name, oldValue string, newAVU types.AVU) (int, error)
 	DeleteMeta(path string, class types.MetaClass, name, value string) (int, error)

@@ -195,7 +195,7 @@ func (s *Server) dispatchOp(ss *session, req *wire.Request) error {
 			return ss.fail(types.E(req.Op, "", types.ErrPermission))
 		}
 	}
-	return op.run(call{s: s, ss: ss, b: s.broker, user: user, req: req})
+	return op.run(call{s: s, ss: ss, b: s.broker, user: user, req: req, spec: op.spec})
 }
 
 // call is what a handler gets besides its decoded arguments. It is
@@ -206,6 +206,7 @@ type call struct {
 	b    *core.Broker
 	user string // the effective user
 	req  *wire.Request
+	spec *wire.OpSpec // the op's row
 }
 
 // handler serves one op: it decodes the request's arguments and replies
@@ -216,10 +217,19 @@ type handler func(c call) error
 // itself: a stream, a redirect, or a peer's reply relayed untouched. fn
 // stages its own failures (ss.fail); what it returns is a transport
 // error. The arguments are decoded once, here, and also give the request
-// its usage key.
+// its usage key. An idempotent op's argument strings are cut from the
+// slot's slab (session.slab), at no allocation; any other op's get a
+// copy of their own (wire.DecodeArgs), for only a mutating op writes a
+// catalog row, and a row must pin no slab.
 func via[A any](fn func(c call, a A) error) handler {
 	return func(c call) error {
-		a, err := wire.DecodeArgs[A](c.req.Args)
+		var a A
+		var err error
+		if c.spec.Idempotent {
+			a, err = wire.DecodeArgsIn[A](c.req.Args, &c.ss.slab)
+		} else {
+			a, err = wire.DecodeArgs[A](c.req.Args)
+		}
 		if err != nil {
 			return c.ss.fail(err)
 		}
@@ -361,9 +371,7 @@ var handlers = map[string]handler{
 	wire.OpAddMeta: do(func(c call, a wire.MetaArgs) error {
 		return c.b.AddMeta(c.user, a.Path, types.MetaClass(a.Class), a.AVU)
 	}),
-	wire.OpGetMeta: get(func(c call, a wire.GetMetaArgs) ([]types.AVU, error) {
-		return c.b.GetMeta(c.user, a.Path, types.MetaClass(a.Class))
-	}),
+	wire.OpGetMeta:     via(getMeta),
 	wire.OpAnnotate:    do(func(c call, a wire.AnnotateArgs) error { return c.b.Annotate(c.user, a.Path, a.Ann) }),
 	wire.OpAnnotations: get(func(c call, a wire.PathArgs) ([]types.Annotation, error) { return c.b.Annotations(c.user, a.Path) }),
 	wire.OpQuery:       via(query),
@@ -407,7 +415,9 @@ var handlers = map[string]handler{
 	wire.OpIncidentGet:     get(incidentGet),
 	wire.OpIncidentCapture: get(incidentCapture),
 	wire.OpScrub: get(func(c call, a wire.PathArgs) (wire.ScrubReply, error) {
-		rpt, err := c.b.Scrub(c.user, a.Path, c.ss.span)
+		// A scrub marks replicas dirty and queues repairs under its path,
+		// in rows the catalog keeps: it hands on a copy, not the slab's.
+		rpt, err := c.b.Scrub(c.user, strings.Clone(a.Path), c.ss.span)
 		return wire.ScrubReply{Server: c.s.name, Report: rpt}, err
 	}),
 	wire.OpChecksum: get(func(c call, a wire.PathArgs) (wire.ChecksumReply, error) {
@@ -510,6 +520,22 @@ func list(c call, a wire.PathArgs) error {
 	}
 	err = reply(c.ss, &body)
 	c.ss.stats = keep(st)
+	return err
+}
+
+// getMeta answers into the slot's kept triplets (session.avus) and
+// encodes the reply from them.
+func getMeta(c call, a wire.GetMetaArgs) error {
+	avus, err := c.b.AppendMeta(c.ss.avus[:0], c.user, a.Path, types.MetaClass(a.Class))
+	if err != nil {
+		return c.ss.fail(err)
+	}
+	body := avus
+	if len(body) == 0 {
+		body = nil // no triplets encode as nil, as GetMeta's do
+	}
+	err = reply(c.ss, &body)
+	c.ss.avus = keep(avus)
 	return err
 }
 

@@ -333,12 +333,19 @@ type session struct {
 	// rl is the slot's relay for a proxied read (federate), kept across
 	// requests while its calls succeed.
 	rl *relay
-	// stats and ans are the slot's listing and query answer: list and
-	// query build their replies in them, and keep hands them on to the
-	// slot's next request with their rows cleared, while each buffer is
-	// within maxKept bytes.
+	// stats, avus and ans are the slot's listing, triplets and query
+	// answer: list, getmeta and query build their replies in them, and
+	// keep hands them on to the slot's next request with their rows
+	// cleared, while each buffer is within maxKept bytes.
 	stats []types.Stat
+	avus  []types.AVU
 	ans   mcat.Answer
+	// slab is the append-only buffer an idempotent op's argument strings
+	// are cut from (via, wire.DecodeArgsIn). Its bytes are never written
+	// again: a full slab is dropped for a fresh one, so a string a bounded
+	// holder (the audit and trace rings, the heat and usage tables) keeps
+	// pins at most one slab, and the holder's bound limits how many.
+	slab strings.Builder
 	reqState
 }
 

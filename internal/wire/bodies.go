@@ -46,12 +46,11 @@ func appendBinary(b []byte, v any) ([]byte, bool) {
 	return c.b, ok
 }
 
-// decodeBinary decodes body into v when v points to a hot type; ok is
-// false (v untouched) when it does not. v does not escape. own gives
-// each decoded string an allocation of its own; otherwise they share one
-// (see decoder.string).
-func decodeBinary(body []byte, v any, own bool) (ok bool, err error) {
-	c := codec{d: decoder{b: body, own: own}}
+// decodeBinary decodes d's body into v when v points to a hot type; ok
+// is false (v untouched) when it does not. v does not escape. d says
+// where the decoded strings come from (see decoder.string).
+func decodeBinary(d decoder, v any) (ok bool, err error) {
+	c := codec{d: d}
 	if !c.walk(v) {
 		return false, nil
 	}

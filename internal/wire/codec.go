@@ -15,6 +15,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"reflect"
+	"strings"
 	"time"
 
 	"gosrb/internal/lend"
@@ -144,7 +145,10 @@ func appendRequest(b []byte, r *Request) []byte {
 // resolved through the op table; Args is a slice of p. OnBehalf and
 // Ticket share one copy of their own bytes, made only when either is
 // set, so a string a request's span or log line keeps pins none of the
-// args; a plain client call sets neither and costs nothing here.
+// args; a plain client call sets neither and costs nothing here. Either
+// that spells what r already holds keeps r's string: a reader that
+// decodes each request into the same r (a server's reader loop) makes
+// nothing for a peer that asserts the same user request after request.
 func DecodeRequest(p []byte, r *Request) error {
 	d := decoder{b: p}
 	r.ID = d.uvarint()
@@ -158,8 +162,8 @@ func DecodeRequest(p []byte, r *Request) error {
 	d.span()
 	d.span()
 	h.b = p[:d.off]
-	r.OnBehalf = h.string()
-	r.Ticket = h.string()
+	r.OnBehalf = h.stringOr(r.OnBehalf)
+	r.Ticket = h.stringOr(r.Ticket)
 	r.Trace = traceid.ID(d.uint64())
 	r.Span = traceid.ID(d.uint64())
 	r.Attempt = int(d.varint())
@@ -282,7 +286,7 @@ func DecodeBody[T any](body []byte, v *T) error {
 	if p, ok := any(v).(*any); ok && *p != nil {
 		return decodeBoxed(body, *p)
 	}
-	if ok, err := decodeBinary(body, v, false); ok {
+	if ok, err := decodeBinary(decoder{b: body}, v); ok {
 		return err
 	}
 	p := new(T)
@@ -294,7 +298,7 @@ func DecodeBody[T any](body []byte, v *T) error {
 
 // decodeBoxed decodes a body into p, a pointer held in an interface.
 func decodeBoxed(body []byte, p any) error {
-	if ok, err := decodeBinary(body, p, false); ok {
+	if ok, err := decodeBinary(decoder{b: body}, p); ok {
 		return err
 	}
 	return decodeJSON(body, p)
@@ -306,14 +310,50 @@ func decodeBoxed(body []byte, p any) error {
 // the frame: a string that outlives the request (a catalog row, a heat
 // key) pins at most its own args. Args over maxPooled (64 KiB) give
 // each string an allocation of its own instead, so no kept string pins
-// more than that.
+// more than that. A server decodes a mutating op's args so: they are the
+// only strings a catalog row is built from.
 func DecodeArgs[A any](raw []byte) (a A, err error) {
+	return decodeArgs[A](raw, decoder{b: raw, own: len(raw) > maxPooled})
+}
+
+// slabSize is the size of an args slab (DecodeArgsIn). Args over a
+// quarter of it are decoded by DecodeArgs instead, so a slab serves at
+// least four requests before it is dropped.
+const slabSize = 4 << 10
+
+// DecodeArgsIn is DecodeArgs cutting the decoded strings from slab, an
+// append-only buffer the caller keeps from one request to the next:
+// decoding args costs no allocation until the slab is full. Bytes written
+// into the slab are never written again: when the args do not fit in
+// what is left of it, the slab is dropped for a fresh one of slabSize
+// bytes, and every string cut from the old one stays valid for as long
+// as anything holds it. So a kept string pins at most one slab, and only
+// a holder with a bound of its own (a ring, a bounded table) may keep
+// one: a server decodes an idempotent op's args so, whose strings no
+// catalog row is built from. Args over slabSize/4 take DecodeArgs'
+// copy; the JSON path allocates its strings as DecodeArgs' does.
+func DecodeArgsIn[A any](raw []byte, slab *strings.Builder) (a A, err error) {
+	if len(raw) > slabSize/4 {
+		return DecodeArgs[A](raw)
+	}
+	// The strings are at most the args' bytes, so they never grow the
+	// slab past its size: its bytes are never copied to a larger one.
+	if slab.Cap()-slab.Len() < len(raw) {
+		*slab = strings.Builder{}
+		slab.Grow(slabSize)
+	}
+	return decodeArgs[A](raw, decoder{b: raw, slab: slab})
+}
+
+// decodeArgs is DecodeArgs and DecodeArgsIn, d saying where the
+// strings come from.
+func decodeArgs[A any](raw []byte, d decoder) (a A, err error) {
 	if len(raw) == 0 {
 		return a, nil
 	}
 	// &a goes only where it does not escape: a binary-coded A stays on the
 	// stack, and only the JSON path pays for a heap copy.
-	if ok, err := decodeBinary(raw, &a, len(raw) > maxPooled); ok {
+	if ok, err := decodeBinary(d, &a); ok {
 		return a, err
 	}
 	p := new(A)
@@ -457,10 +497,12 @@ type decoder struct {
 	err error
 	// str is b from base on as one string, copied when the first
 	// non-empty string is read; every later string is cut from it. With
-	// own set, each string is an allocation of its own instead.
+	// own set, each string is an allocation of its own instead; with slab
+	// set, each is appended to the slab and cut from it (DecodeArgsIn).
 	str  string
 	base int
 	own  bool
+	slab *strings.Builder
 }
 
 func (d *decoder) fail() {
@@ -544,10 +586,25 @@ func (d *decoder) string() string {
 		return ""
 	case d.own:
 		return string(d.b[i:j])
+	case d.slab != nil:
+		d.slab.Write(d.b[i:j])
+		s := d.slab.String()
+		return s[len(s)-(j-i):]
 	case d.str == "":
 		d.str, d.base = string(d.b[i:]), i
 	}
 	return d.str[i-d.base : j-d.base]
+}
+
+// stringOr reads a string, returning prev itself when the bytes spell
+// it: comparing them makes no object.
+func (d *decoder) stringOr(prev string) string {
+	off := d.off
+	if string(d.bytes()) == prev {
+		return prev
+	}
+	d.off = off
+	return d.string()
 }
 
 func (d *decoder) time() time.Time {

@@ -54,8 +54,14 @@ func (hot[T]) sample(r *rand.Rand) []byte {
 
 func (hot[T]) decode(raw []byte) {
 	DecodeArgs[T](raw)
+	var slab strings.Builder
+	DecodeArgsIn[T](raw, &slab)
 	DecodeBody(raw, new(T))
 }
+
+// diffSlab is the slab the differential test decodes args into, one for
+// the whole run, so its samples roll it many times.
+var diffSlab strings.Builder
 
 // TestCodecDifferential sends seeded random values of every hot type
 // through the binary codec — as args (DecodeArgs) and as a reply
@@ -169,6 +175,10 @@ func (hot[T]) differential(t *testing.T, r *rand.Rand) {
 	if err != nil {
 		t.Fatalf("%T: decode as args: %v", v, err)
 	}
+	slabbed, err := DecodeArgsIn[T](body, &diffSlab)
+	if err != nil {
+		t.Fatalf("%T: decode as args in a slab: %v", v, err)
+	}
 	raw, err := json.Marshal(v)
 	if err != nil {
 		t.Fatalf("%T: json: %v", v, err)
@@ -177,7 +187,7 @@ func (hot[T]) differential(t *testing.T, r *rand.Rand) {
 	if err := json.Unmarshal(raw, &want); err != nil {
 		t.Fatalf("%T: json: %v", v, err)
 	}
-	for _, p := range []*T{&reply, &args, &want} {
+	for _, p := range []*T{&reply, &args, &slabbed, &want} {
 		utcTimes(reflect.ValueOf(p).Elem())
 	}
 	if !reflect.DeepEqual(reply, want) {
@@ -185,6 +195,9 @@ func (hot[T]) differential(t *testing.T, r *rand.Rand) {
 	}
 	if !reflect.DeepEqual(args, want) {
 		t.Fatalf("%T through the args codec:\n got %+v\nwant %+v (JSON)", v, args, want)
+	}
+	if !reflect.DeepEqual(slabbed, want) {
+		t.Fatalf("%T through the args codec in a slab:\n got %+v\nwant %+v (JSON)", v, slabbed, want)
 	}
 }
 
@@ -518,10 +531,14 @@ func TestCodecAllocs(t *testing.T) {
 // TestDecodeStringAllocs fences how decoded strings are allocated. A
 // request header's strings (OnBehalf, Ticket) share one copy of the
 // header, and a header with neither — a client's call, whose trace and
-// span IDs are integers — allocates nothing; args under
+// span IDs are integers — allocates nothing, nor does one whose OnBehalf
+// repeats the previous request's, decoded into the same Request (a
+// peer's hops, each asserting the same user); args under
 // maxPooled share one copy of the args from their first string on;
 // args over it give each string its own allocation, so no kept string
-// pins more than 64 KiB.
+// pins more than 64 KiB. Args decoded into a slab cost no allocation for
+// their strings (a slab made every few dozen requests rounds to none),
+// unless they are over a quarter of it: those take the one copy.
 func TestDecodeStringAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own account")
@@ -530,8 +547,14 @@ func TestDecodeStringAllocs(t *testing.T) {
 	meta := []types.AVU{{Name: "band", Value: "JH", Units: "nm"}, {Name: "mag", Value: "12.5", Units: "dex"}, {Name: "run", Value: "r7", Units: "id"}}
 	small, _ := AppendBody(nil, &IngestArgs{Path: "/home/x", Resource: "d1", DataType: "generic", Meta: meta})
 	large, _ := AppendBody(nil, &IngestArgs{Path: "/home/x", Resource: "d1", DataType: strings.Repeat("t", maxPooled), Meta: meta})
+	mid, _ := AppendBody(nil, &IngestArgs{Path: "/home/x", Resource: "d1", DataType: strings.Repeat("t", slabSize/4), Meta: meta})
 	header := appendRequest(nil, &Request{ID: 7, Op: OpStat, OnBehalf: "alice", Trace: 0x0123456789abcdef, Span: 0x01234567, Args: small})
 	plain := appendRequest(nil, &Request{ID: 7, Op: OpStat, Trace: 0x0123456789abcdef, Args: small})
+	var prev Request
+	if err := DecodeRequest(header, &prev); err != nil {
+		t.Fatal(err)
+	}
+	var slab strings.Builder
 	for _, c := range []struct {
 		name string
 		want float64
@@ -543,6 +566,11 @@ func TestDecodeStringAllocs(t *testing.T) {
 		{"ingest args over 64 KiB", 13, func() error { _, err := DecodeArgs[IngestArgs](large); return err }},
 		{"request header", 1, func() error { var r Request; return DecodeRequest(header, &r) }},
 		{"client request header", 0, func() error { var r Request; return DecodeRequest(plain, &r) }},
+		{"request header repeating its OnBehalf", 0, func() error { return DecodeRequest(header, &prev) }},
+		// The Meta slice.
+		{"ingest args in a slab, 3 AVUs", 1, func() error { _, err := DecodeArgsIn[IngestArgs](small, &slab); return err }},
+		// The Meta slice, and one string the 12 strings share.
+		{"ingest args over a quarter slab", 2, func() error { _, err := DecodeArgsIn[IngestArgs](mid, &slab); return err }},
 	} {
 		got := testing.AllocsPerRun(100, func() {
 			if err := c.run(); err != nil {
@@ -557,6 +585,88 @@ func TestDecodeStringAllocs(t *testing.T) {
 	if err := DecodeRequest(header, &r); err != nil || r.OnBehalf != "alice" || r.Ticket != "" || r.Trace != 0x0123456789abcdef || r.Span != 0x01234567 || !bytes.Equal(r.Args, small) {
 		t.Errorf("header decoded as %+v, %v", r, err)
 	}
+	// A header that asserts another user, or names a ticket, after one
+	// that did not is decoded afresh.
+	bob := appendRequest(nil, &Request{ID: 8, Op: OpGet, OnBehalf: "bob", Ticket: "tk1", Args: small})
+	if err := DecodeRequest(bob, &r); err != nil || r.OnBehalf != "bob" || r.Ticket != "tk1" {
+		t.Errorf("a second header decoded as %+v, %v", r, err)
+	}
+	if err := DecodeRequest(plain, &r); err != nil || r.OnBehalf != "" || r.Ticket != "" {
+		t.Errorf("a plain header after a peer's decoded as %+v, %v", r, err)
+	}
+}
+
+// TestSlabStringsOutliveTheSlab: a string cut from a slab (DecodeArgsIn)
+// is never written again, however many decodes after it roll the slab
+// over. A reader goroutine checks every hundredth string while later
+// args are still being written into its slab, so under -race a write
+// into bytes already handed out is also a reported race. Args over a
+// quarter of the slab take a copy of their own and leave the slab as it
+// is.
+func TestSlabStringsOutliveTheSlab(t *testing.T) {
+	var slab strings.Builder
+	path := func(i int) string { return fmt.Sprintf("/home/slab/%06d/%s", i, strings.Repeat("p", i%97)) }
+	type kept struct{ got, want string }
+	check := make(chan kept, 16)
+	done := make(chan []string)
+	go func() {
+		var held []string
+		var bad []string
+		for k := range check {
+			held = append(held, k.got)
+			if k.got != k.want {
+				bad = append(bad, fmt.Sprintf("%q read as %q", k.want, k.got))
+			}
+		}
+		// Read once more at the end: every slab they were cut from has
+		// been dropped by then.
+		for i, s := range held {
+			if want := path(100 * i); s != want {
+				bad = append(bad, fmt.Sprintf("%q read at the end as %q", want, s))
+			}
+		}
+		done <- bad
+	}()
+	const n = 10000
+	rolls, last := 0, 0
+	for i := 0; i < n; i++ {
+		a, err := DecodeArgsIn[PathArgs](mustBody(t, &PathArgs{Path: path(i)}), &slab)
+		if err != nil || a.Path != path(i) {
+			t.Fatalf("decode %d = %q, %v", i, a.Path, err)
+		}
+		if slab.Len() < last {
+			rolls++
+		}
+		last = slab.Len()
+		if i%100 == 0 {
+			check <- kept{a.Path, path(i)}
+		}
+	}
+	close(check)
+	for _, b := range <-done {
+		t.Error(b)
+	}
+	if rolls < 100 {
+		t.Errorf("%d decodes rolled the slab %d times, want at least 100", n, rolls)
+	}
+	before := slab.Len()
+	long := strings.Repeat("L", slabSize/4)
+	a, err := DecodeArgsIn[PathArgs](mustBody(t, &PathArgs{Path: long}), &slab)
+	if err != nil || a.Path != long {
+		t.Fatalf("args over a quarter slab decoded as %d bytes, %v", len(a.Path), err)
+	}
+	if slab.Len() != before {
+		t.Errorf("args over a quarter slab were written into it: %d bytes, was %d", slab.Len(), before)
+	}
+}
+
+func mustBody[T any](t *testing.T, v *T) []byte {
+	t.Helper()
+	b, err := AppendBody(nil, v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }
 
 type discardRW struct{}

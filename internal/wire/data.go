@@ -207,7 +207,7 @@ func (b *Buffer) Grow(n int64) {
 // announces its stream's length.
 func (b *Buffer) Presize(body []byte) error {
 	var sz SizeReply
-	if _, err := decodeBinary(body, &sz, false); err != nil {
+	if _, err := decodeBinary(decoder{b: body}, &sz); err != nil {
 		return err
 	}
 	b.Grow(sz.Size)
