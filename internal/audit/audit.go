@@ -21,6 +21,10 @@ const DefaultCapacity = 100_000
 // nothing and a full one never re-copies what it holds.
 const blockSize = 1024
 
+// textSize is the size of the log's text arena (Log.own). A string over
+// a quarter of it is copied on its own instead.
+const textSize = 16 << 10
+
 // Log is a bounded, append-only audit trail. Safe for concurrent use.
 // When the capacity is exceeded the oldest records are dropped.
 type Log struct {
@@ -29,7 +33,13 @@ type Log struct {
 	// blocks[i/blockSize][i%blockSize]. The log fills in slot order
 	// (start stays 0 until it is full), allocating each block as its
 	// first slot is written, so every slot below count exists.
-	blocks   [][]types.AuditRecord
+	blocks [][]types.AuditRecord
+	// text is the append-only arena a record's Target and Detail are
+	// copied into (own). Its bytes are never written again: a full arena
+	// is dropped for a fresh one. Records are dropped in the order they
+	// were written, so the arenas still held are those of the records
+	// held: the log pins what it holds and at most one arena more.
+	text     strings.Builder
 	capacity int
 	start    int // ring start
 	count    int
@@ -52,13 +62,37 @@ func (l *Log) SetClock(now func() time.Time) { l.now = now }
 // slot returns ring slot i.
 func (l *Log) slot(i int) *types.AuditRecord { return &l.blocks[i/blockSize][i%blockSize] }
 
-// Record appends an entry, stamping the time if unset.
+// own returns s as a string of the log's own, cut from its text arena
+// without an allocation until the arena is full. A caller's string may
+// be a slice of a larger buffer (a server cuts an idempotent op's
+// arguments from a 4 KiB slab): held as it is, by up to capacity
+// records, it would pin that whole buffer.
+func (l *Log) own(s string) string {
+	switch {
+	case s == "":
+		return ""
+	case len(s) > textSize/4:
+		return strings.Clone(s)
+	case l.text.Cap()-l.text.Len() < len(s):
+		l.text = strings.Builder{}
+		l.text.Grow(textSize)
+	}
+	l.text.WriteString(s)
+	t := l.text.String()
+	return t[len(t)-len(s):]
+}
+
+// Record appends an entry, stamping the time if unset. The record's
+// Target and Detail, the strings a request's arguments give it, are
+// copied into the log's own arena; User and Op are the caller's session
+// and op names, held as they are.
 func (l *Log) Record(rec types.AuditRecord) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if rec.Time.IsZero() {
 		rec.Time = l.now()
 	}
+	rec.Target, rec.Detail = l.own(rec.Target), l.own(rec.Detail)
 	if l.count < l.capacity {
 		if l.count%blockSize == 0 {
 			l.blocks = append(l.blocks, make([]types.AuditRecord, min(blockSize, l.capacity-l.count)))

@@ -2,6 +2,8 @@ package audit
 
 import (
 	"fmt"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -185,5 +187,42 @@ func TestWrapAcrossPartialBlock(t *testing.T) {
 		if want := fmt.Sprintf("/f%d", total-capacity+i); r.Target != want {
 			t.Fatalf("recs[%d] = %s, want %s", i, r.Target, want)
 		}
+	}
+}
+
+// TestRecordPinsNoCallerBuffer: a record keeps copies of its Target and
+// Detail, cut from the log's own arena, so a target sliced from a
+// caller's larger buffer (a server's args slab) does not keep that
+// buffer alive, and copying costs no allocation while the arena has
+// room. Records whose strings are cut from 8 KiB buffers of their own
+// must cost the heap about what the strings themselves do.
+func TestRecordPinsNoCallerBuffer(t *testing.T) {
+	const n, bufSize = 2000, 8 << 10
+	l := New(0)
+	l.Op("u", "warm", "/t", true, "")
+	heap := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := heap()
+	for i := 0; i < n; i++ {
+		buf := strings.Repeat("x", bufSize) + fmt.Sprintf("/home/f%05d", i)
+		l.Op("u", "get", buf[bufSize:], true, buf[bufSize-8:bufSize])
+	}
+	after := heap()
+	if per := (float64(after) - float64(before)) / n; per > 512 {
+		t.Errorf("heap per record: %.0f B, want at most 512 (a record pinning its caller's buffer holds %d)", per, bufSize)
+	}
+	runtime.KeepAlive(l)
+	for i, r := range l.Query(Filter{Op: "get"}) {
+		if want := fmt.Sprintf("/home/f%05d", i); r.Target != want || r.Detail != "xxxxxxxx" {
+			t.Fatalf("record %d: target %q detail %q, want %q and 8 x's", i, r.Target, r.Detail, want)
+		}
+	}
+	target := "/home/f00000"
+	if a := testing.AllocsPerRun(1000, func() { l.Op("u", "get", target, true, "") }); a > 0.01 {
+		t.Errorf("Record made %v allocations per record, want (amortized) 0", a)
 	}
 }

@@ -510,32 +510,35 @@ func issueTicket(c call, a wire.TicketArgs) (wire.TicketReply, error) {
 // list lists into the slot's kept buffer (session.stats) and encodes
 // the reply from it.
 func list(c call, a wire.PathArgs) error {
-	st, err := c.b.AppendList(c.ss.stats[:0], c.user, a.Path)
-	if err != nil {
-		return c.ss.fail(err)
-	}
-	body := st
-	if len(body) == 0 {
-		body = nil // an empty collection lists as nil, as ListColl's does
-	}
-	err = reply(c.ss, &body)
-	c.ss.stats = keep(st)
-	return err
+	return slotReply(c.ss, &c.ss.stats, func(dst []types.Stat) ([]types.Stat, error) {
+		return c.b.AppendList(dst, c.user, a.Path)
+	})
 }
 
 // getMeta answers into the slot's kept triplets (session.avus) and
 // encodes the reply from them.
 func getMeta(c call, a wire.GetMetaArgs) error {
-	avus, err := c.b.AppendMeta(c.ss.avus[:0], c.user, a.Path, types.MetaClass(a.Class))
+	return slotReply(c.ss, &c.ss.avus, func(dst []types.AVU) ([]types.AVU, error) {
+		return c.b.AppendMeta(dst, c.user, a.Path, types.MetaClass(a.Class))
+	})
+}
+
+// slotReply answers a slice-shaped reply in buf, a buffer the slot
+// keeps: fill appends the answer to (*buf)[:0] (and on error leaves it
+// as it was), the reply is encoded from what fill returned, and keep
+// hands the buffer on to the slot's next request. An empty answer
+// encodes as nil, as a freshly made one does.
+func slotReply[T any](ss *session, buf *[]T, fill func(dst []T) ([]T, error)) error {
+	rows, err := fill((*buf)[:0])
 	if err != nil {
-		return c.ss.fail(err)
+		return ss.fail(err)
 	}
-	body := avus
+	body := rows
 	if len(body) == 0 {
-		body = nil // no triplets encode as nil, as GetMeta's do
+		body = nil
 	}
-	err = reply(c.ss, &body)
-	c.ss.avus = keep(avus)
+	err = reply(ss, &body)
+	*buf = keep(rows)
 	return err
 }
 

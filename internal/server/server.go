@@ -342,9 +342,10 @@ type session struct {
 	ans   mcat.Answer
 	// slab is the append-only buffer an idempotent op's argument strings
 	// are cut from (via, wire.DecodeArgsIn). Its bytes are never written
-	// again: a full slab is dropped for a fresh one, so a string a bounded
-	// holder (the audit and trace rings, the heat and usage tables) keeps
-	// pins at most one slab, and the holder's bound limits how many.
+	// again: a full slab is dropped for a fresh one, so a string a small
+	// bounded holder (the trace ring, the heat and usage tables) keeps
+	// pins at most one slab, and the holder's bound limits how many. The
+	// audit log, too large for that, copies what it keeps (audit.Log.own).
 	slab strings.Builder
 	reqState
 }

@@ -18,38 +18,66 @@ import (
 	"gosrb/internal/wire"
 )
 
-// TestCatalogPinsNoSlab is the retention fence of the args slab: puts
-// interleaved with enough idempotent requests to roll the slot's slab
-// after each put leave the heap no larger, put for put, than puts alone.
-// An idempotent op's argument strings are cut from the slab, and a
-// string held anywhere pins the whole slab it was cut from; a catalog
-// row built from such a string would pin one slab (4 KiB) per put here.
-// Each arm warms up first, so the bounded holders (the trace ring, the
-// audit log's first block, the tables) are as full as they get before
-// the heap is measured.
+// TestCatalogPinsNoSlab is the retention fence of the args slab: puts,
+// gets and listings, each followed by enough idempotent requests to roll
+// the slot's slab, leave the heap no larger, request for request, than
+// the same requests alone. An idempotent op's argument strings are cut
+// from the slab, and a string held anywhere pins the whole slab it was
+// cut from: a catalog row built from such a string would pin one slab
+// (4 KiB) per put here, and an audit record of a get or a listing that
+// kept its path uncopied one per read. Each arm warms up first, so the
+// bounded holders (the trace ring, the audit log's first block, the
+// tables) are as full as they get before the heap is measured.
 func TestCatalogPinsNoSlab(t *testing.T) {
 	const (
 		warm  = 300
-		puts  = 300
+		n     = 300
 		reads = 8 // of a ~600-byte args: a slab serves six or seven
 		slack = 1 << 10
 	)
 	long := "/home/" + strings.Repeat("r", 600)
-	perPut := func(arm string, reads int) float64 {
+	type arm struct {
+		name string
+		// setup readies p for op before the warm-up.
+		setup func(cl *client.Client, p string) error
+		op    func(cl *client.Client, p string) error
+	}
+	put := func(cl *client.Client, p string) error {
+		_, err := cl.Put(p, []byte("x"), client.PutOpts{Resource: "d1"})
+		return err
+	}
+	arms := []arm{
+		{name: "put", op: put},
+		{name: "get", setup: put, op: func(cl *client.Client, p string) error {
+			_, err := cl.Get(p)
+			return err
+		}},
+		{name: "ls", setup: func(cl *client.Client, p string) error { return cl.Mkdir(p) },
+			op: func(cl *client.Client, p string) error {
+				_, err := cl.List(p)
+				return err
+			}},
+	}
+	perOp := func(a arm, tag string, reads int) float64 {
 		_, _, addr := bootOne(t, map[string]stg.Driver{"d1": memfs.New()}, nil, "")
 		cl, err := client.Dial(addr, "alice", "alicepw")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := cl.Put(long, []byte("r"), client.PutOpts{Resource: "d1"}); err != nil {
+		if err := put(cl, long); err != nil {
 			t.Fatal(err)
 		}
-		paths := make([]string, warm+puts)
+		paths := make([]string, warm+n)
 		for i := range paths {
-			paths[i] = fmt.Sprintf("/home/%s%05d", arm, i)
+			paths[i] = fmt.Sprintf("/home/%s%s%05d", a.name, tag, i)
+			if a.setup != nil {
+				if err := a.setup(cl, paths[i]); err != nil {
+					t.Fatal(err)
+				}
+			}
 		}
 		round := func(p string) {
-			if _, err := cl.Put(p, []byte("x"), client.PutOpts{Resource: "d1"}); err != nil {
+			if err := a.op(cl, p); err != nil {
 				t.Fatal(err)
 			}
 			for r := 0; r < reads; r++ {
@@ -68,13 +96,15 @@ func TestCatalogPinsNoSlab(t *testing.T) {
 		// The slot's own slab goes with its connection.
 		cl.Close()
 		after := settledHeap()
-		return (float64(after) - float64(before)) / puts
+		return (float64(after) - float64(before)) / n
 	}
-	alone, interleaved := perPut("a", 0), perPut("b", reads)
-	if interleaved > alone+slack {
-		t.Errorf("heap per put: %.0f B with %d stats after each, %.0f B alone; at most %d B more", interleaved, reads, alone, slack)
-	} else {
-		t.Logf("heap per put: %.0f B with %d stats after each, %.0f B alone (at most %d B more)", interleaved, reads, alone, slack)
+	for _, a := range arms {
+		alone, interleaved := perOp(a, "a", 0), perOp(a, "b", reads)
+		if interleaved > alone+slack {
+			t.Errorf("heap per %s: %.0f B with %d stats after each, %.0f B alone; at most %d B more", a.name, interleaved, reads, alone, slack)
+		} else {
+			t.Logf("heap per %s: %.0f B with %d stats after each, %.0f B alone (at most %d B more)", a.name, interleaved, reads, alone, slack)
+		}
 	}
 }
 
